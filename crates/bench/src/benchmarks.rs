@@ -402,11 +402,15 @@ impl Drop for WarmStartDir {
 /// [`Telemetry::profiled`] handle and the last repeat's per-phase
 /// wall-clock breakdown is attached to the timing (profiler overhead is
 /// included in `wall_ms`, so profiled rates are not comparable to floors).
+/// Warm-start scenarios run unprofiled either way, with empty `phases`: a
+/// snapshot cannot restore a profiled handle (wall-clock spans are not
+/// part of the deterministic state it captures).
 fn run_scenario(
     s: &BenchScenario,
     repeats: usize,
     profile: bool,
 ) -> (BenchScenarioResult, BenchScenarioTiming) {
+    let profile = profile && s.warm_start.is_none();
     let repeats = repeats.max(1);
     let mut wall_ms = Vec::with_capacity(repeats);
     let mut result: Option<BenchScenarioResult> = None;

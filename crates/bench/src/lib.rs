@@ -4,8 +4,8 @@
 //! [`runner`] module fans experiment grids out over worker threads with
 //! per-cell derived seeds and deterministic aggregation; the
 //! `spider-experiments` binary prints paper-style rows and writes JSON
-//! reports; the Criterion benches in `benches/` measure the computational
-//! kernels behind each figure.
+//! reports; [`benchmarks`] is the timing matrix behind its `bench`
+//! subcommand.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -23,7 +23,8 @@
 //! dependency-free blast-radius report, not precise name resolution.
 //!
 //! Reachability starts at the three engine entry points ([`ENTRY_POINTS`]):
-//! `run` (sequential), `run_queued`, and `run_sharded`. Every panic site in
+//! `run` and `run_queued` (the continuous-time engine's two drivers) and
+//! `run_sharded`. Every panic site in
 //! a reachable fn is a **panic-reachability** violation; every
 //! `Instant::now`/`SystemTime::now` is a **wallclock-reachability**
 //! violation (all three entry loops are deterministic replay surfaces).
@@ -36,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// `(file, fn name)` pairs. All three are deterministic surfaces.
 pub const ENTRY_POINTS: [(&str, &str); 3] = [
     ("crates/spider-sim/src/engine.rs", "run"),
-    ("crates/spider-sim/src/engine_queued.rs", "run_queued"),
+    ("crates/spider-sim/src/engine.rs", "run_queued"),
     ("crates/spider-sim/src/engine_sharded.rs", "run_sharded"),
 ];
 
@@ -542,11 +543,7 @@ mod tests {
         let g = CallGraph::build(&files(&[
             (
                 "crates/spider-sim/src/engine.rs",
-                "impl Engine { fn run(&mut self) { stamp(); } }",
-            ),
-            (
-                "crates/spider-sim/src/engine_queued.rs",
-                "impl QueuedEngine { fn run_queued(&mut self) { stamp(); } }",
+                "fn run() { stamp(); } fn run_queued() { stamp(); }",
             ),
             (
                 "crates/spider-telemetry/src/spans.rs",

@@ -1,41 +1,51 @@
-//! The discrete-event simulation engine (§6.1).
+//! The continuous-time discrete-event engine (§6.1) and its two drivers.
 //!
 //! Mirrors the paper's simulator semantics:
 //!
-//! - transactions arrive over time and are routed by a pluggable
-//!   [`RoutingScheme`];
-//! - routed value is locked along its path and settles `Δ = 0.5 s` later
-//!   (funds are unavailable to everyone in between);
+//! - transactions arrive over time;
+//! - routed value is locked along its path and settles `Δ = 0.5 s` after it
+//!   reaches the receiver (funds are unavailable to everyone in between);
 //! - atomic schemes deliver a payment entirely at arrival or fail it;
-//! - packet-switched schemes split payments into MTU-bounded transaction
-//!   units; incomplete payments sit in a global queue that is polled
-//!   periodically and serviced in scheduling-policy order (SRPT by
-//!   default);
-//! - payments that miss their deadline are abandoned — value already
-//!   settled stays delivered (non-atomic transport), but the payment does
-//!   not count as a success.
+//! - packet-switched transport splits payments into MTU-bounded transaction
+//!   units and keeps sending until the payment completes or its deadline
+//!   passes — value already settled stays delivered (non-atomic transport),
+//!   but an abandoned payment does not count as a success.
 //!
-//! The engine is single-threaded and completely deterministic: identical
-//! inputs produce identical runs.
+//! That is one transport, and [`crate::transport`] holds its state and the
+//! unit lifecycle once. What the paper leaves open is where a unit waits
+//! while a channel is dry, and this module has one thin driver per answer:
+//!
+//! - [`run`] queues at the **source** (§6.1, the paper's evaluation): a
+//!   pluggable [`RoutingScheme`] picks each unit's path, the whole path is
+//!   locked at once, and payments that cannot send wait in a global queue
+//!   polled periodically in scheduling-policy order (SRPT by default);
+//! - [`run_queued`] queues at the **routers** (Fig. 3 / §4.2): a unit is
+//!   admitted as soon as its first hop can be funded, waits in a per-channel
+//!   queue wherever the next hop is dry, and moves on when a settlement
+//!   replenishes the channel — optimistic admission that absorbs transient
+//!   imbalance in the network instead of at the sender.
+//!
+//! Both are single-threaded and completely deterministic: identical inputs
+//! produce identical runs, and a run resumed from a snapshot is
+//! byte-identical to an uninterrupted one.
 
-use crate::audit::{AuditViolation, LedgerAudit};
+use crate::audit::LedgerAudit;
 use crate::congestion::{CongestionConfig, CongestionControl};
-use crate::events::EventQueue;
-use crate::faults::{
-    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, RetryPolicy, UnitFate,
-};
-use crate::ledger::{Ledger, LedgerView};
+use crate::faults::{FaultEvent, FaultPlan, UnitFate};
 use crate::metrics::SimReport;
 use crate::payment::{PaymentState, PaymentStatus};
-use crate::rebalancer::{RebalancePolicy, RebalanceStats};
+use crate::rebalancer::RebalancePolicy;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
-use spider_core::{crc32, Amount, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
-use spider_routing::{fees::FeeSchedule, RoutingScheme, SchemeKind, UnitDecision};
-use spider_telemetry::{Histogram, NetworkSample, Phase, Telemetry, TraceEvent};
+use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault, UnitSlab};
+use serde::{Deserialize, Serialize};
+use spider_core::{crc32, Amount, BalanceView, ChannelId, Direction, Enc, Network, Path};
+use spider_routing::{fees::FeeSchedule, path_bottleneck, PathCache, PathStrategy};
+use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
+use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
 use spider_workload::Transaction;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -106,123 +116,98 @@ impl SimConfig {
     }
 }
 
-/// How a unit was marked to fail in flight, with the blamed channel.
-#[derive(Clone, Copy, Debug)]
-enum UnitFault {
-    /// Dropped mid-path by the per-unit loss process.
-    Dropped(ChannelId),
-    /// HTLC griefed at the blamed hop: funds pinned until the hold expires.
-    Griefed(ChannelId),
+/// Queue service order at routers (§4.2: "prioritize payments based on
+/// size, deadline, or routing fees").
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum QueuePolicy {
+    /// First come, first served.
+    #[default]
+    Fifo,
+    /// Smallest unit first (cheap to service, frees head-of-line).
+    SmallestFirst,
+    /// Earliest payment deadline first.
+    EarliestDeadline,
 }
 
-/// One in-flight (or finished) transaction unit. Units live in a slab so
-/// fault events can find and refund them by scanning paths; `resolved`
-/// guards against double release when a refund races a scheduled settle.
-struct UnitRecord {
-    payment: usize,
-    path: std::sync::Arc<Path>,
-    amount: Amount,
-    /// Per-hop locked amounts when fees apply (upstream hops carry the
-    /// delivered amount plus downstream fees); `None` = uniform.
-    hop_amounts: Option<Vec<Amount>>,
-    fault: Option<UnitFault>,
-    resolved: bool,
+/// Configuration for the router-queued driver ([`run_queued`]).
+#[derive(Clone, Debug)]
+pub struct QueuedConfig {
+    /// Hard end of the measurement window (seconds).
+    pub end_time: f64,
+    /// Per-hop propagation/processing delay (seconds).
+    pub hop_delay: f64,
+    /// End-to-end confirmation delay Δ before funds settle (seconds).
+    pub delta: f64,
+    /// Maximum transaction unit.
+    pub mtu: Amount,
+    /// Source scheduler poll interval (seconds).
+    pub poll_interval: f64,
+    /// Per-payment deadline window (seconds after arrival).
+    pub deadline: f64,
+    /// Source-side service order for pending payments.
+    pub source_policy: SchedulePolicy,
+    /// Router-side queue service order.
+    pub queue_policy: QueuePolicy,
+    /// Candidate paths per pair.
+    pub num_paths: usize,
+    /// Hard cap per channel-direction queue; beyond it units are dropped
+    /// (and refunded) on arrival.
+    pub max_queue_len: usize,
+    /// Telemetry handle (disabled by default). Channel samples — including
+    /// real router-queue depths — piggyback on scheduler ticks, so enabling
+    /// telemetry never changes the event order.
+    pub telemetry: Telemetry,
+    /// Deterministic fault schedule (outages / node churn). Units whose
+    /// locked prefix crosses a newly-downed channel are dropped and
+    /// refunded; queued units simply wait for recovery (router queues
+    /// absorb outages) until their payment's deadline.
+    pub faults: Option<FaultPlan>,
 }
 
-/// What a payment timer means when it fires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum TimerKind {
-    /// The payment's deadline passed: abandon it if still pending.
-    Deadline,
-    /// A retry backoff expired: pump the payment again.
-    Retry,
-}
-
-/// Min-heap entry for deadline and retry timers, keyed
-/// `(time, payment, kind)` so expiry processing is deterministic. Replaces
-/// the former O(n)-per-tick scan over all pending payments.
-#[derive(Debug)]
-struct Timer {
-    time: f64,
-    payment: usize,
-    kind: TimerKind,
-}
-
-impl PartialEq for Timer {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Timer {}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Times are finite simulation instants, so total_cmp is a total
-        // order consistent with numeric comparison.
-        self.time
-            .total_cmp(&other.time)
-            .then(self.payment.cmp(&other.payment))
-            .then(self.kind.cmp(&other.kind))
-    }
-}
-
-/// Live fault-injection state: the channel/node mask, the sender blacklist,
-/// and per-payment retry accounting (vectors grow with arrivals).
-struct FaultRuntime {
-    state: FaultState,
-    blacklist: Blacklist,
-    retry: Option<RetryPolicy>,
-    fail_count: Vec<u32>,
-    not_before: Vec<f64>,
-}
-
-enum Event {
-    Arrival(usize),
-    /// A unit reaches the end of its path and settles (index into the unit
-    /// slab; skipped if the unit was already refunded by a fault).
-    Settle {
-        unit: usize,
-    },
-    /// A dropped or griefed unit's failure becomes visible to the sender
-    /// and its locked funds are refunded.
-    FaultExpire {
-        unit: usize,
-    },
-    /// A scheduled fault transition from the [`FaultPlan`].
-    Fault(FaultEvent),
-    Tick,
-    /// Routers inspect channel skew (cadence: `RebalancePolicy::check_interval`).
-    RebalanceCheck,
-    /// A submitted on-chain rebalancing transaction confirms.
-    RebalanceApply {
-        channel: spider_core::ChannelId,
-    },
-}
-
-/// Caps engine-recorded release violations like the auditor caps its own.
-pub(crate) const MAX_RELEASE_VIOLATIONS: usize = 32;
-
-/// Records a refused over-release (see
-/// [`AuditViolationKind::ExcessRelease`](crate::audit::AuditViolationKind))
-/// so it surfaces in the report even when periodic auditing is off.
-pub(crate) fn record_release(
-    violations: &mut Vec<AuditViolation>,
-    time: f64,
-    event: &str,
-    err: &CoreError,
-) {
-    if violations.len() < MAX_RELEASE_VIOLATIONS {
-        if let Some(v) = AuditViolation::from_release_error(time, event, err) {
-            violations.push(v);
+impl QueuedConfig {
+    /// Defaults mirroring [`crate::SimConfig::new`] plus queueing knobs.
+    pub fn new(end_time: f64) -> Self {
+        QueuedConfig {
+            end_time,
+            hop_delay: 0.05,
+            delta: 0.5,
+            mtu: Amount::from_whole(10),
+            poll_interval: 0.1,
+            deadline: 5.0,
+            source_policy: SchedulePolicy::Srpt,
+            queue_policy: QueuePolicy::Fifo,
+            num_paths: 4,
+            max_queue_len: 4_096,
+            telemetry: Telemetry::disabled(),
+            faults: None,
         }
     }
 }
 
-/// Runs one simulation of `transactions` over `network` with `scheme`.
+/// Router-queue statistics for a run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct QueueStats {
+    /// Units that ever waited in a router queue.
+    pub units_queued: usize,
+    /// Units dropped from queues (deadline or overflow).
+    pub units_dropped: usize,
+    /// Largest queue length observed on any channel direction.
+    pub max_queue_len: usize,
+    /// Mean time units spent waiting in queues (seconds, over dequeues).
+    pub mean_wait: f64,
+}
+
+/// Result of a router-queue run: the standard report plus queue statistics.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct QueuedReport {
+    /// The standard metrics.
+    pub report: SimReport,
+    /// Router-queue behaviour.
+    pub queues: QueueStats,
+}
+
+/// Runs one simulation of `transactions` over `network` with `scheme`,
+/// queueing at the source.
 ///
 /// Transactions must be sorted by arrival time; arrivals after
 /// `config.end_time` are ignored.
@@ -232,7 +217,7 @@ pub fn run(
     scheme: &mut dyn RoutingScheme,
     config: &SimConfig,
 ) -> SimReport {
-    match run_inner(network, transactions, scheme, config, None, None) {
+    match run_source_queued(network, transactions, scheme, config, None, None) {
         Ok(report) => report,
         // No checkpoint spec and no resume state: no snapshot I/O happens,
         // so no snapshot error can arise.
@@ -250,7 +235,7 @@ pub fn run_checkpointed(
     config: &SimConfig,
     ckpt: &CheckpointSpec,
 ) -> Result<SimReport, SnapshotError> {
-    run_inner(network, transactions, scheme, config, None, Some(ckpt))
+    run_source_queued(network, transactions, scheme, config, None, Some(ckpt))
 }
 
 /// Resumes a run from a snapshot file written by [`run_checkpointed`] and
@@ -268,961 +253,229 @@ pub fn resume(
     snapshot_path: &std::path::Path,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
-    let snap = snapshot::read_snapshot(snapshot_path)?;
-    let fp = fingerprint(network, transactions, config, scheme.name());
-    snap.check(snapshot::ENGINE_SEQ, fp)?;
-    let state = decode_seq_core(snap.section(snapshot::SEC_CORE)?, network)?;
-    scheme
-        .restore_state(network, snap.section(snapshot::SEC_SCHEME)?)
-        .map_err(|e| SnapshotError::Unsupported {
-            what: format!("scheme state restore: {e}"),
-        })?;
-    let tel_state =
-        snapshot::decode_telemetry(snap.section_opt(snapshot::SEC_TELEMETRY).unwrap_or(&[]))?;
-    // The caller's handle is restored *in place* so clones of it keep
-    // visibility into the resumed run's trace. The fingerprint already pins
-    // the enabled flag and sampling cadence, so presence must line up.
-    if let Some(ts) = tel_state {
-        config
-            .telemetry
-            .restore_from_state(ts)
-            .map_err(|e| SnapshotError::Unsupported {
-                what: format!("telemetry restore: {e}"),
-            })?;
-    } else if config.telemetry.is_enabled() {
-        return Err(SnapshotError::Corrupt {
-            what: "snapshot lacks telemetry state for an enabled handle".to_string(),
-        });
-    }
-    run_inner(network, transactions, scheme, config, Some(state), ckpt)
+    run_source_queued(
+        network,
+        transactions,
+        scheme,
+        config,
+        Some(snapshot_path),
+        ckpt,
+    )
 }
 
-#[allow(clippy::too_many_lines)]
-fn run_inner(
+/// Runs the router-queued transport over `transactions`.
+///
+/// Routing is waterfilling-style over `num_paths` edge-disjoint shortest
+/// paths, but a unit is admitted when its *first hop* can be funded.
+pub fn run_queued(
+    network: &Network,
+    transactions: &[Transaction],
+    config: &QueuedConfig,
+) -> QueuedReport {
+    match run_router_queued(network, transactions, config, None, None) {
+        Ok(out) => out,
+        // spider-lint: allow(panic-reachability) — infallible wrapper; the Err arm is statically dead (no snapshot I/O without a spec or resume path)
+        Err(e) => unreachable!("plain run cannot fail with a snapshot error: {e}"),
+    }
+}
+
+/// Runs the router-queued transport, writing a crash-safe snapshot into
+/// `ckpt.dir` every `ckpt.every` scheduler ticks.
+pub fn run_queued_checkpointed(
+    network: &Network,
+    transactions: &[Transaction],
+    config: &QueuedConfig,
+    ckpt: &CheckpointSpec,
+) -> Result<QueuedReport, SnapshotError> {
+    run_router_queued(network, transactions, config, None, Some(ckpt))
+}
+
+/// Resumes a router-queued run from a snapshot written by
+/// [`run_queued_checkpointed`] and carries it to completion, optionally
+/// continuing to checkpoint. The completed run is byte-identical to an
+/// uninterrupted one.
+pub fn resume_queued(
+    network: &Network,
+    transactions: &[Transaction],
+    config: &QueuedConfig,
+    snapshot_path: &std::path::Path,
+    ckpt: Option<&CheckpointSpec>,
+) -> Result<QueuedReport, SnapshotError> {
+    run_router_queued(network, transactions, config, Some(snapshot_path), ckpt)
+}
+
+/// Opens the span every event handler runs under: one call, one item, and
+/// `now` inside the phase's sim-time window.
+fn event_span(tel: &Telemetry, phase: Phase, now: f64) -> SpanGuard<'_> {
+    let span = tel.span_enter(phase);
+    tel.span_sim(phase, now);
+    tel.span_items(phase, 1);
+    span
+}
+
+/// Opens the span of a handler that reports its item count itself (or not
+/// at all): scheduler ticks and the dispatch loops.
+fn batch_span(tel: &Telemetry, phase: Phase, now: f64) -> SpanGuard<'_> {
+    let span = tel.span_enter(phase);
+    tel.span_sim(phase, now);
+    span
+}
+
+// ---------------------------------------------------------------------------
+// Queueing at the source (§6.1): a unit leaves the sender only when its
+// whole path can be locked, and a payment that cannot send waits in the
+// pending list for the next scheduler tick.
+
+fn run_source_queued(
     network: &Network,
     transactions: &[Transaction],
     scheme: &mut dyn RoutingScheme,
     config: &SimConfig,
-    resume: Option<SeqResume>,
+    resume: Option<&std::path::Path>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
-    assert!(config.delta > 0.0 && config.poll_interval > 0.0 && config.deadline > 0.0);
-    assert!(config.mtu.is_positive(), "MTU must be positive");
-
-    let fp = if ckpt.is_some() {
+    assert!(config.delta > 0.0);
+    let tel = &config.telemetry;
+    let timing = [config.end_time, config.poll_interval, config.deadline];
+    let plan = config.faults.as_ref();
+    // Atomic schemes deliver a payment whole at arrival or fail it; the
+    // rest split it into units and keep sending until the deadline.
+    let split = scheme.kind() == SchemeKind::PacketSwitched;
+    let mut t = Transport::new(network, tel, timing, config.mtu, split, plan);
+    // Only packet-switched senders pay routing fees.
+    t.fees = (config.fees.as_ref()).filter(|fees| split && !fees.is_free());
+    t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
+    t.record_series = config.record_series;
+    t.congestion = config.congestion.map(CongestionControl::new);
+    if let Some(policy) = &config.rebalance {
+        policy.validate();
+    }
+    let fp = if ckpt.is_some() || resume.is_some() {
         fingerprint(network, transactions, config, scheme.name())
     } else {
         0
     };
-
-    let mut ledger = Ledger::new(network);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut payments: Vec<PaymentState> = Vec::with_capacity(transactions.len());
-    let mut pending: Vec<usize> = Vec::new();
-
-    // A resumed run restores the event queue (arrivals not yet processed,
-    // the next tick, pending fault transitions, ...) wholesale from the
-    // snapshot, so the initial pushes happen only on a fresh start.
-    if resume.is_none() {
-        for (i, tx) in transactions.iter().enumerate() {
-            if tx.arrival <= config.end_time {
-                queue.push(tx.arrival, Event::Arrival(i));
-            }
+    match resume {
+        Some(path) => {
+            let snap = t.load(path, snapshot::ENGINE_SEQ, fp)?;
+            scheme
+                .restore_state(network, snap.section(snapshot::SEC_SCHEME)?)
+                .map_err(|e| SnapshotError::Unsupported {
+                    what: format!("scheme state restore: {e}"),
+                })?;
         }
-        queue.push(config.poll_interval, Event::Tick);
-        if let Some(policy) = &config.rebalance {
-            policy.validate();
-            queue.push(policy.check_interval, Event::RebalanceCheck);
-        }
-        if let Some(plan) = &config.faults {
-            for (t, ev) in &plan.events {
-                if *t <= config.end_time {
-                    queue.push(*t, Event::Fault(ev.clone()));
-                }
-            }
-        }
-    } else if let Some(policy) = &config.rebalance {
-        policy.validate();
-    }
-    let mut faults: Option<FaultRuntime> = config.faults.as_ref().map(|plan| FaultRuntime {
-        state: FaultState::new(plan, network),
-        blacklist: Blacklist::new(network.num_channels()),
-        retry: plan.config.retry.clone(),
-        fail_count: Vec::new(),
-        not_before: Vec::new(),
-    });
-    let mut rebalance_pending = vec![false; network.num_channels()];
-    let mut rebalance_stats = RebalanceStats::default();
-    let mut congestion = config.congestion.map(CongestionControl::new);
-    // The unit slab: every sent unit, live or finished. Fault events scan
-    // it for unresolved units whose paths cross a newly-down channel.
-    let mut units: Vec<UnitRecord> = Vec::new();
-    // Deadline + retry timers (satellite of the fault work: replaces the
-    // former O(n)-per-tick deadline scan).
-    let mut timers: BinaryHeap<Reverse<Timer>> = BinaryHeap::new();
-    // AMP: unit indices that reached the receiver but whose keys are
-    // withheld until the whole payment has arrived. Indexed by payment
-    // slot, grown on demand.
-    let mut amp_held: Vec<Vec<usize>> = Vec::new();
-    let mut routing_fees_paid = Amount::ZERO;
-    // Refused over-releases (double settle/refund), surfaced in the report
-    // even when periodic auditing is off.
-    let mut release_violations: Vec<AuditViolation> = Vec::new();
-
-    let mut units_sent: u64 = 0;
-    let mut series: Vec<(f64, f64, f64)> = Vec::new();
-    let packet_switched = scheme.kind() == SchemeKind::PacketSwitched;
-    let mut audit = config.audit.then(|| LedgerAudit::new(&ledger));
-
-    let tel = &config.telemetry;
-    let mut network_series: Vec<NetworkSample> = Vec::new();
-    // Channel samples piggyback on Tick events at this cadence; no events
-    // of their own are queued, so (time, sequence) ordering is untouched.
-    let mut next_sample = tel.sample_interval().unwrap_or(f64::INFINITY);
-    // Scheduler ticks processed so far (checkpoint cadence).
-    let mut ticks: u64 = 0;
-
-    if let Some(st) = resume {
-        ticks = st.ticks;
-        for (i, raw) in st.channels.into_iter().enumerate() {
-            ledger.restore_channel(ChannelId::from(i), raw);
-        }
-        for (t, seq, event) in st.queue_entries {
-            queue.push_with_seq(t, seq, event);
-        }
-        queue.set_next_seq(st.queue_next_seq);
-        payments = st.payments;
-        pending = st.pending;
-        if let Some((snap, slots, fail_count, not_before)) = st.faults {
-            let fr = faults.as_mut().ok_or_else(|| SnapshotError::Corrupt {
-                what: "snapshot has fault state but config has no fault plan".to_string(),
-            })?;
-            fr.state
-                .restore_state(snap)
-                .map_err(|what| SnapshotError::Corrupt { what })?;
-            fr.blacklist
-                .restore_slots(slots)
-                .map_err(|what| SnapshotError::Corrupt { what })?;
-            fr.fail_count = fail_count;
-            fr.not_before = not_before;
-        } else if faults.is_some() {
-            return Err(SnapshotError::Corrupt {
-                what: "config has a fault plan but snapshot has no fault state".to_string(),
-            });
-        }
-        rebalance_pending = st.rebalance_pending;
-        rebalance_stats = st.rebalance_stats;
-        if let Some(entries) = st.congestion {
-            if let Some(cc) = congestion.as_mut() {
-                cc.restore_state(&entries);
-            }
-        }
-        units = st.units;
-        for timer in st.timers {
-            timers.push(Reverse(timer));
-        }
-        amp_held = st.amp_held;
-        routing_fees_paid = st.routing_fees_paid;
-        release_violations = st.release_violations;
-        units_sent = st.units_sent;
-        series = st.series;
-        audit = st.audit.map(LedgerAudit::from_state);
-        network_series = st.network_series;
-        next_sample = st.next_sample;
+        None => t.seed(
+            transactions,
+            plan,
+            config.rebalance.as_ref().map(|p| p.check_interval),
+        ),
     }
 
-    while let Some((now, event)) = queue.pop() {
+    while let Some((now, event)) = t.queue.pop() {
         if now > config.end_time {
             break;
         }
         match event {
             Event::Arrival(i) => {
-                let _span = tel.span_enter(Phase::RoutingDecision);
-                tel.span_sim(Phase::RoutingDecision, now);
-                tel.span_items(Phase::RoutingDecision, 1);
-                let tx = &transactions[i];
-                let idx = payments.len();
-                payments.push(PaymentState {
-                    id: tx.id,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
-                    arrival: tx.arrival,
-                    deadline: tx.arrival + config.deadline,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    completed_at: None,
-                });
-                if let Some(fr) = faults.as_mut() {
-                    fr.fail_count.push(0);
-                    fr.not_before.push(f64::NEG_INFINITY);
-                }
-                tel.counter_add("sim.payments.arrived", 1);
-                tel.emit(|| TraceEvent::PaymentArrived {
-                    t: now,
-                    payment: tx.id.0,
-                    src: tx.src.0,
-                    dst: tx.dst.0,
-                    amount: tx.amount.as_tokens(),
-                });
-                if packet_switched {
-                    tel.emit(|| TraceEvent::PaymentSplit {
-                        t: now,
-                        payment: tx.id.0,
-                        // ceil(amount / mtu) in exact micro-units.
-                        units: ((tx.amount.micros() + config.mtu.micros() - 1)
-                            / config.mtu.micros())
-                        .max(0) as u64,
-                    });
-                    pending.push(idx);
-                    timers.push(Reverse(Timer {
-                        time: payments[idx].deadline,
-                        payment: idx,
-                        kind: TimerKind::Deadline,
-                    }));
-                    pump_payment(
-                        network,
-                        &mut ledger,
-                        scheme,
-                        idx,
-                        &mut payments[idx],
-                        config,
-                        now,
-                        &mut queue,
-                        &mut units,
-                        &mut units_sent,
-                        congestion.as_mut(),
-                        faults.as_mut(),
-                    );
+                let _span = event_span(tel, Phase::RoutingDecision, now);
+                let idx = t.arrive(&transactions[i], now);
+                if split {
+                    pump_payment(&mut t, scheme, config, idx, now);
                 } else {
-                    attempt_atomic(
-                        network,
-                        &mut ledger,
-                        scheme,
-                        &mut payments[idx],
-                        idx,
-                        config,
-                        now,
-                        &mut queue,
-                        &mut units,
-                        &mut units_sent,
-                        faults.as_mut(),
-                        &mut release_violations,
-                    );
+                    attempt_atomic(&mut t, scheme, config, idx, now);
                 }
             }
             Event::Settle { unit } => {
                 // A fault may have refunded this unit while its settle was
                 // already scheduled.
-                if units[unit].resolved {
+                if !t.units[unit].live() {
                     continue;
                 }
-                let _span = tel.span_enter(Phase::SettleRefund);
-                tel.span_sim(Phase::SettleRefund, now);
-                tel.span_items(Phase::SettleRefund, 1);
-                let payment = units[unit].payment;
-                let amount = units[unit].amount;
-                if let Some(cc) = congestion.as_mut() {
-                    if packet_switched {
-                        let p = &payments[payment];
-                        cc.on_settle(p.src, p.dst);
-                    }
+                let _span = event_span(tel, Phase::SettleRefund, now);
+                if let Some(cc) = t.congestion.as_mut().filter(|_| split) {
+                    let p = &t.payments[t.units[unit].payment()];
+                    cc.on_settle(p.src, p.dst);
                 }
-                if config.amp && packet_switched {
-                    if payments[payment].status == PaymentStatus::Abandoned {
-                        // Deadline already passed: the sender withholds the
-                        // key, so this late unit bounces straight back.
-                        let res = {
-                            let u = &units[unit];
-                            refund_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
-                        };
-                        units[unit].resolved = true;
-                        match res {
-                            Ok(()) => {
-                                payments[payment].inflight -= amount;
-                                tel.counter_add("sim.units.refunded", 1);
-                                tel.emit(|| TraceEvent::UnitRefunded {
-                                    t: now,
-                                    payment: payments[payment].id.0,
-                                    amount: amount.as_tokens(),
-                                });
-                            }
-                            Err(e) => {
-                                record_release(&mut release_violations, now, "amp-bounce", &e)
-                            }
-                        }
-                        if let Some(a) = audit.as_mut() {
-                            a.check(&ledger, now, "amp-bounce");
-                        }
-                        continue;
-                    }
-                    // Withhold the key until the whole payment has arrived.
-                    if payment >= amp_held.len() {
-                        amp_held.resize_with(payment + 1, Vec::new);
-                    }
-                    amp_held[payment].push(unit);
-                    let arrived: Amount = amp_held[payment]
-                        .iter()
-                        .filter(|&&ui| !units[ui].resolved)
-                        .map(|&ui| units[ui].amount)
-                        .sum();
-                    if arrived >= payments[payment].amount
-                        && payments[payment].status == PaymentStatus::Pending
-                    {
-                        for ui in std::mem::take(&mut amp_held[payment]) {
-                            if units[ui].resolved {
-                                continue;
-                            }
-                            let res = {
-                                let u = &units[ui];
-                                settle_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
-                            };
-                            units[ui].resolved = true;
-                            match res {
-                                Ok(fee) => {
-                                    routing_fees_paid += fee;
-                                    let held_amount = units[ui].amount;
-                                    let p = &mut payments[payment];
-                                    p.inflight -= held_amount;
-                                    p.delivered += held_amount;
-                                    tel.counter_add("sim.units.settled", 1);
-                                    tel.emit(|| TraceEvent::UnitSettled {
-                                        t: now,
-                                        payment: payments[payment].id.0,
-                                        amount: held_amount.as_tokens(),
-                                    });
-                                }
-                                Err(e) => {
-                                    record_release(&mut release_violations, now, "settle", &e)
-                                }
-                            }
-                        }
-                        let p = &mut payments[payment];
-                        if p.fully_delivered() {
-                            p.status = PaymentStatus::Completed;
-                            p.completed_at = Some(now);
-                            let delay = now - p.arrival;
-                            let pid = p.id.0;
-                            tel.counter_add("sim.payments.completed", 1);
-                            tel.histogram_observe(
-                                "sim.completion_delay",
-                                delay,
-                                Histogram::latency_default,
-                            );
-                            tel.emit(|| TraceEvent::PaymentCompleted {
-                                t: now,
-                                payment: pid,
-                                delay,
-                            });
-                        }
-                    }
+                if config.amp && split {
+                    t.amp_arrive(unit, now);
                 } else {
-                    let res = {
-                        let u = &units[unit];
-                        settle_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
-                    };
-                    units[unit].resolved = true;
-                    match res {
-                        Ok(fee) => {
-                            routing_fees_paid += fee;
-                            let p = &mut payments[payment];
-                            p.inflight -= amount;
-                            p.delivered += amount;
-                            let pid = p.id.0;
-                            tel.counter_add("sim.units.settled", 1);
-                            tel.emit(|| TraceEvent::UnitSettled {
-                                t: now,
-                                payment: pid,
-                                amount: amount.as_tokens(),
-                            });
-                            if p.status == PaymentStatus::Pending && p.fully_delivered() {
-                                p.status = PaymentStatus::Completed;
-                                p.completed_at = Some(now);
-                                let delay = now - p.arrival;
-                                tel.counter_add("sim.payments.completed", 1);
-                                tel.histogram_observe(
-                                    "sim.completion_delay",
-                                    delay,
-                                    Histogram::latency_default,
-                                );
-                                tel.emit(|| TraceEvent::PaymentCompleted {
-                                    t: now,
-                                    payment: pid,
-                                    delay,
-                                });
-                            }
-                        }
-                        Err(e) => record_release(&mut release_violations, now, "settle", &e),
-                    }
-                }
-                if let Some(a) = audit.as_mut() {
-                    a.check(&ledger, now, "settle");
+                    t.settle(unit, now);
+                    t.audit_check(now, "settle");
                 }
             }
             Event::FaultExpire { unit } => {
-                if units[unit].resolved {
+                if !t.units[unit].live() {
                     continue;
                 }
-                let _span = tel.span_enter(Phase::FaultProcessing);
-                tel.span_sim(Phase::FaultProcessing, now);
-                tel.span_items(Phase::FaultProcessing, 1);
-                let payment = units[unit].payment;
-                let amount = units[unit].amount;
-                let Some(fault) = units[unit].fault else {
-                    // FaultExpire events are only scheduled for units
-                    // created with a fate; a fateless unit has nothing to
-                    // expire.
+                let _span = event_span(tel, Phase::FaultProcessing, now);
+                // Only units created with a fate have a FaultExpire.
+                let Some(fault) = t.units[unit].fault else {
                     continue;
                 };
-                let res = {
-                    let u = &units[unit];
-                    refund_unit(network, &mut ledger, &u.path, u.amount, &u.hop_amounts)
-                };
-                units[unit].resolved = true;
-                match res {
-                    Ok(()) => {
-                        payments[payment].inflight -= amount;
-                        let pid = payments[payment].id.0;
-                        let blamed = match fault {
-                            UnitFault::Dropped(c) => {
-                                tel.counter_add("sim.units.dropped", 1);
-                                tel.emit(|| TraceEvent::UnitDropped {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                    channel: c.index() as u32,
-                                });
-                                c
-                            }
-                            UnitFault::Griefed(c) => {
-                                let hold = config
-                                    .faults
-                                    .as_ref()
-                                    .map_or(0.0, |plan| plan.config.grief_hold);
-                                tel.counter_add("sim.units.griefed", 1);
-                                tel.emit(|| TraceEvent::UnitGriefed {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                    hold,
-                                });
-                                c
-                            }
-                        };
-                        tel.counter_add("sim.units.refunded", 1);
-                        tel.emit(|| TraceEvent::UnitRefunded {
-                            t: now,
-                            payment: pid,
-                            amount: amount.as_tokens(),
-                        });
-                        if let Some(fr) = faults.as_mut() {
-                            handle_unit_fault(
-                                payment,
-                                blamed,
-                                now,
-                                &mut payments,
-                                fr,
-                                &mut timers,
-                                tel,
-                                packet_switched,
-                            );
-                        }
-                    }
-                    Err(e) => record_release(&mut release_violations, now, "fault-expire", &e),
+                let idx = t.units[unit].payment();
+                if let Some(blamed) = t.expire(unit, fault, now) {
+                    sender_reaction(&mut t, idx, blamed, now, split);
                 }
-                if let Some(a) = audit.as_mut() {
-                    a.check(&ledger, now, "fault-expire");
-                }
+                t.audit_check(now, "fault-expire");
             }
             Event::Fault(ev) => {
-                let _span = tel.span_enter(Phase::FaultProcessing);
-                tel.span_sim(Phase::FaultProcessing, now);
-                tel.span_items(Phase::FaultProcessing, 1);
-                let Some(fr) = faults.as_mut() else {
-                    // Fault events are only scheduled when a plan is
-                    // installed.
-                    continue;
-                };
-                match &ev {
-                    FaultEvent::ChannelDown(c) => {
-                        let ch = c.index() as u32;
-                        tel.counter_add("sim.faults.outages", 1);
-                        tel.emit(|| TraceEvent::ChannelOutage {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::ChannelUp(c) => {
-                        let ch = c.index() as u32;
-                        tel.emit(|| TraceEvent::ChannelRecovered {
-                            t: now,
-                            channel: ch,
-                        });
-                    }
-                    FaultEvent::NodeDown(n) => {
-                        let node = n.index() as u32;
-                        tel.counter_add("sim.faults.node_crashes", 1);
-                        tel.emit(|| TraceEvent::NodeCrashed { t: now, node });
-                    }
-                    FaultEvent::NodeUp(n) => {
-                        let node = n.index() as u32;
-                        tel.emit(|| TraceEvent::NodeRecovered { t: now, node });
-                    }
-                }
-                let newly = fr.state.apply(network, &ev);
-                if !newly.is_empty() {
-                    // Refund every in-flight unit whose path crosses a
-                    // channel that just went down — its HTLC can no longer
-                    // complete, so the locked funds bounce back hop by hop.
-                    for unit in units.iter_mut() {
-                        if unit.resolved {
-                            continue;
-                        }
-                        let blamed = unit
-                            .path
-                            .hops()
-                            .iter()
-                            .map(|&(c, _)| c)
-                            .find(|c| newly.contains(c));
-                        let Some(blamed) = blamed else { continue };
-                        let res = refund_unit(
-                            network,
-                            &mut ledger,
-                            &unit.path,
-                            unit.amount,
-                            &unit.hop_amounts,
-                        );
-                        unit.resolved = true;
-                        match res {
-                            Ok(()) => {
-                                let amount = unit.amount;
-                                let pidx = unit.payment;
-                                payments[pidx].inflight -= amount;
-                                fr.state.stats.units_refunded_by_outage += 1;
-                                let pid = payments[pidx].id.0;
-                                tel.counter_add("sim.units.refunded", 1);
-                                tel.emit(|| TraceEvent::UnitRefunded {
-                                    t: now,
-                                    payment: pid,
-                                    amount: amount.as_tokens(),
-                                });
-                                handle_unit_fault(
-                                    pidx,
-                                    blamed,
-                                    now,
-                                    &mut payments,
-                                    fr,
-                                    &mut timers,
-                                    tel,
-                                    packet_switched,
-                                );
-                            }
-                            Err(e) => record_release(&mut release_violations, now, "fault", &e),
+                let _span = event_span(tel, Phase::FaultProcessing, now);
+                let down = t.apply_fault(&ev, now);
+                if !down.is_empty() {
+                    for (unit, blamed) in t.units_crossing(&down) {
+                        let idx = t.units[unit].payment();
+                        if t.refund_for_outage(unit, now) {
+                            sender_reaction(&mut t, idx, blamed, now, split);
                         }
                     }
-                    if let Some(a) = audit.as_mut() {
-                        a.check(&ledger, now, "fault");
-                    }
+                    t.audit_check(now, "fault");
                 }
             }
             Event::Tick => {
-                let _span = tel.span_enter(Phase::QueueDrain);
-                tel.span_sim(Phase::QueueDrain, now);
+                let _span = batch_span(tel, Phase::QueueDrain, now);
                 tel.counter_add("sim.scheduler.polls", 1);
-                // Expire deadlines and fire retry timers, in (time, payment)
-                // order off the shared min-heap — O(log n) per expiry instead
-                // of a scan over every pending payment per tick.
-                while let Some(Reverse(t)) = timers.peek() {
-                    if t.time > now {
-                        break;
+                t.fire_timers(now, |t, idx| {
+                    // Backoff expired: give the payment first shot at
+                    // liquidity before the policy-ordered pump.
+                    if t.payments[idx].status == PaymentStatus::Pending {
+                        pump_payment(t, scheme, config, idx, now);
                     }
-                    let Some(Reverse(timer)) = timers.pop() else {
-                        break;
-                    };
-                    let i = timer.payment;
-                    match timer.kind {
-                        TimerKind::Deadline => {
-                            let p = &mut payments[i];
-                            if p.status != PaymentStatus::Pending {
-                                continue;
-                            }
-                            p.status = PaymentStatus::Abandoned;
-                            let pid = p.id.0;
-                            let delivered = p.delivered.as_tokens();
-                            tel.counter_add("sim.payments.abandoned", 1);
-                            tel.emit(|| TraceEvent::PaymentAbandoned {
-                                t: now,
-                                payment: pid,
-                                delivered,
-                            });
-                            // AMP: the sender withholds the key; everything
-                            // the receiver was holding is refunded to the
-                            // senders.
-                            if let Some(held) = amp_held.get_mut(i).map(std::mem::take) {
-                                for ui in held {
-                                    if units[ui].resolved {
-                                        continue;
-                                    }
-                                    let res = {
-                                        let u = &units[ui];
-                                        refund_unit(
-                                            network,
-                                            &mut ledger,
-                                            &u.path,
-                                            u.amount,
-                                            &u.hop_amounts,
-                                        )
-                                    };
-                                    units[ui].resolved = true;
-                                    match res {
-                                        Ok(()) => {
-                                            let held_amount = units[ui].amount;
-                                            payments[i].inflight -= held_amount;
-                                            tel.counter_add("sim.units.refunded", 1);
-                                            tel.emit(|| TraceEvent::UnitRefunded {
-                                                t: now,
-                                                payment: pid,
-                                                amount: held_amount.as_tokens(),
-                                            });
-                                        }
-                                        Err(e) => record_release(
-                                            &mut release_violations,
-                                            now,
-                                            "deadline-refund",
-                                            &e,
-                                        ),
-                                    }
-                                }
-                                if let Some(a) = audit.as_mut() {
-                                    a.check(&ledger, now, "deadline-refund");
-                                }
-                            }
-                        }
-                        TimerKind::Retry => {
-                            // Backoff expired: give the payment first shot
-                            // at liquidity before the policy-ordered pump.
-                            if payments[i].status == PaymentStatus::Pending {
-                                pump_payment(
-                                    network,
-                                    &mut ledger,
-                                    scheme,
-                                    i,
-                                    &mut payments[i],
-                                    config,
-                                    now,
-                                    &mut queue,
-                                    &mut units,
-                                    &mut units_sent,
-                                    congestion.as_mut(),
-                                    faults.as_mut(),
-                                );
-                            }
-                        }
+                });
+                if split {
+                    for idx in t.pending_in_order(config.policy) {
+                        pump_payment(&mut t, scheme, config, idx, now);
                     }
                 }
-                pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
-
-                if packet_switched {
-                    config.policy.order(&payments, &mut pending);
-                    let order = pending.clone();
-                    for i in order {
-                        if payments[i].status != PaymentStatus::Pending {
-                            continue;
-                        }
-                        pump_payment(
-                            network,
-                            &mut ledger,
-                            scheme,
-                            i,
-                            &mut payments[i],
-                            config,
-                            now,
-                            &mut queue,
-                            &mut units,
-                            &mut units_sent,
-                            congestion.as_mut(),
-                            faults.as_mut(),
-                        );
-                    }
-                    pending.retain(|&i| payments[i].status == PaymentStatus::Pending);
-                }
-
-                if config.record_series {
-                    let (ratio, volume) = running_metrics(&payments);
-                    series.push((now, ratio, volume));
-                }
-                if now + 1e-12 >= next_sample {
-                    sample_network(
-                        network,
-                        &ledger,
-                        &payments,
-                        now,
-                        tel,
-                        &mut network_series,
-                        &|_| 0,
-                    );
-                    let interval = tel.sample_interval().unwrap_or(f64::INFINITY);
-                    while next_sample <= now + 1e-12 {
-                        next_sample += interval;
-                    }
-                }
-                let next = now + config.poll_interval;
-                if next <= config.end_time {
-                    queue.push(next, Event::Tick);
-                }
-                // Checkpoint between events: the tick (including the next-
-                // tick push above) has fully completed, so the captured
-                // state is exactly what an uninterrupted run holds here.
-                ticks += 1;
-                if let Some(ck) = ckpt {
-                    if ticks.is_multiple_of(ck.every) {
-                        let core = encode_seq_core(
-                            ticks,
-                            network,
-                            &ledger,
-                            &queue,
-                            &payments,
-                            &pending,
-                            &faults,
-                            &rebalance_pending,
-                            &rebalance_stats,
-                            &congestion,
-                            &units,
-                            &timers,
-                            &amp_held,
-                            routing_fees_paid,
-                            &release_violations,
-                            units_sent,
-                            &series,
-                            &audit,
-                            &network_series,
-                            next_sample,
-                        );
-                        let scheme_bytes = scheme.checkpoint_state().unwrap_or_default();
-                        let tel_bytes = snapshot::encode_telemetry(&tel.export_state());
-                        snapshot::write_snapshot(
-                            &ck.dir,
-                            snapshot::ENGINE_SEQ,
-                            fp,
-                            ticks,
-                            &[
-                                (snapshot::SEC_CORE, core),
-                                (snapshot::SEC_SCHEME, scheme_bytes),
-                                (snapshot::SEC_TELEMETRY, tel_bytes),
-                            ],
-                        )?;
-                    }
-                }
+                t.end_tick(now);
+                t.checkpoint(ckpt, snapshot::ENGINE_SEQ, fp, || {
+                    scheme.checkpoint_state().unwrap_or_default()
+                })?;
             }
             Event::RebalanceCheck => {
-                let Some(policy) = config.rebalance.as_ref() else {
-                    // RebalanceCheck events are only seeded under a policy.
-                    continue;
-                };
-                for ch in network.channels() {
-                    if rebalance_pending[ch.id.index()] {
-                        continue;
-                    }
-                    let (a, b) = ledger.balances(ch.id);
-                    if policy.correction(a, b).is_some() {
-                        rebalance_pending[ch.id.index()] = true;
-                        queue.push(
-                            now + policy.confirmation_delay,
-                            Event::RebalanceApply { channel: ch.id },
-                        );
-                    }
-                }
-                let next = now + policy.check_interval;
-                if next <= config.end_time {
-                    queue.push(next, Event::RebalanceCheck);
+                // Only seeded under a policy.
+                if let Some(policy) = &config.rebalance {
+                    rebalance_check(&mut t, policy, now, config.end_time);
                 }
             }
             Event::RebalanceApply { channel } => {
-                let Some(policy) = config.rebalance.as_ref() else {
-                    // RebalanceApply events descend from RebalanceCheck,
-                    // which requires a policy.
-                    continue;
-                };
-                rebalance_pending[channel.index()] = false;
-                // Re-evaluate at confirmation time: traffic in the interim
-                // may have (partially) healed the skew.
-                let (a, b) = ledger.balances(channel);
-                if let Some(amount) = policy.correction(a, b) {
-                    let ch = network.channel(channel);
-                    let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-                    let taken = ledger.withdraw(network, channel, rich, amount);
-                    let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
-                    if let Err(e) = ledger.deposit(network, channel, poor, redeposit) {
-                        // Redepositing funds just withdrawn from this same
-                        // channel cannot overflow its capacity; count and
-                        // skip rather than corrupt the ledger if it does.
-                        debug_assert!(false, "rebalance redeposit refused: {e}");
-                        tel.counter_add("sim.rebalance.deposit_failed", 1);
-                        continue;
-                    }
-                    let fee_paid = taken.saturating_sub(redeposit);
-                    rebalance_stats.transactions += 1;
-                    rebalance_stats.moved_volume += taken.as_tokens();
-                    rebalance_stats.fees_paid += fee_paid.as_tokens();
-                    tel.counter_add("sim.rebalance.applied", 1);
-                    tel.emit(|| TraceEvent::RebalanceApplied {
-                        t: now,
-                        channel: channel.index() as u32,
-                        moved: taken.as_tokens(),
-                        fee: fee_paid.as_tokens(),
-                    });
-                    if let Some(a) = audit.as_mut() {
-                        a.on_withdraw(taken);
-                        a.on_deposit(redeposit);
-                        a.check(&ledger, now, "rebalance");
-                    }
+                if let Some(policy) = &config.rebalance {
+                    rebalance_apply(&mut t, policy, channel, now);
                 }
             }
+            // Units hop only under the router-queued driver.
+            Event::HopArrive { .. } => {}
         }
     }
 
-    debug_assert!(ledger.conserves_all(), "ledger must conserve funds");
-    if let Some(a) = audit.as_mut() {
-        a.check(&ledger, config.end_time, "final");
-    }
     for (name, value) in scheme.telemetry_stats() {
         tel.counter_add(name, value);
     }
-    Ok(build_report(
-        scheme,
-        config,
-        &payments,
-        &ledger,
-        units_sent,
-        series,
-        rebalance_stats,
-        routing_fees_paid,
-        audit,
-        network_series,
-        faults.map(|fr| fr.state.stats),
-        release_violations,
-    ))
-}
-
-/// Sender-side reaction to one failed unit: without a retry policy the
-/// payment is abandoned on its first fault failure; with one, the blamed
-/// channel is blacklisted, the payment backs off exponentially, and a retry
-/// timer is scheduled — until the per-payment attempt budget runs out.
-#[allow(clippy::too_many_arguments)]
-fn handle_unit_fault(
-    pidx: usize,
-    blamed: ChannelId,
-    now: f64,
-    payments: &mut [PaymentState],
-    fr: &mut FaultRuntime,
-    timers: &mut BinaryHeap<Reverse<Timer>>,
-    tel: &Telemetry,
-    packet_switched: bool,
-) {
-    let p = &mut payments[pidx];
-    if p.status != PaymentStatus::Pending {
-        return;
-    }
-    let abandon = |p: &mut PaymentState, fr: &mut FaultRuntime| {
-        p.status = PaymentStatus::Abandoned;
-        fr.state.stats.payments_failed += 1;
-        let pid = p.id.0;
-        let delivered = p.delivered.as_tokens();
-        tel.counter_add("sim.payments.abandoned", 1);
-        tel.emit(|| TraceEvent::PaymentAbandoned {
-            t: now,
-            payment: pid,
-            delivered,
-        });
+    let policy = if split {
+        config.policy.name()
+    } else {
+        "atomic"
     };
-    // Atomic senders have no unit-level retry machinery: the payment's
-    // all-or-nothing guarantee is already broken, so it fails outright.
-    if !packet_switched {
-        abandon(p, fr);
-        return;
-    }
-    let Some(policy) = fr.retry.clone() else {
-        // Retries disabled: first fault failure is fatal.
-        abandon(p, fr);
-        return;
-    };
-    let until = now + policy.blacklist_duration;
-    fr.blacklist.block(blamed, until);
-    fr.state.stats.blacklistings += 1;
-    tel.emit(|| TraceEvent::ChannelBlacklisted {
-        t: now,
-        channel: blamed.index() as u32,
-        until,
-    });
-    fr.fail_count[pidx] += 1;
-    let fails = fr.fail_count[pidx];
-    if fails > policy.max_attempts {
-        abandon(p, fr);
-        return;
-    }
-    let backoff = policy.backoff_base * policy.backoff_mult.powi(fails as i32 - 1);
-    fr.not_before[pidx] = fr.not_before[pidx].max(now + backoff);
-    timers.push(Reverse(Timer {
-        time: now + backoff,
-        payment: pidx,
-        kind: TimerKind::Retry,
-    }));
-    fr.state.stats.retries += 1;
-    let pid = p.id.0;
-    tel.counter_add("sim.payments.retries", 1);
-    tel.emit(|| TraceEvent::PaymentRetry {
-        t: now,
-        payment: pid,
-        attempt: fails,
-        backoff,
-    });
-}
-
-/// Emits one `ChannelSample` per channel plus one aggregate
-/// [`NetworkSample`], piggybacked on an existing scheduler tick — sampling
-/// never queues events of its own, so the `(time, sequence)` order of the
-/// simulation is identical with telemetry on or off.
-pub(crate) fn sample_network(
-    network: &Network,
-    ledger: &Ledger,
-    payments: &[PaymentState],
-    now: f64,
-    telemetry: &Telemetry,
-    series: &mut Vec<NetworkSample>,
-    queue_depth: &dyn Fn(spider_core::ChannelId) -> u32,
-) {
-    let mut max_depth: u32 = 0;
-    for ch in network.channels() {
-        let (a, b) = ledger.balances(ch.id);
-        let total = (a + b).as_tokens();
-        let imbalance = if total > 0.0 {
-            (a.as_tokens() - b.as_tokens()).abs() / total
-        } else {
-            0.0
-        };
-        let depth = queue_depth(ch.id);
-        max_depth = max_depth.max(depth);
-        let inflight = ledger.inflight(ch.id).as_tokens();
-        telemetry.emit(|| TraceEvent::ChannelSample {
-            t: now,
-            channel: ch.id.index() as u32,
-            imbalance,
-            inflight,
-            queue_depth: depth,
-        });
-    }
-    let pending = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Pending)
-        .count() as u32;
-    series.push(NetworkSample {
-        t: now,
-        mean_imbalance: ledger.mean_imbalance(),
-        total_inflight: ledger.total_inflight().as_tokens(),
-        pending,
-        max_queue_depth: max_depth,
-    });
+    Ok(t.finish(scheme.name(), policy.to_string()))
 }
 
 /// Sends as many transaction units of one pending payment as the scheme and
@@ -1230,132 +483,41 @@ pub(crate) fn sample_network(
 /// against a masked view (downed + blacklisted channels read as empty), a
 /// retry backoff gates the whole pump, and each sent unit draws its fate
 /// (deliver / drop / grief) from the seeded fault stream.
-#[allow(clippy::too_many_arguments)]
 fn pump_payment(
-    network: &Network,
-    ledger: &mut Ledger,
+    t: &mut Transport,
     scheme: &mut dyn RoutingScheme,
-    idx: usize,
-    p: &mut PaymentState,
     config: &SimConfig,
+    idx: usize,
     now: f64,
-    queue: &mut EventQueue<Event>,
-    units: &mut Vec<UnitRecord>,
-    units_sent: &mut u64,
-    mut congestion: Option<&mut CongestionControl>,
-    mut faults: Option<&mut FaultRuntime>,
 ) {
-    if let Some(fr) = faults.as_deref() {
-        if now < fr.not_before[idx] {
-            // Backing off after a fault failure.
-            return;
-        }
+    if t.faults.as_ref().is_some_and(|fr| now < fr.not_before[idx]) {
+        // Backing off after a fault failure.
+        return;
     }
-    let _span = config.telemetry.span_enter(Phase::UnitDispatch);
-    config.telemetry.span_sim(Phase::UnitDispatch, now);
+    let tel = t.tel;
+    let _span = batch_span(tel, Phase::UnitDispatch, now);
     loop {
-        let remaining = p.remaining();
+        let p = &t.payments[idx];
+        let (src, dst, remaining) = (p.src, p.dst, p.remaining());
         if !remaining.is_positive() {
             break;
         }
-        if let Some(cc) = congestion.as_deref_mut() {
-            if !cc.may_send(p.src, p.dst) {
-                config.telemetry.counter_add("sim.congestion.blocked", 1);
-                break;
-            }
+        if t.congestion
+            .as_mut()
+            .is_some_and(|cc| !cc.may_send(src, dst))
+        {
+            tel.counter_add("sim.congestion.blocked", 1);
+            break;
         }
         let unit = remaining.min(config.mtu);
-        let view = LedgerView { network, ledger };
-        let decision = match faults.as_deref() {
-            Some(fr) => {
-                let masked = FaultView {
-                    inner: &view,
-                    faults: &fr.state,
-                    blacklist: &fr.blacklist,
-                    now,
-                };
-                scheme.route_unit(network, &masked, p.src, p.dst, unit)
-            }
-            None => scheme.route_unit(network, &view, p.src, p.dst, unit),
-        };
-        match decision {
-            UnitDecision::Route(path) => {
-                // Defensive re-check: a scheme with cached paths may ignore
-                // the masked view; never lock across a dead or blacklisted
-                // channel.
-                if let Some(fr) = faults.as_deref() {
-                    if fr.state.path_blocked(&path) || fr.blacklist.path_blocked(&path, now) {
-                        break;
-                    }
-                }
-                // With fees, upstream hops carry the delivered amount plus
-                // downstream fees; without, every hop carries the unit.
-                let hop_amounts: Option<Vec<Amount>> = match &config.fees {
-                    Some(f) if !f.is_free() => Some(f.path_amounts(&path, unit)),
-                    _ => None,
-                };
-                let locked = match &hop_amounts {
-                    Some(amounts) => ledger.lock_path_amounts(network, &path, amounts),
-                    None => ledger.lock_path(network, &path, unit),
-                };
-                if locked.is_err() {
-                    // Scheme raced its own view, or fees pushed a hop over
-                    // its balance; treat as temporarily unavailable.
-                    break;
-                }
-                if let Some(cc) = congestion.as_deref_mut() {
-                    cc.on_send(p.src, p.dst);
-                }
-                p.inflight += unit;
-                *units_sent += 1;
-                config.telemetry.span_items(Phase::UnitDispatch, 1);
-                config.telemetry.counter_add("sim.units.sent", 1);
-                config.telemetry.emit(|| TraceEvent::UnitSent {
-                    t: now,
-                    payment: p.id.0,
-                    amount: unit.as_tokens(),
-                    hops: path.len() as u32,
-                });
-                let fate = match faults.as_deref_mut() {
-                    Some(fr) => fr.state.unit_fate(&path),
-                    None => UnitFate::Deliver { jitter: 0.0 },
-                };
-                let unit_idx = units.len();
-                let (fault, fire_at) = match fate {
-                    UnitFate::Deliver { jitter } => (None, now + config.delta + jitter),
-                    UnitFate::Drop { at_frac, hop_index } => {
-                        let blamed = path.hops()[hop_index.min(path.hops().len() - 1)].0;
-                        (
-                            Some(UnitFault::Dropped(blamed)),
-                            now + at_frac * config.delta,
-                        )
-                    }
-                    UnitFate::Grief { hold } => match path.hops().last() {
-                        Some(&(blamed, _)) => {
-                            (Some(UnitFault::Griefed(blamed)), now + config.delta + hold)
-                        }
-                        // An empty path has no hop to grief; fall back to a
-                        // plain delivery.
-                        None => (None, now + config.delta),
-                    },
-                };
-                units.push(UnitRecord {
-                    payment: idx,
-                    path,
-                    amount: unit,
-                    hop_amounts,
-                    fault,
-                    resolved: false,
-                });
-                if fault.is_some() {
-                    queue.push(fire_at, Event::FaultExpire { unit: unit_idx });
-                } else {
-                    queue.push(fire_at, Event::Settle { unit: unit_idx });
-                }
-            }
+        let decision = t.with_sender_view(now, |view| {
+            scheme.route_unit(t.network, view, src, dst, unit)
+        });
+        let path = match decision {
+            UnitDecision::Route(path) => path,
             UnitDecision::Unavailable => {
-                if let Some(cc) = congestion.as_deref_mut() {
-                    cc.on_unavailable(p.src, p.dst);
+                if let Some(cc) = t.congestion.as_mut() {
+                    cc.on_unavailable(src, dst);
                 }
                 break;
             }
@@ -1363,19 +525,60 @@ fn pump_payment(
                 // Under fault injection "no path" may just mean every route
                 // is currently masked out; keep the payment alive so it can
                 // retry once channels recover or the blacklist expires.
-                if faults.is_some() {
-                    break;
+                if t.faults.is_none() {
+                    t.abandon(idx, now);
                 }
-                p.status = PaymentStatus::Abandoned;
-                config.telemetry.counter_add("sim.payments.abandoned", 1);
-                config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-                    t: now,
-                    payment: p.id.0,
-                    delivered: p.delivered.as_tokens(),
-                });
                 break;
             }
+        };
+        // Defensive re-check: a scheme with cached paths may ignore the
+        // masked view; never lock across a dead or blacklisted channel.
+        if (t.faults.as_ref())
+            .is_some_and(|fr| fr.state.path_blocked(&path) || fr.blacklist.path_blocked(&path, now))
+        {
+            break;
         }
+        // With fees, upstream hops carry the delivered amount plus
+        // downstream fees; without, every hop carries the unit.
+        let locked = match t.fees {
+            Some(fees) => {
+                let amounts = fees.path_amounts(&path, unit);
+                t.ledger.lock_path_amounts(t.network, &path, &amounts)
+            }
+            None => t.ledger.lock_path(t.network, &path, unit),
+        };
+        if locked.is_err() {
+            // Scheme raced its own view, or fees pushed a hop over its
+            // balance; treat as temporarily unavailable.
+            break;
+        }
+        if let Some(cc) = t.congestion.as_mut() {
+            cc.on_send(src, dst);
+        }
+        tel.span_items(Phase::UnitDispatch, 1);
+        let fate = match t.faults.as_mut() {
+            Some(fr) => fr.state.unit_fate(&path),
+            None => UnitFate::Deliver { jitter: 0.0 },
+        };
+        let (hops, num_hops) = (path.hops(), path.len());
+        let (fault, fire_at) = match fate {
+            UnitFate::Deliver { jitter } => (None, now + config.delta + jitter),
+            UnitFate::Drop { at_frac, hop_index } => (
+                Some(UnitFault::Dropped(hops[hop_index.min(num_hops - 1)].0)),
+                now + at_frac * config.delta,
+            ),
+            UnitFate::Grief { hold } => (
+                Some(UnitFault::Griefed(hops[num_hops - 1].0)),
+                now + config.delta + hold,
+            ),
+        };
+        let unit = t.send(idx, path, unit, num_hops, now);
+        t.units[unit].fault = fault;
+        let outcome = match fault {
+            Some(_) => Event::FaultExpire { unit },
+            None => Event::Settle { unit },
+        };
+        t.queue.push(fire_at, outcome);
     }
 }
 
@@ -1383,222 +586,505 @@ fn pump_payment(
 /// scheme cannot deliver the whole value now. Under fault injection the
 /// scheme routes against the masked view, so it never plans across downed
 /// channels.
-#[allow(clippy::too_many_arguments)]
 fn attempt_atomic(
-    network: &Network,
-    ledger: &mut Ledger,
+    t: &mut Transport,
     scheme: &mut dyn RoutingScheme,
-    p: &mut PaymentState,
-    idx: usize,
     config: &SimConfig,
+    idx: usize,
     now: f64,
-    queue: &mut EventQueue<Event>,
-    units: &mut Vec<UnitRecord>,
-    units_sent: &mut u64,
-    faults: Option<&mut FaultRuntime>,
-    release_violations: &mut Vec<AuditViolation>,
 ) {
-    let _span = config.telemetry.span_enter(Phase::UnitDispatch);
-    config.telemetry.span_sim(Phase::UnitDispatch, now);
-    let view = LedgerView { network, ledger };
-    let parts = match faults.as_deref() {
-        Some(fr) => {
-            let masked = FaultView {
-                inner: &view,
-                faults: &fr.state,
-                blacklist: &fr.blacklist,
-                now,
-            };
-            scheme.route_payment(network, &masked, p.src, p.dst, p.amount)
-        }
-        None => scheme.route_payment(network, &view, p.src, p.dst, p.amount),
-    };
+    let _span = batch_span(t.tel, Phase::UnitDispatch, now);
+    let p = &t.payments[idx];
+    let (src, dst, amount) = (p.src, p.dst, p.amount);
+    let parts = t.with_sender_view(now, |view| {
+        scheme.route_payment(t.network, view, src, dst, amount)
+    });
     let Some(parts) = parts else {
-        p.status = PaymentStatus::Abandoned;
-        config.telemetry.counter_add("sim.payments.abandoned", 1);
-        config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-            t: now,
-            payment: p.id.0,
-            delivered: p.delivered.as_tokens(),
-        });
-        return;
+        return t.abandon(idx, now);
     };
     // Lock all parts; roll back everything if any lock fails (the schemes
     // pre-check with an overlay, so this is a defensive path).
     let mut locked: Vec<(Path, Amount)> = Vec::with_capacity(parts.len());
     for (path, amount) in parts {
-        if ledger.lock_path(network, &path, amount).is_err() {
-            for (done_path, done_amount) in locked.drain(..) {
-                if let Err(e) = ledger.refund_path(network, &done_path, done_amount) {
-                    record_release(release_violations, now, "atomic-rollback", &e);
+        if t.ledger.lock_path(t.network, &path, amount).is_err() {
+            for (done_path, done_amount) in locked {
+                if let Err(e) = t.ledger.refund_path(t.network, &done_path, done_amount) {
+                    record_release(&mut t.release_violations, now, "atomic-rollback", &e);
                 }
             }
-            p.status = PaymentStatus::Abandoned;
-            config.telemetry.counter_add("sim.payments.abandoned", 1);
-            config.telemetry.emit(|| TraceEvent::PaymentAbandoned {
-                t: now,
-                payment: p.id.0,
-                delivered: p.delivered.as_tokens(),
-            });
-            return;
+            return t.abandon(idx, now);
         }
         locked.push((path, amount));
     }
     for (path, amount) in locked {
-        p.inflight += amount;
-        *units_sent += 1;
-        config.telemetry.counter_add("sim.units.sent", 1);
-        config.telemetry.emit(|| TraceEvent::UnitSent {
-            t: now,
-            payment: p.id.0,
-            amount: amount.as_tokens(),
-            hops: path.len() as u32,
-        });
-        let unit_idx = units.len();
-        units.push(UnitRecord {
-            payment: idx,
-            path: std::sync::Arc::new(path),
-            amount,
-            hop_amounts: None,
-            fault: None,
-            resolved: false,
-        });
-        queue.push(now + config.delta, Event::Settle { unit: unit_idx });
+        let hops = path.len();
+        let unit = t.send(idx, Arc::new(path), amount, hops, now);
+        t.queue.push(now + config.delta, Event::Settle { unit });
     }
 }
 
-/// Settles one unit (fee-aware); returns the fee the sender paid, or the
-/// ledger's refusal if the settle would over-release.
-fn settle_unit(
-    network: &Network,
-    ledger: &mut Ledger,
-    path: &Path,
-    amount: Amount,
-    hop_amounts: &Option<Vec<Amount>>,
-) -> Result<Amount, CoreError> {
-    match hop_amounts {
-        Some(amounts) => {
-            ledger.settle_path_amounts(network, path, amounts)?;
-            Ok(amounts[0] - amount)
-        }
-        None => {
-            ledger.settle_path(network, path, amount)?;
-            Ok(Amount::ZERO)
-        }
-    }
-}
-
-/// Refunds one unit (fee-aware); propagates the ledger's refusal if the
-/// refund would over-release.
-fn refund_unit(
-    network: &Network,
-    ledger: &mut Ledger,
-    path: &Path,
-    amount: Amount,
-    hop_amounts: &Option<Vec<Amount>>,
-) -> Result<(), CoreError> {
-    match hop_amounts {
-        Some(amounts) => ledger.refund_path_amounts(network, path, amounts),
-        None => ledger.refund_path(network, path, amount),
-    }
-}
-
-fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
-    let attempted = payments.len();
-    if attempted == 0 {
-        return (0.0, 0.0);
-    }
-    let completed = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .count();
-    let attempted_volume: f64 = payments.iter().map(|p| p.amount.as_tokens()).sum();
-    let delivered_volume: f64 = payments.iter().map(|p| p.delivered.as_tokens()).sum();
-    (
-        completed as f64 / attempted as f64,
-        if attempted_volume > 0.0 {
-            delivered_volume / attempted_volume
-        } else {
-            0.0
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_report(
-    scheme: &dyn RoutingScheme,
-    config: &SimConfig,
-    payments: &[PaymentState],
-    ledger: &Ledger,
-    units_sent: u64,
-    series: Vec<(f64, f64, f64)>,
-    rebalance: RebalanceStats,
-    routing_fees_paid: Amount,
-    audit: Option<LedgerAudit>,
-    network_series: Vec<NetworkSample>,
-    fault_stats: Option<FaultStats>,
-    release_violations: Vec<AuditViolation>,
-) -> SimReport {
-    let completed: Vec<&PaymentState> = payments
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .collect();
-    let mean_completion_delay = if completed.is_empty() {
-        0.0
-    } else {
-        completed
-            .iter()
-            .filter_map(|p| p.completed_at.map(|t| t - p.arrival))
-            .sum::<f64>()
-            / completed.len() as f64
+/// Sender-side reaction to one failed unit: without a retry policy the
+/// payment is abandoned on its first fault failure; with one, the blamed
+/// channel is blacklisted, the payment backs off exponentially, and a retry
+/// timer is scheduled — until the per-payment attempt budget runs out.
+fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, split: bool) {
+    let Some(fr) = t.faults.as_mut() else {
+        return;
     };
-    SimReport {
-        scheme: scheme.name().to_string(),
-        policy: if scheme.kind() == SchemeKind::PacketSwitched {
-            config.policy.name().to_string()
-        } else {
-            "atomic".to_string()
-        },
-        attempted: payments.len(),
-        completed: completed.len(),
-        abandoned: payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Abandoned)
-            .count(),
-        pending_at_end: payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Pending)
-            .count(),
-        attempted_volume: payments.iter().map(|p| p.amount.as_tokens()).sum(),
-        delivered_volume: payments.iter().map(|p| p.delivered.as_tokens()).sum(),
-        completed_volume: completed.iter().map(|p| p.amount.as_tokens()).sum(),
-        units_sent,
-        mean_completion_delay,
-        final_mean_imbalance: ledger.mean_imbalance(),
-        rebalance,
-        routing_fees_paid: routing_fees_paid.as_tokens(),
-        series,
-        audit_checks: audit.as_ref().map_or(0, LedgerAudit::checks),
-        audit_violations: {
-            let mut v = audit.map_or_else(Vec::new, LedgerAudit::into_violations);
-            v.extend(release_violations);
-            v
-        },
-        completion_delay_percentiles: config.telemetry.delay_percentiles("sim.completion_delay"),
-        telemetry: config.telemetry.summarize(network_series),
-        faults: fault_stats,
-        shards: None,
+    if t.payments[idx].status != PaymentStatus::Pending {
+        return;
+    }
+    // Atomic senders have no unit-level retry machinery: the payment's
+    // all-or-nothing guarantee is already broken, so it fails outright.
+    let Some(policy) = fr.retry.clone().filter(|_| split) else {
+        fr.state.stats.payments_failed += 1;
+        return t.abandon(idx, now);
+    };
+    let until = now + policy.blacklist_duration;
+    fr.blacklist.block(blamed, until);
+    fr.state.stats.blacklistings += 1;
+    t.tel.emit(|| TraceEvent::ChannelBlacklisted {
+        t: now,
+        channel: blamed.index() as u32,
+        until,
+    });
+    fr.fail_count[idx] += 1;
+    let attempt = fr.fail_count[idx];
+    if attempt > policy.max_attempts {
+        fr.state.stats.payments_failed += 1;
+        return t.abandon(idx, now);
+    }
+    let backoff = policy.backoff_base * policy.backoff_mult.powi(attempt as i32 - 1);
+    fr.not_before[idx] = fr.not_before[idx].max(now + backoff);
+    fr.state.stats.retries += 1;
+    t.retry_at(now + backoff, idx);
+    t.tel.counter_add("sim.payments.retries", 1);
+    t.tel.emit(|| TraceEvent::PaymentRetry {
+        t: now,
+        payment: t.payments[idx].id.0,
+        attempt,
+        backoff,
+    });
+}
+
+/// Routers inspect channel skew and submit an on-chain correction for
+/// every channel past the policy's threshold.
+fn rebalance_check(t: &mut Transport, policy: &RebalancePolicy, now: f64, end_time: f64) {
+    for ch in t.network.channels() {
+        if t.rebalance_pending[ch.id.index()] {
+            continue;
+        }
+        let (a, b) = t.ledger.balances(ch.id);
+        if policy.correction(a, b).is_some() {
+            t.rebalance_pending[ch.id.index()] = true;
+            let confirmed = now + policy.confirmation_delay;
+            t.queue
+                .push(confirmed, Event::RebalanceApply { channel: ch.id });
+        }
+    }
+    let next = now + policy.check_interval;
+    if next <= end_time {
+        t.queue.push(next, Event::RebalanceCheck);
+    }
+}
+
+/// A submitted rebalancing transaction confirms.
+fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: ChannelId, now: f64) {
+    t.rebalance_pending[channel.index()] = false;
+    // Re-evaluate at confirmation time: traffic in the interim may have
+    // (partially) healed the skew.
+    let (a, b) = t.ledger.balances(channel);
+    let Some(amount) = policy.correction(a, b) else {
+        return;
+    };
+    let ch = t.network.channel(channel);
+    let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
+    let taken = t.ledger.withdraw(t.network, channel, rich, amount);
+    let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
+    if let Err(e) = t.ledger.deposit(t.network, channel, poor, redeposit) {
+        // Redepositing funds just withdrawn from this same channel cannot
+        // overflow its capacity; count and skip rather than corrupt the
+        // ledger if it does.
+        debug_assert!(false, "rebalance redeposit refused: {e}");
+        t.tel.counter_add("sim.rebalance.deposit_failed", 1);
+        return;
+    }
+    let fee_paid = taken.saturating_sub(redeposit);
+    t.rebalance_stats.transactions += 1;
+    t.rebalance_stats.moved_volume += taken.as_tokens();
+    t.rebalance_stats.fees_paid += fee_paid.as_tokens();
+    t.tel.counter_add("sim.rebalance.applied", 1);
+    t.tel.emit(|| TraceEvent::RebalanceApplied {
+        t: now,
+        channel: channel.index() as u32,
+        moved: taken.as_tokens(),
+        fee: fee_paid.as_tokens(),
+    });
+    if let Some(a) = t.audit.as_mut() {
+        a.on_withdraw(taken);
+        a.on_deposit(redeposit);
+        a.check(&t.ledger, now, "rebalance");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/resume: fingerprinting and `SEC_CORE` state encoding for this
-// engine. The decoder mirrors the encoder field for field; any drift is a
-// format change and must bump `snapshot::FORMAT_VERSION`.
+// Queueing at the routers (Fig. 3 / §4.2): a unit is admitted as soon as
+// its first hop can be funded; at every router it either locks the next
+// hop or waits in that channel direction's queue, which drains in policy
+// order whenever a settlement (or a recovery) replenishes the channel. The
+// paper's own evaluation "leave[s] implementing in-network queues … to
+// future work".
 
-/// CRC-32 over the simulation inputs and every config field that shapes the
-/// run. A resume whose recomputed fingerprint differs from the snapshot's
-/// is rejected before any state is applied.
+fn run_router_queued(
+    network: &Network,
+    transactions: &[Transaction],
+    config: &QueuedConfig,
+    resume: Option<&std::path::Path>,
+    ckpt: Option<&CheckpointSpec>,
+) -> Result<QueuedReport, SnapshotError> {
+    assert!(config.hop_delay > 0.0 && config.delta > 0.0);
+    assert!(config.num_paths >= 1);
+    let tel = &config.telemetry;
+    let timing = [config.end_time, config.poll_interval, config.deadline];
+    let plan = config.faults.as_ref();
+    let mut t = Transport::new(network, tel, timing, config.mtu, true, plan);
+    t.router = RouterQueues::new(network.num_channels());
+    let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
+    let fp = if ckpt.is_some() || resume.is_some() {
+        fingerprint_queued(network, transactions, config)
+    } else {
+        0
+    };
+    match resume {
+        Some(path) => {
+            let snap = t.load(path, snapshot::ENGINE_QUEUED, fp)?;
+            paths
+                .restore(network, snap.section(snapshot::SEC_SCHEME)?)
+                .map_err(|e| SnapshotError::Corrupt {
+                    what: format!("path cache: {e}"),
+                })?;
+        }
+        None => t.seed(transactions, plan, None),
+    }
+
+    while let Some((now, event)) = t.queue.pop() {
+        if now > config.end_time {
+            break;
+        }
+        match event {
+            Event::Arrival(i) => {
+                let _span = event_span(tel, Phase::RoutingDecision, now);
+                let idx = t.arrive(&transactions[i], now);
+                pump_source(&mut t, &mut paths, config, idx, now);
+            }
+            Event::HopArrive { unit } => {
+                let u = &t.units[unit];
+                if !u.live() {
+                    continue;
+                }
+                let _span = event_span(tel, Phase::QueueDrain, now);
+                if u.locked as usize == u.path.len() {
+                    // Reached the destination; key released after Δ.
+                    t.queue.push(now + config.delta, Event::Settle { unit });
+                } else {
+                    try_forward(&mut t, config, unit, now);
+                }
+            }
+            Event::Settle { unit } => {
+                // An outage may have refunded this unit during its Δ-wait;
+                // then the receiver never got the key.
+                if !t.units[unit].live() {
+                    continue;
+                }
+                let _span = event_span(tel, Phase::SettleRefund, now);
+                t.settle(unit, now);
+                // Every hop's receiving side gained funds: drain the queues
+                // that send *from* those sides.
+                let path = Arc::clone(&t.units[unit].path);
+                for &(c, d) in path.hops() {
+                    drain_queue(&mut t, config, c, slot(d.reverse()), now);
+                }
+            }
+            Event::Fault(ev) => {
+                let _span = event_span(tel, Phase::FaultProcessing, now);
+                let down = t.apply_fault(&ev, now);
+                if !down.is_empty() {
+                    // The sender simply re-sends the refunded value: router
+                    // queues, not retries, are what absorbs an outage here.
+                    for (unit, _) in t.units_crossing(&down) {
+                        t.refund_for_outage(unit, now);
+                        t.router.stats.units_dropped += 1;
+                    }
+                    // Purge the refunded units from the queues so they
+                    // never block a head-of-line drain.
+                    let units = &t.units;
+                    for q in t.router.queues.iter_mut().flatten() {
+                        q.retain(|&(unit, _)| units[unit].live());
+                    }
+                }
+                // A recovery re-opens the channel: service its queues now
+                // (`drain_queue` skips those another cause still holds down).
+                let revived: Vec<ChannelId> = match ev {
+                    FaultEvent::ChannelUp(c) => vec![c],
+                    FaultEvent::NodeUp(n) => network.neighbors(n).iter().map(|&(_, c)| c).collect(),
+                    _ => Vec::new(),
+                };
+                for c in revived {
+                    for side in 0..2 {
+                        drain_queue(&mut t, config, c, side, now);
+                    }
+                }
+            }
+            Event::Tick => {
+                let _span = batch_span(tel, Phase::QueueDrain, now);
+                tel.counter_add("sim.scheduler.polls", 1);
+                // Deadlines only: this driver never schedules a retry.
+                t.fire_timers(now, |_, _| {});
+                sweep_expired(&mut t, now);
+                for idx in t.pending_in_order(config.source_policy) {
+                    pump_source(&mut t, &mut paths, config, idx, now);
+                }
+                t.end_tick(now);
+                t.checkpoint(ckpt, snapshot::ENGINE_QUEUED, fp, || paths.checkpoint())?;
+            }
+            // Unit fates and rebalancing exist only under the
+            // source-queued driver.
+            Event::FaultExpire { .. } | Event::RebalanceCheck | Event::RebalanceApply { .. } => {}
+        }
+    }
+
+    let path_stats = paths.stats();
+    tel.counter_add("routing.paths.lookups", path_stats.lookups);
+    tel.counter_add("routing.paths.computed_pairs", path_stats.computed_pairs);
+    tel.counter_add("routing.paths.computed", path_stats.computed_paths);
+    let mut queues = t.router.stats;
+    if t.router.dequeues > 0 {
+        queues.mean_wait = t.router.total_wait / t.router.dequeues as f64;
+    }
+    let policy = format!("{}+{:?}", config.source_policy.name(), config.queue_policy);
+    Ok(QueuedReport {
+        report: t.finish("queued-waterfilling", policy),
+        queues,
+    })
+}
+
+/// Index of a hop direction's queue within its channel's pair.
+fn slot(d: Direction) -> usize {
+    match d {
+        Direction::AtoB => 0,
+        Direction::BtoA => 1,
+    }
+}
+
+fn channel_down(t: &Transport, channel: ChannelId) -> bool {
+    (t.faults.as_ref()).is_some_and(|fr| fr.state.is_channel_down(channel))
+}
+
+/// First-hop admission: sends as many units of one pending payment as its
+/// first hop can fund.
+fn pump_source(
+    t: &mut Transport,
+    paths: &mut PathCache,
+    config: &QueuedConfig,
+    idx: usize,
+    now: f64,
+) {
+    let _span = batch_span(t.tel, Phase::UnitDispatch, now);
+    loop {
+        let p = &t.payments[idx];
+        let (src, dst, remaining) = (p.src, p.dst, p.remaining());
+        if !remaining.is_positive() {
+            break;
+        }
+        let amount = remaining.min(config.mtu);
+        let candidates = paths.paths(t.network, src, dst);
+        if candidates.is_empty() {
+            t.abandon(idx, now);
+            break;
+        }
+        // Waterfilling preference by full-path bottleneck (fault-masked so
+        // downed channels look empty), but admission only requires the
+        // first hop to be fundable: downstream dry spells are absorbed by
+        // router queues.
+        let Some(best) = t.with_sender_view(now, |view| best_path(candidates, view)) else {
+            break;
+        };
+        let (c0, _) = best.hops()[0];
+        if channel_down(t, c0) || t.ledger.lock_hop(t.network, c0, src, amount).is_err() {
+            break;
+        }
+        let unit = t.send(idx, best, amount, 1, now);
+        t.queue
+            .push(now + config.hop_delay, Event::HopArrive { unit });
+    }
+}
+
+/// Waterfilling path preference: max bottleneck, shorter path on ties.
+/// `None` only for an empty candidate set (callers check first).
+fn best_path(candidates: &[Arc<Path>], view: &dyn BalanceView) -> Option<Arc<Path>> {
+    candidates
+        .iter()
+        .map(|path| (path_bottleneck(view, path), path))
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len())))
+        .map(|(_, path)| Arc::clone(path))
+}
+
+/// A unit at an intermediate router locks its next hop, or else joins
+/// that channel direction's queue. A downed next hop queues too: the unit
+/// waits for recovery, bounded by its payment's deadline.
+fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) {
+    let u = &t.units[unit];
+    let at = u.locked as usize;
+    let (c, d) = u.path.hops()[at];
+    if !channel_down(t, c)
+        && (t.ledger)
+            .lock_hop(t.network, c, u.path.nodes()[at], u.amount)
+            .is_ok()
+    {
+        t.units[unit].locked += 1;
+        t.queue
+            .push(now + config.hop_delay, Event::HopArrive { unit });
+        return;
+    }
+    let q = &mut t.router.queues[c.index()][slot(d)];
+    if q.len() >= config.max_queue_len {
+        return drop_unit(t, unit, now);
+    }
+    let pos = insert_position(q, &t.units, &t.payments, config.queue_policy, unit);
+    q.insert(pos, (unit, now));
+    let depth = q.len();
+    t.router.stats.units_queued += 1;
+    t.router.stats.max_queue_len = t.router.stats.max_queue_len.max(depth);
+    t.tel.counter_add("sim.units.queued", 1);
+    t.tel.emit(|| TraceEvent::UnitQueued {
+        t: now,
+        payment: t.payments[u.payment()].id.0,
+        channel: c.index() as u32,
+        depth: depth as u32,
+    });
+}
+
+/// Position a newly queued unit according to the queue policy.
+fn insert_position(
+    q: &VecDeque<(usize, f64)>,
+    units: &UnitSlab,
+    payments: &[PaymentState],
+    policy: QueuePolicy,
+    unit: usize,
+) -> usize {
+    let deadline = |u: usize| payments[units[u].payment()].deadline;
+    let before = |behind: &dyn Fn(usize) -> bool| {
+        let found = q.iter().position(|&(other, _)| behind(other));
+        found.unwrap_or(q.len())
+    };
+    match policy {
+        QueuePolicy::Fifo => q.len(),
+        QueuePolicy::SmallestFirst => before(&|other| units[other].amount > units[unit].amount),
+        QueuePolicy::EarliestDeadline => before(&|other| deadline(other) > deadline(unit)),
+    }
+}
+
+/// Services a channel direction's queue after its sending side gained
+/// funds. The head blocks the rest (no bypass), so policy order holds.
+fn drain_queue(
+    t: &mut Transport,
+    config: &QueuedConfig,
+    channel: ChannelId,
+    side: usize,
+    now: f64,
+) {
+    if channel_down(t, channel) {
+        return; // nothing forwards over a downed channel
+    }
+    while let Some(&(head, queued_at)) = t.router.queues[channel.index()][side].front() {
+        let u = &t.units[head];
+        if !u.live() || t.payments[u.payment()].deadline <= now {
+            // Expired while waiting.
+            t.router.queues[channel.index()][side].pop_front();
+            if t.units[head].live() {
+                drop_unit(t, head, now);
+            }
+            continue;
+        }
+        let from = u.path.nodes()[u.locked as usize];
+        if t.ledger
+            .lock_hop(t.network, channel, from, u.amount)
+            .is_err()
+        {
+            break;
+        }
+        t.router.queues[channel.index()][side].pop_front();
+        t.router.total_wait += now - queued_at;
+        t.router.dequeues += 1;
+        t.units[head].locked += 1;
+        t.queue
+            .push(now + config.hop_delay, Event::HopArrive { unit: head });
+    }
+}
+
+/// Sweeps units whose payment deadline passed out of every router queue,
+/// so their upstream locks are refunded promptly (not only when a
+/// settlement happens to poke the queue).
+fn sweep_expired(t: &mut Transport, now: f64) {
+    for c in 0..t.router.queues.len() {
+        for side in 0..2 {
+            let (units, payments) = (&t.units, &t.payments);
+            let expired = |&(unit, _): &(usize, f64)| {
+                units[unit].live() && payments[units[unit].payment()].deadline <= now
+            };
+            let q = &mut t.router.queues[c][side];
+            let dropped: Vec<usize> = q.iter().filter(|e| expired(e)).map(|e| e.0).collect();
+            if dropped.is_empty() {
+                continue;
+            }
+            q.retain(|e| !expired(e));
+            for unit in dropped {
+                drop_unit(t, unit, now);
+            }
+        }
+    }
+}
+
+/// Drops a unit from the network: every upstream lock is refunded and the
+/// value returns to the payment's "remaining", so the source can resend it
+/// (until the payment's own deadline).
+fn drop_unit(t: &mut Transport, unit: usize, now: f64) {
+    t.refund(unit, now, "queued-drop");
+    t.router.stats.units_dropped += 1;
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot fingerprints: a CRC-32 over the simulation inputs and every
+// config field that shapes the run. A resume whose recomputed fingerprint
+// differs from the snapshot's is rejected before any state is applied.
+
+/// The fingerprint fields both configs have.
+fn enc_common(
+    e: &mut Enc,
+    scheme_name: &str,
+    [end_time, delta, poll_interval, deadline]: [f64; 4],
+    mtu: Amount,
+    faults: &Option<FaultPlan>,
+    telemetry: &Telemetry,
+) {
+    e.str(scheme_name);
+    for v in [end_time, delta, poll_interval, deadline] {
+        e.f64(v);
+    }
+    e.i64(mtu.micros());
+    e.opt(faults.as_ref().map(|plan| {
+        |e: &mut Enc| {
+            snapshot::enc_json(e, &plan.config);
+            e.seq(&plan.events, |e, (t, ev)| {
+                e.f64(*t);
+                snapshot::enc_fault_event(e, ev);
+            });
+        }
+    }));
+    e.bool(telemetry.is_enabled());
+    e.f64(telemetry.sample_interval().unwrap_or(f64::NAN));
+}
+
 fn fingerprint(
     network: &Network,
     transactions: &[Transaction],
@@ -1607,569 +1093,75 @@ fn fingerprint(
 ) -> u32 {
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
-    e.str(scheme_name);
-    e.f64(config.end_time);
-    e.f64(config.delta);
-    e.i64(config.mtu.micros());
-    e.f64(config.poll_interval);
-    e.f64(config.deadline);
+    let timing = [
+        config.end_time,
+        config.delta,
+        config.poll_interval,
+        config.deadline,
+    ];
+    let (faults, tel) = (&config.faults, &config.telemetry);
+    enc_common(&mut e, scheme_name, timing, config.mtu, faults, tel);
     e.str(config.policy.name());
     e.bool(config.record_series);
     e.bool(config.amp);
     e.bool(config.audit);
-    match &config.rebalance {
-        Some(p) => {
-            e.u8(1);
+    e.opt(config.rebalance.as_ref().map(|p| {
+        |e: &mut Enc| {
             e.f64(p.check_interval);
             e.f64(p.imbalance_threshold);
             e.f64(p.correction_fraction);
             e.i64(p.fee.micros());
             e.f64(p.confirmation_delay);
         }
-        None => e.u8(0),
-    }
-    match &config.congestion {
-        Some(c) => {
-            e.u8(1);
+    }));
+    e.opt(config.congestion.as_ref().map(|c| {
+        |e: &mut Enc| {
             e.f64(c.initial_window);
             e.f64(c.additive_increase);
             e.f64(c.multiplicative_decrease);
             e.f64(c.min_window);
             e.f64(c.max_window);
         }
-        None => e.u8(0),
-    }
-    match &config.fees {
-        Some(f) => {
-            e.u8(1);
+    }));
+    e.opt(config.fees.as_ref().map(|f| {
+        |e: &mut Enc| {
             e.seq(&f.per_channel(), |e, (base, ppm)| {
                 e.i64(base.micros());
                 e.u32(*ppm);
-            });
+            })
         }
-        None => e.u8(0),
-    }
-    match &config.faults {
-        Some(plan) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                enc_fault_event(e, ev);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.bool(config.telemetry.is_enabled());
-    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
+    }));
     crc32(&e.into_bytes())
 }
 
-pub(crate) fn enc_fault_event(e: &mut Enc, ev: &FaultEvent) {
-    match ev {
-        FaultEvent::ChannelDown(c) => {
-            e.u8(0);
-            e.u32(c.0);
-        }
-        FaultEvent::ChannelUp(c) => {
-            e.u8(1);
-            e.u32(c.0);
-        }
-        FaultEvent::NodeDown(n) => {
-            e.u8(2);
-            e.u32(n.0);
-        }
-        FaultEvent::NodeUp(n) => {
-            e.u8(3);
-            e.u32(n.0);
-        }
-    }
-}
-
-pub(crate) fn dec_fault_event(d: &mut Dec) -> Result<FaultEvent, SnapshotError> {
-    let tag = d.u8()?;
-    let id = d.u32()?;
-    match tag {
-        0 => Ok(FaultEvent::ChannelDown(ChannelId(id))),
-        1 => Ok(FaultEvent::ChannelUp(ChannelId(id))),
-        2 => Ok(FaultEvent::NodeDown(NodeId(id))),
-        3 => Ok(FaultEvent::NodeUp(NodeId(id))),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("fault event tag {other}"),
-        }),
-    }
-}
-
-fn enc_event(e: &mut Enc, event: &Event) {
-    match event {
-        Event::Arrival(i) => {
-            e.u8(0);
-            e.usize(*i);
-        }
-        Event::Settle { unit } => {
-            e.u8(1);
-            e.usize(*unit);
-        }
-        Event::FaultExpire { unit } => {
-            e.u8(2);
-            e.usize(*unit);
-        }
-        Event::Fault(ev) => {
-            e.u8(3);
-            enc_fault_event(e, ev);
-        }
-        Event::Tick => e.u8(4),
-        Event::RebalanceCheck => e.u8(5),
-        Event::RebalanceApply { channel } => {
-            e.u8(6);
-            e.u32(channel.0);
-        }
-    }
-}
-
-fn dec_event(d: &mut Dec) -> Result<Event, SnapshotError> {
-    match d.u8()? {
-        0 => Ok(Event::Arrival(d.usize()?)),
-        1 => Ok(Event::Settle { unit: d.usize()? }),
-        2 => Ok(Event::FaultExpire { unit: d.usize()? }),
-        3 => Ok(Event::Fault(dec_fault_event(d)?)),
-        4 => Ok(Event::Tick),
-        5 => Ok(Event::RebalanceCheck),
-        6 => Ok(Event::RebalanceApply {
-            channel: ChannelId(d.u32()?),
-        }),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("event tag {other}"),
-        }),
-    }
-}
-
-pub(crate) fn enc_path(e: &mut Enc, path: &Path) {
-    e.seq(path.nodes(), |e, n| e.u32(n.0));
-}
-
-pub(crate) fn dec_path(
-    d: &mut Dec,
+fn fingerprint_queued(
     network: &Network,
-) -> Result<std::sync::Arc<Path>, SnapshotError> {
-    let nodes = d.seq(|d| Ok(NodeId(d.u32()?)))?;
-    Path::new(network, nodes)
-        .map(std::sync::Arc::new)
-        .map_err(|e| SnapshotError::Corrupt {
-            what: format!("unit path: {e}"),
-        })
-}
-
-pub(crate) fn enc_payment(e: &mut Enc, p: &PaymentState) {
-    e.u64(p.id.0);
-    e.u32(p.src.0);
-    e.u32(p.dst.0);
-    e.i64(p.amount.micros());
-    e.f64(p.arrival);
-    e.f64(p.deadline);
-    e.i64(p.delivered.micros());
-    e.i64(p.inflight.micros());
-    e.u8(match p.status {
-        PaymentStatus::Pending => 0,
-        PaymentStatus::Completed => 1,
-        PaymentStatus::Abandoned => 2,
-    });
-    match p.completed_at {
-        Some(t) => {
-            e.u8(1);
-            e.f64(t);
-        }
-        None => e.u8(0),
-    }
-}
-
-pub(crate) fn dec_payment(d: &mut Dec) -> Result<PaymentState, SnapshotError> {
-    Ok(PaymentState {
-        id: spider_core::PaymentId(d.u64()?),
-        src: NodeId(d.u32()?),
-        dst: NodeId(d.u32()?),
-        amount: Amount::from_micros(d.i64()?),
-        arrival: d.f64()?,
-        deadline: d.f64()?,
-        delivered: Amount::from_micros(d.i64()?),
-        inflight: Amount::from_micros(d.i64()?),
-        status: match d.u8()? {
-            0 => PaymentStatus::Pending,
-            1 => PaymentStatus::Completed,
-            2 => PaymentStatus::Abandoned,
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("payment status byte {other}"),
-                })
-            }
-        },
-        completed_at: d.opt(|d| d.f64())?,
-    })
-}
-
-/// Fault-runtime state in a snapshot: the fault subsystem's own snapshot,
-/// plus the sender-recovery locals — per-channel blacklist expiry times,
-/// per-payment failed-attempt counts, per-payment retry-backoff deadlines.
-type FaultResume = (
-    crate::faults::FaultStateSnapshot,
-    Vec<f64>,
-    Vec<u32>,
-    Vec<f64>,
-);
-
-/// Sequential-engine state restored from a snapshot's `SEC_CORE` section —
-/// every `run_inner` local that is not rebuilt from the config.
-struct SeqResume {
-    ticks: u64,
-    channels: Vec<[i64; 4]>,
-    queue_entries: Vec<(f64, u64, Event)>,
-    queue_next_seq: u64,
-    payments: Vec<PaymentState>,
-    pending: Vec<usize>,
-    faults: Option<FaultResume>,
-    rebalance_pending: Vec<bool>,
-    rebalance_stats: RebalanceStats,
-    congestion: Option<Vec<(NodeId, NodeId, f64, u32)>>,
-    units: Vec<UnitRecord>,
-    timers: Vec<Timer>,
-    amp_held: Vec<Vec<usize>>,
-    routing_fees_paid: Amount,
-    release_violations: Vec<AuditViolation>,
-    units_sent: u64,
-    series: Vec<(f64, f64, f64)>,
-    audit: Option<crate::audit::AuditState>,
-    network_series: Vec<NetworkSample>,
-    next_sample: f64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encode_seq_core(
-    ticks: u64,
-    network: &Network,
-    ledger: &Ledger,
-    queue: &EventQueue<Event>,
-    payments: &[PaymentState],
-    pending: &[usize],
-    faults: &Option<FaultRuntime>,
-    rebalance_pending: &[bool],
-    rebalance_stats: &RebalanceStats,
-    congestion: &Option<CongestionControl>,
-    units: &[UnitRecord],
-    timers: &BinaryHeap<Reverse<Timer>>,
-    amp_held: &[Vec<usize>],
-    routing_fees_paid: Amount,
-    release_violations: &[AuditViolation],
-    units_sent: u64,
-    series: &[(f64, f64, f64)],
-    audit: &Option<LedgerAudit>,
-    network_series: &[NetworkSample],
-    next_sample: f64,
-) -> Vec<u8> {
+    transactions: &[Transaction],
+    config: &QueuedConfig,
+) -> u32 {
     let mut e = Enc::new();
-    e.u64(ticks);
-    e.usize(network.num_channels());
-    for i in 0..network.num_channels() {
-        for v in ledger.export_channel(ChannelId::from(i)) {
-            e.i64(v);
-        }
-    }
-    // Event-queue entries in exact pop order with their original sequence
-    // numbers; re-pushing them restores identical drain order.
-    let entries = queue.entries();
-    e.usize(entries.len());
-    for (t, seq, event) in &entries {
-        e.f64(*t);
-        e.u64(*seq);
-        enc_event(&mut e, event);
-    }
-    e.u64(queue.next_seq());
-    e.seq(payments, enc_payment);
-    e.seq(pending, |e, &i| e.usize(i));
-    match faults {
-        Some(fr) => {
-            e.u8(1);
-            let snap = fr.state.export_state();
-            e.bytes(&snap.down_causes);
-            e.seq(&snap.node_down, |e, &b| e.bool(b));
-            e.u64(snap.rng_state);
-            snapshot::enc_json(&mut e, &snap.stats);
-            e.seq(fr.blacklist.slots(), |e, &t| e.f64(t));
-            e.seq(&fr.fail_count, |e, &c| e.u32(c));
-            e.seq(&fr.not_before, |e, &t| e.f64(t));
-        }
-        None => e.u8(0),
-    }
-    e.seq(rebalance_pending, |e, &b| e.bool(b));
-    e.usize(rebalance_stats.transactions);
-    e.f64(rebalance_stats.moved_volume);
-    e.f64(rebalance_stats.fees_paid);
-    match congestion {
-        Some(cc) => {
-            e.u8(1);
-            e.seq(&cc.export_state(), |e, (s, d, w, o)| {
-                e.u32(s.0);
-                e.u32(d.0);
-                e.f64(*w);
-                e.u32(*o);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.seq(units, |e, u| {
-        e.usize(u.payment);
-        enc_path(e, &u.path);
-        e.i64(u.amount.micros());
-        match &u.hop_amounts {
-            Some(h) => {
-                e.u8(1);
-                e.seq(h, |e, a| e.i64(a.micros()));
-            }
-            None => e.u8(0),
-        }
-        match u.fault {
-            Some(UnitFault::Dropped(c)) => {
-                e.u8(1);
-                e.u32(c.0);
-            }
-            Some(UnitFault::Griefed(c)) => {
-                e.u8(2);
-                e.u32(c.0);
-            }
-            None => e.u8(0),
-        }
-        e.bool(u.resolved);
-    });
-    // Timers in their deterministic `Ord` order — heap iteration order is
-    // arbitrary, so sort the capture; re-pushing restores identical pops.
-    let mut timer_list: Vec<(f64, usize, u8)> = timers
-        .iter()
-        .map(|Reverse(t)| {
-            (
-                t.time,
-                t.payment,
-                match t.kind {
-                    TimerKind::Deadline => 0,
-                    TimerKind::Retry => 1,
-                },
-            )
-        })
-        .collect();
-    timer_list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-    e.seq(&timer_list, |e, (t, p, k)| {
-        e.f64(*t);
-        e.usize(*p);
-        e.u8(*k);
-    });
-    e.usize(amp_held.len());
-    for held in amp_held {
-        e.seq(held, |e, &u| e.usize(u));
-    }
-    e.i64(routing_fees_paid.micros());
-    snapshot::enc_json(&mut e, &release_violations.to_vec());
-    e.u64(units_sent);
-    e.seq(series, |e, (t, r, v)| {
-        e.f64(*t);
-        e.f64(*r);
-        e.f64(*v);
-    });
-    match audit {
-        Some(a) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &a.export_state());
-        }
-        None => e.u8(0),
-    }
-    e.seq(network_series, |e, s| {
-        e.f64(s.t);
-        e.f64(s.mean_imbalance);
-        e.f64(s.total_inflight);
-        e.u32(s.pending);
-        e.u32(s.max_queue_depth);
-    });
-    e.f64(next_sample);
-    e.into_bytes()
-}
-
-fn decode_seq_core(bytes: &[u8], network: &Network) -> Result<SeqResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let ticks = d.u64()?;
-    let num_channels = d.usize()?;
-    if num_channels != network.num_channels() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot has {num_channels} channels, network has {}",
-                network.num_channels()
-            ),
-        });
-    }
-    let mut channels = Vec::with_capacity(num_channels);
-    for _ in 0..num_channels {
-        channels.push([d.i64()?, d.i64()?, d.i64()?, d.i64()?]);
-    }
-    let n_entries = d.usize()?;
-    let mut queue_entries = Vec::with_capacity(n_entries.min(d.remaining()));
-    for _ in 0..n_entries {
-        let t = d.f64()?;
-        if !t.is_finite() {
-            return Err(SnapshotError::Corrupt {
-                what: "non-finite event time".to_string(),
-            });
-        }
-        let seq = d.u64()?;
-        queue_entries.push((t, seq, dec_event(&mut d)?));
-    }
-    let queue_next_seq = d.u64()?;
-    let n_payments = d.usize()?;
-    let mut payments = Vec::with_capacity(n_payments.min(d.remaining()));
-    for _ in 0..n_payments {
-        payments.push(dec_payment(&mut d)?);
-    }
-    let pending = d.seq(|d| d.usize())?;
-    let faults = match d.u8()? {
-        0 => None,
-        1 => {
-            let down_causes = d.bytes()?.to_vec();
-            let node_down = d.seq(|d| d.bool())?;
-            let rng_state = d.u64()?;
-            let stats = snapshot::dec_json(&mut d)?;
-            let slots = d.seq(|d| d.f64())?;
-            let fail_count = d.seq(|d| d.u32())?;
-            let not_before = d.seq(|d| d.f64())?;
-            Some((
-                crate::faults::FaultStateSnapshot {
-                    down_causes,
-                    node_down,
-                    rng_state,
-                    stats,
-                },
-                slots,
-                fail_count,
-                not_before,
-            ))
-        }
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("fault presence byte {other}"),
-            })
-        }
-    };
-    let rebalance_pending = d.seq(|d| d.bool())?;
-    let rebalance_stats = RebalanceStats {
-        transactions: d.usize()?,
-        moved_volume: d.f64()?,
-        fees_paid: d.f64()?,
-    };
-    let congestion = match d.u8()? {
-        0 => None,
-        1 => Some(d.seq(|d| Ok((NodeId(d.u32()?), NodeId(d.u32()?), d.f64()?, d.u32()?)))?),
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("congestion presence byte {other}"),
-            })
-        }
-    };
-    let n_units = d.usize()?;
-    let mut units = Vec::with_capacity(n_units.min(d.remaining()));
-    for _ in 0..n_units {
-        let payment = d.usize()?;
-        let path = dec_path(&mut d, network)?;
-        let amount = Amount::from_micros(d.i64()?);
-        let hop_amounts = d.opt(|d| d.seq(|d| Ok(Amount::from_micros(d.i64()?))))?;
-        let fault = match d.u8()? {
-            0 => None,
-            1 => Some(UnitFault::Dropped(ChannelId(d.u32()?))),
-            2 => Some(UnitFault::Griefed(ChannelId(d.u32()?))),
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("unit fault byte {other}"),
-                })
-            }
-        };
-        let resolved = d.bool()?;
-        if payment >= payments.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("unit references payment {payment} of {}", payments.len()),
-            });
-        }
-        units.push(UnitRecord {
-            payment,
-            path,
-            amount,
-            hop_amounts,
-            fault,
-            resolved,
-        });
-    }
-    let timers = d.seq(|d| Ok((d.f64()?, d.usize()?, d.u8()?)))?;
-    let timers: Vec<Timer> = timers
-        .into_iter()
-        .map(|(time, payment, kind)| {
-            Ok(Timer {
-                time,
-                payment,
-                kind: match kind {
-                    0 => TimerKind::Deadline,
-                    1 => TimerKind::Retry,
-                    other => {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("timer kind byte {other}"),
-                        })
-                    }
-                },
-            })
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    let n_held = d.usize()?;
-    let mut amp_held = Vec::with_capacity(n_held.min(d.remaining()));
-    for _ in 0..n_held {
-        amp_held.push(d.seq(|d| d.usize())?);
-    }
-    let routing_fees_paid = Amount::from_micros(d.i64()?);
-    let release_violations: Vec<AuditViolation> = snapshot::dec_json(&mut d)?;
-    let units_sent = d.u64()?;
-    let series = d.seq(|d| Ok((d.f64()?, d.f64()?, d.f64()?)))?;
-    let audit = match d.u8()? {
-        0 => None,
-        1 => Some(snapshot::dec_json(&mut d)?),
-        other => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("audit presence byte {other}"),
-            })
-        }
-    };
-    let network_series = d.seq(|d| {
-        Ok(NetworkSample {
-            t: d.f64()?,
-            mean_imbalance: d.f64()?,
-            total_inflight: d.f64()?,
-            pending: d.u32()?,
-            max_queue_depth: d.u32()?,
-        })
-    })?;
-    let next_sample = d.f64()?;
-    d.expect_end()?;
-    Ok(SeqResume {
-        ticks,
-        channels,
-        queue_entries,
-        queue_next_seq,
-        payments,
-        pending,
+    snapshot::enc_inputs(&mut e, network, transactions);
+    let timing = [
+        config.end_time,
+        config.delta,
+        config.poll_interval,
+        config.deadline,
+    ];
+    let (faults, tel) = (&config.faults, &config.telemetry);
+    enc_common(
+        &mut e,
+        "queued-waterfilling",
+        timing,
+        config.mtu,
         faults,
-        rebalance_pending,
-        rebalance_stats,
-        congestion,
-        units,
-        timers,
-        amp_held,
-        routing_fees_paid,
-        release_violations,
-        units_sent,
-        series,
-        audit,
-        network_series,
-        next_sample,
-    })
+        tel,
+    );
+    e.f64(config.hop_delay);
+    e.str(config.source_policy.name());
+    e.u8(config.queue_policy as u8);
+    e.usize(config.num_paths);
+    e.usize(config.max_queue_len);
+    crc32(&e.into_bytes())
 }
 
 #[cfg(test)]
@@ -2809,5 +1801,199 @@ mod tests {
             "{:?}",
             report.audit_violations
         );
+    }
+
+    // -- queueing at the routers ---------------------------------------------
+
+    #[test]
+    fn simple_payment_completes() {
+        let g = line3(100);
+        let txs = vec![tx(0, 0, 2, 30, 0.1)];
+        let out = run_queued(&g, &txs, &QueuedConfig::new(10.0));
+        assert_eq!(out.report.completed, 1);
+        assert_eq!(out.report.units_sent, 3);
+        assert_eq!(out.queues.units_dropped, 0);
+    }
+
+    #[test]
+    fn optimistic_admission_uses_router_queue() {
+        // Second hop starts empty toward node 2: units are admitted on hop
+        // one and must WAIT at router 1 until opposing traffic arrives.
+        let mut g = Network::new(3);
+        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(100))
+            .unwrap();
+        g.add_channel_with_balances(NodeId(1), NodeId(2), Amount::ZERO, Amount::from_whole(50))
+            .unwrap();
+        let txs = vec![
+            tx(0, 0, 2, 20, 0.1), // must queue at router 1
+            tx(1, 2, 0, 20, 1.0), // opposing flow refills 1->2 side at settle
+        ];
+        let mut cfg = QueuedConfig::new(30.0);
+        cfg.deadline = 20.0;
+        let out = run_queued(&g, &txs, &cfg);
+        assert!(
+            out.queues.units_queued > 0,
+            "units should queue: {:?}",
+            out.queues
+        );
+        assert_eq!(out.report.completed, 2, "{:?}", out.report);
+        assert!(out.queues.mean_wait > 0.0);
+    }
+
+    #[test]
+    fn queued_units_expire_and_refund() {
+        // Downstream never refills; queued units must drop and refund their
+        // first-hop locks (conservation holds, delivered = 0).
+        let mut g = Network::new(3);
+        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(100))
+            .unwrap();
+        g.add_channel_with_balances(NodeId(1), NodeId(2), Amount::ZERO, Amount::from_whole(50))
+            .unwrap();
+        let txs = vec![tx(0, 0, 2, 20, 0.1)];
+        let mut cfg = QueuedConfig::new(30.0);
+        cfg.deadline = 2.0;
+        let out = run_queued(&g, &txs, &cfg);
+        assert_eq!(out.report.completed, 0);
+        assert_eq!(out.report.delivered_volume, 0.0);
+        // The Tick sweep must refund expired queued units even with no
+        // opposing traffic to poke the queue.
+        assert!(out.queues.units_dropped > 0, "{:?}", out.queues);
+    }
+
+    #[test]
+    fn queue_beats_source_queueing_under_transient_imbalance() {
+        // Bursty opposing flows: optimistic admission pipelines better than
+        // full-bottleneck gating. Both must complete everything eventually;
+        // the queued engine should not be slower.
+        let g = line3(60);
+        let mut txs = Vec::new();
+        for i in 0..10u64 {
+            txs.push(tx(2 * i, 0, 2, 25, 0.1 + i as f64));
+            txs.push(tx(2 * i + 1, 2, 0, 25, 0.6 + i as f64));
+        }
+        let mut cfg = QueuedConfig::new(60.0);
+        cfg.deadline = 30.0;
+        let queued = run_queued(&g, &txs, &cfg);
+        assert!(
+            queued.report.success_ratio() > 0.9,
+            "queued transport should deliver nearly everything: {}",
+            queued.report.summary()
+        );
+    }
+
+    #[test]
+    fn policies_order_queues_differently() {
+        // Inspect insert_position directly: a 5-token unit of a payment due
+        // at t = 9 is queued; where does a 1-token unit due at t = 2 go?
+        let g = line3(10);
+        let tel = Telemetry::disabled();
+        let mut t = Transport::new(
+            &g,
+            &tel,
+            [20.0, 0.1, 2.0],
+            Amount::from_whole(10),
+            true,
+            None,
+        );
+        let hop = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1)]).unwrap());
+        for (id, amount, arrival) in [(0, 1, 0.0), (1, 5, 7.0)] {
+            let idx = t.arrive(&tx(id, 0, 1, amount, arrival), arrival);
+            t.send(
+                idx,
+                Arc::clone(&hop),
+                Amount::from_whole(amount),
+                1,
+                arrival,
+            );
+        }
+        let q: VecDeque<(usize, f64)> = VecDeque::from([(1, 7.0)]);
+        let position = |policy| insert_position(&q, &t.units, &t.payments, policy, 0);
+        // FIFO appends.
+        assert_eq!(position(QueuePolicy::Fifo), 1);
+        // Smallest-first puts the 1-token unit ahead of the 5-token one.
+        assert_eq!(position(QueuePolicy::SmallestFirst), 0);
+        // EDF puts the tighter deadline first.
+        assert_eq!(position(QueuePolicy::EarliestDeadline), 0);
+    }
+
+    #[test]
+    fn outage_drops_locked_units_and_queues_absorb_recovery() {
+        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
+        use spider_core::ChannelId;
+        // Channel 1 dies while units are mid-path: locked prefixes crossing
+        // it are refunded. After recovery the source re-sends and the
+        // payment still completes — router queues plus source re-pumping
+        // absorb the outage.
+        let g = line3(100);
+        let txs = vec![tx(0, 0, 2, 30, 0.1)];
+        let plan = FaultPlan::scripted(
+            vec![
+                (0.3, FaultEvent::ChannelDown(ChannelId(1))),
+                (1.0, FaultEvent::ChannelUp(ChannelId(1))),
+            ],
+            FaultConfig::default(),
+        );
+        let mut cfg = QueuedConfig::new(20.0);
+        cfg.deadline = 15.0;
+        cfg.faults = Some(plan);
+        let out = run_queued(&g, &txs, &cfg);
+        let stats = out.report.faults.expect("fault stats present");
+        assert_eq!(stats.outages, 1);
+        assert_eq!(stats.recoveries, 1);
+        assert_eq!(out.report.completed, 1, "{:?}", out.report);
+        assert!(
+            out.report.audit_violations.is_empty(),
+            "{:?}",
+            out.report.audit_violations
+        );
+        // Determinism under faults.
+        let again = run_queued(&g, &txs, &cfg);
+        assert_eq!(
+            serde_json::to_string(&out.report).unwrap(),
+            serde_json::to_string(&again.report).unwrap()
+        );
+    }
+
+    #[test]
+    fn outage_after_settlement_leaves_settled_units_alone() {
+        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
+        // All three units settle by t = 0.7; channel 1 dies at t = 2. A
+        // settled unit holds no locks, so the outage has nothing to refund
+        // (refunding it again would hand the sender funds it already spent).
+        let g = line3(100);
+        let txs = vec![tx(0, 0, 2, 30, 0.1)];
+        let mut cfg = QueuedConfig::new(10.0);
+        cfg.faults = Some(FaultPlan::scripted(
+            vec![(2.0, FaultEvent::ChannelDown(ChannelId(1)))],
+            FaultConfig::default(),
+        ));
+        let out = run_queued(&g, &txs, &cfg);
+        assert_eq!(out.report.completed, 1);
+        assert_eq!(out.report.units_sent, 3);
+        assert_eq!(out.queues.units_dropped, 0);
+        let stats = out.report.faults.expect("fault stats present");
+        assert_eq!(stats.units_refunded_by_outage, 0);
+        assert_eq!(out.report.audit_violations, vec![]);
+    }
+
+    #[test]
+    fn router_queued_runs_are_deterministic() {
+        let g = line3(50);
+        let txs: Vec<Transaction> = (0..20)
+            .map(|i| {
+                tx(
+                    i,
+                    (i % 2) as u32 * 2,
+                    2 - (i % 2) as u32 * 2,
+                    15,
+                    0.1 * i as f64,
+                )
+            })
+            .collect();
+        let a = run_queued(&g, &txs, &QueuedConfig::new(15.0));
+        let b = run_queued(&g, &txs, &QueuedConfig::new(15.0));
+        assert_eq!(a.report.completed, b.report.completed);
+        assert_eq!(a.report.units_sent, b.report.units_sent);
+        assert_eq!(a.queues.units_queued, b.queues.units_queued);
     }
 }

@@ -53,16 +53,15 @@
 
 use crate::audit::{AuditState, AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
-use crate::engine::record_release;
-use crate::engine::{dec_path, enc_fault_event, enc_path};
-use crate::engine_queued::QueuePolicy;
+use crate::engine::QueuePolicy;
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::Ledger;
 use crate::metrics::SimReport;
 use crate::payment::PaymentStatus;
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, CheckpointSpec, SnapshotError};
+use crate::snapshot::{self, dec_path, enc_fault_event, enc_path, CheckpointSpec, SnapshotError};
+use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
 use spider_core::{
     crc32, Amount, BalanceView, ChannelId, Dec, Direction, Enc, Network, NodeId, Path,
@@ -755,7 +754,7 @@ impl ShardCtx<'_> {
         if owner == self.shard {
             return true;
         }
-        if self.violations.len() < crate::engine::MAX_RELEASE_VIOLATIONS {
+        if self.violations.len() < MAX_RELEASE_VIOLATIONS {
             self.violations.push(AuditViolation {
                 time: t_of(epoch),
                 event: event.to_string(),
@@ -3361,7 +3360,7 @@ fn merge_outputs(
             .then_with(|| x.event.cmp(&y.event))
             .then_with(|| format!("{:?}", x.kind).cmp(&format!("{:?}", y.kind)))
     });
-    audit_violations.truncate(crate::engine::MAX_RELEASE_VIOLATIONS);
+    audit_violations.truncate(MAX_RELEASE_VIOLATIONS);
 
     // Payment rows, sorted by id: every float fold below follows id order.
     let mut rows: Vec<&LocalPayment> = outputs.iter().flat_map(|o| o.payments.iter()).collect();

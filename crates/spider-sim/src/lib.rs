@@ -7,8 +7,13 @@
 //! - [`events`] — a deterministic `(time, sequence)`-ordered event queue,
 //! - [`payment`] / [`scheduler`] — pending-payment state and SRPT/FIFO/
 //!   LIFO/EDF service policies,
-//! - [`engine`] — the simulation loop driving any
-//!   [`spider_routing::RoutingScheme`],
+//! - [`engine`] — the continuous-time engine: one transport (split into
+//!   units, lock hops, settle or refund, give up at the deadline — its run
+//!   state, unit lifecycle and snapshot codec live once, in the private
+//!   `transport` module) under two thin drivers that differ only in where
+//!   a unit waits for funds: [`run`] queues at the source and drives any
+//!   [`spider_routing::RoutingScheme`], [`run_queued`] queues at the
+//!   routers (Fig. 3 / §4.2),
 //! - [`engine_sharded`] — the partition-parallel engine: one simulation
 //!   split across threads by a [`spider_topology::Partition`], merged
 //!   byte-identically at any shard count,
@@ -22,7 +27,6 @@
 pub mod audit;
 pub mod congestion;
 pub mod engine;
-pub mod engine_queued;
 pub mod engine_sharded;
 pub mod events;
 pub mod faults;
@@ -32,12 +36,11 @@ pub mod payment;
 pub mod rebalancer;
 pub mod scheduler;
 pub mod snapshot;
-pub mod wire;
+mod transport;
 
 pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 pub use congestion::{CongestionConfig, CongestionControl};
-pub use engine::{run, SimConfig};
-pub use engine_queued::{run_queued, QueuePolicy, QueueStats, QueuedConfig, QueuedReport};
+pub use engine::{run, run_queued, QueuePolicy, QueueStats, QueuedConfig, QueuedReport, SimConfig};
 pub use engine_sharded::{
     resume_sharded, run_sharded, run_sharded_checkpointed, ShardEpochMetrics, ShardObservability,
     ShardPolicy, ShardScheme, ShardedConfig,
@@ -53,4 +56,3 @@ pub use payment::{PaymentState, PaymentStatus};
 pub use rebalancer::{RebalancePolicy, RebalanceStats};
 pub use scheduler::SchedulePolicy;
 pub use snapshot::{latest_snapshot, CheckpointSpec, Snapshot, SnapshotError};
-pub use wire::{HashLock, HopHeader, UnitPacket, WireError};

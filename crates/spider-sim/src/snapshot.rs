@@ -10,8 +10,9 @@
 //! then per section: tag u32 | len u64 | crc32 u32 | bytes
 //! ```
 //!
-//! - **version** is bumped on any layout change; readers reject files from
-//!   the future with a structured error instead of misparsing them.
+//! - **version** is bumped on any layout change; readers reject every
+//!   other version — older or newer — with a structured error instead of
+//!   misparsing it.
 //! - **engine** identifies which engine wrote the snapshot
 //!   ([`ENGINE_SEQ`], [`ENGINE_QUEUED`], [`ENGINE_SHARDED`]); resuming with
 //!   the wrong engine is an error, not a crash.
@@ -32,8 +33,9 @@
 //! Decoding never panics. Truncated, bit-flipped, or otherwise corrupt
 //! files surface as [`SnapshotError`] values.
 
+use crate::faults::FaultEvent;
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, BinError, Dec, Enc, Network};
+use spider_core::{crc32, BinError, ChannelId, Dec, Enc, Network, NodeId};
 use spider_telemetry::TelemetryState;
 use spider_workload::Transaction;
 use std::fmt;
@@ -45,7 +47,10 @@ use std::path::{Path, PathBuf};
 /// v2: sharded messages carry the unit's deadline epoch, sample partials
 /// carry a queue depth, and sharded snapshots gain a [`SEC_SHARD_EXT`]
 /// section (queues, fee accrual, congestion windows, rebalance schedule).
-pub const FORMAT_VERSION: u8 = 2;
+/// v3: [`ENGINE_SEQ`] and [`ENGINE_QUEUED`] snapshots share one
+/// [`SEC_CORE`] layout, and the router-queued engine's path cache moves to
+/// [`SEC_SCHEME`].
+pub const FORMAT_VERSION: u8 = 3;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -62,9 +67,11 @@ pub const ENGINE_SHARDED: u8 = 3;
 /// protects the header and section framing.
 pub const SEC_FRAME: u32 = 0;
 
-/// Section tag: engine-specific core state.
+/// Section tag: engine core state. [`ENGINE_SEQ`] and [`ENGINE_QUEUED`]
+/// share one layout, documented on `Transport::encode` in `transport.rs`.
 pub const SEC_CORE: u32 = 1;
-/// Section tag: routing-scheme state (may be empty for stateless schemes).
+/// Section tag: routing state — the scheme's own (may be empty for
+/// stateless schemes), or the router-queued engine's path cache.
 pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
@@ -92,11 +99,11 @@ pub enum SnapshotError {
         /// The four bytes actually found.
         found: [u8; 4],
     },
-    /// The file was written by a newer (or unknown) format version.
+    /// The file was written in another format version, older or newer.
     UnsupportedVersion {
         /// Version byte in the file.
         found: u8,
-        /// Highest version this build understands.
+        /// The one version this build reads and writes.
         supported: u8,
     },
     /// The snapshot was written by a different engine.
@@ -151,7 +158,7 @@ impl fmt::Display for SnapshotError {
             }
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than supported version {supported}"
+                "snapshot format version {found} is not the supported version {supported}"
             ),
             SnapshotError::WrongEngine { expected, found } => write!(
                 f,
@@ -292,7 +299,7 @@ pub fn encode_snapshot(
 /// Decodes and CRC-verifies a snapshot container.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     // Magic and version are checked on the raw prefix first so a
-    // wrong-filetype or future-version file gets its specific error rather
+    // wrong-filetype or other-version file gets its specific error rather
     // than a generic checksum failure.
     if bytes.len() < 4 {
         return Err(SnapshotError::Corrupt {
@@ -309,7 +316,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
             what: "file ends before the version byte".to_string(),
         });
     };
-    if version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
@@ -552,6 +559,47 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
     }))
 }
 
+pub(crate) fn enc_fault_event(e: &mut Enc, ev: &FaultEvent) {
+    let (tag, id) = match ev {
+        FaultEvent::ChannelDown(c) => (0, c.0),
+        FaultEvent::ChannelUp(c) => (1, c.0),
+        FaultEvent::NodeDown(n) => (2, n.0),
+        FaultEvent::NodeUp(n) => (3, n.0),
+    };
+    e.u8(tag);
+    e.u32(id);
+}
+
+pub(crate) fn dec_fault_event(d: &mut Dec) -> Result<FaultEvent, SnapshotError> {
+    let tag = d.u8()?;
+    let id = d.u32()?;
+    match tag {
+        0 => Ok(FaultEvent::ChannelDown(ChannelId(id))),
+        1 => Ok(FaultEvent::ChannelUp(ChannelId(id))),
+        2 => Ok(FaultEvent::NodeDown(NodeId(id))),
+        3 => Ok(FaultEvent::NodeUp(NodeId(id))),
+        other => Err(SnapshotError::Corrupt {
+            what: format!("fault event tag {other}"),
+        }),
+    }
+}
+
+pub(crate) fn enc_path(e: &mut Enc, path: &spider_core::Path) {
+    e.seq(path.nodes(), |e, n| e.u32(n.0));
+}
+
+pub(crate) fn dec_path(
+    d: &mut Dec,
+    network: &Network,
+) -> Result<std::sync::Arc<spider_core::Path>, SnapshotError> {
+    let nodes = d.seq(|d| Ok(NodeId(d.u32()?)))?;
+    spider_core::Path::new(network, nodes)
+        .map(std::sync::Arc::new)
+        .map_err(|e| SnapshotError::Corrupt {
+            what: format!("unit path: {e}"),
+        })
+}
+
 /// Feeds the shared simulation inputs — network shape and the transaction
 /// trace — into a fingerprint encoder. Engines append their own config
 /// fields and hash the result with [`crc32`].
@@ -613,13 +661,15 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections());
-        bytes[4] = FORMAT_VERSION + 1;
-        assert!(matches!(
-            decode_snapshot(&bytes),
-            Err(SnapshotError::UnsupportedVersion { .. })
-        ));
+    fn every_other_version_is_rejected() {
+        for version in [0, FORMAT_VERSION - 1, FORMAT_VERSION + 1, u8::MAX] {
+            let mut bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections());
+            bytes[4] = version;
+            assert!(matches!(
+                decode_snapshot(&bytes),
+                Err(SnapshotError::UnsupportedVersion { .. })
+            ));
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@ use spider::core::{Amount, Network, NodeId};
 use spider::opt::simplex::{LinearProgram, LpOutcome, Relation};
 use spider::opt::FlowNetwork;
 use spider::routing::{edge_disjoint_paths, k_shortest_paths, shortest_path};
-use spider::sim::UnitPacket;
 
 /// A connected random network with `n` nodes and edge probability `p`.
 fn random_network(n: usize, p: f64, seed: u64) -> Network {
@@ -195,36 +194,5 @@ proptest! {
             sol.objective,
             best
         );
-    }
-
-    /// Wire packets round-trip for arbitrary contents.
-    #[test]
-    fn wire_round_trip(
-        payment in any::<u64>(),
-        seq in any::<u32>(),
-        micros in 0i64..1_000_000_000_000,
-        expiry in any::<u64>(),
-        hops in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16),
-    ) {
-        use spider::sim::{HopHeader, HashLock};
-        use spider::core::{PaymentId, UnitId};
-        let packet = UnitPacket {
-            unit: UnitId { payment: PaymentId(payment), seq },
-            amount: Amount::from_micros(micros),
-            lock: HashLock::derive(UnitId { payment: PaymentId(payment), seq }),
-            expiry_ms: expiry,
-            route: hops
-                .into_iter()
-                .map(|(next, fee)| HopHeader { next: NodeId(next), fee_micros: fee })
-                .collect(),
-        };
-        let decoded = UnitPacket::decode(&packet.encode()).expect("round trip");
-        prop_assert_eq!(decoded, packet);
-    }
-
-    /// Decoding arbitrary bytes never panics.
-    #[test]
-    fn wire_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = UnitPacket::decode(&bytes);
     }
 }

@@ -4,7 +4,9 @@
 //! emitted `BENCH_*.json` must round-trip through the versioned
 //! [`BenchReport`] schema.
 
-use spider_bench::{bench_matrix, run_bench, BenchReport, BENCH_SCHEMA_VERSION};
+use spider_bench::{
+    bench_matrix, run_bench, run_bench_profiled, BenchReport, BENCH_SCHEMA_VERSION,
+};
 
 #[test]
 fn bench_results_are_byte_identical_across_runs_and_worker_counts() {
@@ -17,6 +19,21 @@ fn bench_results_are_byte_identical_across_runs_and_worker_counts() {
     let sc = c.stripped_json();
     assert_eq!(sa, sb, "bench results must not vary run to run");
     assert_eq!(sa, sc, "bench results must not depend on the worker count");
+
+    // Nor on profiling: the phase breakdown rides in the timing section
+    // only, and the warm-start cell (which resumes from a snapshot, and a
+    // snapshot cannot restore a profiled handle) runs unprofiled.
+    let matrix = bench_matrix(true);
+    let d = run_bench_profiled(&matrix, "smoke", 1, 4, true);
+    assert_eq!(sa, d.stripped_json(), "profiling must not change results");
+    for (scenario, timing) in matrix.iter().zip(&d.timing.scenarios) {
+        assert_eq!(
+            timing.phases.is_empty(),
+            scenario.warm_start.is_some(),
+            "{}: only warm-start cells run unprofiled",
+            scenario.name
+        );
+    }
 
     // Timing is genuinely segregated: the full JSON differs (wall-clock
     // moves), the stripped JSON does not mention it at all.

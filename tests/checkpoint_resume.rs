@@ -244,7 +244,7 @@ fn assert_queued_resume_equivalence(
     every: u64,
     tag: &str,
 ) {
-    use spider::sim::engine_queued::{resume_queued, run_queued_checkpointed};
+    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
     let dir = TempDir::new(tag);
 
     let (ref_json, ref_trace) = {
@@ -589,7 +589,7 @@ fn sharded_snapshot_is_rejected_under_a_different_partition() {
 
 #[test]
 fn cross_engine_snapshots_are_rejected() {
-    use spider::sim::engine_queued::resume_queued;
+    use spider::sim::engine::resume_queued;
     let (network, txs) = isp_scenario(11, 150);
     let cfg = full_config(12.0);
     let dir = TempDir::new("cross");
@@ -686,12 +686,15 @@ fn damaged_snapshots_are_rejected_not_panicked() {
         let _ = try_resume(&flipped, &format!("flip-{pos}"));
     }
 
-    // Future format version.
-    let mut future = bytes.clone();
-    future[4] = 0xFF;
-    match try_resume(&future, "future") {
-        SnapshotError::UnsupportedVersion { found: 0xFF, .. } => {}
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    // Any other format version, future or stale: a v2 file must not be
+    // parsed with the current layout.
+    for version in [0xFF, 2] {
+        let mut other_version = bytes.clone();
+        other_version[4] = version;
+        match try_resume(&other_version, &format!("version-{version}")) {
+            SnapshotError::UnsupportedVersion { found, .. } if found == version => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
     }
 
     // Bad magic.

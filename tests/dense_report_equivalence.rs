@@ -5,8 +5,27 @@
 //! refactor. The refactor is behavior-preserving, so the dense engines must
 //! reproduce every report **field by field** — any divergence names the
 //! exact scheme and JSON field that moved.
+//!
+//! `tests/fixtures/seq_engines_pre_pr.json` does the same for the
+//! continuous-time engine's two transports, recorded immediately before
+//! `engine_queued.rs` was folded into `engine.rs`: five feature-heavy
+//! `run` / `run_queued` scenarios whose reports must match field by field
+//! and whose traces must match as a multiset of JSONL lines.
+//!
+//! Four of the five were recorded on the unmodified pre-fold commit. The
+//! fifth (`run_queued` under the `outages` scenario) was recorded with one
+//! line added to it — the settle handler marking the unit finished — because
+//! the old router-queued loop let an outage refund units that had already
+//! settled (5,137 "outage refunds" and the reporting cap of 32
+//! `ExcessRelease` violations in this scenario, against 1,132 and none). A
+//! unit with no hops locked has nothing an outage can refund, so the folded
+//! engine cannot reproduce that, and
+//! `outage_after_settlement_leaves_settled_units_alone` in `engine.rs` pins
+//! the corrected behaviour directly.
 
 use serde_json::Value;
+use spider::prelude::*;
+use spider::sim::{FaultConfig, FaultPlan, QueuePolicy};
 use spider_bench::{fig6, ExperimentConfig};
 
 fn fixture_config() -> ExperimentConfig {
@@ -81,6 +100,103 @@ fn fig6_reports_match_pre_refactor_fixture_field_by_field() {
     assert!(
         diffs.is_empty(),
         "dense engines diverged from the pre-refactor build on {} field(s):\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
+}
+
+/// The pinned sequential-engine scenarios, one JSON object each: `name`,
+/// the `report`, and the count and CRC-32 of the trace's JSONL lines after
+/// sorting (so traces compare as a multiset of records, not by order).
+///
+/// Must match the capture code used to record `seq_engines_pre_pr.json`:
+/// ISP-32, 1k payments over 15 s, seed 7, telemetry on.
+fn seq_engine_cases() -> Vec<Value> {
+    let network = spider::topology::isp_topology(Amount::from_whole(300));
+    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 1_000, 15.0);
+    trace_cfg.seed = 7;
+    let txs = spider::workload::generate(&trace_cfg, &spider::workload::isp_sizes());
+    let end = 20.0;
+
+    let case = |name: &str, tel: &Telemetry, report: Value| {
+        let jsonl = tel.trace_jsonl();
+        let mut lines: Vec<&str> = jsonl.lines().collect();
+        lines.sort_unstable();
+        let crc = spider::core::crc32(lines.join("\n").as_bytes());
+        Value::Object(vec![
+            ("name".to_string(), Value::Str(name.to_string())),
+            ("report".to_string(), report),
+            ("trace_lines".to_string(), Value::I64(lines.len() as i64)),
+            ("sorted_trace_crc".to_string(), Value::I64(i64::from(crc))),
+        ])
+    };
+    let source = |name, tweak: &dyn Fn(&mut SimConfig)| {
+        let tel = Telemetry::enabled();
+        let mut cfg = SimConfig::new(end);
+        cfg.record_series = true;
+        cfg.audit = true;
+        cfg.telemetry = tel.clone();
+        tweak(&mut cfg);
+        let report = run(&network, &txs, &mut WaterfillingScheme::new(), &cfg);
+        case(
+            name,
+            &tel,
+            serde_json::to_value(&report).expect("serializes"),
+        )
+    };
+    let router = |name, tweak: &dyn Fn(&mut QueuedConfig)| {
+        let tel = Telemetry::enabled();
+        let mut cfg = QueuedConfig::new(end);
+        cfg.telemetry = tel.clone();
+        tweak(&mut cfg);
+        let out = run_queued(&network, &txs, &cfg);
+        case(name, &tel, serde_json::to_value(&out).expect("serializes"))
+    };
+    let plan = |scenario: &str| {
+        let cfg = FaultConfig::scenario(scenario).expect("scenario exists");
+        Some(FaultPlan::from_config(&cfg, &network, end))
+    };
+
+    vec![
+        source("run-fees-congestion-rebalance", &|cfg| {
+            cfg.fees = Some(spider::routing::FeeSchedule::uniform(
+                &network,
+                Amount::from_micros(10),
+                100,
+            ));
+            cfg.congestion = Some(spider::sim::CongestionConfig::default());
+            cfg.rebalance = Some(spider::sim::RebalancePolicy::default());
+        }),
+        source("run-amp", &|cfg| cfg.amp = true),
+        source("run-stress-faults-retries", &|cfg| {
+            cfg.faults = plan("stress");
+        }),
+        router("run_queued-fifo", &|_| {}),
+        router("run_queued-edf-outages", &|cfg| {
+            cfg.queue_policy = QueuePolicy::EarliestDeadline;
+            cfg.faults = plan("outages");
+        }),
+    ]
+}
+
+#[test]
+fn sequential_engine_runs_match_pre_fold_fixture() {
+    let fixture_text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/seq_engines_pre_pr.json"
+    ))
+    .expect("fixture exists");
+    let pre: Vec<Value> = serde_json::from_str(&fixture_text).expect("fixture parses");
+    let cases = seq_engine_cases();
+    assert_eq!(pre.len(), cases.len(), "case count changed");
+
+    let mut diffs = Vec::new();
+    for (i, (pinned, case)) in pre.iter().zip(&cases).enumerate() {
+        diff_json(&format!("case[{i}]"), pinned, case, &mut diffs);
+    }
+    assert!(
+        diffs.is_empty(),
+        "the folded engine diverged from the pre-fold build on {} field(s):\n{}",
         diffs.len(),
         diffs.join("\n")
     );
