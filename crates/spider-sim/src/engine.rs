@@ -758,11 +758,8 @@ fn run_router_queued(
     match resume {
         Some(path) => {
             let snap = t.load(path, snapshot::ENGINE_QUEUED, fp)?;
-            paths
-                .restore(network, snap.section(snapshot::SEC_SCHEME)?)
-                .map_err(|e| SnapshotError::Corrupt {
-                    what: format!("path cache: {e}"),
-                })?;
+            (paths.restore(network, snap.section(snapshot::SEC_SCHEME)?))
+                .or_else(|e| snapshot::corrupt(format!("path cache: {e}")))?;
         }
         None => t.seed(transactions, plan, None),
     }
@@ -1058,8 +1055,8 @@ fn drop_unit(t: &mut Transport, unit: usize, now: f64) {
 // config field that shapes the run. A resume whose recomputed fingerprint
 // differs from the snapshot's is rejected before any state is applied.
 
-/// The fingerprint fields both configs have.
-fn enc_common(
+/// The fingerprint fields every engine's config has.
+pub(crate) fn enc_common(
     e: &mut Enc,
     scheme_name: &str,
     [end_time, delta, poll_interval, deadline]: [f64; 4],
@@ -1085,6 +1082,42 @@ fn enc_common(
     e.f64(telemetry.sample_interval().unwrap_or(f64::NAN));
 }
 
+/// The optional transport features a [`SimConfig`] and a sharded config
+/// share: rebalancing, congestion control, fees.
+pub(crate) fn enc_features(
+    e: &mut Enc,
+    rebalance: &Option<RebalancePolicy>,
+    congestion: &Option<CongestionConfig>,
+    fees: &Option<FeeSchedule>,
+) {
+    e.opt(rebalance.as_ref().map(|p| {
+        |e: &mut Enc| {
+            e.f64(p.check_interval);
+            e.f64(p.imbalance_threshold);
+            e.f64(p.correction_fraction);
+            e.i64(p.fee.micros());
+            e.f64(p.confirmation_delay);
+        }
+    }));
+    e.opt(congestion.as_ref().map(|c| {
+        |e: &mut Enc| {
+            e.f64(c.initial_window);
+            e.f64(c.additive_increase);
+            e.f64(c.multiplicative_decrease);
+            e.f64(c.min_window);
+            e.f64(c.max_window);
+        }
+    }));
+    e.opt(fees.as_ref().map(|f| {
+        |e: &mut Enc| {
+            e.seq(&f.per_channel(), |e, (base, ppm)| {
+                e.i64(base.micros());
+                e.u32(*ppm);
+            })
+        }
+    }));
+}
+
 fn fingerprint(
     network: &Network,
     transactions: &[Transaction],
@@ -1105,32 +1138,7 @@ fn fingerprint(
     e.bool(config.record_series);
     e.bool(config.amp);
     e.bool(config.audit);
-    e.opt(config.rebalance.as_ref().map(|p| {
-        |e: &mut Enc| {
-            e.f64(p.check_interval);
-            e.f64(p.imbalance_threshold);
-            e.f64(p.correction_fraction);
-            e.i64(p.fee.micros());
-            e.f64(p.confirmation_delay);
-        }
-    }));
-    e.opt(config.congestion.as_ref().map(|c| {
-        |e: &mut Enc| {
-            e.f64(c.initial_window);
-            e.f64(c.additive_increase);
-            e.f64(c.multiplicative_decrease);
-            e.f64(c.min_window);
-            e.f64(c.max_window);
-        }
-    }));
-    e.opt(config.fees.as_ref().map(|f| {
-        |e: &mut Enc| {
-            e.seq(&f.per_channel(), |e, (base, ppm)| {
-                e.i64(base.micros());
-                e.u32(*ppm);
-            })
-        }
-    }));
+    enc_features(&mut e, &config.rebalance, &config.congestion, &config.fees);
     crc32(&e.into_bytes())
 }
 

@@ -50,17 +50,24 @@
 //! - **Rebalancing**: each shard checks and corrects only the channels it
 //!   owns, publishing the new balances through the ordinary dirty-balance
 //!   exchange; scheduled corrections are part of the shard checkpoint.
+//!
+//! **Checkpoint layout**: a sharded snapshot is one `SEC_CORE` section
+//! holding one blob per shard; both layouts are written out field by field
+//! on [`encode_core`] and `ShardCtx::encode`, whose decoders mirror them.
 
-use crate::audit::{AuditState, AuditViolation, AuditViolationKind, LedgerAudit};
+use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
-use crate::engine::QueuePolicy;
+use crate::engine::{enc_common, enc_features, QueuePolicy};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::Ledger;
 use crate::metrics::SimReport;
 use crate::payment::PaymentStatus;
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, dec_path, enc_fault_event, enc_path, CheckpointSpec, SnapshotError};
+use crate::snapshot::{
+    self, corrupt, dec_index, dec_path, dec_present, dec_seq, enc_path, CheckpointSpec, Snapshot,
+    SnapshotError,
+};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
 use spider_core::{
@@ -287,8 +294,7 @@ struct UnitInfo {
     fate: Fate,
     /// Per-hop locked amounts when a fee schedule is active: the delivered
     /// amount plus all downstream fees. `None` means every hop locks
-    /// exactly `amount`. A pure function of `(fee schedule, path, amount)`,
-    /// so it is recomputed on message decode rather than serialized.
+    /// exactly `amount`.
     hop_amounts: Option<Vec<Amount>>,
     /// The owning payment's deadline epoch, carried with the unit so the
     /// channel owner can expire queued units without payment state.
@@ -296,6 +302,39 @@ struct UnitInfo {
 }
 
 impl UnitInfo {
+    /// The one place a unit comes into being: at the pump, and again when a
+    /// message or queue entry is decoded. The fate and the per-hop amounts
+    /// are pure functions of the config and the unit's identity, so they
+    /// are derived here and never serialized. Also returns whether a
+    /// non-zero settlement jitter was drawn (counted once, at the pump).
+    fn new(
+        cfg: &ShardedConfig,
+        payment: u64,
+        seq: u32,
+        amount: Amount,
+        path: Arc<Path>,
+        deadline_epoch: u64,
+    ) -> (UnitInfo, bool) {
+        let (fate, jittered) = match cfg.faults.as_ref() {
+            Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()),
+            None => (Fate::Deliver { jitter_epochs: 0 }, false),
+        };
+        let hop_amounts = match cfg.fees.as_ref() {
+            Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
+            _ => None,
+        };
+        let unit = UnitInfo {
+            payment,
+            seq,
+            amount,
+            path,
+            fate,
+            hop_amounts,
+            deadline_epoch,
+        };
+        (unit, jittered)
+    }
+
     /// The amount locked on `hop`: the delivered amount plus downstream
     /// fees when a fee schedule is active.
     fn hop_amount(&self, hop: u32) -> Amount {
@@ -425,46 +464,12 @@ fn queue_key(policy: QueuePolicy, e: &QueuedUnit) -> (i64, u64, u32) {
     (primary, e.unit.payment, e.unit.seq)
 }
 
-/// Fault statistics counted at unambiguous owners so a field-wise sum over
-/// shards is partition-independent.
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardStats {
-    outages: u64,
-    recoveries: u64,
-    node_crashes: u64,
-    units_refunded_by_outage: u64,
-    units_dropped: u64,
-    units_jittered: u64,
-    units_griefed: u64,
-    retries: u64,
-    blacklistings: u64,
-    payments_failed: u64,
-}
-
-/// Deterministic per-shard work counters, accumulated as the shard runs.
-/// Every field is a pure function of the simulation inputs and the
-/// partition, so identically-configured runs always produce identical
-/// counters (unlike the barrier-wait timings, which live in the profiler).
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardCounters {
-    /// Cross-shard (and self-addressed) messages processed.
-    events_processed: u64,
-    /// `SettleHop` messages handled.
-    settle_msgs: u64,
-    /// `RefundHop` messages handled.
-    refund_msgs: u64,
-    /// `LockHop` messages handled.
-    lock_msgs: u64,
-    /// Payment-owner control messages (`UnitDelivered` / `UnitFailed`).
-    control_msgs: u64,
-    /// Dirty-balance triples published at exchange barriers (post-dedup).
-    dirty_published: u64,
-}
-
 /// Per-shard epoch metrics surfaced by [`run_sharded`] through
-/// [`ShardObservability`]. All counter fields are deterministic;
-/// `barrier_wait_ms` is wall-clock and present only when the run used a
-/// profiled telemetry handle.
+/// [`ShardObservability`]; each shard accumulates its own record as it
+/// runs. Every counter field is a pure function of the simulation inputs
+/// and the partition, so identically-configured runs always produce
+/// identical counters; `barrier_wait_ms` is wall-clock and present only
+/// when the run used a profiled telemetry handle.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardEpochMetrics {
     /// Shard rank.
@@ -579,25 +584,6 @@ struct SamplePartial {
     channels: Vec<(u32, f64, f64, i64, u32)>,
 }
 
-/// Everything a shard thread hands back for the deterministic merge.
-struct ShardOutput {
-    trace: Vec<(Key, TraceEvent)>,
-    payments: Vec<LocalPayment>,
-    ledger: Ledger,
-    units_sent: u64,
-    series: Vec<SeriesPartial>,
-    samples: Vec<SamplePartial>,
-    violations: Vec<AuditViolation>,
-    stats: ShardStats,
-    counters: ShardCounters,
-    /// Exact fee micros accrued by this shard's payments.
-    routing_fees_micros: i64,
-    /// Rebalancing totals over this shard's owned channels.
-    rebal_transactions: u64,
-    rebal_moved_micros: i64,
-    rebal_fees_micros: i64,
-}
-
 /// Balance view for routing: the barrier-frozen global snapshot with this
 /// payment's in-pump debits applied, masked by downed and
 /// payment-blacklisted channels.
@@ -681,7 +667,63 @@ struct Clockwork {
     sample_epochs: u64,
 }
 
-/// The per-shard worker state for one run.
+impl Clockwork {
+    fn new(config: &ShardedConfig) -> Self {
+        Clockwork {
+            end_epoch: (config.end_time / EPOCH + 1e-9).floor() as u64,
+            delta_epochs: epochs_of(config.delta),
+            poll_epochs: epochs_of(config.poll_interval),
+            deadline_epochs: epochs_of(config.deadline),
+            sample_epochs: config
+                .telemetry
+                .sample_interval()
+                .map_or(u64::MAX, epochs_of),
+        }
+    }
+}
+
+/// A scheduled fault transition: `(epoch, plan index, event)`.
+type PlanEvent = (u64, u64, FaultEvent);
+
+/// One shard's published dirty-balance slot: `(channel index, micros a,
+/// micros b)` triples, cleared and rewritten by the owning shard each epoch.
+type PublishSlot = Mutex<Vec<(u32, i64, i64)>>;
+
+/// Everything the shard threads share while the run is in flight. All of
+/// it is exchanged only between barriers: a shard fills other shards'
+/// inboxes and its own publish / checkpoint slot after the compute barrier
+/// and reads them after the exchange barrier.
+struct Exchange<'a> {
+    inboxes: Vec<Mutex<Vec<Msg>>>,
+    published: Vec<PublishSlot>,
+    barrier: Barrier,
+    /// The checkpoint policy and the run's input fingerprint, when the run
+    /// checkpoints.
+    ckpt: Option<(&'a CheckpointSpec, u32)>,
+    /// Each shard's encoded state at the current checkpoint epoch.
+    ckpt_blobs: Vec<Mutex<Vec<u8>>>,
+    /// Set by shard 0 when a snapshot write fails; every shard then leaves
+    /// the barrier protocol together.
+    ckpt_err: Mutex<Option<SnapshotError>>,
+}
+
+impl<'a> Exchange<'a> {
+    fn new(num_shards: usize, ckpt: Option<(&'a CheckpointSpec, u32)>) -> Self {
+        Exchange {
+            inboxes: (0..num_shards).map(|_| Mutex::default()).collect(),
+            published: (0..num_shards).map(|_| Mutex::default()).collect(),
+            barrier: Barrier::new(num_shards),
+            ckpt,
+            ckpt_blobs: (0..num_shards).map(|_| Mutex::default()).collect(),
+            ckpt_err: Mutex::new(None),
+        }
+    }
+}
+
+/// One shard's run state for its whole life: built on the host thread by
+/// [`ShardCtx::new`], overwritten from a snapshot by `decode` on resume, run
+/// on its worker thread, captured by `encode` at checkpoint barriers, and
+/// consumed by [`merge_outputs`] when the run ends.
 struct ShardCtx<'a> {
     shard: u16,
     network: &'a Network,
@@ -692,8 +734,8 @@ struct ShardCtx<'a> {
     ledger: Ledger,
     audit: Option<LedgerAudit>,
     faults: Option<FaultState>,
-    /// Scheduled fault transitions: `(epoch, plan index, event)`.
-    plan_events: Vec<(u64, u64, FaultEvent)>,
+    /// The run's quantized fault schedule, in epoch order.
+    plan_events: &'a [PlanEvent],
     plan_cursor: usize,
     /// Frozen global balances in micro-tokens, per channel `[a, b]`.
     snapshot: Vec<[i64; 2]>,
@@ -703,7 +745,7 @@ struct ShardCtx<'a> {
     pending_msgs: BTreeMap<u64, Vec<Msg>>,
     /// Outgoing messages staged this epoch, per destination shard.
     staged: Vec<Vec<Msg>>,
-    /// Payments owned by this shard, in arrival order.
+    /// Payments owned by this shard, sorted by id.
     payments: Vec<LocalPayment>,
     /// Indices of still-pending payments.
     pending: Vec<usize>,
@@ -712,12 +754,14 @@ struct ShardCtx<'a> {
     arrival_cursor: usize,
     trace: Vec<(Key, TraceEvent)>,
     tel_on: bool,
-    units_sent: u64,
     series: Vec<SeriesPartial>,
     samples: Vec<SamplePartial>,
     violations: Vec<AuditViolation>,
-    stats: ShardStats,
-    counters: ShardCounters,
+    /// Fault statistics, each counted at one unambiguous owner so a
+    /// field-wise sum over shards is partition-independent.
+    stats: FaultStats,
+    /// This shard's work counters (and, once merged, its barrier waits).
+    metrics: ShardEpochMetrics,
     // Running integer totals for the series partials.
     arrived_count: u64,
     completed_count: u64,
@@ -740,10 +784,122 @@ struct ShardCtx<'a> {
     rebal_fees_micros: i64,
 }
 
-impl ShardCtx<'_> {
-    fn emit(&mut self, key: Key, ev: TraceEvent) {
+impl<'a> ShardCtx<'a> {
+    /// The state of shard `shard` before its first epoch. Payment ids are
+    /// dealt round-robin (`id % num_shards`); the slab is sorted by id so
+    /// [`payment_index`](Self::payment_index) can binary-search.
+    fn new(
+        shard: u16,
+        network: &'a Network,
+        transactions: &[Transaction],
+        partition: &'a Partition,
+        cfg: &'a ShardedConfig,
+        plan_events: &'a [PlanEvent],
+    ) -> Self {
+        let clock = Clockwork::new(cfg);
+        let num_shards = partition.num_shards();
+        let initial_window = cfg.congestion.as_ref().map_or(0.0, |cc| cc.initial_window);
+        let mut payments: Vec<LocalPayment> = transactions
+            .iter()
+            .filter(|tx| tx.id.0 % num_shards as u64 == u64::from(shard))
+            .filter_map(|tx| {
+                let arrival_epoch = ((tx.arrival / EPOCH).ceil() as i64).max(1) as u64;
+                (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
+                    id: tx.id.0,
+                    src: tx.src,
+                    dst: tx.dst,
+                    amount: tx.amount,
+                    arrival_epoch,
+                    deadline_epoch: arrival_epoch + clock.deadline_epochs,
+                    delivered: Amount::ZERO,
+                    inflight: Amount::ZERO,
+                    status: PaymentStatus::Pending,
+                    delay: None,
+                    next_seq: 0,
+                    blacklist: Vec::new(),
+                    fail_count: 0,
+                    not_before_epoch: 0,
+                    window: initial_window,
+                    outstanding: 0,
+                })
+            })
+            .collect();
+        payments.sort_by_key(|p| p.id);
+        let mut arrivals: Vec<(u64, usize)> = payments
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.arrival_epoch, i))
+            .collect();
+        arrivals.sort_unstable();
+
+        let ledger = Ledger::new(network);
+        let snapshot = network
+            .channels()
+            .iter()
+            .map(|ch| {
+                let (a, b) = ledger.balances(ch.id);
+                [a.micros(), b.micros()]
+            })
+            .collect();
+        let owned_channels = partition
+            .channel_owners()
+            .iter()
+            .filter(|&&s| s == shard)
+            .count() as u64;
+        ShardCtx {
+            shard,
+            network,
+            partition,
+            cfg,
+            clock,
+            scheme: cfg.scheme.build(),
+            audit: cfg.audit.then(|| LedgerAudit::new(&ledger)),
+            ledger,
+            faults: cfg
+                .faults
+                .as_ref()
+                .map(|plan| FaultState::new(plan, network)),
+            plan_events,
+            plan_cursor: 0,
+            snapshot,
+            dirty: Vec::new(),
+            pending_msgs: BTreeMap::new(),
+            staged: (0..num_shards).map(|_| Vec::new()).collect(),
+            metrics: ShardEpochMetrics {
+                shard: u32::from(shard),
+                epochs: clock.end_epoch,
+                owned_payments: payments.len() as u64,
+                owned_channels,
+                ..ShardEpochMetrics::default()
+            },
+            payments,
+            pending: Vec::new(),
+            arrivals,
+            arrival_cursor: 0,
+            trace: Vec::new(),
+            tel_on: cfg.telemetry.is_enabled(),
+            series: Vec::new(),
+            samples: Vec::new(),
+            violations: Vec::new(),
+            stats: FaultStats::default(),
+            arrived_count: 0,
+            completed_count: 0,
+            attempted_micros: 0,
+            delivered_micros: 0,
+            queues: BTreeMap::new(),
+            routing_fees_micros: 0,
+            rebalance_pending: vec![false; network.num_channels()],
+            rebalance_applies: Vec::new(),
+            rebal_transactions: 0,
+            rebal_moved_micros: 0,
+            rebal_fees_micros: 0,
+        }
+    }
+
+    /// Records a trace event under its merge key `(epoch, rank, a, b)`.
+    fn emit(&mut self, epoch: u64, rank: u8, a: u64, b: u64, event: TraceEvent) {
         if self.tel_on {
-            self.trace.push((key, ev));
+            self.trace.push((Key { epoch, rank, a, b }, event));
         }
     }
 
@@ -800,81 +956,50 @@ impl ShardCtx<'_> {
     }
 
     /// Applies the fault transitions scheduled for `epoch`. Every shard
-    /// updates its own full-network mask; only the owning shard emits the
-    /// trace event and counts the transition.
+    /// updates its own full-network mask; only the owning shard (of the
+    /// channel, or of the node) emits the trace event and counts the
+    /// transition.
     fn apply_faults(&mut self, epoch: u64) {
-        while self.plan_cursor < self.plan_events.len()
-            && self.plan_events[self.plan_cursor].0 == epoch
+        let t = t_of(epoch);
+        let plan_events = self.plan_events;
+        while let Some((_, plan_idx, ev)) = plan_events
+            .get(self.plan_cursor)
+            .filter(|&&(at, ..)| at == epoch)
         {
-            let (_, plan_idx, ev) = self.plan_events[self.plan_cursor].clone();
             self.plan_cursor += 1;
-            let t = t_of(epoch);
-            match &ev {
-                FaultEvent::ChannelDown(c) => {
-                    if self.partition.channel_owner(*c) as u16 == self.shard {
-                        self.stats.outages += 1;
-                        let channel = c.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::ChannelOutage { t, channel },
-                        );
-                    }
-                }
-                FaultEvent::ChannelUp(c) => {
-                    if self.partition.channel_owner(*c) as u16 == self.shard {
-                        self.stats.recoveries += 1;
-                        let channel = c.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::ChannelRecovered { t, channel },
-                        );
-                    }
-                }
+            let (owner, counter, event) = match *ev {
+                FaultEvent::ChannelDown(c) => (
+                    self.partition.channel_owner(c),
+                    Some(&mut self.stats.outages),
+                    TraceEvent::ChannelOutage { t, channel: c.0 },
+                ),
+                FaultEvent::ChannelUp(c) => (
+                    self.partition.channel_owner(c),
+                    Some(&mut self.stats.recoveries),
+                    TraceEvent::ChannelRecovered { t, channel: c.0 },
+                ),
                 FaultEvent::NodeDown(n) => {
-                    if self.partition.node_shard(*n) as u16 == self.shard {
-                        let was_down = self.faults.as_ref().is_some_and(|f| f.is_node_down(*n));
-                        if !was_down {
-                            self.stats.node_crashes += 1;
-                        }
-                        let node = n.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::NodeCrashed { t, node },
-                        );
-                    }
+                    let was_down = self.faults.as_ref().is_some_and(|f| f.is_node_down(n));
+                    (
+                        self.partition.node_shard(n),
+                        (!was_down).then_some(&mut self.stats.node_crashes),
+                        TraceEvent::NodeCrashed { t, node: n.0 },
+                    )
                 }
-                FaultEvent::NodeUp(n) => {
-                    if self.partition.node_shard(*n) as u16 == self.shard {
-                        let node = n.index() as u32;
-                        self.emit(
-                            Key {
-                                epoch,
-                                rank: RANK_FAULT,
-                                a: plan_idx,
-                                b: 0,
-                            },
-                            TraceEvent::NodeRecovered { t, node },
-                        );
-                    }
+                FaultEvent::NodeUp(n) => (
+                    self.partition.node_shard(n),
+                    None,
+                    TraceEvent::NodeRecovered { t, node: n.0 },
+                ),
+            };
+            if owner == usize::from(self.shard) {
+                if let Some(count) = counter {
+                    *count += 1;
                 }
+                self.emit(epoch, RANK_FAULT, *plan_idx, 0, event);
             }
             if let Some(f) = self.faults.as_mut() {
-                let _ = f.apply(self.network, &ev);
+                let _ = f.apply(self.network, ev);
             }
         }
     }
@@ -897,13 +1022,13 @@ impl ShardCtx<'_> {
             .span_sim(Phase::MessageMerge, t_of(epoch));
         due.sort_unstable_by_key(Msg::key);
         for msg in due {
-            self.counters.events_processed += 1;
+            self.metrics.events_processed += 1;
             match &msg.body {
-                MsgBody::SettleHop { .. } => self.counters.settle_msgs += 1,
-                MsgBody::RefundHop { .. } => self.counters.refund_msgs += 1,
-                MsgBody::LockHop { .. } => self.counters.lock_msgs += 1,
+                MsgBody::SettleHop { .. } => self.metrics.settle_msgs += 1,
+                MsgBody::RefundHop { .. } => self.metrics.refund_msgs += 1,
+                MsgBody::LockHop { .. } => self.metrics.lock_msgs += 1,
                 MsgBody::UnitDelivered | MsgBody::UnitFailed { .. } => {
-                    self.counters.control_msgs += 1
+                    self.metrics.control_msgs += 1
                 }
             }
             match msg.body {
@@ -1077,12 +1202,10 @@ impl ShardCtx<'_> {
         q.insert(pos, entry);
         let depth = q.len() as u32;
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_QUEUED,
-                a: unit.payment,
-                b: u64::from(unit.seq),
-            },
+            epoch,
+            RANK_QUEUED,
+            unit.payment,
+            u64::from(unit.seq),
             TraceEvent::UnitQueued {
                 t: t_of(epoch),
                 payment: unit.payment,
@@ -1177,12 +1300,10 @@ impl ShardCtx<'_> {
             self.rebal_fees_micros = self.rebal_fees_micros.saturating_add(fee_paid.micros());
             self.dirty.push(cidx);
             self.emit(
-                Key {
-                    epoch,
-                    rank: RANK_REBALANCE,
-                    a: u64::from(cidx),
-                    b: 0,
-                },
+                epoch,
+                RANK_REBALANCE,
+                u64::from(cidx),
+                0,
                 TraceEvent::RebalanceApplied {
                     t: t_of(epoch),
                     channel: cidx,
@@ -1241,9 +1362,9 @@ impl ShardCtx<'_> {
         }
         let t = t_of(epoch);
         let p = &mut self.payments[pidx];
-        p.inflight -= unit.amount;
-        p.delivered += unit.amount;
-        self.delivered_micros += unit.amount.micros();
+        p.inflight = p.inflight.saturating_sub(unit.amount);
+        p.delivered = p.delivered.saturating_add(unit.amount);
+        self.delivered_micros = self.delivered_micros.saturating_add(unit.amount.micros());
         let pid = p.id;
         let amount_tokens = tokens(unit.amount);
         let completed_now = p.status == PaymentStatus::Pending && p.delivered >= p.amount;
@@ -1254,12 +1375,10 @@ impl ShardCtx<'_> {
             self.completed_count += 1;
         }
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_SETTLED,
-                a: pid,
-                b: u64::from(unit.seq),
-            },
+            epoch,
+            RANK_SETTLED,
+            pid,
+            u64::from(unit.seq),
             TraceEvent::UnitSettled {
                 t,
                 payment: pid,
@@ -1268,12 +1387,10 @@ impl ShardCtx<'_> {
         );
         if completed_now {
             self.emit(
-                Key {
-                    epoch,
-                    rank: RANK_COMPLETED,
-                    a: pid,
-                    b: 0,
-                },
+                epoch,
+                RANK_COMPLETED,
+                pid,
+                0,
                 TraceEvent::PaymentCompleted {
                     t,
                     payment: pid,
@@ -1297,19 +1414,17 @@ impl ShardCtx<'_> {
         let pid;
         {
             let p = &mut self.payments[pidx];
-            p.inflight -= unit.amount;
+            p.inflight = p.inflight.saturating_sub(unit.amount);
             pid = p.id;
         }
         let seq = u64::from(unit.seq);
         match cause {
             FailCause::Dropped => {
                 self.emit(
-                    Key {
-                        epoch,
-                        rank: RANK_DROPPED,
-                        a: pid,
-                        b: seq,
-                    },
+                    epoch,
+                    RANK_DROPPED,
+                    pid,
+                    seq,
                     TraceEvent::UnitDropped {
                         t,
                         payment: pid,
@@ -1325,12 +1440,10 @@ impl ShardCtx<'_> {
                     .as_ref()
                     .map_or(0.0, |plan| plan.config.grief_hold);
                 self.emit(
-                    Key {
-                        epoch,
-                        rank: RANK_GRIEFED,
-                        a: pid,
-                        b: seq,
-                    },
+                    epoch,
+                    RANK_GRIEFED,
+                    pid,
+                    seq,
                     TraceEvent::UnitGriefed {
                         t,
                         payment: pid,
@@ -1343,12 +1456,10 @@ impl ShardCtx<'_> {
             FailCause::Liquidity => {}
         }
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_REFUNDED,
-                a: pid,
-                b: seq,
-            },
+            epoch,
+            RANK_REFUNDED,
+            pid,
+            seq,
             TraceEvent::UnitRefunded {
                 t,
                 payment: pid,
@@ -1386,12 +1497,10 @@ impl ShardCtx<'_> {
         let fails = p.fail_count;
         self.stats.blacklistings += 1;
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_BLACKLISTED,
-                a: pid,
-                b: u64::from(seq),
-            },
+            epoch,
+            RANK_BLACKLISTED,
+            pid,
+            u64::from(seq),
             TraceEvent::ChannelBlacklisted {
                 t,
                 channel: blamed.index() as u32,
@@ -1408,12 +1517,10 @@ impl ShardCtx<'_> {
         p.not_before_epoch = p.not_before_epoch.max(epoch + backoff_epochs);
         self.stats.retries += 1;
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_RETRY,
-                a: pid,
-                b: u64::from(seq),
-            },
+            epoch,
+            RANK_RETRY,
+            pid,
+            u64::from(seq),
             TraceEvent::PaymentRetry {
                 t,
                 payment: pid,
@@ -1435,12 +1542,10 @@ impl ShardCtx<'_> {
         let pid = self.payments[pidx].id;
         let delivered = tokens(self.payments[pidx].delivered);
         self.emit(
-            Key {
-                epoch,
-                rank: RANK_ABANDONED,
-                a: pid,
-                b: 0,
-            },
+            epoch,
+            RANK_ABANDONED,
+            pid,
+            0,
             TraceEvent::PaymentAbandoned {
                 t: t_of(epoch),
                 payment: pid,
@@ -1474,7 +1579,7 @@ impl ShardCtx<'_> {
         let mut undo: Vec<(usize, usize, i64)> = Vec::new();
         loop {
             let p = &self.payments[pidx];
-            let remaining = p.amount - p.delivered - p.inflight;
+            let remaining = (p.amount.saturating_sub(p.delivered)).saturating_sub(p.inflight);
             if !remaining.is_positive() {
                 break;
             }
@@ -1498,65 +1603,44 @@ impl ShardCtx<'_> {
             };
             match decision {
                 UnitDecision::Route(path) => {
-                    // Hop amounts carry downstream fees; a pure function of
-                    // (schedule, path, amount), recomputed on msg decode.
-                    let hop_amounts = match self.cfg.fees.as_ref() {
-                        Some(f) if !f.is_free() => Some(f.path_amounts(&path, unit_amount)),
-                        _ => None,
-                    };
-                    for (i, &(c, dir)) in path.hops().iter().enumerate() {
-                        let side = sender_side(dir);
-                        let micros = hop_amounts.as_ref().map_or(unit_amount, |a| a[i]).micros();
-                        self.snapshot[c.index()][side] -= micros;
-                        undo.push((c.index(), side, micros));
-                    }
-                    let seq = self.payments[pidx].next_seq;
-                    self.payments[pidx].next_seq += 1;
-                    self.payments[pidx].inflight += unit_amount;
+                    let p = &mut self.payments[pidx];
+                    let seq = p.next_seq;
+                    p.next_seq += 1;
+                    p.inflight = p.inflight.saturating_add(unit_amount);
                     if self.cfg.congestion.is_some() {
-                        self.payments[pidx].outstanding += 1;
+                        p.outstanding += 1;
                     }
-                    self.units_sent += 1;
-                    let (fate, jittered) = match self.cfg.faults.as_ref() {
-                        Some(plan) => {
-                            let (fate, jittered) =
-                                unit_fate(&plan.config, pid, seq, path.hops().len());
-                            match fate {
-                                Fate::Drop { .. } => self.stats.units_dropped += 1,
-                                Fate::Grief { .. } => self.stats.units_griefed += 1,
-                                Fate::Deliver { .. } => {}
-                            }
-                            (fate, jittered)
-                        }
-                        None => (Fate::Deliver { jitter_epochs: 0 }, false),
-                    };
+                    let deadline = p.deadline_epoch;
+                    let (unit, jittered) =
+                        UnitInfo::new(self.cfg, pid, seq, unit_amount, path, deadline);
+                    for (i, &(c, dir)) in unit.path.hops().iter().enumerate() {
+                        let slot = &mut self.snapshot[c.index()][sender_side(dir)];
+                        let micros = unit.hop_amount(i as u32).micros();
+                        *slot = slot.saturating_sub(micros);
+                        undo.push((c.index(), sender_side(dir), micros));
+                    }
+                    self.metrics.units_sent += 1;
+                    match unit.fate {
+                        Fate::Drop { .. } => self.stats.units_dropped += 1,
+                        Fate::Grief { .. } => self.stats.units_griefed += 1,
+                        Fate::Deliver { .. } => {}
+                    }
                     if jittered {
                         self.stats.units_jittered += 1;
                     }
                     self.emit(
-                        Key {
-                            epoch,
-                            rank: RANK_SENT,
-                            a: pid,
-                            b: u64::from(seq),
-                        },
+                        epoch,
+                        RANK_SENT,
+                        pid,
+                        u64::from(seq),
                         TraceEvent::UnitSent {
                             t: t_of(epoch),
                             payment: pid,
                             amount: tokens(unit_amount),
-                            hops: path.len() as u32,
+                            hops: unit.path.len() as u32,
                         },
                     );
-                    let unit = Arc::new(UnitInfo {
-                        payment: pid,
-                        seq,
-                        amount: unit_amount,
-                        path,
-                        fate,
-                        hop_amounts,
-                        deadline_epoch: self.payments[pidx].deadline_epoch,
-                    });
-                    self.stage_hop(&unit, 0, epoch + 1, MsgBody::LockHop { hop: 0 });
+                    self.stage_hop(&Arc::new(unit), 0, epoch + 1, MsgBody::LockHop { hop: 0 });
                 }
                 UnitDecision::Unavailable => {
                     // No spendable route right now: back the window off so
@@ -1578,7 +1662,7 @@ impl ShardCtx<'_> {
             }
         }
         for (c, side, micros) in undo {
-            self.snapshot[c][side] += micros;
+            self.snapshot[c][side] = self.snapshot[c][side].saturating_add(micros);
         }
     }
 
@@ -1590,16 +1674,16 @@ impl ShardCtx<'_> {
             let pidx = self.arrivals[self.arrival_cursor].1;
             self.arrival_cursor += 1;
             self.arrived_count += 1;
-            self.attempted_micros += self.payments[pidx].amount.micros();
+            self.attempted_micros = self
+                .attempted_micros
+                .saturating_add(self.payments[pidx].amount.micros());
             let p = &self.payments[pidx];
             let (pid, src, dst, amount) = (p.id, p.src, p.dst, p.amount);
             self.emit(
-                Key {
-                    epoch,
-                    rank: RANK_ARRIVED,
-                    a: pid,
-                    b: 0,
-                },
+                epoch,
+                RANK_ARRIVED,
+                pid,
+                0,
                 TraceEvent::PaymentArrived {
                     t: t_of(epoch),
                     payment: pid,
@@ -1610,16 +1694,15 @@ impl ShardCtx<'_> {
             );
             let mtu = self.cfg.mtu.micros();
             self.emit(
-                Key {
-                    epoch,
-                    rank: RANK_SPLIT,
-                    a: pid,
-                    b: 0,
-                },
+                epoch,
+                RANK_SPLIT,
+                pid,
+                0,
                 TraceEvent::PaymentSplit {
                     t: t_of(epoch),
                     payment: pid,
-                    units: ((amount.micros() + mtu - 1) / mtu).max(0) as u64,
+                    units: (amount.micros().saturating_add(mtu).saturating_sub(1) / mtu).max(0)
+                        as u64,
                 },
             );
             self.pending.push(pidx);
@@ -1652,7 +1735,12 @@ impl ShardCtx<'_> {
             let payments = &self.payments;
             self.cfg.source_policy.order_quantized(
                 &mut order,
-                |i| (payments[i].amount - payments[i].delivered).micros(),
+                |i| {
+                    payments[i]
+                        .amount
+                        .saturating_sub(payments[i].delivered)
+                        .micros()
+                },
                 |i| payments[i].arrival_epoch,
                 |i| payments[i].deadline_epoch,
                 |i| payments[i].id,
@@ -1704,12 +1792,10 @@ impl ShardCtx<'_> {
                 .sum();
             channels.push((cid, imbalance, mean_ratio, inflight.micros(), queue_depth));
             self.emit(
-                Key {
-                    epoch,
-                    rank: RANK_SAMPLE,
-                    a: ch.id.index() as u64,
-                    b: 0,
-                },
+                epoch,
+                RANK_SAMPLE,
+                ch.id.index() as u64,
+                0,
                 TraceEvent::ChannelSample {
                     t,
                     channel: cid,
@@ -1729,6 +1815,135 @@ impl ShardCtx<'_> {
             pending,
             channels,
         });
+    }
+
+    /// Takes in what the other shards handed over at the last exchange:
+    /// inbox messages go into their fire-epoch buckets and published
+    /// balances into the frozen snapshot. Idempotent until the next
+    /// exchange — the inbox drain leaves it empty and re-applying the
+    /// published balances writes the same values.
+    fn intake(&mut self, ex: &Exchange<'_>) {
+        for msg in lock_ok(&ex.inboxes[usize::from(self.shard)]).drain(..) {
+            self.pending_msgs
+                .entry(msg.fire_epoch)
+                .or_default()
+                .push(msg);
+        }
+        for slot in &ex.published {
+            for &(c, a, b) in lock_ok(slot).iter() {
+                self.snapshot[c as usize] = [a, b];
+            }
+        }
+    }
+
+    /// This shard's whole run: the BSP epoch loop over intake → compute →
+    /// exchange from `start_epoch + 1` to the end, then the final audit.
+    /// When a checkpoint write fails every shard returns early, with the
+    /// error left in `ex.ckpt_err`.
+    fn run(mut self, start_epoch: u64, ex: &Exchange<'_>) -> Self {
+        let me = usize::from(self.shard);
+        let lane = u32::from(self.shard);
+        let tel = &self.cfg.telemetry;
+        for epoch in (start_epoch + 1)..=self.clock.end_epoch {
+            // Intake: messages and balance updates published last epoch.
+            {
+                let _span = tel.span_enter_lane(Phase::MessageMerge, lane);
+                self.intake(ex);
+            }
+
+            // Compute: everything here touches only shard-owned state.
+            {
+                let _span = tel.span_enter_lane(Phase::EpochCompute, lane);
+                tel.span_sim(Phase::EpochCompute, t_of(epoch));
+                self.apply_faults(epoch);
+                self.process_messages(epoch);
+                self.rebalance_step(epoch);
+                self.drain_queues(epoch);
+                self.process_arrivals(epoch);
+                if epoch % self.clock.poll_epochs == 0 {
+                    self.tick(epoch);
+                }
+                if epoch % self.clock.sample_epochs == 0 {
+                    self.sample(epoch);
+                }
+                if let Some(a) = self.audit.as_mut() {
+                    a.check(&self.ledger, t_of(epoch), "epoch");
+                }
+            }
+
+            {
+                let _span = tel.span_enter_lane(Phase::BarrierWait, lane);
+                ex.barrier.wait();
+            }
+
+            // Exchange: publish dirty balances, deliver staged messages.
+            {
+                let mut slot = lock_ok(&ex.published[me]);
+                slot.clear();
+                self.dirty.sort_unstable();
+                self.dirty.dedup();
+                for &c in &self.dirty {
+                    let (a, b) = self.ledger.balances(ChannelId(c));
+                    slot.push((c, a.micros(), b.micros()));
+                }
+                self.metrics.dirty_published += slot.len() as u64;
+                self.dirty.clear();
+            }
+            for (to, staged) in self.staged.iter_mut().enumerate() {
+                if !staged.is_empty() {
+                    lock_ok(&ex.inboxes[to]).append(staged);
+                }
+            }
+
+            {
+                let _span = tel.span_enter_lane(Phase::BarrierWait, lane);
+                ex.barrier.wait();
+            }
+
+            // The checkpoint epochs are a pure function of the config, so
+            // every shard crosses the same number of barriers.
+            if let Some((ck, fp)) = ex.ckpt {
+                if epoch % ck.every == 0 && !self.checkpoint(epoch, ex, ck, fp) {
+                    return self;
+                }
+            }
+        }
+
+        if let Some(mut a) = self.audit.take() {
+            a.check(&self.ledger, self.cfg.end_time, "final");
+            self.violations.extend(a.into_violations());
+        }
+        // The merge reads results, not routing state. Release the path
+        // caches, the bulk of a shard's footprint, on the thread whose
+        // allocator arena holds them: freed after the merge by the host
+        // thread they cost ripple400-sharded1 2 MB of a 19 MB peak RSS.
+        self.scheme = self.cfg.scheme.build();
+        self
+    }
+
+    /// Captures this shard at the epoch barrier, where its state is
+    /// quiescent: staged and dirty are drained, and nothing mutates the
+    /// inboxes or publish slots until the next exchange, which is gated
+    /// behind the next barrier. Next epoch's intake is performed early so
+    /// the capture needs no in-flight mailbox contents. Shard 0 then
+    /// assembles the blobs and writes the snapshot file. Returns `false`
+    /// (on every shard) when that write failed.
+    fn checkpoint(&mut self, epoch: u64, ex: &Exchange<'_>, ck: &CheckpointSpec, fp: u32) -> bool {
+        self.intake(ex);
+        debug_assert!(self.dirty.is_empty() && self.staged.iter().all(Vec::is_empty));
+        *lock_ok(&ex.ckpt_blobs[usize::from(self.shard)]) = self.encode();
+        ex.barrier.wait();
+        if self.shard == 0 {
+            let core = encode_core(epoch, &ex.ckpt_blobs);
+            let sections = [(snapshot::SEC_CORE, core)];
+            if let Err(err) =
+                snapshot::write_snapshot(&ck.dir, snapshot::ENGINE_SHARDED, fp, epoch, &sections)
+            {
+                *lock_ok(&ex.ckpt_err) = Some(err);
+            }
+        }
+        ex.barrier.wait();
+        lock_ok(&ex.ckpt_err).is_none()
     }
 }
 
@@ -1781,20 +1996,7 @@ pub fn resume_sharded(
     let snap = snapshot::read_snapshot(snapshot_path)?;
     let fp = fingerprint_sharded(network, transactions, partition, config);
     snap.check(snapshot::ENGINE_SHARDED, fp)?;
-    let mut state = decode_sharded_core(
-        snap.section(snapshot::SEC_CORE)?,
-        network,
-        partition,
-        config,
-        snap.progress,
-    )?;
-    apply_sharded_ext(
-        &mut state,
-        snap.section(snapshot::SEC_SHARD_EXT)?,
-        network,
-        config,
-    )?;
-    run_sharded_inner(network, transactions, partition, config, Some(state), ckpt)
+    run_sharded_inner(network, transactions, partition, config, Some(&snap), ckpt)
 }
 
 fn run_sharded_inner(
@@ -1802,7 +2004,7 @@ fn run_sharded_inner(
     transactions: &[Transaction],
     partition: &Partition,
     config: &ShardedConfig,
-    resume: Option<ShardedResume>,
+    resume: Option<&Snapshot>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
     assert!(config.end_time > 0.0, "end_time must be positive");
@@ -1832,457 +2034,67 @@ fn run_sharded_inner(
         rb.validate();
     }
 
-    let num_shards = partition.num_shards();
-    let clock = Clockwork {
-        end_epoch: (config.end_time / EPOCH + 1e-9).floor() as u64,
-        delta_epochs: epochs_of(config.delta),
-        poll_epochs: epochs_of(config.poll_interval),
-        deadline_epochs: epochs_of(config.deadline),
-        sample_epochs: config
-            .telemetry
-            .sample_interval()
-            .map_or(u64::MAX, epochs_of),
-    };
-
     // Quantized fault schedule, shared by every shard.
-    let plan_events: Vec<(u64, u64, FaultEvent)> = config
-        .faults
-        .as_ref()
-        .map(|plan| {
-            plan.events
-                .iter()
-                .enumerate()
-                .map(|(i, (t, ev))| {
-                    let epoch = ((t / EPOCH).ceil() as i64).max(1) as u64;
-                    (epoch, i as u64, ev.clone())
-                })
-                .filter(|(epoch, _, _)| *epoch <= clock.end_epoch)
-                .collect()
+    let end_epoch = Clockwork::new(config).end_epoch;
+    let plan_events: Vec<PlanEvent> = (config.faults.iter())
+        .flat_map(|plan| plan.events.iter().enumerate())
+        .map(|(i, (t, ev))| {
+            let epoch = ((t / EPOCH).ceil() as i64).max(1) as u64;
+            (epoch, i as u64, ev.clone())
         })
-        .unwrap_or_default();
-
-    let initial_ledger = Ledger::new(network);
-    let initial_snapshot: Vec<[i64; 2]> = network
-        .channels()
-        .iter()
-        .map(|ch| {
-            let (a, b) = initial_ledger.balances(ch.id);
-            [a.micros(), b.micros()]
-        })
+        .filter(|&(epoch, ..)| epoch <= end_epoch)
         .collect();
 
-    let fp = if ckpt.is_some() {
-        fingerprint_sharded(network, transactions, partition, config)
-    } else {
-        0
-    };
-    let start_epoch = resume.as_ref().map_or(0, |r| r.epoch);
-    if start_epoch > clock.end_epoch {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot progress {start_epoch} is beyond the configured end epoch {}",
-                clock.end_epoch
-            ),
-        });
-    }
-    let resume_slots: Vec<Mutex<Option<ShardResume>>> = match resume {
-        Some(r) => r.shards.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-        None => (0..num_shards).map(|_| Mutex::new(None)).collect(),
-    };
-
-    let inboxes: Vec<Mutex<Vec<Msg>>> = (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
-    let published: Vec<PublishSlot> = (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
-    let barrier = Barrier::new(num_shards);
-    let ckpt_blobs: Vec<Mutex<Vec<u8>>> = (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
-    let ckpt_ext_blobs: Vec<Mutex<Vec<u8>>> =
-        (0..num_shards).map(|_| Mutex::new(Vec::new())).collect();
-    let ckpt_err: Mutex<Option<SnapshotError>> = Mutex::new(None);
-
-    let outputs: Vec<Result<ShardOutput, ()>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            let inboxes = &inboxes;
-            let published = &published;
-            let barrier = &barrier;
-            let initial_ledger = &initial_ledger;
-            let initial_snapshot = &initial_snapshot;
-            let plan_events = &plan_events;
-            let resume_slots = &resume_slots;
-            let ckpt_blobs = &ckpt_blobs;
-            let ckpt_ext_blobs = &ckpt_ext_blobs;
-            let ckpt_err = &ckpt_err;
-            handles.push(scope.spawn(move || {
-                run_shard(
-                    shard as u16,
-                    network,
-                    transactions,
-                    partition,
-                    config,
-                    clock,
-                    initial_ledger,
-                    initial_snapshot,
-                    plan_events,
-                    inboxes,
-                    published,
-                    barrier,
-                    start_epoch,
-                    &resume_slots[shard],
-                    fp,
-                    ckpt,
-                    ckpt_blobs,
-                    ckpt_ext_blobs,
-                    ckpt_err,
-                )
-            }));
+    let num_shards = partition.num_shards();
+    let mut shards: Vec<ShardCtx> = (0..num_shards)
+        .map(|shard| {
+            let shard = shard as u16;
+            ShardCtx::new(
+                shard,
+                network,
+                transactions,
+                partition,
+                config,
+                &plan_events,
+            )
+        })
+        .collect();
+    let start_epoch = match resume {
+        Some(snap) => {
+            decode_core(
+                snap.section(snapshot::SEC_CORE)?,
+                snap.progress,
+                &mut shards,
+            )?;
+            snap.progress
         }
+        None => 0,
+    };
+    let ckpt = ckpt.map(|ck| {
+        let fp = fingerprint_sharded(network, transactions, partition, config);
+        (ck, fp)
+    });
+    let exchange = Exchange::new(num_shards, ckpt);
+
+    let shards: Vec<ShardCtx> = std::thread::scope(|scope| {
+        let exchange = &exchange;
+        let handles: Vec<_> = shards
+            .into_iter()
+            .map(|ctx| scope.spawn(move || ctx.run(start_epoch, exchange)))
+            .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(out) => out,
+                Ok(ctx) => ctx,
                 Err(panic) => std::panic::resume_unwind(panic),
             })
             .collect()
     });
-
-    let mut outs = Vec::with_capacity(num_shards);
-    for r in outputs {
-        match r {
-            Ok(out) => outs.push(out),
-            Err(()) => {
-                return Err(lock_ok(&ckpt_err).take().unwrap_or(SnapshotError::Corrupt {
-                    what: "checkpoint write failed".to_string(),
-                }))
-            }
-        }
+    let ckpt_err = lock_ok(&exchange.ckpt_err).take();
+    match ckpt_err {
+        Some(err) => Err(err),
+        None => Ok(merge_outputs(network, partition, config, shards)),
     }
-    Ok(merge_outputs(network, partition, config, clock, outs))
-}
-
-/// One shard's published dirty-balance slot: `(channel index, micros a,
-/// micros b)` triples, cleared and rewritten by the owning shard each epoch.
-type PublishSlot = Mutex<Vec<(u32, i64, i64)>>;
-
-/// One shard's whole run: the BSP epoch loop over intake → compute →
-/// exchange, ending with its contribution to the deterministic merge.
-///
-/// Returns `Err(())` only when a checkpoint write failed; the actual
-/// [`SnapshotError`] is published through `ckpt_err` by shard 0 and the
-/// marker makes every shard leave the barrier protocol together.
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::too_many_lines)]
-fn run_shard(
-    shard: u16,
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-    clock: Clockwork,
-    initial_ledger: &Ledger,
-    initial_snapshot: &[[i64; 2]],
-    plan_events: &[(u64, u64, FaultEvent)],
-    inboxes: &[Mutex<Vec<Msg>>],
-    published: &[PublishSlot],
-    barrier: &Barrier,
-    start_epoch: u64,
-    resume: &Mutex<Option<ShardResume>>,
-    fp: u32,
-    ckpt: Option<&CheckpointSpec>,
-    ckpt_blobs: &[Mutex<Vec<u8>>],
-    ckpt_ext_blobs: &[Mutex<Vec<u8>>],
-    ckpt_err: &Mutex<Option<SnapshotError>>,
-) -> Result<ShardOutput, ()> {
-    let num_shards = partition.num_shards() as u64;
-    let mut ctx = if let Some(r) = lock_ok(resume).take() {
-        // Arrivals are a pure function of the restored payment slab, built
-        // exactly as the fresh-start path builds them.
-        let mut arrivals: Vec<(u64, usize)> = r
-            .payments
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.arrival_epoch, i))
-            .collect();
-        arrivals.sort_unstable();
-        ShardCtx {
-            shard,
-            network,
-            partition,
-            cfg: config,
-            clock,
-            scheme: r.scheme,
-            ledger: r.ledger,
-            audit: r.audit,
-            faults: r.faults,
-            plan_events: plan_events.to_vec(),
-            plan_cursor: r.plan_cursor,
-            snapshot: r.snapshot,
-            dirty: Vec::new(),
-            pending_msgs: r.pending_msgs,
-            staged: (0..num_shards).map(|_| Vec::new()).collect(),
-            payments: r.payments,
-            pending: r.pending,
-            arrivals,
-            arrival_cursor: r.arrival_cursor,
-            trace: r.trace,
-            tel_on: config.telemetry.is_enabled(),
-            units_sent: r.units_sent,
-            series: r.series,
-            samples: r.samples,
-            violations: r.violations,
-            stats: r.stats,
-            counters: r.counters,
-            arrived_count: r.arrived_count,
-            completed_count: r.completed_count,
-            attempted_micros: r.attempted_micros,
-            delivered_micros: r.delivered_micros,
-            queues: r.queues,
-            routing_fees_micros: r.routing_fees_micros,
-            rebalance_pending: r.rebalance_pending,
-            rebalance_applies: r.rebalance_applies,
-            rebal_transactions: r.rebal_transactions,
-            rebal_moved_micros: r.rebal_moved_micros,
-            rebal_fees_micros: r.rebal_fees_micros,
-        }
-    } else {
-        // This shard's payments: ids assigned round-robin; slab sorted by
-        // id so `payment_index` can binary-search.
-        let mut payments: Vec<LocalPayment> = transactions
-            .iter()
-            .filter(|tx| tx.id.0 % num_shards == u64::from(shard))
-            .filter_map(|tx| {
-                let arrival_epoch = ((tx.arrival / EPOCH).ceil() as i64).max(1) as u64;
-                (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
-                    id: tx.id.0,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
-                    arrival_epoch,
-                    deadline_epoch: arrival_epoch + clock.deadline_epochs,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    delay: None,
-                    next_seq: 0,
-                    blacklist: Vec::new(),
-                    fail_count: 0,
-                    not_before_epoch: 0,
-                    window: config
-                        .congestion
-                        .as_ref()
-                        .map_or(0.0, |cc| cc.initial_window),
-                    outstanding: 0,
-                })
-            })
-            .collect();
-        payments.sort_by_key(|p| p.id);
-        let mut arrivals: Vec<(u64, usize)> = payments
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.arrival_epoch, i))
-            .collect();
-        arrivals.sort_unstable();
-
-        let ledger = initial_ledger.clone();
-        let audit = config.audit.then(|| LedgerAudit::new(&ledger));
-        let faults = config
-            .faults
-            .as_ref()
-            .map(|plan| FaultState::new(plan, network));
-
-        ShardCtx {
-            shard,
-            network,
-            partition,
-            cfg: config,
-            clock,
-            scheme: config.scheme.build(),
-            ledger,
-            audit,
-            faults,
-            plan_events: plan_events.to_vec(),
-            plan_cursor: 0,
-            snapshot: initial_snapshot.to_vec(),
-            dirty: Vec::new(),
-            pending_msgs: BTreeMap::new(),
-            staged: (0..num_shards).map(|_| Vec::new()).collect(),
-            payments,
-            pending: Vec::new(),
-            arrivals,
-            arrival_cursor: 0,
-            trace: Vec::new(),
-            tel_on: config.telemetry.is_enabled(),
-            units_sent: 0,
-            series: Vec::new(),
-            samples: Vec::new(),
-            violations: Vec::new(),
-            stats: ShardStats::default(),
-            counters: ShardCounters::default(),
-            arrived_count: 0,
-            completed_count: 0,
-            attempted_micros: 0,
-            delivered_micros: 0,
-            queues: BTreeMap::new(),
-            routing_fees_micros: 0,
-            rebalance_pending: vec![false; network.num_channels()],
-            rebalance_applies: Vec::new(),
-            rebal_transactions: 0,
-            rebal_moved_micros: 0,
-            rebal_fees_micros: 0,
-        }
-    };
-
-    let me = shard as usize;
-    let lane = u32::from(shard);
-    let tel = &config.telemetry;
-    for epoch in (start_epoch + 1)..=clock.end_epoch {
-        // Intake: messages and balance updates published last epoch.
-        {
-            let _span = tel.span_enter_lane(Phase::MessageMerge, lane);
-            let mut inbox = lock_ok(&inboxes[me]);
-            for msg in inbox.drain(..) {
-                ctx.pending_msgs
-                    .entry(msg.fire_epoch)
-                    .or_default()
-                    .push(msg);
-            }
-            for slot in published {
-                for &(c, a, b) in lock_ok(slot).iter() {
-                    ctx.snapshot[c as usize] = [a, b];
-                }
-            }
-        }
-
-        // Compute: everything here touches only shard-owned state.
-        {
-            let _span = tel.span_enter_lane(Phase::EpochCompute, lane);
-            tel.span_sim(Phase::EpochCompute, t_of(epoch));
-            ctx.apply_faults(epoch);
-            ctx.process_messages(epoch);
-            ctx.rebalance_step(epoch);
-            ctx.drain_queues(epoch);
-            ctx.process_arrivals(epoch);
-            if epoch % clock.poll_epochs == 0 {
-                ctx.tick(epoch);
-            }
-            if epoch % clock.sample_epochs == 0 {
-                ctx.sample(epoch);
-            }
-            if let Some(a) = ctx.audit.as_mut() {
-                a.check(&ctx.ledger, t_of(epoch), "epoch");
-            }
-        }
-
-        {
-            let _span = tel.span_enter_lane(Phase::BarrierWait, lane);
-            barrier.wait();
-        }
-
-        // Exchange: publish dirty balances, deliver staged messages.
-        {
-            let mut slot = lock_ok(&published[me]);
-            slot.clear();
-            ctx.dirty.sort_unstable();
-            ctx.dirty.dedup();
-            for &c in &ctx.dirty {
-                let (a, b) = ctx.ledger.balances(ChannelId(c));
-                slot.push((c, a.micros(), b.micros()));
-            }
-            ctx.counters.dirty_published += slot.len() as u64;
-            ctx.dirty.clear();
-        }
-        for (to, staged) in ctx.staged.iter_mut().enumerate() {
-            if !staged.is_empty() {
-                lock_ok(&inboxes[to]).append(staged);
-            }
-        }
-
-        {
-            let _span = tel.span_enter_lane(Phase::BarrierWait, lane);
-            barrier.wait();
-        }
-
-        // Checkpoint: at the epoch barrier, every shard's state is
-        // quiescent (staged and dirty are drained; nothing mutates the
-        // inboxes or publish slots until the next exchange, which is gated
-        // behind the next barrier). Each shard performs next epoch's intake
-        // early — an idempotent step: the inbox drain leaves it empty and
-        // re-applying the published balances writes the same values — so
-        // that the captured state needs no in-flight mailbox contents.
-        // Shard 0 then assembles the blobs and writes the snapshot file.
-        // The epoch set is a pure function of the config, so every shard
-        // crosses the same number of barriers.
-        if let Some(ck) = ckpt {
-            if epoch % ck.every == 0 {
-                {
-                    let mut inbox = lock_ok(&inboxes[me]);
-                    for msg in inbox.drain(..) {
-                        ctx.pending_msgs
-                            .entry(msg.fire_epoch)
-                            .or_default()
-                            .push(msg);
-                    }
-                }
-                for slot in published {
-                    for &(c, a, b) in lock_ok(slot).iter() {
-                        ctx.snapshot[c as usize] = [a, b];
-                    }
-                }
-                debug_assert!(ctx.dirty.is_empty() && ctx.staged.iter().all(Vec::is_empty));
-                *lock_ok(&ckpt_blobs[me]) = encode_shard_blob(&ctx);
-                *lock_ok(&ckpt_ext_blobs[me]) = encode_shard_ext(&ctx);
-                barrier.wait();
-                if me == 0 {
-                    let mut e = Enc::new();
-                    e.u64(epoch);
-                    e.u32(num_shards as u32);
-                    for blob in ckpt_blobs {
-                        e.bytes(&lock_ok(blob));
-                    }
-                    let core = e.into_bytes();
-                    let mut x = Enc::new();
-                    x.u32(num_shards as u32);
-                    for blob in ckpt_ext_blobs {
-                        x.bytes(&lock_ok(blob));
-                    }
-                    let ext = x.into_bytes();
-                    if let Err(err) = snapshot::write_snapshot(
-                        &ck.dir,
-                        snapshot::ENGINE_SHARDED,
-                        fp,
-                        epoch,
-                        &[(snapshot::SEC_CORE, core), (snapshot::SEC_SHARD_EXT, ext)],
-                    ) {
-                        *lock_ok(ckpt_err) = Some(err);
-                    }
-                }
-                barrier.wait();
-                if lock_ok(ckpt_err).is_some() {
-                    return Err(());
-                }
-            }
-        }
-    }
-
-    let mut violations = ctx.violations;
-    if let Some(mut a) = ctx.audit {
-        a.check(&ctx.ledger, config.end_time, "final");
-        violations.extend(a.into_violations());
-    }
-
-    Ok(ShardOutput {
-        trace: ctx.trace,
-        payments: ctx.payments,
-        ledger: ctx.ledger,
-        units_sent: ctx.units_sent,
-        series: ctx.series,
-        samples: ctx.samples,
-        violations,
-        stats: ctx.stats,
-        counters: ctx.counters,
-        routing_fees_micros: ctx.routing_fees_micros,
-        rebal_transactions: ctx.rebal_transactions,
-        rebal_moved_micros: ctx.rebal_moved_micros,
-        rebal_fees_micros: ctx.rebal_fees_micros,
-    })
 }
 
 /// Fingerprint of everything that must match between the checkpointing run
@@ -2298,142 +2110,122 @@ fn fingerprint_sharded(
 ) -> u32 {
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
-    e.str(config.scheme.name());
-    e.f64(config.end_time);
-    e.f64(config.delta);
-    e.i64(config.mtu.micros());
-    e.f64(config.poll_interval);
-    e.f64(config.deadline);
+    let timing = [
+        config.end_time,
+        config.delta,
+        config.poll_interval,
+        config.deadline,
+    ];
+    let (faults, tel) = (&config.faults, &config.telemetry);
+    enc_common(
+        &mut e,
+        config.scheme.name(),
+        timing,
+        config.mtu,
+        faults,
+        tel,
+    );
     e.bool(config.record_series);
     e.bool(config.audit);
-    match &config.faults {
-        Some(plan) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                enc_fault_event(e, ev);
-            });
-        }
-        None => e.u8(0),
-    }
-    e.bool(config.telemetry.is_enabled());
-    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
     e.str(config.policy.name());
     e.str(config.source_policy.name());
-    e.u8(match config.queue_policy {
-        QueuePolicy::Fifo => 0,
-        QueuePolicy::SmallestFirst => 1,
-        QueuePolicy::EarliestDeadline => 2,
-    });
+    e.u8(config.queue_policy as u8);
     e.usize(config.max_queue_len);
-    match &config.fees {
-        Some(f) => {
-            e.u8(1);
-            e.seq(&f.per_channel(), |e, &(base, ppm)| {
-                e.i64(base.micros());
-                e.u32(ppm);
-            });
-        }
-        None => e.u8(0),
-    }
-    match &config.congestion {
-        Some(cc) => {
-            e.u8(1);
-            e.f64(cc.initial_window);
-            e.f64(cc.additive_increase);
-            e.f64(cc.multiplicative_decrease);
-            e.f64(cc.min_window);
-            e.f64(cc.max_window);
-        }
-        None => e.u8(0),
-    }
-    match &config.rebalance {
-        Some(rb) => {
-            e.u8(1);
-            e.f64(rb.check_interval);
-            e.f64(rb.imbalance_threshold);
-            e.f64(rb.correction_fraction);
-            e.i64(rb.fee.micros());
-            e.f64(rb.confirmation_delay);
-        }
-        None => e.u8(0),
-    }
+    enc_features(&mut e, &config.rebalance, &config.congestion, &config.fees);
     e.usize(partition.num_shards());
     e.seq(partition.node_shards(), |e, &s| e.u32(u32::from(s)));
     e.seq(partition.channel_owners(), |e, &s| e.u32(u32::from(s)));
     crc32(&e.into_bytes())
 }
 
-/// Decoded checkpoint of a whole sharded run: the barrier epoch it was
-/// taken at plus one restored worker state per shard.
-struct ShardedResume {
-    epoch: u64,
-    shards: Vec<ShardResume>,
+// ---------------------------------------------------------------------------
+// The sharded `SEC_CORE` codec. Any change to it is a format change and must
+// bump `snapshot::FORMAT_VERSION`. Integers are little-endian; `usize`
+// travels as `u64`; a *seq* is a `u64` count followed by that many items; an
+// *opt* is a presence byte (0/1) followed by the value when 1; *json* is a
+// length-prefixed UTF-8 JSON string.
+
+/// Assembles the sharded `SEC_CORE` section: `epoch: u64` (the barrier the
+/// capture was taken at; equals the header's progress), `num_shards: u32`,
+/// then one length-prefixed [`ShardCtx::encode`] blob per shard, by rank.
+fn encode_core(epoch: u64, blobs: &[Mutex<Vec<u8>>]) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u64(epoch);
+    e.u32(blobs.len() as u32);
+    for blob in blobs {
+        e.bytes(&lock_ok(blob));
+    }
+    e.into_bytes()
 }
 
-/// One shard's restored state, rebuilt host-side before the worker threads
-/// start (scheme restored, fault mask re-applied, messages re-linked).
-struct ShardResume {
-    scheme: Box<dyn RoutingScheme>,
-    ledger: Ledger,
-    audit: Option<LedgerAudit>,
-    faults: Option<FaultState>,
-    plan_cursor: usize,
-    snapshot: Vec<[i64; 2]>,
-    pending_msgs: BTreeMap<u64, Vec<Msg>>,
-    payments: Vec<LocalPayment>,
-    pending: Vec<usize>,
-    arrival_cursor: usize,
-    trace: Vec<(Key, TraceEvent)>,
-    units_sent: u64,
-    series: Vec<SeriesPartial>,
-    samples: Vec<SamplePartial>,
-    violations: Vec<AuditViolation>,
-    stats: ShardStats,
-    counters: ShardCounters,
-    arrived_count: u64,
-    completed_count: u64,
-    attempted_micros: i64,
-    delivered_micros: i64,
-    queues: BTreeMap<(u32, u8), Vec<QueuedUnit>>,
-    routing_fees_micros: i64,
-    rebalance_pending: Vec<bool>,
-    rebalance_applies: Vec<(u64, u32)>,
-    rebal_transactions: u64,
-    rebal_moved_micros: i64,
-    rebal_fees_micros: i64,
+/// Restores freshly built shards from [`encode_core`]'s bytes. Every
+/// structural problem is a [`SnapshotError`]; nothing panics.
+fn decode_core(bytes: &[u8], progress: u64, shards: &mut [ShardCtx]) -> Result<(), SnapshotError> {
+    let mut d = Dec::new(bytes);
+    let epoch = d.u64()?;
+    if epoch != progress {
+        return corrupt(format!(
+            "core section epoch {epoch} disagrees with header progress {progress}"
+        ));
+    }
+    let end_epoch = shards.first().map_or(0, |s| s.clock.end_epoch);
+    if epoch > end_epoch {
+        return corrupt(format!(
+            "snapshot progress {epoch} is beyond the configured end epoch {end_epoch}"
+        ));
+    }
+    let num_shards = d.u32()? as usize;
+    if num_shards != shards.len() {
+        return corrupt(format!(
+            "snapshot has {num_shards} shards, partition has {}",
+            shards.len()
+        ));
+    }
+    for shard in shards {
+        shard.decode(d.bytes()?)?;
+    }
+    d.expect_end()?;
+    Ok(())
 }
 
+/// A unit: `payment: u64, seq: u32, amount: i64`, its path (seq of `u32`
+/// node ids), `deadline_epoch: u64`. Fate and hop amounts are not stored;
+/// [`UnitInfo::new`] re-derives them.
+fn enc_unit(e: &mut Enc, unit: &UnitInfo) {
+    e.u64(unit.payment);
+    e.u32(unit.seq);
+    e.i64(unit.amount.micros());
+    enc_path(e, &unit.path);
+    e.u64(unit.deadline_epoch);
+}
+
+fn dec_unit(
+    d: &mut Dec,
+    network: &Network,
+    cfg: &ShardedConfig,
+) -> Result<Arc<UnitInfo>, SnapshotError> {
+    let (payment, seq) = (d.u64()?, d.u32()?);
+    let amount = Amount::from_micros(d.i64()?);
+    let path = dec_path(d, network)?;
+    let (unit, _) = UnitInfo::new(cfg, payment, seq, amount, path, d.u64()?);
+    Ok(Arc::new(unit))
+}
+
+/// A message: its unit, then the body tag `u8` (the body's processing
+/// rank) and arguments — 0 settle-hop, 1 refund-hop, 2 lock-hop (`hop:
+/// usize` each), 3 unit-delivered, 4 unit-failed (`blamed` channel `usize`,
+/// cause `u8`: 0 liquidity, 1 outage, 2 dropped, 3 griefed).
 fn enc_msg(e: &mut Enc, msg: &Msg) {
-    e.u64(msg.unit.payment);
-    e.u32(msg.unit.seq);
-    e.i64(msg.unit.amount.micros());
-    enc_path(e, &msg.unit.path);
-    e.u64(msg.unit.deadline_epoch);
-    match &msg.body {
-        MsgBody::SettleHop { hop } => {
-            e.u8(0);
-            e.u32(*hop);
+    enc_unit(e, &msg.unit);
+    e.u8(msg.body.rank());
+    match msg.body {
+        MsgBody::SettleHop { hop } | MsgBody::RefundHop { hop } | MsgBody::LockHop { hop } => {
+            e.usize(hop as usize);
         }
-        MsgBody::RefundHop { hop } => {
-            e.u8(1);
-            e.u32(*hop);
-        }
-        MsgBody::LockHop { hop } => {
-            e.u8(2);
-            e.u32(*hop);
-        }
-        MsgBody::UnitDelivered => e.u8(3),
+        MsgBody::UnitDelivered => {}
         MsgBody::UnitFailed { blamed, cause } => {
-            e.u8(4);
-            e.u32(blamed.index() as u32);
-            e.u8(match cause {
-                FailCause::Liquidity => 0,
-                FailCause::Outage => 1,
-                FailCause::Dropped => 2,
-                FailCause::Griefed => 3,
-            });
+            e.usize(blamed.index());
+            e.u8(cause as u8);
         }
     }
 }
@@ -2441,826 +2233,376 @@ fn enc_msg(e: &mut Enc, msg: &Msg) {
 fn dec_msg(
     d: &mut Dec,
     network: &Network,
-    config: &ShardedConfig,
+    cfg: &ShardedConfig,
     fire_epoch: u64,
 ) -> Result<Msg, SnapshotError> {
-    let payment = d.u64()?;
-    let seq = d.u32()?;
-    let amount = Amount::from_micros(d.i64()?);
-    let path = dec_path(d, network)?;
-    let deadline_epoch = d.u64()?;
-    // The fate is a pure hash of (fault seed, payment, unit) — recompute it
-    // instead of trusting snapshot bytes. Hop amounts likewise: a pure
-    // function of (fee schedule, path, amount).
-    let fate = match config.faults.as_ref() {
-        Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()).0,
-        None => Fate::Deliver { jitter_epochs: 0 },
-    };
-    let hop_amounts = match config.fees.as_ref() {
-        Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
-        _ => None,
-    };
-    let hops = path.hops().len() as u32;
-    let check_hop = |hop: u32| {
-        if hop < hops {
-            Ok(hop)
-        } else {
-            Err(SnapshotError::Corrupt {
-                what: format!("message hop {hop} beyond a {hops}-hop path"),
-            })
-        }
-    };
+    let unit = dec_unit(d, network, cfg)?;
+    let hop = |d: &mut Dec| dec_index(d, unit.path.len(), "message for hop").map(|h| h as u32);
     let body = match d.u8()? {
-        0 => MsgBody::SettleHop {
-            hop: check_hop(d.u32()?)?,
-        },
-        1 => MsgBody::RefundHop {
-            hop: check_hop(d.u32()?)?,
-        },
-        2 => MsgBody::LockHop {
-            hop: check_hop(d.u32()?)?,
-        },
+        0 => MsgBody::SettleHop { hop: hop(d)? },
+        1 => MsgBody::RefundHop { hop: hop(d)? },
+        2 => MsgBody::LockHop { hop: hop(d)? },
         3 => MsgBody::UnitDelivered,
-        4 => {
-            let blamed = ChannelId(d.u32()?);
-            if blamed.index() >= network.num_channels() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("blamed channel {} out of range", blamed.index()),
-                });
-            }
-            let cause = match d.u8()? {
+        4 => MsgBody::UnitFailed {
+            blamed: ChannelId::from(dec_index(d, network.num_channels(), "blamed channel")?),
+            cause: match d.u8()? {
                 0 => FailCause::Liquidity,
                 1 => FailCause::Outage,
                 2 => FailCause::Dropped,
                 3 => FailCause::Griefed,
-                tag => {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("bad failure cause byte {tag}"),
-                    })
-                }
-            };
-            MsgBody::UnitFailed { blamed, cause }
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad message body byte {tag}"),
-            })
-        }
+                other => return corrupt(format!("failure cause byte {other}")),
+            },
+        },
+        other => return corrupt(format!("message body byte {other}")),
     };
     Ok(Msg {
         fire_epoch,
         body,
-        unit: Arc::new(UnitInfo {
-            payment,
-            seq,
-            amount,
-            path,
-            fate,
-            hop_amounts,
-            deadline_epoch,
-        }),
+        unit,
     })
 }
 
-/// Binary capture of one shard's quiescent barrier state, written by
-/// [`encode_shard_blob`] and read back by [`decode_shard_blob`].
-fn encode_shard_blob(ctx: &ShardCtx<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    let nq = ctx.network.num_channels();
-    e.usize(nq);
-    for i in 0..nq {
-        let raw = ctx.ledger.export_channel(ChannelId(i as u32));
-        for v in raw {
-            e.i64(v);
-        }
-        e.i64(ctx.snapshot[i][0]);
-        e.i64(ctx.snapshot[i][1]);
-    }
-    match &ctx.audit {
-        Some(a) => {
-            e.u8(1);
-            snapshot::enc_json(&mut e, &a.export_state());
-        }
-        None => e.u8(0),
-    }
-    match &ctx.faults {
-        Some(fs) => {
-            e.u8(1);
-            let snap = fs.export_state();
-            e.bytes(&snap.down_causes);
-            e.seq(&snap.node_down, |e, &b| e.bool(b));
-            e.u64(snap.rng_state);
-            snapshot::enc_json(&mut e, &snap.stats);
-        }
-        None => e.u8(0),
-    }
-    e.usize(ctx.plan_cursor);
-    e.usize(ctx.pending_msgs.len());
-    for (&fire_epoch, msgs) in &ctx.pending_msgs {
-        e.u64(fire_epoch);
-        // Inbox drain order varies with thread interleaving; the engine
-        // sorts by key before processing, so sort here too — snapshot bytes
-        // stay a pure function of the run's content.
-        let mut ordered: Vec<&Msg> = msgs.iter().collect();
-        ordered.sort_unstable_by_key(|m| m.key());
-        e.usize(ordered.len());
-        for msg in ordered {
-            enc_msg(&mut e, msg);
-        }
-    }
-    e.usize(ctx.payments.len());
-    for p in &ctx.payments {
-        e.u64(p.id);
-        e.u32(p.src.0);
-        e.u32(p.dst.0);
-        e.i64(p.amount.micros());
-        e.u64(p.arrival_epoch);
-        e.u64(p.deadline_epoch);
-        e.i64(p.delivered.micros());
-        e.i64(p.inflight.micros());
-        e.u8(match p.status {
-            PaymentStatus::Pending => 0,
-            PaymentStatus::Completed => 1,
-            PaymentStatus::Abandoned => 2,
-        });
-        match p.delay {
-            Some(t) => {
-                e.u8(1);
-                e.f64(t);
+impl ShardCtx<'_> {
+    /// Encodes this shard's quiescent barrier state (conventions above).
+    /// In order:
+    ///
+    /// 1. Ledger — seq of channels, each four `i64` micro-amounts
+    ///    (`Ledger::export_channel`) then the frozen routing balances
+    ///    `[a, b]: i64`.
+    /// 2. Audit state — opt json.
+    /// 3. Fault mask — opt: down-cause bytes (length-prefixed), node-down
+    ///    seq of `bool`, RNG state `u64`, stats json
+    ///    (`snapshot::enc_fault_state`); then `plan_cursor: usize` into the
+    ///    quantized fault schedule.
+    /// 4. Pending messages — seq of buckets in fire-epoch order, each
+    ///    `fire_epoch: u64` and a seq of messages in processing-key order
+    ///    (see [`enc_msg`], [`enc_unit`]).
+    /// 5. Payments — seq with one row per owned payment in id order: `id:
+    ///    u64` (the row's identity is not restored, only checked against
+    ///    the slab built from the transactions), `delivered: i64, inflight:
+    ///    i64, status: u8` (0 pending, 1 completed, 2 abandoned), `delay:
+    ///    opt f64, next_seq: u32`, blacklist seq of `(channel: usize,
+    ///    until_epoch: u64)`, `fail_count: u32, not_before_epoch: u64`, and
+    ///    the congestion `window: f64, outstanding: u32`. Then the pending
+    ///    list, a seq of `usize` slab indices, and `arrival_cursor: usize`.
+    /// 6. Trace — opt (telemetry on): seq of merge keys `(epoch: u64, rank:
+    ///    u8, a: u64, b: u64)` and the events as one json array of the same
+    ///    length; then the sample partials, a seq of `epoch: u64, pending:
+    ///    u32` and a seq of `(channel: u32, imbalance: f64, ratio: f64,
+    ///    inflight: i64, queue_depth: u32)`.
+    /// 7. Series partials — seq of `(epoch, arrived, completed: u64,
+    ///    attempted, delivered: i64)`; then the running totals in the same
+    ///    four-field order.
+    /// 8. Release violations — json; fault stats — json.
+    /// 9. Work counters — `events_processed, settle_msgs, refund_msgs,
+    ///    lock_msgs, control_msgs, dirty_published, units_sent: u64`.
+    /// 10. Routing scheme state — opt length-prefixed bytes.
+    /// 11. Fee accrual — opt (fee schedule configured) `i64` micros.
+    /// 12. Router queues — opt (queued policy): seq of queues in key order,
+    ///     each `channel: usize, sender_side: u8` and a seq of entries in
+    ///     service order: the unit, `hop: usize, enqueued_epoch: u64`.
+    /// 13. Rebalancing — opt (policy configured): scheduled corrections seq
+    ///     of `(apply_epoch: u64, channel: usize)`, then `transactions:
+    ///     u64, moved: i64, fees: i64` micros.
+    fn encode(&self) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.usize(self.snapshot.len());
+        for (i, frozen) in self.snapshot.iter().enumerate() {
+            for v in self.ledger.export_channel(ChannelId::from(i)) {
+                e.i64(v);
             }
-            None => e.u8(0),
+            e.i64(frozen[0]);
+            e.i64(frozen[1]);
         }
-        e.u32(p.next_seq);
-        e.seq(&p.blacklist, |e, &(c, until)| {
-            e.u32(c.index() as u32);
-            e.u64(until);
-        });
-        e.u32(p.fail_count);
-        e.u64(p.not_before_epoch);
-    }
-    e.seq(&ctx.pending, |e, &i| e.usize(i));
-    e.usize(ctx.arrival_cursor);
-    e.usize(ctx.trace.len());
-    for (k, _) in &ctx.trace {
-        e.u64(k.epoch);
-        e.u8(k.rank);
-        e.u64(k.a);
-        e.u64(k.b);
-    }
-    let events: Vec<TraceEvent> = ctx.trace.iter().map(|(_, ev)| ev.clone()).collect();
-    snapshot::enc_json(&mut e, &events);
-    e.u64(ctx.units_sent);
-    e.seq(&ctx.series, |e, s| {
-        e.u64(s.epoch);
-        e.u64(s.arrived);
-        e.u64(s.completed);
-        e.i64(s.attempted_micros);
-        e.i64(s.delivered_micros);
-    });
-    e.usize(ctx.samples.len());
-    for s in &ctx.samples {
-        e.u64(s.epoch);
-        e.u32(s.pending);
-        e.seq(&s.channels, |e, &(c, imb, ratio, inflight, qdepth)| {
-            e.u32(c);
-            e.f64(imb);
-            e.f64(ratio);
-            e.i64(inflight);
-            e.u32(qdepth);
-        });
-    }
-    snapshot::enc_json(&mut e, &ctx.violations);
-    for v in [
-        ctx.stats.outages,
-        ctx.stats.recoveries,
-        ctx.stats.node_crashes,
-        ctx.stats.units_refunded_by_outage,
-        ctx.stats.units_dropped,
-        ctx.stats.units_jittered,
-        ctx.stats.units_griefed,
-        ctx.stats.retries,
-        ctx.stats.blacklistings,
-        ctx.stats.payments_failed,
-    ] {
-        e.u64(v);
-    }
-    for v in [
-        ctx.counters.events_processed,
-        ctx.counters.settle_msgs,
-        ctx.counters.refund_msgs,
-        ctx.counters.lock_msgs,
-        ctx.counters.control_msgs,
-        ctx.counters.dirty_published,
-    ] {
-        e.u64(v);
-    }
-    e.u64(ctx.arrived_count);
-    e.u64(ctx.completed_count);
-    e.i64(ctx.attempted_micros);
-    e.i64(ctx.delivered_micros);
-    match ctx.scheme.checkpoint_state() {
-        Some(bytes) => {
-            e.u8(1);
-            e.bytes(&bytes);
+        e.opt(
+            (self.audit.as_ref()).map(|a| |e: &mut Enc| snapshot::enc_json(e, &a.export_state())),
+        );
+        e.opt((self.faults.as_ref()).map(|fs| |e: &mut Enc| snapshot::enc_fault_state(e, fs)));
+        e.usize(self.plan_cursor);
+        e.usize(self.pending_msgs.len());
+        for (&fire_epoch, msgs) in &self.pending_msgs {
+            e.u64(fire_epoch);
+            // Inbox drain order varies with thread interleaving; the engine
+            // sorts by key before processing, so sort here too — snapshot
+            // bytes stay a pure function of the run's content.
+            let mut ordered: Vec<&Msg> = msgs.iter().collect();
+            ordered.sort_unstable_by_key(|m| m.key());
+            e.seq(&ordered, |e, msg| enc_msg(e, msg));
         }
-        None => e.u8(0),
+        e.seq(&self.payments, |e, p| {
+            e.u64(p.id);
+            e.i64(p.delivered.micros());
+            e.i64(p.inflight.micros());
+            snapshot::enc_status(e, p.status);
+            e.opt(p.delay.map(|t| move |e: &mut Enc| e.f64(t)));
+            e.u32(p.next_seq);
+            e.seq(&p.blacklist, |e, &(c, until)| {
+                e.usize(c.index());
+                e.u64(until);
+            });
+            e.u32(p.fail_count);
+            e.u64(p.not_before_epoch);
+            e.f64(p.window);
+            e.u32(p.outstanding);
+        });
+        e.seq(&self.pending, |e, &i| e.usize(i));
+        e.usize(self.arrival_cursor);
+        e.opt(self.tel_on.then_some(|e: &mut Enc| {
+            e.seq(&self.trace, |e, (k, _)| {
+                e.u64(k.epoch);
+                e.u8(k.rank);
+                e.u64(k.a);
+                e.u64(k.b);
+            });
+            let events: Vec<&TraceEvent> = self.trace.iter().map(|(_, ev)| ev).collect();
+            snapshot::enc_json(e, &events);
+            e.seq(&self.samples, |e, s| {
+                e.u64(s.epoch);
+                e.u32(s.pending);
+                e.seq(&s.channels, |e, &(c, imb, ratio, inflight, qdepth)| {
+                    e.u32(c);
+                    e.f64(imb);
+                    e.f64(ratio);
+                    e.i64(inflight);
+                    e.u32(qdepth);
+                });
+            });
+        }));
+        e.seq(&self.series, |e, s| {
+            e.u64(s.epoch);
+            e.u64(s.arrived);
+            e.u64(s.completed);
+            e.i64(s.attempted_micros);
+            e.i64(s.delivered_micros);
+        });
+        e.u64(self.arrived_count);
+        e.u64(self.completed_count);
+        e.i64(self.attempted_micros);
+        e.i64(self.delivered_micros);
+        snapshot::enc_json(&mut e, &self.violations);
+        snapshot::enc_json(&mut e, &self.stats);
+        let m = &self.metrics;
+        for v in [
+            m.events_processed,
+            m.settle_msgs,
+            m.refund_msgs,
+            m.lock_msgs,
+            m.control_msgs,
+            m.dirty_published,
+            m.units_sent,
+        ] {
+            e.u64(v);
+        }
+        e.opt((self.scheme.checkpoint_state()).map(|bytes| move |e: &mut Enc| e.bytes(&bytes)));
+        let fees = self.routing_fees_micros;
+        e.opt((self.cfg.fees.as_ref()).map(|_| |e: &mut Enc| e.i64(fees)));
+        e.opt(
+            (self.cfg.policy == ShardPolicy::Queued).then_some(|e: &mut Enc| {
+                e.usize(self.queues.len());
+                for (&(channel, side), q) in &self.queues {
+                    e.usize(channel as usize);
+                    e.u8(side);
+                    e.seq(q, |e, entry| {
+                        enc_unit(e, &entry.unit);
+                        e.usize(entry.hop as usize);
+                        e.u64(entry.enqueued_epoch);
+                    });
+                }
+            }),
+        );
+        e.opt(self.cfg.rebalance.as_ref().map(|_| {
+            |e: &mut Enc| {
+                e.seq(&self.rebalance_applies, |e, &(fire, c)| {
+                    e.u64(fire);
+                    e.usize(c as usize);
+                });
+                e.u64(self.rebal_transactions);
+                e.i64(self.rebal_moved_micros);
+                e.i64(self.rebal_fees_micros);
+            }
+        }));
+        e.into_bytes()
     }
-    e.into_bytes()
-}
 
-/// Decodes the sharded `SEC_CORE` section: the barrier epoch, the shard
-/// count, and one per-shard blob. Every structural problem is a
-/// [`SnapshotError::Corrupt`]; nothing panics.
-fn decode_sharded_core(
-    bytes: &[u8],
-    network: &Network,
-    partition: &Partition,
-    config: &ShardedConfig,
-    progress: u64,
-) -> Result<ShardedResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let epoch = d.u64()?;
-    if epoch != progress {
-        return Err(SnapshotError::Corrupt {
-            what: format!("core section epoch {epoch} disagrees with header progress {progress}"),
-        });
-    }
-    let num_shards = d.u32()? as usize;
-    if num_shards != partition.num_shards() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "snapshot has {num_shards} shards, partition has {}",
-                partition.num_shards()
-            ),
-        });
-    }
-    let mut shards = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        let blob = d.bytes()?;
-        shards.push(decode_shard_blob(blob, network, config)?);
-    }
-    d.expect_end()?;
-    Ok(ShardedResume { epoch, shards })
-}
-
-/// Decodes and validates one shard's blob, rebuilding the live state the
-/// worker thread starts from.
-#[allow(clippy::too_many_lines)]
-fn decode_shard_blob(
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<ShardResume, SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let nq = d.usize()?;
-    if nq != network.num_channels() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "shard blob covers {nq} channels, network has {}",
-                network.num_channels()
-            ),
-        });
-    }
-    let mut ledger = Ledger::new(network);
-    let mut balance_snapshot = Vec::with_capacity(nq);
-    for i in 0..nq {
-        let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
-        ledger.restore_channel(ChannelId(i as u32), raw);
-        balance_snapshot.push([d.i64()?, d.i64()?]);
-    }
-    let audit = match d.u8()? {
-        0 => None,
-        1 => {
-            let state: AuditState = snapshot::dec_json(&mut d)?;
-            Some(LedgerAudit::from_state(state))
+    /// Restores a freshly built shard from [`encode`](Self::encode)'s
+    /// bytes. Optional parts must be present exactly when this run's
+    /// configuration has them, every index is bounds-checked and every
+    /// count is read through [`dec_seq`], so a damaged blob is a
+    /// [`SnapshotError`], never a panic or an oversized allocation.
+    fn decode(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let (network, cfg) = (self.network, self.cfg);
+        let num_channels = network.num_channels();
+        let mut d = Dec::new(bytes);
+        if d.usize()? != num_channels {
+            return corrupt(format!("shard blob does not cover {num_channels} channels"));
         }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad audit presence byte {tag}"),
-            })
+        let mut ledger = Ledger::new(network);
+        for (i, frozen) in self.snapshot.iter_mut().enumerate() {
+            let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
+            ledger.restore_channel(ChannelId::from(i), raw);
+            *frozen = [d.i64()?, d.i64()?];
         }
-    };
-    if audit.is_some() != config.audit {
-        return Err(SnapshotError::Corrupt {
-            what: "snapshot and config disagree about auditing".to_string(),
-        });
-    }
-    let faults = match d.u8()? {
-        0 => None,
-        1 => {
-            let down_causes = d.bytes()?.to_vec();
-            let node_down = d.seq(|d| d.bool())?;
-            let rng_state = d.u64()?;
-            let stats: FaultStats = snapshot::dec_json(&mut d)?;
-            let plan = config
-                .faults
-                .as_ref()
-                .ok_or_else(|| SnapshotError::Corrupt {
-                    what: "snapshot has fault state but config has no fault plan".to_string(),
-                })?;
-            let mut fs = FaultState::new(plan, network);
-            fs.restore_state(crate::faults::FaultStateSnapshot {
-                down_causes,
-                node_down,
-                rng_state,
-                stats,
-            })
-            .map_err(|what| SnapshotError::Corrupt { what })?;
-            Some(fs)
+        self.ledger = ledger;
+        if dec_present(&mut d, self.audit.is_some(), "auditing")? {
+            self.audit = Some(LedgerAudit::from_state(snapshot::dec_json(&mut d)?));
         }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad fault presence byte {tag}"),
-            })
+        dec_present(&mut d, self.faults.is_some(), "a fault plan")?;
+        if let Some(fs) = self.faults.as_mut() {
+            snapshot::dec_fault_state(&mut d, fs)?;
         }
-    };
-    if faults.is_none() && config.faults.is_some() {
-        return Err(SnapshotError::Corrupt {
-            what: "config has a fault plan but snapshot has no fault state".to_string(),
-        });
-    }
-    let plan_cursor = d.usize()?;
-    let n_buckets = d.usize()?;
-    let mut pending_msgs: BTreeMap<u64, Vec<Msg>> = BTreeMap::new();
-    let mut last_epoch = None;
-    for _ in 0..n_buckets {
-        let fire_epoch = d.u64()?;
-        if last_epoch.is_some_and(|prev| prev >= fire_epoch) {
-            return Err(SnapshotError::Corrupt {
-                what: "message buckets out of order".to_string(),
-            });
+        self.plan_cursor = dec_index(&mut d, self.plan_events.len() + 1, "fault plan cursor")?;
+        let (payments, mut last_epoch) = (&self.payments, None);
+        let buckets = dec_seq(&mut d, |d| {
+            let fire_epoch = d.u64()?;
+            if last_epoch.replace(fire_epoch) >= Some(fire_epoch) {
+                return corrupt("message buckets out of order".to_string());
+            }
+            let msgs = dec_seq(d, |d| {
+                let msg = dec_msg(d, network, cfg, fire_epoch)?;
+                // Outcome notifications go to the payment's owner, which
+                // looks the payment up in its own slab.
+                let id = msg.unit.payment;
+                if msg.body.rank() >= 3 && payments.binary_search_by_key(&id, |p| p.id).is_err() {
+                    return corrupt(format!("outcome message for foreign payment {id}"));
+                }
+                Ok(msg)
+            })?;
+            Ok((fire_epoch, msgs))
+        })?;
+        self.pending_msgs = buckets.into_iter().collect();
+        let mut slab = self.payments.iter_mut();
+        dec_seq(&mut d, |d| {
+            let id = d.u64()?;
+            let Some(p) = slab.next().filter(|p| p.id == id) else {
+                return corrupt(format!("payment row {id} is not this shard's next payment"));
+            };
+            p.delivered = Amount::from_micros(d.i64()?);
+            p.inflight = Amount::from_micros(d.i64()?);
+            p.status = snapshot::dec_status(d)?;
+            p.delay = d.opt(|d| d.f64())?;
+            p.next_seq = d.u32()?;
+            p.blacklist = dec_seq(d, |d| {
+                let c = dec_index(d, num_channels, "blacklisted channel")?;
+                Ok((ChannelId::from(c), d.u64()?))
+            })?;
+            p.fail_count = d.u32()?;
+            p.not_before_epoch = d.u64()?;
+            p.window = d.f64()?;
+            p.outstanding = d.u32()?;
+            let window_ok = cfg.congestion.is_none() || (p.window.is_finite() && p.window > 0.0);
+            if !window_ok || p.delay.is_some_and(|t| !t.is_finite()) {
+                return corrupt(format!(
+                    "payment {id}: completion delay {:?}, congestion window {}",
+                    p.delay, p.window
+                ));
+            }
+            Ok(())
+        })?;
+        if let Some(p) = slab.next() {
+            return corrupt(format!("payment rows end before payment {}", p.id));
         }
-        last_epoch = Some(fire_epoch);
-        let n_msgs = d.usize()?;
-        let mut msgs = Vec::with_capacity(n_msgs);
-        for _ in 0..n_msgs {
-            msgs.push(dec_msg(&mut d, network, config, fire_epoch)?);
-        }
-        pending_msgs.insert(fire_epoch, msgs);
-    }
-    let n_payments = d.usize()?;
-    let mut payments: Vec<LocalPayment> = Vec::with_capacity(n_payments);
-    for _ in 0..n_payments {
-        let id = d.u64()?;
-        if payments.last().is_some_and(|p: &LocalPayment| p.id >= id) {
-            return Err(SnapshotError::Corrupt {
-                what: "payment slab not sorted by id".to_string(),
-            });
-        }
-        let src = NodeId(d.u32()?);
-        let dst = NodeId(d.u32()?);
-        if src.index() >= network.num_nodes() || dst.index() >= network.num_nodes() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("payment {id} endpoints out of range"),
-            });
-        }
-        let amount = Amount::from_micros(d.i64()?);
-        let arrival_epoch = d.u64()?;
-        let deadline_epoch = d.u64()?;
-        let delivered = Amount::from_micros(d.i64()?);
-        let inflight = Amount::from_micros(d.i64()?);
-        let status = match d.u8()? {
-            0 => PaymentStatus::Pending,
-            1 => PaymentStatus::Completed,
-            2 => PaymentStatus::Abandoned,
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("bad payment status byte {tag}"),
+        let num_payments = self.payments.len();
+        self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
+        self.arrival_cursor = dec_index(&mut d, num_payments + 1, "arrival cursor")?;
+        if dec_present(&mut d, self.tel_on, "telemetry")? {
+            let keys = dec_seq(&mut d, |d| Ok((d.u64()?, d.u8()?, d.u64()?, d.u64()?)))?;
+            let events: Vec<TraceEvent> = snapshot::dec_json(&mut d)?;
+            if events.len() != keys.len() {
+                return corrupt(format!(
+                    "{} trace keys but {} trace events",
+                    keys.len(),
+                    events.len()
+                ));
+            }
+            for ((epoch, rank, a, b), event) in keys.into_iter().zip(events) {
+                self.emit(epoch, rank, a, b, event);
+            }
+            self.samples = dec_seq(&mut d, |d| {
+                Ok(SamplePartial {
+                    epoch: d.u64()?,
+                    pending: d.u32()?,
+                    channels: dec_seq(d, |d| {
+                        Ok((d.u32()?, d.f64()?, d.f64()?, d.i64()?, d.u32()?))
+                    })?,
                 })
-            }
-        };
-        let delay = match d.u8()? {
-            0 => None,
-            1 => {
-                let t = d.f64()?;
-                if !t.is_finite() {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("non-finite completion delay {t}"),
-                    });
+            })?;
+        }
+        self.series = dec_seq(&mut d, |d| {
+            Ok(SeriesPartial {
+                epoch: d.u64()?,
+                arrived: d.u64()?,
+                completed: d.u64()?,
+                attempted_micros: d.i64()?,
+                delivered_micros: d.i64()?,
+            })
+        })?;
+        self.arrived_count = d.u64()?;
+        self.completed_count = d.u64()?;
+        self.attempted_micros = d.i64()?;
+        self.delivered_micros = d.i64()?;
+        self.violations = snapshot::dec_json(&mut d)?;
+        self.stats = snapshot::dec_json(&mut d)?;
+        let m = &mut self.metrics;
+        for v in [
+            &mut m.events_processed,
+            &mut m.settle_msgs,
+            &mut m.refund_msgs,
+            &mut m.lock_msgs,
+            &mut m.control_msgs,
+            &mut m.dirty_published,
+            &mut m.units_sent,
+        ] {
+            *v = d.u64()?;
+        }
+        if let Some(state) = d.opt(|d| d.bytes())? {
+            (self.scheme.restore_state(network, state))
+                .or_else(|e| corrupt(format!("routing scheme state: {e}")))?;
+        }
+        if dec_present(&mut d, cfg.fees.is_some(), "a fee schedule")? {
+            self.routing_fees_micros = d.i64()?;
+        }
+        if dec_present(&mut d, cfg.policy == ShardPolicy::Queued, "router queues")? {
+            let mut last_key = None;
+            let queues = dec_seq(&mut d, |d| {
+                let channel = dec_index(d, num_channels, "router queue at channel")? as u32;
+                let key = (channel, d.u8()?);
+                if key.1 > 1 || last_key.replace(key) >= Some(key) {
+                    return corrupt(format!("router queue key {key:?} out of range or order"));
                 }
-                Some(t)
-            }
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("bad delay presence byte {tag}"),
-                })
-            }
-        };
-        let next_seq = d.u32()?;
-        let blacklist = d.seq(|d| Ok((ChannelId(d.u32()?), d.u64()?)))?;
-        for &(c, _) in &blacklist {
-            if c.index() >= network.num_channels() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!("blacklisted channel {} out of range", c.index()),
-                });
-            }
-        }
-        payments.push(LocalPayment {
-            id,
-            src,
-            dst,
-            amount,
-            arrival_epoch,
-            deadline_epoch,
-            delivered,
-            inflight,
-            status,
-            delay,
-            next_seq,
-            blacklist,
-            fail_count: d.u32()?,
-            not_before_epoch: d.u64()?,
-            // Congestion state is restored from the SEC_SHARD_EXT section.
-            window: config
-                .congestion
-                .as_ref()
-                .map_or(0.0, |cc| cc.initial_window),
-            outstanding: 0,
-        });
-    }
-    let pending = d.seq(|d| d.usize())?;
-    for &i in &pending {
-        if i >= payments.len() {
-            return Err(SnapshotError::Corrupt {
-                what: format!("pending index {i} out of range"),
-            });
-        }
-    }
-    let arrival_cursor = d.usize()?;
-    if arrival_cursor > payments.len() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "arrival cursor {arrival_cursor} beyond {} payments",
-                payments.len()
-            ),
-        });
-    }
-    let n_trace = d.usize()?;
-    let mut keys = Vec::with_capacity(n_trace);
-    for _ in 0..n_trace {
-        keys.push(Key {
-            epoch: d.u64()?,
-            rank: d.u8()?,
-            a: d.u64()?,
-            b: d.u64()?,
-        });
-    }
-    let events: Vec<TraceEvent> = snapshot::dec_json(&mut d)?;
-    if events.len() != n_trace {
-        return Err(SnapshotError::Corrupt {
-            what: format!("{n_trace} trace keys but {} trace events", events.len()),
-        });
-    }
-    let trace: Vec<(Key, TraceEvent)> = keys.into_iter().zip(events).collect();
-    let units_sent = d.u64()?;
-    let series = d.seq(|d| {
-        Ok(SeriesPartial {
-            epoch: d.u64()?,
-            arrived: d.u64()?,
-            completed: d.u64()?,
-            attempted_micros: d.i64()?,
-            delivered_micros: d.i64()?,
-        })
-    })?;
-    let n_samples = d.usize()?;
-    let mut samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let epoch = d.u64()?;
-        let pending_count = d.u32()?;
-        let channels = d.seq(|d| Ok((d.u32()?, d.f64()?, d.f64()?, d.i64()?, d.u32()?)))?;
-        samples.push(SamplePartial {
-            epoch,
-            pending: pending_count,
-            channels,
-        });
-    }
-    let violations: Vec<AuditViolation> = snapshot::dec_json(&mut d)?;
-    let stats = ShardStats {
-        outages: d.u64()?,
-        recoveries: d.u64()?,
-        node_crashes: d.u64()?,
-        units_refunded_by_outage: d.u64()?,
-        units_dropped: d.u64()?,
-        units_jittered: d.u64()?,
-        units_griefed: d.u64()?,
-        retries: d.u64()?,
-        blacklistings: d.u64()?,
-        payments_failed: d.u64()?,
-    };
-    let counters = ShardCounters {
-        events_processed: d.u64()?,
-        settle_msgs: d.u64()?,
-        refund_msgs: d.u64()?,
-        lock_msgs: d.u64()?,
-        control_msgs: d.u64()?,
-        dirty_published: d.u64()?,
-    };
-    let arrived_count = d.u64()?;
-    let completed_count = d.u64()?;
-    let attempted_micros = d.i64()?;
-    let delivered_micros = d.i64()?;
-    let mut scheme = config.scheme.build();
-    match d.u8()? {
-        0 => {}
-        1 => {
-            let state = d.bytes()?;
-            scheme
-                .restore_state(network, state)
-                .map_err(|e| SnapshotError::Corrupt {
-                    what: format!("routing scheme state: {e}"),
+                let entries = dec_seq(d, |d| {
+                    let unit = dec_unit(d, network, cfg)?;
+                    let hop = dec_index(d, unit.path.len(), "queued unit at hop")?;
+                    if unit.path.hops()[hop].0.index() as u32 != channel {
+                        return corrupt(format!("queued unit hop {hop} not on channel {channel}"));
+                    }
+                    Ok(QueuedUnit {
+                        unit,
+                        hop: hop as u32,
+                        enqueued_epoch: d.u64()?,
+                    })
                 })?;
+                Ok((key, entries))
+            })?;
+            self.queues = queues.into_iter().collect();
         }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad scheme presence byte {tag}"),
-            })
+        if dec_present(&mut d, cfg.rebalance.is_some(), "rebalancing")? {
+            self.rebalance_applies = dec_seq(&mut d, |d| {
+                let fire = d.u64()?;
+                Ok((
+                    fire,
+                    dec_index(d, num_channels, "rebalance of channel")? as u32,
+                ))
+            })?;
+            for &(_, c) in &self.rebalance_applies {
+                self.rebalance_pending[c as usize] = true;
+            }
+            self.rebal_transactions = d.u64()?;
+            self.rebal_moved_micros = d.i64()?;
+            self.rebal_fees_micros = d.i64()?;
         }
+        d.expect_end()?;
+        Ok(())
     }
-    d.expect_end()?;
-    Ok(ShardResume {
-        scheme,
-        ledger,
-        audit,
-        faults,
-        plan_cursor,
-        snapshot: balance_snapshot,
-        pending_msgs,
-        payments,
-        pending,
-        arrival_cursor,
-        trace,
-        units_sent,
-        series,
-        samples,
-        violations,
-        stats,
-        counters,
-        arrived_count,
-        completed_count,
-        attempted_micros,
-        delivered_micros,
-        // Filled in by [`apply_sharded_ext`] from the SEC_SHARD_EXT section.
-        queues: BTreeMap::new(),
-        routing_fees_micros: 0,
-        rebalance_pending: vec![false; network.num_channels()],
-        rebalance_applies: Vec::new(),
-        rebal_transactions: 0,
-        rebal_moved_micros: 0,
-        rebal_fees_micros: 0,
-    })
-}
-
-/// Binary capture of one shard's feature-extension state (router queues,
-/// fee accrual, congestion windows, rebalancing schedule) for the
-/// `SEC_SHARD_EXT` snapshot section.
-fn encode_shard_ext(ctx: &ShardCtx<'_>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.i64(ctx.routing_fees_micros);
-    match ctx.cfg.congestion {
-        Some(_) => {
-            e.u8(1);
-            // Slab order: the decode side walks the same sorted-by-id slab.
-            e.seq(&ctx.payments, |e, p| {
-                e.f64(p.window);
-                e.u32(p.outstanding);
-            });
-        }
-        None => e.u8(0),
-    }
-    match ctx.cfg.policy {
-        ShardPolicy::Queued => {
-            e.u8(1);
-            e.usize(ctx.queues.len());
-            for (&(channel, dir), q) in &ctx.queues {
-                e.u32(channel);
-                e.u8(dir);
-                e.usize(q.len());
-                for entry in q {
-                    e.u64(entry.unit.payment);
-                    e.u32(entry.unit.seq);
-                    e.i64(entry.unit.amount.micros());
-                    enc_path(&mut e, &entry.unit.path);
-                    e.u64(entry.unit.deadline_epoch);
-                    e.u32(entry.hop);
-                    e.u64(entry.enqueued_epoch);
-                }
-            }
-        }
-        ShardPolicy::Direct => e.u8(0),
-    }
-    match ctx.cfg.rebalance {
-        Some(_) => {
-            e.u8(1);
-            e.seq(&ctx.rebalance_applies, |e, &(fire, c)| {
-                e.u64(fire);
-                e.u32(c);
-            });
-            e.u64(ctx.rebal_transactions);
-            e.i64(ctx.rebal_moved_micros);
-            e.i64(ctx.rebal_fees_micros);
-        }
-        None => e.u8(0),
-    }
-    e.into_bytes()
-}
-
-/// Decodes the `SEC_SHARD_EXT` section into the already-decoded core
-/// resume state: per-shard router queues, fee accrual, congestion windows,
-/// and the rebalancing schedule. Presence flags must agree with the
-/// config, mirroring the core section's audit/fault checks.
-fn apply_sharded_ext(
-    state: &mut ShardedResume,
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let num_shards = d.u32()? as usize;
-    if num_shards != state.shards.len() {
-        return Err(SnapshotError::Corrupt {
-            what: format!(
-                "extension section has {num_shards} shards, core has {}",
-                state.shards.len()
-            ),
-        });
-    }
-    for shard in state.shards.iter_mut() {
-        let blob = d.bytes()?;
-        apply_shard_ext_blob(shard, blob, network, config)?;
-    }
-    d.expect_end()?;
-    Ok(())
-}
-
-/// Decodes one shard's extension blob into its [`ShardResume`].
-fn apply_shard_ext_blob(
-    shard: &mut ShardResume,
-    bytes: &[u8],
-    network: &Network,
-    config: &ShardedConfig,
-) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(bytes);
-    shard.routing_fees_micros = d.i64()?;
-    match d.u8()? {
-        0 => {
-            if config.congestion.is_some() {
-                return Err(SnapshotError::Corrupt {
-                    what: "config has congestion control but snapshot has no windows".to_string(),
-                });
-            }
-        }
-        1 => {
-            if config.congestion.is_none() {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has congestion windows but config has none".to_string(),
-                });
-            }
-            let windows = d.seq(|d| Ok((d.f64()?, d.u32()?)))?;
-            if windows.len() != shard.payments.len() {
-                return Err(SnapshotError::Corrupt {
-                    what: format!(
-                        "{} congestion windows for {} payments",
-                        windows.len(),
-                        shard.payments.len()
-                    ),
-                });
-            }
-            for (p, (window, outstanding)) in shard.payments.iter_mut().zip(windows) {
-                if !window.is_finite() || window <= 0.0 {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("bad congestion window {window}"),
-                    });
-                }
-                p.window = window;
-                p.outstanding = outstanding;
-            }
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad congestion presence byte {tag}"),
-            })
-        }
-    }
-    match d.u8()? {
-        0 => {
-            if config.policy == ShardPolicy::Queued {
-                return Err(SnapshotError::Corrupt {
-                    what: "config uses the queued policy but snapshot has no queues".to_string(),
-                });
-            }
-        }
-        1 => {
-            if config.policy != ShardPolicy::Queued {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has router queues but config is direct".to_string(),
-                });
-            }
-            let n_queues = d.usize()?;
-            let mut last_key: Option<(u32, u8)> = None;
-            for _ in 0..n_queues {
-                let channel = d.u32()?;
-                let dir = d.u8()?;
-                if channel as usize >= network.num_channels() || dir > 1 {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("queue key ({channel}, {dir}) out of range"),
-                    });
-                }
-                let key = (channel, dir);
-                if last_key.is_some_and(|prev| prev >= key) {
-                    return Err(SnapshotError::Corrupt {
-                        what: "router queues out of order".to_string(),
-                    });
-                }
-                last_key = Some(key);
-                let n_entries = d.usize()?;
-                let mut q = Vec::with_capacity(n_entries);
-                for _ in 0..n_entries {
-                    let payment = d.u64()?;
-                    let seq = d.u32()?;
-                    let amount = Amount::from_micros(d.i64()?);
-                    let path = dec_path(&mut d, network)?;
-                    let deadline_epoch = d.u64()?;
-                    let hop = d.u32()?;
-                    let enqueued_epoch = d.u64()?;
-                    if hop as usize >= path.hops().len() {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("queued unit hop {hop} beyond its path"),
-                        });
-                    }
-                    if path.hops()[hop as usize].0.index() as u32 != channel {
-                        return Err(SnapshotError::Corrupt {
-                            what: format!("queued unit hop {hop} not on channel {channel}"),
-                        });
-                    }
-                    // Fate and hop amounts are pure functions of content,
-                    // recomputed exactly as `dec_msg` does.
-                    let fate = match config.faults.as_ref() {
-                        Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()).0,
-                        None => Fate::Deliver { jitter_epochs: 0 },
-                    };
-                    let hop_amounts = match config.fees.as_ref() {
-                        Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
-                        _ => None,
-                    };
-                    q.push(QueuedUnit {
-                        unit: Arc::new(UnitInfo {
-                            payment,
-                            seq,
-                            amount,
-                            path,
-                            fate,
-                            hop_amounts,
-                            deadline_epoch,
-                        }),
-                        hop,
-                        enqueued_epoch,
-                    });
-                }
-                shard.queues.insert(key, q);
-            }
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad queue presence byte {tag}"),
-            })
-        }
-    }
-    match d.u8()? {
-        0 => {
-            if config.rebalance.is_some() {
-                return Err(SnapshotError::Corrupt {
-                    what: "config has rebalancing but snapshot has no schedule".to_string(),
-                });
-            }
-        }
-        1 => {
-            if config.rebalance.is_none() {
-                return Err(SnapshotError::Corrupt {
-                    what: "snapshot has a rebalance schedule but config has none".to_string(),
-                });
-            }
-            let applies = d.seq(|d| Ok((d.u64()?, d.u32()?)))?;
-            for &(_, c) in &applies {
-                if c as usize >= network.num_channels() {
-                    return Err(SnapshotError::Corrupt {
-                        what: format!("rebalance channel {c} out of range"),
-                    });
-                }
-                shard.rebalance_pending[c as usize] = true;
-            }
-            shard.rebalance_applies = applies;
-            shard.rebal_transactions = d.u64()?;
-            shard.rebal_moved_micros = d.i64()?;
-            shard.rebal_fees_micros = d.i64()?;
-        }
-        tag => {
-            return Err(SnapshotError::Corrupt {
-                what: format!("bad rebalance presence byte {tag}"),
-            })
-        }
-    }
-    d.expect_end()?;
-    Ok(())
 }
 
 /// Deterministically merges the shard outputs into one [`SimReport`].
@@ -3270,10 +2612,10 @@ fn merge_outputs(
     network: &Network,
     partition: &Partition,
     config: &ShardedConfig,
-    clock: Clockwork,
-    mut outputs: Vec<ShardOutput>,
+    mut outputs: Vec<ShardCtx>,
 ) -> SimReport {
     let tel = &config.telemetry;
+    let clock = Clockwork::new(config);
 
     // Trace: k-way merge by key (keys are globally unique), replayed into
     // the telemetry handle — counters and the completion-delay histogram
@@ -3319,31 +2661,15 @@ fn merge_outputs(
     // Per-shard observability: deterministic counters per rank, plus
     // wall-clock barrier-wait histograms when the run profiled. Kept in
     // memory only (`SimReport.shards` is `#[serde(skip)]`).
-    let num_shards = partition.num_shards();
     let shard_metrics: Vec<ShardEpochMetrics> = outputs
         .iter()
-        .enumerate()
-        .map(|(i, o)| ShardEpochMetrics {
-            shard: i as u32,
-            epochs: clock.end_epoch,
-            owned_payments: o.payments.len() as u64,
-            owned_channels: partition
-                .channel_owners()
-                .iter()
-                .filter(|&&s| usize::from(s) == i)
-                .count() as u64,
-            events_processed: o.counters.events_processed,
-            settle_msgs: o.counters.settle_msgs,
-            refund_msgs: o.counters.refund_msgs,
-            lock_msgs: o.counters.lock_msgs,
-            control_msgs: o.counters.control_msgs,
-            dirty_published: o.counters.dirty_published,
-            units_sent: o.units_sent,
-            barrier_wait_ms: tel.profiler().and_then(|p| p.barrier_wait(i as u32)),
+        .map(|o| ShardEpochMetrics {
+            barrier_wait_ms: tel.profiler().and_then(|p| p.barrier_wait(o.metrics.shard)),
+            ..o.metrics.clone()
         })
         .collect();
     let observability = ShardObservability {
-        num_shards: num_shards as u32,
+        num_shards: partition.num_shards() as u32,
         event_imbalance: imbalance_of(shard_metrics.iter().map(|s| s.events_processed)),
         payment_imbalance: imbalance_of(shard_metrics.iter().map(|s| s.owned_payments)),
         shards: shard_metrics,
@@ -3526,7 +2852,7 @@ fn merge_outputs(
         attempted_volume,
         delivered_volume,
         completed_volume,
-        units_sent: outputs.iter().map(|o| o.units_sent).sum(),
+        units_sent: outputs.iter().map(|o| o.metrics.units_sent).sum(),
         mean_completion_delay,
         final_mean_imbalance: final_ledger.mean_imbalance(),
         rebalance,
@@ -3633,52 +2959,7 @@ mod tests {
             return;
         };
         let cfg = ShardedConfig::new(1.0);
-        let mut ctx = ShardCtx {
-            shard: 0,
-            network: &g,
-            partition: &partition,
-            cfg: &cfg,
-            clock: Clockwork {
-                end_epoch: 1,
-                delta_epochs: 1,
-                poll_epochs: 1,
-                deadline_epochs: 1,
-                sample_epochs: u64::MAX,
-            },
-            scheme: cfg.scheme.build(),
-            ledger: Ledger::new(&g),
-            audit: None,
-            faults: None,
-            plan_events: Vec::new(),
-            plan_cursor: 0,
-            snapshot: vec![[0, 0]; g.num_channels()],
-            dirty: Vec::new(),
-            pending_msgs: BTreeMap::new(),
-            staged: vec![Vec::new(), Vec::new()],
-            payments: Vec::new(),
-            pending: Vec::new(),
-            arrivals: Vec::new(),
-            arrival_cursor: 0,
-            trace: Vec::new(),
-            tel_on: false,
-            units_sent: 0,
-            series: Vec::new(),
-            samples: Vec::new(),
-            violations: Vec::new(),
-            stats: ShardStats::default(),
-            counters: ShardCounters::default(),
-            arrived_count: 0,
-            completed_count: 0,
-            attempted_micros: 0,
-            delivered_micros: 0,
-            queues: BTreeMap::new(),
-            routing_fees_micros: 0,
-            rebalance_pending: vec![false; g.num_channels()],
-            rebalance_applies: Vec::new(),
-            rebal_transactions: 0,
-            rebal_moved_micros: 0,
-            rebal_fees_micros: 0,
-        };
+        let mut ctx = ShardCtx::new(0, &g, &[], &partition, &cfg, &[]);
         assert!(!ctx.own(foreign, 1, "test-mutation"));
         assert_eq!(ctx.violations.len(), 1);
         assert!(matches!(

@@ -33,7 +33,8 @@
 //! Decoding never panics. Truncated, bit-flipped, or otherwise corrupt
 //! files surface as [`SnapshotError`] values.
 
-use crate::faults::FaultEvent;
+use crate::faults::{FaultEvent, FaultState, FaultStateSnapshot};
+use crate::payment::PaymentStatus;
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, BinError, ChannelId, Dec, Enc, Network, NodeId};
 use spider_telemetry::TelemetryState;
@@ -45,12 +46,15 @@ use std::path::{Path, PathBuf};
 
 /// Current snapshot format version. Bump on any layout change.
 /// v2: sharded messages carry the unit's deadline epoch, sample partials
-/// carry a queue depth, and sharded snapshots gain a [`SEC_SHARD_EXT`]
-/// section (queues, fee accrual, congestion windows, rebalance schedule).
+/// carry a queue depth, and sharded snapshots gain an extension section
+/// (tag 4: queues, fee accrual, congestion windows, rebalance schedule).
 /// v3: [`ENGINE_SEQ`] and [`ENGINE_QUEUED`] snapshots share one
 /// [`SEC_CORE`] layout, and the router-queued engine's path cache moves to
 /// [`SEC_SCHEME`].
-pub const FORMAT_VERSION: u8 = 3;
+/// v4: an [`ENGINE_SHARDED`] snapshot is one [`SEC_CORE`] section holding
+/// one blob per shard; the extension section is retired (tag 4 is not
+/// reused) and its contents travel inside each shard's blob.
+pub const FORMAT_VERSION: u8 = 4;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -68,16 +72,15 @@ pub const ENGINE_SHARDED: u8 = 3;
 pub const SEC_FRAME: u32 = 0;
 
 /// Section tag: engine core state. [`ENGINE_SEQ`] and [`ENGINE_QUEUED`]
-/// share one layout, documented on `Transport::encode` in `transport.rs`.
+/// share one layout, documented on `Transport::encode` in `transport.rs`;
+/// the [`ENGINE_SHARDED`] layout is documented on `encode_core` and
+/// `ShardCtx::encode` in `engine_sharded.rs`.
 pub const SEC_CORE: u32 = 1;
 /// Section tag: routing state — the scheme's own (may be empty for
 /// stateless schemes), or the router-queued engine's path cache.
 pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
-/// Section tag: sharded-engine feature extensions — per-shard router
-/// queues, fee accrual, congestion windows, and the rebalance schedule.
-pub const SEC_SHARD_EXT: u32 = 4;
 
 /// Why a snapshot could not be written, read, or applied.
 ///
@@ -302,9 +305,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     // wrong-filetype or other-version file gets its specific error rather
     // than a generic checksum failure.
     if bytes.len() < 4 {
-        return Err(SnapshotError::Corrupt {
-            what: "file shorter than the magic".to_string(),
-        });
+        return corrupt("file shorter than the magic".to_string());
     }
     let mut magic = [0u8; 4];
     magic.copy_from_slice(&bytes[..4]);
@@ -312,9 +313,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         return Err(SnapshotError::BadMagic { found: magic });
     }
     let Some(&version) = bytes.get(4) else {
-        return Err(SnapshotError::Corrupt {
-            what: "file ends before the version byte".to_string(),
-        });
+        return corrupt("file ends before the version byte".to_string());
     };
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
@@ -326,9 +325,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     // covering the header and section framing that the per-section
     // checksums do not.
     if bytes.len() < 9 {
-        return Err(SnapshotError::Corrupt {
-            what: "file ends before the frame checksum".to_string(),
-        });
+        return corrupt("file ends before the frame checksum".to_string());
     }
     let (body, tail) = bytes.split_at(bytes.len() - 4);
     let mut stored_frame = [0u8; 4];
@@ -343,9 +340,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
     let mut d = Dec::new(body);
-    d.take_raw(5).map_err(|_| SnapshotError::Corrupt {
-        what: "file shorter than the header".to_string(),
-    })?;
+    (d.take_raw(5)).or_else(|_| corrupt("file shorter than the header".to_string()))?;
     let engine = d.u8()?;
     let fingerprint = d.u32()?;
     let progress = d.u64()?;
@@ -355,16 +350,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         let tag = d.u32()?;
         let len = d.u64()?;
         let stored = d.u32()?;
-        let len = usize::try_from(len).map_err(|_| SnapshotError::Corrupt {
-            what: format!("section {tag} length {len} exceeds usize"),
-        })?;
+        let len = usize::try_from(len)
+            .or_else(|_| corrupt(format!("section {tag} length {len} exceeds usize")))?;
         if len > d.remaining() {
-            return Err(SnapshotError::Corrupt {
-                what: format!(
-                    "section {tag} claims {len} bytes but only {} remain",
-                    d.remaining()
-                ),
-            });
+            return corrupt(format!(
+                "section {tag} claims {len} bytes but only {} remain",
+                d.remaining()
+            ));
         }
         let body = d.take_raw(len)?;
         let computed = crc32(body);
@@ -466,6 +458,95 @@ pub fn latest_snapshot(dir: &Path) -> Result<Option<PathBuf>, SnapshotError> {
 // ---------------------------------------------------------------------------
 // Shared encoding helpers for the engines.
 
+/// A structural decode failure, as the `Err` of whatever is being decoded.
+pub(crate) fn corrupt<T>(what: String) -> Result<T, SnapshotError> {
+    Err(SnapshotError::Corrupt { what })
+}
+
+/// Reads the presence byte of an optional part, which must agree with
+/// whether this run's configuration has that part.
+pub(crate) fn dec_present(d: &mut Dec, expected: bool, what: &str) -> Result<bool, SnapshotError> {
+    match d.u8()? {
+        b @ (0 | 1) if (b == 1) == expected => Ok(expected),
+        b => corrupt(format!(
+            "{what} presence byte {b}, but this configuration has {what}: {expected}"
+        )),
+    }
+}
+
+/// [`Dec::seq`] for element decoders that validate as they go. The
+/// reservation is clamped to the bytes that remain, so an absurd count in
+/// a checksum-valid file runs into the end of the input instead of the
+/// allocator.
+pub(crate) fn dec_seq<T>(
+    d: &mut Dec,
+    mut read: impl FnMut(&mut Dec) -> Result<T, SnapshotError>,
+) -> Result<Vec<T>, SnapshotError> {
+    let n = d.usize()?;
+    let mut out = Vec::with_capacity(n.min(d.remaining()));
+    for _ in 0..n {
+        out.push(read(d)?);
+    }
+    Ok(out)
+}
+
+/// Reads a `usize` that must index into something of length `len`.
+pub(crate) fn dec_index(d: &mut Dec, len: usize, what: &str) -> Result<usize, SnapshotError> {
+    let i = d.usize()?;
+    if i >= len {
+        return corrupt(format!("{what} {i} of {len}"));
+    }
+    Ok(i)
+}
+
+pub(crate) fn dec_time(d: &mut Dec, what: &str) -> Result<f64, SnapshotError> {
+    let t = d.f64()?;
+    if !t.is_finite() {
+        return corrupt(format!("non-finite {what} time"));
+    }
+    Ok(t)
+}
+
+/// A payment status byte: 0 pending, 1 completed, 2 abandoned.
+pub(crate) fn enc_status(e: &mut Enc, status: PaymentStatus) {
+    e.u8(match status {
+        PaymentStatus::Pending => 0,
+        PaymentStatus::Completed => 1,
+        PaymentStatus::Abandoned => 2,
+    });
+}
+
+pub(crate) fn dec_status(d: &mut Dec) -> Result<PaymentStatus, SnapshotError> {
+    match d.u8()? {
+        0 => Ok(PaymentStatus::Pending),
+        1 => Ok(PaymentStatus::Completed),
+        2 => Ok(PaymentStatus::Abandoned),
+        other => corrupt(format!("payment status byte {other}")),
+    }
+}
+
+/// A fault mask: down-cause bytes (length-prefixed), node-down seq of
+/// `bool`, RNG state `u64`, stats json.
+pub(crate) fn enc_fault_state(e: &mut Enc, state: &FaultState) {
+    let snap = state.export_state();
+    e.bytes(&snap.down_causes);
+    e.seq(&snap.node_down, |e, &b| e.bool(b));
+    e.u64(snap.rng_state);
+    enc_json(e, &snap.stats);
+}
+
+/// Restores a mask written by [`enc_fault_state`] into a state freshly
+/// built for the same plan and network.
+pub(crate) fn dec_fault_state(d: &mut Dec, state: &mut FaultState) -> Result<(), SnapshotError> {
+    let snap = FaultStateSnapshot {
+        down_causes: d.bytes()?.to_vec(),
+        node_down: d.seq(|d| d.bool())?,
+        rng_state: d.u64()?,
+        stats: dec_json(d)?,
+    };
+    state.restore_state(snap).or_else(corrupt)
+}
+
 /// JSON-encodes `v` as a length-prefixed string (used for serde types whose
 /// floats are always finite: trace events, audit violations, fault stats).
 pub(crate) fn enc_json<T: Serialize>(e: &mut Enc, v: &T) {
@@ -477,9 +558,7 @@ pub(crate) fn enc_json<T: Serialize>(e: &mut Enc, v: &T) {
 /// Decodes a value encoded by [`enc_json`].
 pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, SnapshotError> {
     let s = d.str()?;
-    serde_json::from_str(&s).map_err(|e| SnapshotError::Corrupt {
-        what: format!("embedded JSON: {e}"),
-    })
+    serde_json::from_str(&s).or_else(|e| corrupt(format!("embedded JSON: {e}")))
 }
 
 /// Encodes an optional telemetry state; `None` (telemetry disabled) encodes
@@ -578,9 +657,7 @@ pub(crate) fn dec_fault_event(d: &mut Dec) -> Result<FaultEvent, SnapshotError> 
         1 => Ok(FaultEvent::ChannelUp(ChannelId(id))),
         2 => Ok(FaultEvent::NodeDown(NodeId(id))),
         3 => Ok(FaultEvent::NodeUp(NodeId(id))),
-        other => Err(SnapshotError::Corrupt {
-            what: format!("fault event tag {other}"),
-        }),
+        other => corrupt(format!("fault event tag {other}")),
     }
 }
 
@@ -595,9 +672,7 @@ pub(crate) fn dec_path(
     let nodes = d.seq(|d| Ok(NodeId(d.u32()?)))?;
     spider_core::Path::new(network, nodes)
         .map(std::sync::Arc::new)
-        .map_err(|e| SnapshotError::Corrupt {
-            what: format!("unit path: {e}"),
-        })
+        .or_else(|e| corrupt(format!("unit path: {e}")))
 }
 
 /// Feeds the shared simulation inputs — network shape and the transaction

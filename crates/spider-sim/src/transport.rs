@@ -21,16 +21,16 @@ use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::CongestionControl;
 use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
-use crate::faults::{
-    Blacklist, FaultEvent, FaultPlan, FaultState, FaultStateSnapshot, FaultView, RetryPolicy,
-};
+use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView, RetryPolicy};
 use crate::ledger::{Ledger, LedgerView};
 use crate::metrics::SimReport;
 use crate::payment::{PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
 use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{self, dec_fault_event, dec_path, enc_fault_event, enc_path};
-use crate::snapshot::{CheckpointSpec, Snapshot, SnapshotError};
+use crate::snapshot::{
+    self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
+    enc_fault_event, enc_path, CheckpointSpec, Snapshot, SnapshotError,
+};
 use spider_core::{
     Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path, PaymentId,
 };
@@ -373,9 +373,7 @@ impl<'a> Transport<'a> {
                     what: format!("telemetry restore: {e}"),
                 })?;
         } else if self.tel.is_enabled() {
-            return Err(SnapshotError::Corrupt {
-                what: "snapshot lacks telemetry state for an enabled handle".to_string(),
-            });
+            return corrupt("snapshot lacks telemetry state for an enabled handle".to_string());
         }
         Ok(snap)
     }
@@ -938,50 +936,6 @@ fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
 // The `SEC_CORE` codec. Any change to it is a format change and must bump
 // `snapshot::FORMAT_VERSION`.
 
-fn corrupt<T>(what: String) -> Result<T, SnapshotError> {
-    Err(SnapshotError::Corrupt { what })
-}
-
-/// Reads the presence byte of an optional part, which must agree with
-/// whether this run's configuration has that part.
-fn dec_present(d: &mut Dec, expected: bool, what: &str) -> Result<bool, SnapshotError> {
-    match d.u8()? {
-        b @ (0 | 1) if (b == 1) == expected => Ok(expected),
-        b => corrupt(format!(
-            "{what} presence byte {b}, but this configuration has {what}: {expected}"
-        )),
-    }
-}
-
-/// [`Dec::seq`] for element decoders that validate as they go.
-fn dec_seq<T>(
-    d: &mut Dec,
-    mut read: impl FnMut(&mut Dec) -> Result<T, SnapshotError>,
-) -> Result<Vec<T>, SnapshotError> {
-    let n = d.usize()?;
-    let mut out = Vec::with_capacity(n.min(d.remaining()));
-    for _ in 0..n {
-        out.push(read(d)?);
-    }
-    Ok(out)
-}
-
-fn dec_index(d: &mut Dec, len: usize, what: &str) -> Result<usize, SnapshotError> {
-    let i = d.usize()?;
-    if i >= len {
-        return corrupt(format!("{what} {i} of {len}"));
-    }
-    Ok(i)
-}
-
-fn dec_time(d: &mut Dec, what: &str) -> Result<f64, SnapshotError> {
-    let t = d.f64()?;
-    if !t.is_finite() {
-        return corrupt(format!("non-finite {what} time"));
-    }
-    Ok(t)
-}
-
 fn enc_event(e: &mut Enc, event: &Event) {
     let (tag, index) = match event {
         Event::Arrival(i) => (0, *i),
@@ -1025,11 +979,7 @@ fn enc_payment(e: &mut Enc, p: &PaymentState) {
     e.f64(p.deadline);
     e.i64(p.delivered.micros());
     e.i64(p.inflight.micros());
-    e.u8(match p.status {
-        PaymentStatus::Pending => 0,
-        PaymentStatus::Completed => 1,
-        PaymentStatus::Abandoned => 2,
-    });
+    snapshot::enc_status(e, p.status);
     e.opt(p.completed_at.map(|t| move |e: &mut Enc| e.f64(t)));
 }
 
@@ -1043,12 +993,7 @@ fn dec_payment(d: &mut Dec) -> Result<PaymentState, SnapshotError> {
         deadline: dec_time(d, "deadline")?,
         delivered: Amount::from_micros(d.i64()?),
         inflight: Amount::from_micros(d.i64()?),
-        status: match d.u8()? {
-            0 => PaymentStatus::Pending,
-            1 => PaymentStatus::Completed,
-            2 => PaymentStatus::Abandoned,
-            other => return corrupt(format!("payment status byte {other}")),
-        },
+        status: snapshot::dec_status(d)?,
         completed_at: d.opt(|d| d.f64())?,
     })
 }
@@ -1173,11 +1118,7 @@ impl Transport<'_> {
         });
         e.opt(self.faults.as_ref().map(|fr| {
             |e: &mut Enc| {
-                let snap = fr.state.export_state();
-                e.bytes(&snap.down_causes);
-                e.seq(&snap.node_down, |e, &b| e.bool(b));
-                e.u64(snap.rng_state);
-                snapshot::enc_json(e, &snap.stats);
+                snapshot::enc_fault_state(e, &fr.state);
                 e.seq(fr.blacklist.slots(), |e, &t| e.f64(t));
                 e.seq(&fr.fail_count, |e, &c| e.u32(c));
                 e.seq(&fr.not_before, |e, &t| e.f64(t));
@@ -1272,25 +1213,14 @@ impl Transport<'_> {
             )))
         })?
         .into();
-        if dec_present(&mut d, self.faults.is_some(), "a fault plan")? {
-            let snap = FaultStateSnapshot {
-                down_causes: d.bytes()?.to_vec(),
-                node_down: d.seq(|d| d.bool())?,
-                rng_state: d.u64()?,
-                stats: snapshot::dec_json(&mut d)?,
-            };
-            let slots = d.seq(|d| d.f64())?;
-            let fail_count = d.seq(|d| d.u32())?;
-            let not_before = d.seq(|d| d.f64())?;
-            if fail_count.len() != num_payments || not_before.len() != num_payments {
+        dec_present(&mut d, self.faults.is_some(), "a fault plan")?;
+        if let Some(fr) = self.faults.as_mut() {
+            snapshot::dec_fault_state(&mut d, &mut fr.state)?;
+            (fr.blacklist.restore_slots(d.seq(|d| d.f64())?)).or_else(corrupt)?;
+            fr.fail_count = d.seq(|d| d.u32())?;
+            fr.not_before = d.seq(|d| d.f64())?;
+            if fr.fail_count.len() != num_payments || fr.not_before.len() != num_payments {
                 return corrupt("retry accounting does not cover every payment".to_string());
-            }
-            if let Some(fr) = self.faults.as_mut() {
-                (fr.state.restore_state(snap))
-                    .and_then(|()| fr.blacklist.restore_slots(slots))
-                    .map_err(|what| SnapshotError::Corrupt { what })?;
-                fr.fail_count = fail_count;
-                fr.not_before = not_before;
             }
         }
         if dec_present(&mut d, self.audit.is_some(), "auditing")? {

@@ -442,8 +442,9 @@ fn sharded_full_features_config(network: &Network, end_time: f64) -> ShardedConf
 #[test]
 fn sharded_full_features_resume_is_byte_identical() {
     // Mid-epoch snapshots carry live queue entries, congestion windows, fee
-    // accrual, and pending rebalance confirmations in SEC_SHARD_EXT; resume
-    // must reproduce the uninterrupted run byte for byte at 1 and 4 shards.
+    // accrual, and pending rebalance confirmations in each shard's blob;
+    // resume must reproduce the uninterrupted run byte for byte at 1 and 4
+    // shards.
     let (network, txs) = isp_scenario(43, 250);
     let cfg = sharded_full_features_config(&network, 15.0);
     for shards in [1usize, 4] {
@@ -458,83 +459,249 @@ fn sharded_full_features_resume_is_byte_identical() {
     }
 }
 
-#[test]
-fn sharded_ext_section_corruption_is_rejected() {
-    use spider::sim::engine_sharded::{resume_sharded, run_sharded_checkpointed};
-    use spider::sim::snapshot::{decode_snapshot, encode_snapshot, SEC_SHARD_EXT};
-    use spider::topology::Partition;
+/// A full-features sharded checkpoint whose `SEC_CORE` section the
+/// corruption tests below replace: the snapshot is re-encoded with the
+/// transformed section and recomputed checksums, so only the structural
+/// validation can object.
+struct ShardedCheckpoint {
+    network: Network,
+    txs: Vec<Transaction>,
+    cfg: ShardedConfig,
+    partition: spider::topology::Partition,
+    dir: TempDir,
+    snap_path: PathBuf,
+    snap: spider::sim::snapshot::Snapshot,
+}
 
-    let (network, txs) = isp_scenario(47, 200);
-    let cfg = sharded_full_features_config(&network, 12.0);
-    let dir = TempDir::new("shard-ext-corrupt");
-    let partition = Partition::build(&network, 4, 7);
-    {
+impl ShardedCheckpoint {
+    fn capture(tag: &str, shards: usize, telemetry: bool) -> Self {
+        use spider::sim::engine_sharded::run_sharded_checkpointed;
+        let (network, txs) = isp_scenario(47, 200);
+        let mut cfg = sharded_full_features_config(&network, 12.0);
+        if telemetry {
+            cfg.telemetry = Telemetry::enabled();
+        }
+        let dir = TempDir::new(tag);
+        let partition = spider::topology::Partition::build(&network, shards, 7);
         let spec = CheckpointSpec::new(40, dir.path());
         run_sharded_checkpointed(&network, &txs, &partition, &cfg, &spec)
             .expect("checkpointed run");
+        // A mid-run snapshot: the last one is taken at the end epoch, when
+        // no message is in flight any more.
+        let files = snapshot_files(dir.path());
+        let snap_path = files[files.len() / 2].clone();
+        let bytes = std::fs::read(&snap_path).expect("read snapshot");
+        let snap = spider::sim::snapshot::decode_snapshot(&bytes).expect("snapshot decodes");
+        ShardedCheckpoint {
+            network,
+            txs,
+            cfg,
+            partition,
+            dir,
+            snap_path,
+            snap,
+        }
     }
-    let snap_path = latest_snapshot(dir.path())
-        .expect("scan dir")
-        .expect("at least one snapshot");
-    let snap = decode_snapshot(&std::fs::read(&snap_path).expect("read snapshot"))
-        .expect("snapshot decodes");
 
-    // Re-encodes the snapshot with a transformed SEC_SHARD_EXT section
-    // (checksums recomputed, so only the structural validation can object)
-    // and asserts resume refuses it.
-    let resume_with_ext = |label: &str, ext: Option<Vec<u8>>| {
-        let mut sections: Vec<(u32, Vec<u8>)> = snap
-            .sections
-            .iter()
-            .filter(|(t, _)| *t != SEC_SHARD_EXT)
+    fn core(&self) -> &[u8] {
+        self.snap
+            .section(spider::sim::snapshot::SEC_CORE)
+            .expect("core section present")
+    }
+
+    fn resume(&self, path: &Path) -> Result<SimReport, SnapshotError> {
+        use spider::sim::engine_sharded::resume_sharded;
+        let mut cfg = self.cfg.clone();
+        if cfg.telemetry.is_enabled() {
+            cfg.telemetry = Telemetry::enabled();
+        }
+        resume_sharded(&self.network, &self.txs, &self.partition, &cfg, path, None)
+    }
+
+    /// The error resume reports for the snapshot with `core` in place of
+    /// its `SEC_CORE` section (`None` drops the section).
+    fn resume_with_core(&self, label: &str, core: Option<Vec<u8>>) -> SnapshotError {
+        use spider::sim::snapshot::{encode_snapshot, SEC_CORE};
+        let snap = &self.snap;
+        let mut sections: Vec<(u32, Vec<u8>)> = (snap.sections.iter())
+            .filter(|(t, _)| *t != SEC_CORE)
             .cloned()
             .collect();
-        if let Some(bytes) = ext {
-            sections.push((SEC_SHARD_EXT, bytes));
+        if let Some(bytes) = core {
+            sections.push((SEC_CORE, bytes));
         }
         let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
-        let path = dir.path().join(format!("tampered-{label}.spsn"));
+        let path = self.dir.path().join(format!("tampered-{label}.spsn"));
         std::fs::write(&path, bytes).expect("write tampered snapshot");
-        resume_sharded(&network, &txs, &partition, &cfg, &path, None)
+        self.resume(&path)
             .err()
-            .unwrap_or_else(|| panic!("{label}: tampered SEC_SHARD_EXT was accepted"))
-    };
+            .unwrap_or_else(|| panic!("{label}: tampered SEC_CORE was accepted"))
+    }
+}
 
-    let ext = snap.section(SEC_SHARD_EXT).expect("ext section present");
+#[test]
+fn sharded_core_section_corruption_is_rejected() {
+    let ckpt = ShardedCheckpoint::capture("shard-core-corrupt", 4, false);
+    let core = ckpt.core();
 
-    // Dropping the section entirely: queues/fees/windows would be lost.
-    match resume_with_ext("missing", None) {
+    // Dropping the section entirely: there is no shard state to resume.
+    match ckpt.resume_with_core("missing", None) {
         SnapshotError::MissingSection { .. } => {}
         other => panic!("expected MissingSection, got {other:?}"),
     }
 
     // Truncations at a spread of offsets must all be caught structurally.
-    for cut in [0, 2, ext.len() / 2, ext.len() - 1] {
-        match resume_with_ext(&format!("trunc-{cut}"), Some(ext[..cut].to_vec())) {
+    for cut in [0, 2, core.len() / 2, core.len() - 1] {
+        match ckpt.resume_with_core(&format!("trunc-{cut}"), Some(core[..cut].to_vec())) {
             SnapshotError::Corrupt { .. } => {}
             other => panic!("trunc-{cut}: expected Corrupt, got {other:?}"),
         }
     }
 
-    // Wrong shard count in the ext header: blob/partition disagreement.
-    let mut bad_count = ext.to_vec();
-    bad_count[0] ^= 0xFF;
-    match resume_with_ext("shard-count", Some(bad_count)) {
+    // Wrong shard count (the u32 after the u64 epoch): blob/partition
+    // disagreement.
+    let mut bad_count = core.to_vec();
+    bad_count[8] ^= 0xFF;
+    match ckpt.resume_with_core("shard-count", Some(bad_count)) {
         SnapshotError::Corrupt { .. } => {}
         other => panic!("shard-count: expected Corrupt, got {other:?}"),
     }
 
-    // Trailing garbage after a well-formed blob must also be refused.
-    let mut padded = ext.to_vec();
+    // Trailing garbage after the last well-formed blob must also be refused.
+    let mut padded = core.to_vec();
     padded.extend_from_slice(&[0xAB; 7]);
-    match resume_with_ext("padded", Some(padded)) {
+    match ckpt.resume_with_core("padded", Some(padded)) {
         SnapshotError::Corrupt { .. } => {}
         other => panic!("padded: expected Corrupt, got {other:?}"),
     }
 
     // The untampered snapshot still resumes: the harness itself is sound.
-    resume_sharded(&network, &txs, &partition, &cfg, &snap_path, None)
+    ckpt.resume(&ckpt.snap_path)
         .expect("pristine snapshot resumes");
+}
+
+/// Walks one shard blob by the layout documented on `ShardCtx::encode`
+/// (full-features config: auditing on, no fault plan, telemetry on, fees,
+/// queued policy) and returns the blob offset of every `u64` that an absurd
+/// value must get refused: element counts, and ids that are looked up.
+fn shard_blob_count_offsets(blob: &[u8]) -> Vec<(&'static str, usize)> {
+    use spider::core::Dec;
+    fn skip_unit(d: &mut Dec) {
+        d.take_raw(8 + 4 + 8).expect("unit head");
+        let nodes = d.usize().expect("path length");
+        d.take_raw(4 * nodes + 8).expect("path and deadline");
+    }
+    type Offsets = Vec<(&'static str, usize)>;
+    fn count(counts: &mut Offsets, label: &'static str, d: &mut Dec) -> usize {
+        counts.push((label, d.offset()));
+        d.usize().expect(label)
+    }
+    let mut counts = Offsets::new();
+    let mut d = Dec::new(blob);
+
+    let channels = d.usize().expect("channel count");
+    d.take_raw(channels * 6 * 8).expect("ledger");
+    assert_eq!(d.u8(), Ok(1), "audit state present");
+    d.str().expect("audit json");
+    assert_eq!(d.u8(), Ok(0), "no fault plan");
+    d.usize().expect("plan cursor");
+    for _ in 0..count(&mut counts, "message buckets", &mut d) {
+        d.u64().expect("fire epoch");
+        for _ in 0..count(&mut counts, "bucket messages", &mut d) {
+            let unit_at = d.offset();
+            skip_unit(&mut d);
+            match d.u8().expect("body tag") {
+                0..=2 => d.take_raw(8).map(drop),
+                tag => {
+                    // Not a count, but the same kind of hazard: the owner
+                    // looks this payment id up in its own slab.
+                    counts.push(("outcome message payment id", unit_at));
+                    d.take_raw(if tag == 3 { 0 } else { 8 + 1 }).map(drop)
+                }
+            }
+            .expect("body arguments");
+        }
+    }
+    for _ in 0..count(&mut counts, "payments", &mut d) {
+        d.take_raw(8 + 8 + 8 + 1).expect("payment head");
+        d.opt(|d| d.f64()).expect("delay");
+        d.u32().expect("next seq");
+        let blacklisted = count(&mut counts, "blacklist", &mut d);
+        d.take_raw(blacklisted * 16 + 4 + 8 + 8 + 4)
+            .expect("payment tail");
+    }
+    let pending = count(&mut counts, "pending list", &mut d);
+    d.take_raw(pending * 8 + 8).expect("pending and cursor");
+    assert_eq!(d.u8(), Ok(1), "telemetry present");
+    let keys = count(&mut counts, "trace keys", &mut d);
+    d.take_raw(keys * 25).expect("trace keys");
+    d.str().expect("trace events json");
+    for _ in 0..count(&mut counts, "samples", &mut d) {
+        d.take_raw(8 + 4).expect("sample head");
+        let channels = count(&mut counts, "sample channels", &mut d);
+        d.take_raw(channels * 32).expect("sample channels");
+    }
+    let series = count(&mut counts, "series", &mut d);
+    d.take_raw(series * 40 + 4 * 8).expect("series and totals");
+    d.str().expect("violations json");
+    d.str().expect("fault stats json");
+    d.take_raw(7 * 8).expect("work counters");
+    if d.u8() == Ok(1) {
+        d.bytes().expect("scheme state");
+    }
+    assert_eq!(d.u8(), Ok(1), "fee accrual present");
+    d.i64().expect("fee micros");
+    assert_eq!(d.u8(), Ok(1), "router queues present");
+    for _ in 0..count(&mut counts, "router queues", &mut d) {
+        d.take_raw(8 + 1).expect("queue key");
+        for _ in 0..count(&mut counts, "queue entries", &mut d) {
+            skip_unit(&mut d);
+            d.take_raw(8 + 8).expect("hop and enqueue epoch");
+        }
+    }
+    assert_eq!(d.u8(), Ok(1), "rebalancing present");
+    let applies = count(&mut counts, "rebalance schedule", &mut d);
+    d.take_raw(applies * 16 + 3 * 8).expect("rebalance totals");
+    d.expect_end().expect("blob fully walked");
+    counts
+}
+
+#[test]
+fn sharded_snapshot_with_absurd_counts_is_rejected() {
+    // A checksum-valid file can still claim 2^56 - 1 elements anywhere a
+    // count is stored. Each one must run the decoder into the end of the
+    // input — a structured error — not into the allocator.
+    let ckpt = ShardedCheckpoint::capture("shard-absurd-counts", 2, true);
+    let core = ckpt.core();
+    let mut d = spider::core::Dec::new(core);
+    d.take_raw(8 + 4).expect("epoch and shard count");
+
+    let mut seen = std::collections::BTreeSet::new();
+    for shard in 0..2 {
+        let blob = d.bytes().expect("shard blob");
+        let blob_start = d.offset() - blob.len();
+        for (label, offset) in shard_blob_count_offsets(blob) {
+            seen.insert(label);
+            let at = blob_start + offset;
+            let mut tampered = core.to_vec();
+            tampered[at..at + 8].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
+            match ckpt.resume_with_core(&format!("{shard}-{offset}"), Some(tampered)) {
+                SnapshotError::Corrupt { .. } => {}
+                other => panic!("shard {shard} {label}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+    // The counts the old decoder reserved for before reading any element.
+    for label in [
+        "bucket messages",
+        "payments",
+        "trace keys",
+        "samples",
+        "queue entries",
+        "outcome message payment id",
+    ] {
+        assert!(seen.contains(label), "no {label} count in the snapshot");
+    }
 }
 
 #[test]
@@ -686,9 +853,9 @@ fn damaged_snapshots_are_rejected_not_panicked() {
         let _ = try_resume(&flipped, &format!("flip-{pos}"));
     }
 
-    // Any other format version, future or stale: a v2 file must not be
-    // parsed with the current layout.
-    for version in [0xFF, 2] {
+    // Any other format version, future or stale: a v2 or v3 file must not
+    // be parsed with the current layout.
+    for version in [0xFF, 2, 3] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {

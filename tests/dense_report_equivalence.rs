@@ -22,10 +22,17 @@
 //! engine cannot reproduce that, and
 //! `outage_after_settlement_leaves_settled_units_alone` in `engine.rs` pins
 //! the corrected behaviour directly.
+//!
+//! `tests/fixtures/sharded_pre_pr.json` pins the sharded engine the same
+//! way, recorded on the unmodified commit before its run state, snapshot
+//! codec and mirror structs were folded into one `ShardCtx`: four
+//! feature-heavy `run_sharded` scenarios at 1 and 4 shards each, whose
+//! reports must match field by field and whose merged traces (a total
+//! order, unlike the sequential engines') must match byte for byte.
 
 use serde_json::Value;
 use spider::prelude::*;
-use spider::sim::{FaultConfig, FaultPlan, QueuePolicy};
+use spider::sim::{FaultConfig, FaultPlan, QueuePolicy, ShardPolicy};
 use spider_bench::{fig6, ExperimentConfig};
 
 fn fixture_config() -> ExperimentConfig {
@@ -105,30 +112,65 @@ fn fig6_reports_match_pre_refactor_fixture_field_by_field() {
     );
 }
 
-/// The pinned sequential-engine scenarios, one JSON object each: `name`,
-/// the `report`, and the count and CRC-32 of the trace's JSONL lines after
-/// sorting (so traces compare as a multiset of records, not by order).
-///
-/// Must match the capture code used to record `seq_engines_pre_pr.json`:
-/// ISP-32, 1k payments over 15 s, seed 7, telemetry on.
-fn seq_engine_cases() -> Vec<Value> {
+/// The workload every pinned engine scenario runs: ISP-32, 1k payments
+/// over 15 s, seed 7. Must match the capture code used to record the
+/// `*_engines_pre_pr.json` / `sharded_pre_pr.json` fixtures.
+fn pinned_workload() -> (Network, Vec<Transaction>) {
     let network = spider::topology::isp_topology(Amount::from_whole(300));
     let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 1_000, 15.0);
     trace_cfg.seed = 7;
     let txs = spider::workload::generate(&trace_cfg, &spider::workload::isp_sizes());
+    (network, txs)
+}
+
+/// One pinned case as a JSON object: `name`, the `report`, and the count
+/// and CRC-32 of the given trace JSONL lines.
+fn pinned_case(name: &str, report: Value, crc_field: &str, lines: &[&str]) -> Value {
+    let crc = spider::core::crc32(lines.join("\n").as_bytes());
+    Value::Object(vec![
+        ("name".to_string(), Value::Str(name.to_string())),
+        ("report".to_string(), report),
+        ("trace_lines".to_string(), Value::I64(lines.len() as i64)),
+        (crc_field.to_string(), Value::I64(i64::from(crc))),
+    ])
+}
+
+fn fault_plan(scenario: &str, network: &Network, end: f64) -> Option<FaultPlan> {
+    let cfg = FaultConfig::scenario(scenario).expect("scenario exists");
+    Some(FaultPlan::from_config(&cfg, network, end))
+}
+
+/// Diffs freshly run cases against the fixture `file`, field by field.
+fn assert_cases_match_fixture(file: &str, cases: &[Value]) {
+    let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
+    let fixture_text = std::fs::read_to_string(path).expect("fixture exists");
+    let pre: Vec<Value> = serde_json::from_str(&fixture_text).expect("fixture parses");
+    assert_eq!(pre.len(), cases.len(), "{file}: case count changed");
+
+    let mut diffs = Vec::new();
+    for (i, (pinned, case)) in pre.iter().zip(cases).enumerate() {
+        diff_json(&format!("case[{i}]"), pinned, case, &mut diffs);
+    }
+    assert!(
+        diffs.is_empty(),
+        "the engine diverged from {file} on {} field(s):\n{}",
+        diffs.len(),
+        diffs.join("\n")
+    );
+}
+
+/// The pinned sequential-engine scenarios: the trace's JSONL lines are
+/// sorted before the CRC (so traces compare as a multiset of records, not
+/// by order). Telemetry on.
+fn seq_engine_cases() -> Vec<Value> {
+    let (network, txs) = pinned_workload();
     let end = 20.0;
 
     let case = |name: &str, tel: &Telemetry, report: Value| {
         let jsonl = tel.trace_jsonl();
         let mut lines: Vec<&str> = jsonl.lines().collect();
         lines.sort_unstable();
-        let crc = spider::core::crc32(lines.join("\n").as_bytes());
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(name.to_string())),
-            ("report".to_string(), report),
-            ("trace_lines".to_string(), Value::I64(lines.len() as i64)),
-            ("sorted_trace_crc".to_string(), Value::I64(i64::from(crc))),
-        ])
+        pinned_case(name, report, "sorted_trace_crc", &lines)
     };
     let source = |name, tweak: &dyn Fn(&mut SimConfig)| {
         let tel = Telemetry::enabled();
@@ -152,10 +194,7 @@ fn seq_engine_cases() -> Vec<Value> {
         let out = run_queued(&network, &txs, &cfg);
         case(name, &tel, serde_json::to_value(&out).expect("serializes"))
     };
-    let plan = |scenario: &str| {
-        let cfg = FaultConfig::scenario(scenario).expect("scenario exists");
-        Some(FaultPlan::from_config(&cfg, &network, end))
-    };
+    let plan = |scenario: &str| fault_plan(scenario, &network, end);
 
     vec![
         source("run-fees-congestion-rebalance", &|cfg| {
@@ -181,25 +220,74 @@ fn seq_engine_cases() -> Vec<Value> {
 
 #[test]
 fn sequential_engine_runs_match_pre_fold_fixture() {
-    let fixture_text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/seq_engines_pre_pr.json"
-    ))
-    .expect("fixture exists");
-    let pre: Vec<Value> = serde_json::from_str(&fixture_text).expect("fixture parses");
-    let cases = seq_engine_cases();
-    assert_eq!(pre.len(), cases.len(), "case count changed");
+    assert_cases_match_fixture("seq_engines_pre_pr.json", &seq_engine_cases());
+}
 
-    let mut diffs = Vec::new();
-    for (i, (pinned, case)) in pre.iter().zip(&cases).enumerate() {
-        diff_json(&format!("case[{i}]"), pinned, case, &mut diffs);
+/// The pinned sharded-engine scenarios, each at 1 and 4 shards with series,
+/// auditing and telemetry on. The merged trace is a total order, so its
+/// JSONL is hashed as emitted.
+fn sharded_engine_cases() -> Vec<Value> {
+    let (network, txs) = pinned_workload();
+    let end = 20.0;
+    let full_features = |cfg: &mut ShardedConfig| {
+        cfg.policy = ShardPolicy::Queued;
+        cfg.queue_policy = QueuePolicy::EarliestDeadline;
+        cfg.fees = Some(spider::routing::FeeSchedule::uniform(
+            &network,
+            Amount::from_micros(10),
+            1_000,
+        ));
+        cfg.congestion = Some(spider::sim::CongestionConfig::default());
+        cfg.rebalance = Some(spider::sim::RebalancePolicy {
+            confirmation_delay: 2.0,
+            ..spider::sim::RebalancePolicy::aggressive()
+        });
+    };
+    type Tweak<'a> = &'a dyn Fn(&mut ShardedConfig);
+    let scenarios: [(&str, Tweak); 4] = [
+        ("direct-waterfilling", &|_| {}),
+        ("direct-shortest-stress-retries", &|cfg| {
+            cfg.scheme = ShardScheme::ShortestPath;
+            cfg.faults = fault_plan("stress", &network, end);
+        }),
+        ("queued-edf-fees-congestion-rebalance", &full_features),
+        ("queued-edf-full-outages", &|cfg| {
+            full_features(cfg);
+            cfg.faults = fault_plan("outages", &network, end);
+        }),
+    ];
+
+    let mut cases = Vec::new();
+    for (name, tweak) in scenarios {
+        for shards in [1usize, 4] {
+            let partition = if shards == 1 {
+                Partition::single(&network)
+            } else {
+                Partition::build(&network, shards, 7)
+            };
+            let tel = Telemetry::enabled();
+            let mut cfg = ShardedConfig::new(end);
+            cfg.record_series = true;
+            cfg.audit = true;
+            cfg.telemetry = tel.clone();
+            tweak(&mut cfg);
+            let report = run_sharded(&network, &txs, &partition, &cfg);
+            let jsonl = tel.trace_jsonl();
+            let lines: Vec<&str> = jsonl.lines().collect();
+            cases.push(pinned_case(
+                &format!("{name}-{shards}"),
+                serde_json::to_value(&report).expect("serializes"),
+                "trace_crc",
+                &lines,
+            ));
+        }
     }
-    assert!(
-        diffs.is_empty(),
-        "the folded engine diverged from the pre-fold build on {} field(s):\n{}",
-        diffs.len(),
-        diffs.join("\n")
-    );
+    cases
+}
+
+#[test]
+fn sharded_engine_runs_match_pre_pr_fixture() {
+    assert_cases_match_fixture("sharded_pre_pr.json", &sharded_engine_cases());
 }
 
 /// The same scenario run twice in-process stays identical — the dense
