@@ -47,30 +47,25 @@
 //! per-phase profile breakdowns instead.
 //! `spider-experiments trace-convert IN OUT` converts losslessly between
 //! the two formats (direction from the output extension).
-//! `bench --profile` attaches a per-phase wall-clock breakdown to the
-//! report's `timing` section; the stripped deterministic section is
-//! byte-identical with or without it.
 //!
 //! Checkpoint & resume: `fig6 --scheme NAME --checkpoint-dir DIR
 //! [--checkpoint-every N]` writes a crash-safe snapshot every N scheduler
 //! ticks; `resume SNAPSHOT --scheme NAME ...` (a `.spsn` file, or the
 //! checkpoint directory for the latest valid snapshot) carries the run to
 //! completion with report/JSON/trace outputs byte-identical to an
-//! uninterrupted run. Corrupt, truncated, or mismatched snapshots exit
-//! with status 1 and a structured error on stderr.
+//! uninterrupted run. Corrupt, truncated, or mismatched snapshots — like
+//! an unwritable `--json` or `--trace-out` path — exit with status 1 and a
+//! structured error on stderr.
 
 use spider_bench::{
     ablation_extensions, ablation_mtu, ablation_num_paths, ablation_path_strategy,
-    ablation_scheduler, bench_matrix, extension_schemes, fig4_fig5, fig6, fig6_traced, fig7,
-    jobs_from_env, rebalancing_curve, resume_scheme, run_bench_profiled, run_grid, run_grid_traced,
-    run_scheme, run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme_featured,
-    scheme_choice_by_name, Ablation, BenchFloor, ExperimentConfig, GridConfig, SchemeChoice,
-    ShardFeatures,
+    ablation_scheduler, extension_schemes, fig4_fig5, fig6, fig6_traced, fig7, jobs_from_env,
+    rebalancing_curve, resume_scheme, run_grid, run_grid_traced, run_scheme,
+    run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme, scheme_choice_by_name,
+    Ablation, ExperimentConfig, GridConfig, SchemeChoice, ShardFeatures,
 };
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
-use spider_telemetry::spans::render_wall_breakdown;
 use spider_telemetry::{bintrace, Telemetry, TraceEvent, TraceQuery};
-use std::io::Write;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -88,6 +83,9 @@ fn main() {
     };
     let json_path = flag_value(&args, "--json");
     let trace_out = flag_value(&args, "--trace-out");
+    if let Some(dir) = &trace_out {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("cannot create {dir}: {e}")));
+    }
     let telemetry = has_flag(&args, "--telemetry") || trace_out.is_some();
     let format = match flag_value(&args, "--trace-format").as_deref() {
         None | Some("jsonl") => TraceFormat::Jsonl,
@@ -147,7 +145,6 @@ fn main() {
             format,
             &mut out,
         ),
-        "bench" => run_bench_command(&args),
         "sharded" => run_sharded_command(
             &args,
             full,
@@ -236,13 +233,13 @@ fn write_trace(dir: &str, stem: &str, format: TraceFormat, events: &[TraceEvent]
         TraceFormat::Jsonl => spider_telemetry::events_to_jsonl(events).into_bytes(),
         TraceFormat::Bin => bintrace::encode(events),
     };
-    std::fs::write(&path, bytes).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    write_file(&path, &bytes);
     path
 }
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: spider-experiments <fig4|fig6|fig7|rebalancing|ablations|grid|bench|sharded|all|\
+        "usage: spider-experiments <fig4|fig6|fig7|rebalancing|ablations|grid|sharded|all|\
          resume SNAPSHOT|trace-check DIR|inspect FILE|trace-convert IN OUT> \
          [--topology isp|ripple] [--full] [--seed N] [--json PATH] \
          [--telemetry] [--trace-out DIR] [--trace-format jsonl|bin] \
@@ -252,7 +249,6 @@ fn usage_and_exit() -> ! {
          resume: SNAPSHOT is a .spsn file or a checkpoint dir (latest valid \
          snapshot); pass the same --topology/--scheme/--seed/--full as the \
          checkpointing run\n\
-         bench flags: [--smoke] [--repeats N] [--jobs N] [--out DIR] [--floor FILE.json] [--only SUBSTR] [--profile]\n\
          sharded flags: [--shards N] [--scheme shortest|waterfilling] [--audit] \
          [--policy direct|queued] [--fees] [--congestion] [--rebalance]\n\
          inspect flags: [--channel N] [--node N] [--payment N] [--kind K] [--from T] [--to T] \
@@ -339,10 +335,8 @@ impl JsonSink {
     fn finish(self) {
         if let Some(path) = self.path {
             let map: serde_json::Map<String, serde_json::Value> = self.values.into_iter().collect();
-            let mut file = std::fs::File::create(&path)
-                .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-            file.write_all(serde_json::to_string_pretty(&map).unwrap().as_bytes())
-                .expect("write json");
+            let text = serde_json::to_string_pretty(&map).expect("results serialize");
+            write_file(&path, text.as_bytes());
             println!("\nwrote {path}");
         }
     }
@@ -452,7 +446,6 @@ fn run_fig6(
     } else if telemetry {
         let traced = fig6_traced(&cfg);
         if let Some(dir) = trace_out {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
             for (report, tel) in &traced {
                 let stem = format!("fig6-{topology}-{}", report.scheme);
                 write_trace(dir, &stem, format, &tel.events());
@@ -487,6 +480,17 @@ fn snapshot_fail(e: &spider_sim::SnapshotError) -> ! {
     std::process::exit(1);
 }
 
+/// Reports a failed run or an unwritable output path on stderr and exits
+/// with status 1 — an error, never a panic.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
+fn write_file(path: &str, bytes: &[u8]) {
+    std::fs::write(path, bytes).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+}
+
 /// Writes the single-scheme fig6 trace file (same stem as the all-schemes
 /// run, so resumed and uninterrupted outputs stay byte-comparable).
 fn write_fig6_trace(
@@ -497,7 +501,6 @@ fn write_fig6_trace(
     format: TraceFormat,
 ) {
     if let Some(dir) = trace_out {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
         let stem = format!("fig6-{topology}-{}", report.scheme);
         let path = write_trace(dir, &stem, format, &tel.events());
         println!("wrote trace to {path}");
@@ -762,28 +765,23 @@ fn run_grid_command(
     let t0 = std::time::Instant::now();
     let result = if let Some(dir) = trace_out {
         let (result, traces) =
-            run_grid_traced(&grid, jobs).unwrap_or_else(|e| panic!("grid run failed: {e}"));
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
+            run_grid_traced(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")));
         for (i, trace) in traces.iter().enumerate() {
+            let path = format!("{dir}/cell-{i:04}.{}", format.ext());
             match format {
-                TraceFormat::Jsonl => {
-                    let path = format!("{dir}/cell-{i:04}.jsonl");
-                    std::fs::write(&path, trace)
-                        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-                }
+                TraceFormat::Jsonl => write_file(&path, trace.as_bytes()),
                 TraceFormat::Bin => {
-                    let path = format!("{dir}/cell-{i:04}.bin");
-                    let bytes = bintrace::jsonl_to_bintrace(trace)
-                        .unwrap_or_else(|(line, e)| panic!("cell {i} trace line {line}: {e}"));
-                    std::fs::write(&path, bytes)
-                        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+                    let bytes = bintrace::jsonl_to_bintrace(trace).unwrap_or_else(|(line, e)| {
+                        fail(&format!("cell {i} trace line {line}: {e}"))
+                    });
+                    write_file(&path, &bytes);
                 }
             }
         }
         println!("wrote {} per-cell trace files to {dir}", traces.len());
         result
     } else {
-        run_grid(&grid, jobs).unwrap_or_else(|e| panic!("grid run failed: {e}"))
+        run_grid(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")))
     };
     let has_rates = result.summaries.iter().any(|s| s.outage_rate.is_some());
     println!(
@@ -828,92 +826,6 @@ fn run_grid_command(
     }
     out.record("grid", &result);
     println!();
-}
-
-/// `bench [--smoke] [--repeats N] [--jobs N] [--out DIR] [--floor FILE]
-/// [--profile]`: runs the fixed benchmark matrix with a median-of-N
-/// protocol and writes `BENCH_smoke.json` / `BENCH_full.json`. The report's
-/// `results` section is byte-identical across runs, `--jobs` values, and
-/// `--profile`; only `timing` varies. `--profile` attaches a per-phase
-/// wall-clock breakdown to each scenario's timing and prints it. With
-/// `--floor`, exits non-zero if any listed scenario's events/sec drops
-/// more than 30% below its checked-in floor.
-fn run_bench_command(args: &[String]) {
-    let smoke = has_flag(args, "--smoke");
-    let profile = has_flag(args, "--profile");
-    let name = if smoke { "smoke" } else { "full" };
-    let repeats: usize = match flag_value(args, "--repeats") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--repeats expects an integer, got `{v}`");
-            usage_and_exit();
-        }),
-        None => 3,
-    };
-    let jobs = match flag_value(args, "--jobs") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects an integer, got `{v}`");
-            usage_and_exit();
-        }),
-        None => jobs_from_env(),
-    };
-    let out_dir = flag_value(args, "--out").unwrap_or_else(|| ".".into());
-    let mut matrix = bench_matrix(smoke);
-    if let Some(filter) = flag_value(args, "--only") {
-        matrix.retain(|s| s.name.contains(&filter));
-        if matrix.is_empty() {
-            eprintln!("--only `{filter}` matches no scenario in the {name} matrix");
-            std::process::exit(2);
-        }
-    }
-    println!(
-        "=== Bench ({name}): {} scenarios, median of {repeats}, {jobs} worker(s) ===",
-        matrix.len()
-    );
-    let report = run_bench_profiled(&matrix, name, repeats, jobs, profile);
-    println!(
-        "{:<36} {:>12} {:>10} {:>10} {:>12} {:>12}",
-        "scenario", "events", "success", "wall_ms", "events/sec", ""
-    );
-    for (r, t) in report.results.iter().zip(&report.timing.scenarios) {
-        println!(
-            "{:<36} {:>12} {:>10.3} {:>10.1} {:>12.0}",
-            r.name, r.events, r.success_ratio, t.median_wall_ms, t.events_per_sec
-        );
-    }
-    if profile {
-        for t in &report.timing.scenarios {
-            if t.phases.is_empty() {
-                continue;
-            }
-            println!("\nphase breakdown: {}", t.name);
-            print!("{}", render_wall_breakdown(&t.phases));
-        }
-    }
-    println!("({:.1}s total)", report.timing.total_wall_ms / 1e3);
-    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| panic!("cannot create {out_dir}: {e}"));
-    let path = format!("{out_dir}/BENCH_{name}.json");
-    std::fs::write(&path, report.to_json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
-    if let Some(floor_path) = flag_value(args, "--floor") {
-        let text = std::fs::read_to_string(&floor_path).unwrap_or_else(|e| {
-            eprintln!("--floor: cannot read {floor_path}: {e}");
-            std::process::exit(2);
-        });
-        let floor = BenchFloor::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("--floor: {floor_path}: {e}");
-            std::process::exit(2);
-        });
-        match floor.check(&report) {
-            Ok(()) => println!(
-                "floor check OK ({} scenario(s))",
-                floor.events_per_sec.len()
-            ),
-            Err(e) => {
-                eprintln!("FLOOR REGRESSION: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// `sharded [--shards N] [--scheme shortest|waterfilling] [--audit]
@@ -989,7 +901,7 @@ fn run_sharded_command(
         Telemetry::disabled()
     };
     let t0 = std::time::Instant::now();
-    let report = run_sharded_scheme_featured(&cfg, scheme, shards, &tel, audit, features);
+    let report = run_sharded_scheme(&cfg, scheme, shards, &tel, audit, features);
     print_fig6_table(std::slice::from_ref(&report));
     println!(
         "audit checks {} violations {} ({:.1}s)",
@@ -1011,7 +923,6 @@ fn run_sharded_command(
         }
     }
     if let Some(dir) = trace_out {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
         let path = write_trace(dir, &format!("sharded-{topology}"), format, &tel.events());
         println!("wrote {path}");
     }
@@ -1132,9 +1043,8 @@ fn run_trace_check(dir: &str) {
 /// prints the matches plus a top-K hot-channels / hot-nodes report.
 /// Binary traces answer through the per-block index (the block-skip stats
 /// are printed); JSONL traces fall back to a full scan, so the two paths
-/// are directly comparable. A `.json` report written by `--json` or
-/// `bench --profile` prints its embedded per-phase profile breakdowns
-/// instead.
+/// are directly comparable. A `.json` report written by `--json` prints
+/// its embedded per-phase profile breakdowns instead.
 fn run_inspect(file: &str, args: &[String]) {
     fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
         flag_value(args, flag).map(|v| {
@@ -1249,12 +1159,10 @@ fn print_hot(label: &str, top: usize, ids: impl Iterator<Item = u64>) {
 }
 
 /// Inspect mode for `.json` reports: finds every embedded `phases` array
-/// (deterministic [`PhaseProfile`]s from `TelemetrySummary`, wall-clock
-/// [`PhaseWallStat`]s from `bench --profile` timing) and renders each as a
-/// breakdown table.
+/// (the deterministic [`PhaseProfile`]s of a `TelemetrySummary`) and
+/// renders each as a breakdown table.
 ///
 /// [`PhaseProfile`]: spider_telemetry::PhaseProfile
-/// [`PhaseWallStat`]: spider_telemetry::PhaseWallStat
 fn inspect_report(file: &str, bytes: &[u8]) {
     let text = std::str::from_utf8(bytes).unwrap_or_else(|e| {
         eprintln!("inspect: {file} is not UTF-8: {e}");
@@ -1269,7 +1177,7 @@ fn inspect_report(file: &str, bytes: &[u8]) {
     if found == 0 {
         println!(
             "{file}: no phase breakdowns found \
-             (profiles appear under `--telemetry` summaries and `bench --profile` timing)"
+             (profiles appear in the telemetry summary of a `Telemetry::profiled()` run)"
         );
     }
 }
@@ -1320,9 +1228,6 @@ fn phase_rows(value: &serde_json::Value) -> Option<String> {
         if let Some(items_n) = item.get_field("items").and_then(Value::as_i64) {
             out.push_str(&format!(" items={items_n:<10}"));
         }
-        if let Some(wall) = item.get_field("wall_ms").and_then(Value::as_f64) {
-            out.push_str(&format!(" wall_ms={wall:.3}"));
-        }
         if let (Some(a), Some(b)) = (
             item.get_field("sim_first").and_then(Value::as_f64),
             item.get_field("sim_last").and_then(Value::as_f64),
@@ -1366,10 +1271,7 @@ fn run_trace_convert(input: &str, output: &str) {
     } else {
         spider_telemetry::events_to_jsonl(&events).into_bytes()
     };
-    std::fs::write(output, &out_bytes).unwrap_or_else(|e| {
-        eprintln!("trace-convert: cannot write {output}: {e}");
-        std::process::exit(1);
-    });
+    write_file(output, &out_bytes);
     println!(
         "trace-convert: {input} -> {output} ({} events, {} bytes)",
         events.len(),

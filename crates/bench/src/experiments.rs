@@ -188,49 +188,6 @@ impl ExperimentConfig {
     }
 }
 
-/// The sharded-engine scheme corresponding to a [`SchemeChoice`], for the
-/// schemes the partition-parallel engine supports.
-pub fn sharded_scheme_for(choice: SchemeChoice) -> Option<ShardScheme> {
-    match choice {
-        SchemeChoice::ShortestPath => Some(ShardScheme::ShortestPath),
-        SchemeChoice::SpiderWaterfilling => Some(ShardScheme::Waterfilling),
-        _ => None,
-    }
-}
-
-/// Runs one experiment on the partition-parallel engine: same topology and
-/// trace as [`run_scheme`], split over `shards` threads by a deterministic
-/// [`Partition`] seeded from the experiment seed. The report (and trace,
-/// when `telemetry` is enabled) is byte-identical for any `shards` value.
-pub fn run_sharded_scheme(
-    config: &ExperimentConfig,
-    scheme: ShardScheme,
-    shards: usize,
-    telemetry: &Telemetry,
-) -> SimReport {
-    run_sharded_scheme_audited(config, scheme, shards, telemetry, false)
-}
-
-/// [`run_sharded_scheme`] with the per-epoch ledger auditor switchable on
-/// (every shard checks its own ledger copy each epoch; violations surface
-/// in the report).
-pub fn run_sharded_scheme_audited(
-    config: &ExperimentConfig,
-    scheme: ShardScheme,
-    shards: usize,
-    telemetry: &Telemetry,
-    audit: bool,
-) -> SimReport {
-    run_sharded_scheme_featured(
-        config,
-        scheme,
-        shards,
-        telemetry,
-        audit,
-        ShardFeatures::NONE,
-    )
-}
-
 /// Sequential-engine features to switch on for a sharded experiment run
 /// (the feature-parity surface: router queues, fees, congestion control,
 /// rebalancing). All off by default.
@@ -247,22 +204,6 @@ pub struct ShardFeatures {
 }
 
 impl ShardFeatures {
-    /// Everything off — the PR 6 baseline surface.
-    pub const NONE: ShardFeatures = ShardFeatures {
-        queued: false,
-        fees: false,
-        congestion: false,
-        rebalance: false,
-    };
-
-    /// Everything on.
-    pub const ALL: ShardFeatures = ShardFeatures {
-        queued: true,
-        fees: true,
-        congestion: true,
-        rebalance: true,
-    };
-
     /// Applies the enabled features to a sharded config.
     pub fn apply(&self, cfg: &mut ShardedConfig, network: &Network) {
         if self.queued {
@@ -284,10 +225,13 @@ impl ShardFeatures {
     }
 }
 
-/// [`run_sharded_scheme_audited`] with a [`ShardFeatures`] selection — the
-/// full feature-parity surface of the partition-parallel engine. Reports
-/// and traces stay byte-identical across shard counts for any selection.
-pub fn run_sharded_scheme_featured(
+/// Runs one experiment on the partition-parallel engine: same topology and
+/// trace as [`run_scheme`], split over `shards` threads by a deterministic
+/// [`Partition`] seeded from the experiment seed, with the per-epoch ledger
+/// auditor switchable on (violations surface in the report) and a
+/// [`ShardFeatures`] selection. The report (and trace, when `telemetry` is
+/// enabled) is byte-identical for any `shards` value and any selection.
+pub fn run_sharded_scheme(
     config: &ExperimentConfig,
     scheme: ShardScheme,
     shards: usize,

@@ -4,27 +4,22 @@
 //! [`runner`] module fans experiment grids out over worker threads with
 //! per-cell derived seeds and deterministic aggregation; the
 //! `spider-experiments` binary prints paper-style rows and writes JSON
-//! reports; [`benchmarks`] is the timing matrix behind its `bench`
-//! subcommand.
+//! reports. Nothing here times the system: that is the frozen benchmark's
+//! job (`benchmark/README.md`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod benchmarks;
 pub mod experiments;
 pub mod runner;
 
-pub use benchmarks::{
-    bench_matrix, event_count, run_bench, run_bench_profiled, BenchFloor, BenchReport,
-    BenchScenario, BenchScenarioResult, BenchScenarioTiming, BenchTiming, BENCH_SCHEMA_VERSION,
-};
 pub use experiments::{
     ablation_extensions, ablation_mtu, ablation_num_paths, ablation_path_strategy,
     ablation_scheduler, build_scheme, extension_schemes, fig4_fig5, fig4_network, fig6,
     fig6_traced, fig7, lp_candidate_paths, rebalancing_curve, resume_scheme, run_scheme,
-    run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme, run_sharded_scheme_audited,
-    run_sharded_scheme_featured, scheme_choice_by_name, sharded_scheme_for, Ablation,
-    ExperimentConfig, Fig4Result, RebalancingPoint, SchemeChoice, ShardFeatures, Topology,
+    run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme, scheme_choice_by_name,
+    Ablation, ExperimentConfig, Fig4Result, RebalancingPoint, SchemeChoice, ShardFeatures,
+    Topology,
 };
 pub use runner::{
     derive_cell_seed, expand, jobs_from_env, run_grid, run_grid_traced, CellResult, GridCell,

@@ -4,8 +4,9 @@
 //! run, a checkpointing run that is `SIGKILL`ed as soon as its first
 //! snapshot lands, and a `resume` from the latest valid snapshot. The
 //! resumed run's report JSON and trace file must be byte-identical to the
-//! reference. Corrupt, truncated, and missing snapshots must make the CLI
-//! exit with status 1 and a structured error — never a panic.
+//! reference. Corrupt, truncated, and missing snapshots — and output paths
+//! that cannot be written — must make the CLI exit with status 1 and a
+//! structured error — never a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -230,4 +231,38 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     let empty = tmp.path().join("empty");
     std::fs::create_dir_all(&empty).expect("create empty dir");
     assert_structured_rejection(&empty, "empty-dir");
+}
+
+#[test]
+fn unwritable_output_paths_exit_one_without_panicking() {
+    // A path below a regular file can be neither created nor written.
+    let tmp = TempDir::new("unwritable");
+    let blocker = tmp.path().join("blocker");
+    std::fs::write(&blocker, b"").expect("write blocker file");
+    let json = blocker.join("x.json").display().to_string();
+    let traces = blocker.join("traces").display().to_string();
+
+    let cases: [&[&str]; 3] = [
+        &["fig4", "--json", &json],
+        &["sharded", "--trace-out", &traces],
+        &["grid", "--trials", "1", "--trace-out", &traces],
+    ];
+    for args in cases {
+        let output = Command::new(BIN)
+            .args(args)
+            .stdout(Stdio::null())
+            .output()
+            .expect("spawn spider-experiments");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "expected exit code 1 for {args:?}, got {:?}: {stderr}",
+            output.status
+        );
+        assert!(
+            stderr.contains("error: cannot") && !stderr.contains("panicked"),
+            "missing structured error for {args:?}: {stderr}"
+        );
+    }
 }

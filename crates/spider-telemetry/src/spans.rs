@@ -1,7 +1,7 @@
 //! Hierarchical engine-phase span profiler.
 //!
 //! The profiler answers "where does the time go?" for one simulation run,
-//! split the same way the bench harness splits its output:
+//! split into what repeats and what does not:
 //!
 //! - **deterministic** per-phase counters — call counts, item counts, and
 //!   the sim-time window each phase was active over — a pure function of
@@ -266,7 +266,7 @@ impl SpanProfiler {
     }
 
     /// Wall-clock per-phase breakdown (nondeterministic — keep it in
-    /// timing-only output, the way the bench harness segregates `timing`).
+    /// timing-only output, never in a report).
     pub fn wall_phases(&self) -> Vec<PhaseWallStat> {
         let state = self.lock();
         Phase::ALL
@@ -385,7 +385,7 @@ pub struct PhaseProfile {
 }
 
 /// Wall-clock per-phase statistics — nondeterministic, restricted to
-/// timing-only sections (bench `timing`, stderr breakdowns).
+/// timing-only output (the frozen benchmark's per-layer metrics).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseWallStat {
     /// Phase name (see [`Phase::name`]).
@@ -395,51 +395,6 @@ pub struct PhaseWallStat {
     /// Total wall time inside this phase, milliseconds (inclusive of
     /// nested child phases).
     pub wall_ms: f64,
-}
-
-/// Renders a wall-phase breakdown as an aligned text table, children
-/// indented under their parents.
-pub fn render_wall_breakdown(stats: &[PhaseWallStat]) -> String {
-    // A phase only nests when its parent actually recorded spans: the
-    // sequential engines run the sharded leaves (routing, dispatch, ...)
-    // without an enclosing epoch_compute, and those must count as
-    // top-level or every share would read 0%.
-    let nested = |name: &str| {
-        parent_of(name).is_some_and(|p| stats.iter().any(|s| s.phase == p.name() && s.calls > 0))
-    };
-    let total: f64 = stats
-        .iter()
-        .filter(|s| !nested(&s.phase))
-        .map(|s| s.wall_ms)
-        .sum();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>10} {:>12} {:>7}\n",
-        "phase", "calls", "wall_ms", "share"
-    ));
-    for s in stats {
-        let indent = if nested(&s.phase) { "  " } else { "" };
-        let share = if total > 0.0 {
-            100.0 * s.wall_ms / total
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<22} {:>10} {:>12.3} {:>6.1}%\n",
-            format!("{indent}{}", s.phase),
-            s.calls,
-            s.wall_ms,
-            share
-        ));
-    }
-    out
-}
-
-fn parent_of(name: &str) -> Option<Phase> {
-    Phase::ALL
-        .iter()
-        .find(|p| p.name() == name)
-        .and_then(|p| p.parent())
 }
 
 #[cfg(test)]
@@ -518,25 +473,5 @@ mod tests {
         let mut names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         names.dedup();
         assert_eq!(names.len(), PHASE_COUNT);
-    }
-
-    #[test]
-    fn breakdown_renders_shares() {
-        let stats = vec![
-            PhaseWallStat {
-                phase: "epoch_compute".into(),
-                calls: 4,
-                wall_ms: 8.0,
-            },
-            PhaseWallStat {
-                phase: "routing_decision".into(),
-                calls: 10,
-                wall_ms: 3.0,
-            },
-        ];
-        let text = render_wall_breakdown(&stats);
-        assert!(text.contains("epoch_compute"));
-        assert!(text.contains("  routing_decision"));
-        assert!(text.contains("100.0%"));
     }
 }

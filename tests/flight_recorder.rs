@@ -11,6 +11,8 @@
 //!   across shard counts (1 vs 4), with fault injection active.
 //! - `run_sharded` reports expose per-shard epoch metrics, and profiled
 //!   runs add barrier-wait histograms.
+//! - A profiled telemetry handle changes no report or trace byte on any
+//!   engine; only `telemetry.phases` is added.
 
 use proptest::prelude::*;
 use spider::prelude::*;
@@ -381,4 +383,50 @@ fn profiled_sharded_run_records_barrier_wait_histograms() {
     let (plain, _) = run_sharded_bin(&network, &txs, &cfg, 2, Telemetry::enabled());
     let plain_obs = plain.shards.as_ref().expect("observability attached");
     assert!(plain_obs.shards.iter().all(|s| s.barrier_wait_ms.is_none()));
+}
+
+/// Runs `engine` once with a plain and once with a profiled handle and
+/// asserts the two outcomes agree byte for byte.
+fn assert_profiling_inert(name: &str, engine: impl Fn(Telemetry) -> SimReport) {
+    let outcome = |tel: Telemetry| {
+        let mut report = engine(tel.clone());
+        let summary = report.telemetry.as_mut().expect("telemetry was on");
+        // The only field that may differ.
+        let phases = std::mem::take(&mut summary.phases);
+        let json = serde_json::to_string(&report).expect("report serializes");
+        (json, events_to_jsonl(&tel.events()), phases)
+    };
+    let (plain_json, plain_trace, plain_phases) = outcome(Telemetry::enabled());
+    let (prof_json, prof_trace, prof_phases) = outcome(Telemetry::profiled());
+    assert!(plain_phases.is_empty() && !prof_phases.is_empty(), "{name}");
+    assert!(!plain_trace.is_empty(), "{name}: trace recorded");
+    assert_eq!(
+        plain_json, prof_json,
+        "{name}: profiling changed the report"
+    );
+    assert_eq!(
+        plain_trace, prof_trace,
+        "{name}: profiling changed the trace"
+    );
+}
+
+#[test]
+fn profiling_changes_no_report_or_trace_byte() {
+    let (network, txs, _) = sharded_fault_scenario();
+
+    assert_profiling_inert("run", |tel| {
+        let mut cfg = SimConfig::new(20.0);
+        cfg.telemetry = tel;
+        run(&network, &txs, &mut WaterfillingScheme::new(), &cfg)
+    });
+    assert_profiling_inert("run_queued", |tel| {
+        let mut cfg = QueuedConfig::new(20.0);
+        cfg.telemetry = tel;
+        run_queued(&network, &txs, &cfg).report
+    });
+    assert_profiling_inert("run_sharded", |tel| {
+        let mut cfg = ShardedConfig::new(20.0);
+        cfg.telemetry = tel;
+        run_sharded(&network, &txs, &Partition::build(&network, 2, 3), &cfg)
+    });
 }
