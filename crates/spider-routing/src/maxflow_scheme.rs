@@ -5,7 +5,7 @@
 //! the graph of current spendable balances; if it covers the payment, the
 //! payment is delivered atomically along the decomposed flow paths.
 //! Expensive — `O(|V| · |E|²)` per transaction — which is exactly the
-//! overhead argument the paper makes; see the `opt_kernels` bench.
+//! overhead argument the paper makes.
 
 use crate::scheme::{RoutingScheme, SchemeKind};
 use spider_core::{Amount, BalanceView, Network, NodeId, Path};

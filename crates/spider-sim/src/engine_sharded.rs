@@ -2286,8 +2286,9 @@ impl ShardCtx<'_> {
     ///    the congestion `window: f64, outstanding: u32`. Then the pending
     ///    list, a seq of `usize` slab indices, and `arrival_cursor: usize`.
     /// 6. Trace — opt (telemetry on): seq of merge keys `(epoch: u64, rank:
-    ///    u8, a: u64, b: u64)` and the events as one json array of the same
-    ///    length; then the sample partials, a seq of `epoch: u64, pending:
+    ///    u8, a: u64, b: u64)` and as many events, in the same order
+    ///    (`snapshot::enc_events`: `count: u64`, then one length-prefixed
+    ///    `SPBT` file); then the sample partials, a seq of `epoch: u64, pending:
     ///    u32` and a seq of `(channel: u32, imbalance: f64, ratio: f64,
     ///    inflight: i64, queue_depth: u32)`.
     /// 7. Series partials — seq of `(epoch, arrived, completed: u64,
@@ -2354,8 +2355,7 @@ impl ShardCtx<'_> {
                 e.u64(k.a);
                 e.u64(k.b);
             });
-            let events: Vec<&TraceEvent> = self.trace.iter().map(|(_, ev)| ev).collect();
-            snapshot::enc_json(e, &events);
+            snapshot::enc_events(e, self.trace.iter().map(|(_, ev)| ev));
             e.seq(&self.samples, |e, s| {
                 e.u64(s.epoch);
                 e.u32(s.pending);
@@ -2506,7 +2506,7 @@ impl ShardCtx<'_> {
         self.arrival_cursor = dec_index(&mut d, num_payments + 1, "arrival cursor")?;
         if dec_present(&mut d, self.tel_on, "telemetry")? {
             let keys = dec_seq(&mut d, |d| Ok((d.u64()?, d.u8()?, d.u64()?, d.u64()?)))?;
-            let events: Vec<TraceEvent> = snapshot::dec_json(&mut d)?;
+            let events = snapshot::dec_events(&mut d)?;
             if events.len() != keys.len() {
                 return corrupt(format!(
                     "{} trace keys but {} trace events",

@@ -28,7 +28,7 @@
 //! target directory, fsynced, atomically renamed into place, and the
 //! directory itself is fsynced — a reader never observes a half-written
 //! snapshot, and a `kill -9` mid-write leaves at most a stale `.tmp` that
-//! [`latest_snapshot`] ignores.
+//! [`latest_snapshot`] ignores and the next successful write removes.
 //!
 //! Decoding never panics. Truncated, bit-flipped, or otherwise corrupt
 //! files surface as [`SnapshotError`] values.
@@ -37,7 +37,7 @@ use crate::faults::{FaultEvent, FaultState, FaultStateSnapshot};
 use crate::payment::PaymentStatus;
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, BinError, ChannelId, Dec, Enc, Network, NodeId};
-use spider_telemetry::TelemetryState;
+use spider_telemetry::{bintrace, BinTraceWriter, Telemetry, TelemetryState, TraceEvent};
 use spider_workload::Transaction;
 use std::fmt;
 use std::fs;
@@ -54,7 +54,12 @@ use std::path::{Path, PathBuf};
 /// v4: an [`ENGINE_SHARDED`] snapshot is one [`SEC_CORE`] section holding
 /// one blob per shard; the extension section is retired (tag 4 is not
 /// reused) and its contents travel inside each shard's blob.
-pub const FORMAT_VERSION: u8 = 4;
+/// v5: a snapshot carries only what resume needs. Trace events — the log in
+/// [`SEC_TELEMETRY`] and each shard's trace in its blob — are embedded as
+/// `SPBT` bytes (`enc_events`) instead of a JSON string, and the
+/// [`ENGINE_SEQ`]/[`ENGINE_QUEUED`] [`SEC_CORE`] stores only the units still
+/// live, by slab index, plus the count of units ever sent.
+pub const FORMAT_VERSION: u8 = 5;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -415,7 +420,23 @@ pub fn write_snapshot(
     if let Ok(d) = fs::File::open(dir) {
         let _ = d.sync_all();
     }
+    remove_stale_tmp(dir);
     Ok(path)
+}
+
+/// Deletes the staging files (`.snap-*.spsn.tmp`) that writers killed
+/// mid-write left in `dir`. Best effort: they are invisible to
+/// [`latest_snapshot`] either way, so every error is ignored.
+fn remove_stale_tmp(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        if (name.to_str()).is_some_and(|n| n.starts_with(".snap-") && n.ends_with(".spsn.tmp")) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Reads and CRC-verifies a snapshot file.
@@ -547,8 +568,8 @@ pub(crate) fn dec_fault_state(d: &mut Dec, state: &mut FaultState) -> Result<(),
     state.restore_state(snap).or_else(corrupt)
 }
 
-/// JSON-encodes `v` as a length-prefixed string (used for serde types whose
-/// floats are always finite: trace events, audit violations, fault stats).
+/// JSON-encodes `v` as a length-prefixed string (used for small serde
+/// types whose floats are always finite: audit violations, fault stats).
 pub(crate) fn enc_json<T: Serialize>(e: &mut Enc, v: &T) {
     // Serialization of plain data structs cannot fail; an empty string
     // would be rejected at decode, which is the safe direction.
@@ -561,28 +582,67 @@ pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, SnapshotError> 
     serde_json::from_str(&s).or_else(|e| corrupt(format!("embedded JSON: {e}")))
 }
 
-/// Encodes an optional telemetry state; `None` (telemetry disabled) encodes
-/// as an empty section. Float-valued registry fields (histogram extrema are
-/// `±INFINITY` when empty) travel as raw bits; the event buffer is JSON
-/// (trace-event floats are always finite simulation times).
-pub(crate) fn encode_telemetry(state: &Option<TelemetryState>) -> Vec<u8> {
-    let Some(s) = state else {
+/// Trace events, in order: `count: u64`, then the same events as one
+/// length-prefixed `SPBT` file (`spider_telemetry::bintrace`, which is
+/// bit-exact for every event and about 7 bytes each). The count is what
+/// catches a log cut at a block boundary, which is still a valid `SPBT`
+/// file.
+pub(crate) fn enc_events<'e>(e: &mut Enc, events: impl IntoIterator<Item = &'e TraceEvent>) {
+    let mut w = BinTraceWriter::new();
+    let mut count = 0u64;
+    for event in events {
+        w.push(event);
+        count += 1;
+    }
+    e.u64(count);
+    e.bytes(&w.finish());
+}
+
+/// Decodes events written by [`enc_events`]. Anything `bintrace` refuses,
+/// and a count that disagrees with what it decoded, is
+/// [`SnapshotError::Corrupt`].
+pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> {
+    let count = d.u64()?;
+    let events =
+        bintrace::decode(d.bytes()?).or_else(|e| corrupt(format!("embedded trace: {e}")))?;
+    if events.len() as u64 != count {
+        return corrupt(format!(
+            "embedded trace holds {} events, {count} were recorded",
+            events.len()
+        ));
+    }
+    Ok(events)
+}
+
+/// Encodes the [`SEC_TELEMETRY`] section from the live handle, borrowing
+/// its event log; a disabled handle encodes as an empty section. In order:
+///
+/// 1. `sample_interval: f64`, `profiled: bool`.
+/// 2. Registry — counters, seq of `(name: str, label: str, value: u64)`;
+///    gauges, seq of `(name, label, value: f64)`; histograms, seq of `name,
+///    label, bounds: seq of f64, counts: seq of u64, count: u64, sum, min,
+///    max: f64`. Floats travel as raw bits (the extrema of an empty
+///    histogram are `±INFINITY`).
+/// 3. The event log, in emission order ([`enc_events`]).
+pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
+    let (Some(sample_interval), Some(registry)) = (tel.sample_interval(), tel.registry()) else {
         return Vec::new();
     };
+    let registry = registry.export_state();
     let mut e = Enc::new();
-    e.f64(s.sample_interval);
-    e.bool(s.profiled);
-    e.seq(&s.registry.counters, |e, (name, label, v)| {
+    e.f64(sample_interval);
+    e.bool(tel.is_profiling());
+    e.seq(&registry.counters, |e, (name, label, v)| {
         e.str(name);
         e.str(label);
         e.u64(*v);
     });
-    e.seq(&s.registry.gauges, |e, (name, label, v)| {
+    e.seq(&registry.gauges, |e, (name, label, v)| {
         e.str(name);
         e.str(label);
         e.f64(*v);
     });
-    e.seq(&s.registry.histograms, |e, (name, label, h)| {
+    e.seq(&registry.histograms, |e, (name, label, h)| {
         e.str(name);
         e.str(label);
         e.seq(&h.bounds, |e, &b| e.f64(b));
@@ -592,7 +652,7 @@ pub(crate) fn encode_telemetry(state: &Option<TelemetryState>) -> Vec<u8> {
         e.f64(h.min);
         e.f64(h.max);
     });
-    enc_json(&mut e, &s.events);
+    tel.with_events(|events| enc_events(&mut e, events));
     e.into_bytes()
 }
 
@@ -624,7 +684,7 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
             },
         ))
     })?;
-    let events = dec_json(&mut d)?;
+    let events = dec_events(&mut d)?;
     d.expect_end()?;
     Ok(Some(TelemetryState {
         sample_interval,
@@ -808,8 +868,26 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_state_none_round_trips() {
-        let bytes = encode_telemetry(&None);
+    fn a_successful_write_removes_stale_staging_files() {
+        let dir = std::env::temp_dir().join(format!("spsn-stale-tmp-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let p1 = write_snapshot(&dir, ENGINE_SEQ, 1, 10, &sections()).unwrap();
+        // What a writer killed between `create` and `rename` leaves behind.
+        let stale = dir.join(".snap-000000000020.spsn.tmp");
+        fs::write(&stale, b"SPSN\x05partial").unwrap();
+        let unrelated = dir.join(".notes.tmp");
+        fs::write(&unrelated, b"not ours").unwrap();
+        assert_eq!(latest_snapshot(&dir).unwrap(), Some(p1.clone()));
+        let p2 = write_snapshot(&dir, ENGINE_SEQ, 1, 30, &sections()).unwrap();
+        assert!(!stale.exists(), "stale staging file survived a write");
+        assert!(p1.exists() && p2.exists() && unrelated.exists());
+        assert_eq!(latest_snapshot(&dir).unwrap(), Some(p2));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disabled_telemetry_round_trips_as_an_empty_section() {
+        let bytes = encode_telemetry(&Telemetry::disabled());
         assert!(bytes.is_empty());
         assert_eq!(decode_telemetry(&bytes).unwrap(), None);
     }

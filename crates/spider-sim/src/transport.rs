@@ -144,6 +144,43 @@ impl UnitSlab {
     fn iter(&self) -> impl Iterator<Item = &Unit> {
         self.chunks.iter().flatten()
     }
+
+    /// Fills an empty slab with `total` slots from a checkpoint's live
+    /// units, given in index order. Every other slot becomes a tombstone: a
+    /// finished unit (`locked == 0`), whose other fields nothing reads.
+    fn restore(
+        &mut self,
+        total: usize,
+        live: Vec<(usize, Unit)>,
+        network: &Network,
+    ) -> Result<(), SnapshotError> {
+        if total == 0 {
+            return Ok(());
+        }
+        // A tombstone needs some valid path, and any will do; a unit was
+        // sent, so the network has a channel.
+        let Some(ch) = network.channels().first() else {
+            return corrupt("units in a network without channels".to_string());
+        };
+        let any_path = Path::new(network, vec![ch.a, ch.b])
+            .map(Arc::new)
+            .or_else(|e| corrupt(format!("tombstone path: {e}")))?;
+        let mut live = live.into_iter().peekable();
+        for i in 0..total {
+            let unit = match live.next_if(|&(index, _)| index == i) {
+                Some((_, unit)) => unit,
+                None => Unit {
+                    path: Arc::clone(&any_path),
+                    amount: Amount::ZERO,
+                    payment: 0,
+                    locked: 0,
+                    fault: None,
+                },
+            };
+            self.push(unit);
+        }
+        Ok(())
+    }
 }
 
 impl std::ops::Index<usize> for UnitSlab {
@@ -396,7 +433,7 @@ impl<'a> Transport<'a> {
             (snapshot::SEC_SCHEME, scheme_state()),
             (
                 snapshot::SEC_TELEMETRY,
-                snapshot::encode_telemetry(&self.tel.export_state()),
+                snapshot::encode_telemetry(self.tel),
             ),
         ];
         snapshot::write_snapshot(&ck.dir, engine, fingerprint, self.ticks, &sections)?;
@@ -1063,9 +1100,14 @@ impl Transport<'_> {
     ///    arrival: f64, deadline: f64, delivered: i64, inflight: i64,
     ///    status: u8` (0 pending, 1 completed, 2 abandoned),
     ///    `completed_at: opt f64`; then the pending list, a seq of `usize`.
-    /// 5. Units — seq of `payment: usize`, path (seq of `u32` node ids),
-    ///    `amount: i64`, fault (`u8` 0 none / 1 dropped / 2 griefed, then
-    ///    the blamed channel `u32`), `locked: u32` hops.
+    /// 5. Units — `total: usize`, the number ever sent (slab indices run
+    ///    `0..total`), then a seq of the units still live (`locked > 0`) in
+    ///    index order, each `index: usize, payment: usize`, path (seq of
+    ///    `u32` node ids), `amount: i64`, fault (`u8` 0 none / 1 dropped /
+    ///    2 griefed, then the blamed channel `u32`), `locked: u32` hops.
+    ///    Every other slot is a settled or refunded unit: nothing reads one
+    ///    past its `locked == 0`, so it is not stored and decodes as a
+    ///    tombstone. `total` must equal `units_sent` in part 9.
     /// 6. Timers — `next_deadline: usize` (payments before it have had
     ///    their deadline enforced), then the retry backoffs, a sorted seq of
     ///    `(time: f64, payment: usize)`.
@@ -1085,8 +1127,9 @@ impl Transport<'_> {
     /// 13. AMP — seq (by payment) of seqs of held unit indices.
     /// 14. Router queues — seq (by channel; empty when the units queue at
     ///     the source) of two seqs (A→B, B→A) of `(unit: usize, queued_at:
-    ///     f64)`; then `units_queued, units_dropped, max_queue_len: usize,
-    ///     total_wait: f64, dequeues: usize`.
+    ///     f64)`, live units only (whatever refunds a queued unit also takes
+    ///     it out of its queue); then `units_queued, units_dropped,
+    ///     max_queue_len: usize, total_wait: f64, dequeues: usize`.
     fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(self.ticks);
@@ -1105,9 +1148,13 @@ impl Transport<'_> {
         e.seq(&self.payments, enc_payment);
         e.seq(&self.pending, |e, &i| e.usize(i));
         e.usize(self.units.len());
-        for u in self.units.iter() {
-            enc_unit(&mut e, u);
-        }
+        let live: Vec<(usize, &Unit)> = (self.units.iter().enumerate())
+            .filter(|(_, u)| u.live())
+            .collect();
+        e.seq(&live, |e, &(index, u)| {
+            e.usize(index);
+            enc_unit(e, u);
+        });
         e.usize(self.next_deadline);
         // Heap iteration order is arbitrary, so sort the capture.
         let mut retries: Vec<_> = self.retries.iter().map(|&Reverse(r)| r).collect();
@@ -1154,6 +1201,7 @@ impl Transport<'_> {
         e.seq(&self.amp_held, |e, held| e.seq(held, |e, &u| e.usize(u)));
         e.seq(&self.router.queues, |e, sides| {
             for q in sides {
+                debug_assert!(q.iter().all(|&(unit, _)| self.units[unit].live()));
                 e.usize(q.len());
                 for &(unit, queued_at) in q {
                     e.usize(unit);
@@ -1201,9 +1249,19 @@ impl Transport<'_> {
         let num_payments = self.payments.len();
         self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
         let num_units = d.usize()?;
-        for _ in 0..num_units {
-            self.units.push(dec_unit(&mut d, network, num_payments)?);
-        }
+        let mut next_index = 0;
+        let live = dec_seq(&mut d, |d| {
+            let index = dec_index(d, num_units, "live unit at index")?;
+            if index < next_index {
+                return corrupt(format!("live unit {index} out of order"));
+            }
+            next_index = index + 1;
+            let unit = dec_unit(d, network, num_payments)?;
+            if !unit.live() {
+                return corrupt(format!("stored unit {index} holds no lock"));
+            }
+            Ok((index, unit))
+        })?;
         self.next_deadline = dec_index(&mut d, num_payments + 1, "deadline cursor at payment")?;
         self.retries = dec_seq(&mut d, |d| {
             let time = Time::new(dec_time(d, "retry")?);
@@ -1229,6 +1287,15 @@ impl Transport<'_> {
         self.release_violations = snapshot::dec_json(&mut d)?;
         self.routing_fees_paid = Amount::from_micros(d.i64()?);
         self.units_sent = d.u64()?;
+        // Nothing bounds the tombstones about to be allocated but the
+        // run's own count of the units it sent.
+        if num_units as u64 != self.units_sent {
+            return corrupt(format!(
+                "{num_units} unit slots for {} units sent",
+                self.units_sent
+            ));
+        }
+        self.units.restore(num_units, live, network)?;
         self.series = d.seq(|d| Ok((d.f64()?, d.f64()?, d.f64()?)))?;
         self.network_series = d.seq(|d| {
             Ok(NetworkSample {
@@ -1262,12 +1329,16 @@ impl Transport<'_> {
         if self.amp_held.len() > num_payments {
             return corrupt("AMP holds units for payments that never arrived".to_string());
         }
+        let units = &self.units;
         let side = |d: &mut Dec| {
             dec_seq(d, |d| {
-                Ok((
-                    dec_index(d, num_units, "router queue holds unit")?,
-                    d.f64()?,
-                ))
+                let unit = dec_index(d, num_units, "router queue holds unit")?;
+                // Queue order is computed from the units' amounts and
+                // deadlines, which a tombstone no longer has.
+                if !units[unit].live() {
+                    return corrupt(format!("router queue holds finished unit {unit}"));
+                }
+                Ok((unit, d.f64()?))
             })
             .map(VecDeque::from)
         };

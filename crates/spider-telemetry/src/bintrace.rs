@@ -1342,7 +1342,155 @@ mod tests {
         ));
     }
 
+    /// One event of variant `kind` (an index into [`KIND_NAMES`]) from four
+    /// random words: a timestamp with arbitrary finite bits, amounts the way
+    /// the engines produce them (micro-units over 10⁶, so rarely integral)
+    /// and floats with arbitrary finite bits elsewhere.
+    fn arbitrary_event(kind: usize, w: [u64; 4], prev_t: f64) -> TraceEvent {
+        let finite = |bits: u64| {
+            let v = f64::from_bits(bits);
+            if v.is_finite() {
+                v
+            } else {
+                (bits >> 11) as f64 * 1.0e-7
+            }
+        };
+        // A burst shares one timestamp, which is what `F64_PREV` encodes.
+        let t = if w[0].is_multiple_of(4) {
+            prev_t
+        } else {
+            finite(w[0])
+        };
+        let amount = (w[1] % 1_000_000_000_000) as f64 / 1.0e6;
+        let (f, g) = (finite(w[2]), finite(w[3]));
+        let (payment, id, small) = (w[1], w[2] as u32, w[3] as u32);
+        match KIND_NAMES[kind] {
+            "payment_arrived" => TraceEvent::PaymentArrived {
+                t,
+                payment,
+                src: id,
+                dst: small,
+                amount,
+            },
+            "payment_split" => TraceEvent::PaymentSplit {
+                t,
+                payment,
+                units: w[2],
+            },
+            "unit_sent" => TraceEvent::UnitSent {
+                t,
+                payment,
+                amount,
+                hops: small,
+            },
+            "unit_settled" => TraceEvent::UnitSettled { t, payment, amount },
+            "unit_refunded" => TraceEvent::UnitRefunded { t, payment, amount },
+            "unit_queued" => TraceEvent::UnitQueued {
+                t,
+                payment,
+                channel: id,
+                depth: small,
+            },
+            "payment_completed" => TraceEvent::PaymentCompleted {
+                t,
+                payment,
+                delay: f,
+            },
+            "payment_abandoned" => TraceEvent::PaymentAbandoned {
+                t,
+                payment,
+                delivered: amount,
+            },
+            "rebalance_applied" => TraceEvent::RebalanceApplied {
+                t,
+                channel: id,
+                moved: amount,
+                fee: g,
+            },
+            "channel_sample" => TraceEvent::ChannelSample {
+                t,
+                channel: id,
+                imbalance: f,
+                inflight: amount,
+                queue_depth: small,
+            },
+            "channel_outage" => TraceEvent::ChannelOutage { t, channel: id },
+            "channel_recovered" => TraceEvent::ChannelRecovered { t, channel: id },
+            "node_crashed" => TraceEvent::NodeCrashed { t, node: id },
+            "node_recovered" => TraceEvent::NodeRecovered { t, node: id },
+            "unit_dropped" => TraceEvent::UnitDropped {
+                t,
+                payment,
+                amount,
+                channel: id,
+            },
+            "unit_griefed" => TraceEvent::UnitGriefed {
+                t,
+                payment,
+                amount,
+                hold: g,
+            },
+            "payment_retry" => TraceEvent::PaymentRetry {
+                t,
+                payment,
+                attempt: small,
+                backoff: f,
+            },
+            "channel_blacklisted" => TraceEvent::ChannelBlacklisted {
+                t,
+                channel: id,
+                until: g,
+            },
+            "solver_sample" => TraceEvent::SolverSample {
+                iter: w[0],
+                objective: amount,
+                residual: f,
+                mean_price: g,
+            },
+            other => unreachable!("kind {other} has no generator"),
+        }
+    }
+
     proptest::proptest! {
+        /// Engine snapshots embed their event log in this encoding, so it
+        /// has to give back every variant bit for bit: arbitrary finite
+        /// times (negative zero and subnormals included), non-integral
+        /// amounts, full-range ids, at any block size.
+        #[test]
+        fn prop_round_trip_is_bit_exact_for_every_variant(
+            words in proptest::collection::vec(
+                (
+                    proptest::any::<u64>(),
+                    proptest::any::<u64>(),
+                    proptest::any::<u64>(),
+                    proptest::any::<u64>(),
+                ),
+                1..120,
+            ),
+            block_events in 1usize..40,
+        ) {
+            let mut events = Vec::new();
+            let mut prev_t = 0.0;
+            for (i, &(a, b, c, d)) in words.iter().enumerate() {
+                // Every variant in turn, whatever the vector's length.
+                for kind in [i % KIND_NAMES.len(), (a % KIND_NAMES.len() as u64) as usize] {
+                    let e = arbitrary_event(kind, [a, b, c, d], prev_t);
+                    prev_t = e.time().unwrap_or(prev_t);
+                    events.push(e);
+                }
+            }
+            let mut w = BinTraceWriter::with_block_events(block_events);
+            for e in &events {
+                w.push(e);
+            }
+            let back = decode(&w.finish());
+            proptest::prop_assert!(back.is_ok(), "{:?}", back);
+            let back = back.unwrap_or_default();
+            // `{:?}` of an `f64` is its shortest round-trip form and keeps
+            // the sign of zero, so equal text is equal bits.
+            proptest::prop_assert_eq!(format!("{back:?}"), format!("{events:?}"));
+        }
+
         /// Any corruption of a valid file — truncation, byte splices, bit
         /// flips — decodes to a structured error or (for clean cuts at a
         /// block boundary) a strict prefix of the original events. Never a

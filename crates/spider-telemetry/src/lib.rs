@@ -43,14 +43,14 @@ use std::sync::Arc;
 /// Default cadence for per-channel state samples (simulation seconds).
 pub const DEFAULT_SAMPLE_INTERVAL: f64 = 1.0;
 
-/// Lossless recorded state of an enabled [`Telemetry`] handle, captured by
-/// [`Telemetry::export_state`] for engine checkpoints.
+/// Lossless recorded state of an enabled [`Telemetry`] handle, as an engine
+/// checkpoint stores it; [`Telemetry::restore_from_state`] applies one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryState {
     /// Channel-sampling cadence (simulation seconds).
     pub sample_interval: f64,
-    /// Whether the handle carried a span profiler. Profiled handles export
-    /// this flag but cannot be restored.
+    /// Whether the handle carried a span profiler. A checkpoint records
+    /// this flag, but a profiled capture cannot be restored.
     pub profiled: bool,
     /// Full registry contents.
     pub registry: registry::RegistryState,
@@ -263,10 +263,17 @@ impl Telemetry {
 
     /// A copy of all trace events recorded so far (empty when disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map(|i| i.tracer.events())
-            .unwrap_or_default()
+        self.with_events(<[TraceEvent]>::to_vec)
+    }
+
+    /// Calls `f` with the trace events recorded so far, borrowed in place
+    /// (an empty slice when disabled). The log stays locked for the
+    /// duration, so `f` must not emit.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+        match &self.inner {
+            Some(inner) => inner.tracer.with_events(f),
+            None => f(&[]),
+        }
     }
 
     /// The whole trace as JSON Lines (empty when disabled).
@@ -275,49 +282,6 @@ impl Telemetry {
             .as_ref()
             .map(|i| i.tracer.to_jsonl())
             .unwrap_or_default()
-    }
-
-    /// Lossless capture of an enabled handle's recorded state — registry
-    /// contents plus the full event buffer — for an engine checkpoint.
-    /// `None` when disabled. Wall-clock span profiles are *not* captured
-    /// (they are inherently nondeterministic); the `profiled` flag records
-    /// whether the handle had one so callers can refuse to checkpoint it.
-    pub fn export_state(&self) -> Option<TelemetryState> {
-        let inner = self.inner.as_ref()?;
-        Some(TelemetryState {
-            sample_interval: inner.sample_interval,
-            profiled: inner.profiler.is_some(),
-            registry: inner.registry.export_state(),
-            events: inner.tracer.events(),
-        })
-    }
-
-    /// Rebuilds an enabled handle from [`export_state`] output: the new
-    /// handle's registry, event buffer, and sampling cadence are
-    /// indistinguishable from the captured one's. Fails on invalid registry
-    /// state and on profiled captures (wall-clock profiles cannot be
-    /// restored deterministically).
-    ///
-    /// [`export_state`]: Telemetry::export_state
-    pub fn from_state(state: TelemetryState) -> Result<Telemetry, String> {
-        if state.profiled {
-            return Err("profiled telemetry cannot be restored".to_string());
-        }
-        // NaN must be rejected too, hence the explicit check alongside <= 0.
-        if state.sample_interval <= 0.0 || state.sample_interval.is_nan() {
-            return Err(format!(
-                "sample interval must be positive, got {}",
-                state.sample_interval
-            ));
-        }
-        let t = Telemetry::with_sample_interval(state.sample_interval);
-        if let Some(inner) = t.inner.as_ref() {
-            inner.registry.restore_state(state.registry)?;
-            for ev in state.events {
-                inner.tracer.record(ev);
-            }
-        }
-        Ok(t)
     }
 
     /// Restores checkpointed state *into this handle* in place, so a caller
@@ -338,13 +302,11 @@ impl Telemetry {
                 inner.sample_interval, state.sample_interval
             ));
         }
-        if !inner.tracer.events().is_empty() {
+        if !inner.tracer.is_empty() {
             return Err("cannot restore into a handle that already recorded events".to_string());
         }
         inner.registry.restore_state(state.registry)?;
-        for ev in state.events {
-            inner.tracer.record(ev);
-        }
+        inner.tracer.extend(state.events);
         Ok(())
     }
 
@@ -352,10 +314,11 @@ impl Telemetry {
     /// and a metrics snapshot. `None` when disabled.
     pub fn summarize(&self, network_series: Vec<NetworkSample>) -> Option<TelemetrySummary> {
         let inner = self.inner.as_ref()?;
-        let events = inner.tracer.events();
+        let (events, event_counts) =
+            (inner.tracer).with_events(|events| (events.len() as u64, count_by_kind(events)));
         Some(TelemetrySummary {
-            events: events.len() as u64,
-            event_counts: count_by_kind(&events),
+            events,
+            event_counts,
             network_series,
             metrics: inner.registry.snapshot(),
             phases: inner

@@ -345,9 +345,20 @@ impl Tracer {
         self.len() == 0
     }
 
+    /// Appends `events` in order under one lock (a restored log).
+    pub fn extend(&self, events: Vec<TraceEvent>) {
+        self.lock().extend(events);
+    }
+
     /// A copy of all events recorded so far.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.lock().clone()
+    }
+
+    /// Calls `f` with the events recorded so far, borrowed in place. The
+    /// log stays locked for the duration, so `f` must not record.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+        f(&self.lock())
     }
 
     /// Serializes all events as JSON Lines (one compact object per line,

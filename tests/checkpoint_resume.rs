@@ -235,6 +235,264 @@ fn resume_with_amp_is_byte_identical() {
     assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 30, "amp");
 }
 
+/// What a sequential-engine `SEC_CORE` section says about units, read by
+/// the layout documented on `Transport::encode`.
+struct CoreUnits {
+    /// Units ever sent: slab indices run `0..total`.
+    total: usize,
+    /// Slab indices of the units stored (the live ones).
+    live: Vec<usize>,
+    /// Bytes of the units part (`total`, the live count, the live records).
+    bytes: usize,
+    /// Units named by queued hop-arrive, settle and fault-expire events.
+    event_units: Vec<usize>,
+    payments: usize,
+}
+
+impl CoreUnits {
+    fn read(snapshot: &Path) -> (CoreUnits, usize) {
+        use spider::core::Dec;
+        let snap = spider::sim::snapshot::read_snapshot(snapshot).expect("snapshot reads");
+        let core = (snap.section(spider::sim::snapshot::SEC_CORE)).expect("core section");
+        let mut d = Dec::new(core);
+        d.u64().expect("ticks");
+        let channels = d.usize().expect("channel count");
+        d.take_raw(channels * 4 * 8).expect("ledger");
+        let mut event_units = Vec::new();
+        for _ in 0..d.usize().expect("queued events") {
+            d.take_raw(8 + 8).expect("time and sequence number");
+            match d.u8().expect("event tag") {
+                1..=3 => event_units.push(d.usize().expect("event unit")),
+                0 | 7 => drop(d.usize().expect("event argument")),
+                4 => drop(d.take_raw(1 + 4).expect("fault event")),
+                _ => {}
+            }
+        }
+        d.u64().expect("next sequence number");
+        let payments = d.usize().expect("payments");
+        for _ in 0..payments {
+            d.take_raw(8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1)
+                .expect("payment");
+            d.opt(|d| d.f64()).expect("completion time");
+        }
+        let pending = d.usize().expect("pending list");
+        d.take_raw(pending * 8).expect("pending payments");
+        let start = d.offset();
+        let total = d.usize().expect("units ever sent");
+        let mut live = Vec::new();
+        for _ in 0..d.usize().expect("live units") {
+            live.push(d.usize().expect("unit index"));
+            d.usize().expect("unit payment");
+            let nodes = d.usize().expect("path length");
+            d.take_raw(4 * nodes + 8 + 1 + 4 + 4).expect("unit body");
+        }
+        let units = CoreUnits {
+            total,
+            live,
+            bytes: d.offset() - start,
+            event_units,
+            payments,
+        };
+        (units, core.len())
+    }
+
+    /// `true` when the event queue still names a unit that has been
+    /// settled or refunded, which resume rebuilds as a tombstone.
+    fn has_stale_event(&self) -> bool {
+        (self.event_units.iter()).any(|u| self.live.binary_search(u).is_err())
+    }
+}
+
+#[test]
+fn resume_over_tombstones_is_byte_identical() {
+    // Faults with retries, and AMP: outages refund units whose settle (or
+    // fault expiry) is already queued, so checkpoints catch the queue
+    // naming units the snapshot no longer stores.
+    let (network, txs) = isp_scenario(3, 300);
+    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
+    assert!(fault_cfg.retry.is_some(), "the scenario retries");
+    let mut cfg = full_config(20.0);
+    cfg.amp = true;
+    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
+    let dir = TempDir::new("tombstones-probe");
+    {
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        let spec = CheckpointSpec::new(7, dir.path());
+        run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    }
+    let stale = (snapshot_files(dir.path()).iter())
+        .filter(|snap| CoreUnits::read(snap).0.has_stale_event())
+        .count();
+    assert!(stale > 0, "no checkpoint caught a stale unit event");
+    assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 7, "tombstones");
+}
+
+#[test]
+fn queued_engine_resume_over_tombstones_is_byte_identical() {
+    // Router queues under outages: a refunded unit's hop-arrive or settle
+    // stays queued as an event, and is purged from the router queues.
+    use spider::sim::engine::run_queued_checkpointed;
+    let (network, txs) = isp_scenario(29, 250);
+    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
+    let mut cfg = QueuedConfig::new(18.0);
+    cfg.deadline = 8.0;
+    cfg.queue_policy = spider::sim::QueuePolicy::SmallestFirst;
+    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 18.0));
+    let dir = TempDir::new("queued-tombstones-probe");
+    let spec = CheckpointSpec::new(9, dir.path());
+    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
+    let stale = (snapshot_files(dir.path()).iter())
+        .filter(|snap| CoreUnits::read(snap).0.has_stale_event())
+        .count();
+    assert!(stale > 0, "no checkpoint caught a stale unit event");
+    assert_queued_resume_equivalence(&network, &txs, &cfg, 9, "queued-tombstones");
+}
+
+#[test]
+fn core_section_is_bounded_by_live_units_not_units_sent() {
+    // A small MTU, so that units far outnumber payments, and the same
+    // arrivals (15 s of them) run for one and for two spans of time.
+    let (network, txs) = isp_scenario(11, 300);
+    let last_core = |end_time: f64| {
+        let mut cfg = SimConfig::new(end_time);
+        cfg.mtu = Amount::from_whole(1);
+        cfg.telemetry = Telemetry::enabled();
+        let dir = TempDir::new("core-size");
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        let spec = CheckpointSpec::new(10, dir.path());
+        let report = run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec)
+            .expect("checkpointed run");
+        let last = snapshot_files(dir.path()).pop().expect("a snapshot");
+        let (units, core_len) = CoreUnits::read(&last);
+        assert!(units.total as u64 <= report.units_sent);
+        (units, core_len)
+    };
+    let (short, short_len) = last_core(7.0);
+    let (long, long_len) = last_core(14.0);
+    assert!(
+        long.total * 2 >= short.total * 3,
+        "the longer run sent few more units"
+    );
+    for (units, core_len) in [(&short, short_len), (&long, long_len)] {
+        assert!(units.total >= 20 * units.payments, "units do not dominate");
+        // The units part is the live units and nothing else (a record is
+        // 33 bytes plus 4 per node of its path, behind its 8-byte index)...
+        assert!(units.live.len() * 10 < units.total);
+        assert!(units.bytes <= 16 + units.live.len() * (8 + 33 + 4 * 16));
+        // ...so the whole section is smaller than the table of every unit
+        // ever sent (41 bytes for a one-hop unit) used to be on its own.
+        assert!(
+            core_len < 41 * units.total,
+            "{core_len} B for {} units",
+            units.total
+        );
+    }
+    // Nearly twice the units sent, and the units part has not followed.
+    assert!(
+        long.bytes < short.bytes + short.bytes / 2,
+        "{} B after {} B",
+        long.bytes,
+        short.bytes
+    );
+}
+
+/// Damages the `SEC_TELEMETRY` section of a telemetry-on checkpoint and
+/// re-seals the file (fresh CRCs), so that only the decoder of the embedded
+/// trace can object.
+#[test]
+fn damaged_embedded_trace_is_corrupt_never_a_panic() {
+    use spider::core::crc32;
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_TELEMETRY};
+    let (network, txs) = isp_scenario(17, 150);
+    let mut cfg = full_config(12.0);
+    cfg.telemetry = Telemetry::enabled();
+    let dir = TempDir::new("trace-damage");
+    {
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        let spec = CheckpointSpec::new(50, dir.path());
+        run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    }
+    let snap_path = snapshot_files(dir.path()).pop().expect("a snapshot");
+    let snap = read_snapshot(&snap_path).expect("snapshot reads");
+    let section = snap.section(SEC_TELEMETRY).expect("telemetry section");
+
+    // The log is the section's last field: `count: u64`, then the `SPBT`
+    // file behind its `u64` length.
+    let spbt_at = (section.windows(4).position(|w| w == b"SPBT")).expect("embedded SPBT file");
+    let (count_at, len_at) = (spbt_at - 16, spbt_at - 8);
+    let spbt = &section[spbt_at..];
+    let header_len = spider::telemetry::bintrace::encode(&[]).len();
+    let block_len = |at: usize| {
+        let len = u32::from_le_bytes(spbt[at..at + 4].try_into().expect("four bytes"));
+        8 + len as usize
+    };
+    let first_block_end = header_len + block_len(header_len);
+    assert!(first_block_end < spbt.len(), "the log spans several blocks");
+
+    let resume_with = |label: &str, telemetry: Vec<u8>| {
+        let mut sections = snap.sections.clone();
+        for (tag, bytes) in &mut sections {
+            if *tag == SEC_TELEMETRY {
+                *bytes = telemetry.clone();
+            }
+        }
+        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        let path = dir.path().join(format!("damaged-{label}.spsn"));
+        std::fs::write(&path, bytes).expect("write damaged snapshot");
+        let mut cfg = cfg.clone();
+        cfg.telemetry = Telemetry::enabled();
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{label}: expected Corrupt, got {other:?}"),
+        }
+    };
+    // The section with its `SPBT` file replaced (and the length fixed up).
+    let with_spbt = |spbt: &[u8]| {
+        let mut out = section[..spbt_at].to_vec();
+        out[len_at..spbt_at].copy_from_slice(&(spbt.len() as u64).to_le_bytes());
+        out.extend_from_slice(spbt);
+        out
+    };
+
+    // Garbage where the blocks were, and no `SPBT` file at all.
+    let mut garbage = spbt.to_vec();
+    garbage[header_len..].fill(0xA5);
+    resume_with("garbage", with_spbt(&garbage));
+    resume_with("not-spbt", with_spbt(&[0xA5; 64]));
+    // Truncated: inside the header, inside a block, and at a block
+    // boundary, where what is left is a valid shorter trace.
+    for cut in [
+        3,
+        header_len - 1,
+        header_len + 5,
+        first_block_end,
+        spbt.len() - 1,
+    ] {
+        resume_with(&format!("cut-{cut}"), with_spbt(&spbt[..cut]));
+    }
+    // Absurd counts: of events, of bytes, and (behind a fresh block CRC)
+    // of events in the first block.
+    let absurd = (u64::MAX >> 8).to_le_bytes();
+    for (label, at) in [("count", count_at), ("length", len_at)] {
+        let mut tampered = section.to_vec();
+        tampered[at..at + 8].copy_from_slice(&absurd);
+        resume_with(&format!("absurd-{label}"), tampered);
+    }
+    let mut tampered = spbt.to_vec();
+    let body = header_len + 8..first_block_end;
+    tampered[body.start..body.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = crc32(&tampered[body.clone()]);
+    tampered[body.start - 4..body.start].copy_from_slice(&crc.to_le_bytes());
+    resume_with("absurd-block-count", with_spbt(&tampered));
+
+    // The section put back untouched still resumes: the harness is sound.
+    let mut cfg = cfg.clone();
+    cfg.telemetry = Telemetry::enabled();
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    resume(&network, &txs, scheme.as_mut(), &cfg, &snap_path, None).expect("pristine resumes");
+}
+
 /// Same contract for the router-queue engine: resume from every snapshot,
 /// byte-identical `QueuedReport` and trace.
 fn assert_queued_resume_equivalence(
@@ -635,7 +893,9 @@ fn shard_blob_count_offsets(blob: &[u8]) -> Vec<(&'static str, usize)> {
     assert_eq!(d.u8(), Ok(1), "telemetry present");
     let keys = count(&mut counts, "trace keys", &mut d);
     d.take_raw(keys * 25).expect("trace keys");
-    d.str().expect("trace events json");
+    count(&mut counts, "trace events", &mut d);
+    counts.push(("trace bytes", d.offset()));
+    d.bytes().expect("trace events as SPBT");
     for _ in 0..count(&mut counts, "samples", &mut d) {
         d.take_raw(8 + 4).expect("sample head");
         let channels = count(&mut counts, "sample channels", &mut d);
@@ -696,6 +956,8 @@ fn sharded_snapshot_with_absurd_counts_is_rejected() {
         "bucket messages",
         "payments",
         "trace keys",
+        "trace events",
+        "trace bytes",
         "samples",
         "queue entries",
         "outcome message payment id",
@@ -853,13 +1115,16 @@ fn damaged_snapshots_are_rejected_not_panicked() {
         let _ = try_resume(&flipped, &format!("flip-{pos}"));
     }
 
-    // Any other format version, future or stale: a v2 or v3 file must not
-    // be parsed with the current layout.
-    for version in [0xFF, 2, 3] {
+    // Any other format version, future or stale: a v4 file (whole unit
+    // table, JSON event log) must not be parsed with the v5 layout.
+    for version in [0xFF, 2, 3, 4] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {
-            SnapshotError::UnsupportedVersion { found, .. } if found == version => {}
+            SnapshotError::UnsupportedVersion {
+                found,
+                supported: 5,
+            } if found == version => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
     }
