@@ -12,7 +12,9 @@
 //! ```
 //!
 //! Add `--full` for the paper's full scale (much slower), `--json PATH` to
-//! write machine-readable reports, `--seed N` to vary the workload.
+//! write machine-readable reports, `--seed N` to vary the workload. An
+//! unknown flag, a value flag without a value, and a flag the chosen
+//! command does not read are usage errors (exit 2), never silently ignored.
 //!
 //! `grid` fans (scheme, capacity, outage-rate, trial) cells out over worker
 //! threads (count from `SPIDER_JOBS` or the machine's parallelism; override
@@ -30,23 +32,22 @@
 //! Telemetry: `--telemetry` enables structured tracing for `fig6` and
 //! `grid` (reports then embed event counts, delay percentiles, and the
 //! channel time series); `--trace-out DIR` additionally writes the raw
-//! trace as JSONL, one file per scheme (`fig6`) or per grid cell
-//! (`cell-NNNN.jsonl`), and implies `--telemetry`. Trace files are named by
-//! cell index, never by worker, so they too are byte-identical for any
-//! `--jobs` value. `spider-experiments trace-check DIR` re-parses every
-//! trace file and fails on empty, malformed, or internally inconsistent
-//! traces (the CI smoke check).
+//! trace, one file per scheme (`fig6`) or per grid cell (`cell-NNNN.bin`),
+//! and implies `--telemetry`. Trace files are named by cell index, never by
+//! worker, so they too are byte-identical for any `--jobs` value.
 //!
-//! Flight recorder: `--trace-format bin` switches `--trace-out` to the
-//! compact indexed binary format (`.bin`, ~5-10x smaller than JSONL,
-//! byte-identical across runs / `--jobs` / `--shards`).
+//! Flight recorder: runs write one trace format, SPBT — the compact indexed
+//! binary format (`.bin`, ~5-10x smaller than JSONL, byte-identical across
+//! runs / `--jobs` / `--shards`). `spider-experiments trace-check DIR`
+//! decodes every trace file and fails on empty, malformed, or internally
+//! inconsistent traces (the CI smoke check).
 //! `spider-experiments inspect FILE` answers channel/node/payment/kind/
-//! time-window queries against a trace — using the per-block index on
-//! `.bin` files so most blocks are never decoded — and prints top-K hot
-//! channels and nodes; on a `--json` report it prints the embedded
-//! per-phase profile breakdowns instead.
-//! `spider-experiments trace-convert IN OUT` converts losslessly between
-//! the two formats (direction from the output extension).
+//! time-window queries against a trace through the per-block index, so most
+//! blocks are never decoded, and prints top-K hot channels and nodes; on a
+//! `--json` report it prints the embedded per-phase profile breakdowns
+//! instead. `spider-experiments trace-convert IN OUT` converts losslessly
+//! between SPBT and JSONL, the interchange format (direction from the
+//! output extension); it is the only command that reads or writes JSONL.
 //!
 //! Checkpoint & resume: `fig6 --scheme NAME --checkpoint-dir DIR
 //! [--checkpoint-every N]` writes a crash-safe snapshot every N scheduler
@@ -59,254 +60,253 @@
 
 use spider_bench::{
     ablation_extensions, ablation_mtu, ablation_num_paths, ablation_path_strategy,
-    ablation_scheduler, extension_schemes, fig4_fig5, fig6, fig6_traced, fig7, jobs_from_env,
-    rebalancing_curve, resume_scheme, run_grid, run_grid_traced, run_scheme,
-    run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme, scheme_choice_by_name,
-    Ablation, ExperimentConfig, GridConfig, SchemeChoice, ShardFeatures,
+    ablation_scheduler, extension_schemes, fig4_fig5, fig6, fig7, jobs_from_env, rebalancing_curve,
+    run_grid, run_scheme, run_sharded_scheme, scheme_choice_by_name, telemetry_handle, Ablation,
+    ExperimentConfig, GridConfig, RunMode, SchemeChoice, ShardFeatures,
 };
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
-use spider_telemetry::{bintrace, Telemetry, TraceEvent, TraceQuery};
+use spider_telemetry::bintrace::{self, QueryStats};
+use spider_telemetry::{TraceEvent, TraceQuery};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage_and_exit();
-    }
-    let command = args[0].as_str();
-    let full = has_flag(&args, "--full");
-    let seed = match flag_value(&args, "--seed") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--seed expects an integer, got `{v}`");
-            usage_and_exit();
-        }),
-        None => 1,
-    };
-    let json_path = flag_value(&args, "--json");
-    let trace_out = flag_value(&args, "--trace-out");
-    if let Some(dir) = &trace_out {
+    let opts = Options::parse(std::env::args().skip(1));
+    if let Some(dir) = opts.value("--trace-out") {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| fail(&format!("cannot create {dir}: {e}")));
     }
-    let telemetry = has_flag(&args, "--telemetry") || trace_out.is_some();
-    let format = match flag_value(&args, "--trace-format").as_deref() {
-        None | Some("jsonl") => TraceFormat::Jsonl,
-        Some("bin") => TraceFormat::Bin,
-        Some(other) => {
-            eprintln!("--trace-format expects jsonl or bin, got `{other}`");
-            usage_and_exit();
-        }
-    };
-    let checkpoint = checkpoint_spec(&args);
-    let mut out = JsonSink::new(json_path);
-
-    match command {
+    let mut out = JsonSink::new(opts.value("--json").map(String::from));
+    match opts.command.as_str() {
         "fig4" | "fig5" => run_fig4(&mut out),
-        "fig6" => {
-            let topology = flag_value(&args, "--topology").unwrap_or_else(|| "isp".into());
-            let scheme = flag_value(&args, "--scheme").map(|s| parse_scheme(&s));
-            if checkpoint.is_some() && scheme.is_none() {
-                eprintln!(
-                    "--checkpoint-dir on fig6 requires --scheme (one snapshot stream per run)"
-                );
-                usage_and_exit();
-            }
-            run_fig6(
-                &topology,
-                full,
-                seed,
-                telemetry,
-                trace_out.as_deref(),
-                format,
-                scheme,
-                checkpoint.as_ref(),
-                &mut out,
-            );
-        }
-        "resume" => {
-            run_resume(
-                &args,
-                full,
-                seed,
-                telemetry,
-                trace_out.as_deref(),
-                format,
-                checkpoint.as_ref(),
-                &mut out,
-            );
-        }
-        "fig7" => run_fig7(full, seed, &mut out),
+        "fig6" | "resume" => run_fig6(&opts, opts.topology(), &mut out),
+        "fig7" => run_fig7(&opts, &mut out),
         "rebalancing" => run_rebalancing(&mut out),
-        "ablations" => run_ablations(seed, &mut out),
-        "grid" => run_grid_command(
-            &args,
-            full,
-            seed,
-            telemetry,
-            trace_out.as_deref(),
-            format,
-            &mut out,
-        ),
-        "sharded" => run_sharded_command(
-            &args,
-            full,
-            seed,
-            telemetry,
-            trace_out.as_deref(),
-            format,
-            &mut out,
-        ),
-        "trace-check" => {
-            let dir = args.get(1).cloned().unwrap_or_else(|| {
-                eprintln!("trace-check expects a directory of .jsonl/.bin trace files");
-                usage_and_exit();
-            });
-            run_trace_check(&dir);
-        }
-        "inspect" => {
-            let file = args.get(1).cloned().unwrap_or_else(|| {
-                eprintln!("inspect expects a trace file (.bin or .jsonl) or a --json report");
-                usage_and_exit();
-            });
-            run_inspect(&file, &args);
-        }
-        "trace-convert" => {
-            let (input, output) = match (args.get(1), args.get(2)) {
-                (Some(i), Some(o)) => (i.clone(), o.clone()),
-                _ => {
-                    eprintln!("trace-convert expects an input and an output path");
-                    usage_and_exit();
-                }
-            };
-            run_trace_convert(&input, &output);
-        }
-        "all" => {
+        "ablations" => run_ablations(&opts, &mut out),
+        "grid" => run_grid_command(&opts, &mut out),
+        "sharded" => run_sharded_command(&opts, &mut out),
+        "trace-check" => run_trace_check(&opts.operands[0]),
+        "inspect" => run_inspect(&opts),
+        "trace-convert" => run_trace_convert(&opts.operands[0], &opts.operands[1]),
+        // `all`: the parser accepts no other command.
+        _ => {
             run_fig4(&mut out);
-            run_fig6(
-                "isp",
-                full,
-                seed,
-                telemetry,
-                trace_out.as_deref(),
-                format,
-                None,
-                None,
-                &mut out,
-            );
-            run_fig6(
-                "ripple", full, seed, telemetry, None, format, None, None, &mut out,
-            );
-            run_fig7(full, seed, &mut out);
+            run_fig6(&opts, "isp", &mut out);
+            run_fig6(&opts, "ripple", &mut out);
+            run_fig7(&opts, &mut out);
             run_rebalancing(&mut out);
-            run_ablations(seed, &mut out);
-            run_grid_command(&args, full, seed, telemetry, None, format, &mut out);
-        }
-        other => {
-            eprintln!("unknown command `{other}`");
-            usage_and_exit();
+            run_ablations(&opts, &mut out);
+            run_grid_command(&opts, &mut out);
         }
     }
     out.finish();
 }
 
-/// On-disk trace encoding selected by `--trace-format`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceFormat {
-    /// One JSON object per line — human-greppable, the default.
-    Jsonl,
-    /// Compact indexed binary (`spider_telemetry::bintrace`).
-    Bin,
+/// Every command with the operands it takes.
+const COMMANDS: &[(&str, &str)] = &[
+    ("fig4", ""),
+    ("fig5", ""),
+    ("fig6", ""),
+    ("fig7", ""),
+    ("rebalancing", ""),
+    ("ablations", ""),
+    ("grid", ""),
+    ("sharded", ""),
+    ("all", ""),
+    ("resume", "SNAPSHOT"),
+    ("trace-check", "DIR"),
+    ("inspect", "FILE"),
+    ("trace-convert", "IN OUT"),
+];
+
+const REPORTING: &str = "fig4 fig5 fig6 resume fig7 rebalancing ablations grid sharded all";
+const TRACED: &str = "fig6 resume grid sharded all";
+const GRID: &str = "grid all";
+
+/// Every flag: its name, the placeholder of the value that follows it
+/// (empty for a switch), and the commands that read it. Anything else on
+/// the command line is a usage error.
+const FLAGS: &[(&str, &str, &str)] = &[
+    ("--json", "PATH", REPORTING),
+    ("--seed", "N", "fig6 resume fig7 ablations grid sharded all"),
+    ("--full", "", "fig6 resume fig7 grid sharded all"),
+    ("--topology", "isp|ripple", TRACED),
+    ("--telemetry", "", TRACED),
+    ("--trace-out", "DIR", TRACED),
+    ("--scheme", "NAME", "fig6 resume sharded"),
+    ("--checkpoint-dir", "DIR", "fig6 resume"),
+    ("--checkpoint-every", "N", "fig6 resume"),
+    ("--jobs", "N", GRID),
+    ("--trials", "N", GRID),
+    ("--capacities", "A,B,...", GRID),
+    ("--no-audit", "", GRID),
+    ("--faults", "SCENARIO|FILE.json", GRID),
+    ("--outage-rates", "A,B,...", GRID),
+    ("--no-retry", "", GRID),
+    ("--shards", "N", "sharded"),
+    ("--audit", "", "sharded"),
+    ("--policy", "direct|queued", "sharded"),
+    ("--fees", "", "sharded"),
+    ("--congestion", "", "sharded"),
+    ("--rebalance", "", "sharded"),
+    ("--channel", "N", "inspect"),
+    ("--node", "N", "inspect"),
+    ("--payment", "N", "inspect"),
+    ("--kind", "K", "inspect"),
+    ("--from", "T", "inspect"),
+    ("--to", "T", "inspect"),
+    ("--limit", "N", "inspect"),
+    ("--top", "K", "inspect"),
+];
+
+/// `true` when `command` reads the flag `entry` of [`FLAGS`].
+fn reads(command: &str, entry: &(&str, &str, &str)) -> bool {
+    entry.2.split(' ').any(|c| c == command)
 }
 
-impl TraceFormat {
-    fn ext(self) -> &'static str {
-        match self {
-            TraceFormat::Jsonl => "jsonl",
-            TraceFormat::Bin => "bin",
+/// The command line, parsed once and checked against [`COMMANDS`] and
+/// [`FLAGS`]; every command reads its settings from here.
+#[derive(Default)]
+struct Options {
+    command: String,
+    operands: Vec<String>,
+    /// The flags given, in order, with their values (empty for switches).
+    flags: Vec<(&'static str, String)>,
+    seed: u64,
+    /// `--telemetry`, or implied by `--trace-out`.
+    telemetry: bool,
+    /// `--checkpoint-dir DIR [--checkpoint-every N]` (default: every 100
+    /// scheduler ticks).
+    checkpoint: Option<CheckpointSpec>,
+}
+
+impl Options {
+    fn parse(mut args: impl Iterator<Item = String>) -> Options {
+        let Some(command) = args.next() else {
+            usage_and_exit("no command given");
+        };
+        let Some(&(_, operands)) = COMMANDS.iter().find(|c| c.0 == command) else {
+            usage_and_exit(&format!("unknown command `{command}`"));
+        };
+        let mut opts = Options {
+            command,
+            ..Options::default()
+        };
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                opts.operands.push(arg);
+                continue;
+            }
+            let Some(entry) = FLAGS.iter().find(|f| f.0 == arg) else {
+                usage_and_exit(&format!("unknown flag `{arg}`"));
+            };
+            let flag = entry.0;
+            if !reads(&opts.command, entry) {
+                usage_and_exit(&format!("`{}` does not read `{flag}`", opts.command));
+            }
+            let value = match (!entry.1.is_empty()).then(|| args.next()) {
+                None => String::new(),
+                Some(Some(v)) if !v.starts_with("--") => v,
+                Some(_) => usage_and_exit(&format!("`{flag}` expects a value")),
+            };
+            opts.flags.push((flag, value));
         }
+        if opts.operands.len() != operands.split_whitespace().count() {
+            usage_and_exit(&format!(
+                "`{}` expects {}",
+                opts.command,
+                if operands.is_empty() {
+                    "no operand"
+                } else {
+                    operands
+                }
+            ));
+        }
+        opts.seed = opts.parsed("--seed", "an integer").unwrap_or(1);
+        opts.telemetry = opts.has("--telemetry") || opts.has("--trace-out");
+        let every = opts.parsed("--checkpoint-every", "a positive integer");
+        opts.checkpoint = match opts.value("--checkpoint-dir") {
+            Some(dir) => Some(CheckpointSpec::new(every.unwrap_or(100), dir)),
+            None if every.is_some() => {
+                usage_and_exit("`--checkpoint-every` requires `--checkpoint-dir`")
+            }
+            None => None,
+        };
+        opts
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.value(flag).is_some()
+    }
+
+    /// `--topology`, ISP when not given.
+    fn topology(&self) -> &str {
+        self.value("--topology").unwrap_or("isp")
+    }
+
+    /// The value of `flag` parsed as `T`; `what` completes "expects ...".
+    fn parsed<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Option<T> {
+        self.value(flag).map(|v| parse_as(flag, what, v))
+    }
+
+    /// The comma-separated value of `flag`, every item parsed as `T`.
+    fn list<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Option<Vec<T>> {
+        self.value(flag).map(|v| {
+            v.split(',')
+                .map(|c| parse_as(flag, what, c.trim()))
+                .collect()
+        })
     }
 }
 
-/// Writes one trace file under `dir` as `<stem>.<ext>` in the selected
-/// format and returns the path.
-fn write_trace(dir: &str, stem: &str, format: TraceFormat, events: &[TraceEvent]) -> String {
-    let path = format!("{dir}/{stem}.{}", format.ext());
-    let bytes = match format {
-        TraceFormat::Jsonl => spider_telemetry::events_to_jsonl(events).into_bytes(),
-        TraceFormat::Bin => bintrace::encode(events),
-    };
-    write_file(&path, &bytes);
+fn parse_as<T: std::str::FromStr>(flag: &str, what: &str, text: &str) -> T {
+    text.parse()
+        .unwrap_or_else(|_| usage_and_exit(&format!("`{flag}` expects {what}, got `{text}`")))
+}
+
+/// Writes one trace file under `dir` as `<stem>.bin` (SPBT) and returns the
+/// path.
+fn write_trace(dir: &str, stem: &str, events: &[TraceEvent]) -> String {
+    let path = format!("{dir}/{stem}.bin");
+    write_file(&path, &bintrace::encode(events));
     path
 }
 
-fn usage_and_exit() -> ! {
+/// Prints `problem` and, from [`COMMANDS`] and [`FLAGS`], what every
+/// command accepts; exits with status 2.
+fn usage_and_exit(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: spider-experiments COMMAND [OPERAND...] [FLAG...]");
+    for (command, operands) in COMMANDS {
+        let flags = FLAGS
+            .iter()
+            .filter(|entry| reads(command, entry))
+            .map(|(flag, value, _)| format!("[{}]", [*flag, *value].join(" ").trim_end()));
+        let mut parts = vec![command.to_string()];
+        parts.extend((!operands.is_empty()).then(|| operands.to_string()));
+        parts.extend(flags);
+        eprintln!("  {}", parts.join(" "));
+    }
     eprintln!(
-        "usage: spider-experiments <fig4|fig6|fig7|rebalancing|ablations|grid|sharded|all|\
-         resume SNAPSHOT|trace-check DIR|inspect FILE|trace-convert IN OUT> \
-         [--topology isp|ripple] [--full] [--seed N] [--json PATH] \
-         [--telemetry] [--trace-out DIR] [--trace-format jsonl|bin] \
-         [--jobs N] [--trials N] [--capacities A,B,...] [--no-audit] \
-         [--faults SCENARIO|FILE.json] [--outage-rates A,B,...] [--no-retry]\n\
-         checkpointing (fig6 with --scheme, resume): [--checkpoint-dir DIR] [--checkpoint-every N]\n\
-         resume: SNAPSHOT is a .spsn file or a checkpoint dir (latest valid \
-         snapshot); pass the same --topology/--scheme/--seed/--full as the \
-         checkpointing run\n\
-         sharded flags: [--shards N] [--scheme shortest|waterfilling] [--audit] \
-         [--policy direct|queued] [--fees] [--congestion] [--rebalance]\n\
-         inspect flags: [--channel N] [--node N] [--payment N] [--kind K] [--from T] [--to T] \
-         [--limit N] [--top K]"
+        "resume: SNAPSHOT is a .spsn file or a checkpoint dir (latest valid snapshot); pass \
+         the same --topology/--scheme/--seed/--full as the checkpointing run. Traces \
+         (--trace-out) are SPBT .bin files; trace-convert IN OUT maps them to and from JSONL."
     );
     std::process::exit(2);
 }
 
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
-/// Builds the optional [`CheckpointSpec`] from `--checkpoint-every N` and
-/// `--checkpoint-dir DIR`. The directory is required; the cadence defaults
-/// to every 100 scheduler ticks.
-fn checkpoint_spec(args: &[String]) -> Option<CheckpointSpec> {
-    let every = flag_value(args, "--checkpoint-every").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--checkpoint-every expects a positive integer, got `{v}`");
-            usage_and_exit();
-        })
-    });
-    match flag_value(args, "--checkpoint-dir") {
-        Some(dir) => Some(CheckpointSpec::new(every.unwrap_or(100), dir)),
-        None => {
-            if every.is_some() {
-                eprintln!("--checkpoint-every requires --checkpoint-dir");
-                usage_and_exit();
-            }
-            None
-        }
-    }
-}
-
-/// Parses a `--scheme` value: the canonical report names
-/// (`spider-waterfilling`, `shortest-path`, ...) plus short aliases.
+/// Parses a `--scheme` value: a canonical report name
+/// (`spider-waterfilling`, `shortest-path`, ...) or its short alias.
 fn parse_scheme(name: &str) -> SchemeChoice {
-    scheme_choice_by_name(name)
-        .or(match name {
-            "shortest" => Some(SchemeChoice::ShortestPath),
-            "waterfilling" => Some(SchemeChoice::SpiderWaterfilling),
-            "maxflow" => Some(SchemeChoice::MaxFlow),
-            "lp" => Some(SchemeChoice::SpiderLp),
-            _ => None,
-        })
-        .unwrap_or_else(|| {
-            eprintln!(
-                "unknown scheme `{name}` (use silentwhispers, speedymurmurs, shortest-path, \
-                 max-flow, spider-waterfilling, or spider-lp)"
-            );
-            usage_and_exit();
-        })
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    scheme_choice_by_name(name).unwrap_or_else(|| {
+        usage_and_exit(&format!(
+            "unknown scheme `{name}` (use silentwhispers, speedymurmurs, shortest-path, \
+             max-flow, spider-waterfilling, or spider-lp)"
+        ))
+    })
 }
 
 /// Accumulates results and optionally writes one JSON document at the end.
@@ -345,26 +345,23 @@ impl JsonSink {
 fn run_fig4(out: &mut JsonSink) {
     println!("=== Fig. 4 / Fig. 5: balanced routing example & decomposition ===");
     let r = fig4_fig5();
-    println!(
-        "total demand:                       {:>6.1}  (paper: 12)",
-        r.total_demand
-    );
-    println!(
-        "shortest-path balanced throughput:  {:>6.1}  (paper Fig. 4b: 5)",
-        r.shortest_path_throughput
-    );
-    println!(
-        "optimal balanced throughput:        {:>6.1}  (paper Fig. 4c: 8)",
-        r.optimal_throughput
-    );
-    println!(
-        "max circulation ν(C*):              {:>6.1}  (paper Fig. 5b: 8)",
-        r.circulation_value
-    );
-    println!(
-        "DAG remainder:                      {:>6.1}  (paper Fig. 5c: 4)",
-        r.dag_value
-    );
+    for (label, value, paper) in [
+        ("total demand:", r.total_demand, ": 12"),
+        (
+            "shortest-path balanced throughput:",
+            r.shortest_path_throughput,
+            " Fig. 4b: 5",
+        ),
+        (
+            "optimal balanced throughput:",
+            r.optimal_throughput,
+            " Fig. 4c: 8",
+        ),
+        ("max circulation ν(C*):", r.circulation_value, " Fig. 5b: 8"),
+        ("DAG remainder:", r.dag_value, " Fig. 5c: 4"),
+    ] {
+        println!("{label:<35} {value:>6.1}  (paper{paper})");
+    }
     println!("circulation cycles:");
     for (nodes, rate) in &r.cycles {
         let pretty: Vec<String> = nodes.iter().map(|n| format!("{}", n + 1)).collect();
@@ -374,18 +371,17 @@ fn run_fig4(out: &mut JsonSink) {
     println!();
 }
 
-fn config_for(topology: &str, full: bool, seed: u64) -> ExperimentConfig {
-    let mut cfg = match (topology, full) {
+fn config_for(opts: &Options, topology: &str) -> ExperimentConfig {
+    let mut cfg = match (topology, opts.has("--full")) {
         ("isp", false) => ExperimentConfig::isp_quick(),
         ("isp", true) => ExperimentConfig::isp_full(),
         ("ripple", false) => ExperimentConfig::ripple_quick(),
         ("ripple", true) => ExperimentConfig::ripple_full(),
-        _ => {
-            eprintln!("unknown topology `{topology}` (use isp or ripple)");
-            usage_and_exit();
-        }
+        _ => usage_and_exit(&format!(
+            "unknown topology `{topology}` (use isp or ripple)"
+        )),
     };
-    cfg.seed = seed;
+    cfg.seed = opts.seed;
     cfg
 }
 
@@ -408,56 +404,53 @@ fn print_fig6_table(reports: &[SimReport]) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_fig6(
-    topology: &str,
-    full: bool,
-    seed: u64,
-    telemetry: bool,
-    trace_out: Option<&str>,
-    format: TraceFormat,
-    scheme: Option<SchemeChoice>,
-    checkpoint: Option<&CheckpointSpec>,
-    out: &mut JsonSink,
-) {
-    let cfg = config_for(topology, full, seed);
-    println!(
-        "=== Fig. 6 ({topology}): {} txns over {:.0}s, capacity {:.0}/channel ===",
-        cfg.num_transactions, cfg.duration, cfg.capacity
-    );
-    let t0 = std::time::Instant::now();
-    let reports = if let Some(choice) = scheme {
-        // Single-scheme run: the only mode that supports checkpointing
-        // (one snapshot stream per directory). Output shape matches the
-        // all-schemes run so reports and traces stay byte-comparable.
-        let tel = if telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
-        let report = match checkpoint {
-            Some(ck) => run_scheme_checkpointed(&cfg, choice, &tel, ck)
-                .unwrap_or_else(|e| snapshot_fail(&e)),
-            None if telemetry => run_scheme_traced(&cfg, choice, &tel),
-            None => run_scheme(&cfg, choice),
-        };
-        write_fig6_trace(topology, &report, &tel, trace_out, format);
-        vec![report]
-    } else if telemetry {
-        let traced = fig6_traced(&cfg);
-        if let Some(dir) = trace_out {
-            for (report, tel) in &traced {
-                let stem = format!("fig6-{topology}-{}", report.scheme);
-                write_trace(dir, &stem, format, &tel.events());
-            }
-            println!("wrote {} trace files to {dir}", traced.len());
-        }
-        traced.into_iter().map(|(r, _)| r).collect()
-    } else {
-        fig6(&cfg)
+/// `fig6` and `resume SNAPSHOT`, and the two Fig. 6 passes of `all`.
+///
+/// With `--scheme` one scheme runs alone — the only mode that supports
+/// checkpointing (one snapshot stream per directory) and the one `resume`
+/// continues: it rebuilds the same scenario (topology / scheme / seed /
+/// scale must match the checkpointing run) and carries it to completion from
+/// `SNAPSHOT`, a `.spsn` file or a checkpoint directory (latest valid
+/// snapshot). Output shape and trace-file stems match the all-schemes run,
+/// so resumed, checkpointed and uninterrupted outputs are byte-comparable.
+fn run_fig6(opts: &Options, topology: &str, out: &mut JsonSink) {
+    let cfg = config_for(opts, topology);
+    let scheme = opts.value("--scheme").map(parse_scheme);
+    let snapshot = opts.operands.first().map(|arg| latest_in(arg));
+    match &snapshot {
+        Some(path) => println!("=== resume ({topology}): from {} ===", path.display()),
+        None => println!(
+            "=== Fig. 6 ({topology}): {} txns over {:.0}s, capacity {:.0}/channel ===",
+            cfg.num_transactions, cfg.duration, cfg.capacity
+        ),
+    }
+    let mode = match (&snapshot, &opts.checkpoint) {
+        (Some(snapshot), checkpoint) => RunMode::Resume(snapshot, checkpoint.as_ref()),
+        (None, Some(checkpoint)) => RunMode::Checkpoint(checkpoint),
+        (None, None) => RunMode::Plain,
     };
+    let t0 = std::time::Instant::now();
+    let runs = match scheme {
+        Some(choice) => {
+            let tel = telemetry_handle(opts.telemetry);
+            let report = run_scheme(&cfg, choice, &tel, mode).unwrap_or_else(|e| snapshot_fail(e));
+            vec![(report, tel)]
+        }
+        None if matches!(mode, RunMode::Plain) => fig6(&cfg, opts.telemetry),
+        None => usage_and_exit(
+            "`resume` and `--checkpoint-dir` require `--scheme` (one snapshot stream per run)",
+        ),
+    };
+    if let Some(dir) = opts.value("--trace-out") {
+        for (report, tel) in &runs {
+            let stem = format!("fig6-{topology}-{}", report.scheme);
+            tel.with_events(|events| write_trace(dir, &stem, events));
+        }
+        println!("wrote {} trace file(s) to {dir}", runs.len());
+    }
+    let reports: Vec<SimReport> = runs.into_iter().map(|(report, _)| report).collect();
     print_fig6_table(&reports);
-    if telemetry {
+    if opts.telemetry {
         println!("completion-delay percentiles (s):");
         for r in &reports {
             if let Some(p) = &r.completion_delay_percentiles {
@@ -473,110 +466,44 @@ fn run_fig6(
     println!();
 }
 
+/// `arg` itself if it names a snapshot file; the latest valid snapshot in
+/// it if it names a checkpoint directory.
+fn latest_in(arg: &str) -> std::path::PathBuf {
+    let path = std::path::PathBuf::from(arg);
+    if !path.is_dir() {
+        return path;
+    }
+    match latest_snapshot(&path) {
+        Ok(Some(p)) => p,
+        Ok(None) => snapshot_fail(format!("no valid snapshot in {arg}")),
+        Err(e) => snapshot_fail(e),
+    }
+}
+
 /// Reports a snapshot error on stderr and exits with status 1 — corrupt,
 /// truncated, or mismatched snapshots are an error, never a panic.
-fn snapshot_fail(e: &spider_sim::SnapshotError) -> ! {
+fn snapshot_fail(e: impl std::fmt::Display) -> ! {
     eprintln!("snapshot error: {e}");
     std::process::exit(1);
 }
 
-/// Reports a failed run or an unwritable output path on stderr and exits
-/// with status 1 — an error, never a panic.
+/// Reports a failed run, an unreadable input or an unwritable output path
+/// on stderr and exits with status 1 — an error, never a panic.
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+fn read_file(path: &str) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
 }
 
 fn write_file(path: &str, bytes: &[u8]) {
     std::fs::write(path, bytes).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
 }
 
-/// Writes the single-scheme fig6 trace file (same stem as the all-schemes
-/// run, so resumed and uninterrupted outputs stay byte-comparable).
-fn write_fig6_trace(
-    topology: &str,
-    report: &SimReport,
-    tel: &Telemetry,
-    trace_out: Option<&str>,
-    format: TraceFormat,
-) {
-    if let Some(dir) = trace_out {
-        let stem = format!("fig6-{topology}-{}", report.scheme);
-        let path = write_trace(dir, &stem, format, &tel.events());
-        println!("wrote trace to {path}");
-    }
-}
-
-/// `resume SNAPSHOT`: rebuilds the fig6 single-scheme scenario (topology /
-/// scheme / seed / scale must match the checkpointing run) and carries it
-/// to completion from the snapshot. `SNAPSHOT` is a `.spsn` file or a
-/// checkpoint directory, in which case the latest valid snapshot is used.
-/// Report and trace outputs are byte-identical to an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-fn run_resume(
-    args: &[String],
-    full: bool,
-    seed: u64,
-    telemetry: bool,
-    trace_out: Option<&str>,
-    format: TraceFormat,
-    checkpoint: Option<&CheckpointSpec>,
-    out: &mut JsonSink,
-) {
-    let snapshot_arg = args.get(1).filter(|a| !a.starts_with("--")).cloned();
-    let Some(snapshot_arg) = snapshot_arg else {
-        eprintln!("resume expects a snapshot file or checkpoint directory");
-        usage_and_exit();
-    };
-    let path = std::path::PathBuf::from(&snapshot_arg);
-    let snapshot = if path.is_dir() {
-        match latest_snapshot(&path) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                eprintln!("snapshot error: no valid snapshot in {snapshot_arg}");
-                std::process::exit(1);
-            }
-            Err(e) => snapshot_fail(&e),
-        }
-    } else {
-        path
-    };
-    let topology = flag_value(args, "--topology").unwrap_or_else(|| "isp".into());
-    let choice = parse_scheme(&flag_value(args, "--scheme").unwrap_or_else(|| {
-        eprintln!("resume requires --scheme (the scheme the snapshot was taken under)");
-        usage_and_exit();
-    }));
-    let cfg = config_for(&topology, full, seed);
-    println!("=== resume ({topology}): from {} ===", snapshot.display());
-    let t0 = std::time::Instant::now();
-    let tel = if telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let report = resume_scheme(&cfg, choice, &tel, &snapshot, checkpoint)
-        .unwrap_or_else(|e| snapshot_fail(&e));
-    write_fig6_trace(&topology, &report, &tel, trace_out, format);
-    let reports = vec![report];
-    print_fig6_table(&reports);
-    if telemetry {
-        println!("completion-delay percentiles (s):");
-        for r in &reports {
-            if let Some(p) = &r.completion_delay_percentiles {
-                println!(
-                    "  {:<22} p50={:.3} p95={:.3} p99={:.3}",
-                    r.scheme, p.p50, p.p95, p.p99
-                );
-            }
-        }
-    }
-    println!("({:.1}s)", t0.elapsed().as_secs_f64());
-    out.record(&format!("fig6_{topology}"), &reports);
-    println!();
-}
-
-fn run_fig7(full: bool, seed: u64, out: &mut JsonSink) {
-    let cfg = config_for("isp", full, seed);
+fn run_fig7(opts: &Options, out: &mut JsonSink) {
+    let cfg = config_for(opts, "isp");
     let capacities = [10_000.0, 17_500.0, 30_000.0, 55_000.0, 100_000.0];
     println!(
         "=== Fig. 7: capacity sweep on ISP ({} txns / {:.0}s per point) ===",
@@ -620,11 +547,11 @@ fn print_ablation(title: &str, rows: &[Ablation]) {
     }
 }
 
-fn run_ablations(seed: u64, out: &mut JsonSink) {
+fn run_ablations(opts: &Options, out: &mut JsonSink) {
     // Use the contended Fig. 6 regime so the knobs actually discriminate
     // (shorter runs saturate at 100% success).
     let mut cfg = ExperimentConfig::isp_quick();
-    cfg.seed = seed;
+    cfg.seed = opts.seed;
     println!(
         "=== Ablations (ISP, {} txns / {:.0}s, waterfilling unless noted) ===",
         cfg.num_transactions, cfg.duration
@@ -669,74 +596,35 @@ fn run_ablations(seed: u64, out: &mut JsonSink) {
     println!();
 }
 
-fn run_grid_command(
-    args: &[String],
-    full: bool,
-    seed: u64,
-    telemetry: bool,
-    trace_out: Option<&str>,
-    format: TraceFormat,
-    out: &mut JsonSink,
-) {
-    let topology = flag_value(args, "--topology").unwrap_or_else(|| "isp".into());
-    let base = config_for(&topology, full, seed);
-    let mut grid = GridConfig::new(base);
-    grid.telemetry = telemetry;
-    if let Some(v) = flag_value(args, "--trials") {
-        grid.trials = v.parse().unwrap_or_else(|_| {
-            eprintln!("--trials expects an integer, got `{v}`");
-            usage_and_exit();
-        });
+fn run_grid_command(opts: &Options, out: &mut JsonSink) {
+    let topology = opts.topology();
+    let mut grid = GridConfig::new(config_for(opts, topology));
+    grid.telemetry = opts.telemetry;
+    if let Some(trials) = opts.parsed("--trials", "an integer") {
+        grid.trials = trials;
     }
-    if let Some(v) = flag_value(args, "--capacities") {
-        grid.capacities = v
-            .split(',')
-            .map(|c| {
-                c.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--capacities expects comma-separated numbers, got `{c}`");
-                    usage_and_exit();
-                })
-            })
-            .collect();
+    if let Some(capacities) = opts.list("--capacities", "comma-separated numbers") {
+        grid.capacities = capacities;
     }
-    if has_flag(args, "--no-audit") {
-        grid.audit = false;
+    grid.audit = !opts.has("--no-audit");
+    grid.faults = opts.value("--faults").map(parse_fault_config);
+    if let Some(rates) = opts.list("--outage-rates", "comma-separated numbers") {
+        // An outage sweep without a template still needs a config for the
+        // per-cell plans (durations, retry policy).
+        grid.faults.get_or_insert_with(FaultConfig::default);
+        grid.outage_rates = rates;
     }
-    if let Some(v) = flag_value(args, "--faults") {
-        grid.faults = Some(parse_fault_config(&v));
-    }
-    if let Some(v) = flag_value(args, "--outage-rates") {
-        if grid.faults.is_none() {
-            // An outage sweep without a template still needs a config for
-            // the per-cell plans (durations, retry policy).
-            grid.faults = Some(FaultConfig::default());
-        }
-        grid.outage_rates = v
-            .split(',')
-            .map(|r| {
-                r.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("--outage-rates expects comma-separated numbers, got `{r}`");
-                    usage_and_exit();
-                })
-            })
-            .collect();
-    }
-    if has_flag(args, "--no-retry") {
+    if opts.has("--no-retry") {
         match &mut grid.faults {
             Some(fc) => fc.retry = None,
             None => {
-                eprintln!("--no-retry only makes sense with --faults or --outage-rates");
-                usage_and_exit();
+                usage_and_exit("`--no-retry` only makes sense with `--faults` or `--outage-rates`")
             }
         }
     }
-    let jobs = match flag_value(args, "--jobs") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects an integer, got `{v}`");
-            usage_and_exit();
-        }),
-        None => jobs_from_env(),
-    };
+    let jobs = opts
+        .parsed("--jobs", "an integer")
+        .unwrap_or_else(jobs_from_env);
 
     println!(
         "=== Grid ({topology}): {} schemes x {} capacities x {} trials on {} worker(s), audit {} ===",
@@ -763,26 +651,13 @@ fn run_grid_command(
         );
     }
     let t0 = std::time::Instant::now();
-    let result = if let Some(dir) = trace_out {
-        let (result, traces) =
-            run_grid_traced(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")));
-        for (i, trace) in traces.iter().enumerate() {
-            let path = format!("{dir}/cell-{i:04}.{}", format.ext());
-            match format {
-                TraceFormat::Jsonl => write_file(&path, trace.as_bytes()),
-                TraceFormat::Bin => {
-                    let bytes = bintrace::jsonl_to_bintrace(trace).unwrap_or_else(|(line, e)| {
-                        fail(&format!("cell {i} trace line {line}: {e}"))
-                    });
-                    write_file(&path, &bytes);
-                }
-            }
+    let result = run_grid(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")));
+    if let Some(dir) = opts.value("--trace-out") {
+        for (i, cell) in result.cells.iter().enumerate() {
+            write_trace(dir, &format!("cell-{i:04}"), &cell.events);
         }
-        println!("wrote {} per-cell trace files to {dir}", traces.len());
-        result
-    } else {
-        run_grid(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")))
-    };
+        println!("wrote {} per-cell trace files to {dir}", result.cells.len());
+    }
     let has_rates = result.summaries.iter().any(|s| s.outage_rate.is_some());
     println!(
         "{:<22} {:>9}{} {:>24} {:>24} {:>12} {:>10}",
@@ -836,70 +711,45 @@ fn run_grid_command(
 /// `--trace-out` trace are byte-identical for any `--shards` value — CI
 /// compares shard counts 1 and 4 on the smoke scenario, plain and
 /// all-features.
-fn run_sharded_command(
-    args: &[String],
-    full: bool,
-    seed: u64,
-    telemetry: bool,
-    trace_out: Option<&str>,
-    format: TraceFormat,
-    out: &mut JsonSink,
-) {
-    let topology = flag_value(args, "--topology").unwrap_or_else(|| "isp".into());
-    let cfg = config_for(&topology, full, seed);
-    let shards: usize = match flag_value(args, "--shards") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("--shards expects an integer, got `{v}`");
-            usage_and_exit();
-        }),
-        None => 4,
+fn run_sharded_command(opts: &Options, out: &mut JsonSink) {
+    let topology = opts.topology();
+    let cfg = config_for(opts, topology);
+    let shards: usize = opts.parsed("--shards", "an integer").unwrap_or(4);
+    let scheme = match opts.value("--scheme").map(parse_scheme) {
+        None | Some(SchemeChoice::SpiderWaterfilling) => ShardScheme::Waterfilling,
+        Some(SchemeChoice::ShortestPath) => ShardScheme::ShortestPath,
+        Some(_) => usage_and_exit("`sharded --scheme` expects shortest or waterfilling"),
     };
-    let scheme = match flag_value(args, "--scheme").as_deref() {
-        None | Some("waterfilling") => ShardScheme::Waterfilling,
-        Some("shortest") => ShardScheme::ShortestPath,
-        Some(other) => {
-            eprintln!("--scheme expects shortest or waterfilling, got `{other}`");
-            usage_and_exit();
-        }
-    };
-    let audit = has_flag(args, "--audit");
+    let audit = opts.has("--audit");
     let features = ShardFeatures {
-        queued: match flag_value(args, "--policy").as_deref() {
+        queued: match opts.value("--policy") {
             None | Some("direct") => false,
             Some("queued") => true,
-            Some(other) => {
-                eprintln!("--policy expects direct or queued, got `{other}`");
-                usage_and_exit();
-            }
+            Some(other) => usage_and_exit(&format!(
+                "`--policy` expects direct or queued, got `{other}`"
+            )),
         },
-        fees: has_flag(args, "--fees"),
-        congestion: has_flag(args, "--congestion"),
-        rebalance: has_flag(args, "--rebalance"),
+        fees: opts.has("--fees"),
+        congestion: opts.has("--congestion"),
+        rebalance: opts.has("--rebalance"),
     };
+    let extras: String = [
+        (features.fees, " +fees"),
+        (features.congestion, " +congestion"),
+        (features.rebalance, " +rebalance"),
+    ]
+    .iter()
+    .filter_map(|&(on, label)| on.then_some(label))
+    .collect();
     println!(
         "=== Sharded ({topology}): {} txns over {:.0}s on {shards} shard(s), audit {}, \
-         policy {}{}{}{} ===",
+         policy {}{extras} ===",
         cfg.num_transactions,
         cfg.duration,
         if audit { "on" } else { "off" },
         if features.queued { "queued" } else { "direct" },
-        if features.fees { " +fees" } else { "" },
-        if features.congestion {
-            " +congestion"
-        } else {
-            ""
-        },
-        if features.rebalance {
-            " +rebalance"
-        } else {
-            ""
-        },
     );
-    let tel = if telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let tel = telemetry_handle(opts.telemetry);
     let t0 = std::time::Instant::now();
     let report = run_sharded_scheme(&cfg, scheme, shards, &tel, audit, features);
     print_fig6_table(std::slice::from_ref(&report));
@@ -910,11 +760,10 @@ fn run_sharded_command(
         t0.elapsed().as_secs_f64()
     );
     if !report.audit_violations.is_empty() {
-        eprintln!(
-            "WARNING: the ledger auditor found {} violation(s)",
+        fail(&format!(
+            "the ledger auditor found {} violation(s)",
             report.audit_violations.len()
-        );
-        std::process::exit(1);
+        ));
     }
     if let Some(obs) = &report.shards {
         if obs.num_shards >= 2 {
@@ -922,8 +771,8 @@ fn run_sharded_command(
             print!("{}", obs.render());
         }
     }
-    if let Some(dir) = trace_out {
-        let path = write_trace(dir, &format!("sharded-{topology}"), format, &tel.events());
+    if let Some(dir) = opts.value("--trace-out") {
+        let path = tel.with_events(|ev| write_trace(dir, &format!("sharded-{topology}"), ev));
         println!("wrote {path}");
     }
     out.record("sharded", &report);
@@ -937,75 +786,54 @@ fn parse_fault_config(arg: &str) -> FaultConfig {
     if let Some(cfg) = FaultConfig::scenario(arg) {
         return cfg;
     }
-    let looks_like_path = arg.contains('/') || arg.ends_with(".json");
-    if !looks_like_path {
-        eprintln!(
-            "--faults: unknown scenario `{arg}` \
+    if !arg.contains('/') && !arg.ends_with(".json") {
+        usage_and_exit(&format!(
+            "`--faults`: unknown scenario `{arg}` \
              (use outages|churn|drops|jitter|griefing|stress, or a JSON file path)"
-        );
-        usage_and_exit();
+        ));
     }
-    let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-        eprintln!("--faults: cannot read {arg}: {e}");
-        std::process::exit(2);
-    });
-    serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("--faults: {arg} is not a valid fault config: {e}");
-        std::process::exit(2);
-    })
+    let text = String::from_utf8_lossy(&read_file(arg)).into_owned();
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(&format!("{arg} is not a valid fault config: {e}")))
 }
 
-/// CI smoke check: every `.jsonl` / `.bin` file in `dir` must be
-/// non-empty, parse (or decode) as trace events, and be internally
-/// consistent (payments resolve at most once; units settle or refund at
-/// most once each).
+/// The one trace reader: the events of the SPBT file `path` that match `q`,
+/// answered through the per-block index, and how much of the file that
+/// decoded. Runs write SPBT only, so anything else — a JSONL trace
+/// included — is an error pointing at `trace-convert`.
+fn load_trace(path: &str, q: &TraceQuery) -> (Vec<TraceEvent>, QueryStats) {
+    let bytes = read_file(path);
+    if !bintrace::is_bintrace(&bytes) {
+        fail(&format!(
+            "{path} is not an SPBT trace; if it is JSONL, convert it with \
+             `trace-convert {path} OUT.bin`"
+        ));
+    }
+    bintrace::query_with_stats(&bytes, q).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+}
+
+/// CI smoke check: every trace file (`.bin`; a stray `.jsonl` is rejected
+/// by [`load_trace`]) in `dir` must be non-empty, decode as trace events,
+/// and be internally consistent (payments resolve at most once; units
+/// settle or refund at most once each).
 fn run_trace_check(dir: &str) {
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| {
-            eprintln!("trace-check: cannot read {dir}: {e}");
-            std::process::exit(1);
-        })
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| fail(&format!("cannot read {dir}: {e}")))
         .filter_map(|entry| {
-            let path = entry.expect("readable dir entry").path();
-            (path.extension().is_some_and(|x| x == "jsonl" || x == "bin")).then_some(path)
+            let path = entry.ok()?.path();
+            (path.extension().is_some_and(|x| x == "jsonl" || x == "bin"))
+                .then(|| path.display().to_string())
         })
         .collect();
     files.sort();
     if files.is_empty() {
-        eprintln!("trace-check: no .jsonl or .bin files in {dir}");
-        std::process::exit(1);
+        fail(&format!("no trace files in {dir}"));
     }
     let mut total_events = 0u64;
-    for path in &files {
-        let name = path.display();
-        let bytes = std::fs::read(path).unwrap_or_else(|e| {
-            eprintln!("trace-check: cannot read {name}: {e}");
-            std::process::exit(1);
-        });
-        let events = if bintrace::is_bintrace(&bytes) {
-            match bintrace::decode(&bytes) {
-                Ok(events) => events,
-                Err(err) => {
-                    eprintln!("trace-check: {name}: {err}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            let text = String::from_utf8(bytes).unwrap_or_else(|e| {
-                eprintln!("trace-check: {name} is not UTF-8: {e}");
-                std::process::exit(1);
-            });
-            match spider_telemetry::parse_jsonl(&text) {
-                Ok(events) => events,
-                Err((line, err)) => {
-                    eprintln!("trace-check: {name} line {line}: {err}");
-                    std::process::exit(1);
-                }
-            }
-        };
+    for name in &files {
+        let (events, _) = load_trace(name, &TraceQuery::default());
         if events.is_empty() {
-            eprintln!("trace-check: {name} contains no events");
-            std::process::exit(1);
+            fail(&format!("{name} contains no events"));
         }
         let counts = spider_telemetry::count_by_kind(&events);
         let count = |kind: &str| {
@@ -1018,16 +846,16 @@ fn run_trace_check(dir: &str) {
         let arrived = count("payment_arrived");
         let resolved = count("payment_completed") + count("payment_abandoned");
         if resolved > arrived {
-            eprintln!(
-                "trace-check: {name}: {resolved} payments resolved but only {arrived} arrived"
-            );
-            std::process::exit(1);
+            fail(&format!(
+                "{name}: {resolved} payments resolved but only {arrived} arrived"
+            ));
         }
         let sent = count("unit_sent");
         let finished = count("unit_settled") + count("unit_refunded");
         if finished > sent {
-            eprintln!("trace-check: {name}: {finished} units finished but only {sent} sent");
-            std::process::exit(1);
+            fail(&format!(
+                "{name}: {finished} units finished but only {sent} sent"
+            ));
         }
         total_events += events.len() as u64;
     }
@@ -1039,67 +867,32 @@ fn run_trace_check(dir: &str) {
 }
 
 /// `inspect FILE [--channel N] [--node N] [--payment N] [--kind K]
-/// [--from T] [--to T] [--limit N] [--top K]`: queries one trace file and
-/// prints the matches plus a top-K hot-channels / hot-nodes report.
-/// Binary traces answer through the per-block index (the block-skip stats
-/// are printed); JSONL traces fall back to a full scan, so the two paths
-/// are directly comparable. A `.json` report written by `--json` prints
-/// its embedded per-phase profile breakdowns instead.
-fn run_inspect(file: &str, args: &[String]) {
-    fn num<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-        flag_value(args, flag).map(|v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} expects a number, got `{v}`");
-                std::process::exit(2);
-            })
-        })
-    }
-    let bytes = std::fs::read(file).unwrap_or_else(|e| {
-        eprintln!("inspect: cannot read {file}: {e}");
-        std::process::exit(1);
-    });
+/// [--from T] [--to T] [--limit N] [--top K]`: queries one SPBT trace file
+/// through its per-block index (the block-skip stats are printed) and
+/// prints the matches plus a top-K hot-channels / hot-nodes report. A
+/// `.json` report written by `--json` prints its embedded per-phase profile
+/// breakdowns instead.
+fn run_inspect(opts: &Options) {
+    let file = opts.operands[0].as_str();
     if file.ends_with(".json") {
-        inspect_report(file, &bytes);
-        return;
+        return inspect_report(file);
     }
+    let number = "a number";
     let q = TraceQuery {
-        channel: num(args, "--channel"),
-        node: num(args, "--node"),
-        payment: num(args, "--payment"),
-        kind: flag_value(args, "--kind"),
-        from: num(args, "--from"),
-        to: num(args, "--to"),
+        channel: opts.parsed("--channel", number),
+        node: opts.parsed("--node", number),
+        payment: opts.parsed("--payment", number),
+        kind: opts.value("--kind").map(String::from),
+        from: opts.parsed("--from", number),
+        to: opts.parsed("--to", number),
     };
-    let limit: usize = num(args, "--limit").unwrap_or(20);
-    let top: usize = num(args, "--top").unwrap_or(5);
-    let (events, scan_note) = if bintrace::is_bintrace(&bytes) {
-        let (events, stats) = bintrace::query_with_stats(&bytes, &q).unwrap_or_else(|e| {
-            eprintln!("inspect: {file}: {e}");
-            std::process::exit(1);
-        });
-        let note = format!(
-            "indexed query decoded {}/{} blocks ({} events decoded, {} matched)",
-            stats.blocks_scanned, stats.blocks_total, stats.events_decoded, stats.events_matched
-        );
-        (events, note)
-    } else {
-        let text = String::from_utf8(bytes).unwrap_or_else(|e| {
-            eprintln!("inspect: {file} is not UTF-8 (and not a binary trace): {e}");
-            std::process::exit(1);
-        });
-        let all = match spider_telemetry::parse_jsonl(&text) {
-            Ok(events) => events,
-            Err((line, err)) => {
-                eprintln!("inspect: {file} line {line}: {err}");
-                std::process::exit(1);
-            }
-        };
-        let total = all.len();
-        let events: Vec<TraceEvent> = all.into_iter().filter(|e| q.matches(e)).collect();
-        let note = format!("full scan over {} events ({} matched)", total, events.len());
-        (events, note)
-    };
-    println!("{file}: {scan_note}");
+    let limit: usize = opts.parsed("--limit", number).unwrap_or(20);
+    let top: usize = opts.parsed("--top", number).unwrap_or(5);
+    let (events, stats) = load_trace(file, &q);
+    println!(
+        "{file}: indexed query decoded {}/{} blocks ({} events decoded, {} matched)",
+        stats.blocks_scanned, stats.blocks_total, stats.events_decoded, stats.events_matched
+    );
     let counts = spider_telemetry::count_by_kind(&events);
     if !counts.is_empty() {
         let pretty: Vec<String> = counts
@@ -1163,15 +956,10 @@ fn print_hot(label: &str, top: usize, ids: impl Iterator<Item = u64>) {
 /// renders each as a breakdown table.
 ///
 /// [`PhaseProfile`]: spider_telemetry::PhaseProfile
-fn inspect_report(file: &str, bytes: &[u8]) {
-    let text = std::str::from_utf8(bytes).unwrap_or_else(|e| {
-        eprintln!("inspect: {file} is not UTF-8: {e}");
-        std::process::exit(1);
-    });
-    let value: serde_json::Value = serde_json::from_str(text).unwrap_or_else(|e| {
-        eprintln!("inspect: {file} is not valid JSON: {e:?}");
-        std::process::exit(1);
-    });
+fn inspect_report(file: &str) {
+    let text = String::from_utf8_lossy(&read_file(file)).into_owned();
+    let value: serde_json::Value = serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(&format!("{file} is not valid JSON: {e:?}")));
     let mut found = 0usize;
     walk_phases(&value, "$", &mut found);
     if found == 0 {
@@ -1239,32 +1027,20 @@ fn phase_rows(value: &serde_json::Value) -> Option<String> {
     Some(out)
 }
 
-/// `trace-convert IN OUT`: lossless conversion between the JSONL and
-/// binary trace formats. The input format is auto-detected from the bytes;
-/// the output format follows the output path's extension (`.bin` writes
-/// binary, anything else JSONL).
+/// `trace-convert IN OUT`: lossless conversion between SPBT and JSONL, the
+/// schema-evolution-friendly interchange format — the one place that reads
+/// or writes JSONL. The input format is detected from the bytes; the output
+/// format follows the output path's extension (`.bin` writes SPBT, anything
+/// else JSONL).
 fn run_trace_convert(input: &str, output: &str) {
-    let bytes = std::fs::read(input).unwrap_or_else(|e| {
-        eprintln!("trace-convert: cannot read {input}: {e}");
-        std::process::exit(1);
-    });
+    let bytes = read_file(input);
     let events = if bintrace::is_bintrace(&bytes) {
-        bintrace::decode(&bytes).unwrap_or_else(|e| {
-            eprintln!("trace-convert: {input}: {e}");
-            std::process::exit(1);
-        })
+        bintrace::decode(&bytes).unwrap_or_else(|e| fail(&format!("{input}: {e}")))
     } else {
-        let text = String::from_utf8(bytes).unwrap_or_else(|e| {
-            eprintln!("trace-convert: {input} is not UTF-8 (and not a binary trace): {e}");
-            std::process::exit(1);
-        });
-        match spider_telemetry::parse_jsonl(&text) {
-            Ok(events) => events,
-            Err((line, err)) => {
-                eprintln!("trace-convert: {input} line {line}: {err}");
-                std::process::exit(1);
-            }
-        }
+        let text = String::from_utf8(bytes)
+            .unwrap_or_else(|e| fail(&format!("{input} is neither SPBT nor UTF-8: {e}")));
+        spider_telemetry::parse_jsonl(&text)
+            .unwrap_or_else(|(line, e)| fail(&format!("{input} line {line}: {e}")))
     };
     let out_bytes = if output.ends_with(".bin") {
         bintrace::encode(&events)

@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, DemandMatrix, Network, NodeId};
 use spider_opt::fluid::FluidProblem;
-use spider_opt::primal_dual::PrimalDualConfig;
+use spider_opt::primal_dual::{PrimalDualConfig, Utility};
 use spider_routing::{
     LpScheme, MaxFlowScheme, PathCache, PathStrategy, PriceScheme, RoutingScheme,
     ShortestPathScheme, SilentWhispersScheme, SpeedyMurmursScheme, WaterfillingScheme,
@@ -272,21 +272,25 @@ pub fn build_scheme(
         SchemeChoice::ShortestPath => Box::new(ShortestPathScheme::new()),
         SchemeChoice::MaxFlow => Box::new(MaxFlowScheme::new()),
         SchemeChoice::SpiderWaterfilling => Box::new(WaterfillingScheme::new()),
-        SchemeChoice::SpiderLp => {
-            let demand = demand_matrix(trace, 0.0, duration);
-            let (paths, demand) = lp_candidate_paths(network, &demand);
-            let config = PrimalDualConfig {
-                alpha: 0.05,
-                eta: 0.05,
-                kappa: 0.05,
-                max_iters: 5_000,
-                ..Default::default()
-            };
-            Box::new(LpScheme::solve_decentralized(
-                network, &demand, &paths, 0.5, &config,
-            ))
-        }
+        SchemeChoice::SpiderLp => Box::new(solve_lp(network, trace, duration, Utility::Throughput)),
     }
+}
+
+/// The Spider LP for `utility`: demand estimated from the entire trace,
+/// solved with the decentralized primal-dual algorithm over the
+/// [`lp_candidate_paths`].
+fn solve_lp(network: &Network, trace: &[Transaction], duration: f64, utility: Utility) -> LpScheme {
+    let demand = demand_matrix(trace, 0.0, duration);
+    let (paths, demand) = lp_candidate_paths(network, &demand);
+    let config = PrimalDualConfig {
+        alpha: 0.05,
+        eta: 0.05,
+        kappa: 0.05,
+        max_iters: 5_000,
+        utility,
+        ..Default::default()
+    };
+    LpScheme::solve_decentralized(network, &demand, &paths, 0.5, &config)
 }
 
 /// Candidate paths for the LP: 4 edge-disjoint shortest paths per
@@ -316,107 +320,91 @@ pub fn lp_candidate_paths(
     (paths, kept)
 }
 
-/// Runs one scheme on one experiment config.
-pub fn run_scheme(config: &ExperimentConfig, choice: SchemeChoice) -> SimReport {
-    run_scheme_traced(config, choice, &Telemetry::disabled())
+/// How [`run_scheme`] drives the sequential engine.
+#[derive(Clone, Copy, Debug)]
+pub enum RunMode<'a> {
+    /// Start to finish; no snapshot is read or written.
+    Plain,
+    /// Start to finish, writing a crash-safe snapshot into the spec's
+    /// directory every `every` scheduler ticks.
+    Checkpoint(&'a CheckpointSpec),
+    /// Carry a checkpointed run to completion from this `.spsn` file (its
+    /// fingerprint guards against scenario mixups), optionally continuing to
+    /// checkpoint.
+    Resume(&'a std::path::Path, Option<&'a CheckpointSpec>),
 }
 
-/// Runs one scheme with the given telemetry handle installed in the
-/// simulator; the handle keeps the full trace and metrics after the run.
-pub fn run_scheme_traced(
+/// Runs one scheme on one experiment config — the one recipe (network,
+/// trace, [`build_scheme`], [`ExperimentConfig::sim_config`], telemetry,
+/// engine call) behind every figure, grid cell and resumed run.
+///
+/// The handle keeps the full trace and metrics after the run. A resumed
+/// run's report and trace are byte-identical to an uninterrupted run of the
+/// same scenario. Only the snapshot modes can fail: [`RunMode::Plain`]
+/// always returns `Ok`.
+pub fn run_scheme(
     config: &ExperimentConfig,
     choice: SchemeChoice,
     telemetry: &Telemetry,
-) -> SimReport {
+    mode: RunMode<'_>,
+) -> Result<SimReport, SnapshotError> {
+    run_scheme_with(config, choice, telemetry, mode, |_, _| {})
+}
+
+/// [`run_scheme`] with a last word on the simulator settings (the grid's
+/// per-cell auditor and fault plan).
+pub(crate) fn run_scheme_with(
+    config: &ExperimentConfig,
+    choice: SchemeChoice,
+    telemetry: &Telemetry,
+    mode: RunMode<'_>,
+    adjust: impl FnOnce(&mut SimConfig, &Network),
+) -> Result<SimReport, SnapshotError> {
+    use spider_sim::engine::{resume, run_checkpointed};
     let network = config.network();
     let trace = config.trace(&network);
     let mut scheme = build_scheme(choice, &network, &trace, config.duration);
     let mut sim = config.sim_config();
     sim.telemetry = telemetry.clone();
-    run(&network, &trace, scheme.as_mut(), &sim)
+    adjust(&mut sim, &network);
+    let scheme = scheme.as_mut();
+    match mode {
+        RunMode::Plain => Ok(run(&network, &trace, scheme, &sim)),
+        RunMode::Checkpoint(ckpt) => run_checkpointed(&network, &trace, scheme, &sim, ckpt),
+        RunMode::Resume(snapshot, ckpt) => resume(&network, &trace, scheme, &sim, snapshot, ckpt),
+    }
 }
 
 /// Parses a scheme name as printed in reports and trace-file stems
-/// (e.g. `spider-waterfilling`) back into a [`SchemeChoice`].
+/// (e.g. `spider-waterfilling`), or its short alias (`waterfilling`), back
+/// into a [`SchemeChoice`].
 pub fn scheme_choice_by_name(name: &str) -> Option<SchemeChoice> {
     match name {
         "silentwhispers" => Some(SchemeChoice::SilentWhispers),
         "speedymurmurs" => Some(SchemeChoice::SpeedyMurmurs),
-        "shortest-path" => Some(SchemeChoice::ShortestPath),
-        "max-flow" => Some(SchemeChoice::MaxFlow),
-        "spider-waterfilling" => Some(SchemeChoice::SpiderWaterfilling),
-        "spider-lp" => Some(SchemeChoice::SpiderLp),
+        "shortest-path" | "shortest" => Some(SchemeChoice::ShortestPath),
+        "max-flow" | "maxflow" => Some(SchemeChoice::MaxFlow),
+        "spider-waterfilling" | "waterfilling" => Some(SchemeChoice::SpiderWaterfilling),
+        "spider-lp" | "lp" => Some(SchemeChoice::SpiderLp),
         _ => None,
     }
 }
 
-/// Like [`run_scheme_traced`], but writes a crash-safe snapshot into
-/// `ckpt.dir` every `ckpt.every` scheduler ticks (sequential engine).
-pub fn run_scheme_checkpointed(
-    config: &ExperimentConfig,
-    choice: SchemeChoice,
-    telemetry: &Telemetry,
-    ckpt: &CheckpointSpec,
-) -> Result<SimReport, SnapshotError> {
-    let network = config.network();
-    let trace = config.trace(&network);
-    let mut scheme = build_scheme(choice, &network, &trace, config.duration);
-    let mut sim = config.sim_config();
-    sim.telemetry = telemetry.clone();
-    spider_sim::engine::run_checkpointed(&network, &trace, scheme.as_mut(), &sim, ckpt)
-}
-
-/// Resumes a [`run_scheme_checkpointed`] run from a snapshot and carries it
-/// to completion, optionally continuing to checkpoint. The finished run's
-/// report and trace are byte-identical to an uninterrupted run of the same
-/// scenario (the snapshot's fingerprint guards against scenario mixups).
-pub fn resume_scheme(
-    config: &ExperimentConfig,
-    choice: SchemeChoice,
-    telemetry: &Telemetry,
-    snapshot: &std::path::Path,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<SimReport, SnapshotError> {
-    let network = config.network();
-    let trace = config.trace(&network);
-    let mut scheme = build_scheme(choice, &network, &trace, config.duration);
-    let mut sim = config.sim_config();
-    sim.telemetry = telemetry.clone();
-    spider_sim::engine::resume(&network, &trace, scheme.as_mut(), &sim, snapshot, ckpt)
-}
-
-/// Fig. 6: all six schemes on one topology at fixed capacity.
+/// Fig. 6: all six schemes on one topology at fixed capacity, in scheme
+/// order, each with the [`Telemetry`] handle it ran under (enabled when
+/// `telemetry` is set, so the caller can write one trace file per scheme).
 ///
 /// Schemes run in parallel worker threads (each run is independent and
 /// deterministic).
-pub fn fig6(config: &ExperimentConfig) -> Vec<SimReport> {
+pub fn fig6(config: &ExperimentConfig, telemetry: bool) -> Vec<(SimReport, Telemetry)> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = SchemeChoice::ALL
             .iter()
             .map(|&choice| {
-                let cfg = config.clone();
-                scope.spawn(move || run_scheme(&cfg, choice))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scheme run must not panic"))
-            .collect()
-    })
-}
-
-/// Fig. 6 with telemetry enabled: every scheme runs with its own enabled
-/// [`Telemetry`] handle and the pairs are returned in scheme order, so the
-/// caller can write one trace file per scheme.
-pub fn fig6_traced(config: &ExperimentConfig) -> Vec<(SimReport, Telemetry)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = SchemeChoice::ALL
-            .iter()
-            .map(|&choice| {
-                let cfg = config.clone();
                 scope.spawn(move || {
-                    let tel = Telemetry::enabled();
-                    let report = run_scheme_traced(&cfg, choice, &tel);
+                    let tel = telemetry_handle(telemetry);
+                    let report = run_scheme(config, choice, &tel, RunMode::Plain)
+                        .expect("a plain run reads and writes no snapshot");
                     (report, tel)
                 })
             })
@@ -426,6 +414,15 @@ pub fn fig6_traced(config: &ExperimentConfig) -> Vec<(SimReport, Telemetry)> {
             .map(|h| h.join().expect("scheme run must not panic"))
             .collect()
     })
+}
+
+/// An enabled or a disabled [`Telemetry`] handle.
+pub fn telemetry_handle(enabled: bool) -> Telemetry {
+    if enabled {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    }
 }
 
 /// Fig. 7: capacity sweep on the ISP topology for all schemes.
@@ -438,7 +435,8 @@ pub fn fig7(base: &ExperimentConfig, capacities: &[f64]) -> Vec<(f64, Vec<SimRep
                 capacity: cap,
                 ..base.clone()
             };
-            (cap, fig6(&cfg))
+            let reports = fig6(&cfg, false).into_iter().map(|(r, _)| r).collect();
+            (cap, reports)
         })
         .collect()
 }
@@ -597,34 +595,21 @@ pub fn ablation_scheduler(cfg: &ExperimentConfig) -> Vec<Ablation> {
 pub fn ablation_extensions(cfg: &ExperimentConfig) -> Vec<Ablation> {
     let network = cfg.network();
     let trace = cfg.trace(&network);
-    let mut out = Vec::new();
-
-    let sim_cfg = cfg.sim_config();
-    out.push((
-        "plain".to_string(),
-        run(&network, &trace, &mut WaterfillingScheme::new(), &sim_cfg),
-    ));
-
     let mut with_cc = cfg.sim_config();
     with_cc.congestion = Some(spider_sim::CongestionConfig::default());
-    out.push((
-        "aimd-congestion".to_string(),
-        run(&network, &trace, &mut WaterfillingScheme::new(), &with_cc),
-    ));
-
     let mut with_rebalance = cfg.sim_config();
     with_rebalance.rebalance = Some(spider_sim::RebalancePolicy::aggressive());
-    out.push((
-        "onchain-rebalancing".to_string(),
-        run(
-            &network,
-            &trace,
-            &mut WaterfillingScheme::new(),
-            &with_rebalance,
-        ),
-    ));
-
-    out
+    [
+        ("plain", cfg.sim_config()),
+        ("aimd-congestion", with_cc),
+        ("onchain-rebalancing", with_rebalance),
+    ]
+    .into_iter()
+    .map(|(label, sim)| {
+        let report = run(&network, &trace, &mut WaterfillingScheme::new(), &sim);
+        (label.to_string(), report)
+    })
+    .collect()
 }
 
 /// Beyond-the-paper scheme comparison: online price-based routing
@@ -646,20 +631,10 @@ pub fn extension_schemes(cfg: &ExperimentConfig) -> Vec<Ablation> {
         run(&network, &trace, &mut PriceScheme::new(), &sim_cfg),
     ));
 
-    // Proportionally fair LP over the estimated demand, solved with the
-    // Kelly-style decentralized primal-dual (the exact Frank-Wolfe variant
-    // in spider-opt::utility is reserved for small instances).
-    let demand = demand_matrix(&trace, 0.0, cfg.duration);
-    let (paths, demand) = lp_candidate_paths(&network, &demand);
-    let pd = PrimalDualConfig {
-        alpha: 0.05,
-        eta: 0.05,
-        kappa: 0.05,
-        max_iters: 5_000,
-        utility: spider_opt::Utility::ProportionalFairness { epsilon: 1e-3 },
-        ..Default::default()
-    };
-    let mut fair = LpScheme::solve_decentralized(&network, &demand, &paths, 0.5, &pd);
+    // Proportionally fair LP over the estimated demand (Kelly-style
+    // decentralized primal-dual).
+    let fairness = Utility::ProportionalFairness { epsilon: 1e-3 };
+    let mut fair = solve_lp(&network, &trace, cfg.duration, fairness);
     out.push((
         "spider-lp-fair".to_string(),
         run(&network, &trace, &mut fair, &sim_cfg),
@@ -735,7 +710,13 @@ mod tests {
         let mut cfg = ExperimentConfig::isp_quick();
         cfg.num_transactions = 500;
         cfg.duration = 20.0;
-        let report = run_scheme(&cfg, SchemeChoice::ShortestPath);
+        let report = run_scheme(
+            &cfg,
+            SchemeChoice::ShortestPath,
+            &Telemetry::disabled(),
+            RunMode::Plain,
+        )
+        .unwrap();
         // Poisson arrivals: a few of the 500 can land past the window end.
         assert!(report.attempted >= 450, "attempted {}", report.attempted);
         assert!(report.success_ratio() > 0.1, "{}", report.summary());

@@ -15,13 +15,12 @@ pub mod runner;
 
 pub use experiments::{
     ablation_extensions, ablation_mtu, ablation_num_paths, ablation_path_strategy,
-    ablation_scheduler, build_scheme, extension_schemes, fig4_fig5, fig4_network, fig6,
-    fig6_traced, fig7, lp_candidate_paths, rebalancing_curve, resume_scheme, run_scheme,
-    run_scheme_checkpointed, run_scheme_traced, run_sharded_scheme, scheme_choice_by_name,
-    Ablation, ExperimentConfig, Fig4Result, RebalancingPoint, SchemeChoice, ShardFeatures,
-    Topology,
+    ablation_scheduler, build_scheme, extension_schemes, fig4_fig5, fig4_network, fig6, fig7,
+    lp_candidate_paths, rebalancing_curve, run_scheme, run_sharded_scheme, scheme_choice_by_name,
+    telemetry_handle, Ablation, ExperimentConfig, Fig4Result, RebalancingPoint, RunMode,
+    SchemeChoice, ShardFeatures, Topology,
 };
 pub use runner::{
-    derive_cell_seed, expand, jobs_from_env, run_grid, run_grid_traced, CellResult, GridCell,
-    GridConfig, GridResult, GridSummary, MetricSummary,
+    derive_cell_seed, expand, jobs_from_env, run_grid, CellResult, GridCell, GridConfig,
+    GridResult, GridSummary, MetricSummary,
 };

@@ -11,11 +11,13 @@
 //! aggregation walks the grid in declaration order. The serialized
 //! [`GridResult`] is therefore byte-identical for any worker count.
 
-use crate::experiments::{build_scheme, ExperimentConfig, SchemeChoice};
+use crate::experiments::{
+    run_scheme_with, telemetry_handle, ExperimentConfig, RunMode, SchemeChoice,
+};
 use serde::{Deserialize, Serialize};
 use spider_core::CoreError;
-use spider_sim::{run, FaultConfig, FaultPlan, SimReport};
-use spider_telemetry::Telemetry;
+use spider_sim::{FaultConfig, FaultPlan, SimReport};
+use spider_telemetry::TraceEvent;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -38,8 +40,8 @@ pub struct GridConfig {
     /// violations in the summaries.
     pub audit: bool,
     /// Run every cell with telemetry enabled: reports carry summaries and
-    /// percentiles, and [`run_grid_traced`] returns per-cell trace JSONL.
-    /// Each cell gets its own handle and traces are index-addressed, so the
+    /// percentiles, and every [`CellResult`] keeps its cell's trace events.
+    /// Each cell gets its own handle and results are index-addressed, so the
     /// output stays byte-identical for any worker count.
     #[serde(default)]
     pub telemetry: bool,
@@ -102,6 +104,10 @@ pub struct CellResult {
     pub cell: GridCell,
     /// The simulation report for that cell.
     pub report: SimReport,
+    /// The cell's trace events (empty when the grid ran with telemetry
+    /// off). Kept in memory only: traces go to disk as their own files.
+    #[serde(skip)]
+    pub events: Vec<TraceEvent>,
 }
 
 /// Mean/min/max/stddev of one metric across the trials of a cell group.
@@ -265,61 +271,49 @@ pub fn jobs_from_env() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-fn run_cell(config: &GridConfig, cell: &GridCell) -> (SimReport, String) {
+/// Runs one cell. `None` only if the run failed with a snapshot error,
+/// which a plain run cannot.
+fn run_cell(config: &GridConfig, cell: GridCell) -> Option<CellResult> {
     let mut exp = config.base.clone();
     exp.capacity = cell.capacity;
     exp.seed = cell.seed;
-    let network = exp.network();
-    let trace = exp.trace(&network);
-    let mut scheme = build_scheme(cell.scheme, &network, &trace, exp.duration);
-    let mut sim = exp.sim_config();
-    sim.audit = config.audit;
-    let tel = if config.telemetry {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    sim.telemetry = tel.clone();
-    if let Some(template) = &config.faults {
-        let mut fc = template.clone();
-        // Decorrelate the fault schedule from the workload stream while
-        // keeping it a pure function of the cell.
-        fc.seed = splitmix64_mix(cell.seed ^ 0x9e37_79b9_7f4a_7c15);
-        if let Some(rate) = cell.outage_rate {
-            fc.channel_outage_rate = rate;
+    let tel = telemetry_handle(config.telemetry);
+    let report = run_scheme_with(&exp, cell.scheme, &tel, RunMode::Plain, |sim, network| {
+        sim.audit = config.audit;
+        if let Some(template) = &config.faults {
+            let mut fc = template.clone();
+            // Decorrelate the fault schedule from the workload stream while
+            // keeping it a pure function of the cell.
+            fc.seed = splitmix64_mix(cell.seed ^ 0x9e37_79b9_7f4a_7c15);
+            if let Some(rate) = cell.outage_rate {
+                fc.channel_outage_rate = rate;
+            }
+            sim.faults = Some(FaultPlan::from_config(&fc, network, exp.duration));
         }
-        sim.faults = Some(FaultPlan::from_config(&fc, &network, exp.duration));
-    }
-    let report = run(&network, &trace, scheme.as_mut(), &sim);
-    (report, tel.trace_jsonl())
+    })
+    .ok()?;
+    Some(CellResult {
+        cell,
+        report,
+        events: tel.events(),
+    })
 }
 
 /// Runs every cell of the grid on `jobs` scoped worker threads (clamped to
 /// `1..=cells`) and aggregates the reports.
 ///
-/// Workers claim cells from a shared atomic counter and write each report
+/// Workers claim cells from a shared atomic counter and write each result
+/// (report and, when `config.telemetry` is on, the cell's trace events)
 /// into the slot addressed by its cell index, so the output — and its JSON
 /// serialization — does not depend on `jobs` or on scheduling order.
 ///
 /// Returns [`CoreError::Internal`] if any worker panicked before filling
 /// its slot; the error names the first unfilled cell.
 pub fn run_grid(config: &GridConfig, jobs: usize) -> Result<GridResult, CoreError> {
-    Ok(run_grid_traced(config, jobs)?.0)
-}
-
-/// Like [`run_grid`], but also returns each cell's trace as JSONL, in cell
-/// index order (empty strings when `config.telemetry` is off). Traces are
-/// slot-addressed like the reports, so every byte of the return value is
-/// independent of the worker count.
-pub fn run_grid_traced(
-    config: &GridConfig,
-    jobs: usize,
-) -> Result<(GridResult, Vec<String>), CoreError> {
     let cells = expand(config);
     let jobs = jobs.clamp(1, cells.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<(SimReport, String)>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -328,38 +322,28 @@ pub fn run_grid_traced(
                 if i >= cells.len() {
                     break;
                 }
-                let outcome = run_cell(config, &cells[i]);
+                let outcome = run_cell(config, cells[i].clone());
                 // A poisoned slot only means another worker panicked while
                 // holding the lock; the slot data itself is still valid.
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(outcome);
+                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = outcome;
             });
         }
     });
 
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut traces = Vec::with_capacity(cells.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        let (report, trace) = slot
-            .into_inner()
-            .unwrap_or_else(|p| p.into_inner())
-            .ok_or_else(|| CoreError::Internal(format!("grid cell {i} produced no report")))?;
-        reports.push(report);
-        traces.push(trace);
-    }
-
-    let results: Vec<CellResult> = cells
+    let results = slots
         .into_iter()
-        .zip(reports)
-        .map(|(cell, report)| CellResult { cell, report })
-        .collect();
+        .enumerate()
+        .map(|(i, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .ok_or_else(|| CoreError::Internal(format!("grid cell {i} produced no report")))
+        })
+        .collect::<Result<Vec<CellResult>, CoreError>>()?;
     let summaries = summarize(config, &results);
-    Ok((
-        GridResult {
-            cells: results,
-            summaries,
-        },
-        traces,
-    ))
+    Ok(GridResult {
+        cells: results,
+        summaries,
+    })
 }
 
 fn summarize(config: &GridConfig, results: &[CellResult]) -> Vec<GridSummary> {

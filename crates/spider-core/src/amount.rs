@@ -76,18 +76,6 @@ impl Amount {
         Amount(micros as i64)
     }
 
-    /// Checked variant of [`from_tokens`](Self::from_tokens): `None` when
-    /// `tokens` is non-finite or the rounded micro-unit count does not fit
-    /// in `i64`.
-    #[inline]
-    pub fn checked_from_tokens(tokens: f64) -> Option<Self> {
-        if !tokens.is_finite() {
-            return None;
-        }
-        let micros = (tokens * MICROS_PER_TOKEN as f64).round();
-        in_i64_range(micros).then_some(Amount(micros as i64))
-    }
-
     /// The raw micro-unit count.
     #[inline]
     pub const fn micros(self) -> i64 {
@@ -128,12 +116,6 @@ impl Amount {
     #[inline]
     pub fn checked_add(self, rhs: Amount) -> Option<Amount> {
         self.0.checked_add(rhs.0).map(Amount)
-    }
-
-    /// Checked subtraction; `None` on overflow.
-    #[inline]
-    pub fn checked_sub(self, rhs: Amount) -> Option<Amount> {
-        self.0.checked_sub(rhs.0).map(Amount)
     }
 
     /// Saturating addition.
@@ -338,7 +320,6 @@ mod tests {
     #[test]
     fn checked_and_saturating() {
         assert_eq!(Amount::MAX.checked_add(Amount::ONE), None);
-        assert_eq!(Amount::MIN.checked_sub(Amount::ONE), None);
         assert_eq!(Amount::MAX.saturating_add(Amount::ONE), Amount::MAX);
         assert_eq!(
             Amount::from_whole(1).checked_add(Amount::from_whole(2)),
@@ -406,30 +387,6 @@ mod tests {
         assert!(!in_i64_range(-(TWO_63 + 2048.0)));
         assert!(!in_i64_range(f64::NAN));
         assert!(!in_i64_range(f64::INFINITY));
-    }
-
-    #[test]
-    fn checked_from_tokens_round_trips_at_i64_edges() {
-        // Largest token value whose micros stay strictly below 2^63. The
-        // f64 product rounds to the nearest representable value (ULP is
-        // 1024 micros at this magnitude); what matters is that it is
-        // accepted and lands within one ULP, not saturated.
-        let a = Amount::checked_from_tokens(9_223_372_036_854.0).expect("in range");
-        assert!((a.micros() - 9_223_372_036_854_000_000).abs() <= 1024);
-        // The negative edge: ~-2^63 / 10^6 tokens lands within two ULPs of
-        // i64::MIN without being rejected or saturated past it.
-        let lo = Amount::checked_from_tokens(-9_223_372_036_854.775).expect("in range");
-        assert!(lo.micros() <= i64::MIN + 2048, "{}", lo.micros());
-        // Clearly out of range / non-finite inputs are rejected, not
-        // silently saturated.
-        assert_eq!(Amount::checked_from_tokens(1e19), None);
-        assert_eq!(Amount::checked_from_tokens(-1e19), None);
-        assert_eq!(Amount::checked_from_tokens(f64::NAN), None);
-        assert_eq!(Amount::checked_from_tokens(f64::NEG_INFINITY), None);
-        assert_eq!(
-            Amount::checked_from_tokens(1.5),
-            Some(Amount::from_micros(1_500_000))
-        );
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl ChannelSet {
         }
     }
 
-    /// An empty set preallocated for channel ids `0..num_channels`.
-    pub fn with_channels(num_channels: usize) -> Self {
-        ChannelSet {
-            marks: vec![0; num_channels],
-            epoch: 1,
-            len: 0,
-        }
-    }
-
     /// Inserts `channel`; returns `true` if it was not already a member.
     pub fn insert(&mut self, channel: ChannelId) -> bool {
         let i = channel.index();
@@ -120,14 +111,6 @@ impl<T> PairTable<T> {
     pub fn new() -> Self {
         PairTable {
             rows: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// An empty table preallocated for sources `0..num_nodes`.
-    pub fn with_nodes(num_nodes: usize) -> Self {
-        PairTable {
-            rows: std::iter::repeat_with(Vec::new).take(num_nodes).collect(),
             len: 0,
         }
     }
@@ -209,7 +192,7 @@ mod tests {
 
     #[test]
     fn channel_set_clear_is_cheap_and_complete() {
-        let mut s = ChannelSet::with_channels(8);
+        let mut s = ChannelSet::new();
         for i in 0..8 {
             s.insert(ChannelId(i));
         }
@@ -227,7 +210,7 @@ mod tests {
 
     #[test]
     fn channel_set_epoch_wraparound_resets_marks() {
-        let mut s = ChannelSet::with_channels(2);
+        let mut s = ChannelSet::new();
         s.epoch = u32::MAX - 1;
         s.insert(ChannelId(0));
         s.clear(); // -> u32::MAX
@@ -257,7 +240,7 @@ mod tests {
 
     #[test]
     fn pair_table_iterates_in_src_dst_order() {
-        let mut t: PairTable<&str> = PairTable::with_nodes(4);
+        let mut t: PairTable<&str> = PairTable::new();
         t.entry_or_insert_with(NodeId(2), NodeId(1), || "c");
         t.entry_or_insert_with(NodeId(0), NodeId(3), || "b");
         t.entry_or_insert_with(NodeId(0), NodeId(1), || "a");

@@ -83,19 +83,6 @@ impl Channel {
         }
     }
 
-    /// The direction of this channel when sending *from* `node`.
-    ///
-    /// # Panics
-    /// Panics if `node` is not an endpoint of this channel; library code
-    /// should prefer [`try_direction_from`](Self::try_direction_from).
-    #[inline]
-    pub fn direction_from(&self, node: NodeId) -> Direction {
-        match self.try_direction_from(node) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The initial balance spendable in the given direction.
     #[inline]
     pub fn balance_in(&self, dir: Direction) -> Amount {
@@ -231,13 +218,6 @@ impl Network {
     #[inline]
     pub fn channels(&self) -> &[Channel] {
         &self.channels
-    }
-
-    /// Appends a new node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.num_nodes += 1;
-        self.csr.take();
-        NodeId((self.num_nodes - 1) as u32)
     }
 
     /// Opens a channel between `a` and `b` with the total `capacity` split
@@ -461,11 +441,11 @@ mod tests {
         assert_eq!((c.a, c.b), (NodeId(0), NodeId(1)));
         // Node 1 supplied 7, so balance on node-1's side must be 7.
         assert_eq!(
-            c.balance_in(c.direction_from(NodeId(1))),
+            c.balance_in(c.try_direction_from(NodeId(1)).unwrap()),
             Amount::from_whole(7)
         );
         assert_eq!(
-            c.balance_in(c.direction_from(NodeId(0))),
+            c.balance_in(c.try_direction_from(NodeId(0)).unwrap()),
             Amount::from_whole(3)
         );
     }
@@ -497,8 +477,8 @@ mod tests {
         let g = triangle();
         let c = g.channel_between(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(c.other(NodeId(0)), NodeId(1));
-        assert_eq!(c.direction_from(NodeId(0)), Direction::AtoB);
-        assert_eq!(c.direction_from(NodeId(1)), Direction::BtoA);
+        assert_eq!(c.try_direction_from(NodeId(0)), Ok(Direction::AtoB));
+        assert_eq!(c.try_direction_from(NodeId(1)), Ok(Direction::BtoA));
         assert_eq!(c.sender(Direction::AtoB), NodeId(0));
     }
 
@@ -535,14 +515,5 @@ mod tests {
         let g = triangle();
         let c = g.channel_between(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.available(c.id, NodeId(0)), Amount::from_whole(5));
-    }
-
-    #[test]
-    fn add_node_extends_graph() {
-        let mut g = triangle();
-        let n = g.add_node();
-        assert_eq!(n, NodeId(3));
-        assert_eq!(g.num_nodes(), 4);
-        assert!(!g.is_connected());
     }
 }

@@ -88,14 +88,6 @@ impl Path {
     pub fn uses_channel(&self, channel: ChannelId) -> bool {
         self.hops.iter().any(|&(c, _)| c == channel)
     }
-
-    /// The direction in which the trail crosses `channel`, if it does.
-    pub fn direction_on(&self, channel: ChannelId) -> Option<Direction> {
-        self.hops
-            .iter()
-            .find(|&&(c, _)| c == channel)
-            .map(|&(_, d)| d)
-    }
 }
 
 impl fmt::Debug for Path {
@@ -194,8 +186,6 @@ mod tests {
         assert!(p.uses_channel(c01));
         assert!(p.uses_channel(c13));
         assert!(!p.uses_channel(c23));
-        assert_eq!(p.direction_on(c01), Some(Direction::AtoB));
-        assert_eq!(p.direction_on(c23), None);
     }
 
     #[test]

@@ -69,23 +69,6 @@ impl DemandMatrix {
         self.rates.values().sum()
     }
 
-    /// Net imbalance at `node`: outgoing demand minus incoming demand.
-    ///
-    /// A matrix is a circulation iff every node's imbalance is zero.
-    pub fn node_imbalance(&self, node: NodeId) -> f64 {
-        let mut out = 0.0;
-        let mut inc = 0.0;
-        for (&(s, d), &r) in &self.rates {
-            if s == node {
-                out += r;
-            }
-            if d == node {
-                inc += r;
-            }
-        }
-        out - inc
-    }
-
     /// `true` if the demand is (numerically) a circulation: every node's
     /// in-rate equals its out-rate within `tol`.
     pub fn is_circulation(&self, tol: f64) -> bool {
@@ -114,20 +97,6 @@ impl DemandMatrix {
         let mut out = DemandMatrix::new();
         for (&(s, d), &r) in &self.rates {
             out.set(s, d, r * factor);
-        }
-        out
-    }
-
-    /// Element-wise subtraction `self - other`, clamped at zero.
-    ///
-    /// Used to compute the DAG remainder after peeling off a circulation.
-    pub fn minus(&self, other: &DemandMatrix) -> DemandMatrix {
-        let mut out = DemandMatrix::new();
-        for (&(s, d), &r) in &self.rates {
-            let rem = r - other.rate(s, d);
-            if rem > 1e-12 {
-                out.set(s, d, rem);
-            }
         }
         out
     }
@@ -201,12 +170,6 @@ mod tests {
     fn fig4_example_is_not_a_circulation() {
         let d = DemandMatrix::fig4_example();
         assert!(!d.is_circulation(1e-9));
-        // Node 2 (paper node 3) receives 1+3=4 and sends 1.
-        assert_eq!(d.node_imbalance(NodeId(2)), -3.0);
-        // Node 1 (paper node 2) receives 1+1=2 and sends 2.
-        assert_eq!(d.node_imbalance(NodeId(1)), 0.0);
-        // Node 4 (paper node 5) sends 3+1=4 and receives 1.
-        assert_eq!(d.node_imbalance(NodeId(4)), 3.0);
     }
 
     #[test]
@@ -216,7 +179,6 @@ mod tests {
         d.set(NodeId(1), NodeId(2), 2.0);
         d.set(NodeId(2), NodeId(0), 2.0);
         assert!(d.is_circulation(1e-12));
-        assert_eq!(d.node_imbalance(NodeId(0)), 0.0);
     }
 
     #[test]
@@ -224,20 +186,6 @@ mod tests {
         let d = DemandMatrix::fig4_example().scaled(2.0);
         assert_eq!(d.total(), 24.0);
         assert_eq!(d.rate(NodeId(1), NodeId(3)), 4.0);
-    }
-
-    #[test]
-    fn minus_clamps_at_zero() {
-        let mut a = DemandMatrix::new();
-        a.set(NodeId(0), NodeId(1), 3.0);
-        a.set(NodeId(1), NodeId(2), 1.0);
-        let mut b = DemandMatrix::new();
-        b.set(NodeId(0), NodeId(1), 1.0);
-        b.set(NodeId(1), NodeId(2), 5.0);
-        let r = a.minus(&b);
-        assert_eq!(r.rate(NodeId(0), NodeId(1)), 2.0);
-        assert_eq!(r.rate(NodeId(1), NodeId(2)), 0.0);
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl FluidSolution {
     pub fn total_rebalancing(&self) -> f64 {
         self.rebalancing.iter().map(|&(_, _, b)| b).sum()
     }
-
-    /// Throughput as a fraction of the given total demand.
-    pub fn demand_fraction(&self, demand: &DemandMatrix) -> f64 {
-        let total = demand.total();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.throughput / total
-        }
-    }
 }
 
 impl<'a> FluidProblem<'a> {
@@ -98,14 +88,6 @@ impl<'a> FluidProblem<'a> {
     /// eqs. (1)–(5): maximum throughput under perfect balance.
     pub fn max_balanced_throughput(&self) -> FluidSolution {
         self.solve_objective(RebalanceMode::None, None)
-    }
-
-    /// Maximizes an arbitrary linear objective `Σ w_p x_p` over the
-    /// balanced-routing polytope (used by the Frank–Wolfe fairness solver
-    /// in [`crate::utility`]).
-    pub fn max_weighted_flow(&self, weights: &[f64]) -> FluidSolution {
-        assert_eq!(weights.len(), self.paths.len(), "one weight per path");
-        self.solve_objective(RebalanceMode::None, Some(weights))
     }
 
     /// eqs. (6)–(11): throughput minus `γ ·` total rebalancing rate.
@@ -446,15 +428,6 @@ mod tests {
         let balanced = prob.max_balanced_throughput();
         let zero_budget = prob.with_rebalancing_budget(0.0);
         assert!((balanced.throughput - zero_budget.throughput).abs() < 1e-6);
-    }
-
-    #[test]
-    fn demand_fraction_reporting() {
-        let g = fig4_network(1e6);
-        let demand = DemandMatrix::fig4_example();
-        let paths = enumerate_demand_paths(&g, &demand, 5);
-        let sol = FluidProblem::new(&g, &demand, &paths, 1.0).max_balanced_throughput();
-        assert!((sol.demand_fraction(&demand) - 8.0 / 12.0).abs() < 1e-6);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //!   payment graphs (Proposition 1),
 //! - [`fluid`] — the fluid-model routing LPs of §5.2 (eqs. (1)–(18)),
 //! - [`primal_dual`] — the decentralized primal-dual algorithm of §5.3
-//!   (eqs. (19)–(24)),
-//! - [`utility`] — proportionally fair routing via Frank–Wolfe (the
-//!   objective the paper flags as future work).
+//!   (eqs. (19)–(24)).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,7 +21,6 @@ pub mod maxflow;
 pub mod mincostflow;
 pub mod primal_dual;
 pub mod simplex;
-pub mod utility;
 
 pub use circulation::{decompose, peel_cycles, route_on_spanning_tree, Decomposition};
 pub use fluid::{enumerate_demand_paths, enumerate_paths, FluidProblem, FluidSolution};
@@ -31,4 +28,3 @@ pub use maxflow::{balance_limited_flow, ChannelFlow, FlowNetwork};
 pub use mincostflow::{FlowCost, MinCostFlow};
 pub use primal_dual::{project_capped_simplex, PrimalDualConfig, PrimalDualSolution, Utility};
 pub use simplex::{LinearProgram, LpOutcome, LpSolution, Relation};
-pub use utility::{log_utility, proportional_fair, FairSolution, FairnessConfig};

@@ -114,11 +114,6 @@ impl LinearProgram {
         self.num_vars
     }
 
-    /// Number of constraint rows.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets objective coefficients from sparse `(var, coeff)` pairs
     /// (unmentioned variables keep coefficient zero).
     pub fn set_objective(&mut self, coeffs: &[(usize, f64)]) {

@@ -64,22 +64,6 @@ impl LpScheme {
         Self::from_flows(paths, &sol.path_flows)
     }
 
-    /// Solves for a *proportionally fair* allocation instead of maximum
-    /// throughput (the alternative objective the paper proposes in §6.2 to
-    /// stop the LP from starving zero-flow commodities) and builds the
-    /// scheme from the fair rates.
-    pub fn solve_fair(
-        network: &Network,
-        demand: &DemandMatrix,
-        paths: &[Path],
-        delta: f64,
-        config: &spider_opt::utility::FairnessConfig,
-    ) -> Self {
-        let problem = FluidProblem::new(network, demand, paths, delta);
-        let fair = spider_opt::utility::proportional_fair(&problem, config);
-        Self::from_flows(paths, &fair.path_flows)
-    }
-
     /// Solves the balanced fluid LP approximately with the decentralized
     /// primal-dual algorithm (scales to instances too large for the dense
     /// simplex) and builds the scheme from the result.
@@ -258,31 +242,6 @@ mod tests {
             UnitDecision::Route(p) => assert_eq!(p.nodes(), p2.nodes()),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn fair_solve_activates_more_pairs_than_throughput() {
-        // Shared bottleneck: throughput LP may starve the 2-hop pair; the
-        // fair LP must keep every routable pair active.
-        let mut g = Network::new(3);
-        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(20))
-            .unwrap();
-        g.add_channel(NodeId(1), NodeId(2), Amount::from_whole(20))
-            .unwrap();
-        let mut demand = DemandMatrix::new();
-        demand.set(NodeId(0), NodeId(2), 100.0);
-        demand.set(NodeId(2), NodeId(0), 100.0);
-        demand.set(NodeId(0), NodeId(1), 100.0);
-        demand.set(NodeId(1), NodeId(0), 100.0);
-        let paths = enumerate_demand_paths(&g, &demand, 3);
-        let fair = LpScheme::solve_fair(
-            &g,
-            &demand,
-            &paths,
-            1.0,
-            &spider_opt::utility::FairnessConfig::default(),
-        );
-        assert_eq!(fair.active_pairs(), 4, "fairness keeps all pairs alive");
     }
 
     #[test]

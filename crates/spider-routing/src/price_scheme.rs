@@ -290,7 +290,7 @@ mod tests {
             ..Default::default()
         });
         let chord = g.channel_between(NodeId(0), NodeId(3)).unwrap().id;
-        let dir = g.channel(chord).direction_from(NodeId(0));
+        let dir = g.channel(chord).try_direction_from(NodeId(0)).unwrap();
         for _ in 0..64 {
             let _ = s.route_unit(&g, &g, NodeId(0), NodeId(3), Amount::ONE);
         }

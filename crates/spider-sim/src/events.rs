@@ -105,11 +105,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time.seconds(), e.event))
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time.seconds())
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -187,14 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(5.0, ());
         q.push(2.0, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(2.0));
     }
 
     #[test]

@@ -207,15 +207,6 @@ impl FaultConfig {
         }
         Some(cfg)
     }
-
-    /// `true` when this config can never perturb a run.
-    pub fn is_inert(&self) -> bool {
-        self.channel_outage_rate <= 0.0
-            && self.node_churn_rate <= 0.0
-            && self.unit_drop_prob <= 0.0
-            && self.settle_jitter <= 0.0
-            && self.grief_prob <= 0.0
-    }
 }
 
 /// One scripted fault transition.
@@ -671,7 +662,6 @@ mod tests {
     fn zero_rate_plan_is_empty() {
         let g = line3();
         let cfg = FaultConfig::default();
-        assert!(cfg.is_inert());
         let plan = FaultPlan::from_config(&cfg, &g, 50.0);
         assert!(plan.events.is_empty());
     }
@@ -793,7 +783,7 @@ mod tests {
     fn scenarios_parse() {
         for name in ["outages", "churn", "drops", "jitter", "griefing", "stress"] {
             let cfg = FaultConfig::scenario(name).unwrap_or_else(|| panic!("scenario {name}"));
-            assert!(!cfg.is_inert(), "{name} must perturb something");
+            assert_ne!(cfg, FaultConfig::default(), "{name} must perturb something");
         }
         assert!(FaultConfig::scenario("nope").is_none());
     }

@@ -319,18 +319,6 @@ impl Ledger {
         Ok(())
     }
 
-    /// `true` if `from` can currently lock `amount` on `channel`.
-    pub fn can_lock_hop(
-        &self,
-        network: &Network,
-        channel: ChannelId,
-        from: NodeId,
-        amount: Amount,
-    ) -> bool {
-        let side = Self::side(network, channel, from);
-        self.channels[channel.index()].available[side] >= amount
-    }
-
     /// Settles a single previously locked hop: credits `to`'s side.
     ///
     /// Returns [`CoreError::ExcessRelease`] — and changes nothing — if the

@@ -40,7 +40,7 @@
 //! mismatch, and flips in a kind-table name are caught by the header CRC
 //! before any event resolves through the table.
 
-use crate::trace::{events_to_jsonl, parse_jsonl, TraceEvent};
+use crate::trace::TraceEvent;
 use std::fmt;
 
 /// File magic, first four bytes of every binary trace.
@@ -969,22 +969,10 @@ fn run_query(
 // Converters
 // ---------------------------------------------------------------------------
 
-/// Converts a JSONL trace to the binary format. Lossless: decoding the
-/// result reproduces the parsed events bit-for-bit.
-pub fn jsonl_to_bintrace(jsonl: &str) -> Result<Vec<u8>, (usize, String)> {
-    let events = parse_jsonl(jsonl)?;
-    Ok(encode(&events))
-}
-
-/// Converts a binary trace back to JSONL.
-pub fn bintrace_to_jsonl(bytes: &[u8]) -> Result<String, BinTraceError> {
-    let events = decode(bytes)?;
-    Ok(events_to_jsonl(&events))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{events_to_jsonl, parse_jsonl};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -1177,15 +1165,6 @@ mod tests {
         }
         let back = decode(&encode(&all)).unwrap();
         assert_eq!(back, all);
-    }
-
-    #[test]
-    fn jsonl_converters_are_lossless() {
-        let events = sample_events();
-        let jsonl = events_to_jsonl(&events);
-        let bytes = jsonl_to_bintrace(&jsonl).unwrap();
-        let back = bintrace_to_jsonl(&bytes).unwrap();
-        assert_eq!(back, jsonl);
     }
 
     #[test]

@@ -276,14 +276,6 @@ impl Telemetry {
         }
     }
 
-    /// The whole trace as JSON Lines (empty when disabled).
-    pub fn trace_jsonl(&self) -> String {
-        self.inner
-            .as_ref()
-            .map(|i| i.tracer.to_jsonl())
-            .unwrap_or_default()
-    }
-
     /// Restores checkpointed state *into this handle* in place, so a caller
     /// holding a clone keeps visibility into a resumed run's trace and
     /// metrics. The handle must be enabled, unprofiled, created with the
@@ -352,7 +344,6 @@ mod tests {
         assert!(!ran, "closure must not run when disabled");
         t.counter_add("x", 1);
         assert!(t.events().is_empty());
-        assert!(t.trace_jsonl().is_empty());
         assert!(t.summarize(Vec::new()).is_none());
         assert!(t.delay_percentiles("x").is_none());
         assert!(t.sample_interval().is_none());

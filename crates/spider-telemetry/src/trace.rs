@@ -360,12 +360,6 @@ impl Tracer {
     pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
         f(&self.lock())
     }
-
-    /// Serializes all events as JSON Lines (one compact object per line,
-    /// trailing newline when non-empty).
-    pub fn to_jsonl(&self) -> String {
-        events_to_jsonl(&self.lock())
-    }
 }
 
 /// Serializes events as JSON Lines.
@@ -498,6 +492,5 @@ mod tests {
         }
         assert_eq!(tracer.len(), 5);
         assert_eq!(tracer.events(), sample_events());
-        assert_eq!(tracer.to_jsonl(), events_to_jsonl(&sample_events()));
     }
 }

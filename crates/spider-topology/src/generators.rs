@@ -32,17 +32,6 @@ pub fn line(n: usize, capacity: Amount) -> Network {
     g
 }
 
-/// A star: node 0 is the hub.
-pub fn star(n: usize, capacity: Amount) -> Network {
-    assert!(n >= 2, "a star needs at least 2 nodes");
-    let mut g = Network::new(n);
-    for i in 1..n {
-        g.add_channel(NodeId(0), NodeId::from(i), capacity)
-            .expect("star edges are valid");
-    }
-    g
-}
-
 /// A complete graph on `n` nodes.
 pub fn complete(n: usize, capacity: Amount) -> Network {
     assert!(n >= 2);
@@ -150,85 +139,6 @@ pub fn barabasi_albert(n: usize, m: usize, capacity: Amount, seed: u64) -> Netwo
     g
 }
 
-/// Watts–Strogatz small-world: a ring lattice where each node connects to
-/// its `k/2` nearest neighbors on each side, with each edge rewired with
-/// probability `beta` (rewiring that would disconnect or duplicate is
-/// skipped).
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, capacity: Amount, seed: u64) -> Network {
-    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and ≥ 2");
-    assert!(n > k, "need n > k");
-    assert!((0.0..=1.0).contains(&beta));
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Collect lattice edges, then rewire.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for i in 0..n {
-        for d in 1..=k / 2 {
-            edges.push((i, (i + d) % n));
-        }
-    }
-    let mut present: std::collections::BTreeSet<(usize, usize)> =
-        edges.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-    for edge in edges.iter_mut() {
-        if rng.random_bool(beta) {
-            let (a, b) = *edge;
-            // Keep endpoint a, pick a new b.
-            let nb = rng.random_range(0..n);
-            let old_key = (a.min(b), a.max(b));
-            let new_key = (a.min(nb), a.max(nb));
-            if nb != a && !present.contains(&new_key) {
-                present.remove(&old_key);
-                present.insert(new_key);
-                *edge = (a, nb);
-            }
-        }
-    }
-    let mut g = Network::new(n);
-    for (a, b) in present {
-        g.add_channel(NodeId::from(a), NodeId::from(b), capacity)
-            .unwrap();
-    }
-    // Ensure connectivity by linking components along the ring if rewiring
-    // broke it (rare for small beta).
-    if !g.is_connected() {
-        for i in 0..n {
-            let j = (i + 1) % n;
-            if g.channel_between(NodeId::from(i), NodeId::from(j))
-                .is_none()
-            {
-                g.add_channel(NodeId::from(i), NodeId::from(j), capacity)
-                    .unwrap();
-                if g.is_connected() {
-                    break;
-                }
-            }
-        }
-    }
-    g
-}
-
-/// A uniformly random recursive tree on `n` nodes.
-pub fn random_tree(n: usize, capacity: Amount, seed: u64) -> Network {
-    assert!(n >= 2);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Network::new(n);
-    for i in 1..n {
-        let parent = rng.random_range(0..i);
-        g.add_channel(NodeId::from(i), NodeId::from(parent), capacity)
-            .unwrap();
-    }
-    g
-}
-
-/// Assigns every channel the same capacity, returning a copy of the network.
-pub fn with_uniform_capacity(network: &Network, capacity: Amount) -> Network {
-    let mut g = Network::new(network.num_nodes());
-    for ch in network.channels() {
-        g.add_channel(ch.a, ch.b, capacity)
-            .expect("copying valid channels");
-    }
-    g
-}
-
 /// Randomly skews every channel's balance split while keeping capacity: one
 /// endpoint receives a `fraction ∈ [lo, hi]` share. Useful for studying
 /// pre-imbalanced networks.
@@ -275,13 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn line_and_star() {
+    fn line_structure() {
         let l = line(4, CAP);
         assert_eq!(l.num_channels(), 3);
         assert!(l.is_connected());
-        let s = star(6, CAP);
-        assert_eq!(s.num_channels(), 5);
-        assert_eq!(s.degree(NodeId(0)), 5);
     }
 
     #[test]
@@ -335,30 +242,6 @@ mod tests {
             (max as f64) > 3.0 * mean,
             "max degree {max} should dominate mean {mean:.1}"
         );
-    }
-
-    #[test]
-    fn watts_strogatz_connected() {
-        let g = watts_strogatz(50, 4, 0.2, CAP, 3);
-        assert!(g.is_connected());
-        assert!(g.num_channels() >= 50); // ~ n*k/2 = 100 minus collisions
-    }
-
-    #[test]
-    fn random_tree_has_n_minus_1_edges() {
-        let g = random_tree(25, CAP, 5);
-        assert_eq!(g.num_channels(), 24);
-        assert!(g.is_connected());
-    }
-
-    #[test]
-    fn uniform_capacity_override() {
-        let g = ring(4, CAP);
-        let g2 = with_uniform_capacity(&g, Amount::from_whole(7));
-        assert_eq!(g2.num_channels(), 4);
-        for ch in g2.channels() {
-            assert_eq!(ch.capacity(), Amount::from_whole(7));
-        }
     }
 
     #[test]

@@ -22,10 +22,9 @@ pub mod partition;
 pub mod ripple;
 
 pub use generators::{
-    barabasi_albert, complete, erdos_renyi, grid, line, random_tree, ring, star, watts_strogatz,
-    with_skewed_balances, with_uniform_capacity,
+    barabasi_albert, complete, erdos_renyi, grid, line, ring, with_skewed_balances,
 };
 pub use io::{from_edge_list, to_edge_list, ParseError};
 pub use isp::{isp_topology, ISP_EDGES, ISP_NODES};
 pub use partition::Partition;
-pub use ripple::{ripple_topology, ripple_topology_scaled, RIPPLE_EDGES, RIPPLE_NODES};
+pub use ripple::{ripple_topology_scaled, RIPPLE_EDGES, RIPPLE_NODES};

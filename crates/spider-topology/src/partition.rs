@@ -171,24 +171,6 @@ impl Partition {
     pub fn channel_owners(&self) -> &[u16] {
         &self.channel_owner
     }
-
-    /// Nodes per shard.
-    pub fn shard_node_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_shards as usize];
-        for &s in &self.node_shard {
-            counts[s as usize] += 1;
-        }
-        counts
-    }
-
-    /// Owned channels per shard.
-    pub fn shard_channel_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_shards as usize];
-        for &s in &self.channel_owner {
-            counts[s as usize] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -196,6 +178,15 @@ mod tests {
     use super::*;
     use crate::{isp_topology, ripple_topology_scaled};
     use spider_core::Amount;
+
+    /// Members per shard of a node-to-region or channel-to-owner map.
+    fn shard_counts(p: &Partition, map: &[u16]) -> Vec<usize> {
+        let mut counts = vec![0usize; p.num_shards()];
+        for &s in map {
+            counts[s as usize] += 1;
+        }
+        counts
+    }
 
     #[test]
     fn deterministic_across_runs() {
@@ -227,8 +218,7 @@ mod tests {
                 ch.id
             );
         }
-        let total: usize = p.shard_channel_counts().iter().sum();
-        assert_eq!(total, g.num_channels());
+        assert_eq!(p.channel_owners().len(), g.num_channels());
     }
 
     #[test]
@@ -238,14 +228,14 @@ mod tests {
         for (g, name) in [(&isp, "isp"), (&ripple, "ripple")] {
             for shards in [2usize, 4] {
                 let p = Partition::build(g, shards, 3);
-                let nodes = p.shard_node_counts();
+                let nodes = shard_counts(&p, p.node_shards());
                 let cap = g.num_nodes().div_ceil(shards);
                 assert!(
                     nodes.iter().all(|&c| c > 0 && c <= cap),
                     "{name}/{shards}: node counts {nodes:?} exceed cap {cap}"
                 );
                 // Channel ownership balanced within a factor of 3 of even.
-                let chans = p.shard_channel_counts();
+                let chans = shard_counts(&p, p.channel_owners());
                 let max = *chans.iter().max().unwrap();
                 let even = g.num_channels().div_ceil(shards);
                 assert!(

@@ -21,12 +21,6 @@ pub const RIPPLE_NODES: usize = 3774;
 /// Edge count of the paper's pruned Ripple snapshot.
 pub const RIPPLE_EDGES: usize = 12512;
 
-/// Generates the full-size Ripple-like topology (3774 nodes, 12512 edges),
-/// every channel at `capacity` split evenly.
-pub fn ripple_topology(capacity: Amount, seed: u64) -> Network {
-    ripple_topology_scaled(RIPPLE_NODES, capacity, seed)
-}
-
 /// Generates a Ripple-like topology with `n` nodes and edge density matching
 /// the paper's snapshot (|E| ≈ 3.315 |V|).
 ///
@@ -110,7 +104,7 @@ mod tests {
     #[test]
     #[ignore = "full 3774-node instance; run with --ignored"]
     fn full_size_instance() {
-        let g = ripple_topology(CAP, 0);
+        let g = ripple_topology_scaled(RIPPLE_NODES, CAP, 0);
         assert_eq!(g.num_nodes(), RIPPLE_NODES);
         assert_eq!(g.num_channels(), RIPPLE_EDGES);
         assert!(g.is_connected());

@@ -17,6 +17,5 @@ pub mod trace;
 pub use demand::{mixed_demand, random_circulation, random_dag_demand};
 pub use sizes::{isp_sizes, ripple_sizes, BoundedPareto};
 pub use trace::{
-    demand_matrix, generate, total_volume, ArrivalPattern, SenderDistribution, TraceConfig,
-    Transaction,
+    demand_matrix, generate, ArrivalPattern, SenderDistribution, TraceConfig, Transaction,
 };

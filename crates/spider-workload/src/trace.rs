@@ -251,11 +251,6 @@ pub fn demand_matrix(trace: &[Transaction], start: f64, end: f64) -> DemandMatri
     d
 }
 
-/// Total value of all transactions in the trace.
-pub fn total_volume(trace: &[Transaction]) -> Amount {
-    trace.iter().map(|t| t.amount).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,14 +446,5 @@ mod tests {
         let d = demand_matrix(&trace, 0.0, 10.0);
         assert!((d.rate(NodeId(0), NodeId(1)) - 4.0).abs() < 1e-9);
         assert_eq!(d.rate(NodeId(1), NodeId(0)), 0.0);
-    }
-
-    #[test]
-    fn total_volume_sums() {
-        let trace = generate(&small_config(), &isp_sizes());
-        let v = total_volume(&trace);
-        let expect: Amount = trace.iter().map(|t| t.amount).sum();
-        assert_eq!(v, expect);
-        assert!(v.as_tokens() > 100_000.0); // ~5000 * 170
     }
 }

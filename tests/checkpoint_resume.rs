@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use spider::prelude::*;
 use spider::sim::engine::{resume, run_checkpointed};
 use spider::sim::{latest_snapshot, CheckpointSpec, FaultConfig, FaultPlan, SnapshotError};
+use spider::telemetry::events_to_jsonl;
 use spider::workload::{generate, isp_sizes};
 use std::path::{Path, PathBuf};
 
@@ -96,7 +97,7 @@ fn assert_resume_equivalence(
         let report = spider::sim::run(network, txs, scheme.as_mut(), &cfg);
         (
             serde_json::to_string_pretty(&report).expect("report serializes"),
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
         )
     };
 
@@ -115,7 +116,7 @@ fn assert_resume_equivalence(
             "{tag}: checkpointing perturbed the report"
         );
         assert_eq!(
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
             ref_trace,
             "{tag}: checkpointing perturbed the trace"
         );
@@ -142,7 +143,7 @@ fn assert_resume_equivalence(
             snap.display()
         );
         assert_eq!(
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
             ref_trace,
             "{tag}: resume from {} diverged (trace)",
             snap.display()
@@ -512,7 +513,7 @@ fn assert_queued_resume_equivalence(
         let out = spider::sim::run_queued(network, txs, &cfg);
         (
             serde_json::to_string_pretty(&out).expect("report serializes"),
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
         )
     };
 
@@ -527,7 +528,7 @@ fn assert_queued_resume_equivalence(
             ref_json,
             "{tag}: checkpointing perturbed the queued report"
         );
-        assert_eq!(tel.trace_jsonl(), ref_trace);
+        assert_eq!(events_to_jsonl(&tel.events()), ref_trace);
     }
 
     let snapshots = snapshot_files(dir.path());
@@ -545,7 +546,7 @@ fn assert_queued_resume_equivalence(
             snap.display()
         );
         assert_eq!(
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
             ref_trace,
             "{tag}: queued resume from {} diverged (trace)",
             snap.display()
@@ -598,7 +599,7 @@ fn assert_sharded_resume_equivalence(
         let report = spider::sim::run_sharded(network, txs, &partition, &cfg);
         (
             serde_json::to_string_pretty(&report).expect("report serializes"),
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
         )
     };
 
@@ -615,7 +616,7 @@ fn assert_sharded_resume_equivalence(
             "{tag}: checkpointing perturbed the sharded report"
         );
         assert_eq!(
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
             ref_trace,
             "{tag}: checkpointing perturbed the sharded trace"
         );
@@ -636,7 +637,7 @@ fn assert_sharded_resume_equivalence(
             snap.display()
         );
         assert_eq!(
-            tel.trace_jsonl(),
+            events_to_jsonl(&tel.events()),
             ref_trace,
             "{tag}: sharded resume from {} diverged (trace)",
             snap.display()

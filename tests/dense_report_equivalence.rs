@@ -33,6 +33,7 @@
 use serde_json::Value;
 use spider::prelude::*;
 use spider::sim::{FaultConfig, FaultPlan, QueuePolicy, ShardPolicy};
+use spider::telemetry::events_to_jsonl;
 use spider_bench::{fig6, ExperimentConfig};
 
 fn fixture_config() -> ExperimentConfig {
@@ -42,6 +43,11 @@ fn fixture_config() -> ExperimentConfig {
     cfg.duration = 20.0;
     cfg.seed = 7;
     cfg
+}
+
+/// The six Fig. 6 reports, telemetry off.
+fn fig6_reports(cfg: &ExperimentConfig) -> Vec<SimReport> {
+    fig6(cfg, false).into_iter().map(|(r, _)| r).collect()
 }
 
 /// Recursively diffs two JSON values, collecting the dotted path of every
@@ -87,7 +93,7 @@ fn fig6_reports_match_pre_refactor_fixture_field_by_field() {
     .expect("fixture exists");
     let pre: Vec<Value> = serde_json::from_str(&fixture_text).expect("fixture parses");
 
-    let reports = fig6(&fixture_config());
+    let reports = fig6_reports(&fixture_config());
     assert_eq!(
         pre.len(),
         reports.len(),
@@ -167,7 +173,7 @@ fn seq_engine_cases() -> Vec<Value> {
     let end = 20.0;
 
     let case = |name: &str, tel: &Telemetry, report: Value| {
-        let jsonl = tel.trace_jsonl();
+        let jsonl = events_to_jsonl(&tel.events());
         let mut lines: Vec<&str> = jsonl.lines().collect();
         lines.sort_unstable();
         pinned_case(name, report, "sorted_trace_crc", &lines)
@@ -272,7 +278,7 @@ fn sharded_engine_cases() -> Vec<Value> {
             cfg.telemetry = tel.clone();
             tweak(&mut cfg);
             let report = run_sharded(&network, &txs, &partition, &cfg);
-            let jsonl = tel.trace_jsonl();
+            let jsonl = events_to_jsonl(&tel.events());
             let lines: Vec<&str> = jsonl.lines().collect();
             cases.push(pinned_case(
                 &format!("{name}-{shards}"),
@@ -295,8 +301,8 @@ fn sharded_engine_runs_match_pre_pr_fixture() {
 #[test]
 fn fig6_reports_are_run_to_run_identical() {
     let cfg = fixture_config();
-    let a = fig6(&cfg);
-    let b = fig6(&cfg);
+    let a = fig6_reports(&cfg);
+    let b = fig6_reports(&cfg);
     assert_eq!(
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap(),

@@ -5,9 +5,11 @@
 //! relationships are the claims of §6.2 and must hold.
 
 use spider_bench::{
-    fig4_fig5, fig6, rebalancing_curve, run_scheme, ExperimentConfig, SchemeChoice,
+    fig4_fig5, fig6, rebalancing_curve, run_scheme, ExperimentConfig, RunMode, SchemeChoice,
 };
 use spider_core::DemandMatrix;
+use spider_sim::SimReport;
+use spider_telemetry::Telemetry;
 use spider_workload::demand_matrix;
 
 /// Fig. 4 / Fig. 5: the analytic example reproduces the paper's numbers
@@ -54,10 +56,15 @@ fn small_isp() -> ExperimentConfig {
     cfg
 }
 
+/// The six Fig. 6 reports, telemetry off.
+fn fig6_reports(cfg: &ExperimentConfig) -> Vec<SimReport> {
+    fig6(cfg, false).into_iter().map(|(r, _)| r).collect()
+}
+
 /// Fig. 6 (ISP) shape: the §6.2 relationships between schemes.
 #[test]
 fn fig6_isp_ordering() {
-    let reports = fig6(&small_isp());
+    let reports = fig6_reports(&small_isp());
     let by_name = |name: &str| {
         reports
             .iter()
@@ -141,7 +148,7 @@ fn fig7_capacity_trends() {
     let mut ratios: Vec<Vec<f64>> = Vec::new();
     for capacity in [10_000.0, 30_000.0, 100_000.0] {
         cfg.capacity = capacity;
-        let reports = fig6(&cfg);
+        let reports = fig6_reports(&cfg);
         ratios.push(reports.iter().map(|r| r.success_ratio()).collect());
     }
     // Every scheme improves (weakly) from 10k to 100k.
@@ -168,8 +175,11 @@ fn experiment_runs_are_deterministic() {
     let mut cfg = ExperimentConfig::isp_quick();
     cfg.num_transactions = 1_500;
     cfg.duration = 20.0;
-    let a = run_scheme(&cfg, SchemeChoice::SpiderWaterfilling);
-    let b = run_scheme(&cfg, SchemeChoice::SpiderWaterfilling);
+    let run = || {
+        let off = Telemetry::disabled();
+        run_scheme(&cfg, SchemeChoice::SpiderWaterfilling, &off, RunMode::Plain).unwrap()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.units_sent, b.units_sent);
     assert_eq!(a.delivered_volume, b.delivered_volume);

@@ -17,12 +17,10 @@
 use proptest::prelude::*;
 use spider::prelude::*;
 use spider::sim::{FaultConfig, FaultPlan, ShardedConfig};
-use spider::telemetry::bintrace::{self, jsonl_to_bintrace, query, query_with_stats, TraceQuery};
+use spider::telemetry::bintrace::{self, query, query_with_stats, TraceQuery};
 use spider::telemetry::{events_to_jsonl, parse_jsonl, TraceEvent};
 use spider::workload::{generate, isp_sizes, TraceConfig};
-use spider_bench::{
-    run_grid_traced, run_scheme_traced, ExperimentConfig, GridConfig, SchemeChoice,
-};
+use spider_bench::{run_grid, run_scheme, ExperimentConfig, GridConfig, RunMode, SchemeChoice};
 
 // ---------------------------------------------------------------------------
 // Lossless round-trip (satellite: proptest JSONL -> binary -> JSONL).
@@ -172,11 +170,11 @@ proptest! {
         let events = synthetic_events(seed, n);
         let jsonl = events_to_jsonl(&events);
 
-        let bin = jsonl_to_bintrace(&jsonl)
+        let parsed = parse_jsonl(&jsonl)
             .map_err(|(line, e)| TestCaseError::fail(format!("line {line}: {e}")))?;
-        let back = bintrace::bintrace_to_jsonl(&bin)
+        let back = bintrace::decode(&bintrace::encode(&parsed))
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        prop_assert_eq!(&back, &jsonl, "JSONL round-trip must be byte-lossless");
+        prop_assert_eq!(&events_to_jsonl(&back), &jsonl, "JSONL round-trip must be byte-lossless");
 
         let decoded = bintrace::decode(&bintrace::encode(&events))
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
@@ -199,7 +197,7 @@ fn fig6_small_config() -> ExperimentConfig {
 fn indexed_queries_match_brute_force_scan_on_fig6_trace() {
     let cfg = fig6_small_config();
     let tel = Telemetry::enabled();
-    run_scheme_traced(&cfg, SchemeChoice::SpiderWaterfilling, &tel);
+    run_scheme(&cfg, SchemeChoice::SpiderWaterfilling, &tel, RunMode::Plain).unwrap();
     let events = tel.events();
     assert!(!events.is_empty(), "fig6 scenario must trace events");
     let jsonl = events_to_jsonl(&events);
@@ -288,14 +286,14 @@ fn binary_traces_are_byte_identical_across_worker_counts_under_faults() {
     grid.telemetry = true;
     grid.faults = Some(FaultConfig::scenario("outages").expect("outages scenario exists"));
 
-    let (_, serial_traces) = run_grid_traced(&grid, 1).unwrap();
-    let (_, parallel_traces) = run_grid_traced(&grid, 4).unwrap();
-    assert_eq!(serial_traces.len(), parallel_traces.len());
-    for (i, (a, b)) in serial_traces.iter().zip(&parallel_traces).enumerate() {
-        let bin_a = jsonl_to_bintrace(a).expect("cell trace converts");
-        let bin_b = jsonl_to_bintrace(b).expect("cell trace converts");
+    let serial = run_grid(&grid, 1).unwrap();
+    let parallel = run_grid(&grid, 4).unwrap();
+    assert_eq!(serial.cells.len(), parallel.cells.len());
+    for (i, (a, b)) in serial.cells.iter().zip(&parallel.cells).enumerate() {
+        assert!(!a.events.is_empty(), "cell {i} traced nothing");
         assert_eq!(
-            bin_a, bin_b,
+            bintrace::encode(&a.events),
+            bintrace::encode(&b.events),
             "cell {i}: binary trace bytes depend on the worker count"
         );
     }

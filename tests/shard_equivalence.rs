@@ -22,6 +22,7 @@ use spider::sim::{
     run_sharded, CongestionConfig, FaultConfig, FaultPlan, RebalancePolicy, ShardPolicy,
     ShardedConfig,
 };
+use spider::telemetry::events_to_jsonl;
 use spider::workload::{generate, isp_sizes, TraceConfig};
 
 /// Shard counts differenced against the single-shard reference: even,
@@ -46,7 +47,7 @@ fn run_at(
     cfg.telemetry = tel.clone();
     cfg.audit = true;
     let report = run_sharded(network, txs, &partition, &cfg);
-    (report, tel.trace_jsonl())
+    (report, events_to_jsonl(&tel.events()))
 }
 
 /// The core differential assertion: every shard count in [`SHARD_COUNTS`]

@@ -4,10 +4,8 @@
 //! builds, pinned by `tests/fixtures/simreport_pre_pr.json`).
 
 use spider::prelude::*;
-use spider::telemetry::{count_by_kind, parse_jsonl};
-use spider_bench::{
-    run_grid_traced, run_scheme, run_scheme_traced, ExperimentConfig, GridConfig, SchemeChoice,
-};
+use spider::telemetry::{bintrace, count_by_kind, events_to_jsonl, parse_jsonl};
+use spider_bench::{run_grid, run_scheme, ExperimentConfig, GridConfig, RunMode, SchemeChoice};
 
 fn small_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::isp_quick();
@@ -30,7 +28,7 @@ fn trace_events_reconcile_with_report_counters() {
     let mut cfg = small_config();
     cfg.capacity = 300.0;
     let tel = Telemetry::enabled();
-    let report = run_scheme_traced(&cfg, SchemeChoice::SpiderWaterfilling, &tel);
+    let report = run_scheme(&cfg, SchemeChoice::SpiderWaterfilling, &tel, RunMode::Plain).unwrap();
     let counts = count_by_kind(&tel.events());
 
     assert_eq!(
@@ -83,10 +81,10 @@ fn trace_events_reconcile_with_report_counters() {
 fn trace_jsonl_round_trips_through_a_file() {
     let cfg = small_config();
     let tel = Telemetry::enabled();
-    let report = run_scheme_traced(&cfg, SchemeChoice::ShortestPath, &tel);
+    let report = run_scheme(&cfg, SchemeChoice::ShortestPath, &tel, RunMode::Plain).unwrap();
 
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_trace.jsonl");
-    std::fs::write(&path, tel.trace_jsonl()).expect("write trace");
+    std::fs::write(&path, events_to_jsonl(&tel.events())).expect("write trace");
     let text = std::fs::read_to_string(&path).expect("read trace back");
     let events = parse_jsonl(&text).expect("written trace parses");
 
@@ -165,7 +163,13 @@ fn queued_engine_traces_reconcile_and_record_queue_depths() {
 #[test]
 fn disabled_telemetry_report_is_byte_identical_to_pre_pr_fixture() {
     let cfg = small_config();
-    let report = run_scheme(&cfg, SchemeChoice::ShortestPath);
+    let report = run_scheme(
+        &cfg,
+        SchemeChoice::ShortestPath,
+        &Telemetry::disabled(),
+        RunMode::Plain,
+    )
+    .unwrap();
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let fixture = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -189,12 +193,20 @@ fn grid_traces_are_byte_identical_at_any_worker_count() {
     grid.trials = 2;
     grid.telemetry = true;
 
-    let (serial, serial_traces) = run_grid_traced(&grid, 1).unwrap();
-    let (parallel, parallel_traces) = run_grid_traced(&grid, 4).unwrap();
+    let serial = run_grid(&grid, 1).unwrap();
+    let parallel = run_grid(&grid, 4).unwrap();
+    let traces = |result: &spider_bench::GridResult| -> Vec<Vec<u8>> {
+        result
+            .cells
+            .iter()
+            .map(|cell| bintrace::encode(&cell.events))
+            .collect()
+    };
 
-    assert_eq!(serial_traces.len(), 4);
+    assert_eq!(serial.cells.len(), 4);
     assert_eq!(
-        serial_traces, parallel_traces,
+        traces(&serial),
+        traces(&parallel),
         "per-cell trace bytes must not depend on the worker count"
     );
     assert_eq!(
@@ -202,8 +214,10 @@ fn grid_traces_are_byte_identical_at_any_worker_count() {
         parallel.to_json().unwrap(),
         "grid result JSON must not depend on the worker count"
     );
-    for trace in &serial_traces {
-        let events = parse_jsonl(trace).expect("cell traces parse");
-        assert!(!events.is_empty(), "telemetry-on cells must trace events");
+    for cell in &serial.cells {
+        assert!(
+            !cell.events.is_empty(),
+            "telemetry-on cells must trace events"
+        );
     }
 }
