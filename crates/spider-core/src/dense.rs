@@ -23,11 +23,19 @@ use crate::ids::{ChannelId, NodeId};
 /// A slot is a member when its mark equals the current epoch, so
 /// [`clear`](ChannelSet::clear) never touches the backing storage. The set
 /// grows on demand; querying beyond the backing storage is simply `false`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ChannelSet {
     marks: Vec<u32>,
     epoch: u32,
     len: usize,
+}
+
+impl Default for ChannelSet {
+    /// Same as [`ChannelSet::new`]: the epoch must not start at the value
+    /// fresh marks are zeroed to.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ChannelSet {
@@ -206,6 +214,14 @@ mod tests {
         }
         assert!(s.insert(ChannelId(5)));
         assert!(s.contains(ChannelId(5)));
+    }
+
+    #[test]
+    fn channel_set_default_is_empty_after_growth() {
+        let mut s = ChannelSet::default();
+        s.insert(ChannelId(5));
+        assert!(!s.contains(ChannelId(3)), "grown slots are not members");
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! edge (repeating nodes is permitted). [`Path`] enforces this at
 //! construction time against a concrete [`Network`].
 
-use crate::dense::ChannelSet;
 use crate::error::CoreError;
 use crate::graph::Network;
 use crate::ids::{ChannelId, Direction, NodeId};
@@ -29,14 +28,15 @@ impl Path {
                 nodes.len()
             )));
         }
-        let mut hops = Vec::with_capacity(nodes.len() - 1);
-        let mut used = ChannelSet::new();
+        let mut hops: Vec<(ChannelId, Direction)> = Vec::with_capacity(nodes.len() - 1);
         for w in nodes.windows(2) {
             let (u, v) = (w[0], w[1]);
             let channel = network
                 .channel_between(u, v)
                 .ok_or(CoreError::NoChannelBetween(u, v))?;
-            if !used.insert(channel.id) {
+            // Trail check against the hops so far: paths are a handful of
+            // hops, while a dense set would be sized by the channel id.
+            if hops.iter().any(|&(c, _)| c == channel.id) {
                 return Err(CoreError::InvalidPath(format!(
                     "channel {} repeats (paths must be trails)",
                     channel.id

@@ -86,10 +86,21 @@ proptest! {
 
     /// Edge-disjoint paths: pairwise disjoint, valid, non-decreasing length.
     #[test]
-    fn edge_disjoint_properties(seed in 0u64..300, n in 4usize..9, k in 1usize..5) {
+    fn edge_disjoint_properties(
+        seed in 0u64..300,
+        n in 4usize..9,
+        k in 1usize..5,
+        ends in (0usize..9, 0usize..9),
+    ) {
         let g = random_network(n, 0.5, seed);
-        let paths = edge_disjoint_paths(&g, NodeId(0), NodeId(n as u32 - 1), k);
+        let (src, dst) = (NodeId::from(ends.0 % n), NodeId::from(ends.1 % n));
+        let paths = edge_disjoint_paths(&g, src, dst, k);
         prop_assert!(paths.len() <= k);
+        // The graph is connected, so only a self-pair has no path.
+        prop_assert_eq!(paths.is_empty(), src == dst);
+        for p in &paths {
+            prop_assert_eq!((p.source(), p.dest()), (src, dst));
+        }
         for w in paths.windows(2) {
             prop_assert!(w[0].len() <= w[1].len(), "greedy lengths must not decrease");
         }

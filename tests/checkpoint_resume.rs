@@ -494,6 +494,56 @@ fn damaged_embedded_trace_is_corrupt_never_a_panic() {
     resume(&network, &txs, scheme.as_mut(), &cfg, &snap_path, None).expect("pristine resumes");
 }
 
+/// A checksum-valid `SEC_SCHEME` whose path-cache blob names nodes the
+/// network does not have: the finder indexes per-node arrays with them, so
+/// `run` and `run_queued` must refuse the blob before computing anything.
+/// (`run_sharded` keeps the same blob inside each shard's state; see
+/// `sharded_snapshot_with_absurd_counts_is_rejected`.)
+#[test]
+fn path_cache_naming_unknown_nodes_is_an_error_never_a_panic() {
+    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_SCHEME};
+    let (network, txs) = isp_scenario(17, 150);
+    // The last snapshot in `dir`, its first cached `(src, dst)` overwritten.
+    let tampered = |dir: &TempDir| {
+        let snap = read_snapshot(&snapshot_files(dir.path()).pop().expect("a snapshot"))
+            .expect("snapshot reads");
+        let mut sections = snap.sections.clone();
+        for (tag, bytes) in &mut sections {
+            if *tag == SEC_SCHEME {
+                assert_ne!(bytes[..8], [0; 8], "no pair cached yet");
+                bytes[8..16].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
+            }
+        }
+        let path = dir.path().join("unknown-nodes.spsn");
+        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        std::fs::write(&path, bytes).expect("write tampered snapshot");
+        path
+    };
+    let refused = |engine: &str, err: Option<SnapshotError>| match err {
+        Some(SnapshotError::Corrupt { .. } | SnapshotError::Unsupported { .. }) => {}
+        other => panic!("{engine}: expected a structured refusal, got {other:?}"),
+    };
+
+    let cfg = full_config(12.0);
+    let dir = TempDir::new("scheme-nodes-run");
+    let spec = CheckpointSpec::new(50, dir.path());
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let resumed = resume(&network, &txs, scheme.as_mut(), &cfg, &tampered(&dir), None);
+    refused("run", resumed.err());
+
+    let cfg = QueuedConfig::new(12.0);
+    let dir = TempDir::new("scheme-nodes-queued");
+    let spec = CheckpointSpec::new(50, dir.path());
+    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
+    refused(
+        "run_queued",
+        resume_queued(&network, &txs, &cfg, &tampered(&dir), None).err(),
+    );
+}
+
 /// Same contract for the router-queue engine: resume from every snapshot,
 /// byte-identical `QueuedReport` and trace.
 fn assert_queued_resume_equivalence(
@@ -908,7 +958,13 @@ fn shard_blob_count_offsets(blob: &[u8]) -> Vec<(&'static str, usize)> {
     d.str().expect("fault stats json");
     d.take_raw(7 * 8).expect("work counters");
     if d.u8() == Ok(1) {
-        d.bytes().expect("scheme state");
+        // A path-cache blob: the pair count, then `(src, dst): (u32, u32)`
+        // pairs — node ids the path finder indexes its arrays with.
+        let state_at = d.offset() + 8;
+        let state = d.bytes().expect("scheme state");
+        if Dec::new(state).usize().expect("cached pairs") > 0 {
+            counts.push(("path cache pair", state_at + 8));
+        }
     }
     assert_eq!(d.u8(), Ok(1), "fee accrual present");
     d.i64().expect("fee micros");
@@ -962,6 +1018,7 @@ fn sharded_snapshot_with_absurd_counts_is_rejected() {
         "samples",
         "queue entries",
         "outcome message payment id",
+        "path cache pair",
     ] {
         assert!(seen.contains(label), "no {label} count in the snapshot");
     }
