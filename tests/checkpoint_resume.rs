@@ -625,6 +625,12 @@ fn queued_engine_resume_under_faults_is_byte_identical() {
 
 /// Same contract for the partition-parallel engine: checkpoints taken at
 /// the BSP epoch barrier must resume byte-identically at any shard count.
+/// `pinned` is each snapshot file's frame checksum in order — the CRC32 of
+/// the whole file up to its last four bytes, which hold it — captured at
+/// PR 19 (commit a4b0716): what a sharded `SPSN` v5 snapshot holds, byte for
+/// byte, may not drift while `snapshot::FORMAT_VERSION` stays 5. (The CRC32
+/// of the *whole* file would pin nothing: over data that ends in its own
+/// CRC32 it is 0x2144df1c whatever the data.)
 fn assert_sharded_resume_equivalence(
     network: &Network,
     txs: &[Transaction],
@@ -632,6 +638,7 @@ fn assert_sharded_resume_equivalence(
     shards: usize,
     every: u64,
     tag: &str,
+    pinned: &[u32],
 ) {
     use spider::sim::engine_sharded::{resume_sharded, run_sharded_checkpointed};
     use spider::topology::Partition;
@@ -674,6 +681,25 @@ fn assert_sharded_resume_equivalence(
 
     let snapshots = snapshot_files(dir.path());
     assert!(!snapshots.is_empty(), "{tag}: no snapshots (every={every})");
+    let crcs: Vec<u32> = (snapshots.iter())
+        .map(|snap| {
+            let bytes = std::fs::read(snap).expect("read snapshot");
+            let (body, frame) = bytes.split_at(bytes.len() - 4);
+            let frame = u32::from_le_bytes(frame.try_into().expect("four bytes"));
+            assert_eq!(frame, spider::core::crc32(body), "{tag}: frame checksum");
+            frame
+        })
+        .collect();
+    assert_eq!(
+        crcs.iter()
+            .map(|c| format!("{c:#010x}"))
+            .collect::<Vec<_>>(),
+        pinned
+            .iter()
+            .map(|c| format!("{c:#010x}"))
+            .collect::<Vec<_>>(),
+        "{tag}: snapshot bytes changed without a format version bump"
+    );
     for snap in &snapshots {
         let tel = Telemetry::enabled();
         let mut cfg = config.clone();
@@ -705,20 +731,48 @@ fn sharded_config(end_time: f64) -> ShardedConfig {
 #[test]
 fn sharded_engine_resume_is_byte_identical_single_shard() {
     let (network, txs) = isp_scenario(31, 250);
-    assert_sharded_resume_equivalence(&network, &txs, &sharded_config(15.0), 1, 70, "shard1");
+    let pinned = [0x64ffa2df, 0xc942cf7d, 0xdf5d84c5, 0x173888c3];
+    assert_sharded_resume_equivalence(
+        &network,
+        &txs,
+        &sharded_config(15.0),
+        1,
+        70,
+        "shard1",
+        &pinned,
+    );
 }
 
 #[test]
 fn sharded_engine_resume_is_byte_identical_four_shards() {
     let (network, txs) = isp_scenario(31, 250);
-    assert_sharded_resume_equivalence(&network, &txs, &sharded_config(15.0), 4, 70, "shard4");
+    let pinned = [0x5849c105, 0x79e63686, 0x7410a4e8, 0x3b10f3b6];
+    assert_sharded_resume_equivalence(
+        &network,
+        &txs,
+        &sharded_config(15.0),
+        4,
+        70,
+        "shard4",
+        &pinned,
+    );
 }
 
 #[test]
 fn sharded_engine_resume_under_faults_is_byte_identical() {
     let (network, txs) = isp_scenario(37, 250);
     let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    for shards in [1usize, 4] {
+    let pinned: [(usize, [u32; 5]); 2] = [
+        (
+            1,
+            [0x1e6cb11a, 0x26e03d00, 0x49c03ac7, 0xc972ab6a, 0x3e7bf58d],
+        ),
+        (
+            4,
+            [0xaa497417, 0xdc8e05ba, 0xcabe3aa9, 0xc2bc672a, 0xfd5b0126],
+        ),
+    ];
+    for (shards, pinned) in pinned {
         let mut cfg = sharded_config(15.0);
         cfg.scheme = spider::sim::ShardScheme::ShortestPath;
         cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 15.0));
@@ -729,6 +783,7 @@ fn sharded_engine_resume_under_faults_is_byte_identical() {
             shards,
             55,
             &format!("shard-faults-{shards}"),
+            &pinned,
         );
     }
 }
@@ -756,7 +811,17 @@ fn sharded_full_features_resume_is_byte_identical() {
     // shards.
     let (network, txs) = isp_scenario(43, 250);
     let cfg = sharded_full_features_config(&network, 15.0);
-    for shards in [1usize, 4] {
+    let pinned: [(usize, [u32; 5]); 2] = [
+        (
+            1,
+            [0x6cef4478, 0x1112f800, 0x044242e0, 0x086708eb, 0x4cabd5f8],
+        ),
+        (
+            4,
+            [0x96e6cf83, 0xaa26ea48, 0x8800f9ef, 0xc2190947, 0xe3914da8],
+        ),
+    ];
+    for (shards, pinned) in pinned {
         assert_sharded_resume_equivalence(
             &network,
             &txs,
@@ -764,6 +829,7 @@ fn sharded_full_features_resume_is_byte_identical() {
             shards,
             55,
             &format!("shard-full-{shards}"),
+            &pinned,
         );
     }
 }
@@ -915,6 +981,9 @@ fn shard_blob_count_offsets(blob: &[u8]) -> Vec<(&'static str, usize)> {
     assert_eq!(d.u8(), Ok(0), "no fault plan");
     d.usize().expect("plan cursor");
     for _ in 0..count(&mut counts, "message buckets", &mut d) {
+        // Not a count: the epoch the bucket's messages are due in, which the
+        // run must still reach.
+        counts.push(("bucket fire epoch", d.offset()));
         d.u64().expect("fire epoch");
         for _ in 0..count(&mut counts, "bucket messages", &mut d) {
             let unit_at = d.offset();
@@ -1010,6 +1079,7 @@ fn sharded_snapshot_with_absurd_counts_is_rejected() {
     }
     // The counts the old decoder reserved for before reading any element.
     for label in [
+        "bucket fire epoch",
         "bucket messages",
         "payments",
         "trace keys",
@@ -1021,6 +1091,43 @@ fn sharded_snapshot_with_absurd_counts_is_rejected() {
         "path cache pair",
     ] {
         assert!(seen.contains(label), "no {label} count in the snapshot");
+    }
+}
+
+#[test]
+fn sharded_snapshot_with_unreachable_message_buckets_is_rejected() {
+    // The resumed run handles the buckets of epochs `progress + 1 ..=
+    // end_epoch` and no other. A bucket moved to an epoch already behind the
+    // snapshot, or past the end of the run, is never handled: its units'
+    // funds stay locked and their payments' in-flight amounts never clear.
+    // Each move below keeps the buckets in ascending order, so the epoch
+    // range is the only thing wrong with the file.
+    let ckpt = ShardedCheckpoint::capture("shard-stray-buckets", 2, true);
+    let progress = ckpt.snap.progress;
+    let end_epoch = (ckpt.cfg.end_time / spider::sim::engine_sharded::EPOCH + 1e-9).floor() as u64;
+    assert!(1 < progress && progress < end_epoch);
+    let core = ckpt.core();
+    let mut d = spider::core::Dec::new(core);
+    d.take_raw(8 + 4).expect("epoch and shard count");
+    let blob = d.bytes().expect("shard 0 blob");
+    let blob_start = d.offset() - blob.len();
+    let buckets: Vec<usize> = shard_blob_count_offsets(blob)
+        .into_iter()
+        .filter(|&(label, _)| label == "bucket fire epoch")
+        .map(|(_, offset)| blob_start + offset)
+        .collect();
+    let (first, last) = (buckets[0], buckets[buckets.len() - 1]);
+    for (label, at, epoch) in [
+        ("at-progress", first, progress),
+        ("long-past", first, 1),
+        ("past-the-end", last, end_epoch + 1),
+    ] {
+        let mut tampered = core.to_vec();
+        tampered[at..at + 8].copy_from_slice(&epoch.to_le_bytes());
+        match ckpt.resume_with_core(label, Some(tampered)) {
+            SnapshotError::Corrupt { what } if what.contains(&format!("epoch {epoch},")) => {}
+            other => panic!("{label}: expected Corrupt naming epoch {epoch}, got {other:?}"),
+        }
     }
 }
 
