@@ -566,9 +566,26 @@ fn run_ablations(opts: &Options, out: &mut JsonSink) {
     print_ablation("K candidate paths", &ks);
     out.record("ablation_num_paths", &ks);
 
-    let strat = ablation_path_strategy(&cfg);
-    print_ablation("path-selection strategy", &strat);
-    out.record("ablation_path_strategy", &strat);
+    let mut ripple = ExperimentConfig::ripple_quick();
+    ripple.seed = opts.seed;
+    for (title, key, cfg) in [
+        ("path-selection strategy", "ablation_path_strategy", &cfg),
+        (
+            "path-selection strategy (Ripple-400, 30000 txns / 85s)",
+            "ablation_path_strategy_ripple400",
+            &ripple,
+        ),
+    ] {
+        let strat = ablation_path_strategy(cfg);
+        out.record(key, &strat);
+        let (rows, misses): (Vec<Ablation>, Vec<f64>) =
+            strat.into_iter().map(|(l, r, m)| ((l, r), m)).unzip();
+        print_ablation(title, &rows);
+        println!("    share of payments max-flow routes whole on the fresh network but the K paths cannot:");
+        for ((label, _), missed) in rows.iter().zip(misses) {
+            println!("    {label:<20} {missed:>13.4}");
+        }
+    }
 
     let sched = ablation_scheduler(&cfg);
     print_ablation("scheduling policy", &sched);

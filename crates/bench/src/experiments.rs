@@ -5,8 +5,9 @@
 //! as the paper-style rows, and EXPERIMENTS.md records paper-vs-measured.
 
 use serde::{Deserialize, Serialize};
-use spider_core::{Amount, DemandMatrix, Network, NodeId};
+use spider_core::{Amount, BalanceView, ChannelId, DemandMatrix, Direction, Network, NodeId};
 use spider_opt::fluid::FluidProblem;
+use spider_opt::maxflow::MaxFlowSolver;
 use spider_opt::primal_dual::{PrimalDualConfig, Utility};
 use spider_routing::{
     LpScheme, MaxFlowScheme, PathCache, PathStrategy, PriceScheme, RoutingScheme,
@@ -549,8 +550,12 @@ pub fn ablation_num_paths(cfg: &ExperimentConfig, ks: &[usize]) -> Vec<Ablation>
 
 /// Ablation: candidate-path selection strategy (§5.3.1 names edge-disjoint
 /// shortest, K-shortest, and K-highest-capacity as the options).
-pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<Ablation> {
-    use spider_routing::PathStrategy;
+///
+/// Each row is `(label, simulated outcome, candidate-set miss fraction)`;
+/// the last column is [`candidate_set_misses`] — the caption under "within
+/// 5 % of max-flow": how often the K paths, not the balances, are why a
+/// payment cannot be routed whole.
+pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<(String, SimReport, f64)> {
     let network = cfg.network();
     let trace = cfg.trace(&network);
     let sim_cfg = cfg.sim_config();
@@ -559,7 +564,7 @@ pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<Ablation> {
         ("k-shortest-4", PathStrategy::KShortest(4)),
         ("widest-4", PathStrategy::WidestDisjoint(4)),
     ];
-    parallel_variants(&variants, |&(label, strategy)| {
+    let reports = parallel_variants(&variants, |&(label, strategy)| {
         let report = run(
             &network,
             &trace,
@@ -567,7 +572,72 @@ pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<Ablation> {
             &sim_cfg,
         );
         (label.to_string(), report)
-    })
+    });
+    let misses = candidate_set_misses(&network, &trace, &variants.map(|(_, s)| s));
+    reports
+        .into_iter()
+        .zip(misses)
+        .map(|((label, report), missed)| (label, report, missed))
+        .collect()
+}
+
+/// `network`'s initial balances with every channel direction closed that
+/// `open` does not list.
+struct OnlyDirections<'a> {
+    network: &'a Network,
+    open: Vec<[bool; 2]>,
+}
+
+impl BalanceView for OnlyDirections<'_> {
+    fn available(&self, channel: ChannelId, from: NodeId) -> Amount {
+        let side = usize::from(self.network.channel(channel).a != from);
+        if self.open[channel.index()][side] {
+            self.network.available(channel, from)
+        } else {
+            Amount::ZERO
+        }
+    }
+}
+
+/// For each strategy, the fraction of `trace`'s payments that a max-flow
+/// over the whole fresh network routes in full but a max-flow confined to
+/// the union of the strategy's candidate paths does not (after Corcoran &
+/// Lewis: a path planner can fail where a route exists). Every payment is
+/// judged alone, against initial balances.
+fn candidate_set_misses(
+    network: &Network,
+    trace: &[Transaction],
+    strategies: &[PathStrategy],
+) -> Vec<f64> {
+    let mut solver = MaxFlowSolver::default();
+    let mut caches: Vec<PathCache> = strategies.iter().map(|&s| PathCache::new(s)).collect();
+    let mut confined = OnlyDirections {
+        network,
+        open: vec![[false; 2]; network.num_channels()],
+    };
+    let mut missed = vec![0usize; strategies.len()];
+    for tx in trace {
+        let whole = solver.query(network, network, tx.src, tx.dst, tx.amount);
+        if whole.value < tx.amount {
+            continue;
+        }
+        for (cache, missed) in caches.iter_mut().zip(&mut missed) {
+            let paths = cache.paths(network, tx.src, tx.dst);
+            let hops = || paths.iter().flat_map(|p| p.hops());
+            for &(c, dir) in hops() {
+                confined.open[c.index()][usize::from(dir == Direction::BtoA)] = true;
+            }
+            let flow = solver.query(network, &confined, tx.src, tx.dst, tx.amount);
+            *missed += usize::from(flow.value < tx.amount);
+            for &(c, _) in hops() {
+                confined.open[c.index()] = [false; 2];
+            }
+        }
+    }
+    missed
+        .into_iter()
+        .map(|m| m as f64 / trace.len().max(1) as f64)
+        .collect()
 }
 
 /// Ablation: scheduling policy for pending payments (§4.2 — the paper uses
@@ -683,6 +753,39 @@ pub fn rebalancing_curve(budgets: &[f64]) -> Vec<RebalancingPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn candidate_set_misses_counts_what_only_an_overlapping_route_carries() {
+        // 0 reaches 5 over two short edge-disjoint routes of 10 tokens each
+        // (0-1-5, 0-2-5); the wide detour 1-3-4-5 shares channel 0-1 with the
+        // first, so an edge-disjoint search never offers it. Yen does.
+        let mut g = Network::new(6);
+        for (a, b, side) in [
+            (0, 1, 100),
+            (1, 5, 10),
+            (0, 2, 10),
+            (2, 5, 10),
+            (1, 3, 100),
+            (3, 4, 100),
+            (4, 5, 100),
+        ] {
+            let side = Amount::from_whole(side);
+            g.add_channel_with_balances(NodeId(a), NodeId(b), side, side)
+                .unwrap();
+        }
+        let pay = |id, tokens| Transaction {
+            id: spider_core::PaymentId(id),
+            src: NodeId(0),
+            dst: NodeId(5),
+            amount: Amount::from_whole(tokens),
+            arrival: 0.0,
+        };
+        // 15 fits either candidate set, 50 needs the detour, 500 fits nothing
+        // (so it is nobody's miss), and every payment is judged alone.
+        let trace = [pay(0, 15), pay(1, 50), pay(2, 500), pay(3, 50)];
+        let strategies = [PathStrategy::EdgeDisjoint(4), PathStrategy::KShortest(4)];
+        assert_eq!(candidate_set_misses(&g, &trace, &strategies), [0.5, 0.0]);
+    }
 
     #[test]
     fn fig4_fig5_matches_paper_numbers() {

@@ -24,7 +24,7 @@ pub mod simplex;
 
 pub use circulation::{decompose, peel_cycles, route_on_spanning_tree, Decomposition};
 pub use fluid::{enumerate_demand_paths, enumerate_paths, FluidProblem, FluidSolution};
-pub use maxflow::{balance_limited_flow, ChannelFlow, FlowNetwork};
+pub use maxflow::{balance_limited_flow, ChannelFlow, FlowNetwork, MaxFlowSolver};
 pub use mincostflow::{FlowCost, MinCostFlow};
 pub use primal_dual::{project_capped_simplex, PrimalDualConfig, PrimalDualSolution, Utility};
 pub use simplex::{LinearProgram, LpOutcome, LpSolution, Relation};

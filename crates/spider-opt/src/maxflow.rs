@@ -6,6 +6,24 @@
 //! routes the transaction along the decomposed flow paths.
 //!
 //! Capacities are `i64` (micro-units of currency), so augmentation is exact.
+//!
+//! # The mirror of a payment channel network
+//!
+//! [`FlowNetwork::from_channel_balances`] gives channel `k` (position in
+//! `Network::channels`, endpoints `a`, `b`) the edges `4k..4k + 4`: `a→b`
+//! with `a`'s spendable balance, its zero-capacity reverse, `b→a` with `b`'s
+//! balance, its reverse (edge `e`'s partner is `e ^ 1`). An edge joins its
+//! tail's adjacency list when it is created, so node `u`'s list visits `u`'s
+//! channels in channel order, two entries a channel. **Adjacency order is
+//! the search order** — the BFS takes the first augmenting path it meets,
+//! the decomposition the first edge with flow — so the parts a payment is
+//! split into depend on it, and nothing here may reorder it.
+//!
+//! The mirror's shape depends on the topology only. [`MaxFlowSolver`] keeps
+//! one between queries and re-reads the `2·|E|` balances into it, zeroing
+//! every flow and the augmentation count; a network whose node count,
+//! channel count or any channel's endpoints differ gets a fresh mirror. The
+//! search scratch lives in the network for the same reason.
 
 use spider_core::{Amount, BalanceView, Network, NodeId};
 
@@ -26,15 +44,21 @@ pub struct FlowNetwork {
     edges: Vec<FlowEdge>,
     adj: Vec<Vec<usize>>,
     augmentations: u64,
+    /// BFS scratch: the edge that reached each node, nodes in discovery order.
+    parent: Vec<usize>,
+    queue: Vec<usize>,
+    /// Decomposition scratch: the current walk's edges, and for the head of
+    /// each the walk's length on arrival (`usize::MAX` for every other node).
+    trail_edges: Vec<usize>,
+    on_trail_at: Vec<usize>,
 }
 
 impl FlowNetwork {
     /// An empty network with `n` nodes.
     pub fn new(n: usize) -> Self {
         FlowNetwork {
-            edges: Vec::new(),
             adj: vec![Vec::new(); n],
-            augmentations: 0,
+            ..Default::default()
         }
     }
 
@@ -98,6 +122,10 @@ impl FlowNetwork {
         balances: &dyn BalanceView,
     ) -> (FlowNetwork, Vec<(usize, usize)>) {
         let mut fnw = FlowNetwork::new(network.num_nodes());
+        fnw.edges.reserve(4 * network.num_channels());
+        for (u, list) in fnw.adj.iter_mut().enumerate() {
+            list.reserve(2 * network.degree(NodeId::from(u)));
+        }
         let mut map = Vec::with_capacity(network.num_channels());
         for ch in network.channels() {
             let ab = fnw.add_edge(
@@ -115,6 +143,31 @@ impl FlowNetwork {
         (fnw, map)
     }
 
+    /// Makes this the flow-free mirror of `network` under `balances`: in
+    /// place when it already has `network`'s shape, rebuilt otherwise.
+    fn refresh(&mut self, network: &Network, balances: &dyn BalanceView) {
+        let channels = network.channels();
+        let same_counts =
+            self.adj.len() == network.num_nodes() && self.edges.len() == 4 * channels.len();
+        let quads = self.edges.chunks_exact_mut(4);
+        let refreshed = same_counts
+            && channels.iter().zip(quads).all(|(ch, quad)| {
+                if quad[0].to != ch.b.index() || quad[1].to != ch.a.index() {
+                    return false;
+                }
+                for edge in quad.iter_mut() {
+                    edge.flow = 0;
+                }
+                quad[0].cap = balances.available(ch.id, ch.a).micros().max(0);
+                quad[2].cap = balances.available(ch.id, ch.b).micros().max(0);
+                true
+            });
+        if !refreshed {
+            *self = FlowNetwork::from_channel_balances(network, balances).0;
+        }
+        self.augmentations = 0;
+    }
+
     /// Runs Edmonds–Karp from `s` to `t`, stopping early once `limit` units
     /// of flow have been pushed (`i64::MAX` for the true maximum). Returns
     /// the achieved flow value.
@@ -123,24 +176,25 @@ impl FlowNetwork {
         if s == t || limit <= 0 {
             return 0;
         }
-        let n = self.adj.len();
         let mut total = 0i64;
-        // parent[v] = edge index used to reach v in the BFS.
-        let mut parent = vec![usize::MAX; n];
+        self.parent.resize(self.adj.len(), usize::MAX);
         while total < limit {
-            parent.fill(usize::MAX);
-            let mut queue = std::collections::VecDeque::from([s]);
+            self.parent.fill(usize::MAX);
+            self.queue.clear();
+            self.queue.push(s);
+            let mut head = 0;
             let mut reached = false;
-            'bfs: while let Some(u) = queue.pop_front() {
+            'bfs: while let Some(&u) = self.queue.get(head) {
+                head += 1;
                 for &e in &self.adj[u] {
                     let v = self.edges[e].to;
-                    if v != s && parent[v] == usize::MAX && self.residual(e) > 0 {
-                        parent[v] = e;
+                    if v != s && self.parent[v] == usize::MAX && self.residual(e) > 0 {
+                        self.parent[v] = e;
                         if v == t {
                             reached = true;
                             break 'bfs;
                         }
-                        queue.push_back(v);
+                        self.queue.push(v);
                     }
                 }
             }
@@ -151,14 +205,14 @@ impl FlowNetwork {
             let mut bottleneck = limit - total;
             let mut v = t;
             while v != s {
-                let e = parent[v];
+                let e = self.parent[v];
                 bottleneck = bottleneck.min(self.residual(e));
                 v = self.edges[e ^ 1].to;
             }
             // Apply.
             let mut v = t;
             while v != s {
-                let e = parent[v];
+                let e = self.parent[v];
                 self.edges[e].flow += bottleneck;
                 self.edges[e ^ 1].flow -= bottleneck;
                 v = self.edges[e ^ 1].to;
@@ -176,12 +230,11 @@ impl FlowNetwork {
     /// and discarded.
     pub fn decompose_paths(&mut self, s: usize, t: usize) -> Vec<(Vec<usize>, i64)> {
         let mut paths = Vec::new();
+        self.on_trail_at.resize(self.adj.len(), usize::MAX);
         loop {
             // Walk greedily from s along positive-flow edges to t.
+            self.clear_trail();
             let mut node = s;
-            let mut trail_edges: Vec<usize> = Vec::new();
-            let mut on_trail_at = vec![usize::MAX; self.adj.len()];
-            on_trail_at[s] = 0;
             let mut found = false;
             loop {
                 if node == t {
@@ -194,39 +247,38 @@ impl FlowNetwork {
                     .find(|&e| e % 2 == 0 && self.edges[e].flow > 0);
                 let Some(e) = next else { break };
                 let v = self.edges[e].to;
-                if on_trail_at[v] != usize::MAX {
+                if v == s || self.on_trail_at[v] != usize::MAX {
                     // Found a cycle: cancel it (it carries no s->t value).
-                    let cut = on_trail_at[v];
+                    let cut = if v == s { 0 } else { self.on_trail_at[v] };
                     let mut cyc_min = self.edges[e].flow;
-                    for &ce in &trail_edges[cut..] {
+                    for &ce in &self.trail_edges[cut..] {
                         cyc_min = cyc_min.min(self.edges[ce].flow);
                     }
                     self.edges[e].flow -= cyc_min;
                     self.edges[e ^ 1].flow += cyc_min;
-                    for &ce in &trail_edges[cut..] {
+                    for &ce in &self.trail_edges[cut..] {
                         self.edges[ce].flow -= cyc_min;
                         self.edges[ce ^ 1].flow += cyc_min;
                     }
                     // Restart the walk from scratch.
-                    trail_edges.clear();
-                    on_trail_at.fill(usize::MAX);
-                    on_trail_at[s] = 0;
+                    self.clear_trail();
                     node = s;
                     continue;
                 }
-                trail_edges.push(e);
-                on_trail_at[v] = trail_edges.len();
+                self.trail_edges.push(e);
+                self.on_trail_at[v] = self.trail_edges.len();
                 node = v;
             }
             if !found {
                 break;
             }
-            let Some(bottleneck) = trail_edges.iter().map(|&e| self.edges[e].flow).min() else {
+            let Some(bottleneck) = self.trail_edges.iter().map(|&e| self.edges[e].flow).min()
+            else {
                 // Unreachable: `found` implies a non-empty trail.
                 break;
             };
             let mut nodes = vec![s];
-            for &e in &trail_edges {
+            for &e in &self.trail_edges {
                 self.edges[e].flow -= bottleneck;
                 self.edges[e ^ 1].flow += bottleneck;
                 nodes.push(self.edges[e].to);
@@ -234,6 +286,13 @@ impl FlowNetwork {
             paths.push((nodes, bottleneck));
         }
         paths
+    }
+
+    /// Empties the decomposition walk, un-marking the nodes it reached.
+    fn clear_trail(&mut self) {
+        for e in self.trail_edges.drain(..) {
+            self.on_trail_at[self.edges[e].to] = usize::MAX;
+        }
     }
 }
 
@@ -248,11 +307,52 @@ pub struct ChannelFlow {
     pub augmenting_paths: u64,
 }
 
+/// Capped max-flow queries on a payment channel network whose balances
+/// change between queries: the residual network and its search scratch are
+/// kept from one query to the next (module docs).
+#[derive(Clone, Debug, Default)]
+pub struct MaxFlowSolver {
+    mirror: FlowNetwork,
+}
+
+impl MaxFlowSolver {
+    /// [`balance_limited_flow`], with the answer a solver built for this
+    /// query alone would give.
+    pub fn query(
+        &mut self,
+        network: &Network,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        limit: Amount,
+    ) -> ChannelFlow {
+        let fnw = &mut self.mirror;
+        fnw.refresh(network, balances);
+        let value = fnw.max_flow(src.index(), dst.index(), limit.micros());
+        let paths = fnw
+            .decompose_paths(src.index(), dst.index())
+            .into_iter()
+            .map(|(nodes, v)| {
+                (
+                    nodes.into_iter().map(NodeId::from).collect::<Vec<_>>(),
+                    Amount::from_micros(v),
+                )
+            })
+            .collect();
+        ChannelFlow {
+            value: Amount::from_micros(value),
+            paths,
+            augmenting_paths: fnw.augmentations(),
+        }
+    }
+}
+
 /// Computes a flow of value up to `limit` from `src` to `dst` over the
 /// current channel balances, decomposed into node paths.
 ///
 /// This is the paper's max-flow routing primitive: a distributed
-/// Ford–Fulkerson stand-in, run centrally for the simulation.
+/// Ford–Fulkerson stand-in, run centrally for the simulation. One query on
+/// a fresh [`MaxFlowSolver`].
 pub fn balance_limited_flow(
     network: &Network,
     balances: &dyn BalanceView,
@@ -260,23 +360,7 @@ pub fn balance_limited_flow(
     dst: NodeId,
     limit: Amount,
 ) -> ChannelFlow {
-    let (mut fnw, _) = FlowNetwork::from_channel_balances(network, balances);
-    let value = fnw.max_flow(src.index(), dst.index(), limit.micros());
-    let paths = fnw
-        .decompose_paths(src.index(), dst.index())
-        .into_iter()
-        .map(|(nodes, v)| {
-            (
-                nodes.into_iter().map(NodeId::from).collect::<Vec<_>>(),
-                Amount::from_micros(v),
-            )
-        })
-        .collect();
-    ChannelFlow {
-        value: Amount::from_micros(value),
-        paths,
-        augmenting_paths: fnw.augmentations(),
-    }
+    MaxFlowSolver::default().query(network, balances, src, dst, limit)
 }
 
 #[cfg(test)]

@@ -9,13 +9,16 @@
 
 use crate::scheme::{RoutingScheme, SchemeKind};
 use spider_core::{Amount, BalanceView, Network, NodeId, Path};
-use spider_opt::maxflow::balance_limited_flow;
+use spider_opt::maxflow::MaxFlowSolver;
 
 /// The atomic max-flow routing scheme.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MaxFlowScheme {
     queries: u64,
     augmenting_paths: u64,
+    /// Derived from the network on the first query and re-read from the
+    /// balances on every later one; never part of a checkpoint.
+    solver: MaxFlowSolver,
 }
 
 impl MaxFlowScheme {
@@ -42,7 +45,7 @@ impl RoutingScheme for MaxFlowScheme {
         dst: NodeId,
         amount: Amount,
     ) -> Option<Vec<(Path, Amount)>> {
-        let flow = balance_limited_flow(network, balances, src, dst, amount);
+        let flow = self.solver.query(network, balances, src, dst, amount);
         self.queries += 1;
         self.augmenting_paths += flow.augmenting_paths;
         if flow.value < amount {

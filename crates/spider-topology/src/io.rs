@@ -53,6 +53,10 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The largest balance a line may carry, in tokens: amounts are micro-tokens
+/// in an `i64`.
+const MAX_TOKENS: f64 = (i64::MAX / 1_000_000) as f64;
+
 /// Parses the edge-list text format back into a [`Network`].
 pub fn from_edge_list(text: &str) -> Result<Network, ParseError> {
     let mut network: Option<Network> = None;
@@ -84,17 +88,26 @@ pub fn from_edge_list(text: &str) -> Result<Network, ParseError> {
             })
         };
         let parse_amt = |s: &str| -> Result<Amount, ParseError> {
-            s.parse::<f64>()
-                .map(Amount::from_tokens)
-                .map_err(|_| ParseError::BadLine {
+            // `inf`, `NaN` and `1e30` all parse as `f64`; `from_tokens`
+            // asserts on every one of them.
+            match s.parse::<f64>() {
+                Ok(tokens) if tokens.abs() <= MAX_TOKENS => Ok(Amount::from_tokens(tokens)),
+                _ => Err(ParseError::BadLine {
                     line: idx + 1,
                     reason: format!("bad amount `{s}`"),
-                })
+                }),
+            }
         };
         let a = NodeId(parse_u32(parts[0])?);
         let b = NodeId(parse_u32(parts[1])?);
         let bal_a = parse_amt(parts[2])?;
         let bal_b = parse_amt(parts[3])?;
+        if bal_a.checked_add(bal_b).is_none() {
+            return Err(ParseError::BadLine {
+                line: idx + 1,
+                reason: "channel capacity overflows the amount range".to_string(),
+            });
+        }
         g.add_channel_with_balances(a, b, bal_a, bal_b)
             .map_err(|e| ParseError::BadLine {
                 line: idx + 1,
@@ -161,6 +174,69 @@ mod tests {
         assert!(matches!(err, ParseError::BadLine { line: 2, .. }));
         let err = from_edge_list("nodes 2\n0 x 5 5\n").unwrap_err();
         assert!(err.to_string().contains("bad node id"));
+    }
+
+    #[test]
+    fn unrepresentable_balances_rejected_not_panicked_on() {
+        for balances in ["inf 5", "5 NaN", "1e30 5", "-1e30 5"] {
+            let err = from_edge_list(&format!("nodes 2\n0 1 {balances}\n")).unwrap_err();
+            assert!(
+                matches!(&err, ParseError::BadLine { line: 2, reason } if reason.contains("bad amount")),
+                "{balances}: {err}"
+            );
+        }
+        // Each balance fits; the channel's capacity does not.
+        let err = from_edge_list("nodes 2\n0 1 9000000000000 9000000000000\n").unwrap_err();
+        assert!(
+            matches!(&err, ParseError::BadLine { line: 2, reason } if reason.contains("capacity")),
+            "{err}"
+        );
+        // The largest balance that does fit still parses.
+        let g = from_edge_list("nodes 2\n0 1 9223372036854 0\n").unwrap();
+        assert_eq!(g.channels()[0].balance_a, Amount::from_tokens(MAX_TOKENS));
+    }
+
+    /// Text that is mostly noise but often enough has a header, four fields
+    /// and a troublesome number.
+    fn text_from_bytes(bytes: &[u8]) -> String {
+        const VOCAB: [&str; 14] = [
+            "nodes ",
+            "nodes 4\n",
+            "\n",
+            " ",
+            "0 1 ",
+            "2 3 ",
+            "5 5\n",
+            "inf",
+            "NaN",
+            "1e30",
+            "-",
+            "9000000000000 ",
+            "1e-9",
+            "# ",
+        ];
+        let mut out = String::new();
+        for &b in bytes {
+            match b {
+                0..=127 => out.push(b as char),
+                _ => out.push_str(VOCAB[(b - 128) as usize % VOCAB.len()]),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Any string parses to `Ok` or `Err`, never a panic, and what parses
+        /// survives a round trip.
+        #[test]
+        fn prop_from_edge_list_never_panics(
+            bytes in proptest::collection::vec(0u8..=255, 0..120),
+        ) {
+            if let Ok(g) = from_edge_list(&text_from_bytes(&bytes)) {
+                let again = from_edge_list(&to_edge_list(&g)).unwrap();
+                proptest::prop_assert_eq!(g.num_channels(), again.num_channels());
+            }
+        }
     }
 
     #[test]
