@@ -628,7 +628,16 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
     if let Some(rates) = opts.list("--outage-rates", "comma-separated numbers") {
         // An outage sweep without a template still needs a config for the
         // per-cell plans (durations, retry policy).
-        grid.faults.get_or_insert_with(FaultConfig::default);
+        let template = grid.faults.get_or_insert_with(FaultConfig::default);
+        for &channel_outage_rate in &rates {
+            let cell = FaultConfig {
+                channel_outage_rate,
+                ..template.clone()
+            };
+            if let Err(problem) = cell.validate() {
+                usage_and_exit(&format!("`--outage-rates`: {problem}"));
+            }
+        }
         grid.outage_rates = rates;
     }
     if opts.has("--no-retry") {
@@ -810,8 +819,12 @@ fn parse_fault_config(arg: &str) -> FaultConfig {
         ));
     }
     let text = String::from_utf8_lossy(&read_file(arg)).into_owned();
-    serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(&format!("{arg} is not a valid fault config: {e}")))
+    let cfg: FaultConfig = serde_json::from_str(&text)
+        .unwrap_or_else(|e| fail(&format!("{arg} is not a valid fault config: {e}")));
+    if let Err(problem) = cfg.validate() {
+        fail(&format!("{arg} is not a valid fault config: {problem}"));
+    }
+    cfg
 }
 
 /// The one trace reader: the events of the SPBT file `path` that match `q`,

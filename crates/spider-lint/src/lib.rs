@@ -66,11 +66,11 @@ pub fn baseline_path(root: &Path) -> PathBuf {
 }
 
 /// Collects every first-party `.rs` file under `root`, sorted by relative
-/// path so scans are deterministic. Walks `src/`, `crates/`, `tests/`, and
-/// `examples/`; skips `vendor/`, `target/`, and hidden directories.
+/// path so scans are deterministic. Walks `src/`, `crates/` and `tests/`;
+/// skips `vendor/`, `target/`, and hidden directories.
 pub fn collect_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for top in ["src", "crates", "tests", "examples"] {
+    for top in ["src", "crates", "tests"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, &mut files)?;

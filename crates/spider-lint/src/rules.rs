@@ -3,8 +3,8 @@
 //!
 //! Paths are workspace-relative with `/` separators. Three scope tiers:
 //!
-//! - *first-party*: everything scanned (`src/`, `crates/`, `tests/`,
-//!   `examples/`; never `vendor/` or `target/`),
+//! - *first-party*: everything scanned (`src/`, `crates/`, `tests/`;
+//!   never `vendor/` or `target/`),
 //! - *library code*: crate `src/` trees minus bin targets — where
 //!   panic-hygiene, money-safety, and overflow-safety apply,
 //! - *deterministic paths*: `spider-sim`, `spider-routing`, and the grid
@@ -57,10 +57,8 @@ pub struct Violation {
 
 /// `true` for paths the scanner should lint at all.
 pub fn is_first_party(rel: &str) -> bool {
-    let scanned = rel.starts_with("src/")
-        || rel.starts_with("crates/")
-        || rel.starts_with("tests/")
-        || rel.starts_with("examples/");
+    let scanned =
+        rel.starts_with("src/") || rel.starts_with("crates/") || rel.starts_with("tests/");
     scanned && !rel.contains("vendor/") && !rel.contains("target/")
 }
 
@@ -426,14 +424,13 @@ const LEDGER_MUTATORS: &[&str] = &[
     "deposit",
     "lock_hop",
     "lock_path",
-    "lock_path_amounts",
+    "lock_walk",
     "refund_hop",
     "refund_path",
-    "refund_path_amounts",
+    "release_walk",
     "restore_channel",
     "settle_hop",
     "settle_path",
-    "settle_path_amounts",
     "withdraw",
 ];
 
@@ -449,8 +446,9 @@ fn nested_bodies(parsed: &ParsedFile, def: &FnDef) -> Vec<(usize, usize)> {
 }
 
 /// **shard-ownership** — inside `engine_sharded.rs`, a direct
-/// `self.ledger.<mutator>(...)` call must be preceded (in the same fn body)
-/// by the `self.own(...)` owner-guard check.
+/// `self.ledger.<mutator>(...)` call, and handing `&mut self.ledger` to
+/// another function (`RebalancePolicy::apply`), must be preceded (in the
+/// same fn body) by the `self.own(...)` owner-guard check.
 fn shard_ownership(rel: &str, lx: &Lexed, parsed: &ParsedFile, out: &mut Vec<Violation>) {
     const RULE: &str = "shard-ownership";
     for def in &parsed.fns {
@@ -465,6 +463,27 @@ fn shard_ownership(rel: &str, lx: &Lexed, parsed: &ParsedFile, out: &mut Vec<Vio
             if let Some(&(_, nc)) = nested.iter().find(|&&(no, _)| no == i) {
                 i = nc + 1;
                 continue;
+            }
+            // `&mut self.ledger` as a whole value: the callee can mutate any
+            // slot, so the borrow itself needs the guard.
+            let lent = lx.punct(i) == Some('&')
+                && lx.ident(i + 1) == Some("mut")
+                && lx.ident(i + 2) == Some("self")
+                && lx.punct(i + 3) == Some('.')
+                && lx.ident(i + 4) == Some("ledger")
+                && lx.punct(i + 5) != Some('.');
+            if lent && !guarded {
+                push(
+                    out,
+                    rel,
+                    lx.toks[i].line,
+                    RULE,
+                    format!(
+                        "`&mut self.ledger` handed out of `{}` without a preceding \
+                         `self.own(...)` owner-guard check",
+                        def.qual_name()
+                    ),
+                );
             }
             if lx.ident(i) == Some("self") && lx.punct(i + 1) == Some('.') {
                 if lx.ident(i + 2) == Some("own") && lx.punct(i + 3) == Some('(') {

@@ -423,6 +423,34 @@ impl Shard {
 }
 
 #[test]
+fn shard_ownership_covers_lending_the_whole_ledger() {
+    // The callee can mutate any slot, so the borrow needs the guard …
+    let src = "\
+impl Shard {
+    fn rebalance(&mut self, c: ChannelId) {
+        policy.apply(&mut self.ledger, self.network, c, None, 0.0);
+    }
+}
+";
+    let got = hits(spider_lint::rules::SHARDED_ENGINE_PATH, src);
+    assert_eq!(got.len(), 1, "{got:?}");
+    assert_eq!(got[0], ("shard-ownership".to_string(), 3));
+    // … and is fine after it; a shared borrow never needs one.
+    let src = "\
+impl Shard {
+    fn rebalance(&mut self, c: ChannelId) {
+        audit.check(&self.ledger, 0.0, \"epoch\");
+        if !self.own(c, 0, \"rebalance-apply\") {
+            return;
+        }
+        policy.apply(&mut self.ledger, self.network, c, None, 0.0);
+    }
+}
+";
+    assert!(hits(spider_lint::rules::SHARDED_ENGINE_PATH, src).is_empty());
+}
+
+#[test]
 fn shard_ownership_only_applies_to_the_sharded_engine() {
     let src = "\
 impl Engine {

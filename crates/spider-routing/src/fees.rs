@@ -88,6 +88,15 @@ impl FeeSchedule {
         amounts
     }
 
+    /// [`path_amounts`](Self::path_amounts), or `None` when no hop of `path`
+    /// charges anything and every hop simply carries `delivered` — so a
+    /// caller locks, settles and refunds the same way with or without fees.
+    pub fn hop_amounts(&self, path: &Path, delivered: Amount) -> Option<Vec<Amount>> {
+        let amounts = self.path_amounts(path, delivered);
+        // Fees are never negative, so the first hop carries the most.
+        (amounts.first() != Some(&delivered)).then_some(amounts)
+    }
+
     /// Total fee the sender pays to deliver `delivered` along `path`.
     pub fn total_fee(&self, path: &Path, delivered: Amount) -> Amount {
         self.path_amounts(path, delivered)[0].saturating_sub(delivered)

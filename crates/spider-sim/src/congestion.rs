@@ -62,6 +62,18 @@ impl CongestionConfig {
             "multiplicative_decrease must be in (0, 1)"
         );
     }
+
+    /// `window` after one settled unit: additive increase (`w += a / w`,
+    /// TCP-style), capped at the ceiling.
+    pub fn grown(&self, window: f64) -> f64 {
+        (window + self.additive_increase / window).min(self.max_window)
+    }
+
+    /// `window` after one failed route attempt or failed unit:
+    /// multiplicative decrease, held at the floor.
+    pub fn shrunk(&self, window: f64) -> f64 {
+        (window * self.multiplicative_decrease).max(self.min_window)
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -109,18 +121,18 @@ impl CongestionControl {
     /// Records a settled unit: releases window occupancy and grows the
     /// window additively.
     pub fn on_settle(&mut self, src: NodeId, dst: NodeId) {
-        let (a, max) = (self.config.additive_increase, self.config.max_window);
+        let config = self.config;
         let s = self.state(src, dst);
         debug_assert!(s.outstanding > 0, "settle without outstanding unit");
         s.outstanding = s.outstanding.saturating_sub(1);
-        s.window = (s.window + a / s.window).min(max);
+        s.window = config.grown(s.window);
     }
 
     /// Records a failed route attempt: shrinks the window.
     pub fn on_unavailable(&mut self, src: NodeId, dst: NodeId) {
-        let (beta, min) = (self.config.multiplicative_decrease, self.config.min_window);
+        let config = self.config;
         let s = self.state(src, dst);
-        s.window = (s.window * beta).max(min);
+        s.window = config.shrunk(s.window);
     }
 
     /// Current window for a pair (for diagnostics).

@@ -32,6 +32,7 @@
 use crate::audit::LedgerAudit;
 use crate::congestion::{CongestionConfig, CongestionControl};
 use crate::faults::{FaultEvent, FaultPlan, UnitFate};
+use crate::ledger::{sender_side, tokens, HopAmounts};
 use crate::metrics::SimReport;
 use crate::payment::{PaymentState, PaymentStatus};
 use crate::rebalancer::RebalancePolicy;
@@ -39,7 +40,7 @@ use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
 use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault, UnitSlab};
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, Amount, BalanceView, ChannelId, Direction, Enc, Network, Path};
+use spider_core::{crc32, Amount, BalanceView, ChannelId, Enc, Network, Path};
 use spider_routing::{fees::FeeSchedule, path_bottleneck, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
@@ -540,14 +541,9 @@ fn pump_payment(
         }
         // With fees, upstream hops carry the delivered amount plus
         // downstream fees; without, every hop carries the unit.
-        let locked = match t.fees {
-            Some(fees) => {
-                let amounts = fees.path_amounts(&path, unit);
-                t.ledger.lock_path_amounts(t.network, &path, &amounts)
-            }
-            None => t.ledger.lock_path(t.network, &path, unit),
-        };
-        if locked.is_err() {
+        let per_hop = t.fees.and_then(|fees| fees.hop_amounts(&path, unit));
+        let amounts = HopAmounts::of(unit, per_hop.as_deref());
+        if t.ledger.lock_walk(t.network, &path, amounts).is_err() {
             // Scheme raced its own view, or fees pushed a hop over its
             // balance; treat as temporarily unavailable.
             break;
@@ -650,15 +646,13 @@ fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, s
     });
     fr.fail_count[idx] += 1;
     let attempt = fr.fail_count[idx];
-    if attempt > policy.max_attempts {
+    let Some(backoff) = policy.backoff(attempt) else {
         fr.state.stats.payments_failed += 1;
         return t.abandon(idx, now);
-    }
-    let backoff = policy.backoff_base * policy.backoff_mult.powi(attempt as i32 - 1);
+    };
     fr.not_before[idx] = fr.not_before[idx].max(now + backoff);
     fr.state.stats.retries += 1;
     t.retry_at(now + backoff, idx);
-    t.tel.counter_add("sim.payments.retries", 1);
     t.tel.emit(|| TraceEvent::PaymentRetry {
         t: now,
         payment: t.payments[idx].id.0,
@@ -691,40 +685,23 @@ fn rebalance_check(t: &mut Transport, policy: &RebalancePolicy, now: f64, end_ti
 /// A submitted rebalancing transaction confirms.
 fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: ChannelId, now: f64) {
     t.rebalance_pending[channel.index()] = false;
-    // Re-evaluate at confirmation time: traffic in the interim may have
-    // (partially) healed the skew.
-    let (a, b) = t.ledger.balances(channel);
-    let Some(amount) = policy.correction(a, b) else {
-        return;
-    };
-    let ch = t.network.channel(channel);
-    let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-    let taken = t.ledger.withdraw(t.network, channel, rich, amount);
-    let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
-    if let Err(e) = t.ledger.deposit(t.network, channel, poor, redeposit) {
-        // Redepositing funds just withdrawn from this same channel cannot
-        // overflow its capacity; count and skip rather than corrupt the
-        // ledger if it does.
-        debug_assert!(false, "rebalance redeposit refused: {e}");
-        t.tel.counter_add("sim.rebalance.deposit_failed", 1);
-        return;
-    }
-    let fee_paid = taken.saturating_sub(redeposit);
+    let (taken, fee_paid) =
+        match policy.apply(&mut t.ledger, t.network, channel, t.audit.as_mut(), now) {
+            Ok(Some(moved)) => moved,
+            Ok(None) => return,
+            Err(e) => {
+                return record_release(&mut t.release_violations, now, "rebalance-deposit", &e)
+            }
+        };
     t.rebalance_stats.transactions += 1;
-    t.rebalance_stats.moved_volume += taken.as_tokens();
-    t.rebalance_stats.fees_paid += fee_paid.as_tokens();
-    t.tel.counter_add("sim.rebalance.applied", 1);
+    t.rebalance_stats.moved_volume += tokens(taken);
+    t.rebalance_stats.fees_paid += tokens(fee_paid);
     t.tel.emit(|| TraceEvent::RebalanceApplied {
         t: now,
         channel: channel.index() as u32,
-        moved: taken.as_tokens(),
-        fee: fee_paid.as_tokens(),
+        moved: tokens(taken),
+        fee: tokens(fee_paid),
     });
-    if let Some(a) = t.audit.as_mut() {
-        a.on_withdraw(taken);
-        a.on_deposit(redeposit);
-        a.check(&t.ledger, now, "rebalance");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +776,7 @@ fn run_router_queued(
                 // that send *from* those sides.
                 let path = Arc::clone(&t.units[unit].path);
                 for &(c, d) in path.hops() {
-                    drain_queue(&mut t, config, c, slot(d.reverse()), now);
+                    drain_queue(&mut t, config, c, sender_side(d.reverse()), now);
                 }
             }
             Event::Fault(ev) => {
@@ -863,14 +840,6 @@ fn run_router_queued(
         report: t.finish("queued-waterfilling", policy),
         queues,
     })
-}
-
-/// Index of a hop direction's queue within its channel's pair.
-fn slot(d: Direction) -> usize {
-    match d {
-        Direction::AtoB => 0,
-        Direction::BtoA => 1,
-    }
 }
 
 fn channel_down(t: &Transport, channel: ChannelId) -> bool {
@@ -943,7 +912,7 @@ fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) 
             .push(now + config.hop_delay, Event::HopArrive { unit });
         return;
     }
-    let q = &mut t.router.queues[c.index()][slot(d)];
+    let q = &mut t.router.queues[c.index()][sender_side(d)];
     if q.len() >= config.max_queue_len {
         return drop_unit(t, unit, now);
     }
@@ -952,7 +921,6 @@ fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) 
     let depth = q.len();
     t.router.stats.units_queued += 1;
     t.router.stats.max_queue_len = t.router.stats.max_queue_len.max(depth);
-    t.tel.counter_add("sim.units.queued", 1);
     t.tel.emit(|| TraceEvent::UnitQueued {
         t: now,
         payment: t.payments[u.payment()].id.0,

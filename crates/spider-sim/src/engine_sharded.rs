@@ -75,9 +75,9 @@ use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
 use crate::engine::{enc_common, enc_features, QueuePolicy};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
-use crate::ledger::Ledger;
+use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::SimReport;
-use crate::payment::PaymentStatus;
+use crate::payment::{unit_count, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
@@ -92,7 +92,7 @@ use spider_core::{
 use spider_routing::{
     FeeSchedule, RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme,
 };
-use spider_telemetry::{Histogram, HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
+use spider_telemetry::{HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
 use spider_topology::Partition;
 use spider_workload::Transaction;
 use std::collections::BTreeMap;
@@ -223,13 +223,6 @@ impl ShardedConfig {
     }
 }
 
-/// Converts an exact fixed-point amount to display tokens — the single
-/// conversion point for every report/trace value this engine emits.
-fn tokens(a: Amount) -> f64 {
-    // spider-lint: allow(money-safety) — one conversion boundary for reports/traces
-    a.as_tokens()
-}
-
 /// Simulation time of an epoch. The product is the *only* way epochs
 /// become seconds, so every shard computes identical timestamps.
 #[inline]
@@ -242,22 +235,18 @@ fn epochs_of(seconds: f64) -> u64 {
     ((seconds / EPOCH).round() as i64).max(1) as u64
 }
 
+/// The epoch in which something scheduled for time `t` happens: the first
+/// one that ends at or after `t`, and never epoch zero.
+fn epoch_of(t: f64) -> u64 {
+    ((t / EPOCH).ceil() as i64).max(1) as u64
+}
+
 /// Locks a mutex, recovering the data from a poisoned lock (a panicking
 /// sibling shard already aborts the run via its join handle).
 fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Which side (0 = endpoint `a`, 1 = endpoint `b`) *sends* when a channel
-/// is crossed in `dir` (same convention as the ledger).
-#[inline]
-fn sender_side(dir: Direction) -> usize {
-    match dir {
-        Direction::AtoB => 0,
-        Direction::BtoA => 1,
     }
 }
 
@@ -335,10 +324,7 @@ impl UnitInfo {
             Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()),
             None => (Fate::Deliver { jitter_epochs: 0 }, false),
         };
-        let hop_amounts = match cfg.fees.as_ref() {
-            Some(f) if !f.is_free() => Some(f.path_amounts(&path, amount)),
-            _ => None,
-        };
+        let hop_amounts = (cfg.fees.as_ref()).and_then(|fees| fees.hop_amounts(&path, amount));
         let unit = UnitInfo {
             payment,
             seq,
@@ -904,7 +890,7 @@ impl<'a> ShardCtx<'a> {
             .iter()
             .filter(|tx| tx.id.0 % num_shards as u64 == u64::from(shard))
             .filter_map(|tx| {
-                let arrival_epoch = ((tx.arrival / EPOCH).ceil() as i64).max(1) as u64;
+                let arrival_epoch = epoch_of(tx.arrival);
                 (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
                     id: tx.id.0,
                     src: tx.src,
@@ -1068,36 +1054,27 @@ impl<'a> ShardCtx<'a> {
             .filter(|&&(at, ..)| at == epoch)
         {
             self.plan_cursor += 1;
-            let (owner, counter, event) = match *ev {
-                FaultEvent::ChannelDown(c) => (
-                    self.partition.channel_owner(c),
-                    Some(&mut self.stats.outages),
-                    TraceEvent::ChannelOutage { t, channel: c.0 },
-                ),
-                FaultEvent::ChannelUp(c) => (
-                    self.partition.channel_owner(c),
-                    Some(&mut self.stats.recoveries),
-                    TraceEvent::ChannelRecovered { t, channel: c.0 },
-                ),
+            let (owner, counter) = match *ev {
+                FaultEvent::ChannelDown(c) => {
+                    let owner = self.partition.channel_owner(c);
+                    (owner, Some(&mut self.stats.outages))
+                }
+                FaultEvent::ChannelUp(c) => {
+                    let owner = self.partition.channel_owner(c);
+                    (owner, Some(&mut self.stats.recoveries))
+                }
                 FaultEvent::NodeDown(n) => {
                     let was_down = self.faults.as_ref().is_some_and(|f| f.is_node_down(n));
-                    (
-                        self.partition.node_shard(n),
-                        (!was_down).then_some(&mut self.stats.node_crashes),
-                        TraceEvent::NodeCrashed { t, node: n.0 },
-                    )
+                    let crashes = (!was_down).then_some(&mut self.stats.node_crashes);
+                    (self.partition.node_shard(n), crashes)
                 }
-                FaultEvent::NodeUp(n) => (
-                    self.partition.node_shard(n),
-                    None,
-                    TraceEvent::NodeRecovered { t, node: n.0 },
-                ),
+                FaultEvent::NodeUp(n) => (self.partition.node_shard(n), None),
             };
             if owner == usize::from(self.shard) {
                 if let Some(count) = counter {
                     *count += 1;
                 }
-                self.emit(epoch, RANK_FAULT, *plan_idx, 0, event);
+                self.emit(epoch, RANK_FAULT, *plan_idx, 0, ev.trace(t));
             }
             if let Some(f) = self.faults.as_mut() {
                 let _ = f.apply(self.network, ev);
@@ -1399,24 +1376,19 @@ impl<'a> ShardCtx<'a> {
         for cidx in due {
             let channel = ChannelId(cidx);
             self.rebalance_pending[channel.index()] = false;
-            // Re-evaluate at confirmation: interim traffic may have healed
-            // (or deepened) the skew measured at check time.
-            let (a, b) = self.ledger.balances(channel);
-            let Some(amount) = policy.correction(a, b) else {
-                continue;
-            };
             if !self.own(channel, epoch, "rebalance-apply") {
                 continue;
             }
-            let ch = self.network.channel(channel);
-            let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-            let taken = self.ledger.withdraw(self.network, channel, rich, amount);
-            let redeposit = taken.saturating_sub(policy.fee).max(Amount::ZERO);
-            if let Err(e) = self.ledger.deposit(self.network, channel, poor, redeposit) {
-                record_release(&mut self.violations, t_of(epoch), "rebalance-deposit", &e);
-                continue;
-            }
-            let fee_paid = taken.saturating_sub(redeposit);
+            let (audit, at) = (self.audit.as_mut(), t_of(epoch));
+            let (taken, fee_paid) =
+                match policy.apply(&mut self.ledger, self.network, channel, audit, at) {
+                    Ok(Some(moved)) => moved,
+                    Ok(None) => continue,
+                    Err(e) => {
+                        record_release(&mut self.violations, at, "rebalance-deposit", &e);
+                        continue;
+                    }
+                };
             self.rebal_transactions += 1;
             self.rebal_moved_micros = self.rebal_moved_micros.saturating_add(taken.micros());
             self.rebal_fees_micros = self.rebal_fees_micros.saturating_add(fee_paid.micros());
@@ -1433,11 +1405,6 @@ impl<'a> ShardCtx<'a> {
                     fee: tokens(fee_paid),
                 },
             );
-            if let Some(audit) = self.audit.as_mut() {
-                audit.on_withdraw(taken);
-                audit.on_deposit(redeposit);
-                audit.check(&self.ledger, t_of(epoch), "rebalance");
-            }
         }
         if epoch.is_multiple_of(check_epochs) {
             for ch in self.network.channels() {
@@ -1466,11 +1433,11 @@ impl<'a> ShardCtx<'a> {
         };
         let p = &mut self.payments[pidx];
         p.outstanding = p.outstanding.saturating_sub(1);
-        if delivered {
-            p.window = (p.window + cc.additive_increase / p.window).min(cc.max_window);
+        p.window = if delivered {
+            cc.grown(p.window)
         } else {
-            p.window = (p.window * cc.multiplicative_decrease).max(cc.min_window);
-        }
+            cc.shrunk(p.window)
+        };
     }
 
     fn on_unit_delivered(&mut self, unit: &Arc<UnitInfo>, epoch: u64) {
@@ -1629,11 +1596,10 @@ impl<'a> ShardCtx<'a> {
                 until: t_of(until_epoch),
             },
         );
-        if fails > policy.max_attempts {
+        let Some(backoff) = policy.backoff(fails) else {
             self.abandon(pidx, epoch, true);
             return;
-        }
-        let backoff = policy.backoff_base * policy.backoff_mult.powi(fails as i32 - 1);
+        };
         let backoff_epochs = epochs_of(backoff);
         let p = &mut self.payments[pidx];
         p.not_before_epoch = p.not_before_epoch.max(epoch + backoff_epochs);
@@ -1769,7 +1735,7 @@ impl<'a> ShardCtx<'a> {
                     // the payment probes gently once liquidity returns.
                     if let Some(cc) = self.cfg.congestion.as_ref() {
                         let p = &mut self.payments[pidx];
-                        p.window = (p.window * cc.multiplicative_decrease).max(cc.min_window);
+                        p.window = cc.shrunk(p.window);
                     }
                     break;
                 }
@@ -1815,7 +1781,6 @@ impl<'a> ShardCtx<'a> {
                     amount: tokens(amount),
                 },
             );
-            let mtu = self.cfg.mtu.micros();
             self.emit(
                 epoch,
                 RANK_SPLIT,
@@ -1824,8 +1789,7 @@ impl<'a> ShardCtx<'a> {
                 TraceEvent::PaymentSplit {
                     t: t_of(epoch),
                     payment: pid,
-                    units: (amount.micros().saturating_add(mtu).saturating_sub(1) / mtu).max(0)
-                        as u64,
+                    units: unit_count(amount, self.cfg.mtu),
                 },
             );
             self.pending.push(pidx);
@@ -1896,12 +1860,7 @@ impl<'a> ShardCtx<'a> {
                 continue;
             }
             let (a, b) = self.ledger.balances(ch.id);
-            let total = tokens(a + b);
-            let imbalance = if total > 0.0 {
-                (tokens(a) - tokens(b)).abs() / total
-            } else {
-                0.0
-            };
+            let imbalance = self.ledger.relative_imbalance(ch.id);
             let mean_ratio = (a - b).abs().ratio_of(self.ledger.capacity(ch.id));
             let inflight = self.ledger.inflight(ch.id);
             let cid = ch.id.index() as u32;
@@ -2172,10 +2131,7 @@ fn quantized_plan(config: &ShardedConfig) -> Vec<PlanEvent> {
     let end_epoch = Clockwork::new(config).end_epoch;
     (config.faults.iter())
         .flat_map(|plan| plan.events.iter().enumerate())
-        .map(|(i, (t, ev))| {
-            let epoch = ((t / EPOCH).ceil() as i64).max(1) as u64;
-            (epoch, i as u64, ev.clone())
-        })
+        .map(|(i, (t, ev))| (epoch_of(*t), i as u64, ev.clone()))
         .filter(|&(epoch, ..)| epoch <= end_epoch)
         .collect()
 }
@@ -2755,41 +2711,15 @@ fn merge_outputs(
     let clock = Clockwork::new(config);
 
     // Trace: k-way merge by key (keys are globally unique), replayed into
-    // the telemetry handle — counters and the completion-delay histogram
-    // are rebuilt from the merged order, so they cannot depend on shard
-    // interleaving.
+    // the telemetry handle — `emit` rebuilds the counters and the
+    // completion-delay histogram from the merged order, so they cannot
+    // depend on shard interleaving.
     let mut all_events: Vec<(Key, TraceEvent)> =
         outputs.iter_mut().flat_map(|o| o.trace.drain(..)).collect();
     all_events.sort_unstable_by_key(|x| x.0);
     if tel.is_enabled() {
         tel.counter_add("sim.scheduler.polls", clock.end_epoch / clock.poll_epochs);
         for (_, ev) in &all_events {
-            let counter = match ev {
-                TraceEvent::PaymentArrived { .. } => Some("sim.payments.arrived"),
-                TraceEvent::UnitSent { .. } => Some("sim.units.sent"),
-                TraceEvent::UnitSettled { .. } => Some("sim.units.settled"),
-                TraceEvent::UnitRefunded { .. } => Some("sim.units.refunded"),
-                TraceEvent::UnitDropped { .. } => Some("sim.units.dropped"),
-                TraceEvent::UnitGriefed { .. } => Some("sim.units.griefed"),
-                TraceEvent::PaymentCompleted { delay, .. } => {
-                    tel.histogram_observe(
-                        "sim.completion_delay",
-                        *delay,
-                        Histogram::latency_default,
-                    );
-                    Some("sim.payments.completed")
-                }
-                TraceEvent::PaymentAbandoned { .. } => Some("sim.payments.abandoned"),
-                TraceEvent::PaymentRetry { .. } => Some("sim.payments.retries"),
-                TraceEvent::ChannelOutage { .. } => Some("sim.faults.outages"),
-                TraceEvent::NodeCrashed { .. } => Some("sim.faults.node_crashes"),
-                TraceEvent::UnitQueued { .. } => Some("sim.units.queued"),
-                TraceEvent::RebalanceApplied { .. } => Some("sim.rebalance.applied"),
-                _ => None,
-            };
-            if let Some(name) = counter {
-                tel.counter_add(name, 1);
-            }
             let cloned = ev.clone();
             tel.emit(move || cloned);
         }

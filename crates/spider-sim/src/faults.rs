@@ -23,6 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
+use spider_telemetry::TraceEvent;
 
 /// SplitMix64 (Steele, Lea & Flood 2014): a tiny, high-quality,
 /// fully deterministic 64-bit generator. Used for both schedule expansion
@@ -99,6 +100,16 @@ impl Default for RetryPolicy {
             backoff_mult: 2.0,
             blacklist_duration: 2.0,
         }
+    }
+}
+
+impl RetryPolicy {
+    /// The backoff (seconds) before retrying after a payment's `attempt`-th
+    /// fault failure (1-based), or `None` once the budget is spent and the
+    /// payment is to be abandoned.
+    pub fn backoff(&self, attempt: u32) -> Option<f64> {
+        (attempt <= self.max_attempts)
+            .then(|| self.backoff_base * self.backoff_mult.powi(attempt as i32 - 1))
     }
 }
 
@@ -179,7 +190,56 @@ impl Default for FaultConfig {
     }
 }
 
+/// Most outages a config may schedule per channel. A plan holds two events
+/// per outage, so this is what bounds the size of an expanded plan.
+const MAX_OUTAGE_RATE: f64 = 1000.0;
+
 impl FaultConfig {
+    /// Checks a config that came from outside the program (a `--faults`
+    /// file, an `--outage-rates` value) before it is expanded into a plan:
+    /// probabilities in `[0, 1]` with drop + grief at most 1, every rate
+    /// and duration finite and non-negative, and the outage rate small
+    /// enough that the plan stays bounded. The message names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        let retry = self.retry.clone().unwrap_or_default();
+        for (field, p) in [
+            ("node_churn_rate", self.node_churn_rate),
+            ("unit_drop_prob", self.unit_drop_prob),
+            ("grief_prob", self.grief_prob),
+            (
+                "unit_drop_prob + grief_prob",
+                self.unit_drop_prob + self.grief_prob,
+            ),
+        ] {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("{field} is {p:?}, not a probability in [0, 1]"));
+            }
+        }
+        for (field, v) in [
+            ("channel_outage_rate", self.channel_outage_rate),
+            ("outage_duration", self.outage_duration),
+            ("node_downtime", self.node_downtime),
+            ("settle_jitter", self.settle_jitter),
+            ("grief_hold", self.grief_hold),
+            ("retry.backoff_base", retry.backoff_base),
+            ("retry.backoff_mult", retry.backoff_mult),
+            ("retry.blacklist_duration", retry.blacklist_duration),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!(
+                    "{field} is {v:?}, not a finite non-negative number"
+                ));
+            }
+        }
+        if self.channel_outage_rate > MAX_OUTAGE_RATE {
+            return Err(format!(
+                "channel_outage_rate is {:?}, above the limit of {MAX_OUTAGE_RATE} outages per channel",
+                self.channel_outage_rate
+            ));
+        }
+        Ok(())
+    }
+
     /// A named scenario preset, or `None` for an unknown name.
     ///
     /// - `"outages"` — one outage per channel on average;
@@ -223,6 +283,18 @@ pub enum FaultEvent {
     NodeUp(NodeId),
 }
 
+impl FaultEvent {
+    /// The trace record of this transition taking effect at time `t`.
+    pub fn trace(&self, t: f64) -> TraceEvent {
+        match *self {
+            FaultEvent::ChannelDown(c) => TraceEvent::ChannelOutage { t, channel: c.0 },
+            FaultEvent::ChannelUp(c) => TraceEvent::ChannelRecovered { t, channel: c.0 },
+            FaultEvent::NodeDown(n) => TraceEvent::NodeCrashed { t, node: n.0 },
+            FaultEvent::NodeUp(n) => TraceEvent::NodeRecovered { t, node: n.0 },
+        }
+    }
+}
+
 /// The expanded fault schedule for one run: scripted `(time, event)` pairs
 /// sorted by time, plus the per-unit disturbance parameters.
 #[derive(Clone, Debug)]
@@ -237,8 +309,13 @@ impl FaultPlan {
     /// Expands `config` into a schedule for `network` over `[0, end_time]`
     /// using the config's SplitMix64 seed. Channels and nodes are visited
     /// in id order, so the schedule is a pure function of the inputs.
+    ///
+    /// # Panics
+    /// Panics on a config that fails [`FaultConfig::validate`]; whatever
+    /// reads one from outside the program validates it first.
     pub fn from_config(config: &FaultConfig, network: &Network, end_time: f64) -> Self {
         assert!(end_time > 0.0, "fault plan needs a positive horizon");
+        assert_eq!(config.validate(), Ok(()), "invalid fault config");
         let mut rng = SplitMix64::new(config.seed);
         let mut events: Vec<(f64, FaultEvent)> = Vec::new();
         for ch in network.channels() {
@@ -777,6 +854,80 @@ mod tests {
             now: 11.0,
         };
         assert!(later.available(c12, NodeId(1)).is_positive());
+    }
+
+    /// The two files ISSUE 23 found: one used to run the push loop out of
+    /// memory, the other ran to exit 0 on nonsense probabilities.
+    #[test]
+    fn validate_names_the_offending_field() {
+        let parse = |text: &str| serde_json::from_str::<FaultConfig>(text).unwrap();
+        let err = parse(r#"{"channel_outage_rate": 1e300}"#).validate();
+        assert!(err.unwrap_err().contains("channel_outage_rate"));
+        let err = parse(r#"{"unit_drop_prob": -3.0, "grief_prob": 7}"#).validate();
+        assert!(err.unwrap_err().contains("unit_drop_prob"));
+        let err = parse(r#"{"unit_drop_prob": 0.6, "grief_prob": 0.6}"#).validate();
+        assert!(err.unwrap_err().contains("unit_drop_prob + grief_prob"));
+        let nan_backoff = FaultConfig {
+            retry: Some(RetryPolicy {
+                backoff_mult: f64::NAN,
+                ..RetryPolicy::default()
+            }),
+            ..FaultConfig::default()
+        };
+        assert!(nan_backoff.validate().unwrap_err().contains("backoff_mult"));
+        for name in ["outages", "churn", "drops", "jitter", "griefing", "stress"] {
+            assert_eq!(FaultConfig::scenario(name).unwrap().validate(), Ok(()));
+        }
+    }
+
+    /// Text that is mostly noise but often enough is a JSON object with a
+    /// known field and a troublesome number.
+    fn text_from_bytes(bytes: &[u8]) -> String {
+        const VOCAB: [&str; 16] = [
+            "{",
+            "}",
+            "\"channel_outage_rate\":",
+            "\"unit_drop_prob\":",
+            "\"grief_prob\":",
+            "\"outage_duration\":",
+            "\"retry\":",
+            "\"backoff_mult\":",
+            "null",
+            ",",
+            "1e300",
+            "-3.0",
+            "0.5",
+            "999",
+            "7",
+            "1e-9",
+        ];
+        let mut out = String::new();
+        for &b in bytes {
+            match b {
+                0..=127 => out.push(b as char),
+                _ => out.push_str(VOCAB[(b - 128) as usize % VOCAB.len()]),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// Any text is rejected or parses to a config that either fails
+        /// validation or expands — without a panic — to a plan no larger
+        /// than the outage-rate limit allows.
+        #[test]
+        fn prop_fault_config_text_never_panics(
+            bytes in proptest::collection::vec(0u8..=255, 0..80),
+        ) {
+            let parsed = serde_json::from_str::<FaultConfig>(&text_from_bytes(&bytes));
+            if let Some(cfg) = parsed.ok().filter(|cfg| cfg.validate().is_ok()) {
+                let g = line3();
+                let plan = FaultPlan::from_config(&cfg, &g, 10.0);
+                let per_channel = 2 * (MAX_OUTAGE_RATE as usize + 1);
+                let bound = g.num_channels() * per_channel + 2 * g.num_nodes();
+                proptest::prop_assert!(plan.events.len() <= bound);
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,69 @@
 //! §4.2 / Fig. 3). Settlement `Δ` seconds later credits the receiving side
 //! of every hop. Conservation is exact: for every channel,
 //! `available_a + available_b + inflight == capacity` at all times.
+//!
+//! Every path transition is one of two walks, `Ledger::lock_walk` and
+//! `Ledger::release_walk` (settle or refund, over a whole path or the
+//! prefix a router-queued unit has locked, one amount or one per hop under
+//! fees); `lock_path` / `settle_path` / `refund_path` spell out the
+//! one-amount, whole-path case. A walk **validates every hop before it
+//! commits any**: a lock that the sender side holds the hop's amount, a
+//! release that the channel's in-flight pool does. A refusal therefore
+//! leaves the ledger as it was — no half-locked path to unwind, and a
+//! double settle or refund (an engine bug) cannot corrupt balances in
+//! release builds, where `debug_assert!` is compiled out: it comes back as
+//! [`CoreError::ExcessRelease`] for the caller to report.
 
 use spider_core::{Amount, BalanceView, ChannelId, CoreError, Direction, Network, NodeId, Path};
 
 /// Which side (`0` = `a`, `1` = `b`) of a channel *sends* when the channel
 /// is crossed in `dir`. A path hop's direction therefore resolves the
-/// sender/receiver sides without touching the `Network` at all.
+/// sender/receiver sides without touching the `Network` at all; the router
+/// queues of a channel are indexed the same way.
 #[inline]
-fn sender_side(dir: Direction) -> usize {
+pub(crate) fn sender_side(dir: Direction) -> usize {
     match dir {
         Direction::AtoB => 0,
         Direction::BtoA => 1,
     }
+}
+
+/// Converts an exact fixed-point amount to display tokens — the single
+/// conversion point for every report/trace value the engines emit.
+/// (`#[inline]`: the sharded engine builds its trace events eagerly, so
+/// this sits on its per-unit path — out of line it cost ≈ 10 %.)
+#[inline]
+pub(crate) fn tokens(a: Amount) -> f64 {
+    // spider-lint: allow(money-safety) — one conversion boundary for reports/traces
+    a.as_tokens()
+}
+
+/// What each hop of a path walk carries.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum HopAmounts<'a> {
+    /// The same amount on every hop.
+    Uniform(Amount),
+    /// `amounts[i]` on hop `i`: under fees an upstream hop carries the
+    /// delivered value plus the downstream fees.
+    PerHop(&'a [Amount]),
+}
+
+impl<'a> HopAmounts<'a> {
+    /// `per_hop` where the fee schedule produced one
+    /// ([`FeeSchedule::hop_amounts`](spider_routing::FeeSchedule::hop_amounts)),
+    /// else `amount` on every hop.
+    pub(crate) fn of(amount: Amount, per_hop: Option<&'a [Amount]>) -> Self {
+        per_hop.map_or(HopAmounts::Uniform(amount), HopAmounts::PerHop)
+    }
+}
+
+/// Which side of each hop a release credits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Release {
+    /// The receiving side: the receiver released the key.
+    Settle,
+    /// The sending side: the HTLC expired or failed.
+    Refund,
 }
 
 /// Live balance state for one channel.
@@ -97,21 +148,37 @@ impl Ledger {
         }
     }
 
-    /// Locks `amount` on the sender side of every hop of `path`, returning
-    /// an error (and changing nothing) if any hop lacks funds.
-    pub fn lock_path(
+    /// Locks `amounts` on the sender side of every hop of `path`, or — when
+    /// any hop lacks funds — returns the error and changes nothing.
+    pub(crate) fn lock_walk(
         &mut self,
         network: &Network,
         path: &Path,
-        amount: Amount,
+        amounts: HopAmounts<'_>,
     ) -> Result<(), CoreError> {
-        if amount.is_negative() {
-            return Err(CoreError::NegativeAmount);
+        match amounts {
+            HopAmounts::Uniform(amount) => self.lock_with(network, path, |_| amount),
+            HopAmounts::PerHop(per_hop) => {
+                assert_eq!(per_hop.len(), path.len(), "one amount per hop");
+                self.lock_with(network, path, |i| per_hop[i])
+            }
         }
+    }
+
+    fn lock_with(
+        &mut self,
+        network: &Network,
+        path: &Path,
+        amount_at: impl Fn(usize) -> Amount,
+    ) -> Result<(), CoreError> {
         // Validation pass: because a trail never repeats a channel, per-hop
         // checks cannot double-count within one path. The hop direction
         // resolves the sender side directly (validated at Path construction).
         for (i, &(c, dir)) in path.hops().iter().enumerate() {
+            let amount = amount_at(i);
+            if amount.is_negative() {
+                return Err(CoreError::NegativeAmount);
+            }
             let side = sender_side(dir);
             debug_assert_eq!(Self::try_side(network, c, path.nodes()[i]), Ok(side));
             let have = self.channels[c.index()].available[side];
@@ -125,24 +192,49 @@ impl Ledger {
             }
         }
         // Commit pass.
-        for &(c, dir) in path.hops() {
-            self.channels[c.index()].move_to_inflight(sender_side(dir), amount);
+        for (i, &(c, dir)) in path.hops().iter().enumerate() {
+            self.channels[c.index()].move_to_inflight(sender_side(dir), amount_at(i));
             debug_assert!(self.conserves(c));
         }
         Ok(())
     }
 
-    /// Checks that releasing `amount` from every hop of `path` stays within
-    /// each channel's recorded in-flight funds. Shared validation pass for
-    /// the settle/refund paths: a violation here is a double-settle /
-    /// double-refund bug in the caller, and we must refuse it *before*
-    /// mutating anything so release-side bugs can't corrupt balances in
-    /// release builds (where `debug_assert!` compiles out).
-    fn check_release(&self, path: &Path, amount: Amount) -> Result<(), CoreError> {
-        if amount.is_negative() {
-            return Err(CoreError::NegativeAmount);
+    /// Releases `amounts` from the in-flight funds of the first `hops` hops
+    /// of `path` to the side `to` names. Returns
+    /// [`CoreError::ExcessRelease`] — and changes nothing — if any of those
+    /// hops holds less in flight than it is asked to release (a double
+    /// settle or double refund in the caller).
+    pub(crate) fn release_walk(
+        &mut self,
+        network: &Network,
+        path: &Path,
+        hops: usize,
+        amounts: HopAmounts<'_>,
+        to: Release,
+    ) -> Result<(), CoreError> {
+        match amounts {
+            HopAmounts::Uniform(amount) => self.release_with(network, path, hops, to, |_| amount),
+            HopAmounts::PerHop(per_hop) => {
+                assert_eq!(per_hop.len(), path.len(), "one amount per hop");
+                self.release_with(network, path, hops, to, |i| per_hop[i])
+            }
         }
-        for &(c, _) in path.hops() {
+    }
+
+    fn release_with(
+        &mut self,
+        network: &Network,
+        path: &Path,
+        hops: usize,
+        to: Release,
+        amount_at: impl Fn(usize) -> Amount,
+    ) -> Result<(), CoreError> {
+        let prefix = &path.hops()[..hops];
+        for (i, &(c, _)) in prefix.iter().enumerate() {
+            let amount = amount_at(i);
+            if amount.is_negative() {
+                return Err(CoreError::NegativeAmount);
+            }
             let inflight = self.channels[c.index()].inflight;
             if inflight < amount {
                 return Err(CoreError::ExcessRelease {
@@ -152,144 +244,55 @@ impl Ledger {
                 });
             }
         }
+        // Hop `i` runs from `nodes[i]` (its sender) to `nodes[i + 1]`.
+        let receiver = usize::from(to == Release::Settle);
+        for (i, &(c, dir)) in prefix.iter().enumerate() {
+            let side = sender_side(dir) ^ receiver;
+            debug_assert_eq!(
+                Self::try_side(network, c, path.nodes()[i + receiver]),
+                Ok(side)
+            );
+            self.channels[c.index()].release_from_inflight(side, amount_at(i));
+            debug_assert!(self.conserves(c));
+        }
         Ok(())
     }
 
+    /// Locks `amount` on the sender side of every hop of `path`, returning
+    /// an error (and changing nothing) if any hop lacks funds.
+    pub fn lock_path(
+        &mut self,
+        network: &Network,
+        path: &Path,
+        amount: Amount,
+    ) -> Result<(), CoreError> {
+        self.lock_walk(network, path, HopAmounts::Uniform(amount))
+    }
+
     /// Settles a previously locked transfer: credits the receiving side of
-    /// every hop and releases the in-flight funds.
-    ///
-    /// Returns [`CoreError::ExcessRelease`] — and changes nothing — if the
-    /// settlement exceeds any hop's recorded in-flight funds (a
-    /// double-settle bug in the caller).
+    /// every hop and releases the in-flight funds. Returns
+    /// [`CoreError::ExcessRelease`] — and changes nothing — on a double settle.
     pub fn settle_path(
         &mut self,
         network: &Network,
         path: &Path,
         amount: Amount,
     ) -> Result<(), CoreError> {
-        self.check_release(path, amount)?;
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            let side = 1 - sender_side(dir);
-            debug_assert_eq!(Self::try_side(network, c, path.nodes()[i + 1]), Ok(side));
-            self.channels[c.index()].release_from_inflight(side, amount);
-            debug_assert!(self.conserves(c));
-        }
-        Ok(())
+        let amounts = HopAmounts::Uniform(amount);
+        self.release_walk(network, path, path.len(), amounts, Release::Settle)
     }
 
     /// Cancels a previously locked transfer: refunds the sender side of
-    /// every hop (an expired/failed HTLC).
-    ///
-    /// Returns [`CoreError::ExcessRelease`] — and changes nothing — if the
-    /// refund exceeds any hop's recorded in-flight funds (a double-refund
-    /// bug in the caller).
+    /// every hop (an expired/failed HTLC). All-or-nothing like
+    /// [`settle_path`](Self::settle_path).
     pub fn refund_path(
         &mut self,
         network: &Network,
         path: &Path,
         amount: Amount,
     ) -> Result<(), CoreError> {
-        self.check_release(path, amount)?;
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            let side = sender_side(dir);
-            debug_assert_eq!(Self::try_side(network, c, path.nodes()[i]), Ok(side));
-            self.channels[c.index()].release_from_inflight(side, amount);
-            debug_assert!(self.conserves(c));
-        }
-        Ok(())
-    }
-
-    /// Locks a *per-hop* amount along `path` (`amounts[i]` on hop `i`) —
-    /// the fee-bearing variant of [`lock_path`](Self::lock_path), where
-    /// upstream hops carry the delivered value plus downstream fees.
-    /// All-or-nothing like `lock_path`.
-    pub fn lock_path_amounts(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        amounts: &[Amount],
-    ) -> Result<(), CoreError> {
-        assert_eq!(amounts.len(), path.hops().len(), "one amount per hop");
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            if amounts[i].is_negative() {
-                return Err(CoreError::NegativeAmount);
-            }
-            let side = sender_side(dir);
-            debug_assert_eq!(Self::try_side(network, c, path.nodes()[i]), Ok(side));
-            let have = self.channels[c.index()].available[side];
-            if have < amounts[i] {
-                return Err(CoreError::InsufficientFunds {
-                    channel: c,
-                    from: path.nodes()[i],
-                    available: have.micros(),
-                    requested: amounts[i].micros(),
-                });
-            }
-        }
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            self.channels[c.index()].move_to_inflight(sender_side(dir), amounts[i]);
-            debug_assert!(self.conserves(c));
-        }
-        Ok(())
-    }
-
-    /// Per-hop-amount variant of
-    /// [`check_release`](Self::check_release).
-    fn check_release_amounts(&self, path: &Path, amounts: &[Amount]) -> Result<(), CoreError> {
-        assert_eq!(amounts.len(), path.hops().len(), "one amount per hop");
-        for (i, &(c, _)) in path.hops().iter().enumerate() {
-            if amounts[i].is_negative() {
-                return Err(CoreError::NegativeAmount);
-            }
-            let inflight = self.channels[c.index()].inflight;
-            if inflight < amounts[i] {
-                return Err(CoreError::ExcessRelease {
-                    channel: c,
-                    inflight: inflight.micros(),
-                    requested: amounts[i].micros(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Settles a per-hop-amount transfer: hop `i`'s receiver is credited
-    /// `amounts[i]` (so each router keeps its fee margin). All-or-nothing:
-    /// returns [`CoreError::ExcessRelease`] and changes nothing if any hop
-    /// would over-release.
-    pub fn settle_path_amounts(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        amounts: &[Amount],
-    ) -> Result<(), CoreError> {
-        self.check_release_amounts(path, amounts)?;
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            let side = 1 - sender_side(dir);
-            debug_assert_eq!(Self::try_side(network, c, path.nodes()[i + 1]), Ok(side));
-            self.channels[c.index()].release_from_inflight(side, amounts[i]);
-            debug_assert!(self.conserves(c));
-        }
-        Ok(())
-    }
-
-    /// Refunds a per-hop-amount transfer back to each hop's sender.
-    /// All-or-nothing like
-    /// [`settle_path_amounts`](Self::settle_path_amounts).
-    pub fn refund_path_amounts(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        amounts: &[Amount],
-    ) -> Result<(), CoreError> {
-        self.check_release_amounts(path, amounts)?;
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            let side = sender_side(dir);
-            debug_assert_eq!(Self::try_side(network, c, path.nodes()[i]), Ok(side));
-            self.channels[c.index()].release_from_inflight(side, amounts[i]);
-            debug_assert!(self.conserves(c));
-        }
-        Ok(())
+        let amounts = HopAmounts::Uniform(amount);
+        self.release_walk(network, path, path.len(), amounts, Release::Refund)
     }
 
     /// Locks `amount` on `from`'s side of a single channel (hop-by-hop
@@ -442,6 +445,19 @@ impl Ledger {
     /// `true` when every channel conserves funds exactly.
     pub fn conserves_all(&self) -> bool {
         (0..self.channels.len()).all(|i| self.conserves(ChannelId(i as u32)))
+    }
+
+    /// Relative imbalance `|a − b| / (a + b)` of `channel`'s spendable
+    /// balances in display tokens (what a `ChannelSample` reports); zero
+    /// for a channel with nothing spendable.
+    pub(crate) fn relative_imbalance(&self, channel: ChannelId) -> f64 {
+        let (a, b) = self.balances(channel);
+        let total = tokens(a.saturating_add(b));
+        if total > 0.0 {
+            (tokens(a) - tokens(b)).abs() / total
+        } else {
+            0.0
+        }
     }
 
     /// Mean relative imbalance across channels:
@@ -696,7 +712,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::ExcessRelease { .. }));
         let err = ledger
-            .settle_path_amounts(&g, &p, &[Amount::from_whole(2), Amount::from_whole(3)])
+            .release_walk(
+                &g,
+                &p,
+                2,
+                HopAmounts::PerHop(&[Amount::from_whole(2), Amount::from_whole(3)]),
+                Release::Settle,
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::ExcessRelease { .. }));
 

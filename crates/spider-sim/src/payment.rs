@@ -51,6 +51,14 @@ impl PaymentState {
     }
 }
 
+/// How many MTU-bounded units a payment of `amount` splits into:
+/// `⌈amount / mtu⌉` in exact micro-units (`mtu` is positive).
+#[inline]
+pub(crate) fn unit_count(amount: Amount, mtu: Amount) -> u64 {
+    let mtu = mtu.micros();
+    (amount.micros().saturating_add(mtu.saturating_sub(1)) / mtu).max(0) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,10 @@
 //! confirms only after a blockchain delay — both reasons the paper gives
 //! for why routing should avoid needing it.
 
+use crate::audit::LedgerAudit;
+use crate::ledger::Ledger;
 use serde::{Deserialize, Serialize};
-use spider_core::Amount;
+use spider_core::{Amount, ChannelId, CoreError, Network};
 
 /// When and how routers rebalance channels on chain.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -93,6 +95,38 @@ impl RebalancePolicy {
             return None;
         }
         Some(move_amount)
+    }
+
+    /// A submitted correction of `channel` confirms at `now`. The skew is
+    /// re-evaluated first — interim traffic may have healed (or deepened)
+    /// it — and `Ok(None)` means nothing was moved. Otherwise the correction
+    /// is withdrawn from the rich side, redeposited less the miner fee on
+    /// the poor side, reported to `audit` (which then checks), and returned
+    /// as `(withdrawn, fee burned)`. A refused redeposit (it cannot overflow
+    /// a channel the funds just left) is the caller's to record.
+    pub fn apply(
+        &self,
+        ledger: &mut Ledger,
+        network: &Network,
+        channel: ChannelId,
+        audit: Option<&mut LedgerAudit>,
+        now: f64,
+    ) -> Result<Option<(Amount, Amount)>, CoreError> {
+        let (a, b) = ledger.balances(channel);
+        let Some(amount) = self.correction(a, b) else {
+            return Ok(None);
+        };
+        let ch = network.channel(channel);
+        let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
+        let taken = ledger.withdraw(network, channel, rich, amount);
+        let redeposit = taken.saturating_sub(self.fee).max(Amount::ZERO);
+        ledger.deposit(network, channel, poor, redeposit)?;
+        if let Some(audit) = audit {
+            audit.on_withdraw(taken);
+            audit.on_deposit(redeposit);
+            audit.check(ledger, now, "rebalance");
+        }
+        Ok(Some((taken, taken.saturating_sub(redeposit))))
     }
 }
 

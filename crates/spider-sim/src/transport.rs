@@ -12,6 +12,16 @@
 //! report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec). The drivers in
 //! [`crate::engine`] decide *when* a transition fires, never *what* it does.
 //!
+//! The arithmetic under a transition is not written here: it is shared,
+//! one copy each, with the sharded engine's handlers (which differ in when
+//! and where a transition runs, ROADMAP item 4) — `Ledger::lock_walk` /
+//! `release_walk` and [`FeeSchedule::hop_amounts`] for the funds,
+//! [`unit_count`] for the split, [`TraceEvent::counter`] behind
+//! `Telemetry::emit` for the counters, [`FaultEvent::trace`],
+//! [`RetryPolicy::backoff`], `RebalancePolicy::apply`,
+//! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
+//! [`tokens`] for what is reported.
+//!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.
 //! Settling or refunding releases the locked prefix and leaves `locked == 0`,
@@ -22,9 +32,9 @@ use crate::congestion::CongestionControl;
 use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
 use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView, RetryPolicy};
-use crate::ledger::{Ledger, LedgerView};
+use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
 use crate::metrics::SimReport;
-use crate::payment::{PaymentState, PaymentStatus};
+use crate::payment::{unit_count, PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
@@ -35,7 +45,7 @@ use spider_core::{
     Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path, PaymentId,
 };
 use spider_routing::FeeSchedule;
-use spider_telemetry::{Histogram, NetworkSample, Telemetry, TraceEvent};
+use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -487,22 +497,18 @@ impl<'a> Transport<'a> {
             fr.fail_count.push(0);
             fr.not_before.push(f64::NEG_INFINITY);
         }
-        self.tel.counter_add("sim.payments.arrived", 1);
         self.tel.emit(|| TraceEvent::PaymentArrived {
             t: now,
             payment: tx.id.0,
             src: tx.src.0,
             dst: tx.dst.0,
-            amount: tx.amount.as_tokens(),
+            amount: tokens(tx.amount),
         });
         if self.split {
-            let mtu = self.mtu.micros();
             self.tel.emit(|| TraceEvent::PaymentSplit {
                 t: now,
                 payment: tx.id.0,
-                // ceil(amount / mtu) in exact micro-units.
-                units: (tx.amount.micros().saturating_add(mtu.saturating_sub(1)) / mtu).max(0)
-                    as u64,
+                units: unit_count(tx.amount, self.mtu),
             });
             self.pending.push(idx);
         }
@@ -522,11 +528,10 @@ impl<'a> Transport<'a> {
         let p = &mut self.payments[idx];
         p.inflight = p.inflight.saturating_add(amount);
         self.units_sent += 1;
-        self.tel.counter_add("sim.units.sent", 1);
         self.tel.emit(|| TraceEvent::UnitSent {
             t: now,
             payment: p.id.0,
-            amount: amount.as_tokens(),
+            amount: tokens(amount),
             hops: path.len() as u32,
         });
         self.units.push(Unit {
@@ -544,41 +549,36 @@ impl<'a> Transport<'a> {
     pub(crate) fn settle(&mut self, ui: usize, now: f64) {
         let u = &mut self.units[ui];
         debug_assert_eq!(u.locked as usize, u.path.len());
-        let res = match self.fees {
-            Some(fees) => {
-                let amounts = fees.path_amounts(&u.path, u.amount);
-                (self.ledger)
-                    .settle_path_amounts(self.network, &u.path, &amounts)
-                    .map(|()| amounts[0].saturating_sub(u.amount))
-            }
-            None => (self.ledger)
-                .settle_path(self.network, &u.path, u.amount)
-                .map(|()| Amount::ZERO),
-        };
+        let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
+        let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
+        let res = (self.ledger).release_walk(
+            self.network,
+            &u.path,
+            u.path.len(),
+            amounts,
+            Release::Settle,
+        );
         u.locked = 0;
         let amount = u.amount;
         let p = &mut self.payments[u.payment as usize];
-        let fee = match res {
-            Ok(fee) => fee,
-            Err(e) => return record_release(&mut self.release_violations, now, "settle", &e),
-        };
+        if let Err(e) = res {
+            return record_release(&mut self.release_violations, now, "settle", &e);
+        }
+        // The sender locked `per_hop[0]` and the receiver was paid `amount`.
+        let fee = per_hop.map_or(Amount::ZERO, |a| a[0].saturating_sub(amount));
         self.routing_fees_paid = self.routing_fees_paid.saturating_add(fee);
         p.inflight = p.inflight.saturating_sub(amount);
         p.delivered = p.delivered.saturating_add(amount);
         let pid = p.id.0;
-        self.tel.counter_add("sim.units.settled", 1);
         self.tel.emit(|| TraceEvent::UnitSettled {
             t: now,
             payment: pid,
-            amount: amount.as_tokens(),
+            amount: tokens(amount),
         });
         if p.status == PaymentStatus::Pending && p.fully_delivered() {
             p.status = PaymentStatus::Completed;
             p.completed_at = Some(now);
             let delay = now - p.arrival;
-            self.tel.counter_add("sim.payments.completed", 1);
-            self.tel
-                .histogram_observe("sim.completion_delay", delay, Histogram::latency_default);
             self.tel.emit(|| TraceEvent::PaymentCompleted {
                 t: now,
                 payment: pid,
@@ -592,20 +592,12 @@ impl<'a> Transport<'a> {
     /// release violation recorded under `cause`) if the ledger refuses.
     fn unlock(&mut self, ui: usize, now: f64, cause: &str) -> bool {
         let u = &mut self.units[ui];
+        let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
+        let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
+        // A router-queued unit holds only the prefix it has travelled.
         let locked = u.locked as usize;
-        let res = match self.fees {
-            Some(fees) => {
-                let amounts = fees.path_amounts(&u.path, u.amount);
-                (self.ledger).refund_path_amounts(self.network, &u.path, &amounts)
-            }
-            None if locked == u.path.len() => {
-                self.ledger.refund_path(self.network, &u.path, u.amount)
-            }
-            // Part-way along its path (router-queued units pay no fees).
-            None => (u.path.hops()[..locked].iter().zip(u.path.nodes())).try_for_each(
-                |(&(c, _), &from)| self.ledger.refund_hop(self.network, c, from, u.amount),
-            ),
-        };
+        let res =
+            (self.ledger).release_walk(self.network, &u.path, locked, amounts, Release::Refund);
         u.locked = 0;
         match res {
             Ok(()) => {
@@ -622,11 +614,10 @@ impl<'a> Transport<'a> {
 
     fn emit_refunded(&self, ui: usize, now: f64) {
         let u = &self.units[ui];
-        self.tel.counter_add("sim.units.refunded", 1);
         self.tel.emit(|| TraceEvent::UnitRefunded {
             t: now,
             payment: self.payments[u.payment as usize].id.0,
-            amount: u.amount.as_tokens(),
+            amount: tokens(u.amount),
         });
     }
 
@@ -646,10 +637,9 @@ impl<'a> Transport<'a> {
             return None;
         }
         let pid = self.payments[self.units[ui].payment()].id.0;
-        let amount = self.units[ui].amount.as_tokens();
+        let amount = tokens(self.units[ui].amount);
         let blamed = match fault {
             UnitFault::Dropped(c) => {
-                self.tel.counter_add("sim.units.dropped", 1);
                 self.tel.emit(|| TraceEvent::UnitDropped {
                     t: now,
                     payment: pid,
@@ -660,7 +650,6 @@ impl<'a> Transport<'a> {
             }
             UnitFault::Griefed(c) => {
                 let hold = self.faults.as_ref().map_or(0.0, |fr| fr.grief_hold);
-                self.tel.counter_add("sim.units.griefed", 1);
                 self.tel.emit(|| TraceEvent::UnitGriefed {
                     t: now,
                     payment: pid,
@@ -678,11 +667,10 @@ impl<'a> Transport<'a> {
     pub(crate) fn abandon(&mut self, idx: usize, now: f64) {
         let p = &mut self.payments[idx];
         p.status = PaymentStatus::Abandoned;
-        self.tel.counter_add("sim.payments.abandoned", 1);
         self.tel.emit(|| TraceEvent::PaymentAbandoned {
             t: now,
             payment: p.id.0,
-            delivered: p.delivered.as_tokens(),
+            delivered: tokens(p.delivered),
         });
     }
 
@@ -781,31 +769,7 @@ impl<'a> Transport<'a> {
         let Some(fr) = self.faults.as_mut() else {
             return Vec::new();
         };
-        let (counter, record) = match *ev {
-            FaultEvent::ChannelDown(c) => (
-                Some("sim.faults.outages"),
-                TraceEvent::ChannelOutage {
-                    t: now,
-                    channel: c.0,
-                },
-            ),
-            FaultEvent::ChannelUp(c) => (
-                None,
-                TraceEvent::ChannelRecovered {
-                    t: now,
-                    channel: c.0,
-                },
-            ),
-            FaultEvent::NodeDown(n) => (
-                Some("sim.faults.node_crashes"),
-                TraceEvent::NodeCrashed { t: now, node: n.0 },
-            ),
-            FaultEvent::NodeUp(n) => (None, TraceEvent::NodeRecovered { t: now, node: n.0 }),
-        };
-        if let Some(name) = counter {
-            self.tel.counter_add(name, 1);
-        }
-        self.tel.emit(|| record);
+        self.tel.emit(|| ev.trace(now));
         fr.state.apply(self.network, ev)
     }
 
@@ -846,16 +810,10 @@ impl<'a> Transport<'a> {
     fn sample(&mut self, now: f64) {
         let mut max_depth: u32 = 0;
         for ch in self.network.channels() {
-            let (a, b) = self.ledger.balances(ch.id);
-            let total = a.saturating_add(b).as_tokens();
-            let imbalance = if total > 0.0 {
-                (a.as_tokens() - b.as_tokens()).abs() / total
-            } else {
-                0.0
-            };
+            let imbalance = self.ledger.relative_imbalance(ch.id);
             let depth = self.router.depth(ch.id);
             max_depth = max_depth.max(depth);
-            let inflight = self.ledger.inflight(ch.id).as_tokens();
+            let inflight = tokens(self.ledger.inflight(ch.id));
             self.tel.emit(|| TraceEvent::ChannelSample {
                 t: now,
                 channel: ch.id.index() as u32,
@@ -870,7 +828,7 @@ impl<'a> Transport<'a> {
         self.network_series.push(NetworkSample {
             t: now,
             mean_imbalance: self.ledger.mean_imbalance(),
-            total_inflight: self.ledger.total_inflight().as_tokens(),
+            total_inflight: tokens(self.ledger.total_inflight()),
             pending,
             max_queue_depth: max_depth,
         });
@@ -925,11 +883,9 @@ impl<'a> Transport<'a> {
             completed: num_completed,
             abandoned: count(PaymentStatus::Abandoned),
             pending_at_end: count(PaymentStatus::Pending),
-            attempted_volume: self.payments.iter().map(|p| p.amount.as_tokens()).sum(),
-            delivered_volume: (self.payments.iter())
-                .map(|p| p.delivered.as_tokens())
-                .sum(),
-            completed_volume: completed.map(|p| p.amount.as_tokens()).sum(),
+            attempted_volume: self.payments.iter().map(|p| tokens(p.amount)).sum(),
+            delivered_volume: self.payments.iter().map(|p| tokens(p.delivered)).sum(),
+            completed_volume: completed.map(|p| tokens(p.amount)).sum(),
             units_sent: self.units_sent,
             mean_completion_delay: if num_completed == 0 {
                 0.0
@@ -938,7 +894,7 @@ impl<'a> Transport<'a> {
             },
             final_mean_imbalance: self.ledger.mean_imbalance(),
             rebalance: self.rebalance_stats,
-            routing_fees_paid: self.routing_fees_paid.as_tokens(),
+            routing_fees_paid: tokens(self.routing_fees_paid),
             series: self.series,
             audit_checks,
             audit_violations,
@@ -957,8 +913,8 @@ fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
     let completed = (payments.iter())
         .filter(|p| p.status == PaymentStatus::Completed)
         .count();
-    let attempted_volume: f64 = payments.iter().map(|p| p.amount.as_tokens()).sum();
-    let delivered_volume: f64 = payments.iter().map(|p| p.delivered.as_tokens()).sum();
+    let attempted_volume: f64 = payments.iter().map(|p| tokens(p.amount)).sum();
+    let delivered_volume: f64 = payments.iter().map(|p| tokens(p.delivered)).sum();
     (
         completed as f64 / payments.len() as f64,
         if attempted_volume > 0.0 {

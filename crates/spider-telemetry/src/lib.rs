@@ -2,7 +2,7 @@
 //!
 //! Three layers, all deterministic:
 //!
-//! - [`registry`] — a lightweight metrics registry: counters, gauges, and
+//! - [`registry`] — a lightweight metrics registry: counters and
 //!   fixed-bucket histograms addressable by static name + label,
 //!   `Send + Sync`;
 //! - [`trace`] — typed payment-lifecycle events ([`TraceEvent`]) recorded
@@ -67,6 +67,23 @@ struct TelemetryInner {
     /// plain enabled telemetry, so enabling traces never perturbs
     /// byte-identity contracts that predate the profiler.
     profiler: Option<SpanProfiler>,
+}
+
+impl TelemetryInner {
+    /// Counts and logs one event. Kept out of line: inlined into
+    /// [`Telemetry::emit`] this body lands in every engine transition and
+    /// costs the telemetry-*off* path a few percent.
+    #[inline(never)]
+    fn record(&self, event: TraceEvent) {
+        if let Some(name) = event.counter() {
+            self.registry.counter_add(name, 1);
+        }
+        if let TraceEvent::PaymentCompleted { delay, .. } = event {
+            let make = Histogram::latency_default;
+            (self.registry).histogram_observe("sim.completion_delay", "", delay, make);
+        }
+        self.tracer.record(event);
+    }
 }
 
 /// A cheap, cloneable telemetry handle: either disabled (no-op) or backed
@@ -138,12 +155,14 @@ impl Telemetry {
         self.inner.as_ref().map(|i| i.sample_interval)
     }
 
-    /// Records a trace event. The closure only runs when enabled, so
-    /// argument construction costs nothing when telemetry is off.
+    /// Records a trace event, counted under [`TraceEvent::counter`] (a
+    /// completed payment's delay also lands in the `sim.completion_delay`
+    /// histogram). The closure only runs when enabled, so argument
+    /// construction costs nothing when telemetry is off.
     #[inline]
     pub fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.inner {
-            inner.tracer.record(event());
+            inner.record(event());
         }
     }
 
@@ -152,42 +171,6 @@ impl Telemetry {
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
             inner.registry.counter_add(name, delta);
-        }
-    }
-
-    /// Adds `delta` to a labelled counter. The label closure only runs when
-    /// enabled.
-    #[inline]
-    pub fn counter_add_labelled(
-        &self,
-        name: &'static str,
-        label: impl FnOnce() -> String,
-        delta: u64,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner.registry.counter_add_labelled(name, &label(), delta);
-        }
-    }
-
-    /// Sets an unlabelled gauge.
-    #[inline]
-    pub fn gauge_set(&self, name: &'static str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner.registry.gauge_set(name, "", value);
-        }
-    }
-
-    /// Records `value` into an unlabelled histogram created with `make` on
-    /// first use.
-    #[inline]
-    pub fn histogram_observe(
-        &self,
-        name: &'static str,
-        value: f64,
-        make: impl FnOnce() -> Histogram,
-    ) {
-        if let Some(inner) = &self.inner {
-            inner.registry.histogram_observe(name, "", value, make);
         }
     }
 
@@ -361,11 +344,21 @@ mod tests {
             amount: 5.0,
         });
         t.counter_add("sim.units_sent", 3);
-        t.histogram_observe("sim.completion_delay", 0.5, Histogram::latency_default);
+        t.emit(|| TraceEvent::PaymentCompleted {
+            t: 0.6,
+            payment: 1,
+            delay: 0.5,
+        });
         let summary = t.summarize(Vec::new()).unwrap();
-        assert_eq!(summary.events, 1);
+        assert_eq!(summary.events, 2);
         assert_eq!(summary.event_count("payment_arrived"), 1);
         assert_eq!(summary.metrics.counter("sim.units_sent", ""), Some(3));
+        // `emit` counts what it records, under the one kind → counter table.
+        assert_eq!(summary.metrics.counter("sim.payments.arrived", ""), Some(1));
+        assert_eq!(
+            summary.metrics.counter("sim.payments.completed", ""),
+            Some(1)
+        );
         let p = t.delay_percentiles("sim.completion_delay").unwrap();
         assert_eq!(p.p50, 0.5);
     }

@@ -1,5 +1,7 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms
-//! addressable by static name + label.
+//! The metrics registry: counters and fixed-bucket histograms addressable
+//! by static name + label. (Gauges and counter labels have no write path:
+//! they exist in the serialized forms only, and round-trip through a
+//! checkpoint untouched.)
 //!
 //! The registry is `Send + Sync` (interior mutability behind a mutex) so one
 //! registry can serve an engine and the harness around it, or be shared by
@@ -66,13 +68,8 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name` (unlabelled).
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.counter_add_labelled(name, "", delta);
-    }
-
-    /// Adds `delta` to the counter `name{label}`.
-    pub fn counter_add_labelled(&self, name: &'static str, label: &str, delta: u64) {
         let mut inner = self.lock();
-        *inner.counters.entry((name, label.to_string())).or_insert(0) += delta;
+        *inner.counters.entry((name, String::new())).or_insert(0) += delta;
     }
 
     /// Current value of counter `name{label}` (zero if never touched).
@@ -82,12 +79,6 @@ impl MetricsRegistry {
             .get(&(name, label.to_string()))
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Sets the gauge `name{label}` to `value`.
-    pub fn gauge_set(&self, name: &'static str, label: &str, value: f64) {
-        let mut inner = self.lock();
-        inner.gauges.insert((name, label.to_string()), value);
     }
 
     /// Records `value` into the histogram `name{label}`, creating it with
@@ -275,20 +266,8 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter_add("units", 3);
         r.counter_add("units", 2);
-        r.counter_add_labelled("units", "retried", 1);
         assert_eq!(r.counter("units", ""), 5);
-        assert_eq!(r.counter("units", "retried"), 1);
         assert_eq!(r.counter("never", ""), 0);
-    }
-
-    #[test]
-    fn gauges_overwrite() {
-        let r = MetricsRegistry::new();
-        r.gauge_set("imbalance", "", 0.4);
-        r.gauge_set("imbalance", "", 0.2);
-        let snap = r.snapshot();
-        assert_eq!(snap.gauges.len(), 1);
-        assert_eq!(snap.gauges[0].value, 0.2);
     }
 
     #[test]
@@ -302,10 +281,15 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_serializable() {
+        // A labelled counter can only come out of a checkpoint.
         let r = MetricsRegistry::new();
+        r.restore_state(RegistryState {
+            counters: vec![("a".into(), "x".into(), 3)],
+            ..RegistryState::default()
+        })
+        .unwrap();
         r.counter_add("z", 1);
         r.counter_add("a", 2);
-        r.counter_add_labelled("a", "x", 3);
         let snap = r.snapshot();
         let names: Vec<(String, String)> = snap
             .counters
@@ -337,11 +321,9 @@ mod tests {
                 seed = seed
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let which = seed % 3;
                 let label = format!("l{}", seed % 5);
-                match which {
-                    0 => r.counter_add_labelled("flow.units", &label, seed % 7),
-                    1 => r.gauge_set("flow.imbalance", &label, (seed % 1000) as f64 / 1000.0),
+                match seed % 2 {
+                    0 => r.counter_add(intern_name(&format!("flow.units.{label}")), seed % 7),
                     _ => r.histogram_observe(
                         "flow.delay",
                         &label,

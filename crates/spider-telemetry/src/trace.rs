@@ -234,6 +234,29 @@ impl TraceEvent {
         }
     }
 
+    /// The registry counter one occurrence of this event adds to, if the
+    /// kind is counted: the only kind → counter-name table, applied by
+    /// [`Telemetry::emit`](crate::Telemetry::emit), so a counter and the
+    /// trace it summarizes cannot disagree.
+    pub fn counter(&self) -> Option<&'static str> {
+        Some(match self {
+            TraceEvent::PaymentArrived { .. } => "sim.payments.arrived",
+            TraceEvent::PaymentCompleted { .. } => "sim.payments.completed",
+            TraceEvent::PaymentAbandoned { .. } => "sim.payments.abandoned",
+            TraceEvent::PaymentRetry { .. } => "sim.payments.retries",
+            TraceEvent::UnitSent { .. } => "sim.units.sent",
+            TraceEvent::UnitSettled { .. } => "sim.units.settled",
+            TraceEvent::UnitRefunded { .. } => "sim.units.refunded",
+            TraceEvent::UnitQueued { .. } => "sim.units.queued",
+            TraceEvent::UnitDropped { .. } => "sim.units.dropped",
+            TraceEvent::UnitGriefed { .. } => "sim.units.griefed",
+            TraceEvent::RebalanceApplied { .. } => "sim.rebalance.applied",
+            TraceEvent::ChannelOutage { .. } => "sim.faults.outages",
+            TraceEvent::NodeCrashed { .. } => "sim.faults.node_crashes",
+            _ => return None,
+        })
+    }
+
     /// Simulation timestamp, for every timed event kind. Solver samples
     /// are iteration-indexed, not time-indexed, and return `None`.
     pub fn time(&self) -> Option<f64> {

@@ -1,0 +1,173 @@
+//! The cross-engine oracle: what the continuous-time engine ([`run`]) and
+//! the 50 ms-epoch sharded engine ([`run_sharded`]) agree on.
+//!
+//! The two drivers differ on purpose in *when* things happen (an arrival,
+//! a hop lock and a settlement each wait for the next epoch boundary in
+//! the sharded engine) and in a handful of policies pinned by the
+//! `*_pre_pr.json` fixtures (ROADMAP item 4). What they share is the
+//! arithmetic under them — the ledger walk, the unit split, the AIMD
+//! window, the retry backoff — and this file states what that buys:
+//!
+//! - **exactly the same** per-payment outcome, delivered amount, settled
+//!   unit count, `units_sent` and final balances on a workload where no
+//!   lock is ever refused, so timing cannot change an outcome;
+//! - **the same success metrics within a measured tolerance** under
+//!   contention, tight once both serve their senders in the same order
+//!   (EXPERIMENTS.md, "Cross-engine agreement");
+//! - **the same §6.2 ordering**: waterfilling delivers more than
+//!   shortest-path on the engine that is meant to scale, too.
+
+use spider_bench::{ExperimentConfig, ShardFeatures};
+use spider_routing::{RoutingScheme, ShortestPathScheme, WaterfillingScheme};
+use spider_sim::{run, run_sharded, SchedulePolicy, ShardScheme, SimReport};
+use spider_telemetry::{Telemetry, TraceEvent};
+use spider_topology::Partition;
+use std::collections::BTreeMap;
+
+/// One payment as its trace tells it: `(completed, delivered token bits,
+/// settled units)`.
+type Outcomes = BTreeMap<u64, (bool, u64, u32)>;
+
+fn outcomes(tel: &Telemetry) -> Outcomes {
+    let mut per_payment: BTreeMap<u64, (bool, f64, u32)> = BTreeMap::new();
+    for event in tel.events() {
+        match event {
+            TraceEvent::PaymentArrived { payment, .. } => {
+                per_payment.insert(payment, (false, 0.0, 0));
+            }
+            TraceEvent::UnitSettled {
+                payment, amount, ..
+            } => {
+                let p = per_payment
+                    .get_mut(&payment)
+                    .expect("settled after arrival");
+                p.1 += amount;
+                p.2 += 1;
+            }
+            TraceEvent::PaymentCompleted { payment, .. } => {
+                per_payment
+                    .get_mut(&payment)
+                    .expect("completed after arrival")
+                    .0 = true;
+            }
+            _ => {}
+        }
+    }
+    per_payment
+        .into_iter()
+        .map(|(id, (done, delivered, units))| (id, (done, delivered.to_bits(), units)))
+        .collect()
+}
+
+/// Contention-free: channels hold a thousand times what the whole trace
+/// moves, and the window outlasts the last arrival by ten seconds, so every
+/// unit is sent at arrival, locks at once and settles. Only *when* differs
+/// between the engines, and nothing compared here records a time.
+#[test]
+fn contention_free_runs_agree_exactly() {
+    let exp = ExperimentConfig {
+        capacity: 10_000_000.0,
+        num_transactions: 600,
+        duration: 20.0,
+        ..ExperimentConfig::isp_quick()
+    };
+    let network = exp.network();
+    let trace = exp.trace(&network);
+    let end_time = exp.duration + 10.0;
+
+    let seq_tel = Telemetry::enabled();
+    let mut sim = exp.sim_config();
+    sim.end_time = end_time;
+    sim.telemetry = seq_tel.clone();
+    let seq = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
+    assert_eq!(seq.attempted, trace.len());
+    assert_eq!(seq.completed, seq.attempted, "the workload must be easy");
+    let seq_outcomes = outcomes(&seq_tel);
+    assert_eq!(seq_outcomes.len(), trace.len());
+
+    for shards in [1, 4] {
+        let tel = Telemetry::enabled();
+        let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
+        cfg.end_time = end_time;
+        cfg.telemetry = tel.clone();
+        let partition = Partition::build(&network, shards, exp.seed);
+        let sharded = run_sharded(&network, &trace, &partition, &cfg);
+        assert_eq!(sharded.completed, seq.completed, "{shards} shards");
+        assert_eq!(sharded.units_sent, seq.units_sent, "{shards} shards");
+        assert_eq!(
+            sharded.final_mean_imbalance.to_bits(),
+            seq.final_mean_imbalance.to_bits(),
+            "{shards} shards: the final balances differ"
+        );
+        assert_eq!(outcomes(&tel), seq_outcomes, "{shards} shards");
+    }
+}
+
+fn sequential(
+    exp: &ExperimentConfig,
+    scheme: &mut dyn RoutingScheme,
+    policy: SchedulePolicy,
+) -> SimReport {
+    let network = exp.network();
+    let mut sim = exp.sim_config();
+    sim.policy = policy;
+    run(&network, &exp.trace(&network), scheme, &sim)
+}
+
+fn sharded(exp: &ExperimentConfig, scheme: ShardScheme) -> SimReport {
+    let tel = Telemetry::disabled();
+    spider_bench::run_sharded_scheme(exp, scheme, 1, &tel, false, ShardFeatures::default())
+}
+
+fn assert_close(seq: &SimReport, par: &SimReport, ratio_tolerance: f64, volume_tolerance: f64) {
+    assert_eq!(par.attempted, seq.attempted);
+    let ratio_gap = (seq.success_ratio() - par.success_ratio()).abs();
+    let volume_gap = (seq.success_volume() - par.success_volume()).abs();
+    assert!(
+        ratio_gap <= ratio_tolerance && volume_gap <= volume_tolerance,
+        "{} ({}) vs {}: success ratio {ratio_gap:.4} apart, success volume {volume_gap:.4} apart",
+        seq.scheme,
+        seq.policy,
+        par.scheme
+    );
+}
+
+/// Under contention the two engines stop making the same decisions, for two
+/// reasons that the numbers separate (EXPERIMENTS.md, "Cross-engine
+/// agreement", `isp_quick`, shortest-path / waterfilling):
+///
+/// - **the 50 ms epoch**: a sharded sender routes against balances frozen at
+///   the last barrier, locks one hop an epoch and hears of a refusal an
+///   epoch later. Against the continuous-time engine serving its pending
+///   payments in the same (arrival) order the sharded engine is 0.0032 /
+///   0.0002 lower on success ratio and 0.0005 / 0.0014 lower on success
+///   volume; the tolerance is 0.01 on both.
+/// - **the pump order**: `ShardPolicy::Direct` pumps in arrival order where
+///   `run` defaults to the paper's SRPT, which finishes more (small)
+///   payments out of the same liquidity: 0.036 / 0.040 on success ratio and
+///   nothing on success volume. That is a policy difference, not an epoch
+///   effect, and the tolerance against the figure-reproducing default
+///   (0.06) only bounds it.
+#[test]
+fn contended_runs_agree_within_the_documented_tolerance() {
+    let exp = ExperimentConfig::isp_quick();
+    let sp = sharded(&exp, ShardScheme::ShortestPath);
+    let wf = sharded(&exp, ShardScheme::Waterfilling);
+    for (policy, ratio_tolerance) in [(SchedulePolicy::Fifo, 0.01), (SchedulePolicy::Srpt, 0.06)] {
+        let seq_sp = sequential(&exp, &mut ShortestPathScheme::new(), policy);
+        assert_close(&seq_sp, &sp, ratio_tolerance, 0.01);
+        let seq_wf = sequential(&exp, &mut WaterfillingScheme::new(), policy);
+        assert_close(&seq_wf, &wf, ratio_tolerance, 0.01);
+    }
+
+    // §6.2 on the sharded driver (`tests/experiments.rs::fig6_isp_ordering`
+    // asserts the same of `run`): waterfilling leads shortest-path on
+    // success volume, and here on success ratio as well.
+    assert!(
+        wf.success_volume() > sp.success_volume(),
+        "sharded waterfilling {} vs shortest-path {}",
+        wf.success_volume(),
+        sp.success_volume()
+    );
+    assert!(wf.success_ratio() > sp.success_ratio());
+}
