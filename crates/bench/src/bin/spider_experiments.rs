@@ -903,6 +903,11 @@ fn run_trace_check(dir: &str) {
 /// `.json` report written by `--json` prints its embedded per-phase profile
 /// breakdowns instead.
 fn run_inspect(opts: &Options) {
+    let kind = opts.value("--kind");
+    if let Some(kind) = kind.filter(|k| !TraceEvent::KINDS.contains(k)) {
+        let kinds = TraceEvent::KINDS.join(", ");
+        usage_and_exit(&format!("`--kind` expects one of {kinds}, got `{kind}`"));
+    }
     let file = opts.operands[0].as_str();
     if file.ends_with(".json") {
         return inspect_report(file);
@@ -912,7 +917,7 @@ fn run_inspect(opts: &Options) {
         channel: opts.parsed("--channel", number),
         node: opts.parsed("--node", number),
         payment: opts.parsed("--payment", number),
-        kind: opts.value("--kind").map(String::from),
+        kind: kind.map(String::from),
         from: opts.parsed("--from", number),
         to: opts.parsed("--to", number),
     };

@@ -28,7 +28,7 @@ pub mod shortest_path;
 pub mod waterfilling;
 
 pub use embedding::{SpanningTree, SpeedyMurmursScheme};
-pub use fees::{cheapest_path, FeeSchedule};
+pub use fees::FeeSchedule;
 pub use landmark::SilentWhispersScheme;
 pub use lp_scheme::LpScheme;
 pub use maxflow_scheme::MaxFlowScheme;

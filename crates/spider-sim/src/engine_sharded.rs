@@ -261,22 +261,32 @@ struct Key {
     b: u64,
 }
 
-// Trace ranks within an epoch (also the semantic phase order).
-const RANK_FAULT: u8 = 0;
-const RANK_SETTLED: u8 = 1;
-const RANK_COMPLETED: u8 = 2;
-const RANK_DROPPED: u8 = 3;
-const RANK_GRIEFED: u8 = 4;
-const RANK_REFUNDED: u8 = 5;
-const RANK_BLACKLISTED: u8 = 6;
-const RANK_RETRY: u8 = 7;
-const RANK_ARRIVED: u8 = 8;
-const RANK_SPLIT: u8 = 9;
-const RANK_ABANDONED: u8 = 10;
-const RANK_SENT: u8 = 11;
-const RANK_SAMPLE: u8 = 12;
-const RANK_QUEUED: u8 = 13;
-const RANK_REBALANCE: u8 = 14;
+/// Where `event` sorts within its epoch in the merged trace: the merge
+/// policy, also the semantic phase order. A restored key must agree.
+fn merge_rank(event: &TraceEvent) -> u8 {
+    use TraceEvent as E;
+    match event {
+        E::ChannelOutage { .. }
+        | E::ChannelRecovered { .. }
+        | E::NodeCrashed { .. }
+        | E::NodeRecovered { .. } => 0,
+        E::UnitSettled { .. } => 1,
+        E::PaymentCompleted { .. } => 2,
+        E::UnitDropped { .. } => 3,
+        E::UnitGriefed { .. } => 4,
+        E::UnitRefunded { .. } => 5,
+        E::ChannelBlacklisted { .. } => 6,
+        E::PaymentRetry { .. } => 7,
+        E::PaymentArrived { .. } => 8,
+        E::PaymentSplit { .. } => 9,
+        E::PaymentAbandoned { .. } => 10,
+        E::UnitSent { .. } => 11,
+        E::ChannelSample { .. } => 12,
+        E::UnitQueued { .. } => 13,
+        E::RebalanceApplied { .. } => 14,
+        E::SolverSample { .. } => 15, // never emitted by this engine
+    }
+}
 
 /// The fate a unit was dealt at send time — a pure hash of
 /// `(fault seed, payment, unit)`, so any shard computes the same fate and
@@ -987,9 +997,10 @@ impl<'a> ShardCtx<'a> {
         }
     }
 
-    /// Records a trace event under its merge key `(epoch, rank, a, b)`.
-    fn emit(&mut self, epoch: u64, rank: u8, a: u64, b: u64, event: TraceEvent) {
+    /// Records a trace event under its key `(epoch, merge_rank, a, b)`.
+    fn emit(&mut self, epoch: u64, a: u64, b: u64, event: TraceEvent) {
         if self.tel_on {
+            let rank = merge_rank(&event);
             self.trace.push((Key { epoch, rank, a, b }, event));
         }
     }
@@ -1074,7 +1085,7 @@ impl<'a> ShardCtx<'a> {
                 if let Some(count) = counter {
                     *count += 1;
                 }
-                self.emit(epoch, RANK_FAULT, *plan_idx, 0, ev.trace(t));
+                self.emit(epoch, *plan_idx, 0, ev.trace(t));
             }
             if let Some(f) = self.faults.as_mut() {
                 let _ = f.apply(self.network, ev);
@@ -1297,7 +1308,6 @@ impl<'a> ShardCtx<'a> {
         let depth = q.len() as u32;
         self.emit(
             epoch,
-            RANK_QUEUED,
             payment,
             u64::from(seq),
             TraceEvent::UnitQueued {
@@ -1395,7 +1405,6 @@ impl<'a> ShardCtx<'a> {
             self.dirty.push(cidx);
             self.emit(
                 epoch,
-                RANK_REBALANCE,
                 u64::from(cidx),
                 0,
                 TraceEvent::RebalanceApplied {
@@ -1465,7 +1474,6 @@ impl<'a> ShardCtx<'a> {
         }
         self.emit(
             epoch,
-            RANK_SETTLED,
             pid,
             u64::from(unit.seq),
             TraceEvent::UnitSettled {
@@ -1477,7 +1485,6 @@ impl<'a> ShardCtx<'a> {
         if completed_now {
             self.emit(
                 epoch,
-                RANK_COMPLETED,
                 pid,
                 0,
                 TraceEvent::PaymentCompleted {
@@ -1511,7 +1518,6 @@ impl<'a> ShardCtx<'a> {
             FailCause::Dropped => {
                 self.emit(
                     epoch,
-                    RANK_DROPPED,
                     pid,
                     seq,
                     TraceEvent::UnitDropped {
@@ -1530,7 +1536,6 @@ impl<'a> ShardCtx<'a> {
                     .map_or(0.0, |plan| plan.config.grief_hold);
                 self.emit(
                     epoch,
-                    RANK_GRIEFED,
                     pid,
                     seq,
                     TraceEvent::UnitGriefed {
@@ -1546,7 +1551,6 @@ impl<'a> ShardCtx<'a> {
         }
         self.emit(
             epoch,
-            RANK_REFUNDED,
             pid,
             seq,
             TraceEvent::UnitRefunded {
@@ -1587,7 +1591,6 @@ impl<'a> ShardCtx<'a> {
         self.stats.blacklistings += 1;
         self.emit(
             epoch,
-            RANK_BLACKLISTED,
             pid,
             u64::from(seq),
             TraceEvent::ChannelBlacklisted {
@@ -1606,7 +1609,6 @@ impl<'a> ShardCtx<'a> {
         self.stats.retries += 1;
         self.emit(
             epoch,
-            RANK_RETRY,
             pid,
             u64::from(seq),
             TraceEvent::PaymentRetry {
@@ -1631,7 +1633,6 @@ impl<'a> ShardCtx<'a> {
         let delivered = tokens(self.payments[pidx].delivered);
         self.emit(
             epoch,
-            RANK_ABANDONED,
             pid,
             0,
             TraceEvent::PaymentAbandoned {
@@ -1718,7 +1719,6 @@ impl<'a> ShardCtx<'a> {
                     }
                     self.emit(
                         epoch,
-                        RANK_SENT,
                         pid,
                         u64::from(seq),
                         TraceEvent::UnitSent {
@@ -1770,7 +1770,6 @@ impl<'a> ShardCtx<'a> {
             let (pid, src, dst, amount) = (p.id, p.src, p.dst, p.amount);
             self.emit(
                 epoch,
-                RANK_ARRIVED,
                 pid,
                 0,
                 TraceEvent::PaymentArrived {
@@ -1783,7 +1782,6 @@ impl<'a> ShardCtx<'a> {
             );
             self.emit(
                 epoch,
-                RANK_SPLIT,
                 pid,
                 0,
                 TraceEvent::PaymentSplit {
@@ -1873,7 +1871,6 @@ impl<'a> ShardCtx<'a> {
             channels.push((cid, imbalance, mean_ratio, inflight.micros(), queue_depth));
             self.emit(
                 epoch,
-                RANK_SAMPLE,
                 ch.id.index() as u64,
                 0,
                 TraceEvent::ChannelSample {
@@ -2608,7 +2605,10 @@ impl ShardCtx<'_> {
                 ));
             }
             for ((epoch, rank, a, b), event) in keys.into_iter().zip(events) {
-                self.emit(epoch, rank, a, b, event);
+                if rank != merge_rank(&event) {
+                    return corrupt(format!("trace key rank {rank} for {event:?}"));
+                }
+                self.emit(epoch, a, b, event);
             }
             self.samples = dec_seq(&mut d, |d| {
                 Ok(SamplePartial {

@@ -11,15 +11,19 @@
 //!           | chan_count varint | delta-encoded sorted channel ids
 //!           | node_count varint | delta-encoded sorted node ids
 //!           | count × event
-//! event  := kind_index u8 | fields (declaration order)
+//! event  := kind_index u8 | fields
 //! ```
 //!
-//! Numeric fields use a tagged encoding: `u32`/`u64` fields are plain
-//! varints; `f64` fields carry a one-byte tag — raw 8-byte IEEE bits, or a
-//! zigzag varint of the value scaled by 1, 100, or 10⁶ when (and only
-//! when) decoding the scaled integer reproduces the exact source bits.
-//! Every narrowing is verified at encode time, so the format is lossless
-//! by construction: `decode(encode(events)) == events` bit-for-bit.
+//! An event's fields are the ones its row of the event table in
+//! `trace.rs` declares, in that order, each encoded by its role: `Time` is
+//! a float, or the one-byte `F64_PREV` when it repeats the previous
+//! timestamp in the block; `Payment`, `Channel`, `Node`, `U32` and `U64`
+//! are plain varints; `F64` is a float. A float carries a one-byte tag —
+//! raw 8-byte IEEE bits, or a zigzag varint of the value scaled by 1, 100,
+//! or 10⁶ when (and only when) decoding the scaled integer reproduces the
+//! exact source bits. Every narrowing is verified at encode time, so the
+//! format is lossless by construction: `decode(encode(events)) == events`
+//! bit-for-bit.
 //!
 //! Each block header carries an index — the sim-time range and the sorted
 //! sets of channel and node ids its events touch — so a reader can answer
@@ -38,9 +42,11 @@
 //! any bit flip surfaces as a structured [`BinTraceError`] — flips in the
 //! length/CRC fields themselves land in `Truncated` or a checksum
 //! mismatch, and flips in a kind-table name are caught by the header CRC
-//! before any event resolves through the table.
+//! before any event resolves through the table. The reader resolves the
+//! table's names to kinds once per file; a name it does not know fails
+//! only the events that use it.
 
-use crate::trace::TraceEvent;
+use crate::trace::{KindIndex, Role, TraceEvent};
 use std::fmt;
 
 /// File magic, first four bytes of every binary trace.
@@ -52,31 +58,6 @@ pub const BINTRACE_VERSION: u8 = 2;
 
 /// Default number of events per indexed block.
 pub const DEFAULT_BLOCK_EVENTS: usize = 512;
-
-/// All kind names, in the order used for kind indices. Order is part of
-/// the format only through the header's kind table: readers resolve
-/// indices through the table, never positionally.
-const KIND_NAMES: [&str; 19] = [
-    "payment_arrived",
-    "payment_split",
-    "unit_sent",
-    "unit_settled",
-    "unit_refunded",
-    "unit_queued",
-    "payment_completed",
-    "payment_abandoned",
-    "rebalance_applied",
-    "channel_sample",
-    "channel_outage",
-    "channel_recovered",
-    "node_crashed",
-    "node_recovered",
-    "unit_dropped",
-    "unit_griefed",
-    "payment_retry",
-    "channel_blacklisted",
-    "solver_sample",
-];
 
 /// Block flag bit: the block contains at least one event without a
 /// timestamp, so time-window pruning must not skip it.
@@ -220,6 +201,19 @@ fn put_time(out: &mut Vec<u8>, t: f64, prev: &mut f64) {
     }
 }
 
+/// Sorts and dedups `ids`, then writes their count and each id's delta
+/// from the one before.
+fn put_ids(out: &mut Vec<u8>, ids: &mut Vec<u32>) {
+    ids.sort_unstable();
+    ids.dedup();
+    put_varint(out, ids.len() as u64);
+    let mut prev = 0;
+    for &id in ids.iter() {
+        put_varint(out, u64::from(id - prev));
+        prev = id;
+    }
+}
+
 /// Cursor over an immutable byte slice.
 struct Cursor<'a> {
     data: &'a [u8],
@@ -281,6 +275,18 @@ impl<'a> Cursor<'a> {
         u32::try_from(self.varint()?).map_err(|_| BinTraceError::BadVarint)
     }
 
+    /// A [`put_ids`] list.
+    fn ids(&mut self) -> Result<Vec<u32>, BinTraceError> {
+        let n = self.varint()?;
+        let mut ids = Vec::with_capacity(n.min(1 << 20) as usize);
+        let mut acc = 0u32;
+        for _ in 0..n {
+            acc = acc.wrapping_add(self.varint_u32()?);
+            ids.push(acc);
+        }
+        Ok(ids)
+    }
+
     fn f64(&mut self) -> Result<f64, BinTraceError> {
         let tag = self.u8()?;
         let scale = match tag {
@@ -309,274 +315,24 @@ impl<'a> Cursor<'a> {
 // Event codec
 // ---------------------------------------------------------------------------
 
-fn kind_index(kind: &str) -> Option<u8> {
-    KIND_NAMES.iter().position(|&k| k == kind).map(|i| i as u8)
-}
-
-fn encode_event(out: &mut Vec<u8>, e: &TraceEvent, prev: &mut f64) {
-    // Every kind string is in KIND_NAMES; a miss is a bug caught by the
-    // exhaustiveness test below, so default to 0 rather than panicking.
-    out.push(kind_index(e.kind()).unwrap_or(0));
-    match *e {
-        TraceEvent::PaymentArrived {
-            t,
-            payment,
-            src,
-            dst,
-            amount,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_varint(out, u64::from(src));
-            put_varint(out, u64::from(dst));
-            put_f64(out, amount);
-        }
-        TraceEvent::PaymentSplit { t, payment, units } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_varint(out, units);
-        }
-        TraceEvent::UnitSent {
-            t,
-            payment,
-            amount,
-            hops,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, amount);
-            put_varint(out, u64::from(hops));
-        }
-        TraceEvent::UnitSettled { t, payment, amount }
-        | TraceEvent::UnitRefunded { t, payment, amount } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, amount);
-        }
-        TraceEvent::UnitQueued {
-            t,
-            payment,
-            channel,
-            depth,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_varint(out, u64::from(channel));
-            put_varint(out, u64::from(depth));
-        }
-        TraceEvent::PaymentCompleted { t, payment, delay } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, delay);
-        }
-        TraceEvent::PaymentAbandoned {
-            t,
-            payment,
-            delivered,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, delivered);
-        }
-        TraceEvent::RebalanceApplied {
-            t,
-            channel,
-            moved,
-            fee,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, u64::from(channel));
-            put_f64(out, moved);
-            put_f64(out, fee);
-        }
-        TraceEvent::ChannelSample {
-            t,
-            channel,
-            imbalance,
-            inflight,
-            queue_depth,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, u64::from(channel));
-            put_f64(out, imbalance);
-            put_f64(out, inflight);
-            put_varint(out, u64::from(queue_depth));
-        }
-        TraceEvent::ChannelOutage { t, channel } | TraceEvent::ChannelRecovered { t, channel } => {
-            put_time(out, t, prev);
-            put_varint(out, u64::from(channel));
-        }
-        TraceEvent::NodeCrashed { t, node } | TraceEvent::NodeRecovered { t, node } => {
-            put_time(out, t, prev);
-            put_varint(out, u64::from(node));
-        }
-        TraceEvent::UnitDropped {
-            t,
-            payment,
-            amount,
-            channel,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, amount);
-            put_varint(out, u64::from(channel));
-        }
-        TraceEvent::UnitGriefed {
-            t,
-            payment,
-            amount,
-            hold,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_f64(out, amount);
-            put_f64(out, hold);
-        }
-        TraceEvent::PaymentRetry {
-            t,
-            payment,
-            attempt,
-            backoff,
-        } => {
-            put_time(out, t, prev);
-            put_varint(out, payment);
-            put_varint(out, u64::from(attempt));
-            put_f64(out, backoff);
-        }
-        TraceEvent::ChannelBlacklisted { t, channel, until } => {
-            put_time(out, t, prev);
-            put_varint(out, u64::from(channel));
-            put_f64(out, until);
-        }
-        TraceEvent::SolverSample {
-            iter,
-            objective,
-            residual,
-            mean_price,
-        } => {
-            put_varint(out, iter);
-            put_f64(out, objective);
-            put_f64(out, residual);
-            put_f64(out, mean_price);
-        }
+/// Writes one field by its role; [`read_field`] is the inverse.
+#[inline]
+fn put_field(out: &mut Vec<u8>, role: Role, bits: u64, prev_t: &mut f64) {
+    match role {
+        Role::Time => put_time(out, f64::from_bits(bits), prev_t),
+        Role::F64 => put_f64(out, f64::from_bits(bits)),
+        Role::Payment | Role::Channel | Role::Node | Role::U32 | Role::U64 => put_varint(out, bits),
     }
 }
 
-fn decode_event(
-    cur: &mut Cursor<'_>,
-    kinds: &[String],
-    prev: &mut f64,
-) -> Result<TraceEvent, BinTraceError> {
-    let idx = cur.u8()?;
-    let kind = kinds
-        .get(usize::from(idx))
-        .ok_or(BinTraceError::BadKindIndex(idx))?;
-    let e = match kind.as_str() {
-        "payment_arrived" => TraceEvent::PaymentArrived {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            src: cur.varint_u32()?,
-            dst: cur.varint_u32()?,
-            amount: cur.f64()?,
-        },
-        "payment_split" => TraceEvent::PaymentSplit {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            units: cur.varint()?,
-        },
-        "unit_sent" => TraceEvent::UnitSent {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            amount: cur.f64()?,
-            hops: cur.varint_u32()?,
-        },
-        "unit_settled" => TraceEvent::UnitSettled {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            amount: cur.f64()?,
-        },
-        "unit_refunded" => TraceEvent::UnitRefunded {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            amount: cur.f64()?,
-        },
-        "unit_queued" => TraceEvent::UnitQueued {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            channel: cur.varint_u32()?,
-            depth: cur.varint_u32()?,
-        },
-        "payment_completed" => TraceEvent::PaymentCompleted {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            delay: cur.f64()?,
-        },
-        "payment_abandoned" => TraceEvent::PaymentAbandoned {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            delivered: cur.f64()?,
-        },
-        "rebalance_applied" => TraceEvent::RebalanceApplied {
-            t: cur.time(prev)?,
-            channel: cur.varint_u32()?,
-            moved: cur.f64()?,
-            fee: cur.f64()?,
-        },
-        "channel_sample" => TraceEvent::ChannelSample {
-            t: cur.time(prev)?,
-            channel: cur.varint_u32()?,
-            imbalance: cur.f64()?,
-            inflight: cur.f64()?,
-            queue_depth: cur.varint_u32()?,
-        },
-        "channel_outage" => TraceEvent::ChannelOutage {
-            t: cur.time(prev)?,
-            channel: cur.varint_u32()?,
-        },
-        "channel_recovered" => TraceEvent::ChannelRecovered {
-            t: cur.time(prev)?,
-            channel: cur.varint_u32()?,
-        },
-        "node_crashed" => TraceEvent::NodeCrashed {
-            t: cur.time(prev)?,
-            node: cur.varint_u32()?,
-        },
-        "node_recovered" => TraceEvent::NodeRecovered {
-            t: cur.time(prev)?,
-            node: cur.varint_u32()?,
-        },
-        "unit_dropped" => TraceEvent::UnitDropped {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            amount: cur.f64()?,
-            channel: cur.varint_u32()?,
-        },
-        "unit_griefed" => TraceEvent::UnitGriefed {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            amount: cur.f64()?,
-            hold: cur.f64()?,
-        },
-        "payment_retry" => TraceEvent::PaymentRetry {
-            t: cur.time(prev)?,
-            payment: cur.varint()?,
-            attempt: cur.varint_u32()?,
-            backoff: cur.f64()?,
-        },
-        "channel_blacklisted" => TraceEvent::ChannelBlacklisted {
-            t: cur.time(prev)?,
-            channel: cur.varint_u32()?,
-            until: cur.f64()?,
-        },
-        "solver_sample" => TraceEvent::SolverSample {
-            iter: cur.varint()?,
-            objective: cur.f64()?,
-            residual: cur.f64()?,
-            mean_price: cur.f64()?,
-        },
-        other => return Err(BinTraceError::BadKindName(other.to_string())),
-    };
-    Ok(e)
+#[inline]
+fn read_field(cur: &mut Cursor<'_>, role: Role, prev_t: &mut f64) -> Result<u64, BinTraceError> {
+    Ok(match role {
+        Role::Time => cur.time(prev_t)?.to_bits(),
+        Role::F64 => cur.f64()?.to_bits(),
+        Role::Payment | Role::U64 => cur.varint()?,
+        Role::Channel | Role::Node | Role::U32 => u64::from(cur.varint_u32()?),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -606,8 +362,8 @@ impl BinTraceWriter {
         let mut out = Vec::new();
         out.extend_from_slice(&BINTRACE_MAGIC);
         out.push(BINTRACE_VERSION);
-        out.extend_from_slice(&(KIND_NAMES.len() as u16).to_le_bytes());
-        for name in KIND_NAMES {
+        out.extend_from_slice(&(TraceEvent::KINDS.len() as u16).to_le_bytes());
+        for name in TraceEvent::KINDS {
             out.extend_from_slice(&(name.len() as u16).to_le_bytes());
             out.extend_from_slice(name.as_bytes());
         }
@@ -638,62 +394,47 @@ impl BinTraceWriter {
         if self.pending.is_empty() {
             return;
         }
+        // One field walk per event feeds both the block index and the
+        // encoded events, which follow the index in the body.
         let mut t_min = f64::INFINITY;
         let mut t_max = f64::NEG_INFINITY;
         let mut has_untimed = false;
         let mut channels: Vec<u32> = Vec::new();
         let mut nodes: Vec<u32> = Vec::new();
+        let mut events = Vec::new();
+        let mut prev_t = 0.0;
         for e in &self.pending {
-            match e.time() {
-                Some(t) => {
-                    t_min = t_min.min(t);
-                    t_max = t_max.max(t);
+            events.push(e.kind_index() as u8);
+            let mut timed = false;
+            e.fields(|role, bits| {
+                match role {
+                    Role::Time => {
+                        let t = f64::from_bits(bits);
+                        timed = true;
+                        t_min = t_min.min(t);
+                        t_max = t_max.max(t);
+                    }
+                    Role::Channel => channels.push(bits as u32),
+                    Role::Node => nodes.push(bits as u32),
+                    _ => {}
                 }
-                None => has_untimed = true,
-            }
-            if let Some(c) = e.channel() {
-                channels.push(c);
-            }
-            let (a, b) = e.nodes();
-            if let Some(n) = a {
-                nodes.push(n);
-            }
-            if let Some(n) = b {
-                nodes.push(n);
-            }
+                put_field(&mut events, role, bits, &mut prev_t);
+            });
+            has_untimed |= !timed;
         }
-        channels.sort_unstable();
-        channels.dedup();
-        nodes.sort_unstable();
-        nodes.dedup();
         if !t_min.is_finite() {
             t_min = 0.0;
             t_max = 0.0;
         }
 
-        let mut body = Vec::new();
+        let mut body = Vec::with_capacity(events.len() + 64);
         body.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
         body.push(if has_untimed { FLAG_HAS_UNTIMED } else { 0 });
         body.extend_from_slice(&t_min.to_bits().to_le_bytes());
         body.extend_from_slice(&t_max.to_bits().to_le_bytes());
-        put_varint(&mut body, channels.len() as u64);
-        let mut prev = 0u32;
-        for (i, &c) in channels.iter().enumerate() {
-            let delta = if i == 0 { c } else { c - prev };
-            put_varint(&mut body, u64::from(delta));
-            prev = c;
-        }
-        put_varint(&mut body, nodes.len() as u64);
-        let mut prev = 0u32;
-        for (i, &n) in nodes.iter().enumerate() {
-            let delta = if i == 0 { n } else { n - prev };
-            put_varint(&mut body, u64::from(delta));
-            prev = n;
-        }
-        let mut prev_t = 0.0;
-        for e in &self.pending {
-            encode_event(&mut body, e, &mut prev_t);
-        }
+        put_ids(&mut body, &mut channels);
+        put_ids(&mut body, &mut nodes);
+        body.extend_from_slice(&events);
 
         self.out
             .extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -745,42 +486,17 @@ pub struct TraceQuery {
 impl TraceQuery {
     /// `true` when `e` passes every set filter.
     pub fn matches(&self, e: &TraceEvent) -> bool {
-        if let Some(c) = self.channel {
-            if e.channel() != Some(c) {
-                return false;
-            }
-        }
-        if let Some(n) = self.node {
-            let (a, b) = e.nodes();
-            if a != Some(n) && b != Some(n) {
-                return false;
-            }
-        }
-        if let Some(p) = self.payment {
-            if e.payment() != Some(p) {
-                return false;
-            }
-        }
-        if let Some(kind) = &self.kind {
-            if e.kind() != kind {
-                return false;
-            }
-        }
-        if self.from.is_some() || self.to.is_some() {
-            if let Some(t) = e.time() {
-                if let Some(from) = self.from {
-                    if t < from {
-                        return false;
-                    }
-                }
-                if let Some(to) = self.to {
-                    if t > to {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let windowed = self.from.is_some() || self.to.is_some();
+        let outside =
+            |t: f64| self.from.is_some_and(|from| t < from) || self.to.is_some_and(|to| t > to);
+        self.channel.is_none_or(|c| e.channel() == Some(c))
+            && self.node.is_none_or(|n| {
+                let (a, b) = e.nodes();
+                a == Some(n) || b == Some(n)
+            })
+            && self.payment.is_none_or(|p| e.payment() == Some(p))
+            && self.kind.as_deref().is_none_or(|k| e.kind() == k)
+            && !(windowed && e.time().is_some_and(outside))
     }
 }
 
@@ -797,11 +513,13 @@ pub struct QueryStats {
     pub events_matched: usize,
 }
 
-struct Header {
-    kinds: Vec<String>,
-}
+/// For each index of a file's kind table, the kind it names or the error
+/// an event of that index reports.
+type KindTable = Vec<Result<KindIndex, BinTraceError>>;
 
-fn read_header(bytes: &[u8]) -> Result<(Header, Cursor<'_>), BinTraceError> {
+/// Checks the header; returns its kind table and a cursor at the first
+/// block.
+fn read_header(bytes: &[u8]) -> Result<(KindTable, Cursor<'_>), BinTraceError> {
     let mut cur = Cursor::new(bytes);
     if cur.take(4)? != BINTRACE_MAGIC {
         return Err(BinTraceError::BadMagic);
@@ -817,7 +535,11 @@ fn read_header(bytes: &[u8]) -> Result<(Header, Cursor<'_>), BinTraceError> {
         let raw = cur.take(usize::from(len))?;
         let name =
             std::str::from_utf8(raw).map_err(|_| BinTraceError::BadKindName(format!("{raw:?}")))?;
-        kinds.push(name.to_string());
+        let mut known = KindIndex::ALL.iter().zip(TraceEvent::KINDS);
+        kinds.push(
+            (known.find_map(|(&kind, &known)| (known == name).then_some(kind)))
+                .ok_or_else(|| BinTraceError::BadKindName(name.to_string())),
+        );
     }
     let consumed = bytes.len() - cur.remaining();
     let stored = cur.u32()?;
@@ -825,7 +547,7 @@ fn read_header(bytes: &[u8]) -> Result<(Header, Cursor<'_>), BinTraceError> {
     if stored != computed {
         return Err(BinTraceError::BadHeaderChecksum { stored, computed });
     }
-    Ok((Header { kinds }, cur))
+    Ok((kinds, cur))
 }
 
 struct BlockHead {
@@ -838,68 +560,26 @@ struct BlockHead {
 }
 
 fn read_block_head(cur: &mut Cursor<'_>) -> Result<BlockHead, BinTraceError> {
-    let count = cur.u32()?;
-    let flags = cur.u8()?;
-    let t_min = cur.raw_f64()?;
-    let t_max = cur.raw_f64()?;
-    let n_channels = cur.varint()?;
-    let mut channels = Vec::with_capacity(n_channels.min(1 << 20) as usize);
-    let mut acc = 0u32;
-    for i in 0..n_channels {
-        let delta = cur.varint_u32()?;
-        acc = if i == 0 {
-            delta
-        } else {
-            acc.wrapping_add(delta)
-        };
-        channels.push(acc);
-    }
-    let n_nodes = cur.varint()?;
-    let mut nodes = Vec::with_capacity(n_nodes.min(1 << 20) as usize);
-    let mut acc = 0u32;
-    for i in 0..n_nodes {
-        let delta = cur.varint_u32()?;
-        acc = if i == 0 {
-            delta
-        } else {
-            acc.wrapping_add(delta)
-        };
-        nodes.push(acc);
-    }
+    // Fields are read in the order they are written.
     Ok(BlockHead {
-        count,
-        has_untimed: flags & FLAG_HAS_UNTIMED != 0,
-        t_min,
-        t_max,
-        channels,
-        nodes,
+        count: cur.u32()?,
+        has_untimed: cur.u8()? & FLAG_HAS_UNTIMED != 0,
+        t_min: cur.raw_f64()?,
+        t_max: cur.raw_f64()?,
+        channels: cur.ids()?,
+        nodes: cur.ids()?,
     })
 }
 
 impl BlockHead {
     /// `true` when the block's index cannot rule this query out.
     fn may_match(&self, q: &TraceQuery) -> bool {
-        if let Some(from) = q.from {
-            if self.t_max < from && !self.has_untimed {
-                return false;
-            }
-        }
-        if let Some(to) = q.to {
-            if self.t_min > to && !self.has_untimed {
-                return false;
-            }
-        }
-        if let Some(c) = q.channel {
-            if self.channels.binary_search(&c).is_err() {
-                return false;
-            }
-        }
-        if let Some(n) = q.node {
-            if self.nodes.binary_search(&n).is_err() {
-                return false;
-            }
-        }
-        true
+        let outside =
+            q.from.is_some_and(|from| self.t_max < from) || q.to.is_some_and(|to| self.t_min > to);
+        (self.has_untimed || !outside)
+            && q.channel
+                .is_none_or(|c| self.channels.binary_search(&c).is_ok())
+            && q.node.is_none_or(|n| self.nodes.binary_search(&n).is_ok())
     }
 }
 
@@ -929,7 +609,7 @@ fn run_query(
     bytes: &[u8],
     q: Option<&TraceQuery>,
 ) -> Result<(Vec<TraceEvent>, QueryStats), BinTraceError> {
-    let (header, mut cur) = read_header(bytes)?;
+    let (kinds, mut cur) = read_header(bytes)?;
     let mut out = Vec::new();
     let mut stats = QueryStats::default();
     while cur.remaining() > 0 {
@@ -951,7 +631,11 @@ fn run_query(
         stats.blocks_scanned += 1;
         let mut prev_t = 0.0;
         for _ in 0..head.count {
-            let e = decode_event(&mut bcur, &header.kinds, &mut prev_t)?;
+            let idx = bcur.u8()?;
+            let kind = (kinds.get(usize::from(idx)))
+                .ok_or(BinTraceError::BadKindIndex(idx))?
+                .clone()?;
+            let e = TraceEvent::from_fields(kind, |role| read_field(&mut bcur, role, &mut prev_t))?;
             stats.events_decoded += 1;
             if q.is_none_or(|q| q.matches(&e)) {
                 stats.events_matched += 1;
@@ -964,10 +648,6 @@ fn run_query(
     }
     Ok((out, stats))
 }
-
-// ---------------------------------------------------------------------------
-// Converters
-// ---------------------------------------------------------------------------
 
 #[cfg(test)]
 mod tests {
@@ -1155,13 +835,15 @@ mod tests {
                 mean_price: 0.5,
             },
         ];
-        assert_eq!(all.len(), KIND_NAMES.len());
-        for e in &all {
-            assert!(
-                kind_index(e.kind()).is_some(),
-                "kind {} missing from KIND_NAMES",
+        assert_eq!(all.len(), TraceEvent::KINDS.len());
+        for (i, e) in all.iter().enumerate() {
+            assert_eq!(
+                e.kind_index() as usize,
+                i,
+                "{} out of table order",
                 e.kind()
             );
+            assert_eq!(TraceEvent::KINDS[i], e.kind());
         }
         let back = decode(&encode(&all)).unwrap();
         assert_eq!(back, all);
@@ -1321,11 +1003,198 @@ mod tests {
         ));
     }
 
-    /// One event of variant `kind` (an index into [`KIND_NAMES`]) from four
-    /// random words: a timestamp with arbitrary finite bits, amounts the way
-    /// the engines produce them (micro-units over 10⁶, so rarely integral)
-    /// and floats with arbitrary finite bits elsewhere.
-    fn arbitrary_event(kind: usize, w: [u64; 4], prev_t: f64) -> TraceEvent {
+    /// FNV-1a over `bytes`: a stable fingerprint for the golden test.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Every kind, every float tag (integer, centi, micro, raw — NaN, ±∞
+    /// and −0.0 among them), a repeated timestamp, ids at their type's
+    /// maximum.
+    fn golden_events() -> Vec<TraceEvent> {
+        let (big, huge) = (u32::MAX, u64::MAX);
+        vec![
+            TraceEvent::PaymentArrived {
+                t: 0.5,
+                payment: huge,
+                src: big,
+                dst: 0,
+                amount: 30.0,
+            },
+            TraceEvent::PaymentSplit {
+                t: 0.5,
+                payment: huge,
+                units: huge,
+            },
+            TraceEvent::UnitSent {
+                t: 0.5,
+                payment: 1,
+                amount: 0.25,
+                hops: big,
+            },
+            TraceEvent::UnitSettled {
+                t: 0.1 + 0.2,
+                payment: 1,
+                amount: 10.123456,
+            },
+            TraceEvent::UnitRefunded {
+                t: 0.1 + 0.2,
+                payment: 2,
+                amount: f64::NAN,
+            },
+            TraceEvent::UnitQueued {
+                t: 1.25,
+                payment: 2,
+                channel: big,
+                depth: big,
+            },
+            TraceEvent::PaymentCompleted {
+                t: 1.25,
+                payment: 1,
+                delay: f64::INFINITY,
+            },
+            TraceEvent::PaymentAbandoned {
+                t: 2.0,
+                payment: 2,
+                delivered: -0.0,
+            },
+            TraceEvent::RebalanceApplied {
+                t: -0.0,
+                channel: 3,
+                moved: f64::NEG_INFINITY,
+                fee: 0.000001,
+            },
+            TraceEvent::ChannelSample {
+                t: 3.0,
+                channel: 3,
+                imbalance: 0.2512345678901234,
+                inflight: 1e300,
+                queue_depth: 7,
+            },
+            TraceEvent::ChannelOutage { t: 3.0, channel: 4 },
+            TraceEvent::ChannelRecovered { t: 4.5, channel: 4 },
+            TraceEvent::NodeCrashed { t: 4.5, node: big },
+            TraceEvent::NodeRecovered { t: 5.0, node: 9 },
+            TraceEvent::UnitDropped {
+                t: 5.0,
+                payment: huge,
+                amount: -12.5,
+                channel: 0,
+            },
+            TraceEvent::UnitGriefed {
+                t: 6.01,
+                payment: 3,
+                amount: 1.0,
+                hold: 9.007199254740993e15,
+            },
+            TraceEvent::PaymentRetry {
+                t: 6.01,
+                payment: 3,
+                attempt: 2,
+                backoff: 0.75,
+            },
+            TraceEvent::ChannelBlacklisted {
+                t: 7.0,
+                channel: big,
+                until: 17.0,
+            },
+            TraceEvent::SolverSample {
+                iter: huge,
+                objective: -3.5e-7,
+                residual: f64::MIN_POSITIVE,
+                mean_price: -0.0,
+            },
+        ]
+    }
+
+    #[test]
+    fn spbt_bytes_are_pinned_for_every_kind() {
+        // Captured at commit 595ac83, on the per-variant encoder the event
+        // table replaced: a codec change that moves one byte of any kind's
+        // encoding fails here.
+        let events = golden_events();
+        let mut kinds: Vec<&str> = events.iter().map(TraceEvent::kind).collect();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 19, "one event per kind");
+        let one_block = encode(&events);
+        let mut w = BinTraceWriter::with_block_events(3);
+        for e in &events {
+            w.push(e);
+        }
+        let blocks = w.finish();
+        let back = decode(&blocks).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{events:?}"));
+        assert_eq!(
+            (
+                one_block.len(),
+                fnv1a(&one_block),
+                blocks.len(),
+                fnv1a(&blocks)
+            ),
+            (631, 0x8425_7252_3e55_438d, 832, 0x3ce9_59be_ceb6_0548)
+        );
+    }
+
+    #[test]
+    fn unknown_header_kind_fails_only_the_events_that_use_it() {
+        // Block 1 holds a channel sample, block 2 the only solver sample.
+        let events = vec![
+            TraceEvent::ChannelSample {
+                t: 1.0,
+                channel: 5,
+                imbalance: 0.5,
+                inflight: 1.0,
+                queue_depth: 0,
+            },
+            TraceEvent::SolverSample {
+                iter: 1,
+                objective: 1.0,
+                residual: 0.5,
+                mean_price: 0.2,
+            },
+        ];
+        let mut w = BinTraceWriter::with_block_events(1);
+        for e in &events {
+            w.push(e);
+        }
+        let mut bytes = w.finish();
+        // Walk the kind table to the "solver_sample" entry and misspell
+        // it, then reseal the header.
+        let mut at = 7;
+        let kind_count = u16::from_le_bytes([bytes[5], bytes[6]]);
+        let mut renamed = None;
+        for _ in 0..kind_count {
+            let len = usize::from(u16::from_le_bytes([bytes[at], bytes[at + 1]]));
+            if &bytes[at + 2..at + 2 + len] == b"solver_sample" {
+                bytes[at + 2 + len - 1] = b'X';
+                renamed = Some(String::from_utf8(bytes[at + 2..at + 2 + len].to_vec()).unwrap());
+            }
+            at += 2 + len;
+        }
+        let renamed = renamed.expect("solver_sample in the kind table");
+        let crc = spider_core::crc32(&bytes[..at]);
+        bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+
+        // A query the index answers from block 1 alone never meets it.
+        let q = TraceQuery {
+            channel: Some(5),
+            ..TraceQuery::default()
+        };
+        let (hits, stats) = query_with_stats(&bytes, &q).unwrap();
+        assert_eq!(hits, events[..1]);
+        assert_eq!((stats.blocks_scanned, stats.blocks_total), (1, 2));
+        // Decoding the event that uses it fails, naming the kind.
+        assert_eq!(decode(&bytes), Err(BinTraceError::BadKindName(renamed)));
+    }
+
+    /// One event of kind `kind` from four random words, its fields filled
+    /// by role: a timestamp with arbitrary finite bits, full-range ids and
+    /// counts, and floats alternating between amounts the way the engines
+    /// produce them (micro-units over 10⁶, so rarely integral) and
+    /// arbitrary finite bits.
+    fn arbitrary_event(kind: KindIndex, w: [u64; 4], prev_t: f64) -> TraceEvent {
         let finite = |bits: u64| {
             let v = f64::from_bits(bits);
             if v.is_finite() {
@@ -1334,100 +1203,22 @@ mod tests {
                 (bits >> 11) as f64 * 1.0e-7
             }
         };
-        // A burst shares one timestamp, which is what `F64_PREV` encodes.
-        let t = if w[0].is_multiple_of(4) {
-            prev_t
-        } else {
-            finite(w[0])
-        };
-        let amount = (w[1] % 1_000_000_000_000) as f64 / 1.0e6;
-        let (f, g) = (finite(w[2]), finite(w[3]));
-        let (payment, id, small) = (w[1], w[2] as u32, w[3] as u32);
-        match KIND_NAMES[kind] {
-            "payment_arrived" => TraceEvent::PaymentArrived {
-                t,
-                payment,
-                src: id,
-                dst: small,
-                amount,
-            },
-            "payment_split" => TraceEvent::PaymentSplit {
-                t,
-                payment,
-                units: w[2],
-            },
-            "unit_sent" => TraceEvent::UnitSent {
-                t,
-                payment,
-                amount,
-                hops: small,
-            },
-            "unit_settled" => TraceEvent::UnitSettled { t, payment, amount },
-            "unit_refunded" => TraceEvent::UnitRefunded { t, payment, amount },
-            "unit_queued" => TraceEvent::UnitQueued {
-                t,
-                payment,
-                channel: id,
-                depth: small,
-            },
-            "payment_completed" => TraceEvent::PaymentCompleted {
-                t,
-                payment,
-                delay: f,
-            },
-            "payment_abandoned" => TraceEvent::PaymentAbandoned {
-                t,
-                payment,
-                delivered: amount,
-            },
-            "rebalance_applied" => TraceEvent::RebalanceApplied {
-                t,
-                channel: id,
-                moved: amount,
-                fee: g,
-            },
-            "channel_sample" => TraceEvent::ChannelSample {
-                t,
-                channel: id,
-                imbalance: f,
-                inflight: amount,
-                queue_depth: small,
-            },
-            "channel_outage" => TraceEvent::ChannelOutage { t, channel: id },
-            "channel_recovered" => TraceEvent::ChannelRecovered { t, channel: id },
-            "node_crashed" => TraceEvent::NodeCrashed { t, node: id },
-            "node_recovered" => TraceEvent::NodeRecovered { t, node: id },
-            "unit_dropped" => TraceEvent::UnitDropped {
-                t,
-                payment,
-                amount,
-                channel: id,
-            },
-            "unit_griefed" => TraceEvent::UnitGriefed {
-                t,
-                payment,
-                amount,
-                hold: g,
-            },
-            "payment_retry" => TraceEvent::PaymentRetry {
-                t,
-                payment,
-                attempt: small,
-                backoff: f,
-            },
-            "channel_blacklisted" => TraceEvent::ChannelBlacklisted {
-                t,
-                channel: id,
-                until: g,
-            },
-            "solver_sample" => TraceEvent::SolverSample {
-                iter: w[0],
-                objective: amount,
-                residual: f,
-                mean_price: g,
-            },
-            other => unreachable!("kind {other} has no generator"),
-        }
+        let mut n = 0;
+        let event = TraceEvent::from_fields(kind, |role| {
+            n += 1;
+            let word = w[n % 4];
+            Ok::<_, ()>(match role {
+                // A burst shares one timestamp, which is what `F64_PREV`
+                // encodes.
+                Role::Time if w[0].is_multiple_of(4) => prev_t.to_bits(),
+                Role::Time => finite(w[0]).to_bits(),
+                Role::Payment | Role::U64 => word,
+                Role::Channel | Role::Node | Role::U32 => u64::from(word as u32),
+                Role::F64 if n % 2 == 0 => ((word % 1_000_000_000_000) as f64 / 1.0e6).to_bits(),
+                Role::F64 => finite(word).to_bits(),
+            })
+        });
+        event.unwrap()
     }
 
     proptest::proptest! {
@@ -1452,8 +1243,9 @@ mod tests {
             let mut prev_t = 0.0;
             for (i, &(a, b, c, d)) in words.iter().enumerate() {
                 // Every variant in turn, whatever the vector's length.
-                for kind in [i % KIND_NAMES.len(), (a % KIND_NAMES.len() as u64) as usize] {
-                    let e = arbitrary_event(kind, [a, b, c, d], prev_t);
+                let kinds = KindIndex::ALL.len();
+                for kind in [i % kinds, (a % kinds as u64) as usize] {
+                    let e = arbitrary_event(KindIndex::ALL[kind], [a, b, c, d], prev_t);
                     prev_t = e.time().unwrap_or(prev_t);
                     events.push(e);
                 }

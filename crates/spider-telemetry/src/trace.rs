@@ -7,323 +7,416 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
-/// One structured telemetry event.
-///
-/// `t` is simulation time in seconds. Identifier fields are the raw indices
-/// used by the engine (payment id, channel index, node index) so traces can
-/// be joined against topology and workload dumps.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum TraceEvent {
-    /// A payment arrived at its sender.
-    PaymentArrived {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Source node index.
-        src: u32,
-        /// Destination node index.
-        dst: u32,
-        /// Face value in tokens.
-        amount: f64,
-    },
-    /// A packet-switched payment was split into MTU-bounded units.
-    PaymentSplit {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Planned unit count (`ceil(amount / mtu)`).
-        units: u64,
-    },
-    /// One transaction unit was routed and locked along a path.
-    UnitSent {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Unit value in tokens.
-        amount: f64,
-        /// Hop count of the chosen path.
-        hops: u32,
-    },
-    /// A unit settled end to end (receiver keeps the funds).
-    UnitSettled {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Unit value in tokens.
-        amount: f64,
-    },
-    /// A unit's locks were refunded (expired HTLC, AMP bounce, rollback, or
-    /// router-queue drop).
-    UnitRefunded {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Unit value in tokens.
-        amount: f64,
-    },
-    /// A unit entered a router queue (router-queue transport only).
-    UnitQueued {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Channel index of the queueing direction.
-        channel: u32,
-        /// Queue depth after insertion.
-        depth: u32,
-    },
-    /// A payment delivered its full value.
-    PaymentCompleted {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Completion delay since arrival (seconds).
-        delay: f64,
-    },
-    /// A payment was abandoned (deadline, unroutable, or atomic failure).
-    PaymentAbandoned {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Value delivered before abandonment (tokens).
-        delivered: f64,
-    },
-    /// An on-chain rebalancing transaction confirmed and moved funds.
-    RebalanceApplied {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Channel index.
-        channel: u32,
-        /// Tokens withdrawn from the rich side.
-        moved: f64,
-        /// On-chain fee paid (tokens).
-        fee: f64,
-    },
-    /// Periodic per-channel state sample.
-    ChannelSample {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Channel index.
-        channel: u32,
-        /// Relative imbalance `|a - b| / (a + b)` of spendable balances.
-        imbalance: f64,
-        /// In-flight (locked) tokens on the channel.
-        inflight: f64,
-        /// Units waiting in this channel's router queues (both directions;
-        /// zero for the source-queued engine).
-        queue_depth: u32,
-    },
-    /// A channel went down (fault injection): its capacity is masked and
-    /// in-flight units crossing it are refunded.
-    ChannelOutage {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Channel index.
-        channel: u32,
-    },
-    /// A downed channel came back up.
-    ChannelRecovered {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Channel index.
-        channel: u32,
-    },
-    /// A node crashed (fault injection): every incident channel goes down.
-    NodeCrashed {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Node index.
-        node: u32,
-    },
-    /// A crashed node rejoined the network.
-    NodeRecovered {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Node index.
-        node: u32,
-    },
-    /// A unit was dropped in flight by fault injection (its locks are
-    /// refunded in a paired `UnitRefunded` event).
-    UnitDropped {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Unit value in tokens.
-        amount: f64,
-        /// Channel index of the hop blamed for the drop.
-        channel: u32,
-    },
-    /// A unit's HTLC was griefed: funds stay pinned until the hold expires,
-    /// then refund (paired `UnitRefunded`).
-    UnitGriefed {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Unit value in tokens.
-        amount: f64,
-        /// How long the funds were pinned (seconds).
-        hold: f64,
-    },
-    /// A sender scheduled a retry after a fault failure (exponential
-    /// backoff).
-    PaymentRetry {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Payment id.
-        payment: u64,
-        /// Fault-failure count for this payment so far.
-        attempt: u32,
-        /// Backoff delay before the next send attempt (seconds).
-        backoff: f64,
-    },
-    /// A sender blacklisted a channel after a fault failure on it.
-    ChannelBlacklisted {
-        /// Simulation time (seconds).
-        t: f64,
-        /// Channel index.
-        channel: u32,
-        /// Simulation time until which routing avoids the channel.
-        until: f64,
-    },
-    /// Periodic solver progress sample (primal-dual iterations).
-    SolverSample {
-        /// Iteration number (1-based).
-        iter: u64,
-        /// Current objective value (total throughput).
-        objective: f64,
-        /// Convergence residual: smallest max-rate change seen in any sweep
-        /// so far (non-increasing along a run).
-        residual: f64,
-        /// Mean capacity price λ across channels.
-        mean_price: f64,
-    },
+/// What an event field holds — a simulation time, a payment, channel or
+/// node id, or another count or quantity — which fixes its Rust type
+/// (`role_type!`) and its SPBT encoding (`bintrace`). Values travel between
+/// an event and a codec as 64 raw bits (`FieldBits`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    Time,
+    Payment,
+    Channel,
+    Node,
+    U32,
+    U64,
+    F64,
 }
 
-impl TraceEvent {
-    /// Stable kind string, used for per-kind counting and reconciliation.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::PaymentArrived { .. } => "payment_arrived",
-            TraceEvent::PaymentSplit { .. } => "payment_split",
-            TraceEvent::UnitSent { .. } => "unit_sent",
-            TraceEvent::UnitSettled { .. } => "unit_settled",
-            TraceEvent::UnitRefunded { .. } => "unit_refunded",
-            TraceEvent::UnitQueued { .. } => "unit_queued",
-            TraceEvent::PaymentCompleted { .. } => "payment_completed",
-            TraceEvent::PaymentAbandoned { .. } => "payment_abandoned",
-            TraceEvent::RebalanceApplied { .. } => "rebalance_applied",
-            TraceEvent::ChannelSample { .. } => "channel_sample",
-            TraceEvent::ChannelOutage { .. } => "channel_outage",
-            TraceEvent::ChannelRecovered { .. } => "channel_recovered",
-            TraceEvent::NodeCrashed { .. } => "node_crashed",
-            TraceEvent::NodeRecovered { .. } => "node_recovered",
-            TraceEvent::UnitDropped { .. } => "unit_dropped",
-            TraceEvent::UnitGriefed { .. } => "unit_griefed",
-            TraceEvent::PaymentRetry { .. } => "payment_retry",
-            TraceEvent::ChannelBlacklisted { .. } => "channel_blacklisted",
-            TraceEvent::SolverSample { .. } => "solver_sample",
-        }
-    }
+/// The Rust type of a field of role `$role`.
+#[rustfmt::skip]
+macro_rules! role_type {
+    (Time) => { f64 };
+    (Payment) => { u64 };
+    (Channel) => { u32 };
+    (Node) => { u32 };
+    (U32) => { u32 };
+    (U64) => { u64 };
+    (F64) => { f64 };
+}
 
-    /// The registry counter one occurrence of this event adds to, if the
-    /// kind is counted: the only kind → counter-name table, applied by
-    /// [`Telemetry::emit`](crate::Telemetry::emit), so a counter and the
-    /// trace it summarizes cannot disagree.
-    pub fn counter(&self) -> Option<&'static str> {
-        Some(match self {
-            TraceEvent::PaymentArrived { .. } => "sim.payments.arrived",
-            TraceEvent::PaymentCompleted { .. } => "sim.payments.completed",
-            TraceEvent::PaymentAbandoned { .. } => "sim.payments.abandoned",
-            TraceEvent::PaymentRetry { .. } => "sim.payments.retries",
-            TraceEvent::UnitSent { .. } => "sim.units.sent",
-            TraceEvent::UnitSettled { .. } => "sim.units.settled",
-            TraceEvent::UnitRefunded { .. } => "sim.units.refunded",
-            TraceEvent::UnitQueued { .. } => "sim.units.queued",
-            TraceEvent::UnitDropped { .. } => "sim.units.dropped",
-            TraceEvent::UnitGriefed { .. } => "sim.units.griefed",
-            TraceEvent::RebalanceApplied { .. } => "sim.rebalance.applied",
-            TraceEvent::ChannelOutage { .. } => "sim.faults.outages",
-            TraceEvent::NodeCrashed { .. } => "sim.faults.node_crashes",
-            _ => return None,
-        })
+/// A field value as the 64 bits [`TraceEvent::fields`] hands out and
+/// [`TraceEvent::from_fields`] takes back.
+trait FieldBits: Copy {
+    fn to_bits(self) -> u64;
+    /// Whoever produces the bits of a `u32` field keeps them in range.
+    fn from_bits(bits: u64) -> Self;
+}
+
+impl FieldBits for u32 {
+    fn to_bits(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_bits(bits: u64) -> Self {
+        bits as u32
+    }
+}
+
+impl FieldBits for u64 {
+    fn to_bits(self) -> u64 {
+        self
+    }
+    fn from_bits(bits: u64) -> Self {
+        bits
+    }
+}
+
+impl FieldBits for f64 {
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
+    }
+    fn from_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+}
+
+/// Expands the one table of event kinds below into [`TraceEvent`], its
+/// kind names and counters, the kind index and the field walk and
+/// constructor every codec goes through.
+macro_rules! trace_events {
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident($kind:literal $(, $counter:literal)?) {
+                    $( $(#[$fmeta:meta])* $field:ident: $role:ident, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: role_type!($role), )* },
+            )*
+        }
+
+        /// An event kind without its fields; `as u8` is the kind index SPBT
+        /// writers store.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub(crate) enum KindIndex {
+            $($variant,)*
+        }
+
+        impl KindIndex {
+            /// Every kind, in index order.
+            pub(crate) const ALL: &'static [KindIndex] = &[$(KindIndex::$variant,)*];
+        }
+
+        impl TraceEvent {
+            /// Every kind name, in kind-index order.
+            pub const KINDS: &'static [&'static str] = &[$($kind,)*];
+
+            /// Stable kind string, used for per-kind counting and
+            /// reconciliation.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// The registry counter one occurrence of this event adds to,
+            /// if the kind is counted: the only kind → counter-name table,
+            /// applied by [`Telemetry::emit`](crate::Telemetry::emit), so a
+            /// counter and the trace it summarizes cannot disagree.
+            pub fn counter(&self) -> Option<&'static str> {
+                match self {
+                    $(TraceEvent::$variant { .. } => None $(.or(Some($counter)))?,)*
+                }
+            }
+
+            /// This event's kind, whose `as u8` indexes [`KINDS`](Self::KINDS).
+            pub(crate) fn kind_index(&self) -> KindIndex {
+                match self {
+                    $(TraceEvent::$variant { .. } => KindIndex::$variant,)*
+                }
+            }
+
+            /// Calls `f` with each field's role and bits, in declaration
+            /// (= SPBT and JSONL) order. Always inlined: a caller that
+            /// wants one role then compiles to a plain field load.
+            #[inline(always)]
+            pub(crate) fn fields(&self, mut f: impl FnMut(Role, u64)) {
+                match *self {
+                    $(TraceEvent::$variant { $($field,)* } => {
+                        $(f(Role::$role, FieldBits::to_bits($field));)*
+                    })*
+                }
+            }
+
+            /// The event of kind `kind` whose fields, in declaration order,
+            /// `next` produces from their roles.
+            #[inline]
+            pub(crate) fn from_fields<E>(
+                kind: KindIndex,
+                mut next: impl FnMut(Role) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(match kind {
+                    $(KindIndex::$variant => TraceEvent::$variant {
+                        $($field: FieldBits::from_bits(next(Role::$role)?),)*
+                    },)*
+                })
+            }
+        }
+    };
+}
+
+// Each kind is declared once, here: `Variant("kind_name"[, "counter"])`,
+// then its fields with their roles in SPBT (and JSONL) order.
+trace_events! {
+    /// One structured telemetry event.
+    ///
+    /// `t` is simulation time in seconds. Identifier fields are the raw indices
+    /// used by the engine (payment id, channel index, node index) so traces can
+    /// be joined against topology and workload dumps.
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    pub enum TraceEvent {
+        /// A payment arrived at its sender.
+        PaymentArrived("payment_arrived", "sim.payments.arrived") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Source node index.
+            src: Node,
+            /// Destination node index.
+            dst: Node,
+            /// Face value in tokens.
+            amount: F64,
+        },
+        /// A packet-switched payment was split into MTU-bounded units.
+        PaymentSplit("payment_split") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Planned unit count (`ceil(amount / mtu)`).
+            units: U64,
+        },
+        /// One transaction unit was routed and locked along a path.
+        UnitSent("unit_sent", "sim.units.sent") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Unit value in tokens.
+            amount: F64,
+            /// Hop count of the chosen path.
+            hops: U32,
+        },
+        /// A unit settled end to end (receiver keeps the funds).
+        UnitSettled("unit_settled", "sim.units.settled") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Unit value in tokens.
+            amount: F64,
+        },
+        /// A unit's locks were refunded (expired HTLC, AMP bounce, rollback, or
+        /// router-queue drop).
+        UnitRefunded("unit_refunded", "sim.units.refunded") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Unit value in tokens.
+            amount: F64,
+        },
+        /// A unit entered a router queue (router-queue transport only).
+        UnitQueued("unit_queued", "sim.units.queued") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Channel index of the queueing direction.
+            channel: Channel,
+            /// Queue depth after insertion.
+            depth: U32,
+        },
+        /// A payment delivered its full value.
+        PaymentCompleted("payment_completed", "sim.payments.completed") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Completion delay since arrival (seconds).
+            delay: F64,
+        },
+        /// A payment was abandoned (deadline, unroutable, or atomic failure).
+        PaymentAbandoned("payment_abandoned", "sim.payments.abandoned") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Value delivered before abandonment (tokens).
+            delivered: F64,
+        },
+        /// An on-chain rebalancing transaction confirmed and moved funds.
+        RebalanceApplied("rebalance_applied", "sim.rebalance.applied") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Channel index.
+            channel: Channel,
+            /// Tokens withdrawn from the rich side.
+            moved: F64,
+            /// On-chain fee paid (tokens).
+            fee: F64,
+        },
+        /// Periodic per-channel state sample.
+        ChannelSample("channel_sample") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Channel index.
+            channel: Channel,
+            /// Relative imbalance `|a - b| / (a + b)` of spendable balances.
+            imbalance: F64,
+            /// In-flight (locked) tokens on the channel.
+            inflight: F64,
+            /// Units waiting in this channel's router queues (both directions;
+            /// zero for the source-queued engine).
+            queue_depth: U32,
+        },
+        /// A channel went down (fault injection): its capacity is masked and
+        /// in-flight units crossing it are refunded.
+        ChannelOutage("channel_outage", "sim.faults.outages") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Channel index.
+            channel: Channel,
+        },
+        /// A downed channel came back up.
+        ChannelRecovered("channel_recovered") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Channel index.
+            channel: Channel,
+        },
+        /// A node crashed (fault injection): every incident channel goes down.
+        NodeCrashed("node_crashed", "sim.faults.node_crashes") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Node index.
+            node: Node,
+        },
+        /// A crashed node rejoined the network.
+        NodeRecovered("node_recovered") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Node index.
+            node: Node,
+        },
+        /// A unit was dropped in flight by fault injection (its locks are
+        /// refunded in a paired `UnitRefunded` event).
+        UnitDropped("unit_dropped", "sim.units.dropped") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Unit value in tokens.
+            amount: F64,
+            /// Channel index of the hop blamed for the drop.
+            channel: Channel,
+        },
+        /// A unit's HTLC was griefed: funds stay pinned until the hold expires,
+        /// then refund (paired `UnitRefunded`).
+        UnitGriefed("unit_griefed", "sim.units.griefed") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Unit value in tokens.
+            amount: F64,
+            /// How long the funds were pinned (seconds).
+            hold: F64,
+        },
+        /// A sender scheduled a retry after a fault failure (exponential
+        /// backoff).
+        PaymentRetry("payment_retry", "sim.payments.retries") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Payment id.
+            payment: Payment,
+            /// Fault-failure count for this payment so far.
+            attempt: U32,
+            /// Backoff delay before the next send attempt (seconds).
+            backoff: F64,
+        },
+        /// A sender blacklisted a channel after a fault failure on it.
+        ChannelBlacklisted("channel_blacklisted") {
+            /// Simulation time (seconds).
+            t: Time,
+            /// Channel index.
+            channel: Channel,
+            /// Simulation time until which routing avoids the channel.
+            until: F64,
+        },
+        /// Periodic solver progress sample (primal-dual iterations).
+        SolverSample("solver_sample") {
+            /// Iteration number (1-based).
+            iter: U64,
+            /// Current objective value (total throughput).
+            objective: F64,
+            /// Convergence residual: smallest max-rate change seen in any sweep
+            /// so far (non-increasing along a run).
+            residual: F64,
+            /// Mean capacity price λ across channels.
+            mean_price: F64,
+        },
+    }
+}
+
+// The accessors are `#[inline]` so other crates (`inspect`) can still
+// inline them, as they could the leaf `match`es these replaced.
+impl TraceEvent {
+    /// The bits of this event's field of role `role`, if it has one. Only
+    /// `Node` fields come two to a kind; see [`nodes`](Self::nodes).
+    #[inline]
+    fn field(&self, role: Role) -> Option<u64> {
+        let mut found = None;
+        self.fields(|r, bits| {
+            if r == role {
+                found = Some(bits);
+            }
+        });
+        found
     }
 
     /// Simulation timestamp, for every timed event kind. Solver samples
     /// are iteration-indexed, not time-indexed, and return `None`.
+    #[inline]
     pub fn time(&self) -> Option<f64> {
-        match *self {
-            TraceEvent::PaymentArrived { t, .. }
-            | TraceEvent::PaymentSplit { t, .. }
-            | TraceEvent::UnitSent { t, .. }
-            | TraceEvent::UnitSettled { t, .. }
-            | TraceEvent::UnitRefunded { t, .. }
-            | TraceEvent::UnitQueued { t, .. }
-            | TraceEvent::PaymentCompleted { t, .. }
-            | TraceEvent::PaymentAbandoned { t, .. }
-            | TraceEvent::RebalanceApplied { t, .. }
-            | TraceEvent::ChannelSample { t, .. }
-            | TraceEvent::ChannelOutage { t, .. }
-            | TraceEvent::ChannelRecovered { t, .. }
-            | TraceEvent::NodeCrashed { t, .. }
-            | TraceEvent::NodeRecovered { t, .. }
-            | TraceEvent::UnitDropped { t, .. }
-            | TraceEvent::UnitGriefed { t, .. }
-            | TraceEvent::PaymentRetry { t, .. }
-            | TraceEvent::ChannelBlacklisted { t, .. } => Some(t),
-            TraceEvent::SolverSample { .. } => None,
-        }
+        self.field(Role::Time).map(f64::from_bits)
     }
 
     /// The channel index this event touches, if any.
+    #[inline]
     pub fn channel(&self) -> Option<u32> {
-        match *self {
-            TraceEvent::UnitQueued { channel, .. }
-            | TraceEvent::RebalanceApplied { channel, .. }
-            | TraceEvent::ChannelSample { channel, .. }
-            | TraceEvent::ChannelOutage { channel, .. }
-            | TraceEvent::ChannelRecovered { channel, .. }
-            | TraceEvent::UnitDropped { channel, .. }
-            | TraceEvent::ChannelBlacklisted { channel, .. } => Some(channel),
-            _ => None,
-        }
+        self.field(Role::Channel).map(u32::from_bits)
     }
 
     /// The node indices this event touches (up to two), if any.
+    #[inline]
     pub fn nodes(&self) -> (Option<u32>, Option<u32>) {
-        match *self {
-            TraceEvent::PaymentArrived { src, dst, .. } => (Some(src), Some(dst)),
-            TraceEvent::NodeCrashed { node, .. } | TraceEvent::NodeRecovered { node, .. } => {
-                (Some(node), None)
+        let mut nodes = (None, None);
+        self.fields(|role, bits| {
+            if role == Role::Node {
+                let slot = if nodes.0.is_none() {
+                    &mut nodes.0
+                } else {
+                    &mut nodes.1
+                };
+                *slot = Some(u32::from_bits(bits));
             }
-            _ => (None, None),
-        }
+        });
+        nodes
     }
 
     /// The payment id this event belongs to, if any.
+    #[inline]
     pub fn payment(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::PaymentArrived { payment, .. }
-            | TraceEvent::PaymentSplit { payment, .. }
-            | TraceEvent::UnitSent { payment, .. }
-            | TraceEvent::UnitSettled { payment, .. }
-            | TraceEvent::UnitRefunded { payment, .. }
-            | TraceEvent::UnitQueued { payment, .. }
-            | TraceEvent::PaymentCompleted { payment, .. }
-            | TraceEvent::PaymentAbandoned { payment, .. }
-            | TraceEvent::UnitDropped { payment, .. }
-            | TraceEvent::UnitGriefed { payment, .. }
-            | TraceEvent::PaymentRetry { payment, .. } => Some(payment),
-            _ => None,
-        }
+        self.field(Role::Payment)
     }
 }
 

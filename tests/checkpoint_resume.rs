@@ -1132,6 +1132,34 @@ fn sharded_snapshot_with_unreachable_message_buckets_is_rejected() {
 }
 
 #[test]
+fn sharded_snapshot_with_a_reranked_trace_key_is_rejected() {
+    // A trace key's rank follows from its event. One rank byte changed in a
+    // checksum-valid file would silently reorder the merged trace.
+    let ckpt = ShardedCheckpoint::capture("shard-reranked-key", 2, true);
+    let core = ckpt.core();
+    let mut d = spider::core::Dec::new(core);
+    d.take_raw(8 + 4).expect("epoch and shard count");
+    let blob = d.bytes().expect("shard 0 blob");
+    let blob_start = d.offset() - blob.len();
+    let (_, keys_at) = shard_blob_count_offsets(blob)
+        .into_iter()
+        .find(|&(label, _)| label == "trace keys")
+        .expect("trace keys");
+    let keys = spider::core::Dec::new(&blob[keys_at..]).usize();
+    assert!(keys.is_ok_and(|n| n > 0), "shard 0 has trace keys");
+    // The count, then `(epoch: u64, rank: u8, a: u64, b: u64)` per key.
+    let at = blob_start + keys_at + 8 + 8;
+    for rank in [core[at] ^ 1, 15, 200] {
+        let mut tampered = core.to_vec();
+        tampered[at] = rank;
+        match ckpt.resume_with_core(&format!("rank-{rank}"), Some(tampered)) {
+            SnapshotError::Corrupt { what } if what.contains("trace key rank") => {}
+            other => panic!("rank {rank}: expected Corrupt naming the rank, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn sharded_feature_config_mismatch_is_rejected() {
     // A snapshot captured with features on cannot resume with them off (and
     // vice versa): the fingerprint covers the feature configuration.
