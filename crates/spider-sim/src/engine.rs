@@ -210,8 +210,9 @@ pub struct QueuedReport {
 /// Runs one simulation of `transactions` over `network` with `scheme`,
 /// queueing at the source.
 ///
-/// Transactions must be sorted by arrival time; arrivals after
-/// `config.end_time` are ignored.
+/// Transactions must be sorted by arrival time, and an unsorted trace
+/// panics (arrivals are read off the trace in order, not queued up front);
+/// arrivals after `config.end_time` are ignored.
 pub fn run(
     network: &Network,
     transactions: &[Transaction],
@@ -267,7 +268,8 @@ pub fn resume(
 /// Runs the router-queued transport over `transactions`.
 ///
 /// Routing is waterfilling-style over `num_paths` edge-disjoint shortest
-/// paths, but a unit is admitted when its *first hop* can be funded.
+/// paths, but a unit is admitted when its *first hop* can be funded. The
+/// trace must be sorted by arrival time, as for [`run`].
 pub fn run_queued(
     network: &Network,
     transactions: &[Transaction],
@@ -342,7 +344,7 @@ fn run_source_queued(
     // Atomic schemes deliver a payment whole at arrival or fail it; the
     // rest split it into units and keep sending until the deadline.
     let split = scheme.kind() == SchemeKind::PacketSwitched;
-    let mut t = Transport::new(network, tel, timing, config.mtu, split, plan);
+    let mut t = Transport::new(network, transactions, tel, timing, config.mtu, split, plan);
     // Only packet-switched senders pay routing fees.
     t.fees = (config.fees.as_ref()).filter(|fees| split && !fees.is_free());
     t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
@@ -365,14 +367,10 @@ fn run_source_queued(
                     what: format!("scheme state restore: {e}"),
                 })?;
         }
-        None => t.seed(
-            transactions,
-            plan,
-            config.rebalance.as_ref().map(|p| p.check_interval),
-        ),
+        None => t.seed(plan, config.rebalance.as_ref().map(|p| p.check_interval)),
     }
 
-    while let Some((now, event)) = t.queue.pop() {
+    while let Some((now, event)) = t.pop() {
         if now > config.end_time {
             break;
         }
@@ -389,7 +387,7 @@ fn run_source_queued(
             Event::Settle { unit } => {
                 // A fault may have refunded this unit while its settle was
                 // already scheduled.
-                if !t.units[unit].live() {
+                if !t.units.live(unit) {
                     continue;
                 }
                 let _span = event_span(tel, Phase::SettleRefund, now);
@@ -405,7 +403,7 @@ fn run_source_queued(
                 }
             }
             Event::FaultExpire { unit } => {
-                if !t.units[unit].live() {
+                if !t.units.live(unit) {
                     continue;
                 }
                 let _span = event_span(tel, Phase::FaultProcessing, now);
@@ -724,7 +722,7 @@ fn run_router_queued(
     let tel = &config.telemetry;
     let timing = [config.end_time, config.poll_interval, config.deadline];
     let plan = config.faults.as_ref();
-    let mut t = Transport::new(network, tel, timing, config.mtu, true, plan);
+    let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, plan);
     t.router = RouterQueues::new(network.num_channels());
     let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
     let fp = if ckpt.is_some() || resume.is_some() {
@@ -738,10 +736,10 @@ fn run_router_queued(
             (paths.restore(network, snap.section(snapshot::SEC_SCHEME)?))
                 .or_else(|e| snapshot::corrupt(format!("path cache: {e}")))?;
         }
-        None => t.seed(transactions, plan, None),
+        None => t.seed(plan, None),
     }
 
-    while let Some((now, event)) = t.queue.pop() {
+    while let Some((now, event)) = t.pop() {
         if now > config.end_time {
             break;
         }
@@ -752,10 +750,10 @@ fn run_router_queued(
                 pump_source(&mut t, &mut paths, config, idx, now);
             }
             Event::HopArrive { unit } => {
-                let u = &t.units[unit];
-                if !u.live() {
+                if !t.units.live(unit) {
                     continue;
                 }
+                let u = &t.units[unit];
                 let _span = event_span(tel, Phase::QueueDrain, now);
                 if u.locked as usize == u.path.len() {
                     // Reached the destination; key released after Δ.
@@ -767,7 +765,7 @@ fn run_router_queued(
             Event::Settle { unit } => {
                 // An outage may have refunded this unit during its Δ-wait;
                 // then the receiver never got the key.
-                if !t.units[unit].live() {
+                if !t.units.live(unit) {
                     continue;
                 }
                 let _span = event_span(tel, Phase::SettleRefund, now);
@@ -793,7 +791,7 @@ fn run_router_queued(
                     // never block a head-of-line drain.
                     let units = &t.units;
                     for q in t.router.queues.iter_mut().flatten() {
-                        q.retain(|&(unit, _)| units[unit].live());
+                        q.retain(|&(unit, _)| units.live(unit));
                     }
                 }
                 // A recovery re-opens the channel: service its queues now
@@ -962,15 +960,16 @@ fn drain_queue(
         return; // nothing forwards over a downed channel
     }
     while let Some(&(head, queued_at)) = t.router.queues[channel.index()][side].front() {
-        let u = &t.units[head];
-        if !u.live() || t.payments[u.payment()].deadline <= now {
+        let live = t.units.live(head);
+        if !live || t.payments[t.units[head].payment()].deadline <= now {
             // Expired while waiting.
             t.router.queues[channel.index()][side].pop_front();
-            if t.units[head].live() {
+            if live {
                 drop_unit(t, head, now);
             }
             continue;
         }
+        let u = &t.units[head];
         let from = u.path.nodes()[u.locked as usize];
         if t.ledger
             .lock_hop(t.network, channel, from, u.amount)
@@ -995,7 +994,7 @@ fn sweep_expired(t: &mut Transport, now: f64) {
         for side in 0..2 {
             let (units, payments) = (&t.units, &t.payments);
             let expired = |&(unit, _): &(usize, f64)| {
-                units[unit].live() && payments[units[unit].payment()].deadline <= now
+                units.live(unit) && payments[units[unit].payment()].deadline <= now
             };
             let q = &mut t.router.queues[c][side];
             let dropped: Vec<usize> = q.iter().filter(|e| expired(e)).map(|e| e.0).collect();
@@ -1865,6 +1864,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let mut t = Transport::new(
             &g,
+            &[],
             &tel,
             [20.0, 0.1, 2.0],
             Amount::from_whole(10),

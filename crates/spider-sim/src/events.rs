@@ -105,6 +105,12 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time.seconds(), e.event))
     }
 
+    /// The `(time, seq)` of the entry [`pop`](Self::pop) would return next,
+    /// so a caller can merge another ordered source with this queue.
+    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
+        self.heap.peek().map(|e| (e.time, e.seq))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -709,16 +709,25 @@ pub(crate) fn enc_fault_event(e: &mut Enc, ev: &FaultEvent) {
     e.u32(id);
 }
 
-pub(crate) fn dec_fault_event(d: &mut Dec) -> Result<FaultEvent, SnapshotError> {
+/// Decodes a fault event written by [`enc_fault_event`], refusing a channel
+/// or node that `network` does not have (the fault mask indexes by it).
+pub(crate) fn dec_fault_event(d: &mut Dec, network: &Network) -> Result<FaultEvent, SnapshotError> {
     let tag = d.u8()?;
     let id = d.u32()?;
-    match tag {
-        0 => Ok(FaultEvent::ChannelDown(ChannelId(id))),
-        1 => Ok(FaultEvent::ChannelUp(ChannelId(id))),
-        2 => Ok(FaultEvent::NodeDown(NodeId(id))),
-        3 => Ok(FaultEvent::NodeUp(NodeId(id))),
-        other => corrupt(format!("fault event tag {other}")),
+    let (what, len) = match tag {
+        0 | 1 => ("channel", network.num_channels()),
+        2 | 3 => ("node", network.num_nodes()),
+        other => return corrupt(format!("fault event tag {other}")),
+    };
+    if id as usize >= len {
+        return corrupt(format!("fault event names {what} {id} of {len}"));
     }
+    Ok(match tag {
+        0 => FaultEvent::ChannelDown(ChannelId(id)),
+        1 => FaultEvent::ChannelUp(ChannelId(id)),
+        2 => FaultEvent::NodeDown(NodeId(id)),
+        _ => FaultEvent::NodeUp(NodeId(id)),
+    })
 }
 
 pub(crate) fn enc_path(e: &mut Enc, path: &spider_core::Path) {

@@ -24,8 +24,16 @@
 //!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.
-//! Settling or refunding releases the locked prefix and leaves `locked == 0`,
-//! which is also what "this unit is finished" means.
+//! Settling or refunding releases the locked prefix and leaves `locked == 0`
+//! ([`UnitSlab::finish`]), which is also what "this unit is finished" means.
+//!
+//! What a run keeps resident is its live window, not its history: the
+//! [`UnitSlab`] holds the chunks that still contain a unit in flight and
+//! gives finished chunks back, and pending arrivals are a cursor over the
+//! (sorted) trace rather than one event-queue entry each — [`Transport::pop`]
+//! merges the two in the `(time, seq)` order one queue holding everything
+//! would pop. Payment records are still kept for the whole run: the report
+//! and `SEC_CORE` read every one.
 
 use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::CongestionControl;
@@ -90,9 +98,10 @@ pub(crate) enum UnitFault {
     Griefed(ChannelId),
 }
 
-/// One transaction unit, live or finished. Units live in a slab — the
-/// slab *is* the resident set of a long run, so the record is kept to 32
-/// bytes — and fault events find the units to refund by scanning it.
+/// One transaction unit, live or just finished. Units live in a slab whose
+/// chunks span the units in flight — at the paper's ISP rate that is
+/// thousands of records at any moment, so the record is kept to 32 bytes —
+/// and fault events find the units to refund by scanning its live ones.
 pub(crate) struct Unit {
     pub(crate) path: Arc<Path>,
     /// The delivered amount. Under fees each hop locks this plus the
@@ -101,9 +110,9 @@ pub(crate) struct Unit {
     pub(crate) amount: Amount,
     payment: u32,
     /// Hops `0..locked` hold this unit's funds; a router-queued unit sits
-    /// at `path.nodes()[locked]`. Zero once settled or refunded, which
-    /// guards against a double release when a refund races a scheduled
-    /// settle.
+    /// at `path.nodes()[locked]`. Zero once settled or refunded (only
+    /// [`UnitSlab::finish`] writes the zero), which guards against a
+    /// double release when a refund races a scheduled settle.
     pub(crate) locked: u32,
     pub(crate) fault: Option<UnitFault>,
 }
@@ -120,44 +129,117 @@ impl Unit {
     }
 }
 
-/// The unit slab: append-only, in fixed-size chunks. One `Vec` this large
-/// would be copied every time it doubles, and the allocator may or may not
-/// find the copy a home in memory it already holds — peak memory would
-/// follow heap layout rather than the unit count. Equal chunks are never
-/// moved and are reused exactly by the next run in the same process.
+/// The unit slab: the live window of the units sent, in fixed-size chunks.
+///
+/// - Indices are handed out in send order and never reused.
+/// - Each chunk counts its live units. A full chunk whose count reaches
+///   zero is released: its `Vec` is emptied and becomes the one spare the
+///   next chunk reuses, so a long run neither holds a record per unit ever
+///   sent nor churns the allocator. The release waits for the next
+///   [`push`](Self::push), because the transition that finished a unit
+///   still reads it (`refund` → `emit_refunded`, `expire`).
+/// - [`live`](Self::live) is what to ask of an index that may have
+///   finished: it is `false` for a finished unit and for a released chunk.
+///   Indexing is for live units, and for a unit finished since the last
+///   push.
+///
+/// Equal chunks are never moved. One `Vec` this large would be copied
+/// every time it doubles, and peak memory would follow heap layout rather
+/// than the unit count.
 #[derive(Default)]
 pub(crate) struct UnitSlab {
+    /// Chunk `k` holds indices `k * CHUNK..`; a released chunk is empty.
     chunks: Vec<Vec<Unit>>,
+    /// Live units per chunk.
+    live: Vec<u32>,
+    /// Units ever pushed.
+    len: usize,
+    /// Full chunks whose last live unit finished since the last push.
+    drained: Vec<usize>,
+    /// A released chunk's buffer, kept for the next chunk.
+    spare: Option<Vec<Unit>>,
+    /// Most chunk buffers ever held at once, the spare included.
+    #[cfg(test)]
+    peak_chunks: usize,
 }
 
 impl UnitSlab {
     /// Units per chunk (64 KiB of records).
     const CHUNK: usize = 1 << 11;
 
+    /// Units ever sent: the next index handed out.
     pub(crate) fn len(&self) -> usize {
-        match self.chunks.last() {
-            Some(last) => (self.chunks.len() - 1) * Self::CHUNK + last.len(),
-            None => 0,
-        }
+        self.len
     }
 
-    /// Appends `unit` and returns its index.
+    /// `true` while unit `i` holds a lock: sent, and not yet settled or
+    /// refunded. `false` for an index whose chunk has been released.
+    pub(crate) fn live(&self, i: usize) -> bool {
+        (self.chunks.get(i / Self::CHUNK))
+            .and_then(|chunk| chunk.get(i % Self::CHUNK))
+            .is_some_and(Unit::live)
+    }
+
+    /// Appends a live `unit` and returns its index, first releasing the
+    /// chunks drained since the last push.
     fn push(&mut self, unit: Unit) -> usize {
-        if self.chunks.last().is_none_or(|c| c.len() == Self::CHUNK) {
-            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        debug_assert!(unit.live(), "a unit is sent holding a lock");
+        for k in self.drained.drain(..) {
+            let mut chunk = std::mem::take(&mut self.chunks[k]);
+            chunk.clear();
+            if self.spare.is_none() {
+                self.spare = Some(chunk);
+            }
         }
-        let last = self.chunks.len() - 1;
-        self.chunks[last].push(unit);
-        self.len() - 1
+        let i = self.len;
+        if i.is_multiple_of(Self::CHUNK) {
+            let chunk = (self.spare.take()).unwrap_or_else(|| Vec::with_capacity(Self::CHUNK));
+            self.chunks.push(chunk);
+            self.live.push(0);
+            #[cfg(test)]
+            self.note_peak();
+        }
+        let k = i / Self::CHUNK;
+        self.chunks[k].push(unit);
+        self.live[k] += 1;
+        self.len += 1;
+        i
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Unit> {
-        self.chunks.iter().flatten()
+    /// Marks live unit `i` settled or refunded — the only way `locked`
+    /// becomes zero. Its chunk goes back at the next push once it is full
+    /// and this was its last live unit.
+    pub(crate) fn finish(&mut self, i: usize) {
+        let k = i / Self::CHUNK;
+        let unit = &mut self.chunks[k][i % Self::CHUNK];
+        debug_assert!(unit.live(), "unit {i} finished twice");
+        if !unit.live() {
+            return;
+        }
+        unit.locked = 0;
+        self.live[k] -= 1;
+        if self.live[k] == 0 && self.chunks[k].len() == Self::CHUNK {
+            self.drained.push(k);
+        }
     }
 
-    /// Fills an empty slab with `total` slots from a checkpoint's live
-    /// units, given in index order. Every other slot becomes a tombstone: a
-    /// finished unit (`locked == 0`), whose other fields nothing reads.
+    /// The live units with their indices, in index order.
+    fn iter_live(&self) -> impl Iterator<Item = (usize, &Unit)> {
+        (self.chunks.iter().zip(&self.live).enumerate())
+            .filter(|(_, (_, &live))| live > 0)
+            .flat_map(|(k, (chunk, _))| {
+                let first = k * Self::CHUNK;
+                (chunk.iter().enumerate()).map(move |(j, unit)| (first + j, unit))
+            })
+            .filter(|(_, unit)| unit.live())
+    }
+
+    /// Rebuilds an empty slab of `total` units sent from a checkpoint's
+    /// live units, given in ascending index order below `total`. Only the
+    /// chunks holding a live unit, and a partly filled last chunk that the
+    /// next push appends to, are allocated; their other slots become
+    /// tombstones — finished units (`locked == 0`) whose other fields
+    /// nothing reads.
     fn restore(
         &mut self,
         total: usize,
@@ -175,21 +257,50 @@ impl UnitSlab {
         let any_path = Path::new(network, vec![ch.a, ch.b])
             .map(Arc::new)
             .or_else(|e| corrupt(format!("tombstone path: {e}")))?;
+        let tombstone = || Unit {
+            path: Arc::clone(&any_path),
+            amount: Amount::ZERO,
+            payment: 0,
+            locked: 0,
+            fault: None,
+        };
+        let partial_tail = (!total.is_multiple_of(Self::CHUNK)).then_some(total / Self::CHUNK);
         let mut live = live.into_iter().peekable();
-        for i in 0..total {
-            let unit = match live.next_if(|&(index, _)| index == i) {
-                Some((_, unit)) => unit,
-                None => Unit {
-                    path: Arc::clone(&any_path),
-                    amount: Amount::ZERO,
-                    payment: 0,
-                    locked: 0,
-                    fault: None,
-                },
-            };
-            self.push(unit);
+        for k in 0..total.div_ceil(Self::CHUNK) {
+            let slots = k * Self::CHUNK..total.min((k + 1) * Self::CHUNK);
+            let mut chunk = Vec::new();
+            let mut count = 0;
+            if live.peek().is_some_and(|(i, _)| slots.contains(i)) || partial_tail == Some(k) {
+                chunk.reserve_exact(Self::CHUNK);
+                for i in slots {
+                    chunk.push(match live.next_if(|&(index, _)| index == i) {
+                        Some((_, unit)) => {
+                            count += 1;
+                            unit
+                        }
+                        None => tombstone(),
+                    });
+                }
+            }
+            self.chunks.push(chunk);
+            self.live.push(count);
         }
+        self.len = total;
+        #[cfg(test)]
+        self.note_peak();
         Ok(())
+    }
+
+    /// Chunk buffers held now, the spare included.
+    #[cfg(test)]
+    fn held_chunks(&self) -> usize {
+        let held = self.chunks.iter().filter(|c| c.capacity() > 0).count();
+        held + usize::from(self.spare.is_some())
+    }
+
+    #[cfg(test)]
+    fn note_peak(&mut self) {
+        self.peak_chunks = self.peak_chunks.max(self.held_chunks());
     }
 }
 
@@ -277,7 +388,15 @@ pub(crate) struct Transport<'a> {
     /// fails it.
     split: bool,
     pub(crate) ledger: Ledger,
+    /// Every pending event but the arrivals (see [`pop`](Self::pop)).
     pub(crate) queue: EventQueue<Event>,
+    /// The trace, sorted by arrival. Transactions `next_arrival..
+    /// arrivals_end` have yet to arrive; those past `arrivals_end` arrive
+    /// after the window and never do. Arrival `i` pops as if it had been
+    /// pushed at `(tx.arrival, seq i)`, which is what the queue once held.
+    transactions: &'a [Transaction],
+    next_arrival: usize,
+    arrivals_end: usize,
     pub(crate) payments: Vec<PaymentState>,
     /// Payments that may still have value to send, plus stale entries that
     /// [`pending_in_order`](Self::pending_in_order) weeds out.
@@ -316,10 +435,17 @@ pub(crate) struct Transport<'a> {
 }
 
 impl<'a> Transport<'a> {
-    /// Fresh state for one run; the drivers switch on the optional
-    /// machinery (audit, congestion control, router queues, …) afterwards.
+    /// Fresh state for one run over `transactions`; the drivers switch on
+    /// the optional machinery (audit, congestion control, router queues, …)
+    /// afterwards.
+    ///
+    /// # Panics
+    /// If `transactions` is not sorted by arrival time: arrivals are read
+    /// off the trace in order, so an unsorted trace would make time run
+    /// backwards.
     pub(crate) fn new(
         network: &'a Network,
+        transactions: &'a [Transaction],
         tel: &'a Telemetry,
         [end_time, poll_interval, deadline]: [f64; 3],
         mtu: Amount,
@@ -328,6 +454,10 @@ impl<'a> Transport<'a> {
     ) -> Self {
         assert!(poll_interval > 0.0 && deadline > 0.0);
         assert!(mtu.is_positive(), "MTU must be positive");
+        assert!(
+            transactions.is_sorted_by(|a, b| a.arrival <= b.arrival),
+            "transactions must be sorted by arrival time"
+        );
         Transport {
             network,
             tel,
@@ -339,6 +469,9 @@ impl<'a> Transport<'a> {
             split,
             ledger: Ledger::new(network),
             queue: EventQueue::new(),
+            transactions,
+            next_arrival: 0,
+            arrivals_end: transactions.partition_point(|tx| tx.arrival <= end_time),
             payments: Vec::new(),
             pending: Vec::new(),
             units: UnitSlab::default(),
@@ -369,21 +502,13 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// Fresh start: queues every arrival inside the window, the first tick,
-    /// the first rebalance check when routers rebalance, and the fault
-    /// schedule. (A resumed run restores the event queue wholesale from
-    /// the snapshot instead.)
-    pub(crate) fn seed(
-        &mut self,
-        transactions: &[Transaction],
-        plan: Option<&FaultPlan>,
-        first_rebalance_check: Option<f64>,
-    ) {
-        for (i, tx) in transactions.iter().enumerate() {
-            if tx.arrival <= self.end_time {
-                self.queue.push(tx.arrival, Event::Arrival(i));
-            }
-        }
+    /// Fresh start: numbers the arrivals inside the window `0..k` (the
+    /// cursor pops them, see [`pop`](Self::pop)), then queues the first
+    /// tick, the first rebalance check when routers rebalance, and the
+    /// fault schedule behind them. (A resumed run restores the event queue
+    /// and the cursor from the snapshot instead.)
+    pub(crate) fn seed(&mut self, plan: Option<&FaultPlan>, first_rebalance_check: Option<f64>) {
+        self.queue.set_next_seq(self.arrivals_end as u64);
         self.queue.push(self.poll_interval, Event::Tick);
         if let Some(at) = first_rebalance_check {
             self.queue.push(at, Event::RebalanceCheck);
@@ -423,6 +548,27 @@ impl<'a> Transport<'a> {
             return corrupt("snapshot lacks telemetry state for an enabled handle".to_string());
         }
         Ok(snap)
+    }
+
+    /// Removes and returns the next event: the next arrival or the queue's
+    /// head, whichever comes first by `(time, seq)` — the order of one
+    /// queue holding both.
+    pub(crate) fn pop(&mut self) -> Option<(f64, Event)> {
+        if let Some(tx) = self.transactions[..self.arrivals_end].get(self.next_arrival) {
+            let at = Time::new(tx.arrival);
+            // Arrivals were numbered before anything was queued, so on a
+            // time tie the arrival's seq is the smaller.
+            let queued_first = (self.queue.peek_key()).is_some_and(|(time, seq)| {
+                debug_assert!(seq >= self.arrivals_end as u64);
+                time < at
+            });
+            if !queued_first {
+                let i = self.next_arrival;
+                self.next_arrival += 1;
+                return Some((at.seconds(), Event::Arrival(i)));
+            }
+        }
+        self.queue.pop()
     }
 
     /// Writes a crash-safe snapshot when `ckpt` asks for one at this tick.
@@ -547,7 +693,7 @@ impl<'a> Transport<'a> {
     /// (the unit is fully locked by now), counts the value as delivered,
     /// and completes the payment once all of it is.
     pub(crate) fn settle(&mut self, ui: usize, now: f64) {
-        let u = &mut self.units[ui];
+        let u = &self.units[ui];
         debug_assert_eq!(u.locked as usize, u.path.len());
         let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
         let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
@@ -558,9 +704,9 @@ impl<'a> Transport<'a> {
             amounts,
             Release::Settle,
         );
-        u.locked = 0;
-        let amount = u.amount;
-        let p = &mut self.payments[u.payment as usize];
+        let (amount, payment) = (u.amount, u.payment());
+        self.units.finish(ui);
+        let p = &mut self.payments[payment];
         if let Err(e) = res {
             return record_release(&mut self.release_violations, now, "settle", &e);
         }
@@ -591,18 +737,19 @@ impl<'a> Transport<'a> {
     /// returns the value to the payment's "remaining". `false` (with a
     /// release violation recorded under `cause`) if the ledger refuses.
     fn unlock(&mut self, ui: usize, now: f64, cause: &str) -> bool {
-        let u = &mut self.units[ui];
+        let u = &self.units[ui];
         let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
         let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
         // A router-queued unit holds only the prefix it has travelled.
         let locked = u.locked as usize;
         let res =
             (self.ledger).release_walk(self.network, &u.path, locked, amounts, Release::Refund);
-        u.locked = 0;
+        let (amount, payment) = (u.amount, u.payment());
+        self.units.finish(ui);
         match res {
             Ok(()) => {
-                let p = &mut self.payments[u.payment as usize];
-                p.inflight = p.inflight.saturating_sub(u.amount);
+                let p = &mut self.payments[payment];
+                p.inflight = p.inflight.saturating_sub(amount);
                 true
             }
             Err(e) => {
@@ -689,14 +836,14 @@ impl<'a> Transport<'a> {
         }
         self.amp_held[idx].push(ui);
         let arrived: Amount = (self.amp_held[idx].iter())
-            .filter(|&&held| self.units[held].live())
+            .filter(|&&held| self.units.live(held))
             .map(|&held| self.units[held].amount)
             .sum();
         if arrived >= self.payments[idx].amount
             && self.payments[idx].status == PaymentStatus::Pending
         {
             for held in std::mem::take(&mut self.amp_held[idx]) {
-                if self.units[held].live() {
+                if self.units.live(held) {
                     self.settle(held, now);
                 }
             }
@@ -743,7 +890,7 @@ impl<'a> Transport<'a> {
         self.abandon(idx, now);
         if let Some(held) = self.amp_held.get_mut(idx).map(std::mem::take) {
             for ui in held {
-                if self.units[ui].live() {
+                if self.units.live(ui) {
                     self.refund(ui, now, "deadline-refund");
                 }
             }
@@ -782,7 +929,7 @@ impl<'a> Transport<'a> {
             let locked = &u.path.hops()[..u.locked as usize];
             locked.iter().map(|&(c, _)| c).find(|c| down.contains(c))
         };
-        (self.units.iter().enumerate())
+        (self.units.iter_live())
             .filter_map(|(ui, u)| Some((ui, crossed(u)?)))
             .collect()
     }
@@ -947,17 +1094,24 @@ fn enc_event(e: &mut Enc, event: &Event) {
     e.usize(index);
 }
 
-fn dec_event(d: &mut Dec) -> Result<Event, SnapshotError> {
+/// Decodes an event, bounds-checking the channel and node ids it names.
+/// Transaction and unit indices are checked by the caller, which knows the
+/// trace and the number of units sent.
+fn dec_event(d: &mut Dec, network: &Network) -> Result<Event, SnapshotError> {
     Ok(match d.u8()? {
         0 => Event::Arrival(d.usize()?),
         1 => Event::HopArrive { unit: d.usize()? },
         2 => Event::Settle { unit: d.usize()? },
         3 => Event::FaultExpire { unit: d.usize()? },
-        4 => Event::Fault(dec_fault_event(d)?),
+        4 => Event::Fault(dec_fault_event(d, network)?),
         5 => Event::Tick,
         6 => Event::RebalanceCheck,
         7 => Event::RebalanceApply {
-            channel: ChannelId::from(d.usize()?),
+            channel: ChannelId::from(dec_index(
+                d,
+                network.num_channels(),
+                "rebalance of channel",
+            )?),
         },
         other => return corrupt(format!("event tag {other}")),
     })
@@ -1052,6 +1206,16 @@ impl Transport<'_> {
     ///    3 fault-expire (unit index each), 4 fault (tag byte 0–3 for
     ///    channel-down/up, node-down/up, then the `u32` id), 5 tick,
     ///    6 rebalance-check, 7 rebalance-apply (channel index).
+    ///    Pending arrivals are not resident as queue entries — they are the
+    ///    trace cursor (see [`pop`](Self::pop)) — and are encoded merged
+    ///    into the list, as what one queue holding them would pop. So the
+    ///    arrival entries are always the transactions `i` in
+    ///    `first..arrivals_end` (`arrivals_end`: how many arrive by
+    ///    `end_time`) with `seq == i` and `time ==` the trace's arrival,
+    ///    in that order, where `first` is the number of payments; every
+    ///    other entry and `next_seq` are at least `arrivals_end`. The
+    ///    decoder refuses anything else, and any event naming a unit at or
+    ///    past `total` (part 5), a channel or node the network lacks.
     /// 4. Payments — seq of `id: u64, src: u32, dst: u32, amount: i64,
     ///    arrival: f64, deadline: f64, delivered: i64, inflight: i64,
     ///    status: u8` (0 pending, 1 completed, 2 abandoned),
@@ -1062,8 +1226,11 @@ impl Transport<'_> {
     ///    `u32` node ids), `amount: i64`, fault (`u8` 0 none / 1 dropped /
     ///    2 griefed, then the blamed channel `u32`), `locked: u32` hops.
     ///    Every other slot is a settled or refunded unit: nothing reads one
-    ///    past its `locked == 0`, so it is not stored and decodes as a
-    ///    tombstone. `total` must equal `units_sent` in part 9.
+    ///    past its `locked == 0`, so it is neither resident (its chunk of
+    ///    the slab is released once every unit in it finished) nor stored.
+    ///    On decode it is a tombstone in a chunk that holds a live unit, or
+    ///    in the partly filled last chunk, and absent everywhere else.
+    ///    `total` must equal `units_sent` in part 9.
     /// 6. Timers — `next_deadline: usize` (payments before it have had
     ///    their deadline enforced), then the retry backoffs, a sorted seq of
     ///    `(time: f64, payment: usize)`.
@@ -1095,18 +1262,30 @@ impl Transport<'_> {
                 e.i64(v);
             }
         }
-        e.seq(&self.queue.entries(), |e, (t, seq, event)| {
-            e.f64(*t);
-            e.u64(*seq);
+        // The arrivals merge in by `pop`'s rule: an entry queued at the
+        // same time as an arrival was queued after it.
+        let queued = self.queue.entries();
+        let arrivals = self.next_arrival..self.arrivals_end;
+        e.usize(queued.len() + arrivals.len());
+        let mut queued = queued.into_iter().peekable();
+        let enc_entry = |e: &mut Enc, (t, seq, event): (f64, u64, &Event)| {
+            e.f64(t);
+            e.u64(seq);
             enc_event(e, event);
-        });
+        };
+        for i in arrivals {
+            let at = self.transactions[i].arrival;
+            while let Some(entry) = queued.next_if(|&(t, _, _)| t < at) {
+                enc_entry(&mut e, entry);
+            }
+            enc_entry(&mut e, (at, i as u64, &Event::Arrival(i)));
+        }
+        queued.for_each(|entry| enc_entry(&mut e, entry));
         e.u64(self.queue.next_seq());
         e.seq(&self.payments, enc_payment);
         e.seq(&self.pending, |e, &i| e.usize(i));
         e.usize(self.units.len());
-        let live: Vec<(usize, &Unit)> = (self.units.iter().enumerate())
-            .filter(|(_, u)| u.live())
-            .collect();
+        let live: Vec<(usize, &Unit)> = self.units.iter_live().collect();
         e.seq(&live, |e, &(index, u)| {
             e.usize(index);
             enc_unit(e, u);
@@ -1157,7 +1336,7 @@ impl Transport<'_> {
         e.seq(&self.amp_held, |e, held| e.seq(held, |e, &u| e.usize(u)));
         e.seq(&self.router.queues, |e, sides| {
             for q in sides {
-                debug_assert!(q.iter().all(|&(unit, _)| self.units[unit].live()));
+                debug_assert!(q.iter().all(|&(unit, _)| self.units.live(unit)));
                 e.usize(q.len());
                 for &(unit, queued_at) in q {
                     e.usize(unit);
@@ -1192,15 +1371,10 @@ impl Transport<'_> {
             let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
             self.ledger.restore_channel(ChannelId::from(i), raw);
         }
-        // Re-pushing the entries with their original sequence numbers
-        // restores the exact drain order.
         let entries = dec_seq(&mut d, |d| {
-            Ok((dec_time(d, "event")?, d.u64()?, dec_event(d)?))
+            Ok((dec_time(d, "event")?, d.u64()?, dec_event(d, network)?))
         })?;
-        for (t, seq, event) in entries {
-            self.queue.push_with_seq(t, seq, event);
-        }
-        self.queue.set_next_seq(d.u64()?);
+        let next_seq = d.u64()?;
         self.payments = dec_seq(&mut d, dec_payment)?;
         let num_payments = self.payments.len();
         self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
@@ -1218,6 +1392,7 @@ impl Transport<'_> {
             }
             Ok((index, unit))
         })?;
+        self.restore_queue(entries, next_seq, num_payments, num_units)?;
         self.next_deadline = dec_index(&mut d, num_payments + 1, "deadline cursor at payment")?;
         self.retries = dec_seq(&mut d, |d| {
             let time = Time::new(dec_time(d, "retry")?);
@@ -1243,8 +1418,8 @@ impl Transport<'_> {
         self.release_violations = snapshot::dec_json(&mut d)?;
         self.routing_fees_paid = Amount::from_micros(d.i64()?);
         self.units_sent = d.u64()?;
-        // Nothing bounds the tombstones about to be allocated but the
-        // run's own count of the units it sent.
+        // Nothing bounds the chunk table about to be allocated (one entry
+        // per `CHUNK` units) but the run's own count of the units it sent.
         if num_units as u64 != self.units_sent {
             return corrupt(format!(
                 "{num_units} unit slots for {} units sent",
@@ -1290,8 +1465,8 @@ impl Transport<'_> {
             dec_seq(d, |d| {
                 let unit = dec_index(d, num_units, "router queue holds unit")?;
                 // Queue order is computed from the units' amounts and
-                // deadlines, which a tombstone no longer has.
-                if !units[unit].live() {
+                // deadlines, which a finished unit no longer has.
+                if !units.live(unit) {
                     return corrupt(format!("router queue holds finished unit {unit}"));
                 }
                 Ok((unit, d.f64()?))
@@ -1318,14 +1493,87 @@ impl Transport<'_> {
         d.expect_end()?;
         Ok(())
     }
+
+    /// Restores part 3: the arrival entries become the trace cursor, the
+    /// rest go back on the queue with their original sequence numbers,
+    /// which restores the exact drain order. Refuses what `encode` cannot
+    /// have written (see its part 3).
+    fn restore_queue(
+        &mut self,
+        entries: Vec<(f64, u64, Event)>,
+        next_seq: u64,
+        num_payments: usize,
+        num_units: usize,
+    ) -> Result<(), SnapshotError> {
+        let end = self.arrivals_end;
+        let mut arrival = num_payments;
+        for (t, seq, event) in entries {
+            match event {
+                Event::Arrival(i) => {
+                    let expected = (arrival < end).then(|| self.transactions[arrival].arrival);
+                    if i != arrival || seq != i as u64 || expected != Some(t) {
+                        return corrupt(format!(
+                            "queued arrival of transaction {i} (seq {seq}, at {t}) where \
+                             transaction {arrival} of {end} arriving by the end was due"
+                        ));
+                    }
+                    arrival += 1;
+                }
+                Event::HopArrive { unit }
+                | Event::Settle { unit }
+                | Event::FaultExpire { unit }
+                    if unit >= num_units =>
+                {
+                    return corrupt(format!("queued event names unit {unit} of {num_units}"));
+                }
+                _ if seq < end as u64 => {
+                    return corrupt(format!("queued event seq {seq} within the {end} arrivals"));
+                }
+                event => self.queue.push_with_seq(t, seq, event),
+            }
+        }
+        if arrival != end {
+            return corrupt(format!(
+                "arrivals {arrival}..{end} are due but not queued ({num_payments} arrived)"
+            ));
+        }
+        if next_seq < end as u64 {
+            return corrupt(format!("next seq {next_seq} within the {end} arrivals"));
+        }
+        self.queue.set_next_seq(next_seq);
+        self.next_arrival = num_payments;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_core::PaymentId;
 
-    /// The unit slab is the resident set of a long run (one record per unit
-    /// ever sent), so the record's size is a memory budget, not a detail.
+    const CHUNK: usize = UnitSlab::CHUNK;
+
+    /// A two-node network and its one-hop path.
+    fn one_hop() -> (Network, Arc<Path>) {
+        let mut g = Network::new(2);
+        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(1_000))
+            .unwrap();
+        let path = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1)]).unwrap());
+        (g, path)
+    }
+
+    fn unit(path: &Arc<Path>, payment: usize) -> Unit {
+        Unit {
+            path: Arc::clone(path),
+            amount: Amount::from_whole(1),
+            payment: payment as u32,
+            locked: 1,
+            fault: None,
+        }
+    }
+
+    /// The slab holds the units in flight, thousands at a time at the
+    /// paper's ISP rate, so the record's size is still a memory budget.
     #[test]
     fn unit_record_stays_within_32_bytes() {
         assert!(std::mem::size_of::<Unit>() <= 32);
@@ -1333,27 +1581,275 @@ mod tests {
 
     #[test]
     fn unit_slab_indexes_across_chunk_boundaries() {
-        let mut g = Network::new(2);
-        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(1))
-            .unwrap();
-        let path = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1)]).unwrap());
+        let (_, path) = one_hop();
         let mut slab = UnitSlab::default();
         assert_eq!(slab.len(), 0);
-        let n = 2 * UnitSlab::CHUNK + 3;
+        let n = 2 * CHUNK + 3;
         for i in 0..n {
-            let unit = Unit {
-                path: Arc::clone(&path),
-                amount: Amount::ZERO,
-                payment: i as u32,
-                locked: 1,
-                fault: None,
-            };
-            assert_eq!(slab.push(unit), i);
+            assert_eq!(slab.push(unit(&path, i)), i);
         }
         assert_eq!(slab.len(), n);
         assert!((0..n).all(|i| slab[i].payment() == i));
-        assert!(slab.iter().map(Unit::payment).eq(0..n));
-        slab[UnitSlab::CHUNK].locked = 0;
-        assert!(!slab[UnitSlab::CHUNK].live() && slab[UnitSlab::CHUNK - 1].live());
+        assert!(slab
+            .iter_live()
+            .map(|(i, u)| (i, u.payment()))
+            .eq((0..n).map(|i| (i, i))));
+        slab.finish(CHUNK);
+        assert!(!slab.live(CHUNK) && slab.live(CHUNK - 1) && slab.live(CHUNK + 1));
+        assert!(slab
+            .iter_live()
+            .map(|(i, _)| i)
+            .eq((0..n).filter(|&i| i != CHUNK)));
+        assert!(!slab.live(n), "an index not yet handed out");
+    }
+
+    #[test]
+    fn finishing_in_send_order_holds_only_the_window() {
+        let (_, path) = one_hop();
+        for lag in [1, 2, 100, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5] {
+            let mut slab = UnitSlab::default();
+            for i in 0..8 * CHUNK + lag {
+                // At most `lag` units in flight when the next is sent.
+                if i >= lag {
+                    slab.finish(i - lag);
+                }
+                assert_eq!(slab.push(unit(&path, i)), i);
+            }
+            let bound = lag.div_ceil(CHUNK) + 1;
+            assert!(
+                slab.peak_chunks <= bound,
+                "lag {lag}: held {} chunks, bound {bound}",
+                slab.peak_chunks
+            );
+        }
+    }
+
+    #[test]
+    fn one_long_lived_unit_pins_only_its_own_chunk() {
+        let (_, path) = one_hop();
+        let mut slab = UnitSlab::default();
+        let lag = 16;
+        let n = 6 * CHUNK + 7;
+        for i in 0..n {
+            // Unit 0 never finishes; every other unit lives `lag` sends.
+            if i > lag {
+                slab.finish(i - lag);
+            }
+            slab.push(unit(&path, i));
+        }
+        assert!(slab.live(0));
+        assert!(slab.chunks[0].capacity() > 0, "the pinned chunk is held");
+        assert!((1..5).all(|k| slab.chunks[k].capacity() == 0), "released");
+        assert!(slab.peak_chunks <= 1 + lag.div_ceil(CHUNK) + 1);
+        assert!(slab.held_chunks() <= 3);
+        // A released index reads as finished, and nothing hands it out
+        // again: the next index is the next one in send order.
+        assert!(!slab.live(1) && !slab.live(CHUNK) && !slab.live(3 * CHUNK + 5));
+        assert_eq!(slab.push(unit(&path, n)), n);
+        let live: Vec<usize> = slab.iter_live().map(|(i, _)| i).collect();
+        assert_eq!(live[0], 0);
+        assert_eq!(live[1..], ((n - lag)..=n).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn a_drained_chunk_stays_readable_until_the_next_push() {
+        let (_, path) = one_hop();
+        let mut slab = UnitSlab::default();
+        for i in 0..=CHUNK {
+            slab.push(unit(&path, i));
+        }
+        for i in 0..CHUNK {
+            slab.finish(i);
+        }
+        // What a refund reads after the unlock that finished the unit.
+        assert_eq!(slab[CHUNK - 1].payment(), CHUNK - 1);
+        assert_eq!(slab.held_chunks(), 2);
+        slab.push(unit(&path, CHUNK + 1));
+        assert_eq!(slab.held_chunks(), 2, "chunk 0 became the spare");
+        assert!(!slab.live(CHUNK - 1));
+        for i in CHUNK + 2..2 * CHUNK + 1 {
+            slab.push(unit(&path, i));
+        }
+        assert_eq!(slab.held_chunks(), 2, "the spare became chunk 2");
+        assert_eq!(slab.peak_chunks, 2);
+    }
+
+    #[test]
+    fn restore_allocates_only_chunks_holding_a_live_unit() {
+        let (g, path) = one_hop();
+        let total = 5 * CHUNK + 11;
+        let live_at = [5, 3 * CHUNK + 7, 3 * CHUNK + 8];
+        let mut slab = UnitSlab::default();
+        let live = live_at.iter().map(|&i| (i, unit(&path, i))).collect();
+        slab.restore(total, live, &g).unwrap();
+        // Chunks 0 and 3 hold live units, chunk 5 is the partly filled tail.
+        assert_eq!(slab.held_chunks(), 3);
+        assert_eq!(slab.peak_chunks, 3);
+        assert!([0, 3, 5].iter().all(|&k| slab.chunks[k].capacity() > 0));
+        assert_eq!(slab.len(), total);
+        assert!(slab.iter_live().map(|(i, _)| i).eq(live_at));
+        assert!(!slab.live(4) && !slab.live(CHUNK + 1) && !slab.live(total - 1));
+        assert_eq!(slab.push(unit(&path, total)), total);
+        assert!(slab.live(total));
+
+        // Nothing live and no partial chunk: nothing to allocate.
+        let mut empty = UnitSlab::default();
+        empty.restore(4 * CHUNK, Vec::new(), &g).unwrap();
+        assert_eq!(empty.held_chunks(), 0);
+        assert_eq!(empty.push(unit(&path, 0)), 4 * CHUNK);
+    }
+
+    // -- the arrival cursor -------------------------------------------------
+
+    fn arrival(id: u64, at: f64) -> Transaction {
+        Transaction {
+            id: PaymentId(id),
+            src: NodeId(0),
+            dst: NodeId(1),
+            amount: Amount::from_whole(1),
+            arrival: at,
+        }
+    }
+
+    const END: f64 = 3.0;
+    const POLL: f64 = 0.1;
+    const DELTA: f64 = 0.5;
+
+    fn transport<'a>(g: &'a Network, txs: &'a [Transaction], tel: &'a Telemetry) -> Transport<'a> {
+        Transport::new(
+            g,
+            txs,
+            tel,
+            [END, POLL, 5.0],
+            Amount::from_whole(10),
+            true,
+            None,
+        )
+    }
+
+    /// The old way: every arrival inside the window queued up front, in
+    /// trace order, before the first tick.
+    fn oracle(txs: &[Transaction]) -> EventQueue<Event> {
+        let mut q = EventQueue::new();
+        for (i, tx) in txs.iter().enumerate() {
+            if tx.arrival <= END {
+                q.push(tx.arrival, Event::Arrival(i));
+            }
+        }
+        q.push(POLL, Event::Tick);
+        q
+    }
+
+    fn event_bytes(event: &Event) -> Vec<u8> {
+        let mut e = Enc::new();
+        enc_event(&mut e, event);
+        e.into_bytes()
+    }
+
+    /// Pops `t` and `oracle` in lockstep for up to `steps` events, and
+    /// reacts to each identically in both: an arrival sends a unit that
+    /// settles Δ later, a settle finishes it, a tick queues the next.
+    /// Returns `false` once both are empty.
+    fn lockstep(
+        t: &mut Transport,
+        oracle: &mut EventQueue<Event>,
+        path: &Arc<Path>,
+        steps: usize,
+    ) -> bool {
+        for _ in 0..steps {
+            let (got, want) = (t.pop(), oracle.pop());
+            let (Some((now, event)), Some((want_now, want_event))) = (got, want) else {
+                assert!(
+                    t.pop().is_none() && oracle.pop().is_none(),
+                    "one side ran dry"
+                );
+                return false;
+            };
+            assert_eq!(
+                (now.to_bits(), event_bytes(&event)),
+                (want_now.to_bits(), event_bytes(&want_event)),
+                "diverged at {now}"
+            );
+            match event {
+                Event::Arrival(i) => {
+                    let tx = t.transactions[i];
+                    let idx = t.arrive(&tx, now);
+                    let unit = t.send(idx, Arc::clone(path), tx.amount, 1, now);
+                    t.queue.push(now + DELTA, Event::Settle { unit });
+                    oracle.push(now + DELTA, Event::Settle { unit });
+                }
+                Event::Settle { unit } => t.units.finish(unit),
+                Event::Tick if now + POLL <= END => {
+                    t.queue.push(now + POLL, Event::Tick);
+                    oracle.push(now + POLL, Event::Tick);
+                }
+                _ => {}
+            }
+        }
+        true
+    }
+
+    /// Arrivals at 0, tied with ticks and with settles at the same `f64`
+    /// (computed by the same additions), several at one instant, and two
+    /// past the end of the window.
+    fn tied_trace() -> Vec<Transaction> {
+        let ticks: Vec<f64> = std::iter::successors(Some(POLL), |t| Some(t + POLL))
+            .take_while(|&t| t <= END)
+            .collect();
+        let mut times = vec![0.0, 0.0, 0.0 + DELTA, ticks[0], ticks[2], ticks[2]];
+        times.extend([ticks[4], ticks[4] + DELTA, ticks[2] + DELTA, 1.234, 2.5]);
+        times.extend([ticks[ticks.len() - 1], END, END + 0.1, END + 7.0]);
+        times.sort_by(f64::total_cmp);
+        (times.into_iter().enumerate())
+            .map(|(i, t)| arrival(i as u64, t))
+            .collect()
+    }
+
+    #[test]
+    fn the_cursor_pops_what_one_queue_holding_every_arrival_pops() {
+        let (g, path) = one_hop();
+        let tel = Telemetry::disabled();
+        let trace = tied_trace();
+        assert!(
+            trace.iter().any(|tx| tx.arrival == 0.5),
+            "a tick/settle tie"
+        );
+        for txs in [&trace[..], &[]] {
+            let mut t = transport(&g, txs, &tel);
+            t.seed(None, None);
+            let mut oracle = oracle(txs);
+            assert!(!lockstep(&mut t, &mut oracle, &path, usize::MAX));
+            assert_eq!(
+                t.payments.len(),
+                txs.iter().filter(|tx| tx.arrival <= END).count()
+            );
+        }
+    }
+
+    #[test]
+    fn the_cursor_survives_an_encode_decode_round_trip_mid_run() {
+        let (g, path) = one_hop();
+        let tel = Telemetry::disabled();
+        let txs = tied_trace();
+        for stop in [0, 1, 3, 9, 17, 40] {
+            let mut t = transport(&g, &txs, &tel);
+            t.seed(None, None);
+            let mut oracle = oracle(&txs);
+            lockstep(&mut t, &mut oracle, &path, stop);
+            let bytes = t.encode();
+            let mut resumed = transport(&g, &txs, &tel);
+            resumed.decode(&bytes).unwrap();
+            assert_eq!(resumed.encode(), bytes, "stop {stop}: re-encoding");
+            assert!(!lockstep(&mut resumed, &mut oracle, &path, usize::MAX));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by arrival")]
+    fn an_unsorted_trace_is_refused() {
+        let (g, _) = one_hop();
+        let tel = Telemetry::disabled();
+        let txs = [arrival(0, 1.0), arrival(1, 0.5)];
+        transport(&g, &txs, &tel);
     }
 }

@@ -247,6 +247,9 @@ struct CoreUnits {
     bytes: usize,
     /// Units named by queued hop-arrive, settle and fault-expire events.
     event_units: Vec<usize>,
+    /// Each queued event's tag and the section offset of its argument
+    /// (for a fault event, of its own tag byte, which the `u32` id follows).
+    events: Vec<(u8, usize)>,
     payments: usize,
 }
 
@@ -260,9 +263,12 @@ impl CoreUnits {
         let channels = d.usize().expect("channel count");
         d.take_raw(channels * 4 * 8).expect("ledger");
         let mut event_units = Vec::new();
+        let mut events = Vec::new();
         for _ in 0..d.usize().expect("queued events") {
             d.take_raw(8 + 8).expect("time and sequence number");
-            match d.u8().expect("event tag") {
+            let tag = d.u8().expect("event tag");
+            events.push((tag, d.offset()));
+            match tag {
                 1..=3 => event_units.push(d.usize().expect("event unit")),
                 0 | 7 => drop(d.usize().expect("event argument")),
                 4 => drop(d.take_raw(1 + 4).expect("fault event")),
@@ -292,6 +298,7 @@ impl CoreUnits {
             live,
             bytes: d.offset() - start,
             event_units,
+            events,
             payments,
         };
         (units, core.len())
@@ -395,6 +402,88 @@ fn core_section_is_bounded_by_live_units_not_units_sent() {
         long.bytes,
         short.bytes
     );
+}
+
+/// A CRC-valid snapshot whose event queue names a transaction, unit,
+/// channel or node out of range: the drivers index the trace, the unit slab,
+/// the rebalance flags and the fault mask with these, so resume must refuse
+/// them as `Corrupt` before the run starts. One case per kind, in the
+/// source-queued engine and (hop-arrive) the router-queued one.
+#[test]
+fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
+    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
+    let (network, txs) = isp_scenario(3, 300);
+    let stress = FaultConfig::scenario("stress").expect("stress scenario exists");
+    let plan = FaultPlan::from_config(&stress, &network, 20.0);
+    let mut cfg = full_config(20.0);
+    cfg.faults = Some(plan.clone());
+    cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
+    let dir = TempDir::new("unknown-index-run");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let spec = CheckpointSpec::new(7, dir.path());
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    let mut qcfg = QueuedConfig::new(20.0);
+    qcfg.faults = Some(plan);
+    let qdir = TempDir::new("unknown-index-queued");
+    let spec = CheckpointSpec::new(7, qdir.path());
+    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
+
+    // (engine, what, event tag, fault tag, out-of-range value; `None` is
+    // the snapshot's unit total, the first index no unit has)
+    let (trace, channels) = (txs.len() as u64 + 5, network.num_channels() as u64);
+    let cases = [
+        ("run", "arrival past the trace", 0, None, Some(trace)),
+        ("run_queued", "hop-arrive", 1, None, None),
+        ("run", "settle", 2, None, None),
+        ("run", "fault-expire", 3, None, None),
+        ("run", "rebalance-apply", 7, None, Some(channels)),
+        ("run", "channel-down", 4, Some(0), Some(1 << 20)),
+        ("run", "channel-up", 4, Some(1), Some(1 << 20)),
+        ("run", "node-down", 4, Some(2), Some(1 << 20)),
+        ("run", "node-up", 4, Some(3), Some(1 << 20)),
+    ];
+    for (engine, what, tag, fault_tag, value) in cases {
+        let snapshots = snapshot_files(if engine == "run" {
+            dir.path()
+        } else {
+            qdir.path()
+        });
+        let found = snapshots.iter().find_map(|path| {
+            let snap = read_snapshot(path).expect("snapshot reads");
+            let core = snap.section(SEC_CORE).expect("core section").to_vec();
+            let (units, _) = CoreUnits::read(path);
+            let &(_, at) = (units.events.iter())
+                .find(|&&(t, at)| t == tag && fault_tag.is_none_or(|f| core[at] == f))?;
+            Some((snap, core, at, units.total as u64))
+        });
+        let (snap, mut core, at, total) =
+            found.unwrap_or_else(|| panic!("{engine}: no snapshot queues a {what} event"));
+        let value = value.unwrap_or(total);
+        match fault_tag {
+            Some(_) => core[at + 1..at + 5].copy_from_slice(&(value as u32).to_le_bytes()),
+            None => core[at..at + 8].copy_from_slice(&value.to_le_bytes()),
+        }
+        let mut sections = snap.sections.clone();
+        for (t, bytes) in &mut sections {
+            if *t == SEC_CORE {
+                *bytes = core.clone();
+            }
+        }
+        let path = dir.path().join(format!("unknown-{what}.spsn"));
+        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        std::fs::write(&path, bytes).expect("write tampered snapshot");
+        let resumed = if engine == "run" {
+            let mut scheme = make_scheme(&Scheme::Waterfilling);
+            resume(&network, &txs, scheme.as_mut(), &cfg, &path, None).err()
+        } else {
+            resume_queued(&network, &txs, &qcfg, &path, None).err()
+        };
+        match resumed {
+            Some(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{engine} {what}: expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 /// Damages the `SEC_TELEMETRY` section of a telemetry-on checkpoint and

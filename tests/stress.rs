@@ -9,7 +9,8 @@
 //! - **Tier 2** (`#[ignore]`-tagged `tier2_*` tests): full-scale stress at
 //!   ≥10k nodes / ≥100k payments. Run explicitly with
 //!   `cargo test --release --test stress -- --ignored` — they take minutes,
-//!   not seconds, and are meant for release-profile soak runs.
+//!   not seconds, and are meant for release-profile soak runs. The
+//!   `tier3_*` cases are larger still and are run one at a time by name.
 
 use spider::prelude::*;
 use spider::workload::{generate, isp_sizes, ripple_sizes, ArrivalPattern, TraceConfig};
@@ -338,6 +339,65 @@ fn tier3_sharded_queued_full_features_100k_payments_identity() {
         "full-features sharded report diverged between 1 and 4 shards at full scale"
     );
     assert!(r1.routing_fees_paid > 0.0);
+}
+
+/// The process's peak resident set in kB (`VmHWM` in `/proc/self/status`),
+/// or `None` off Linux.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Tier-3 memory measurement: the `ripple100k-sharded2` benchmark workload
+/// (shortest path, 1k payments over 10 s, sender skew 16, capacity 30 000)
+/// at 1M nodes on 2 shards, audited. Prints set-up and run wall time and
+/// the process's peak resident set; EXPERIMENTS.md "Scale notes" records a
+/// run. Needs about 1 GB.
+#[test]
+#[ignore = "tier-3 scale test (1M nodes, ~1 GB resident); run by name with --ignored"]
+fn tier3_sharded_ripple_1m_nodes_memory() {
+    use spider::sim::{run_sharded, ShardScheme, ShardedConfig};
+    use spider::workload::SenderDistribution;
+    use std::time::Instant;
+    let start = Instant::now();
+    let g = spider::topology::ripple_topology_scaled(1_000_000, Amount::from_whole(30_000), 7);
+    assert!(g.num_nodes() >= 1_000_000);
+    let mut cfg = TraceConfig::ripple_default(g.num_nodes(), 1_000, 10.0);
+    cfg.seed = 7;
+    cfg.senders = SenderDistribution::Exponential {
+        scale: g.num_nodes() as f64 / 16.0,
+    };
+    let txs = generate(&cfg, &ripple_sizes());
+    let partition = Partition::build(&g, 2, 7);
+    let setup = start.elapsed();
+    let mut sim_cfg = ShardedConfig::new(10.0);
+    sim_cfg.scheme = ShardScheme::ShortestPath;
+    sim_cfg.audit = true;
+    let report = run_sharded(&g, &txs, &partition, &sim_cfg);
+    let run = start.elapsed() - setup;
+    println!(
+        "tier3 ripple-1M: {} nodes, {} channels, {} payments on 2 shards; set-up {:.1} s, \
+         run {:.1} s, peak RSS {} kB, {} audit checks, {} violations, success ratio {:.3}, \
+         host_online_cpus {}",
+        g.num_nodes(),
+        g.num_channels(),
+        report.attempted,
+        setup.as_secs_f64(),
+        run.as_secs_f64(),
+        peak_rss_kb().map_or("n/a".to_string(), |kb| kb.to_string()),
+        report.audit_checks,
+        report.audit_violations.len(),
+        report.success_ratio(),
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+    );
+    assert_sound(&report);
+    assert!(report.audit_checks > 0);
+    assert!(
+        report.audit_violations.is_empty(),
+        "1M-node sharded run violated the audit: {:?}",
+        report.audit_violations
+    );
 }
 
 /// Full tier-2 sharded soak: 10k nodes / 100k payments, run at 1 and 4
