@@ -320,18 +320,77 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// The reflected CRC-32/IEEE polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables for [`crc32`], built at compile time.
+///
+/// `CRC32_TABLES[0][b]` is the CRC register after shifting the byte `b`
+/// through it bit by bit: the classic one-byte table. Row `k` advances that
+/// by `k` more zero bytes, `CRC32_TABLES[k][b] = (t >> 8) ^ CRC32_TABLES[0][t
+/// & 0xFF]` with `t = CRC32_TABLES[k - 1][b]`, so the register's effect on
+/// the next eight bytes is one lookup per byte, all eight independent.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
 ///
-/// The same checksum `cksum`-family tools and zip implementations use; kept
-/// here so snapshot sections can be validated without a new dependency.
+/// The same checksum `cksum`-family tools, zip and `zlib.crc32` compute;
+/// kept here so snapshot sections can be validated without a new
+/// dependency. Every checksum in the workspace (snapshot sections and
+/// frames, trace headers and blocks, run fingerprints) is this function.
+///
+/// Slicing-by-8: eight bytes per step through [`CRC32_TABLES`]. The
+/// register is XORed into the first four bytes of the chunk; each of the
+/// eight resulting bytes is looked up in the row for the number of bytes
+/// still behind it (the first in row 7, the last in row 0) and the lookups
+/// XOR together. CRC is linear over GF(2), so this is the bitwise
+/// shift-and-reduce loop regrouped eight bytes at a time: the same
+/// polynomial, the same initial and final inversion, hence the same value
+/// for every input. A tail shorter than eight bytes goes one byte at a time
+/// through row 0.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -410,11 +469,72 @@ mod tests {
         assert!(Dec::new(&bad_utf8.into_bytes()).str().is_err());
     }
 
+    /// The bitwise shift-and-reduce loop `crc32` replaced: eight
+    /// conditional XORs per byte, no table. The oracle for the table-driven
+    /// version.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    /// `n` bytes from a seeded xorshift stream.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard test vector for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"));
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_loop_at_every_short_length_and_alignment() {
+        // Lengths 0..=64 cover the byte-at-a-time tail alone, one to eight
+        // full slices, and every tail length behind them; the eight start
+        // offsets cover every alignment of the slice against the buffer.
+        let buf = seeded_bytes(0x5EED, 64 + 8);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "start {start}, length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_loop_on_large_seeded_buffers() {
+        for (seed, len) in [(1, 1000), (2, 4099), (3, 65_543), (4, 1 << 20)] {
+            let bytes = seeded_bytes(seed, len);
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "seed {seed}, {len} B");
+        }
+        // Runs of one value, where a table row mixed up with another still
+        // has to show.
+        for fill in [0x00, 0xFF, 0xA5] {
+            let bytes = vec![fill; 4096 + 3];
+            assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "fill {fill:#04x}");
+        }
     }
 }

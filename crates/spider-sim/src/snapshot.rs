@@ -87,6 +87,10 @@ pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
 
+/// Every section tag a v5 file may carry, each at most once. Decoding
+/// refuses any other tag (tag 4, retired in v4, included) as `Corrupt`.
+const SECTION_TAGS: [u32; 3] = [SEC_CORE, SEC_SCHEME, SEC_TELEMETRY];
+
 /// Why a snapshot could not be written, read, or applied.
 ///
 /// Every failure mode is a structured variant — corrupt or truncated input
@@ -304,7 +308,10 @@ pub fn encode_snapshot(
     out
 }
 
-/// Decodes and CRC-verifies a snapshot container.
+/// Decodes and CRC-verifies a snapshot container. A section whose tag is
+/// not [`SEC_CORE`], [`SEC_SCHEME`] or [`SEC_TELEMETRY`], or that repeats
+/// an earlier section's tag, is [`SnapshotError::Corrupt`] even when its
+/// checksums hold.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     // Magic and version are checked on the raw prefix first so a
     // wrong-filetype or other-version file gets its specific error rather
@@ -371,6 +378,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
                 stored,
                 computed,
             });
+        }
+        // Readers take the first section with a tag, so a second copy would
+        // be ignored silently; a retired or unknown tag would be too.
+        if !SECTION_TAGS.contains(&tag) {
+            return corrupt(format!(
+                "section tag {tag} is not a v{FORMAT_VERSION} section"
+            ));
+        }
+        if sections.iter().any(|&(t, _)| t == tag) {
+            return corrupt(format!("section {tag} appears more than once"));
         }
         sections.push((tag, body.to_vec()));
     }
@@ -840,6 +857,44 @@ mod tests {
                 assert!(r.is_err(), "undetected corruption at byte {i} bit {bit}");
             }
         }
+    }
+
+    #[test]
+    fn unknown_and_repeated_section_tags_are_corrupt() {
+        // Every case is sealed with valid section and frame checksums, so
+        // only the tag check can object.
+        let mut retired = sections();
+        retired.push((4, b"extension".to_vec()));
+        let mut unknown = sections();
+        unknown.insert(1, (99, Vec::new()));
+        let mut frame_tag = sections();
+        frame_tag.push((SEC_FRAME, Vec::new()));
+        let mut second_core = sections();
+        second_core.push((SEC_CORE, b"later-core".to_vec()));
+        let mut second_telemetry = sections();
+        second_telemetry.insert(0, (SEC_TELEMETRY, b"tel".to_vec()));
+        for (label, sections, tag) in [
+            ("retired tag 4", retired, 4),
+            ("unknown tag", unknown, 99),
+            ("frame pseudo-tag", frame_tag, SEC_FRAME),
+            ("second core", second_core, SEC_CORE),
+            ("second telemetry", second_telemetry, SEC_TELEMETRY),
+        ] {
+            let bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections);
+            match decode_snapshot(&bytes) {
+                Err(SnapshotError::Corrupt { what }) => assert!(
+                    what.contains(&format!("section {tag} "))
+                        || what.contains(&format!("section tag {tag} ")),
+                    "{label}: {what}"
+                ),
+                other => panic!("{label}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // Any order of the three distinct tags is fine.
+        let mut reordered = sections();
+        reordered.reverse();
+        let snap = decode_snapshot(&encode_snapshot(ENGINE_SEQ, 1, 1, &reordered)).unwrap();
+        assert_eq!(snap.section(SEC_CORE).unwrap(), b"core-bytes");
     }
 
     #[test]

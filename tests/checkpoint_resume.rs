@@ -712,14 +712,139 @@ fn queued_engine_resume_under_faults_is_byte_identical() {
     assert_queued_resume_equivalence(&network, &txs, &cfg, 45, "queued-faults");
 }
 
+/// Asserts that the snapshot files' frame checksums, in order, are
+/// `pinned`. The frame checksum is the CRC32 of the whole file up to its
+/// last four bytes, which hold it. (The CRC32 of the *whole* file would pin
+/// nothing: over data that ends in its own CRC32 it is 0x2144df1c whatever
+/// the data.)
+fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
+    let hex = |crcs: &[u32]| -> Vec<String> { crcs.iter().map(|c| format!("{c:#010x}")).collect() };
+    let crcs: Vec<u32> = (snapshots.iter())
+        .map(|snap| {
+            let bytes = std::fs::read(snap).expect("read snapshot");
+            let (body, frame) = bytes.split_at(bytes.len() - 4);
+            let frame = u32::from_le_bytes(frame.try_into().expect("four bytes"));
+            assert_eq!(frame, spider::core::crc32(body), "{tag}: frame checksum");
+            frame
+        })
+        .collect();
+    assert_eq!(
+        hex(&crcs),
+        hex(pinned),
+        "{tag}: snapshot bytes changed without a format version bump"
+    );
+}
+
+/// The continuous-time engine's telemetry-on snapshots, pinned by frame
+/// checksum like the sharded engine's below: the core state, the scheme
+/// state and the telemetry section (metrics registry and the event log as
+/// SPBT) may not drift while `snapshot::FORMAT_VERSION` stays 5. Captured
+/// on commit d7a19b9, before `crc32` became table-driven and the registry
+/// stopped keying metrics by `(name, label)` tuples.
+#[test]
+fn sequential_telemetry_snapshot_bytes_are_pinned() {
+    let (network, txs) = isp_scenario(31, 250);
+    let mut cfg = full_config(15.0);
+    cfg.telemetry = Telemetry::enabled();
+    let dir = TempDir::new("seq-pinned");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let spec = CheckpointSpec::new(20, dir.path());
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    let pinned = [
+        0x79d0473b, 0x331445d6, 0x8555df69, 0x36eb09ff, 0xd043965a, 0xf3607534, 0x400deb31,
+    ];
+    assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
+}
+
+/// [`sequential_telemetry_snapshot_bytes_are_pinned`] for the router-queued
+/// engine, whose path cache rides in `SEC_SCHEME`.
+#[test]
+fn queued_telemetry_snapshot_bytes_are_pinned() {
+    use spider::sim::engine::run_queued_checkpointed;
+    let (network, txs) = isp_scenario(31, 250);
+    let mut cfg = QueuedConfig::new(15.0);
+    cfg.deadline = 8.0;
+    cfg.telemetry = Telemetry::enabled();
+    let dir = TempDir::new("queued-pinned");
+    let spec = CheckpointSpec::new(20, dir.path());
+    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
+    let pinned = [
+        0x420f28e1, 0xe4262163, 0xed2b0dd1, 0xd9748be7, 0x543d137c, 0x9d729fbe, 0xe3797fb4,
+    ];
+    assert_frame_checksums("queued-pinned", &snapshot_files(dir.path()), &pinned);
+}
+
+/// Re-seals the first snapshot in `dir` — fresh section and frame
+/// checksums — once with a section under the tag v4 retired (4) added, and
+/// once with a second `SEC_CORE` taken from the last snapshot. `resume`
+/// must refuse both as `Corrupt` naming the tag; readers take the first
+/// section with a tag, so before the check the second file resumed, from
+/// the first copy, without a word.
+fn assert_stray_sections_are_corrupt(
+    engine: &str,
+    dir: &Path,
+    resume: impl Fn(&Path) -> Result<(), SnapshotError>,
+) {
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
+    let files = snapshot_files(dir);
+    assert!(files.len() >= 2, "{engine}: fewer than two snapshots");
+    let first = read_snapshot(&files[0]).expect("snapshot reads");
+    let last = read_snapshot(&files[files.len() - 1]).expect("snapshot reads");
+    let later_core = last.section(SEC_CORE).expect("core section").to_vec();
+    let mut retired = first.sections.clone();
+    retired.push((4, later_core.clone()));
+    let mut twice = first.sections.clone();
+    twice.push((SEC_CORE, later_core));
+    for (label, sections, needle) in [
+        ("retired-tag", retired, "section tag 4 "),
+        ("second-core", twice, "section 1 appears more than once"),
+    ] {
+        let bytes = encode_snapshot(first.engine, first.fingerprint, first.progress, &sections);
+        let path = dir.join(format!("stray-{label}.spsn"));
+        std::fs::write(&path, bytes).expect("write re-sealed snapshot");
+        match resume(&path) {
+            Err(SnapshotError::Corrupt { what }) if what.contains(needle) => {}
+            other => panic!("{engine} {label}: expected Corrupt naming the tag, got {other:?}"),
+        }
+    }
+    resume(&files[0]).unwrap_or_else(|e| panic!("{engine}: pristine snapshot: {e}"));
+}
+
+#[test]
+fn stray_sections_are_corrupt_in_every_engine() {
+    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
+    let (network, txs) = isp_scenario(17, 150);
+
+    let cfg = full_config(12.0);
+    let dir = TempDir::new("stray-run");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let spec = CheckpointSpec::new(25, dir.path());
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    assert_stray_sections_are_corrupt("run", dir.path(), |path| {
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        resume(&network, &txs, scheme.as_mut(), &cfg, path, None).map(drop)
+    });
+
+    let qcfg = QueuedConfig::new(12.0);
+    let qdir = TempDir::new("stray-queued");
+    let spec = CheckpointSpec::new(25, qdir.path());
+    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
+    assert_stray_sections_are_corrupt("run_queued", qdir.path(), |path| {
+        resume_queued(&network, &txs, &qcfg, path, None).map(drop)
+    });
+
+    let ckpt = ShardedCheckpoint::capture("stray-sharded", 2, false);
+    assert_stray_sections_are_corrupt("run_sharded", ckpt.dir.path(), |path| {
+        ckpt.resume(path).map(drop)
+    });
+}
+
 /// Same contract for the partition-parallel engine: checkpoints taken at
 /// the BSP epoch barrier must resume byte-identically at any shard count.
 /// `pinned` is each snapshot file's frame checksum in order — the CRC32 of
 /// the whole file up to its last four bytes, which hold it — captured at
 /// PR 19 (commit a4b0716): what a sharded `SPSN` v5 snapshot holds, byte for
-/// byte, may not drift while `snapshot::FORMAT_VERSION` stays 5. (The CRC32
-/// of the *whole* file would pin nothing: over data that ends in its own
-/// CRC32 it is 0x2144df1c whatever the data.)
+/// byte, may not drift while `snapshot::FORMAT_VERSION` stays 5.
 fn assert_sharded_resume_equivalence(
     network: &Network,
     txs: &[Transaction],
@@ -770,25 +895,7 @@ fn assert_sharded_resume_equivalence(
 
     let snapshots = snapshot_files(dir.path());
     assert!(!snapshots.is_empty(), "{tag}: no snapshots (every={every})");
-    let crcs: Vec<u32> = (snapshots.iter())
-        .map(|snap| {
-            let bytes = std::fs::read(snap).expect("read snapshot");
-            let (body, frame) = bytes.split_at(bytes.len() - 4);
-            let frame = u32::from_le_bytes(frame.try_into().expect("four bytes"));
-            assert_eq!(frame, spider::core::crc32(body), "{tag}: frame checksum");
-            frame
-        })
-        .collect();
-    assert_eq!(
-        crcs.iter()
-            .map(|c| format!("{c:#010x}"))
-            .collect::<Vec<_>>(),
-        pinned
-            .iter()
-            .map(|c| format!("{c:#010x}"))
-            .collect::<Vec<_>>(),
-        "{tag}: snapshot bytes changed without a format version bump"
-    );
+    assert_frame_checksums(tag, &snapshots, pinned);
     for snap in &snapshots {
         let tel = Telemetry::enabled();
         let mut cfg = config.clone();
