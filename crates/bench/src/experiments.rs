@@ -741,12 +741,8 @@ pub fn rebalancing_curve(budgets: &[f64]) -> Vec<RebalancingPoint> {
     let demand = DemandMatrix::fig4_example();
     let paths = spider_opt::fluid::enumerate_demand_paths(&network, &demand, 5);
     let prob = FluidProblem::new(&network, &demand, &paths, 1.0);
-    budgets
-        .iter()
-        .map(|&b| RebalancingPoint {
-            budget: b,
-            throughput: prob.with_rebalancing_budget(b).throughput,
-        })
+    (prob.throughput_curve(budgets).into_iter())
+        .map(|(budget, throughput)| RebalancingPoint { budget, throughput })
         .collect()
 }
 

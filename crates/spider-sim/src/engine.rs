@@ -48,6 +48,18 @@ use spider_workload::Transaction;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Settlement delay Δ (seconds) the paper uses (§6.1): the default of
+/// [`SimConfig::delta`], and what the router-queued and sharded drivers use.
+pub(crate) const DELTA: f64 = 0.5;
+/// Scheduler poll interval (seconds): the default of
+/// [`SimConfig::poll_interval`], and what the other two drivers use.
+pub(crate) const POLL_INTERVAL: f64 = 0.1;
+/// Per-hop propagation and processing delay of the router-queued driver
+/// (seconds).
+pub(crate) const HOP_DELAY: f64 = 0.05;
+/// Candidate edge-disjoint paths per pair under the router-queued driver.
+pub(crate) const NUM_PATHS: usize = 4;
+
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -100,9 +112,9 @@ impl SimConfig {
     pub fn new(end_time: f64) -> Self {
         SimConfig {
             end_time,
-            delta: 0.5,
+            delta: DELTA,
             mtu: Amount::from_whole(10),
-            poll_interval: 0.1,
+            poll_interval: POLL_INTERVAL,
             deadline: 5.0,
             policy: SchedulePolicy::Srpt,
             record_series: false,
@@ -131,26 +143,21 @@ pub enum QueuePolicy {
 }
 
 /// Configuration for the router-queued driver ([`run_queued`]).
+///
+/// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
+/// after a unit reaches the receiver, each hop takes 0.05 s, the source
+/// polls every 0.1 s and serves its pending payments SRPT-first, and each
+/// pair routes over 4 edge-disjoint paths.
 #[derive(Clone, Debug)]
 pub struct QueuedConfig {
     /// Hard end of the measurement window (seconds).
     pub end_time: f64,
-    /// Per-hop propagation/processing delay (seconds).
-    pub hop_delay: f64,
-    /// End-to-end confirmation delay Δ before funds settle (seconds).
-    pub delta: f64,
     /// Maximum transaction unit.
     pub mtu: Amount,
-    /// Source scheduler poll interval (seconds).
-    pub poll_interval: f64,
     /// Per-payment deadline window (seconds after arrival).
     pub deadline: f64,
-    /// Source-side service order for pending payments.
-    pub source_policy: SchedulePolicy,
     /// Router-side queue service order.
     pub queue_policy: QueuePolicy,
-    /// Candidate paths per pair.
-    pub num_paths: usize,
     /// Hard cap per channel-direction queue; beyond it units are dropped
     /// (and refunded) on arrival.
     pub max_queue_len: usize,
@@ -170,14 +177,9 @@ impl QueuedConfig {
     pub fn new(end_time: f64) -> Self {
         QueuedConfig {
             end_time,
-            hop_delay: 0.05,
-            delta: 0.5,
             mtu: Amount::from_whole(10),
-            poll_interval: 0.1,
             deadline: 5.0,
-            source_policy: SchedulePolicy::Srpt,
             queue_policy: QueuePolicy::Fifo,
-            num_paths: 4,
             max_queue_len: 4_096,
             telemetry: Telemetry::disabled(),
             faults: None,
@@ -267,9 +269,9 @@ pub fn resume(
 
 /// Runs the router-queued transport over `transactions`.
 ///
-/// Routing is waterfilling-style over `num_paths` edge-disjoint shortest
-/// paths, but a unit is admitted when its *first hop* can be funded. The
-/// trace must be sorted by arrival time, as for [`run`].
+/// Routing is waterfilling-style over 4 edge-disjoint shortest paths, but
+/// a unit is admitted when its *first hop* can be funded. The trace must be
+/// sorted by arrival time, as for [`run`].
 pub fn run_queued(
     network: &Network,
     transactions: &[Transaction],
@@ -717,14 +719,12 @@ fn run_router_queued(
     resume: Option<&std::path::Path>,
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<QueuedReport, SnapshotError> {
-    assert!(config.hop_delay > 0.0 && config.delta > 0.0);
-    assert!(config.num_paths >= 1);
     let tel = &config.telemetry;
-    let timing = [config.end_time, config.poll_interval, config.deadline];
+    let timing = [config.end_time, POLL_INTERVAL, config.deadline];
     let plan = config.faults.as_ref();
     let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, plan);
     t.router = RouterQueues::new(network.num_channels());
-    let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths));
+    let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS));
     let fp = if ckpt.is_some() || resume.is_some() {
         fingerprint_queued(network, transactions, config)
     } else {
@@ -757,7 +757,7 @@ fn run_router_queued(
                 let _span = event_span(tel, Phase::QueueDrain, now);
                 if u.locked as usize == u.path.len() {
                     // Reached the destination; key released after Δ.
-                    t.queue.push(now + config.delta, Event::Settle { unit });
+                    t.queue.push(now + DELTA, Event::Settle { unit });
                 } else {
                     try_forward(&mut t, config, unit, now);
                 }
@@ -774,7 +774,7 @@ fn run_router_queued(
                 // that send *from* those sides.
                 let path = Arc::clone(&t.units[unit].path);
                 for &(c, d) in path.hops() {
-                    drain_queue(&mut t, config, c, sender_side(d.reverse()), now);
+                    drain_queue(&mut t, c, sender_side(d.reverse()), now);
                 }
             }
             Event::Fault(ev) => {
@@ -803,7 +803,7 @@ fn run_router_queued(
                 };
                 for c in revived {
                     for side in 0..2 {
-                        drain_queue(&mut t, config, c, side, now);
+                        drain_queue(&mut t, c, side, now);
                     }
                 }
             }
@@ -813,7 +813,7 @@ fn run_router_queued(
                 // Deadlines only: this driver never schedules a retry.
                 t.fire_timers(now, |_, _| {});
                 sweep_expired(&mut t, now);
-                for idx in t.pending_in_order(config.source_policy) {
+                for idx in t.pending_in_order(SchedulePolicy::Srpt) {
                     pump_source(&mut t, &mut paths, config, idx, now);
                 }
                 t.end_tick(now);
@@ -833,7 +833,7 @@ fn run_router_queued(
     if t.router.dequeues > 0 {
         queues.mean_wait = t.router.total_wait / t.router.dequeues as f64;
     }
-    let policy = format!("{}+{:?}", config.source_policy.name(), config.queue_policy);
+    let policy = format!("{}+{:?}", SchedulePolicy::Srpt.name(), config.queue_policy);
     Ok(QueuedReport {
         report: t.finish("queued-waterfilling", policy),
         queues,
@@ -878,8 +878,7 @@ fn pump_source(
             break;
         }
         let unit = t.send(idx, best, amount, 1, now);
-        t.queue
-            .push(now + config.hop_delay, Event::HopArrive { unit });
+        t.queue.push(now + HOP_DELAY, Event::HopArrive { unit });
     }
 }
 
@@ -906,8 +905,7 @@ fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) 
             .is_ok()
     {
         t.units[unit].locked += 1;
-        t.queue
-            .push(now + config.hop_delay, Event::HopArrive { unit });
+        t.queue.push(now + HOP_DELAY, Event::HopArrive { unit });
         return;
     }
     let q = &mut t.router.queues[c.index()][sender_side(d)];
@@ -949,13 +947,7 @@ fn insert_position(
 
 /// Services a channel direction's queue after its sending side gained
 /// funds. The head blocks the rest (no bypass), so policy order holds.
-fn drain_queue(
-    t: &mut Transport,
-    config: &QueuedConfig,
-    channel: ChannelId,
-    side: usize,
-    now: f64,
-) {
+fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
     if channel_down(t, channel) {
         return; // nothing forwards over a downed channel
     }
@@ -982,7 +974,7 @@ fn drain_queue(
         t.router.dequeues += 1;
         t.units[head].locked += 1;
         t.queue
-            .push(now + config.hop_delay, Event::HopArrive { unit: head });
+            .push(now + HOP_DELAY, Event::HopArrive { unit: head });
     }
 }
 
@@ -1116,12 +1108,7 @@ fn fingerprint_queued(
 ) -> u32 {
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
-    let timing = [
-        config.end_time,
-        config.delta,
-        config.poll_interval,
-        config.deadline,
-    ];
+    let timing = [config.end_time, DELTA, POLL_INTERVAL, config.deadline];
     let (faults, tel) = (&config.faults, &config.telemetry);
     enc_common(
         &mut e,
@@ -1131,10 +1118,10 @@ fn fingerprint_queued(
         faults,
         tel,
     );
-    e.f64(config.hop_delay);
-    e.str(config.source_policy.name());
+    e.f64(HOP_DELAY);
+    e.str(SchedulePolicy::Srpt.name());
     e.u8(config.queue_policy as u8);
-    e.usize(config.num_paths);
+    e.usize(NUM_PATHS);
     e.usize(config.max_queue_len);
     crc32(&e.into_bytes())
 }

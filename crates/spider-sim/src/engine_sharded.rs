@@ -73,7 +73,7 @@
 
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
-use crate::engine::{enc_common, enc_features, QueuePolicy};
+use crate::engine::{enc_common, enc_features, QueuePolicy, DELTA, POLL_INTERVAL};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::SimReport;
@@ -151,19 +151,25 @@ impl ShardPolicy {
     }
 }
 
+/// Hard cap per `(channel, direction)` router queue under
+/// [`ShardPolicy::Queued`]; a unit arriving at a full queue fails as a
+/// liquidity refusal.
+const MAX_QUEUE_LEN: usize = 4096;
+
 /// Configuration for [`run_sharded`]. Mirrors the sequential
 /// [`SimConfig`](crate::SimConfig) core; durations are quantized to whole
 /// epochs internally.
+///
+/// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
+/// after a unit reaches the receiver, and the scheduler ticks every 0.1 s.
+/// Under [`ShardPolicy::Queued`] each payment owner pumps its pending
+/// payments SRPT-first, and a router queue holds at most 4096 units.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Hard end of the measurement window (seconds).
     pub end_time: f64,
-    /// Settlement delay Δ (seconds); the paper uses 0.5.
-    pub delta: f64,
     /// Maximum transaction unit.
     pub mtu: Amount,
-    /// Scheduler poll interval (seconds).
-    pub poll_interval: f64,
     /// Per-payment deadline window (seconds after arrival).
     pub deadline: f64,
     /// Routing scheme run by every payment owner.
@@ -181,14 +187,8 @@ pub struct ShardedConfig {
     /// What a unit does when a hop lock fails: refund ([`ShardPolicy::Direct`])
     /// or wait in the owner shard's router queue ([`ShardPolicy::Queued`]).
     pub policy: ShardPolicy,
-    /// How each payment owner orders its pending payments when pumping
-    /// under [`ShardPolicy::Queued`] (`Direct` keeps arrival order).
-    pub source_policy: SchedulePolicy,
     /// Service order within a router queue under [`ShardPolicy::Queued`].
     pub queue_policy: QueuePolicy,
-    /// Hard cap per `(channel, direction)` router queue; a unit arriving
-    /// at a full queue fails as a liquidity refusal.
-    pub max_queue_len: usize,
     /// Optional per-channel fee schedule; hop amounts then carry the
     /// downstream fees and settled units accrue `routing_fees_paid`.
     pub fees: Option<FeeSchedule>,
@@ -203,9 +203,7 @@ impl ShardedConfig {
     pub fn new(end_time: f64) -> Self {
         ShardedConfig {
             end_time,
-            delta: 0.5,
             mtu: Amount::from_whole(10),
-            poll_interval: 0.1,
             deadline: 5.0,
             scheme: ShardScheme::Waterfilling,
             record_series: false,
@@ -213,9 +211,7 @@ impl ShardedConfig {
             faults: None,
             telemetry: Telemetry::disabled(),
             policy: ShardPolicy::Direct,
-            source_policy: SchedulePolicy::Srpt,
             queue_policy: QueuePolicy::Fifo,
-            max_queue_len: 4096,
             fees: None,
             congestion: None,
             rebalance: None,
@@ -760,8 +756,8 @@ impl Clockwork {
     fn new(config: &ShardedConfig) -> Self {
         Clockwork {
             end_epoch: (config.end_time / EPOCH + 1e-9).floor() as u64,
-            delta_epochs: epochs_of(config.delta),
-            poll_epochs: epochs_of(config.poll_interval),
+            delta_epochs: epochs_of(DELTA),
+            poll_epochs: epochs_of(POLL_INTERVAL),
             deadline_epochs: epochs_of(config.deadline),
             sample_epochs: config
                 .telemetry
@@ -1289,7 +1285,7 @@ impl<'a> ShardCtx<'a> {
     /// queue is full.
     fn enqueue_unit(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64, key: (u32, u8)) {
         let len = self.queues.get(&key).map_or(0, Vec::len);
-        if len >= self.cfg.max_queue_len {
+        if len >= MAX_QUEUE_LEN {
             let (c, _) = unit.path.hops()[hop as usize];
             self.fail_unit(&unit, hop, false, c, FailCause::Liquidity, epoch + 1);
             return;
@@ -1810,23 +1806,15 @@ impl<'a> ShardCtx<'a> {
         let mut order = std::mem::take(&mut self.pump_order);
         order.extend_from_slice(&self.pending);
         if self.cfg.policy == ShardPolicy::Queued {
-            // Pump in source-policy order. Outcomes cannot depend on this
-            // order (each pump's snapshot debits are undone afterwards),
-            // but the paper's SRPT source scheduling is the queued-router
-            // default, and the order shapes seq assignment within a tick.
+            // Pump SRPT-first, ties by payment id. Outcomes cannot depend
+            // on this order (each pump's snapshot debits are undone
+            // afterwards), but the paper schedules the source SRPT, and the
+            // order shapes seq assignment within a tick.
             let payments = &self.payments;
-            self.cfg.source_policy.order_quantized(
-                &mut order,
-                |i| {
-                    payments[i]
-                        .amount
-                        .saturating_sub(payments[i].delivered)
-                        .micros()
-                },
-                |i| payments[i].arrival_epoch,
-                |i| payments[i].deadline_epoch,
-                |i| payments[i].id,
-            );
+            order.sort_by_key(|&i| {
+                let p = &payments[i];
+                (p.amount.saturating_sub(p.delivered).micros(), p.id)
+            });
         }
         for i in order.drain(..) {
             self.pump(i, epoch);
@@ -2084,10 +2072,7 @@ fn run_sharded_inner(
     ckpt: Option<&CheckpointSpec>,
 ) -> Result<SimReport, SnapshotError> {
     assert!(config.end_time > 0.0, "end_time must be positive");
-    assert!(
-        config.delta > 0.0 && config.poll_interval > 0.0 && config.deadline > 0.0,
-        "durations must be positive"
-    );
+    assert!(config.deadline > 0.0, "durations must be positive");
     assert!(config.mtu.is_positive(), "MTU must be positive");
     assert_eq!(
         partition.node_shards().len(),
@@ -2095,7 +2080,6 @@ fn run_sharded_inner(
         "partition must match the network"
     );
     assert_eq!(partition.channel_owners().len(), network.num_channels());
-    assert!(config.max_queue_len > 0, "max_queue_len must be positive");
     if let Some(fees) = config.fees.as_ref() {
         assert_eq!(
             fees.per_channel().len(),
@@ -2199,12 +2183,7 @@ fn fingerprint_sharded(
 ) -> u32 {
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
-    let timing = [
-        config.end_time,
-        config.delta,
-        config.poll_interval,
-        config.deadline,
-    ];
+    let timing = [config.end_time, DELTA, POLL_INTERVAL, config.deadline];
     let (faults, tel) = (&config.faults, &config.telemetry);
     enc_common(
         &mut e,
@@ -2217,9 +2196,9 @@ fn fingerprint_sharded(
     e.bool(config.record_series);
     e.bool(config.audit);
     e.str(config.policy.name());
-    e.str(config.source_policy.name());
+    e.str(SchedulePolicy::Srpt.name());
     e.u8(config.queue_policy as u8);
-    e.usize(config.max_queue_len);
+    e.usize(MAX_QUEUE_LEN);
     enc_features(&mut e, &config.rebalance, &config.congestion, &config.fees);
     e.usize(partition.num_shards());
     e.seq(partition.node_shards(), |e, &s| e.u32(u32::from(s)));

@@ -54,34 +54,6 @@ impl SchedulePolicy {
         }
     }
 
-    /// Variant of [`order`](Self::order) for engines that quantize time to
-    /// whole epochs (the sharded engine): the caller supplies integer
-    /// accessors instead of a `PaymentState` slab. Ties break by payment
-    /// id, so the order is a pure function of payment content.
-    pub fn order_quantized(
-        &self,
-        pending: &mut [usize],
-        remaining_micros: impl Fn(usize) -> i64,
-        arrival_epoch: impl Fn(usize) -> u64,
-        deadline_epoch: impl Fn(usize) -> u64,
-        id: impl Fn(usize) -> u64,
-    ) {
-        match self {
-            SchedulePolicy::Srpt => {
-                pending.sort_by_key(|&i| (remaining_micros(i), id(i)));
-            }
-            SchedulePolicy::Fifo => {
-                pending.sort_by_key(|&i| (arrival_epoch(i), id(i)));
-            }
-            SchedulePolicy::Lifo => {
-                pending.sort_by_key(|&i| (std::cmp::Reverse(arrival_epoch(i)), id(i)));
-            }
-            SchedulePolicy::Edf => {
-                pending.sort_by_key(|&i| (deadline_epoch(i), id(i)));
-            }
-        }
-    }
-
     /// Display name for reports.
     pub fn name(&self) -> &'static str {
         match self {

@@ -639,7 +639,10 @@ pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> 
 ///    gauges, seq of `(name, label, value: f64)`; histograms, seq of `name,
 ///    label, bounds: seq of f64, counts: seq of u64, count: u64, sum, min,
 ///    max: f64`. Floats travel as raw bits (the extrema of an empty
-///    histogram are `±INFINITY`).
+///    histogram are `±INFINITY`). The registry holds unlabelled counters
+///    and histograms only, so every label is empty, the gauge seq is empty,
+///    and names ascend strictly within each family; [`decode_telemetry`]
+///    refuses anything else.
 /// 3. The event log, in emission order ([`enc_events`]).
 pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
     let (Some(sample_interval), Some(registry)) = (tel.sample_interval(), tel.registry()) else {
@@ -649,19 +652,15 @@ pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
     let mut e = Enc::new();
     e.f64(sample_interval);
     e.bool(tel.is_profiling());
-    e.seq(&registry.counters, |e, (name, label, v)| {
+    e.seq(&registry.counters, |e, (name, v)| {
         e.str(name);
-        e.str(label);
+        e.str("");
         e.u64(*v);
     });
-    e.seq(&registry.gauges, |e, (name, label, v)| {
+    e.usize(0); // gauges
+    e.seq(&registry.histograms, |e, (name, h)| {
         e.str(name);
-        e.str(label);
-        e.f64(*v);
-    });
-    e.seq(&registry.histograms, |e, (name, label, h)| {
-        e.str(name);
-        e.str(label);
+        e.str("");
         e.seq(&h.bounds, |e, &b| e.f64(b));
         e.seq(&h.counts, |e, &c| e.u64(c));
         e.u64(h.count);
@@ -673,6 +672,29 @@ pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
     e.into_bytes()
 }
 
+/// Reads one registry family written by [`encode_telemetry`]: a seq of
+/// `(name, label, value)`. A label (no engine writes one) and a name that
+/// does not strictly ascend (the registry writes each name once, in order)
+/// are [`SnapshotError::Corrupt`].
+fn dec_family<V>(
+    d: &mut Dec,
+    family: &str,
+    mut value: impl FnMut(&mut Dec) -> Result<V, SnapshotError>,
+) -> Result<Vec<(String, V)>, SnapshotError> {
+    let mut out: Vec<(String, V)> = Vec::new();
+    for _ in 0..d.usize()? {
+        let (name, label) = (d.str()?, d.str()?);
+        if !label.is_empty() {
+            return corrupt(format!("{family} {name} carries label {label:?}"));
+        }
+        if out.last().is_some_and(|(last, _)| *last >= name) {
+            return corrupt(format!("{family} {name} is repeated or out of order"));
+        }
+        out.push((name, value(d)?));
+    }
+    Ok(out)
+}
+
 /// Decodes a telemetry section written by [`encode_telemetry`].
 pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, SnapshotError> {
     if bytes.is_empty() {
@@ -681,25 +703,20 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
     let mut d = Dec::new(bytes);
     let sample_interval = d.f64()?;
     let profiled = d.bool()?;
-    let counters = d.seq(|d| Ok((d.str()?, d.str()?, d.u64()?)))?;
-    let gauges = d.seq(|d| Ok((d.str()?, d.str()?, d.f64()?)))?;
-    let histograms = d.seq(|d| {
-        let name = d.str()?;
-        let label = d.str()?;
-        let bounds = d.seq(|d| d.f64())?;
-        let counts = d.seq(|d| d.u64())?;
-        Ok((
-            name,
-            label,
-            spider_telemetry::HistogramState {
-                bounds,
-                counts,
-                count: d.u64()?,
-                sum: d.f64()?,
-                min: d.f64()?,
-                max: d.f64()?,
-            },
-        ))
+    let counters = dec_family(&mut d, "counter", |d| Ok(d.u64()?))?;
+    let gauges = d.u64()?;
+    if gauges != 0 {
+        return corrupt(format!("{gauges} gauge(s); no engine writes one"));
+    }
+    let histograms = dec_family(&mut d, "histogram", |d| {
+        Ok(spider_telemetry::HistogramState {
+            bounds: d.seq(|d| d.f64())?,
+            counts: d.seq(|d| d.u64())?,
+            count: d.u64()?,
+            sum: d.f64()?,
+            min: d.f64()?,
+            max: d.f64()?,
+        })
     })?;
     let events = dec_events(&mut d)?;
     d.expect_end()?;
@@ -708,7 +725,6 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
         profiled,
         registry: spider_telemetry::RegistryState {
             counters,
-            gauges,
             histograms,
         },
         events,
@@ -954,5 +970,83 @@ mod tests {
         let bytes = encode_telemetry(&Telemetry::disabled());
         assert!(bytes.is_empty());
         assert_eq!(decode_telemetry(&bytes).unwrap(), None);
+    }
+
+    /// A telemetry section in the v5 layout: `counters` as `(name, label)`,
+    /// `gauges` gauge entries, and one histogram under `histogram`.
+    fn telemetry_section(
+        counters: &[(&str, &str)],
+        gauges: u64,
+        histogram: (&str, &str),
+    ) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.f64(spider_telemetry::DEFAULT_SAMPLE_INTERVAL);
+        e.bool(false);
+        e.seq(counters, |e, (name, label)| {
+            e.str(name);
+            e.str(label);
+            e.u64(1);
+        });
+        e.u64(gauges);
+        for _ in 0..gauges {
+            e.str("sim.gauge");
+            e.str("");
+            e.f64(1.0);
+        }
+        let h = spider_telemetry::Histogram::latency_default().state();
+        e.seq(&[histogram], |e, (name, label)| {
+            e.str(name);
+            e.str(label);
+            e.seq(&h.bounds, |e, &b| e.f64(b));
+            e.seq(&h.counts, |e, &c| e.u64(c));
+            e.u64(h.count);
+            e.f64(h.sum);
+            e.f64(h.min);
+            e.f64(h.max);
+        });
+        enc_events(&mut e, std::iter::empty());
+        e.into_bytes()
+    }
+
+    #[test]
+    fn telemetry_section_holds_only_what_the_registry_writes() {
+        let delay = ("sim.completion_delay", "");
+        let pristine = telemetry_section(&[("a", ""), ("b", "")], 0, delay);
+        let state = decode_telemetry(&pristine).unwrap().unwrap();
+        assert_eq!(state.registry.counters, [("a".into(), 1), ("b".into(), 1)]);
+        for (label, bytes, needle) in [
+            (
+                "labelled counter",
+                telemetry_section(&[("a", ""), ("b", "x")], 0, delay),
+                "counter b carries label \"x\"",
+            ),
+            (
+                "labelled histogram",
+                telemetry_section(&[("a", "")], 0, ("sim.completion_delay", "x")),
+                "histogram sim.completion_delay carries label",
+            ),
+            (
+                "gauge",
+                telemetry_section(&[("a", "")], 1, delay),
+                "1 gauge(s)",
+            ),
+            (
+                "repeated name",
+                telemetry_section(&[("a", ""), ("a", "")], 0, delay),
+                "counter a is repeated or out of order",
+            ),
+            (
+                "descending names",
+                telemetry_section(&[("b", ""), ("a", "")], 0, delay),
+                "counter a is repeated or out of order",
+            ),
+        ] {
+            match decode_telemetry(&bytes) {
+                Err(SnapshotError::Corrupt { what }) => {
+                    assert!(what.contains(needle), "{label}: {what}")
+                }
+                other => panic!("{label}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Three layers, all deterministic:
 //!
-//! - [`registry`] — a lightweight metrics registry: counters and
-//!   fixed-bucket histograms addressable by static name + label,
-//!   `Send + Sync`;
+//! - [`registry`] — a lightweight metrics registry: unlabelled counters
+//!   and fixed-bucket histograms, one name → value map each, `Send + Sync`;
 //! - [`trace`] — typed payment-lifecycle events ([`TraceEvent`]) recorded
 //!   by a [`Tracer`] and serialized to JSON Lines;
 //! - [`bintrace`] — a compact, indexed binary backend for the same event
@@ -33,7 +32,7 @@ pub mod trace;
 
 pub use bintrace::{BinTraceError, BinTraceWriter, TraceQuery};
 pub use histogram::{Histogram, HistogramSnapshot, HistogramState};
-pub use registry::{intern_name, MetricEntry, MetricsRegistry, MetricsSnapshot, RegistryState};
+pub use registry::{MetricEntry, MetricsRegistry, MetricsSnapshot, RegistryState};
 pub use spans::{Phase, PhaseProfile, PhaseWallStat, SpanGuard, SpanProfiler};
 pub use summary::{DelayPercentiles, NetworkSample, TelemetrySummary};
 pub use trace::{count_by_kind, events_to_jsonl, parse_jsonl, TraceEvent, Tracer};
@@ -80,7 +79,7 @@ impl TelemetryInner {
         }
         if let TraceEvent::PaymentCompleted { delay, .. } = event {
             let make = Histogram::latency_default;
-            (self.registry).histogram_observe("sim.completion_delay", "", delay, make);
+            (self.registry).histogram_observe("sim.completion_delay", delay, make);
         }
         self.tracer.record(event);
     }
@@ -105,13 +104,7 @@ impl Telemetry {
 
     /// An enabled handle with the default channel-sampling cadence.
     pub fn enabled() -> Self {
-        Self::with_sample_interval(DEFAULT_SAMPLE_INTERVAL)
-    }
-
-    /// An enabled handle sampling channel state every `sample_interval`
-    /// simulation seconds.
-    pub fn with_sample_interval(sample_interval: f64) -> Self {
-        Self::build(sample_interval, false)
+        Self::build(DEFAULT_SAMPLE_INTERVAL, false)
     }
 
     /// An enabled handle that also records engine-phase spans (wall time
@@ -177,16 +170,14 @@ impl Telemetry {
     /// Reads percentiles out of an unlabelled histogram, if it exists.
     pub fn delay_percentiles(&self, name: &'static str) -> Option<DelayPercentiles> {
         let inner = self.inner.as_ref()?;
-        inner
-            .registry
-            .with_histogram(name, "", |h| DelayPercentiles {
-                p50: h.quantile(0.50),
-                p95: h.quantile(0.95),
-                p99: h.quantile(0.99),
-                saturated: h.quantile_saturated(0.50)
-                    || h.quantile_saturated(0.95)
-                    || h.quantile_saturated(0.99),
-            })
+        inner.registry.with_histogram(name, |h| DelayPercentiles {
+            p50: h.quantile(0.50),
+            p95: h.quantile(0.95),
+            p99: h.quantile(0.99),
+            saturated: h.quantile_saturated(0.50)
+                || h.quantile_saturated(0.95)
+                || h.quantile_saturated(0.99),
+        })
     }
 
     /// Opens a wall-timed span for `phase`; a free no-op unless this

@@ -1,75 +1,27 @@
-//! The metrics registry: counters and fixed-bucket histograms addressable
-//! by static name + label. (Gauges and counter labels have no write path:
-//! they exist in the serialized forms only, and round-trip through a
-//! checkpoint untouched.)
+//! The metrics registry holds what the engines record: unlabelled counters
+//! and fixed-bucket histograms (`sim.completion_delay`), one name → value
+//! map per family. The serialized forms (report JSON, the `SPSN` telemetry
+//! section) keep a `label` per entry and a `gauges` section; the registry
+//! writes `""` and none, and a snapshot carrying anything else is refused.
 //!
 //! The registry is `Send + Sync` (interior mutability behind a mutex) so one
 //! registry can serve an engine and the harness around it, or be shared by
 //! scoped worker threads. Keys sort deterministically (`BTreeMap`), so
 //! snapshots — and anything serialized from them — are byte-stable for a
 //! given sequence of recordings, independent of thread interleaving of
-//! *distinct* metrics.
-//!
-//! # Storage
-//!
-//! Each family (counters, gauges, histograms) is a map from name to a map
-//! from label to value, `BTreeMap<&'static str, BTreeMap<String, V>>`.
-//! Iterating it visits `(name, label)` pairs in exactly the order one map
-//! keyed by the tuple `(&'static str, String)` would, so every snapshot and
-//! exported state is the same either way. The nesting is for the hot path:
-//! `Telemetry::emit` bumps an unlabelled counter on every event, and the
-//! name-then-label shape finds it with a `&str` search on each level and
-//! no `String` built. Measured in this crate, a lookup with the tuple key
-//! cost 135–165 ns against 22–30 ns nested, at about 181k events a run.
+//! *distinct* metrics. `Telemetry::emit` bumps a counter on every event, so
+//! a recording looks its name up by `&str` (`get_mut`) and builds the key
+//! `String` only on the name's first use.
 
 use crate::histogram::{Histogram, HistogramSnapshot, HistogramState};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Interns a metric name, returning a `&'static str` usable as a registry
-/// key. Needed when names come from deserialized data (snapshot restore)
-/// rather than source literals. Each distinct name leaks once; the set of
-/// metric names in a process is small and fixed, so the leak is bounded.
-pub fn intern_name(name: &str) -> &'static str {
-    static INTERNED: Mutex<BTreeMap<String, &'static str>> = Mutex::new(BTreeMap::new());
-    let mut map = match INTERNED.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(&s) = map.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-    map.insert(name.to_string(), leaked);
-    leaked
-}
-
-/// One metric family: static name, then owned label ("" when unlabelled).
-type Family<V> = BTreeMap<&'static str, BTreeMap<String, V>>;
-
-/// Every `(name, label, value)` of a family, sorted by `(name, label)`.
-fn entries<V>(family: &Family<V>) -> impl Iterator<Item = (&'static str, &String, &V)> {
-    (family.iter()).flat_map(|(&name, labels)| labels.iter().map(move |(l, v)| (name, l, v)))
-}
-
-/// Builds a family from `(name, label, value)` triples, interning names.
-fn family_of<V>(triples: Vec<(String, String, V)>) -> Family<V> {
-    let mut family = Family::new();
-    for (name, label, v) in triples {
-        family
-            .entry(intern_name(&name))
-            .or_default()
-            .insert(label, v);
-    }
-    family
-}
-
 #[derive(Debug, Default)]
 struct Inner {
-    counters: Family<u64>,
-    gauges: Family<f64>,
-    histograms: Family<Histogram>,
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 /// A thread-safe registry of named metrics.
@@ -95,141 +47,105 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds `delta` to the counter `name` (unlabelled).
-    pub fn counter_add(&self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the counter `name`.
+    pub fn counter_add(&self, name: &str, delta: u64) {
         let mut inner = self.lock();
-        let labels = inner.counters.entry(name).or_default();
-        *labels.entry(String::new()).or_insert(0) += delta;
+        match inner.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                inner.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
-    /// Current value of counter `name{label}` (zero if never touched).
+    /// Current value of counter `name` (zero if never touched). Counters
+    /// are unlabelled, so any non-empty `label` reads zero.
     pub fn counter(&self, name: &'static str, label: &str) -> u64 {
-        let inner = self.lock();
-        let value = inner
-            .counters
-            .get(name)
-            .and_then(|labels| labels.get(label));
-        value.copied().unwrap_or(0)
+        let value = self.lock().counters.get(name).copied();
+        value.filter(|_| label.is_empty()).unwrap_or(0)
     }
 
-    /// Records `value` into the histogram `name{label}`, creating it with
-    /// `make` on first use.
-    pub fn histogram_observe(
-        &self,
-        name: &'static str,
-        label: &str,
-        value: f64,
-        make: impl FnOnce() -> Histogram,
-    ) {
+    /// Records `value` into the histogram `name`, creating it with `make`
+    /// on first use.
+    pub fn histogram_observe(&self, name: &str, value: f64, make: impl FnOnce() -> Histogram) {
         let mut inner = self.lock();
-        let labels = inner.histograms.entry(name).or_default();
-        labels
-            .entry(label.to_string())
-            .or_insert_with(make)
-            .observe(value);
+        match inner.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = make();
+                h.observe(value);
+                inner.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
-    /// Runs `f` against the histogram `name{label}` if it exists.
-    pub fn with_histogram<T>(
-        &self,
-        name: &'static str,
-        label: &str,
-        f: impl FnOnce(&Histogram) -> T,
-    ) -> Option<T> {
-        let inner = self.lock();
-        inner
-            .histograms
-            .get(name)
-            .and_then(|labels| labels.get(label))
-            .map(f)
+    /// Runs `f` against the histogram `name` if it exists.
+    pub fn with_histogram<T>(&self, name: &str, f: impl FnOnce(&Histogram) -> T) -> Option<T> {
+        self.lock().histograms.get(name).map(f)
     }
 
-    /// A deterministic, serializable snapshot of every metric.
-    ///
-    /// Ordering is enforced here, not inherited: every section is
-    /// explicitly sorted by `(name, label)` at snapshot time, so snapshot
-    /// JSON stays byte-identical across identically-seeded runs even if
-    /// the backing storage ever changes iteration order.
+    /// A deterministic, serializable snapshot of every metric, sorted by
+    /// name. Every entry's label is `""` and there are no gauges.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.lock();
-        let mut counters: Vec<MetricEntry> = entries(&inner.counters)
-            .map(|(name, label, &value)| MetricEntry {
-                name: name.to_string(),
-                label: label.clone(),
-                value: value as f64,
-            })
-            .collect();
-        let mut gauges: Vec<MetricEntry> = entries(&inner.gauges)
-            .map(|(name, label, &value)| MetricEntry {
-                name: name.to_string(),
-                label: label.clone(),
-                value,
-            })
-            .collect();
-        let mut histograms: Vec<HistogramSnapshot> = entries(&inner.histograms)
-            .map(|(name, label, h)| h.snapshot(name, label))
-            .collect();
-        let entry_key = |e: &MetricEntry| (e.name.clone(), e.label.clone());
-        counters.sort_by_key(entry_key);
-        gauges.sort_by_key(entry_key);
-        histograms.sort_by(|a, b| (&a.name, &a.label).cmp(&(&b.name, &b.label)));
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: (inner.counters.iter())
+                .map(|(name, &value)| MetricEntry {
+                    name: name.clone(),
+                    label: String::new(),
+                    value: value as f64,
+                })
+                .collect(),
+            gauges: Vec::new(),
+            histograms: (inner.histograms.iter())
+                .map(|(name, h)| h.snapshot(name, ""))
+                .collect(),
         }
     }
 
     /// The registry's complete, lossless state for a checkpoint: exact
-    /// integer counters, gauges, and full histogram states (including empty
-    /// buckets and non-finite extrema that [`snapshot`] cannot carry),
-    /// sorted by `(name, label)`.
+    /// integer counters and full histogram states (including empty buckets
+    /// and non-finite extrema that [`snapshot`] cannot carry), sorted by
+    /// name.
     ///
     /// [`snapshot`]: MetricsRegistry::snapshot
     pub fn export_state(&self) -> RegistryState {
         let inner = self.lock();
         RegistryState {
-            counters: entries(&inner.counters)
-                .map(|(name, label, &v)| (name.to_string(), label.clone(), v))
+            counters: (inner.counters.iter())
+                .map(|(name, &v)| (name.clone(), v))
                 .collect(),
-            gauges: entries(&inner.gauges)
-                .map(|(name, label, &v)| (name.to_string(), label.clone(), v))
-                .collect(),
-            histograms: entries(&inner.histograms)
-                .map(|(name, label, h)| (name.to_string(), label.clone(), h.state()))
+            histograms: (inner.histograms.iter())
+                .map(|(name, h)| (name.clone(), h.state()))
                 .collect(),
         }
     }
 
     /// Overwrites this registry's contents with a state captured by
-    /// [`export_state`](MetricsRegistry::export_state). Metric names are
-    /// interned via [`intern_name`]. Fails on structurally invalid
-    /// histogram states without modifying the registry.
+    /// [`export_state`](MetricsRegistry::export_state). Fails on
+    /// structurally invalid histogram states without modifying the
+    /// registry.
     pub fn restore_state(&self, state: RegistryState) -> Result<(), String> {
-        let mut histograms = Vec::with_capacity(state.histograms.len());
-        for (name, label, hs) in state.histograms {
-            let h = Histogram::from_state(hs)
-                .map_err(|e| format!("histogram {name}{{{label}}}: {e}"))?;
-            histograms.push((name, label, h));
+        let mut histograms = BTreeMap::new();
+        for (name, hs) in state.histograms {
+            let h = Histogram::from_state(hs).map_err(|e| format!("histogram {name}: {e}"))?;
+            histograms.insert(name, h);
         }
         let mut inner = self.lock();
-        inner.counters = family_of(state.counters);
-        inner.gauges = family_of(state.gauges);
-        inner.histograms = family_of(histograms);
+        inner.counters = state.counters.into_iter().collect();
+        inner.histograms = histograms;
         Ok(())
     }
 }
 
 /// Lossless registry contents captured by [`MetricsRegistry::export_state`],
-/// in `(name, label, value)` form sorted by key.
+/// in `(name, value)` form sorted by name.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistryState {
     /// Exact counter values.
-    pub counters: Vec<(String, String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, String, f64)>,
+    pub counters: Vec<(String, u64)>,
     /// Full histogram states.
-    pub histograms: Vec<(String, String, HistogramState)>,
+    pub histograms: Vec<(String, HistogramState)>,
 }
 
 /// One named scalar metric in a snapshot.
@@ -237,7 +153,7 @@ pub struct RegistryState {
 pub struct MetricEntry {
     /// Metric name.
     pub name: String,
-    /// Metric label (empty when unlabelled).
+    /// Metric label; [`MetricsRegistry::snapshot`] writes `""`.
     pub label: String,
     /// Value (counters are exact integers widened to f64).
     pub value: f64,
@@ -249,7 +165,8 @@ pub struct MetricEntry {
 pub struct MetricsSnapshot {
     /// Monotonic counters.
     pub counters: Vec<MetricEntry>,
-    /// Last-write-wins gauges.
+    /// Gauges; [`MetricsRegistry::snapshot`] writes none, and the field
+    /// keeps the report JSON's shape.
     pub gauges: Vec<MetricEntry>,
     /// Histograms with percentile estimates.
     pub histograms: Vec<HistogramSnapshot>,
@@ -282,47 +199,35 @@ mod tests {
         r.counter_add("units", 3);
         r.counter_add("units", 2);
         assert_eq!(r.counter("units", ""), 5);
+        assert_eq!(r.counter("units", "x"), 0, "counters carry no label");
         assert_eq!(r.counter("never", ""), 0);
     }
 
     #[test]
     fn histograms_created_on_first_use() {
         let r = MetricsRegistry::new();
-        r.histogram_observe("delay", "", 0.5, Histogram::latency_default);
-        r.histogram_observe("delay", "", 1.5, Histogram::latency_default);
-        assert_eq!(r.with_histogram("delay", "", Histogram::count), Some(2));
-        assert!(r.with_histogram("none", "", Histogram::count).is_none());
+        r.histogram_observe("delay", 0.5, Histogram::latency_default);
+        r.histogram_observe("delay", 1.5, Histogram::latency_default);
+        assert_eq!(r.with_histogram("delay", Histogram::count), Some(2));
+        assert!(r.with_histogram("none", Histogram::count).is_none());
     }
 
     #[test]
     fn snapshot_is_sorted_and_serializable() {
-        // A labelled counter can only come out of a checkpoint.
         let r = MetricsRegistry::new();
-        r.restore_state(RegistryState {
-            counters: vec![("a".into(), "x".into(), 3)],
-            ..RegistryState::default()
-        })
-        .unwrap();
         r.counter_add("z", 1);
         r.counter_add("a", 2);
+        r.counter_add("a.b", 3);
         let snap = r.snapshot();
-        let names: Vec<(String, String)> = snap
-            .counters
-            .iter()
-            .map(|e| (e.name.clone(), e.label.clone()))
+        let names: Vec<(&str, &str)> = (snap.counters.iter())
+            .map(|e| (e.name.as_str(), e.label.as_str()))
             .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("a".into(), "".into()),
-                ("a".into(), "x".into()),
-                ("z".into(), "".into())
-            ]
-        );
+        assert_eq!(names, vec![("a", ""), ("a.b", ""), ("z", "")]);
+        assert!(snap.gauges.is_empty());
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
-        assert_eq!(back.counter("a", "x"), Some(3));
+        assert_eq!(back.counter("a.b", ""), Some(3));
     }
 
     #[test]
@@ -336,12 +241,11 @@ mod tests {
                 seed = seed
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let label = format!("l{}", seed % 5);
+                let name = format!("flow.units.{}", seed % 5);
                 match seed % 2 {
-                    0 => r.counter_add(intern_name(&format!("flow.units.{label}")), seed % 7),
+                    0 => r.counter_add(&name, seed % 7),
                     _ => r.histogram_observe(
-                        "flow.delay",
-                        &label,
+                        &name,
                         (seed % 100) as f64 / 10.0,
                         Histogram::latency_default,
                     ),
@@ -352,88 +256,65 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    type TupleKey = (&'static str, String);
-
-    /// The storage the registry had before it nested labels under names:
-    /// one map per family keyed by the `(name, label)` tuple. Kept as the
-    /// reference the nested maps must agree with.
+    /// The plainest registry: one map per family, written the obvious way.
+    /// The reference the registry's lookup-then-insert paths must agree
+    /// with.
     #[derive(Default)]
-    struct TupleKeyed {
-        counters: BTreeMap<TupleKey, u64>,
-        gauges: BTreeMap<TupleKey, f64>,
-        histograms: BTreeMap<TupleKey, Histogram>,
+    struct Flat {
+        counters: BTreeMap<String, u64>,
+        histograms: BTreeMap<String, Histogram>,
     }
 
-    impl TupleKeyed {
-        fn counter_add(&mut self, name: &'static str, delta: u64) {
-            *self.counters.entry((name, String::new())).or_insert(0) += delta;
+    impl Flat {
+        fn counter_add(&mut self, name: &str, delta: u64) {
+            *self.counters.entry(name.to_string()).or_insert(0) += delta;
         }
 
-        fn histogram_observe(&mut self, name: &'static str, label: &str, value: f64) {
-            (self.histograms.entry((name, label.to_string())))
+        fn histogram_observe(&mut self, name: &str, value: f64) {
+            (self.histograms.entry(name.to_string()))
                 .or_insert_with(Histogram::latency_default)
                 .observe(value);
         }
 
-        fn counter(&self, name: &'static str, label: &str) -> u64 {
-            let value = self.counters.get(&(name, label.to_string()));
-            value.copied().unwrap_or(0)
-        }
-
-        fn histogram(&self, name: &'static str, label: &str) -> Option<&Histogram> {
-            self.histograms.get(&(name, label.to_string()))
-        }
-
         fn restore_state(&mut self, state: RegistryState) {
-            let key = |name: String, label| (intern_name(&name), label);
-            self.counters = (state.counters.into_iter())
-                .map(|(n, l, v)| (key(n, l), v))
-                .collect();
-            self.gauges = (state.gauges.into_iter())
-                .map(|(n, l, v)| (key(n, l), v))
-                .collect();
+            self.counters = state.counters.into_iter().collect();
             self.histograms = (state.histograms.into_iter())
-                .map(|(n, l, s)| (key(n, l), Histogram::from_state(s).unwrap()))
+                .map(|(n, s)| (n, Histogram::from_state(s).unwrap()))
                 .collect();
         }
 
         fn export_state(&self) -> RegistryState {
             RegistryState {
                 counters: (self.counters.iter())
-                    .map(|((n, l), &v)| (n.to_string(), l.clone(), v))
-                    .collect(),
-                gauges: (self.gauges.iter())
-                    .map(|((n, l), &v)| (n.to_string(), l.clone(), v))
+                    .map(|(n, &v)| (n.clone(), v))
                     .collect(),
                 histograms: (self.histograms.iter())
-                    .map(|((n, l), h)| (n.to_string(), l.clone(), h.state()))
+                    .map(|(n, h)| (n.clone(), h.state()))
                     .collect(),
             }
         }
 
         fn snapshot(&self) -> MetricsSnapshot {
-            let entry = |(name, label): &TupleKey, value| MetricEntry {
-                name: name.to_string(),
-                label: label.clone(),
-                value,
-            };
             MetricsSnapshot {
                 counters: (self.counters.iter())
-                    .map(|(k, &v)| entry(k, v as f64))
+                    .map(|(name, &v)| MetricEntry {
+                        name: name.clone(),
+                        label: String::new(),
+                        value: v as f64,
+                    })
                     .collect(),
-                gauges: (self.gauges.iter()).map(|(k, &v)| entry(k, v)).collect(),
+                gauges: Vec::new(),
                 histograms: (self.histograms.iter())
-                    .map(|((name, label), h)| h.snapshot(name, label))
+                    .map(|(name, h)| h.snapshot(name, ""))
                     .collect(),
             }
         }
     }
 
     #[test]
-    fn nested_maps_agree_with_the_tuple_keyed_reference() {
+    fn registry_agrees_with_the_flat_reference() {
         const NAMES: [&str; 5] = ["sim.units", "a", "sim.payments.completed", "z", "sim.u"];
-        const LABELS: [&str; 4] = ["", "a", "b", "x.y"];
-        let agree = |r: &MetricsRegistry, reference: &TupleKeyed, step: usize| {
+        let agree = |r: &MetricsRegistry, reference: &Flat, step: usize| {
             let snapshot = serde_json::to_string(&r.snapshot()).unwrap();
             let expected = serde_json::to_string(&reference.snapshot()).unwrap();
             assert_eq!(snapshot, expected, "snapshot after step {step}");
@@ -443,23 +324,18 @@ mod tests {
                 "state after step {step}"
             );
             for name in NAMES {
-                for label in LABELS {
-                    let at = format!("{name}{{{label}}} after step {step}");
-                    assert_eq!(
-                        r.counter(name, label),
-                        reference.counter(name, label),
-                        "{at}"
-                    );
-                    assert_eq!(
-                        r.with_histogram(name, label, Histogram::clone),
-                        reference.histogram(name, label).cloned(),
-                        "{at}"
-                    );
-                }
+                let at = format!("{name} after step {step}");
+                let count = reference.counters.get(name).copied().unwrap_or(0);
+                assert_eq!(r.counter(name, ""), count, "{at}");
+                assert_eq!(
+                    r.with_histogram(name, Histogram::clone),
+                    reference.histograms.get(name).cloned(),
+                    "{at}"
+                );
             }
         };
         for seed in 1..=8u64 {
-            let (r, mut reference) = (MetricsRegistry::new(), TupleKeyed::default());
+            let (r, mut reference) = (MetricsRegistry::new(), Flat::default());
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut next = |n: u64| {
                 s = (s.wrapping_mul(6364136223846793005)).wrapping_add(1442695040888963407);
@@ -467,7 +343,6 @@ mod tests {
             };
             for step in 0..300 {
                 let name = NAMES[next(5) as usize];
-                let label = LABELS[next(4) as usize];
                 match next(10) {
                     0..=5 => {
                         let delta = next(7);
@@ -476,25 +351,20 @@ mod tests {
                     }
                     6..=8 => {
                         let value = next(1000) as f64 / 37.0;
-                        r.histogram_observe(name, label, value, Histogram::latency_default);
-                        reference.histogram_observe(name, label, value);
+                        r.histogram_observe(name, value, Histogram::latency_default);
+                        reference.histogram_observe(name, value);
                     }
                     _ => {
-                        // Labelled counters and gauges only arrive this way;
-                        // the histograms recorded so far ride along.
-                        let mut state = RegistryState {
+                        // A checkpoint restore: fresh counters, and the
+                        // histograms recorded so far ride along.
+                        let mut counters = BTreeMap::new();
+                        for _ in 0..next(6) {
+                            counters.insert(NAMES[next(5) as usize].to_string(), next(50));
+                        }
+                        let state = RegistryState {
+                            counters: counters.into_iter().collect(),
                             histograms: reference.export_state().histograms,
-                            ..RegistryState::default()
                         };
-                        for _ in 0..next(6) {
-                            let (n, l) = (NAMES[next(5) as usize], LABELS[next(4) as usize]);
-                            (state.counters).push((n.to_string(), l.to_string(), next(50)));
-                        }
-                        for _ in 0..next(6) {
-                            let (n, l) = (NAMES[next(5) as usize], LABELS[next(4) as usize]);
-                            let v = next(50) as f64 * 0.25;
-                            state.gauges.push((n.to_string(), l.to_string(), v));
-                        }
                         r.restore_state(state.clone()).unwrap();
                         reference.restore_state(state);
                     }

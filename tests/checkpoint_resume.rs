@@ -774,6 +774,22 @@ fn queued_telemetry_snapshot_bytes_are_pinned() {
     assert_frame_checksums("queued-pinned", &snapshot_files(dir.path()), &pinned);
 }
 
+/// Writes `snap`'s header over `sections` into `dir` as
+/// `stray-{label}.spsn`, sealed with fresh section and frame checksums, so
+/// only the decoders behind the checksums can object.
+fn reseal(
+    dir: &Path,
+    snap: &spider::sim::snapshot::Snapshot,
+    label: &str,
+    sections: &[(u32, Vec<u8>)],
+) -> PathBuf {
+    use spider::sim::snapshot::encode_snapshot;
+    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, sections);
+    let path = dir.join(format!("stray-{label}.spsn"));
+    std::fs::write(&path, bytes).expect("write re-sealed snapshot");
+    path
+}
+
 /// Re-seals the first snapshot in `dir` — fresh section and frame
 /// checksums — once with a section under the tag v4 retired (4) added, and
 /// once with a second `SEC_CORE` taken from the last snapshot. `resume`
@@ -785,7 +801,7 @@ fn assert_stray_sections_are_corrupt(
     dir: &Path,
     resume: impl Fn(&Path) -> Result<(), SnapshotError>,
 ) {
-    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
+    use spider::sim::snapshot::{read_snapshot, SEC_CORE};
     let files = snapshot_files(dir);
     assert!(files.len() >= 2, "{engine}: fewer than two snapshots");
     let first = read_snapshot(&files[0]).expect("snapshot reads");
@@ -799,10 +815,7 @@ fn assert_stray_sections_are_corrupt(
         ("retired-tag", retired, "section tag 4 "),
         ("second-core", twice, "section 1 appears more than once"),
     ] {
-        let bytes = encode_snapshot(first.engine, first.fingerprint, first.progress, &sections);
-        let path = dir.join(format!("stray-{label}.spsn"));
-        std::fs::write(&path, bytes).expect("write re-sealed snapshot");
-        match resume(&path) {
+        match resume(&reseal(dir, &first, label, &sections)) {
             Err(SnapshotError::Corrupt { what }) if what.contains(needle) => {}
             other => panic!("{engine} {label}: expected Corrupt naming the tag, got {other:?}"),
         }
@@ -836,6 +849,117 @@ fn stray_sections_are_corrupt_in_every_engine() {
     let ckpt = ShardedCheckpoint::capture("stray-sharded", 2, false);
     assert_stray_sections_are_corrupt("run_sharded", ckpt.dir.path(), |path| {
         ckpt.resume(path).map(drop)
+    });
+}
+
+/// Re-seals the last snapshot in `dir` three times with its telemetry
+/// section rewritten: the first counter labelled `"x"`, one gauge added,
+/// and the first counter written twice. The registry writes none of these,
+/// so `resume` must refuse each as `Corrupt` naming the metric; before the
+/// check each resumed, and the report listed the injected entry.
+fn assert_foreign_metrics_are_corrupt(
+    engine: &str,
+    dir: &Path,
+    resume: impl Fn(&Path) -> Result<(), SnapshotError>,
+) {
+    use spider::core::{Dec, Enc};
+    use spider::sim::snapshot::{read_snapshot, SEC_TELEMETRY};
+    let path = snapshot_files(dir).pop().expect("a snapshot");
+    let snap = read_snapshot(&path).expect("snapshot reads");
+    let section = snap.section(SEC_TELEMETRY).expect("telemetry section");
+    // `sample_interval: f64`, `profiled: u8`, then the counter seq: a `u64`
+    // count and `(name, label, value: u64)` each, then the gauge count.
+    let mut d = Dec::new(section);
+    d.take_raw(9).expect("section head");
+    let count_at = d.offset();
+    let count = d.u64().expect("counter count");
+    assert!(count > 0, "{engine}: no counter recorded");
+    let first_at = d.offset();
+    let (name, _label) = (d.str().expect("name"), d.str().expect("label"));
+    let value = d.u64().expect("value");
+    let first_end = d.offset();
+    for _ in 1..count {
+        d.str().expect("name");
+        d.str().expect("label");
+        d.u64().expect("value");
+    }
+    let gauges_at = d.offset();
+
+    let mut labelled = Enc::new();
+    labelled.str(&name);
+    labelled.str("x");
+    labelled.u64(value);
+    let labelled = [
+        &section[..first_at],
+        &labelled.into_bytes(),
+        &section[first_end..],
+    ]
+    .concat();
+    let mut gauge = Enc::new();
+    gauge.u64(1);
+    gauge.str("sim.gauge");
+    gauge.str("");
+    gauge.f64(1.0);
+    let gauged = [
+        &section[..gauges_at],
+        &gauge.into_bytes(),
+        &section[gauges_at + 8..],
+    ]
+    .concat();
+    let mut twice = [
+        &section[..first_end],
+        &section[first_at..first_end],
+        &section[first_end..],
+    ]
+    .concat();
+    twice[count_at..count_at + 8].copy_from_slice(&(count + 1).to_le_bytes());
+
+    for (label, telemetry, needle) in [
+        ("label", labelled, format!("counter {name} carries label")),
+        ("gauge", gauged, "gauge".to_string()),
+        ("repeated", twice, format!("counter {name} is repeated")),
+    ] {
+        let mut sections = snap.sections.clone();
+        for (tag, bytes) in &mut sections {
+            if *tag == SEC_TELEMETRY {
+                *bytes = telemetry.clone();
+            }
+        }
+        match resume(&reseal(dir, &snap, label, &sections)) {
+            Err(SnapshotError::Corrupt { what }) if what.contains(&needle) => {}
+            other => panic!("{engine} {label}: expected Corrupt naming {needle:?}, got {other:?}"),
+        }
+    }
+    resume(&path).unwrap_or_else(|e| panic!("{engine}: pristine snapshot: {e}"));
+}
+
+#[test]
+fn telemetry_section_with_a_label_or_gauge_is_corrupt() {
+    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
+    let (network, txs) = isp_scenario(17, 150);
+
+    let mut cfg = full_config(12.0);
+    cfg.telemetry = Telemetry::enabled();
+    let dir = TempDir::new("foreign-metrics-run");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let spec = CheckpointSpec::new(25, dir.path());
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    assert_foreign_metrics_are_corrupt("run", dir.path(), |path| {
+        let mut cfg = cfg.clone();
+        cfg.telemetry = Telemetry::enabled();
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        resume(&network, &txs, scheme.as_mut(), &cfg, path, None).map(drop)
+    });
+
+    let mut qcfg = QueuedConfig::new(12.0);
+    qcfg.telemetry = Telemetry::enabled();
+    let qdir = TempDir::new("foreign-metrics-queued");
+    let spec = CheckpointSpec::new(25, qdir.path());
+    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
+    assert_foreign_metrics_are_corrupt("run_queued", qdir.path(), |path| {
+        let mut qcfg = qcfg.clone();
+        qcfg.telemetry = Telemetry::enabled();
+        resume_queued(&network, &txs, &qcfg, path, None).map(drop)
     });
 }
 
