@@ -67,6 +67,7 @@ use spider_bench::{
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
 use spider_telemetry::bintrace::{self, QueryStats};
 use spider_telemetry::{TraceEvent, TraceQuery};
+use std::num::NonZeroU64;
 
 fn main() {
     let opts = Options::parse(std::env::args().skip(1));
@@ -223,7 +224,7 @@ impl Options {
         opts.telemetry = opts.has("--telemetry") || opts.has("--trace-out");
         let every = opts.parsed("--checkpoint-every", "a positive integer");
         opts.checkpoint = match opts.value("--checkpoint-dir") {
-            Some(dir) => Some(CheckpointSpec::new(every.unwrap_or(100), dir)),
+            Some(dir) => Some(CheckpointSpec::new(every.map_or(100, NonZeroU64::get), dir)),
             None if every.is_some() => {
                 usage_and_exit("`--checkpoint-every` requires `--checkpoint-dir`")
             }

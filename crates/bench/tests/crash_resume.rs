@@ -289,12 +289,23 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
     let stray = tmp.path().join("stray").display().to_string();
     // The retired flag, spelled in halves so a grep for it finds nothing.
     let retired = concat!("--trace", "-format");
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["fig4", "--sed", "3"], "--sed"),
         (&["fig4", "--seed"], "--seed"),
         (&["fig6", "--seed", "--telemetry"], "--seed"),
         (&["fig4", "--trace-out", &stray], "--trace-out"),
         (&["grid", "--checkpoint-dir", &stray], "--checkpoint-dir"),
+        // Once clamped to 1: a snapshot every tick.
+        (
+            &[
+                "fig6",
+                "--checkpoint-dir",
+                &stray,
+                "--checkpoint-every",
+                "0",
+            ],
+            "--checkpoint-every",
+        ),
         (&["fig6", retired, "bin"], retired),
         // Checked before the (here missing) file is read.
         (&["inspect", &stray, "--kind", "unit_setled"], "--kind"),

@@ -26,8 +26,9 @@
 //!   imbalance in the network instead of at the sender.
 //!
 //! Both are single-threaded and completely deterministic: identical inputs
-//! produce identical runs, and a run resumed from a snapshot is
-//! byte-identical to an uninterrupted one.
+//! produce identical runs. The source-queued driver is the one engine that
+//! checkpoints ([`run_checkpointed`], [`resume`]), and a run resumed from
+//! a snapshot is byte-identical to an uninterrupted one.
 
 use crate::audit::LedgerAudit;
 use crate::congestion::{CongestionConfig, CongestionControl};
@@ -267,48 +268,6 @@ pub fn resume(
     )
 }
 
-/// Runs the router-queued transport over `transactions`.
-///
-/// Routing is waterfilling-style over 4 edge-disjoint shortest paths, but
-/// a unit is admitted when its *first hop* can be funded. The trace must be
-/// sorted by arrival time, as for [`run`].
-pub fn run_queued(
-    network: &Network,
-    transactions: &[Transaction],
-    config: &QueuedConfig,
-) -> QueuedReport {
-    match run_router_queued(network, transactions, config, None, None) {
-        Ok(out) => out,
-        // spider-lint: allow(panic-reachability) — infallible wrapper; the Err arm is statically dead (no snapshot I/O without a spec or resume path)
-        Err(e) => unreachable!("plain run cannot fail with a snapshot error: {e}"),
-    }
-}
-
-/// Runs the router-queued transport, writing a crash-safe snapshot into
-/// `ckpt.dir` every `ckpt.every` scheduler ticks.
-pub fn run_queued_checkpointed(
-    network: &Network,
-    transactions: &[Transaction],
-    config: &QueuedConfig,
-    ckpt: &CheckpointSpec,
-) -> Result<QueuedReport, SnapshotError> {
-    run_router_queued(network, transactions, config, None, Some(ckpt))
-}
-
-/// Resumes a router-queued run from a snapshot written by
-/// [`run_queued_checkpointed`] and carries it to completion, optionally
-/// continuing to checkpoint. The completed run is byte-identical to an
-/// uninterrupted one.
-pub fn resume_queued(
-    network: &Network,
-    transactions: &[Transaction],
-    config: &QueuedConfig,
-    snapshot_path: &std::path::Path,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<QueuedReport, SnapshotError> {
-    run_router_queued(network, transactions, config, Some(snapshot_path), ckpt)
-}
-
 /// Opens the span every event handler runs under: one call, one item, and
 /// `now` inside the phase's sim-time window.
 fn event_span(tel: &Telemetry, phase: Phase, now: f64) -> SpanGuard<'_> {
@@ -362,7 +321,7 @@ fn run_source_queued(
     };
     match resume {
         Some(path) => {
-            let snap = t.load(path, snapshot::ENGINE_SEQ, fp)?;
+            let snap = t.load(path, fp)?;
             scheme
                 .restore_state(network, snap.section(snapshot::SEC_SCHEME)?)
                 .map_err(|e| SnapshotError::Unsupported {
@@ -448,9 +407,7 @@ fn run_source_queued(
                     }
                 }
                 t.end_tick(now);
-                t.checkpoint(ckpt, snapshot::ENGINE_SEQ, fp, || {
-                    scheme.checkpoint_state().unwrap_or_default()
-                })?;
+                t.checkpoint(ckpt, fp, || scheme.checkpoint_state().unwrap_or_default())?;
             }
             Event::RebalanceCheck => {
                 // Only seeded under a policy.
@@ -712,32 +669,23 @@ fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: Channel
 // paper's own evaluation "leave[s] implementing in-network queues … to
 // future work".
 
-fn run_router_queued(
+/// Runs the router-queued transport over `transactions`.
+///
+/// Routing is waterfilling-style over 4 edge-disjoint shortest paths, but
+/// a unit is admitted when its *first hop* can be funded. The trace must be
+/// sorted by arrival time, as for [`run`].
+pub fn run_queued(
     network: &Network,
     transactions: &[Transaction],
     config: &QueuedConfig,
-    resume: Option<&std::path::Path>,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<QueuedReport, SnapshotError> {
+) -> QueuedReport {
     let tel = &config.telemetry;
     let timing = [config.end_time, POLL_INTERVAL, config.deadline];
     let plan = config.faults.as_ref();
     let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, plan);
     t.router = RouterQueues::new(network.num_channels());
     let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS));
-    let fp = if ckpt.is_some() || resume.is_some() {
-        fingerprint_queued(network, transactions, config)
-    } else {
-        0
-    };
-    match resume {
-        Some(path) => {
-            let snap = t.load(path, snapshot::ENGINE_QUEUED, fp)?;
-            (paths.restore(network, snap.section(snapshot::SEC_SCHEME)?))
-                .or_else(|e| snapshot::corrupt(format!("path cache: {e}")))?;
-        }
-        None => t.seed(plan, None),
-    }
+    t.seed(plan, None);
 
     while let Some((now, event)) = t.pop() {
         if now > config.end_time {
@@ -817,7 +765,6 @@ fn run_router_queued(
                     pump_source(&mut t, &mut paths, config, idx, now);
                 }
                 t.end_tick(now);
-                t.checkpoint(ckpt, snapshot::ENGINE_QUEUED, fp, || paths.checkpoint())?;
             }
             // Unit fates and rebalancing exist only under the
             // source-queued driver.
@@ -834,10 +781,10 @@ fn run_router_queued(
         queues.mean_wait = t.router.total_wait / t.router.dequeues as f64;
     }
     let policy = format!("{}+{:?}", SchedulePolicy::Srpt.name(), config.queue_policy);
-    Ok(QueuedReport {
+    QueuedReport {
         report: t.finish("queued-waterfilling", policy),
         queues,
-    })
+    }
 }
 
 fn channel_down(t: &Transport, channel: ChannelId) -> bool {
@@ -1010,72 +957,9 @@ fn drop_unit(t: &mut Transport, unit: usize, now: f64) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot fingerprints: a CRC-32 over the simulation inputs and every
+// The snapshot fingerprint: a CRC-32 over the simulation inputs and every
 // config field that shapes the run. A resume whose recomputed fingerprint
 // differs from the snapshot's is rejected before any state is applied.
-
-/// The fingerprint fields every engine's config has.
-pub(crate) fn enc_common(
-    e: &mut Enc,
-    scheme_name: &str,
-    [end_time, delta, poll_interval, deadline]: [f64; 4],
-    mtu: Amount,
-    faults: &Option<FaultPlan>,
-    telemetry: &Telemetry,
-) {
-    e.str(scheme_name);
-    for v in [end_time, delta, poll_interval, deadline] {
-        e.f64(v);
-    }
-    e.i64(mtu.micros());
-    e.opt(faults.as_ref().map(|plan| {
-        |e: &mut Enc| {
-            snapshot::enc_json(e, &plan.config);
-            e.seq(&plan.events, |e, (t, ev)| {
-                e.f64(*t);
-                snapshot::enc_fault_event(e, ev);
-            });
-        }
-    }));
-    e.bool(telemetry.is_enabled());
-    e.f64(telemetry.sample_interval().unwrap_or(f64::NAN));
-}
-
-/// The optional transport features a [`SimConfig`] and a sharded config
-/// share: rebalancing, congestion control, fees.
-pub(crate) fn enc_features(
-    e: &mut Enc,
-    rebalance: &Option<RebalancePolicy>,
-    congestion: &Option<CongestionConfig>,
-    fees: &Option<FeeSchedule>,
-) {
-    e.opt(rebalance.as_ref().map(|p| {
-        |e: &mut Enc| {
-            e.f64(p.check_interval);
-            e.f64(p.imbalance_threshold);
-            e.f64(p.correction_fraction);
-            e.i64(p.fee.micros());
-            e.f64(p.confirmation_delay);
-        }
-    }));
-    e.opt(congestion.as_ref().map(|c| {
-        |e: &mut Enc| {
-            e.f64(c.initial_window);
-            e.f64(c.additive_increase);
-            e.f64(c.multiplicative_decrease);
-            e.f64(c.min_window);
-            e.f64(c.max_window);
-        }
-    }));
-    e.opt(fees.as_ref().map(|f| {
-        |e: &mut Enc| {
-            e.seq(&f.per_channel(), |e, (base, ppm)| {
-                e.i64(base.micros());
-                e.u32(*ppm);
-            })
-        }
-    }));
-}
 
 fn fingerprint(
     network: &Network,
@@ -1085,44 +969,57 @@ fn fingerprint(
 ) -> u32 {
     let mut e = Enc::new();
     snapshot::enc_inputs(&mut e, network, transactions);
-    let timing = [
+    e.str(scheme_name);
+    for v in [
         config.end_time,
         config.delta,
         config.poll_interval,
         config.deadline,
-    ];
-    let (faults, tel) = (&config.faults, &config.telemetry);
-    enc_common(&mut e, scheme_name, timing, config.mtu, faults, tel);
+    ] {
+        e.f64(v);
+    }
+    e.i64(config.mtu.micros());
+    e.opt(config.faults.as_ref().map(|plan| {
+        |e: &mut Enc| {
+            snapshot::enc_json(e, &plan.config);
+            e.seq(&plan.events, |e, (t, ev)| {
+                e.f64(*t);
+                snapshot::enc_fault_event(e, ev);
+            });
+        }
+    }));
+    e.bool(config.telemetry.is_enabled());
+    e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
     e.str(config.policy.name());
     e.bool(config.record_series);
     e.bool(config.amp);
     e.bool(config.audit);
-    enc_features(&mut e, &config.rebalance, &config.congestion, &config.fees);
-    crc32(&e.into_bytes())
-}
-
-fn fingerprint_queued(
-    network: &Network,
-    transactions: &[Transaction],
-    config: &QueuedConfig,
-) -> u32 {
-    let mut e = Enc::new();
-    snapshot::enc_inputs(&mut e, network, transactions);
-    let timing = [config.end_time, DELTA, POLL_INTERVAL, config.deadline];
-    let (faults, tel) = (&config.faults, &config.telemetry);
-    enc_common(
-        &mut e,
-        "queued-waterfilling",
-        timing,
-        config.mtu,
-        faults,
-        tel,
-    );
-    e.f64(HOP_DELAY);
-    e.str(SchedulePolicy::Srpt.name());
-    e.u8(config.queue_policy as u8);
-    e.usize(NUM_PATHS);
-    e.usize(config.max_queue_len);
+    e.opt(config.rebalance.as_ref().map(|p| {
+        |e: &mut Enc| {
+            e.f64(p.check_interval);
+            e.f64(p.imbalance_threshold);
+            e.f64(p.correction_fraction);
+            e.i64(p.fee.micros());
+            e.f64(p.confirmation_delay);
+        }
+    }));
+    e.opt(config.congestion.as_ref().map(|c| {
+        |e: &mut Enc| {
+            e.f64(c.initial_window);
+            e.f64(c.additive_increase);
+            e.f64(c.multiplicative_decrease);
+            e.f64(c.min_window);
+            e.f64(c.max_window);
+        }
+    }));
+    e.opt(config.fees.as_ref().map(|f| {
+        |e: &mut Enc| {
+            e.seq(&f.per_channel(), |e, (base, ppm)| {
+                e.i64(base.micros());
+                e.u32(*ppm);
+            })
+        }
+    }));
     crc32(&e.into_bytes())
 }
 

@@ -34,9 +34,7 @@
 //! before the next barrier, and the sort makes arrival order irrelevant.
 //! Only messages for other shards wait for the exchange, and land in the
 //! same lists. Slots up to `NEAR` epochs ahead sit in a ring; a later one
-//! (a grief hold) waits in a sparse map until the ring reaches it. A
-//! snapshot writes the non-empty slots in epoch order, each as its lists
-//! end to end in key order.
+//! (a grief hold) waits in a sparse map until the ring reaches it.
 //!
 //! **Partition independence** is the engine's defining property: handlers
 //! touch only state they own, cross-shard reads go through the frozen
@@ -58,37 +56,30 @@
 //!   in [`QueuePolicy`] order; queued units ride out outages and expire at
 //!   their payment's deadline.
 //! - **Fees**: hop amounts are a pure function of the fee schedule and the
-//!   unit's path, computed at send time and recomputed on message decode;
+//!   unit's path, computed once at send time and carried with the unit;
 //!   the payment owner accrues `routing_fees_paid` when a unit settles.
 //! - **Congestion control**: a per-payment AIMD window at the payment
 //!   owner gates how many units may be outstanding, driven by the same
 //!   delivered/failed notifications that already flow to the owner.
 //! - **Rebalancing**: each shard checks and corrects only the channels it
 //!   owns, publishing the new balances through the ordinary dirty-balance
-//!   exchange; scheduled corrections are part of the shard checkpoint.
+//!   exchange.
 //!
-//! **Checkpoint layout**: a sharded snapshot is one `SEC_CORE` section
-//! holding one blob per shard; both layouts are written out field by field
-//! on [`encode_core`] and `ShardCtx::encode`, whose decoders mirror them.
+//! The engine does not checkpoint: snapshots and resume belong to the
+//! continuous-time engine ([`crate::engine::run_checkpointed`]), the one
+//! that reproduces the paper's figures.
 
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
-use crate::engine::{enc_common, enc_features, QueuePolicy, DELTA, POLL_INTERVAL};
+use crate::engine::{QueuePolicy, DELTA, POLL_INTERVAL};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::SimReport;
 use crate::payment::{unit_count, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
-use crate::scheduler::SchedulePolicy;
-use crate::snapshot::{
-    self, corrupt, dec_index, dec_path, dec_present, dec_seq, enc_path, CheckpointSpec, Snapshot,
-    SnapshotError,
-};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
-use spider_core::{
-    crc32, Amount, BalanceView, ChannelId, Dec, Direction, Enc, Network, NodeId, Path,
-};
+use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
 use spider_routing::{
     FeeSchedule, RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme,
 };
@@ -140,15 +131,6 @@ pub enum ShardPolicy {
     /// owner shard and retries head-of-line each epoch until its
     /// payment's deadline.
     Queued,
-}
-
-impl ShardPolicy {
-    fn name(&self) -> &'static str {
-        match self {
-            ShardPolicy::Direct => "direct",
-            ShardPolicy::Queued => "queued",
-        }
-    }
 }
 
 /// Hard cap per `(channel, direction)` router queue under
@@ -258,7 +240,7 @@ struct Key {
 }
 
 /// Where `event` sorts within its epoch in the merged trace: the merge
-/// policy, also the semantic phase order. A restored key must agree.
+/// policy, also the semantic phase order.
 fn merge_rank(event: &TraceEvent) -> u8 {
     use TraceEvent as E;
     match event {
@@ -313,11 +295,10 @@ struct UnitInfo {
 }
 
 impl UnitInfo {
-    /// The one place a unit comes into being: at the pump, and again when a
-    /// message or queue entry is decoded. The fate and the per-hop amounts
-    /// are pure functions of the config and the unit's identity, so they
-    /// are derived here and never serialized. Also returns whether a
-    /// non-zero settlement jitter was drawn (counted once, at the pump).
+    /// The one place a unit comes into being, at the pump. The fate and
+    /// the per-hop amounts are pure functions of the config and the unit's
+    /// identity, derived here. Also returns whether a non-zero settlement
+    /// jitter was drawn.
     fn new(
         cfg: &ShardedConfig,
         payment: u64,
@@ -484,19 +465,6 @@ impl Agenda {
         let horizon = self.far.remove(&epoch.saturating_add(NEAR));
         let vacated = &mut self.near[(epoch % NEAR) as usize];
         std::mem::replace(vacated, horizon.unwrap_or_default())
-    }
-
-    /// The non-empty slots in fire-epoch order.
-    fn slots(&self) -> impl Iterator<Item = (u64, &Slot)> {
-        let near = (1..=NEAR).map(|ahead| {
-            let fire_epoch = self.now.saturating_add(ahead);
-            (fire_epoch, &self.near[(fire_epoch % NEAR) as usize])
-        });
-        let far = self
-            .far
-            .iter()
-            .map(|(&fire_epoch, slot)| (fire_epoch, slot));
-        (near.chain(far)).filter(|(_, slot)| slot.iter().any(|list| !list.is_empty()))
     }
 }
 
@@ -776,41 +744,29 @@ type PublishSlot = Mutex<Vec<(u32, i64, i64)>>;
 
 /// Everything the shard threads share while the run is in flight. All of
 /// it is exchanged only between barriers: a shard fills other shards'
-/// inboxes and its own publish / checkpoint slot after the compute barrier
-/// and reads them after the exchange barrier.
-struct Exchange<'a> {
+/// inboxes and its own publish slot after the compute barrier and reads
+/// them after the exchange barrier.
+struct Exchange {
     /// Per destination shard, `(fire epoch, message)` from the *other*
     /// shards; a shard's messages to itself never come here.
     inboxes: Vec<Mutex<Vec<(u64, Msg)>>>,
     published: Vec<PublishSlot>,
     barrier: Barrier,
-    /// The checkpoint policy and the run's input fingerprint, when the run
-    /// checkpoints.
-    ckpt: Option<(&'a CheckpointSpec, u32)>,
-    /// Each shard's encoded state at the current checkpoint epoch.
-    ckpt_blobs: Vec<Mutex<Vec<u8>>>,
-    /// Set by shard 0 when a snapshot write fails; every shard then leaves
-    /// the barrier protocol together.
-    ckpt_err: Mutex<Option<SnapshotError>>,
 }
 
-impl<'a> Exchange<'a> {
-    fn new(num_shards: usize, ckpt: Option<(&'a CheckpointSpec, u32)>) -> Self {
+impl Exchange {
+    fn new(num_shards: usize) -> Self {
         Exchange {
             inboxes: (0..num_shards).map(|_| Mutex::default()).collect(),
             published: (0..num_shards).map(|_| Mutex::default()).collect(),
             barrier: Barrier::new(num_shards),
-            ckpt,
-            ckpt_blobs: (0..num_shards).map(|_| Mutex::default()).collect(),
-            ckpt_err: Mutex::new(None),
         }
     }
 }
 
 /// One shard's run state for its whole life: built on the host thread by
-/// [`ShardCtx::new`], overwritten from a snapshot by `decode` on resume, run
-/// on its worker thread, captured by `encode` at checkpoint barriers, and
-/// consumed by [`merge_outputs`] when the run ends.
+/// [`ShardCtx::new`], run on its worker thread, and consumed by
+/// [`merge_outputs`] when the run ends.
 struct ShardCtx<'a> {
     shard: u16,
     network: &'a Network,
@@ -1884,10 +1840,8 @@ impl<'a> ShardCtx<'a> {
 
     /// Takes in what the other shards handed over at the last exchange:
     /// inbox messages go into their agenda slots and published balances
-    /// into the frozen snapshot. Idempotent until the next exchange — the
-    /// inbox drain leaves it empty and re-applying the published balances
-    /// writes the same values.
-    fn intake(&mut self, ex: &Exchange<'_>) {
+    /// into the frozen snapshot.
+    fn intake(&mut self, ex: &Exchange) {
         for (fire_epoch, msg) in lock_ok(&ex.inboxes[usize::from(self.shard)]).drain(..) {
             self.agenda.push(fire_epoch, msg);
         }
@@ -1899,14 +1853,12 @@ impl<'a> ShardCtx<'a> {
     }
 
     /// This shard's whole run: the BSP epoch loop over intake → compute →
-    /// exchange from `start_epoch + 1` to the end, then the final audit.
-    /// When a checkpoint write fails every shard returns early, with the
-    /// error left in `ex.ckpt_err`.
-    fn run(mut self, start_epoch: u64, ex: &Exchange<'_>) -> Self {
+    /// exchange from epoch 1 to the end, then the final audit.
+    fn run(mut self, ex: &Exchange) -> Self {
         let me = usize::from(self.shard);
         let lane = u32::from(self.shard);
         let tel = &self.cfg.telemetry;
-        for epoch in (start_epoch + 1)..=self.clock.end_epoch {
+        for epoch in 1..=self.clock.end_epoch {
             // Intake: messages and balance updates published last epoch.
             {
                 let _span = tel.span_enter_lane(Phase::MessageMerge, lane);
@@ -1963,14 +1915,6 @@ impl<'a> ShardCtx<'a> {
                 let _span = tel.span_enter_lane(Phase::BarrierWait, lane);
                 ex.barrier.wait();
             }
-
-            // The checkpoint epochs are a pure function of the config, so
-            // every shard crosses the same number of barriers.
-            if let Some((ck, fp)) = ex.ckpt {
-                if epoch % ck.every == 0 && !self.checkpoint(epoch, ex, ck, fp) {
-                    return self;
-                }
-            }
         }
 
         if let Some(mut a) = self.audit.take() {
@@ -1983,31 +1927,6 @@ impl<'a> ShardCtx<'a> {
         // thread they cost ripple400-sharded1 2 MB of a 19 MB peak RSS.
         self.scheme = self.cfg.scheme.build();
         self
-    }
-
-    /// Captures this shard at the epoch barrier, where its state is
-    /// quiescent: staged and dirty are drained, and nothing mutates the
-    /// inboxes or publish slots until the next exchange, which is gated
-    /// behind the next barrier. Next epoch's intake is performed early so
-    /// the capture needs no in-flight mailbox contents. Shard 0 then
-    /// assembles the blobs and writes the snapshot file. Returns `false`
-    /// (on every shard) when that write failed.
-    fn checkpoint(&mut self, epoch: u64, ex: &Exchange<'_>, ck: &CheckpointSpec, fp: u32) -> bool {
-        self.intake(ex);
-        debug_assert!(self.dirty.is_empty() && self.staged.iter().all(Vec::is_empty));
-        *lock_ok(&ex.ckpt_blobs[usize::from(self.shard)]) = self.encode();
-        ex.barrier.wait();
-        if self.shard == 0 {
-            let core = encode_core(epoch, &ex.ckpt_blobs);
-            let sections = [(snapshot::SEC_CORE, core)];
-            if let Err(err) =
-                snapshot::write_snapshot(&ck.dir, snapshot::ENGINE_SHARDED, fp, epoch, &sections)
-            {
-                *lock_ok(&ex.ckpt_err) = Some(err);
-            }
-        }
-        ex.barrier.wait();
-        lock_ok(&ex.ckpt_err).is_none()
     }
 }
 
@@ -2022,55 +1941,6 @@ pub fn run_sharded(
     partition: &Partition,
     config: &ShardedConfig,
 ) -> SimReport {
-    match run_sharded_inner(network, transactions, partition, config, None, None) {
-        Ok(report) => report,
-        // No checkpoint spec and no resume state: no snapshot I/O happens.
-        // spider-lint: allow(panic-reachability) — infallible wrapper; the Err arm is statically dead
-        Err(e) => unreachable!("plain run cannot fail with a snapshot error: {e}"),
-    }
-}
-
-/// Runs the sharded engine while writing a snapshot every `ckpt.every`
-/// epochs. Snapshots are taken at the BSP epoch barrier (after the exchange
-/// phase), where every shard's state is quiescent; shard 0 assembles the
-/// per-shard captures into one [`crate::snapshot`] container.
-pub fn run_sharded_checkpointed(
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-    ckpt: &CheckpointSpec,
-) -> Result<SimReport, SnapshotError> {
-    run_sharded_inner(network, transactions, partition, config, None, Some(ckpt))
-}
-
-/// Resumes a sharded run from a snapshot written by
-/// [`run_sharded_checkpointed`] and carries it to completion, optionally
-/// continuing to checkpoint. The partition must match the one the snapshot
-/// was written under (it is part of the fingerprint); the completed run is
-/// byte-identical to an uninterrupted one.
-pub fn resume_sharded(
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-    snapshot_path: &std::path::Path,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<SimReport, SnapshotError> {
-    let snap = snapshot::read_snapshot(snapshot_path)?;
-    let fp = fingerprint_sharded(network, transactions, partition, config);
-    snap.check(snapshot::ENGINE_SHARDED, fp)?;
-    run_sharded_inner(network, transactions, partition, config, Some(&snap), ckpt)
-}
-
-fn run_sharded_inner(
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-    resume: Option<&Snapshot>,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<SimReport, SnapshotError> {
     assert!(config.end_time > 0.0, "end_time must be positive");
     assert!(config.deadline > 0.0, "durations must be positive");
     assert!(config.mtu.is_positive(), "MTU must be positive");
@@ -2095,16 +1965,8 @@ fn run_sharded_inner(
     }
 
     let plan = quantized_plan(config);
-    run_shards(
-        network,
-        transactions,
-        partition,
-        config,
-        &plan,
-        resume,
-        ckpt,
-    )
-    .map(|shards| merge_outputs(network, partition, config, shards))
+    let shards = run_shards(network, transactions, partition, config, &plan);
+    merge_outputs(network, partition, config, shards)
 }
 
 /// The run's fault schedule in whole epochs, shared by every shard.
@@ -2117,46 +1979,28 @@ fn quantized_plan(config: &ShardedConfig) -> Vec<PlanEvent> {
         .collect()
 }
 
-/// Builds the shards, restores them from `resume`, and runs each on its own
-/// thread to the end epoch (or to a failed checkpoint write).
+/// Builds the shards and runs each on its own thread to the end epoch.
 fn run_shards<'a>(
     network: &'a Network,
     transactions: &[Transaction],
     partition: &'a Partition,
     config: &'a ShardedConfig,
     plan_events: &'a [PlanEvent],
-    resume: Option<&Snapshot>,
-    ckpt: Option<&CheckpointSpec>,
-) -> Result<Vec<ShardCtx<'a>>, SnapshotError> {
+) -> Vec<ShardCtx<'a>> {
     let num_shards = partition.num_shards();
-    let mut shards: Vec<ShardCtx> = (0..num_shards)
+    let shards: Vec<ShardCtx> = (0..num_shards)
         .map(|shard| {
             let shard = shard as u16;
             ShardCtx::new(shard, network, transactions, partition, config, plan_events)
         })
         .collect();
-    let start_epoch = match resume {
-        Some(snap) => {
-            decode_core(
-                snap.section(snapshot::SEC_CORE)?,
-                snap.progress,
-                &mut shards,
-            )?;
-            snap.progress
-        }
-        None => 0,
-    };
-    let ckpt = ckpt.map(|ck| {
-        let fp = fingerprint_sharded(network, transactions, partition, config);
-        (ck, fp)
-    });
-    let exchange = Exchange::new(num_shards, ckpt);
+    let exchange = Exchange::new(num_shards);
 
-    let shards: Vec<ShardCtx> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let exchange = &exchange;
         let handles: Vec<_> = shards
             .into_iter()
-            .map(|ctx| scope.spawn(move || ctx.run(start_epoch, exchange)))
+            .map(|ctx| scope.spawn(move || ctx.run(exchange)))
             .collect();
         handles
             .into_iter()
@@ -2165,516 +2009,7 @@ fn run_shards<'a>(
                 Err(panic) => std::panic::resume_unwind(panic),
             })
             .collect()
-    });
-    let ckpt_err = lock_ok(&exchange.ckpt_err).take();
-    ckpt_err.map_or(Ok(shards), Err)
-}
-
-/// Fingerprint of everything that must match between the checkpointing run
-/// and the resuming run: simulation inputs, engine configuration, the fault
-/// plan, telemetry presence, and the partition (payment ownership is
-/// `id % num_shards`, so per-shard blobs are only meaningful under the
-/// partition that wrote them).
-fn fingerprint_sharded(
-    network: &Network,
-    transactions: &[Transaction],
-    partition: &Partition,
-    config: &ShardedConfig,
-) -> u32 {
-    let mut e = Enc::new();
-    snapshot::enc_inputs(&mut e, network, transactions);
-    let timing = [config.end_time, DELTA, POLL_INTERVAL, config.deadline];
-    let (faults, tel) = (&config.faults, &config.telemetry);
-    enc_common(
-        &mut e,
-        config.scheme.name(),
-        timing,
-        config.mtu,
-        faults,
-        tel,
-    );
-    e.bool(config.record_series);
-    e.bool(config.audit);
-    e.str(config.policy.name());
-    e.str(SchedulePolicy::Srpt.name());
-    e.u8(config.queue_policy as u8);
-    e.usize(MAX_QUEUE_LEN);
-    enc_features(&mut e, &config.rebalance, &config.congestion, &config.fees);
-    e.usize(partition.num_shards());
-    e.seq(partition.node_shards(), |e, &s| e.u32(u32::from(s)));
-    e.seq(partition.channel_owners(), |e, &s| e.u32(u32::from(s)));
-    crc32(&e.into_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// The sharded `SEC_CORE` codec. Any change to it is a format change and must
-// bump `snapshot::FORMAT_VERSION`. Integers are little-endian; `usize`
-// travels as `u64`; a *seq* is a `u64` count followed by that many items; an
-// *opt* is a presence byte (0/1) followed by the value when 1; *json* is a
-// length-prefixed UTF-8 JSON string.
-
-/// Assembles the sharded `SEC_CORE` section: `epoch: u64` (the barrier the
-/// capture was taken at; equals the header's progress), `num_shards: u32`,
-/// then one length-prefixed [`ShardCtx::encode`] blob per shard, by rank.
-fn encode_core(epoch: u64, blobs: &[Mutex<Vec<u8>>]) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(epoch);
-    e.u32(blobs.len() as u32);
-    for blob in blobs {
-        e.bytes(&lock_ok(blob));
-    }
-    e.into_bytes()
-}
-
-/// Restores freshly built shards from [`encode_core`]'s bytes. Every
-/// structural problem is a [`SnapshotError`]; nothing panics.
-fn decode_core(bytes: &[u8], progress: u64, shards: &mut [ShardCtx]) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(bytes);
-    let epoch = d.u64()?;
-    if epoch != progress {
-        return corrupt(format!(
-            "core section epoch {epoch} disagrees with header progress {progress}"
-        ));
-    }
-    let end_epoch = shards.first().map_or(0, |s| s.clock.end_epoch);
-    if epoch > end_epoch {
-        return corrupt(format!(
-            "snapshot progress {epoch} is beyond the configured end epoch {end_epoch}"
-        ));
-    }
-    let num_shards = d.u32()? as usize;
-    if num_shards != shards.len() {
-        return corrupt(format!(
-            "snapshot has {num_shards} shards, partition has {}",
-            shards.len()
-        ));
-    }
-    for shard in shards {
-        shard.decode(d.bytes()?, progress)?;
-    }
-    d.expect_end()?;
-    Ok(())
-}
-
-/// A unit: `payment: u64, seq: u32, amount: i64`, its path (seq of `u32`
-/// node ids), `deadline_epoch: u64`. Fate and hop amounts are not stored;
-/// [`UnitInfo::new`] re-derives them.
-fn enc_unit(e: &mut Enc, unit: &UnitInfo) {
-    e.u64(unit.payment);
-    e.u32(unit.seq);
-    e.i64(unit.amount.micros());
-    enc_path(e, &unit.path);
-    e.u64(unit.deadline_epoch);
-}
-
-fn dec_unit(
-    d: &mut Dec,
-    network: &Network,
-    cfg: &ShardedConfig,
-) -> Result<Arc<UnitInfo>, SnapshotError> {
-    let (payment, seq) = (d.u64()?, d.u32()?);
-    let amount = Amount::from_micros(d.i64()?);
-    let path = dec_path(d, network)?;
-    let (unit, _) = UnitInfo::new(cfg, payment, seq, amount, path, d.u64()?);
-    Ok(Arc::new(unit))
-}
-
-/// A message: its unit, then the body tag `u8` (the body's processing
-/// rank) and arguments — 0 settle-hop, 1 refund-hop, 2 lock-hop (`hop:
-/// usize` each), 3 unit-delivered, 4 unit-failed (`blamed` channel `usize`,
-/// cause `u8`: 0 liquidity, 1 outage, 2 dropped, 3 griefed).
-fn enc_msg(e: &mut Enc, msg: &Msg) {
-    enc_unit(e, &msg.unit);
-    e.u8(msg.body.rank());
-    match msg.body {
-        MsgBody::SettleHop { hop } | MsgBody::RefundHop { hop } | MsgBody::LockHop { hop } => {
-            e.usize(hop as usize);
-        }
-        MsgBody::UnitDelivered => {}
-        MsgBody::UnitFailed { blamed, cause } => {
-            e.usize(blamed.index());
-            e.u8(cause as u8);
-        }
-    }
-}
-
-fn dec_msg(d: &mut Dec, network: &Network, cfg: &ShardedConfig) -> Result<Msg, SnapshotError> {
-    let unit = dec_unit(d, network, cfg)?;
-    let hop = |d: &mut Dec| dec_index(d, unit.path.len(), "message for hop").map(|h| h as u32);
-    let body = match d.u8()? {
-        0 => MsgBody::SettleHop { hop: hop(d)? },
-        1 => MsgBody::RefundHop { hop: hop(d)? },
-        2 => MsgBody::LockHop { hop: hop(d)? },
-        3 => MsgBody::UnitDelivered,
-        4 => MsgBody::UnitFailed {
-            blamed: ChannelId::from(dec_index(d, network.num_channels(), "blamed channel")?),
-            cause: match d.u8()? {
-                0 => FailCause::Liquidity,
-                1 => FailCause::Outage,
-                2 => FailCause::Dropped,
-                3 => FailCause::Griefed,
-                other => return corrupt(format!("failure cause byte {other}")),
-            },
-        },
-        other => return corrupt(format!("message body byte {other}")),
-    };
-    Ok(Msg::new(body, unit))
-}
-
-impl ShardCtx<'_> {
-    /// Encodes this shard's quiescent barrier state (conventions above).
-    /// In order:
-    ///
-    /// 1. Ledger — seq of channels, each four `i64` micro-amounts
-    ///    (`Ledger::export_channel`) then the frozen routing balances
-    ///    `[a, b]: i64`.
-    /// 2. Audit state — opt json.
-    /// 3. Fault mask — opt: down-cause bytes (length-prefixed), node-down
-    ///    seq of `bool`, RNG state `u64`, stats json
-    ///    (`snapshot::enc_fault_state`); then `plan_cursor: usize` into the
-    ///    quantized fault schedule.
-    /// 4. Pending messages — seq of buckets in fire-epoch order (the
-    ///    agenda's non-empty slots), each `fire_epoch: u64` and a seq of
-    ///    messages in processing-key order: the slot's rank lists end to
-    ///    end, each in [`Msg::order`] (see [`enc_msg`], [`enc_unit`]).
-    /// 5. Payments — seq with one row per owned payment in id order: `id:
-    ///    u64` (the row's identity is not restored, only checked against
-    ///    the slab built from the transactions), `delivered: i64, inflight:
-    ///    i64, status: u8` (0 pending, 1 completed, 2 abandoned), `delay:
-    ///    opt f64, next_seq: u32`, blacklist seq of `(channel: usize,
-    ///    until_epoch: u64)`, `fail_count: u32, not_before_epoch: u64`, and
-    ///    the congestion `window: f64, outstanding: u32`. Then the pending
-    ///    list, a seq of `usize` slab indices, and `arrival_cursor: usize`.
-    /// 6. Trace — opt (telemetry on): seq of merge keys `(epoch: u64, rank:
-    ///    u8, a: u64, b: u64)` and as many events, in the same order
-    ///    (`snapshot::enc_events`: `count: u64`, then one length-prefixed
-    ///    `SPBT` file); then the sample partials, a seq of `epoch: u64, pending:
-    ///    u32` and a seq of `(channel: u32, imbalance: f64, ratio: f64,
-    ///    inflight: i64, queue_depth: u32)`.
-    /// 7. Series partials — seq of `(epoch, arrived, completed: u64,
-    ///    attempted, delivered: i64)`; then the running totals in the same
-    ///    four-field order.
-    /// 8. Release violations — json; fault stats — json.
-    /// 9. Work counters — `events_processed, settle_msgs, refund_msgs,
-    ///    lock_msgs, control_msgs, dirty_published, units_sent: u64`.
-    /// 10. Routing scheme state — opt length-prefixed bytes.
-    /// 11. Fee accrual — opt (fee schedule configured) `i64` micros.
-    /// 12. Router queues — opt (queued policy): seq of queues in key order,
-    ///     each `channel: usize, sender_side: u8` and a seq of entries in
-    ///     service order: the unit, `hop: usize, enqueued_epoch: u64`.
-    /// 13. Rebalancing — opt (policy configured): scheduled corrections seq
-    ///     of `(apply_epoch: u64, channel: usize)`, then `transactions:
-    ///     u64, moved: i64, fees: i64` micros.
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.usize(self.snapshot.len());
-        for (i, frozen) in self.snapshot.iter().enumerate() {
-            for v in self.ledger.export_channel(ChannelId::from(i)) {
-                e.i64(v);
-            }
-            e.i64(frozen[0]);
-            e.i64(frozen[1]);
-        }
-        e.opt(
-            (self.audit.as_ref()).map(|a| |e: &mut Enc| snapshot::enc_json(e, &a.export_state())),
-        );
-        e.opt((self.faults.as_ref()).map(|fs| |e: &mut Enc| snapshot::enc_fault_state(e, fs)));
-        e.usize(self.plan_cursor);
-        let slots: Vec<(u64, &Slot)> = self.agenda.slots().collect();
-        e.seq(&slots, |e, &(fire_epoch, slot)| {
-            e.u64(fire_epoch);
-            // Arrival order varies with thread interleaving; the engine sorts
-            // each list before handling it, so sort here too — snapshot bytes
-            // stay a pure function of the run's content.
-            let mut ordered: Vec<&Msg> = slot.iter().flatten().collect();
-            ordered.sort_by_key(|msg| (msg.body.rank(), msg.order()));
-            e.seq(&ordered, |e, msg| enc_msg(e, msg));
-        });
-        e.seq(&self.payments, |e, p| {
-            e.u64(p.id);
-            e.i64(p.delivered.micros());
-            e.i64(p.inflight.micros());
-            snapshot::enc_status(e, p.status);
-            e.opt(p.delay.map(|t| move |e: &mut Enc| e.f64(t)));
-            e.u32(p.next_seq);
-            e.seq(&p.blacklist, |e, &(c, until)| {
-                e.usize(c.index());
-                e.u64(until);
-            });
-            e.u32(p.fail_count);
-            e.u64(p.not_before_epoch);
-            e.f64(p.window);
-            e.u32(p.outstanding);
-        });
-        e.seq(&self.pending, |e, &i| e.usize(i));
-        e.usize(self.arrival_cursor);
-        e.opt(self.tel_on.then_some(|e: &mut Enc| {
-            e.seq(&self.trace, |e, (k, _)| {
-                e.u64(k.epoch);
-                e.u8(k.rank);
-                e.u64(k.a);
-                e.u64(k.b);
-            });
-            snapshot::enc_events(e, self.trace.iter().map(|(_, ev)| ev));
-            e.seq(&self.samples, |e, s| {
-                e.u64(s.epoch);
-                e.u32(s.pending);
-                e.seq(&s.channels, |e, &(c, imb, ratio, inflight, qdepth)| {
-                    e.u32(c);
-                    e.f64(imb);
-                    e.f64(ratio);
-                    e.i64(inflight);
-                    e.u32(qdepth);
-                });
-            });
-        }));
-        e.seq(&self.series, |e, s| {
-            e.u64(s.epoch);
-            e.u64(s.arrived);
-            e.u64(s.completed);
-            e.i64(s.attempted_micros);
-            e.i64(s.delivered_micros);
-        });
-        e.u64(self.arrived_count);
-        e.u64(self.completed_count);
-        e.i64(self.attempted_micros);
-        e.i64(self.delivered_micros);
-        snapshot::enc_json(&mut e, &self.violations);
-        snapshot::enc_json(&mut e, &self.stats);
-        let m = &self.metrics;
-        for v in [
-            m.events_processed,
-            m.settle_msgs,
-            m.refund_msgs,
-            m.lock_msgs,
-            m.control_msgs,
-            m.dirty_published,
-            m.units_sent,
-        ] {
-            e.u64(v);
-        }
-        e.opt((self.scheme.checkpoint_state()).map(|bytes| move |e: &mut Enc| e.bytes(&bytes)));
-        let fees = self.routing_fees_micros;
-        e.opt((self.cfg.fees.as_ref()).map(|_| |e: &mut Enc| e.i64(fees)));
-        e.opt(
-            (self.cfg.policy == ShardPolicy::Queued).then_some(|e: &mut Enc| {
-                e.usize(self.queues.len());
-                for (&(channel, side), q) in &self.queues {
-                    e.usize(channel as usize);
-                    e.u8(side);
-                    e.seq(q, |e, entry| {
-                        enc_unit(e, &entry.unit);
-                        e.usize(entry.hop as usize);
-                        e.u64(entry.enqueued_epoch);
-                    });
-                }
-            }),
-        );
-        e.opt(self.cfg.rebalance.as_ref().map(|_| {
-            |e: &mut Enc| {
-                e.seq(&self.rebalance_applies, |e, &(fire, c)| {
-                    e.u64(fire);
-                    e.usize(c as usize);
-                });
-                e.u64(self.rebal_transactions);
-                e.i64(self.rebal_moved_micros);
-                e.i64(self.rebal_fees_micros);
-            }
-        }));
-        e.into_bytes()
-    }
-
-    /// Restores a freshly built shard from [`encode`](Self::encode)'s
-    /// bytes. Optional parts must be present exactly when this run's
-    /// configuration has them, every index is bounds-checked and every
-    /// count is read through [`dec_seq`], so a damaged blob is a
-    /// [`SnapshotError`], never a panic or an oversized allocation.
-    fn decode(&mut self, bytes: &[u8], progress: u64) -> Result<(), SnapshotError> {
-        let (network, cfg) = (self.network, self.cfg);
-        let num_channels = network.num_channels();
-        let mut d = Dec::new(bytes);
-        if d.usize()? != num_channels {
-            return corrupt(format!("shard blob does not cover {num_channels} channels"));
-        }
-        let mut ledger = Ledger::new(network);
-        for (i, frozen) in self.snapshot.iter_mut().enumerate() {
-            let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
-            ledger.restore_channel(ChannelId::from(i), raw);
-            *frozen = [d.i64()?, d.i64()?];
-        }
-        self.ledger = ledger;
-        if dec_present(&mut d, self.audit.is_some(), "auditing")? {
-            self.audit = Some(LedgerAudit::from_state(snapshot::dec_json(&mut d)?));
-        }
-        dec_present(&mut d, self.faults.is_some(), "a fault plan")?;
-        if let Some(fs) = self.faults.as_mut() {
-            snapshot::dec_fault_state(&mut d, fs)?;
-        }
-        self.plan_cursor = dec_index(&mut d, self.plan_events.len() + 1, "fault plan cursor")?;
-        let (payments, end_epoch) = (&self.payments, self.clock.end_epoch);
-        let (mut agenda, mut after) = (Agenda::new(progress), progress);
-        dec_seq(&mut d, |d| {
-            // Buckets ascend, and the run handles epochs `progress + 1 ..=
-            // end_epoch` only: a bucket outside them would keep its units'
-            // funds locked for good.
-            let fire_epoch = d.u64()?;
-            if fire_epoch <= after || fire_epoch > end_epoch {
-                return corrupt(format!(
-                    "message bucket for epoch {fire_epoch}, not in ({after}, {end_epoch}]"
-                ));
-            }
-            after = fire_epoch;
-            dec_seq(d, |d| {
-                let msg = dec_msg(d, network, cfg)?;
-                // Outcome notifications go to the payment's owner, which
-                // looks the payment up in its own slab.
-                let id = msg.payment;
-                if msg.body.rank() >= 3 && payments.binary_search_by_key(&id, |p| p.id).is_err() {
-                    return corrupt(format!("outcome message for foreign payment {id}"));
-                }
-                #[cfg(test)]
-                (self.order_log).stage(usize::from(self.shard), progress, fire_epoch, &msg);
-                agenda.push(fire_epoch, msg);
-                Ok(())
-            })
-        })?;
-        self.agenda = agenda;
-        let mut slab = self.payments.iter_mut();
-        dec_seq(&mut d, |d| {
-            let id = d.u64()?;
-            let Some(p) = slab.next().filter(|p| p.id == id) else {
-                return corrupt(format!("payment row {id} is not this shard's next payment"));
-            };
-            p.delivered = Amount::from_micros(d.i64()?);
-            p.inflight = Amount::from_micros(d.i64()?);
-            p.status = snapshot::dec_status(d)?;
-            p.delay = d.opt(|d| d.f64())?;
-            p.next_seq = d.u32()?;
-            p.blacklist = dec_seq(d, |d| {
-                let c = dec_index(d, num_channels, "blacklisted channel")?;
-                Ok((ChannelId::from(c), d.u64()?))
-            })?;
-            p.fail_count = d.u32()?;
-            p.not_before_epoch = d.u64()?;
-            p.window = d.f64()?;
-            p.outstanding = d.u32()?;
-            let window_ok = cfg.congestion.is_none() || (p.window.is_finite() && p.window > 0.0);
-            if !window_ok || p.delay.is_some_and(|t| !t.is_finite()) {
-                return corrupt(format!(
-                    "payment {id}: completion delay {:?}, congestion window {}",
-                    p.delay, p.window
-                ));
-            }
-            Ok(())
-        })?;
-        if let Some(p) = slab.next() {
-            return corrupt(format!("payment rows end before payment {}", p.id));
-        }
-        let num_payments = self.payments.len();
-        self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
-        self.arrival_cursor = dec_index(&mut d, num_payments + 1, "arrival cursor")?;
-        if dec_present(&mut d, self.tel_on, "telemetry")? {
-            let keys = dec_seq(&mut d, |d| Ok((d.u64()?, d.u8()?, d.u64()?, d.u64()?)))?;
-            let events = snapshot::dec_events(&mut d)?;
-            if events.len() != keys.len() {
-                return corrupt(format!(
-                    "{} trace keys but {} trace events",
-                    keys.len(),
-                    events.len()
-                ));
-            }
-            for ((epoch, rank, a, b), event) in keys.into_iter().zip(events) {
-                if rank != merge_rank(&event) {
-                    return corrupt(format!("trace key rank {rank} for {event:?}"));
-                }
-                self.emit(epoch, a, b, event);
-            }
-            self.samples = dec_seq(&mut d, |d| {
-                Ok(SamplePartial {
-                    epoch: d.u64()?,
-                    pending: d.u32()?,
-                    channels: dec_seq(d, |d| {
-                        Ok((d.u32()?, d.f64()?, d.f64()?, d.i64()?, d.u32()?))
-                    })?,
-                })
-            })?;
-        }
-        self.series = dec_seq(&mut d, |d| {
-            Ok(SeriesPartial {
-                epoch: d.u64()?,
-                arrived: d.u64()?,
-                completed: d.u64()?,
-                attempted_micros: d.i64()?,
-                delivered_micros: d.i64()?,
-            })
-        })?;
-        self.arrived_count = d.u64()?;
-        self.completed_count = d.u64()?;
-        self.attempted_micros = d.i64()?;
-        self.delivered_micros = d.i64()?;
-        self.violations = snapshot::dec_json(&mut d)?;
-        self.stats = snapshot::dec_json(&mut d)?;
-        let m = &mut self.metrics;
-        for v in [
-            &mut m.events_processed,
-            &mut m.settle_msgs,
-            &mut m.refund_msgs,
-            &mut m.lock_msgs,
-            &mut m.control_msgs,
-            &mut m.dirty_published,
-            &mut m.units_sent,
-        ] {
-            *v = d.u64()?;
-        }
-        if let Some(state) = d.opt(|d| d.bytes())? {
-            (self.scheme.restore_state(network, state))
-                .or_else(|e| corrupt(format!("routing scheme state: {e}")))?;
-        }
-        if dec_present(&mut d, cfg.fees.is_some(), "a fee schedule")? {
-            self.routing_fees_micros = d.i64()?;
-        }
-        if dec_present(&mut d, cfg.policy == ShardPolicy::Queued, "router queues")? {
-            let mut last_key = None;
-            let queues = dec_seq(&mut d, |d| {
-                let channel = dec_index(d, num_channels, "router queue at channel")? as u32;
-                let key = (channel, d.u8()?);
-                if key.1 > 1 || last_key.replace(key) >= Some(key) {
-                    return corrupt(format!("router queue key {key:?} out of range or order"));
-                }
-                let entries = dec_seq(d, |d| {
-                    let unit = dec_unit(d, network, cfg)?;
-                    let hop = dec_index(d, unit.path.len(), "queued unit at hop")?;
-                    if unit.path.hops()[hop].0.index() as u32 != channel {
-                        return corrupt(format!("queued unit hop {hop} not on channel {channel}"));
-                    }
-                    Ok(QueuedUnit {
-                        unit,
-                        hop: hop as u32,
-                        enqueued_epoch: d.u64()?,
-                    })
-                })?;
-                Ok((key, entries))
-            })?;
-            self.queues = queues.into_iter().collect();
-        }
-        if dec_present(&mut d, cfg.rebalance.is_some(), "rebalancing")? {
-            self.rebalance_applies = dec_seq(&mut d, |d| {
-                let fire = d.u64()?;
-                Ok((
-                    fire,
-                    dec_index(d, num_channels, "rebalance of channel")? as u32,
-                ))
-            })?;
-            for &(_, c) in &self.rebalance_applies {
-                self.rebalance_pending[c as usize] = true;
-            }
-            self.rebal_transactions = d.u64()?;
-            self.rebal_moved_micros = d.i64()?;
-            self.rebal_fees_micros = d.i64()?;
-        }
-        d.expect_end()?;
-        Ok(())
-    }
+    })
 }
 
 /// Deterministically merges the shard outputs into one [`SimReport`].
@@ -2938,7 +2273,7 @@ mod tests {
     #[derive(Default)]
     pub(super) struct OrderLog {
         /// `(destination shard, epoch staged in, fire epoch, key)` per
-        /// message staged, or restored from a snapshot taken at that epoch.
+        /// message staged.
         pub(super) staged: Vec<(usize, u64, u64, MsgKey)>,
         /// `(epoch, key)` per message handled, in handling order.
         pub(super) handled: Vec<(u64, MsgKey)>,
@@ -3079,12 +2414,9 @@ mod tests {
         txs: &[Transaction],
         partition: &Partition,
         cfg: &ShardedConfig,
-        resume: Option<&Snapshot>,
-        ckpt: Option<&CheckpointSpec>,
     ) -> Vec<OrderLog> {
         let plan = quantized_plan(cfg);
-        let shards = run_shards(network, txs, partition, cfg, &plan, resume, ckpt)
-            .expect("the snapshot reads and writes");
+        let shards = run_shards(network, txs, partition, cfg, &plan);
         for shard in &shards {
             assert!(shard.violations.is_empty(), "{:?}", shard.violations);
         }
@@ -3200,14 +2532,7 @@ mod tests {
             let mut handled_at_one_shard = 0;
             for shards in [1, 2, 4, 7] {
                 let tag = format!("{name}, {shards} shards");
-                let logs = logged_run(
-                    &network,
-                    &txs,
-                    &partition_of(&network, shards),
-                    cfg,
-                    None,
-                    None,
-                );
+                let logs = logged_run(&network, &txs, &partition_of(&network, shards), cfg);
                 assert_flat_bucket_order(&logs, &tag);
                 let handled: usize = logs.iter().map(|l| l.handled.len()).sum();
                 assert!(handled > 1_000, "{tag}: only {handled} messages");
@@ -3235,36 +2560,6 @@ mod tests {
     }
 
     #[test]
-    fn resumed_agenda_hands_out_the_same_messages() {
-        let (network, txs) = isp_scenario(60, 250, 5);
-        let mut cfg = ShardedConfig::new(12.0);
-        cfg.faults = Some(unit_faults(&network, 12.0));
-        let dir = std::env::temp_dir().join(format!("spider-agenda-{}", std::process::id()));
-        for shards in [1, 4] {
-            let partition = partition_of(&network, shards);
-            let _ = std::fs::remove_dir_all(&dir);
-            let spec = CheckpointSpec::new(100, &dir);
-            let straight = logged_run(&network, &txs, &partition, &cfg, None, Some(&spec));
-            let snap = snapshot::latest_snapshot(&dir)
-                .expect("scan")
-                .expect("a snapshot");
-            let snap = snapshot::read_snapshot(&snap).expect("snapshot reads");
-            assert!(0 < snap.progress && snap.progress < Clockwork::new(&cfg).end_epoch);
-            let resumed = logged_run(&network, &txs, &partition, &cfg, Some(&snap), None);
-            let tag = format!("resumed at epoch {}, {shards} shards", snap.progress);
-            assert_flat_bucket_order(&resumed, &tag);
-            for (shard, (all, rest)) in straight.iter().zip(&resumed).enumerate() {
-                let after: Vec<_> = (all.handled.iter())
-                    .filter(|&&(epoch, _)| epoch > snap.progress)
-                    .collect();
-                assert!(!after.is_empty(), "{tag}: nothing left to handle");
-                assert!(after.into_iter().eq(&rest.handled), "{tag}: shard {shard}");
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn far_future_message_waits_in_the_overflow_without_filling_the_ring() {
         let unit = |payment| {
             let path = Arc::new(Path::new(&line3(1), vec![NodeId(0), NodeId(1)]).expect("a path"));
@@ -3272,6 +2567,12 @@ mod tests {
             Arc::new(UnitInfo::new(&cfg, payment, 0, Amount::from_whole(1), path, 9).0)
         };
         let msg = |payment| Msg::new(MsgBody::UnitDelivered, unit(payment));
+        // The payments of the messages in the ring, in ring order.
+        let in_ring = |agenda: &Agenda| -> Vec<u64> {
+            (agenda.near.iter().flatten().flatten())
+                .map(|m| m.payment)
+                .collect()
+        };
         let mut agenda = Agenda::new(10);
         agenda.push(50_000, msg(1));
         agenda.push(10 + NEAR, msg(2));
@@ -3281,8 +2582,8 @@ mod tests {
             agenda.far.keys().copied().collect::<Vec<_>>(),
             [11 + NEAR, 50_000]
         );
-        let due: Vec<u64> = agenda.slots().map(|(epoch, _)| epoch).collect();
-        assert_eq!(due, [10 + NEAR, 11 + NEAR, 50_000]);
+        assert_eq!(in_ring(&agenda), [2]);
+        assert_eq!(agenda.near[((10 + NEAR) % NEAR) as usize][3].len(), 1);
         // Stepping to the horizon moves the overflow slot into the ring,
         // where a later message for the same epoch joins it.
         assert!(agenda.take(11).iter().all(Vec::is_empty));
@@ -3301,9 +2602,7 @@ mod tests {
             slot[3].iter().map(|m| m.payment).collect::<Vec<_>>(),
             [3, 4]
         );
-        assert_eq!(
-            agenda.slots().map(|(epoch, _)| epoch).collect::<Vec<_>>(),
-            [50_000]
-        );
+        assert_eq!(in_ring(&agenda), Vec::<u64>::new());
+        assert_eq!(agenda.far.keys().copied().collect::<Vec<_>>(), [50_000]);
     }
 }

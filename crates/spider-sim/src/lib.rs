@@ -12,8 +12,9 @@
 //!   state, unit lifecycle and snapshot codec live once, in the private
 //!   `transport` module) under two thin drivers that differ only in where
 //!   a unit waits for funds: [`run`] queues at the source and drives any
-//!   [`spider_routing::RoutingScheme`], [`run_queued`] queues at the
-//!   routers (Fig. 3 / §4.2),
+//!   [`spider_routing::RoutingScheme`] and is the one engine that
+//!   checkpoints ([`snapshot`]), [`run_queued`] queues at the routers
+//!   (Fig. 3 / §4.2),
 //! - [`engine_sharded`] — the partition-parallel engine: one simulation
 //!   split across threads by a [`spider_topology::Partition`], merged
 //!   byte-identically at any shard count,
@@ -42,8 +43,7 @@ pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 pub use congestion::{CongestionConfig, CongestionControl};
 pub use engine::{run, run_queued, QueuePolicy, QueueStats, QueuedConfig, QueuedReport, SimConfig};
 pub use engine_sharded::{
-    resume_sharded, run_sharded, run_sharded_checkpointed, ShardEpochMetrics, ShardObservability,
-    ShardPolicy, ShardScheme, ShardedConfig,
+    run_sharded, ShardEpochMetrics, ShardObservability, ShardPolicy, ShardScheme, ShardedConfig,
 };
 pub use events::{EventQueue, Time};
 pub use faults::{

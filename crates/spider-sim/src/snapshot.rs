@@ -13,16 +13,18 @@
 //! - **version** is bumped on any layout change; readers reject every
 //!   other version — older or newer — with a structured error instead of
 //!   misparsing it.
-//! - **engine** identifies which engine wrote the snapshot
-//!   ([`ENGINE_SEQ`], [`ENGINE_QUEUED`], [`ENGINE_SHARDED`]); resuming with
-//!   the wrong engine is an error, not a crash.
+//! - **engine** identifies which engine wrote the snapshot. One engine
+//!   checkpoints — the continuous-time engine's source-queued driver
+//!   ([`crate::engine::run_checkpointed`]), [`ENGINE_SEQ`] — and any other
+//!   byte is refused as [`SnapshotError::WrongEngine`]. Bytes 2 and 3 named
+//!   the router-queued and the sharded engine while those checkpointed too;
+//!   they are retired and never reused.
 //! - **fingerprint** is a CRC-32 over the simulation inputs (network shape,
 //!   transaction trace, key config fields). Resume recomputes it from its
 //!   own inputs and rejects a mismatch, so a snapshot can never be applied
 //!   to a different scenario.
-//! - **progress** is the engine's own cadence counter (scheduler ticks for
-//!   the event-driven engines, BSP epochs for the sharded engine); it
-//!   orders snapshot files within a directory.
+//! - **progress** is the run's scheduler tick count; it orders snapshot
+//!   files within a directory.
 //!
 //! Writes are crash-safe: the file is staged under a temporary name in the
 //! target directory, fsynced, atomically renamed into place, and the
@@ -48,41 +50,40 @@ use std::path::{Path, PathBuf};
 /// v2: sharded messages carry the unit's deadline epoch, sample partials
 /// carry a queue depth, and sharded snapshots gain an extension section
 /// (tag 4: queues, fee accrual, congestion windows, rebalance schedule).
-/// v3: [`ENGINE_SEQ`] and [`ENGINE_QUEUED`] snapshots share one
+/// v3: the sequential and the router-queued engine's snapshots share one
 /// [`SEC_CORE`] layout, and the router-queued engine's path cache moves to
 /// [`SEC_SCHEME`].
-/// v4: an [`ENGINE_SHARDED`] snapshot is one [`SEC_CORE`] section holding
-/// one blob per shard; the extension section is retired (tag 4 is not
-/// reused) and its contents travel inside each shard's blob.
-/// v5: a snapshot carries only what resume needs. Trace events — the log in
-/// [`SEC_TELEMETRY`] and each shard's trace in its blob — are embedded as
-/// `SPBT` bytes (`enc_events`) instead of a JSON string, and the
-/// [`ENGINE_SEQ`]/[`ENGINE_QUEUED`] [`SEC_CORE`] stores only the units still
-/// live, by slab index, plus the count of units ever sent.
+/// v4: a sharded snapshot is one [`SEC_CORE`] section holding one blob per
+/// shard; the extension section is retired (tag 4 is not reused) and its
+/// contents travel inside each shard's blob.
+/// v5: a snapshot carries only what resume needs. The event log in
+/// [`SEC_TELEMETRY`] is embedded as `SPBT` bytes (`enc_events`) instead of
+/// a JSON string, and [`SEC_CORE`] stores only the units still live, by
+/// slab index, plus the count of units ever sent.
+///
+/// Within v5 the router-queued and the sharded engine stopped
+/// checkpointing: their engine bytes (2, 3) and the sharded layout are
+/// retired, and every file the one remaining engine writes kept its bytes.
 pub const FORMAT_VERSION: u8 = 5;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
 
-/// Engine kind byte: the sequential event-driven engine ([`crate::run`]).
+/// Engine kind byte: the continuous-time engine's source-queued driver
+/// ([`crate::run`]), the one engine that checkpoints. Bytes 2 and 3 are
+/// retired (module docs).
 pub const ENGINE_SEQ: u8 = 1;
-/// Engine kind byte: the router-queued engine ([`crate::run_queued`]).
-pub const ENGINE_QUEUED: u8 = 2;
-/// Engine kind byte: the partition-parallel engine ([`crate::run_sharded`]).
-pub const ENGINE_SHARDED: u8 = 3;
 
 /// Pseudo-section id used in [`SnapshotError::CrcMismatch`] when the
 /// *frame* checksum fails — the trailing CRC over the whole file that
 /// protects the header and section framing.
 pub const SEC_FRAME: u32 = 0;
 
-/// Section tag: engine core state. [`ENGINE_SEQ`] and [`ENGINE_QUEUED`]
-/// share one layout, documented on `Transport::encode` in `transport.rs`;
-/// the [`ENGINE_SHARDED`] layout is documented on `encode_core` and
-/// `ShardCtx::encode` in `engine_sharded.rs`.
+/// Section tag: engine core state, documented on `Transport::encode` in
+/// `transport.rs`.
 pub const SEC_CORE: u32 = 1;
-/// Section tag: routing state — the scheme's own (may be empty for
-/// stateless schemes), or the router-queued engine's path cache.
+/// Section tag: the routing scheme's state (may be empty for stateless
+/// schemes).
 pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
@@ -210,16 +211,14 @@ impl From<BinError> for SnapshotError {
 /// Periodic-checkpoint policy for a run.
 #[derive(Clone, Debug)]
 pub struct CheckpointSpec {
-    /// Checkpoint cadence in engine progress units (scheduler ticks for the
-    /// event-driven engines, BSP epochs for the sharded engine). Clamped to
-    /// at least 1.
+    /// Checkpoint cadence in scheduler ticks. Clamped to at least 1.
     pub every: u64,
     /// Directory snapshot files are written into (created on demand).
     pub dir: PathBuf,
 }
 
 impl CheckpointSpec {
-    /// A spec checkpointing every `every` progress units into `dir`.
+    /// A spec checkpointing every `every` scheduler ticks into `dir`.
     pub fn new(every: u64, dir: impl Into<PathBuf>) -> Self {
         CheckpointSpec {
             every: every.max(1),
@@ -231,7 +230,7 @@ impl CheckpointSpec {
 /// A decoded snapshot container: header fields plus verified sections.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// Engine kind byte ([`ENGINE_SEQ`] / [`ENGINE_QUEUED`] / [`ENGINE_SHARDED`]).
+    /// Engine kind byte, [`ENGINE_SEQ`] in every file the engine writes.
     pub engine: u8,
     /// Input fingerprint recorded at capture time.
     pub fingerprint: u32,
@@ -851,7 +850,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_structured_error() {
-        let bytes = encode_snapshot(ENGINE_QUEUED, 7, 3, &sections());
+        let bytes = encode_snapshot(ENGINE_SEQ, 7, 3, &sections());
         for cut in 0..bytes.len() {
             let r = decode_snapshot(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail, got {r:?}");
@@ -918,10 +917,16 @@ mod tests {
         let bytes = encode_snapshot(ENGINE_SEQ, 10, 1, &sections());
         let snap = decode_snapshot(&bytes).unwrap();
         assert!(snap.check(ENGINE_SEQ, 10).is_ok());
-        assert!(matches!(
-            snap.check(ENGINE_QUEUED, 10),
-            Err(SnapshotError::WrongEngine { .. })
-        ));
+        for retired in [2, 3] {
+            let other = decode_snapshot(&encode_snapshot(retired, 10, 1, &sections())).unwrap();
+            assert_eq!(
+                other.check(ENGINE_SEQ, 10),
+                Err(SnapshotError::WrongEngine {
+                    expected: ENGINE_SEQ,
+                    found: retired
+                })
+            );
+        }
         assert!(matches!(
             snap.check(ENGINE_SEQ, 11),
             Err(SnapshotError::ConfigMismatch { .. })

@@ -9,8 +9,9 @@
 //! the event queue, payments, the unit slab, timers, the fault runtime, the
 //! telemetry series and counters, and the transitions over them (`arrive`,
 //! `send`, `settle`, `refund`, `abandon`, fault bookkeeping, sampling, the
-//! report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec). The drivers in
-//! [`crate::engine`] decide *when* a transition fires, never *what* it does.
+//! report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec, which only the
+//! source-queued driver uses). The drivers in [`crate::engine`] decide
+//! *when* a transition fires, never *what* it does.
 //!
 //! The arithmetic under a transition is not written here: it is shared,
 //! one copy each, with the sharded engine's handlers (which differ in when
@@ -527,11 +528,10 @@ impl<'a> Transport<'a> {
     pub(crate) fn load(
         &mut self,
         path: &std::path::Path,
-        engine: u8,
         fingerprint: u32,
     ) -> Result<Snapshot, SnapshotError> {
         let snap = snapshot::read_snapshot(path)?;
-        snap.check(engine, fingerprint)?;
+        snap.check(snapshot::ENGINE_SEQ, fingerprint)?;
         self.decode(snap.section(snapshot::SEC_CORE)?)?;
         // The caller's handle is restored *in place* so clones of it keep
         // visibility into the resumed run's trace. The fingerprint already
@@ -577,7 +577,6 @@ impl<'a> Transport<'a> {
     pub(crate) fn checkpoint(
         &self,
         ckpt: Option<&CheckpointSpec>,
-        engine: u8,
         fingerprint: u32,
         scheme_state: impl FnOnce() -> Vec<u8>,
     ) -> Result<(), SnapshotError> {
@@ -592,6 +591,7 @@ impl<'a> Transport<'a> {
                 snapshot::encode_telemetry(self.tel),
             ),
         ];
+        let engine = snapshot::ENGINE_SEQ;
         snapshot::write_snapshot(&ck.dir, engine, fingerprint, self.ticks, &sections)?;
         Ok(())
     }
@@ -1191,8 +1191,8 @@ fn enc_sample(e: &mut Enc, s: &NetworkSample) {
 }
 
 impl Transport<'_> {
-    /// Encodes the `SEC_CORE` section, the same layout under both engine
-    /// kind bytes. Integers are little-endian; `usize` travels as `u64`; a
+    /// Encodes the `SEC_CORE` section of an [`ENGINE_SEQ`](snapshot::ENGINE_SEQ)
+    /// snapshot. Integers are little-endian; `usize` travels as `u64`; a
     /// *seq* is a `u64` count followed by that many items; an *opt* is a
     /// presence byte (0/1) followed by the value when 1; *json* is a
     /// length-prefixed UTF-8 JSON string. In order:
@@ -1248,11 +1248,10 @@ impl Transport<'_> {
     /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
     ///     usize, moved_volume: f64, fees_paid: f64`.
     /// 13. AMP — seq (by payment) of seqs of held unit indices.
-    /// 14. Router queues — seq (by channel; empty when the units queue at
-    ///     the source) of two seqs (A→B, B→A) of `(unit: usize, queued_at:
-    ///     f64)`, live units only (whatever refunds a queued unit also takes
-    ///     it out of its queue); then `units_queued, units_dropped,
-    ///     max_queue_len: usize, total_wait: f64, dequeues: usize`.
+    /// 14. Router queues — an empty seq, then `units_queued, units_dropped,
+    ///     max_queue_len: usize, total_wait: f64, dequeues: usize`, all zero.
+    ///     Units queue at the source in every run that checkpoints; the part
+    ///     keeps the bytes it had when router-queued runs checkpointed too.
     fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(self.ticks);
@@ -1334,16 +1333,8 @@ impl Transport<'_> {
         e.f64(self.rebalance_stats.moved_volume);
         e.f64(self.rebalance_stats.fees_paid);
         e.seq(&self.amp_held, |e, held| e.seq(held, |e, &u| e.usize(u)));
-        e.seq(&self.router.queues, |e, sides| {
-            for q in sides {
-                debug_assert!(q.iter().all(|&(unit, _)| self.units.live(unit)));
-                e.usize(q.len());
-                for &(unit, queued_at) in q {
-                    e.usize(unit);
-                    e.f64(queued_at);
-                }
-            }
-        });
+        debug_assert!(self.router.queues.is_empty(), "a router-queued checkpoint");
+        e.usize(0);
         e.usize(self.router.stats.units_queued);
         e.usize(self.router.stats.units_dropped);
         e.usize(self.router.stats.max_queue_len);
@@ -1460,28 +1451,10 @@ impl Transport<'_> {
         if self.amp_held.len() > num_payments {
             return corrupt("AMP holds units for payments that never arrived".to_string());
         }
-        let units = &self.units;
-        let side = |d: &mut Dec| {
-            dec_seq(d, |d| {
-                let unit = dec_index(d, num_units, "router queue holds unit")?;
-                // Queue order is computed from the units' amounts and
-                // deadlines, which a finished unit no longer has.
-                if !units.live(unit) {
-                    return corrupt(format!("router queue holds finished unit {unit}"));
-                }
-                Ok((unit, d.f64()?))
-            })
-            .map(VecDeque::from)
-        };
-        let queues = dec_seq(&mut d, |d| Ok([side(d)?, side(d)?]))?;
-        if queues.len() != self.router.queues.len() {
-            return corrupt(format!(
-                "snapshot has {} router queues, this run has {}",
-                queues.len(),
-                self.router.queues.len()
-            ));
+        let queues = d.usize()?;
+        if queues != 0 {
+            return corrupt(format!("{queues} router queues in a source-queued run"));
         }
-        self.router.queues = queues;
         self.router.stats = QueueStats {
             units_queued: d.usize()?,
             units_dropped: d.usize()?,
@@ -1841,6 +1814,26 @@ mod tests {
             resumed.decode(&bytes).unwrap();
             assert_eq!(resumed.encode(), bytes, "stop {stop}: re-encoding");
             assert!(!lockstep(&mut resumed, &mut oracle, &path, usize::MAX));
+        }
+    }
+
+    #[test]
+    fn router_queues_in_a_core_section_are_corrupt() {
+        let (g, path) = one_hop();
+        let tel = Telemetry::disabled();
+        let txs = tied_trace();
+        let mut t = transport(&g, &txs, &tel);
+        t.seed(None, None);
+        lockstep(&mut t, &mut oracle(&txs), &path, 9);
+        let mut bytes = t.encode();
+        // Part 14 ends the section: the queue count, then four `usize`
+        // statistics and one `f64`.
+        let at = bytes.len() - 6 * 8;
+        assert_eq!(bytes[at..at + 8], [0; 8]);
+        bytes[at] = 1;
+        match transport(&g, &txs, &tel).decode(&bytes) {
+            Err(SnapshotError::Corrupt { what }) => assert!(what.contains("router queues")),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

@@ -336,27 +336,6 @@ fn resume_over_tombstones_is_byte_identical() {
 }
 
 #[test]
-fn queued_engine_resume_over_tombstones_is_byte_identical() {
-    // Router queues under outages: a refunded unit's hop-arrive or settle
-    // stays queued as an event, and is purged from the router queues.
-    use spider::sim::engine::run_queued_checkpointed;
-    let (network, txs) = isp_scenario(29, 250);
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let mut cfg = QueuedConfig::new(18.0);
-    cfg.deadline = 8.0;
-    cfg.queue_policy = spider::sim::QueuePolicy::SmallestFirst;
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 18.0));
-    let dir = TempDir::new("queued-tombstones-probe");
-    let spec = CheckpointSpec::new(9, dir.path());
-    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
-    let stale = (snapshot_files(dir.path()).iter())
-        .filter(|snap| CoreUnits::read(snap).0.has_stale_event())
-        .count();
-    assert!(stale > 0, "no checkpoint caught a stale unit event");
-    assert_queued_resume_equivalence(&network, &txs, &cfg, 9, "queued-tombstones");
-}
-
-#[test]
 fn core_section_is_bounded_by_live_units_not_units_sent() {
     // A small MTU, so that units far outnumber payments, and the same
     // arrivals (15 s of them) run for one and for two spans of time.
@@ -407,49 +386,39 @@ fn core_section_is_bounded_by_live_units_not_units_sent() {
 /// A CRC-valid snapshot whose event queue names a transaction, unit,
 /// channel or node out of range: the drivers index the trace, the unit slab,
 /// the rebalance flags and the fault mask with these, so resume must refuse
-/// them as `Corrupt` before the run starts. One case per kind, in the
-/// source-queued engine and (hop-arrive) the router-queued one.
+/// them as `Corrupt` before the run starts. One case per kind the decoder
+/// reads. Only the router-queued driver schedules a hop-arrive, and it does
+/// not checkpoint, so that case is a queued settle re-tagged as one.
 #[test]
 fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
-    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
     use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
     let (network, txs) = isp_scenario(3, 300);
     let stress = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let plan = FaultPlan::from_config(&stress, &network, 20.0);
     let mut cfg = full_config(20.0);
-    cfg.faults = Some(plan.clone());
+    cfg.faults = Some(FaultPlan::from_config(&stress, &network, 20.0));
     cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
     let dir = TempDir::new("unknown-index-run");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     let spec = CheckpointSpec::new(7, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
-    let mut qcfg = QueuedConfig::new(20.0);
-    qcfg.faults = Some(plan);
-    let qdir = TempDir::new("unknown-index-queued");
-    let spec = CheckpointSpec::new(7, qdir.path());
-    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
 
-    // (engine, what, event tag, fault tag, out-of-range value; `None` is
-    // the snapshot's unit total, the first index no unit has)
+    // (what, tag of the event found, tag it is forged into, fault tag,
+    // out-of-range value; `None` is the snapshot's unit total, the first
+    // index no unit has)
     let (trace, channels) = (txs.len() as u64 + 5, network.num_channels() as u64);
     let cases = [
-        ("run", "arrival past the trace", 0, None, Some(trace)),
-        ("run_queued", "hop-arrive", 1, None, None),
-        ("run", "settle", 2, None, None),
-        ("run", "fault-expire", 3, None, None),
-        ("run", "rebalance-apply", 7, None, Some(channels)),
-        ("run", "channel-down", 4, Some(0), Some(1 << 20)),
-        ("run", "channel-up", 4, Some(1), Some(1 << 20)),
-        ("run", "node-down", 4, Some(2), Some(1 << 20)),
-        ("run", "node-up", 4, Some(3), Some(1 << 20)),
+        ("arrival past the trace", 0, 0, None, Some(trace)),
+        ("hop-arrive", 2, 1, None, None),
+        ("settle", 2, 2, None, None),
+        ("fault-expire", 3, 3, None, None),
+        ("rebalance-apply", 7, 7, None, Some(channels)),
+        ("channel-down", 4, 4, Some(0), Some(1 << 20)),
+        ("channel-up", 4, 4, Some(1), Some(1 << 20)),
+        ("node-down", 4, 4, Some(2), Some(1 << 20)),
+        ("node-up", 4, 4, Some(3), Some(1 << 20)),
     ];
-    for (engine, what, tag, fault_tag, value) in cases {
-        let snapshots = snapshot_files(if engine == "run" {
-            dir.path()
-        } else {
-            qdir.path()
-        });
-        let found = snapshots.iter().find_map(|path| {
+    for (what, tag, forged, fault_tag, value) in cases {
+        let found = snapshot_files(dir.path()).iter().find_map(|path| {
             let snap = read_snapshot(path).expect("snapshot reads");
             let core = snap.section(SEC_CORE).expect("core section").to_vec();
             let (units, _) = CoreUnits::read(path);
@@ -458,8 +427,9 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
             Some((snap, core, at, units.total as u64))
         });
         let (snap, mut core, at, total) =
-            found.unwrap_or_else(|| panic!("{engine}: no snapshot queues a {what} event"));
+            found.unwrap_or_else(|| panic!("no snapshot queues a {what} event"));
         let value = value.unwrap_or(total);
+        core[at - 1] = forged;
         match fault_tag {
             Some(_) => core[at + 1..at + 5].copy_from_slice(&(value as u32).to_le_bytes()),
             None => core[at..at + 8].copy_from_slice(&value.to_le_bytes()),
@@ -473,15 +443,10 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
         let path = dir.path().join(format!("unknown-{what}.spsn"));
         let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
         std::fs::write(&path, bytes).expect("write tampered snapshot");
-        let resumed = if engine == "run" {
-            let mut scheme = make_scheme(&Scheme::Waterfilling);
-            resume(&network, &txs, scheme.as_mut(), &cfg, &path, None).err()
-        } else {
-            resume_queued(&network, &txs, &qcfg, &path, None).err()
-        };
-        match resumed {
-            Some(SnapshotError::Corrupt { .. }) => {}
-            other => panic!("{engine} {what}: expected Corrupt, got {other:?}"),
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+            Err(SnapshotError::Corrupt { .. }) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
         }
     }
 }
@@ -585,131 +550,35 @@ fn damaged_embedded_trace_is_corrupt_never_a_panic() {
 
 /// A checksum-valid `SEC_SCHEME` whose path-cache blob names nodes the
 /// network does not have: the finder indexes per-node arrays with them, so
-/// `run` and `run_queued` must refuse the blob before computing anything.
-/// (`run_sharded` keeps the same blob inside each shard's state; see
-/// `sharded_snapshot_with_absurd_counts_is_rejected`.)
+/// `resume` must refuse the blob before computing anything.
 #[test]
 fn path_cache_naming_unknown_nodes_is_an_error_never_a_panic() {
-    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
     use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_SCHEME};
     let (network, txs) = isp_scenario(17, 150);
-    // The last snapshot in `dir`, its first cached `(src, dst)` overwritten.
-    let tampered = |dir: &TempDir| {
-        let snap = read_snapshot(&snapshot_files(dir.path()).pop().expect("a snapshot"))
-            .expect("snapshot reads");
-        let mut sections = snap.sections.clone();
-        for (tag, bytes) in &mut sections {
-            if *tag == SEC_SCHEME {
-                assert_ne!(bytes[..8], [0; 8], "no pair cached yet");
-                bytes[8..16].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
-            }
-        }
-        let path = dir.path().join("unknown-nodes.spsn");
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
-        std::fs::write(&path, bytes).expect("write tampered snapshot");
-        path
-    };
-    let refused = |engine: &str, err: Option<SnapshotError>| match err {
-        Some(SnapshotError::Corrupt { .. } | SnapshotError::Unsupported { .. }) => {}
-        other => panic!("{engine}: expected a structured refusal, got {other:?}"),
-    };
-
     let cfg = full_config(12.0);
     let dir = TempDir::new("scheme-nodes-run");
     let spec = CheckpointSpec::new(50, dir.path());
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+
+    // The last snapshot, its first cached `(src, dst)` overwritten.
+    let snap = read_snapshot(&snapshot_files(dir.path()).pop().expect("a snapshot"))
+        .expect("snapshot reads");
+    let mut sections = snap.sections.clone();
+    for (tag, bytes) in &mut sections {
+        if *tag == SEC_SCHEME {
+            assert_ne!(bytes[..8], [0; 8], "no pair cached yet");
+            bytes[8..16].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
+        }
+    }
+    let path = dir.path().join("unknown-nodes.spsn");
+    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+    std::fs::write(&path, bytes).expect("write tampered snapshot");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
-    let resumed = resume(&network, &txs, scheme.as_mut(), &cfg, &tampered(&dir), None);
-    refused("run", resumed.err());
-
-    let cfg = QueuedConfig::new(12.0);
-    let dir = TempDir::new("scheme-nodes-queued");
-    let spec = CheckpointSpec::new(50, dir.path());
-    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
-    refused(
-        "run_queued",
-        resume_queued(&network, &txs, &cfg, &tampered(&dir), None).err(),
-    );
-}
-
-/// Same contract for the router-queue engine: resume from every snapshot,
-/// byte-identical `QueuedReport` and trace.
-fn assert_queued_resume_equivalence(
-    network: &Network,
-    txs: &[Transaction],
-    config: &QueuedConfig,
-    every: u64,
-    tag: &str,
-) {
-    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
-    let dir = TempDir::new(tag);
-
-    let (ref_json, ref_trace) = {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let out = spider::sim::run_queued(network, txs, &cfg);
-        (
-            serde_json::to_string_pretty(&out).expect("report serializes"),
-            events_to_jsonl(&tel.events()),
-        )
-    };
-
-    {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let spec = CheckpointSpec::new(every, dir.path());
-        let out = run_queued_checkpointed(network, txs, &cfg, &spec).expect("checkpointed run");
-        assert_eq!(
-            serde_json::to_string_pretty(&out).expect("report serializes"),
-            ref_json,
-            "{tag}: checkpointing perturbed the queued report"
-        );
-        assert_eq!(events_to_jsonl(&tel.events()), ref_trace);
+    match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+        Err(SnapshotError::Corrupt { .. } | SnapshotError::Unsupported { .. }) => {}
+        other => panic!("expected a structured refusal, got {other:?}"),
     }
-
-    let snapshots = snapshot_files(dir.path());
-    assert!(!snapshots.is_empty(), "{tag}: no snapshots (every={every})");
-    for snap in &snapshots {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let out = resume_queued(network, txs, &cfg, snap, None)
-            .unwrap_or_else(|e| panic!("{tag}: resume from {} failed: {e}", snap.display()));
-        assert_eq!(
-            serde_json::to_string_pretty(&out).expect("report serializes"),
-            ref_json,
-            "{tag}: queued resume from {} diverged (report)",
-            snap.display()
-        );
-        assert_eq!(
-            events_to_jsonl(&tel.events()),
-            ref_trace,
-            "{tag}: queued resume from {} diverged (trace)",
-            snap.display()
-        );
-    }
-}
-
-#[test]
-fn queued_engine_resume_is_byte_identical() {
-    let (network, txs) = isp_scenario(19, 250);
-    let mut cfg = QueuedConfig::new(18.0);
-    cfg.deadline = 8.0;
-    assert_queued_resume_equivalence(&network, &txs, &cfg, 60, "queued");
-}
-
-#[test]
-fn queued_engine_resume_under_faults_is_byte_identical() {
-    let (network, txs) = isp_scenario(29, 250);
-    let fault_cfg = FaultConfig::scenario("outages").expect("outages scenario exists");
-    let mut cfg = QueuedConfig::new(18.0);
-    cfg.deadline = 8.0;
-    cfg.queue_policy = spider::sim::QueuePolicy::EarliestDeadline;
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 18.0));
-    assert_queued_resume_equivalence(&network, &txs, &cfg, 45, "queued-faults");
 }
 
 /// Asserts that the snapshot files' frame checksums, in order, are
@@ -736,9 +605,9 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 }
 
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
-/// checksum like the sharded engine's below: the core state, the scheme
-/// state and the telemetry section (metrics registry and the event log as
-/// SPBT) may not drift while `snapshot::FORMAT_VERSION` stays 5. Captured
+/// checksum: the core state, the scheme state and the telemetry section
+/// (metrics registry and the event log as SPBT) may not drift while
+/// `snapshot::FORMAT_VERSION` stays 5. Captured
 /// on commit d7a19b9, before `crc32` became table-driven and the registry
 /// stopped keying metrics by `(name, label)` tuples.
 #[test]
@@ -754,24 +623,6 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
         0x79d0473b, 0x331445d6, 0x8555df69, 0x36eb09ff, 0xd043965a, 0xf3607534, 0x400deb31,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
-}
-
-/// [`sequential_telemetry_snapshot_bytes_are_pinned`] for the router-queued
-/// engine, whose path cache rides in `SEC_SCHEME`.
-#[test]
-fn queued_telemetry_snapshot_bytes_are_pinned() {
-    use spider::sim::engine::run_queued_checkpointed;
-    let (network, txs) = isp_scenario(31, 250);
-    let mut cfg = QueuedConfig::new(15.0);
-    cfg.deadline = 8.0;
-    cfg.telemetry = Telemetry::enabled();
-    let dir = TempDir::new("queued-pinned");
-    let spec = CheckpointSpec::new(20, dir.path());
-    run_queued_checkpointed(&network, &txs, &cfg, &spec).expect("checkpointed run");
-    let pinned = [
-        0x420f28e1, 0xe4262163, 0xed2b0dd1, 0xd9748be7, 0x543d137c, 0x9d729fbe, 0xe3797fb4,
-    ];
-    assert_frame_checksums("queued-pinned", &snapshot_files(dir.path()), &pinned);
 }
 
 /// Writes `snap`'s header over `sections` into `dir` as
@@ -797,13 +648,12 @@ fn reseal(
 /// section with a tag, so before the check the second file resumed, from
 /// the first copy, without a word.
 fn assert_stray_sections_are_corrupt(
-    engine: &str,
     dir: &Path,
     resume: impl Fn(&Path) -> Result<(), SnapshotError>,
 ) {
     use spider::sim::snapshot::{read_snapshot, SEC_CORE};
     let files = snapshot_files(dir);
-    assert!(files.len() >= 2, "{engine}: fewer than two snapshots");
+    assert!(files.len() >= 2, "fewer than two snapshots");
     let first = read_snapshot(&files[0]).expect("snapshot reads");
     let last = read_snapshot(&files[files.len() - 1]).expect("snapshot reads");
     let later_core = last.section(SEC_CORE).expect("core section").to_vec();
@@ -817,38 +667,23 @@ fn assert_stray_sections_are_corrupt(
     ] {
         match resume(&reseal(dir, &first, label, &sections)) {
             Err(SnapshotError::Corrupt { what }) if what.contains(needle) => {}
-            other => panic!("{engine} {label}: expected Corrupt naming the tag, got {other:?}"),
+            other => panic!("{label}: expected Corrupt naming the tag, got {other:?}"),
         }
     }
-    resume(&files[0]).unwrap_or_else(|e| panic!("{engine}: pristine snapshot: {e}"));
+    resume(&files[0]).unwrap_or_else(|e| panic!("pristine snapshot: {e}"));
 }
 
 #[test]
 fn stray_sections_are_corrupt_in_every_engine() {
-    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
     let (network, txs) = isp_scenario(17, 150);
-
     let cfg = full_config(12.0);
     let dir = TempDir::new("stray-run");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     let spec = CheckpointSpec::new(25, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
-    assert_stray_sections_are_corrupt("run", dir.path(), |path| {
+    assert_stray_sections_are_corrupt(dir.path(), |path| {
         let mut scheme = make_scheme(&Scheme::Waterfilling);
         resume(&network, &txs, scheme.as_mut(), &cfg, path, None).map(drop)
-    });
-
-    let qcfg = QueuedConfig::new(12.0);
-    let qdir = TempDir::new("stray-queued");
-    let spec = CheckpointSpec::new(25, qdir.path());
-    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
-    assert_stray_sections_are_corrupt("run_queued", qdir.path(), |path| {
-        resume_queued(&network, &txs, &qcfg, path, None).map(drop)
-    });
-
-    let ckpt = ShardedCheckpoint::capture("stray-sharded", 2, false);
-    assert_stray_sections_are_corrupt("run_sharded", ckpt.dir.path(), |path| {
-        ckpt.resume(path).map(drop)
     });
 }
 
@@ -858,7 +693,6 @@ fn stray_sections_are_corrupt_in_every_engine() {
 /// so `resume` must refuse each as `Corrupt` naming the metric; before the
 /// check each resumed, and the report listed the injected entry.
 fn assert_foreign_metrics_are_corrupt(
-    engine: &str,
     dir: &Path,
     resume: impl Fn(&Path) -> Result<(), SnapshotError>,
 ) {
@@ -873,7 +707,7 @@ fn assert_foreign_metrics_are_corrupt(
     d.take_raw(9).expect("section head");
     let count_at = d.offset();
     let count = d.u64().expect("counter count");
-    assert!(count > 0, "{engine}: no counter recorded");
+    assert!(count > 0, "no counter recorded");
     let first_at = d.offset();
     let (name, _label) = (d.str().expect("name"), d.str().expect("label"));
     let value = d.u64().expect("value");
@@ -927,611 +761,35 @@ fn assert_foreign_metrics_are_corrupt(
         }
         match resume(&reseal(dir, &snap, label, &sections)) {
             Err(SnapshotError::Corrupt { what }) if what.contains(&needle) => {}
-            other => panic!("{engine} {label}: expected Corrupt naming {needle:?}, got {other:?}"),
+            other => panic!("{label}: expected Corrupt naming {needle:?}, got {other:?}"),
         }
     }
-    resume(&path).unwrap_or_else(|e| panic!("{engine}: pristine snapshot: {e}"));
+    resume(&path).unwrap_or_else(|e| panic!("pristine snapshot: {e}"));
 }
 
 #[test]
 fn telemetry_section_with_a_label_or_gauge_is_corrupt() {
-    use spider::sim::engine::{resume_queued, run_queued_checkpointed};
     let (network, txs) = isp_scenario(17, 150);
-
     let mut cfg = full_config(12.0);
     cfg.telemetry = Telemetry::enabled();
     let dir = TempDir::new("foreign-metrics-run");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     let spec = CheckpointSpec::new(25, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
-    assert_foreign_metrics_are_corrupt("run", dir.path(), |path| {
+    assert_foreign_metrics_are_corrupt(dir.path(), |path| {
         let mut cfg = cfg.clone();
         cfg.telemetry = Telemetry::enabled();
         let mut scheme = make_scheme(&Scheme::Waterfilling);
         resume(&network, &txs, scheme.as_mut(), &cfg, path, None).map(drop)
     });
-
-    let mut qcfg = QueuedConfig::new(12.0);
-    qcfg.telemetry = Telemetry::enabled();
-    let qdir = TempDir::new("foreign-metrics-queued");
-    let spec = CheckpointSpec::new(25, qdir.path());
-    run_queued_checkpointed(&network, &txs, &qcfg, &spec).expect("checkpointed run");
-    assert_foreign_metrics_are_corrupt("run_queued", qdir.path(), |path| {
-        let mut qcfg = qcfg.clone();
-        qcfg.telemetry = Telemetry::enabled();
-        resume_queued(&network, &txs, &qcfg, path, None).map(drop)
-    });
 }
 
-/// Same contract for the partition-parallel engine: checkpoints taken at
-/// the BSP epoch barrier must resume byte-identically at any shard count.
-/// `pinned` is each snapshot file's frame checksum in order — the CRC32 of
-/// the whole file up to its last four bytes, which hold it — captured at
-/// PR 19 (commit a4b0716): what a sharded `SPSN` v5 snapshot holds, byte for
-/// byte, may not drift while `snapshot::FORMAT_VERSION` stays 5.
-fn assert_sharded_resume_equivalence(
-    network: &Network,
-    txs: &[Transaction],
-    config: &ShardedConfig,
-    shards: usize,
-    every: u64,
-    tag: &str,
-    pinned: &[u32],
-) {
-    use spider::sim::engine_sharded::{resume_sharded, run_sharded_checkpointed};
-    use spider::topology::Partition;
-    let dir = TempDir::new(tag);
-    let partition = if shards <= 1 {
-        Partition::single(network)
-    } else {
-        Partition::build(network, shards, 7)
-    };
-
-    let (ref_json, ref_trace) = {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let report = spider::sim::run_sharded(network, txs, &partition, &cfg);
-        (
-            serde_json::to_string_pretty(&report).expect("report serializes"),
-            events_to_jsonl(&tel.events()),
-        )
-    };
-
-    {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let spec = CheckpointSpec::new(every, dir.path());
-        let report = run_sharded_checkpointed(network, txs, &partition, &cfg, &spec)
-            .expect("checkpointed run");
-        assert_eq!(
-            serde_json::to_string_pretty(&report).expect("report serializes"),
-            ref_json,
-            "{tag}: checkpointing perturbed the sharded report"
-        );
-        assert_eq!(
-            events_to_jsonl(&tel.events()),
-            ref_trace,
-            "{tag}: checkpointing perturbed the sharded trace"
-        );
-    }
-
-    let snapshots = snapshot_files(dir.path());
-    assert!(!snapshots.is_empty(), "{tag}: no snapshots (every={every})");
-    assert_frame_checksums(tag, &snapshots, pinned);
-    for snap in &snapshots {
-        let tel = Telemetry::enabled();
-        let mut cfg = config.clone();
-        cfg.telemetry = tel.clone();
-        let report = resume_sharded(network, txs, &partition, &cfg, snap, None)
-            .unwrap_or_else(|e| panic!("{tag}: resume from {} failed: {e}", snap.display()));
-        assert_eq!(
-            serde_json::to_string_pretty(&report).expect("report serializes"),
-            ref_json,
-            "{tag}: sharded resume from {} diverged (report)",
-            snap.display()
-        );
-        assert_eq!(
-            events_to_jsonl(&tel.events()),
-            ref_trace,
-            "{tag}: sharded resume from {} diverged (trace)",
-            snap.display()
-        );
-    }
-}
-
-fn sharded_config(end_time: f64) -> ShardedConfig {
-    let mut cfg = ShardedConfig::new(end_time);
-    cfg.record_series = true;
-    cfg.audit = true;
-    cfg
-}
-
-#[test]
-fn sharded_engine_resume_is_byte_identical_single_shard() {
-    let (network, txs) = isp_scenario(31, 250);
-    let pinned = [0x64ffa2df, 0xc942cf7d, 0xdf5d84c5, 0x173888c3];
-    assert_sharded_resume_equivalence(
-        &network,
-        &txs,
-        &sharded_config(15.0),
-        1,
-        70,
-        "shard1",
-        &pinned,
-    );
-}
-
-#[test]
-fn sharded_engine_resume_is_byte_identical_four_shards() {
-    let (network, txs) = isp_scenario(31, 250);
-    let pinned = [0x5849c105, 0x79e63686, 0x7410a4e8, 0x3b10f3b6];
-    assert_sharded_resume_equivalence(
-        &network,
-        &txs,
-        &sharded_config(15.0),
-        4,
-        70,
-        "shard4",
-        &pinned,
-    );
-}
-
-#[test]
-fn sharded_engine_resume_under_faults_is_byte_identical() {
-    let (network, txs) = isp_scenario(37, 250);
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let pinned: [(usize, [u32; 5]); 2] = [
-        (
-            1,
-            [0x1e6cb11a, 0x26e03d00, 0x49c03ac7, 0xc972ab6a, 0x3e7bf58d],
-        ),
-        (
-            4,
-            [0xaa497417, 0xdc8e05ba, 0xcabe3aa9, 0xc2bc672a, 0xfd5b0126],
-        ),
-    ];
-    for (shards, pinned) in pinned {
-        let mut cfg = sharded_config(15.0);
-        cfg.scheme = spider::sim::ShardScheme::ShortestPath;
-        cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 15.0));
-        assert_sharded_resume_equivalence(
-            &network,
-            &txs,
-            &cfg,
-            shards,
-            55,
-            &format!("shard-faults-{shards}"),
-            &pinned,
-        );
-    }
-}
-
-/// Sharded config with router queues, fees, congestion control, and
-/// rebalancing all active — the feature-parity resume surface.
-fn sharded_full_features_config(network: &Network, end_time: f64) -> ShardedConfig {
-    let mut cfg = sharded_config(end_time);
-    cfg.policy = spider::sim::ShardPolicy::Queued;
-    cfg.fees = Some(spider::routing::FeeSchedule::uniform(
-        network,
-        Amount::from_micros(10),
-        1_000,
-    ));
-    cfg.congestion = Some(spider::sim::CongestionConfig::default());
-    cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
-    cfg
-}
-
-#[test]
-fn sharded_full_features_resume_is_byte_identical() {
-    // Mid-epoch snapshots carry live queue entries, congestion windows, fee
-    // accrual, and pending rebalance confirmations in each shard's blob;
-    // resume must reproduce the uninterrupted run byte for byte at 1 and 4
-    // shards.
-    let (network, txs) = isp_scenario(43, 250);
-    let cfg = sharded_full_features_config(&network, 15.0);
-    let pinned: [(usize, [u32; 5]); 2] = [
-        (
-            1,
-            [0x6cef4478, 0x1112f800, 0x044242e0, 0x086708eb, 0x4cabd5f8],
-        ),
-        (
-            4,
-            [0x96e6cf83, 0xaa26ea48, 0x8800f9ef, 0xc2190947, 0xe3914da8],
-        ),
-    ];
-    for (shards, pinned) in pinned {
-        assert_sharded_resume_equivalence(
-            &network,
-            &txs,
-            &cfg,
-            shards,
-            55,
-            &format!("shard-full-{shards}"),
-            &pinned,
-        );
-    }
-}
-
-/// A full-features sharded checkpoint whose `SEC_CORE` section the
-/// corruption tests below replace: the snapshot is re-encoded with the
-/// transformed section and recomputed checksums, so only the structural
-/// validation can object.
-struct ShardedCheckpoint {
-    network: Network,
-    txs: Vec<Transaction>,
-    cfg: ShardedConfig,
-    partition: spider::topology::Partition,
-    dir: TempDir,
-    snap_path: PathBuf,
-    snap: spider::sim::snapshot::Snapshot,
-}
-
-impl ShardedCheckpoint {
-    fn capture(tag: &str, shards: usize, telemetry: bool) -> Self {
-        use spider::sim::engine_sharded::run_sharded_checkpointed;
-        let (network, txs) = isp_scenario(47, 200);
-        let mut cfg = sharded_full_features_config(&network, 12.0);
-        if telemetry {
-            cfg.telemetry = Telemetry::enabled();
-        }
-        let dir = TempDir::new(tag);
-        let partition = spider::topology::Partition::build(&network, shards, 7);
-        let spec = CheckpointSpec::new(40, dir.path());
-        run_sharded_checkpointed(&network, &txs, &partition, &cfg, &spec)
-            .expect("checkpointed run");
-        // A mid-run snapshot: the last one is taken at the end epoch, when
-        // no message is in flight any more.
-        let files = snapshot_files(dir.path());
-        let snap_path = files[files.len() / 2].clone();
-        let bytes = std::fs::read(&snap_path).expect("read snapshot");
-        let snap = spider::sim::snapshot::decode_snapshot(&bytes).expect("snapshot decodes");
-        ShardedCheckpoint {
-            network,
-            txs,
-            cfg,
-            partition,
-            dir,
-            snap_path,
-            snap,
-        }
-    }
-
-    fn core(&self) -> &[u8] {
-        self.snap
-            .section(spider::sim::snapshot::SEC_CORE)
-            .expect("core section present")
-    }
-
-    fn resume(&self, path: &Path) -> Result<SimReport, SnapshotError> {
-        use spider::sim::engine_sharded::resume_sharded;
-        let mut cfg = self.cfg.clone();
-        if cfg.telemetry.is_enabled() {
-            cfg.telemetry = Telemetry::enabled();
-        }
-        resume_sharded(&self.network, &self.txs, &self.partition, &cfg, path, None)
-    }
-
-    /// The error resume reports for the snapshot with `core` in place of
-    /// its `SEC_CORE` section (`None` drops the section).
-    fn resume_with_core(&self, label: &str, core: Option<Vec<u8>>) -> SnapshotError {
-        use spider::sim::snapshot::{encode_snapshot, SEC_CORE};
-        let snap = &self.snap;
-        let mut sections: Vec<(u32, Vec<u8>)> = (snap.sections.iter())
-            .filter(|(t, _)| *t != SEC_CORE)
-            .cloned()
-            .collect();
-        if let Some(bytes) = core {
-            sections.push((SEC_CORE, bytes));
-        }
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
-        let path = self.dir.path().join(format!("tampered-{label}.spsn"));
-        std::fs::write(&path, bytes).expect("write tampered snapshot");
-        self.resume(&path)
-            .err()
-            .unwrap_or_else(|| panic!("{label}: tampered SEC_CORE was accepted"))
-    }
-}
-
-#[test]
-fn sharded_core_section_corruption_is_rejected() {
-    let ckpt = ShardedCheckpoint::capture("shard-core-corrupt", 4, false);
-    let core = ckpt.core();
-
-    // Dropping the section entirely: there is no shard state to resume.
-    match ckpt.resume_with_core("missing", None) {
-        SnapshotError::MissingSection { .. } => {}
-        other => panic!("expected MissingSection, got {other:?}"),
-    }
-
-    // Truncations at a spread of offsets must all be caught structurally.
-    for cut in [0, 2, core.len() / 2, core.len() - 1] {
-        match ckpt.resume_with_core(&format!("trunc-{cut}"), Some(core[..cut].to_vec())) {
-            SnapshotError::Corrupt { .. } => {}
-            other => panic!("trunc-{cut}: expected Corrupt, got {other:?}"),
-        }
-    }
-
-    // Wrong shard count (the u32 after the u64 epoch): blob/partition
-    // disagreement.
-    let mut bad_count = core.to_vec();
-    bad_count[8] ^= 0xFF;
-    match ckpt.resume_with_core("shard-count", Some(bad_count)) {
-        SnapshotError::Corrupt { .. } => {}
-        other => panic!("shard-count: expected Corrupt, got {other:?}"),
-    }
-
-    // Trailing garbage after the last well-formed blob must also be refused.
-    let mut padded = core.to_vec();
-    padded.extend_from_slice(&[0xAB; 7]);
-    match ckpt.resume_with_core("padded", Some(padded)) {
-        SnapshotError::Corrupt { .. } => {}
-        other => panic!("padded: expected Corrupt, got {other:?}"),
-    }
-
-    // The untampered snapshot still resumes: the harness itself is sound.
-    ckpt.resume(&ckpt.snap_path)
-        .expect("pristine snapshot resumes");
-}
-
-/// Walks one shard blob by the layout documented on `ShardCtx::encode`
-/// (full-features config: auditing on, no fault plan, telemetry on, fees,
-/// queued policy) and returns the blob offset of every `u64` that an absurd
-/// value must get refused: element counts, and ids that are looked up.
-fn shard_blob_count_offsets(blob: &[u8]) -> Vec<(&'static str, usize)> {
-    use spider::core::Dec;
-    fn skip_unit(d: &mut Dec) {
-        d.take_raw(8 + 4 + 8).expect("unit head");
-        let nodes = d.usize().expect("path length");
-        d.take_raw(4 * nodes + 8).expect("path and deadline");
-    }
-    type Offsets = Vec<(&'static str, usize)>;
-    fn count(counts: &mut Offsets, label: &'static str, d: &mut Dec) -> usize {
-        counts.push((label, d.offset()));
-        d.usize().expect(label)
-    }
-    let mut counts = Offsets::new();
-    let mut d = Dec::new(blob);
-
-    let channels = d.usize().expect("channel count");
-    d.take_raw(channels * 6 * 8).expect("ledger");
-    assert_eq!(d.u8(), Ok(1), "audit state present");
-    d.str().expect("audit json");
-    assert_eq!(d.u8(), Ok(0), "no fault plan");
-    d.usize().expect("plan cursor");
-    for _ in 0..count(&mut counts, "message buckets", &mut d) {
-        // Not a count: the epoch the bucket's messages are due in, which the
-        // run must still reach.
-        counts.push(("bucket fire epoch", d.offset()));
-        d.u64().expect("fire epoch");
-        for _ in 0..count(&mut counts, "bucket messages", &mut d) {
-            let unit_at = d.offset();
-            skip_unit(&mut d);
-            match d.u8().expect("body tag") {
-                0..=2 => d.take_raw(8).map(drop),
-                tag => {
-                    // Not a count, but the same kind of hazard: the owner
-                    // looks this payment id up in its own slab.
-                    counts.push(("outcome message payment id", unit_at));
-                    d.take_raw(if tag == 3 { 0 } else { 8 + 1 }).map(drop)
-                }
-            }
-            .expect("body arguments");
-        }
-    }
-    for _ in 0..count(&mut counts, "payments", &mut d) {
-        d.take_raw(8 + 8 + 8 + 1).expect("payment head");
-        d.opt(|d| d.f64()).expect("delay");
-        d.u32().expect("next seq");
-        let blacklisted = count(&mut counts, "blacklist", &mut d);
-        d.take_raw(blacklisted * 16 + 4 + 8 + 8 + 4)
-            .expect("payment tail");
-    }
-    let pending = count(&mut counts, "pending list", &mut d);
-    d.take_raw(pending * 8 + 8).expect("pending and cursor");
-    assert_eq!(d.u8(), Ok(1), "telemetry present");
-    let keys = count(&mut counts, "trace keys", &mut d);
-    d.take_raw(keys * 25).expect("trace keys");
-    count(&mut counts, "trace events", &mut d);
-    counts.push(("trace bytes", d.offset()));
-    d.bytes().expect("trace events as SPBT");
-    for _ in 0..count(&mut counts, "samples", &mut d) {
-        d.take_raw(8 + 4).expect("sample head");
-        let channels = count(&mut counts, "sample channels", &mut d);
-        d.take_raw(channels * 32).expect("sample channels");
-    }
-    let series = count(&mut counts, "series", &mut d);
-    d.take_raw(series * 40 + 4 * 8).expect("series and totals");
-    d.str().expect("violations json");
-    d.str().expect("fault stats json");
-    d.take_raw(7 * 8).expect("work counters");
-    if d.u8() == Ok(1) {
-        // A path-cache blob: the pair count, then `(src, dst): (u32, u32)`
-        // pairs — node ids the path finder indexes its arrays with.
-        let state_at = d.offset() + 8;
-        let state = d.bytes().expect("scheme state");
-        if Dec::new(state).usize().expect("cached pairs") > 0 {
-            counts.push(("path cache pair", state_at + 8));
-        }
-    }
-    assert_eq!(d.u8(), Ok(1), "fee accrual present");
-    d.i64().expect("fee micros");
-    assert_eq!(d.u8(), Ok(1), "router queues present");
-    for _ in 0..count(&mut counts, "router queues", &mut d) {
-        d.take_raw(8 + 1).expect("queue key");
-        for _ in 0..count(&mut counts, "queue entries", &mut d) {
-            skip_unit(&mut d);
-            d.take_raw(8 + 8).expect("hop and enqueue epoch");
-        }
-    }
-    assert_eq!(d.u8(), Ok(1), "rebalancing present");
-    let applies = count(&mut counts, "rebalance schedule", &mut d);
-    d.take_raw(applies * 16 + 3 * 8).expect("rebalance totals");
-    d.expect_end().expect("blob fully walked");
-    counts
-}
-
-#[test]
-fn sharded_snapshot_with_absurd_counts_is_rejected() {
-    // A checksum-valid file can still claim 2^56 - 1 elements anywhere a
-    // count is stored. Each one must run the decoder into the end of the
-    // input — a structured error — not into the allocator.
-    let ckpt = ShardedCheckpoint::capture("shard-absurd-counts", 2, true);
-    let core = ckpt.core();
-    let mut d = spider::core::Dec::new(core);
-    d.take_raw(8 + 4).expect("epoch and shard count");
-
-    let mut seen = std::collections::BTreeSet::new();
-    for shard in 0..2 {
-        let blob = d.bytes().expect("shard blob");
-        let blob_start = d.offset() - blob.len();
-        for (label, offset) in shard_blob_count_offsets(blob) {
-            seen.insert(label);
-            let at = blob_start + offset;
-            let mut tampered = core.to_vec();
-            tampered[at..at + 8].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
-            match ckpt.resume_with_core(&format!("{shard}-{offset}"), Some(tampered)) {
-                SnapshotError::Corrupt { .. } => {}
-                other => panic!("shard {shard} {label}: expected Corrupt, got {other:?}"),
-            }
-        }
-    }
-    // The counts the old decoder reserved for before reading any element.
-    for label in [
-        "bucket fire epoch",
-        "bucket messages",
-        "payments",
-        "trace keys",
-        "trace events",
-        "trace bytes",
-        "samples",
-        "queue entries",
-        "outcome message payment id",
-        "path cache pair",
-    ] {
-        assert!(seen.contains(label), "no {label} count in the snapshot");
-    }
-}
-
-#[test]
-fn sharded_snapshot_with_unreachable_message_buckets_is_rejected() {
-    // The resumed run handles the buckets of epochs `progress + 1 ..=
-    // end_epoch` and no other. A bucket moved to an epoch already behind the
-    // snapshot, or past the end of the run, is never handled: its units'
-    // funds stay locked and their payments' in-flight amounts never clear.
-    // Each move below keeps the buckets in ascending order, so the epoch
-    // range is the only thing wrong with the file.
-    let ckpt = ShardedCheckpoint::capture("shard-stray-buckets", 2, true);
-    let progress = ckpt.snap.progress;
-    let end_epoch = (ckpt.cfg.end_time / spider::sim::engine_sharded::EPOCH + 1e-9).floor() as u64;
-    assert!(1 < progress && progress < end_epoch);
-    let core = ckpt.core();
-    let mut d = spider::core::Dec::new(core);
-    d.take_raw(8 + 4).expect("epoch and shard count");
-    let blob = d.bytes().expect("shard 0 blob");
-    let blob_start = d.offset() - blob.len();
-    let buckets: Vec<usize> = shard_blob_count_offsets(blob)
-        .into_iter()
-        .filter(|&(label, _)| label == "bucket fire epoch")
-        .map(|(_, offset)| blob_start + offset)
-        .collect();
-    let (first, last) = (buckets[0], buckets[buckets.len() - 1]);
-    for (label, at, epoch) in [
-        ("at-progress", first, progress),
-        ("long-past", first, 1),
-        ("past-the-end", last, end_epoch + 1),
-    ] {
-        let mut tampered = core.to_vec();
-        tampered[at..at + 8].copy_from_slice(&epoch.to_le_bytes());
-        match ckpt.resume_with_core(label, Some(tampered)) {
-            SnapshotError::Corrupt { what } if what.contains(&format!("epoch {epoch},")) => {}
-            other => panic!("{label}: expected Corrupt naming epoch {epoch}, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn sharded_snapshot_with_a_reranked_trace_key_is_rejected() {
-    // A trace key's rank follows from its event. One rank byte changed in a
-    // checksum-valid file would silently reorder the merged trace.
-    let ckpt = ShardedCheckpoint::capture("shard-reranked-key", 2, true);
-    let core = ckpt.core();
-    let mut d = spider::core::Dec::new(core);
-    d.take_raw(8 + 4).expect("epoch and shard count");
-    let blob = d.bytes().expect("shard 0 blob");
-    let blob_start = d.offset() - blob.len();
-    let (_, keys_at) = shard_blob_count_offsets(blob)
-        .into_iter()
-        .find(|&(label, _)| label == "trace keys")
-        .expect("trace keys");
-    let keys = spider::core::Dec::new(&blob[keys_at..]).usize();
-    assert!(keys.is_ok_and(|n| n > 0), "shard 0 has trace keys");
-    // The count, then `(epoch: u64, rank: u8, a: u64, b: u64)` per key.
-    let at = blob_start + keys_at + 8 + 8;
-    for rank in [core[at] ^ 1, 15, 200] {
-        let mut tampered = core.to_vec();
-        tampered[at] = rank;
-        match ckpt.resume_with_core(&format!("rank-{rank}"), Some(tampered)) {
-            SnapshotError::Corrupt { what } if what.contains("trace key rank") => {}
-            other => panic!("rank {rank}: expected Corrupt naming the rank, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn sharded_feature_config_mismatch_is_rejected() {
-    // A snapshot captured with features on cannot resume with them off (and
-    // vice versa): the fingerprint covers the feature configuration.
-    use spider::sim::engine_sharded::{resume_sharded, run_sharded_checkpointed};
-    use spider::topology::Partition;
-    let (network, txs) = isp_scenario(53, 150);
-    let cfg = sharded_full_features_config(&network, 12.0);
-    let dir = TempDir::new("shard-feature-mismatch");
-    let partition = Partition::build(&network, 2, 7);
-    {
-        let spec = CheckpointSpec::new(40, dir.path());
-        run_sharded_checkpointed(&network, &txs, &partition, &cfg, &spec)
-            .expect("checkpointed run");
-    }
-    let snap = latest_snapshot(dir.path())
-        .expect("scan dir")
-        .expect("at least one snapshot");
-    let plain = sharded_config(12.0);
-    match resume_sharded(&network, &txs, &partition, &plain, &snap, None) {
-        Err(SnapshotError::ConfigMismatch { .. }) => {}
-        other => panic!("expected ConfigMismatch, got {other:?}"),
-    }
-}
-
-#[test]
-fn sharded_snapshot_is_rejected_under_a_different_partition() {
-    use spider::sim::engine_sharded::{resume_sharded, run_sharded_checkpointed};
-    use spider::topology::Partition;
-    let (network, txs) = isp_scenario(41, 150);
-    let cfg = sharded_config(12.0);
-    let dir = TempDir::new("shard-part");
-    {
-        let partition = Partition::build(&network, 4, 7);
-        let spec = CheckpointSpec::new(40, dir.path());
-        run_sharded_checkpointed(&network, &txs, &partition, &cfg, &spec)
-            .expect("checkpointed run");
-    }
-    let snap = latest_snapshot(dir.path())
-        .expect("scan dir")
-        .expect("at least one snapshot");
-    // Payments are owned by `id % num_shards`: per-shard blobs are only
-    // valid under the partition that wrote them.
-    let other = Partition::build(&network, 2, 7);
-    match resume_sharded(&network, &txs, &other, &cfg, &snap, None) {
-        Err(SnapshotError::ConfigMismatch { .. }) => {}
-        other => panic!("expected ConfigMismatch, got {other:?}"),
-    }
-}
-
+/// A snapshot whose header names any engine but the one that checkpoints
+/// (byte 5; 2 and 3 once named the router-queued and the sharded engine,
+/// and are retired), re-sealed with a fresh frame checksum, is refused as
+/// `WrongEngine` before any section is read.
 #[test]
 fn cross_engine_snapshots_are_rejected() {
-    use spider::sim::engine::resume_queued;
     let (network, txs) = isp_scenario(11, 150);
     let cfg = full_config(12.0);
     let dir = TempDir::new("cross");
@@ -1543,12 +801,21 @@ fn cross_engine_snapshots_are_rejected() {
     let snap = latest_snapshot(dir.path())
         .expect("scan dir")
         .expect("at least one snapshot");
-    // A sequential-engine snapshot fed to the queued engine must be refused
-    // as WrongEngine (or ConfigMismatch if fingerprints differ first).
-    let qcfg = QueuedConfig::new(12.0);
-    match resume_queued(&network, &txs, &qcfg, &snap, None) {
-        Err(SnapshotError::WrongEngine { .. } | SnapshotError::ConfigMismatch { .. }) => {}
-        other => panic!("expected WrongEngine/ConfigMismatch, got {other:?}"),
+    let bytes = std::fs::read(&snap).expect("read snapshot");
+    assert_eq!(bytes[5], 1, "the engine byte");
+    for engine in [0, 2, 3, 9] {
+        let mut other = bytes.clone();
+        other[5] = engine;
+        let frame_at = other.len() - 4;
+        let frame = spider::core::crc32(&other[..frame_at]);
+        other[frame_at..].copy_from_slice(&frame.to_le_bytes());
+        let path = dir.path().join(format!("engine-{engine}.spsn"));
+        std::fs::write(&path, other).expect("write re-sealed snapshot");
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+            Err(SnapshotError::WrongEngine { expected: 1, found }) if found == engine => {}
+            other => panic!("engine byte {engine}: expected WrongEngine, got {other:?}"),
+        }
     }
 }
 
