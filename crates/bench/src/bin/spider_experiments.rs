@@ -67,7 +67,7 @@ use spider_bench::{
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
 use spider_telemetry::bintrace::{self, QueryStats};
 use spider_telemetry::{TraceEvent, TraceQuery};
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 fn main() {
     let opts = Options::parse(std::env::args().skip(1));
@@ -252,6 +252,14 @@ impl Options {
     /// The value of `flag` parsed as `T`; `what` completes "expects ...".
     fn parsed<T: std::str::FromStr>(&self, flag: &str, what: &str) -> Option<T> {
         self.value(flag).map(|v| parse_as(flag, what, v))
+    }
+
+    /// The value of a count flag (`--shards`, `--trials`, `--jobs`), a
+    /// positive integer: zero shards or workers would quietly run on one,
+    /// and zero trials would run nothing.
+    fn count(&self, flag: &str) -> Option<usize> {
+        self.parsed(flag, "a positive integer")
+            .map(NonZeroUsize::get)
     }
 
     /// The comma-separated value of `flag`, every item parsed as `T`.
@@ -618,7 +626,7 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
     let topology = opts.topology();
     let mut grid = GridConfig::new(config_for(opts, topology));
     grid.telemetry = opts.telemetry;
-    if let Some(trials) = opts.parsed("--trials", "an integer") {
+    if let Some(trials) = opts.count("--trials") {
         grid.trials = trials;
     }
     if let Some(capacities) = opts.list("--capacities", "comma-separated numbers") {
@@ -649,9 +657,7 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
             }
         }
     }
-    let jobs = opts
-        .parsed("--jobs", "an integer")
-        .unwrap_or_else(jobs_from_env);
+    let jobs = opts.count("--jobs").unwrap_or_else(jobs_from_env);
 
     println!(
         "=== Grid ({topology}): {} schemes x {} capacities x {} trials on {} worker(s), audit {} ===",
@@ -741,7 +747,7 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
 fn run_sharded_command(opts: &Options, out: &mut JsonSink) {
     let topology = opts.topology();
     let cfg = config_for(opts, topology);
-    let shards: usize = opts.parsed("--shards", "an integer").unwrap_or(4);
+    let shards = opts.count("--shards").unwrap_or(4);
     let scheme = match opts.value("--scheme").map(parse_scheme) {
         None | Some(SchemeChoice::SpiderWaterfilling) => ShardScheme::Waterfilling,
         Some(SchemeChoice::ShortestPath) => ShardScheme::ShortestPath,

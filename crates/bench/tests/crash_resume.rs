@@ -289,7 +289,7 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
     let stray = tmp.path().join("stray").display().to_string();
     // The retired flag, spelled in halves so a grep for it finds nothing.
     let retired = concat!("--trace", "-format");
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["fig4", "--sed", "3"], "--sed"),
         (&["fig4", "--seed"], "--seed"),
         (&["fig6", "--seed", "--telemetry"], "--seed"),
@@ -306,6 +306,11 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
             ],
             "--checkpoint-every",
         ),
+        // Zero shards or workers once ran on one while printing zero, and
+        // zero trials printed an empty table and exited 0.
+        (&["sharded", "--shards", "0"], "--shards"),
+        (&["grid", "--trials", "0"], "--trials"),
+        (&["grid", "--jobs", "0"], "--jobs"),
         (&["fig6", retired, "bin"], retired),
         // Checked before the (here missing) file is read.
         (&["inspect", &stray, "--kind", "unit_setled"], "--kind"),

@@ -35,18 +35,17 @@ use crate::congestion::{CongestionConfig, CongestionControl};
 use crate::faults::{FaultEvent, FaultPlan, UnitFate};
 use crate::ledger::{sender_side, tokens, HopAmounts};
 use crate::metrics::SimReport;
-use crate::payment::{PaymentState, PaymentStatus};
+use crate::payment::PaymentStatus;
 use crate::rebalancer::RebalancePolicy;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
-use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault, UnitSlab};
+use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault};
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, Amount, BalanceView, ChannelId, Enc, Network, Path};
 use spider_routing::{fees::FeeSchedule, path_bottleneck, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
 use spider_workload::Transaction;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Settlement delay Δ (seconds) the paper uses (§6.1): the default of
@@ -60,6 +59,10 @@ pub(crate) const POLL_INTERVAL: f64 = 0.1;
 pub(crate) const HOP_DELAY: f64 = 0.05;
 /// Candidate edge-disjoint paths per pair under the router-queued driver.
 pub(crate) const NUM_PATHS: usize = 4;
+/// Hard cap per channel-direction router queue, in both the router-queued
+/// and the sharded driver: a unit that finds its queue full is dropped
+/// (and refunded) on arrival.
+pub(crate) const MAX_QUEUE_LEN: usize = 4096;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -77,19 +80,10 @@ pub struct SimConfig {
     pub deadline: f64,
     /// Service order for pending payments.
     pub policy: SchedulePolicy,
-    /// Record a `(time, success_ratio, success_volume)` sample at every
-    /// poll tick.
-    pub record_series: bool,
     /// Optional on-chain rebalancing by routers (§5.2.3 / §7 extension).
     pub rebalance: Option<RebalancePolicy>,
     /// Optional AIMD congestion control at end hosts (§4.1 extension).
     pub congestion: Option<CongestionConfig>,
-    /// Atomic Multi-Path mode (§4.1, AMP \[1\]): packet-switched payments
-    /// become all-or-nothing — the receiver cannot unlock any unit until
-    /// every unit has arrived, so settlement is deferred until the full
-    /// amount is in flight at the receiver, and everything is refunded if
-    /// the deadline passes first.
-    pub amp: bool,
     /// Optional routing fees (§2/§7 extension, packet-switched schemes):
     /// senders pay each relay's base + proportional fee on every unit.
     pub fees: Option<FeeSchedule>,
@@ -118,10 +112,8 @@ impl SimConfig {
             poll_interval: POLL_INTERVAL,
             deadline: 5.0,
             policy: SchedulePolicy::Srpt,
-            record_series: false,
             rebalance: None,
             congestion: None,
-            amp: false,
             fees: None,
             audit: false,
             faults: None,
@@ -130,25 +122,15 @@ impl SimConfig {
     }
 }
 
-/// Queue service order at routers (§4.2: "prioritize payments based on
-/// size, deadline, or routing fees").
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QueuePolicy {
-    /// First come, first served.
-    #[default]
-    Fifo,
-    /// Smallest unit first (cheap to service, frees head-of-line).
-    SmallestFirst,
-    /// Earliest payment deadline first.
-    EarliestDeadline,
-}
-
 /// Configuration for the router-queued driver ([`run_queued`]).
 ///
 /// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
 /// after a unit reaches the receiver, each hop takes 0.05 s, the source
 /// polls every 0.1 s and serves its pending payments SRPT-first, and each
-/// pair routes over 4 edge-disjoint paths.
+/// pair routes over 4 edge-disjoint paths. Router queues are served first
+/// come, first served (§4.2 leaves other priorities to future work), and a
+/// unit arriving at a queue already holding 4096 units is dropped and
+/// refunded.
 #[derive(Clone, Debug)]
 pub struct QueuedConfig {
     /// Hard end of the measurement window (seconds).
@@ -157,11 +139,6 @@ pub struct QueuedConfig {
     pub mtu: Amount,
     /// Per-payment deadline window (seconds after arrival).
     pub deadline: f64,
-    /// Router-side queue service order.
-    pub queue_policy: QueuePolicy,
-    /// Hard cap per channel-direction queue; beyond it units are dropped
-    /// (and refunded) on arrival.
-    pub max_queue_len: usize,
     /// Telemetry handle (disabled by default). Channel samples — including
     /// real router-queue depths — piggyback on scheduler ticks, so enabling
     /// telemetry never changes the event order.
@@ -174,14 +151,12 @@ pub struct QueuedConfig {
 }
 
 impl QueuedConfig {
-    /// Defaults mirroring [`crate::SimConfig::new`] plus queueing knobs.
+    /// Defaults mirroring [`crate::SimConfig::new`].
     pub fn new(end_time: f64) -> Self {
         QueuedConfig {
             end_time,
             mtu: Amount::from_whole(10),
             deadline: 5.0,
-            queue_policy: QueuePolicy::Fifo,
-            max_queue_len: 4_096,
             telemetry: Telemetry::disabled(),
             faults: None,
         }
@@ -309,7 +284,6 @@ fn run_source_queued(
     // Only packet-switched senders pay routing fees.
     t.fees = (config.fees.as_ref()).filter(|fees| split && !fees.is_free());
     t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
-    t.record_series = config.record_series;
     t.congestion = config.congestion.map(CongestionControl::new);
     if let Some(policy) = &config.rebalance {
         policy.validate();
@@ -356,12 +330,8 @@ fn run_source_queued(
                     let p = &t.payments[t.units[unit].payment()];
                     cc.on_settle(p.src, p.dst);
                 }
-                if config.amp && split {
-                    t.amp_arrive(unit, now);
-                } else {
-                    t.settle(unit, now);
-                    t.audit_check(now, "settle");
-                }
+                t.settle(unit, now);
+                t.audit_check(now, "settle");
             }
             Event::FaultExpire { unit } => {
                 if !t.units.live(unit) {
@@ -664,8 +634,8 @@ fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: Channel
 // ---------------------------------------------------------------------------
 // Queueing at the routers (Fig. 3 / §4.2): a unit is admitted as soon as
 // its first hop can be funded; at every router it either locks the next
-// hop or waits in that channel direction's queue, which drains in policy
-// order whenever a settlement (or a recovery) replenishes the channel. The
+// hop or waits in that channel direction's queue, which drains first come,
+// first served whenever a settlement (or a recovery) replenishes it. The
 // paper's own evaluation "leave[s] implementing in-network queues … to
 // future work".
 
@@ -707,7 +677,7 @@ pub fn run_queued(
                     // Reached the destination; key released after Δ.
                     t.queue.push(now + DELTA, Event::Settle { unit });
                 } else {
-                    try_forward(&mut t, config, unit, now);
+                    try_forward(&mut t, unit, now);
                 }
             }
             Event::Settle { unit } => {
@@ -780,7 +750,7 @@ pub fn run_queued(
     if t.router.dequeues > 0 {
         queues.mean_wait = t.router.total_wait / t.router.dequeues as f64;
     }
-    let policy = format!("{}+{:?}", SchedulePolicy::Srpt.name(), config.queue_policy);
+    let policy = format!("{}+Fifo", SchedulePolicy::Srpt.name());
     QueuedReport {
         report: t.finish("queued-waterfilling", policy),
         queues,
@@ -839,10 +809,10 @@ fn best_path(candidates: &[Arc<Path>], view: &dyn BalanceView) -> Option<Arc<Pat
         .map(|(_, path)| Arc::clone(path))
 }
 
-/// A unit at an intermediate router locks its next hop, or else joins
-/// that channel direction's queue. A downed next hop queues too: the unit
-/// waits for recovery, bounded by its payment's deadline.
-fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) {
+/// A unit at an intermediate router locks its next hop, or else joins the
+/// back of that channel direction's queue. A downed next hop queues too:
+/// the unit waits for recovery, bounded by its payment's deadline.
+fn try_forward(t: &mut Transport, unit: usize, now: f64) {
     let u = &t.units[unit];
     let at = u.locked as usize;
     let (c, d) = u.path.hops()[at];
@@ -856,11 +826,10 @@ fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) 
         return;
     }
     let q = &mut t.router.queues[c.index()][sender_side(d)];
-    if q.len() >= config.max_queue_len {
+    if q.len() >= MAX_QUEUE_LEN {
         return drop_unit(t, unit, now);
     }
-    let pos = insert_position(q, &t.units, &t.payments, config.queue_policy, unit);
-    q.insert(pos, (unit, now));
+    q.push_back((unit, now));
     let depth = q.len();
     t.router.stats.units_queued += 1;
     t.router.stats.max_queue_len = t.router.stats.max_queue_len.max(depth);
@@ -872,28 +841,8 @@ fn try_forward(t: &mut Transport, config: &QueuedConfig, unit: usize, now: f64) 
     });
 }
 
-/// Position a newly queued unit according to the queue policy.
-fn insert_position(
-    q: &VecDeque<(usize, f64)>,
-    units: &UnitSlab,
-    payments: &[PaymentState],
-    policy: QueuePolicy,
-    unit: usize,
-) -> usize {
-    let deadline = |u: usize| payments[units[u].payment()].deadline;
-    let before = |behind: &dyn Fn(usize) -> bool| {
-        let found = q.iter().position(|&(other, _)| behind(other));
-        found.unwrap_or(q.len())
-    };
-    match policy {
-        QueuePolicy::Fifo => q.len(),
-        QueuePolicy::SmallestFirst => before(&|other| units[other].amount > units[unit].amount),
-        QueuePolicy::EarliestDeadline => before(&|other| deadline(other) > deadline(unit)),
-    }
-}
-
 /// Services a channel direction's queue after its sending side gained
-/// funds. The head blocks the rest (no bypass), so policy order holds.
+/// funds. The head blocks the rest (no bypass), so arrival order holds.
 fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
     if channel_down(t, channel) {
         return; // nothing forwards over a downed channel
@@ -991,8 +940,10 @@ fn fingerprint(
     e.bool(config.telemetry.is_enabled());
     e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
     e.str(config.policy.name());
-    e.bool(config.record_series);
-    e.bool(config.amp);
+    // Two retired switches (the per-tick success series and AMP), both
+    // always off; their bytes keep every fingerprint what it was.
+    e.bool(false);
+    e.bool(false);
     e.bool(config.audit);
     e.opt(config.rebalance.as_ref().map(|p| {
         |e: &mut Enc| {
@@ -1218,59 +1169,6 @@ mod tests {
     }
 
     #[test]
-    fn series_recording() {
-        let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let mut cfg = SimConfig::new(5.0);
-        cfg.record_series = true;
-        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert!(!report.series.is_empty());
-        // Ratio eventually reaches 1.0 in the series.
-        assert!(report.series.last().unwrap().1 > 0.99);
-    }
-
-    #[test]
-    fn amp_payment_settles_atomically() {
-        let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let mut cfg = SimConfig::new(10.0);
-        cfg.amp = true;
-        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert_eq!(report.completed, 1);
-        assert!((report.delivered_volume - 30.0).abs() < 1e-9);
-        // All three units settle at the same instant (when the last
-        // arrives), so completion time equals the plain run's.
-        let plain = run(
-            &g,
-            &txs,
-            &mut ShortestPathScheme::new(),
-            &SimConfig::new(10.0),
-        );
-        assert!((report.mean_completion_delay - plain.mean_completion_delay).abs() < 0.2);
-    }
-
-    #[test]
-    fn amp_refunds_partial_payment_at_deadline() {
-        // Only 20 of 100 tokens can ever move: in AMP mode the receiver
-        // must not keep the partial amount — everything is refunded.
-        let mut g = Network::new(2);
-        g.add_channel_with_balances(NodeId(0), NodeId(1), Amount::from_whole(20), Amount::ZERO)
-            .unwrap();
-        let txs = vec![tx(0, 0, 1, 100, 0.1)];
-        let mut cfg = SimConfig::new(30.0);
-        cfg.deadline = 2.0;
-        cfg.amp = true;
-        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert_eq!(report.completed, 0);
-        assert_eq!(report.delivered_volume, 0.0, "AMP is all-or-nothing");
-        // Contrast with the non-atomic default, which keeps the partial 20.
-        let mut plain_cfg = SimConfig::new(30.0);
-        plain_cfg.deadline = 2.0;
-        let plain = run(&g, &txs, &mut ShortestPathScheme::new(), &plain_cfg);
-        assert!(plain.delivered_volume >= 20.0 - 1e-9);
-    }
-
-    #[test]
     fn routing_fees_charged_per_relay() {
         use spider_routing::fees::FeeSchedule;
         let g = line3(100);
@@ -1420,8 +1318,8 @@ mod tests {
 
     #[test]
     fn audit_clean_across_features() {
-        // Exercise settles, deadline refunds, AMP bounces, fees, and
-        // rebalancing in one run each — the auditor must stay silent.
+        // Exercise settles, deadline refunds, fees, and rebalancing in one
+        // run each — the auditor must stay silent.
         let base_txs = vec![tx(0, 0, 2, 80, 0.1), tx(1, 2, 0, 80, 0.1)];
         let mut cfg = SimConfig::new(30.0);
         cfg.deadline = 20.0;
@@ -1434,16 +1332,6 @@ mod tests {
             plain.audit_violations.is_empty(),
             "{:?}",
             plain.audit_violations
-        );
-
-        let mut amp_cfg = cfg.clone();
-        amp_cfg.amp = true;
-        amp_cfg.deadline = 2.0;
-        let amp = run(&g, &base_txs, &mut ShortestPathScheme::new(), &amp_cfg);
-        assert!(
-            amp.audit_violations.is_empty(),
-            "{:?}",
-            amp.audit_violations
         );
 
         let mut fee_cfg = cfg.clone();
@@ -1741,10 +1629,15 @@ mod tests {
     }
 
     #[test]
-    fn policies_order_queues_differently() {
-        // Inspect insert_position directly: a 5-token unit of a payment due
-        // at t = 9 is queued; where does a 1-token unit due at t = 2 go?
-        let g = line3(10);
+    fn router_queues_serve_first_come_first() {
+        // The 1 -> 2 side is dry, so units reaching router 1 queue there. A
+        // 5-token unit due at t = 9 queues first; a 1-token unit due at
+        // t = 2 (smaller and more urgent) still queues behind it.
+        let mut g = Network::new(3);
+        g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(100))
+            .unwrap();
+        g.add_channel_with_balances(NodeId(1), NodeId(2), Amount::ZERO, Amount::from_whole(50))
+            .unwrap();
         let tel = Telemetry::disabled();
         let mut t = Transport::new(
             &g,
@@ -1755,25 +1648,19 @@ mod tests {
             true,
             None,
         );
-        let hop = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1)]).unwrap());
+        t.router = RouterQueues::new(g.num_channels());
+        let path = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1), NodeId(2)]).unwrap());
+        let mut sent = Vec::new();
         for (id, amount, arrival) in [(0, 1, 0.0), (1, 5, 7.0)] {
-            let idx = t.arrive(&tx(id, 0, 1, amount, arrival), arrival);
-            t.send(
-                idx,
-                Arc::clone(&hop),
-                Amount::from_whole(amount),
-                1,
-                arrival,
-            );
+            let idx = t.arrive(&tx(id, 0, 2, amount, arrival), arrival);
+            let unit = Amount::from_whole(amount);
+            sent.push(t.send(idx, Arc::clone(&path), unit, 1, arrival));
         }
-        let q: VecDeque<(usize, f64)> = VecDeque::from([(1, 7.0)]);
-        let position = |policy| insert_position(&q, &t.units, &t.payments, policy, 0);
-        // FIFO appends.
-        assert_eq!(position(QueuePolicy::Fifo), 1);
-        // Smallest-first puts the 1-token unit ahead of the 5-token one.
-        assert_eq!(position(QueuePolicy::SmallestFirst), 0);
-        // EDF puts the tighter deadline first.
-        assert_eq!(position(QueuePolicy::EarliestDeadline), 0);
+        try_forward(&mut t, sent[1], 7.05);
+        try_forward(&mut t, sent[0], 7.05);
+        let queued: Vec<usize> = t.router.queues[1][0].iter().map(|&(u, _)| u).collect();
+        assert_eq!(queued, [sent[1], sent[0]]);
+        assert_eq!(t.router.stats.units_queued, 2);
     }
 
     #[test]

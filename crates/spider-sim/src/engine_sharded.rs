@@ -53,8 +53,8 @@
 //! - **Router queues** ([`ShardPolicy::Queued`]): a unit that cannot lock
 //!   a hop waits in a per-`(channel, direction)` queue *at the channel's
 //!   owner shard* instead of failing. Queues drain head-of-line each epoch
-//!   in [`QueuePolicy`] order; queued units ride out outages and expire at
-//!   their payment's deadline.
+//!   in arrival order; queued units ride out outages and expire at their
+//!   payment's deadline.
 //! - **Fees**: hop amounts are a pure function of the fee schedule and the
 //!   unit's path, computed once at send time and carried with the unit;
 //!   the payment owner accrues `routing_fees_paid` when a unit settles.
@@ -71,7 +71,7 @@
 
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
-use crate::engine::{QueuePolicy, DELTA, POLL_INTERVAL};
+use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::SimReport;
@@ -133,11 +133,6 @@ pub enum ShardPolicy {
     Queued,
 }
 
-/// Hard cap per `(channel, direction)` router queue under
-/// [`ShardPolicy::Queued`]; a unit arriving at a full queue fails as a
-/// liquidity refusal.
-const MAX_QUEUE_LEN: usize = 4096;
-
 /// Configuration for [`run_sharded`]. Mirrors the sequential
 /// [`SimConfig`](crate::SimConfig) core; durations are quantized to whole
 /// epochs internally.
@@ -145,7 +140,9 @@ const MAX_QUEUE_LEN: usize = 4096;
 /// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
 /// after a unit reaches the receiver, and the scheduler ticks every 0.1 s.
 /// Under [`ShardPolicy::Queued`] each payment owner pumps its pending
-/// payments SRPT-first, and a router queue holds at most 4096 units.
+/// payments SRPT-first, and a router queue serves its units in the order
+/// they arrived and holds at most 4096 of them: a unit arriving at a full
+/// queue fails as a liquidity refusal.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Hard end of the measurement window (seconds).
@@ -156,8 +153,6 @@ pub struct ShardedConfig {
     pub deadline: f64,
     /// Routing scheme run by every payment owner.
     pub scheme: ShardScheme,
-    /// Record a `(time, success_ratio, success_volume)` sample per tick.
-    pub record_series: bool,
     /// Audit every shard's ledger copy once per epoch plus once at the end.
     pub audit: bool,
     /// Optional deterministic fault injection (outages, churn, drops,
@@ -169,8 +164,6 @@ pub struct ShardedConfig {
     /// What a unit does when a hop lock fails: refund ([`ShardPolicy::Direct`])
     /// or wait in the owner shard's router queue ([`ShardPolicy::Queued`]).
     pub policy: ShardPolicy,
-    /// Service order within a router queue under [`ShardPolicy::Queued`].
-    pub queue_policy: QueuePolicy,
     /// Optional per-channel fee schedule; hop amounts then carry the
     /// downstream fees and settled units accrue `routing_fees_paid`.
     pub fees: Option<FeeSchedule>,
@@ -188,12 +181,10 @@ impl ShardedConfig {
             mtu: Amount::from_whole(10),
             deadline: 5.0,
             scheme: ShardScheme::Waterfilling,
-            record_series: false,
             audit: false,
             faults: None,
             telemetry: Telemetry::disabled(),
             policy: ShardPolicy::Direct,
-            queue_policy: QueuePolicy::Fifo,
             fees: None,
             congestion: None,
             rebalance: None,
@@ -505,16 +496,11 @@ struct QueuedUnit {
     enqueued_epoch: u64,
 }
 
-/// The policy-defined service key of a queued unit. Unique per entry
-/// (`(payment, seq)` breaks every tie), so queue order is a pure function
-/// of queue content.
-fn queue_key(policy: QueuePolicy, e: &QueuedUnit) -> (i64, u64, u32) {
-    let primary = match policy {
-        QueuePolicy::Fifo => e.enqueued_epoch as i64,
-        QueuePolicy::SmallestFirst => e.unit.amount.micros(),
-        QueuePolicy::EarliestDeadline => e.unit.deadline_epoch as i64,
-    };
-    (primary, e.unit.payment, e.unit.seq)
+/// The service key of a queued unit: the epoch it arrived in, with
+/// `(payment, seq)` breaking the ties within an epoch. Unique per entry, so
+/// queue order is a pure function of queue content.
+fn queue_key(e: &QueuedUnit) -> (u64, u64, u32) {
+    (e.enqueued_epoch, e.unit.payment, e.unit.seq)
 }
 
 /// Per-shard epoch metrics surfaced by [`run_sharded`] through
@@ -615,16 +601,6 @@ fn imbalance_of(values: impl Iterator<Item = u64> + Clone) -> f64 {
     } else {
         max as f64 / (sum as f64 / n as f64)
     }
-}
-
-/// Per-tick series partial: exact integer sums merged across shards.
-#[derive(Clone, Copy, Debug)]
-struct SeriesPartial {
-    epoch: u64,
-    arrived: u64,
-    completed: u64,
-    attempted_micros: i64,
-    delivered_micros: i64,
 }
 
 /// Per-sample-epoch telemetry partial: per-owned-channel figures plus the
@@ -801,7 +777,6 @@ struct ShardCtx<'a> {
     arrival_cursor: usize,
     trace: Vec<(Key, TraceEvent)>,
     tel_on: bool,
-    series: Vec<SeriesPartial>,
     samples: Vec<SamplePartial>,
     violations: Vec<AuditViolation>,
     /// Fault statistics, each counted at one unambiguous owner so a
@@ -809,13 +784,8 @@ struct ShardCtx<'a> {
     stats: FaultStats,
     /// This shard's work counters (and, once merged, its barrier waits).
     metrics: ShardEpochMetrics,
-    // Running integer totals for the series partials.
-    arrived_count: u64,
-    completed_count: u64,
-    attempted_micros: i64,
-    delivered_micros: i64,
     /// Router queues at owned channels, keyed `(channel, sender side)`,
-    /// each kept in [`QueuePolicy`] order ([`ShardPolicy::Queued`] only).
+    /// each kept in [`queue_key`] order ([`ShardPolicy::Queued`] only).
     /// `BTreeMap` iteration gives the deterministic drain order.
     queues: BTreeMap<(u32, u8), Vec<QueuedUnit>>,
     /// Exact fee micros accrued by payments this shard owns.
@@ -929,14 +899,9 @@ impl<'a> ShardCtx<'a> {
             arrival_cursor: 0,
             trace: Vec::new(),
             tel_on: cfg.telemetry.is_enabled(),
-            series: Vec::new(),
             samples: Vec::new(),
             violations: Vec::new(),
             stats: FaultStats::default(),
-            arrived_count: 0,
-            completed_count: 0,
-            attempted_micros: 0,
-            delivered_micros: 0,
             queues: BTreeMap::new(),
             routing_fees_micros: 0,
             rebalance_pending: vec![false; network.num_channels()],
@@ -1237,7 +1202,7 @@ impl<'a> ShardCtx<'a> {
     }
 
     /// Parks a unit in the owned `(channel, sender side)` router queue in
-    /// [`QueuePolicy`] order, or fails it as a liquidity refusal when the
+    /// [`queue_key`] order, or fails it as a liquidity refusal when the
     /// queue is full.
     fn enqueue_unit(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64, key: (u32, u8)) {
         let len = self.queues.get(&key).map_or(0, Vec::len);
@@ -1252,10 +1217,9 @@ impl<'a> ShardCtx<'a> {
             hop,
             enqueued_epoch: epoch,
         };
-        let policy = self.cfg.queue_policy;
-        let k = queue_key(policy, &entry);
+        let k = queue_key(&entry);
         let q = self.queues.entry(key).or_default();
-        let pos = q.partition_point(|e| queue_key(policy, e) <= k);
+        let pos = q.partition_point(|e| queue_key(e) <= k);
         q.insert(pos, entry);
         let depth = q.len() as u32;
         self.emit(
@@ -1414,7 +1378,6 @@ impl<'a> ShardCtx<'a> {
         let p = &mut self.payments[pidx];
         p.inflight = p.inflight.saturating_sub(unit.amount);
         p.delivered = p.delivered.saturating_add(unit.amount);
-        self.delivered_micros = self.delivered_micros.saturating_add(unit.amount.micros());
         let pid = p.id;
         let amount_tokens = tokens(unit.amount);
         let completed_now = p.status == PaymentStatus::Pending && p.delivered >= p.amount;
@@ -1422,7 +1385,6 @@ impl<'a> ShardCtx<'a> {
         if completed_now {
             p.status = PaymentStatus::Completed;
             p.delay = Some(delay);
-            self.completed_count += 1;
         }
         self.emit(
             epoch,
@@ -1714,10 +1676,6 @@ impl<'a> ShardCtx<'a> {
         {
             let pidx = self.arrivals[self.arrival_cursor].1;
             self.arrival_cursor += 1;
-            self.arrived_count += 1;
-            self.attempted_micros = self
-                .attempted_micros
-                .saturating_add(self.payments[pidx].amount.micros());
             let p = &self.payments[pidx];
             let (pid, src, dst, amount) = (p.id, p.src, p.dst, p.amount);
             self.emit(
@@ -1747,8 +1705,7 @@ impl<'a> ShardCtx<'a> {
         }
     }
 
-    /// The scheduler tick: expire deadlines, pump every pending payment,
-    /// record the series partial.
+    /// The scheduler tick: expire deadlines, pump every pending payment.
     fn tick(&mut self, epoch: u64) {
         // `abandon` passes over a payment that is no longer pending.
         for k in 0..self.pending.len() {
@@ -1778,15 +1735,6 @@ impl<'a> ShardCtx<'a> {
         self.pump_order = order;
         self.pending
             .retain(|&i| self.payments[i].status == PaymentStatus::Pending);
-        if self.cfg.record_series {
-            self.series.push(SeriesPartial {
-                epoch,
-                arrived: self.arrived_count,
-                completed: self.completed_count,
-                attempted_micros: self.attempted_micros,
-                delivered_micros: self.delivered_micros,
-            });
-        }
     }
 
     /// Emits `ChannelSample`s for owned channels and stores the partial
@@ -2107,42 +2055,6 @@ fn merge_outputs(
         final_ledger.copy_channel_state_from(&outputs[owner].ledger, ch.id);
     }
 
-    // Series: exact integer sums per tick, ratios computed once.
-    let series: Vec<(f64, f64, f64)> = if config.record_series {
-        let ticks = outputs.first().map_or(0, |o| o.series.len());
-        (0..ticks)
-            .map(|k| {
-                let epoch = outputs[0].series[k].epoch;
-                let mut arrived = 0u64;
-                let mut done = 0u64;
-                let mut att = 0i64;
-                let mut del = 0i64;
-                for o in &outputs {
-                    let s = o.series[k];
-                    debug_assert_eq!(s.epoch, epoch);
-                    arrived += s.arrived;
-                    done += s.completed;
-                    att += s.attempted_micros;
-                    del += s.delivered_micros;
-                }
-                let ratio = if arrived == 0 {
-                    0.0
-                } else {
-                    done as f64 / arrived as f64
-                };
-                let att_tokens = tokens(Amount::from_micros(att));
-                let volume = if att_tokens > 0.0 {
-                    tokens(Amount::from_micros(del)) / att_tokens
-                } else {
-                    0.0
-                };
-                (t_of(epoch), ratio, volume)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
     // Network samples: per-channel figures folded in channel-id order.
     let network_series: Vec<NetworkSample> = if tel.is_enabled() {
         let count = outputs.first().map_or(0, |o| o.samples.len());
@@ -2220,7 +2132,7 @@ fn merge_outputs(
 
     let policy = match config.policy {
         ShardPolicy::Direct => "epoch-bsp".to_string(),
-        ShardPolicy::Queued => format!("epoch-bsp+queued-{:?}", config.queue_policy),
+        ShardPolicy::Queued => "epoch-bsp+queued-Fifo".to_string(),
     };
 
     SimReport {
@@ -2238,7 +2150,6 @@ fn merge_outputs(
         final_mean_imbalance: final_ledger.mean_imbalance(),
         rebalance,
         routing_fees_paid,
-        series,
         // One audited pass per epoch, plus the final check, plus one check
         // per applied rebalance — a property of the run, not of how many
         // shards audited their own copy.

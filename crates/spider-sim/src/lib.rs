@@ -41,7 +41,7 @@ mod transport;
 
 pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 pub use congestion::{CongestionConfig, CongestionControl};
-pub use engine::{run, run_queued, QueuePolicy, QueueStats, QueuedConfig, QueuedReport, SimConfig};
+pub use engine::{run, run_queued, QueueStats, QueuedConfig, QueuedReport, SimConfig};
 pub use engine_sharded::{
     run_sharded, ShardEpochMetrics, ShardObservability, ShardPolicy, ShardScheme, ShardedConfig,
 };

@@ -41,9 +41,6 @@ pub struct SimReport {
     /// schedule).
     #[serde(default)]
     pub routing_fees_paid: f64,
-    /// Sampled time series of `(time, success_ratio, success_volume)`.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub series: Vec<(f64, f64, f64)>,
     /// Ledger invariant checks performed (zero when auditing is disabled).
     #[serde(default)]
     pub audit_checks: u64,
@@ -142,7 +139,6 @@ mod tests {
             final_mean_imbalance: 0.3,
             rebalance: RebalanceStats::default(),
             routing_fees_paid: 0.0,
-            series: vec![],
             audit_checks: 0,
             audit_violations: vec![],
             completion_delay_percentiles: None,

@@ -64,6 +64,9 @@ use std::path::{Path, PathBuf};
 /// Within v5 the router-queued and the sharded engine stopped
 /// checkpointing: their engine bytes (2, 3) and the sharded layout are
 /// retired, and every file the one remaining engine writes kept its bytes.
+/// Later the success-series and AMP parts of [`SEC_CORE`] became always
+/// empty, as every program's snapshots already wrote them; a non-empty one
+/// is refused.
 pub const FORMAT_VERSION: u8 = 5;
 
 /// File magic: "SPSN" (SPider SNapshot).

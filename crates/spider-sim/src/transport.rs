@@ -333,7 +333,7 @@ pub(crate) struct FaultRuntime {
 /// (zero channels) under the source-queued driver.
 #[derive(Default)]
 pub(crate) struct RouterQueues {
-    /// `(unit, time it joined the queue)` in service order.
+    /// `(unit, time it joined the queue)` in arrival order.
     pub(crate) queues: Vec<[VecDeque<(usize, f64)>; 2]>,
     pub(crate) stats: QueueStats,
     pub(crate) total_wait: f64,
@@ -418,8 +418,6 @@ pub(crate) struct Transport<'a> {
     units_sent: u64,
     /// Scheduler ticks processed so far (checkpoint cadence).
     ticks: u64,
-    pub(crate) record_series: bool,
-    series: Vec<(f64, f64, f64)>,
     network_series: Vec<NetworkSample>,
     /// Channel samples piggyback on ticks at this cadence; no events of
     /// their own are queued, so `(time, sequence)` ordering is the same
@@ -428,10 +426,6 @@ pub(crate) struct Transport<'a> {
     pub(crate) congestion: Option<CongestionControl>,
     pub(crate) rebalance_pending: Vec<bool>,
     pub(crate) rebalance_stats: RebalanceStats,
-    /// AMP: units that reached the receiver but whose keys are withheld
-    /// until the whole payment has arrived. Indexed by payment, grown on
-    /// demand.
-    amp_held: Vec<Vec<usize>>,
     pub(crate) router: RouterQueues,
 }
 
@@ -491,14 +485,11 @@ impl<'a> Transport<'a> {
             routing_fees_paid: Amount::ZERO,
             units_sent: 0,
             ticks: 0,
-            record_series: false,
-            series: Vec::new(),
             network_series: Vec::new(),
             next_sample: tel.sample_interval().unwrap_or(f64::INFINITY),
             congestion: None,
             rebalance_pending: vec![false; network.num_channels()],
             rebalance_stats: RebalanceStats::default(),
-            amp_held: Vec::new(),
             router: RouterQueues::default(),
         }
     }
@@ -821,36 +812,6 @@ impl<'a> Transport<'a> {
         });
     }
 
-    /// AMP: a unit reached the receiver, who cannot unlock any unit until
-    /// every unit has arrived. Holds it, and settles the lot once the full
-    /// amount is there; bounces it straight back if the deadline already
-    /// passed (the sender withholds the key).
-    pub(crate) fn amp_arrive(&mut self, ui: usize, now: f64) {
-        let idx = self.units[ui].payment();
-        if self.payments[idx].status == PaymentStatus::Abandoned {
-            self.refund(ui, now, "amp-bounce");
-            return self.audit_check(now, "amp-bounce");
-        }
-        if idx >= self.amp_held.len() {
-            self.amp_held.resize_with(idx + 1, Vec::new);
-        }
-        self.amp_held[idx].push(ui);
-        let arrived: Amount = (self.amp_held[idx].iter())
-            .filter(|&&held| self.units.live(held))
-            .map(|&held| self.units[held].amount)
-            .sum();
-        if arrived >= self.payments[idx].amount
-            && self.payments[idx].status == PaymentStatus::Pending
-        {
-            for held in std::mem::take(&mut self.amp_held[idx]) {
-                if self.units.live(held) {
-                    self.settle(held, now);
-                }
-            }
-        }
-        self.audit_check(now, "settle");
-    }
-
     // -- timers ---------------------------------------------------------------
 
     /// Schedules a retry of `payment` once its backoff expires at `time`.
@@ -870,7 +831,10 @@ impl<'a> Transport<'a> {
             match (deadline, backoff) {
                 (Some(d), r) if d.0.seconds() <= now && r.is_none_or(|r| d <= r) => {
                     self.next_deadline += 1;
-                    self.deadline_passed(d.1, now);
+                    // Its units in flight still settle or refund on their own.
+                    if self.payments[d.1].status == PaymentStatus::Pending {
+                        self.abandon(d.1, now);
+                    }
                 }
                 (_, Some(r)) if r.0.seconds() <= now => {
                     self.retries.pop();
@@ -878,23 +842,6 @@ impl<'a> Transport<'a> {
                 }
                 _ => break,
             }
-        }
-    }
-
-    /// A still-pending payment whose deadline passed is abandoned, and
-    /// under AMP everything the receiver was holding for it is refunded.
-    fn deadline_passed(&mut self, idx: usize, now: f64) {
-        if self.payments[idx].status != PaymentStatus::Pending {
-            return;
-        }
-        self.abandon(idx, now);
-        if let Some(held) = self.amp_held.get_mut(idx).map(std::mem::take) {
-            for ui in held {
-                if self.units.live(ui) {
-                    self.refund(ui, now, "deadline-refund");
-                }
-            }
-            self.audit_check(now, "deadline-refund");
         }
     }
 
@@ -981,13 +928,9 @@ impl<'a> Transport<'a> {
         });
     }
 
-    /// Closes a scheduler tick: records the series point and the channel
-    /// samples that are due, and schedules the next tick.
+    /// Closes a scheduler tick: records the channel samples that are due
+    /// and schedules the next tick.
     pub(crate) fn end_tick(&mut self, now: f64) {
-        if self.record_series {
-            let (ratio, volume) = running_metrics(&self.payments);
-            self.series.push((now, ratio, volume));
-        }
         if now + 1e-12 >= self.next_sample {
             self.sample(now);
             let interval = self.tel.sample_interval().unwrap_or(f64::INFINITY);
@@ -1042,7 +985,6 @@ impl<'a> Transport<'a> {
             final_mean_imbalance: self.ledger.mean_imbalance(),
             rebalance: self.rebalance_stats,
             routing_fees_paid: tokens(self.routing_fees_paid),
-            series: self.series,
             audit_checks,
             audit_violations,
             completion_delay_percentiles: self.tel.delay_percentiles("sim.completion_delay"),
@@ -1051,25 +993,6 @@ impl<'a> Transport<'a> {
             shards: None,
         }
     }
-}
-
-fn running_metrics(payments: &[PaymentState]) -> (f64, f64) {
-    if payments.is_empty() {
-        return (0.0, 0.0);
-    }
-    let completed = (payments.iter())
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .count();
-    let attempted_volume: f64 = payments.iter().map(|p| tokens(p.amount)).sum();
-    let delivered_volume: f64 = payments.iter().map(|p| tokens(p.delivered)).sum();
-    (
-        completed as f64 / payments.len() as f64,
-        if attempted_volume > 0.0 {
-            delivered_volume / attempted_volume
-        } else {
-            0.0
-        },
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1092,6 +1015,15 @@ fn enc_event(e: &mut Enc, event: &Event) {
     };
     e.u8(tag);
     e.usize(index);
+}
+
+/// Reads the count of a retired part, an always-empty seq; any other count
+/// is `Corrupt`.
+fn dec_retired(d: &mut Dec, what: &str) -> Result<(), SnapshotError> {
+    match d.usize()? {
+        0 => Ok(()),
+        n => corrupt(format!("{n} {what} where the part is always empty")),
+    }
 }
 
 /// Decodes an event, bounds-checking the channel and node ids it names.
@@ -1240,18 +1172,21 @@ impl Transport<'_> {
     ///    retry-not-before times seq of `f64`.
     /// 8. Audit state — opt json; release violations — json.
     /// 9. `routing_fees_paid: i64`, `units_sent: u64`.
-    /// 10. Series — seq of three `f64`; network samples — seq of
-    ///     `t, mean_imbalance, total_inflight: f64, pending, max_queue_depth:
-    ///     u32`; `next_sample: f64`.
+    /// 10. An empty seq (the retired success series; a non-empty one is
+    ///     refused); network samples — seq of `t, mean_imbalance,
+    ///     total_inflight: f64, pending, max_queue_depth: u32`;
+    ///     `next_sample: f64`.
     /// 11. Congestion windows — opt seq of `src: u32, dst: u32, window: f64,
     ///     outstanding: u32`.
     /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
     ///     usize, moved_volume: f64, fees_paid: f64`.
-    /// 13. AMP — seq (by payment) of seqs of held unit indices.
-    /// 14. Router queues — an empty seq, then `units_queued, units_dropped,
-    ///     max_queue_len: usize, total_wait: f64, dequeues: usize`, all zero.
-    ///     Units queue at the source in every run that checkpoints; the part
-    ///     keeps the bytes it had when router-queued runs checkpointed too.
+    /// 13. An empty seq (the retired AMP holds; a non-empty one is refused).
+    /// 14. Router queues — an empty seq (a non-empty one is refused), then
+    ///     `units_queued, units_dropped, max_queue_len: usize, total_wait:
+    ///     f64, dequeues: usize`, all zero: units queue at the source in
+    ///     every run that checkpoints.
+    ///
+    /// The retired parts keep their place, so the layout is still SPSN v5.
     fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u64(self.ticks);
@@ -1311,11 +1246,7 @@ impl Transport<'_> {
         snapshot::enc_json(&mut e, &self.release_violations);
         e.i64(self.routing_fees_paid.micros());
         e.u64(self.units_sent);
-        e.seq(&self.series, |e, &(t, ratio, volume)| {
-            e.f64(t);
-            e.f64(ratio);
-            e.f64(volume);
-        });
+        e.usize(0);
         e.seq(&self.network_series, enc_sample);
         e.f64(self.next_sample);
         e.opt(self.congestion.as_ref().map(|cc| {
@@ -1332,7 +1263,7 @@ impl Transport<'_> {
         e.usize(self.rebalance_stats.transactions);
         e.f64(self.rebalance_stats.moved_volume);
         e.f64(self.rebalance_stats.fees_paid);
-        e.seq(&self.amp_held, |e, held| e.seq(held, |e, &u| e.usize(u)));
+        e.usize(0);
         debug_assert!(self.router.queues.is_empty(), "a router-queued checkpoint");
         e.usize(0);
         e.usize(self.router.stats.units_queued);
@@ -1418,7 +1349,7 @@ impl Transport<'_> {
             ));
         }
         self.units.restore(num_units, live, network)?;
-        self.series = d.seq(|d| Ok((d.f64()?, d.f64()?, d.f64()?)))?;
+        dec_retired(&mut d, "success-series points")?;
         self.network_series = d.seq(|d| {
             Ok(NetworkSample {
                 t: d.f64()?,
@@ -1445,16 +1376,8 @@ impl Transport<'_> {
             moved_volume: d.f64()?,
             fees_paid: d.f64()?,
         };
-        self.amp_held = dec_seq(&mut d, |d| {
-            dec_seq(d, |d| dec_index(d, num_units, "AMP holds unit"))
-        })?;
-        if self.amp_held.len() > num_payments {
-            return corrupt("AMP holds units for payments that never arrived".to_string());
-        }
-        let queues = d.usize()?;
-        if queues != 0 {
-            return corrupt(format!("{queues} router queues in a source-queued run"));
-        }
+        dec_retired(&mut d, "AMP hold lists")?;
+        dec_retired(&mut d, "router queues")?;
         self.router.stats = QueueStats {
             units_queued: d.usize()?,
             units_dropped: d.usize()?,
@@ -1834,6 +1757,33 @@ mod tests {
         match transport(&g, &txs, &tel).decode(&bytes) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("router queues")),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn retired_series_and_amp_parts_in_a_core_section_are_corrupt() {
+        let (g, path) = one_hop();
+        let tel = Telemetry::disabled();
+        let txs = tied_trace();
+        let mut t = transport(&g, &txs, &tel);
+        t.seed(None, None);
+        lockstep(&mut t, &mut oracle(&txs), &path, 9);
+        let bytes = t.encode();
+        // From the end: part 14 (six 8-byte fields), part 13's count, the
+        // rebalance totals (three), the one channel's rebalance flag seq,
+        // the absent congestion windows, `next_sample`, the empty network
+        // samples; part 10's count follows part 9's `units_sent`.
+        let amp = bytes.len() - 7 * 8;
+        let series = amp - (3 * 8 + (8 + 1) + 1 + 8 + 8 + 8);
+        assert_eq!(bytes[series - 8..series], t.units_sent.to_le_bytes());
+        for (at, part) in [(series, "success-series"), (amp, "AMP")] {
+            assert_eq!(bytes[at..at + 8], [0; 8], "{part}: an empty seq");
+            let mut forged = bytes.clone();
+            forged[at] = 1;
+            match transport(&g, &txs, &tel).decode(&forged) {
+                Err(SnapshotError::Corrupt { what }) => assert!(what.contains(part), "{what}"),
+                other => panic!("{part}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

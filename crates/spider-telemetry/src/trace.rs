@@ -214,7 +214,7 @@ trace_events! {
             /// Unit value in tokens.
             amount: F64,
         },
-        /// A unit's locks were refunded (expired HTLC, AMP bounce, rollback, or
+        /// A unit's locks were refunded (expired HTLC, rollback, or
         /// router-queue drop).
         UnitRefunded("unit_refunded", "sim.units.refunded") {
             /// Simulation time (seconds).

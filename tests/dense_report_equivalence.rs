@@ -8,31 +8,36 @@
 //!
 //! `tests/fixtures/seq_engines_pre_pr.json` does the same for the
 //! continuous-time engine's two transports, recorded immediately before
-//! `engine_queued.rs` was folded into `engine.rs`: five feature-heavy
+//! `engine_queued.rs` was folded into `engine.rs`: four feature-heavy
 //! `run` / `run_queued` scenarios whose reports must match field by field
 //! and whose traces must match as a multiset of JSONL lines.
 //!
-//! Four of the five were recorded on the unmodified pre-fold commit. The
-//! fifth (`run_queued` under the `outages` scenario) was recorded with one
-//! line added to it — the settle handler marking the unit finished — because
-//! the old router-queued loop let an outage refund units that had already
-//! settled (5,137 "outage refunds" and the reporting cap of 32
-//! `ExcessRelease` violations in this scenario, against 1,132 and none). A
-//! unit with no hops locked has nothing an outage can refund, so the folded
-//! engine cannot reproduce that, and
+//! Three of the four were recorded on the unmodified pre-fold commit. The
+//! fourth (`run_queued` under the `outages` scenario) was recorded on
+//! commit e52b665, the last with selectable router-queue service orders,
+//! under FIFO, the one order left; it used to run earliest-deadline-first.
+//! On the pre-fold commit the old router-queued loop let an outage refund
+//! units that had already settled (5,137 "outage refunds" and the reporting
+//! cap of 32 `ExcessRelease` violations under EDF, against 1,132 and none).
+//! A unit with no hops locked has nothing an outage can refund, and
 //! `outage_after_settlement_leaves_settled_units_alone` in `engine.rs` pins
-//! the corrected behaviour directly.
+//! that behaviour directly.
 //!
 //! `tests/fixtures/sharded_pre_pr.json` pins the sharded engine the same
-//! way, recorded on the unmodified commit before its run state, snapshot
-//! codec and mirror structs were folded into one `ShardCtx`: four
-//! feature-heavy `run_sharded` scenarios at 1 and 4 shards each, whose
-//! reports must match field by field and whose merged traces (a total
-//! order, unlike the sequential engines') must match byte for byte.
+//! way: four feature-heavy `run_sharded` scenarios at 1 and 4 shards each,
+//! whose reports must match field by field and whose merged traces (a total
+//! order, unlike the sequential engines') must match byte for byte. The two
+//! direct scenarios were recorded on the unmodified commit before its run
+//! state, snapshot codec and mirror structs were folded into one
+//! `ShardCtx`; the two queued ones were recorded on commit e52b665 under
+//! FIFO router queues, as the `run_queued` outage case was.
+//!
+//! Both files lost their reports' `series` key when the per-tick success
+//! series was retired; every other value in them is what it was.
 
 use serde_json::Value;
 use spider::prelude::*;
-use spider::sim::{FaultConfig, FaultPlan, QueuePolicy, ShardPolicy};
+use spider::sim::{FaultConfig, FaultPlan, ShardPolicy};
 use spider::telemetry::events_to_jsonl;
 use spider_bench::{fig6, ExperimentConfig};
 
@@ -181,7 +186,6 @@ fn seq_engine_cases() -> Vec<Value> {
     let source = |name, tweak: &dyn Fn(&mut SimConfig)| {
         let tel = Telemetry::enabled();
         let mut cfg = SimConfig::new(end);
-        cfg.record_series = true;
         cfg.audit = true;
         cfg.telemetry = tel.clone();
         tweak(&mut cfg);
@@ -212,13 +216,11 @@ fn seq_engine_cases() -> Vec<Value> {
             cfg.congestion = Some(spider::sim::CongestionConfig::default());
             cfg.rebalance = Some(spider::sim::RebalancePolicy::default());
         }),
-        source("run-amp", &|cfg| cfg.amp = true),
         source("run-stress-faults-retries", &|cfg| {
             cfg.faults = plan("stress");
         }),
         router("run_queued-fifo", &|_| {}),
-        router("run_queued-edf-outages", &|cfg| {
-            cfg.queue_policy = QueuePolicy::EarliestDeadline;
+        router("run_queued-fifo-outages", &|cfg| {
             cfg.faults = plan("outages");
         }),
     ]
@@ -229,7 +231,7 @@ fn sequential_engine_runs_match_pre_fold_fixture() {
     assert_cases_match_fixture("seq_engines_pre_pr.json", &seq_engine_cases());
 }
 
-/// The pinned sharded-engine scenarios, each at 1 and 4 shards with series,
+/// The pinned sharded-engine scenarios, each at 1 and 4 shards with
 /// auditing and telemetry on. The merged trace is a total order, so its
 /// JSONL is hashed as emitted.
 fn sharded_engine_cases() -> Vec<Value> {
@@ -237,7 +239,6 @@ fn sharded_engine_cases() -> Vec<Value> {
     let end = 20.0;
     let full_features = |cfg: &mut ShardedConfig| {
         cfg.policy = ShardPolicy::Queued;
-        cfg.queue_policy = QueuePolicy::EarliestDeadline;
         cfg.fees = Some(spider::routing::FeeSchedule::uniform(
             &network,
             Amount::from_micros(10),
@@ -256,8 +257,8 @@ fn sharded_engine_cases() -> Vec<Value> {
             cfg.scheme = ShardScheme::ShortestPath;
             cfg.faults = fault_plan("stress", &network, end);
         }),
-        ("queued-edf-fees-congestion-rebalance", &full_features),
-        ("queued-edf-full-outages", &|cfg| {
+        ("queued-fifo-fees-congestion-rebalance", &full_features),
+        ("queued-fifo-full-outages", &|cfg| {
             full_features(cfg);
             cfg.faults = fault_plan("outages", &network, end);
         }),
@@ -273,7 +274,6 @@ fn sharded_engine_cases() -> Vec<Value> {
             };
             let tel = Telemetry::enabled();
             let mut cfg = ShardedConfig::new(end);
-            cfg.record_series = true;
             cfg.audit = true;
             cfg.telemetry = tel.clone();
             tweak(&mut cfg);

@@ -143,8 +143,7 @@ fn atomic_schemes_leave_no_inflight_dangling() {
     let network = isp();
     let txs = trace(&network, 500, 10.0, 11);
     let mut scheme = MaxFlowScheme::new();
-    let mut config = SimConfig::new(20.0);
-    config.record_series = true;
+    let config = SimConfig::new(20.0);
     let report = spider::sim::run(&network, &txs, &mut scheme, &config);
     assert_eq!(report.pending_at_end, 0, "atomic payments never linger");
     assert_eq!(report.completed + report.abandoned, report.attempted);

@@ -306,7 +306,6 @@ fn sharded_fault_scenario() -> (Network, Vec<Transaction>, ShardedConfig) {
     let txs = generate(&trace_cfg, &isp_sizes());
     let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
     let mut cfg = ShardedConfig::new(20.0);
-    cfg.record_series = true;
     cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
     (network, txs, cfg)
 }

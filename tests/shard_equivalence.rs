@@ -85,9 +85,7 @@ fn assert_shard_equivalence(
 }
 
 fn base_config(end_time: f64) -> ShardedConfig {
-    let mut cfg = ShardedConfig::new(end_time);
-    cfg.record_series = true;
-    cfg
+    ShardedConfig::new(end_time)
 }
 
 // ---------------------------------------------------------------------------

@@ -184,8 +184,9 @@ fn queued_engine_on_isp_stays_sound() {
 
 #[test]
 fn queue_overflow_drops_cleanly() {
-    // Tiny queue cap with a dry downstream: every queued unit beyond the
-    // cap must be dropped (refunded), never lost.
+    // A dry downstream and more units than a router queue holds (4096, at
+    // a 1-token MTU): every unit beyond the cap must be dropped (refunded),
+    // never lost.
     let mut g = spider::core::Network::new(3);
     g.add_channel(NodeId(0), NodeId(1), Amount::from_whole(10_000))
         .unwrap();
@@ -194,8 +195,9 @@ fn queue_overflow_drops_cleanly() {
     let txs = vec![tx(0, 0, 2, 5_000, 0.1)];
     let mut qcfg = QueuedConfig::new(20.0);
     qcfg.deadline = 15.0;
-    qcfg.max_queue_len = 4;
+    qcfg.mtu = Amount::from_whole(1);
     let out = spider::sim::run_queued(&g, &txs, &qcfg);
+    assert_eq!(out.queues.max_queue_len, 4096, "{:?}", out.queues);
     assert!(out.queues.units_dropped > 0, "{:?}", out.queues);
     assert_eq!(out.report.delivered_volume, 0.0);
     assert_sound(&out.report);
@@ -479,7 +481,7 @@ fn tier2_queued_engine_10k_nodes_100k_payments() {
 
 #[test]
 fn all_extensions_enabled_together() {
-    // Congestion control + rebalancing + AMP + fees, all at once.
+    // Congestion control + rebalancing + fees, all at once.
     use spider::routing::fees::FeeSchedule;
     let g = spider::topology::isp_topology(Amount::from_whole(30_000));
     let mut cfg = TraceConfig::isp_default(g.num_nodes(), 1_500, 20.0);
@@ -488,7 +490,6 @@ fn all_extensions_enabled_together() {
     let mut sim_cfg = SimConfig::new(20.0);
     sim_cfg.congestion = Some(spider::sim::CongestionConfig::default());
     sim_cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
-    sim_cfg.amp = true;
     sim_cfg.fees = Some(FeeSchedule::uniform(&g, Amount::from_micros(10), 1_000));
     let report = spider::sim::run(&g, &txs, &mut WaterfillingScheme::new(), &sim_cfg);
     assert_sound(&report);
