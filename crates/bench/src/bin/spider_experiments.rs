@@ -64,6 +64,7 @@ use spider_bench::{
     run_grid, run_scheme, run_sharded_scheme, scheme_choice_by_name, telemetry_handle, Ablation,
     ExperimentConfig, GridConfig, RunMode, SchemeChoice, ShardFeatures,
 };
+use spider_core::Amount;
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
 use spider_telemetry::bintrace::{self, QueryStats};
 use spider_telemetry::{TraceEvent, TraceQuery};
@@ -630,6 +631,17 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
         grid.trials = trials;
     }
     if let Some(capacities) = opts.list("--capacities", "comma-separated numbers") {
+        // A capacity must be a positive whole number of micro-units once
+        // rounded; `Amount::from_tokens` panics outside its range.
+        for &c in &capacities {
+            let representable = (0.0..Amount::MAX.as_tokens()).contains(&c);
+            if !(representable && Amount::from_tokens(c).is_positive()) {
+                usage_and_exit(&format!(
+                    "`--capacities` expects positive token amounts below {:e}, got `{c:?}`",
+                    Amount::MAX.as_tokens()
+                ));
+            }
+        }
         grid.capacities = capacities;
     }
     grid.audit = !opts.has("--no-audit");

@@ -289,7 +289,7 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
     let stray = tmp.path().join("stray").display().to_string();
     // The retired flag, spelled in halves so a grep for it finds nothing.
     let retired = concat!("--trace", "-format");
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["fig4", "--sed", "3"], "--sed"),
         (&["fig4", "--seed"], "--seed"),
         (&["fig6", "--seed", "--telemetry"], "--seed"),
@@ -311,6 +311,12 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
         (&["sharded", "--shards", "0"], "--shards"),
         (&["grid", "--trials", "0"], "--trials"),
         (&["grid", "--jobs", "0"], "--jobs"),
+        // The first three once panicked building the topology; zero ran six
+        // cells of zeros.
+        (&["grid", "--capacities", "-5"], "--capacities"),
+        (&["grid", "--capacities", "nan"], "--capacities"),
+        (&["grid", "--capacities", "1e300"], "--capacities"),
+        (&["grid", "--capacities", "30000,0"], "--capacities"),
         (&["fig6", retired, "bin"], retired),
         // Checked before the (here missing) file is read.
         (&["inspect", &stray, "--kind", "unit_setled"], "--kind"),

@@ -74,7 +74,7 @@ use crate::congestion::CongestionConfig;
 use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
 use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
 use crate::ledger::{sender_side, tokens, Ledger};
-use crate::metrics::SimReport;
+use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceStats};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
@@ -139,10 +139,9 @@ pub enum ShardPolicy {
 ///
 /// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
 /// after a unit reaches the receiver, and the scheduler ticks every 0.1 s.
-/// Under [`ShardPolicy::Queued`] each payment owner pumps its pending
-/// payments SRPT-first, and a router queue serves its units in the order
-/// they arrived and holds at most 4096 of them: a unit arriving at a full
-/// queue fails as a liquidity refusal.
+/// Under [`ShardPolicy::Queued`] a router queue serves its units in the
+/// order they arrived and holds at most 4096 of them: a unit arriving at a
+/// full queue fails as a liquidity refusal.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Hard end of the measurement window (seconds).
@@ -768,9 +767,8 @@ struct ShardCtx<'a> {
     payments: Vec<LocalPayment>,
     /// Indices of still-pending payments.
     pending: Vec<usize>,
-    /// Scratch, empty between calls: a tick's pump order and a pump's
-    /// snapshot debits `(channel, side, micros)`.
-    pump_order: Vec<usize>,
+    /// Scratch, empty between pumps: a pump's snapshot debits `(channel,
+    /// side, micros)`.
     undo: Vec<(usize, usize, i64)>,
     /// `(arrival epoch, payment index)` cursor into `payments`.
     arrivals: Vec<(u64, usize)>,
@@ -893,7 +891,6 @@ impl<'a> ShardCtx<'a> {
             },
             payments,
             pending: Vec::new(),
-            pump_order: Vec::new(),
             undo: Vec::new(),
             arrivals,
             arrival_cursor: 0,
@@ -1706,33 +1703,17 @@ impl<'a> ShardCtx<'a> {
     }
 
     /// The scheduler tick: expire deadlines, pump every pending payment.
+    /// The order cannot change an outcome: every pump routes against the
+    /// same barrier-frozen snapshot and undoes its own debits.
     fn tick(&mut self, epoch: u64) {
-        // `abandon` passes over a payment that is no longer pending.
         for k in 0..self.pending.len() {
             let i = self.pending[k];
             if self.payments[i].deadline_epoch <= epoch {
                 self.abandon(i, epoch, false);
             }
-        }
-        self.pending
-            .retain(|&i| self.payments[i].status == PaymentStatus::Pending);
-        let mut order = std::mem::take(&mut self.pump_order);
-        order.extend_from_slice(&self.pending);
-        if self.cfg.policy == ShardPolicy::Queued {
-            // Pump SRPT-first, ties by payment id. Outcomes cannot depend
-            // on this order (each pump's snapshot debits are undone
-            // afterwards), but the paper schedules the source SRPT, and the
-            // order shapes seq assignment within a tick.
-            let payments = &self.payments;
-            order.sort_by_key(|&i| {
-                let p = &payments[i];
-                (p.amount.saturating_sub(p.delivered).micros(), p.id)
-            });
-        }
-        for i in order.drain(..) {
+            // `pump` passes over a payment that is no longer pending.
             self.pump(i, epoch);
         }
-        self.pump_order = order;
         self.pending
             .retain(|&i| self.payments[i].status == PaymentStatus::Pending);
     }
@@ -2017,36 +1998,10 @@ fn merge_outputs(
     });
     audit_violations.truncate(MAX_RELEASE_VIOLATIONS);
 
-    // Payment rows, sorted by id: every float fold below follows id order.
-    let mut rows: Vec<&LocalPayment> = outputs.iter().flat_map(|o| o.payments.iter()).collect();
-    rows.sort_unstable_by_key(|p| p.id);
-    let attempted = rows.len();
-    let completed: Vec<&&LocalPayment> = rows
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Completed)
-        .collect();
-    let abandoned = rows
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Abandoned)
-        .count();
-    let pending_at_end = rows
-        .iter()
-        .filter(|p| p.status == PaymentStatus::Pending)
-        .count();
-    let attempted_volume = tokens(Amount::from_micros(
-        rows.iter().map(|p| p.amount.micros()).sum(),
-    ));
-    let delivered_volume = tokens(Amount::from_micros(
-        rows.iter().map(|p| p.delivered.micros()).sum(),
-    ));
-    let completed_volume = tokens(Amount::from_micros(
-        completed.iter().map(|p| p.amount.micros()).sum(),
-    ));
-    let mean_completion_delay = if completed.is_empty() {
-        0.0
-    } else {
-        completed.iter().filter_map(|p| p.delay).sum::<f64>() / completed.len() as f64
-    };
+    // Payment rows, folded in id order.
+    let mut payments: Vec<&LocalPayment> = outputs.iter().flat_map(|o| &o.payments).collect();
+    payments.sort_unstable_by_key(|p| p.id);
+    let rows = (payments.into_iter()).map(|p| (p.amount, p.delivered, p.status, p.delay));
 
     // Merged final ledger: each channel's state from its owner shard.
     let mut final_ledger = Ledger::new(network);
@@ -2136,17 +2091,7 @@ fn merge_outputs(
     };
 
     SimReport {
-        scheme: config.scheme.name().to_string(),
-        policy,
-        attempted,
-        completed: completed.len(),
-        abandoned,
-        pending_at_end,
-        attempted_volume,
-        delivered_volume,
-        completed_volume,
         units_sent: outputs.iter().map(|o| o.metrics.units_sent).sum(),
-        mean_completion_delay,
         final_mean_imbalance: final_ledger.mean_imbalance(),
         rebalance,
         routing_fees_paid,
@@ -2163,6 +2108,7 @@ fn merge_outputs(
         telemetry: tel.summarize(network_series),
         faults: fault_stats,
         shards: Some(observability),
+        ..tally(config.scheme.name(), policy, rows)
     }
 }
 

@@ -362,25 +362,35 @@ impl FaultPlan {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Channel-outage transitions applied (direct outages only).
+    #[serde(default)]
     pub outages: u64,
     /// Channel recoveries applied.
+    #[serde(default)]
     pub recoveries: u64,
     /// Node crashes applied.
+    #[serde(default)]
     pub node_crashes: u64,
     /// In-flight units refunded because a channel on their path went down.
+    #[serde(default)]
     pub units_refunded_by_outage: u64,
     /// Units dropped in flight by the per-unit drop process.
+    #[serde(default)]
     pub units_dropped: u64,
     /// Units whose settlement was delayed by jitter.
+    #[serde(default)]
     pub units_jittered: u64,
     /// Units griefed (funds pinned until the hold expired).
+    #[serde(default)]
     pub units_griefed: u64,
     /// Retries scheduled by the sender recovery policy.
+    #[serde(default)]
     pub retries: u64,
     /// Channel blacklistings applied by the recovery policy.
+    #[serde(default)]
     pub blacklistings: u64,
     /// Payments abandoned because their fault-failure budget ran out (or,
     /// with retries disabled, on their first fault failure).
+    #[serde(default)]
     pub payments_failed: u64,
 }
 

@@ -3,36 +3,51 @@
 
 use crate::audit::AuditViolation;
 use crate::faults::FaultStats;
+use crate::ledger::tokens;
+use crate::payment::PaymentStatus;
 use crate::rebalancer::RebalanceStats;
 use serde::{Deserialize, Serialize};
+use spider_core::Amount;
 use spider_telemetry::{DelayPercentiles, TelemetrySummary};
 
 /// Result of one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimReport {
     /// Routing scheme name.
+    #[serde(default)]
     pub scheme: String,
     /// Scheduling policy name (packet-switched schemes only; "atomic" otherwise).
+    #[serde(default)]
     pub policy: String,
     /// Payments that arrived during the run.
+    #[serde(default)]
     pub attempted: usize,
     /// Payments fully delivered before their deadline.
+    #[serde(default)]
     pub completed: usize,
     /// Payments abandoned (atomic failure, unroutable, or deadline).
+    #[serde(default)]
     pub abandoned: usize,
     /// Payments still pending when the run ended.
+    #[serde(default)]
     pub pending_at_end: usize,
-    /// Total value of attempted payments (tokens).
+    /// Total value of attempted payments (tokens; summed exactly, converted once).
+    #[serde(default)]
     pub attempted_volume: f64,
-    /// Value actually settled at receivers, including partial deliveries.
+    /// Value settled at receivers, partial deliveries included (summed exactly, converted once).
+    #[serde(default)]
     pub delivered_volume: f64,
-    /// Value of fully completed payments only.
+    /// Value of fully completed payments only (summed exactly, converted once).
+    #[serde(default)]
     pub completed_volume: f64,
     /// Transaction units transmitted.
+    #[serde(default)]
     pub units_sent: u64,
     /// Mean time from arrival to completion, over completed payments.
+    #[serde(default)]
     pub mean_completion_delay: f64,
     /// Mean relative channel imbalance at the end of the run.
+    #[serde(default)]
     pub final_mean_imbalance: f64,
     /// On-chain rebalancing activity (zeros when rebalancing is disabled).
     #[serde(default)]
@@ -119,6 +134,67 @@ impl SimReport {
     }
 }
 
+/// One payment's outcome as both engines report it: `(amount, delivered,
+/// final status, completion delay)`.
+pub(crate) type PaymentRow = (Amount, Amount, PaymentStatus, Option<f64>);
+
+/// Folds one [`PaymentRow`] per payment into the payment half of a report:
+/// counts by final status, the three volumes summed exactly in micro-units
+/// and converted to tokens once, and the completed rows' mean delay, summed
+/// in row order. Every other field is zero or empty, for the caller to fill
+/// in with struct update syntax.
+pub(crate) fn tally(
+    scheme: &str,
+    policy: String,
+    rows: impl IntoIterator<Item = PaymentRow>,
+) -> SimReport {
+    let mut r = SimReport {
+        scheme: scheme.to_string(),
+        policy,
+        attempted: 0,
+        completed: 0,
+        abandoned: 0,
+        pending_at_end: 0,
+        attempted_volume: 0.0,
+        delivered_volume: 0.0,
+        completed_volume: 0.0,
+        units_sent: 0,
+        mean_completion_delay: 0.0,
+        final_mean_imbalance: 0.0,
+        rebalance: RebalanceStats::default(),
+        routing_fees_paid: 0.0,
+        audit_checks: 0,
+        audit_violations: Vec::new(),
+        completion_delay_percentiles: None,
+        telemetry: None,
+        faults: None,
+        shards: None,
+    };
+    let [mut attempted, mut delivered, mut completed] = [Amount::ZERO; 3];
+    let mut delay_sum = 0.0;
+    for (amount, settled, status, delay) in rows {
+        r.attempted += 1;
+        attempted += amount;
+        delivered += settled;
+        match status {
+            PaymentStatus::Completed => {
+                r.completed += 1;
+                completed += amount;
+                delay_sum += delay.unwrap_or_default();
+            }
+            PaymentStatus::Abandoned => r.abandoned += 1,
+            PaymentStatus::Pending => r.pending_at_end += 1,
+        }
+    }
+    r.attempted_volume = tokens(attempted);
+    r.delivered_volume = tokens(delivered);
+    r.completed_volume = tokens(completed);
+    if r.completed > 0 {
+        r.mean_completion_delay = delay_sum / r.completed as f64;
+    }
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +277,22 @@ mod tests {
             back.completion_delay_percentiles,
             with.completion_delay_percentiles
         );
+    }
+
+    /// Every field of the three frozen report structs has a default, so a
+    /// report written before a field existed still reads back.
+    #[test]
+    fn an_empty_object_reads_as_every_frozen_report_struct() {
+        let report: SimReport = serde_json::from_str("{}").unwrap();
+        let zero = tally("", String::new(), []);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&zero).unwrap()
+        );
+        let faults: FaultStats = serde_json::from_str("{}").unwrap();
+        assert_eq!(faults, FaultStats::default());
+        let summary: TelemetrySummary = serde_json::from_str("{}").unwrap();
+        assert_eq!(summary, TelemetrySummary::default());
     }
 
     #[test]

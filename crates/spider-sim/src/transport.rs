@@ -42,7 +42,7 @@ use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
 use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView, RetryPolicy};
 use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
-use crate::metrics::SimReport;
+use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
 use crate::scheduler::SchedulePolicy;
@@ -949,16 +949,6 @@ impl<'a> Transport<'a> {
     pub(crate) fn finish(mut self, scheme: &str, policy: String) -> SimReport {
         debug_assert!(self.ledger.conserves_all(), "ledger must conserve funds");
         self.audit_check(self.end_time, "final");
-        let count = |status| {
-            (self.payments.iter())
-                .filter(|p| p.status == status)
-                .count()
-        };
-        let completed = (self.payments.iter()).filter(|p| p.status == PaymentStatus::Completed);
-        let delays = completed
-            .clone()
-            .filter_map(|p| p.completed_at.map(|t| t - p.arrival));
-        let num_completed = count(PaymentStatus::Completed);
         let mut audit_violations = Vec::new();
         let mut audit_checks = 0;
         if let Some(a) = self.audit {
@@ -966,22 +956,12 @@ impl<'a> Transport<'a> {
             audit_violations = a.into_violations();
         }
         audit_violations.extend(self.release_violations);
+        let rows = (self.payments.iter()).map(|p| {
+            let delay = p.completed_at.map(|t| t - p.arrival);
+            (p.amount, p.delivered, p.status, delay)
+        });
         SimReport {
-            scheme: scheme.to_string(),
-            policy,
-            attempted: self.payments.len(),
-            completed: num_completed,
-            abandoned: count(PaymentStatus::Abandoned),
-            pending_at_end: count(PaymentStatus::Pending),
-            attempted_volume: self.payments.iter().map(|p| tokens(p.amount)).sum(),
-            delivered_volume: self.payments.iter().map(|p| tokens(p.delivered)).sum(),
-            completed_volume: completed.map(|p| tokens(p.amount)).sum(),
             units_sent: self.units_sent,
-            mean_completion_delay: if num_completed == 0 {
-                0.0
-            } else {
-                delays.sum::<f64>() / num_completed as f64
-            },
             final_mean_imbalance: self.ledger.mean_imbalance(),
             rebalance: self.rebalance_stats,
             routing_fees_paid: tokens(self.routing_fees_paid),
@@ -990,7 +970,7 @@ impl<'a> Transport<'a> {
             completion_delay_percentiles: self.tel.delay_percentiles("sim.completion_delay"),
             telemetry: self.tel.summarize(self.network_series),
             faults: self.faults.map(|fr| fr.state.stats),
-            shards: None,
+            ..tally(scheme, policy, rows)
         }
     }
 }

@@ -50,12 +50,16 @@ pub struct NetworkSample {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetrySummary {
     /// Total trace events recorded.
+    #[serde(default)]
     pub events: u64,
     /// Per-kind event counts, sorted by kind name.
+    #[serde(default)]
     pub event_counts: Vec<(String, u64)>,
     /// Network-wide aggregate time series.
+    #[serde(default)]
     pub network_series: Vec<NetworkSample>,
     /// Snapshot of every registered metric.
+    #[serde(default)]
     pub metrics: MetricsSnapshot,
     /// Deterministic per-phase profiler breakdown (empty unless the run
     /// used a profiled telemetry handle; contains no wall-clock data).

@@ -33,13 +33,20 @@
 //! FIFO router queues, as the `run_queued` outage case was.
 //!
 //! Both files lost their reports' `series` key when the per-tick success
-//! series was retired; every other value in them is what it was.
+//! series was retired. The continuous-time engine's attempted, delivered
+//! and completed volumes in `seq_engines_pre_pr.json` and
+//! `fig6_pre_pr.json` were rounded to the micro-unit when that engine
+//! stopped adding per-payment floats and summed them exactly, as the
+//! sharded engine always had; every other value in the files is what it
+//! was. Every pinned case checks its three volumes against exact sums
+//! recomputed from its own trace.
 
 use serde_json::Value;
 use spider::prelude::*;
 use spider::sim::{FaultConfig, FaultPlan, ShardPolicy};
-use spider::telemetry::events_to_jsonl;
+use spider::telemetry::{events_to_jsonl, parse_jsonl, TraceEvent};
 use spider_bench::{fig6, ExperimentConfig};
+use std::collections::BTreeMap;
 
 fn fixture_config() -> ExperimentConfig {
     // Must match the capture config used to record the fixture.
@@ -135,8 +142,11 @@ fn pinned_workload() -> (Network, Vec<Transaction>) {
 }
 
 /// One pinned case as a JSON object: `name`, the `report`, and the count
-/// and CRC-32 of the given trace JSONL lines.
+/// and CRC-32 of the given trace JSONL lines. The report's three volumes
+/// must first equal exact micro-unit sums recomputed from those lines, so
+/// every case checks them independently of the engine that summed them.
 fn pinned_case(name: &str, report: Value, crc_field: &str, lines: &[&str]) -> Value {
+    assert_volumes_are_exact_trace_sums(name, &report, lines);
     let crc = spider::core::crc32(lines.join("\n").as_bytes());
     Value::Object(vec![
         ("name".to_string(), Value::Str(name.to_string())),
@@ -144,6 +154,46 @@ fn pinned_case(name: &str, report: Value, crc_field: &str, lines: &[&str]) -> Va
         ("trace_lines".to_string(), Value::I64(lines.len() as i64)),
         (crc_field.to_string(), Value::I64(i64::from(crc))),
     ])
+}
+
+/// Sums, in exact micro-units, every `PaymentArrived` amount, every
+/// `UnitSettled` amount and the arrival amounts of the payments with a
+/// `PaymentCompleted`, and asserts that the report's attempted, delivered
+/// and completed volumes are those sums converted to tokens.
+fn assert_volumes_are_exact_trace_sums(name: &str, report: &Value, lines: &[&str]) {
+    let events = parse_jsonl(&lines.join("\n")).expect("trace parses");
+    let mut arrived = BTreeMap::new();
+    let mut completed = Vec::new();
+    let mut delivered = Amount::ZERO;
+    for event in events {
+        match event {
+            TraceEvent::PaymentArrived {
+                payment, amount, ..
+            } => {
+                arrived.insert(payment, Amount::from_tokens(amount));
+            }
+            TraceEvent::UnitSettled { amount, .. } => delivered += Amount::from_tokens(amount),
+            TraceEvent::PaymentCompleted { payment, .. } => completed.push(payment),
+            _ => {}
+        }
+    }
+    let attempted: Amount = arrived.values().copied().sum();
+    let completed: Amount = completed.iter().map(|id| arrived[id]).sum();
+    // A `QueuedReport` nests its `SimReport`.
+    let report = report.get_field("report").unwrap_or(report);
+    for (field, sum) in [
+        ("attempted_volume", attempted),
+        ("delivered_volume", delivered),
+        ("completed_volume", completed),
+    ] {
+        let reported = report.get_field(field).and_then(Value::as_f64);
+        assert_eq!(
+            reported.map(f64::to_bits),
+            Some(sum.as_tokens().to_bits()),
+            "{name}: {field} {reported:?} is not the exact trace sum {}",
+            sum.as_tokens()
+        );
+    }
 }
 
 fn fault_plan(scenario: &str, network: &Network, end: f64) -> Option<FaultPlan> {

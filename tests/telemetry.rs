@@ -1,7 +1,9 @@
 //! Telemetry integration tests: trace/report reconciliation, JSONL file
 //! round-trips, grid trace determinism, and the disabled-is-free guarantee
 //! (a telemetry-off report serializes byte-identically to pre-telemetry
-//! builds, pinned by `tests/fixtures/simreport_pre_pr.json`).
+//! builds, pinned by `tests/fixtures/simreport_pre_pr.json`, whose three
+//! volumes were rounded to the micro-unit when report volumes became exact
+//! micro-unit sums).
 
 use spider::prelude::*;
 use spider::telemetry::{bintrace, count_by_kind, events_to_jsonl, parse_jsonl};
