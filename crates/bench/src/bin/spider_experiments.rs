@@ -278,11 +278,11 @@ fn parse_as<T: std::str::FromStr>(flag: &str, what: &str, text: &str) -> T {
         .unwrap_or_else(|_| usage_and_exit(&format!("`{flag}` expects {what}, got `{text}`")))
 }
 
-/// Writes one trace file under `dir` as `<stem>.bin` (SPBT) and returns the
+/// Writes one SPBT trace file under `dir` as `<stem>.bin` and returns the
 /// path.
-fn write_trace(dir: &str, stem: &str, events: &[TraceEvent]) -> String {
+fn write_trace(dir: &str, stem: &str, spbt: &[u8]) -> String {
     let path = format!("{dir}/{stem}.bin");
-    write_file(&path, &bintrace::encode(events));
+    write_file(&path, spbt);
     path
 }
 
@@ -454,7 +454,7 @@ fn run_fig6(opts: &Options, topology: &str, out: &mut JsonSink) {
     if let Some(dir) = opts.value("--trace-out") {
         for (report, tel) in &runs {
             let stem = format!("fig6-{topology}-{}", report.scheme);
-            tel.with_events(|events| write_trace(dir, &stem, events));
+            tel.with_spbt(|_, spbt| write_trace(dir, &stem, spbt));
         }
         println!("wrote {} trace file(s) to {dir}", runs.len());
     }
@@ -699,7 +699,8 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
     let result = run_grid(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")));
     if let Some(dir) = opts.value("--trace-out") {
         for (i, cell) in result.cells.iter().enumerate() {
-            write_trace(dir, &format!("cell-{i:04}"), &cell.events);
+            let spbt = bintrace::encode(&cell.events);
+            write_trace(dir, &format!("cell-{i:04}"), &spbt);
         }
         println!("wrote {} per-cell trace files to {dir}", result.cells.len());
     }
@@ -817,7 +818,8 @@ fn run_sharded_command(opts: &Options, out: &mut JsonSink) {
         }
     }
     if let Some(dir) = opts.value("--trace-out") {
-        let path = tel.with_events(|ev| write_trace(dir, &format!("sharded-{topology}"), ev));
+        let stem = format!("sharded-{topology}");
+        let path = tel.with_spbt(|_, spbt| write_trace(dir, &stem, spbt));
         println!("wrote {path}");
     }
     out.record("sharded", &report);
@@ -932,13 +934,22 @@ fn run_inspect(opts: &Options) {
         return inspect_report(file);
     }
     let number = "a number";
+    // NaN parses as a float but compares false with every time, so as a
+    // bound it would match every event.
+    let time = |flag: &str| {
+        let t: Option<f64> = opts.parsed(flag, number);
+        if t.is_some_and(f64::is_nan) {
+            usage_and_exit(&format!("`{flag}` expects {number}, got NaN"));
+        }
+        t
+    };
     let q = TraceQuery {
         channel: opts.parsed("--channel", number),
         node: opts.parsed("--node", number),
         payment: opts.parsed("--payment", number),
         kind: kind.map(String::from),
-        from: opts.parsed("--from", number),
-        to: opts.parsed("--to", number),
+        from: time("--from"),
+        to: time("--to"),
     };
     let limit: usize = opts.parsed("--limit", number).unwrap_or(20);
     let top: usize = opts.parsed("--top", number).unwrap_or(5);

@@ -289,7 +289,7 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
     let stray = tmp.path().join("stray").display().to_string();
     // The retired flag, spelled in halves so a grep for it finds nothing.
     let retired = concat!("--trace", "-format");
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["fig4", "--sed", "3"], "--sed"),
         (&["fig4", "--seed"], "--seed"),
         (&["fig6", "--seed", "--telemetry"], "--seed"),
@@ -320,6 +320,10 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
         (&["fig6", retired, "bin"], retired),
         // Checked before the (here missing) file is read.
         (&["inspect", &stray, "--kind", "unit_setled"], "--kind"),
+        // A NaN bound once ran an unbounded window and exited 0.
+        (&["inspect", &stray, "--from", "nan"], "--from"),
+        (&["inspect", &stray, "--from", "NaN", "--to", "3"], "--from"),
+        (&["inspect", &stray, "--to", "nan"], "--to"),
     ];
     for (args, flag) in cases {
         let (code, stderr) = run_cli(args);
@@ -403,4 +407,9 @@ fn trace_convert_keeps_the_jsonl_contract_and_readers_reject_jsonl() {
         Some(0),
         "trace-check rejected a run's trace: {stderr}"
     );
+
+    // Infinite bounds are numbers; only NaN is refused.
+    let bin = bin.display().to_string();
+    let (code, stderr) = run_cli(&["inspect", &bin, "--from", "-inf", "--to", "inf"]);
+    assert_eq!(code, Some(0), "inspect with infinite bounds: {stderr}");
 }

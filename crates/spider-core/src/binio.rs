@@ -62,6 +62,12 @@ impl Enc {
         Self::default()
     }
 
+    /// Makes room for `additional` more bytes, so a caller that knows its
+    /// output size grows the buffer once instead of by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
     /// Consumes the encoder, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

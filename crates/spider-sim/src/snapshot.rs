@@ -39,7 +39,7 @@ use crate::faults::{FaultEvent, FaultState, FaultStateSnapshot};
 use crate::payment::PaymentStatus;
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, BinError, ChannelId, Dec, Enc, Network, NodeId};
-use spider_telemetry::{bintrace, BinTraceWriter, Telemetry, TelemetryState, TraceEvent};
+use spider_telemetry::{bintrace, Telemetry, TelemetryState, TraceEvent};
 use spider_workload::Transaction;
 use std::fmt;
 use std::fs;
@@ -57,9 +57,9 @@ use std::path::{Path, PathBuf};
 /// shard; the extension section is retired (tag 4 is not reused) and its
 /// contents travel inside each shard's blob.
 /// v5: a snapshot carries only what resume needs. The event log in
-/// [`SEC_TELEMETRY`] is embedded as `SPBT` bytes (`enc_events`) instead of
-/// a JSON string, and [`SEC_CORE`] stores only the units still live, by
-/// slab index, plus the count of units ever sent.
+/// [`SEC_TELEMETRY`] is embedded as `SPBT` bytes (`encode_telemetry`)
+/// instead of a JSON string, and [`SEC_CORE`] stores only the units still
+/// live, by slab index, plus the count of units ever sent.
 ///
 /// Within v5 the router-queued and the sharded engine stopped
 /// checkpointing: their engine bytes (2, 3) and the sharded layout are
@@ -287,6 +287,9 @@ pub fn encode_snapshot(
     sections: &[(u32, Vec<u8>)],
 ) -> Vec<u8> {
     let mut e = Enc::new();
+    // Header, per-section framing, payloads and the frame CRC: sized once.
+    let payload: usize = sections.iter().map(|(_, bytes)| 16 + bytes.len()).sum();
+    e.reserve(22 + payload + 4);
     for b in MAGIC {
         e.u8(b);
     }
@@ -601,25 +604,9 @@ pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, SnapshotError> 
     serde_json::from_str(&s).or_else(|e| corrupt(format!("embedded JSON: {e}")))
 }
 
-/// Trace events, in order: `count: u64`, then the same events as one
-/// length-prefixed `SPBT` file (`spider_telemetry::bintrace`, which is
-/// bit-exact for every event and about 7 bytes each). The count is what
-/// catches a log cut at a block boundary, which is still a valid `SPBT`
-/// file.
-pub(crate) fn enc_events<'e>(e: &mut Enc, events: impl IntoIterator<Item = &'e TraceEvent>) {
-    let mut w = BinTraceWriter::new();
-    let mut count = 0u64;
-    for event in events {
-        w.push(event);
-        count += 1;
-    }
-    e.u64(count);
-    e.bytes(&w.finish());
-}
-
-/// Decodes events written by [`enc_events`]. Anything `bintrace` refuses,
-/// and a count that disagrees with what it decoded, is
-/// [`SnapshotError::Corrupt`].
+/// Decodes the event log [`encode_telemetry`] writes (its step 3).
+/// Anything `bintrace` refuses, and a count that disagrees with what it
+/// decoded, is [`SnapshotError::Corrupt`].
 pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> {
     let count = d.u64()?;
     let events =
@@ -633,8 +620,9 @@ pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> 
     Ok(events)
 }
 
-/// Encodes the [`SEC_TELEMETRY`] section from the live handle, borrowing
-/// its event log; a disabled handle encodes as an empty section. In order:
+/// Encodes the [`SEC_TELEMETRY`] section from the live handle, copying its
+/// event log in as it is held; a disabled handle encodes as an empty
+/// section. In order:
 ///
 /// 1. `sample_interval: f64`, `profiled: bool`.
 /// 2. Registry — counters, seq of `(name: str, label: str, value: u64)`;
@@ -645,7 +633,13 @@ pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> 
 ///    and histograms only, so every label is empty, the gauge seq is empty,
 ///    and names ascend strictly within each family; [`decode_telemetry`]
 ///    refuses anything else.
-/// 3. The event log, in emission order ([`enc_events`]).
+/// 3. The event log, in emission order: `count: u64`, then the events as
+///    one length-prefixed `SPBT` file (`spider_telemetry::bintrace`, which
+///    is bit-exact for every event and about 7 bytes each). These are the
+///    tracer's own bytes ([`Telemetry::with_spbt`]): its closed blocks and
+///    its open block encoded, with blocks every 512 events from the first,
+///    so nothing is re-encoded. The count is what catches a log cut at a
+///    block boundary, which is still a valid `SPBT` file.
 pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
     let (Some(sample_interval), Some(registry)) = (tel.sample_interval(), tel.registry()) else {
         return Vec::new();
@@ -670,7 +664,12 @@ pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
         e.f64(h.min);
         e.f64(h.max);
     });
-    tel.with_events(|events| enc_events(&mut e, events));
+    tel.with_spbt(|count, spbt| {
+        // The count, the length prefix and one copy of the log.
+        e.reserve(16 + spbt.len());
+        e.u64(count);
+        e.bytes(spbt);
+    });
     e.into_bytes()
 }
 
@@ -816,6 +815,7 @@ mod tests {
     #[test]
     fn container_round_trips() {
         let bytes = encode_snapshot(ENGINE_SEQ, 0xABCD_1234, 42, &sections());
+        assert_eq!(bytes.capacity(), bytes.len(), "the buffer is sized once");
         let snap = decode_snapshot(&bytes).unwrap();
         assert_eq!(snap.engine, ENGINE_SEQ);
         assert_eq!(snap.fingerprint, 0xABCD_1234);
@@ -1012,7 +1012,8 @@ mod tests {
             e.f64(h.min);
             e.f64(h.max);
         });
-        enc_events(&mut e, std::iter::empty());
+        e.u64(0);
+        e.bytes(&bintrace::encode(&[]));
         e.into_bytes()
     }
 

@@ -17,8 +17,8 @@
 //! one copy each, with the sharded engine's handlers (which differ in when
 //! and where a transition runs, ROADMAP item 4) — `Ledger::lock_walk` /
 //! `release_walk` and [`FeeSchedule::hop_amounts`] for the funds,
-//! [`unit_count`] for the split, [`TraceEvent::counter`] behind
-//! `Telemetry::emit` for the counters, [`FaultEvent::trace`],
+//! [`unit_count`] for the split, the event table's kind → counter column
+//! behind `Telemetry::emit` for the counters, [`FaultEvent::trace`],
 //! [`RetryPolicy::backoff`], `RebalancePolicy::apply`,
 //! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
 //! [`tokens`] for what is reported.

@@ -343,7 +343,10 @@ fn read_field(cur: &mut Cursor<'_>, role: Role, prev_t: &mut f64) -> Result<u64,
 ///
 /// Push events in order, then call [`finish`](Self::finish) to obtain the
 /// encoded bytes. Events are buffered into indexed blocks of
-/// `block_events` events each.
+/// `block_events` events each: a full block is encoded as soon as it
+/// closes, so the writer holds the file so far as bytes plus at most
+/// `block_events - 1` open events, and [`with_bytes`](Self::with_bytes)
+/// reads the file mid-stream without closing the open block.
 #[derive(Debug)]
 pub struct BinTraceWriter {
     out: Vec<u8>,
@@ -377,71 +380,41 @@ impl BinTraceWriter {
     }
 
     /// Appends one event.
-    pub fn push(&mut self, e: &TraceEvent) {
-        self.pending.push(e.clone());
+    pub fn push(&mut self, e: TraceEvent) {
+        self.pending.push(e);
         if self.pending.len() >= self.block_events {
-            self.flush_block();
+            put_block(&mut self.out, &self.pending);
+            self.pending.clear();
         }
+    }
+
+    /// Calls `f` with the complete file so far: the closed blocks, then
+    /// the open block encoded as the last one, exactly what
+    /// [`finish`](Self::finish) would return now. The open block stays
+    /// open, so later pushes fill it up to `block_events` as before.
+    pub fn with_bytes<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> R {
+        let closed = self.out.len();
+        put_block(&mut self.out, &self.pending);
+        let r = f(&self.out);
+        self.out.truncate(closed);
+        r
+    }
+
+    /// The header and the closed blocks: a complete file of every event
+    /// pushed except the [`open`](Self::open) ones.
+    pub(crate) fn closed(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// The events of the open block, in push order.
+    pub(crate) fn open(&self) -> &[TraceEvent] {
+        &self.pending
     }
 
     /// Flushes any buffered events and returns the complete file bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        self.flush_block();
+        put_block(&mut self.out, &self.pending);
         self.out
-    }
-
-    fn flush_block(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        // One field walk per event feeds both the block index and the
-        // encoded events, which follow the index in the body.
-        let mut t_min = f64::INFINITY;
-        let mut t_max = f64::NEG_INFINITY;
-        let mut has_untimed = false;
-        let mut channels: Vec<u32> = Vec::new();
-        let mut nodes: Vec<u32> = Vec::new();
-        let mut events = Vec::new();
-        let mut prev_t = 0.0;
-        for e in &self.pending {
-            events.push(e.kind_index() as u8);
-            let mut timed = false;
-            e.fields(|role, bits| {
-                match role {
-                    Role::Time => {
-                        let t = f64::from_bits(bits);
-                        timed = true;
-                        t_min = t_min.min(t);
-                        t_max = t_max.max(t);
-                    }
-                    Role::Channel => channels.push(bits as u32),
-                    Role::Node => nodes.push(bits as u32),
-                    _ => {}
-                }
-                put_field(&mut events, role, bits, &mut prev_t);
-            });
-            has_untimed |= !timed;
-        }
-        if !t_min.is_finite() {
-            t_min = 0.0;
-            t_max = 0.0;
-        }
-
-        let mut body = Vec::with_capacity(events.len() + 64);
-        body.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
-        body.push(if has_untimed { FLAG_HAS_UNTIMED } else { 0 });
-        body.extend_from_slice(&t_min.to_bits().to_le_bytes());
-        body.extend_from_slice(&t_max.to_bits().to_le_bytes());
-        put_ids(&mut body, &mut channels);
-        put_ids(&mut body, &mut nodes);
-        body.extend_from_slice(&events);
-
-        self.out
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        self.out
-            .extend_from_slice(&spider_core::crc32(&body).to_le_bytes());
-        self.out.extend_from_slice(&body);
-        self.pending.clear();
     }
 }
 
@@ -451,11 +424,63 @@ impl Default for BinTraceWriter {
     }
 }
 
+/// Appends `events` to `out` as one indexed block; no events, no block.
+fn put_block(out: &mut Vec<u8>, events: &[TraceEvent]) {
+    if events.is_empty() {
+        return;
+    }
+    // One field walk per event feeds both the block index and the encoded
+    // events, which follow the index in the body.
+    let mut t_min = f64::INFINITY;
+    let mut t_max = f64::NEG_INFINITY;
+    let mut has_untimed = false;
+    let mut channels: Vec<u32> = Vec::new();
+    let mut nodes: Vec<u32> = Vec::new();
+    let mut encoded = Vec::new();
+    let mut prev_t = 0.0;
+    for e in events {
+        encoded.push(e.kind_index() as u8);
+        let mut timed = false;
+        e.fields(|role, bits| {
+            match role {
+                Role::Time => {
+                    let t = f64::from_bits(bits);
+                    timed = true;
+                    t_min = t_min.min(t);
+                    t_max = t_max.max(t);
+                }
+                Role::Channel => channels.push(bits as u32),
+                Role::Node => nodes.push(bits as u32),
+                _ => {}
+            }
+            put_field(&mut encoded, role, bits, &mut prev_t);
+        });
+        has_untimed |= !timed;
+    }
+    if !t_min.is_finite() {
+        t_min = 0.0;
+        t_max = 0.0;
+    }
+
+    let mut body = Vec::with_capacity(encoded.len() + 64);
+    body.extend_from_slice(&(events.len() as u32).to_le_bytes());
+    body.push(if has_untimed { FLAG_HAS_UNTIMED } else { 0 });
+    body.extend_from_slice(&t_min.to_bits().to_le_bytes());
+    body.extend_from_slice(&t_max.to_bits().to_le_bytes());
+    put_ids(&mut body, &mut channels);
+    put_ids(&mut body, &mut nodes);
+    body.extend_from_slice(&encoded);
+
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&spider_core::crc32(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+}
+
 /// Encodes an event slice with the default block size.
 pub fn encode(events: &[TraceEvent]) -> Vec<u8> {
     let mut w = BinTraceWriter::new();
     for e in events {
-        w.push(e);
+        w.push(e.clone());
     }
     w.finish()
 }
@@ -585,14 +610,21 @@ impl BlockHead {
 
 /// Decodes every event in a binary trace.
 pub fn decode(bytes: &[u8]) -> Result<Vec<TraceEvent>, BinTraceError> {
-    let (events, _) = run_query(bytes, None)?;
+    let mut events = Vec::new();
+    decode_into(bytes, &mut events)?;
     Ok(events)
+}
+
+/// Appends every event in a binary trace to `out`, which the caller may
+/// have sized for them.
+pub(crate) fn decode_into(bytes: &[u8], out: &mut Vec<TraceEvent>) -> Result<(), BinTraceError> {
+    run_query(bytes, None, out).map(drop)
 }
 
 /// Runs an indexed query: blocks whose index cannot match are skipped
 /// without decoding. Returns matching events in file order.
 pub fn query(bytes: &[u8], q: &TraceQuery) -> Result<Vec<TraceEvent>, BinTraceError> {
-    let (events, _) = run_query(bytes, Some(q))?;
+    let (events, _) = query_with_stats(bytes, q)?;
     Ok(events)
 }
 
@@ -602,15 +634,19 @@ pub fn query_with_stats(
     bytes: &[u8],
     q: &TraceQuery,
 ) -> Result<(Vec<TraceEvent>, QueryStats), BinTraceError> {
-    run_query(bytes, Some(q))
+    let mut events = Vec::new();
+    let stats = run_query(bytes, Some(q), &mut events)?;
+    Ok((events, stats))
 }
 
+/// Appends the events of `bytes` that `q` matches (all of them without one)
+/// to `out`, in file order.
 fn run_query(
     bytes: &[u8],
     q: Option<&TraceQuery>,
-) -> Result<(Vec<TraceEvent>, QueryStats), BinTraceError> {
+    out: &mut Vec<TraceEvent>,
+) -> Result<QueryStats, BinTraceError> {
     let (kinds, mut cur) = read_header(bytes)?;
-    let mut out = Vec::new();
     let mut stats = QueryStats::default();
     while cur.remaining() > 0 {
         let body_len = cur.u32()? as usize;
@@ -646,7 +682,7 @@ fn run_query(
             return Err(BinTraceError::BadBlockLength);
         }
     }
-    Ok((out, stats))
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -855,7 +891,7 @@ mod tests {
         let mut w = BinTraceWriter::with_block_events(2);
         let events = sample_events();
         for e in &events {
-            w.push(e);
+            w.push(e.clone());
         }
         let bytes = w.finish();
         let q = TraceQuery {
@@ -960,7 +996,7 @@ mod tests {
         let events = sample_events();
         let mut w = BinTraceWriter::with_block_events(3);
         for e in &events {
-            w.push(e);
+            w.push(e.clone());
         }
         (events, w.finish())
     }
@@ -1121,7 +1157,7 @@ mod tests {
         let one_block = encode(&events);
         let mut w = BinTraceWriter::with_block_events(3);
         for e in &events {
-            w.push(e);
+            w.push(e.clone());
         }
         let blocks = w.finish();
         let back = decode(&blocks).unwrap();
@@ -1157,7 +1193,7 @@ mod tests {
         ];
         let mut w = BinTraceWriter::with_block_events(1);
         for e in &events {
-            w.push(e);
+            w.push(e.clone());
         }
         let mut bytes = w.finish();
         // Walk the kind table to the "solver_sample" entry and misspell
@@ -1252,7 +1288,7 @@ mod tests {
             }
             let mut w = BinTraceWriter::with_block_events(block_events);
             for e in &events {
-                w.push(e);
+                w.push(e.clone());
             }
             let back = decode(&w.finish());
             proptest::prop_assert!(back.is_ok(), "{:?}", back);

@@ -5,7 +5,8 @@
 //! - [`registry`] — a lightweight metrics registry: unlabelled counters
 //!   and fixed-bucket histograms, one name → value map each, `Send + Sync`;
 //! - [`trace`] — typed payment-lifecycle events ([`TraceEvent`]) recorded
-//!   by a [`Tracer`] and serialized to JSON Lines;
+//!   by a [`Tracer`], which holds them as the SPBT blocks they are written
+//!   as, and serialized to JSON Lines;
 //! - [`bintrace`] — a compact, indexed binary backend for the same event
 //!   streams, with lossless JSONL↔binary converters;
 //! - [`spans`] — an opt-in engine-phase profiler splitting deterministic
@@ -37,7 +38,8 @@ pub use spans::{Phase, PhaseProfile, PhaseWallStat, SpanGuard, SpanProfiler};
 pub use summary::{DelayPercentiles, NetworkSample, TelemetrySummary};
 pub use trace::{count_by_kind, events_to_jsonl, parse_jsonl, TraceEvent, Tracer};
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use trace::KIND_COUNT;
 
 /// Default cadence for per-channel state samples (simulation seconds).
 pub const DEFAULT_SAMPLE_INTERVAL: f64 = 1.0;
@@ -61,6 +63,10 @@ pub struct TelemetryState {
 struct TelemetryInner {
     registry: MetricsRegistry,
     tracer: Tracer,
+    /// Per kind, how many of the tracer's events its registry counter
+    /// (`TraceEvent::COUNTERS`) already holds; the rest are added before
+    /// the registry is read ([`sync_counters`](Self::sync_counters)).
+    counted: Mutex<[u64; KIND_COUNT]>,
     sample_interval: f64,
     /// Present only on profiled handles: span recording stays a no-op for
     /// plain enabled telemetry, so enabling traces never perturbs
@@ -69,19 +75,44 @@ struct TelemetryInner {
 }
 
 impl TelemetryInner {
-    /// Counts and logs one event. Kept out of line: inlined into
-    /// [`Telemetry::emit`] this body lands in every engine transition and
-    /// costs the telemetry-*off* path a few percent.
+    /// Logs one event, which the tracer counts by kind. Kept out of line:
+    /// inlined into [`Telemetry::emit`] this body lands in every engine
+    /// transition and costs the telemetry-*off* path a few percent.
     #[inline(never)]
     fn record(&self, event: TraceEvent) {
-        if let Some(name) = event.counter() {
-            self.registry.counter_add(name, 1);
-        }
         if let TraceEvent::PaymentCompleted { delay, .. } = event {
             let make = Histogram::latency_default;
             (self.registry).histogram_observe("sim.completion_delay", delay, make);
         }
         self.tracer.record(event);
+    }
+
+    /// Locks [`counted`](Self::counted), recovering from a poisoned mutex
+    /// as the tracer does: the counts it holds stay valid.
+    fn counted(&self) -> std::sync::MutexGuard<'_, [u64; KIND_COUNT]> {
+        match self.counted.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Adds the events recorded since the last call to their kinds'
+    /// registry counters, so every read of the registry sees each event
+    /// counted once: one array increment under the tracer's lock per event
+    /// instead of a registry lookup.
+    fn sync_counters(&self) {
+        let mut counted = self.counted();
+        let recorded = self.tracer.by_kind();
+        for ((name, &n), done) in TraceEvent::COUNTERS
+            .iter()
+            .zip(&recorded)
+            .zip(counted.iter_mut())
+        {
+            if let Some(name) = name.filter(|_| n > *done) {
+                self.registry.counter_add(name, n - *done);
+                *done = n;
+            }
+        }
     }
 }
 
@@ -124,6 +155,7 @@ impl Telemetry {
             inner: Some(Arc::new(TelemetryInner {
                 registry: MetricsRegistry::new(),
                 tracer: Tracer::new(),
+                counted: Mutex::default(),
                 sample_interval,
                 profiler: profiling.then(SpanProfiler::new),
             })),
@@ -148,7 +180,8 @@ impl Telemetry {
         self.inner.as_ref().map(|i| i.sample_interval)
     }
 
-    /// Records a trace event, counted under [`TraceEvent::counter`] (a
+    /// Records a trace event, counted under its kind's registry counter
+    /// from the one kind → counter table in `trace.rs` (a
     /// completed payment's delay also lands in the `sim.completion_delay`
     /// histogram). The closure only runs when enabled, so argument
     /// construction costs nothing when telemetry is off.
@@ -230,23 +263,31 @@ impl Telemetry {
         self.inner.as_ref().and_then(|i| i.profiler.as_ref())
     }
 
-    /// Direct access to the registry, when enabled.
+    /// Direct access to the registry, when enabled, with every event
+    /// recorded so far counted.
     pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_ref().map(|i| &i.registry)
+        let inner = self.inner.as_ref()?;
+        inner.sync_counters();
+        Some(&inner.registry)
     }
 
-    /// A copy of all trace events recorded so far (empty when disabled).
+    /// All trace events recorded so far, decoded from the log (empty when
+    /// disabled).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.with_events(<[TraceEvent]>::to_vec)
+        match &self.inner {
+            Some(inner) => inner.tracer.events(),
+            None => Vec::new(),
+        }
     }
 
-    /// Calls `f` with the trace events recorded so far, borrowed in place
-    /// (an empty slice when disabled). The log stays locked for the
-    /// duration, so `f` must not emit.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+    /// Calls `f` with the number of trace events recorded so far and the
+    /// log as SPBT file bytes, borrowed in place (no events and a bare
+    /// header when disabled). The log stays locked for the duration, so
+    /// `f` must not emit.
+    pub fn with_spbt<R>(&self, f: impl FnOnce(u64, &[u8]) -> R) -> R {
         match &self.inner {
-            Some(inner) => inner.tracer.with_events(f),
-            None => f(&[]),
+            Some(inner) => inner.tracer.with_spbt(f),
+            None => BinTraceWriter::new().with_bytes(|bytes| f(0, bytes)),
         }
     }
 
@@ -272,7 +313,9 @@ impl Telemetry {
             return Err("cannot restore into a handle that already recorded events".to_string());
         }
         inner.registry.restore_state(state.registry)?;
+        // The restored counters already hold the restored events.
         inner.tracer.extend(state.events);
+        *inner.counted() = inner.tracer.by_kind();
         Ok(())
     }
 
@@ -280,8 +323,8 @@ impl Telemetry {
     /// and a metrics snapshot. `None` when disabled.
     pub fn summarize(&self, network_series: Vec<NetworkSample>) -> Option<TelemetrySummary> {
         let inner = self.inner.as_ref()?;
-        let (events, event_counts) =
-            (inner.tracer).with_events(|events| (events.len() as u64, count_by_kind(events)));
+        inner.sync_counters();
+        let (events, event_counts) = inner.tracer.counts();
         Some(TelemetrySummary {
             events,
             event_counts,
@@ -352,6 +395,90 @@ mod tests {
         );
         let p = t.delay_percentiles("sim.completion_delay").unwrap();
         assert_eq!(p.p50, 0.5);
+    }
+
+    /// Event `i` of a mixed log: four kinds, times that sometimes repeat.
+    fn event(i: u64) -> TraceEvent {
+        let t = (i / 3) as f64 * 0.25;
+        match i % 4 {
+            0 => TraceEvent::PaymentArrived {
+                t,
+                payment: i,
+                src: (i % 7) as u32,
+                dst: (i % 5) as u32,
+                amount: i as f64 * 1.5,
+            },
+            1 => TraceEvent::UnitSent {
+                t,
+                payment: i,
+                amount: 0.1 * i as f64,
+                hops: (i % 6) as u32,
+            },
+            2 => TraceEvent::ChannelSample {
+                t,
+                channel: (i % 11) as u32,
+                imbalance: 1.0 / (i + 1) as f64,
+                inflight: 3.0,
+                queue_depth: 0,
+            },
+            _ => TraceEvent::SolverSample {
+                iter: i,
+                objective: i as f64,
+                residual: 1e-3,
+                mean_price: 0.5,
+            },
+        }
+    }
+
+    fn spbt(t: &Telemetry) -> (u64, Vec<u8>) {
+        t.with_spbt(|count, bytes| (count, bytes.to_vec()))
+    }
+
+    #[test]
+    fn live_log_is_the_spbt_file_at_every_block_boundary() {
+        for n in [0u64, 1, 511, 512, 513, 1024, 1025] {
+            let recorded: Vec<TraceEvent> = (0..n).map(event).collect();
+            let t = Telemetry::enabled();
+            for e in &recorded {
+                t.emit(|| e.clone());
+            }
+            let events = t.events();
+            assert_eq!(events, recorded, "n = {n}");
+            assert_eq!(events.capacity(), n as usize, "n = {n}");
+            assert_eq!(spbt(&t), (n, bintrace::encode(&events)), "n = {n}");
+            let summary = t.summarize(Vec::new()).unwrap();
+            assert_eq!(summary.events, n);
+            assert_eq!(summary.event_counts, count_by_kind(&events), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn restored_log_keeps_its_block_boundaries() {
+        let original = Telemetry::enabled();
+        let (mut state, mut at_513) = (None, None);
+        for i in 0..1025 {
+            if i == 513 {
+                at_513 = Some(spbt(&original));
+                state = Some(TelemetryState {
+                    sample_interval: DEFAULT_SAMPLE_INTERVAL,
+                    profiled: false,
+                    registry: original.registry().unwrap().export_state(),
+                    events: original.events(),
+                });
+            }
+            original.emit(|| event(i));
+        }
+        let restored = Telemetry::enabled();
+        restored.restore_from_state(state.unwrap()).unwrap();
+        assert_eq!(Some(spbt(&restored)), at_513);
+        for i in 513..1025 {
+            restored.emit(|| event(i));
+        }
+        assert_eq!(spbt(&restored), spbt(&original));
+        // The restored counters are not counted again.
+        let counters = |t: &Telemetry| t.registry().unwrap().export_state().counters;
+        assert_eq!(counters(&restored), counters(&original));
+        assert_eq!(counters(&original)[0], ("sim.payments.arrived".into(), 257));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! a trace is a pure function of the simulation inputs and serializes to
 //! byte-identical JSONL regardless of host, load, or worker count.
 
+use crate::bintrace::{self, BinTraceWriter};
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
@@ -69,6 +70,16 @@ impl FieldBits for f64 {
     }
 }
 
+/// A kind's counter name in the event table, or `None` when it has none.
+macro_rules! counter_name {
+    () => {
+        None
+    };
+    ($counter:literal) => {
+        Some($counter)
+    };
+}
+
 /// Expands the one table of event kinds below into [`TraceEvent`], its
 /// kind names and counters, the kind index and the field walk and
 /// constructor every codec goes through.
@@ -116,15 +127,13 @@ macro_rules! trace_events {
                 }
             }
 
-            /// The registry counter one occurrence of this event adds to,
-            /// if the kind is counted: the only kind → counter-name table,
-            /// applied by [`Telemetry::emit`](crate::Telemetry::emit), so a
-            /// counter and the trace it summarizes cannot disagree.
-            pub fn counter(&self) -> Option<&'static str> {
-                match self {
-                    $(TraceEvent::$variant { .. } => None $(.or(Some($counter)))?,)*
-                }
-            }
+            /// Per kind, in kind-index order, the registry counter one
+            /// occurrence adds to, if the kind is counted: the only kind →
+            /// counter-name table. [`Telemetry`](crate::Telemetry) counts
+            /// what it records through it, so a counter and the trace it
+            /// summarizes cannot disagree.
+            pub(crate) const COUNTERS: &'static [Option<&'static str>] =
+                &[$(counter_name!($($counter)?),)*];
 
             /// This event's kind, whose `as u8` indexes [`KINDS`](Self::KINDS).
             pub(crate) fn kind_index(&self) -> KindIndex {
@@ -420,14 +429,33 @@ impl TraceEvent {
     }
 }
 
-/// Records [`TraceEvent`]s in arrival order.
+/// Records [`TraceEvent`]s in arrival order, held as the SPBT file they
+/// are written as.
+///
+/// The log is one [`BinTraceWriter`] at the default block size: the
+/// header and every closed block as bytes (about 7 an event), plus an open
+/// block of at most `DEFAULT_BLOCK_EVENTS - 1` events. Beside it sits a
+/// count per kind, so counting and summaries never walk the log.
+/// Blocks start every 512 events from the first, so the bytes equal
+/// `bintrace::encode` of the same events, and a log rebuilt by
+/// [`extend`](Self::extend) from a checkpoint splits where the original did.
 ///
 /// Thread-safe so a tracer can be shared by a harness and its engine; within
 /// one deterministic single-threaded simulation the order is exactly the
 /// emission order.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    events: Mutex<Vec<TraceEvent>>,
+    log: Mutex<Log>,
+}
+
+/// Number of event kinds.
+pub(crate) const KIND_COUNT: usize = TraceEvent::KINDS.len();
+
+#[derive(Debug, Default)]
+struct Log {
+    spbt: BinTraceWriter,
+    /// Events recorded per kind, by kind index.
+    by_kind: [u64; KIND_COUNT],
 }
 
 impl Tracer {
@@ -439,21 +467,21 @@ impl Tracer {
     /// Locks the event log, recovering from a poisoned mutex: events
     /// written before another thread's panic are intact, and a trace cut
     /// short mid-crash is exactly when the recorded prefix matters most.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
-        match self.events.lock() {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Log> {
+        match self.log.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// Appends one event.
+    /// Appends one event; the event that closes a block encodes it.
     pub fn record(&self, event: TraceEvent) {
         self.lock().push(event);
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().len() as usize
     }
 
     /// `true` when no events have been recorded.
@@ -463,18 +491,59 @@ impl Tracer {
 
     /// Appends `events` in order under one lock (a restored log).
     pub fn extend(&self, events: Vec<TraceEvent>) {
-        self.lock().extend(events);
+        let mut log = self.lock();
+        for event in events {
+            log.push(event);
+        }
     }
 
-    /// A copy of all events recorded so far.
+    /// All events recorded so far, decoded once into a `Vec` of exactly
+    /// their number.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().clone()
+        let log = self.lock();
+        let mut out = Vec::with_capacity(log.len() as usize);
+        let decoded = bintrace::decode_into(log.spbt.closed(), &mut out);
+        debug_assert!(decoded.is_ok(), "a tracer's own blocks decode: {decoded:?}");
+        out.extend_from_slice(log.spbt.open());
+        out
     }
 
-    /// Calls `f` with the events recorded so far, borrowed in place. The
+    /// Calls `f` with the number of events recorded so far and the log as
+    /// SPBT file bytes: the closed blocks, then the open block encoded. The
     /// log stays locked for the duration, so `f` must not record.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
-        f(&self.lock())
+    pub fn with_spbt<R>(&self, f: impl FnOnce(u64, &[u8]) -> R) -> R {
+        let mut log = self.lock();
+        let events = log.len();
+        log.spbt.with_bytes(|bytes| f(events, bytes))
+    }
+
+    /// The number of events recorded so far and the count per kind, sorted
+    /// by kind name, kinds never recorded left out: what [`count_by_kind`]
+    /// returns for [`events`](Self::events), read without decoding.
+    pub fn counts(&self) -> (u64, Vec<(String, u64)>) {
+        let log = self.lock();
+        let mut by_kind: Vec<(String, u64)> = (TraceEvent::KINDS.iter().zip(log.by_kind))
+            .filter(|&(_, n)| n > 0)
+            .map(|(kind, n)| (kind.to_string(), n))
+            .collect();
+        by_kind.sort_unstable();
+        (log.len(), by_kind)
+    }
+
+    /// Events recorded so far per kind, by kind index.
+    pub(crate) fn by_kind(&self) -> [u64; KIND_COUNT] {
+        self.lock().by_kind
+    }
+}
+
+impl Log {
+    fn push(&mut self, event: TraceEvent) {
+        self.by_kind[event.kind_index() as usize] += 1;
+        self.spbt.push(event);
+    }
+
+    fn len(&self) -> u64 {
+        self.by_kind.iter().sum()
     }
 }
 
