@@ -699,8 +699,7 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
     let result = run_grid(&grid, jobs).unwrap_or_else(|e| fail(&format!("grid run failed: {e}")));
     if let Some(dir) = opts.value("--trace-out") {
         for (i, cell) in result.cells.iter().enumerate() {
-            let spbt = bintrace::encode(&cell.events);
-            write_trace(dir, &format!("cell-{i:04}"), &spbt);
+            write_trace(dir, &format!("cell-{i:04}"), &cell.spbt);
         }
         println!("wrote {} per-cell trace files to {dir}", result.cells.len());
     }

@@ -552,7 +552,7 @@ pub fn ablation_num_paths(cfg: &ExperimentConfig, ks: &[usize]) -> Vec<Ablation>
 /// shortest, K-shortest, and K-highest-capacity as the options).
 ///
 /// Each row is `(label, simulated outcome, candidate-set miss fraction)`;
-/// the last column is [`candidate_set_misses`] — the caption under "within
+/// the last column is `candidate_set_misses` — the caption under "within
 /// 5 % of max-flow": how often the K paths, not the balances, are why a
 /// payment cannot be routed whole.
 pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<(String, SimReport, f64)> {

@@ -16,8 +16,8 @@ use crate::experiments::{
 };
 use serde::{Deserialize, Serialize};
 use spider_core::CoreError;
+use spider_sim::faults::SplitMix64;
 use spider_sim::{FaultConfig, FaultPlan, SimReport};
-use spider_telemetry::TraceEvent;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -40,7 +40,7 @@ pub struct GridConfig {
     /// violations in the summaries.
     pub audit: bool,
     /// Run every cell with telemetry enabled: reports carry summaries and
-    /// percentiles, and every [`CellResult`] keeps its cell's trace events.
+    /// percentiles, and every [`CellResult`] keeps its cell's trace.
     /// Each cell gets its own handle and results are index-addressed, so the
     /// output stays byte-identical for any worker count.
     #[serde(default)]
@@ -104,10 +104,11 @@ pub struct CellResult {
     pub cell: GridCell,
     /// The simulation report for that cell.
     pub report: SimReport,
-    /// The cell's trace events (empty when the grid ran with telemetry
-    /// off). Kept in memory only: traces go to disk as their own files.
+    /// The cell's trace as SPBT file bytes, the tracer's own (no events
+    /// when the grid ran with telemetry off). Kept in memory only: traces
+    /// go to disk as their own files.
     #[serde(skip)]
-    pub events: Vec<TraceEvent>,
+    pub spbt: Vec<u8>,
 }
 
 /// Mean/min/max/stddev of one metric across the trials of a cell group.
@@ -209,20 +210,12 @@ impl GridResult {
     }
 }
 
-/// SplitMix64 output function (Steele, Lea & Flood 2014).
-fn splitmix64_mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Seed for cell `cell_index` of a grid with base seed `base_seed`: the
 /// `cell_index`-th output of the SplitMix64 stream seeded at `base_seed`.
 /// Indexed (rather than iterated) so any cell's seed is O(1) and cells can
 /// be run in any order.
 pub fn derive_cell_seed(base_seed: u64, cell_index: u64) -> u64 {
-    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
-    splitmix64_mix(base_seed.wrapping_add(cell_index.wrapping_add(1).wrapping_mul(GAMMA)))
+    SplitMix64::nth(base_seed, cell_index)
 }
 
 /// Expands a grid config into its flat cell list: schemes outermost, then
@@ -284,7 +277,7 @@ fn run_cell(config: &GridConfig, cell: GridCell) -> Option<CellResult> {
             let mut fc = template.clone();
             // Decorrelate the fault schedule from the workload stream while
             // keeping it a pure function of the cell.
-            fc.seed = splitmix64_mix(cell.seed ^ 0x9e37_79b9_7f4a_7c15);
+            fc.seed = SplitMix64::mix(cell.seed ^ 0x9e37_79b9_7f4a_7c15);
             if let Some(rate) = cell.outage_rate {
                 fc.channel_outage_rate = rate;
             }
@@ -295,7 +288,7 @@ fn run_cell(config: &GridConfig, cell: GridCell) -> Option<CellResult> {
     Some(CellResult {
         cell,
         report,
-        events: tel.events(),
+        spbt: tel.with_spbt(|_, spbt| spbt.to_vec()),
     })
 }
 
@@ -303,7 +296,7 @@ fn run_cell(config: &GridConfig, cell: GridCell) -> Option<CellResult> {
 /// `1..=cells`) and aggregates the reports.
 ///
 /// Workers claim cells from a shared atomic counter and write each result
-/// (report and, when `config.telemetry` is on, the cell's trace events)
+/// (report and, when `config.telemetry` is on, the cell's trace)
 /// into the slot addressed by its cell index, so the output — and its JSON
 /// serialization — does not depend on `jobs` or on scheduling order.
 ///

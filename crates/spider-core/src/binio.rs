@@ -371,7 +371,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 /// dependency. Every checksum in the workspace (snapshot sections and
 /// frames, trace headers and blocks, run fingerprints) is this function.
 ///
-/// Slicing-by-8: eight bytes per step through [`CRC32_TABLES`]. The
+/// Slicing-by-8: eight bytes per step through `CRC32_TABLES`. The
 /// register is XORed into the first four bytes of the chunk; each of the
 /// eight resulting bytes is looked up in the row for the number of bytes
 /// still behind it (the first in row 7, the last in row 0) and the lookups

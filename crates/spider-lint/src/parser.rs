@@ -3,7 +3,7 @@
 //!
 //! This is deliberately *not* a Rust parser. It recovers exactly the
 //! structure the reachability and overflow rules need, from the same
-//! [`Lexed`](crate::lexer::Lexed) stream the token-level rules use:
+//! [`Lexed`] stream the token-level rules use:
 //!
 //! - `fn` definitions with their body token ranges, qualified by the
 //!   enclosing `impl`/`trait` type when there is one,

@@ -8,7 +8,22 @@
 
 use crate::paths::{path_bottleneck, PathCache, PathStrategy};
 use crate::scheme::{RoutingScheme, SchemeKind, UnitDecision};
-use spider_core::{Amount, BalanceView, Network, NodeId};
+use spider_core::{Amount, BalanceView, Network, NodeId, Path};
+use std::sync::Arc;
+
+/// The waterfilling preference among candidate paths: the largest
+/// spendable bottleneck, the shorter path on ties (for determinism and
+/// lower collateral use). Returns the bottleneck with the path; `None` only
+/// for an empty candidate set.
+pub fn best_path<'p>(
+    balances: &dyn BalanceView,
+    paths: &'p [Arc<Path>],
+) -> Option<(Amount, &'p Arc<Path>)> {
+    paths
+        .iter()
+        .map(|p| (path_bottleneck(balances, p), p))
+        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len())))
+}
 
 /// The waterfilling routing scheme over `k` edge-disjoint shortest paths.
 #[derive(Debug)]
@@ -64,20 +79,12 @@ impl RoutingScheme for WaterfillingScheme {
         if paths.is_empty() {
             return UnitDecision::Never;
         }
-        let Some(best) = paths
-            .iter()
-            .map(|p| (path_bottleneck(balances, p), p))
-            .max_by(|a, b| {
-                // Max bottleneck; tie-break toward shorter path for
-                // determinism and lower collateral use.
-                a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len()))
-            })
-        else {
+        let Some((bottleneck, best)) = best_path(balances, paths) else {
             // Unreachable: `paths` was checked non-empty above.
             return UnitDecision::Never;
         };
-        if best.0 >= unit {
-            UnitDecision::Route(std::sync::Arc::clone(best.1))
+        if bottleneck >= unit {
+            UnitDecision::Route(Arc::clone(best))
         } else {
             UnitDecision::Unavailable
         }

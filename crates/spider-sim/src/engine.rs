@@ -11,7 +11,7 @@
 //!   passes — value already settled stays delivered (non-atomic transport),
 //!   but an abandoned payment does not count as a success.
 //!
-//! That is one transport, and [`crate::transport`] holds its state and the
+//! That is one transport, and the `transport` module holds its state and the
 //! unit lifecycle once. What the paper leaves open is where a unit waits
 //! while a channel is dry, and this module has one thin driver per answer:
 //!
@@ -41,8 +41,8 @@ use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
 use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault};
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, Amount, BalanceView, ChannelId, Enc, Network, Path};
-use spider_routing::{fees::FeeSchedule, path_bottleneck, PathCache, PathStrategy};
+use spider_core::{crc32, Amount, ChannelId, Enc, Network, Path};
+use spider_routing::{fees::FeeSchedule, waterfilling, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
 use spider_workload::Transaction;
@@ -559,7 +559,7 @@ fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, s
     }
     // Atomic senders have no unit-level retry machinery: the payment's
     // all-or-nothing guarantee is already broken, so it fails outright.
-    let Some(policy) = fr.retry.clone().filter(|_| split) else {
+    let Some(policy) = fr.state.config.retry.clone().filter(|_| split) else {
         fr.state.stats.payments_failed += 1;
         return t.abandon(idx, now);
     };
@@ -787,7 +787,10 @@ fn pump_source(
         // downed channels look empty), but admission only requires the
         // first hop to be fundable: downstream dry spells are absorbed by
         // router queues.
-        let Some(best) = t.with_sender_view(now, |view| best_path(candidates, view)) else {
+        let best = t.with_sender_view(now, |view| {
+            waterfilling::best_path(view, candidates).map(|(_, path)| Arc::clone(path))
+        });
+        let Some(best) = best else {
             break;
         };
         let (c0, _) = best.hops()[0];
@@ -797,16 +800,6 @@ fn pump_source(
         let unit = t.send(idx, best, amount, 1, now);
         t.queue.push(now + HOP_DELAY, Event::HopArrive { unit });
     }
-}
-
-/// Waterfilling path preference: max bottleneck, shorter path on ties.
-/// `None` only for an empty candidate set (callers check first).
-fn best_path(candidates: &[Arc<Path>], view: &dyn BalanceView) -> Option<Arc<Path>> {
-    candidates
-        .iter()
-        .map(|path| (path_bottleneck(view, path), path))
-        .max_by(|a, b| a.0.cmp(&b.0).then(b.1.len().cmp(&a.1.len())))
-        .map(|(_, path)| Arc::clone(path))
 }
 
 /// A unit at an intermediate router locks its next hop, or else joins the

@@ -6,11 +6,11 @@
 //!
 //! - the **payments** whose id hashes to it (`payment_id % num_shards` —
 //!   topology-free, so sender skew cannot imbalance the pump work), and
-//! - the **ledger slots** of the channels the
-//!   [`Partition`](spider_topology::Partition) assigns to it: only the
-//!   owner shard ever mutates a channel's two balances, enforced at run
-//!   time by the [`ForeignSlotMutation`](crate::audit::AuditViolationKind)
-//!   guard in debug *and* release builds.
+//! - the **ledger slots** of the channels the [`Partition`] assigns to it:
+//!   only the owner shard ever mutates a channel's two balances, enforced
+//!   at run time by the
+//!   [`ForeignSlotMutation`](crate::audit::AuditViolationKind) guard in
+//!   debug *and* release builds.
 //!
 //! Transaction units travel hop by hop as messages: the payment owner
 //! routes a unit against a barrier-frozen balance snapshot and sends a
@@ -36,6 +36,12 @@
 //! same lists. Slots up to `NEAR` epochs ahead sit in a ring; a later one
 //! (a grief hold) waits in a sparse map until the ring reaches it.
 //!
+//! **Fates.** A unit's fate (delivered with jitter, dropped, or griefed) is
+//! dealt at send time by the continuous-time engine's rule
+//! (`FaultConfig::unit_fate`) from the unit's own [`SplitMix64`], seeded by
+//! `(fault seed, payment, unit)`: a shared stream's draw order would depend
+//! on the partition. The final hop's lock turns it into epochs.
+//!
 //! **Partition independence** is the engine's defining property: handlers
 //! touch only state they own, cross-shard reads go through the frozen
 //! snapshot, and every merge at the end of the run (trace, report sums,
@@ -52,9 +58,11 @@
 //!
 //! - **Router queues** ([`ShardPolicy::Queued`]): a unit that cannot lock
 //!   a hop waits in a per-`(channel, direction)` queue *at the channel's
-//!   owner shard* instead of failing. Queues drain head-of-line each epoch
-//!   in arrival order; queued units ride out outages and expire at their
-//!   payment's deadline.
+//!   owner shard* instead of failing. Queues drain head-of-line each epoch;
+//!   queued units ride out outages and expire at their payment's deadline.
+//!   Units join a queue only while the epoch's lock list is handled in
+//!   order, so appending keeps it FIFO. [`ShardPolicy::Direct`] is the same
+//!   lock path with queues that hold no unit: a refused lock fails.
 //! - **Fees**: hop amounts are a pure function of the fee schedule and the
 //!   unit's path, computed once at send time and carried with the unit;
 //!   the payment owner accrues `routing_fees_paid` when a unit settles.
@@ -72,7 +80,7 @@
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
 use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
-use crate::faults::{FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64};
+use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentStatus};
@@ -256,17 +264,6 @@ fn merge_rank(event: &TraceEvent) -> u8 {
     }
 }
 
-/// The fate a unit was dealt at send time — a pure hash of
-/// `(fault seed, payment, unit)`, so any shard computes the same fate and
-/// no shared RNG stream is consumed (draw *order* would depend on the
-/// partition; a hash cannot).
-#[derive(Clone, Copy, Debug)]
-enum Fate {
-    Deliver { jitter_epochs: u64 },
-    Drop { hop_index: u32 },
-    Grief { hold_epochs: u64 },
-}
-
 /// Immutable per-unit routing state shared by every message about the unit.
 #[derive(Debug)]
 struct UnitInfo {
@@ -274,7 +271,8 @@ struct UnitInfo {
     seq: u32,
     amount: Amount,
     path: Arc<Path>,
-    fate: Fate,
+    /// Dealt at send time by the shared rule (module docs, *Fates*).
+    fate: UnitFate,
     /// Per-hop locked amounts when a fee schedule is active: the delivered
     /// amount plus all downstream fees. `None` means every hop locks
     /// exactly `amount`.
@@ -287,22 +285,31 @@ struct UnitInfo {
 impl UnitInfo {
     /// The one place a unit comes into being, at the pump. The fate and
     /// the per-hop amounts are pure functions of the config and the unit's
-    /// identity, derived here. Also returns whether a non-zero settlement
-    /// jitter was drawn.
+    /// identity, derived here; the fate is counted in `stats`.
     fn new(
         cfg: &ShardedConfig,
+        stats: &mut FaultStats,
         payment: u64,
         seq: u32,
         amount: Amount,
         path: Arc<Path>,
         deadline_epoch: u64,
-    ) -> (UnitInfo, bool) {
-        let (fate, jittered) = match cfg.faults.as_ref() {
-            Some(plan) => unit_fate(&plan.config, payment, seq, path.hops().len()),
-            None => (Fate::Deliver { jitter_epochs: 0 }, false),
+    ) -> UnitInfo {
+        let fate = match cfg.faults.as_ref() {
+            Some(plan) => {
+                let mut rng = SplitMix64::new(
+                    plan.config.seed
+                        ^ payment.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        ^ (u64::from(seq) << 20)
+                        ^ 0xd1b5_4a32_d192_ed03,
+                );
+                let _ = rng.next_u64(); // decorrelate the seed mix
+                plan.config.unit_fate(&mut rng, &path, stats)
+            }
+            None => UnitFate::Deliver { jitter: 0.0 },
         };
         let hop_amounts = (cfg.fees.as_ref()).and_then(|fees| fees.hop_amounts(&path, amount));
-        let unit = UnitInfo {
+        UnitInfo {
             payment,
             seq,
             amount,
@@ -310,8 +317,7 @@ impl UnitInfo {
             fate,
             hop_amounts,
             deadline_epoch,
-        };
-        (unit, jittered)
+        }
     }
 
     /// The amount locked on `hop`: the delivered amount plus downstream
@@ -487,19 +493,11 @@ struct LocalPayment {
 }
 
 /// A unit parked at an owned `(channel, direction)` router queue, waiting
-/// for liquidity under [`ShardPolicy::Queued`].
+/// for liquidity.
 #[derive(Debug)]
 struct QueuedUnit {
     unit: Arc<UnitInfo>,
     hop: u32,
-    enqueued_epoch: u64,
-}
-
-/// The service key of a queued unit: the epoch it arrived in, with
-/// `(payment, seq)` breaking the ties within an epoch. Unique per entry, so
-/// queue order is a pure function of queue content.
-fn queue_key(e: &QueuedUnit) -> (u64, u64, u32) {
-    (e.enqueued_epoch, e.unit.payment, e.unit.seq)
 }
 
 /// Per-shard epoch metrics surfaced by [`run_sharded`] through
@@ -656,35 +654,6 @@ impl BalanceView for SnapshotView<'_> {
     }
 }
 
-/// Draws the fate of one unit as a pure function of the fault seed and the
-/// unit's identity, mirroring the sequential engine's per-unit
-/// probabilities. Returns the fate plus whether a non-zero jitter was
-/// drawn (for [`FaultStats::units_jittered`]).
-fn unit_fate(fc: &FaultConfig, payment: u64, seq: u32, hops: usize) -> (Fate, bool) {
-    let mut rng = SplitMix64::new(
-        fc.seed
-            ^ payment.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (u64::from(seq) << 20)
-            ^ 0xd1b5_4a32_d192_ed03,
-    );
-    let _ = rng.next_u64(); // decorrelate the seed mix
-    let roll = rng.next_f64();
-    if roll < fc.unit_drop_prob {
-        let hop_index = rng.next_below(hops.max(1)) as u32;
-        return (Fate::Drop { hop_index }, false);
-    }
-    if roll < fc.unit_drop_prob + fc.grief_prob {
-        let hold_epochs = ((fc.grief_hold.max(0.0) / EPOCH).round()) as u64;
-        return (Fate::Grief { hold_epochs }, false);
-    }
-    if fc.settle_jitter > 0.0 {
-        let j = fc.settle_jitter * rng.next_f64();
-        let jitter_epochs = (j / EPOCH).floor() as u64;
-        return (Fate::Deliver { jitter_epochs }, j > 0.0);
-    }
-    (Fate::Deliver { jitter_epochs: 0 }, false)
-}
-
 /// Quantized engine parameters shared by every shard.
 #[derive(Clone, Copy, Debug)]
 struct Clockwork {
@@ -783,9 +752,11 @@ struct ShardCtx<'a> {
     /// This shard's work counters (and, once merged, its barrier waits).
     metrics: ShardEpochMetrics,
     /// Router queues at owned channels, keyed `(channel, sender side)`,
-    /// each kept in [`queue_key`] order ([`ShardPolicy::Queued`] only).
-    /// `BTreeMap` iteration gives the deterministic drain order.
+    /// each in arrival order (module docs, *Router queues*). `BTreeMap`
+    /// iteration gives the deterministic drain order.
     queues: BTreeMap<(u32, u8), Vec<QueuedUnit>>,
+    /// Most units a router queue holds: zero under [`ShardPolicy::Direct`].
+    queue_cap: usize,
     /// Exact fee micros accrued by payments this shard owns.
     routing_fees_micros: i64,
     /// Owned channels with a scheduled, not-yet-applied correction.
@@ -900,6 +871,10 @@ impl<'a> ShardCtx<'a> {
             violations: Vec::new(),
             stats: FaultStats::default(),
             queues: BTreeMap::new(),
+            queue_cap: match cfg.policy {
+                ShardPolicy::Direct => 0,
+                ShardPolicy::Queued => MAX_QUEUE_LEN,
+            },
             routing_fees_micros: 0,
             rebalance_pending: vec![false; network.num_channels()],
             rebalance_applies: Vec::new(),
@@ -1118,23 +1093,17 @@ impl<'a> ShardCtx<'a> {
             self.fail_unit(&unit, hop, false, c, FailCause::Outage, epoch + 1);
             return;
         }
-        if self.cfg.policy == ShardPolicy::Queued {
-            let key = (c.index() as u32, sender_side(dir) as u8);
-            // No overtaking: a backlog on this direction queues the unit
-            // even if the lock would succeed right now.
-            let backlog = self.queues.get(&key).is_some_and(|q| !q.is_empty());
-            let refused = if backlog {
-                Err(unit)
-            } else {
-                self.lock_and_advance(unit, hop, epoch)
-            };
-            if let Err(unit) = refused {
-                self.enqueue_unit(unit, hop, epoch, key);
-            }
-            return;
-        }
-        if let Err(unit) = self.lock_and_advance(unit, hop, epoch) {
-            self.fail_unit(&unit, hop, false, c, FailCause::Liquidity, epoch + 1);
+        let key = (c.index() as u32, sender_side(dir) as u8);
+        // No overtaking: a backlog on this direction queues the unit even if
+        // the lock would succeed right now.
+        let backlog = self.queues.get(&key).is_some_and(|q| !q.is_empty());
+        let refused = if backlog {
+            Err(unit)
+        } else {
+            self.lock_and_advance(unit, hop, epoch)
+        };
+        if let Err(unit) = refused {
+            self.enqueue_unit(unit, hop, epoch, key);
         }
     }
 
@@ -1163,34 +1132,33 @@ impl<'a> ShardCtx<'a> {
         self.dirty.push(c.index() as u32);
         let hops = unit.path.hops().len() as u32;
         // A mid-path drop fails the unit right after the blamed hop locks.
-        if let Fate::Drop { hop_index } = unit.fate {
-            if hop_index == hop {
-                self.fail_unit(&unit, hop, true, c, FailCause::Dropped, epoch + 1);
-                return Ok(());
-            }
+        if matches!(unit.fate, UnitFate::Drop { hop_index, .. } if hop_index == hop as usize) {
+            self.fail_unit(&unit, hop, true, c, FailCause::Dropped, epoch + 1);
+            return Ok(());
         }
         if hop + 1 < hops {
             self.stage_hop(unit, hop + 1, epoch + 1, MsgBody::LockHop { hop: hop + 1 });
             return Ok(());
         }
-        // Final hop locked: the unit reached the receiver.
+        // Final hop locked: the unit reached the receiver. Jitter is
+        // floored to whole epochs and a grief hold rounded.
         match unit.fate {
-            Fate::Deliver { jitter_epochs } => {
-                let se = epoch + self.clock.delta_epochs + jitter_epochs;
+            UnitFate::Deliver { jitter } => {
+                let se = epoch + self.clock.delta_epochs + (jitter / EPOCH).floor() as u64;
                 for h in 0..hops {
                     self.stage_hop(Arc::clone(&unit), h, se, MsgBody::SettleHop { hop: h });
                 }
                 self.stage_to_payment_owner(unit, se, MsgBody::UnitDelivered);
             }
-            Fate::Grief { hold_epochs } => {
-                let rf = epoch + self.clock.delta_epochs + hold_epochs;
+            UnitFate::Grief { hold } => {
+                let rf = epoch + self.clock.delta_epochs + (hold / EPOCH).round() as u64;
                 for h in 0..hops {
                     self.stage_hop(Arc::clone(&unit), h, rf, MsgBody::RefundHop { hop: h });
                 }
                 let cause = FailCause::Griefed;
                 self.stage_to_payment_owner(unit, rf, MsgBody::UnitFailed { blamed: c, cause });
             }
-            Fate::Drop { .. } => {
+            UnitFate::Drop { .. } => {
                 // Drop at an out-of-range hop index cannot happen: the
                 // index is drawn modulo the hop count.
             }
@@ -1198,26 +1166,19 @@ impl<'a> ShardCtx<'a> {
         Ok(())
     }
 
-    /// Parks a unit in the owned `(channel, sender side)` router queue in
-    /// [`queue_key`] order, or fails it as a liquidity refusal when the
-    /// queue is full.
+    /// Parks a unit at the back of the owned `(channel, sender side)`
+    /// router queue, or fails it as a liquidity refusal when the queue is
+    /// full — always, under [`ShardPolicy::Direct`].
     fn enqueue_unit(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64, key: (u32, u8)) {
         let len = self.queues.get(&key).map_or(0, Vec::len);
-        if len >= MAX_QUEUE_LEN {
+        if len >= self.queue_cap {
             let (c, _) = unit.path.hops()[hop as usize];
             self.fail_unit(&unit, hop, false, c, FailCause::Liquidity, epoch + 1);
             return;
         }
         let (payment, seq) = (unit.payment, unit.seq);
-        let entry = QueuedUnit {
-            unit,
-            hop,
-            enqueued_epoch: epoch,
-        };
-        let k = queue_key(&entry);
         let q = self.queues.entry(key).or_default();
-        let pos = q.partition_point(|e| queue_key(e) <= k);
-        q.insert(pos, entry);
+        q.push(QueuedUnit { unit, hop });
         let depth = q.len() as u32;
         self.emit(
             epoch,
@@ -1238,9 +1199,6 @@ impl<'a> ShardCtx<'a> {
     /// order; downed channels keep their queues intact (queued units ride
     /// out outages until their deadline).
     fn drain_queues(&mut self, epoch: u64) {
-        if self.cfg.policy != ShardPolicy::Queued || self.queues.is_empty() {
-            return;
-        }
         let keys: Vec<(u32, u8)> = self.queues.keys().copied().collect();
         for key in keys {
             let Some(mut q) = self.queues.remove(&key) else {
@@ -1610,9 +1568,9 @@ impl<'a> ShardCtx<'a> {
                     if self.cfg.congestion.is_some() {
                         p.outstanding += 1;
                     }
-                    let deadline = p.deadline_epoch;
-                    let (unit, jittered) =
-                        UnitInfo::new(self.cfg, pid, seq, unit_amount, path, deadline);
+                    let (deadline, stats) = (p.deadline_epoch, &mut self.stats);
+                    let unit =
+                        UnitInfo::new(self.cfg, stats, pid, seq, unit_amount, path, deadline);
                     for (i, &(c, dir)) in unit.path.hops().iter().enumerate() {
                         let slot = &mut self.snapshot[c.index()][sender_side(dir)];
                         let micros = unit.hop_amount(i as u32).micros();
@@ -1620,14 +1578,6 @@ impl<'a> ShardCtx<'a> {
                         undo.push((c.index(), sender_side(dir), micros));
                     }
                     self.metrics.units_sent += 1;
-                    match unit.fate {
-                        Fate::Drop { .. } => self.stats.units_dropped += 1,
-                        Fate::Grief { .. } => self.stats.units_griefed += 1,
-                        Fate::Deliver { .. } => {}
-                    }
-                    if jittered {
-                        self.stats.units_jittered += 1;
-                    }
                     self.emit(
                         epoch,
                         pid,
@@ -1755,10 +1705,10 @@ impl<'a> ShardCtx<'a> {
                 },
             );
         }
-        let pending = self
-            .payments
-            .iter()
-            .filter(|p| p.status == PaymentStatus::Pending)
+        // Arrived and not yet finished: `pending` holds the arrivals, pruned
+        // of finished payments only at a tick.
+        let pending = (self.pending.iter())
+            .filter(|&&i| self.payments[i].status == PaymentStatus::Pending)
             .count() as u32;
         self.samples.push(SamplePartial {
             epoch,
@@ -2115,6 +2065,7 @@ fn merge_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultConfig;
     use spider_core::PaymentId;
 
     /// A message's whole within-epoch processing key `(rank, payment, seq,
@@ -2420,8 +2371,9 @@ mod tests {
     fn far_future_message_waits_in_the_overflow_without_filling_the_ring() {
         let unit = |payment| {
             let path = Arc::new(Path::new(&line3(1), vec![NodeId(0), NodeId(1)]).expect("a path"));
-            let cfg = ShardedConfig::new(1.0);
-            Arc::new(UnitInfo::new(&cfg, payment, 0, Amount::from_whole(1), path, 9).0)
+            let (cfg, mut stats) = (ShardedConfig::new(1.0), FaultStats::default());
+            let amount = Amount::from_whole(1);
+            Arc::new(UnitInfo::new(&cfg, &mut stats, payment, 0, amount, path, 9))
         };
         let msg = |payment| Msg::new(MsgBody::UnitDelivered, unit(payment));
         // The payments of the messages in the ring, in ring order.

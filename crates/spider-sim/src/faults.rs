@@ -44,7 +44,18 @@ impl SplitMix64 {
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(Self::GAMMA);
-        let mut z = self.state;
+        Self::mix(self.state)
+    }
+
+    /// The `n`-th output (from 0) of the generator seeded at `seed`, without
+    /// drawing the ones before it.
+    pub fn nth(seed: u64, n: u64) -> u64 {
+        Self::mix(seed.wrapping_add(n.wrapping_add(1).wrapping_mul(Self::GAMMA)))
+    }
+
+    /// The output function: a bijective scramble of one 64-bit word, also
+    /// usable on its own to derive one seed from another.
+    pub fn mix(mut z: u64) -> u64 {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
@@ -267,6 +278,42 @@ impl FaultConfig {
         }
         Some(cfg)
     }
+
+    /// The one rule for a unit's fate, shared by both engines: draws it for
+    /// a unit on `path` from `rng` and counts it in `stats`. One roll picks
+    /// the fate; a drop then draws its hop and detection point, a delivery
+    /// its jitter when jitter is on.
+    pub(crate) fn unit_fate(
+        &self,
+        rng: &mut SplitMix64,
+        path: &Path,
+        stats: &mut FaultStats,
+    ) -> UnitFate {
+        let roll = rng.next_f64();
+        if roll < self.unit_drop_prob {
+            let hop_index = rng.next_below(path.hops().len().max(1));
+            // Deterministic detection point strictly inside (0, Δ).
+            let at_frac = 0.25 + 0.5 * rng.next_f64();
+            stats.units_dropped += 1;
+            return UnitFate::Drop { at_frac, hop_index };
+        }
+        if roll < self.unit_drop_prob + self.grief_prob {
+            stats.units_griefed += 1;
+            return UnitFate::Grief {
+                hold: self.grief_hold,
+            };
+        }
+        let jitter = if self.settle_jitter > 0.0 {
+            let j = self.settle_jitter * rng.next_f64();
+            if j > 0.0 {
+                stats.units_jittered += 1;
+            }
+            j
+        } else {
+            0.0
+        };
+        UnitFate::Deliver { jitter }
+    }
 }
 
 /// One scripted fault transition.
@@ -430,11 +477,8 @@ pub struct FaultState {
     down_causes: Vec<u8>,
     node_down: Vec<bool>,
     rng: SplitMix64,
-    /// Per-unit disturbance parameters (copied from the plan's config).
-    unit_drop_prob: f64,
-    settle_jitter: f64,
-    grief_prob: f64,
-    grief_hold: f64,
+    /// The plan's config: the per-unit odds and the retry policy.
+    pub(crate) config: FaultConfig,
     /// Run statistics.
     pub stats: FaultStats,
 }
@@ -448,10 +492,7 @@ impl FaultState {
             down_causes: vec![0; network.num_channels()],
             node_down: vec![false; network.num_nodes()],
             rng: SplitMix64::new(plan.config.seed ^ 0xd1b5_4a32_d192_ed03),
-            unit_drop_prob: plan.config.unit_drop_prob,
-            settle_jitter: plan.config.settle_jitter,
-            grief_prob: plan.config.grief_prob,
-            grief_hold: plan.config.grief_hold,
+            config: plan.config.clone(),
             stats: FaultStats::default(),
         }
     }
@@ -513,34 +554,10 @@ impl FaultState {
         newly_down
     }
 
-    /// Draws the fate of one freshly sent unit on `path`. Consumes a fixed
-    /// two draws on the deliver path (plus one per special fate) so fates
-    /// depend only on the send sequence.
+    /// Draws the fate of one freshly sent unit on `path` from the run's
+    /// stream, so fates depend only on the send sequence.
     pub fn unit_fate(&mut self, path: &Path) -> UnitFate {
-        let roll = self.rng.next_f64();
-        if roll < self.unit_drop_prob {
-            let hop_index = self.rng.next_below(path.hops().len().max(1));
-            // Deterministic detection point strictly inside (0, Δ).
-            let at_frac = 0.25 + 0.5 * self.rng.next_f64();
-            self.stats.units_dropped += 1;
-            return UnitFate::Drop { at_frac, hop_index };
-        }
-        if roll < self.unit_drop_prob + self.grief_prob {
-            self.stats.units_griefed += 1;
-            return UnitFate::Grief {
-                hold: self.grief_hold,
-            };
-        }
-        let jitter = if self.settle_jitter > 0.0 {
-            let j = self.settle_jitter * self.rng.next_f64();
-            if j > 0.0 {
-                self.stats.units_jittered += 1;
-            }
-            j
-        } else {
-            0.0
-        };
-        UnitFate::Deliver { jitter }
+        self.config.unit_fate(&mut self.rng, path, &mut self.stats)
     }
 
     /// `true` if any hop of `path` is currently down.
@@ -549,9 +566,8 @@ impl FaultState {
     }
 
     /// Captures the mutable runtime — down-cause counts, node liveness,
-    /// fate-RNG position, and stats — for a checkpoint. The per-unit
-    /// probabilities are not captured; they are rebuilt from the plan's
-    /// config on restore.
+    /// fate-RNG position, and stats — for a checkpoint. The config is not
+    /// captured: a restore starts from a state built for the same plan.
     pub fn export_state(&self) -> FaultStateSnapshot {
         FaultStateSnapshot {
             down_causes: self.down_causes.clone(),

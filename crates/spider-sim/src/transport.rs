@@ -18,10 +18,10 @@
 //! and where a transition runs, ROADMAP item 4) — `Ledger::lock_walk` /
 //! `release_walk` and [`FeeSchedule::hop_amounts`] for the funds,
 //! [`unit_count`] for the split, the event table's kind → counter column
-//! behind `Telemetry::emit` for the counters, [`FaultEvent::trace`],
-//! [`RetryPolicy::backoff`], `RebalancePolicy::apply`,
-//! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
-//! [`tokens`] for what is reported.
+//! behind `Telemetry::emit` for the counters, `FaultConfig::unit_fate`
+//! for a unit's fate, [`FaultEvent::trace`], `RetryPolicy::backoff`,
+//! `RebalancePolicy::apply`, `CongestionConfig::{grown, shrunk}`,
+//! `Ledger::relative_imbalance` and [`tokens`] for what is reported.
 //!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.
@@ -40,7 +40,7 @@ use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::CongestionControl;
 use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
-use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView, RetryPolicy};
+use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView};
 use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentState, PaymentStatus};
@@ -323,10 +323,8 @@ impl std::ops::IndexMut<usize> for UnitSlab {
 pub(crate) struct FaultRuntime {
     pub(crate) state: FaultState,
     pub(crate) blacklist: Blacklist,
-    pub(crate) retry: Option<RetryPolicy>,
     pub(crate) fail_count: Vec<u32>,
     pub(crate) not_before: Vec<f64>,
-    grief_hold: f64,
 }
 
 /// Per-(channel, direction) router queues and their statistics. Empty
@@ -475,10 +473,8 @@ impl<'a> Transport<'a> {
             faults: plan.map(|plan| FaultRuntime {
                 state: FaultState::new(plan, network),
                 blacklist: Blacklist::new(network.num_channels()),
-                retry: plan.config.retry.clone(),
                 fail_count: Vec::new(),
                 not_before: Vec::new(),
-                grief_hold: plan.config.grief_hold,
             }),
             audit: None,
             release_violations: Vec::new(),
@@ -787,7 +783,10 @@ impl<'a> Transport<'a> {
                 c
             }
             UnitFault::Griefed(c) => {
-                let hold = self.faults.as_ref().map_or(0.0, |fr| fr.grief_hold);
+                let hold = self
+                    .faults
+                    .as_ref()
+                    .map_or(0.0, |fr| fr.state.config.grief_hold);
                 self.tel.emit(|| TraceEvent::UnitGriefed {
                     t: now,
                     payment: pid,

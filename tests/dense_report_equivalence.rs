@@ -37,8 +37,10 @@
 //! and completed volumes in `seq_engines_pre_pr.json` and
 //! `fig6_pre_pr.json` were rounded to the micro-unit when that engine
 //! stopped adding per-payment floats and summed them exactly, as the
-//! sharded engine always had; every other value in the files is what it
-//! was. Every pinned case checks its three volumes against exact sums
+//! sharded engine always had. The sharded file's network-sample `pending`
+//! counts were re-pinned when those samples stopped counting payments that
+//! had not yet arrived. Every other value in the files is what it was.
+//! Every pinned case checks its three volumes against exact sums
 //! recomputed from its own trace.
 
 use serde_json::Value;

@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spider::core::{crc32, Enc, Network};
 use spider::prelude::*;
+use spider::sim::FaultConfig;
 use spider::topology::{isp_topology, ripple_topology_scaled};
 use spider_bench::ExperimentConfig;
 
@@ -114,4 +115,50 @@ fn the_topologies_and_traces_are_pinned() {
             0x02005da5,
         ),
     ]);
+}
+
+/// The grid's seeds: each cell's workload seed (`derive_cell_seed`, the
+/// indexed SplitMix64 stream) and the fault seed derived from it, pinned
+/// through the fault counters of one stress cell.
+#[test]
+fn the_grid_cell_and_fault_seeds_are_pinned() {
+    let seeds: Vec<u64> = (0..4)
+        .map(|i| spider_bench::derive_cell_seed(1, i))
+        .collect();
+    assert_eq!(
+        seeds,
+        [
+            10451216379200822465,
+            13757245211066428519,
+            17911839290282890590,
+            8196980753821780235
+        ],
+        "derive_cell_seed(1, 0..4)"
+    );
+
+    let mut base = ExperimentConfig::isp_quick();
+    base.num_transactions = 500;
+    base.duration = 20.0;
+    let grid = spider_bench::GridConfig {
+        base,
+        schemes: vec![spider_bench::SchemeChoice::SpiderWaterfilling],
+        capacities: vec![],
+        trials: 1,
+        audit: false,
+        telemetry: false,
+        faults: FaultConfig::scenario("stress"),
+        outage_rates: Vec::new(),
+    };
+    let result = spider_bench::run_grid(&grid, 1).expect("the grid runs");
+    let stats = result.cells[0].report.faults.expect("a fault plan ran");
+    assert_eq!(
+        serde_json::to_string(&stats).expect("serializes"),
+        concat!(
+            r#"{"outages":84,"recoveries":63,"node_crashes":3,"#,
+            r#""units_refunded_by_outage":510,"units_dropped":179,"#,
+            r#""units_jittered":8909,"units_griefed":97,"retries":271,"#,
+            r#""blacklistings":280,"payments_failed":9}"#
+        ),
+        "fault counters of the 1-trial stress grid's waterfilling cell"
+    );
 }

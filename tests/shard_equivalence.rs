@@ -157,6 +157,55 @@ fn no_retry_fault_scenario_is_partition_independent() {
     assert_shard_equivalence(&network, &txs, &cfg, 9);
 }
 
+/// A network sample's `pending` counts the payments that have arrived and
+/// are not yet completed or abandoned — recomputed here from the run's own
+/// trace at every sample time, at 1 and 4 shards. Payments dealt to a shard
+/// but not yet arrived are not pending.
+#[test]
+fn sampled_pending_counts_arrived_unfinished_payments() {
+    use spider::telemetry::TraceEvent;
+    let network = spider::topology::isp_topology(Amount::from_whole(300));
+    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 15.0);
+    trace_cfg.seed = 3;
+    let txs = generate(&trace_cfg, &isp_sizes());
+    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
+    let mut cfg = base_config(20.0);
+    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
+    for shards in [1, 4] {
+        let partition = if shards == 1 {
+            Partition::single(&network)
+        } else {
+            Partition::build(&network, shards, 3)
+        };
+        let tel = Telemetry::enabled();
+        let mut run_cfg = cfg.clone();
+        run_cfg.telemetry = tel.clone();
+        let report = run_sharded(&network, &txs, &partition, &run_cfg);
+        let (mut arrived, mut finished) = (Vec::new(), Vec::new());
+        for event in tel.events() {
+            match event {
+                TraceEvent::PaymentArrived { t, .. } => arrived.push(t),
+                TraceEvent::PaymentCompleted { t, .. } | TraceEvent::PaymentAbandoned { t, .. } => {
+                    finished.push(t)
+                }
+                _ => {}
+            }
+        }
+        let series = report.telemetry.expect("telemetry on").network_series;
+        assert!(series.len() > 10, "{shards} shards: too few samples");
+        assert!(series.iter().any(|s| s.pending > 0));
+        for sample in &series {
+            let by = |ts: &[f64]| ts.iter().filter(|&&t| t <= sample.t).count();
+            assert_eq!(
+                sample.pending as usize,
+                by(&arrived) - by(&finished),
+                "{shards} shards: pending at t = {}",
+                sample.t
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Feature-parity scenarios: router queues, fees, congestion control, and
 // rebalancing must all be partition-independent, alone and combined.

@@ -198,11 +198,7 @@ fn grid_traces_are_byte_identical_at_any_worker_count() {
     let serial = run_grid(&grid, 1).unwrap();
     let parallel = run_grid(&grid, 4).unwrap();
     let traces = |result: &spider_bench::GridResult| -> Vec<Vec<u8>> {
-        result
-            .cells
-            .iter()
-            .map(|cell| bintrace::encode(&cell.events))
-            .collect()
+        result.cells.iter().map(|cell| cell.spbt.clone()).collect()
     };
 
     assert_eq!(serial.cells.len(), 4);
@@ -217,9 +213,7 @@ fn grid_traces_are_byte_identical_at_any_worker_count() {
         "grid result JSON must not depend on the worker count"
     );
     for cell in &serial.cells {
-        assert!(
-            !cell.events.is_empty(),
-            "telemetry-on cells must trace events"
-        );
+        let events = bintrace::decode(&cell.spbt).expect("a cell trace decodes");
+        assert!(!events.is_empty(), "telemetry-on cells must trace events");
     }
 }
