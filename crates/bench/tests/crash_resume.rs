@@ -236,6 +236,100 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     assert_structured_rejection(&empty, "empty-dir");
 }
 
+/// Walks a `SEC_CORE` section (SPSN v5, parts 1–4) to the first payment
+/// record that is pending with nothing delivered or in flight, and returns
+/// its byte offset and its payment index.
+fn first_unsent_payment(core: &[u8]) -> (usize, u64) {
+    let mut d = spider_core::Dec::new(core);
+    let skip = |d: &mut spider_core::Dec, n: usize| {
+        d.take_raw(n).expect("section ends early");
+    };
+    skip(&mut d, 8); // part 1: ticks
+    let channels = d.usize().expect("channel count");
+    skip(&mut d, 32 * channels); // part 2: four i64 a channel
+    for _ in 0..d.usize().expect("event count") {
+        skip(&mut d, 16); // part 3: time and seq, then the event
+        let argument = match d.u8().expect("event tag") {
+            4 => 5,     // a fault: its tag byte and a u32 id
+            5 | 6 => 0, // tick, rebalance check
+            _ => 8,     // an index
+        };
+        skip(&mut d, argument);
+    }
+    skip(&mut d, 8); // next_seq
+    let payments = d.usize().expect("payment count") as u64;
+    for i in 0..payments {
+        let at = d.offset();
+        assert_eq!(d.u64().unwrap(), i, "record {i} is not payment {i}");
+        skip(&mut d, 4 + 4 + 8 + 8 + 8); // src, dst, amount, arrival, deadline
+        let (delivered, inflight, status) = (d.i64().unwrap(), d.i64().unwrap(), d.u8().unwrap());
+        if (delivered, inflight, status) == (0, 0, 0) {
+            return (at, i);
+        }
+        if d.u8().unwrap() == 1 {
+            skip(&mut d, 8); // completed_at
+        }
+    }
+    panic!("no pending payment with nothing sent among {payments}");
+}
+
+/// A snapshot whose payment record disagrees with the trace is refused
+/// with exit code 1. `resume` runs in a child process, so an abort fails
+/// this test rather than killing the harness: a record naming sender
+/// `u32::MAX` once made waterfilling allocate a row per node up to it
+/// (about 100 GB) and the process exit 134.
+#[test]
+fn snapshot_payments_that_disagree_with_the_trace_exit_one() {
+    use spider_sim::snapshot::{decode_snapshot, encode_snapshot, SEC_CORE};
+
+    let tmp = TempDir::new("rows");
+    let snaps = tmp.path().join("snaps");
+    let status = Command::new(BIN)
+        .arg("fig6")
+        .args(scenario_flags(
+            &tmp.path().join("ck.json"),
+            &tmp.path().join("ck-traces"),
+        ))
+        .args(["--checkpoint-dir"])
+        .arg(&snaps)
+        .args(["--checkpoint-every", "50"])
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn checkpointing run");
+    assert!(status.success(), "checkpointing run failed: {status}");
+    let snap =
+        decode_snapshot(&read(&snaps.join("snap-000000001050.spsn"))).expect("a mid-run snapshot");
+    let core = snap.section(SEC_CORE).expect("core section").to_vec();
+    let (at, payment) = first_unsent_payment(&core);
+    let amount = i64::from_le_bytes(core[at + 16..at + 24].try_into().unwrap());
+
+    let bump = |offset: usize| {
+        let mut field: [u8; 8] = core[at + offset..at + offset + 8].try_into().unwrap();
+        field[0] ^= 1;
+        field.to_vec()
+    };
+    // `(field, offset in the record, bytes written there)`.
+    let cases = [
+        ("src", 8, u32::MAX.to_le_bytes().to_vec()),
+        ("id", 0, bump(0)),
+        ("dst", 12, u32::MAX.to_le_bytes().to_vec()),
+        ("amount", 16, (amount + 1).to_le_bytes().to_vec()),
+        ("arrival", 24, bump(24)),
+        ("deadline", 32, bump(32)),
+        ("inflight", 48, (amount + 1).to_le_bytes().to_vec()),
+    ];
+    for (field, offset, value) in cases {
+        let mut sections = snap.sections.clone();
+        for (_, bytes) in sections.iter_mut().filter(|(tag, _)| *tag == SEC_CORE) {
+            bytes[at + offset..at + offset + value.len()].copy_from_slice(&value);
+        }
+        let path = tmp.path().join(format!("payment-{payment}-{field}.spsn"));
+        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        std::fs::write(&path, bytes).expect("write re-sealed snapshot");
+        assert_structured_rejection(&path, &format!("payment {payment} {field}"));
+    }
+}
+
 #[test]
 fn unwritable_output_paths_exit_one_without_panicking() {
     // A path below a regular file can be neither created nor written.

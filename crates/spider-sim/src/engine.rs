@@ -312,11 +312,11 @@ fn run_source_queued(
         match event {
             Event::Arrival(i) => {
                 let _span = event_span(tel, Phase::RoutingDecision, now);
-                let idx = t.arrive(&transactions[i], now);
+                t.arrive(i, now);
                 if split {
-                    pump_payment(&mut t, scheme, config, idx, now);
+                    pump_payment(&mut t, scheme, config, i, now);
                 } else {
-                    attempt_atomic(&mut t, scheme, config, idx, now);
+                    attempt_atomic(&mut t, scheme, config, i, now);
                 }
             }
             Event::Settle { unit } => {
@@ -326,9 +326,9 @@ fn run_source_queued(
                     continue;
                 }
                 let _span = event_span(tel, Phase::SettleRefund, now);
+                let tx = t.row(t.units[unit].payment());
                 if let Some(cc) = t.congestion.as_mut().filter(|_| split) {
-                    let p = &t.payments[t.units[unit].payment()];
-                    cc.on_settle(p.src, p.dst);
+                    cc.on_settle(tx.src, tx.dst);
                 }
                 t.settle(unit, now);
                 t.audit_check(now, "settle");
@@ -424,9 +424,10 @@ fn pump_payment(
     }
     let tel = t.tel;
     let _span = batch_span(tel, Phase::UnitDispatch, now);
+    let tx = t.row(idx);
+    let (src, dst) = (tx.src, tx.dst);
     loop {
-        let p = &t.payments[idx];
-        let (src, dst, remaining) = (p.src, p.dst, p.remaining());
+        let remaining = t.payments[idx].remaining(tx.amount);
         if !remaining.is_positive() {
             break;
         }
@@ -517,8 +518,8 @@ fn attempt_atomic(
     now: f64,
 ) {
     let _span = batch_span(t.tel, Phase::UnitDispatch, now);
-    let p = &t.payments[idx];
-    let (src, dst, amount) = (p.src, p.dst, p.amount);
+    let tx = t.row(idx);
+    let (src, dst, amount) = (tx.src, tx.dst, tx.amount);
     let parts = t.with_sender_view(now, |view| {
         scheme.route_payment(t.network, view, src, dst, amount)
     });
@@ -582,7 +583,7 @@ fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, s
     t.retry_at(now + backoff, idx);
     t.tel.emit(|| TraceEvent::PaymentRetry {
         t: now,
-        payment: t.payments[idx].id.0,
+        payment: t.row(idx).id.0,
         attempt,
         backoff,
     });
@@ -664,8 +665,8 @@ pub fn run_queued(
         match event {
             Event::Arrival(i) => {
                 let _span = event_span(tel, Phase::RoutingDecision, now);
-                let idx = t.arrive(&transactions[i], now);
-                pump_source(&mut t, &mut paths, config, idx, now);
+                t.arrive(i, now);
+                pump_source(&mut t, &mut paths, config, i, now);
             }
             Event::HopArrive { unit } => {
                 if !t.units.live(unit) {
@@ -771,9 +772,10 @@ fn pump_source(
     now: f64,
 ) {
     let _span = batch_span(t.tel, Phase::UnitDispatch, now);
+    let tx = t.row(idx);
+    let (src, dst) = (tx.src, tx.dst);
     loop {
-        let p = &t.payments[idx];
-        let (src, dst, remaining) = (p.src, p.dst, p.remaining());
+        let remaining = t.payments[idx].remaining(tx.amount);
         if !remaining.is_positive() {
             break;
         }
@@ -828,7 +830,7 @@ fn try_forward(t: &mut Transport, unit: usize, now: f64) {
     t.router.stats.max_queue_len = t.router.stats.max_queue_len.max(depth);
     t.tel.emit(|| TraceEvent::UnitQueued {
         t: now,
-        payment: t.payments[u.payment()].id.0,
+        payment: t.row(u.payment()).id.0,
         channel: c.index() as u32,
         depth: depth as u32,
     });
@@ -842,7 +844,7 @@ fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
     }
     while let Some(&(head, queued_at)) = t.router.queues[channel.index()][side].front() {
         let live = t.units.live(head);
-        if !live || t.payments[t.units[head].payment()].deadline <= now {
+        if !live || t.deadline(t.units[head].payment()) <= now {
             // Expired while waiting.
             t.router.queues[channel.index()][side].pop_front();
             if live {
@@ -871,18 +873,19 @@ fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
 /// so their upstream locks are refunded promptly (not only when a
 /// settlement happens to poke the queue).
 fn sweep_expired(t: &mut Transport, now: f64) {
+    let expired = |t: &Transport, &(unit, _): &(usize, f64)| {
+        t.units.live(unit) && t.deadline(t.units[unit].payment()) <= now
+    };
     for c in 0..t.router.queues.len() {
         for side in 0..2 {
-            let (units, payments) = (&t.units, &t.payments);
-            let expired = |&(unit, _): &(usize, f64)| {
-                units.live(unit) && payments[units[unit].payment()].deadline <= now
-            };
-            let q = &mut t.router.queues[c][side];
-            let dropped: Vec<usize> = q.iter().filter(|e| expired(e)).map(|e| e.0).collect();
-            if dropped.is_empty() {
+            if !t.router.queues[c][side].iter().any(|e| expired(t, e)) {
                 continue;
             }
-            q.retain(|e| !expired(e));
+            // Out of the table while `expired` reads the transport.
+            let mut q = std::mem::take(&mut t.router.queues[c][side]);
+            let dropped: Vec<usize> = q.iter().filter(|e| expired(t, e)).map(|e| e.0).collect();
+            q.retain(|e| !expired(t, e));
+            t.router.queues[c][side] = q;
             for unit in dropped {
                 drop_unit(t, unit, now);
             }
@@ -1632,9 +1635,10 @@ mod tests {
         g.add_channel_with_balances(NodeId(1), NodeId(2), Amount::ZERO, Amount::from_whole(50))
             .unwrap();
         let tel = Telemetry::disabled();
+        let txs = [tx(0, 0, 2, 1, 0.0), tx(1, 0, 2, 5, 7.0)];
         let mut t = Transport::new(
             &g,
-            &[],
+            &txs,
             &tel,
             [20.0, 0.1, 2.0],
             Amount::from_whole(10),
@@ -1644,10 +1648,9 @@ mod tests {
         t.router = RouterQueues::new(g.num_channels());
         let path = Arc::new(Path::new(&g, vec![NodeId(0), NodeId(1), NodeId(2)]).unwrap());
         let mut sent = Vec::new();
-        for (id, amount, arrival) in [(0, 1, 0.0), (1, 5, 7.0)] {
-            let idx = t.arrive(&tx(id, 0, 2, amount, arrival), arrival);
-            let unit = Amount::from_whole(amount);
-            sent.push(t.send(idx, Arc::clone(&path), unit, 1, arrival));
+        for (i, tx) in txs.iter().enumerate() {
+            t.arrive(i, tx.arrival);
+            sent.push(t.send(i, Arc::clone(&path), tx.amount, 1, tx.arrival));
         }
         try_forward(&mut t, sent[1], 7.05);
         try_forward(&mut t, sent[0], 7.05);

@@ -269,6 +269,9 @@ fn merge_rank(event: &TraceEvent) -> u8 {
 struct UnitInfo {
     payment: u64,
     seq: u32,
+    /// The payment's index in its owner's slab. The owner sent the unit,
+    /// and its outcome comes back to the owner.
+    local: u32,
     amount: Amount,
     path: Arc<Path>,
     /// Dealt at send time by the shared rule (module docs, *Fates*).
@@ -283,13 +286,15 @@ struct UnitInfo {
 }
 
 impl UnitInfo {
-    /// The one place a unit comes into being, at the pump. The fate and
-    /// the per-hop amounts are pure functions of the config and the unit's
-    /// identity, derived here; the fate is counted in `stats`.
+    /// The one place a unit comes into being, at the pump: unit `seq` of
+    /// the payment with id `payment`, at index `local` of its owner's
+    /// slab. The fate and the per-hop amounts are pure functions of the
+    /// config and the unit's identity, derived here; the fate is counted in
+    /// `stats`.
     fn new(
         cfg: &ShardedConfig,
         stats: &mut FaultStats,
-        payment: u64,
+        (payment, local): (u64, u32),
         seq: u32,
         amount: Amount,
         path: Arc<Path>,
@@ -312,6 +317,7 @@ impl UnitInfo {
         UnitInfo {
             payment,
             seq,
+            local,
             amount,
             path,
             fate,
@@ -464,12 +470,10 @@ impl Agenda {
     }
 }
 
-/// A payment owned by this shard.
+/// A payment owned by this shard: what the run changes about trace row
+/// `row`, which holds its inputs.
 struct LocalPayment {
-    id: u64,
-    src: NodeId,
-    dst: NodeId,
-    amount: Amount,
+    row: u32,
     arrival_epoch: u64,
     deadline_epoch: u64,
     delivered: Amount,
@@ -732,6 +736,8 @@ struct ShardCtx<'a> {
     agenda: Agenda,
     /// `(fire epoch, message)` staged this epoch for each *other* shard.
     staged: Vec<Vec<(u64, Msg)>>,
+    /// The trace: row `i` holds the inputs of the payment whose `row` is `i`.
+    transactions: &'a [Transaction],
     /// Payments owned by this shard, sorted by id.
     payments: Vec<LocalPayment>,
     /// Indices of still-pending payments.
@@ -774,12 +780,11 @@ struct ShardCtx<'a> {
 
 impl<'a> ShardCtx<'a> {
     /// The state of shard `shard` before its first epoch. Payment ids are
-    /// dealt round-robin (`id % num_shards`); the slab is sorted by id so
-    /// [`payment_index`](Self::payment_index) can binary-search.
+    /// dealt round-robin (`id % num_shards`), and the slab is sorted by id.
     fn new(
         shard: u16,
         network: &'a Network,
-        transactions: &[Transaction],
+        transactions: &'a [Transaction],
         partition: &'a Partition,
         cfg: &'a ShardedConfig,
         plan_events: &'a [PlanEvent],
@@ -787,16 +792,12 @@ impl<'a> ShardCtx<'a> {
         let clock = Clockwork::new(cfg);
         let num_shards = partition.num_shards();
         let initial_window = cfg.congestion.as_ref().map_or(0.0, |cc| cc.initial_window);
-        let mut payments: Vec<LocalPayment> = transactions
-            .iter()
-            .filter(|tx| tx.id.0 % num_shards as u64 == u64::from(shard))
-            .filter_map(|tx| {
+        let mut payments: Vec<LocalPayment> = (transactions.iter().enumerate())
+            .filter(|(_, tx)| tx.id.0 % num_shards as u64 == u64::from(shard))
+            .filter_map(|(row, tx)| {
                 let arrival_epoch = epoch_of(tx.arrival);
                 (arrival_epoch <= clock.end_epoch).then(|| LocalPayment {
-                    id: tx.id.0,
-                    src: tx.src,
-                    dst: tx.dst,
-                    amount: tx.amount,
+                    row: row as u32,
                     arrival_epoch,
                     deadline_epoch: arrival_epoch + clock.deadline_epochs,
                     delivered: Amount::ZERO,
@@ -812,7 +813,7 @@ impl<'a> ShardCtx<'a> {
                 })
             })
             .collect();
-        payments.sort_by_key(|p| p.id);
+        payments.sort_by_key(|p| transactions[p.row as usize].id);
         let mut arrivals: Vec<(u64, usize)> = payments
             .iter()
             .enumerate()
@@ -860,6 +861,7 @@ impl<'a> ShardCtx<'a> {
                 owned_channels,
                 ..ShardEpochMetrics::default()
             },
+            transactions,
             payments,
             pending: Vec::new(),
             undo: Vec::new(),
@@ -1321,7 +1323,7 @@ impl<'a> ShardCtx<'a> {
     }
 
     fn on_unit_delivered(&mut self, unit: &Arc<UnitInfo>, epoch: u64) {
-        let pidx = self.payment_index(unit.payment);
+        let pidx = unit.local as usize;
         self.congestion_on_outcome(pidx, true);
         // The sender locked `hop_amounts[0]` and the receiver was paid
         // `amount`; the difference is the routing fee, accrued exactly.
@@ -1330,12 +1332,13 @@ impl<'a> ShardCtx<'a> {
             self.routing_fees_micros = self.routing_fees_micros.saturating_add(fee);
         }
         let t = t_of(epoch);
+        let tx = self.row(pidx);
         let p = &mut self.payments[pidx];
         p.inflight = p.inflight.saturating_sub(unit.amount);
         p.delivered = p.delivered.saturating_add(unit.amount);
-        let pid = p.id;
+        let pid = tx.id.0;
         let amount_tokens = tokens(unit.amount);
-        let completed_now = p.status == PaymentStatus::Pending && p.delivered >= p.amount;
+        let completed_now = p.status == PaymentStatus::Pending && p.delivered >= tx.amount;
         let delay = (epoch - p.arrival_epoch) as f64 * EPOCH;
         if completed_now {
             p.status = PaymentStatus::Completed;
@@ -1372,16 +1375,13 @@ impl<'a> ShardCtx<'a> {
         cause: FailCause,
         epoch: u64,
     ) {
-        let pidx = self.payment_index(unit.payment);
+        let pidx = unit.local as usize;
         self.congestion_on_outcome(pidx, false);
         let t = t_of(epoch);
         let amount_tokens = tokens(unit.amount);
-        let pid;
-        {
-            let p = &mut self.payments[pidx];
-            p.inflight = p.inflight.saturating_sub(unit.amount);
-            pid = p.id;
-        }
+        let pid = self.row(pidx).id.0;
+        let p = &mut self.payments[pidx];
+        p.inflight = p.inflight.saturating_sub(unit.amount);
         let seq = u64::from(unit.seq);
         match cause {
             FailCause::Dropped => {
@@ -1446,7 +1446,7 @@ impl<'a> ShardCtx<'a> {
             .faults
             .as_ref()
             .and_then(|plan| plan.config.retry.clone());
-        let pid = self.payments[pidx].id;
+        let pid = self.row(pidx).id.0;
         let Some(policy) = retry else {
             self.abandon(pidx, epoch, true);
             return;
@@ -1498,7 +1498,7 @@ impl<'a> ShardCtx<'a> {
         if fault_caused {
             self.stats.payments_failed += 1;
         }
-        let pid = self.payments[pidx].id;
+        let pid = self.row(pidx).id.0;
         let delivered = tokens(self.payments[pidx].delivered);
         self.emit(
             epoch,
@@ -1512,15 +1512,9 @@ impl<'a> ShardCtx<'a> {
         );
     }
 
-    /// Index of the payment with global id `pid` in this shard's slab.
-    /// Ids are assigned to shards round-robin, so the local index is the
-    /// arrival rank — recovered by binary search over the (sorted) ids.
-    fn payment_index(&self, pid: u64) -> usize {
-        match self.payments.binary_search_by_key(&pid, |p| p.id) {
-            Ok(i) => i,
-            // spider-lint: allow(panic-reachability) — shards only message ids they were dealt; a miss is a routing-table corruption we must not mask
-            Err(_) => unreachable!("message for unknown payment {pid}"),
-        }
+    /// The trace row holding local payment `pidx`'s inputs.
+    fn row(&self, pidx: usize) -> &'a Transaction {
+        &self.transactions[self.payments[pidx].row as usize]
     }
 
     /// Sends as many MTU units of payment `pidx` as the frozen snapshot
@@ -1535,9 +1529,11 @@ impl<'a> ShardCtx<'a> {
             return;
         }
         let mut undo = std::mem::take(&mut self.undo);
+        let tx = self.row(pidx);
+        let (src, dst, pid) = (tx.src, tx.dst, tx.id.0);
         loop {
             let p = &self.payments[pidx];
-            let remaining = (p.amount.saturating_sub(p.delivered)).saturating_sub(p.inflight);
+            let remaining = (tx.amount.saturating_sub(p.delivered)).saturating_sub(p.inflight);
             if !remaining.is_positive() {
                 break;
             }
@@ -1547,7 +1543,6 @@ impl<'a> ShardCtx<'a> {
                 break;
             }
             let unit_amount = remaining.min(self.cfg.mtu);
-            let (src, dst, pid) = (p.src, p.dst, p.id);
             let decision = {
                 let view = SnapshotView {
                     network: self.network,
@@ -1569,8 +1564,9 @@ impl<'a> ShardCtx<'a> {
                         p.outstanding += 1;
                     }
                     let (deadline, stats) = (p.deadline_epoch, &mut self.stats);
+                    let owner = (pid, pidx as u32);
                     let unit =
-                        UnitInfo::new(self.cfg, stats, pid, seq, unit_amount, path, deadline);
+                        UnitInfo::new(self.cfg, stats, owner, seq, unit_amount, path, deadline);
                     for (i, &(c, dir)) in unit.path.hops().iter().enumerate() {
                         let slot = &mut self.snapshot[c.index()][sender_side(dir)];
                         let micros = unit.hop_amount(i as u32).micros();
@@ -1623,8 +1619,8 @@ impl<'a> ShardCtx<'a> {
         {
             let pidx = self.arrivals[self.arrival_cursor].1;
             self.arrival_cursor += 1;
-            let p = &self.payments[pidx];
-            let (pid, src, dst, amount) = (p.id, p.src, p.dst, p.amount);
+            let tx = self.row(pidx);
+            let (pid, src, dst, amount) = (tx.id.0, tx.src, tx.dst, tx.amount);
             self.emit(
                 epoch,
                 pid,
@@ -1861,7 +1857,7 @@ fn quantized_plan(config: &ShardedConfig) -> Vec<PlanEvent> {
 /// Builds the shards and runs each on its own thread to the end epoch.
 fn run_shards<'a>(
     network: &'a Network,
-    transactions: &[Transaction],
+    transactions: &'a [Transaction],
     partition: &'a Partition,
     config: &'a ShardedConfig,
     plan_events: &'a [PlanEvent],
@@ -1949,9 +1945,15 @@ fn merge_outputs(
     audit_violations.truncate(MAX_RELEASE_VIOLATIONS);
 
     // Payment rows, folded in id order.
-    let mut payments: Vec<&LocalPayment> = outputs.iter().flat_map(|o| &o.payments).collect();
-    payments.sort_unstable_by_key(|p| p.id);
-    let rows = (payments.into_iter()).map(|p| (p.amount, p.delivered, p.status, p.delay));
+    let mut payments: Vec<(&Transaction, &LocalPayment)> = (outputs.iter())
+        .flat_map(|o| {
+            o.payments
+                .iter()
+                .map(|p| (&o.transactions[p.row as usize], p))
+        })
+        .collect();
+    payments.sort_unstable_by_key(|(tx, _)| tx.id);
+    let rows = (payments.into_iter()).map(|(tx, p)| (tx.amount, p.delivered, p.status, p.delay));
 
     // Merged final ledger: each channel's state from its owner shard.
     let mut final_ledger = Ledger::new(network);
@@ -2373,7 +2375,15 @@ mod tests {
             let path = Arc::new(Path::new(&line3(1), vec![NodeId(0), NodeId(1)]).expect("a path"));
             let (cfg, mut stats) = (ShardedConfig::new(1.0), FaultStats::default());
             let amount = Amount::from_whole(1);
-            Arc::new(UnitInfo::new(&cfg, &mut stats, payment, 0, amount, path, 9))
+            Arc::new(UnitInfo::new(
+                &cfg,
+                &mut stats,
+                (payment, 0),
+                0,
+                amount,
+                path,
+                9,
+            ))
         };
         let msg = |payment| Msg::new(MsgBody::UnitDelivered, unit(payment));
         // The payments of the messages in the ring, in ring order.

@@ -1,6 +1,6 @@
 //! Per-payment simulation state.
 
-use spider_core::{Amount, NodeId, PaymentId};
+use spider_core::Amount;
 
 /// Lifecycle of a payment in the simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -14,21 +14,11 @@ pub enum PaymentStatus {
     Abandoned,
 }
 
-/// Mutable state the engine tracks for each payment.
+/// What a run changes about a payment. Its inputs — id, sender, receiver,
+/// amount, arrival — are its row of the trace, read from there and never
+/// copied here: payment `i` is trace row `i`.
 #[derive(Clone, Debug)]
 pub struct PaymentState {
-    /// The payment id from the input trace.
-    pub id: PaymentId,
-    /// Sender.
-    pub src: NodeId,
-    /// Receiver.
-    pub dst: NodeId,
-    /// Total payment value.
-    pub amount: Amount,
-    /// Arrival time (seconds).
-    pub arrival: f64,
-    /// Absolute deadline (seconds).
-    pub deadline: f64,
     /// Value already settled at the receiver.
     pub delivered: Amount,
     /// Value locked in flight.
@@ -40,14 +30,18 @@ pub struct PaymentState {
 }
 
 impl PaymentState {
-    /// Value not yet sent (neither delivered nor in flight).
-    pub fn remaining(&self) -> Amount {
-        self.amount - self.delivered - self.inflight
-    }
+    /// A payment that has just arrived.
+    pub(crate) const ARRIVED: PaymentState = PaymentState {
+        delivered: Amount::ZERO,
+        inflight: Amount::ZERO,
+        status: PaymentStatus::Pending,
+        completed_at: None,
+    };
 
-    /// `true` once every token has been settled.
-    pub fn fully_delivered(&self) -> bool {
-        self.delivered >= self.amount
+    /// Value of a payment of `amount` not yet sent (neither delivered nor
+    /// in flight).
+    pub fn remaining(&self, amount: Amount) -> Amount {
+        (amount.saturating_sub(self.delivered)).saturating_sub(self.inflight)
     }
 }
 
@@ -63,30 +57,20 @@ pub(crate) fn unit_count(amount: Amount, mtu: Amount) -> u64 {
 mod tests {
     use super::*;
 
-    fn state() -> PaymentState {
-        PaymentState {
-            id: PaymentId(1),
-            src: NodeId(0),
-            dst: NodeId(1),
-            amount: Amount::from_whole(10),
-            arrival: 0.0,
-            deadline: 5.0,
-            delivered: Amount::ZERO,
-            inflight: Amount::ZERO,
-            status: PaymentStatus::Pending,
-            completed_at: None,
-        }
-    }
-
     #[test]
     fn remaining_accounts_for_inflight() {
-        let mut p = state();
-        assert_eq!(p.remaining(), Amount::from_whole(10));
+        let amount = Amount::from_whole(10);
+        let mut p = PaymentState::ARRIVED;
+        assert_eq!(p.remaining(amount), amount);
         p.inflight = Amount::from_whole(4);
         p.delivered = Amount::from_whole(2);
-        assert_eq!(p.remaining(), Amount::from_whole(4));
-        assert!(!p.fully_delivered());
-        p.delivered = Amount::from_whole(10);
-        assert!(p.fully_delivered());
+        assert_eq!(p.remaining(amount), Amount::from_whole(4));
+    }
+
+    /// One record per payment of the run, all kept to the end: the inputs
+    /// stay in the trace, so the record is what a run changes and no more.
+    #[test]
+    fn payment_record_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<PaymentState>(), 40);
     }
 }

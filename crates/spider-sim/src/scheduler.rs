@@ -7,6 +7,7 @@
 
 use crate::payment::PaymentState;
 use serde::{Deserialize, Serialize};
+use spider_workload::Transaction;
 
 /// Order in which pending payments are serviced each scheduler tick.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,32 +25,35 @@ pub enum SchedulePolicy {
 
 impl SchedulePolicy {
     /// Sorts pending payment indices into service order (stable and
-    /// deterministic: ties break by payment id).
-    pub fn order(&self, payments: &[PaymentState], pending: &mut [usize]) {
+    /// deterministic: ties break by payment id). Payment `i` is trace row
+    /// `i`, due `window` seconds after it arrives.
+    pub fn order(
+        &self,
+        payments: &[PaymentState],
+        trace: &[Transaction],
+        window: f64,
+        pending: &mut [usize],
+    ) {
+        let by_id = |a: usize, b: usize| trace[a].id.cmp(&trace[b].id);
         match self {
-            SchedulePolicy::Srpt => pending.sort_by(|&a, &b| {
-                payments[a]
-                    .remaining()
-                    .cmp(&payments[b].remaining())
-                    .then(payments[a].id.cmp(&payments[b].id))
-            }),
+            // Every tick sorts thousands of payments: each key is read
+            // once, not once a comparison.
+            SchedulePolicy::Srpt => pending
+                .sort_by_cached_key(|&i| (payments[i].remaining(trace[i].amount), trace[i].id)),
             SchedulePolicy::Fifo => pending.sort_by(|&a, &b| {
-                payments[a]
-                    .arrival
-                    .total_cmp(&payments[b].arrival)
-                    .then(payments[a].id.cmp(&payments[b].id))
+                (trace[a].arrival)
+                    .total_cmp(&trace[b].arrival)
+                    .then(by_id(a, b))
             }),
             SchedulePolicy::Lifo => pending.sort_by(|&a, &b| {
-                payments[b]
-                    .arrival
-                    .total_cmp(&payments[a].arrival)
-                    .then(payments[a].id.cmp(&payments[b].id))
+                (trace[b].arrival)
+                    .total_cmp(&trace[a].arrival)
+                    .then(by_id(a, b))
             }),
             SchedulePolicy::Edf => pending.sort_by(|&a, &b| {
-                payments[a]
-                    .deadline
-                    .total_cmp(&payments[b].deadline)
-                    .then(payments[a].id.cmp(&payments[b].id))
+                (trace[a].arrival + window)
+                    .total_cmp(&(trace[b].arrival + window))
+                    .then(by_id(a, b))
             }),
         }
     }
@@ -68,66 +72,66 @@ impl SchedulePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payment::PaymentStatus;
     use spider_core::{Amount, NodeId, PaymentId};
 
-    fn payment(id: u64, amount: i64, arrival: f64, deadline: f64) -> PaymentState {
-        PaymentState {
+    const WINDOW: f64 = 5.0;
+
+    fn row(id: u64, amount: i64, arrival: f64) -> Transaction {
+        Transaction {
             id: PaymentId(id),
             src: NodeId(0),
             dst: NodeId(1),
             amount: Amount::from_whole(amount),
             arrival,
-            deadline,
-            delivered: Amount::ZERO,
-            inflight: Amount::ZERO,
-            status: PaymentStatus::Pending,
-            completed_at: None,
         }
     }
 
-    fn fixture() -> Vec<PaymentState> {
-        vec![
-            payment(0, 50, 0.0, 9.0),
-            payment(1, 10, 1.0, 3.0),
-            payment(2, 30, 2.0, 6.0),
-        ]
+    fn arrived(n: usize) -> Vec<PaymentState> {
+        vec![PaymentState::ARRIVED; n]
+    }
+
+    fn order(
+        policy: SchedulePolicy,
+        payments: &[PaymentState],
+        trace: &[Transaction],
+    ) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..trace.len()).rev().collect();
+        policy.order(payments, trace, WINDOW, &mut order);
+        order
     }
 
     #[test]
     fn srpt_orders_by_remaining() {
-        let mut payments = fixture();
+        let trace = [row(0, 50, 0.0), row(1, 10, 1.0), row(2, 30, 2.0)];
+        let mut payments = arrived(3);
         // Payment 0 has delivered most of its value: smallest remaining.
         payments[0].delivered = Amount::from_whole(45);
-        let mut order = vec![0, 1, 2];
-        SchedulePolicy::Srpt.order(&payments, &mut order);
-        assert_eq!(order, vec![0, 1, 2]); // remaining: 5, 10, 30
+        // remaining: 5, 10, 30
+        assert_eq!(order(SchedulePolicy::Srpt, &payments, &trace), [0, 1, 2]);
     }
 
+    /// Every payment gets the same window, so deadlines fall in arrival
+    /// order and EDF serves as FIFO does; arrival ties break by id.
     #[test]
-    fn fifo_and_lifo() {
-        let payments = fixture();
-        let mut order = vec![2, 0, 1];
-        SchedulePolicy::Fifo.order(&payments, &mut order);
-        assert_eq!(order, vec![0, 1, 2]);
-        SchedulePolicy::Lifo.order(&payments, &mut order);
-        assert_eq!(order, vec![2, 1, 0]);
-    }
-
-    #[test]
-    fn edf_orders_by_deadline() {
-        let payments = fixture();
-        let mut order = vec![0, 1, 2];
-        SchedulePolicy::Edf.order(&payments, &mut order);
-        assert_eq!(order, vec![1, 2, 0]);
+    fn fifo_lifo_and_edf_follow_arrival() {
+        let trace = [
+            row(0, 50, 0.0),
+            row(3, 10, 1.0),
+            row(2, 30, 1.0),
+            row(1, 5, 2.5),
+        ];
+        let payments = arrived(4);
+        let fifo = order(SchedulePolicy::Fifo, &payments, &trace);
+        assert_eq!(fifo, [0, 2, 1, 3]);
+        assert_eq!(order(SchedulePolicy::Edf, &payments, &trace), fifo);
+        assert_eq!(order(SchedulePolicy::Lifo, &payments, &trace), [3, 2, 1, 0]);
     }
 
     #[test]
     fn ties_break_by_id() {
-        let payments = vec![payment(5, 10, 0.0, 1.0), payment(3, 10, 0.0, 1.0)];
-        let mut order = vec![0, 1];
-        SchedulePolicy::Srpt.order(&payments, &mut order);
-        assert_eq!(order, vec![1, 0]); // id 3 before id 5
+        let trace = [row(5, 10, 0.0), row(3, 10, 0.0)];
+        // id 3 before id 5
+        assert_eq!(order(SchedulePolicy::Srpt, &arrived(2), &trace), [1, 0]);
     }
 
     #[test]

@@ -33,8 +33,11 @@
 //! gives finished chunks back, and pending arrivals are a cursor over the
 //! (sorted) trace rather than one event-queue entry each — [`Transport::pop`]
 //! merges the two in the `(time, seq)` order one queue holding everything
-//! would pop. Payment records are still kept for the whole run: the report
-//! and `SEC_CORE` read every one.
+//! would pop. Payment records are still kept for the whole run, because the
+//! report and `SEC_CORE` read every one, but a record is 40 bytes and holds
+//! no input: payment `i` is trace row `i` (arrivals pop in trace order), and
+//! its id, sender, receiver, amount, arrival and deadline are read from the
+//! row ([`row`](Transport::row), [`deadline`](Transport::deadline)).
 
 use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::CongestionControl;
@@ -50,9 +53,7 @@ use crate::snapshot::{
     self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
     enc_fault_event, enc_path, CheckpointSpec, Snapshot, SnapshotError,
 };
-use spider_core::{
-    Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path, PaymentId,
-};
+use spider_core::{Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
 use spider_routing::FeeSchedule;
 use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
@@ -378,7 +379,8 @@ pub(crate) struct Transport<'a> {
     pub(crate) tel: &'a Telemetry,
     end_time: f64,
     poll_interval: f64,
-    deadline: f64,
+    /// Every payment's deadline window.
+    window: f64,
     mtu: Amount,
     /// Routing fees every unit pays (never a free schedule).
     pub(crate) fees: Option<&'a FeeSchedule>,
@@ -389,10 +391,11 @@ pub(crate) struct Transport<'a> {
     pub(crate) ledger: Ledger,
     /// Every pending event but the arrivals (see [`pop`](Self::pop)).
     pub(crate) queue: EventQueue<Event>,
-    /// The trace, sorted by arrival. Transactions `next_arrival..
-    /// arrivals_end` have yet to arrive; those past `arrivals_end` arrive
-    /// after the window and never do. Arrival `i` pops as if it had been
-    /// pushed at `(tx.arrival, seq i)`, which is what the queue once held.
+    /// The trace, sorted by arrival: row `i` holds payment `i`'s inputs.
+    /// Transactions `next_arrival..arrivals_end` have yet to arrive; those
+    /// past `arrivals_end` arrive after the window and never do. Arrival `i`
+    /// pops as if it had been pushed at `(tx.arrival, seq i)`, which is
+    /// what the queue once held.
     transactions: &'a [Transaction],
     next_arrival: usize,
     arrivals_end: usize,
@@ -403,7 +406,7 @@ pub(crate) struct Transport<'a> {
     pub(crate) units: UnitSlab,
     /// Payments `..next_deadline` have had their deadline enforced. Every
     /// payment gets the same window, so deadlines pass in arrival order
-    /// and a cursor over the slab is all the bookkeeping they need.
+    /// and a cursor over the payments is all the bookkeeping they need.
     next_deadline: usize,
     /// Retry backoffs as a `(time, payment)` min-heap.
     retries: BinaryHeap<Reverse<(Time, usize)>>,
@@ -440,12 +443,12 @@ impl<'a> Transport<'a> {
         network: &'a Network,
         transactions: &'a [Transaction],
         tel: &'a Telemetry,
-        [end_time, poll_interval, deadline]: [f64; 3],
+        [end_time, poll_interval, window]: [f64; 3],
         mtu: Amount,
         split: bool,
         plan: Option<&FaultPlan>,
     ) -> Self {
-        assert!(poll_interval > 0.0 && deadline > 0.0);
+        assert!(poll_interval > 0.0 && window > 0.0);
         assert!(mtu.is_positive(), "MTU must be positive");
         assert!(
             transactions.is_sorted_by(|a, b| a.arrival <= b.arrival),
@@ -456,7 +459,7 @@ impl<'a> Transport<'a> {
             tel,
             end_time,
             poll_interval,
-            deadline,
+            window,
             mtu,
             fees: None,
             split,
@@ -583,6 +586,16 @@ impl<'a> Transport<'a> {
         Ok(())
     }
 
+    /// Trace row `i`: payment `i`'s inputs.
+    pub(crate) fn row(&self, i: usize) -> &'a Transaction {
+        &self.transactions[i]
+    }
+
+    /// Payment `i`'s absolute deadline: its arrival plus the window.
+    pub(crate) fn deadline(&self, i: usize) -> f64 {
+        self.row(i).arrival + self.window
+    }
+
     /// Calls `route` with the balances a sender routes against: the live
     /// ledger, with downed and blacklisted channels reading as empty under
     /// fault injection.
@@ -608,24 +621,11 @@ impl<'a> Transport<'a> {
 
     // -- payment and unit transitions ---------------------------------------
 
-    /// A payment enters the system.
-    pub(crate) fn arrive(&mut self, tx: &Transaction, now: f64) -> usize {
-        let idx = self.payments.len();
-        let deadline = tx.arrival + self.deadline;
-        // What lets `fire_timers` walk deadlines with a cursor.
-        debug_assert!(self.payments.last().is_none_or(|p| p.deadline <= deadline));
-        self.payments.push(PaymentState {
-            id: tx.id,
-            src: tx.src,
-            dst: tx.dst,
-            amount: tx.amount,
-            arrival: tx.arrival,
-            deadline,
-            delivered: Amount::ZERO,
-            inflight: Amount::ZERO,
-            status: PaymentStatus::Pending,
-            completed_at: None,
-        });
+    /// Payment `i`, trace row `i`, enters the system.
+    pub(crate) fn arrive(&mut self, i: usize, now: f64) {
+        debug_assert_eq!(i, self.payments.len(), "arrivals come in trace order");
+        let tx = self.row(i);
+        self.payments.push(PaymentState::ARRIVED);
         if let Some(fr) = self.faults.as_mut() {
             fr.fail_count.push(0);
             fr.not_before.push(f64::NEG_INFINITY);
@@ -643,9 +643,8 @@ impl<'a> Transport<'a> {
                 payment: tx.id.0,
                 units: unit_count(tx.amount, self.mtu),
             });
-            self.pending.push(idx);
+            self.pending.push(i);
         }
-        idx
     }
 
     /// Records a unit whose first `locked` hops the caller has just locked
@@ -663,7 +662,7 @@ impl<'a> Transport<'a> {
         self.units_sent += 1;
         self.tel.emit(|| TraceEvent::UnitSent {
             t: now,
-            payment: p.id.0,
+            payment: self.row(idx).id.0,
             amount: tokens(amount),
             hops: path.len() as u32,
         });
@@ -693,6 +692,7 @@ impl<'a> Transport<'a> {
         );
         let (amount, payment) = (u.amount, u.payment());
         self.units.finish(ui);
+        let tx = self.row(payment);
         let p = &mut self.payments[payment];
         if let Err(e) = res {
             return record_release(&mut self.release_violations, now, "settle", &e);
@@ -702,16 +702,16 @@ impl<'a> Transport<'a> {
         self.routing_fees_paid = self.routing_fees_paid.saturating_add(fee);
         p.inflight = p.inflight.saturating_sub(amount);
         p.delivered = p.delivered.saturating_add(amount);
-        let pid = p.id.0;
+        let pid = tx.id.0;
         self.tel.emit(|| TraceEvent::UnitSettled {
             t: now,
             payment: pid,
             amount: tokens(amount),
         });
-        if p.status == PaymentStatus::Pending && p.fully_delivered() {
+        if p.status == PaymentStatus::Pending && p.delivered >= tx.amount {
             p.status = PaymentStatus::Completed;
             p.completed_at = Some(now);
-            let delay = now - p.arrival;
+            let delay = now - tx.arrival;
             self.tel.emit(|| TraceEvent::PaymentCompleted {
                 t: now,
                 payment: pid,
@@ -750,7 +750,7 @@ impl<'a> Transport<'a> {
         let u = &self.units[ui];
         self.tel.emit(|| TraceEvent::UnitRefunded {
             t: now,
-            payment: self.payments[u.payment as usize].id.0,
+            payment: self.row(u.payment()).id.0,
             amount: tokens(u.amount),
         });
     }
@@ -770,7 +770,7 @@ impl<'a> Transport<'a> {
         if !self.unlock(ui, now, "fault-expire") {
             return None;
         }
-        let pid = self.payments[self.units[ui].payment()].id.0;
+        let pid = self.row(self.units[ui].payment()).id.0;
         let amount = tokens(self.units[ui].amount);
         let blamed = match fault {
             UnitFault::Dropped(c) => {
@@ -802,11 +802,12 @@ impl<'a> Transport<'a> {
 
     /// Gives up on a payment; value already settled stays delivered.
     pub(crate) fn abandon(&mut self, idx: usize, now: f64) {
+        let pid = self.row(idx).id.0;
         let p = &mut self.payments[idx];
         p.status = PaymentStatus::Abandoned;
         self.tel.emit(|| TraceEvent::PaymentAbandoned {
             t: now,
-            payment: p.id.0,
+            payment: pid,
             delivered: tokens(p.delivered),
         });
     }
@@ -823,9 +824,9 @@ impl<'a> Transport<'a> {
     /// Deadlines are enforced here; what a retry does is up to the driver.
     pub(crate) fn fire_timers(&mut self, now: f64, mut retry: impl FnMut(&mut Self, usize)) {
         loop {
-            let deadline = (self.payments.get(self.next_deadline))
-                .filter(|_| self.split)
-                .map(|p| (Time::new(p.deadline), self.next_deadline));
+            let i = self.next_deadline;
+            let deadline =
+                (self.split && i < self.payments.len()).then(|| (Time::new(self.deadline(i)), i));
             let backoff = self.retries.peek().map(|&Reverse(r)| r);
             match (deadline, backoff) {
                 (Some(d), r) if d.0.seconds() <= now && r.is_none_or(|r| d <= r) => {
@@ -849,7 +850,7 @@ impl<'a> Transport<'a> {
         let payments = &self.payments;
         self.pending
             .retain(|&i| payments[i].status == PaymentStatus::Pending);
-        policy.order(payments, &mut self.pending);
+        policy.order(payments, self.transactions, self.window, &mut self.pending);
         self.pending.clone()
     }
 
@@ -955,9 +956,9 @@ impl<'a> Transport<'a> {
             audit_violations = a.into_violations();
         }
         audit_violations.extend(self.release_violations);
-        let rows = (self.payments.iter()).map(|p| {
-            let delay = p.completed_at.map(|t| t - p.arrival);
-            (p.amount, p.delivered, p.status, delay)
+        let rows = (self.payments.iter().zip(self.transactions)).map(|(p, tx)| {
+            let delay = p.completed_at.map(|t| t - tx.arrival);
+            (tx.amount, p.delivered, p.status, delay)
         });
         SimReport {
             units_sent: self.units_sent,
@@ -1028,29 +1029,47 @@ fn dec_event(d: &mut Dec, network: &Network) -> Result<Event, SnapshotError> {
     })
 }
 
-fn enc_payment(e: &mut Enc, p: &PaymentState) {
-    e.u64(p.id.0);
-    e.u32(p.src.0);
-    e.u32(p.dst.0);
-    e.i64(p.amount.micros());
-    e.f64(p.arrival);
-    e.f64(p.deadline);
+/// Writes a payment record: its inputs from trace row `tx`, due at
+/// `deadline`, then what the run changed.
+fn enc_payment(e: &mut Enc, tx: &Transaction, deadline: f64, p: &PaymentState) {
+    e.u64(tx.id.0);
+    e.u32(tx.src.0);
+    e.u32(tx.dst.0);
+    e.i64(tx.amount.micros());
+    e.f64(tx.arrival);
+    e.f64(deadline);
     e.i64(p.delivered.micros());
     e.i64(p.inflight.micros());
     snapshot::enc_status(e, p.status);
     e.opt(p.completed_at.map(|t| move |e: &mut Enc| e.f64(t)));
 }
 
-fn dec_payment(d: &mut Dec) -> Result<PaymentState, SnapshotError> {
+/// Reads payment `i`'s record. Its inputs must be trace row `tx`, due at
+/// `deadline`, bit for bit; they are checked and dropped, never used. What
+/// it delivered and holds in flight must be a split of the row's amount.
+fn dec_payment(
+    d: &mut Dec,
+    i: usize,
+    tx: &Transaction,
+    deadline: f64,
+) -> Result<PaymentState, SnapshotError> {
+    let (id, src, dst, amount) = (d.u64()?, d.u32()?, d.u32()?, d.i64()?);
+    let (arrival, due) = (d.f64()?, d.f64()?);
+    if (id, src, dst, amount) != (tx.id.0, tx.src.0, tx.dst.0, tx.amount.micros())
+        || arrival.to_bits() != tx.arrival.to_bits()
+        || due.to_bits() != deadline.to_bits()
+    {
+        return corrupt(format!("payment {i} is not trace row {i}"));
+    }
+    let (delivered, inflight) = (d.i64()?, d.i64()?);
+    if delivered < 0 || inflight < 0 || delivered.checked_add(inflight).is_none_or(|v| v > amount) {
+        return corrupt(format!(
+            "payment {i} delivered {delivered} and holds {inflight} of {amount} micros"
+        ));
+    }
     Ok(PaymentState {
-        id: PaymentId(d.u64()?),
-        src: NodeId(d.u32()?),
-        dst: NodeId(d.u32()?),
-        amount: Amount::from_micros(d.i64()?),
-        arrival: dec_time(d, "arrival")?,
-        deadline: dec_time(d, "deadline")?,
-        delivered: Amount::from_micros(d.i64()?),
-        inflight: Amount::from_micros(d.i64()?),
+        delivered: Amount::from_micros(delivered),
+        inflight: Amount::from_micros(inflight),
         status: snapshot::dec_status(d)?,
         completed_at: d.opt(|d| d.f64())?,
     })
@@ -1131,6 +1150,12 @@ impl Transport<'_> {
     ///    arrival: f64, deadline: f64, delivered: i64, inflight: i64,
     ///    status: u8` (0 pending, 1 completed, 2 abandoned),
     ///    `completed_at: opt f64`; then the pending list, a seq of `usize`.
+    ///    Record `i` is payment `i`, and its first six fields are trace row
+    ///    `i` with `deadline = arrival + window`: the encoder writes them
+    ///    from the row. The decoder refuses more records than arrive by
+    ///    `end_time`, any record whose six fields are not its row bit for
+    ///    bit, and a negative `delivered` or `inflight` or a sum of the two
+    ///    above the row's amount.
     /// 5. Units — `total: usize`, the number ever sent (slab indices run
     ///    `0..total`), then a seq of the units still live (`locked > 0`) in
     ///    index order, each `index: usize, payment: usize`, path (seq of
@@ -1195,7 +1220,10 @@ impl Transport<'_> {
         }
         queued.for_each(|entry| enc_entry(&mut e, entry));
         e.u64(self.queue.next_seq());
-        e.seq(&self.payments, enc_payment);
+        e.usize(self.payments.len());
+        for (i, p) in self.payments.iter().enumerate() {
+            enc_payment(&mut e, self.row(i), self.deadline(i), p);
+        }
         e.seq(&self.pending, |e, &i| e.usize(i));
         e.usize(self.units.len());
         let live: Vec<(usize, &Unit)> = self.units.iter_live().collect();
@@ -1276,8 +1304,16 @@ impl Transport<'_> {
             Ok((dec_time(d, "event")?, d.u64()?, dec_event(d, network)?))
         })?;
         let next_seq = d.u64()?;
-        self.payments = dec_seq(&mut d, dec_payment)?;
-        let num_payments = self.payments.len();
+        let num_payments = d.usize()?;
+        if num_payments > self.arrivals_end {
+            return corrupt(format!(
+                "{num_payments} payments where {} arrive by the end",
+                self.arrivals_end
+            ));
+        }
+        self.payments = (0..num_payments)
+            .map(|i| dec_payment(&mut d, i, self.row(i), self.deadline(i)))
+            .collect::<Result<_, _>>()?;
         self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
         let num_units = d.usize()?;
         let mut next_index = 0;
@@ -1647,9 +1683,8 @@ mod tests {
             );
             match event {
                 Event::Arrival(i) => {
-                    let tx = t.transactions[i];
-                    let idx = t.arrive(&tx, now);
-                    let unit = t.send(idx, Arc::clone(path), tx.amount, 1, now);
+                    t.arrive(i, now);
+                    let unit = t.send(i, Arc::clone(path), t.row(i).amount, 1, now);
                     t.queue.push(now + DELTA, Event::Settle { unit });
                     oracle.push(now + DELTA, Event::Settle { unit });
                 }
@@ -1735,6 +1770,24 @@ mod tests {
         bytes[at] = 1;
         match transport(&g, &txs, &tel).decode(&bytes) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("router queues")),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// Record `i` is read against trace row `i`, so a section with more
+    /// payments than the decoding run has arrivals is refused before any
+    /// row past them is looked up.
+    #[test]
+    fn payments_past_the_arrivals_window_are_corrupt() {
+        let (g, path) = one_hop();
+        let tel = Telemetry::disabled();
+        let txs = tied_trace();
+        let mut t = transport(&g, &txs, &tel);
+        t.seed(None, None);
+        lockstep(&mut t, &mut oracle(&txs), &path, 17);
+        assert!(t.payments.len() > 2);
+        match transport(&g, &txs[..2], &tel).decode(&t.encode()) {
+            Err(SnapshotError::Corrupt { what }) => assert!(what.contains("arrive by the end")),
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

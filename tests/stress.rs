@@ -402,6 +402,101 @@ fn tier3_sharded_ripple_1m_nodes_memory() {
     );
 }
 
+/// Median and quartiles of five or more samples.
+fn quartiles(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| samples[(q * (samples.len() - 1) as f64).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
+}
+
+/// Tier-3 timing sweep behind the sharded verdict (EXPERIMENTS.md, "The
+/// sharded verdict"): the inputs of `ripple100k-sharded2` and
+/// `ripple400-sharded1` (capacity 30 000, sender skew 16, seed 7) at one
+/// and four or more times their payment rate. Each cell runs one shard, two
+/// shards and the sequential engine on the same network and trace, five
+/// repetitions with the order rotated each time, and prints the quartiles
+/// of the three walls and of `speedup_2v1` (1-shard wall over 2-shard
+/// wall, paired by repetition). The 1- and 2-shard reports must be
+/// identical. Wall time needs quiet cores: run it alone, by name.
+#[test]
+#[ignore = "tier-3 timing sweep (1–3 minutes on 2 cores); run by name with --ignored --nocapture"]
+fn tier3_sharded_speedup_sweep() {
+    use spider::sim::{run_sharded, ShardScheme, ShardedConfig};
+    use spider::workload::SenderDistribution;
+    use std::time::Instant;
+    const REPS: usize = 5;
+    println!(
+        "host_online_cpus {}",
+        std::thread::available_parallelism().map_or(0, |n| n.get())
+    );
+    println!("| cell | payments / epoch | speedup_2v1 median (quartiles) | 1 shard | 2 shards | sequential |");
+    // `(nodes, shortest path rather than waterfilling, seconds, payments)`.
+    let sweeps: [(usize, bool, f64, &[usize]); 2] = [
+        (100_000, true, 10.0, &[1_000, 4_000, 16_000, 64_000]),
+        (400, false, 136.0, &[16_000, 64_000]),
+    ];
+    for (nodes, shortest_path, duration, rates) in sweeps {
+        let g = spider::topology::ripple_topology_scaled(nodes, Amount::from_whole(30_000), 7);
+        let partitions = [Partition::single(&g), Partition::build(&g, 2, 7)];
+        for &payments in rates {
+            let mut trace = TraceConfig::ripple_default(g.num_nodes(), payments, duration);
+            trace.seed = 7;
+            trace.senders = SenderDistribution::Exponential {
+                scale: g.num_nodes() as f64 / 16.0,
+            };
+            let txs = generate(&trace, &ripple_sizes());
+            let mut sharded = ShardedConfig::new(duration);
+            sharded.scheme = if shortest_path {
+                ShardScheme::ShortestPath
+            } else {
+                ShardScheme::Waterfilling
+            };
+            let sequential = SimConfig::new(duration);
+            // walls[0], walls[1]: one and two shards; walls[2]: sequential.
+            let mut walls: [Vec<f64>; 3] = Default::default();
+            let mut reports: [String; 2] = Default::default();
+            for rep in 0..REPS {
+                for k in 0..3 {
+                    let engine = (k + rep) % 3;
+                    let start = Instant::now();
+                    if engine == 2 {
+                        let report = if shortest_path {
+                            run(&g, &txs, &mut ShortestPathScheme::new(), &sequential)
+                        } else {
+                            run(&g, &txs, &mut WaterfillingScheme::new(), &sequential)
+                        };
+                        walls[2].push(start.elapsed().as_secs_f64());
+                        assert_sound(&report);
+                    } else {
+                        let report = run_sharded(&g, &txs, &partitions[engine], &sharded);
+                        walls[engine].push(start.elapsed().as_secs_f64());
+                        if rep == 0 {
+                            reports[engine] = serde_json::to_string(&report).expect("serializes");
+                        }
+                    }
+                }
+            }
+            assert_eq!(reports[0], reports[1], "1 and 2 shards diverged");
+            let speedup: Vec<f64> = walls[0].iter().zip(&walls[1]).map(|(a, b)| a / b).collect();
+            let [lo, mid, hi] = quartiles(speedup);
+            let [one, two, seq] = walls.map(|w| quartiles(w)[1]);
+            println!(
+            "| Ripple-{}, {}, {} pmts / {} s | {:.1} | {mid:.2} ({lo:.2}–{hi:.2}) | {one:.3} s | \
+             {two:.3} s | {seq:.3} s |",
+            nodes,
+            if shortest_path {
+                "shortest"
+            } else {
+                "waterfilling"
+            },
+            payments,
+            duration,
+            payments as f64 / (duration / 0.05),
+        );
+        }
+    }
+}
+
 /// Full tier-2 sharded soak: 10k nodes / 100k payments, run at 1 and 4
 /// shards — the two reports must be byte-identical and audit-clean.
 #[test]
