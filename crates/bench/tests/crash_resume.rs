@@ -236,10 +236,9 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     assert_structured_rejection(&empty, "empty-dir");
 }
 
-/// Walks a `SEC_CORE` section (SPSN v5, parts 1–4) to the first payment
-/// record that is pending with nothing delivered or in flight, and returns
-/// its byte offset and its payment index.
-fn first_unsent_payment(core: &[u8]) -> (usize, u64) {
+/// Walks a `SEC_CORE` section (SPSN v6, parts 1–4) and returns each
+/// payment record's byte offset with its `(delivered, inflight, status)`.
+fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
     let mut d = spider_core::Dec::new(core);
     let skip = |d: &mut spider_core::Dec, n: usize| {
         d.take_raw(n).expect("section ends early");
@@ -257,29 +256,29 @@ fn first_unsent_payment(core: &[u8]) -> (usize, u64) {
         skip(&mut d, argument);
     }
     skip(&mut d, 8); // next_seq
-    let payments = d.usize().expect("payment count") as u64;
-    for i in 0..payments {
-        let at = d.offset();
-        assert_eq!(d.u64().unwrap(), i, "record {i} is not payment {i}");
-        skip(&mut d, 4 + 4 + 8 + 8 + 8); // src, dst, amount, arrival, deadline
-        let (delivered, inflight, status) = (d.i64().unwrap(), d.i64().unwrap(), d.u8().unwrap());
-        if (delivered, inflight, status) == (0, 0, 0) {
-            return (at, i);
-        }
-        if d.u8().unwrap() == 1 {
-            skip(&mut d, 8); // completed_at
-        }
-    }
-    panic!("no pending payment with nothing sent among {payments}");
+    let payments = d.usize().expect("payment count");
+    (0..payments)
+        .map(|_| {
+            let at = d.offset();
+            let record = (d.i64().unwrap(), d.i64().unwrap(), d.u8().unwrap());
+            if d.u8().unwrap() == 1 {
+                skip(&mut d, 8); // completed_at
+            }
+            skip(&mut d, 4); // sent
+            (at, record)
+        })
+        .collect()
 }
 
-/// A snapshot whose payment record disagrees with the trace is refused
-/// with exit code 1. `resume` runs in a child process, so an abort fails
-/// this test rather than killing the harness: a record naming sender
-/// `u32::MAX` once made waterfilling allocate a row per node up to it
-/// (about 100 GB) and the process exit 134.
+/// A snapshot whose payment record cannot describe its trace row is
+/// refused with exit code 1. A v6 record holds no input, only what the run
+/// changed — `delivered: i64, inflight: i64, status: u8`, then the
+/// completion time and the units sent — so the cases are the values no run
+/// writes: value in flight above what is left of the amount, a negative
+/// delivered amount and an unknown status. `resume` runs in a child
+/// process, so an abort fails this test rather than killing the harness.
 #[test]
-fn snapshot_payments_that_disagree_with_the_trace_exit_one() {
+fn snapshot_payments_no_run_can_write_exit_one() {
     use spider_sim::snapshot::{decode_snapshot, encode_snapshot, SEC_CORE};
 
     let tmp = TempDir::new("rows");
@@ -300,33 +299,37 @@ fn snapshot_payments_that_disagree_with_the_trace_exit_one() {
     let snap =
         decode_snapshot(&read(&snaps.join("snap-000000001050.spsn"))).expect("a mid-run snapshot");
     let core = snap.section(SEC_CORE).expect("core section").to_vec();
-    let (at, payment) = first_unsent_payment(&core);
-    let amount = i64::from_le_bytes(core[at + 16..at + 24].try_into().unwrap());
+    let records = payment_records(&core);
+    // A completed payment delivered its whole amount, so one micro in
+    // flight is one above it; an unsent one has nothing either way.
+    let (completed, _) = *(records.iter())
+        .find(|(_, (_, inflight, status))| (*inflight, *status) == (0, 1))
+        .expect("a completed payment");
+    let (unsent, _) = *(records.iter())
+        .find(|(_, record)| *record == (0, 0, 0))
+        .expect("a pending payment with nothing sent");
 
-    let bump = |offset: usize| {
-        let mut field: [u8; 8] = core[at + offset..at + offset + 8].try_into().unwrap();
-        field[0] ^= 1;
-        field.to_vec()
-    };
-    // `(field, offset in the record, bytes written there)`.
+    // `(case, offset in the section, bytes written there)`.
     let cases = [
-        ("src", 8, u32::MAX.to_le_bytes().to_vec()),
-        ("id", 0, bump(0)),
-        ("dst", 12, u32::MAX.to_le_bytes().to_vec()),
-        ("amount", 16, (amount + 1).to_le_bytes().to_vec()),
-        ("arrival", 24, bump(24)),
-        ("deadline", 32, bump(32)),
-        ("inflight", 48, (amount + 1).to_le_bytes().to_vec()),
+        (
+            "inflight above the amount",
+            completed + 8,
+            1i64.to_le_bytes().to_vec(),
+        ),
+        ("negative delivered", unsent, (-1i64).to_le_bytes().to_vec()),
+        ("status byte 3", unsent + 16, vec![3]),
     ];
-    for (field, offset, value) in cases {
+    for (case, at, value) in cases {
         let mut sections = snap.sections.clone();
         for (_, bytes) in sections.iter_mut().filter(|(tag, _)| *tag == SEC_CORE) {
-            bytes[at + offset..at + offset + value.len()].copy_from_slice(&value);
+            bytes[at..at + value.len()].copy_from_slice(&value);
         }
-        let path = tmp.path().join(format!("payment-{payment}-{field}.spsn"));
+        let path = tmp
+            .path()
+            .join(format!("payment-{}.spsn", case.replace(' ', "-")));
         let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
         std::fs::write(&path, bytes).expect("write re-sealed snapshot");
-        assert_structured_rejection(&path, &format!("payment {payment} {field}"));
+        assert_structured_rejection(&path, case);
     }
 }
 

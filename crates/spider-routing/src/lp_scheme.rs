@@ -9,7 +9,9 @@
 
 use crate::paths::path_bottleneck;
 use crate::scheme::{RoutingScheme, SchemeKind, UnitDecision};
-use spider_core::{Amount, BalanceView, DemandMatrix, Network, NodeId, PairTable, Path};
+use spider_core::{
+    Amount, BalanceView, CoreError, Dec, DemandMatrix, Enc, Network, NodeId, PairTable, Path,
+};
 use spider_opt::fluid::FluidProblem;
 use spider_opt::primal_dual::{self, PrimalDualConfig};
 
@@ -122,6 +124,56 @@ impl RoutingScheme for LpScheme {
         }
         UnitDecision::Unavailable
     }
+
+    /// The deficit-round-robin credits, the one thing routing changes: a
+    /// `u64` plan count, then per plan in `(src, dst)` order a seq of its
+    /// paths' credits as `f64`s. The paths and weights are the LP solution,
+    /// which the resumed run solves again.
+    fn checkpoint_state(&self) -> Option<Vec<u8>> {
+        let mut e = Enc::new();
+        e.usize(self.plans.len());
+        for (_, _, plan) in self.plans.iter() {
+            e.seq(&plan.credits, |e, &c| e.f64(c));
+        }
+        Some(e.into_bytes())
+    }
+
+    /// Restores the credits [`checkpoint_state`](Self::checkpoint_state)
+    /// wrote. Bytes that do not match this scheme's plans — another plan or
+    /// path count, a non-finite credit, bytes past the end — are refused
+    /// before any credit changes.
+    fn restore_state(&mut self, _network: &Network, bytes: &[u8]) -> Result<(), CoreError> {
+        let refuse = |what: String| CoreError::Internal(format!("LP credits restore: {what}"));
+        let mut d = Dec::new(bytes);
+        let plans = d.usize().map_err(|e| refuse(e.to_string()))?;
+        if plans != self.plans.len() {
+            return Err(refuse(format!(
+                "{plans} plans, the scheme has {}",
+                self.plans.len()
+            )));
+        }
+        let mut credits = Vec::with_capacity(plans);
+        for (src, dst, plan) in self.plans.iter() {
+            let read = d.seq(|d| d.f64()).map_err(|e| refuse(e.to_string()))?;
+            if read.len() != plan.paths.len() || !read.iter().all(|c| c.is_finite()) {
+                return Err(refuse(format!(
+                    "pair ({}, {}): {} credits for {} paths, or one not finite",
+                    src.0,
+                    dst.0,
+                    read.len(),
+                    plan.paths.len()
+                )));
+            }
+            credits.push((src, dst, read));
+        }
+        d.expect_end().map_err(|e| refuse(e.to_string()))?;
+        for (src, dst, read) in credits {
+            if let Some(plan) = self.plans.get_mut(src, dst) {
+                plan.credits = read;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +273,61 @@ mod tests {
             (295..=305).contains(&count1),
             "expected ~300/400 on the 3-weight path, got {count1}"
         );
+    }
+
+    /// A scheme restored from a checkpoint routes the next units exactly as
+    /// the one that wrote it, and bytes for other plans are refused.
+    #[test]
+    fn credits_survive_a_checkpoint_and_foreign_bytes_are_refused() {
+        let mut g = Network::new(4);
+        for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+            g.add_channel(NodeId(a), NodeId(b), Amount::from_whole(1000))
+                .unwrap();
+        }
+        let p1 = Path::new(&g, vec![NodeId(0), NodeId(1), NodeId(3)]).unwrap();
+        let p2 = Path::new(&g, vec![NodeId(0), NodeId(2), NodeId(3)]).unwrap();
+        let build = || LpScheme::from_flows(&[p1.clone(), p2.clone()], &[3.0, 1.0]);
+        let next = |s: &mut LpScheme| match s.route_unit(&g, &g, NodeId(0), NodeId(3), Amount::ONE)
+        {
+            UnitDecision::Route(p) => p.nodes().to_vec(),
+            other => panic!("{other:?}"),
+        };
+        let mut straight = build();
+        for _ in 0..5 {
+            next(&mut straight);
+        }
+        let bytes = straight.checkpoint_state().unwrap();
+        let mut resumed = build();
+        resumed.restore_state(&g, &bytes).unwrap();
+        for _ in 0..8 {
+            assert_eq!(next(&mut resumed), next(&mut straight));
+        }
+
+        let credits = |values: &[f64]| {
+            let mut e = Enc::new();
+            e.usize(1);
+            e.seq(values, |e, &c| e.f64(c));
+            e.into_bytes()
+        };
+        let mut padded = bytes.clone();
+        padded.push(0);
+        for (label, bad) in [
+            ("no plan", vec![0; 8]),
+            ("one path", credits(&[0.5])),
+            ("three paths", credits(&[0.5, 0.5, 0.5])),
+            ("nan", credits(&[0.5, f64::NAN])),
+            ("infinite", credits(&[f64::INFINITY, 0.5])),
+            ("padded", padded),
+            ("empty", Vec::new()),
+        ] {
+            let mut scheme = build();
+            assert!(scheme.restore_state(&g, &bad).is_err(), "{label}");
+            assert_eq!(
+                scheme.checkpoint_state(),
+                build().checkpoint_state(),
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! overhead argument the paper makes.
 
 use crate::scheme::{RoutingScheme, SchemeKind};
-use spider_core::{Amount, BalanceView, Network, NodeId, Path};
+use spider_core::{Amount, BalanceView, CoreError, Dec, Enc, Network, NodeId, Path};
 use spider_opt::maxflow::MaxFlowSolver;
 
 /// The atomic max-flow routing scheme.
@@ -73,6 +73,28 @@ impl RoutingScheme for MaxFlowScheme {
             ("routing.maxflow.queries", self.queries),
             ("routing.maxflow.augmenting_paths", self.augmenting_paths),
         ]
+    }
+
+    /// The two work counters, `queries` then `augmenting_paths`, as `u64`s.
+    fn checkpoint_state(&self) -> Option<Vec<u8>> {
+        let mut e = Enc::new();
+        e.u64(self.queries);
+        e.u64(self.augmenting_paths);
+        Some(e.into_bytes())
+    }
+
+    fn restore_state(&mut self, _network: &Network, bytes: &[u8]) -> Result<(), CoreError> {
+        let mut d = Dec::new(bytes);
+        let counters = (d.u64(), d.u64(), d.expect_end());
+        let (Ok(queries), Ok(augmenting_paths), Ok(())) = counters else {
+            return Err(CoreError::Internal(format!(
+                "max-flow counters restore: {} bytes, not two u64s",
+                bytes.len()
+            )));
+        };
+        self.queries = queries;
+        self.augmenting_paths = augmenting_paths;
+        Ok(())
     }
 }
 
@@ -146,6 +168,21 @@ mod tests {
         let stats = s.telemetry_stats();
         assert_eq!(stats[0], ("routing.maxflow.queries", 2));
         assert!(stats[1].1 >= 3, "two queries push >= 3 augmenting paths");
+    }
+
+    #[test]
+    fn counters_survive_a_checkpoint() {
+        let g = diamond();
+        let mut s = MaxFlowScheme::new();
+        s.route_payment(&g, &g, NodeId(0), NodeId(3), Amount::from_whole(8))
+            .unwrap();
+        let bytes = s.checkpoint_state().unwrap();
+        let mut resumed = MaxFlowScheme::new();
+        resumed.restore_state(&g, &bytes).unwrap();
+        assert_eq!(resumed.telemetry_stats(), s.telemetry_stats());
+        for bad in [&[][..], &bytes[..15], &[bytes.clone(), vec![0]].concat()] {
+            assert!(MaxFlowScheme::new().restore_state(&g, bad).is_err());
+        }
     }
 
     #[test]

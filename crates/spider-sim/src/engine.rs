@@ -409,8 +409,8 @@ fn run_source_queued(
 /// Sends as many transaction units of one pending payment as the scheme and
 /// balances allow right now. Under fault injection the scheme routes
 /// against a masked view (downed + blacklisted channels read as empty), a
-/// retry backoff gates the whole pump, and each sent unit draws its fate
-/// (deliver / drop / grief) from the seeded fault stream.
+/// retry backoff gates the whole pump, and each sent unit is dealt its fate
+/// (deliver / drop / grief) by the fate rule both engines share.
 fn pump_payment(
     t: &mut Transport,
     scheme: &mut dyn RoutingScheme,
@@ -481,7 +481,10 @@ fn pump_payment(
         }
         tel.span_items(Phase::UnitDispatch, 1);
         let fate = match t.faults.as_mut() {
-            Some(fr) => fr.state.unit_fate(&path),
+            Some(fr) => {
+                let (config, stats) = (&fr.state.config, &mut fr.state.stats);
+                config.unit_fate(tx.id.0, t.payments[idx].sent, &path, stats)
+            }
             None => UnitFate::Deliver { jitter: 0.0 },
         };
         let (hops, num_hops) = (path.hops(), path.len());
@@ -621,9 +624,7 @@ fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: Channel
                 return record_release(&mut t.release_violations, now, "rebalance-deposit", &e)
             }
         };
-    t.rebalance_stats.transactions += 1;
-    t.rebalance_stats.moved_volume += tokens(taken);
-    t.rebalance_stats.fees_paid += tokens(fee_paid);
+    t.rebalance.add((taken, fee_paid));
     t.tel.emit(|| TraceEvent::RebalanceApplied {
         t: now,
         channel: channel.index() as u32,
@@ -936,10 +937,6 @@ fn fingerprint(
     e.bool(config.telemetry.is_enabled());
     e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
     e.str(config.policy.name());
-    // Two retired switches (the per-tick success series and AMP), both
-    // always off; their bytes keep every fingerprint what it was.
-    e.bool(false);
-    e.bool(false);
     e.bool(config.audit);
     e.opt(config.rebalance.as_ref().map(|p| {
         |e: &mut Enc| {

@@ -37,10 +37,10 @@
 //! (a grief hold) waits in a sparse map until the ring reaches it.
 //!
 //! **Fates.** A unit's fate (delivered with jitter, dropped, or griefed) is
-//! dealt at send time by the continuous-time engine's rule
-//! (`FaultConfig::unit_fate`) from the unit's own [`SplitMix64`], seeded by
-//! `(fault seed, payment, unit)`: a shared stream's draw order would depend
-//! on the partition. The final hop's lock turns it into epochs.
+//! dealt at send time by the rule both engines call
+//! (`FaultConfig::unit_fate`), a pure function of `(fault seed, payment,
+//! unit)`: a shared stream's draw order would depend on the partition. The
+//! final hop's lock turns it into epochs.
 //!
 //! **Partition independence** is the engine's defining property: handlers
 //! touch only state they own, cross-shard reads go through the frozen
@@ -80,11 +80,11 @@
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
 use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
-use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, SplitMix64, UnitFate};
+use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentStatus};
-use crate::rebalancer::{RebalancePolicy, RebalanceStats};
+use crate::rebalancer::{RebalancePolicy, RebalanceTotals};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
@@ -301,16 +301,7 @@ impl UnitInfo {
         deadline_epoch: u64,
     ) -> UnitInfo {
         let fate = match cfg.faults.as_ref() {
-            Some(plan) => {
-                let mut rng = SplitMix64::new(
-                    plan.config.seed
-                        ^ payment.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        ^ (u64::from(seq) << 20)
-                        ^ 0xd1b5_4a32_d192_ed03,
-                );
-                let _ = rng.next_u64(); // decorrelate the seed mix
-                plan.config.unit_fate(&mut rng, &path, stats)
-            }
+            Some(plan) => plan.config.unit_fate(payment, seq, &path, stats),
             None => UnitFate::Deliver { jitter: 0.0 },
         };
         let hop_amounts = (cfg.fees.as_ref()).and_then(|fees| fees.hop_amounts(&path, amount));
@@ -770,10 +761,8 @@ struct ShardCtx<'a> {
     /// Scheduled corrections `(apply epoch, channel)`; appended in check
     /// order, which is naturally sorted by apply epoch.
     rebalance_applies: Vec<(u64, u32)>,
-    // Rebalancing totals over owned channels, in exact micros.
-    rebal_transactions: u64,
-    rebal_moved_micros: i64,
-    rebal_fees_micros: i64,
+    /// Corrections applied to owned channels.
+    rebalance: RebalanceTotals,
     #[cfg(test)]
     order_log: tests::OrderLog,
 }
@@ -880,9 +869,7 @@ impl<'a> ShardCtx<'a> {
             routing_fees_micros: 0,
             rebalance_pending: vec![false; network.num_channels()],
             rebalance_applies: Vec::new(),
-            rebal_transactions: 0,
-            rebal_moved_micros: 0,
-            rebal_fees_micros: 0,
+            rebalance: RebalanceTotals::default(),
             #[cfg(test)]
             order_log: tests::OrderLog::default(),
         }
@@ -1272,9 +1259,7 @@ impl<'a> ShardCtx<'a> {
                         continue;
                     }
                 };
-            self.rebal_transactions += 1;
-            self.rebal_moved_micros = self.rebal_moved_micros.saturating_add(taken.micros());
-            self.rebal_fees_micros = self.rebal_fees_micros.saturating_add(fee_paid.micros());
+            self.rebalance.add((taken, fee_paid));
             self.dirty.push(cidx);
             self.emit(
                 epoch,
@@ -2026,16 +2011,8 @@ fn merge_outputs(
     let routing_fees_paid = tokens(Amount::from_micros(
         outputs.iter().map(|o| o.routing_fees_micros).sum(),
     ));
-    let rebal_transactions: u64 = outputs.iter().map(|o| o.rebal_transactions).sum();
-    let rebalance = RebalanceStats {
-        transactions: rebal_transactions as usize,
-        moved_volume: tokens(Amount::from_micros(
-            outputs.iter().map(|o| o.rebal_moved_micros).sum(),
-        )),
-        fees_paid: tokens(Amount::from_micros(
-            outputs.iter().map(|o| o.rebal_fees_micros).sum(),
-        )),
-    };
+    let rebalance =
+        (outputs.iter().map(|o| o.rebalance)).fold(Default::default(), RebalanceTotals::merge);
 
     let policy = match config.policy {
         ShardPolicy::Direct => "epoch-bsp".to_string(),
@@ -2045,13 +2022,13 @@ fn merge_outputs(
     SimReport {
         units_sent: outputs.iter().map(|o| o.metrics.units_sent).sum(),
         final_mean_imbalance: final_ledger.mean_imbalance(),
-        rebalance,
+        rebalance: rebalance.stats(),
         routing_fees_paid,
         // One audited pass per epoch, plus the final check, plus one check
         // per applied rebalance — a property of the run, not of how many
         // shards audited their own copy.
         audit_checks: if config.audit {
-            clock.end_epoch + 1 + rebal_transactions
+            clock.end_epoch + 1 + rebalance.transactions
         } else {
             0
         },

@@ -12,8 +12,7 @@
 //!   of [`FaultEvent`]s for one run, built either from the seeded process
 //!   (SplitMix64, no wall clock) or scripted directly;
 //! - [`FaultState`] — the runtime mask consumed by the engines: per-channel
-//!   down-cause counts, per-node liveness, the per-unit fate RNG, and
-//!   [`FaultStats`];
+//!   down-cause counts, per-node liveness, and [`FaultStats`];
 //! - [`FaultView`] — a [`BalanceView`] wrapper that reports zero spendable
 //!   balance on downed or blacklisted channels, so every routing scheme's
 //!   existing path machinery avoids dead channels without modification.
@@ -71,18 +70,6 @@ impl SplitMix64 {
         debug_assert!(n > 0);
         (self.next_u64() % n as u64) as usize
     }
-
-    /// The raw generator state, for checkpointing.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// A generator resumed at a previously captured raw state. Unlike
-    /// [`new`](Self::new), the argument is the internal counter itself, not
-    /// a seed: `from_state(g.state())` continues `g`'s stream exactly.
-    pub fn from_state(state: u64) -> Self {
-        SplitMix64 { state }
-    }
 }
 
 /// Sender-side recovery policy: exponential backoff with a per-payment
@@ -133,7 +120,7 @@ impl RetryPolicy {
 /// - `node_churn_rate` — probability that each node crashes once during
 ///   the run;
 /// - `unit_drop_prob` / `grief_prob` — per-unit probabilities, drawn at
-///   send time from the seeded stream;
+///   send time from the unit's own seeded generator;
 /// - `settle_jitter` — maximum extra settlement delay per unit (uniform
 ///   in `[0, settle_jitter]`).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -279,16 +266,29 @@ impl FaultConfig {
         Some(cfg)
     }
 
-    /// The one rule for a unit's fate, shared by both engines: draws it for
-    /// a unit on `path` from `rng` and counts it in `stats`. One roll picks
-    /// the fate; a drop then draws its hop and detection point, a delivery
-    /// its jitter when jitter is on.
+    /// The one rule for a unit's fate, shared by both engines: deals unit
+    /// `seq` of the payment with id `payment`, sent on `path`, its fate and
+    /// counts it in `stats`. The fate is a pure function of `(seed, payment,
+    /// seq)` and the path — no stream is shared between units, so neither
+    /// the send order nor the partition can shift it, and a checkpoint has
+    /// no generator to store. The unit's own generator is seeded by mixing
+    /// the three (one discarded draw decorrelates the mix); then one roll
+    /// picks the fate, a drop draws its hop and detection point, and a
+    /// delivery its jitter when jitter is on.
     pub(crate) fn unit_fate(
         &self,
-        rng: &mut SplitMix64,
+        payment: u64,
+        seq: u32,
         path: &Path,
         stats: &mut FaultStats,
     ) -> UnitFate {
+        let mut rng = SplitMix64::new(
+            self.seed
+                ^ payment.wrapping_mul(SplitMix64::GAMMA)
+                ^ (u64::from(seq) << 20)
+                ^ 0xd1b5_4a32_d192_ed03,
+        );
+        let _ = rng.next_u64();
         let roll = rng.next_f64();
         if roll < self.unit_drop_prob {
             let hop_index = rng.next_below(path.hops().len().max(1));
@@ -468,15 +468,15 @@ pub enum UnitFate {
 /// Runtime fault mask consumed by the engines.
 ///
 /// Tracks why each channel is down (a direct outage and each downed
-/// endpoint are independent causes), which nodes are down, and owns the
-/// per-unit fate RNG. Single-threaded, consumed strictly in event order,
-/// so runs are deterministic.
+/// endpoint are independent causes) and which nodes are down.
+/// Single-threaded, consumed strictly in event order, so runs are
+/// deterministic. Unit fates need no state here: each is a pure function
+/// of the unit ([`FaultConfig`]'s fate rule).
 #[derive(Clone, Debug)]
 pub struct FaultState {
     /// Per-channel count of active down-causes (outage + downed endpoints).
     down_causes: Vec<u8>,
     node_down: Vec<bool>,
-    rng: SplitMix64,
     /// The plan's config: the per-unit odds and the retry policy.
     pub(crate) config: FaultConfig,
     /// Run statistics.
@@ -484,14 +484,11 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Fresh state for `network` from `plan`'s config. The fate RNG is
-    /// decoupled from the schedule stream so adding scripted events never
-    /// shifts unit fates.
+    /// Fresh state for `network` from `plan`'s config.
     pub fn new(plan: &FaultPlan, network: &Network) -> Self {
         FaultState {
             down_causes: vec![0; network.num_channels()],
             node_down: vec![false; network.num_nodes()],
-            rng: SplitMix64::new(plan.config.seed ^ 0xd1b5_4a32_d192_ed03),
             config: plan.config.clone(),
             stats: FaultStats::default(),
         }
@@ -554,25 +551,18 @@ impl FaultState {
         newly_down
     }
 
-    /// Draws the fate of one freshly sent unit on `path` from the run's
-    /// stream, so fates depend only on the send sequence.
-    pub fn unit_fate(&mut self, path: &Path) -> UnitFate {
-        self.config.unit_fate(&mut self.rng, path, &mut self.stats)
-    }
-
     /// `true` if any hop of `path` is currently down.
     pub fn path_blocked(&self, path: &Path) -> bool {
         path.hops().iter().any(|&(c, _)| self.is_channel_down(c))
     }
 
-    /// Captures the mutable runtime — down-cause counts, node liveness,
-    /// fate-RNG position, and stats — for a checkpoint. The config is not
-    /// captured: a restore starts from a state built for the same plan.
+    /// Captures the mutable runtime — down-cause counts, node liveness and
+    /// stats — for a checkpoint. The config is not captured: a restore
+    /// starts from a state built for the same plan.
     pub fn export_state(&self) -> FaultStateSnapshot {
         FaultStateSnapshot {
             down_causes: self.down_causes.clone(),
             node_down: self.node_down.clone(),
-            rng_state: self.rng.state(),
             stats: self.stats,
         }
     }
@@ -597,7 +587,6 @@ impl FaultState {
         }
         self.down_causes = snap.down_causes;
         self.node_down = snap.node_down;
-        self.rng = SplitMix64::from_state(snap.rng_state);
         self.stats = snap.stats;
         Ok(())
     }
@@ -612,8 +601,6 @@ pub struct FaultStateSnapshot {
     pub down_causes: Vec<u8>,
     /// Per-node crashed flag.
     pub node_down: Vec<bool>,
-    /// Raw SplitMix64 state of the per-unit fate RNG.
-    pub rng_state: u64,
     /// Run statistics so far.
     pub stats: FaultStats,
 }
@@ -821,18 +808,26 @@ mod tests {
             settle_jitter: 0.5,
             ..FaultConfig::default()
         };
-        let plan = FaultPlan::scripted(Vec::new(), cfg);
-        let mut st = FaultState::new(&plan, &g);
+        let mut stats = FaultStats::default();
         let (mut drops, mut griefs, mut delivers) = (0u32, 0u32, 0u32);
-        for _ in 0..2000 {
-            match st.unit_fate(&path) {
+        // Units of one payment and first units of many payments alike.
+        let units = (0..1000)
+            .map(|seq| (7, seq))
+            .chain((0..1000).map(|id| (id, 0)));
+        for (payment, seq) in units {
+            let fate = cfg.unit_fate(payment, seq, &path, &mut stats);
+            assert_eq!(
+                fate,
+                cfg.unit_fate(payment, seq, &path, &mut FaultStats::default())
+            );
+            match fate {
                 UnitFate::Drop { at_frac, hop_index } => {
                     assert!((0.0..1.0).contains(&at_frac));
                     assert!(hop_index < path.hops().len());
                     drops += 1;
                 }
                 UnitFate::Grief { hold } => {
-                    assert_eq!(hold, plan.config.grief_hold);
+                    assert_eq!(hold, cfg.grief_hold);
                     griefs += 1;
                 }
                 UnitFate::Deliver { jitter } => {
@@ -844,8 +839,8 @@ mod tests {
         assert!((500..700).contains(&drops), "drops {drops}");
         assert!((300..500).contains(&griefs), "griefs {griefs}");
         assert!(delivers > 800);
-        assert_eq!(st.stats.units_dropped as u32, drops);
-        assert_eq!(st.stats.units_griefed as u32, griefs);
+        assert_eq!(stats.units_dropped as u32, drops);
+        assert_eq!(stats.units_griefed as u32, griefs);
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub struct PaymentState {
     pub status: PaymentStatus,
     /// Completion time, once completed.
     pub completed_at: Option<f64>,
+    /// Units sent so far. Unit `sent` is the next one, and what it is
+    /// dealt under fault injection is a function of that number (the fate
+    /// rule in [`crate::faults`]).
+    pub sent: u32,
 }
 
 impl PaymentState {
@@ -36,6 +40,7 @@ impl PaymentState {
         inflight: Amount::ZERO,
         status: PaymentStatus::Pending,
         completed_at: None,
+        sent: 0,
     };
 
     /// Value of a payment of `amount` not yet sent (neither delivered nor
@@ -68,7 +73,8 @@ mod tests {
     }
 
     /// One record per payment of the run, all kept to the end: the inputs
-    /// stay in the trace, so the record is what a run changes and no more.
+    /// stay in the trace, so the record is what a run changes and no more
+    /// (37 bytes of fields, padded to 40).
     #[test]
     fn payment_record_is_40_bytes() {
         assert_eq!(std::mem::size_of::<PaymentState>(), 40);

@@ -10,7 +10,7 @@
 //! for why routing should avoid needing it.
 
 use crate::audit::LedgerAudit;
-use crate::ledger::Ledger;
+use crate::ledger::{tokens, Ledger};
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, ChannelId, CoreError, Network};
 
@@ -139,6 +139,43 @@ pub struct RebalanceStats {
     pub moved_volume: f64,
     /// Total miner fees burned (tokens).
     pub fees_paid: f64,
+}
+
+/// The applied corrections both engines count: exact micro-unit sums,
+/// converted to the reported [`RebalanceStats`] once, at the end of a run.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub(crate) struct RebalanceTotals {
+    pub(crate) transactions: u64,
+    pub(crate) moved: Amount,
+    pub(crate) fees: Amount,
+}
+
+impl RebalanceTotals {
+    /// Counts one applied correction that withdrew `taken` and burned `fee`
+    /// (what [`RebalancePolicy::apply`] returns).
+    pub(crate) fn add(&mut self, (taken, fee): (Amount, Amount)) {
+        self.transactions += 1;
+        self.moved = self.moved.saturating_add(taken);
+        self.fees = self.fees.saturating_add(fee);
+    }
+
+    /// The sum of two partial totals (the sharded engine's shards).
+    pub(crate) fn merge(self, other: RebalanceTotals) -> RebalanceTotals {
+        RebalanceTotals {
+            transactions: self.transactions + other.transactions,
+            moved: self.moved.saturating_add(other.moved),
+            fees: self.fees.saturating_add(other.fees),
+        }
+    }
+
+    /// The report's view, in tokens.
+    pub(crate) fn stats(self) -> RebalanceStats {
+        RebalanceStats {
+            transactions: self.transactions as usize,
+            moved_volume: tokens(self.moved),
+            fees_paid: tokens(self.fees),
+        }
+    }
 }
 
 #[cfg(test)]

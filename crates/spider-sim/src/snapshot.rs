@@ -59,15 +59,16 @@ use std::path::{Path, PathBuf};
 /// v5: a snapshot carries only what resume needs. The event log in
 /// [`SEC_TELEMETRY`] is embedded as `SPBT` bytes (`encode_telemetry`)
 /// instead of a JSON string, and [`SEC_CORE`] stores only the units still
-/// live, by slab index, plus the count of units ever sent.
-///
-/// Within v5 the router-queued and the sharded engine stopped
-/// checkpointing: their engine bytes (2, 3) and the sharded layout are
-/// retired, and every file the one remaining engine writes kept its bytes.
-/// Later the success-series and AMP parts of [`SEC_CORE`] became always
-/// empty, as every program's snapshots already wrote them; a non-empty one
-/// is refused.
-pub const FORMAT_VERSION: u8 = 5;
+/// live, by slab index, plus the count of units ever sent. Within v5 the
+/// router-queued and the sharded engine stopped checkpointing: their engine
+/// bytes (2, 3) and the sharded layout are retired.
+/// v6: [`SEC_CORE`] stores only what the inputs cannot say. Pending
+/// arrivals are the trace cursor, not queue entries; a payment record holds
+/// what the run changed, not its trace row; unit fates are a pure function
+/// of the unit, so no generator state is stored; the always-empty parts
+/// (success series, AMP holds, router queues and their statistics) are gone;
+/// and the rebalancing totals are exact micro-units.
+pub const FORMAT_VERSION: u8 = 6;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -91,7 +92,7 @@ pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
 
-/// Every section tag a v5 file may carry, each at most once. Decoding
+/// Every section tag a v6 file may carry, each at most once. Decoding
 /// refuses any other tag (tag 4, retired in v4, included) as `Corrupt`.
 const SECTION_TAGS: [u32; 3] = [SEC_CORE, SEC_SCHEME, SEC_TELEMETRY];
 
@@ -569,12 +570,11 @@ pub(crate) fn dec_status(d: &mut Dec) -> Result<PaymentStatus, SnapshotError> {
 }
 
 /// A fault mask: down-cause bytes (length-prefixed), node-down seq of
-/// `bool`, RNG state `u64`, stats json.
+/// `bool`, stats json.
 pub(crate) fn enc_fault_state(e: &mut Enc, state: &FaultState) {
     let snap = state.export_state();
     e.bytes(&snap.down_causes);
     e.seq(&snap.node_down, |e, &b| e.bool(b));
-    e.u64(snap.rng_state);
     enc_json(e, &snap.stats);
 }
 
@@ -584,7 +584,6 @@ pub(crate) fn dec_fault_state(d: &mut Dec, state: &mut FaultState) -> Result<(),
     let snap = FaultStateSnapshot {
         down_causes: d.bytes()?.to_vec(),
         node_down: d.seq(|d| d.bool())?,
-        rng_state: d.u64()?,
         stats: dec_json(d)?,
     };
     state.restore_state(snap).or_else(corrupt)
@@ -980,7 +979,7 @@ mod tests {
         assert_eq!(decode_telemetry(&bytes).unwrap(), None);
     }
 
-    /// A telemetry section in the v5 layout: `counters` as `(name, label)`,
+    /// A telemetry section in the v6 layout: `counters` as `(name, label)`,
     /// `gauges` gauge entries, and one histogram under `histogram`.
     fn telemetry_section(
         counters: &[(&str, &str)],

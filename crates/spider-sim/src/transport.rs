@@ -47,7 +47,7 @@ use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView};
 use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{unit_count, PaymentState, PaymentStatus};
-use crate::rebalancer::RebalanceStats;
+use crate::rebalancer::RebalanceTotals;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
     self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
@@ -426,7 +426,7 @@ pub(crate) struct Transport<'a> {
     next_sample: f64,
     pub(crate) congestion: Option<CongestionControl>,
     pub(crate) rebalance_pending: Vec<bool>,
-    pub(crate) rebalance_stats: RebalanceStats,
+    pub(crate) rebalance: RebalanceTotals,
     pub(crate) router: RouterQueues,
 }
 
@@ -488,7 +488,7 @@ impl<'a> Transport<'a> {
             next_sample: tel.sample_interval().unwrap_or(f64::INFINITY),
             congestion: None,
             rebalance_pending: vec![false; network.num_channels()],
-            rebalance_stats: RebalanceStats::default(),
+            rebalance: RebalanceTotals::default(),
             router: RouterQueues::default(),
         }
     }
@@ -648,7 +648,8 @@ impl<'a> Transport<'a> {
     }
 
     /// Records a unit whose first `locked` hops the caller has just locked
-    /// in the ledger, and returns its slab index.
+    /// in the ledger, and returns its slab index. It is unit
+    /// `payments[idx].sent` of its payment, counted here.
     pub(crate) fn send(
         &mut self,
         idx: usize,
@@ -659,6 +660,7 @@ impl<'a> Transport<'a> {
     ) -> usize {
         let p = &mut self.payments[idx];
         p.inflight = p.inflight.saturating_add(amount);
+        p.sent += 1;
         self.units_sent += 1;
         self.tel.emit(|| TraceEvent::UnitSent {
             t: now,
@@ -963,7 +965,7 @@ impl<'a> Transport<'a> {
         SimReport {
             units_sent: self.units_sent,
             final_mean_imbalance: self.ledger.mean_imbalance(),
-            rebalance: self.rebalance_stats,
+            rebalance: self.rebalance.stats(),
             routing_fees_paid: tokens(self.routing_fees_paid),
             audit_checks,
             audit_violations,
@@ -997,22 +999,12 @@ fn enc_event(e: &mut Enc, event: &Event) {
     e.usize(index);
 }
 
-/// Reads the count of a retired part, an always-empty seq; any other count
-/// is `Corrupt`.
-fn dec_retired(d: &mut Dec, what: &str) -> Result<(), SnapshotError> {
-    match d.usize()? {
-        0 => Ok(()),
-        n => corrupt(format!("{n} {what} where the part is always empty")),
-    }
-}
-
-/// Decodes an event, bounds-checking the channel and node ids it names.
-/// Transaction and unit indices are checked by the caller, which knows the
-/// trace and the number of units sent.
+/// Decodes a queued event, bounds-checking the channel and node ids it
+/// names. Unit indices are checked by the caller, which knows the number of
+/// units sent. Tags 0 (arrival) and 1 (hop-arrive) are refused: no section
+/// holds either (see [`Transport::encode`], part 3).
 fn dec_event(d: &mut Dec, network: &Network) -> Result<Event, SnapshotError> {
     Ok(match d.u8()? {
-        0 => Event::Arrival(d.usize()?),
-        1 => Event::HopArrive { unit: d.usize()? },
         2 => Event::Settle { unit: d.usize()? },
         3 => Event::FaultExpire { unit: d.usize()? },
         4 => Event::Fault(dec_fault_event(d, network)?),
@@ -1025,43 +1017,24 @@ fn dec_event(d: &mut Dec, network: &Network) -> Result<Event, SnapshotError> {
                 "rebalance of channel",
             )?),
         },
-        other => return corrupt(format!("event tag {other}")),
+        other => return corrupt(format!("queued event tag {other}")),
     })
 }
 
-/// Writes a payment record: its inputs from trace row `tx`, due at
-/// `deadline`, then what the run changed.
-fn enc_payment(e: &mut Enc, tx: &Transaction, deadline: f64, p: &PaymentState) {
-    e.u64(tx.id.0);
-    e.u32(tx.src.0);
-    e.u32(tx.dst.0);
-    e.i64(tx.amount.micros());
-    e.f64(tx.arrival);
-    e.f64(deadline);
+/// Writes what the run changed about a payment.
+fn enc_payment(e: &mut Enc, p: &PaymentState) {
     e.i64(p.delivered.micros());
     e.i64(p.inflight.micros());
     snapshot::enc_status(e, p.status);
     e.opt(p.completed_at.map(|t| move |e: &mut Enc| e.f64(t)));
+    e.u32(p.sent);
 }
 
-/// Reads payment `i`'s record. Its inputs must be trace row `tx`, due at
-/// `deadline`, bit for bit; they are checked and dropped, never used. What
-/// it delivered and holds in flight must be a split of the row's amount.
-fn dec_payment(
-    d: &mut Dec,
-    i: usize,
-    tx: &Transaction,
-    deadline: f64,
-) -> Result<PaymentState, SnapshotError> {
-    let (id, src, dst, amount) = (d.u64()?, d.u32()?, d.u32()?, d.i64()?);
-    let (arrival, due) = (d.f64()?, d.f64()?);
-    if (id, src, dst, amount) != (tx.id.0, tx.src.0, tx.dst.0, tx.amount.micros())
-        || arrival.to_bits() != tx.arrival.to_bits()
-        || due.to_bits() != deadline.to_bits()
-    {
-        return corrupt(format!("payment {i} is not trace row {i}"));
-    }
+/// Reads payment `i`'s record; its inputs are trace row `tx`. What it
+/// delivered and holds in flight must be a split of the row's amount.
+fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, SnapshotError> {
     let (delivered, inflight) = (d.i64()?, d.i64()?);
+    let amount = tx.amount.micros();
     if delivered < 0 || inflight < 0 || delivered.checked_add(inflight).is_none_or(|v| v > amount) {
         return corrupt(format!(
             "payment {i} delivered {delivered} and holds {inflight} of {amount} micros"
@@ -1072,6 +1045,7 @@ fn dec_payment(
         inflight: Amount::from_micros(inflight),
         status: snapshot::dec_status(d)?,
         completed_at: d.opt(|d| d.f64())?,
+        sent: d.u32()?,
     })
 }
 
@@ -1122,40 +1096,37 @@ fn enc_sample(e: &mut Enc, s: &NetworkSample) {
 
 impl Transport<'_> {
     /// Encodes the `SEC_CORE` section of an [`ENGINE_SEQ`](snapshot::ENGINE_SEQ)
-    /// snapshot. Integers are little-endian; `usize` travels as `u64`; a
-    /// *seq* is a `u64` count followed by that many items; an *opt* is a
-    /// presence byte (0/1) followed by the value when 1; *json* is a
-    /// length-prefixed UTF-8 JSON string. In order:
+    /// snapshot (SPSN v6): the run state that neither the inputs — the trace,
+    /// the fault plan, the config — nor the other sections can say.
+    /// Integers are little-endian; `usize` travels as `u64`; a *seq* is a
+    /// `u64` count followed by that many items; an *opt* is a presence byte
+    /// (0/1) followed by the value when 1; *json* is a length-prefixed UTF-8
+    /// JSON string. In order:
     ///
     /// 1. `ticks: u64`.
     /// 2. Ledger — seq of channels, each four `i64` micro-amounts
     ///    (`Ledger::export_channel`).
     /// 3. Event queue — seq of `(time: f64, seq: u64, event)` in pop order,
     ///    then `next_seq: u64`. An event is a tag byte and its argument:
-    ///    0 arrival (transaction index), 1 hop-arrive, 2 settle,
-    ///    3 fault-expire (unit index each), 4 fault (tag byte 0–3 for
-    ///    channel-down/up, node-down/up, then the `u32` id), 5 tick,
-    ///    6 rebalance-check, 7 rebalance-apply (channel index).
-    ///    Pending arrivals are not resident as queue entries — they are the
-    ///    trace cursor (see [`pop`](Self::pop)) — and are encoded merged
-    ///    into the list, as what one queue holding them would pop. So the
-    ///    arrival entries are always the transactions `i` in
-    ///    `first..arrivals_end` (`arrivals_end`: how many arrive by
-    ///    `end_time`) with `seq == i` and `time ==` the trace's arrival,
-    ///    in that order, where `first` is the number of payments; every
-    ///    other entry and `next_seq` are at least `arrivals_end`. The
-    ///    decoder refuses anything else, and any event naming a unit at or
-    ///    past `total` (part 5), a channel or node the network lacks.
-    /// 4. Payments — seq of `id: u64, src: u32, dst: u32, amount: i64,
-    ///    arrival: f64, deadline: f64, delivered: i64, inflight: i64,
-    ///    status: u8` (0 pending, 1 completed, 2 abandoned),
-    ///    `completed_at: opt f64`; then the pending list, a seq of `usize`.
-    ///    Record `i` is payment `i`, and its first six fields are trace row
-    ///    `i` with `deadline = arrival + window`: the encoder writes them
-    ///    from the row. The decoder refuses more records than arrive by
-    ///    `end_time`, any record whose six fields are not its row bit for
-    ///    bit, and a negative `delivered` or `inflight` or a sum of the two
-    ///    above the row's amount.
+    ///    2 settle, 3 fault-expire (unit index each), 4 fault (tag byte 0–3
+    ///    for channel-down/up, node-down/up, then the `u32` id), 5 tick,
+    ///    6 rebalance-check, 7 rebalance-apply (channel index). Pending
+    ///    arrivals are not stored: they are the trace cursor (see
+    ///    [`pop`](Self::pop)), which resume sets to the number of payments
+    ///    (part 4), and they hold the seqs below `arrivals_end` (how many
+    ///    transactions arrive by `end_time`). The decoder refuses tag 0
+    ///    (arrival), tag 1 (hop-arrive: only the router-queued driver
+    ///    schedules one, and it never checkpoints), any seq or `next_seq`
+    ///    below `arrivals_end`, and any event naming a unit at or past
+    ///    `total` (part 5) or a channel or node the network lacks.
+    /// 4. Payments — seq of `delivered: i64, inflight: i64, status: u8`
+    ///    (0 pending, 1 completed, 2 abandoned), `completed_at: opt f64`,
+    ///    `sent: u32` (units sent, which numbers the next unit's fate); then
+    ///    the pending list, a seq of `usize`. Record `i` is payment `i`,
+    ///    whose inputs are trace row `i` and are not stored. The decoder
+    ///    refuses more records than arrive by `end_time`, and a negative
+    ///    `delivered` or `inflight` or a sum of the two above the row's
+    ///    amount.
     /// 5. Units — `total: usize`, the number ever sent (slab indices run
     ///    `0..total`), then a seq of the units still live (`locked > 0`) in
     ///    index order, each `index: usize, payment: usize`, path (seq of
@@ -1171,27 +1142,20 @@ impl Transport<'_> {
     ///    their deadline enforced), then the retry backoffs, a sorted seq of
     ///    `(time: f64, payment: usize)`.
     /// 7. Fault runtime — opt: down-cause bytes (length-prefixed),
-    ///    node-down seq of `bool`, RNG state `u64`, stats json, blacklist
-    ///    expiries seq of `f64`, per-payment fail counts seq of `u32` and
-    ///    retry-not-before times seq of `f64`.
+    ///    node-down seq of `bool`, stats json, blacklist expiries seq of
+    ///    `f64`, per-payment fail counts seq of `u32` and retry-not-before
+    ///    times seq of `f64`. Unit fates need no generator state: each is a
+    ///    pure function of the plan's seed, the payment and the unit.
     /// 8. Audit state — opt json; release violations — json.
     /// 9. `routing_fees_paid: i64`, `units_sent: u64`.
-    /// 10. An empty seq (the retired success series; a non-empty one is
-    ///     refused); network samples — seq of `t, mean_imbalance,
-    ///     total_inflight: f64, pending, max_queue_depth: u32`;
-    ///     `next_sample: f64`.
+    /// 10. Network samples — seq of `t, mean_imbalance, total_inflight: f64,
+    ///     pending, max_queue_depth: u32`; `next_sample: f64`.
     /// 11. Congestion windows — opt seq of `src: u32, dst: u32, window: f64,
     ///     outstanding: u32`.
     /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
-    ///     usize, moved_volume: f64, fees_paid: f64`.
-    /// 13. An empty seq (the retired AMP holds; a non-empty one is refused).
-    /// 14. Router queues — an empty seq (a non-empty one is refused), then
-    ///     `units_queued, units_dropped, max_queue_len: usize, total_wait:
-    ///     f64, dequeues: usize`, all zero: units queue at the source in
-    ///     every run that checkpoints.
-    ///
-    /// The retired parts keep their place, so the layout is still SPSN v5.
+    ///     u64, moved: i64, fees: i64` (micro-units).
     fn encode(&self) -> Vec<u8> {
+        debug_assert!(self.router.queues.is_empty(), "a router-queued checkpoint");
         let mut e = Enc::new();
         e.u64(self.ticks);
         e.usize(self.network.num_channels());
@@ -1200,30 +1164,13 @@ impl Transport<'_> {
                 e.i64(v);
             }
         }
-        // The arrivals merge in by `pop`'s rule: an entry queued at the
-        // same time as an arrival was queued after it.
-        let queued = self.queue.entries();
-        let arrivals = self.next_arrival..self.arrivals_end;
-        e.usize(queued.len() + arrivals.len());
-        let mut queued = queued.into_iter().peekable();
-        let enc_entry = |e: &mut Enc, (t, seq, event): (f64, u64, &Event)| {
+        e.seq(&self.queue.entries(), |e, &(t, seq, event)| {
             e.f64(t);
             e.u64(seq);
             enc_event(e, event);
-        };
-        for i in arrivals {
-            let at = self.transactions[i].arrival;
-            while let Some(entry) = queued.next_if(|&(t, _, _)| t < at) {
-                enc_entry(&mut e, entry);
-            }
-            enc_entry(&mut e, (at, i as u64, &Event::Arrival(i)));
-        }
-        queued.for_each(|entry| enc_entry(&mut e, entry));
+        });
         e.u64(self.queue.next_seq());
-        e.usize(self.payments.len());
-        for (i, p) in self.payments.iter().enumerate() {
-            enc_payment(&mut e, self.row(i), self.deadline(i), p);
-        }
+        e.seq(&self.payments, enc_payment);
         e.seq(&self.pending, |e, &i| e.usize(i));
         e.usize(self.units.len());
         let live: Vec<(usize, &Unit)> = self.units.iter_live().collect();
@@ -1253,7 +1200,6 @@ impl Transport<'_> {
         snapshot::enc_json(&mut e, &self.release_violations);
         e.i64(self.routing_fees_paid.micros());
         e.u64(self.units_sent);
-        e.usize(0);
         e.seq(&self.network_series, enc_sample);
         e.f64(self.next_sample);
         e.opt(self.congestion.as_ref().map(|cc| {
@@ -1267,17 +1213,9 @@ impl Transport<'_> {
             }
         }));
         e.seq(&self.rebalance_pending, |e, &b| e.bool(b));
-        e.usize(self.rebalance_stats.transactions);
-        e.f64(self.rebalance_stats.moved_volume);
-        e.f64(self.rebalance_stats.fees_paid);
-        e.usize(0);
-        debug_assert!(self.router.queues.is_empty(), "a router-queued checkpoint");
-        e.usize(0);
-        e.usize(self.router.stats.units_queued);
-        e.usize(self.router.stats.units_dropped);
-        e.usize(self.router.stats.max_queue_len);
-        e.f64(self.router.total_wait);
-        e.usize(self.router.dequeues);
+        e.u64(self.rebalance.transactions);
+        e.i64(self.rebalance.moved.micros());
+        e.i64(self.rebalance.fees.micros());
         e.into_bytes()
     }
 
@@ -1312,7 +1250,7 @@ impl Transport<'_> {
             ));
         }
         self.payments = (0..num_payments)
-            .map(|i| dec_payment(&mut d, i, self.row(i), self.deadline(i)))
+            .map(|i| dec_payment(&mut d, i, self.row(i)))
             .collect::<Result<_, _>>()?;
         self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
         let num_units = d.usize()?;
@@ -1329,7 +1267,8 @@ impl Transport<'_> {
             }
             Ok((index, unit))
         })?;
-        self.restore_queue(entries, next_seq, num_payments, num_units)?;
+        self.restore_queue(entries, next_seq, num_units)?;
+        self.next_arrival = num_payments;
         self.next_deadline = dec_index(&mut d, num_payments + 1, "deadline cursor at payment")?;
         self.retries = dec_seq(&mut d, |d| {
             let time = Time::new(dec_time(d, "retry")?);
@@ -1364,7 +1303,6 @@ impl Transport<'_> {
             ));
         }
         self.units.restore(num_units, live, network)?;
-        dec_retired(&mut d, "success-series points")?;
         self.network_series = d.seq(|d| {
             Ok(NetworkSample {
                 t: d.f64()?,
@@ -1386,73 +1324,40 @@ impl Transport<'_> {
         if self.rebalance_pending.len() != num_channels {
             return corrupt("rebalance flags do not cover every channel".to_string());
         }
-        self.rebalance_stats = RebalanceStats {
-            transactions: d.usize()?,
-            moved_volume: d.f64()?,
-            fees_paid: d.f64()?,
+        self.rebalance = RebalanceTotals {
+            transactions: d.u64()?,
+            moved: Amount::from_micros(d.i64()?),
+            fees: Amount::from_micros(d.i64()?),
         };
-        dec_retired(&mut d, "AMP hold lists")?;
-        dec_retired(&mut d, "router queues")?;
-        self.router.stats = QueueStats {
-            units_queued: d.usize()?,
-            units_dropped: d.usize()?,
-            max_queue_len: d.usize()?,
-            mean_wait: 0.0,
-        };
-        self.router.total_wait = d.f64()?;
-        self.router.dequeues = d.usize()?;
         d.expect_end()?;
         Ok(())
     }
 
-    /// Restores part 3: the arrival entries become the trace cursor, the
-    /// rest go back on the queue with their original sequence numbers,
-    /// which restores the exact drain order. Refuses what `encode` cannot
-    /// have written (see its part 3).
+    /// Restores part 3: every entry goes back on the queue with its
+    /// original sequence number, which restores the exact drain order.
+    /// Refuses what `encode` cannot have written (see its part 3).
     fn restore_queue(
         &mut self,
         entries: Vec<(f64, u64, Event)>,
         next_seq: u64,
-        num_payments: usize,
         num_units: usize,
     ) -> Result<(), SnapshotError> {
-        let end = self.arrivals_end;
-        let mut arrival = num_payments;
+        let end = self.arrivals_end as u64;
         for (t, seq, event) in entries {
             match event {
-                Event::Arrival(i) => {
-                    let expected = (arrival < end).then(|| self.transactions[arrival].arrival);
-                    if i != arrival || seq != i as u64 || expected != Some(t) {
-                        return corrupt(format!(
-                            "queued arrival of transaction {i} (seq {seq}, at {t}) where \
-                             transaction {arrival} of {end} arriving by the end was due"
-                        ));
-                    }
-                    arrival += 1;
-                }
-                Event::HopArrive { unit }
-                | Event::Settle { unit }
-                | Event::FaultExpire { unit }
-                    if unit >= num_units =>
-                {
+                Event::Settle { unit } | Event::FaultExpire { unit } if unit >= num_units => {
                     return corrupt(format!("queued event names unit {unit} of {num_units}"));
                 }
-                _ if seq < end as u64 => {
+                _ if seq < end => {
                     return corrupt(format!("queued event seq {seq} within the {end} arrivals"));
                 }
                 event => self.queue.push_with_seq(t, seq, event),
             }
         }
-        if arrival != end {
-            return corrupt(format!(
-                "arrivals {arrival}..{end} are due but not queued ({num_payments} arrived)"
-            ));
-        }
-        if next_seq < end as u64 {
+        if next_seq < end {
             return corrupt(format!("next seq {next_seq} within the {end} arrivals"));
         }
         self.queue.set_next_seq(next_seq);
-        self.next_arrival = num_payments;
         Ok(())
     }
 }
@@ -1755,29 +1660,6 @@ mod tests {
     }
 
     #[test]
-    fn router_queues_in_a_core_section_are_corrupt() {
-        let (g, path) = one_hop();
-        let tel = Telemetry::disabled();
-        let txs = tied_trace();
-        let mut t = transport(&g, &txs, &tel);
-        t.seed(None, None);
-        lockstep(&mut t, &mut oracle(&txs), &path, 9);
-        let mut bytes = t.encode();
-        // Part 14 ends the section: the queue count, then four `usize`
-        // statistics and one `f64`.
-        let at = bytes.len() - 6 * 8;
-        assert_eq!(bytes[at..at + 8], [0; 8]);
-        bytes[at] = 1;
-        match transport(&g, &txs, &tel).decode(&bytes) {
-            Err(SnapshotError::Corrupt { what }) => assert!(what.contains("router queues")),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    /// Record `i` is read against trace row `i`, so a section with more
-    /// payments than the decoding run has arrivals is refused before any
-    /// row past them is looked up.
-    #[test]
     fn payments_past_the_arrivals_window_are_corrupt() {
         let (g, path) = one_hop();
         let tel = Telemetry::disabled();
@@ -1789,33 +1671,6 @@ mod tests {
         match transport(&g, &txs[..2], &tel).decode(&t.encode()) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("arrive by the end")),
             other => panic!("expected Corrupt, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn retired_series_and_amp_parts_in_a_core_section_are_corrupt() {
-        let (g, path) = one_hop();
-        let tel = Telemetry::disabled();
-        let txs = tied_trace();
-        let mut t = transport(&g, &txs, &tel);
-        t.seed(None, None);
-        lockstep(&mut t, &mut oracle(&txs), &path, 9);
-        let bytes = t.encode();
-        // From the end: part 14 (six 8-byte fields), part 13's count, the
-        // rebalance totals (three), the one channel's rebalance flag seq,
-        // the absent congestion windows, `next_sample`, the empty network
-        // samples; part 10's count follows part 9's `units_sent`.
-        let amp = bytes.len() - 7 * 8;
-        let series = amp - (3 * 8 + (8 + 1) + 1 + 8 + 8 + 8);
-        assert_eq!(bytes[series - 8..series], t.units_sent.to_le_bytes());
-        for (at, part) in [(series, "success-series"), (amp, "AMP")] {
-            assert_eq!(bytes[at..at + 8], [0; 8], "{part}: an empty seq");
-            let mut forged = bytes.clone();
-            forged[at] = 1;
-            match transport(&g, &txs, &tel).decode(&forged) {
-                Err(SnapshotError::Corrupt { what }) => assert!(what.contains(part), "{what}"),
-                other => panic!("{part}: expected Corrupt, got {other:?}"),
-            }
         }
     }
 

@@ -60,6 +60,9 @@ enum Scheme {
     Waterfilling,
     ShortestPath,
     Prices,
+    MaxFlow,
+    /// Spider (LP) as solved for the scenario; each run starts from a copy.
+    Lp(spider::routing::LpScheme),
 }
 
 fn make_scheme(which: &Scheme) -> Box<dyn RoutingScheme> {
@@ -72,6 +75,8 @@ fn make_scheme(which: &Scheme) -> Box<dyn RoutingScheme> {
                 ..Default::default()
             },
         )),
+        Scheme::MaxFlow => Box::new(spider::routing::MaxFlowScheme::new()),
+        Scheme::Lp(lp) => Box::new(lp.clone()),
     }
 }
 
@@ -204,6 +209,42 @@ fn price_scheme_resume_is_byte_identical() {
     );
 }
 
+/// Max-flow keeps two work counters that the report lists; before they
+/// were checkpointed, a resumed run reported only what it counted itself.
+#[test]
+fn max_flow_resume_is_byte_identical() {
+    let (network, txs) = isp_scenario(13, 250);
+    let mut cfg = full_config(18.0);
+    cfg.telemetry = Telemetry::enabled();
+    assert_resume_equivalence(&network, &txs, &cfg, &Scheme::MaxFlow, 50, "maxflow");
+}
+
+/// Spider (LP) spreads a pair's units over its paths by deficit round
+/// robin, and every routed unit moves the credits; before they were
+/// checkpointed, a resumed run restarted them at zero and chose other paths.
+#[test]
+fn spider_lp_resume_is_byte_identical() {
+    use spider::opt::primal_dual::PrimalDualConfig;
+    let (network, txs) = isp_scenario(19, 250);
+    let demand = spider::workload::demand_matrix(&txs, 0.0, 15.0);
+    let (paths, demand) = spider_bench::lp_candidate_paths(&network, &demand);
+    let config = PrimalDualConfig {
+        max_iters: 500,
+        ..Default::default()
+    };
+    let lp =
+        spider::routing::LpScheme::solve_decentralized(&network, &demand, &paths, 0.5, &config);
+    assert!(lp.active_pairs() > 0, "the LP routes nothing");
+    assert_resume_equivalence(
+        &network,
+        &txs,
+        &full_config(18.0),
+        &Scheme::Lp(lp),
+        50,
+        "lp",
+    );
+}
+
 #[test]
 fn resume_under_active_fault_plan_is_byte_identical() {
     let (network, txs) = isp_scenario(3, 300);
@@ -228,7 +269,7 @@ fn resume_with_congestion_rebalance_and_fees_is_byte_identical() {
 }
 
 /// What a sequential-engine `SEC_CORE` section says about units, read by
-/// the layout documented on `Transport::encode`.
+/// the SPSN v6 layout documented on `Transport::encode`.
 struct CoreUnits {
     /// Units ever sent: slab indices run `0..total`.
     total: usize,
@@ -236,7 +277,7 @@ struct CoreUnits {
     live: Vec<usize>,
     /// Bytes of the units part (`total`, the live count, the live records).
     bytes: usize,
-    /// Units named by queued hop-arrive, settle and fault-expire events.
+    /// Units named by queued settle and fault-expire events.
     event_units: Vec<usize>,
     /// Each queued event's tag and the section offset of its argument
     /// (for a fault event, of its own tag byte, which the `u32` id follows).
@@ -260,18 +301,20 @@ impl CoreUnits {
             let tag = d.u8().expect("event tag");
             events.push((tag, d.offset()));
             match tag {
-                1..=3 => event_units.push(d.usize().expect("event unit")),
-                0 | 7 => drop(d.usize().expect("event argument")),
+                2 | 3 => event_units.push(d.usize().expect("event unit")),
+                7 => drop(d.usize().expect("event argument")),
                 4 => drop(d.take_raw(1 + 4).expect("fault event")),
-                _ => {}
+                5 | 6 => {}
+                other => panic!("a v6 section queues no event with tag {other}"),
             }
         }
         d.u64().expect("next sequence number");
         let payments = d.usize().expect("payments");
         for _ in 0..payments {
-            d.take_raw(8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1)
-                .expect("payment");
+            // delivered, inflight, status; completed_at; sent.
+            d.take_raw(8 + 8 + 1).expect("payment");
             d.opt(|d| d.f64()).expect("completion time");
+            d.u32().expect("units sent");
         }
         let pending = d.usize().expect("pending list");
         d.take_raw(pending * 8).expect("pending payments");
@@ -373,12 +416,13 @@ fn core_section_is_bounded_by_live_units_not_units_sent() {
     );
 }
 
-/// A CRC-valid snapshot whose event queue names a transaction, unit,
-/// channel or node out of range: the drivers index the trace, the unit slab,
-/// the rebalance flags and the fault mask with these, so resume must refuse
-/// them as `Corrupt` before the run starts. One case per kind the decoder
-/// reads. Only the router-queued driver schedules a hop-arrive, and it does
-/// not checkpoint, so that case is a queued settle re-tagged as one.
+/// A CRC-valid snapshot whose event queue names a unit, channel or node out
+/// of range: the drivers index the unit slab, the rebalance flags and the
+/// fault mask with these, so resume must refuse them as `Corrupt` before the
+/// run starts. One case per kind the decoder reads, plus the two events a
+/// v6 section never queues — an arrival (arrivals are the trace cursor) and
+/// a hop-arrive (only the router-queued driver schedules one, and it does
+/// not checkpoint) — each a queued settle re-tagged as one.
 #[test]
 fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
     use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
@@ -395,10 +439,10 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
     // (what, tag of the event found, tag it is forged into, fault tag,
     // out-of-range value; `None` is the snapshot's unit total, the first
     // index no unit has)
-    let (trace, channels) = (txs.len() as u64 + 5, network.num_channels() as u64);
+    let channels = network.num_channels() as u64;
     let cases = [
-        ("arrival past the trace", 0, 0, None, Some(trace)),
-        ("hop-arrive", 2, 1, None, None),
+        ("arrival", 2, 0, None, Some(0)),
+        ("hop-arrive", 2, 1, None, Some(0)),
         ("settle", 2, 2, None, None),
         ("fault-expire", 3, 3, None, None),
         ("rebalance-apply", 7, 7, None, Some(channels)),
@@ -597,7 +641,7 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
 /// checksum: the core state, the scheme state and the telemetry section
 /// (metrics registry and the event log as SPBT) may not drift while
-/// `snapshot::FORMAT_VERSION` stays 5. Captured on commit e52b665 with this
+/// `snapshot::FORMAT_VERSION` stays 6. Captured at the v6 bump with this
 /// `full_config`.
 #[test]
 fn sequential_telemetry_snapshot_bytes_are_pinned() {
@@ -609,7 +653,7 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let spec = CheckpointSpec::new(20, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     let pinned = [
-        0xf6270d2e, 0x9f88bea6, 0x14835ad3, 0x11859047, 0x7e359bd1, 0x95293a6f, 0x1b67c87c,
+        0x6fba0a11, 0x30e2c5f2, 0x93500c10, 0xa0104762, 0x84a541e3, 0xbf55734f, 0x614a2605,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
 }
@@ -884,15 +928,16 @@ fn damaged_snapshots_are_rejected_not_panicked() {
         let _ = try_resume(&flipped, &format!("flip-{pos}"));
     }
 
-    // Any other format version, future or stale: a v4 file (whole unit
-    // table, JSON event log) must not be parsed with the v5 layout.
-    for version in [0xFF, 2, 3, 4] {
+    // Any other format version, future or stale: a v5 file (queued
+    // arrivals, payment records with their trace row) must not be parsed
+    // with the v6 layout.
+    for version in [0xFF, 2, 3, 4, 5] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {
             SnapshotError::UnsupportedVersion {
                 found,
-                supported: 5,
+                supported: 6,
             } if found == version => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

@@ -11,7 +11,8 @@
 //! - **exactly the same** per-payment outcome, delivered amount, settled
 //!   unit count, `units_sent`, report volumes and final balances on a
 //!   workload where no lock is ever refused, so timing cannot change an
-//!   outcome;
+//!   outcome — and the same fault counts when units are dropped in flight,
+//!   because both engines deal a unit's fate by one rule;
 //! - **the same success metrics within a measured tolerance** under
 //!   contention, tight once both serve their senders in the same order
 //!   (EXPERIMENTS.md, "Cross-engine agreement");
@@ -20,7 +21,9 @@
 
 use spider_bench::{ExperimentConfig, ShardFeatures};
 use spider_routing::{RoutingScheme, ShortestPathScheme, WaterfillingScheme};
-use spider_sim::{run, run_sharded, SchedulePolicy, ShardScheme, SimReport};
+use spider_sim::{
+    run, run_sharded, FaultConfig, FaultPlan, SchedulePolicy, ShardScheme, SimReport,
+};
 use spider_telemetry::{Telemetry, TraceEvent};
 use spider_topology::Partition;
 use std::collections::BTreeMap;
@@ -64,6 +67,12 @@ fn outcomes(tel: &Telemetry) -> Outcomes {
 /// moves, and the window outlasts the last arrival by ten seconds, so every
 /// unit is sent at arrival, locks at once and settles. Only *when* differs
 /// between the engines, and nothing compared here records a time.
+///
+/// A second pass drops units in flight (5 %, no retry, no outages): each
+/// drop abandons its payment in both engines, so the outcomes, volumes and
+/// fault counts agree only if both engines dealt every unit the same fate —
+/// the fate rule is a function of `(seed, payment, unit)`, not of an order
+/// the engines would have to share.
 #[test]
 fn contention_free_runs_agree_exactly() {
     let exp = ExperimentConfig {
@@ -75,43 +84,65 @@ fn contention_free_runs_agree_exactly() {
     let network = exp.network();
     let trace = exp.trace(&network);
     let end_time = exp.duration + 10.0;
+    let drops = FaultConfig {
+        unit_drop_prob: 0.05,
+        retry: None,
+        ..FaultConfig::default()
+    };
 
-    let seq_tel = Telemetry::enabled();
-    let mut sim = exp.sim_config();
-    sim.end_time = end_time;
-    sim.telemetry = seq_tel.clone();
-    let seq = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
-    assert_eq!(seq.attempted, trace.len());
-    assert_eq!(seq.completed, seq.attempted, "the workload must be easy");
-    let seq_outcomes = outcomes(&seq_tel);
-    assert_eq!(seq_outcomes.len(), trace.len());
-
-    for shards in [1, 4] {
-        let tel = Telemetry::enabled();
-        let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
-        cfg.end_time = end_time;
-        cfg.telemetry = tel.clone();
-        let partition = Partition::build(&network, shards, exp.seed);
-        let sharded = run_sharded(&network, &trace, &partition, &cfg);
-        assert_eq!(sharded.completed, seq.completed, "{shards} shards");
-        assert_eq!(sharded.units_sent, seq.units_sent, "{shards} shards");
-        for (what, par, seq) in [
-            ("attempted", sharded.attempted_volume, seq.attempted_volume),
-            ("delivered", sharded.delivered_volume, seq.delivered_volume),
-            ("completed", sharded.completed_volume, seq.completed_volume),
-        ] {
-            assert_eq!(
-                par.to_bits(),
-                seq.to_bits(),
-                "{shards} shards: {what} volume {par} vs {seq}"
-            );
+    for faults in [None, Some(drops)] {
+        let plan = (faults.as_ref()).map(|f| FaultPlan::from_config(f, &network, end_time));
+        let pass = if plan.is_some() { "drops" } else { "no faults" };
+        let seq_tel = Telemetry::enabled();
+        let mut sim = exp.sim_config();
+        sim.end_time = end_time;
+        sim.telemetry = seq_tel.clone();
+        sim.faults = plan.clone();
+        let seq = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
+        assert_eq!(seq.attempted, trace.len());
+        match &seq.faults {
+            None => assert_eq!(seq.completed, seq.attempted, "the workload must be easy"),
+            Some(stats) => {
+                assert!(stats.units_dropped > 0, "no unit was dropped");
+                assert_eq!(
+                    stats.payments_failed,
+                    (seq.attempted - seq.completed) as u64
+                );
+            }
         }
-        assert_eq!(
-            sharded.final_mean_imbalance.to_bits(),
-            seq.final_mean_imbalance.to_bits(),
-            "{shards} shards: the final balances differ"
-        );
-        assert_eq!(outcomes(&tel), seq_outcomes, "{shards} shards");
+        let seq_outcomes = outcomes(&seq_tel);
+        assert_eq!(seq_outcomes.len(), trace.len());
+
+        for shards in [1, 4] {
+            let tel = Telemetry::enabled();
+            let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
+            cfg.end_time = end_time;
+            cfg.telemetry = tel.clone();
+            cfg.faults = plan.clone();
+            let partition = Partition::build(&network, shards, exp.seed);
+            let sharded = run_sharded(&network, &trace, &partition, &cfg);
+            let at = format!("{pass}, {shards} shards");
+            assert_eq!(sharded.completed, seq.completed, "{at}");
+            assert_eq!(sharded.units_sent, seq.units_sent, "{at}");
+            assert_eq!(sharded.faults, seq.faults, "{at}");
+            for (what, par, seq) in [
+                ("attempted", sharded.attempted_volume, seq.attempted_volume),
+                ("delivered", sharded.delivered_volume, seq.delivered_volume),
+                ("completed", sharded.completed_volume, seq.completed_volume),
+            ] {
+                assert_eq!(
+                    par.to_bits(),
+                    seq.to_bits(),
+                    "{at}: {what} volume {par} vs {seq}"
+                );
+            }
+            assert_eq!(
+                sharded.final_mean_imbalance.to_bits(),
+                seq.final_mean_imbalance.to_bits(),
+                "{at}: the final balances differ"
+            );
+            assert_eq!(outcomes(&tel), seq_outcomes, "{at}");
+        }
     }
 }
 

@@ -119,7 +119,10 @@ fn the_topologies_and_traces_are_pinned() {
 
 /// The grid's seeds: each cell's workload seed (`derive_cell_seed`, the
 /// indexed SplitMix64 stream) and the fault seed derived from it, pinned
-/// through the fault counters of one stress cell.
+/// through the fault counters of one stress cell — the outage, recovery
+/// and crash counts through the plan's schedule, the unit counts through
+/// the fate rule, which deals each unit its fate from `(seed, payment,
+/// unit)`.
 #[test]
 fn the_grid_cell_and_fault_seeds_are_pinned() {
     let seeds: Vec<u64> = (0..4)
@@ -155,9 +158,9 @@ fn the_grid_cell_and_fault_seeds_are_pinned() {
         serde_json::to_string(&stats).expect("serializes"),
         concat!(
             r#"{"outages":84,"recoveries":63,"node_crashes":3,"#,
-            r#""units_refunded_by_outage":510,"units_dropped":179,"#,
-            r#""units_jittered":8909,"units_griefed":97,"retries":271,"#,
-            r#""blacklistings":280,"payments_failed":9}"#
+            r#""units_refunded_by_outage":512,"units_dropped":178,"#,
+            r#""units_jittered":8907,"units_griefed":98,"retries":283,"#,
+            r#""blacklistings":291,"payments_failed":8}"#
         ),
         "fault counters of the 1-trial stress grid's waterfilling cell"
     );
