@@ -236,7 +236,7 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     assert_structured_rejection(&empty, "empty-dir");
 }
 
-/// Walks a `SEC_CORE` section (SPSN v6, parts 1–4) and returns each
+/// Walks a `SEC_CORE` section (SPSN v7, parts 1–4) and returns each
 /// payment record's byte offset with its `(delivered, inflight, status)`.
 fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
     let mut d = spider_core::Dec::new(core);
@@ -262,7 +262,7 @@ fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
             let at = d.offset();
             let record = (d.i64().unwrap(), d.i64().unwrap(), d.u8().unwrap());
             if d.u8().unwrap() == 1 {
-                skip(&mut d, 8); // completed_at
+                skip(&mut d, 8); // delay
             }
             skip(&mut d, 4); // sent
             (at, record)
@@ -271,12 +271,14 @@ fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
 }
 
 /// A snapshot whose payment record cannot describe its trace row is
-/// refused with exit code 1. A v6 record holds no input, only what the run
+/// refused with exit code 1. A v7 record holds no input, only what the run
 /// changed — `delivered: i64, inflight: i64, status: u8`, then the
-/// completion time and the units sent — so the cases are the values no run
-/// writes: value in flight above what is left of the amount, a negative
-/// delivered amount and an unknown status. `resume` runs in a child
-/// process, so an abort fails this test rather than killing the harness.
+/// completion delay (a presence byte and an `f64`) and the units sent — so
+/// the cases are the values no run writes: value in flight above what is
+/// left of the amount, a negative delivered amount, an unknown status, a
+/// NaN delay, a delay on a pending payment and a completed payment without
+/// one. `resume` runs in a child process, so an abort fails this test
+/// rather than killing the harness.
 #[test]
 fn snapshot_payments_no_run_can_write_exit_one() {
     use spider_sim::snapshot::{decode_snapshot, encode_snapshot, SEC_CORE};
@@ -309,20 +311,41 @@ fn snapshot_payments_no_run_can_write_exit_one() {
         .find(|(_, record)| *record == (0, 0, 0))
         .expect("a pending payment with nothing sent");
 
-    // `(case, offset in the section, bytes written there)`.
+    // `(case, section bytes replaced, what replaces them)`. A completed
+    // record's status byte is at +16, its delay's presence byte at +17 and
+    // the delay at +18.
     let cases = [
         (
             "inflight above the amount",
-            completed + 8,
+            completed + 8..completed + 16,
             1i64.to_le_bytes().to_vec(),
         ),
-        ("negative delivered", unsent, (-1i64).to_le_bytes().to_vec()),
-        ("status byte 3", unsent + 16, vec![3]),
+        (
+            "negative delivered",
+            unsent..unsent + 8,
+            (-1i64).to_le_bytes().to_vec(),
+        ),
+        ("status byte 3", unsent + 16..unsent + 17, vec![3]),
+        (
+            "NaN delay",
+            completed + 18..completed + 26,
+            f64::NAN.to_le_bytes().to_vec(),
+        ),
+        (
+            "delay while pending",
+            completed + 16..completed + 17,
+            vec![0],
+        ),
+        (
+            "completed without delay",
+            completed + 17..completed + 26,
+            vec![0],
+        ),
     ];
-    for (case, at, value) in cases {
+    for (case, range, value) in cases {
         let mut sections = snap.sections.clone();
         for (_, bytes) in sections.iter_mut().filter(|(tag, _)| *tag == SEC_CORE) {
-            bytes[at..at + value.len()].copy_from_slice(&value);
+            bytes.splice(range.clone(), value.iter().copied());
         }
         let path = tmp
             .path()

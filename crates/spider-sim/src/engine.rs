@@ -35,11 +35,11 @@ use crate::congestion::{CongestionConfig, CongestionControl};
 use crate::faults::{FaultEvent, FaultPlan, UnitFate};
 use crate::ledger::{sender_side, tokens, HopAmounts};
 use crate::metrics::SimReport;
-use crate::payment::PaymentStatus;
+use crate::payment::{FailCause, PaymentStatus};
 use crate::rebalancer::RebalancePolicy;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
-use crate::transport::{record_release, Event, RouterQueues, Transport, UnitFault};
+use crate::transport::{record_release, Event, RouterQueues, Transport};
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, Amount, ChannelId, Enc, Network, Path};
 use spider_routing::{fees::FeeSchedule, waterfilling, PathCache, PathStrategy};
@@ -339,12 +339,12 @@ fn run_source_queued(
                 }
                 let _span = event_span(tel, Phase::FaultProcessing, now);
                 // Only units created with a fate have a FaultExpire.
-                let Some(fault) = t.units[unit].fault else {
+                let Some(cause) = t.units[unit].fault else {
                     continue;
                 };
                 let idx = t.units[unit].payment();
-                if let Some(blamed) = t.expire(unit, fault, now) {
-                    sender_reaction(&mut t, idx, blamed, now, split);
+                if t.fail(unit, cause, now) {
+                    sender_reaction(&mut t, idx, cause.blamed(), now, split);
                 }
                 t.audit_check(now, "fault-expire");
             }
@@ -354,7 +354,7 @@ fn run_source_queued(
                 if !down.is_empty() {
                     for (unit, blamed) in t.units_crossing(&down) {
                         let idx = t.units[unit].payment();
-                        if t.refund_for_outage(unit, now) {
+                        if t.fail(unit, FailCause::Outage(blamed), now) {
                             sender_reaction(&mut t, idx, blamed, now, split);
                         }
                     }
@@ -491,11 +491,11 @@ fn pump_payment(
         let (fault, fire_at) = match fate {
             UnitFate::Deliver { jitter } => (None, now + config.delta + jitter),
             UnitFate::Drop { at_frac, hop_index } => (
-                Some(UnitFault::Dropped(hops[hop_index.min(num_hops - 1)].0)),
+                Some(FailCause::Dropped(hops[hop_index.min(num_hops - 1)].0)),
                 now + at_frac * config.delta,
             ),
             UnitFate::Grief { hold } => (
-                Some(UnitFault::Griefed(hops[num_hops - 1].0)),
+                Some(FailCause::Griefed(hops[num_hops - 1].0)),
                 now + config.delta + hold,
             ),
         };
@@ -703,8 +703,8 @@ pub fn run_queued(
                 if !down.is_empty() {
                     // The sender simply re-sends the refunded value: router
                     // queues, not retries, are what absorbs an outage here.
-                    for (unit, _) in t.units_crossing(&down) {
-                        t.refund_for_outage(unit, now);
+                    for (unit, blamed) in t.units_crossing(&down) {
+                        t.fail(unit, FailCause::Outage(blamed), now);
                         t.router.stats.units_dropped += 1;
                     }
                     // Purge the refunded units from the queues so they
@@ -898,7 +898,9 @@ fn sweep_expired(t: &mut Transport, now: f64) {
 /// value returns to the payment's "remaining", so the source can resend it
 /// (until the payment's own deadline).
 fn drop_unit(t: &mut Transport, unit: usize, now: f64) {
-    t.refund(unit, now, "queued-drop");
+    let u = &t.units[unit];
+    let (next_hop, _) = u.path.hops()[u.locked as usize];
+    t.fail(unit, FailCause::Liquidity(next_hop), now);
     t.router.stats.units_dropped += 1;
 }
 

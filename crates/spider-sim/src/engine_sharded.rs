@@ -50,7 +50,7 @@
 //! shard count — `tests/shard_equivalence.rs` locks this down against
 //! shard counts {1, 2, 4, 7}.
 //!
-//! The sharded engine supports the full sequential feature set: the core
+//! The sharded engine supports the sequential feature set: the core
 //! packet-switched loop (waterfilling / shortest-path routing, deadlines,
 //! fault injection with sender retry, auditing, telemetry) plus the
 //! extensions that used to be sequential-engine-only, each mapped onto an
@@ -73,6 +73,10 @@
 //!   owns, publishing the new balances through the ordinary dirty-balance
 //!   exchange.
 //!
+//! One fault behaves differently. A channel that goes down only refuses new
+//! locks here, so a unit already holding a lock across it still settles;
+//! the continuous-time engine refunds that unit (ROADMAP, divergence 8).
+//!
 //! The engine does not checkpoint: snapshots and resume belong to the
 //! continuous-time engine ([`crate::engine::run_checkpointed`]), the one
 //! that reproduces the paper's figures.
@@ -83,7 +87,7 @@ use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
 use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
-use crate::payment::{unit_count, PaymentStatus};
+use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus};
 use crate::rebalancer::{RebalancePolicy, RebalanceTotals};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
@@ -327,20 +331,6 @@ impl UnitInfo {
     }
 }
 
-/// Why a unit failed, as reported to the payment owner.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FailCause {
-    /// A hop lock found insufficient spendable balance (snapshot raced
-    /// in-epoch traffic). Not a fault: no blacklist, no retry budget.
-    Liquidity,
-    /// A hop lock hit a downed channel.
-    Outage,
-    /// Dropped mid-path by the per-unit loss process.
-    Dropped,
-    /// HTLC griefed at the final hop: funds pinned, then refunded.
-    Griefed,
-}
-
 #[derive(Debug)]
 enum MsgBody {
     /// Settle hop `hop` of the unit's path (to the hop channel's owner).
@@ -353,7 +343,7 @@ enum MsgBody {
     UnitDelivered,
     /// The unit failed and its locked prefix was refunded (to the payment
     /// owner).
-    UnitFailed { blamed: ChannelId, cause: FailCause },
+    UnitFailed(FailCause),
 }
 
 impl MsgBody {
@@ -462,17 +452,13 @@ impl Agenda {
 }
 
 /// A payment owned by this shard: what the run changes about trace row
-/// `row`, which holds its inputs.
+/// `row`, which holds its inputs — the record both engines keep, plus the
+/// epochs and this engine's per-payment blacklist and window.
 struct LocalPayment {
     row: u32,
     arrival_epoch: u64,
     deadline_epoch: u64,
-    delivered: Amount,
-    inflight: Amount,
-    status: PaymentStatus,
-    /// Completion delay in seconds, once completed.
-    delay: Option<f64>,
-    next_seq: u32,
+    state: PaymentState,
     /// Per-payment blamed-channel blacklist: `(channel, blocked-until
     /// epoch)`. Payment-local so routing never depends on which other
     /// payments share the shard.
@@ -789,11 +775,7 @@ impl<'a> ShardCtx<'a> {
                     row: row as u32,
                     arrival_epoch,
                     deadline_epoch: arrival_epoch + clock.deadline_epochs,
-                    delivered: Amount::ZERO,
-                    inflight: Amount::ZERO,
-                    status: PaymentStatus::Pending,
-                    delay: None,
-                    next_seq: 0,
+                    state: PaymentState::ARRIVED,
                     blacklist: Vec::new(),
                     fail_count: 0,
                     not_before_epoch: 0,
@@ -1005,9 +987,7 @@ impl<'a> ShardCtx<'a> {
                     MsgBody::RefundHop { hop } => self.on_refund_hop(&msg.unit, hop, epoch),
                     MsgBody::LockHop { hop } => self.on_lock_hop(msg.unit, hop, epoch),
                     MsgBody::UnitDelivered => self.on_unit_delivered(&msg.unit, epoch),
-                    MsgBody::UnitFailed { blamed, cause } => {
-                        self.on_unit_failed(&msg.unit, blamed, cause, epoch)
-                    }
+                    MsgBody::UnitFailed(cause) => self.on_unit_failed(&msg.unit, cause, epoch),
                 }
             }
         }
@@ -1046,14 +1026,13 @@ impl<'a> ShardCtx<'a> {
     }
 
     /// Fails a unit at `hop`: refunds the locked prefix (`0..hop`, plus
-    /// `hop` itself when `locked_current`) next epoch and notifies the
+    /// `hop` itself when `locked_current`) at `fire_epoch` and notifies the
     /// payment owner.
     fn fail_unit(
         &mut self,
         unit: &Arc<UnitInfo>,
         hop: u32,
         locked_current: bool,
-        blamed: ChannelId,
         cause: FailCause,
         fire_epoch: u64,
     ) {
@@ -1066,8 +1045,7 @@ impl<'a> ShardCtx<'a> {
                 MsgBody::RefundHop { hop },
             );
         }
-        let failed = MsgBody::UnitFailed { blamed, cause };
-        self.stage_to_payment_owner(Arc::clone(unit), fire_epoch, failed);
+        self.stage_to_payment_owner(Arc::clone(unit), fire_epoch, MsgBody::UnitFailed(cause));
     }
 
     /// Takes over the lock request's hold on the unit, so that a forwarded
@@ -1079,7 +1057,7 @@ impl<'a> ShardCtx<'a> {
         }
         let down = self.faults.as_ref().is_some_and(|f| f.is_channel_down(c));
         if down {
-            self.fail_unit(&unit, hop, false, c, FailCause::Outage, epoch + 1);
+            self.fail_unit(&unit, hop, false, FailCause::Outage(c), epoch + 1);
             return;
         }
         let key = (c.index() as u32, sender_side(dir) as u8);
@@ -1122,7 +1100,7 @@ impl<'a> ShardCtx<'a> {
         let hops = unit.path.hops().len() as u32;
         // A mid-path drop fails the unit right after the blamed hop locks.
         if matches!(unit.fate, UnitFate::Drop { hop_index, .. } if hop_index == hop as usize) {
-            self.fail_unit(&unit, hop, true, c, FailCause::Dropped, epoch + 1);
+            self.fail_unit(&unit, hop, true, FailCause::Dropped(c), epoch + 1);
             return Ok(());
         }
         if hop + 1 < hops {
@@ -1144,8 +1122,8 @@ impl<'a> ShardCtx<'a> {
                 for h in 0..hops {
                     self.stage_hop(Arc::clone(&unit), h, rf, MsgBody::RefundHop { hop: h });
                 }
-                let cause = FailCause::Griefed;
-                self.stage_to_payment_owner(unit, rf, MsgBody::UnitFailed { blamed: c, cause });
+                let failed = MsgBody::UnitFailed(FailCause::Griefed(c));
+                self.stage_to_payment_owner(unit, rf, failed);
             }
             UnitFate::Drop { .. } => {
                 // Drop at an out-of-range hop index cannot happen: the
@@ -1162,7 +1140,7 @@ impl<'a> ShardCtx<'a> {
         let len = self.queues.get(&key).map_or(0, Vec::len);
         if len >= self.queue_cap {
             let (c, _) = unit.path.hops()[hop as usize];
-            self.fail_unit(&unit, hop, false, c, FailCause::Liquidity, epoch + 1);
+            self.fail_unit(&unit, hop, false, FailCause::Liquidity(c), epoch + 1);
             return;
         }
         let (payment, seq) = (unit.payment, unit.seq);
@@ -1201,7 +1179,8 @@ impl<'a> ShardCtx<'a> {
             for e in q.drain(..) {
                 if e.unit.deadline_epoch <= epoch {
                     let (c, _) = e.unit.path.hops()[e.hop as usize];
-                    self.fail_unit(&e.unit, e.hop, false, c, FailCause::Liquidity, epoch + 1);
+                    let cause = FailCause::Liquidity(c);
+                    self.fail_unit(&e.unit, e.hop, false, cause, epoch + 1);
                     continue;
                 }
                 // Head-of-line: after the first unit that cannot lock (or
@@ -1316,93 +1295,42 @@ impl<'a> ShardCtx<'a> {
             let fee = first.micros().saturating_sub(unit.amount.micros());
             self.routing_fees_micros = self.routing_fees_micros.saturating_add(fee);
         }
-        let t = t_of(epoch);
-        let tx = self.row(pidx);
+        let (t, tx) = (t_of(epoch), self.row(pidx));
         let p = &mut self.payments[pidx];
-        p.inflight = p.inflight.saturating_sub(unit.amount);
-        p.delivered = p.delivered.saturating_add(unit.amount);
-        let pid = tx.id.0;
-        let amount_tokens = tokens(unit.amount);
-        let completed_now = p.status == PaymentStatus::Pending && p.delivered >= tx.amount;
         let delay = (epoch - p.arrival_epoch) as f64 * EPOCH;
-        if completed_now {
-            p.status = PaymentStatus::Completed;
-            p.delay = Some(delay);
-        }
-        self.emit(
-            epoch,
-            pid,
-            u64::from(unit.seq),
-            TraceEvent::UnitSettled {
+        let completed = p.state.settle(unit.amount, tx.amount, delay);
+        let (pid, amount) = (tx.id.0, tokens(unit.amount));
+        let settled = TraceEvent::UnitSettled {
+            t,
+            payment: pid,
+            amount,
+        };
+        self.emit(epoch, pid, u64::from(unit.seq), settled);
+        if completed {
+            let event = TraceEvent::PaymentCompleted {
                 t,
                 payment: pid,
-                amount: amount_tokens,
-            },
-        );
-        if completed_now {
-            self.emit(
-                epoch,
-                pid,
-                0,
-                TraceEvent::PaymentCompleted {
-                    t,
-                    payment: pid,
-                    delay,
-                },
-            );
+                delay,
+            };
+            self.emit(epoch, pid, 0, event);
         }
     }
 
-    fn on_unit_failed(
-        &mut self,
-        unit: &Arc<UnitInfo>,
-        blamed: ChannelId,
-        cause: FailCause,
-        epoch: u64,
-    ) {
+    /// The payment owner's half of the sequential `Transport::fail`:
+    /// the locked prefix is already being refunded hop by hop.
+    fn on_unit_failed(&mut self, unit: &Arc<UnitInfo>, cause: FailCause, epoch: u64) {
         let pidx = unit.local as usize;
         self.congestion_on_outcome(pidx, false);
-        let t = t_of(epoch);
-        let amount_tokens = tokens(unit.amount);
-        let pid = self.row(pidx).id.0;
-        let p = &mut self.payments[pidx];
-        p.inflight = p.inflight.saturating_sub(unit.amount);
-        let seq = u64::from(unit.seq);
-        match cause {
-            FailCause::Dropped => {
-                self.emit(
-                    epoch,
-                    pid,
-                    seq,
-                    TraceEvent::UnitDropped {
-                        t,
-                        payment: pid,
-                        amount: amount_tokens,
-                        channel: blamed.index() as u32,
-                    },
-                );
-            }
-            FailCause::Griefed => {
-                let hold = self
-                    .cfg
-                    .faults
-                    .as_ref()
-                    .map_or(0.0, |plan| plan.config.grief_hold);
-                self.emit(
-                    epoch,
-                    pid,
-                    seq,
-                    TraceEvent::UnitGriefed {
-                        t,
-                        payment: pid,
-                        amount: amount_tokens,
-                        hold,
-                    },
-                );
-            }
-            FailCause::Outage => self.stats.units_refunded_by_outage += 1,
-            FailCause::Liquidity => {}
+        self.payments[pidx].state.refund(unit.amount);
+        let (t, pid, seq) = (t_of(epoch), self.row(pidx).id.0, u64::from(unit.seq));
+        let hold = (self.cfg.faults.as_ref()).map_or(0.0, |plan| plan.config.grief_hold);
+        if let Some(event) = cause.trace(t, pid, unit.amount, hold) {
+            self.emit(epoch, pid, seq, event);
         }
+        if let FailCause::Outage(_) = cause {
+            self.stats.units_refunded_by_outage += 1;
+        }
+        let amount = tokens(unit.amount);
         self.emit(
             epoch,
             pid,
@@ -1410,11 +1338,11 @@ impl<'a> ShardCtx<'a> {
             TraceEvent::UnitRefunded {
                 t,
                 payment: pid,
-                amount: amount_tokens,
+                amount,
             },
         );
-        if cause != FailCause::Liquidity {
-            self.handle_fault_failure(pidx, unit.seq, blamed, epoch);
+        if !matches!(cause, FailCause::Liquidity(_)) {
+            self.handle_fault_failure(pidx, unit.seq, cause.blamed(), epoch);
         }
     }
 
@@ -1422,7 +1350,7 @@ impl<'a> ShardCtx<'a> {
     /// without a retry policy, otherwise blacklist + exponential backoff
     /// within the per-payment attempt budget.
     fn handle_fault_failure(&mut self, pidx: usize, seq: u32, blamed: ChannelId, epoch: u64) {
-        if self.payments[pidx].status != PaymentStatus::Pending {
+        if self.payments[pidx].state.status != PaymentStatus::Pending {
             return;
         }
         let t = t_of(epoch);
@@ -1475,26 +1403,14 @@ impl<'a> ShardCtx<'a> {
     }
 
     fn abandon(&mut self, pidx: usize, epoch: u64, fault_caused: bool) {
-        let p = &mut self.payments[pidx];
-        if p.status != PaymentStatus::Pending {
+        let pid = self.row(pidx).id.0;
+        let Some(event) = self.payments[pidx].state.abandon(t_of(epoch), pid) else {
             return;
-        }
-        p.status = PaymentStatus::Abandoned;
+        };
         if fault_caused {
             self.stats.payments_failed += 1;
         }
-        let pid = self.row(pidx).id.0;
-        let delivered = tokens(self.payments[pidx].delivered);
-        self.emit(
-            epoch,
-            pid,
-            0,
-            TraceEvent::PaymentAbandoned {
-                t: t_of(epoch),
-                payment: pid,
-                delivered,
-            },
-        );
+        self.emit(epoch, pid, 0, event);
     }
 
     /// The trace row holding local payment `pidx`'s inputs.
@@ -1508,7 +1424,7 @@ impl<'a> ShardCtx<'a> {
     /// independently of each other — over-subscription is resolved by the
     /// deterministic lock order at channel owners next epoch.
     fn pump(&mut self, pidx: usize, epoch: u64) {
-        if self.payments[pidx].status != PaymentStatus::Pending
+        if self.payments[pidx].state.status != PaymentStatus::Pending
             || epoch < self.payments[pidx].not_before_epoch
         {
             return;
@@ -1518,7 +1434,7 @@ impl<'a> ShardCtx<'a> {
         let (src, dst, pid) = (tx.src, tx.dst, tx.id.0);
         loop {
             let p = &self.payments[pidx];
-            let remaining = (tx.amount.saturating_sub(p.delivered)).saturating_sub(p.inflight);
+            let remaining = p.state.remaining(tx.amount);
             if !remaining.is_positive() {
                 break;
             }
@@ -1542,9 +1458,7 @@ impl<'a> ShardCtx<'a> {
             match decision {
                 UnitDecision::Route(path) => {
                     let p = &mut self.payments[pidx];
-                    let seq = p.next_seq;
-                    p.next_seq += 1;
-                    p.inflight = p.inflight.saturating_add(unit_amount);
+                    let seq = p.state.send(unit_amount);
                     if self.cfg.congestion.is_some() {
                         p.outstanding += 1;
                     }
@@ -1605,29 +1519,9 @@ impl<'a> ShardCtx<'a> {
             let pidx = self.arrivals[self.arrival_cursor].1;
             self.arrival_cursor += 1;
             let tx = self.row(pidx);
-            let (pid, src, dst, amount) = (tx.id.0, tx.src, tx.dst, tx.amount);
-            self.emit(
-                epoch,
-                pid,
-                0,
-                TraceEvent::PaymentArrived {
-                    t: t_of(epoch),
-                    payment: pid,
-                    src: src.0,
-                    dst: dst.0,
-                    amount: tokens(amount),
-                },
-            );
-            self.emit(
-                epoch,
-                pid,
-                0,
-                TraceEvent::PaymentSplit {
-                    t: t_of(epoch),
-                    payment: pid,
-                    units: unit_count(amount, self.cfg.mtu),
-                },
-            );
+            for event in arrival_trace(tx, self.cfg.mtu, t_of(epoch)) {
+                self.emit(epoch, tx.id.0, 0, event);
+            }
             self.pending.push(pidx);
             self.pump(pidx, epoch);
         }
@@ -1646,7 +1540,7 @@ impl<'a> ShardCtx<'a> {
             self.pump(i, epoch);
         }
         self.pending
-            .retain(|&i| self.payments[i].status == PaymentStatus::Pending);
+            .retain(|&i| self.payments[i].state.status == PaymentStatus::Pending);
     }
 
     /// Emits `ChannelSample`s for owned channels and stores the partial
@@ -1689,7 +1583,7 @@ impl<'a> ShardCtx<'a> {
         // Arrived and not yet finished: `pending` holds the arrivals, pruned
         // of finished payments only at a tick.
         let pending = (self.pending.iter())
-            .filter(|&&i| self.payments[i].status == PaymentStatus::Pending)
+            .filter(|&&i| self.payments[i].state.status == PaymentStatus::Pending)
             .count() as u32;
         self.samples.push(SamplePartial {
             epoch,
@@ -1938,7 +1832,7 @@ fn merge_outputs(
         })
         .collect();
     payments.sort_unstable_by_key(|(tx, _)| tx.id);
-    let rows = (payments.into_iter()).map(|(tx, p)| (tx.amount, p.delivered, p.status, p.delay));
+    let rows = (payments.into_iter()).map(|(tx, p)| (tx.amount, &p.state));
 
     // Merged final ledger: each channel's state from its owner shard.
     let mut final_ledger = Ledger::new(network);

@@ -4,7 +4,7 @@
 use crate::audit::AuditViolation;
 use crate::faults::FaultStats;
 use crate::ledger::tokens;
-use crate::payment::PaymentStatus;
+use crate::payment::{PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceStats;
 use serde::{Deserialize, Serialize};
 use spider_core::Amount;
@@ -134,19 +134,15 @@ impl SimReport {
     }
 }
 
-/// One payment's outcome as both engines report it: `(amount, delivered,
-/// final status, completion delay)`.
-pub(crate) type PaymentRow = (Amount, Amount, PaymentStatus, Option<f64>);
-
-/// Folds one [`PaymentRow`] per payment into the payment half of a report:
-/// counts by final status, the three volumes summed exactly in micro-units
-/// and converted to tokens once, and the completed rows' mean delay, summed
-/// in row order. Every other field is zero or empty, for the caller to fill
-/// in with struct update syntax.
-pub(crate) fn tally(
+/// Folds one `(amount, record)` row per payment into the payment half of a
+/// report: counts by final status, the three volumes summed exactly in
+/// micro-units and converted to tokens once, and the completed rows' mean
+/// delay, summed in row order. Every other field is zero or empty, for the
+/// caller to fill in with struct update syntax.
+pub(crate) fn tally<'a>(
     scheme: &str,
     policy: String,
-    rows: impl IntoIterator<Item = PaymentRow>,
+    rows: impl IntoIterator<Item = (Amount, &'a PaymentState)>,
 ) -> SimReport {
     let mut r = SimReport {
         scheme: scheme.to_string(),
@@ -172,15 +168,15 @@ pub(crate) fn tally(
     };
     let [mut attempted, mut delivered, mut completed] = [Amount::ZERO; 3];
     let mut delay_sum = 0.0;
-    for (amount, settled, status, delay) in rows {
+    for (amount, p) in rows {
         r.attempted += 1;
         attempted += amount;
-        delivered += settled;
-        match status {
+        delivered += p.delivered;
+        match p.status {
             PaymentStatus::Completed => {
                 r.completed += 1;
                 completed += amount;
-                delay_sum += delay.unwrap_or_default();
+                delay_sum += p.delay.unwrap_or_default();
             }
             PaymentStatus::Abandoned => r.abandoned += 1,
             PaymentStatus::Pending => r.pending_at_end += 1,

@@ -1,6 +1,13 @@
-//! Per-payment simulation state.
+//! Per-payment simulation state, and the payment side of a unit's life
+//! (§4.1): sending, settling and refunding a unit, completing and
+//! abandoning a payment, and why a unit failed. Both engines call these
+//! transitions; they differ only in *when* one fires (continuous time or
+//! epochs).
 
-use spider_core::Amount;
+use crate::ledger::tokens;
+use spider_core::{Amount, ChannelId};
+use spider_telemetry::TraceEvent;
+use spider_workload::Transaction;
 
 /// Lifecycle of a payment in the simulator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,8 +32,9 @@ pub struct PaymentState {
     pub inflight: Amount,
     /// Current lifecycle state.
     pub status: PaymentStatus,
-    /// Completion time, once completed.
-    pub completed_at: Option<f64>,
+    /// Seconds from arrival to completion, once completed. The engine
+    /// measures it on its own clock: continuous time, or whole epochs.
+    pub delay: Option<f64>,
     /// Units sent so far. Unit `sent` is the next one, and what it is
     /// dealt under fault injection is a function of that number (the fate
     /// rule in [`crate::faults`]).
@@ -39,7 +47,7 @@ impl PaymentState {
         delivered: Amount::ZERO,
         inflight: Amount::ZERO,
         status: PaymentStatus::Pending,
-        completed_at: None,
+        delay: None,
         sent: 0,
     };
 
@@ -48,14 +56,129 @@ impl PaymentState {
     pub fn remaining(&self, amount: Amount) -> Amount {
         (amount.saturating_sub(self.delivered)).saturating_sub(self.inflight)
     }
+
+    /// Puts a unit of `amount` in flight and returns its number.
+    pub(crate) fn send(&mut self, amount: Amount) -> u32 {
+        self.inflight = self.inflight.saturating_add(amount);
+        self.sent += 1;
+        self.sent - 1
+    }
+
+    /// A unit of `amount` settled at the receiver. Completes a pending
+    /// payment of `total` once all of it is delivered, `delay` seconds
+    /// after its arrival; `true` when this unit completed it.
+    pub(crate) fn settle(&mut self, amount: Amount, total: Amount, delay: f64) -> bool {
+        self.inflight = self.inflight.saturating_sub(amount);
+        self.delivered = self.delivered.saturating_add(amount);
+        let completed = self.status == PaymentStatus::Pending && self.delivered >= total;
+        if completed {
+            self.status = PaymentStatus::Completed;
+            self.delay = Some(delay);
+        }
+        completed
+    }
+
+    /// A unit of `amount` was refunded: its value is "remaining" again.
+    pub(crate) fn refund(&mut self, amount: Amount) {
+        self.inflight = self.inflight.saturating_sub(amount);
+    }
+
+    /// Gives up on a pending payment, the one with id `payment`, at time
+    /// `t`, and returns the event that says so. Value already settled stays
+    /// delivered, and units in flight still settle or refund on their own.
+    /// A finished payment is left alone: `None`.
+    pub(crate) fn abandon(&mut self, t: f64, payment: u64) -> Option<TraceEvent> {
+        (self.status == PaymentStatus::Pending).then(|| {
+            self.status = PaymentStatus::Abandoned;
+            TraceEvent::PaymentAbandoned {
+                t,
+                payment,
+                delivered: tokens(self.delivered),
+            }
+        })
+    }
+}
+
+/// The two events of payment `tx` arriving at time `t`: it arrived, and it
+/// splits into `⌈amount / mtu⌉` units.
+pub(crate) fn arrival_trace(tx: &Transaction, mtu: Amount, t: f64) -> [TraceEvent; 2] {
+    let payment = tx.id.0;
+    [
+        TraceEvent::PaymentArrived {
+            t,
+            payment,
+            src: tx.src.0,
+            dst: tx.dst.0,
+            amount: tokens(tx.amount),
+        },
+        TraceEvent::PaymentSplit {
+            t,
+            payment,
+            units: unit_count(tx.amount, mtu),
+        },
+    ]
 }
 
 /// How many MTU-bounded units a payment of `amount` splits into:
 /// `⌈amount / mtu⌉` in exact micro-units (`mtu` is positive).
-#[inline]
-pub(crate) fn unit_count(amount: Amount, mtu: Amount) -> u64 {
+fn unit_count(amount: Amount, mtu: Amount) -> u64 {
     let mtu = mtu.micros();
     (amount.micros().saturating_add(mtu.saturating_sub(1)) / mtu).max(0) as u64
+}
+
+/// Why a unit failed, with the channel it blames. Its locked prefix is
+/// refunded and the value returns to the payment either way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FailCause {
+    /// A hop lock found too little balance, or the unit waited in a full
+    /// or expired router queue. Not a fault: no blacklist, no retry budget.
+    Liquidity(ChannelId),
+    /// A channel on the unit's path went down.
+    Outage(ChannelId),
+    /// Dropped mid-path by the per-unit loss process.
+    Dropped(ChannelId),
+    /// HTLC griefed at the final hop: funds pinned, then refunded.
+    Griefed(ChannelId),
+}
+
+impl FailCause {
+    /// The channel the sender blames.
+    pub(crate) fn blamed(self) -> ChannelId {
+        match self {
+            FailCause::Liquidity(c)
+            | FailCause::Outage(c)
+            | FailCause::Dropped(c)
+            | FailCause::Griefed(c) => c,
+        }
+    }
+
+    /// The event recording a unit of `amount` of payment `payment` lost to
+    /// a fate at time `t` (`hold` is the plan's grief hold); `None` for the
+    /// causes whose refund is the whole story.
+    pub(crate) fn trace(
+        self,
+        t: f64,
+        payment: u64,
+        amount: Amount,
+        hold: f64,
+    ) -> Option<TraceEvent> {
+        let amount = tokens(amount);
+        match self {
+            FailCause::Dropped(c) => Some(TraceEvent::UnitDropped {
+                t,
+                payment,
+                amount,
+                channel: c.index() as u32,
+            }),
+            FailCause::Griefed(_) => Some(TraceEvent::UnitGriefed {
+                t,
+                payment,
+                amount,
+                hold,
+            }),
+            FailCause::Liquidity(_) | FailCause::Outage(_) => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -70,6 +193,29 @@ mod tests {
         p.inflight = Amount::from_whole(4);
         p.delivered = Amount::from_whole(2);
         assert_eq!(p.remaining(amount), Amount::from_whole(4));
+    }
+
+    /// A payment completes once, on the unit that delivers its last value,
+    /// and a finished payment cannot be abandoned.
+    #[test]
+    fn transitions_complete_once_and_abandon_only_pending() {
+        let (unit, total) = (Amount::from_whole(5), Amount::from_whole(10));
+        let mut p = PaymentState::ARRIVED;
+        assert_eq!([p.send(unit), p.send(unit), p.send(unit)], [0, 1, 2]);
+        p.refund(unit);
+        assert!(!p.settle(unit, total, 1.0));
+        assert!(p.settle(unit, total, 2.0));
+        assert_eq!(
+            (p.status, p.delay, p.inflight),
+            (PaymentStatus::Completed, Some(2.0), Amount::ZERO)
+        );
+        assert!(p.abandon(3.0, 7).is_none());
+        let mut q = PaymentState::ARRIVED;
+        assert!(matches!(
+            q.abandon(3.0, 7),
+            Some(TraceEvent::PaymentAbandoned { payment: 7, .. })
+        ));
+        assert_eq!(q.status, PaymentStatus::Abandoned);
     }
 
     /// One record per payment of the run, all kept to the end: the inputs

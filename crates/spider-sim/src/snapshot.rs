@@ -68,7 +68,9 @@ use std::path::{Path, PathBuf};
 /// of the unit, so no generator state is stored; the always-empty parts
 /// (success series, AMP holds, router queues and their statistics) are gone;
 /// and the rebalancing totals are exact micro-units.
-pub const FORMAT_VERSION: u8 = 6;
+/// v7: a payment record in [`SEC_CORE`] stores its completion delay (seconds
+/// from arrival), not its completion time; no other byte moves.
+pub const FORMAT_VERSION: u8 = 7;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -92,7 +94,7 @@ pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
 
-/// Every section tag a v6 file may carry, each at most once. Decoding
+/// Every section tag a v7 file may carry, each at most once. Decoding
 /// refuses any other tag (tag 4, retired in v4, included) as `Corrupt`.
 const SECTION_TAGS: [u32; 3] = [SEC_CORE, SEC_SCHEME, SEC_TELEMETRY];
 
@@ -979,7 +981,7 @@ mod tests {
         assert_eq!(decode_telemetry(&bytes).unwrap(), None);
     }
 
-    /// A telemetry section in the v6 layout: `counters` as `(name, label)`,
+    /// A telemetry section in the v7 layout: `counters` as `(name, label)`,
     /// `gauges` gauge entries, and one histogram under `histogram`.
     fn telemetry_section(
         counters: &[(&str, &str)],

@@ -8,20 +8,22 @@
 //! §4.2). [`Transport`] owns everything both placements share: the ledger,
 //! the event queue, payments, the unit slab, timers, the fault runtime, the
 //! telemetry series and counters, and the transitions over them (`arrive`,
-//! `send`, `settle`, `refund`, `abandon`, fault bookkeeping, sampling, the
+//! `send`, `settle`, `fail`, `abandon`, fault bookkeeping, sampling, the
 //! report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec, which only the
 //! source-queued driver uses). The drivers in [`crate::engine`] decide
 //! *when* a transition fires, never *what* it does.
 //!
 //! The arithmetic under a transition is not written here: it is shared,
 //! one copy each, with the sharded engine's handlers (which differ in when
-//! and where a transition runs, ROADMAP item 4) — `Ledger::lock_walk` /
-//! `release_walk` and [`FeeSchedule::hop_amounts`] for the funds,
-//! [`unit_count`] for the split, the event table's kind → counter column
-//! behind `Telemetry::emit` for the counters, `FaultConfig::unit_fate`
-//! for a unit's fate, [`FaultEvent::trace`], `RetryPolicy::backoff`,
-//! `RebalancePolicy::apply`, `CongestionConfig::{grown, shrunk}`,
-//! `Ledger::relative_imbalance` and [`tokens`] for what is reported.
+//! and where a transition runs, and in the divergences ROADMAP lists) —
+//! `Ledger::lock_walk` / `release_walk` and [`FeeSchedule::hop_amounts`]
+//! for the funds, [`PaymentState`]'s transitions, [`arrival_trace`] and
+//! [`FailCause`] for the payment side of a unit's life, the event table's
+//! kind → counter column behind `Telemetry::emit` for the counters,
+//! `FaultConfig::unit_fate` for a unit's fate, [`FaultEvent::trace`],
+//! `RetryPolicy::backoff`, `RebalancePolicy::apply`,
+//! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
+//! [`tokens`] for what is reported.
 //!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.
@@ -46,7 +48,7 @@ use crate::events::{EventQueue, Time};
 use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView};
 use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
-use crate::payment::{unit_count, PaymentState, PaymentStatus};
+use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus};
 use crate::rebalancer::RebalanceTotals;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
@@ -91,15 +93,6 @@ pub(crate) enum Event {
     },
 }
 
-/// How a unit was marked to fail in flight, with the blamed channel.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum UnitFault {
-    /// Dropped mid-path by the per-unit loss process.
-    Dropped(ChannelId),
-    /// HTLC griefed at the blamed hop: funds pinned until the hold expires.
-    Griefed(ChannelId),
-}
-
 /// One transaction unit, live or just finished. Units live in a slab whose
 /// chunks span the units in flight — at the paper's ISP rate that is
 /// thousands of records at any moment, so the record is kept to 32 bytes —
@@ -116,7 +109,9 @@ pub(crate) struct Unit {
     /// [`UnitSlab::finish`] writes the zero), which guards against a
     /// double release when a refund races a scheduled settle.
     pub(crate) locked: u32,
-    pub(crate) fault: Option<UnitFault>,
+    /// The fate a unit was dealt to fail in flight: only
+    /// [`FailCause::Dropped`] or [`FailCause::Griefed`].
+    pub(crate) fault: Option<FailCause>,
 }
 
 impl Unit {
@@ -138,8 +133,9 @@ impl Unit {
 ///   zero is released: its `Vec` is emptied and becomes the one spare the
 ///   next chunk reuses, so a long run neither holds a record per unit ever
 ///   sent nor churns the allocator. The release waits for the next
-///   [`push`](Self::push), because the transition that finished a unit
-///   still reads it (`refund` → `emit_refunded`, `expire`).
+///   [`push`](Self::push), because the caller of the transition that
+///   finished a unit may still read it (the router-queued driver drains
+///   the queues along a settled unit's path).
 /// - [`live`](Self::live) is what to ask of an index that may have
 ///   finished: it is `false` for a finished unit and for a released chunk.
 ///   Indexing is for live units, and for a unit finished since the last
@@ -624,25 +620,15 @@ impl<'a> Transport<'a> {
     /// Payment `i`, trace row `i`, enters the system.
     pub(crate) fn arrive(&mut self, i: usize, now: f64) {
         debug_assert_eq!(i, self.payments.len(), "arrivals come in trace order");
-        let tx = self.row(i);
         self.payments.push(PaymentState::ARRIVED);
         if let Some(fr) = self.faults.as_mut() {
             fr.fail_count.push(0);
             fr.not_before.push(f64::NEG_INFINITY);
         }
-        self.tel.emit(|| TraceEvent::PaymentArrived {
-            t: now,
-            payment: tx.id.0,
-            src: tx.src.0,
-            dst: tx.dst.0,
-            amount: tokens(tx.amount),
-        });
+        let [arrived, split] = arrival_trace(self.row(i), self.mtu, now);
+        self.tel.emit(|| arrived);
         if self.split {
-            self.tel.emit(|| TraceEvent::PaymentSplit {
-                t: now,
-                payment: tx.id.0,
-                units: unit_count(tx.amount, self.mtu),
-            });
+            self.tel.emit(|| split);
             self.pending.push(i);
         }
     }
@@ -658,9 +644,7 @@ impl<'a> Transport<'a> {
         locked: usize,
         now: f64,
     ) -> usize {
-        let p = &mut self.payments[idx];
-        p.inflight = p.inflight.saturating_add(amount);
-        p.sent += 1;
+        self.payments[idx].send(amount);
         self.units_sent += 1;
         self.tel.emit(|| TraceEvent::UnitSent {
             t: now,
@@ -694,26 +678,22 @@ impl<'a> Transport<'a> {
         );
         let (amount, payment) = (u.amount, u.payment());
         self.units.finish(ui);
-        let tx = self.row(payment);
-        let p = &mut self.payments[payment];
         if let Err(e) = res {
             return record_release(&mut self.release_violations, now, "settle", &e);
         }
         // The sender locked `per_hop[0]` and the receiver was paid `amount`.
         let fee = per_hop.map_or(Amount::ZERO, |a| a[0].saturating_sub(amount));
         self.routing_fees_paid = self.routing_fees_paid.saturating_add(fee);
-        p.inflight = p.inflight.saturating_sub(amount);
-        p.delivered = p.delivered.saturating_add(amount);
+        let tx = self.row(payment);
+        let delay = now - tx.arrival;
+        let completed = self.payments[payment].settle(amount, tx.amount, delay);
         let pid = tx.id.0;
         self.tel.emit(|| TraceEvent::UnitSettled {
             t: now,
             payment: pid,
             amount: tokens(amount),
         });
-        if p.status == PaymentStatus::Pending && p.delivered >= tx.amount {
-            p.status = PaymentStatus::Completed;
-            p.completed_at = Some(now);
-            let delay = now - tx.arrival;
+        if completed {
             self.tel.emit(|| TraceEvent::PaymentCompleted {
                 t: now,
                 payment: pid,
@@ -722,10 +702,12 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// Releases the unit's locked prefix back to each hop's sender and
-    /// returns the value to the payment's "remaining". `false` (with a
-    /// release violation recorded under `cause`) if the ledger refuses.
-    fn unlock(&mut self, ui: usize, now: f64, cause: &str) -> bool {
+    /// Unit `ui` fails for `cause`: releases its locked prefix back to each
+    /// hop's sender, returns the value to the payment's "remaining", and
+    /// records the cause's event and the refund (an outage is counted in the
+    /// fault stats). `false`, with a release violation recorded under the
+    /// cause's label, if the ledger refuses.
+    pub(crate) fn fail(&mut self, ui: usize, cause: FailCause, now: f64) -> bool {
         let u = &self.units[ui];
         let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
         let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
@@ -735,83 +717,40 @@ impl<'a> Transport<'a> {
             (self.ledger).release_walk(self.network, &u.path, locked, amounts, Release::Refund);
         let (amount, payment) = (u.amount, u.payment());
         self.units.finish(ui);
-        match res {
-            Ok(()) => {
-                let p = &mut self.payments[payment];
-                p.inflight = p.inflight.saturating_sub(amount);
-                true
+        if let Err(e) = res {
+            let label = match cause {
+                FailCause::Liquidity(_) => "queued-drop",
+                FailCause::Outage(_) => "fault",
+                FailCause::Dropped(_) | FailCause::Griefed(_) => "fault-expire",
+            };
+            record_release(&mut self.release_violations, now, label, &e);
+            return false;
+        }
+        self.payments[payment].refund(amount);
+        let pid = self.row(payment).id.0;
+        // Only a fault plan deals a fate or takes a channel down.
+        if let Some(fr) = self.faults.as_mut() {
+            if let FailCause::Outage(_) = cause {
+                fr.state.stats.units_refunded_by_outage += 1;
             }
-            Err(e) => {
-                record_release(&mut self.release_violations, now, cause, &e);
-                false
+            if let Some(ev) = cause.trace(now, pid, amount, fr.state.config.grief_hold) {
+                self.tel.emit(|| ev);
             }
         }
-    }
-
-    fn emit_refunded(&self, ui: usize, now: f64) {
-        let u = &self.units[ui];
         self.tel.emit(|| TraceEvent::UnitRefunded {
             t: now,
-            payment: self.row(u.payment()).id.0,
-            amount: tokens(u.amount),
+            payment: pid,
+            amount: tokens(amount),
         });
+        true
     }
 
-    /// Refunds a live unit (see [`unlock`](Self::unlock)) and records it.
-    pub(crate) fn refund(&mut self, ui: usize, now: f64, cause: &str) -> bool {
-        let ok = self.unlock(ui, now, cause);
-        if ok {
-            self.emit_refunded(ui, now);
-        }
-        ok
-    }
-
-    /// A dropped or griefed unit's failure reaches the sender: refunds it
-    /// and returns the blamed channel.
-    pub(crate) fn expire(&mut self, ui: usize, fault: UnitFault, now: f64) -> Option<ChannelId> {
-        if !self.unlock(ui, now, "fault-expire") {
-            return None;
-        }
-        let pid = self.row(self.units[ui].payment()).id.0;
-        let amount = tokens(self.units[ui].amount);
-        let blamed = match fault {
-            UnitFault::Dropped(c) => {
-                self.tel.emit(|| TraceEvent::UnitDropped {
-                    t: now,
-                    payment: pid,
-                    amount,
-                    channel: c.index() as u32,
-                });
-                c
-            }
-            UnitFault::Griefed(c) => {
-                let hold = self
-                    .faults
-                    .as_ref()
-                    .map_or(0.0, |fr| fr.state.config.grief_hold);
-                self.tel.emit(|| TraceEvent::UnitGriefed {
-                    t: now,
-                    payment: pid,
-                    amount,
-                    hold,
-                });
-                c
-            }
-        };
-        self.emit_refunded(ui, now);
-        Some(blamed)
-    }
-
-    /// Gives up on a payment; value already settled stays delivered.
+    /// Gives up on a pending payment; value already settled stays delivered.
     pub(crate) fn abandon(&mut self, idx: usize, now: f64) {
         let pid = self.row(idx).id.0;
-        let p = &mut self.payments[idx];
-        p.status = PaymentStatus::Abandoned;
-        self.tel.emit(|| TraceEvent::PaymentAbandoned {
-            t: now,
-            payment: pid,
-            delivered: tokens(p.delivered),
-        });
+        if let Some(ev) = self.payments[idx].abandon(now, pid) {
+            self.tel.emit(|| ev);
+        }
     }
 
     // -- timers ---------------------------------------------------------------
@@ -833,10 +772,7 @@ impl<'a> Transport<'a> {
             match (deadline, backoff) {
                 (Some(d), r) if d.0.seconds() <= now && r.is_none_or(|r| d <= r) => {
                     self.next_deadline += 1;
-                    // Its units in flight still settle or refund on their own.
-                    if self.payments[d.1].status == PaymentStatus::Pending {
-                        self.abandon(d.1, now);
-                    }
+                    self.abandon(d.1, now);
                 }
                 (_, Some(r)) if r.0.seconds() <= now => {
                     self.retries.pop();
@@ -881,15 +817,6 @@ impl<'a> Transport<'a> {
         (self.units.iter_live())
             .filter_map(|(ui, u)| Some((ui, crossed(u)?)))
             .collect()
-    }
-
-    /// Refunds a unit caught by an outage.
-    pub(crate) fn refund_for_outage(&mut self, ui: usize, now: f64) -> bool {
-        let ok = self.refund(ui, now, "fault");
-        if let (true, Some(fr)) = (ok, self.faults.as_mut()) {
-            fr.state.stats.units_refunded_by_outage += 1;
-        }
-        ok
     }
 
     // -- audit, sampling, ticks, report -------------------------------------
@@ -958,10 +885,7 @@ impl<'a> Transport<'a> {
             audit_violations = a.into_violations();
         }
         audit_violations.extend(self.release_violations);
-        let rows = (self.payments.iter().zip(self.transactions)).map(|(p, tx)| {
-            let delay = p.completed_at.map(|t| t - tx.arrival);
-            (tx.amount, p.delivered, p.status, delay)
-        });
+        let rows = (self.transactions.iter().map(|tx| tx.amount)).zip(&self.payments);
         SimReport {
             units_sent: self.units_sent,
             final_mean_imbalance: self.ledger.mean_imbalance(),
@@ -1026,12 +950,14 @@ fn enc_payment(e: &mut Enc, p: &PaymentState) {
     e.i64(p.delivered.micros());
     e.i64(p.inflight.micros());
     snapshot::enc_status(e, p.status);
-    e.opt(p.completed_at.map(|t| move |e: &mut Enc| e.f64(t)));
+    e.opt(p.delay.map(|t| move |e: &mut Enc| e.f64(t)));
     e.u32(p.sent);
 }
 
 /// Reads payment `i`'s record; its inputs are trace row `tx`. What it
-/// delivered and holds in flight must be a split of the row's amount.
+/// delivered and holds in flight must be a split of the row's amount, and
+/// a completion delay, finite and not negative, is there exactly when the
+/// payment completed.
 fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, SnapshotError> {
     let (delivered, inflight) = (d.i64()?, d.i64()?);
     let amount = tx.amount.micros();
@@ -1040,11 +966,16 @@ fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, 
             "payment {i} delivered {delivered} and holds {inflight} of {amount} micros"
         ));
     }
+    let (status, delay) = (snapshot::dec_status(d)?, d.opt(|d| d.f64())?);
+    let completed = status == PaymentStatus::Completed;
+    if delay.is_some() != completed || delay.is_some_and(|t| !t.is_finite() || t < 0.0) {
+        return corrupt(format!("payment {i} is {status:?} with delay {delay:?}"));
+    }
     Ok(PaymentState {
         delivered: Amount::from_micros(delivered),
         inflight: Amount::from_micros(inflight),
-        status: snapshot::dec_status(d)?,
-        completed_at: d.opt(|d| d.f64())?,
+        status,
+        delay,
         sent: d.u32()?,
     })
 }
@@ -1054,9 +985,10 @@ fn enc_unit(e: &mut Enc, u: &Unit) {
     enc_path(e, &u.path);
     e.i64(u.amount.micros());
     let (tag, blamed) = match u.fault {
-        None => (0, 0),
-        Some(UnitFault::Dropped(c)) => (1, c.0),
-        Some(UnitFault::Griefed(c)) => (2, c.0),
+        Some(FailCause::Dropped(c)) => (1, c.0),
+        Some(FailCause::Griefed(c)) => (2, c.0),
+        // No unit is dealt another cause (see `Unit::fault`).
+        _ => (0, 0),
     };
     e.u8(tag);
     e.u32(blamed);
@@ -1069,8 +1001,8 @@ fn dec_unit(d: &mut Dec, network: &Network, num_payments: usize) -> Result<Unit,
     let amount = Amount::from_micros(d.i64()?);
     let fault = match (d.u8()?, ChannelId(d.u32()?)) {
         (0, _) => None,
-        (1, c) => Some(UnitFault::Dropped(c)),
-        (2, c) => Some(UnitFault::Griefed(c)),
+        (1, c) => Some(FailCause::Dropped(c)),
+        (2, c) => Some(FailCause::Griefed(c)),
         (other, _) => return corrupt(format!("unit fault byte {other}")),
     };
     let locked = d.u32()?;
@@ -1096,7 +1028,7 @@ fn enc_sample(e: &mut Enc, s: &NetworkSample) {
 
 impl Transport<'_> {
     /// Encodes the `SEC_CORE` section of an [`ENGINE_SEQ`](snapshot::ENGINE_SEQ)
-    /// snapshot (SPSN v6): the run state that neither the inputs — the trace,
+    /// snapshot (SPSN v7): the run state that neither the inputs — the trace,
     /// the fault plan, the config — nor the other sections can say.
     /// Integers are little-endian; `usize` travels as `u64`; a *seq* is a
     /// `u64` count followed by that many items; an *opt* is a presence byte
@@ -1120,13 +1052,15 @@ impl Transport<'_> {
     ///    below `arrivals_end`, and any event naming a unit at or past
     ///    `total` (part 5) or a channel or node the network lacks.
     /// 4. Payments — seq of `delivered: i64, inflight: i64, status: u8`
-    ///    (0 pending, 1 completed, 2 abandoned), `completed_at: opt f64`,
+    ///    (0 pending, 1 completed, 2 abandoned), `delay: opt f64` (seconds
+    ///    from arrival to completion; v6 stored the completion time),
     ///    `sent: u32` (units sent, which numbers the next unit's fate); then
     ///    the pending list, a seq of `usize`. Record `i` is payment `i`,
     ///    whose inputs are trace row `i` and are not stored. The decoder
-    ///    refuses more records than arrive by `end_time`, and a negative
+    ///    refuses more records than arrive by `end_time`, a negative
     ///    `delivered` or `inflight` or a sum of the two above the row's
-    ///    amount.
+    ///    amount, and a delay that is not finite, is negative, is missing
+    ///    on a completed payment or is present on any other.
     /// 5. Units — `total: usize`, the number ever sent (slab indices run
     ///    `0..total`), then a seq of the units still live (`locked > 0`) in
     ///    index order, each `index: usize, payment: usize`, path (seq of
@@ -1477,7 +1411,7 @@ mod tests {
         for i in 0..CHUNK {
             slab.finish(i);
         }
-        // What a refund reads after the unlock that finished the unit.
+        // What the caller of a settle reads after the settle finished it.
         assert_eq!(slab[CHUNK - 1].payment(), CHUNK - 1);
         assert_eq!(slab.held_chunks(), 2);
         slab.push(unit(&path, CHUNK + 1));

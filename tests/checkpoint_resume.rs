@@ -269,7 +269,7 @@ fn resume_with_congestion_rebalance_and_fees_is_byte_identical() {
 }
 
 /// What a sequential-engine `SEC_CORE` section says about units, read by
-/// the SPSN v6 layout documented on `Transport::encode`.
+/// the SPSN v7 layout documented on `Transport::encode`.
 struct CoreUnits {
     /// Units ever sent: slab indices run `0..total`.
     total: usize,
@@ -305,15 +305,15 @@ impl CoreUnits {
                 7 => drop(d.usize().expect("event argument")),
                 4 => drop(d.take_raw(1 + 4).expect("fault event")),
                 5 | 6 => {}
-                other => panic!("a v6 section queues no event with tag {other}"),
+                other => panic!("a v7 section queues no event with tag {other}"),
             }
         }
         d.u64().expect("next sequence number");
         let payments = d.usize().expect("payments");
         for _ in 0..payments {
-            // delivered, inflight, status; completed_at; sent.
+            // delivered, inflight, status; delay; sent.
             d.take_raw(8 + 8 + 1).expect("payment");
-            d.opt(|d| d.f64()).expect("completion time");
+            d.opt(|d| d.f64()).expect("completion delay");
             d.u32().expect("units sent");
         }
         let pending = d.usize().expect("pending list");
@@ -641,7 +641,7 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
 /// checksum: the core state, the scheme state and the telemetry section
 /// (metrics registry and the event log as SPBT) may not drift while
-/// `snapshot::FORMAT_VERSION` stays 6. Captured at the v6 bump with this
+/// `snapshot::FORMAT_VERSION` stays 7. Captured at the v7 bump with this
 /// `full_config`.
 #[test]
 fn sequential_telemetry_snapshot_bytes_are_pinned() {
@@ -653,7 +653,7 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let spec = CheckpointSpec::new(20, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     let pinned = [
-        0x6fba0a11, 0x30e2c5f2, 0x93500c10, 0xa0104762, 0x84a541e3, 0xbf55734f, 0x614a2605,
+        0xc7f143c4, 0x46a49012, 0x8e990079, 0xb0f72be3, 0x9d9306fd, 0x0c58db10, 0xe06abec8,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
 }
@@ -929,15 +929,15 @@ fn damaged_snapshots_are_rejected_not_panicked() {
     }
 
     // Any other format version, future or stale: a v5 file (queued
-    // arrivals, payment records with their trace row) must not be parsed
-    // with the v6 layout.
-    for version in [0xFF, 2, 3, 4, 5] {
+    // arrivals, payment records with their trace row) or a v6 file
+    // (completion times, not delays) must not be parsed with the v7 layout.
+    for version in [0xFF, 2, 3, 4, 5, 6] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {
             SnapshotError::UnsupportedVersion {
                 found,
-                supported: 6,
+                supported: 7,
             } if found == version => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

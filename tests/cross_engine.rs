@@ -4,7 +4,8 @@
 //! The two drivers differ on purpose in *when* things happen (an arrival,
 //! a hop lock and a settlement each wait for the next epoch boundary in
 //! the sharded engine) and in a handful of policies pinned by the
-//! `*_pre_pr.json` fixtures (ROADMAP item 4). What they share is the
+//! `*_pre_pr.json` fixtures (the divergence list in ROADMAP.md). What they
+//! share is the
 //! arithmetic under them — the ledger walk, the unit split, the AIMD
 //! window, the retry backoff — and this file states what that buys:
 //!
@@ -73,6 +74,13 @@ fn outcomes(tel: &Telemetry) -> Outcomes {
 /// fault counts agree only if both engines dealt every unit the same fate —
 /// the fate rule is a function of `(seed, payment, unit)`, not of an order
 /// the engines would have to share.
+///
+/// A third pass griefs units instead (5 %, no retry), held 1 s: short
+/// enough that the refund reaches a payment still pending, so the failure
+/// abandons it. (The default 5 s hold outlasts the 5 s deadline, and the
+/// fault path never runs.) A griefed unit's refund takes a different route
+/// in each engine — a fault-expire event after the hold, or refunds staged
+/// when the final hop locks — and both end in one failure transition.
 #[test]
 fn contention_free_runs_agree_exactly() {
     let exp = ExperimentConfig {
@@ -89,10 +97,19 @@ fn contention_free_runs_agree_exactly() {
         retry: None,
         ..FaultConfig::default()
     };
+    let griefs = FaultConfig {
+        grief_prob: 0.05,
+        grief_hold: 1.0,
+        retry: None,
+        ..FaultConfig::default()
+    };
 
-    for faults in [None, Some(drops)] {
+    for (pass, faults) in [
+        ("no faults", None),
+        ("drops", Some(drops)),
+        ("griefs", Some(griefs)),
+    ] {
         let plan = (faults.as_ref()).map(|f| FaultPlan::from_config(f, &network, end_time));
-        let pass = if plan.is_some() { "drops" } else { "no faults" };
         let seq_tel = Telemetry::enabled();
         let mut sim = exp.sim_config();
         sim.end_time = end_time;
@@ -103,10 +120,16 @@ fn contention_free_runs_agree_exactly() {
         match &seq.faults {
             None => assert_eq!(seq.completed, seq.attempted, "the workload must be easy"),
             Some(stats) => {
-                assert!(stats.units_dropped > 0, "no unit was dropped");
+                let failed = stats.units_dropped + stats.units_griefed;
+                assert!(failed > 0, "{pass}: no unit failed in flight");
+                assert!(
+                    stats.payments_failed > 0,
+                    "{pass}: no failure abandoned a payment"
+                );
                 assert_eq!(
                     stats.payments_failed,
-                    (seq.attempted - seq.completed) as u64
+                    (seq.attempted - seq.completed) as u64,
+                    "{pass}"
                 );
             }
         }
