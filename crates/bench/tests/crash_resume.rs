@@ -236,7 +236,7 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     assert_structured_rejection(&empty, "empty-dir");
 }
 
-/// Walks a `SEC_CORE` section (SPSN v7, parts 1–4) and returns each
+/// Walks a `SEC_CORE` section (SPSN v8, parts 1–4) and returns each
 /// payment record's byte offset with its `(delivered, inflight, status)`.
 fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
     let mut d = spider_core::Dec::new(core);
@@ -271,7 +271,7 @@ fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
 }
 
 /// A snapshot whose payment record cannot describe its trace row is
-/// refused with exit code 1. A v7 record holds no input, only what the run
+/// refused with exit code 1. A v8 record holds no input, only what the run
 /// changed — `delivered: i64, inflight: i64, status: u8`, then the
 /// completion delay (a presence byte and an `f64`) and the units sent — so
 /// the cases are the values no run writes: value in flight above what is

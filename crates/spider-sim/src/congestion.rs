@@ -5,8 +5,9 @@
 //! module implements the classic AIMD window — each sender/receiver pair
 //! may have at most `⌊window⌋` transaction units in flight; every settled
 //! unit grows the window additively (`w += a/w`, TCP-style), every failed
-//! route attempt shrinks it multiplicatively. The engine enforces the
-//! window when [`crate::SimConfig::congestion`] is set.
+//! unit and every failed route attempt shrinks it multiplicatively. The
+//! engine enforces the window for packet-switched schemes when
+//! [`crate::SimConfig::congestion`] is set.
 
 use serde::{Deserialize, Serialize};
 use spider_core::{NodeId, PairTable};
@@ -118,14 +119,19 @@ impl CongestionControl {
         self.state(src, dst).outstanding += 1;
     }
 
-    /// Records a settled unit: releases window occupancy and grows the
-    /// window additively.
-    pub fn on_settle(&mut self, src: NodeId, dst: NodeId) {
+    /// Records a unit leaving flight: releases its window slot, and grows
+    /// the window additively when it was `delivered` or shrinks it
+    /// multiplicatively when it failed.
+    pub fn on_outcome(&mut self, src: NodeId, dst: NodeId, delivered: bool) {
         let config = self.config;
         let s = self.state(src, dst);
-        debug_assert!(s.outstanding > 0, "settle without outstanding unit");
+        debug_assert!(s.outstanding > 0, "outcome without outstanding unit");
         s.outstanding = s.outstanding.saturating_sub(1);
-        s.window = config.grown(s.window);
+        s.window = if delivered {
+            config.grown(s.window)
+        } else {
+            config.shrunk(s.window)
+        };
     }
 
     /// Records a failed route attempt: shrinks the window.
@@ -159,8 +165,14 @@ impl CongestionControl {
 
     /// Replaces the pair table with entries captured by
     /// [`export_state`](Self::export_state). Untracked pairs fall back to
-    /// the initial window, as they would in a fresh run.
-    pub fn restore_state(&mut self, entries: &[(NodeId, NodeId, f64, u32)]) {
+    /// the initial window, as they would in a fresh run. Fails, changing
+    /// nothing, on a window outside `[min_window, max_window]`: no run
+    /// reaches one. The caller checks the node ids against its network.
+    pub fn restore_state(&mut self, entries: &[(NodeId, NodeId, f64, u32)]) -> Result<(), String> {
+        let range = self.config.min_window..=self.config.max_window;
+        if let Some(&(s, d, window, _)) = entries.iter().find(|e| !range.contains(&e.2)) {
+            return Err(format!("congestion window {window} for {s:?} → {d:?}"));
+        }
         self.pairs = PairTable::new();
         for &(s, d, window, outstanding) in entries {
             *self.state(s, d) = PairState {
@@ -168,6 +180,7 @@ impl CongestionControl {
                 outstanding,
             };
         }
+        Ok(())
     }
 }
 
@@ -191,7 +204,7 @@ mod tests {
         assert!(cc.may_send(s, d));
         cc.on_send(s, d);
         assert!(!cc.may_send(s, d), "window of 2 filled");
-        cc.on_settle(s, d);
+        cc.on_outcome(s, d, true);
         assert!(cc.may_send(s, d), "settle frees a slot");
     }
 
@@ -201,7 +214,7 @@ mod tests {
         let (s, d) = pair();
         let w0 = cc.window(s, d);
         cc.on_send(s, d);
-        cc.on_settle(s, d);
+        cc.on_outcome(s, d, true);
         let w1 = cc.window(s, d);
         assert!(w1 > w0);
         assert!((w1 - (w0 + 1.0 / w0)).abs() < 1e-12);
@@ -222,6 +235,36 @@ mod tests {
         assert!(cc.may_send(s, d), "floor still admits one unit");
     }
 
+    /// A failed unit frees its slot too, and shrinks the window: a pair
+    /// whose units fail can still send.
+    #[test]
+    fn failed_unit_frees_its_slot_and_shrinks() {
+        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let (s, d) = pair();
+        for _ in 0..4 {
+            cc.on_send(s, d);
+        }
+        assert!(!cc.may_send(s, d));
+        cc.on_outcome(s, d, false);
+        assert_eq!((cc.outstanding(s, d), cc.window(s, d)), (3, 2.0));
+        cc.on_outcome(s, d, false);
+        cc.on_outcome(s, d, false);
+        assert!(!cc.may_send(s, d), "a window of 1 with a unit out");
+        cc.on_outcome(s, d, false);
+        assert!(cc.may_send(s, d), "the last failure frees the window");
+    }
+
+    #[test]
+    fn restore_refuses_a_window_out_of_range() {
+        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let (s, d) = pair();
+        for window in [0.5, 257.0, f64::NAN] {
+            assert!(cc.restore_state(&[(s, d, window, 0)]).is_err());
+        }
+        cc.restore_state(&[(s, d, 3.0, 1)]).unwrap();
+        assert_eq!((cc.window(s, d), cc.outstanding(s, d)), (3.0, 1));
+    }
+
     #[test]
     fn window_capped_at_max() {
         let mut cc = CongestionControl::new(CongestionConfig {
@@ -231,7 +274,7 @@ mod tests {
         let (s, d) = pair();
         for _ in 0..100 {
             cc.on_send(s, d);
-            cc.on_settle(s, d);
+            cc.on_outcome(s, d, true);
         }
         assert!(cc.window(s, d) <= 5.0);
     }

@@ -284,7 +284,10 @@ fn run_source_queued(
     // Only packet-switched senders pay routing fees.
     t.fees = (config.fees.as_ref()).filter(|fees| split && !fees.is_free());
     t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
-    t.congestion = config.congestion.map(CongestionControl::new);
+    // Only packet-switched senders have units in flight to window.
+    t.congestion = (config.congestion)
+        .filter(|_| split)
+        .map(CongestionControl::new);
     if let Some(policy) = &config.rebalance {
         policy.validate();
     }
@@ -326,10 +329,6 @@ fn run_source_queued(
                     continue;
                 }
                 let _span = event_span(tel, Phase::SettleRefund, now);
-                let tx = t.row(t.units[unit].payment());
-                if let Some(cc) = t.congestion.as_mut().filter(|_| split) {
-                    cc.on_settle(tx.src, tx.dst);
-                }
                 t.settle(unit, now);
                 t.audit_check(now, "settle");
             }
@@ -364,13 +363,7 @@ fn run_source_queued(
             Event::Tick => {
                 let _span = batch_span(tel, Phase::QueueDrain, now);
                 tel.counter_add("sim.scheduler.polls", 1);
-                t.fire_timers(now, |t, idx| {
-                    // Backoff expired: give the payment first shot at
-                    // liquidity before the policy-ordered pump.
-                    if t.payments[idx].status == PaymentStatus::Pending {
-                        pump_payment(t, scheme, config, idx, now);
-                    }
-                });
+                t.expire_deadlines(now);
                 if split {
                     for idx in t.pending_in_order(config.policy) {
                         pump_payment(&mut t, scheme, config, idx, now);
@@ -408,9 +401,10 @@ fn run_source_queued(
 
 /// Sends as many transaction units of one pending payment as the scheme and
 /// balances allow right now. Under fault injection the scheme routes
-/// against a masked view (downed + blacklisted channels read as empty), a
-/// retry backoff gates the whole pump, and each sent unit is dealt its fate
-/// (deliver / drop / grief) by the fate rule both engines share.
+/// against the payment's masked view (downed channels and those it
+/// blacklists read as empty), its retry backoff gates the whole pump, and
+/// each sent unit is dealt its fate (deliver / drop / grief) by the fate
+/// rule both engines share.
 fn pump_payment(
     t: &mut Transport,
     scheme: &mut dyn RoutingScheme,
@@ -418,7 +412,7 @@ fn pump_payment(
     idx: usize,
     now: f64,
 ) {
-    if t.faults.as_ref().is_some_and(|fr| now < fr.not_before[idx]) {
+    if t.faults.is_some() && now < t.recovery[idx].not_before {
         // Backing off after a fault failure.
         return;
     }
@@ -439,7 +433,7 @@ fn pump_payment(
             break;
         }
         let unit = remaining.min(config.mtu);
-        let decision = t.with_sender_view(now, |view| {
+        let decision = t.with_sender_view(idx, now, |view| {
             scheme.route_unit(t.network, view, src, dst, unit)
         });
         let path = match decision {
@@ -462,9 +456,11 @@ fn pump_payment(
         };
         // Defensive re-check: a scheme with cached paths may ignore the
         // masked view; never lock across a dead or blacklisted channel.
-        if (t.faults.as_ref())
-            .is_some_and(|fr| fr.state.path_blocked(&path) || fr.blacklist.path_blocked(&path, now))
-        {
+        if (t.faults.as_ref()).is_some_and(|faults| {
+            let recovery = &t.recovery[idx];
+            faults.path_blocked(&path)
+                || (path.hops().iter()).any(|&(c, _)| recovery.avoids(c, now))
+        }) {
             break;
         }
         // With fees, upstream hops carry the delivered amount plus
@@ -481,8 +477,8 @@ fn pump_payment(
         }
         tel.span_items(Phase::UnitDispatch, 1);
         let fate = match t.faults.as_mut() {
-            Some(fr) => {
-                let (config, stats) = (&fr.state.config, &mut fr.state.stats);
+            Some(faults) => {
+                let (config, stats) = (&faults.config, &mut faults.stats);
                 config.unit_fate(tx.id.0, t.payments[idx].sent, &path, stats)
             }
             None => UnitFate::Deliver { jitter: 0.0 },
@@ -523,7 +519,7 @@ fn attempt_atomic(
     let _span = batch_span(t.tel, Phase::UnitDispatch, now);
     let tx = t.row(idx);
     let (src, dst, amount) = (tx.src, tx.dst, tx.amount);
-    let parts = t.with_sender_view(now, |view| {
+    let parts = t.with_sender_view(idx, now, |view| {
         scheme.route_payment(t.network, view, src, dst, amount)
     });
     let Some(parts) = parts else {
@@ -551,11 +547,12 @@ fn attempt_atomic(
 }
 
 /// Sender-side reaction to one failed unit: without a retry policy the
-/// payment is abandoned on its first fault failure; with one, the blamed
-/// channel is blacklisted, the payment backs off exponentially, and a retry
-/// timer is scheduled — until the per-payment attempt budget runs out.
+/// payment is abandoned on its first fault failure; with one, its recovery
+/// record blacklists the blamed channel and the payment backs off
+/// exponentially, serving again in policy order once the backoff has
+/// passed — until the per-payment attempt budget runs out.
 fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, split: bool) {
-    let Some(fr) = t.faults.as_mut() else {
+    let Some(faults) = t.faults.as_mut() else {
         return;
     };
     if t.payments[idx].status != PaymentStatus::Pending {
@@ -563,27 +560,22 @@ fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, s
     }
     // Atomic senders have no unit-level retry machinery: the payment's
     // all-or-nothing guarantee is already broken, so it fails outright.
-    let Some(policy) = fr.state.config.retry.clone().filter(|_| split) else {
-        fr.state.stats.payments_failed += 1;
+    let Some(policy) = (faults.config.retry.as_ref()).filter(|_| split) else {
+        faults.stats.payments_failed += 1;
         return t.abandon(idx, now);
     };
     let until = now + policy.blacklist_duration;
-    fr.blacklist.block(blamed, until);
-    fr.state.stats.blacklistings += 1;
+    let recovery = &mut t.recovery[idx];
+    let retry = recovery.fault(policy, blamed, now, until, &mut faults.stats);
     t.tel.emit(|| TraceEvent::ChannelBlacklisted {
         t: now,
         channel: blamed.index() as u32,
         until,
     });
-    fr.fail_count[idx] += 1;
-    let attempt = fr.fail_count[idx];
-    let Some(backoff) = policy.backoff(attempt) else {
-        fr.state.stats.payments_failed += 1;
+    let Some((attempt, backoff)) = retry else {
         return t.abandon(idx, now);
     };
-    fr.not_before[idx] = fr.not_before[idx].max(now + backoff);
-    fr.state.stats.retries += 1;
-    t.retry_at(now + backoff, idx);
+    recovery.not_before = recovery.not_before.max(now + backoff);
     t.tel.emit(|| TraceEvent::PaymentRetry {
         t: now,
         payment: t.row(idx).id.0,
@@ -730,8 +722,7 @@ pub fn run_queued(
             Event::Tick => {
                 let _span = batch_span(tel, Phase::QueueDrain, now);
                 tel.counter_add("sim.scheduler.polls", 1);
-                // Deadlines only: this driver never schedules a retry.
-                t.fire_timers(now, |_, _| {});
+                t.expire_deadlines(now);
                 sweep_expired(&mut t, now);
                 for idx in t.pending_in_order(SchedulePolicy::Srpt) {
                     pump_source(&mut t, &mut paths, config, idx, now);
@@ -760,7 +751,7 @@ pub fn run_queued(
 }
 
 fn channel_down(t: &Transport, channel: ChannelId) -> bool {
-    (t.faults.as_ref()).is_some_and(|fr| fr.state.is_channel_down(channel))
+    (t.faults.as_ref()).is_some_and(|faults| faults.is_channel_down(channel))
 }
 
 /// First-hop admission: sends as many units of one pending payment as its
@@ -790,7 +781,7 @@ fn pump_source(
         // downed channels look empty), but admission only requires the
         // first hop to be fundable: downstream dry spells are absorbed by
         // router queues.
-        let best = t.with_sender_view(now, |view| {
+        let best = t.with_sender_view(idx, now, |view| {
             waterfilling::best_path(view, candidates).map(|(_, path)| Arc::clone(path))
         });
         let Some(best) = best else {
@@ -1429,6 +1420,34 @@ mod tests {
             "{:?}",
             report.audit_violations
         );
+    }
+
+    /// A unit refunded by an outage leaves flight like a settled one: it
+    /// frees its slot in the pair's window. (Before, only a settle did, so
+    /// with a window of 1 one lost unit stopped the pair for good.)
+    #[test]
+    fn failed_unit_frees_its_congestion_window() {
+        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
+        use spider_core::ChannelId;
+        let g = line3(100);
+        let txs = vec![tx(0, 0, 2, 10, 0.1), tx(1, 0, 2, 10, 3.0)];
+        let plan = FaultPlan::scripted(
+            vec![
+                (0.3, FaultEvent::ChannelDown(ChannelId(1))),
+                (0.4, FaultEvent::ChannelUp(ChannelId(1))),
+            ],
+            FaultConfig::default(),
+        );
+        let mut cfg = SimConfig::new(10.0);
+        cfg.faults = Some(plan);
+        cfg.congestion = Some(CongestionConfig {
+            initial_window: 1.0,
+            ..CongestionConfig::default()
+        });
+        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
+        let stats = report.faults.expect("fault stats present");
+        assert_eq!(stats.units_refunded_by_outage, 1, "{stats:?}");
+        assert_eq!(report.completed, 2, "{report:?}");
     }
 
     #[test]

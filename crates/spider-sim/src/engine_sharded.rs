@@ -56,6 +56,12 @@
 //! extensions that used to be sequential-engine-only, each mapped onto an
 //! unambiguous owner so partition independence survives:
 //!
+//! - **Sender retry**: a payment's fault recovery — failures, backoff and
+//!   blacklist — is the `payment::Recovery` record both engines keep, at
+//!   the payment owner, changed by its one transition and read through the
+//!   one masked routing view (`FaultView`) over the frozen balances. Its
+//!   times are epoch boundaries in seconds, and a backed-off payment is
+//!   pumped at the first tick past its backoff, as in `run`.
 //! - **Router queues** ([`ShardPolicy::Queued`]): a unit that cannot lock
 //!   a hop waits in a per-`(channel, direction)` queue *at the channel's
 //!   owner shard* instead of failing. Queues drain head-of-line each epoch;
@@ -68,7 +74,8 @@
 //!   the payment owner accrues `routing_fees_paid` when a unit settles.
 //! - **Congestion control**: a per-payment AIMD window at the payment
 //!   owner gates how many units may be outstanding, driven by the same
-//!   delivered/failed notifications that already flow to the owner.
+//!   delivered/failed notifications that already flow to the owner. (`run`
+//!   keeps one window per sender/receiver pair: ROADMAP, divergence 1.)
 //! - **Rebalancing**: each shard checks and corrects only the channels it
 //!   owns, publishing the new balances through the ordinary dirty-balance
 //!   exchange.
@@ -84,10 +91,10 @@
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::congestion::CongestionConfig;
 use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
-use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, UnitFate};
+use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
-use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus};
+use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
 use crate::rebalancer::{RebalancePolicy, RebalanceTotals};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
@@ -452,19 +459,15 @@ impl Agenda {
 }
 
 /// A payment owned by this shard: what the run changes about trace row
-/// `row`, which holds its inputs — the record both engines keep, plus the
-/// epochs and this engine's per-payment blacklist and window.
+/// `row`, which holds its inputs — the two records both engines keep, plus
+/// the epochs and this engine's per-payment window.
 struct LocalPayment {
     row: u32,
     arrival_epoch: u64,
     deadline_epoch: u64,
     state: PaymentState,
-    /// Per-payment blamed-channel blacklist: `(channel, blocked-until
-    /// epoch)`. Payment-local so routing never depends on which other
-    /// payments share the shard.
-    blacklist: Vec<(ChannelId, u64)>,
-    fail_count: u32,
-    not_before_epoch: u64,
+    /// Fault recovery, its times epoch boundaries in seconds (`t_of`).
+    recovery: Recovery,
     /// AIMD congestion window (units); only consulted when congestion
     /// control is configured.
     window: f64,
@@ -592,45 +595,21 @@ struct SamplePartial {
 }
 
 /// Balance view for routing: the barrier-frozen global snapshot with this
-/// payment's in-pump debits applied, masked by downed and
-/// payment-blacklisted channels.
+/// payment's in-pump debits applied. Under a fault plan `pump` masks it
+/// with the payment's `FaultView`.
 struct SnapshotView<'a> {
     network: &'a Network,
     avail: &'a [[i64; 2]],
-    faults: Option<&'a FaultState>,
-    blacklist: &'a [(ChannelId, u64)],
-    epoch: u64,
-}
-
-impl SnapshotView<'_> {
-    #[inline]
-    fn masked(&self, channel: ChannelId) -> bool {
-        if let Some(f) = self.faults {
-            if f.is_channel_down(channel) {
-                return true;
-            }
-        }
-        self.blacklist
-            .iter()
-            .any(|&(c, until)| c == channel && until > self.epoch)
-    }
 }
 
 impl BalanceView for SnapshotView<'_> {
     fn available(&self, channel: ChannelId, from: NodeId) -> Amount {
-        if self.masked(channel) {
-            return Amount::ZERO;
-        }
         let ch = self.network.channel(channel);
         let side = if from == ch.a { 0 } else { 1 };
         Amount::from_micros(self.avail[channel.index()][side])
     }
 
-    fn available_dir(&self, channel: ChannelId, from: NodeId, dir: Direction) -> Amount {
-        let _ = from;
-        if self.masked(channel) {
-            return Amount::ZERO;
-        }
+    fn available_dir(&self, channel: ChannelId, _from: NodeId, dir: Direction) -> Amount {
         Amount::from_micros(self.avail[channel.index()][sender_side(dir)])
     }
 }
@@ -776,9 +755,7 @@ impl<'a> ShardCtx<'a> {
                     arrival_epoch,
                     deadline_epoch: arrival_epoch + clock.deadline_epochs,
                     state: PaymentState::ARRIVED,
-                    blacklist: Vec::new(),
-                    fail_count: 0,
-                    not_before_epoch: 0,
+                    recovery: Recovery::FRESH,
                     window: initial_window,
                     outstanding: 0,
                 })
@@ -1347,70 +1324,46 @@ impl<'a> ShardCtx<'a> {
     }
 
     /// Sender-side recovery after a fault-caused unit failure: abandon
-    /// without a retry policy, otherwise blacklist + exponential backoff
-    /// within the per-payment attempt budget.
+    /// without a retry policy, otherwise the payment's recovery record
+    /// blacklists and backs off within the per-payment attempt budget, its
+    /// times rounded to epochs.
     fn handle_fault_failure(&mut self, pidx: usize, seq: u32, blamed: ChannelId, epoch: u64) {
         if self.payments[pidx].state.status != PaymentStatus::Pending {
             return;
         }
-        let t = t_of(epoch);
-        let retry = self
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|plan| plan.config.retry.clone());
-        let pid = self.row(pidx).id.0;
-        let Some(policy) = retry else {
-            self.abandon(pidx, epoch, true);
-            return;
+        let cfg = self.cfg;
+        let Some(policy) = (cfg.faults.as_ref()).and_then(|plan| plan.config.retry.as_ref()) else {
+            self.stats.payments_failed += 1;
+            return self.abandon(pidx, epoch);
         };
-        let until_epoch = epoch + epochs_of(policy.blacklist_duration);
-        let p = &mut self.payments[pidx];
-        p.blacklist.retain(|&(_, until)| until > epoch);
-        p.blacklist.push((blamed, until_epoch));
-        p.fail_count += 1;
-        let fails = p.fail_count;
-        self.stats.blacklistings += 1;
-        self.emit(
-            epoch,
-            pid,
-            u64::from(seq),
-            TraceEvent::ChannelBlacklisted {
-                t,
-                channel: blamed.index() as u32,
-                until: t_of(until_epoch),
-            },
-        );
-        let Some(backoff) = policy.backoff(fails) else {
-            self.abandon(pidx, epoch, true);
-            return;
+        let (t, pid, key) = (t_of(epoch), self.row(pidx).id.0, u64::from(seq));
+        let until = t_of(epoch + epochs_of(policy.blacklist_duration));
+        let recovery = &mut self.payments[pidx].recovery;
+        let retry = recovery.fault(policy, blamed, t, until, &mut self.stats);
+        let channel = blamed.index() as u32;
+        let blacklisted = TraceEvent::ChannelBlacklisted { t, channel, until };
+        self.emit(epoch, pid, key, blacklisted);
+        let Some((attempt, backoff)) = retry else {
+            return self.abandon(pidx, epoch);
         };
         let backoff_epochs = epochs_of(backoff);
-        let p = &mut self.payments[pidx];
-        p.not_before_epoch = p.not_before_epoch.max(epoch + backoff_epochs);
-        self.stats.retries += 1;
-        self.emit(
-            epoch,
-            pid,
-            u64::from(seq),
-            TraceEvent::PaymentRetry {
-                t,
-                payment: pid,
-                attempt: fails,
-                backoff: backoff_epochs as f64 * EPOCH,
-            },
-        );
+        let recovery = &mut self.payments[pidx].recovery;
+        recovery.not_before = recovery.not_before.max(t_of(epoch + backoff_epochs));
+        let backoff = backoff_epochs as f64 * EPOCH;
+        let retried = TraceEvent::PaymentRetry {
+            t,
+            payment: pid,
+            attempt,
+            backoff,
+        };
+        self.emit(epoch, pid, key, retried);
     }
 
-    fn abandon(&mut self, pidx: usize, epoch: u64, fault_caused: bool) {
+    fn abandon(&mut self, pidx: usize, epoch: u64) {
         let pid = self.row(pidx).id.0;
-        let Some(event) = self.payments[pidx].state.abandon(t_of(epoch), pid) else {
-            return;
-        };
-        if fault_caused {
-            self.stats.payments_failed += 1;
+        if let Some(event) = self.payments[pidx].state.abandon(t_of(epoch), pid) {
+            self.emit(epoch, pid, 0, event);
         }
-        self.emit(epoch, pid, 0, event);
     }
 
     /// The trace row holding local payment `pidx`'s inputs.
@@ -1424,9 +1377,8 @@ impl<'a> ShardCtx<'a> {
     /// independently of each other — over-subscription is resolved by the
     /// deterministic lock order at channel owners next epoch.
     fn pump(&mut self, pidx: usize, epoch: u64) {
-        if self.payments[pidx].state.status != PaymentStatus::Pending
-            || epoch < self.payments[pidx].not_before_epoch
-        {
+        let p = &self.payments[pidx];
+        if p.state.status != PaymentStatus::Pending || t_of(epoch) < p.recovery.not_before {
             return;
         }
         let mut undo = std::mem::take(&mut self.undo);
@@ -1444,16 +1396,21 @@ impl<'a> ShardCtx<'a> {
                 break;
             }
             let unit_amount = remaining.min(self.cfg.mtu);
-            let decision = {
-                let view = SnapshotView {
-                    network: self.network,
-                    avail: &self.snapshot,
-                    faults: self.faults.as_ref(),
-                    blacklist: &self.payments[pidx].blacklist,
-                    epoch,
-                };
-                self.scheme
-                    .route_unit(self.network, &view, src, dst, unit_amount)
+            let view = SnapshotView {
+                network: self.network,
+                avail: &self.snapshot,
+            };
+            let decision = match &self.faults {
+                Some(faults) => {
+                    let masked = FaultView {
+                        inner: &view,
+                        faults,
+                        recovery: &self.payments[pidx].recovery,
+                        now: t_of(epoch),
+                    };
+                    (self.scheme).route_unit(self.network, &masked, src, dst, unit_amount)
+                }
+                None => (self.scheme).route_unit(self.network, &view, src, dst, unit_amount),
             };
             match decision {
                 UnitDecision::Route(path) => {
@@ -1499,7 +1456,7 @@ impl<'a> ShardCtx<'a> {
                     // Under faults, "no path" may only mean "all masked":
                     // stay pending and retry once channels recover.
                     if self.faults.is_none() {
-                        self.abandon(pidx, epoch, false);
+                        self.abandon(pidx, epoch);
                     }
                     break;
                 }
@@ -1534,7 +1491,7 @@ impl<'a> ShardCtx<'a> {
         for k in 0..self.pending.len() {
             let i = self.pending[k];
             if self.payments[i].deadline_epoch <= epoch {
-                self.abandon(i, epoch, false);
+                self.abandon(i, epoch);
             }
             // `pump` passes over a payment that is no longer pending.
             self.pump(i, epoch);

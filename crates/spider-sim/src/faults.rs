@@ -13,13 +13,16 @@
 //!   (SplitMix64, no wall clock) or scripted directly;
 //! - [`FaultState`] — the runtime mask consumed by the engines: per-channel
 //!   down-cause counts, per-node liveness, and [`FaultStats`];
-//! - [`FaultView`] — a [`BalanceView`] wrapper that reports zero spendable
-//!   balance on downed or blacklisted channels, so every routing scheme's
+//! - `FaultView` — the one masked routing view both engines route a
+//!   payment through: a [`BalanceView`] wrapper that reports zero spendable
+//!   balance on downed channels and on those the payment blacklists (its
+//!   crate-private `payment::Recovery` record), so every routing scheme's
 //!   existing path machinery avoids dead channels without modification.
 //!
 //! Everything is a pure function of the seed: the same config produces the
 //! same schedule, unit fates, and trace on any host or worker count.
 
+use crate::payment::Recovery;
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
 use spider_telemetry::TraceEvent;
@@ -605,78 +608,32 @@ pub struct FaultStateSnapshot {
     pub stats: FaultStats,
 }
 
-/// Per-channel blacklist: a sender avoids a blamed channel until the
-/// recorded time.
-#[derive(Clone, Debug)]
-pub struct Blacklist {
-    until: Vec<f64>,
-}
-
-impl Blacklist {
-    /// An empty blacklist over `num_channels` channels.
-    pub fn new(num_channels: usize) -> Self {
-        Blacklist {
-            until: vec![f64::NEG_INFINITY; num_channels],
-        }
-    }
-
-    /// Blacklists `channel` until `until` (extends, never shortens).
-    pub fn block(&mut self, channel: ChannelId, until: f64) {
-        let slot = &mut self.until[channel.index()];
-        if until > *slot {
-            *slot = until;
-        }
-    }
-
-    /// `true` while `channel` is blacklisted at time `now`.
-    #[inline]
-    pub fn blocked(&self, channel: ChannelId, now: f64) -> bool {
-        self.until[channel.index()] > now
-    }
-
-    /// `true` if any hop of `path` is blacklisted at `now`.
-    pub fn path_blocked(&self, path: &Path, now: f64) -> bool {
-        path.hops().iter().any(|&(c, _)| self.blocked(c, now))
-    }
-
-    /// Raw per-channel expiry times (`NEG_INFINITY` = never blocked), for
-    /// checkpointing.
-    pub fn slots(&self) -> &[f64] {
-        &self.until
-    }
-
-    /// Restores slots captured by [`slots`](Self::slots). Fails (changing
-    /// nothing) when the length does not match this network.
-    pub fn restore_slots(&mut self, slots: Vec<f64>) -> Result<(), String> {
-        if slots.len() != self.until.len() {
-            return Err(format!(
-                "blacklist has {} channels, network has {}",
-                slots.len(),
-                self.until.len()
-            ));
-        }
-        self.until = slots;
-        Ok(())
-    }
-}
-
-/// A [`BalanceView`] that reports zero spendable balance on downed or
-/// blacklisted channels, so k-shortest / waterfilling / LP schemes route
-/// around failures with their existing bottleneck machinery.
-pub struct FaultView<'a, V: BalanceView> {
+/// The balances a payment routes against under a fault plan: zero on a
+/// downed channel and on one the payment blacklists
+/// ([`Recovery::avoids`]), so k-shortest / waterfilling / LP schemes route
+/// around failures with their existing bottleneck machinery. Both engines
+/// wrap their own view in it.
+pub(crate) struct FaultView<'a, V: BalanceView> {
     /// The unmasked view.
-    pub inner: &'a V,
+    pub(crate) inner: &'a V,
     /// Live fault mask.
-    pub faults: &'a FaultState,
-    /// Sender blacklist.
-    pub blacklist: &'a Blacklist,
+    pub(crate) faults: &'a FaultState,
+    /// The routing payment's recovery record.
+    pub(crate) recovery: &'a Recovery,
     /// Current simulation time (for blacklist expiry).
-    pub now: f64,
+    pub(crate) now: f64,
+}
+
+impl<V: BalanceView> FaultView<'_, V> {
+    /// `true` if the payment may not route over `channel` now.
+    fn masked(&self, channel: ChannelId) -> bool {
+        self.faults.is_channel_down(channel) || self.recovery.avoids(channel, self.now)
+    }
 }
 
 impl<V: BalanceView> BalanceView for FaultView<'_, V> {
     fn available(&self, channel: ChannelId, from: NodeId) -> Amount {
-        if self.faults.is_channel_down(channel) || self.blacklist.blocked(channel, self.now) {
+        if self.masked(channel) {
             Amount::ZERO
         } else {
             self.inner.available(channel, from)
@@ -684,7 +641,7 @@ impl<V: BalanceView> BalanceView for FaultView<'_, V> {
     }
 
     fn available_dir(&self, channel: ChannelId, from: NodeId, dir: Direction) -> Amount {
-        if self.faults.is_channel_down(channel) || self.blacklist.blocked(channel, self.now) {
+        if self.masked(channel) {
             Amount::ZERO
         } else {
             self.inner.available_dir(channel, from, dir)
@@ -853,27 +810,24 @@ mod tests {
         };
         let plan = FaultPlan::scripted(Vec::new(), FaultConfig::default());
         let mut st = FaultState::new(&plan, &g);
-        let mut bl = Blacklist::new(g.num_channels());
         let c01 = g.channels()[0].id;
         let c12 = g.channels()[1].id;
 
         st.apply(&g, &FaultEvent::ChannelDown(c01));
-        bl.block(c12, 10.0);
+        let recovery = Recovery {
+            blacklist: vec![(c12, 10.0)],
+            ..Recovery::FRESH
+        };
         let view = FaultView {
             inner: &inner,
             faults: &st,
-            blacklist: &bl,
+            recovery: &recovery,
             now: 5.0,
         };
         assert_eq!(view.available(c01, NodeId(0)), Amount::ZERO);
         assert_eq!(view.available(c12, NodeId(1)), Amount::ZERO);
         // After expiry the blacklist no longer masks.
-        let later = FaultView {
-            inner: &inner,
-            faults: &st,
-            blacklist: &bl,
-            now: 11.0,
-        };
+        let later = FaultView { now: 11.0, ..view };
         assert!(later.available(c12, NodeId(1)).is_positive());
     }
 

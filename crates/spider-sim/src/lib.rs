@@ -47,8 +47,7 @@ pub use engine_sharded::{
 };
 pub use events::{EventQueue, Time};
 pub use faults::{
-    Blacklist, FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, RetryPolicy,
-    UnitFate,
+    FaultConfig, FaultEvent, FaultPlan, FaultState, FaultStats, RetryPolicy, UnitFate,
 };
 pub use ledger::{Ledger, LedgerView};
 pub use metrics::SimReport;

@@ -1,9 +1,10 @@
 //! Per-payment simulation state, and the payment side of a unit's life
 //! (§4.1): sending, settling and refunding a unit, completing and
-//! abandoning a payment, and why a unit failed. Both engines call these
-//! transitions; they differ only in *when* one fires (continuous time or
-//! epochs).
+//! abandoning a payment, why a unit failed, and how the sender recovers
+//! from a fault. Both engines call these transitions; they differ only in
+//! *when* one fires (continuous time or epochs).
 
+use crate::faults::{FaultStats, RetryPolicy};
 use crate::ledger::tokens;
 use spider_core::{Amount, ChannelId};
 use spider_telemetry::TraceEvent;
@@ -181,6 +182,62 @@ impl FailCause {
     }
 }
 
+/// A payment's fault recovery under a fault plan: the failures it has
+/// had, when it may send again, and the channels it blames for them. Both
+/// engines keep one per payment, read it through `FaultView` and change it
+/// only through [`fault`](Self::fault). Times are seconds on the engine's
+/// own clock: continuous time, or epoch boundaries.
+#[derive(Clone, Debug)]
+pub(crate) struct Recovery {
+    /// Fault failures so far: the retry budget spent.
+    pub(crate) failures: u32,
+    /// The payment sends nothing before this time (its retry backoff).
+    pub(crate) not_before: f64,
+    /// `(channel, until)`: the payment routes around `channel` while the
+    /// time is before `until`.
+    pub(crate) blacklist: Vec<(ChannelId, f64)>,
+}
+
+impl Recovery {
+    /// A payment that has had no fault failure.
+    pub(crate) const FRESH: Recovery = Recovery {
+        failures: 0,
+        not_before: f64::NEG_INFINITY,
+        blacklist: Vec::new(),
+    };
+
+    /// `true` while the payment blacklists `channel` at time `now`.
+    pub(crate) fn avoids(&self, channel: ChannelId, now: f64) -> bool {
+        (self.blacklist.iter()).any(|&(c, until)| c == channel && until > now)
+    }
+
+    /// A unit failed at `now` for a fault blamed on `blamed`: drops the
+    /// expired blacklist entries, blacklists `blamed` until `until` and
+    /// counts the blacklisting. Returns the failure's number and the
+    /// backoff before the payment may send again, counting a retry — or
+    /// `None` once `policy`'s budget is spent, counting a failed payment
+    /// for the caller to abandon.
+    pub(crate) fn fault(
+        &mut self,
+        policy: &RetryPolicy,
+        blamed: ChannelId,
+        now: f64,
+        until: f64,
+        stats: &mut FaultStats,
+    ) -> Option<(u32, f64)> {
+        self.blacklist.retain(|&(_, t)| t > now);
+        self.blacklist.push((blamed, until));
+        stats.blacklistings += 1;
+        self.failures += 1;
+        let backoff = policy.backoff(self.failures);
+        match backoff {
+            Some(_) => stats.retries += 1,
+            None => stats.payments_failed += 1,
+        }
+        Some((self.failures, backoff?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +273,28 @@ mod tests {
             Some(TraceEvent::PaymentAbandoned { payment: 7, .. })
         ));
         assert_eq!(q.status, PaymentStatus::Abandoned);
+    }
+
+    /// A blacklisted channel is avoided until its expiry, expired entries
+    /// go at the next failure, and the budget's last failure abandons.
+    #[test]
+    fn recovery_blacklists_backs_off_and_spends_its_budget() {
+        let policy = RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        };
+        let (mut r, mut stats) = (Recovery::FRESH, FaultStats::default());
+        let (a, b) = (ChannelId(3), ChannelId(5));
+        assert_eq!(r.fault(&policy, a, 1.0, 3.0, &mut stats), Some((1, 0.2)));
+        assert!(r.avoids(a, 2.9) && !r.avoids(a, 3.0) && !r.avoids(b, 2.0));
+        assert_eq!(r.fault(&policy, b, 3.5, 5.5, &mut stats), Some((2, 0.4)));
+        assert_eq!(r.blacklist, vec![(b, 5.5)], "the expired entry is gone");
+        assert_eq!(r.fault(&policy, a, 4.0, 6.0, &mut stats), None);
+        assert!(r.avoids(a, 5.0) && r.avoids(b, 5.0));
+        assert_eq!(
+            (stats.blacklistings, stats.retries, stats.payments_failed),
+            (3, 2, 1)
+        );
     }
 
     /// One record per payment of the run, all kept to the end: the inputs

@@ -70,7 +70,11 @@ use std::path::{Path, PathBuf};
 /// and the rebalancing totals are exact micro-units.
 /// v7: a payment record in [`SEC_CORE`] stores its completion delay (seconds
 /// from arrival), not its completion time; no other byte moves.
-pub const FORMAT_VERSION: u8 = 7;
+/// v8: a payment's fault recovery is one record per payment in
+/// [`SEC_CORE`] (failures, retry-not-before time, its own blacklist); the
+/// run-wide blacklist, the per-payment fail-count and not-before seqs and
+/// the retry-timer seq are gone.
+pub const FORMAT_VERSION: u8 = 8;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
@@ -94,7 +98,7 @@ pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
 
-/// Every section tag a v7 file may carry, each at most once. Decoding
+/// Every section tag a v8 file may carry, each at most once. Decoding
 /// refuses any other tag (tag 4, retired in v4, included) as `Corrupt`.
 const SECTION_TAGS: [u32; 3] = [SEC_CORE, SEC_SCHEME, SEC_TELEMETRY];
 

@@ -6,22 +6,22 @@
 //! queue overflow). The only thing that varies is where a unit waits when a
 //! channel is dry — at the sender (§6.1) or in a router queue (Fig. 3,
 //! §4.2). [`Transport`] owns everything both placements share: the ledger,
-//! the event queue, payments, the unit slab, timers, the fault runtime, the
-//! telemetry series and counters, and the transitions over them (`arrive`,
-//! `send`, `settle`, `fail`, `abandon`, fault bookkeeping, sampling, the
-//! report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec, which only the
-//! source-queued driver uses). The drivers in [`crate::engine`] decide
-//! *when* a transition fires, never *what* it does.
+//! the event queue, payments and their fault recovery, the unit slab, the
+//! fault mask, the telemetry series and counters, and the transitions over
+//! them (`arrive`, `send`, `settle`, `fail`, `abandon`, fault bookkeeping,
+//! sampling, the report, and the [`SEC_CORE`](snapshot::SEC_CORE) codec,
+//! which only the source-queued driver uses). The drivers in
+//! [`crate::engine`] decide *when* a transition fires, never *what* it does.
 //!
 //! The arithmetic under a transition is not written here: it is shared,
 //! one copy each, with the sharded engine's handlers (which differ in when
 //! and where a transition runs, and in the divergences ROADMAP lists) —
 //! `Ledger::lock_walk` / `release_walk` and [`FeeSchedule::hop_amounts`]
-//! for the funds, [`PaymentState`]'s transitions, [`arrival_trace`] and
-//! [`FailCause`] for the payment side of a unit's life, the event table's
-//! kind → counter column behind `Telemetry::emit` for the counters,
-//! `FaultConfig::unit_fate` for a unit's fate, [`FaultEvent::trace`],
-//! `RetryPolicy::backoff`, `RebalancePolicy::apply`,
+//! for the funds, [`PaymentState`]'s transitions, [`arrival_trace`],
+//! [`FailCause`], [`Recovery`] and `FaultView` for the payment side of a
+//! unit's life, the event table's kind → counter column behind
+//! `Telemetry::emit` for the counters, `FaultConfig::unit_fate` for a
+//! unit's fate, [`FaultEvent::trace`], `RebalancePolicy::apply`,
 //! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
 //! [`tokens`] for what is reported.
 //!
@@ -45,10 +45,10 @@ use crate::audit::{AuditViolation, LedgerAudit};
 use crate::congestion::CongestionControl;
 use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
-use crate::faults::{Blacklist, FaultEvent, FaultPlan, FaultState, FaultView};
+use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultView};
 use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
-use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus};
+use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
 use crate::rebalancer::RebalanceTotals;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
@@ -59,8 +59,7 @@ use spider_core::{Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, 
 use spider_routing::FeeSchedule;
 use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Everything the event queue can hold. `HopArrive` is only scheduled by
@@ -315,15 +314,6 @@ impl std::ops::IndexMut<usize> for UnitSlab {
     }
 }
 
-/// Live fault-injection state: the channel/node mask, the sender blacklist,
-/// and per-payment retry accounting (vectors grow with arrivals).
-pub(crate) struct FaultRuntime {
-    pub(crate) state: FaultState,
-    pub(crate) blacklist: Blacklist,
-    pub(crate) fail_count: Vec<u32>,
-    pub(crate) not_before: Vec<f64>,
-}
-
 /// Per-(channel, direction) router queues and their statistics. Empty
 /// (zero channels) under the source-queued driver.
 #[derive(Default)]
@@ -404,9 +394,11 @@ pub(crate) struct Transport<'a> {
     /// payment gets the same window, so deadlines pass in arrival order
     /// and a cursor over the payments is all the bookkeeping they need.
     next_deadline: usize,
-    /// Retry backoffs as a `(time, payment)` min-heap.
-    retries: BinaryHeap<Reverse<(Time, usize)>>,
-    pub(crate) faults: Option<FaultRuntime>,
+    /// The channel/node mask, under a fault plan.
+    pub(crate) faults: Option<FaultState>,
+    /// Payment `i`'s fault recovery, under a fault plan (grows with
+    /// arrivals; empty otherwise).
+    pub(crate) recovery: Vec<Recovery>,
     pub(crate) audit: Option<LedgerAudit>,
     /// Refused over-releases (double settle/refund), surfaced in the report
     /// even when periodic auditing is off.
@@ -468,13 +460,8 @@ impl<'a> Transport<'a> {
             pending: Vec::new(),
             units: UnitSlab::default(),
             next_deadline: 0,
-            retries: BinaryHeap::new(),
-            faults: plan.map(|plan| FaultRuntime {
-                state: FaultState::new(plan, network),
-                blacklist: Blacklist::new(network.num_channels()),
-                fail_count: Vec::new(),
-                not_before: Vec::new(),
-            }),
+            faults: plan.map(|plan| FaultState::new(plan, network)),
+            recovery: Vec::new(),
             audit: None,
             release_violations: Vec::new(),
             routing_fees_paid: Amount::ZERO,
@@ -592,11 +579,12 @@ impl<'a> Transport<'a> {
         self.row(i).arrival + self.window
     }
 
-    /// Calls `route` with the balances a sender routes against: the live
-    /// ledger, with downed and blacklisted channels reading as empty under
-    /// fault injection.
+    /// Calls `route` with the balances payment `idx` routes against: the
+    /// live ledger, with downed channels and those the payment blacklists
+    /// reading as empty under fault injection.
     pub(crate) fn with_sender_view<R>(
         &self,
+        idx: usize,
         now: f64,
         route: impl FnOnce(&dyn BalanceView) -> R,
     ) -> R {
@@ -605,10 +593,10 @@ impl<'a> Transport<'a> {
             ledger: &self.ledger,
         };
         match &self.faults {
-            Some(fr) => route(&FaultView {
+            Some(faults) => route(&FaultView {
                 inner: &view,
-                faults: &fr.state,
-                blacklist: &fr.blacklist,
+                faults,
+                recovery: &self.recovery[idx],
                 now,
             }),
             None => route(&view),
@@ -621,9 +609,8 @@ impl<'a> Transport<'a> {
     pub(crate) fn arrive(&mut self, i: usize, now: f64) {
         debug_assert_eq!(i, self.payments.len(), "arrivals come in trace order");
         self.payments.push(PaymentState::ARRIVED);
-        if let Some(fr) = self.faults.as_mut() {
-            fr.fail_count.push(0);
-            fr.not_before.push(f64::NEG_INFINITY);
+        if self.faults.is_some() {
+            self.recovery.push(Recovery::FRESH);
         }
         let [arrived, split] = arrival_trace(self.row(i), self.mtu, now);
         self.tel.emit(|| arrived);
@@ -678,6 +665,7 @@ impl<'a> Transport<'a> {
         );
         let (amount, payment) = (u.amount, u.payment());
         self.units.finish(ui);
+        self.congestion_outcome(payment, true);
         if let Err(e) = res {
             return record_release(&mut self.release_violations, now, "settle", &e);
         }
@@ -717,6 +705,7 @@ impl<'a> Transport<'a> {
             (self.ledger).release_walk(self.network, &u.path, locked, amounts, Release::Refund);
         let (amount, payment) = (u.amount, u.payment());
         self.units.finish(ui);
+        self.congestion_outcome(payment, false);
         if let Err(e) = res {
             let label = match cause {
                 FailCause::Liquidity(_) => "queued-drop",
@@ -729,11 +718,11 @@ impl<'a> Transport<'a> {
         self.payments[payment].refund(amount);
         let pid = self.row(payment).id.0;
         // Only a fault plan deals a fate or takes a channel down.
-        if let Some(fr) = self.faults.as_mut() {
+        if let Some(faults) = self.faults.as_mut() {
             if let FailCause::Outage(_) = cause {
-                fr.state.stats.units_refunded_by_outage += 1;
+                faults.stats.units_refunded_by_outage += 1;
             }
-            if let Some(ev) = cause.trace(now, pid, amount, fr.state.config.grief_hold) {
+            if let Some(ev) = cause.trace(now, pid, amount, faults.config.grief_hold) {
                 self.tel.emit(|| ev);
             }
         }
@@ -745,6 +734,16 @@ impl<'a> Transport<'a> {
         true
     }
 
+    /// A unit of payment `idx` left flight, `delivered` or not: the pair's
+    /// congestion window (set only for packet-switched senders) frees its
+    /// slot and grows or shrinks.
+    fn congestion_outcome(&mut self, idx: usize, delivered: bool) {
+        if let Some(cc) = self.congestion.as_mut() {
+            let tx = &self.transactions[idx];
+            cc.on_outcome(tx.src, tx.dst, delivered);
+        }
+    }
+
     /// Gives up on a pending payment; value already settled stays delivered.
     pub(crate) fn abandon(&mut self, idx: usize, now: f64) {
         let pid = self.row(idx).id.0;
@@ -753,33 +752,16 @@ impl<'a> Transport<'a> {
         }
     }
 
-    // -- timers ---------------------------------------------------------------
-
-    /// Schedules a retry of `payment` once its backoff expires at `time`.
-    pub(crate) fn retry_at(&mut self, time: f64, payment: usize) {
-        self.retries.push(Reverse((Time::new(time), payment)));
-    }
-
-    /// Fires every deadline and retry backoff due at `now` in
-    /// `(time, payment)` order, a payment's deadline ahead of its retry.
-    /// Deadlines are enforced here; what a retry does is up to the driver.
-    pub(crate) fn fire_timers(&mut self, now: f64, mut retry: impl FnMut(&mut Self, usize)) {
-        loop {
-            let i = self.next_deadline;
-            let deadline =
-                (self.split && i < self.payments.len()).then(|| (Time::new(self.deadline(i)), i));
-            let backoff = self.retries.peek().map(|&Reverse(r)| r);
-            match (deadline, backoff) {
-                (Some(d), r) if d.0.seconds() <= now && r.is_none_or(|r| d <= r) => {
-                    self.next_deadline += 1;
-                    self.abandon(d.1, now);
-                }
-                (_, Some(r)) if r.0.seconds() <= now => {
-                    self.retries.pop();
-                    retry(self, r.1);
-                }
-                _ => break,
-            }
+    /// Abandons, in arrival order, every split payment whose deadline has
+    /// passed by `now`. (A backed-off payment needs no timer: it waits in
+    /// the pending list until its `Recovery::not_before`.)
+    pub(crate) fn expire_deadlines(&mut self, now: f64) {
+        while self.split
+            && self.next_deadline < self.payments.len()
+            && self.deadline(self.next_deadline) <= now
+        {
+            self.next_deadline += 1;
+            self.abandon(self.next_deadline - 1, now);
         }
     }
 
@@ -798,11 +780,11 @@ impl<'a> Transport<'a> {
     /// records it; returns the channels that just went down.
     pub(crate) fn apply_fault(&mut self, ev: &FaultEvent, now: f64) -> Vec<ChannelId> {
         // Fault events are only scheduled when a plan is installed.
-        let Some(fr) = self.faults.as_mut() else {
+        let Some(faults) = self.faults.as_mut() else {
             return Vec::new();
         };
         self.tel.emit(|| ev.trace(now));
-        fr.state.apply(self.network, ev)
+        faults.apply(self.network, ev)
     }
 
     /// Every live unit whose *locked prefix* crosses one of `down`, with
@@ -895,7 +877,7 @@ impl<'a> Transport<'a> {
             audit_violations,
             completion_delay_percentiles: self.tel.delay_percentiles("sim.completion_delay"),
             telemetry: self.tel.summarize(self.network_series),
-            faults: self.faults.map(|fr| fr.state.stats),
+            faults: self.faults.map(|faults| faults.stats),
             ..tally(scheme, policy, rows)
         }
     }
@@ -980,6 +962,32 @@ fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, 
     })
 }
 
+fn enc_recovery(e: &mut Enc, r: &Recovery) {
+    e.u32(r.failures);
+    e.f64(r.not_before);
+    e.seq(&r.blacklist, |e, &(c, until)| {
+        e.usize(c.index());
+        e.f64(until);
+    });
+}
+
+/// Reads a payment's recovery record. A fresh one may send from `-∞`.
+fn dec_recovery(d: &mut Dec, network: &Network) -> Result<Recovery, SnapshotError> {
+    let (failures, not_before) = (d.u32()?, d.f64()?);
+    if not_before.is_nan() || not_before == f64::INFINITY {
+        return corrupt(format!("recovery not before {not_before}"));
+    }
+    let blacklist = dec_seq(d, |d| {
+        let channel = dec_index(d, network.num_channels(), "blacklisted channel")?;
+        Ok((ChannelId::from(channel), dec_time(d, "blacklist expiry")?))
+    })?;
+    Ok(Recovery {
+        failures,
+        not_before,
+        blacklist,
+    })
+}
+
 fn enc_unit(e: &mut Enc, u: &Unit) {
     e.usize(u.payment as usize);
     enc_path(e, &u.path);
@@ -1028,7 +1036,7 @@ fn enc_sample(e: &mut Enc, s: &NetworkSample) {
 
 impl Transport<'_> {
     /// Encodes the `SEC_CORE` section of an [`ENGINE_SEQ`](snapshot::ENGINE_SEQ)
-    /// snapshot (SPSN v7): the run state that neither the inputs — the trace,
+    /// snapshot (SPSN v8): the run state that neither the inputs — the trace,
     /// the fault plan, the config — nor the other sections can say.
     /// Integers are little-endian; `usize` travels as `u64`; a *seq* is a
     /// `u64` count followed by that many items; an *opt* is a presence byte
@@ -1072,20 +1080,22 @@ impl Transport<'_> {
     ///    On decode it is a tombstone in a chunk that holds a live unit, or
     ///    in the partly filled last chunk, and absent everywhere else.
     ///    `total` must equal `units_sent` in part 9.
-    /// 6. Timers — `next_deadline: usize` (payments before it have had
-    ///    their deadline enforced), then the retry backoffs, a sorted seq of
-    ///    `(time: f64, payment: usize)`.
-    /// 7. Fault runtime — opt: down-cause bytes (length-prefixed),
-    ///    node-down seq of `bool`, stats json, blacklist expiries seq of
-    ///    `f64`, per-payment fail counts seq of `u32` and retry-not-before
-    ///    times seq of `f64`. Unit fates need no generator state: each is a
-    ///    pure function of the plan's seed, the payment and the unit.
+    /// 6. `next_deadline: usize` (payments before it have had their
+    ///    deadline enforced).
+    /// 7. Faults — opt: down-cause bytes (length-prefixed), node-down seq
+    ///    of `bool`, stats json, then a seq of one recovery record per
+    ///    payment: `failures: u32`, `not_before: f64` and the blacklist, a
+    ///    seq of `(channel: usize, until: f64)`. The decoder refuses another
+    ///    record count, a NaN or +∞ `not_before`, a channel the network
+    ///    lacks and a non-finite expiry. Unit fates need no generator state:
+    ///    each is a pure function of the plan's seed, the payment and unit.
     /// 8. Audit state — opt json; release violations — json.
     /// 9. `routing_fees_paid: i64`, `units_sent: u64`.
     /// 10. Network samples — seq of `t, mean_imbalance, total_inflight: f64,
     ///     pending, max_queue_depth: u32`; `next_sample: f64`.
     /// 11. Congestion windows — opt seq of `src: u32, dst: u32, window: f64,
-    ///     outstanding: u32`.
+    ///     outstanding: u32`. The decoder refuses a node the network lacks
+    ///     and a window outside the config's `[min_window, max_window]`.
     /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
     ///     u64, moved: i64, fees: i64` (micro-units).
     fn encode(&self) -> Vec<u8> {
@@ -1113,19 +1123,10 @@ impl Transport<'_> {
             enc_unit(e, u);
         });
         e.usize(self.next_deadline);
-        // Heap iteration order is arbitrary, so sort the capture.
-        let mut retries: Vec<_> = self.retries.iter().map(|&Reverse(r)| r).collect();
-        retries.sort_unstable();
-        e.seq(&retries, |e, &(t, payment)| {
-            e.f64(t.seconds());
-            e.usize(payment);
-        });
-        e.opt(self.faults.as_ref().map(|fr| {
+        e.opt(self.faults.as_ref().map(|faults| {
             |e: &mut Enc| {
-                snapshot::enc_fault_state(e, &fr.state);
-                e.seq(fr.blacklist.slots(), |e, &t| e.f64(t));
-                e.seq(&fr.fail_count, |e, &c| e.u32(c));
-                e.seq(&fr.not_before, |e, &t| e.f64(t));
+                snapshot::enc_fault_state(e, faults);
+                e.seq(&self.recovery, enc_recovery);
             }
         }));
         e.opt(
@@ -1204,22 +1205,15 @@ impl Transport<'_> {
         self.restore_queue(entries, next_seq, num_units)?;
         self.next_arrival = num_payments;
         self.next_deadline = dec_index(&mut d, num_payments + 1, "deadline cursor at payment")?;
-        self.retries = dec_seq(&mut d, |d| {
-            let time = Time::new(dec_time(d, "retry")?);
-            Ok(Reverse((
-                time,
-                dec_index(d, num_payments, "retry of payment")?,
-            )))
-        })?
-        .into();
         dec_present(&mut d, self.faults.is_some(), "a fault plan")?;
-        if let Some(fr) = self.faults.as_mut() {
-            snapshot::dec_fault_state(&mut d, &mut fr.state)?;
-            (fr.blacklist.restore_slots(d.seq(|d| d.f64())?)).or_else(corrupt)?;
-            fr.fail_count = d.seq(|d| d.u32())?;
-            fr.not_before = d.seq(|d| d.f64())?;
-            if fr.fail_count.len() != num_payments || fr.not_before.len() != num_payments {
-                return corrupt("retry accounting does not cover every payment".to_string());
+        if let Some(faults) = self.faults.as_mut() {
+            snapshot::dec_fault_state(&mut d, faults)?;
+            self.recovery = dec_seq(&mut d, |d| dec_recovery(d, network))?;
+            let records = self.recovery.len();
+            if records != num_payments {
+                return corrupt(format!(
+                    "{records} recovery records, {num_payments} payments"
+                ));
             }
         }
         if dec_present(&mut d, self.audit.is_some(), "auditing")? {
@@ -1248,10 +1242,14 @@ impl Transport<'_> {
         })?;
         self.next_sample = d.f64()?;
         if dec_present(&mut d, self.congestion.is_some(), "congestion control")? {
-            let windows =
-                d.seq(|d| Ok((NodeId(d.u32()?), NodeId(d.u32()?), d.f64()?, d.u32()?)))?;
+            let num_nodes = network.num_nodes();
+            let node = |d: &mut Dec| match d.u32()? {
+                n if (n as usize) < num_nodes => Ok(NodeId(n)),
+                n => corrupt(format!("congestion window names node {n}")),
+            };
+            let windows = dec_seq(&mut d, |d| Ok((node(d)?, node(d)?, d.f64()?, d.u32()?)))?;
             if let Some(cc) = self.congestion.as_mut() {
-                cc.restore_state(&windows);
+                cc.restore_state(&windows).or_else(corrupt)?;
             }
         }
         self.rebalance_pending = d.seq(|d| d.bool())?;

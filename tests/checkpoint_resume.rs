@@ -269,7 +269,7 @@ fn resume_with_congestion_rebalance_and_fees_is_byte_identical() {
 }
 
 /// What a sequential-engine `SEC_CORE` section says about units, read by
-/// the SPSN v7 layout documented on `Transport::encode`.
+/// the SPSN v8 layout documented on `Transport::encode`.
 struct CoreUnits {
     /// Units ever sent: slab indices run `0..total`.
     total: usize,
@@ -305,7 +305,7 @@ impl CoreUnits {
                 7 => drop(d.usize().expect("event argument")),
                 4 => drop(d.take_raw(1 + 4).expect("fault event")),
                 5 | 6 => {}
-                other => panic!("a v7 section queues no event with tag {other}"),
+                other => panic!("a v8 section queues no event with tag {other}"),
             }
         }
         d.u64().expect("next sequence number");
@@ -615,6 +615,41 @@ fn path_cache_naming_unknown_nodes_is_an_error_never_a_panic() {
     }
 }
 
+/// A checksum-valid `SEC_CORE` whose congestion-window table (part 11)
+/// names a node the network lacks: the window table is indexed by node, so
+/// `resume` must refuse it as `Corrupt` before the run starts. (It used to
+/// size a table by the id and abort the process.)
+#[test]
+fn congestion_window_naming_an_unknown_node_is_corrupt_never_an_abort() {
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
+    let (network, txs) = isp_scenario(7, 250);
+    let mut cfg = full_config(18.0);
+    cfg.congestion = Some(spider::sim::CongestionConfig::default());
+    let dir = TempDir::new("congestion-nodes-run");
+    let spec = CheckpointSpec::new(50, dir.path());
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+
+    // The core section ends with part 11's windows, 20 bytes each, then
+    // part 12: a flag per channel behind its `u64` count, and three words.
+    let snap = read_snapshot(&snapshot_files(dir.path())[1]).expect("snapshot reads");
+    let mut sections = snap.sections.clone();
+    for (tag, bytes) in &mut sections {
+        if *tag == SEC_CORE {
+            let last_window = bytes.len() - 24 - (8 + network.num_channels()) - 20;
+            bytes[last_window..last_window + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+    }
+    let path = dir.path().join("unknown-window-node.spsn");
+    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+    std::fs::write(&path, bytes).expect("write tampered snapshot");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+        Err(SnapshotError::Corrupt { what }) if what.contains("window names node 4294967295") => {}
+        other => panic!("expected Corrupt naming the window, got {other:?}"),
+    }
+}
+
 /// Asserts that the snapshot files' frame checksums, in order, are
 /// `pinned`. The frame checksum is the CRC32 of the whole file up to its
 /// last four bytes, which hold it. (The CRC32 of the *whole* file would pin
@@ -641,7 +676,7 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
 /// checksum: the core state, the scheme state and the telemetry section
 /// (metrics registry and the event log as SPBT) may not drift while
-/// `snapshot::FORMAT_VERSION` stays 7. Captured at the v7 bump with this
+/// `snapshot::FORMAT_VERSION` stays 8. Captured at the v8 bump with this
 /// `full_config`.
 #[test]
 fn sequential_telemetry_snapshot_bytes_are_pinned() {
@@ -653,7 +688,7 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let spec = CheckpointSpec::new(20, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     let pinned = [
-        0xc7f143c4, 0x46a49012, 0x8e990079, 0xb0f72be3, 0x9d9306fd, 0x0c58db10, 0xe06abec8,
+        0xad717da6, 0xe712a605, 0xbda77775, 0x44001dd0, 0xe31c923d, 0x83abe09f, 0xa5d36f53,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
 }
@@ -929,15 +964,16 @@ fn damaged_snapshots_are_rejected_not_panicked() {
     }
 
     // Any other format version, future or stale: a v5 file (queued
-    // arrivals, payment records with their trace row) or a v6 file
-    // (completion times, not delays) must not be parsed with the v7 layout.
-    for version in [0xFF, 2, 3, 4, 5, 6] {
+    // arrivals, payment records with their trace row), a v6 file
+    // (completion times, not delays) or a v7 file (a run-wide blacklist and
+    // a retry heap) must not be parsed with the v8 layout.
+    for version in [0xFF, 2, 3, 4, 5, 6, 7] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {
             SnapshotError::UnsupportedVersion {
                 found,
-                supported: 7,
+                supported: 8,
             } if found == version => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

@@ -23,7 +23,7 @@
 use spider_bench::{ExperimentConfig, ShardFeatures};
 use spider_routing::{RoutingScheme, ShortestPathScheme, WaterfillingScheme};
 use spider_sim::{
-    run, run_sharded, FaultConfig, FaultPlan, SchedulePolicy, ShardScheme, SimReport,
+    run, run_sharded, FaultConfig, FaultPlan, RetryPolicy, SchedulePolicy, ShardScheme, SimReport,
 };
 use spider_telemetry::{Telemetry, TraceEvent};
 use spider_topology::Partition;
@@ -81,6 +81,14 @@ fn outcomes(tel: &Telemetry) -> Outcomes {
 /// fault path never runs.) A griefed unit's refund takes a different route
 /// in each engine — a fault-expire event after the hold, or refunds staged
 /// when the final hop locks — and both end in one failure transition.
+///
+/// The last two passes drop and grief the same way under the default
+/// `RetryPolicy`, with a 30 s deadline and a 60 s window: a failed unit
+/// blacklists its channel in the payment's own recovery record and the
+/// payment backs off, then routes around the channel at its first tick past
+/// the backoff — the same decisions in both engines, since without
+/// contention a retry, like a first send, locks at once. No deadline falls
+/// near an epoch boundary, where the engines' clocks would part.
 #[test]
 fn contention_free_runs_agree_exactly() {
     let exp = ExperimentConfig {
@@ -103,16 +111,24 @@ fn contention_free_runs_agree_exactly() {
         retry: None,
         ..FaultConfig::default()
     };
+    let retried = |f: &FaultConfig| FaultConfig {
+        retry: Some(RetryPolicy::default()),
+        ..f.clone()
+    };
+    let (retried_drops, retried_griefs) = (retried(&drops), retried(&griefs));
 
-    for (pass, faults) in [
-        ("no faults", None),
-        ("drops", Some(drops)),
-        ("griefs", Some(griefs)),
+    for (pass, faults, deadline, end_time) in [
+        ("no faults", None, None, end_time),
+        ("drops", Some(drops), None, end_time),
+        ("griefs", Some(griefs), None, end_time),
+        ("drops, retried", Some(retried_drops), Some(30.0), 60.0),
+        ("griefs, retried", Some(retried_griefs), Some(30.0), 60.0),
     ] {
         let plan = (faults.as_ref()).map(|f| FaultPlan::from_config(f, &network, end_time));
         let seq_tel = Telemetry::enabled();
         let mut sim = exp.sim_config();
         sim.end_time = end_time;
+        sim.deadline = deadline.unwrap_or(sim.deadline);
         sim.telemetry = seq_tel.clone();
         sim.faults = plan.clone();
         let seq = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
@@ -126,11 +142,18 @@ fn contention_free_runs_agree_exactly() {
                     stats.payments_failed > 0,
                     "{pass}: no failure abandoned a payment"
                 );
-                assert_eq!(
-                    stats.payments_failed,
-                    (seq.attempted - seq.completed) as u64,
-                    "{pass}"
-                );
+                if deadline.is_none() {
+                    assert_eq!(
+                        stats.payments_failed,
+                        (seq.attempted - seq.completed) as u64,
+                        "{pass}"
+                    );
+                } else {
+                    // A retry recovers most failures; a few payments run
+                    // out of time before they spend their budget.
+                    assert!(stats.retries > 0, "{pass}: nothing retried");
+                    assert!(stats.payments_failed < (seq.attempted - seq.completed) as u64);
+                }
             }
         }
         let seq_outcomes = outcomes(&seq_tel);
@@ -140,6 +163,7 @@ fn contention_free_runs_agree_exactly() {
             let tel = Telemetry::enabled();
             let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
             cfg.end_time = end_time;
+            cfg.deadline = deadline.unwrap_or(cfg.deadline);
             cfg.telemetry = tel.clone();
             cfg.faults = plan.clone();
             let partition = Partition::build(&network, shards, exp.seed);

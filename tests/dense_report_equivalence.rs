@@ -39,7 +39,11 @@
 //! stopped adding per-payment floats and summed them exactly, as the
 //! sharded engine always had. The sharded file's network-sample `pending`
 //! counts were re-pinned when those samples stopped counting payments that
-//! had not yet arrived. Every other value in the files is what it was.
+//! had not yet arrived. The sequential file's `run-stress-faults-retries`
+//! case was re-pinned when `run` gave each payment its own blacklist and
+//! let a backed-off payment wait for its turn in the scheduling order, as
+//! `run_sharded` does (ROADMAP, divergence 2). Every other value in the
+//! files is what it was.
 //! Every pinned case checks its three volumes against exact sums
 //! recomputed from its own trace.
 
