@@ -62,7 +62,7 @@ use spider_bench::{
     ablation_extensions, ablation_mtu, ablation_num_paths, ablation_path_strategy,
     ablation_scheduler, extension_schemes, fig4_fig5, fig6, fig7, jobs_from_env, rebalancing_curve,
     run_grid, run_scheme, run_sharded_scheme, scheme_choice_by_name, telemetry_handle, Ablation,
-    ExperimentConfig, GridConfig, RunMode, SchemeChoice, ShardFeatures,
+    ExperimentConfig, GridConfig, RunMode, SchemeChoice,
 };
 use spider_core::Amount;
 use spider_sim::{latest_snapshot, CheckpointSpec, FaultConfig, ShardScheme, SimReport};
@@ -144,10 +144,6 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("--no-retry", "", GRID),
     ("--shards", "N", "sharded"),
     ("--audit", "", "sharded"),
-    ("--policy", "direct|queued", "sharded"),
-    ("--fees", "", "sharded"),
-    ("--congestion", "", "sharded"),
-    ("--rebalance", "", "sharded"),
     ("--channel", "N", "inspect"),
     ("--node", "N", "inspect"),
     ("--payment", "N", "inspect"),
@@ -748,14 +744,10 @@ fn run_grid_command(opts: &Options, out: &mut JsonSink) {
     println!();
 }
 
-/// `sharded [--shards N] [--scheme shortest|waterfilling] [--audit]
-/// [--policy direct|queued] [--fees] [--congestion] [--rebalance]`:
-/// one run on the partition-parallel engine, optionally with the
-/// feature-parity surface (router queues, fees, congestion control,
-/// rebalancing) switched on. The printed report, `--json` output, and
-/// `--trace-out` trace are byte-identical for any `--shards` value — CI
-/// compares shard counts 1 and 4 on the smoke scenario, plain and
-/// all-features.
+/// `sharded [--shards N] [--scheme shortest|waterfilling] [--audit]`:
+/// one run on the partition-parallel engine. The printed report, `--json`
+/// output, and `--trace-out` trace are byte-identical for any `--shards`
+/// value — CI compares shard counts 1 and 4 on the smoke scenario.
 fn run_sharded_command(opts: &Options, out: &mut JsonSink) {
     let topology = opts.topology();
     let cfg = config_for(opts, topology);
@@ -766,37 +758,15 @@ fn run_sharded_command(opts: &Options, out: &mut JsonSink) {
         Some(_) => usage_and_exit("`sharded --scheme` expects shortest or waterfilling"),
     };
     let audit = opts.has("--audit");
-    let features = ShardFeatures {
-        queued: match opts.value("--policy") {
-            None | Some("direct") => false,
-            Some("queued") => true,
-            Some(other) => usage_and_exit(&format!(
-                "`--policy` expects direct or queued, got `{other}`"
-            )),
-        },
-        fees: opts.has("--fees"),
-        congestion: opts.has("--congestion"),
-        rebalance: opts.has("--rebalance"),
-    };
-    let extras: String = [
-        (features.fees, " +fees"),
-        (features.congestion, " +congestion"),
-        (features.rebalance, " +rebalance"),
-    ]
-    .iter()
-    .filter_map(|&(on, label)| on.then_some(label))
-    .collect();
     println!(
-        "=== Sharded ({topology}): {} txns over {:.0}s on {shards} shard(s), audit {}, \
-         policy {}{extras} ===",
+        "=== Sharded ({topology}): {} txns over {:.0}s on {shards} shard(s), audit {} ===",
         cfg.num_transactions,
         cfg.duration,
         if audit { "on" } else { "off" },
-        if features.queued { "queued" } else { "direct" },
     );
     let tel = telemetry_handle(opts.telemetry);
     let t0 = std::time::Instant::now();
-    let report = run_sharded_scheme(&cfg, scheme, shards, &tel, audit, features);
+    let report = run_sharded_scheme(&cfg, scheme, shards, &tel, audit);
     print_fig6_table(std::slice::from_ref(&report));
     println!(
         "audit checks {} violations {} ({:.1}s)",

@@ -189,56 +189,18 @@ impl ExperimentConfig {
     }
 }
 
-/// Sequential-engine features to switch on for a sharded experiment run
-/// (the feature-parity surface: router queues, fees, congestion control,
-/// rebalancing). All off by default.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardFeatures {
-    /// Queued router policy (per-channel queues at the owning shard).
-    pub queued: bool,
-    /// Uniform per-hop fee schedule (10 micros + 1000 ppm).
-    pub fees: bool,
-    /// Per-payment AIMD congestion windows.
-    pub congestion: bool,
-    /// Aggressive on-chain rebalancing on owned channels.
-    pub rebalance: bool,
-}
-
-impl ShardFeatures {
-    /// Applies the enabled features to a sharded config.
-    pub fn apply(&self, cfg: &mut ShardedConfig, network: &Network) {
-        if self.queued {
-            cfg.policy = spider_sim::engine_sharded::ShardPolicy::Queued;
-        }
-        if self.fees {
-            cfg.fees = Some(spider_routing::FeeSchedule::uniform(
-                network,
-                Amount::from_micros(10),
-                1_000,
-            ));
-        }
-        if self.congestion {
-            cfg.congestion = Some(spider_sim::CongestionConfig::default());
-        }
-        if self.rebalance {
-            cfg.rebalance = Some(spider_sim::RebalancePolicy::aggressive());
-        }
-    }
-}
-
 /// Runs one experiment on the partition-parallel engine: same topology and
 /// trace as [`run_scheme`], split over `shards` threads by a deterministic
 /// [`Partition`] seeded from the experiment seed, with the per-epoch ledger
-/// auditor switchable on (violations surface in the report) and a
-/// [`ShardFeatures`] selection. The report (and trace, when `telemetry` is
-/// enabled) is byte-identical for any `shards` value and any selection.
+/// auditor switchable on (violations surface in the report). The report
+/// (and trace, when `telemetry` is enabled) is byte-identical for any
+/// `shards` value.
 pub fn run_sharded_scheme(
     config: &ExperimentConfig,
     scheme: ShardScheme,
     shards: usize,
     telemetry: &Telemetry,
     audit: bool,
-    features: ShardFeatures,
 ) -> SimReport {
     let network = config.network();
     let trace = config.trace(&network);
@@ -248,7 +210,6 @@ pub fn run_sharded_scheme(
         Partition::build(&network, shards, config.seed)
     };
     let mut cfg = config.sharded_config(scheme);
-    features.apply(&mut cfg, &network);
     cfg.telemetry = telemetry.clone();
     cfg.audit = audit;
     run_sharded(&network, &trace, &partition, &cfg)

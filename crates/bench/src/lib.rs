@@ -18,7 +18,7 @@ pub use experiments::{
     ablation_scheduler, build_scheme, extension_schemes, fig4_fig5, fig4_network, fig6, fig7,
     lp_candidate_paths, rebalancing_curve, run_scheme, run_sharded_scheme, scheme_choice_by_name,
     telemetry_handle, Ablation, ExperimentConfig, Fig4Result, RebalancingPoint, RunMode,
-    SchemeChoice, ShardFeatures, Topology,
+    SchemeChoice, Topology,
 };
 pub use runner::{
     derive_cell_seed, expand, jobs_from_env, run_grid, CellResult, GridCell, GridConfig,

@@ -66,13 +66,13 @@ impl CongestionConfig {
 
     /// `window` after one settled unit: additive increase (`w += a / w`,
     /// TCP-style), capped at the ceiling.
-    pub fn grown(&self, window: f64) -> f64 {
+    fn grown(&self, window: f64) -> f64 {
         (window + self.additive_increase / window).min(self.max_window)
     }
 
     /// `window` after one failed route attempt or failed unit:
     /// multiplicative decrease, held at the floor.
-    pub fn shrunk(&self, window: f64) -> f64 {
+    fn shrunk(&self, window: f64) -> f64 {
         (window * self.multiplicative_decrease).max(self.min_window)
     }
 }

@@ -49,19 +49,21 @@ use spider_workload::Transaction;
 use std::sync::Arc;
 
 /// Settlement delay Δ (seconds) the paper uses (§6.1): the default of
-/// [`SimConfig::delta`], and what the router-queued and sharded drivers use.
+/// [`SimConfig::delta`], the router-queued driver's Δ, and the sharded
+/// engine's, rounded to whole epochs.
 pub(crate) const DELTA: f64 = 0.5;
 /// Scheduler poll interval (seconds): the default of
-/// [`SimConfig::poll_interval`], and what the other two drivers use.
+/// [`SimConfig::poll_interval`], the router-queued driver's, and the
+/// sharded engine's tick, rounded to whole epochs.
 pub(crate) const POLL_INTERVAL: f64 = 0.1;
 /// Per-hop propagation and processing delay of the router-queued driver
 /// (seconds).
 pub(crate) const HOP_DELAY: f64 = 0.05;
 /// Candidate edge-disjoint paths per pair under the router-queued driver.
 pub(crate) const NUM_PATHS: usize = 4;
-/// Hard cap per channel-direction router queue, in both the router-queued
-/// and the sharded driver: a unit that finds its queue full is dropped
-/// (and refunded) on arrival.
+/// Hard cap per channel-direction router queue of the router-queued
+/// driver: a unit that finds its queue full is dropped (and refunded) on
+/// arrival.
 pub(crate) const MAX_QUEUE_LEN: usize = 4096;
 
 /// Engine configuration.

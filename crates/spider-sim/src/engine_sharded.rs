@@ -50,35 +50,16 @@
 //! shard count — `tests/shard_equivalence.rs` locks this down against
 //! shard counts {1, 2, 4, 7}.
 //!
-//! The sharded engine supports the sequential feature set: the core
-//! packet-switched loop (waterfilling / shortest-path routing, deadlines,
-//! fault injection with sender retry, auditing, telemetry) plus the
-//! extensions that used to be sequential-engine-only, each mapped onto an
-//! unambiguous owner so partition independence survives:
-//!
-//! - **Sender retry**: a payment's fault recovery — failures, backoff and
-//!   blacklist — is the `payment::Recovery` record both engines keep, at
-//!   the payment owner, changed by its one transition and read through the
-//!   one masked routing view (`FaultView`) over the frozen balances. Its
-//!   times are epoch boundaries in seconds, and a backed-off payment is
-//!   pumped at the first tick past its backoff, as in `run`.
-//! - **Router queues** ([`ShardPolicy::Queued`]): a unit that cannot lock
-//!   a hop waits in a per-`(channel, direction)` queue *at the channel's
-//!   owner shard* instead of failing. Queues drain head-of-line each epoch;
-//!   queued units ride out outages and expire at their payment's deadline.
-//!   Units join a queue only while the epoch's lock list is handled in
-//!   order, so appending keeps it FIFO. [`ShardPolicy::Direct`] is the same
-//!   lock path with queues that hold no unit: a refused lock fails.
-//! - **Fees**: hop amounts are a pure function of the fee schedule and the
-//!   unit's path, computed once at send time and carried with the unit;
-//!   the payment owner accrues `routing_fees_paid` when a unit settles.
-//! - **Congestion control**: a per-payment AIMD window at the payment
-//!   owner gates how many units may be outstanding, driven by the same
-//!   delivered/failed notifications that already flow to the owner. (`run`
-//!   keeps one window per sender/receiver pair: ROADMAP, divergence 1.)
-//! - **Rebalancing**: each shard checks and corrects only the channels it
-//!   owns, publishing the new balances through the ordinary dirty-balance
-//!   exchange.
+//! The sharded engine runs the core packet-switched loop: waterfilling or
+//! shortest-path routing, deadlines, fault injection with sender retry,
+//! auditing and telemetry. A refused hop lock fails the unit. Router
+//! queues, fees, congestion windows and on-chain rebalancing belong to the
+//! continuous-time engine alone. A payment's fault recovery — failures,
+//! backoff and blacklist — is the `payment::Recovery` record both engines
+//! keep, at the payment owner, changed by its one transition and read
+//! through the one masked routing view (`FaultView`) over the frozen
+//! balances. Its times are epoch boundaries in seconds, and a backed-off
+//! payment is pumped at the first tick past its backoff, as in `run`.
 //!
 //! One fault behaves differently. A channel that goes down only refuses new
 //! locks here, so a unit already holding a lock across it still settles;
@@ -89,19 +70,15 @@
 //! that reproduces the paper's figures.
 
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
-use crate::congestion::CongestionConfig;
-use crate::engine::{DELTA, MAX_QUEUE_LEN, POLL_INTERVAL};
+use crate::engine::{DELTA, POLL_INTERVAL};
 use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
-use crate::rebalancer::{RebalancePolicy, RebalanceTotals};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
-use spider_routing::{
-    FeeSchedule, RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme,
-};
+use spider_routing::{RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme};
 use spider_telemetry::{HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
 use spider_topology::Partition;
 use spider_workload::Transaction;
@@ -139,28 +116,12 @@ impl ShardScheme {
     }
 }
 
-/// What a unit does when a hop lock cannot be granted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Circuit-style: a failed lock refunds the unit immediately (the
-    /// original sharded-engine behavior).
-    #[default]
-    Direct,
-    /// Packet-style: the unit waits in a router queue at the channel's
-    /// owner shard and retries head-of-line each epoch until its
-    /// payment's deadline.
-    Queued,
-}
-
 /// Configuration for [`run_sharded`]. Mirrors the sequential
 /// [`SimConfig`](crate::SimConfig) core; durations are quantized to whole
 /// epochs internally.
 ///
 /// The paper's transport constants are fixed: funds settle `Δ = 0.5 s`
 /// after a unit reaches the receiver, and the scheduler ticks every 0.1 s.
-/// Under [`ShardPolicy::Queued`] a router queue serves its units in the
-/// order they arrived and holds at most 4096 of them: a unit arriving at a
-/// full queue fails as a liquidity refusal.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Hard end of the measurement window (seconds).
@@ -179,16 +140,6 @@ pub struct ShardedConfig {
     /// Telemetry handle; when enabled, per-shard traces are merged into a
     /// deterministic global trace at the end of the run.
     pub telemetry: Telemetry,
-    /// What a unit does when a hop lock fails: refund ([`ShardPolicy::Direct`])
-    /// or wait in the owner shard's router queue ([`ShardPolicy::Queued`]).
-    pub policy: ShardPolicy,
-    /// Optional per-channel fee schedule; hop amounts then carry the
-    /// downstream fees and settled units accrue `routing_fees_paid`.
-    pub fees: Option<FeeSchedule>,
-    /// Optional per-payment AIMD window limiting outstanding units.
-    pub congestion: Option<CongestionConfig>,
-    /// Optional on-chain rebalancing of owned channels.
-    pub rebalance: Option<RebalancePolicy>,
 }
 
 impl ShardedConfig {
@@ -202,10 +153,6 @@ impl ShardedConfig {
             audit: false,
             faults: None,
             telemetry: Telemetry::disabled(),
-            policy: ShardPolicy::Direct,
-            fees: None,
-            congestion: None,
-            rebalance: None,
         }
     }
 }
@@ -269,9 +216,9 @@ fn merge_rank(event: &TraceEvent) -> u8 {
         E::PaymentAbandoned { .. } => 10,
         E::UnitSent { .. } => 11,
         E::ChannelSample { .. } => 12,
-        E::UnitQueued { .. } => 13,
-        E::RebalanceApplied { .. } => 14,
-        E::SolverSample { .. } => 15, // never emitted by this engine
+        // Never emitted by this engine: it has no router queues, no
+        // rebalancing and no solver.
+        E::UnitQueued { .. } | E::RebalanceApplied { .. } | E::SolverSample { .. } => 13,
     }
 }
 
@@ -287,21 +234,13 @@ struct UnitInfo {
     path: Arc<Path>,
     /// Dealt at send time by the shared rule (module docs, *Fates*).
     fate: UnitFate,
-    /// Per-hop locked amounts when a fee schedule is active: the delivered
-    /// amount plus all downstream fees. `None` means every hop locks
-    /// exactly `amount`.
-    hop_amounts: Option<Vec<Amount>>,
-    /// The owning payment's deadline epoch, carried with the unit so the
-    /// channel owner can expire queued units without payment state.
-    deadline_epoch: u64,
 }
 
 impl UnitInfo {
     /// The one place a unit comes into being, at the pump: unit `seq` of
     /// the payment with id `payment`, at index `local` of its owner's
-    /// slab. The fate and the per-hop amounts are pure functions of the
-    /// config and the unit's identity, derived here; the fate is counted in
-    /// `stats`.
+    /// slab. The fate is a pure function of the config and the unit's
+    /// identity, dealt here and counted in `stats`.
     fn new(
         cfg: &ShardedConfig,
         stats: &mut FaultStats,
@@ -309,13 +248,11 @@ impl UnitInfo {
         seq: u32,
         amount: Amount,
         path: Arc<Path>,
-        deadline_epoch: u64,
     ) -> UnitInfo {
         let fate = match cfg.faults.as_ref() {
             Some(plan) => plan.config.unit_fate(payment, seq, &path, stats),
             None => UnitFate::Deliver { jitter: 0.0 },
         };
-        let hop_amounts = (cfg.fees.as_ref()).and_then(|fees| fees.hop_amounts(&path, amount));
         UnitInfo {
             payment,
             seq,
@@ -323,17 +260,6 @@ impl UnitInfo {
             amount,
             path,
             fate,
-            hop_amounts,
-            deadline_epoch,
-        }
-    }
-
-    /// The amount locked on `hop`: the delivered amount plus downstream
-    /// fees when a fee schedule is active.
-    fn hop_amount(&self, hop: u32) -> Amount {
-        match &self.hop_amounts {
-            Some(amounts) => amounts[hop as usize],
-            None => self.amount,
         }
     }
 }
@@ -460,7 +386,7 @@ impl Agenda {
 
 /// A payment owned by this shard: what the run changes about trace row
 /// `row`, which holds its inputs — the two records both engines keep, plus
-/// the epochs and this engine's per-payment window.
+/// the epochs.
 struct LocalPayment {
     row: u32,
     arrival_epoch: u64,
@@ -468,20 +394,6 @@ struct LocalPayment {
     state: PaymentState,
     /// Fault recovery, its times epoch boundaries in seconds (`t_of`).
     recovery: Recovery,
-    /// AIMD congestion window (units); only consulted when congestion
-    /// control is configured.
-    window: f64,
-    /// Units sent but not yet reported delivered or failed, gated against
-    /// `window` at pump time.
-    outstanding: u32,
-}
-
-/// A unit parked at an owned `(channel, direction)` router queue, waiting
-/// for liquidity.
-#[derive(Debug)]
-struct QueuedUnit {
-    unit: Arc<UnitInfo>,
-    hop: u32,
 }
 
 /// Per-shard epoch metrics surfaced by [`run_sharded`] through
@@ -590,8 +502,8 @@ fn imbalance_of(values: impl Iterator<Item = u64> + Clone) -> f64 {
 struct SamplePartial {
     epoch: u64,
     pending: u32,
-    /// `(channel, |a-b|/(a+b), |a-b|/capacity, inflight micros, queue depth)`.
-    channels: Vec<(u32, f64, f64, i64, u32)>,
+    /// `(channel, |a-b|/capacity, inflight micros)`.
+    channels: Vec<(u32, f64, i64)>,
 }
 
 /// Balance view for routing: the barrier-frozen global snapshot with this
@@ -713,21 +625,6 @@ struct ShardCtx<'a> {
     stats: FaultStats,
     /// This shard's work counters (and, once merged, its barrier waits).
     metrics: ShardEpochMetrics,
-    /// Router queues at owned channels, keyed `(channel, sender side)`,
-    /// each in arrival order (module docs, *Router queues*). `BTreeMap`
-    /// iteration gives the deterministic drain order.
-    queues: BTreeMap<(u32, u8), Vec<QueuedUnit>>,
-    /// Most units a router queue holds: zero under [`ShardPolicy::Direct`].
-    queue_cap: usize,
-    /// Exact fee micros accrued by payments this shard owns.
-    routing_fees_micros: i64,
-    /// Owned channels with a scheduled, not-yet-applied correction.
-    rebalance_pending: Vec<bool>,
-    /// Scheduled corrections `(apply epoch, channel)`; appended in check
-    /// order, which is naturally sorted by apply epoch.
-    rebalance_applies: Vec<(u64, u32)>,
-    /// Corrections applied to owned channels.
-    rebalance: RebalanceTotals,
     #[cfg(test)]
     order_log: tests::OrderLog,
 }
@@ -745,7 +642,6 @@ impl<'a> ShardCtx<'a> {
     ) -> Self {
         let clock = Clockwork::new(cfg);
         let num_shards = partition.num_shards();
-        let initial_window = cfg.congestion.as_ref().map_or(0.0, |cc| cc.initial_window);
         let mut payments: Vec<LocalPayment> = (transactions.iter().enumerate())
             .filter(|(_, tx)| tx.id.0 % num_shards as u64 == u64::from(shard))
             .filter_map(|(row, tx)| {
@@ -756,8 +652,6 @@ impl<'a> ShardCtx<'a> {
                     deadline_epoch: arrival_epoch + clock.deadline_epochs,
                     state: PaymentState::ARRIVED,
                     recovery: Recovery::FRESH,
-                    window: initial_window,
-                    outstanding: 0,
                 })
             })
             .collect();
@@ -820,15 +714,6 @@ impl<'a> ShardCtx<'a> {
             samples: Vec::new(),
             violations: Vec::new(),
             stats: FaultStats::default(),
-            queues: BTreeMap::new(),
-            queue_cap: match cfg.policy {
-                ShardPolicy::Direct => 0,
-                ShardPolicy::Queued => MAX_QUEUE_LEN,
-            },
-            routing_fees_micros: 0,
-            rebalance_pending: vec![false; network.num_channels()],
-            rebalance_applies: Vec::new(),
-            rebalance: RebalanceTotals::default(),
             #[cfg(test)]
             order_log: tests::OrderLog::default(),
         }
@@ -976,10 +861,7 @@ impl<'a> ShardCtx<'a> {
             return;
         }
         let to = unit.path.nodes()[hop as usize + 1];
-        if let Err(e) = self
-            .ledger
-            .settle_hop(self.network, c, to, unit.hop_amount(hop))
-        {
+        if let Err(e) = self.ledger.settle_hop(self.network, c, to, unit.amount) {
             record_release(&mut self.violations, t_of(epoch), "settle-hop", &e);
             return;
         }
@@ -992,10 +874,7 @@ impl<'a> ShardCtx<'a> {
             return;
         }
         let from = unit.path.nodes()[hop as usize];
-        if let Err(e) = self
-            .ledger
-            .refund_hop(self.network, c, from, unit.hop_amount(hop))
-        {
+        if let Err(e) = self.ledger.refund_hop(self.network, c, from, unit.amount) {
             record_release(&mut self.violations, t_of(epoch), "refund-hop", &e);
             return;
         }
@@ -1025,10 +904,13 @@ impl<'a> ShardCtx<'a> {
         self.stage_to_payment_owner(Arc::clone(unit), fire_epoch, MsgBody::UnitFailed(cause));
     }
 
-    /// Takes over the lock request's hold on the unit, so that a forwarded
-    /// lock or a queue entry carries it on without a new one.
+    /// Locks `hop` and advances the unit: forwards the lock, schedules the
+    /// settles or the grief refunds, or fails the unit at a drop. A downed
+    /// channel or a refused lock fails it with no ledger effect. Takes over
+    /// the lock request's hold on the unit, so that a forwarded lock carries
+    /// it on without a new one.
     fn on_lock_hop(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64) {
-        let (c, dir) = unit.path.hops()[hop as usize];
+        let (c, _) = unit.path.hops()[hop as usize];
         if !self.own(c, epoch, "lock-hop") {
             return;
         }
@@ -1037,52 +919,24 @@ impl<'a> ShardCtx<'a> {
             self.fail_unit(&unit, hop, false, FailCause::Outage(c), epoch + 1);
             return;
         }
-        let key = (c.index() as u32, sender_side(dir) as u8);
-        // No overtaking: a backlog on this direction queues the unit even if
-        // the lock would succeed right now.
-        let backlog = self.queues.get(&key).is_some_and(|q| !q.is_empty());
-        let refused = if backlog {
-            Err(unit)
-        } else {
-            self.lock_and_advance(unit, hop, epoch)
-        };
-        if let Err(unit) = refused {
-            self.enqueue_unit(unit, hop, epoch, key);
-        }
-    }
-
-    /// Attempts the ledger lock for `hop`; on success advances the unit
-    /// (forward, settle, or fault staging). A refused lock leaves no ledger
-    /// effect and hands the unit back.
-    fn lock_and_advance(
-        &mut self,
-        unit: Arc<UnitInfo>,
-        hop: u32,
-        epoch: u64,
-    ) -> Result<(), Arc<UnitInfo>> {
-        let (c, _) = unit.path.hops()[hop as usize];
-        if !self.own(c, epoch, "lock-advance") {
-            // Unreachable for owned queues/messages; recorded and swallowed.
-            return Ok(());
-        }
         let from = unit.path.nodes()[hop as usize];
-        if self
-            .ledger
-            .lock_hop(self.network, c, from, unit.hop_amount(hop))
+        if (self.ledger)
+            .lock_hop(self.network, c, from, unit.amount)
             .is_err()
         {
-            return Err(unit);
+            self.fail_unit(&unit, hop, false, FailCause::Liquidity(c), epoch + 1);
+            return;
         }
         self.dirty.push(c.index() as u32);
         let hops = unit.path.hops().len() as u32;
         // A mid-path drop fails the unit right after the blamed hop locks.
         if matches!(unit.fate, UnitFate::Drop { hop_index, .. } if hop_index == hop as usize) {
             self.fail_unit(&unit, hop, true, FailCause::Dropped(c), epoch + 1);
-            return Ok(());
+            return;
         }
         if hop + 1 < hops {
             self.stage_hop(unit, hop + 1, epoch + 1, MsgBody::LockHop { hop: hop + 1 });
-            return Ok(());
+            return;
         }
         // Final hop locked: the unit reached the receiver. Jitter is
         // floored to whole epochs and a grief hold rounded.
@@ -1107,171 +961,10 @@ impl<'a> ShardCtx<'a> {
                 // index is drawn modulo the hop count.
             }
         }
-        Ok(())
-    }
-
-    /// Parks a unit at the back of the owned `(channel, sender side)`
-    /// router queue, or fails it as a liquidity refusal when the queue is
-    /// full — always, under [`ShardPolicy::Direct`].
-    fn enqueue_unit(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64, key: (u32, u8)) {
-        let len = self.queues.get(&key).map_or(0, Vec::len);
-        if len >= self.queue_cap {
-            let (c, _) = unit.path.hops()[hop as usize];
-            self.fail_unit(&unit, hop, false, FailCause::Liquidity(c), epoch + 1);
-            return;
-        }
-        let (payment, seq) = (unit.payment, unit.seq);
-        let q = self.queues.entry(key).or_default();
-        q.push(QueuedUnit { unit, hop });
-        let depth = q.len() as u32;
-        self.emit(
-            epoch,
-            payment,
-            u64::from(seq),
-            TraceEvent::UnitQueued {
-                t: t_of(epoch),
-                payment,
-                channel: key.0,
-                depth,
-            },
-        );
-    }
-
-    /// One epoch of router-queue service at this shard's owned channels:
-    /// expire units whose payment deadline passed, then drain head-of-line
-    /// while liquidity lasts. Queues are visited in `(channel, direction)`
-    /// order; downed channels keep their queues intact (queued units ride
-    /// out outages until their deadline).
-    fn drain_queues(&mut self, epoch: u64) {
-        let keys: Vec<(u32, u8)> = self.queues.keys().copied().collect();
-        for key in keys {
-            let Some(mut q) = self.queues.remove(&key) else {
-                continue;
-            };
-            let down = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.is_channel_down(ChannelId(key.0)));
-            let mut kept: Vec<QueuedUnit> = Vec::with_capacity(q.len());
-            for e in q.drain(..) {
-                if e.unit.deadline_epoch <= epoch {
-                    let (c, _) = e.unit.path.hops()[e.hop as usize];
-                    let cause = FailCause::Liquidity(c);
-                    self.fail_unit(&e.unit, e.hop, false, cause, epoch + 1);
-                    continue;
-                }
-                // Head-of-line: after the first unit that cannot lock (or
-                // during an outage) the rest of the queue just waits.
-                let refused = if down || !kept.is_empty() {
-                    Err(e.unit)
-                } else {
-                    self.lock_and_advance(e.unit, e.hop, epoch)
-                };
-                if let Err(unit) = refused {
-                    kept.push(QueuedUnit { unit, ..e });
-                }
-            }
-            if !kept.is_empty() {
-                self.queues.insert(key, kept);
-            }
-        }
-    }
-
-    /// One epoch of on-chain rebalancing over this shard's owned channels:
-    /// apply the corrections whose confirmation delay elapsed, then (on the
-    /// check cadence) schedule new ones. Mirrors the sequential engine's
-    /// check/apply split; the new balances travel through the ordinary
-    /// dirty-balance exchange, so remote routing sees them next epoch.
-    fn rebalance_step(&mut self, epoch: u64) {
-        let Some(policy) = self.cfg.rebalance.clone() else {
-            return;
-        };
-        let check_epochs = epochs_of(policy.check_interval);
-        let confirm_epochs = epochs_of(policy.confirmation_delay);
-        // Due corrections were scheduled in apply-epoch order; channels
-        // within one epoch were appended in id order.
-        let mut due = Vec::new();
-        self.rebalance_applies.retain(|&(fire, c)| {
-            if fire == epoch {
-                due.push(c);
-                false
-            } else {
-                true
-            }
-        });
-        for cidx in due {
-            let channel = ChannelId(cidx);
-            self.rebalance_pending[channel.index()] = false;
-            if !self.own(channel, epoch, "rebalance-apply") {
-                continue;
-            }
-            let (audit, at) = (self.audit.as_mut(), t_of(epoch));
-            let (taken, fee_paid) =
-                match policy.apply(&mut self.ledger, self.network, channel, audit, at) {
-                    Ok(Some(moved)) => moved,
-                    Ok(None) => continue,
-                    Err(e) => {
-                        record_release(&mut self.violations, at, "rebalance-deposit", &e);
-                        continue;
-                    }
-                };
-            self.rebalance.add((taken, fee_paid));
-            self.dirty.push(cidx);
-            self.emit(
-                epoch,
-                u64::from(cidx),
-                0,
-                TraceEvent::RebalanceApplied {
-                    t: t_of(epoch),
-                    channel: cidx,
-                    moved: tokens(taken),
-                    fee: tokens(fee_paid),
-                },
-            );
-        }
-        if epoch.is_multiple_of(check_epochs) {
-            for ch in self.network.channels() {
-                if self.partition.channel_owner(ch.id) as u16 != self.shard {
-                    continue;
-                }
-                if self.rebalance_pending[ch.id.index()] {
-                    continue;
-                }
-                let (a, b) = self.ledger.balances(ch.id);
-                if policy.correction(a, b).is_some() {
-                    self.rebalance_pending[ch.id.index()] = true;
-                    self.rebalance_applies
-                        .push((epoch + confirm_epochs, ch.id.index() as u32));
-                }
-            }
-        }
-    }
-
-    /// AIMD window update at the payment owner when a unit's outcome
-    /// arrives: the unit is no longer outstanding, and the window grows
-    /// (delivered) or shrinks multiplicatively (failed).
-    fn congestion_on_outcome(&mut self, pidx: usize, delivered: bool) {
-        let Some(cc) = self.cfg.congestion.as_ref() else {
-            return;
-        };
-        let p = &mut self.payments[pidx];
-        p.outstanding = p.outstanding.saturating_sub(1);
-        p.window = if delivered {
-            cc.grown(p.window)
-        } else {
-            cc.shrunk(p.window)
-        };
     }
 
     fn on_unit_delivered(&mut self, unit: &Arc<UnitInfo>, epoch: u64) {
         let pidx = unit.local as usize;
-        self.congestion_on_outcome(pidx, true);
-        // The sender locked `hop_amounts[0]` and the receiver was paid
-        // `amount`; the difference is the routing fee, accrued exactly.
-        if let Some(first) = unit.hop_amounts.as_ref().and_then(|a| a.first()) {
-            let fee = first.micros().saturating_sub(unit.amount.micros());
-            self.routing_fees_micros = self.routing_fees_micros.saturating_add(fee);
-        }
         let (t, tx) = (t_of(epoch), self.row(pidx));
         let p = &mut self.payments[pidx];
         let delay = (epoch - p.arrival_epoch) as f64 * EPOCH;
@@ -1297,7 +990,6 @@ impl<'a> ShardCtx<'a> {
     /// the locked prefix is already being refunded hop by hop.
     fn on_unit_failed(&mut self, unit: &Arc<UnitInfo>, cause: FailCause, epoch: u64) {
         let pidx = unit.local as usize;
-        self.congestion_on_outcome(pidx, false);
         self.payments[pidx].state.refund(unit.amount);
         let (t, pid, seq) = (t_of(epoch), self.row(pidx).id.0, u64::from(unit.seq));
         let hold = (self.cfg.faults.as_ref()).map_or(0.0, |plan| plan.config.grief_hold);
@@ -1390,11 +1082,6 @@ impl<'a> ShardCtx<'a> {
             if !remaining.is_positive() {
                 break;
             }
-            // Congestion window gate: at most floor(window) units may be
-            // outstanding per payment.
-            if self.cfg.congestion.is_some() && f64::from(p.outstanding) >= p.window.floor() {
-                break;
-            }
             let unit_amount = remaining.min(self.cfg.mtu);
             let view = SnapshotView {
                 network: self.network,
@@ -1414,18 +1101,12 @@ impl<'a> ShardCtx<'a> {
             };
             match decision {
                 UnitDecision::Route(path) => {
-                    let p = &mut self.payments[pidx];
-                    let seq = p.state.send(unit_amount);
-                    if self.cfg.congestion.is_some() {
-                        p.outstanding += 1;
-                    }
-                    let (deadline, stats) = (p.deadline_epoch, &mut self.stats);
-                    let owner = (pid, pidx as u32);
-                    let unit =
-                        UnitInfo::new(self.cfg, stats, owner, seq, unit_amount, path, deadline);
-                    for (i, &(c, dir)) in unit.path.hops().iter().enumerate() {
+                    let seq = self.payments[pidx].state.send(unit_amount);
+                    let (owner, stats) = ((pid, pidx as u32), &mut self.stats);
+                    let unit = UnitInfo::new(self.cfg, stats, owner, seq, unit_amount, path);
+                    let micros = unit_amount.micros();
+                    for &(c, dir) in unit.path.hops() {
                         let slot = &mut self.snapshot[c.index()][sender_side(dir)];
-                        let micros = unit.hop_amount(i as u32).micros();
                         *slot = slot.saturating_sub(micros);
                         undo.push((c.index(), sender_side(dir), micros));
                     }
@@ -1443,15 +1124,7 @@ impl<'a> ShardCtx<'a> {
                     );
                     self.stage_hop(Arc::new(unit), 0, epoch + 1, MsgBody::LockHop { hop: 0 });
                 }
-                UnitDecision::Unavailable => {
-                    // No spendable route right now: back the window off so
-                    // the payment probes gently once liquidity returns.
-                    if let Some(cc) = self.cfg.congestion.as_ref() {
-                        let p = &mut self.payments[pidx];
-                        p.window = cc.shrunk(p.window);
-                    }
-                    break;
-                }
+                UnitDecision::Unavailable => break,
                 UnitDecision::Never => {
                     // Under faults, "no path" may only mean "all masked":
                     // stay pending and retry once channels recover.
@@ -1517,13 +1190,7 @@ impl<'a> ShardCtx<'a> {
             let mean_ratio = (a - b).abs().ratio_of(self.ledger.capacity(ch.id));
             let inflight = self.ledger.inflight(ch.id);
             let cid = ch.id.index() as u32;
-            // Both directions' router queues live at this owner shard.
-            let queue_depth: u32 = self
-                .queues
-                .range((cid, 0)..=(cid, 1))
-                .map(|(_, q)| q.len() as u32)
-                .sum();
-            channels.push((cid, imbalance, mean_ratio, inflight.micros(), queue_depth));
+            channels.push((cid, mean_ratio, inflight.micros()));
             self.emit(
                 epoch,
                 ch.id.index() as u64,
@@ -1533,7 +1200,8 @@ impl<'a> ShardCtx<'a> {
                     channel: cid,
                     imbalance,
                     inflight: tokens(inflight),
-                    queue_depth,
+                    // No router queues in this engine.
+                    queue_depth: 0,
                 },
             );
         }
@@ -1582,8 +1250,6 @@ impl<'a> ShardCtx<'a> {
                 tel.span_sim(Phase::EpochCompute, t_of(epoch));
                 self.apply_faults(epoch);
                 self.process_messages(epoch);
-                self.rebalance_step(epoch);
-                self.drain_queues(epoch);
                 self.process_arrivals(epoch);
                 if epoch % self.clock.poll_epochs == 0 {
                     self.tick(epoch);
@@ -1661,19 +1327,6 @@ pub fn run_sharded(
         "partition must match the network"
     );
     assert_eq!(partition.channel_owners().len(), network.num_channels());
-    if let Some(fees) = config.fees.as_ref() {
-        assert_eq!(
-            fees.per_channel().len(),
-            network.num_channels(),
-            "fee schedule must cover the network"
-        );
-    }
-    if let Some(cc) = config.congestion.as_ref() {
-        cc.validate();
-    }
-    if let Some(rb) = config.rebalance.as_ref() {
-        rb.validate();
-    }
 
     let plan = quantized_plan(config);
     let shards = run_shards(network, transactions, partition, config, &plan);
@@ -1805,32 +1458,26 @@ fn merge_outputs(
             .map(|k| {
                 let epoch = outputs[0].samples[k].epoch;
                 let mut pending = 0u32;
-                let mut per_channel: Vec<(u32, f64, i64, u32)> = Vec::new();
+                let mut per_channel: Vec<(u32, f64, i64)> = Vec::new();
                 for o in &outputs {
                     let s = &o.samples[k];
                     debug_assert_eq!(s.epoch, epoch);
                     pending += s.pending;
-                    per_channel.extend(
-                        s.channels
-                            .iter()
-                            .map(|&(c, _, ratio, inflight, qdepth)| (c, ratio, inflight, qdepth)),
-                    );
+                    per_channel.extend_from_slice(&s.channels);
                 }
                 per_channel.sort_unstable_by_key(|&(c, ..)| c);
                 let mean_imbalance = if per_channel.is_empty() {
                     0.0
                 } else {
-                    per_channel.iter().map(|&(_, r, _, _)| r).sum::<f64>()
-                        / per_channel.len() as f64
+                    per_channel.iter().map(|&(_, r, _)| r).sum::<f64>() / per_channel.len() as f64
                 };
-                let inflight_micros: i64 = per_channel.iter().map(|&(_, _, i, _)| i).sum();
-                let max_queue_depth = per_channel.iter().map(|&(_, _, _, q)| q).max().unwrap_or(0);
+                let inflight_micros: i64 = per_channel.iter().map(|&(_, _, i)| i).sum();
                 NetworkSample {
                     t: t_of(epoch),
                     mean_imbalance,
                     total_inflight: tokens(Amount::from_micros(inflight_micros)),
                     pending,
-                    max_queue_depth,
+                    max_queue_depth: 0,
                 }
             })
             .collect()
@@ -1857,38 +1504,18 @@ fn merge_outputs(
         s
     });
 
-    // Feature totals: exact integer sums over shard partials, converted to
-    // display tokens exactly once.
-    let routing_fees_paid = tokens(Amount::from_micros(
-        outputs.iter().map(|o| o.routing_fees_micros).sum(),
-    ));
-    let rebalance =
-        (outputs.iter().map(|o| o.rebalance)).fold(Default::default(), RebalanceTotals::merge);
-
-    let policy = match config.policy {
-        ShardPolicy::Direct => "epoch-bsp".to_string(),
-        ShardPolicy::Queued => "epoch-bsp+queued-Fifo".to_string(),
-    };
-
     SimReport {
         units_sent: outputs.iter().map(|o| o.metrics.units_sent).sum(),
         final_mean_imbalance: final_ledger.mean_imbalance(),
-        rebalance: rebalance.stats(),
-        routing_fees_paid,
-        // One audited pass per epoch, plus the final check, plus one check
-        // per applied rebalance — a property of the run, not of how many
-        // shards audited their own copy.
-        audit_checks: if config.audit {
-            clock.end_epoch + 1 + rebalance.transactions
-        } else {
-            0
-        },
+        // One audited pass per epoch plus the final check — a property of
+        // the run, not of how many shards audited their own copy.
+        audit_checks: if config.audit { clock.end_epoch + 1 } else { 0 },
         audit_violations,
         completion_delay_percentiles: tel.delay_percentiles("sim.completion_delay"),
         telemetry: tel.summarize(network_series),
         faults: fault_stats,
         shards: Some(observability),
-        ..tally(config.scheme.name(), policy, rows)
+        ..tally(config.scheme.name(), "epoch-bsp".to_string(), rows)
     }
 }
 
@@ -2150,22 +1777,7 @@ mod tests {
         let plain = ShardedConfig::new(12.0);
         let mut faulty = plain.clone();
         faulty.faults = Some(unit_faults(&network, 12.0));
-        let mut queued = plain.clone();
-        queued.policy = ShardPolicy::Queued;
-        let mut featured = plain.clone();
-        featured.fees = Some(FeeSchedule::uniform(
-            &network,
-            Amount::from_micros(10),
-            1_000,
-        ));
-        featured.congestion = Some(CongestionConfig::default());
-        featured.rebalance = Some(RebalancePolicy::aggressive());
-        let cases = [
-            ("plain", plain),
-            ("unit faults", faulty),
-            ("queued", queued),
-            ("fees + congestion + rebalance", featured),
-        ];
+        let cases = [("plain", plain), ("unit faults", faulty)];
         for (name, cfg) in &cases {
             let mut handled_at_one_shard = 0;
             for shards in [1, 2, 4, 7] {
@@ -2210,7 +1822,6 @@ mod tests {
                 0,
                 amount,
                 path,
-                9,
             ))
         };
         let msg = |payment| Msg::new(MsgBody::UnitDelivered, unit(payment));

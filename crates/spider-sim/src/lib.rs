@@ -43,7 +43,7 @@ pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 pub use congestion::{CongestionConfig, CongestionControl};
 pub use engine::{run, run_queued, QueueStats, QueuedConfig, QueuedReport, SimConfig};
 pub use engine_sharded::{
-    run_sharded, ShardEpochMetrics, ShardObservability, ShardPolicy, ShardScheme, ShardedConfig,
+    run_sharded, ShardEpochMetrics, ShardObservability, ShardScheme, ShardedConfig,
 };
 pub use events::{EventQueue, Time};
 pub use faults::{

@@ -159,15 +159,6 @@ impl RebalanceTotals {
         self.fees = self.fees.saturating_add(fee);
     }
 
-    /// The sum of two partial totals (the sharded engine's shards).
-    pub(crate) fn merge(self, other: RebalanceTotals) -> RebalanceTotals {
-        RebalanceTotals {
-            transactions: self.transactions + other.transactions,
-            moved: self.moved.saturating_add(other.moved),
-            fees: self.fees.saturating_add(other.fees),
-        }
-    }
-
     /// The report's view, in tokens.
     pub(crate) fn stats(self) -> RebalanceStats {
         RebalanceStats {

@@ -13,17 +13,18 @@
 //! which only the source-queued driver uses). The drivers in
 //! [`crate::engine`] decide *when* a transition fires, never *what* it does.
 //!
-//! The arithmetic under a transition is not written here: it is shared,
-//! one copy each, with the sharded engine's handlers (which differ in when
-//! and where a transition runs, and in the divergences ROADMAP lists) —
-//! `Ledger::lock_walk` / `release_walk` and [`FeeSchedule::hop_amounts`]
-//! for the funds, [`PaymentState`]'s transitions, [`arrival_trace`],
+//! Much of the arithmetic under a transition is not written here: it is
+//! shared, one copy each, with the sharded engine's handlers (which differ
+//! in when and where a transition runs, and in the divergences ROADMAP
+//! lists) — [`PaymentState`]'s transitions, [`arrival_trace`],
 //! [`FailCause`], [`Recovery`] and `FaultView` for the payment side of a
 //! unit's life, the event table's kind → counter column behind
 //! `Telemetry::emit` for the counters, `FaultConfig::unit_fate` for a
-//! unit's fate, [`FaultEvent::trace`], `RebalancePolicy::apply`,
-//! `CongestionConfig::{grown, shrunk}`, `Ledger::relative_imbalance` and
-//! [`tokens`] for what is reported.
+//! unit's fate, [`FaultEvent::trace`], `Ledger::relative_imbalance` and
+//! [`tokens`] for what is reported. The funds (`Ledger::lock_walk` /
+//! `release_walk`, [`FeeSchedule::hop_amounts`]), on-chain rebalancing
+//! (`RebalancePolicy::apply`) and the congestion window
+//! ([`CongestionControl`]) are this engine's alone.
 //!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.

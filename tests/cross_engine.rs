@@ -20,7 +20,7 @@
 //! - **the same §6.2 ordering**: waterfilling delivers more than
 //!   shortest-path on the engine that is meant to scale, too.
 
-use spider_bench::{ExperimentConfig, ShardFeatures};
+use spider_bench::ExperimentConfig;
 use spider_routing::{RoutingScheme, ShortestPathScheme, WaterfillingScheme};
 use spider_sim::{
     run, run_sharded, FaultConfig, FaultPlan, RetryPolicy, SchedulePolicy, ShardScheme, SimReport,
@@ -206,7 +206,7 @@ fn sequential(
 
 fn sharded(exp: &ExperimentConfig, scheme: ShardScheme) -> SimReport {
     let tel = Telemetry::disabled();
-    spider_bench::run_sharded_scheme(exp, scheme, 1, &tel, false, ShardFeatures::default())
+    spider_bench::run_sharded_scheme(exp, scheme, 1, &tel, false)
 }
 
 fn assert_close(seq: &SimReport, par: &SimReport, ratio_tolerance: f64, volume_tolerance: f64) {

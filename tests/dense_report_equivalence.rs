@@ -24,13 +24,13 @@
 //! that behaviour directly.
 //!
 //! `tests/fixtures/sharded_pre_pr.json` pins the sharded engine the same
-//! way: four feature-heavy `run_sharded` scenarios at 1 and 4 shards each,
-//! whose reports must match field by field and whose merged traces (a total
-//! order, unlike the sequential engines') must match byte for byte. The two
-//! direct scenarios were recorded on the unmodified commit before its run
-//! state, snapshot codec and mirror structs were folded into one
-//! `ShardCtx`; the two queued ones were recorded on commit e52b665 under
-//! FIFO router queues, as the `run_queued` outage case was.
+//! way: two `run_sharded` scenarios at 1 and 4 shards each, whose reports
+//! must match field by field and whose merged traces (a total order, unlike
+//! the sequential engines') must match byte for byte. Both were recorded on
+//! the unmodified commit before its run state, snapshot codec and mirror
+//! structs were folded into one `ShardCtx`. The file's two router-queued
+//! scenarios went when the sharded engine lost its router queues, fees,
+//! congestion windows and rebalancing.
 //!
 //! Both files lost their reports' `series` key when the per-tick success
 //! series was retired. The continuous-time engine's attempted, delivered
@@ -49,7 +49,7 @@
 
 use serde_json::Value;
 use spider::prelude::*;
-use spider::sim::{FaultConfig, FaultPlan, ShardPolicy};
+use spider::sim::{FaultConfig, FaultPlan};
 use spider::telemetry::{events_to_jsonl, parse_jsonl, TraceEvent};
 use spider_bench::{fig6, ExperimentConfig};
 use std::collections::BTreeMap;
@@ -293,30 +293,12 @@ fn sequential_engine_runs_match_pre_fold_fixture() {
 fn sharded_engine_cases() -> Vec<Value> {
     let (network, txs) = pinned_workload();
     let end = 20.0;
-    let full_features = |cfg: &mut ShardedConfig| {
-        cfg.policy = ShardPolicy::Queued;
-        cfg.fees = Some(spider::routing::FeeSchedule::uniform(
-            &network,
-            Amount::from_micros(10),
-            1_000,
-        ));
-        cfg.congestion = Some(spider::sim::CongestionConfig::default());
-        cfg.rebalance = Some(spider::sim::RebalancePolicy {
-            confirmation_delay: 2.0,
-            ..spider::sim::RebalancePolicy::aggressive()
-        });
-    };
     type Tweak<'a> = &'a dyn Fn(&mut ShardedConfig);
-    let scenarios: [(&str, Tweak); 4] = [
+    let scenarios: [(&str, Tweak); 2] = [
         ("direct-waterfilling", &|_| {}),
         ("direct-shortest-stress-retries", &|cfg| {
             cfg.scheme = ShardScheme::ShortestPath;
             cfg.faults = fault_plan("stress", &network, end);
-        }),
-        ("queued-fifo-fees-congestion-rebalance", &full_features),
-        ("queued-fifo-full-outages", &|cfg| {
-            full_features(cfg);
-            cfg.faults = fault_plan("outages", &network, end);
         }),
     ];
 

@@ -61,21 +61,24 @@ fn fig6_reports(cfg: &ExperimentConfig) -> Vec<SimReport> {
     fig6(cfg, false).into_iter().map(|(r, _)| r).collect()
 }
 
-/// Fig. 6 (ISP) shape: the §6.2 relationships between schemes.
-#[test]
-fn fig6_isp_ordering() {
-    let reports = fig6_reports(&small_isp());
-    let by_name = |name: &str| {
-        reports
-            .iter()
-            .find(|r| r.scheme == name)
-            .unwrap_or_else(|| panic!("missing scheme {name}"))
-    };
-    let sw = by_name("silentwhispers");
-    let sp = by_name("shortest-path");
-    let mf = by_name("max-flow");
-    let wf = by_name("spider-waterfilling");
-    let lp = by_name("spider-lp");
+/// The Fig. 6 report of scheme `name`.
+fn scheme<'a>(reports: &'a [SimReport], name: &str) -> &'a SimReport {
+    reports
+        .iter()
+        .find(|r| r.scheme == name)
+        .unwrap_or_else(|| panic!("missing scheme {name}"))
+}
+
+/// Runs Fig. 6 on `cfg` and asserts the §6.2 relationships that
+/// EXPERIMENTS.md marks ✅ on both topologies; returns the six reports for
+/// the topology's own claims.
+fn assert_fig6_shape(cfg: &ExperimentConfig) -> Vec<SimReport> {
+    let reports = fig6_reports(cfg);
+    let sw = scheme(&reports, "silentwhispers");
+    let sp = scheme(&reports, "shortest-path");
+    let mf = scheme(&reports, "max-flow");
+    let wf = scheme(&reports, "spider-waterfilling");
+    let lp = scheme(&reports, "spider-lp");
 
     // Packet-switched shortest path beats SilentWhispers on both metrics
     // (§6.2: "+10% success ratio ... even for shortest path").
@@ -87,10 +90,10 @@ fn fig6_isp_ordering() {
     );
     assert!(sp.success_volume() > sw.success_volume());
 
-    // Waterfilling within ~5% of max-flow (§6.2) and above every
+    // Waterfilling within 5% of max-flow (§6.2) and above every
     // non-Spider scheme on success volume.
     assert!(
-        wf.success_ratio() > 0.93 * mf.success_ratio(),
+        wf.success_ratio() > 0.95 * mf.success_ratio(),
         "waterfilling {} vs max-flow {}",
         wf.success_ratio(),
         mf.success_ratio()
@@ -121,9 +124,8 @@ fn fig6_isp_ordering() {
     // the payment graph"). In a finite run the initial channel balances add
     // a transient cushion that funds some DAG flow, so the measured volume
     // sits at or above the circulation fraction and decays toward it as the
-    // horizon grows (measured: 0.75 @150s -> 0.67 @200s -> 0.63 @400s
-    // against a 0.52 fraction).
-    let cfg = small_isp();
+    // horizon grows (measured on ISP: 0.75 @150s -> 0.67 @200s -> 0.63
+    // @400s against a 0.52 fraction).
     let network = cfg.network();
     let trace = cfg.trace(&network);
     let demand: DemandMatrix = demand_matrix(&trace, 0.0, cfg.duration);
@@ -138,6 +140,49 @@ fn fig6_isp_ordering() {
         lp_vol <= circ_frac + 0.30,
         "LP volume {lp_vol} should stay near the circulation fraction {circ_frac}"
     );
+    reports
+}
+
+/// Fig. 6 (ISP) shape: the §6.2 relationships between schemes. Here our
+/// SpeedyMurmurs beats shortest path (EXPERIMENTS.md, the ⚠️ under Fig. 6),
+/// so only the shared claims are asserted.
+#[test]
+fn fig6_isp_ordering() {
+    assert_fig6_shape(&small_isp());
+}
+
+/// Fig. 6 (Ripple-like) shape: the shared claims, plus Spider's lead over
+/// both embedding-based schemes and the direction of shortest path's.
+#[test]
+#[ignore = "tier-2: Fig. 6 on the 400-node Ripple graph, ~5 s in release; run with --release --ignored"]
+fn fig6_ripple_ordering() {
+    let reports = assert_fig6_shape(&ExperimentConfig::ripple_quick());
+    let sp = scheme(&reports, "shortest-path");
+    let wf = scheme(&reports, "spider-waterfilling");
+    for name in ["speedymurmurs", "silentwhispers"] {
+        let r = scheme(&reports, name);
+        // §6.2: "10-45% increase in volume" and "10-75% more transactions".
+        assert!(
+            wf.success_volume() >= 1.10 * r.success_volume(),
+            "waterfilling volume {} vs {name} {}",
+            wf.success_volume(),
+            r.success_volume()
+        );
+        assert!(
+            wf.success_ratio() >= 1.10 * r.success_ratio(),
+            "waterfilling ratio {} vs {name} {}",
+            wf.success_ratio(),
+            r.success_ratio()
+        );
+        // §6.2's "10% ... even for shortest path" is short on Ripple (+7.3%
+        // over SpeedyMurmurs, a ⚠️ in EXPERIMENTS.md): only the direction.
+        assert!(
+            sp.success_ratio() > r.success_ratio(),
+            "shortest-path {} vs {name} {}",
+            sp.success_ratio(),
+            r.success_ratio()
+        );
+    }
 }
 
 /// Fig. 7 shape: success grows with capacity for adaptive schemes, and the

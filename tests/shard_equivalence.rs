@@ -17,11 +17,7 @@
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::routing::FeeSchedule;
-use spider::sim::{
-    run_sharded, CongestionConfig, FaultConfig, FaultPlan, RebalancePolicy, ShardPolicy,
-    ShardedConfig,
-};
+use spider::sim::{run_sharded, FaultConfig, FaultPlan, ShardedConfig};
 use spider::telemetry::events_to_jsonl;
 use spider::workload::{generate, isp_sizes, TraceConfig};
 
@@ -207,103 +203,6 @@ fn sampled_pending_counts_arrived_unfinished_payments() {
 }
 
 // ---------------------------------------------------------------------------
-// Feature-parity scenarios: router queues, fees, congestion control, and
-// rebalancing must all be partition-independent, alone and combined.
-// ---------------------------------------------------------------------------
-
-/// Enables every sequential-engine feature on a sharded config.
-fn enable_all_features(cfg: &mut ShardedConfig, network: &Network) {
-    cfg.policy = ShardPolicy::Queued;
-    cfg.fees = Some(FeeSchedule::uniform(
-        network,
-        Amount::from_micros(10),
-        1_000,
-    ));
-    cfg.congestion = Some(CongestionConfig::default());
-    cfg.rebalance = Some(RebalancePolicy::aggressive());
-}
-
-#[test]
-fn queued_policy_is_partition_independent() {
-    // Tight capacity so units actually queue and drain across epochs.
-    let network = spider::topology::isp_topology(Amount::from_whole(60));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 400, 12.0);
-    trace_cfg.seed = 31;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut cfg = base_config(18.0);
-    cfg.policy = ShardPolicy::Queued;
-    assert_shard_equivalence(&network, &txs, &cfg, 31);
-}
-
-#[test]
-fn fees_are_partition_independent() {
-    let network = spider::topology::isp_topology(Amount::from_whole(250));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 15.0);
-    trace_cfg.seed = 37;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut cfg = base_config(20.0);
-    cfg.fees = Some(FeeSchedule::uniform(
-        &network,
-        Amount::from_micros(25),
-        2_500,
-    ));
-    assert_shard_equivalence(&network, &txs, &cfg, 37);
-}
-
-#[test]
-fn congestion_control_is_partition_independent() {
-    // Small windows force the AIMD gate to actually defer pumping.
-    let network = spider::topology::isp_topology(Amount::from_whole(80));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 350, 12.0);
-    trace_cfg.seed = 41;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut cfg = base_config(16.0);
-    cfg.congestion = Some(CongestionConfig {
-        initial_window: 2.0,
-        max_window: 16.0,
-        ..CongestionConfig::default()
-    });
-    assert_shard_equivalence(&network, &txs, &cfg, 41);
-}
-
-#[test]
-fn rebalancing_is_partition_independent() {
-    // Skewed traffic drains channels one way, so the aggressive policy
-    // fires real withdraw/deposit pairs that must replicate across shards.
-    let network = spider::topology::isp_topology(Amount::from_whole(70));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 400, 14.0);
-    trace_cfg.seed = 43;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut cfg = base_config(20.0);
-    cfg.rebalance = Some(RebalancePolicy::aggressive());
-    assert_shard_equivalence(&network, &txs, &cfg, 43);
-}
-
-#[test]
-fn all_features_are_partition_independent() {
-    let network = spider::topology::isp_topology(Amount::from_whole(90));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 400, 14.0);
-    trace_cfg.seed = 47;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut cfg = base_config(20.0);
-    enable_all_features(&mut cfg, &network);
-    assert_shard_equivalence(&network, &txs, &cfg, 47);
-}
-
-#[test]
-fn all_features_under_faults_are_partition_independent() {
-    let network = spider::topology::isp_topology(Amount::from_whole(90));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 14.0);
-    trace_cfg.seed = 53;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let mut cfg = base_config(20.0);
-    enable_all_features(&mut cfg, &network);
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
-    assert_shard_equivalence(&network, &txs, &cfg, 53);
-}
-
-// ---------------------------------------------------------------------------
 // Property-based sweep: random topologies × workloads × fault plans.
 // ---------------------------------------------------------------------------
 
@@ -359,10 +258,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Full-matrix generative sweep: random graph × workload × feature
-    /// toggles (queued policy, fees, congestion, rebalancing) × fault plan.
-    /// The 1-shard run is the sequential reference; 2- and 4-shard runs must
-    /// reproduce it byte for byte with a clean per-epoch ledger audit.
+    /// Full-matrix generative sweep: random graph × workload × every
+    /// `ShardedConfig` knob (scheme, MTU, deadline) × fault plan. The
+    /// 1-shard run is the sequential reference; 2- and 4-shard runs must
+    /// reproduce it field by field and byte for byte, with a clean
+    /// per-epoch ledger audit.
     #[test]
     fn prop_sharded_parity_full_features(
         n in 8usize..24,
@@ -371,12 +271,9 @@ proptest! {
         trace_seed in any::<u64>(),
         num_txs in 20usize..100,
         capacity in 20i64..200,
-        queued in any::<bool>(),
-        fees_on in any::<bool>(),
-        fee_ppm in 100u32..5_000,
-        congestion_on in any::<bool>(),
-        initial_window in 1.0f64..8.0,
-        rebalance_on in any::<bool>(),
+        shortest_path in any::<bool>(),
+        mtu in 1i64..20,
+        deadline in 2.0f64..8.0,
         faults_on in any::<bool>(),
         fault_seed in any::<u64>(),
         outage_rate in 0.0f64..0.3,
@@ -393,25 +290,11 @@ proptest! {
         trace_cfg.seed = trace_seed;
         let txs = generate(&trace_cfg, &isp_sizes());
         let mut cfg = base_config(12.0);
-        if queued {
-            cfg.policy = ShardPolicy::Queued;
+        if shortest_path {
+            cfg.scheme = spider::sim::ShardScheme::ShortestPath;
         }
-        if fees_on {
-            cfg.fees = Some(FeeSchedule::uniform(
-                &network,
-                Amount::from_micros(10),
-                fee_ppm,
-            ));
-        }
-        if congestion_on {
-            cfg.congestion = Some(CongestionConfig {
-                initial_window,
-                ..CongestionConfig::default()
-            });
-        }
-        if rebalance_on {
-            cfg.rebalance = Some(RebalancePolicy::aggressive());
-        }
+        cfg.mtu = Amount::from_whole(mtu);
+        cfg.deadline = deadline;
         if faults_on {
             let fc = FaultConfig {
                 seed: fault_seed,
@@ -443,11 +326,6 @@ proptest! {
             prop_assert_eq!(report.attempted, ref_report.attempted);
             prop_assert_eq!(report.success_ratio(), ref_report.success_ratio());
             prop_assert_eq!(report.success_volume(), ref_report.success_volume());
-            prop_assert_eq!(report.routing_fees_paid, ref_report.routing_fees_paid);
-            prop_assert_eq!(
-                report.rebalance.transactions,
-                ref_report.rebalance.transactions
-            );
             let json = serde_json::to_string_pretty(&report).expect("report serializes");
             prop_assert_eq!(&json, &ref_json, "SimReport diverged at {} shards", shards);
             prop_assert_eq!(&trace, &ref_trace, "trace diverged at {} shards", shards);

@@ -278,71 +278,6 @@ fn tier2_sharded_engine_10k_nodes_bounded() {
     );
 }
 
-/// Graduated tier-2: the feature-parity surface (queued router policy +
-/// fees + rebalancing) through the 4-shard engine at 10k nodes, bounded to
-/// a payment count CI can afford. The queue drain loop, fee accrual over
-/// sorted settle messages, and owner-shard rebalancing all run at real
-/// scale with the per-epoch auditor on.
-#[test]
-fn tier2_sharded_queued_full_features_10k_nodes_bounded() {
-    use spider::routing::fees::FeeSchedule;
-    use spider::sim::{run_sharded, RebalancePolicy, ShardPolicy, ShardedConfig};
-    let g = spider::topology::ripple_topology_scaled(10_000, Amount::from_whole(5_000), 44);
-    assert!(g.num_nodes() >= 10_000);
-    let mut cfg = TraceConfig::ripple_default(g.num_nodes(), 400, 10.0);
-    cfg.seed = 44;
-    let txs = generate(&cfg, &ripple_sizes());
-    let partition = Partition::build(&g, 4, 44);
-    let mut sim_cfg = ShardedConfig::new(15.0);
-    sim_cfg.policy = ShardPolicy::Queued;
-    sim_cfg.fees = Some(FeeSchedule::uniform(&g, Amount::from_micros(10), 1_000));
-    sim_cfg.rebalance = Some(RebalancePolicy::aggressive());
-    sim_cfg.audit = true;
-    let report = run_sharded(&g, &txs, &partition, &sim_cfg);
-    assert_sound(&report);
-    assert!(report.attempted >= 390, "attempted {}", report.attempted);
-    assert!(
-        report.audit_violations.is_empty(),
-        "full-features sharded 10k-node run violated the audit: {:?}",
-        report.audit_violations
-    );
-    assert!(
-        report.success_ratio() > 0.1,
-        "scale run must route real volume: {}",
-        report.summary()
-    );
-}
-
-/// Tier-3 soak of the same full-features surface: 10k nodes / 100k
-/// payments at 1 and 4 shards, byte-identical reports and clean audits.
-#[test]
-#[ignore = "tier-3 scale test (10k nodes / 100k payments, 2 full-feature runs); run with --ignored"]
-fn tier3_sharded_queued_full_features_100k_payments_identity() {
-    use spider::routing::fees::FeeSchedule;
-    use spider::sim::{run_sharded, RebalancePolicy, ShardPolicy, ShardedConfig};
-    let g = spider::topology::ripple_topology_scaled(10_000, Amount::from_whole(5_000), 44);
-    let mut cfg = TraceConfig::ripple_default(g.num_nodes(), 100_000, 600.0);
-    cfg.seed = 44;
-    let txs = generate(&cfg, &ripple_sizes());
-    assert!(txs.len() >= 100_000);
-    let end = txs.last().map_or(600.0, |t| t.arrival) + 1.0;
-    let mut sim_cfg = ShardedConfig::new(end);
-    sim_cfg.policy = ShardPolicy::Queued;
-    sim_cfg.fees = Some(FeeSchedule::uniform(&g, Amount::from_micros(10), 1_000));
-    sim_cfg.rebalance = Some(RebalancePolicy::aggressive());
-    sim_cfg.audit = true;
-    let r1 = run_sharded(&g, &txs, &Partition::single(&g), &sim_cfg);
-    let r4 = run_sharded(&g, &txs, &Partition::build(&g, 4, 44), &sim_cfg);
-    assert_sound(&r1);
-    assert!(r1.audit_violations.is_empty() && r4.audit_violations.is_empty());
-    assert_eq!(
-        serde_json::to_string(&r1).expect("report serializes"),
-        serde_json::to_string(&r4).expect("report serializes"),
-        "full-features sharded report diverged between 1 and 4 shards at full scale"
-    );
-    assert!(r1.routing_fees_paid > 0.0);
-}
-
 /// The process's peak resident set in kB (`VmHWM` in `/proc/self/status`),
 /// or `None` off Linux.
 fn peak_rss_kb() -> Option<u64> {
@@ -351,18 +286,10 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Tier-3 memory measurement: the `ripple100k-sharded2` benchmark workload
-/// (shortest path, 1k payments over 10 s, sender skew 16, capacity 30 000)
-/// at 1M nodes on 2 shards, audited. Prints set-up and run wall time and
-/// the process's peak resident set; EXPERIMENTS.md "Scale notes" records a
-/// run. Needs about 1 GB.
-#[test]
-#[ignore = "tier-3 scale test (1M nodes, ~1 GB resident); run by name with --ignored"]
-fn tier3_sharded_ripple_1m_nodes_memory() {
-    use spider::sim::{run_sharded, ShardScheme, ShardedConfig};
+/// The inputs of the `ripple100k-sharded2` benchmark workload at 1M nodes:
+/// capacity 30 000, 1k payments over 10 s, sender skew 16, seed 7.
+fn ripple_1m_inputs() -> (Network, Vec<Transaction>) {
     use spider::workload::SenderDistribution;
-    use std::time::Instant;
-    let start = Instant::now();
     let g = spider::topology::ripple_topology_scaled(1_000_000, Amount::from_whole(30_000), 7);
     assert!(g.num_nodes() >= 1_000_000);
     let mut cfg = TraceConfig::ripple_default(g.num_nodes(), 1_000, 10.0);
@@ -371,6 +298,38 @@ fn tier3_sharded_ripple_1m_nodes_memory() {
         scale: g.num_nodes() as f64 / 16.0,
     };
     let txs = generate(&cfg, &ripple_sizes());
+    (g, txs)
+}
+
+/// One line per 1M-node run, the same for both engines: set-up and run
+/// wall time, the process's peak resident set and the audit's tally.
+fn print_1m_run(engine: &str, g: &Network, report: &SimReport, setup: f64, run: f64) {
+    println!(
+        "tier3 ripple-1M: {} nodes, {} channels, {} payments on {engine}; set-up {setup:.1} s, \
+         run {run:.1} s, peak RSS {} kB, {} audit checks, {} violations, success ratio {:.3}, \
+         host_online_cpus {}",
+        g.num_nodes(),
+        g.num_channels(),
+        report.attempted,
+        peak_rss_kb().map_or("n/a".to_string(), |kb| kb.to_string()),
+        report.audit_checks,
+        report.audit_violations.len(),
+        report.success_ratio(),
+        std::thread::available_parallelism().map_or(0, |n| n.get()),
+    );
+}
+
+/// Tier-3 memory measurement: [`ripple_1m_inputs`] on `run_sharded` with 2
+/// shards, audited, shortest path. Prints set-up and run wall time and the
+/// process's peak resident set; EXPERIMENTS.md "Scale notes" records a run.
+/// Needs about 1 GB.
+#[test]
+#[ignore = "tier-3 scale test (1M nodes, ~1 GB resident); run by name with --ignored"]
+fn tier3_sharded_ripple_1m_nodes_memory() {
+    use spider::sim::{run_sharded, ShardScheme, ShardedConfig};
+    use std::time::Instant;
+    let start = Instant::now();
+    let (g, txs) = ripple_1m_inputs();
     let partition = Partition::build(&g, 2, 7);
     let setup = start.elapsed();
     let mut sim_cfg = ShardedConfig::new(10.0);
@@ -378,20 +337,12 @@ fn tier3_sharded_ripple_1m_nodes_memory() {
     sim_cfg.audit = true;
     let report = run_sharded(&g, &txs, &partition, &sim_cfg);
     let run = start.elapsed() - setup;
-    println!(
-        "tier3 ripple-1M: {} nodes, {} channels, {} payments on 2 shards; set-up {:.1} s, \
-         run {:.1} s, peak RSS {} kB, {} audit checks, {} violations, success ratio {:.3}, \
-         host_online_cpus {}",
-        g.num_nodes(),
-        g.num_channels(),
-        report.attempted,
+    print_1m_run(
+        "2 shards",
+        &g,
+        &report,
         setup.as_secs_f64(),
         run.as_secs_f64(),
-        peak_rss_kb().map_or("n/a".to_string(), |kb| kb.to_string()),
-        report.audit_checks,
-        report.audit_violations.len(),
-        report.success_ratio(),
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
     );
     assert_sound(&report);
     assert!(report.audit_checks > 0);
@@ -400,6 +351,29 @@ fn tier3_sharded_ripple_1m_nodes_memory() {
         "1M-node sharded run violated the audit: {:?}",
         report.audit_violations
     );
+}
+
+/// The same measurement on the sequential `run`, the twin of
+/// [`tier3_sharded_ripple_1m_nodes_memory`]: same inputs and scheme, so
+/// each engine is measured with one command. Unaudited: `run`'s auditor
+/// rescans every channel on each settle, which does not finish at this
+/// scale. Needs about 400 MB.
+#[test]
+#[ignore = "tier-3 scale test (1M nodes, ~400 MB resident); run by name with --ignored"]
+fn tier3_sequential_ripple_1m_nodes_memory() {
+    use std::time::Instant;
+    let start = Instant::now();
+    let (g, txs) = ripple_1m_inputs();
+    let setup = start.elapsed();
+    let report = spider::sim::run(
+        &g,
+        &txs,
+        &mut ShortestPathScheme::new(),
+        &SimConfig::new(10.0),
+    );
+    let run = start.elapsed() - setup;
+    print_1m_run("run", &g, &report, setup.as_secs_f64(), run.as_secs_f64());
+    assert_sound(&report);
 }
 
 /// Median and quartiles of five or more samples.
