@@ -912,13 +912,19 @@ fn run_inspect(opts: &Options) {
         }
         t
     };
+    let (from, to) = (time("--from"), time("--to"));
+    if let Some((from, to)) = from.zip(to).filter(|(from, to)| from > to) {
+        usage_and_exit(&format!(
+            "`--from` {from} lies after `--to` {to}, an empty window"
+        ));
+    }
     let q = TraceQuery {
         channel: opts.parsed("--channel", number),
         node: opts.parsed("--node", number),
         payment: opts.parsed("--payment", number),
         kind: kind.map(String::from),
-        from: time("--from"),
-        to: time("--to"),
+        from,
+        to,
     };
     let limit: usize = opts.parsed("--limit", number).unwrap_or(20);
     let top: usize = opts.parsed("--top", number).unwrap_or(5);

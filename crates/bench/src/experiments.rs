@@ -359,21 +359,22 @@ pub fn scheme_choice_by_name(name: &str) -> Option<SchemeChoice> {
 /// Schemes run in parallel worker threads (each run is independent and
 /// deterministic).
 pub fn fig6(config: &ExperimentConfig, telemetry: bool) -> Vec<(SimReport, Telemetry)> {
+    parallel_map(&SchemeChoice::ALL, |&choice| {
+        let tel = telemetry_handle(telemetry);
+        let report = run_scheme(config, choice, &tel, RunMode::Plain)
+            .expect("a plain run reads and writes no snapshot");
+        (report, tel)
+    })
+}
+
+/// Maps `f` over `inputs` on one scoped worker thread per input, and
+/// returns the results in input order.
+fn parallel_map<T: Sync, R: Send>(inputs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = SchemeChoice::ALL
-            .iter()
-            .map(|&choice| {
-                scope.spawn(move || {
-                    let tel = telemetry_handle(telemetry);
-                    let report = run_scheme(config, choice, &tel, RunMode::Plain)
-                        .expect("a plain run reads and writes no snapshot");
-                    (report, tel)
-                })
-            })
-            .collect();
+        let handles: Vec<_> = inputs.iter().map(|i| scope.spawn(|| f(i))).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("scheme run must not panic"))
+            .map(|h| h.join().expect("a worker run must not panic"))
             .collect()
     })
 }
@@ -473,22 +474,11 @@ pub type Ablation = (String, SimReport);
 pub fn ablation_mtu(cfg: &ExperimentConfig, mtus: &[f64]) -> Vec<Ablation> {
     let network = cfg.network();
     let trace = cfg.trace(&network);
-    parallel_variants(mtus, |&mtu| {
+    parallel_map(mtus, |&mtu| {
         let mut sim_cfg = cfg.sim_config();
         sim_cfg.mtu = Amount::from_tokens(mtu);
         let report = run(&network, &trace, &mut WaterfillingScheme::new(), &sim_cfg);
         (format!("mtu={mtu}"), report)
-    })
-}
-
-/// Runs one labeled variant per input in parallel worker threads.
-fn parallel_variants<T: Sync>(inputs: &[T], f: impl Fn(&T) -> Ablation + Sync) -> Vec<Ablation> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs.iter().map(|i| scope.spawn(|| f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("variant run must not panic"))
-            .collect()
     })
 }
 
@@ -498,7 +488,7 @@ pub fn ablation_num_paths(cfg: &ExperimentConfig, ks: &[usize]) -> Vec<Ablation>
     let network = cfg.network();
     let trace = cfg.trace(&network);
     let sim_cfg = cfg.sim_config();
-    parallel_variants(ks, |&k| {
+    parallel_map(ks, |&k| {
         let report = run(
             &network,
             &trace,
@@ -525,7 +515,7 @@ pub fn ablation_path_strategy(cfg: &ExperimentConfig) -> Vec<(String, SimReport,
         ("k-shortest-4", PathStrategy::KShortest(4)),
         ("widest-4", PathStrategy::WidestDisjoint(4)),
     ];
-    let reports = parallel_variants(&variants, |&(label, strategy)| {
+    let reports = parallel_map(&variants, |&(label, strategy)| {
         let report = run(
             &network,
             &trace,
@@ -613,7 +603,7 @@ pub fn ablation_scheduler(cfg: &ExperimentConfig) -> Vec<Ablation> {
         SchedulePolicy::Lifo,
         SchedulePolicy::Edf,
     ];
-    parallel_variants(&policies, |&policy| {
+    parallel_map(&policies, |&policy| {
         let mut sim_cfg = cfg.sim_config();
         sim_cfg.policy = policy;
         let report = run(&network, &trace, &mut WaterfillingScheme::new(), &sim_cfg);

@@ -409,7 +409,7 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
     let stray = tmp.path().join("stray").display().to_string();
     // The retired flag, spelled in halves so a grep for it finds nothing.
     let retired = concat!("--trace", "-format");
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 19] = [
         (&["fig4", "--sed", "3"], "--sed"),
         (&["fig4", "--seed"], "--seed"),
         (&["fig6", "--seed", "--telemetry"], "--seed"),
@@ -444,6 +444,11 @@ fn mistyped_valueless_and_misplaced_flags_exit_two_naming_the_flag() {
         (&["inspect", &stray, "--from", "nan"], "--from"),
         (&["inspect", &stray, "--from", "NaN", "--to", "3"], "--from"),
         (&["inspect", &stray, "--to", "nan"], "--to"),
+        // An inverted window once matched nothing and exited 0.
+        (
+            &["inspect", &stray, "--from", "5", "--to", "1"],
+            "`--from` 5 lies after `--to` 1",
+        ),
     ];
     for (args, flag) in cases {
         let (code, stderr) = run_cli(args);

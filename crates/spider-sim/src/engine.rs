@@ -18,7 +18,8 @@
 //! - [`run`] queues at the **source** (§6.1, the paper's evaluation): a
 //!   pluggable [`RoutingScheme`] picks each unit's path, the whole path is
 //!   locked at once, and payments that cannot send wait in a global queue
-//!   polled periodically in scheduling-policy order (SRPT by default);
+//!   polled periodically in scheduling-policy order (SRPT by default); it
+//!   is the driver that takes a fault plan;
 //! - [`run_queued`] queues at the **routers** (Fig. 3 / §4.2): a unit is
 //!   admitted as soon as its first hop can be funded, waits in a per-channel
 //!   queue wherever the next hop is dry, and moves on when a settlement
@@ -32,7 +33,7 @@
 
 use crate::audit::LedgerAudit;
 use crate::congestion::{CongestionConfig, CongestionControl};
-use crate::faults::{FaultEvent, FaultPlan, UnitFate};
+use crate::faults::{FaultPlan, UnitFate};
 use crate::ledger::{sender_side, tokens, HopAmounts};
 use crate::metrics::SimReport;
 use crate::payment::{FailCause, PaymentStatus};
@@ -145,11 +146,6 @@ pub struct QueuedConfig {
     /// real router-queue depths — piggyback on scheduler ticks, so enabling
     /// telemetry never changes the event order.
     pub telemetry: Telemetry,
-    /// Deterministic fault schedule (outages / node churn). Units whose
-    /// locked prefix crosses a newly-downed channel are dropped and
-    /// refunded; queued units simply wait for recovery (router queues
-    /// absorb outages) until their payment's deadline.
-    pub faults: Option<FaultPlan>,
 }
 
 impl QueuedConfig {
@@ -160,7 +156,6 @@ impl QueuedConfig {
             mtu: Amount::from_whole(10),
             deadline: 5.0,
             telemetry: Telemetry::disabled(),
-            faults: None,
         }
     }
 }
@@ -405,8 +400,8 @@ fn run_source_queued(
 /// balances allow right now. Under fault injection the scheme routes
 /// against the payment's masked view (downed channels and those it
 /// blacklists read as empty), its retry backoff gates the whole pump, and
-/// each sent unit is dealt its fate (deliver / drop / grief) by the fate
-/// rule both engines share.
+/// each sent unit is dealt its fate (deliver / drop / grief) by
+/// `FaultConfig::unit_fate`.
 fn pump_payment(
     t: &mut Transport,
     scheme: &mut dyn RoutingScheme,
@@ -631,9 +626,8 @@ fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: Channel
 // Queueing at the routers (Fig. 3 / §4.2): a unit is admitted as soon as
 // its first hop can be funded; at every router it either locks the next
 // hop or waits in that channel direction's queue, which drains first come,
-// first served whenever a settlement (or a recovery) replenishes it. The
-// paper's own evaluation "leave[s] implementing in-network queues … to
-// future work".
+// first served whenever a settlement replenishes it. The paper's own
+// evaluation "leave[s] implementing in-network queues … to future work".
 
 /// Runs the router-queued transport over `transactions`.
 ///
@@ -647,11 +641,10 @@ pub fn run_queued(
 ) -> QueuedReport {
     let tel = &config.telemetry;
     let timing = [config.end_time, POLL_INTERVAL, config.deadline];
-    let plan = config.faults.as_ref();
-    let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, plan);
+    let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, None);
     t.router = RouterQueues::new(network.num_channels());
     let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS));
-    t.seed(plan, None);
+    t.seed(None, None);
 
     while let Some((now, event)) = t.pop() {
         if now > config.end_time {
@@ -664,9 +657,6 @@ pub fn run_queued(
                 pump_source(&mut t, &mut paths, config, i, now);
             }
             Event::HopArrive { unit } => {
-                if !t.units.live(unit) {
-                    continue;
-                }
                 let u = &t.units[unit];
                 let _span = event_span(tel, Phase::QueueDrain, now);
                 if u.locked as usize == u.path.len() {
@@ -677,11 +667,6 @@ pub fn run_queued(
                 }
             }
             Event::Settle { unit } => {
-                // An outage may have refunded this unit during its Δ-wait;
-                // then the receiver never got the key.
-                if !t.units.live(unit) {
-                    continue;
-                }
                 let _span = event_span(tel, Phase::SettleRefund, now);
                 t.settle(unit, now);
                 // Every hop's receiving side gained funds: drain the queues
@@ -689,36 +674,6 @@ pub fn run_queued(
                 let path = Arc::clone(&t.units[unit].path);
                 for &(c, d) in path.hops() {
                     drain_queue(&mut t, c, sender_side(d.reverse()), now);
-                }
-            }
-            Event::Fault(ev) => {
-                let _span = event_span(tel, Phase::FaultProcessing, now);
-                let down = t.apply_fault(&ev, now);
-                if !down.is_empty() {
-                    // The sender simply re-sends the refunded value: router
-                    // queues, not retries, are what absorbs an outage here.
-                    for (unit, blamed) in t.units_crossing(&down) {
-                        t.fail(unit, FailCause::Outage(blamed), now);
-                        t.router.stats.units_dropped += 1;
-                    }
-                    // Purge the refunded units from the queues so they
-                    // never block a head-of-line drain.
-                    let units = &t.units;
-                    for q in t.router.queues.iter_mut().flatten() {
-                        q.retain(|&(unit, _)| units.live(unit));
-                    }
-                }
-                // A recovery re-opens the channel: service its queues now
-                // (`drain_queue` skips those another cause still holds down).
-                let revived: Vec<ChannelId> = match ev {
-                    FaultEvent::ChannelUp(c) => vec![c],
-                    FaultEvent::NodeUp(n) => network.neighbors(n).iter().map(|&(_, c)| c).collect(),
-                    _ => Vec::new(),
-                };
-                for c in revived {
-                    for side in 0..2 {
-                        drain_queue(&mut t, c, side, now);
-                    }
                 }
             }
             Event::Tick => {
@@ -731,9 +686,12 @@ pub fn run_queued(
                 }
                 t.end_tick(now);
             }
-            // Unit fates and rebalancing exist only under the
-            // source-queued driver.
-            Event::FaultExpire { .. } | Event::RebalanceCheck | Event::RebalanceApply { .. } => {}
+            // Faults and rebalancing exist only under the source-queued
+            // driver.
+            Event::Fault(_)
+            | Event::FaultExpire { .. }
+            | Event::RebalanceCheck
+            | Event::RebalanceApply { .. } => {}
         }
     }
 
@@ -750,10 +708,6 @@ pub fn run_queued(
         report: t.finish("queued-waterfilling", policy),
         queues,
     }
-}
-
-fn channel_down(t: &Transport, channel: ChannelId) -> bool {
-    (t.faults.as_ref()).is_some_and(|faults| faults.is_channel_down(channel))
 }
 
 /// First-hop admission: sends as many units of one pending payment as its
@@ -779,10 +733,9 @@ fn pump_source(
             t.abandon(idx, now);
             break;
         }
-        // Waterfilling preference by full-path bottleneck (fault-masked so
-        // downed channels look empty), but admission only requires the
-        // first hop to be fundable: downstream dry spells are absorbed by
-        // router queues.
+        // Waterfilling preference by full-path bottleneck, but admission
+        // only requires the first hop to be fundable: downstream dry
+        // spells are absorbed by router queues.
         let best = t.with_sender_view(idx, now, |view| {
             waterfilling::best_path(view, candidates).map(|(_, path)| Arc::clone(path))
         });
@@ -790,7 +743,7 @@ fn pump_source(
             break;
         };
         let (c0, _) = best.hops()[0];
-        if channel_down(t, c0) || t.ledger.lock_hop(t.network, c0, src, amount).is_err() {
+        if t.ledger.lock_hop(t.network, c0, src, amount).is_err() {
             break;
         }
         let unit = t.send(idx, best, amount, 1, now);
@@ -799,16 +752,14 @@ fn pump_source(
 }
 
 /// A unit at an intermediate router locks its next hop, or else joins the
-/// back of that channel direction's queue. A downed next hop queues too:
-/// the unit waits for recovery, bounded by its payment's deadline.
+/// back of that channel direction's queue.
 fn try_forward(t: &mut Transport, unit: usize, now: f64) {
     let u = &t.units[unit];
     let at = u.locked as usize;
     let (c, d) = u.path.hops()[at];
-    if !channel_down(t, c)
-        && (t.ledger)
-            .lock_hop(t.network, c, u.path.nodes()[at], u.amount)
-            .is_ok()
+    if (t.ledger)
+        .lock_hop(t.network, c, u.path.nodes()[at], u.amount)
+        .is_ok()
     {
         t.units[unit].locked += 1;
         t.queue.push(now + HOP_DELAY, Event::HopArrive { unit });
@@ -833,17 +784,11 @@ fn try_forward(t: &mut Transport, unit: usize, now: f64) {
 /// Services a channel direction's queue after its sending side gained
 /// funds. The head blocks the rest (no bypass), so arrival order holds.
 fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
-    if channel_down(t, channel) {
-        return; // nothing forwards over a downed channel
-    }
     while let Some(&(head, queued_at)) = t.router.queues[channel.index()][side].front() {
-        let live = t.units.live(head);
-        if !live || t.deadline(t.units[head].payment()) <= now {
+        if t.deadline(t.units[head].payment()) <= now {
             // Expired while waiting.
             t.router.queues[channel.index()][side].pop_front();
-            if live {
-                drop_unit(t, head, now);
-            }
+            drop_unit(t, head, now);
             continue;
         }
         let u = &t.units[head];
@@ -867,9 +812,8 @@ fn drain_queue(t: &mut Transport, channel: ChannelId, side: usize, now: f64) {
 /// so their upstream locks are refunded promptly (not only when a
 /// settlement happens to poke the queue).
 fn sweep_expired(t: &mut Transport, now: f64) {
-    let expired = |t: &Transport, &(unit, _): &(usize, f64)| {
-        t.units.live(unit) && t.deadline(t.units[unit].payment()) <= now
-    };
+    let expired =
+        |t: &Transport, &(unit, _): &(usize, f64)| t.deadline(t.units[unit].payment()) <= now;
     for c in 0..t.router.queues.len() {
         for side in 0..2 {
             if !t.router.queues[c][side].iter().any(|e| expired(t, e)) {
@@ -1677,66 +1621,6 @@ mod tests {
         let queued: Vec<usize> = t.router.queues[1][0].iter().map(|&(u, _)| u).collect();
         assert_eq!(queued, [sent[1], sent[0]]);
         assert_eq!(t.router.stats.units_queued, 2);
-    }
-
-    #[test]
-    fn outage_drops_locked_units_and_queues_absorb_recovery() {
-        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
-        use spider_core::ChannelId;
-        // Channel 1 dies while units are mid-path: locked prefixes crossing
-        // it are refunded. After recovery the source re-sends and the
-        // payment still completes — router queues plus source re-pumping
-        // absorb the outage.
-        let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let plan = FaultPlan::scripted(
-            vec![
-                (0.3, FaultEvent::ChannelDown(ChannelId(1))),
-                (1.0, FaultEvent::ChannelUp(ChannelId(1))),
-            ],
-            FaultConfig::default(),
-        );
-        let mut cfg = QueuedConfig::new(20.0);
-        cfg.deadline = 15.0;
-        cfg.faults = Some(plan);
-        let out = run_queued(&g, &txs, &cfg);
-        let stats = out.report.faults.expect("fault stats present");
-        assert_eq!(stats.outages, 1);
-        assert_eq!(stats.recoveries, 1);
-        assert_eq!(out.report.completed, 1, "{:?}", out.report);
-        assert!(
-            out.report.audit_violations.is_empty(),
-            "{:?}",
-            out.report.audit_violations
-        );
-        // Determinism under faults.
-        let again = run_queued(&g, &txs, &cfg);
-        assert_eq!(
-            serde_json::to_string(&out.report).unwrap(),
-            serde_json::to_string(&again.report).unwrap()
-        );
-    }
-
-    #[test]
-    fn outage_after_settlement_leaves_settled_units_alone() {
-        use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
-        // All three units settle by t = 0.7; channel 1 dies at t = 2. A
-        // settled unit holds no locks, so the outage has nothing to refund
-        // (refunding it again would hand the sender funds it already spent).
-        let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let mut cfg = QueuedConfig::new(10.0);
-        cfg.faults = Some(FaultPlan::scripted(
-            vec![(2.0, FaultEvent::ChannelDown(ChannelId(1)))],
-            FaultConfig::default(),
-        ));
-        let out = run_queued(&g, &txs, &cfg);
-        assert_eq!(out.report.completed, 1);
-        assert_eq!(out.report.units_sent, 3);
-        assert_eq!(out.queues.units_dropped, 0);
-        let stats = out.report.faults.expect("fault stats present");
-        assert_eq!(stats.units_refunded_by_outage, 0);
-        assert_eq!(out.report.audit_violations, vec![]);
     }
 
     #[test]

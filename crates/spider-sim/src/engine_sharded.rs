@@ -16,11 +16,11 @@
 //! routes a unit against a barrier-frozen balance snapshot and sends a
 //! lock request to the first hop's owner; each successful hop lock
 //! forwards to the next owner one epoch later; the final hop schedules
-//! settles (or a fault schedules refunds) on every hop owner plus a
-//! notification to the payment owner. Within an epoch every shard
-//! processes its due messages in a globally deterministic
-//! `(kind, payment, unit, hop)` order, and all cross-shard state (balance
-//! snapshots, messages) is exchanged only at barriers.
+//! settles on every hop owner plus a notification to the payment owner,
+//! and a refused lock schedules refunds of the locked prefix instead.
+//! Within an epoch every shard processes its due messages in a globally
+//! deterministic `(kind, payment, unit, hop)` order, and all cross-shard
+//! state (balance snapshots, messages) is exchanged only at barriers.
 //!
 //! **The epoch agenda** is where a shard keeps those messages until they
 //! are due: a calendar whose *slot* is the fire epoch and whose slot holds
@@ -33,14 +33,8 @@
 //! message *to itself* in its slot on the spot: nobody reads that slot
 //! before the next barrier, and the sort makes arrival order irrelevant.
 //! Only messages for other shards wait for the exchange, and land in the
-//! same lists. Slots up to `NEAR` epochs ahead sit in a ring; a later one
-//! (a grief hold) waits in a sparse map until the ring reaches it.
-//!
-//! **Fates.** A unit's fate (delivered with jitter, dropped, or griefed) is
-//! dealt at send time by the rule both engines call
-//! (`FaultConfig::unit_fate`), a pure function of `(fault seed, payment,
-//! unit)`: a shared stream's draw order would depend on the partition. The
-//! final hop's lock turns it into epochs.
+//! same lists. No message is due more than Δ ahead, so the slots form a
+//! ring of `NEAR` epochs.
 //!
 //! **Partition independence** is the engine's defining property: handlers
 //! touch only state they own, cross-shard reads go through the frozen
@@ -51,19 +45,10 @@
 //! shard counts {1, 2, 4, 7}.
 //!
 //! The sharded engine runs the core packet-switched loop: waterfilling or
-//! shortest-path routing, deadlines, fault injection with sender retry,
-//! auditing and telemetry. A refused hop lock fails the unit. Router
-//! queues, fees, congestion windows and on-chain rebalancing belong to the
-//! continuous-time engine alone. A payment's fault recovery — failures,
-//! backoff and blacklist — is the `payment::Recovery` record both engines
-//! keep, at the payment owner, changed by its one transition and read
-//! through the one masked routing view (`FaultView`) over the frozen
-//! balances. Its times are epoch boundaries in seconds, and a backed-off
-//! payment is pumped at the first tick past its backoff, as in `run`.
-//!
-//! One fault behaves differently. A channel that goes down only refuses new
-//! locks here, so a unit already holding a lock across it still settles;
-//! the continuous-time engine refunds that unit (ROADMAP, divergence 8).
+//! shortest-path routing, deadlines, auditing and telemetry. A refused hop
+//! lock fails the unit. Router queues, fees, congestion windows, on-chain
+//! rebalancing and fault injection belong to the continuous-time engine
+//! alone.
 //!
 //! The engine does not checkpoint: snapshots and resume belong to the
 //! continuous-time engine ([`crate::engine::run_checkpointed`]), the one
@@ -71,10 +56,9 @@
 
 use crate::audit::{AuditViolation, AuditViolationKind, LedgerAudit};
 use crate::engine::{DELTA, POLL_INTERVAL};
-use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultStats, FaultView, UnitFate};
 use crate::ledger::{sender_side, tokens, Ledger};
 use crate::metrics::{tally, SimReport};
-use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
+use crate::payment::{arrival_trace, PaymentState, PaymentStatus};
 use crate::transport::{record_release, MAX_RELEASE_VIOLATIONS};
 use serde::{Deserialize, Serialize};
 use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
@@ -82,7 +66,6 @@ use spider_routing::{RoutingScheme, ShortestPathScheme, UnitDecision, Waterfilli
 use spider_telemetry::{HistogramSnapshot, NetworkSample, Phase, Telemetry, TraceEvent};
 use spider_topology::Partition;
 use spider_workload::Transaction;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Epoch width in simulation seconds: the lockstep window all shards
@@ -134,9 +117,6 @@ pub struct ShardedConfig {
     pub scheme: ShardScheme,
     /// Audit every shard's ledger copy once per epoch plus once at the end.
     pub audit: bool,
-    /// Optional deterministic fault injection (outages, churn, drops,
-    /// griefing, jitter, sender retry policy).
-    pub faults: Option<FaultPlan>,
     /// Telemetry handle; when enabled, per-shard traces are merged into a
     /// deterministic global trace at the end of the run.
     pub telemetry: Telemetry,
@@ -151,7 +131,6 @@ impl ShardedConfig {
             deadline: 5.0,
             scheme: ShardScheme::Waterfilling,
             audit: false,
-            faults: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -200,25 +179,27 @@ struct Key {
 fn merge_rank(event: &TraceEvent) -> u8 {
     use TraceEvent as E;
     match event {
-        E::ChannelOutage { .. }
-        | E::ChannelRecovered { .. }
-        | E::NodeCrashed { .. }
-        | E::NodeRecovered { .. } => 0,
         E::UnitSettled { .. } => 1,
         E::PaymentCompleted { .. } => 2,
-        E::UnitDropped { .. } => 3,
-        E::UnitGriefed { .. } => 4,
         E::UnitRefunded { .. } => 5,
-        E::ChannelBlacklisted { .. } => 6,
-        E::PaymentRetry { .. } => 7,
         E::PaymentArrived { .. } => 8,
         E::PaymentSplit { .. } => 9,
         E::PaymentAbandoned { .. } => 10,
         E::UnitSent { .. } => 11,
         E::ChannelSample { .. } => 12,
-        // Never emitted by this engine: it has no router queues, no
-        // rebalancing and no solver.
-        E::UnitQueued { .. } | E::RebalanceApplied { .. } | E::SolverSample { .. } => 13,
+        // Never emitted by this engine: it injects no fault and has no
+        // router queues, no rebalancing and no solver.
+        E::ChannelOutage { .. }
+        | E::ChannelRecovered { .. }
+        | E::NodeCrashed { .. }
+        | E::NodeRecovered { .. }
+        | E::UnitDropped { .. }
+        | E::UnitGriefed { .. }
+        | E::ChannelBlacklisted { .. }
+        | E::PaymentRetry { .. }
+        | E::UnitQueued { .. }
+        | E::RebalanceApplied { .. }
+        | E::SolverSample { .. } => 13,
     }
 }
 
@@ -232,36 +213,6 @@ struct UnitInfo {
     local: u32,
     amount: Amount,
     path: Arc<Path>,
-    /// Dealt at send time by the shared rule (module docs, *Fates*).
-    fate: UnitFate,
-}
-
-impl UnitInfo {
-    /// The one place a unit comes into being, at the pump: unit `seq` of
-    /// the payment with id `payment`, at index `local` of its owner's
-    /// slab. The fate is a pure function of the config and the unit's
-    /// identity, dealt here and counted in `stats`.
-    fn new(
-        cfg: &ShardedConfig,
-        stats: &mut FaultStats,
-        (payment, local): (u64, u32),
-        seq: u32,
-        amount: Amount,
-        path: Arc<Path>,
-    ) -> UnitInfo {
-        let fate = match cfg.faults.as_ref() {
-            Some(plan) => plan.config.unit_fate(payment, seq, &path, stats),
-            None => UnitFate::Deliver { jitter: 0.0 },
-        };
-        UnitInfo {
-            payment,
-            seq,
-            local,
-            amount,
-            path,
-            fate,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -274,9 +225,9 @@ enum MsgBody {
     LockHop { hop: u32 },
     /// The unit settled end-to-end (to the payment owner).
     UnitDelivered,
-    /// The unit failed and its locked prefix was refunded (to the payment
-    /// owner).
-    UnitFailed(FailCause),
+    /// A hop lock was refused and the unit's locked prefix refunded (to the
+    /// payment owner).
+    UnitFailed,
 }
 
 impl MsgBody {
@@ -286,7 +237,7 @@ impl MsgBody {
             MsgBody::RefundHop { .. } => 1,
             MsgBody::LockHop { .. } => 2,
             MsgBody::UnitDelivered => 3,
-            MsgBody::UnitFailed { .. } => 4,
+            MsgBody::UnitFailed => 4,
         }
     }
 
@@ -328,9 +279,9 @@ impl Msg {
     }
 }
 
-/// How many epochs ahead the agenda keeps a slot ready. Lock forwards fire
-/// one epoch out and settles Δ plus jitter out; a longer wait (a grief
-/// hold) sits in the sparse overflow until it comes this close.
+/// How many epochs ahead the agenda keeps a slot: the furthest a message
+/// may be due. Lock forwards and failures fire one epoch out and settles Δ
+/// (10 epochs) out, counted from the epoch that sends them.
 const NEAR: u64 = 64;
 
 /// The messages due in one epoch: one list per [`MsgBody::rank`].
@@ -343,8 +294,6 @@ struct Agenda {
     now: u64,
     /// `near[f % NEAR]` is the slot of fire epoch `f`, `now < f <= now + NEAR`.
     near: Vec<Slot>,
-    /// The slots of fire epochs beyond `now + NEAR`.
-    far: BTreeMap<u64, Slot>,
 }
 
 impl Agenda {
@@ -352,48 +301,37 @@ impl Agenda {
         Agenda {
             now,
             near: (0..NEAR).map(|_| Slot::default()).collect(),
-            far: BTreeMap::new(),
         }
     }
 
-    /// Files `msg` under `fire_epoch`, which must lie ahead: no handler may
-    /// add to the epoch it is running in.
+    /// Files `msg` under `fire_epoch`, which must lie ahead, at most `NEAR`
+    /// epochs: no handler may add to the epoch it is running in.
     fn push(&mut self, fire_epoch: u64, msg: Msg) {
         let now = self.now;
         assert!(
-            fire_epoch > now,
+            fire_epoch > now && fire_epoch - now <= NEAR,
             "message due at epoch {fire_epoch} filed at {now}"
         );
-        let slot = if fire_epoch.saturating_sub(now) <= NEAR {
-            &mut self.near[(fire_epoch % NEAR) as usize]
-        } else {
-            self.far.entry(fire_epoch).or_default()
-        };
-        slot[usize::from(msg.body.rank())].push(msg);
+        self.near[(fire_epoch % NEAR) as usize][usize::from(msg.body.rank())].push(msg);
     }
 
     /// Removes the slot of `epoch`, the one after `now`. The ring position
-    /// it vacates stands for `epoch + NEAR` from here on and takes over
-    /// that epoch's overflow, if any.
+    /// it vacates stands for `epoch + NEAR` from here on.
     fn take(&mut self, epoch: u64) -> Slot {
         assert_eq!(epoch, self.now.saturating_add(1), "epochs are consecutive");
         self.now = epoch;
-        let horizon = self.far.remove(&epoch.saturating_add(NEAR));
-        let vacated = &mut self.near[(epoch % NEAR) as usize];
-        std::mem::replace(vacated, horizon.unwrap_or_default())
+        std::mem::take(&mut self.near[(epoch % NEAR) as usize])
     }
 }
 
 /// A payment owned by this shard: what the run changes about trace row
-/// `row`, which holds its inputs — the two records both engines keep, plus
-/// the epochs.
+/// `row`, which holds its inputs — the record both engines keep, plus the
+/// epochs.
 struct LocalPayment {
     row: u32,
     arrival_epoch: u64,
     deadline_epoch: u64,
     state: PaymentState,
-    /// Fault recovery, its times epoch boundaries in seconds (`t_of`).
-    recovery: Recovery,
 }
 
 /// Per-shard epoch metrics surfaced by [`run_sharded`] through
@@ -507,8 +445,7 @@ struct SamplePartial {
 }
 
 /// Balance view for routing: the barrier-frozen global snapshot with this
-/// payment's in-pump debits applied. Under a fault plan `pump` masks it
-/// with the payment's `FaultView`.
+/// payment's in-pump debits applied.
 struct SnapshotView<'a> {
     network: &'a Network,
     avail: &'a [[i64; 2]],
@@ -551,9 +488,6 @@ impl Clockwork {
     }
 }
 
-/// A scheduled fault transition: `(epoch, plan index, event)`.
-type PlanEvent = (u64, u64, FaultEvent);
-
 /// One shard's published dirty-balance slot: `(channel index, micros a,
 /// micros b)` triples, cleared and rewritten by the owning shard each epoch.
 type PublishSlot = Mutex<Vec<(u32, i64, i64)>>;
@@ -592,10 +526,6 @@ struct ShardCtx<'a> {
     scheme: Box<dyn RoutingScheme>,
     ledger: Ledger,
     audit: Option<LedgerAudit>,
-    faults: Option<FaultState>,
-    /// The run's quantized fault schedule, in epoch order.
-    plan_events: &'a [PlanEvent],
-    plan_cursor: usize,
     /// Frozen global balances in micro-tokens, per channel `[a, b]`.
     snapshot: Vec<[i64; 2]>,
     /// Channels this shard mutated since the last publish.
@@ -620,9 +550,6 @@ struct ShardCtx<'a> {
     tel_on: bool,
     samples: Vec<SamplePartial>,
     violations: Vec<AuditViolation>,
-    /// Fault statistics, each counted at one unambiguous owner so a
-    /// field-wise sum over shards is partition-independent.
-    stats: FaultStats,
     /// This shard's work counters (and, once merged, its barrier waits).
     metrics: ShardEpochMetrics,
     #[cfg(test)]
@@ -638,7 +565,6 @@ impl<'a> ShardCtx<'a> {
         transactions: &'a [Transaction],
         partition: &'a Partition,
         cfg: &'a ShardedConfig,
-        plan_events: &'a [PlanEvent],
     ) -> Self {
         let clock = Clockwork::new(cfg);
         let num_shards = partition.num_shards();
@@ -651,7 +577,6 @@ impl<'a> ShardCtx<'a> {
                     arrival_epoch,
                     deadline_epoch: arrival_epoch + clock.deadline_epochs,
                     state: PaymentState::ARRIVED,
-                    recovery: Recovery::FRESH,
                 })
             })
             .collect();
@@ -686,12 +611,6 @@ impl<'a> ShardCtx<'a> {
             scheme: cfg.scheme.build(),
             audit: cfg.audit.then(|| LedgerAudit::new(&ledger)),
             ledger,
-            faults: cfg
-                .faults
-                .as_ref()
-                .map(|plan| FaultState::new(plan, network)),
-            plan_events,
-            plan_cursor: 0,
             snapshot,
             dirty: Vec::new(),
             agenda: Agenda::new(0),
@@ -713,7 +632,6 @@ impl<'a> ShardCtx<'a> {
             tel_on: cfg.telemetry.is_enabled(),
             samples: Vec::new(),
             violations: Vec::new(),
-            stats: FaultStats::default(),
             #[cfg(test)]
             order_log: tests::OrderLog::default(),
         }
@@ -775,46 +693,6 @@ impl<'a> ShardCtx<'a> {
         self.stage(to, fire_epoch, body, unit);
     }
 
-    /// Applies the fault transitions scheduled for `epoch`. Every shard
-    /// updates its own full-network mask; only the owning shard (of the
-    /// channel, or of the node) emits the trace event and counts the
-    /// transition.
-    fn apply_faults(&mut self, epoch: u64) {
-        let t = t_of(epoch);
-        let plan_events = self.plan_events;
-        while let Some((_, plan_idx, ev)) = plan_events
-            .get(self.plan_cursor)
-            .filter(|&&(at, ..)| at == epoch)
-        {
-            self.plan_cursor += 1;
-            let (owner, counter) = match *ev {
-                FaultEvent::ChannelDown(c) => {
-                    let owner = self.partition.channel_owner(c);
-                    (owner, Some(&mut self.stats.outages))
-                }
-                FaultEvent::ChannelUp(c) => {
-                    let owner = self.partition.channel_owner(c);
-                    (owner, Some(&mut self.stats.recoveries))
-                }
-                FaultEvent::NodeDown(n) => {
-                    let was_down = self.faults.as_ref().is_some_and(|f| f.is_node_down(n));
-                    let crashes = (!was_down).then_some(&mut self.stats.node_crashes);
-                    (self.partition.node_shard(n), crashes)
-                }
-                FaultEvent::NodeUp(n) => (self.partition.node_shard(n), None),
-            };
-            if owner == usize::from(self.shard) {
-                if let Some(count) = counter {
-                    *count += 1;
-                }
-                self.emit(epoch, *plan_idx, 0, ev.trace(t));
-            }
-            if let Some(f) = self.faults.as_mut() {
-                let _ = f.apply(self.network, ev);
-            }
-        }
-    }
-
     /// Processes every message due this epoch in deterministic key order:
     /// rank by rank, each list in [`Msg::order`]. A list is a few sorted runs
     /// laid end to end (forwarded locks in processing order, a settle batch
@@ -849,7 +727,7 @@ impl<'a> ShardCtx<'a> {
                     MsgBody::RefundHop { hop } => self.on_refund_hop(&msg.unit, hop, epoch),
                     MsgBody::LockHop { hop } => self.on_lock_hop(msg.unit, hop, epoch),
                     MsgBody::UnitDelivered => self.on_unit_delivered(&msg.unit, epoch),
-                    MsgBody::UnitFailed(cause) => self.on_unit_failed(&msg.unit, cause, epoch),
+                    MsgBody::UnitFailed => self.on_unit_failed(&msg.unit, epoch),
                 }
             }
         }
@@ -881,42 +759,23 @@ impl<'a> ShardCtx<'a> {
         self.dirty.push(c.index() as u32);
     }
 
-    /// Fails a unit at `hop`: refunds the locked prefix (`0..hop`, plus
-    /// `hop` itself when `locked_current`) at `fire_epoch` and notifies the
-    /// payment owner.
-    fn fail_unit(
-        &mut self,
-        unit: &Arc<UnitInfo>,
-        hop: u32,
-        locked_current: bool,
-        cause: FailCause,
-        fire_epoch: u64,
-    ) {
-        let last_refund = if locked_current { hop + 1 } else { hop };
-        for hop in 0..last_refund {
-            self.stage_hop(
-                Arc::clone(unit),
-                hop,
-                fire_epoch,
-                MsgBody::RefundHop { hop },
-            );
+    /// Fails a unit whose lock at `hop` was refused: refunds the locked
+    /// prefix `0..hop` at `fire_epoch` and notifies the payment owner.
+    fn fail_unit(&mut self, unit: &Arc<UnitInfo>, hop: u32, fire_epoch: u64) {
+        for hop in 0..hop {
+            let refund = MsgBody::RefundHop { hop };
+            self.stage_hop(Arc::clone(unit), hop, fire_epoch, refund);
         }
-        self.stage_to_payment_owner(Arc::clone(unit), fire_epoch, MsgBody::UnitFailed(cause));
+        self.stage_to_payment_owner(Arc::clone(unit), fire_epoch, MsgBody::UnitFailed);
     }
 
-    /// Locks `hop` and advances the unit: forwards the lock, schedules the
-    /// settles or the grief refunds, or fails the unit at a drop. A downed
-    /// channel or a refused lock fails it with no ledger effect. Takes over
-    /// the lock request's hold on the unit, so that a forwarded lock carries
-    /// it on without a new one.
+    /// Locks `hop` and advances the unit: forwards the lock, or schedules
+    /// the settles once the final hop is locked. A refused lock fails the
+    /// unit with no ledger effect. Takes over the lock request's hold on
+    /// the unit, so that a forwarded lock carries it on without a new one.
     fn on_lock_hop(&mut self, unit: Arc<UnitInfo>, hop: u32, epoch: u64) {
         let (c, _) = unit.path.hops()[hop as usize];
         if !self.own(c, epoch, "lock-hop") {
-            return;
-        }
-        let down = self.faults.as_ref().is_some_and(|f| f.is_channel_down(c));
-        if down {
-            self.fail_unit(&unit, hop, false, FailCause::Outage(c), epoch + 1);
             return;
         }
         let from = unit.path.nodes()[hop as usize];
@@ -924,43 +783,21 @@ impl<'a> ShardCtx<'a> {
             .lock_hop(self.network, c, from, unit.amount)
             .is_err()
         {
-            self.fail_unit(&unit, hop, false, FailCause::Liquidity(c), epoch + 1);
+            self.fail_unit(&unit, hop, epoch + 1);
             return;
         }
         self.dirty.push(c.index() as u32);
         let hops = unit.path.hops().len() as u32;
-        // A mid-path drop fails the unit right after the blamed hop locks.
-        if matches!(unit.fate, UnitFate::Drop { hop_index, .. } if hop_index == hop as usize) {
-            self.fail_unit(&unit, hop, true, FailCause::Dropped(c), epoch + 1);
-            return;
-        }
         if hop + 1 < hops {
             self.stage_hop(unit, hop + 1, epoch + 1, MsgBody::LockHop { hop: hop + 1 });
             return;
         }
-        // Final hop locked: the unit reached the receiver. Jitter is
-        // floored to whole epochs and a grief hold rounded.
-        match unit.fate {
-            UnitFate::Deliver { jitter } => {
-                let se = epoch + self.clock.delta_epochs + (jitter / EPOCH).floor() as u64;
-                for h in 0..hops {
-                    self.stage_hop(Arc::clone(&unit), h, se, MsgBody::SettleHop { hop: h });
-                }
-                self.stage_to_payment_owner(unit, se, MsgBody::UnitDelivered);
-            }
-            UnitFate::Grief { hold } => {
-                let rf = epoch + self.clock.delta_epochs + (hold / EPOCH).round() as u64;
-                for h in 0..hops {
-                    self.stage_hop(Arc::clone(&unit), h, rf, MsgBody::RefundHop { hop: h });
-                }
-                let failed = MsgBody::UnitFailed(FailCause::Griefed(c));
-                self.stage_to_payment_owner(unit, rf, failed);
-            }
-            UnitFate::Drop { .. } => {
-                // Drop at an out-of-range hop index cannot happen: the
-                // index is drawn modulo the hop count.
-            }
+        // Final hop locked: the unit reached the receiver.
+        let se = epoch + self.clock.delta_epochs;
+        for h in 0..hops {
+            self.stage_hop(Arc::clone(&unit), h, se, MsgBody::SettleHop { hop: h });
         }
+        self.stage_to_payment_owner(unit, se, MsgBody::UnitDelivered);
     }
 
     fn on_unit_delivered(&mut self, unit: &Arc<UnitInfo>, epoch: u64) {
@@ -988,67 +825,16 @@ impl<'a> ShardCtx<'a> {
 
     /// The payment owner's half of the sequential `Transport::fail`:
     /// the locked prefix is already being refunded hop by hop.
-    fn on_unit_failed(&mut self, unit: &Arc<UnitInfo>, cause: FailCause, epoch: u64) {
+    fn on_unit_failed(&mut self, unit: &Arc<UnitInfo>, epoch: u64) {
         let pidx = unit.local as usize;
         self.payments[pidx].state.refund(unit.amount);
-        let (t, pid, seq) = (t_of(epoch), self.row(pidx).id.0, u64::from(unit.seq));
-        let hold = (self.cfg.faults.as_ref()).map_or(0.0, |plan| plan.config.grief_hold);
-        if let Some(event) = cause.trace(t, pid, unit.amount, hold) {
-            self.emit(epoch, pid, seq, event);
-        }
-        if let FailCause::Outage(_) = cause {
-            self.stats.units_refunded_by_outage += 1;
-        }
-        let amount = tokens(unit.amount);
-        self.emit(
-            epoch,
-            pid,
-            seq,
-            TraceEvent::UnitRefunded {
-                t,
-                payment: pid,
-                amount,
-            },
-        );
-        if !matches!(cause, FailCause::Liquidity(_)) {
-            self.handle_fault_failure(pidx, unit.seq, cause.blamed(), epoch);
-        }
-    }
-
-    /// Sender-side recovery after a fault-caused unit failure: abandon
-    /// without a retry policy, otherwise the payment's recovery record
-    /// blacklists and backs off within the per-payment attempt budget, its
-    /// times rounded to epochs.
-    fn handle_fault_failure(&mut self, pidx: usize, seq: u32, blamed: ChannelId, epoch: u64) {
-        if self.payments[pidx].state.status != PaymentStatus::Pending {
-            return;
-        }
-        let cfg = self.cfg;
-        let Some(policy) = (cfg.faults.as_ref()).and_then(|plan| plan.config.retry.as_ref()) else {
-            self.stats.payments_failed += 1;
-            return self.abandon(pidx, epoch);
-        };
-        let (t, pid, key) = (t_of(epoch), self.row(pidx).id.0, u64::from(seq));
-        let until = t_of(epoch + epochs_of(policy.blacklist_duration));
-        let recovery = &mut self.payments[pidx].recovery;
-        let retry = recovery.fault(policy, blamed, t, until, &mut self.stats);
-        let channel = blamed.index() as u32;
-        let blacklisted = TraceEvent::ChannelBlacklisted { t, channel, until };
-        self.emit(epoch, pid, key, blacklisted);
-        let Some((attempt, backoff)) = retry else {
-            return self.abandon(pidx, epoch);
-        };
-        let backoff_epochs = epochs_of(backoff);
-        let recovery = &mut self.payments[pidx].recovery;
-        recovery.not_before = recovery.not_before.max(t_of(epoch + backoff_epochs));
-        let backoff = backoff_epochs as f64 * EPOCH;
-        let retried = TraceEvent::PaymentRetry {
+        let (t, pid, amount) = (t_of(epoch), self.row(pidx).id.0, tokens(unit.amount));
+        let refunded = TraceEvent::UnitRefunded {
             t,
             payment: pid,
-            attempt,
-            backoff,
+            amount,
         };
-        self.emit(epoch, pid, key, retried);
+        self.emit(epoch, pid, u64::from(unit.seq), refunded);
     }
 
     fn abandon(&mut self, pidx: usize, epoch: u64) {
@@ -1069,8 +855,7 @@ impl<'a> ShardCtx<'a> {
     /// independently of each other — over-subscription is resolved by the
     /// deterministic lock order at channel owners next epoch.
     fn pump(&mut self, pidx: usize, epoch: u64) {
-        let p = &self.payments[pidx];
-        if p.state.status != PaymentStatus::Pending || t_of(epoch) < p.recovery.not_before {
+        if self.payments[pidx].state.status != PaymentStatus::Pending {
             return;
         }
         let mut undo = std::mem::take(&mut self.undo);
@@ -1087,23 +872,16 @@ impl<'a> ShardCtx<'a> {
                 network: self.network,
                 avail: &self.snapshot,
             };
-            let decision = match &self.faults {
-                Some(faults) => {
-                    let masked = FaultView {
-                        inner: &view,
-                        faults,
-                        recovery: &self.payments[pidx].recovery,
-                        now: t_of(epoch),
-                    };
-                    (self.scheme).route_unit(self.network, &masked, src, dst, unit_amount)
-                }
-                None => (self.scheme).route_unit(self.network, &view, src, dst, unit_amount),
-            };
-            match decision {
+            match (self.scheme).route_unit(self.network, &view, src, dst, unit_amount) {
                 UnitDecision::Route(path) => {
                     let seq = self.payments[pidx].state.send(unit_amount);
-                    let (owner, stats) = ((pid, pidx as u32), &mut self.stats);
-                    let unit = UnitInfo::new(self.cfg, stats, owner, seq, unit_amount, path);
+                    let unit = UnitInfo {
+                        payment: pid,
+                        seq,
+                        local: pidx as u32,
+                        amount: unit_amount,
+                        path,
+                    };
                     let micros = unit_amount.micros();
                     for &(c, dir) in unit.path.hops() {
                         let slot = &mut self.snapshot[c.index()][sender_side(dir)];
@@ -1126,11 +904,7 @@ impl<'a> ShardCtx<'a> {
                 }
                 UnitDecision::Unavailable => break,
                 UnitDecision::Never => {
-                    // Under faults, "no path" may only mean "all masked":
-                    // stay pending and retry once channels recover.
-                    if self.faults.is_none() {
-                        self.abandon(pidx, epoch);
-                    }
+                    self.abandon(pidx, epoch);
                     break;
                 }
             }
@@ -1248,7 +1022,6 @@ impl<'a> ShardCtx<'a> {
             {
                 let _span = tel.span_enter_lane(Phase::EpochCompute, lane);
                 tel.span_sim(Phase::EpochCompute, t_of(epoch));
-                self.apply_faults(epoch);
                 self.process_messages(epoch);
                 self.process_arrivals(epoch);
                 if epoch % self.clock.poll_epochs == 0 {
@@ -1328,19 +1101,8 @@ pub fn run_sharded(
     );
     assert_eq!(partition.channel_owners().len(), network.num_channels());
 
-    let plan = quantized_plan(config);
-    let shards = run_shards(network, transactions, partition, config, &plan);
+    let shards = run_shards(network, transactions, partition, config);
     merge_outputs(network, partition, config, shards)
-}
-
-/// The run's fault schedule in whole epochs, shared by every shard.
-fn quantized_plan(config: &ShardedConfig) -> Vec<PlanEvent> {
-    let end_epoch = Clockwork::new(config).end_epoch;
-    (config.faults.iter())
-        .flat_map(|plan| plan.events.iter().enumerate())
-        .map(|(i, (t, ev))| (epoch_of(*t), i as u64, ev.clone()))
-        .filter(|&(epoch, ..)| epoch <= end_epoch)
-        .collect()
 }
 
 /// Builds the shards and runs each on its own thread to the end epoch.
@@ -1349,14 +1111,10 @@ fn run_shards<'a>(
     transactions: &'a [Transaction],
     partition: &'a Partition,
     config: &'a ShardedConfig,
-    plan_events: &'a [PlanEvent],
 ) -> Vec<ShardCtx<'a>> {
     let num_shards = partition.num_shards();
     let shards: Vec<ShardCtx> = (0..num_shards)
-        .map(|shard| {
-            let shard = shard as u16;
-            ShardCtx::new(shard, network, transactions, partition, config, plan_events)
-        })
+        .map(|shard| ShardCtx::new(shard as u16, network, transactions, partition, config))
         .collect();
     let exchange = Exchange::new(num_shards);
 
@@ -1485,25 +1243,6 @@ fn merge_outputs(
         Vec::new()
     };
 
-    // Fault stats: each field counted at exactly one owner, so the sum is
-    // partition-independent.
-    let fault_stats: Option<FaultStats> = config.faults.as_ref().map(|_| {
-        let mut s = FaultStats::default();
-        for o in &outputs {
-            s.outages += o.stats.outages;
-            s.recoveries += o.stats.recoveries;
-            s.node_crashes += o.stats.node_crashes;
-            s.units_refunded_by_outage += o.stats.units_refunded_by_outage;
-            s.units_dropped += o.stats.units_dropped;
-            s.units_jittered += o.stats.units_jittered;
-            s.units_griefed += o.stats.units_griefed;
-            s.retries += o.stats.retries;
-            s.blacklistings += o.stats.blacklistings;
-            s.payments_failed += o.stats.payments_failed;
-        }
-        s
-    });
-
     SimReport {
         units_sent: outputs.iter().map(|o| o.metrics.units_sent).sum(),
         final_mean_imbalance: final_ledger.mean_imbalance(),
@@ -1513,7 +1252,6 @@ fn merge_outputs(
         audit_violations,
         completion_delay_percentiles: tel.delay_percentiles("sim.completion_delay"),
         telemetry: tel.summarize(network_series),
-        faults: fault_stats,
         shards: Some(observability),
         ..tally(config.scheme.name(), "epoch-bsp".to_string(), rows)
     }
@@ -1522,8 +1260,8 @@ fn merge_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultConfig;
     use spider_core::PaymentId;
+    use std::collections::BTreeMap;
 
     /// A message's whole within-epoch processing key `(rank, payment, seq,
     /// hop)`: what the flat bucket was sorted by.
@@ -1640,7 +1378,7 @@ mod tests {
             return;
         };
         let cfg = ShardedConfig::new(1.0);
-        let mut ctx = ShardCtx::new(0, &g, &[], &partition, &cfg, &[]);
+        let mut ctx = ShardCtx::new(0, &g, &[], &partition, &cfg);
         assert!(!ctx.own(foreign, 1, "test-mutation"));
         assert_eq!(ctx.violations.len(), 1);
         assert!(matches!(
@@ -1680,8 +1418,7 @@ mod tests {
         partition: &Partition,
         cfg: &ShardedConfig,
     ) -> Vec<OrderLog> {
-        let plan = quantized_plan(cfg);
-        let shards = run_shards(network, txs, partition, cfg, &plan);
+        let shards = run_shards(network, txs, partition, cfg);
         for shard in &shards {
             assert!(shard.violations.is_empty(), "{:?}", shard.violations);
         }
@@ -1747,22 +1484,6 @@ mod tests {
         (network, txs)
     }
 
-    /// Drops, griefs (held 5 s = 100 epochs, past the near ring) and settle
-    /// jitter: one epoch's settles and refunds come from many source epochs,
-    /// so its rank lists are *not* presorted.
-    fn unit_faults(network: &Network, end_time: f64) -> FaultPlan {
-        let faults = FaultConfig {
-            seed: 9,
-            unit_drop_prob: 0.05,
-            grief_prob: 0.05,
-            settle_jitter: 0.5,
-            retry: Some(Default::default()),
-            ..FaultConfig::default()
-        };
-        assert!(epochs_of(faults.grief_hold) > NEAR);
-        FaultPlan::from_config(&faults, network, end_time)
-    }
-
     fn partition_of(network: &Network, shards: usize) -> Partition {
         if shards == 1 {
             Partition::single(network)
@@ -1774,93 +1495,46 @@ mod tests {
     #[test]
     fn agenda_hands_out_messages_in_flat_bucket_order() {
         let (network, txs) = isp_scenario(60, 250, 3);
-        let plain = ShardedConfig::new(12.0);
-        let mut faulty = plain.clone();
-        faulty.faults = Some(unit_faults(&network, 12.0));
-        let cases = [("plain", plain), ("unit faults", faulty)];
-        for (name, cfg) in &cases {
-            let mut handled_at_one_shard = 0;
-            for shards in [1, 2, 4, 7] {
-                let tag = format!("{name}, {shards} shards");
-                let logs = logged_run(&network, &txs, &partition_of(&network, shards), cfg);
-                assert_flat_bucket_order(&logs, &tag);
-                let handled: usize = logs.iter().map(|l| l.handled.len()).sum();
-                assert!(handled > 1_000, "{tag}: only {handled} messages");
-                let mailed: usize = logs.iter().map(|l| l.inbox_appends).sum();
-                if shards == 1 {
-                    // A shard's messages to itself never ride the mailbox.
-                    assert_eq!(mailed, 0, "{tag}");
-                    handled_at_one_shard = handled;
-                } else {
-                    let to_others = (logs.iter().enumerate())
-                        .flat_map(|(from, l)| l.staged.iter().map(move |s| (from, s.0)))
-                        .filter(|(from, to)| from != to)
-                        .count();
-                    assert_eq!(mailed, to_others, "{tag}");
-                    assert_eq!(handled, handled_at_one_shard, "{tag}");
-                }
-                if cfg.faults.is_some() {
-                    let far = (logs.iter().flat_map(|l| &l.staged))
-                        .filter(|&&(_, staged_at, fire_epoch, _)| fire_epoch - staged_at > NEAR)
-                        .count();
-                    assert!(far > 0, "{tag}: no grief hold reached past the near ring");
-                }
+        let cfg = ShardedConfig::new(12.0);
+        let mut handled_at_one_shard = 0;
+        for shards in [1, 2, 4, 7] {
+            let tag = format!("{shards} shards");
+            let logs = logged_run(&network, &txs, &partition_of(&network, shards), &cfg);
+            assert_flat_bucket_order(&logs, &tag);
+            let handled: usize = logs.iter().map(|l| l.handled.len()).sum();
+            assert!(handled > 1_000, "{tag}: only {handled} messages");
+            let mailed: usize = logs.iter().map(|l| l.inbox_appends).sum();
+            if shards == 1 {
+                // A shard's messages to itself never ride the mailbox.
+                assert_eq!(mailed, 0, "{tag}");
+                handled_at_one_shard = handled;
+            } else {
+                let to_others = (logs.iter().enumerate())
+                    .flat_map(|(from, l)| l.staged.iter().map(move |s| (from, s.0)))
+                    .filter(|(from, to)| from != to)
+                    .count();
+                assert_eq!(mailed, to_others, "{tag}");
+                assert_eq!(handled, handled_at_one_shard, "{tag}");
             }
         }
     }
 
+    /// The ring holds every epoch a message may be due in; one due past it
+    /// would land on a slot of an earlier epoch, so it is refused.
     #[test]
-    fn far_future_message_waits_in_the_overflow_without_filling_the_ring() {
-        let unit = |payment| {
-            let path = Arc::new(Path::new(&line3(1), vec![NodeId(0), NodeId(1)]).expect("a path"));
-            let (cfg, mut stats) = (ShardedConfig::new(1.0), FaultStats::default());
-            let amount = Amount::from_whole(1);
-            Arc::new(UnitInfo::new(
-                &cfg,
-                &mut stats,
-                (payment, 0),
-                0,
-                amount,
-                path,
-            ))
+    #[should_panic(expected = "message due at epoch 75 filed at 10")]
+    fn message_due_past_the_ring_is_refused() {
+        let path = Arc::new(Path::new(&line3(1), vec![NodeId(0), NodeId(1)]).expect("a path"));
+        let unit = UnitInfo {
+            payment: 1,
+            seq: 0,
+            local: 0,
+            amount: Amount::from_whole(1),
+            path,
         };
-        let msg = |payment| Msg::new(MsgBody::UnitDelivered, unit(payment));
-        // The payments of the messages in the ring, in ring order.
-        let in_ring = |agenda: &Agenda| -> Vec<u64> {
-            (agenda.near.iter().flatten().flatten())
-                .map(|m| m.payment)
-                .collect()
-        };
-        let mut agenda = Agenda::new(10);
-        agenda.push(50_000, msg(1));
-        agenda.push(10 + NEAR, msg(2));
-        agenda.push(11 + NEAR, msg(3));
-        assert_eq!(agenda.near.len() as u64, NEAR);
-        assert_eq!(
-            agenda.far.keys().copied().collect::<Vec<_>>(),
-            [11 + NEAR, 50_000]
-        );
-        assert_eq!(in_ring(&agenda), [2]);
-        assert_eq!(agenda.near[((10 + NEAR) % NEAR) as usize][3].len(), 1);
-        // Stepping to the horizon moves the overflow slot into the ring,
-        // where a later message for the same epoch joins it.
-        assert!(agenda.take(11).iter().all(Vec::is_empty));
-        assert_eq!(agenda.far.len(), 1);
-        agenda.push(11 + NEAR, msg(4));
-        for epoch in 12..11 + NEAR {
-            let slot = agenda.take(epoch);
-            assert_eq!(
-                slot[3].len(),
-                usize::from(epoch == 10 + NEAR),
-                "epoch {epoch}"
-            );
-        }
-        let slot = agenda.take(11 + NEAR);
-        assert_eq!(
-            slot[3].iter().map(|m| m.payment).collect::<Vec<_>>(),
-            [3, 4]
-        );
-        assert_eq!(in_ring(&agenda), Vec::<u64>::new());
-        assert_eq!(agenda.far.keys().copied().collect::<Vec<_>>(), [50_000]);
+        let (unit, mut agenda) = (Arc::new(unit), Agenda::new(10));
+        let delivered = |unit| Msg::new(MsgBody::UnitDelivered, unit);
+        agenda.push(10 + NEAR, delivered(Arc::clone(&unit)));
+        agenda.push(11 + NEAR, delivered(unit));
     }
 }

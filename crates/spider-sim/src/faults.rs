@@ -13,8 +13,8 @@
 //!   (SplitMix64, no wall clock) or scripted directly;
 //! - [`FaultState`] — the runtime mask consumed by the engines: per-channel
 //!   down-cause counts, per-node liveness, and [`FaultStats`];
-//! - `FaultView` — the one masked routing view both engines route a
-//!   payment through: a [`BalanceView`] wrapper that reports zero spendable
+//! - `FaultView` — the masked routing view the continuous-time engine
+//!   routes a payment through: a [`BalanceView`] wrapper that reports zero spendable
 //!   balance on downed channels and on those the payment blacklists (its
 //!   crate-private `payment::Recovery` record), so every routing scheme's
 //!   existing path machinery avoids dead channels without modification.
@@ -269,12 +269,11 @@ impl FaultConfig {
         Some(cfg)
     }
 
-    /// The one rule for a unit's fate, shared by both engines: deals unit
-    /// `seq` of the payment with id `payment`, sent on `path`, its fate and
-    /// counts it in `stats`. The fate is a pure function of `(seed, payment,
-    /// seq)` and the path — no stream is shared between units, so neither
-    /// the send order nor the partition can shift it, and a checkpoint has
-    /// no generator to store. The unit's own generator is seeded by mixing
+    /// The one rule for a unit's fate: deals unit `seq` of the payment with
+    /// id `payment`, sent on `path`, its fate and counts it in `stats`. The
+    /// fate is a pure function of `(seed, payment, seq)` and the path — no
+    /// stream is shared between units, so the send order cannot shift it,
+    /// and a checkpoint has no generator to store. The unit's own generator is seeded by mixing
     /// the three (one discarded draw decorrelates the mix); then one roll
     /// picks the fate, a drop draws its hop and detection point, and a
     /// delivery its jitter when jitter is on.

@@ -1,8 +1,10 @@
 //! Per-payment simulation state, and the payment side of a unit's life
 //! (§4.1): sending, settling and refunding a unit, completing and
 //! abandoning a payment, why a unit failed, and how the sender recovers
-//! from a fault. Both engines call these transitions; they differ only in
-//! *when* one fires (continuous time or epochs).
+//! from a fault. Both engines call the [`PaymentState`] transitions; they
+//! differ only in *when* one fires (continuous time or epochs). A failure's
+//! cause and the fault recovery belong to the continuous-time engine, the
+//! one that injects faults.
 
 use crate::faults::{FaultStats, RetryPolicy};
 use crate::ledger::tokens;
@@ -183,10 +185,10 @@ impl FailCause {
 }
 
 /// A payment's fault recovery under a fault plan: the failures it has
-/// had, when it may send again, and the channels it blames for them. Both
-/// engines keep one per payment, read it through `FaultView` and change it
-/// only through [`fault`](Self::fault). Times are seconds on the engine's
-/// own clock: continuous time, or epoch boundaries.
+/// had, when it may send again, and the channels it blames for them. The
+/// continuous-time engine keeps one per payment, reads it through
+/// `FaultView` and changes it only through [`fault`](Self::fault). Times
+/// are seconds of simulation time.
 #[derive(Clone, Debug)]
 pub(crate) struct Recovery {
     /// Fault failures so far: the retry budget spent.

@@ -16,15 +16,16 @@
 //! Much of the arithmetic under a transition is not written here: it is
 //! shared, one copy each, with the sharded engine's handlers (which differ
 //! in when and where a transition runs, and in the divergences ROADMAP
-//! lists) — [`PaymentState`]'s transitions, [`arrival_trace`],
-//! [`FailCause`], [`Recovery`] and `FaultView` for the payment side of a
-//! unit's life, the event table's kind → counter column behind
-//! `Telemetry::emit` for the counters, `FaultConfig::unit_fate` for a
-//! unit's fate, [`FaultEvent::trace`], `Ledger::relative_imbalance` and
-//! [`tokens`] for what is reported. The funds (`Ledger::lock_walk` /
+//! lists) — [`PaymentState`]'s transitions and [`arrival_trace`] for the
+//! payment side of a unit's life, the event table's kind → counter column
+//! behind `Telemetry::emit` for the counters, `Ledger::relative_imbalance`
+//! and [`tokens`] for what is reported. The funds (`Ledger::lock_walk` /
 //! `release_walk`, [`FeeSchedule::hop_amounts`]), on-chain rebalancing
-//! (`RebalancePolicy::apply`) and the congestion window
-//! ([`CongestionControl`]) are this engine's alone.
+//! (`RebalancePolicy::apply`), the congestion window
+//! ([`CongestionControl`]) and fault injection — [`FailCause`]'s fault
+//! causes, `FaultConfig::unit_fate` for a unit's fate, [`Recovery`] and
+//! `FaultView` for the sender's recovery, [`FaultEvent::trace`] — are this
+//! engine's alone, and only the source-queued driver takes a fault plan.
 //!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.

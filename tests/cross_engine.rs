@@ -1,19 +1,21 @@
 //! The cross-engine oracle: what the continuous-time engine ([`run`]) and
-//! the 50 ms-epoch sharded engine ([`run_sharded`]) agree on.
+//! the 50 ms-epoch sharded engine ([`run_sharded`]) agree on, and what
+//! fault injection, which only [`run`] has, must leave alone.
 //!
 //! The two drivers differ on purpose in *when* things happen (an arrival,
 //! a hop lock and a settlement each wait for the next epoch boundary in
 //! the sharded engine) and in a handful of policies pinned by the
 //! `*_pre_pr.json` fixtures (the divergence list in ROADMAP.md). What they
-//! share is the
-//! arithmetic under them — the ledger walk, the unit split, the AIMD
-//! window, the retry backoff — and this file states what that buys:
+//! share is the arithmetic under them — the ledger walk, the unit split,
+//! the payment transitions — and this file states what that buys:
 //!
 //! - **exactly the same** per-payment outcome, delivered amount, settled
 //!   unit count, `units_sent`, report volumes and final balances on a
 //!   workload where no lock is ever refused, so timing cannot change an
-//!   outcome — and the same fault counts when units are dropped in flight,
-//!   because both engines deal a unit's fate by one rule;
+//!   outcome;
+//! - on that workload, a fault that hits a payment abandons it and leaves
+//!   every other payment exactly as the fault-free run left it — a
+//!   metamorphic check on [`run`] alone;
 //! - **the same success metrics within a measured tolerance** under
 //!   contention, tight once both serve their senders in the same order
 //!   (EXPERIMENTS.md, "Cross-engine agreement");
@@ -27,7 +29,7 @@ use spider_sim::{
 };
 use spider_telemetry::{Telemetry, TraceEvent};
 use spider_topology::Partition;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One payment as its trace tells it: `(completed, delivered token bits,
 /// settled units)`.
@@ -64,31 +66,58 @@ fn outcomes(tel: &Telemetry) -> Outcomes {
         .collect()
 }
 
+/// How a payment ended, as its trace tells it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum End {
+    /// Completed this many seconds (as bits) after it arrived.
+    Completed(u64),
+    Abandoned,
+    Pending,
+}
+
+/// Every payment's end, and the payments a dropped or griefed unit hit.
+fn ends(tel: &Telemetry) -> (BTreeMap<u64, End>, BTreeSet<u64>) {
+    let (mut ends, mut hit) = (BTreeMap::new(), BTreeSet::new());
+    for event in tel.events() {
+        match event {
+            TraceEvent::PaymentArrived { payment, .. } => {
+                ends.insert(payment, End::Pending);
+            }
+            TraceEvent::PaymentCompleted { payment, delay, .. } => {
+                ends.insert(payment, End::Completed(delay.to_bits()));
+            }
+            TraceEvent::PaymentAbandoned { payment, .. } => {
+                ends.insert(payment, End::Abandoned);
+            }
+            TraceEvent::UnitDropped { payment, .. } | TraceEvent::UnitGriefed { payment, .. } => {
+                hit.insert(payment);
+            }
+            _ => {}
+        }
+    }
+    (ends, hit)
+}
+
 /// Contention-free: channels hold a thousand times what the whole trace
 /// moves, and the window outlasts the last arrival by ten seconds, so every
 /// unit is sent at arrival, locks at once and settles. Only *when* differs
 /// between the engines, and nothing compared here records a time.
 ///
-/// A second pass drops units in flight (5 %, no retry, no outages): each
-/// drop abandons its payment in both engines, so the outcomes, volumes and
-/// fault counts agree only if both engines dealt every unit the same fate —
-/// the fate rule is a function of `(seed, payment, unit)`, not of an order
-/// the engines would have to share.
-///
-/// A third pass griefs units instead (5 %, no retry), held 1 s: short
+/// The fault passes run `run` alone. A drops pass (5 %, no retry, no
+/// outages) fails units in flight, and each failure abandons its payment.
+/// A griefs pass griefs units instead (5 %, no retry), held 1 s: short
 /// enough that the refund reaches a payment still pending, so the failure
 /// abandons it. (The default 5 s hold outlasts the 5 s deadline, and the
-/// fault path never runs.) A griefed unit's refund takes a different route
-/// in each engine — a fault-expire event after the hold, or refunds staged
-/// when the final hop locks — and both end in one failure transition.
+/// fault path never runs.) Without contention a failure touches no other
+/// payment: a payment no fault hit ends exactly as in the fault-free run,
+/// completion delay included, and one a fault hit is abandoned. The fate
+/// rule rolls once per unit, so the two passes hit the same payments.
 ///
 /// The last two passes drop and grief the same way under the default
 /// `RetryPolicy`, with a 30 s deadline and a 60 s window: a failed unit
 /// blacklists its channel in the payment's own recovery record and the
 /// payment backs off, then routes around the channel at its first tick past
-/// the backoff — the same decisions in both engines, since without
-/// contention a retry, like a first send, locks at once. No deadline falls
-/// near an epoch boundary, where the engines' clocks would part.
+/// the backoff. Most payments recover; a few run out of time.
 #[test]
 fn contention_free_runs_agree_exactly() {
     let exp = ExperimentConfig {
@@ -100,6 +129,52 @@ fn contention_free_runs_agree_exactly() {
     let network = exp.network();
     let trace = exp.trace(&network);
     let end_time = exp.duration + 10.0;
+    let run_seq = |faults: Option<&FaultConfig>, deadline: Option<f64>, end_time: f64| {
+        let tel = Telemetry::enabled();
+        let mut sim = exp.sim_config();
+        sim.end_time = end_time;
+        sim.deadline = deadline.unwrap_or(sim.deadline);
+        sim.telemetry = tel.clone();
+        sim.faults = faults.map(|f| FaultPlan::from_config(f, &network, end_time));
+        let report = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
+        assert_eq!(report.attempted, trace.len());
+        (report, tel)
+    };
+
+    let (seq, seq_tel) = run_seq(None, None, end_time);
+    assert_eq!(seq.completed, seq.attempted, "the workload must be easy");
+    let seq_outcomes = outcomes(&seq_tel);
+    assert_eq!(seq_outcomes.len(), trace.len());
+    for shards in [1, 4] {
+        let tel = Telemetry::enabled();
+        let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
+        cfg.end_time = end_time;
+        cfg.telemetry = tel.clone();
+        let partition = Partition::build(&network, shards, exp.seed);
+        let sharded = run_sharded(&network, &trace, &partition, &cfg);
+        let at = format!("{shards} shards");
+        assert_eq!(sharded.completed, seq.completed, "{at}");
+        assert_eq!(sharded.units_sent, seq.units_sent, "{at}");
+        for (what, par, seq) in [
+            ("attempted", sharded.attempted_volume, seq.attempted_volume),
+            ("delivered", sharded.delivered_volume, seq.delivered_volume),
+            ("completed", sharded.completed_volume, seq.completed_volume),
+        ] {
+            assert_eq!(
+                par.to_bits(),
+                seq.to_bits(),
+                "{at}: {what} volume {par} vs {seq}"
+            );
+        }
+        assert_eq!(
+            sharded.final_mean_imbalance.to_bits(),
+            seq.final_mean_imbalance.to_bits(),
+            "{at}: the final balances differ"
+        );
+        assert_eq!(outcomes(&tel), seq_outcomes, "{at}");
+    }
+
+    let (clean, _) = ends(&seq_tel);
     let drops = FaultConfig {
         unit_drop_prob: 0.05,
         retry: None,
@@ -116,81 +191,50 @@ fn contention_free_runs_agree_exactly() {
         ..f.clone()
     };
     let (retried_drops, retried_griefs) = (retried(&drops), retried(&griefs));
-
+    let mut hit_by_pass = Vec::new();
     for (pass, faults, deadline, end_time) in [
-        ("no faults", None, None, end_time),
-        ("drops", Some(drops), None, end_time),
-        ("griefs", Some(griefs), None, end_time),
-        ("drops, retried", Some(retried_drops), Some(30.0), 60.0),
-        ("griefs, retried", Some(retried_griefs), Some(30.0), 60.0),
+        ("drops", drops, None, end_time),
+        ("griefs", griefs, None, end_time),
+        ("drops, retried", retried_drops, Some(30.0), 60.0),
+        ("griefs, retried", retried_griefs, Some(30.0), 60.0),
     ] {
-        let plan = (faults.as_ref()).map(|f| FaultPlan::from_config(f, &network, end_time));
-        let seq_tel = Telemetry::enabled();
-        let mut sim = exp.sim_config();
-        sim.end_time = end_time;
-        sim.deadline = deadline.unwrap_or(sim.deadline);
-        sim.telemetry = seq_tel.clone();
-        sim.faults = plan.clone();
-        let seq = run(&network, &trace, &mut ShortestPathScheme::new(), &sim);
-        assert_eq!(seq.attempted, trace.len());
-        match &seq.faults {
-            None => assert_eq!(seq.completed, seq.attempted, "the workload must be easy"),
-            Some(stats) => {
-                let failed = stats.units_dropped + stats.units_griefed;
-                assert!(failed > 0, "{pass}: no unit failed in flight");
-                assert!(
-                    stats.payments_failed > 0,
-                    "{pass}: no failure abandoned a payment"
-                );
-                if deadline.is_none() {
-                    assert_eq!(
-                        stats.payments_failed,
-                        (seq.attempted - seq.completed) as u64,
-                        "{pass}"
-                    );
-                } else {
-                    // A retry recovers most failures; a few payments run
-                    // out of time before they spend their budget.
-                    assert!(stats.retries > 0, "{pass}: nothing retried");
-                    assert!(stats.payments_failed < (seq.attempted - seq.completed) as u64);
-                }
-            }
+        let (seq, tel) = run_seq(Some(&faults), deadline, end_time);
+        let stats = seq.faults.expect("a fault plan ran");
+        let failed = stats.units_dropped + stats.units_griefed;
+        assert!(failed > 0, "{pass}: no unit failed in flight");
+        assert!(
+            stats.payments_failed > 0,
+            "{pass}: no failure abandoned a payment"
+        );
+        if deadline.is_some() {
+            // A retry recovers most failures; a few payments run out of
+            // time before they spend their budget.
+            assert!(stats.retries > 0, "{pass}: nothing retried");
+            assert!(stats.payments_failed < (seq.attempted - seq.completed) as u64);
+            continue;
         }
-        let seq_outcomes = outcomes(&seq_tel);
-        assert_eq!(seq_outcomes.len(), trace.len());
-
-        for shards in [1, 4] {
-            let tel = Telemetry::enabled();
-            let mut cfg = exp.sharded_config(ShardScheme::ShortestPath);
-            cfg.end_time = end_time;
-            cfg.deadline = deadline.unwrap_or(cfg.deadline);
-            cfg.telemetry = tel.clone();
-            cfg.faults = plan.clone();
-            let partition = Partition::build(&network, shards, exp.seed);
-            let sharded = run_sharded(&network, &trace, &partition, &cfg);
-            let at = format!("{pass}, {shards} shards");
-            assert_eq!(sharded.completed, seq.completed, "{at}");
-            assert_eq!(sharded.units_sent, seq.units_sent, "{at}");
-            assert_eq!(sharded.faults, seq.faults, "{at}");
-            for (what, par, seq) in [
-                ("attempted", sharded.attempted_volume, seq.attempted_volume),
-                ("delivered", sharded.delivered_volume, seq.delivered_volume),
-                ("completed", sharded.completed_volume, seq.completed_volume),
-            ] {
-                assert_eq!(
-                    par.to_bits(),
-                    seq.to_bits(),
-                    "{at}: {what} volume {par} vs {seq}"
-                );
-            }
-            assert_eq!(
-                sharded.final_mean_imbalance.to_bits(),
-                seq.final_mean_imbalance.to_bits(),
-                "{at}: the final balances differ"
-            );
-            assert_eq!(outcomes(&tel), seq_outcomes, "{at}");
+        assert_eq!(
+            stats.payments_failed,
+            (seq.attempted - seq.completed) as u64,
+            "{pass}"
+        );
+        let (ends, hit) = ends(&tel);
+        assert_eq!(ends.len(), clean.len(), "{pass}");
+        for (id, end) in &ends {
+            let expected = if hit.contains(id) {
+                End::Abandoned
+            } else {
+                clean[id]
+            };
+            assert_eq!(*end, expected, "{pass}: payment {id}");
         }
+        assert_eq!(seq.completed, clean.len() - hit.len(), "{pass}");
+        hit_by_pass.push(hit);
     }
+    assert_eq!(
+        hit_by_pass[0], hit_by_pass[1],
+        "drops and griefs hit different payments"
+    );
 }
 
 fn sequential(

@@ -7,28 +7,22 @@
 //! exact scheme and JSON field that moved.
 //!
 //! `tests/fixtures/seq_engines_pre_pr.json` does the same for the
-//! continuous-time engine's two transports, recorded immediately before
-//! `engine_queued.rs` was folded into `engine.rs`: four feature-heavy
-//! `run` / `run_queued` scenarios whose reports must match field by field
-//! and whose traces must match as a multiset of JSONL lines.
-//!
-//! Three of the four were recorded on the unmodified pre-fold commit. The
-//! fourth (`run_queued` under the `outages` scenario) was recorded on
-//! commit e52b665, the last with selectable router-queue service orders,
-//! under FIFO, the one order left; it used to run earliest-deadline-first.
-//! On the pre-fold commit the old router-queued loop let an outage refund
-//! units that had already settled (5,137 "outage refunds" and the reporting
-//! cap of 32 `ExcessRelease` violations under EDF, against 1,132 and none).
-//! A unit with no hops locked has nothing an outage can refund, and
-//! `outage_after_settlement_leaves_settled_units_alone` in `engine.rs` pins
-//! that behaviour directly.
+//! continuous-time engine's two transports, recorded on the unmodified
+//! commit immediately before `engine_queued.rs` was folded into
+//! `engine.rs`: three feature-heavy `run` / `run_queued` scenarios whose
+//! reports must match field by field and whose traces must match as a
+//! multiset of JSONL lines. A fourth, `run_queued` under the `outages`
+//! scenario, went when that driver lost its fault injection.
 //!
 //! `tests/fixtures/sharded_pre_pr.json` pins the sharded engine the same
 //! way: two `run_sharded` scenarios at 1 and 4 shards each, whose reports
 //! must match field by field and whose merged traces (a total order, unlike
-//! the sequential engines') must match byte for byte. Both were recorded on
-//! the unmodified commit before its run state, snapshot codec and mirror
-//! structs were folded into one `ShardCtx`. The file's two router-queued
+//! the sequential engines') must match byte for byte. The waterfilling
+//! scenario was recorded on the unmodified commit before its run state,
+//! snapshot codec and mirror structs were folded into one `ShardCtx`. The
+//! shortest-path scenario was recorded on the commit before the sharded
+//! engine lost its fault injection, and replaced one that ran it under the
+//! `stress` fault scenario with retries. The file's two router-queued
 //! scenarios went when the sharded engine lost its router queues, fees,
 //! congestion windows and rebalancing.
 //!
@@ -202,11 +196,6 @@ fn assert_volumes_are_exact_trace_sums(name: &str, report: &Value, lines: &[&str
     }
 }
 
-fn fault_plan(scenario: &str, network: &Network, end: f64) -> Option<FaultPlan> {
-    let cfg = FaultConfig::scenario(scenario).expect("scenario exists");
-    Some(FaultPlan::from_config(&cfg, network, end))
-}
-
 /// Diffs freshly run cases against the fixture `file`, field by field.
 fn assert_cases_match_fixture(file: &str, cases: &[Value]) {
     let path = format!("{}/tests/fixtures/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -252,15 +241,13 @@ fn seq_engine_cases() -> Vec<Value> {
             serde_json::to_value(&report).expect("serializes"),
         )
     };
-    let router = |name, tweak: &dyn Fn(&mut QueuedConfig)| {
+    let router = |name| {
         let tel = Telemetry::enabled();
         let mut cfg = QueuedConfig::new(end);
         cfg.telemetry = tel.clone();
-        tweak(&mut cfg);
         let out = run_queued(&network, &txs, &cfg);
         case(name, &tel, serde_json::to_value(&out).expect("serializes"))
     };
-    let plan = |scenario: &str| fault_plan(scenario, &network, end);
 
     vec![
         source("run-fees-congestion-rebalance", &|cfg| {
@@ -273,12 +260,10 @@ fn seq_engine_cases() -> Vec<Value> {
             cfg.rebalance = Some(spider::sim::RebalancePolicy::default());
         }),
         source("run-stress-faults-retries", &|cfg| {
-            cfg.faults = plan("stress");
+            let stress = FaultConfig::scenario("stress").expect("scenario exists");
+            cfg.faults = Some(FaultPlan::from_config(&stress, &network, end));
         }),
-        router("run_queued-fifo", &|_| {}),
-        router("run_queued-fifo-outages", &|cfg| {
-            cfg.faults = plan("outages");
-        }),
+        router("run_queued-fifo"),
     ]
 }
 
@@ -296,9 +281,8 @@ fn sharded_engine_cases() -> Vec<Value> {
     type Tweak<'a> = &'a dyn Fn(&mut ShardedConfig);
     let scenarios: [(&str, Tweak); 2] = [
         ("direct-waterfilling", &|_| {}),
-        ("direct-shortest-stress-retries", &|cfg| {
+        ("direct-shortest", &|cfg| {
             cfg.scheme = ShardScheme::ShortestPath;
-            cfg.faults = fault_plan("stress", &network, end);
         }),
     ];
 

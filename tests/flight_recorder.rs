@@ -7,8 +7,8 @@
 //! - Indexed channel/node/payment/window queries against the binary format
 //!   return exactly what a brute-force scan of the JSONL returns, on a real
 //!   Fig. 6 trace — and the index actually skips blocks.
-//! - Binary traces are byte-identical across `--jobs` worker counts and
-//!   across shard counts (1 vs 4), with fault injection active.
+//! - Binary traces are byte-identical across `--jobs` worker counts with
+//!   fault injection active, and across shard counts (1 vs 4).
 //! - `run_sharded` reports expose per-shard epoch metrics, and profiled
 //!   runs add barrier-wait histograms.
 //! - A profiled telemetry handle changes no report or trace byte on any
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::sim::{FaultConfig, FaultPlan, ShardedConfig};
+use spider::sim::{FaultConfig, ShardedConfig};
 use spider::telemetry::bintrace::{self, query, query_with_stats, TraceQuery};
 use spider::telemetry::{events_to_jsonl, parse_jsonl, TraceEvent};
 use spider::workload::{generate, isp_sizes, TraceConfig};
@@ -272,7 +272,7 @@ fn indexed_queries_match_brute_force_scan_on_fig6_trace() {
 }
 
 // ---------------------------------------------------------------------------
-// Binary byte-identity across worker counts and shard counts, under faults.
+// Binary byte-identity across worker counts (under faults) and shard counts.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -299,15 +299,12 @@ fn binary_traces_are_byte_identical_across_worker_counts_under_faults() {
     }
 }
 
-fn sharded_fault_scenario() -> (Network, Vec<Transaction>, ShardedConfig) {
+fn sharded_scenario() -> (Network, Vec<Transaction>, ShardedConfig) {
     let network = spider::topology::isp_topology(Amount::from_whole(300));
     let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 15.0);
     trace_cfg.seed = 3;
     let txs = generate(&trace_cfg, &isp_sizes());
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let mut cfg = ShardedConfig::new(20.0);
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
-    (network, txs, cfg)
+    (network, txs, ShardedConfig::new(20.0))
 }
 
 fn run_sharded_bin(
@@ -329,8 +326,8 @@ fn run_sharded_bin(
 }
 
 #[test]
-fn binary_traces_are_byte_identical_across_shard_counts_under_faults() {
-    let (network, txs, cfg) = sharded_fault_scenario();
+fn binary_traces_are_byte_identical_across_shard_counts() {
+    let (network, txs, cfg) = sharded_scenario();
     let (_, bin1) = run_sharded_bin(&network, &txs, &cfg, 1, Telemetry::enabled());
     let (report4, bin4) = run_sharded_bin(&network, &txs, &cfg, 4, Telemetry::enabled());
     assert!(!bin1.is_empty() && bintrace::is_bintrace(&bin1));
@@ -350,7 +347,7 @@ fn binary_traces_are_byte_identical_across_shard_counts_under_faults() {
     let owned: u64 = obs.shards.iter().map(|s| s.owned_payments).sum();
     assert_eq!(owned, txs.len() as u64, "every payment has one owner");
     let events: u64 = obs.shards.iter().map(|s| s.events_processed).sum();
-    assert!(events > 0, "shards exchanged messages under faults");
+    assert!(events > 0, "shards exchanged messages");
     assert!(obs.event_imbalance >= 1.0 && obs.payment_imbalance >= 1.0);
     assert!(
         serde_json::to_string(&report4)
@@ -364,7 +361,7 @@ fn binary_traces_are_byte_identical_across_shard_counts_under_faults() {
 
 #[test]
 fn profiled_sharded_run_records_barrier_wait_histograms() {
-    let (network, txs, cfg) = sharded_fault_scenario();
+    let (network, txs, cfg) = sharded_scenario();
     let (report, _) = run_sharded_bin(&network, &txs, &cfg, 2, Telemetry::profiled());
     let obs = report.shards.as_ref().expect("observability attached");
     assert_eq!(obs.num_shards, 2);
@@ -409,7 +406,7 @@ fn assert_profiling_inert(name: &str, engine: impl Fn(Telemetry) -> SimReport) {
 
 #[test]
 fn profiling_changes_no_report_or_trace_byte() {
-    let (network, txs, _) = sharded_fault_scenario();
+    let (network, txs, _) = sharded_scenario();
 
     assert_profiling_inert("run", |tel| {
         let mut cfg = SimConfig::new(20.0);

@@ -3,7 +3,7 @@
 //!
 //! The engine's contract is *partition independence*: the partition decides
 //! where work happens, never what happens. These tests enforce the strong
-//! form of that contract — for any topology, workload, and fault plan, the
+//! form of that contract — for any topology, workload and configuration, the
 //! run at 1 shard and the runs at 2/4/7 shards must produce
 //!
 //! - **byte-identical** `SimReport` JSON (every counter, every float),
@@ -13,11 +13,11 @@
 //!   release builds too).
 //!
 //! Deterministic scenarios pin the paper topologies; the proptest sweeps
-//! random graphs × workloads × fault plans.
+//! random graphs × workloads × configurations.
 
 use proptest::prelude::*;
 use spider::prelude::*;
-use spider::sim::{run_sharded, FaultConfig, FaultPlan, ShardedConfig};
+use spider::sim::{run_sharded, ShardedConfig};
 use spider::telemetry::events_to_jsonl;
 use spider::workload::{generate, isp_sizes, TraceConfig};
 
@@ -128,31 +128,6 @@ fn contended_channels_are_partition_independent() {
     assert_shard_equivalence(&network, &txs, &base_config(15.0), 7);
 }
 
-#[test]
-fn fault_stress_scenario_is_partition_independent() {
-    let network = spider::topology::isp_topology(Amount::from_whole(300));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 15.0);
-    trace_cfg.seed = 3;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let mut cfg = base_config(20.0);
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
-    assert_shard_equivalence(&network, &txs, &cfg, 3);
-}
-
-#[test]
-fn no_retry_fault_scenario_is_partition_independent() {
-    let network = spider::topology::isp_topology(Amount::from_whole(300));
-    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 200, 12.0);
-    trace_cfg.seed = 9;
-    let txs = generate(&trace_cfg, &isp_sizes());
-    let mut fault_cfg = FaultConfig::scenario("outages").expect("outages scenario exists");
-    fault_cfg.retry = None;
-    let mut cfg = base_config(16.0);
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 16.0));
-    assert_shard_equivalence(&network, &txs, &cfg, 9);
-}
-
 /// A network sample's `pending` counts the payments that have arrived and
 /// are not yet completed or abandoned — recomputed here from the run's own
 /// trace at every sample time, at 1 and 4 shards. Payments dealt to a shard
@@ -164,9 +139,7 @@ fn sampled_pending_counts_arrived_unfinished_payments() {
     let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 300, 15.0);
     trace_cfg.seed = 3;
     let txs = generate(&trace_cfg, &isp_sizes());
-    let fault_cfg = FaultConfig::scenario("stress").expect("stress scenario exists");
-    let mut cfg = base_config(20.0);
-    cfg.faults = Some(FaultPlan::from_config(&fault_cfg, &network, 20.0));
+    let cfg = base_config(20.0);
     for shards in [1, 4] {
         let partition = if shards == 1 {
             Partition::single(&network)
@@ -203,7 +176,7 @@ fn sampled_pending_counts_arrived_unfinished_payments() {
 }
 
 // ---------------------------------------------------------------------------
-// Property-based sweep: random topologies × workloads × fault plans.
+// Property-based sweep: random topologies × workloads × configurations.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -217,15 +190,6 @@ proptest! {
         trace_seed in any::<u64>(),
         num_txs in 20usize..120,
         capacity in 20i64..400,
-        // Fault plan, drawn flat (the vendored proptest stub has no
-        // combinators): `fault_sel == 0` ≈ a third of cases means "no
-        // faults" so the fault-free path stays covered.
-        fault_sel in 0u8..3,
-        fault_seed in any::<u64>(),
-        outage_rate in 0.0f64..0.4,
-        drop_prob in 0.0f64..0.15,
-        grief_prob in 0.0f64..0.1,
-        retry in any::<bool>(),
     ) {
         let network = spider::topology::erdos_renyi(
             n, p, Amount::from_whole(capacity), topo_seed,
@@ -237,21 +201,7 @@ proptest! {
         let mut trace_cfg = TraceConfig::isp_default(n, num_txs, duration);
         trace_cfg.seed = trace_seed;
         let txs = generate(&trace_cfg, &isp_sizes());
-        let mut cfg = base_config(14.0);
-        if fault_sel > 0 {
-            let mut fc = FaultConfig {
-                seed: fault_seed,
-                channel_outage_rate: outage_rate,
-                unit_drop_prob: drop_prob,
-                grief_prob,
-                ..FaultConfig::default()
-            };
-            if !retry {
-                fc.retry = None;
-            }
-            cfg.faults = Some(FaultPlan::from_config(&fc, &network, 14.0));
-        }
-        assert_shard_equivalence(&network, &txs, &cfg, topo_seed ^ trace_seed);
+        assert_shard_equivalence(&network, &txs, &base_config(14.0), topo_seed ^ trace_seed);
     }
 }
 
@@ -259,7 +209,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Full-matrix generative sweep: random graph × workload × every
-    /// `ShardedConfig` knob (scheme, MTU, deadline) × fault plan. The
+    /// `ShardedConfig` knob (scheme, MTU, deadline). The
     /// 1-shard run is the sequential reference; 2- and 4-shard runs must
     /// reproduce it field by field and byte for byte, with a clean
     /// per-epoch ledger audit.
@@ -274,10 +224,6 @@ proptest! {
         shortest_path in any::<bool>(),
         mtu in 1i64..20,
         deadline in 2.0f64..8.0,
-        faults_on in any::<bool>(),
-        fault_seed in any::<u64>(),
-        outage_rate in 0.0f64..0.3,
-        drop_prob in 0.0f64..0.1,
     ) {
         let network = spider::topology::erdos_renyi(
             n, p, Amount::from_whole(capacity), topo_seed,
@@ -295,15 +241,6 @@ proptest! {
         }
         cfg.mtu = Amount::from_whole(mtu);
         cfg.deadline = deadline;
-        if faults_on {
-            let fc = FaultConfig {
-                seed: fault_seed,
-                channel_outage_rate: outage_rate,
-                unit_drop_prob: drop_prob,
-                ..FaultConfig::default()
-            };
-            cfg.faults = Some(FaultPlan::from_config(&fc, &network, 12.0));
-        }
 
         // Field-by-field comparison: the 1-shard reference against 2 and 4
         // shards (the deterministic scenarios cover 7).
