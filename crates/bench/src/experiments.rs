@@ -617,9 +617,9 @@ pub fn ablation_extensions(cfg: &ExperimentConfig) -> Vec<Ablation> {
     let network = cfg.network();
     let trace = cfg.trace(&network);
     let mut with_cc = cfg.sim_config();
-    with_cc.congestion = Some(spider_sim::CongestionConfig::default());
+    with_cc.congestion = true;
     let mut with_rebalance = cfg.sim_config();
-    with_rebalance.rebalance = Some(spider_sim::RebalancePolicy::aggressive());
+    with_rebalance.rebalance = true;
     [
         ("plain", cfg.sim_config()),
         ("aimd-congestion", with_cc),

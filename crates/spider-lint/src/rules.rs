@@ -424,7 +424,6 @@ const LEDGER_MUTATORS: &[&str] = &[
     "deposit",
     "lock_hop",
     "lock_path",
-    "lock_walk",
     "refund_hop",
     "refund_path",
     "release_walk",
@@ -447,7 +446,7 @@ fn nested_bodies(parsed: &ParsedFile, def: &FnDef) -> Vec<(usize, usize)> {
 
 /// **shard-ownership** — inside `engine_sharded.rs`, a direct
 /// `self.ledger.<mutator>(...)` call, and handing `&mut self.ledger` to
-/// another function (`RebalancePolicy::apply`), must be preceded (in the
+/// another function (`rebalancer::apply`), must be preceded (in the
 /// same fn body) by the `self.own(...)` owner-guard check.
 fn shard_ownership(rel: &str, lx: &Lexed, parsed: &ParsedFile, out: &mut Vec<Violation>) {
     const RULE: &str = "shard-ownership";

@@ -11,13 +11,14 @@
 //! | Spider (Waterfilling) | [`waterfilling`] | non-atomic |
 //! | Spider (LP) | [`lp_scheme`] | non-atomic |
 //!
-//! All schemes implement [`RoutingScheme`] and are deterministic.
+//! All schemes implement [`RoutingScheme`] and are deterministic. A path
+//! is judged by its balances alone: as in the paper's evaluation (§6), no
+//! relay charges a routing fee.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod embedding;
-pub mod fees;
 pub mod landmark;
 pub mod lp_scheme;
 pub mod maxflow_scheme;
@@ -28,7 +29,6 @@ pub mod shortest_path;
 pub mod waterfilling;
 
 pub use embedding::{SpanningTree, SpeedyMurmursScheme};
-pub use fees::FeeSchedule;
 pub use landmark::SilentWhispersScheme;
 pub use lp_scheme::LpScheme;
 pub use maxflow_scheme::MaxFlowScheme;

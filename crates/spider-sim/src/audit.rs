@@ -7,10 +7,9 @@
 //! - **per channel**: both spendable sides and the in-flight pool are
 //!   non-negative, and `available_a + available_b + inflight == capacity`;
 //! - **global**: `Σ available + Σ inflight` equals the initial total escrow
-//!   adjusted by on-chain deposits and withdrawals. Routing fees move value
-//!   between participants but never create or destroy it, so they cancel
-//!   out of the global sum; rebalancing's on-chain fee shows up as the gap
-//!   between what was withdrawn and what was re-deposited.
+//!   adjusted by on-chain deposits and withdrawals; rebalancing's on-chain
+//!   miner fee shows up as the gap between what was withdrawn and what was
+//!   re-deposited.
 //!
 //! Violations are recorded as structured [`AuditViolation`] values and
 //! surfaced in [`SimReport`](crate::SimReport) rather than panicking, so a

@@ -4,76 +4,35 @@
 //! design space: hosts adapt their sending rate from implicit signals. This
 //! module implements the classic AIMD window — each sender/receiver pair
 //! may have at most `⌊window⌋` transaction units in flight; every settled
-//! unit grows the window additively (`w += a/w`, TCP-style), every failed
-//! unit and every failed route attempt shrinks it multiplicatively. The
-//! engine enforces the window for packet-switched schemes when
-//! [`crate::SimConfig::congestion`] is set.
+//! unit grows the window additively (`w += 1/w`, TCP-style), every failed
+//! unit and every failed route attempt halves it. A pair starts at 4 units
+//! and its window stays within `[1, 256]`. The engine enforces the window
+//! for packet-switched schemes when [`crate::SimConfig::congestion`] is set.
 
-use serde::{Deserialize, Serialize};
-use spider_core::{NodeId, PairTable};
+use spider_core::{Enc, NodeId, PairTable};
 
-/// AIMD parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CongestionConfig {
-    /// Initial window (units in flight) per pair.
-    pub initial_window: f64,
-    /// Additive increase per settled unit (applied as `w += a / w`).
-    pub additive_increase: f64,
-    /// Multiplicative decrease factor on a failed route attempt.
-    pub multiplicative_decrease: f64,
-    /// Window floor.
-    pub min_window: f64,
-    /// Window ceiling.
-    pub max_window: f64,
-}
+/// Initial window (units in flight) per pair.
+const INITIAL_WINDOW: f64 = 4.0;
+/// Additive increase per settled unit (applied as `w += a / w`).
+const ADDITIVE_INCREASE: f64 = 1.0;
+/// Multiplicative decrease factor on a failed unit or route attempt.
+const MULTIPLICATIVE_DECREASE: f64 = 0.5;
+/// Window floor.
+const MIN_WINDOW: f64 = 1.0;
+/// Window ceiling.
+const MAX_WINDOW: f64 = 256.0;
 
-impl Default for CongestionConfig {
-    fn default() -> Self {
-        CongestionConfig {
-            initial_window: 4.0,
-            additive_increase: 1.0,
-            multiplicative_decrease: 0.5,
-            min_window: 1.0,
-            max_window: 256.0,
-        }
-    }
-}
-
-impl CongestionConfig {
-    /// Validates parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on nonsensical values (used by the engine at startup).
-    pub fn validate(&self) {
-        assert!(self.min_window >= 1.0, "min_window must be at least 1");
-        assert!(
-            self.max_window >= self.min_window,
-            "max_window < min_window"
-        );
-        assert!(
-            self.initial_window >= self.min_window && self.initial_window <= self.max_window,
-            "initial_window out of range"
-        );
-        assert!(
-            self.additive_increase > 0.0,
-            "additive_increase must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.multiplicative_decrease),
-            "multiplicative_decrease must be in (0, 1)"
-        );
-    }
-
-    /// `window` after one settled unit: additive increase (`w += a / w`,
-    /// TCP-style), capped at the ceiling.
-    fn grown(&self, window: f64) -> f64 {
-        (window + self.additive_increase / window).min(self.max_window)
-    }
-
-    /// `window` after one failed route attempt or failed unit:
-    /// multiplicative decrease, held at the floor.
-    fn shrunk(&self, window: f64) -> f64 {
-        (window * self.multiplicative_decrease).max(self.min_window)
+/// Writes the AIMD constants into a snapshot fingerprint, in the layout
+/// of SPSN v8 fingerprints.
+pub(crate) fn fingerprint(e: &mut Enc) {
+    for v in [
+        INITIAL_WINDOW,
+        ADDITIVE_INCREASE,
+        MULTIPLICATIVE_DECREASE,
+        MIN_WINDOW,
+        MAX_WINDOW,
+    ] {
+        e.f64(v);
     }
 }
 
@@ -84,26 +43,15 @@ struct PairState {
 }
 
 /// Per-pair AIMD window table.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CongestionControl {
-    config: CongestionConfig,
     pairs: PairTable<PairState>,
 }
 
 impl CongestionControl {
-    /// Creates the controller.
-    pub fn new(config: CongestionConfig) -> Self {
-        config.validate();
-        CongestionControl {
-            config,
-            pairs: PairTable::new(),
-        }
-    }
-
     fn state(&mut self, src: NodeId, dst: NodeId) -> &mut PairState {
-        let init = self.config.initial_window;
         self.pairs.entry_or_insert_with(src, dst, || PairState {
-            window: init,
+            window: INITIAL_WINDOW,
             outstanding: 0,
         })
     }
@@ -120,25 +68,23 @@ impl CongestionControl {
     }
 
     /// Records a unit leaving flight: releases its window slot, and grows
-    /// the window additively when it was `delivered` or shrinks it
-    /// multiplicatively when it failed.
+    /// the window additively (capped at the ceiling) when it was
+    /// `delivered` or shrinks it multiplicatively when it failed.
     pub fn on_outcome(&mut self, src: NodeId, dst: NodeId, delivered: bool) {
-        let config = self.config;
         let s = self.state(src, dst);
         debug_assert!(s.outstanding > 0, "outcome without outstanding unit");
         s.outstanding = s.outstanding.saturating_sub(1);
         s.window = if delivered {
-            config.grown(s.window)
+            (s.window + ADDITIVE_INCREASE / s.window).min(MAX_WINDOW)
         } else {
-            config.shrunk(s.window)
+            shrunk(s.window)
         };
     }
 
     /// Records a failed route attempt: shrinks the window.
     pub fn on_unavailable(&mut self, src: NodeId, dst: NodeId) {
-        let config = self.config;
         let s = self.state(src, dst);
-        s.window = config.shrunk(s.window);
+        s.window = shrunk(s.window);
     }
 
     /// Current window for a pair (for diagnostics).
@@ -146,7 +92,7 @@ impl CongestionControl {
         self.pairs
             .get(src, dst)
             .map(|s| s.window)
-            .unwrap_or(self.config.initial_window)
+            .unwrap_or(INITIAL_WINDOW)
     }
 
     /// Units currently in flight for a pair.
@@ -166,10 +112,11 @@ impl CongestionControl {
     /// Replaces the pair table with entries captured by
     /// [`export_state`](Self::export_state). Untracked pairs fall back to
     /// the initial window, as they would in a fresh run. Fails, changing
-    /// nothing, on a window outside `[min_window, max_window]`: no run
-    /// reaches one. The caller checks the node ids against its network.
+    /// nothing, on a window outside `[1, 256]`: no run reaches one. The
+    /// caller checks the node ids against its network and the outstanding
+    /// counts against the units in flight.
     pub fn restore_state(&mut self, entries: &[(NodeId, NodeId, f64, u32)]) -> Result<(), String> {
-        let range = self.config.min_window..=self.config.max_window;
+        let range = MIN_WINDOW..=MAX_WINDOW;
         if let Some(&(s, d, window, _)) = entries.iter().find(|e| !range.contains(&e.2)) {
             return Err(format!("congestion window {window} for {s:?} → {d:?}"));
         }
@@ -184,6 +131,12 @@ impl CongestionControl {
     }
 }
 
+/// `window` after one failed route attempt or failed unit: multiplicative
+/// decrease, held at the floor.
+fn shrunk(window: f64) -> f64 {
+    (window * MULTIPLICATIVE_DECREASE).max(MIN_WINDOW)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,23 +147,20 @@ mod tests {
 
     #[test]
     fn window_gates_sending() {
-        let mut cc = CongestionControl::new(CongestionConfig {
-            initial_window: 2.0,
-            ..Default::default()
-        });
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
-        assert!(cc.may_send(s, d));
-        cc.on_send(s, d);
-        assert!(cc.may_send(s, d));
-        cc.on_send(s, d);
-        assert!(!cc.may_send(s, d), "window of 2 filled");
+        for _ in 0..4 {
+            assert!(cc.may_send(s, d));
+            cc.on_send(s, d);
+        }
+        assert!(!cc.may_send(s, d), "window of 4 filled");
         cc.on_outcome(s, d, true);
         assert!(cc.may_send(s, d), "settle frees a slot");
     }
 
     #[test]
     fn additive_increase_on_settle() {
-        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
         let w0 = cc.window(s, d);
         cc.on_send(s, d);
@@ -222,12 +172,12 @@ mod tests {
 
     #[test]
     fn multiplicative_decrease_on_failure() {
-        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
         let w0 = cc.window(s, d);
         cc.on_unavailable(s, d);
         assert!((cc.window(s, d) - w0 * 0.5).abs() < 1e-12);
-        // Repeated failures floor at min_window.
+        // Repeated failures floor at the minimum window.
         for _ in 0..20 {
             cc.on_unavailable(s, d);
         }
@@ -239,7 +189,7 @@ mod tests {
     /// whose units fail can still send.
     #[test]
     fn failed_unit_frees_its_slot_and_shrinks() {
-        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
         for _ in 0..4 {
             cc.on_send(s, d);
@@ -256,7 +206,7 @@ mod tests {
 
     #[test]
     fn restore_refuses_a_window_out_of_range() {
-        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
         for window in [0.5, 257.0, f64::NAN] {
             assert!(cc.restore_state(&[(s, d, window, 0)]).is_err());
@@ -267,33 +217,21 @@ mod tests {
 
     #[test]
     fn window_capped_at_max() {
-        let mut cc = CongestionControl::new(CongestionConfig {
-            max_window: 5.0,
-            ..Default::default()
-        });
+        let mut cc = CongestionControl::default();
         let (s, d) = pair();
-        for _ in 0..100 {
+        // `w²` grows by about 2 per settle: 40,000 settles pass 256.
+        for _ in 0..40_000 {
             cc.on_send(s, d);
             cc.on_outcome(s, d, true);
         }
-        assert!(cc.window(s, d) <= 5.0);
+        assert_eq!(cc.window(s, d), 256.0);
     }
 
     #[test]
     fn pairs_are_independent() {
-        let mut cc = CongestionControl::new(CongestionConfig::default());
+        let mut cc = CongestionControl::default();
         cc.on_unavailable(NodeId(0), NodeId(1));
         assert!(cc.window(NodeId(0), NodeId(1)) < cc.window(NodeId(2), NodeId(3)));
         assert_eq!(cc.outstanding(NodeId(2), NodeId(3)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiplicative_decrease")]
-    fn validate_rejects_bad_beta() {
-        CongestionConfig {
-            multiplicative_decrease: 1.5,
-            ..Default::default()
-        }
-        .validate();
     }
 }

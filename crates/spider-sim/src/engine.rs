@@ -19,7 +19,10 @@
 //!   pluggable [`RoutingScheme`] picks each unit's path, the whole path is
 //!   locked at once, and payments that cannot send wait in a global queue
 //!   polled periodically in scheduling-policy order (SRPT by default); it
-//!   is the driver that takes a fault plan;
+//!   is the driver that takes a fault plan, and the one whose senders can
+//!   run an AIMD window ([`SimConfig::congestion`]) and whose routers can
+//!   rebalance on chain ([`SimConfig::rebalance`]), each at one fixed
+//!   setting;
 //! - [`run_queued`] queues at the **routers** (Fig. 3 / §4.2): a unit is
 //!   admitted as soon as its first hop can be funded, waits in a per-channel
 //!   queue wherever the next hop is dry, and moves on when a settlement
@@ -32,18 +35,18 @@
 //! a snapshot is byte-identical to an uninterrupted one.
 
 use crate::audit::LedgerAudit;
-use crate::congestion::{CongestionConfig, CongestionControl};
+use crate::congestion::{self, CongestionControl};
 use crate::faults::{FaultPlan, UnitFate};
-use crate::ledger::{sender_side, tokens, HopAmounts};
+use crate::ledger::{sender_side, tokens};
 use crate::metrics::SimReport;
 use crate::payment::{FailCause, PaymentStatus};
-use crate::rebalancer::RebalancePolicy;
+use crate::rebalancer;
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
 use crate::transport::{record_release, Event, RouterQueues, Transport};
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, Amount, ChannelId, Enc, Network, Path};
-use spider_routing::{fees::FeeSchedule, waterfilling, PathCache, PathStrategy};
+use spider_routing::{waterfilling, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
 use spider_workload::Transaction;
@@ -83,13 +86,12 @@ pub struct SimConfig {
     pub deadline: f64,
     /// Service order for pending payments.
     pub policy: SchedulePolicy,
-    /// Optional on-chain rebalancing by routers (§5.2.3 / §7 extension).
-    pub rebalance: Option<RebalancePolicy>,
-    /// Optional AIMD congestion control at end hosts (§4.1 extension).
-    pub congestion: Option<CongestionConfig>,
-    /// Optional routing fees (§2/§7 extension, packet-switched schemes):
-    /// senders pay each relay's base + proportional fee on every unit.
-    pub fees: Option<FeeSchedule>,
+    /// On-chain rebalancing by routers (§5.2.3 / §7 extension), under the
+    /// fixed policy the `rebalancer` module documents.
+    pub rebalance: bool,
+    /// AIMD congestion control at end hosts (§4.1 extension), with the
+    /// fixed window parameters the `congestion` module documents.
+    pub congestion: bool,
     /// Audit the ledger after every balance-mutating event: per-channel
     /// non-negativity and exact global conservation of funds, reported as
     /// [`SimReport::audit_violations`](crate::SimReport).
@@ -115,9 +117,8 @@ impl SimConfig {
             poll_interval: POLL_INTERVAL,
             deadline: 5.0,
             policy: SchedulePolicy::Srpt,
-            rebalance: None,
-            congestion: None,
-            fees: None,
+            rebalance: false,
+            congestion: false,
             audit: false,
             faults: None,
             telemetry: Telemetry::disabled(),
@@ -278,16 +279,9 @@ fn run_source_queued(
     // rest split it into units and keep sending until the deadline.
     let split = scheme.kind() == SchemeKind::PacketSwitched;
     let mut t = Transport::new(network, transactions, tel, timing, config.mtu, split, plan);
-    // Only packet-switched senders pay routing fees.
-    t.fees = (config.fees.as_ref()).filter(|fees| split && !fees.is_free());
     t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
     // Only packet-switched senders have units in flight to window.
-    t.congestion = (config.congestion)
-        .filter(|_| split)
-        .map(CongestionControl::new);
-    if let Some(policy) = &config.rebalance {
-        policy.validate();
-    }
+    t.congestion = (config.congestion && split).then(CongestionControl::default);
     let fp = if ckpt.is_some() || resume.is_some() {
         fingerprint(network, transactions, config, scheme.name())
     } else {
@@ -302,7 +296,7 @@ fn run_source_queued(
                     what: format!("scheme state restore: {e}"),
                 })?;
         }
-        None => t.seed(plan, config.rebalance.as_ref().map(|p| p.check_interval)),
+        None => t.seed(plan, config.rebalance),
     }
 
     while let Some((now, event)) = t.pop() {
@@ -369,17 +363,9 @@ fn run_source_queued(
                 t.end_tick(now);
                 t.checkpoint(ckpt, fp, || scheme.checkpoint_state().unwrap_or_default())?;
             }
-            Event::RebalanceCheck => {
-                // Only seeded under a policy.
-                if let Some(policy) = &config.rebalance {
-                    rebalance_check(&mut t, policy, now, config.end_time);
-                }
-            }
-            Event::RebalanceApply { channel } => {
-                if let Some(policy) = &config.rebalance {
-                    rebalance_apply(&mut t, policy, channel, now);
-                }
-            }
+            // Only seeded when routers rebalance.
+            Event::RebalanceCheck => rebalance_check(&mut t, now, config.end_time),
+            Event::RebalanceApply { channel } => rebalance_apply(&mut t, channel, now),
             // Units hop only under the router-queued driver.
             Event::HopArrive { .. } => {}
         }
@@ -460,13 +446,8 @@ fn pump_payment(
         }) {
             break;
         }
-        // With fees, upstream hops carry the delivered amount plus
-        // downstream fees; without, every hop carries the unit.
-        let per_hop = t.fees.and_then(|fees| fees.hop_amounts(&path, unit));
-        let amounts = HopAmounts::of(unit, per_hop.as_deref());
-        if t.ledger.lock_walk(t.network, &path, amounts).is_err() {
-            // Scheme raced its own view, or fees pushed a hop over its
-            // balance; treat as temporarily unavailable.
+        if t.ledger.lock_path(t.network, &path, unit).is_err() {
+            // Scheme raced its own view; treat as temporarily unavailable.
             break;
         }
         if let Some(cc) = t.congestion.as_mut() {
@@ -583,30 +564,30 @@ fn sender_reaction(t: &mut Transport, idx: usize, blamed: ChannelId, now: f64, s
 
 /// Routers inspect channel skew and submit an on-chain correction for
 /// every channel past the policy's threshold.
-fn rebalance_check(t: &mut Transport, policy: &RebalancePolicy, now: f64, end_time: f64) {
+fn rebalance_check(t: &mut Transport, now: f64, end_time: f64) {
     for ch in t.network.channels() {
         if t.rebalance_pending[ch.id.index()] {
             continue;
         }
         let (a, b) = t.ledger.balances(ch.id);
-        if policy.correction(a, b).is_some() {
+        if rebalancer::correction(a, b).is_some() {
             t.rebalance_pending[ch.id.index()] = true;
-            let confirmed = now + policy.confirmation_delay;
+            let confirmed = now + rebalancer::CONFIRMATION_DELAY;
             t.queue
                 .push(confirmed, Event::RebalanceApply { channel: ch.id });
         }
     }
-    let next = now + policy.check_interval;
+    let next = now + rebalancer::CHECK_INTERVAL;
     if next <= end_time {
         t.queue.push(next, Event::RebalanceCheck);
     }
 }
 
 /// A submitted rebalancing transaction confirms.
-fn rebalance_apply(t: &mut Transport, policy: &RebalancePolicy, channel: ChannelId, now: f64) {
+fn rebalance_apply(t: &mut Transport, channel: ChannelId, now: f64) {
     t.rebalance_pending[channel.index()] = false;
     let (taken, fee_paid) =
-        match policy.apply(&mut t.ledger, t.network, channel, t.audit.as_mut(), now) {
+        match rebalancer::apply(&mut t.ledger, t.network, channel, t.audit.as_mut(), now) {
             Ok(Some(moved)) => moved,
             Ok(None) => return,
             Err(e) => {
@@ -644,7 +625,7 @@ pub fn run_queued(
     let mut t = Transport::new(network, transactions, tel, timing, config.mtu, true, None);
     t.router = RouterQueues::new(network.num_channels());
     let mut paths = PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS));
-    t.seed(None, None);
+    t.seed(None, false);
 
     while let Some((now, event)) = t.pop() {
         if now > config.end_time {
@@ -877,32 +858,10 @@ fn fingerprint(
     e.f64(config.telemetry.sample_interval().unwrap_or(f64::NAN));
     e.str(config.policy.name());
     e.bool(config.audit);
-    e.opt(config.rebalance.as_ref().map(|p| {
-        |e: &mut Enc| {
-            e.f64(p.check_interval);
-            e.f64(p.imbalance_threshold);
-            e.f64(p.correction_fraction);
-            e.i64(p.fee.micros());
-            e.f64(p.confirmation_delay);
-        }
-    }));
-    e.opt(config.congestion.as_ref().map(|c| {
-        |e: &mut Enc| {
-            e.f64(c.initial_window);
-            e.f64(c.additive_increase);
-            e.f64(c.multiplicative_decrease);
-            e.f64(c.min_window);
-            e.f64(c.max_window);
-        }
-    }));
-    e.opt(config.fees.as_ref().map(|f| {
-        |e: &mut Enc| {
-            e.seq(&f.per_channel(), |e, (base, ppm)| {
-                e.i64(base.micros());
-                e.u32(*ppm);
-            })
-        }
-    }));
+    e.opt(config.rebalance.then_some(rebalancer::fingerprint));
+    e.opt(config.congestion.then_some(congestion::fingerprint));
+    // The empty routing-fee slot of the v8 layout: no relay charges a fee.
+    e.u8(0);
     crc32(&e.into_bytes())
 }
 
@@ -1101,61 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn routing_fees_charged_per_relay() {
-        use spider_routing::fees::FeeSchedule;
-        let g = line3(100);
-        // 10% proportional fee on every channel; the sender's first hop is
-        // free per convention, so a 2-hop payment pays 10% once.
-        let mut cfg = SimConfig::new(10.0);
-        cfg.fees = Some(FeeSchedule::uniform(&g, Amount::ZERO, 100_000));
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert_eq!(report.completed, 1);
-        assert!(
-            (report.delivered_volume - 30.0).abs() < 1e-9,
-            "receiver gets face value"
-        );
-        assert!(
-            (report.routing_fees_paid - 3.0).abs() < 1e-9,
-            "10% of 30 = 3 in fees, got {}",
-            report.routing_fees_paid
-        );
-    }
-
-    #[test]
-    fn relay_earns_its_fee() {
-        use spider_routing::fees::FeeSchedule;
-        let g = line3(100);
-        let mut cfg = SimConfig::new(10.0);
-        cfg.fees = Some(FeeSchedule::uniform(&g, Amount::from_whole(1), 0));
-        let txs = vec![tx(0, 0, 2, 10, 0.1)];
-        // One unit of 10 (default MTU): sender locks 11 on hop 0, the relay
-        // locks 10 on hop 1. After settle the relay is up exactly the fee.
-        let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert_eq!(report.completed, 1);
-        assert!((report.routing_fees_paid - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fees_zero_schedule_equals_no_schedule() {
-        use spider_routing::fees::FeeSchedule;
-        let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 30, 0.1)];
-        let plain = run(
-            &g,
-            &txs,
-            &mut ShortestPathScheme::new(),
-            &SimConfig::new(10.0),
-        );
-        let mut cfg = SimConfig::new(10.0);
-        cfg.fees = Some(FeeSchedule::zero(&g));
-        let free = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
-        assert_eq!(plain.completed, free.completed);
-        assert_eq!(plain.units_sent, free.units_sent);
-        assert_eq!(free.routing_fees_paid, 0.0);
-    }
-
-    #[test]
     fn rebalancing_rescues_one_way_traffic() {
         // One-way demand drains the channel; with on-chain rebalancing the
         // router keeps topping the sender side back up.
@@ -1169,13 +1073,7 @@ mod tests {
         cfg.deadline = 30.0;
         let plain = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
 
-        cfg.rebalance = Some(crate::rebalancer::RebalancePolicy {
-            check_interval: 1.0,
-            imbalance_threshold: 0.4,
-            correction_fraction: 1.0,
-            fee: Amount::from_micros(100),
-            confirmation_delay: 2.0,
-        });
+        cfg.rebalance = true;
         let rebalanced = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
 
         assert!(
@@ -1194,7 +1092,7 @@ mod tests {
         let g = line3(100);
         let txs = vec![tx(0, 0, 2, 20, 0.1), tx(1, 2, 0, 20, 0.1)];
         let mut cfg = SimConfig::new(20.0);
-        cfg.rebalance = Some(crate::rebalancer::RebalancePolicy::aggressive());
+        cfg.rebalance = true;
         let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
         assert_eq!(report.completed, 2);
         assert_eq!(
@@ -1205,7 +1103,7 @@ mod tests {
 
     #[test]
     fn congestion_window_limits_inflight() {
-        // Large payment, tiny initial window: only `initial_window` units in
+        // Large payment, small initial window: only about four units in
         // flight per settle round-trip, so delivery is window-paced.
         let g = line3(1000);
         let txs = vec![tx(0, 0, 2, 200, 0.1)];
@@ -1213,13 +1111,7 @@ mod tests {
         cfg.deadline = 25.0;
         let unlimited = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
 
-        cfg.congestion = Some(crate::congestion::CongestionConfig {
-            initial_window: 1.0,
-            additive_increase: 0.5,
-            multiplicative_decrease: 0.5,
-            min_window: 1.0,
-            max_window: 4.0,
-        });
+        cfg.congestion = true;
         let windowed = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
 
         assert_eq!(unlimited.completed, 1);
@@ -1242,7 +1134,7 @@ mod tests {
         let txs = vec![tx(0, 0, 1, 100, 0.1)];
         let mut cfg = SimConfig::new(10.0);
         cfg.deadline = 5.0;
-        cfg.congestion = Some(crate::congestion::CongestionConfig::default());
+        cfg.congestion = true;
         let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
         assert_eq!(report.abandoned, 1);
         assert!(report.delivered_volume >= 10.0 - 1e-9);
@@ -1250,8 +1142,8 @@ mod tests {
 
     #[test]
     fn audit_clean_across_features() {
-        // Exercise settles, deadline refunds, fees, and rebalancing in one
-        // run each — the auditor must stay silent.
+        // Exercise settles, deadline refunds and rebalancing in one run
+        // each — the auditor must stay silent.
         let base_txs = vec![tx(0, 0, 2, 80, 0.1), tx(1, 2, 0, 80, 0.1)];
         let mut cfg = SimConfig::new(30.0);
         cfg.deadline = 20.0;
@@ -1266,27 +1158,8 @@ mod tests {
             plain.audit_violations
         );
 
-        let mut fee_cfg = cfg.clone();
-        fee_cfg.fees = Some(spider_routing::fees::FeeSchedule::uniform(
-            &g,
-            Amount::ZERO,
-            100_000,
-        ));
-        let feed = run(&g, &base_txs, &mut ShortestPathScheme::new(), &fee_cfg);
-        assert!(
-            feed.audit_violations.is_empty(),
-            "{:?}",
-            feed.audit_violations
-        );
-
         let mut reb_cfg = cfg.clone();
-        reb_cfg.rebalance = Some(crate::rebalancer::RebalancePolicy {
-            check_interval: 1.0,
-            imbalance_threshold: 0.4,
-            correction_fraction: 1.0,
-            fee: Amount::from_micros(100),
-            confirmation_delay: 2.0,
-        });
+        reb_cfg.rebalance = true;
         let mut g2 = Network::new(2);
         g2.add_channel(NodeId(0), NodeId(1), Amount::from_whole(40))
             .unwrap();
@@ -1369,14 +1242,15 @@ mod tests {
     }
 
     /// A unit refunded by an outage leaves flight like a settled one: it
-    /// frees its slot in the pair's window. (Before, only a settle did, so
-    /// with a window of 1 one lost unit stopped the pair for good.)
+    /// frees its slot in the pair's window. (Before, only a settle did:
+    /// four lost units, still counted in flight, filled the window of 4
+    /// and stopped the pair for good.)
     #[test]
     fn failed_unit_frees_its_congestion_window() {
         use crate::faults::{FaultConfig, FaultEvent, FaultPlan};
         use spider_core::ChannelId;
         let g = line3(100);
-        let txs = vec![tx(0, 0, 2, 10, 0.1), tx(1, 0, 2, 10, 3.0)];
+        let txs = vec![tx(0, 0, 2, 40, 0.1), tx(1, 0, 2, 10, 3.0)];
         let plan = FaultPlan::scripted(
             vec![
                 (0.3, FaultEvent::ChannelDown(ChannelId(1))),
@@ -1386,13 +1260,10 @@ mod tests {
         );
         let mut cfg = SimConfig::new(10.0);
         cfg.faults = Some(plan);
-        cfg.congestion = Some(CongestionConfig {
-            initial_window: 1.0,
-            ..CongestionConfig::default()
-        });
+        cfg.congestion = true;
         let report = run(&g, &txs, &mut ShortestPathScheme::new(), &cfg);
         let stats = report.faults.expect("fault stats present");
-        assert_eq!(stats.units_refunded_by_outage, 1, "{stats:?}");
+        assert_eq!(stats.units_refunded_by_outage, 4, "{stats:?}");
         assert_eq!(report.completed, 2, "{report:?}");
     }
 

@@ -46,7 +46,7 @@
 //!
 //! The sharded engine runs the core packet-switched loop: waterfilling or
 //! shortest-path routing, deadlines, auditing and telemetry. A refused hop
-//! lock fails the unit. Router queues, fees, congestion windows, on-chain
+//! lock fails the unit. Router queues, congestion windows, on-chain
 //! rebalancing and fault injection belong to the continuous-time engine
 //! alone.
 //!

@@ -7,17 +7,18 @@
 //! of every hop. Conservation is exact: for every channel,
 //! `available_a + available_b + inflight == capacity` at all times.
 //!
-//! Every path transition is one of two walks, `Ledger::lock_walk` and
+//! Every path transition is one of two walks, [`Ledger::lock_path`] and
 //! `Ledger::release_walk` (settle or refund, over a whole path or the
-//! prefix a router-queued unit has locked, one amount or one per hop under
-//! fees); `lock_path` / `settle_path` / `refund_path` spell out the
-//! one-amount, whole-path case. A walk **validates every hop before it
-//! commits any**: a lock that the sender side holds the hop's amount, a
-//! release that the channel's in-flight pool does. A refusal therefore
-//! leaves the ledger as it was — no half-locked path to unwind, and a
-//! double settle or refund (an engine bug) cannot corrupt balances in
-//! release builds, where `debug_assert!` is compiled out: it comes back as
-//! [`CoreError::ExcessRelease`] for the caller to report.
+//! prefix a router-queued unit has locked); every hop carries the same
+//! amount, and [`settle_path`](Ledger::settle_path) /
+//! [`refund_path`](Ledger::refund_path) spell out the whole-path release.
+//! A walk **validates every hop before it commits any**: a lock that the
+//! sender side holds the amount, a release that the channel's in-flight
+//! pool does. A refusal therefore leaves the ledger as it was — no
+//! half-locked path to unwind, and a double settle or refund (an engine
+//! bug) cannot corrupt balances in release builds, where `debug_assert!`
+//! is compiled out: it comes back as [`CoreError::ExcessRelease`] for the
+//! caller to report.
 
 use spider_core::{Amount, BalanceView, ChannelId, CoreError, Direction, Network, NodeId, Path};
 
@@ -41,25 +42,6 @@ pub(crate) fn sender_side(dir: Direction) -> usize {
 pub(crate) fn tokens(a: Amount) -> f64 {
     // spider-lint: allow(money-safety) — one conversion boundary for reports/traces
     a.as_tokens()
-}
-
-/// What each hop of a path walk carries.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum HopAmounts<'a> {
-    /// The same amount on every hop.
-    Uniform(Amount),
-    /// `amounts[i]` on hop `i`: under fees an upstream hop carries the
-    /// delivered value plus the downstream fees.
-    PerHop(&'a [Amount]),
-}
-
-impl<'a> HopAmounts<'a> {
-    /// `per_hop` where the fee schedule produced one
-    /// ([`FeeSchedule::hop_amounts`](spider_routing::FeeSchedule::hop_amounts)),
-    /// else `amount` on every hop.
-    pub(crate) fn of(amount: Amount, per_hop: Option<&'a [Amount]>) -> Self {
-        per_hop.map_or(HopAmounts::Uniform(amount), HopAmounts::PerHop)
-    }
 }
 
 /// Which side of each hop a release credits.
@@ -148,37 +130,21 @@ impl Ledger {
         }
     }
 
-    /// Locks `amounts` on the sender side of every hop of `path`, or — when
-    /// any hop lacks funds — returns the error and changes nothing.
-    pub(crate) fn lock_walk(
+    /// Locks `amount` on the sender side of every hop of `path`, returning
+    /// an error (and changing nothing) if any hop lacks funds.
+    pub fn lock_path(
         &mut self,
         network: &Network,
         path: &Path,
-        amounts: HopAmounts<'_>,
+        amount: Amount,
     ) -> Result<(), CoreError> {
-        match amounts {
-            HopAmounts::Uniform(amount) => self.lock_with(network, path, |_| amount),
-            HopAmounts::PerHop(per_hop) => {
-                assert_eq!(per_hop.len(), path.len(), "one amount per hop");
-                self.lock_with(network, path, |i| per_hop[i])
-            }
+        if amount.is_negative() {
+            return Err(CoreError::NegativeAmount);
         }
-    }
-
-    fn lock_with(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        amount_at: impl Fn(usize) -> Amount,
-    ) -> Result<(), CoreError> {
         // Validation pass: because a trail never repeats a channel, per-hop
         // checks cannot double-count within one path. The hop direction
         // resolves the sender side directly (validated at Path construction).
         for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            let amount = amount_at(i);
-            if amount.is_negative() {
-                return Err(CoreError::NegativeAmount);
-            }
             let side = sender_side(dir);
             debug_assert_eq!(Self::try_side(network, c, path.nodes()[i]), Ok(side));
             let have = self.channels[c.index()].available[side];
@@ -192,49 +158,31 @@ impl Ledger {
             }
         }
         // Commit pass.
-        for (i, &(c, dir)) in path.hops().iter().enumerate() {
-            self.channels[c.index()].move_to_inflight(sender_side(dir), amount_at(i));
+        for &(c, dir) in path.hops() {
+            self.channels[c.index()].move_to_inflight(sender_side(dir), amount);
             debug_assert!(self.conserves(c));
         }
         Ok(())
     }
 
-    /// Releases `amounts` from the in-flight funds of the first `hops` hops
-    /// of `path` to the side `to` names. Returns
+    /// Releases `amount` from the in-flight funds of each of the first
+    /// `hops` hops of `path` to the side `to` names. Returns
     /// [`CoreError::ExcessRelease`] — and changes nothing — if any of those
-    /// hops holds less in flight than it is asked to release (a double
-    /// settle or double refund in the caller).
+    /// hops holds less in flight than `amount` (a double settle or double
+    /// refund in the caller).
     pub(crate) fn release_walk(
         &mut self,
         network: &Network,
         path: &Path,
         hops: usize,
-        amounts: HopAmounts<'_>,
+        amount: Amount,
         to: Release,
     ) -> Result<(), CoreError> {
-        match amounts {
-            HopAmounts::Uniform(amount) => self.release_with(network, path, hops, to, |_| amount),
-            HopAmounts::PerHop(per_hop) => {
-                assert_eq!(per_hop.len(), path.len(), "one amount per hop");
-                self.release_with(network, path, hops, to, |i| per_hop[i])
-            }
+        if amount.is_negative() {
+            return Err(CoreError::NegativeAmount);
         }
-    }
-
-    fn release_with(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        hops: usize,
-        to: Release,
-        amount_at: impl Fn(usize) -> Amount,
-    ) -> Result<(), CoreError> {
         let prefix = &path.hops()[..hops];
-        for (i, &(c, _)) in prefix.iter().enumerate() {
-            let amount = amount_at(i);
-            if amount.is_negative() {
-                return Err(CoreError::NegativeAmount);
-            }
+        for &(c, _) in prefix {
             let inflight = self.channels[c.index()].inflight;
             if inflight < amount {
                 return Err(CoreError::ExcessRelease {
@@ -252,21 +200,10 @@ impl Ledger {
                 Self::try_side(network, c, path.nodes()[i + receiver]),
                 Ok(side)
             );
-            self.channels[c.index()].release_from_inflight(side, amount_at(i));
+            self.channels[c.index()].release_from_inflight(side, amount);
             debug_assert!(self.conserves(c));
         }
         Ok(())
-    }
-
-    /// Locks `amount` on the sender side of every hop of `path`, returning
-    /// an error (and changing nothing) if any hop lacks funds.
-    pub fn lock_path(
-        &mut self,
-        network: &Network,
-        path: &Path,
-        amount: Amount,
-    ) -> Result<(), CoreError> {
-        self.lock_walk(network, path, HopAmounts::Uniform(amount))
     }
 
     /// Settles a previously locked transfer: credits the receiving side of
@@ -278,8 +215,7 @@ impl Ledger {
         path: &Path,
         amount: Amount,
     ) -> Result<(), CoreError> {
-        let amounts = HopAmounts::Uniform(amount);
-        self.release_walk(network, path, path.len(), amounts, Release::Settle)
+        self.release_walk(network, path, path.len(), amount, Release::Settle)
     }
 
     /// Cancels a previously locked transfer: refunds the sender side of
@@ -291,8 +227,7 @@ impl Ledger {
         path: &Path,
         amount: Amount,
     ) -> Result<(), CoreError> {
-        let amounts = HopAmounts::Uniform(amount);
-        self.release_walk(network, path, path.len(), amounts, Release::Refund)
+        self.release_walk(network, path, path.len(), amount, Release::Refund)
     }
 
     /// Locks `amount` on `from`'s side of a single channel (hop-by-hop
@@ -709,16 +644,6 @@ mod tests {
         assert!(matches!(err, CoreError::ExcessRelease { .. }));
         let err = ledger
             .refund_hop(&g, c01, NodeId(0), Amount::from_whole(3))
-            .unwrap_err();
-        assert!(matches!(err, CoreError::ExcessRelease { .. }));
-        let err = ledger
-            .release_walk(
-                &g,
-                &p,
-                2,
-                HopAmounts::PerHop(&[Amount::from_whole(2), Amount::from_whole(3)]),
-                Release::Settle,
-            )
             .unwrap_err();
         assert!(matches!(err, CoreError::ExcessRelease { .. }));
 

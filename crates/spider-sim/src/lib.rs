@@ -40,7 +40,7 @@ pub mod snapshot;
 mod transport;
 
 pub use audit::{AuditViolation, AuditViolationKind, LedgerAudit};
-pub use congestion::{CongestionConfig, CongestionControl};
+pub use congestion::CongestionControl;
 pub use engine::{run, run_queued, QueueStats, QueuedConfig, QueuedReport, SimConfig};
 pub use engine_sharded::{
     run_sharded, ShardEpochMetrics, ShardObservability, ShardScheme, ShardedConfig,
@@ -52,6 +52,6 @@ pub use faults::{
 pub use ledger::{Ledger, LedgerView};
 pub use metrics::SimReport;
 pub use payment::{PaymentState, PaymentStatus};
-pub use rebalancer::{RebalancePolicy, RebalanceStats};
+pub use rebalancer::RebalanceStats;
 pub use scheduler::SchedulePolicy;
 pub use snapshot::{latest_snapshot, CheckpointSpec, Snapshot, SnapshotError};

@@ -52,8 +52,9 @@ pub struct SimReport {
     /// On-chain rebalancing activity (zeros when rebalancing is disabled).
     #[serde(default)]
     pub rebalance: RebalanceStats,
-    /// Total routing fees paid by senders (tokens; zero without a fee
-    /// schedule).
+    /// Total routing fees paid by senders (tokens). Always zero: no relay
+    /// charges a fee, as in the paper's evaluation (§6). The field stays so
+    /// that every report keeps its keys and bytes.
     #[serde(default)]
     pub routing_fees_paid: f64,
     /// Ledger invariant checks performed (zero when auditing is disabled).

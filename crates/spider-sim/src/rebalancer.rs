@@ -8,126 +8,86 @@
 //! transaction pays a miner fee (burned from the channel's capital) and
 //! confirms only after a blockchain delay — both reasons the paper gives
 //! for why routing should avoid needing it.
+//!
+//! The policy is fixed: routers inspect every channel each second, correct
+//! a channel whose sides differ by more than half its capacity back to an
+//! even split, pay a 1-token miner fee per transaction (skipping a
+//! correction the fee would consume), and the chain confirms after 10 s.
 
 use crate::audit::LedgerAudit;
 use crate::ledger::{tokens, Ledger};
 use serde::{Deserialize, Serialize};
-use spider_core::{Amount, ChannelId, CoreError, Network};
+use spider_core::{Amount, ChannelId, CoreError, Enc, Network};
 
-/// When and how routers rebalance channels on chain.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RebalancePolicy {
-    /// How often channels are inspected (seconds).
-    pub check_interval: f64,
-    /// Trigger when `|balance_a − balance_b| / capacity` exceeds this.
-    pub imbalance_threshold: f64,
-    /// Fraction of the imbalance corrected per on-chain transaction
-    /// (1.0 restores a perfect 50/50 split).
-    pub correction_fraction: f64,
-    /// Flat miner fee per on-chain transaction, burned from the channel.
-    pub fee: Amount,
-    /// Blockchain confirmation delay before the moved funds are usable
-    /// (seconds) — orders of magnitude above the payment delay Δ.
-    pub confirmation_delay: f64,
+/// How often routers inspect their channels (seconds).
+pub(crate) const CHECK_INTERVAL: f64 = 1.0;
+/// A channel is corrected when `|balance_a − balance_b| / capacity`
+/// exceeds this.
+const IMBALANCE_THRESHOLD: f64 = 0.5;
+/// Flat miner fee per on-chain transaction, burned from the channel.
+const FEE: Amount = Amount::from_whole(1);
+/// Blockchain confirmation delay before the moved funds are usable
+/// (seconds) — orders of magnitude above the payment delay Δ.
+pub(crate) const CONFIRMATION_DELAY: f64 = 10.0;
+
+/// Writes the policy into a snapshot fingerprint, in the layout of SPSN v8
+/// fingerprints; the third value is the fraction of the skew a correction
+/// removes, all of it.
+pub(crate) fn fingerprint(e: &mut Enc) {
+    e.f64(CHECK_INTERVAL);
+    e.f64(IMBALANCE_THRESHOLD);
+    e.f64(1.0);
+    e.i64(FEE.micros());
+    e.f64(CONFIRMATION_DELAY);
 }
 
-impl Default for RebalancePolicy {
-    fn default() -> Self {
-        RebalancePolicy {
-            check_interval: 5.0,
-            imbalance_threshold: 0.8,
-            correction_fraction: 1.0,
-            fee: Amount::from_whole(1),
-            confirmation_delay: 60.0,
-        }
+/// Given a channel's current sides, decides how much to move from the
+/// richer side to the poorer side (before the fee), or `None` if the
+/// channel is within tolerance.
+pub(crate) fn correction(balance_a: Amount, balance_b: Amount) -> Option<Amount> {
+    let capacity = balance_a.checked_add(balance_b)?;
+    if !capacity.is_positive() {
+        return None;
     }
+    let skew = (balance_a.max(balance_b)).saturating_sub(balance_a.min(balance_b));
+    if skew.ratio_of(capacity) <= IMBALANCE_THRESHOLD {
+        return None;
+    }
+    // Moving half the absolute difference equalizes the sides.
+    let move_amount = skew / 2;
+    // Not worth a transaction that the fee would consume.
+    (move_amount > FEE).then_some(move_amount)
 }
 
-impl RebalancePolicy {
-    /// A policy tuned for experiments: aggressive threshold, fast chain.
-    pub fn aggressive() -> Self {
-        RebalancePolicy {
-            check_interval: 1.0,
-            imbalance_threshold: 0.5,
-            correction_fraction: 1.0,
-            fee: Amount::from_whole(1),
-            confirmation_delay: 10.0,
-        }
+/// A submitted correction of `channel` confirms at `now`. The skew is
+/// re-evaluated first — interim traffic may have healed (or deepened) it —
+/// and `Ok(None)` means nothing was moved. Otherwise the correction is
+/// withdrawn from the rich side, redeposited less the miner fee on the
+/// poor side, reported to `audit` (which then checks), and returned as
+/// `(withdrawn, fee burned)`. A refused redeposit (it cannot overflow a
+/// channel the funds just left) is the caller's to record.
+pub(crate) fn apply(
+    ledger: &mut Ledger,
+    network: &Network,
+    channel: ChannelId,
+    audit: Option<&mut LedgerAudit>,
+    now: f64,
+) -> Result<Option<(Amount, Amount)>, CoreError> {
+    let (a, b) = ledger.balances(channel);
+    let Some(amount) = correction(a, b) else {
+        return Ok(None);
+    };
+    let ch = network.channel(channel);
+    let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
+    let taken = ledger.withdraw(network, channel, rich, amount);
+    let redeposit = taken.saturating_sub(FEE).max(Amount::ZERO);
+    ledger.deposit(network, channel, poor, redeposit)?;
+    if let Some(audit) = audit {
+        audit.on_withdraw(taken);
+        audit.on_deposit(redeposit);
+        audit.check(ledger, now, "rebalance");
     }
-
-    /// Validates parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on nonsensical values (used by the engine at startup).
-    pub fn validate(&self) {
-        assert!(self.check_interval > 0.0, "check_interval must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.imbalance_threshold),
-            "imbalance_threshold must be in [0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.correction_fraction),
-            "correction_fraction must be in [0, 1]"
-        );
-        assert!(!self.fee.is_negative(), "fee cannot be negative");
-        assert!(
-            self.confirmation_delay >= 0.0,
-            "confirmation_delay cannot be negative"
-        );
-    }
-
-    /// Given a channel's current sides, decides how much to move from the
-    /// richer side to the poorer side (before fees), or `None` if the
-    /// channel is within tolerance.
-    pub fn correction(&self, balance_a: Amount, balance_b: Amount) -> Option<Amount> {
-        let capacity = balance_a + balance_b;
-        if !capacity.is_positive() {
-            return None;
-        }
-        let skew = (balance_a - balance_b).abs();
-        if skew.ratio_of(capacity) <= self.imbalance_threshold {
-            return None;
-        }
-        // Moving half the absolute difference equalizes the sides.
-        let move_amount = (skew / 2).scale(self.correction_fraction);
-        // Not worth a transaction that the fee would consume.
-        if move_amount <= self.fee {
-            return None;
-        }
-        Some(move_amount)
-    }
-
-    /// A submitted correction of `channel` confirms at `now`. The skew is
-    /// re-evaluated first — interim traffic may have healed (or deepened)
-    /// it — and `Ok(None)` means nothing was moved. Otherwise the correction
-    /// is withdrawn from the rich side, redeposited less the miner fee on
-    /// the poor side, reported to `audit` (which then checks), and returned
-    /// as `(withdrawn, fee burned)`. A refused redeposit (it cannot overflow
-    /// a channel the funds just left) is the caller's to record.
-    pub fn apply(
-        &self,
-        ledger: &mut Ledger,
-        network: &Network,
-        channel: ChannelId,
-        audit: Option<&mut LedgerAudit>,
-        now: f64,
-    ) -> Result<Option<(Amount, Amount)>, CoreError> {
-        let (a, b) = ledger.balances(channel);
-        let Some(amount) = self.correction(a, b) else {
-            return Ok(None);
-        };
-        let ch = network.channel(channel);
-        let (rich, poor) = if a >= b { (ch.a, ch.b) } else { (ch.b, ch.a) };
-        let taken = ledger.withdraw(network, channel, rich, amount);
-        let redeposit = taken.saturating_sub(self.fee).max(Amount::ZERO);
-        ledger.deposit(network, channel, poor, redeposit)?;
-        if let Some(audit) = audit {
-            audit.on_withdraw(taken);
-            audit.on_deposit(redeposit);
-            audit.check(ledger, now, "rebalance");
-        }
-        Ok(Some((taken, taken.saturating_sub(redeposit))))
-    }
+    Ok(Some((taken, taken.saturating_sub(redeposit))))
 }
 
 /// Aggregate rebalancing activity over a run (reported in [`crate::SimReport`]).
@@ -152,7 +112,7 @@ pub(crate) struct RebalanceTotals {
 
 impl RebalanceTotals {
     /// Counts one applied correction that withdrew `taken` and burned `fee`
-    /// (what [`RebalancePolicy::apply`] returns).
+    /// (what [`apply`] returns).
     pub(crate) fn add(&mut self, (taken, fee): (Amount, Amount)) {
         self.transactions += 1;
         self.moved = self.moved.saturating_add(taken);
@@ -172,71 +132,76 @@ impl RebalanceTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spider_core::NodeId;
 
     #[test]
     fn no_correction_when_balanced() {
-        let p = RebalancePolicy::default();
         assert_eq!(
-            p.correction(Amount::from_whole(50), Amount::from_whole(50)),
+            correction(Amount::from_whole(50), Amount::from_whole(50)),
             None
         );
-        // 70/30 split = 0.4 skew, below the 0.8 threshold.
+        // 70/30 split = 0.4 skew, below the 0.5 threshold; 75/25 sits on it.
         assert_eq!(
-            p.correction(Amount::from_whole(70), Amount::from_whole(30)),
+            correction(Amount::from_whole(70), Amount::from_whole(30)),
+            None
+        );
+        assert_eq!(
+            correction(Amount::from_whole(75), Amount::from_whole(25)),
             None
         );
     }
 
     #[test]
     fn corrects_heavy_skew() {
-        let p = RebalancePolicy::default();
-        // 95/5 split: skew 0.9 > 0.8 -> move (90/2) = 45.
-        let m = p
-            .correction(Amount::from_whole(95), Amount::from_whole(5))
-            .unwrap();
+        // 95/5 split: skew 0.9 > 0.5 -> move (90/2) = 45.
+        let m = correction(Amount::from_whole(95), Amount::from_whole(5)).unwrap();
         assert_eq!(m, Amount::from_whole(45));
         // Symmetric.
-        let m2 = p
-            .correction(Amount::from_whole(5), Amount::from_whole(95))
-            .unwrap();
+        let m2 = correction(Amount::from_whole(5), Amount::from_whole(95)).unwrap();
         assert_eq!(m2, m);
+        // Just past the threshold: 76/24 = 0.52 skew -> move 26.
+        assert_eq!(
+            correction(Amount::from_whole(76), Amount::from_whole(24)),
+            Some(Amount::from_whole(26))
+        );
     }
 
+    /// A confirmed correction moves half the skew and burns the fee on
+    /// the way: the sides end even but for the fee.
     #[test]
-    fn partial_correction_fraction() {
-        let p = RebalancePolicy {
-            correction_fraction: 0.5,
-            ..RebalancePolicy::default()
-        };
-        let m = p
-            .correction(Amount::from_whole(95), Amount::from_whole(5))
+    fn applied_correction_evens_the_split_less_the_fee() {
+        let mut g = Network::new(2);
+        let c = g
+            .add_channel_with_balances(
+                NodeId(0),
+                NodeId(1),
+                Amount::from_whole(95),
+                Amount::from_whole(5),
+            )
             .unwrap();
-        assert_eq!(m, Amount::from_tokens(22.5));
+        let mut ledger = Ledger::new(&g);
+        let moved = apply(&mut ledger, &g, c, None, 0.0).unwrap();
+        assert_eq!(moved, Some((Amount::from_whole(45), FEE)));
+        assert_eq!(
+            ledger.balances(c),
+            (Amount::from_whole(50), Amount::from_whole(49))
+        );
+        assert_eq!(apply(&mut ledger, &g, c, None, 1.0).unwrap(), None);
     }
 
     #[test]
     fn skips_dust_corrections() {
-        let p = RebalancePolicy {
-            fee: Amount::from_whole(10),
-            ..Default::default()
-        };
-        // Moving 4.5 would cost a 10-token fee: skip.
-        assert_eq!(p.correction(Amount::from_whole(9), Amount::ZERO), None);
+        // Moving 1 would cost the whole 1-token fee: skip.
+        assert_eq!(correction(Amount::from_whole(2), Amount::ZERO), None);
+        // Moving 1.5 is worth it.
+        assert_eq!(
+            correction(Amount::from_whole(3), Amount::ZERO),
+            Some(Amount::from_tokens(1.5))
+        );
     }
 
     #[test]
     fn empty_channel_is_ignored() {
-        let p = RebalancePolicy::default();
-        assert_eq!(p.correction(Amount::ZERO, Amount::ZERO), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "imbalance_threshold")]
-    fn validate_rejects_bad_threshold() {
-        RebalancePolicy {
-            imbalance_threshold: 1.5,
-            ..Default::default()
-        }
-        .validate();
+        assert_eq!(correction(Amount::ZERO, Amount::ZERO), None);
     }
 }

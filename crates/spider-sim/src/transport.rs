@@ -19,9 +19,9 @@
 //! lists) — [`PaymentState`]'s transitions and [`arrival_trace`] for the
 //! payment side of a unit's life, the event table's kind → counter column
 //! behind `Telemetry::emit` for the counters, `Ledger::relative_imbalance`
-//! and [`tokens`] for what is reported. The funds (`Ledger::lock_walk` /
-//! `release_walk`, [`FeeSchedule::hop_amounts`]), on-chain rebalancing
-//! (`RebalancePolicy::apply`), the congestion window
+//! and [`tokens`] for what is reported. The funds (`Ledger::lock_path` /
+//! `release_walk`, one amount on every hop: no relay charges a fee),
+//! on-chain rebalancing (`rebalancer::apply`), the congestion window
 //! ([`CongestionControl`]) and fault injection — [`FailCause`]'s fault
 //! causes, `FaultConfig::unit_fate` for a unit's fate, [`Recovery`] and
 //! `FaultView` for the sender's recovery, [`FaultEvent::trace`] — are this
@@ -48,20 +48,19 @@ use crate::congestion::CongestionControl;
 use crate::engine::QueueStats;
 use crate::events::{EventQueue, Time};
 use crate::faults::{FaultEvent, FaultPlan, FaultState, FaultView};
-use crate::ledger::{tokens, HopAmounts, Ledger, LedgerView, Release};
+use crate::ledger::{tokens, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
-use crate::rebalancer::RebalanceTotals;
+use crate::rebalancer::{self, RebalanceTotals};
 use crate::scheduler::SchedulePolicy;
 use crate::snapshot::{
     self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
     enc_fault_event, enc_path, CheckpointSpec, Snapshot, SnapshotError,
 };
 use spider_core::{Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
-use spider_routing::FeeSchedule;
 use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Everything the event queue can hold. `HopArrive` is only scheduled by
@@ -86,7 +85,7 @@ pub(crate) enum Event {
     /// A scheduled fault transition from the [`FaultPlan`].
     Fault(FaultEvent),
     Tick,
-    /// Routers inspect channel skew (cadence: `RebalancePolicy::check_interval`).
+    /// Routers inspect channel skew (every `rebalancer::CHECK_INTERVAL`).
     RebalanceCheck,
     /// A submitted on-chain rebalancing transaction confirms.
     RebalanceApply {
@@ -100,9 +99,7 @@ pub(crate) enum Event {
 /// and fault events find the units to refund by scanning its live ones.
 pub(crate) struct Unit {
     pub(crate) path: Arc<Path>,
-    /// The delivered amount. Under fees each hop locks this plus the
-    /// downstream fees, a pure function of `(path, amount)` that is
-    /// recomputed from the schedule rather than stored per unit.
+    /// The amount every hop locks and the receiver is paid.
     pub(crate) amount: Amount,
     payment: u32,
     /// Hops `0..locked` hold this unit's funds; a router-queued unit sits
@@ -370,8 +367,6 @@ pub(crate) struct Transport<'a> {
     /// Every payment's deadline window.
     window: f64,
     mtu: Amount,
-    /// Routing fees every unit pays (never a free schedule).
-    pub(crate) fees: Option<&'a FeeSchedule>,
     /// Payments are sent unit by unit until their deadline — everything
     /// but an atomic scheme, which delivers a payment whole at arrival or
     /// fails it.
@@ -405,7 +400,6 @@ pub(crate) struct Transport<'a> {
     /// Refused over-releases (double settle/refund), surfaced in the report
     /// even when periodic auditing is off.
     pub(crate) release_violations: Vec<AuditViolation>,
-    routing_fees_paid: Amount,
     units_sent: u64,
     /// Scheduler ticks processed so far (checkpoint cadence).
     ticks: u64,
@@ -451,7 +445,6 @@ impl<'a> Transport<'a> {
             poll_interval,
             window,
             mtu,
-            fees: None,
             split,
             ledger: Ledger::new(network),
             queue: EventQueue::new(),
@@ -466,7 +459,6 @@ impl<'a> Transport<'a> {
             recovery: Vec::new(),
             audit: None,
             release_violations: Vec::new(),
-            routing_fees_paid: Amount::ZERO,
             units_sent: 0,
             ticks: 0,
             network_series: Vec::new(),
@@ -483,11 +475,12 @@ impl<'a> Transport<'a> {
     /// tick, the first rebalance check when routers rebalance, and the
     /// fault schedule behind them. (A resumed run restores the event queue
     /// and the cursor from the snapshot instead.)
-    pub(crate) fn seed(&mut self, plan: Option<&FaultPlan>, first_rebalance_check: Option<f64>) {
+    pub(crate) fn seed(&mut self, plan: Option<&FaultPlan>, rebalance: bool) {
         self.queue.set_next_seq(self.arrivals_end as u64);
         self.queue.push(self.poll_interval, Event::Tick);
-        if let Some(at) = first_rebalance_check {
-            self.queue.push(at, Event::RebalanceCheck);
+        if rebalance {
+            self.queue
+                .push(rebalancer::CHECK_INTERVAL, Event::RebalanceCheck);
         }
         for (t, ev) in plan.iter().flat_map(|plan| &plan.events) {
             if *t <= self.end_time {
@@ -656,24 +649,13 @@ impl<'a> Transport<'a> {
     pub(crate) fn settle(&mut self, ui: usize, now: f64) {
         let u = &self.units[ui];
         debug_assert_eq!(u.locked as usize, u.path.len());
-        let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
-        let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
-        let res = (self.ledger).release_walk(
-            self.network,
-            &u.path,
-            u.path.len(),
-            amounts,
-            Release::Settle,
-        );
         let (amount, payment) = (u.amount, u.payment());
+        let res = (self.ledger).settle_path(self.network, &u.path, amount);
         self.units.finish(ui);
         self.congestion_outcome(payment, true);
         if let Err(e) = res {
             return record_release(&mut self.release_violations, now, "settle", &e);
         }
-        // The sender locked `per_hop[0]` and the receiver was paid `amount`.
-        let fee = per_hop.map_or(Amount::ZERO, |a| a[0].saturating_sub(amount));
-        self.routing_fees_paid = self.routing_fees_paid.saturating_add(fee);
         let tx = self.row(payment);
         let delay = now - tx.arrival;
         let completed = self.payments[payment].settle(amount, tx.amount, delay);
@@ -699,13 +681,11 @@ impl<'a> Transport<'a> {
     /// cause's label, if the ledger refuses.
     pub(crate) fn fail(&mut self, ui: usize, cause: FailCause, now: f64) -> bool {
         let u = &self.units[ui];
-        let per_hop = (self.fees).and_then(|fees| fees.hop_amounts(&u.path, u.amount));
-        let amounts = HopAmounts::of(u.amount, per_hop.as_deref());
+        let (amount, payment) = (u.amount, u.payment());
         // A router-queued unit holds only the prefix it has travelled.
         let locked = u.locked as usize;
         let res =
-            (self.ledger).release_walk(self.network, &u.path, locked, amounts, Release::Refund);
-        let (amount, payment) = (u.amount, u.payment());
+            (self.ledger).release_walk(self.network, &u.path, locked, amount, Release::Refund);
         self.units.finish(ui);
         self.congestion_outcome(payment, false);
         if let Err(e) = res {
@@ -874,7 +854,6 @@ impl<'a> Transport<'a> {
             units_sent: self.units_sent,
             final_mean_imbalance: self.ledger.mean_imbalance(),
             rebalance: self.rebalance.stats(),
-            routing_fees_paid: tokens(self.routing_fees_paid),
             audit_checks,
             audit_violations,
             completion_delay_percentiles: self.tel.delay_percentiles("sim.completion_delay"),
@@ -1092,12 +1071,15 @@ impl Transport<'_> {
     ///    lacks and a non-finite expiry. Unit fates need no generator state:
     ///    each is a pure function of the plan's seed, the payment and unit.
     /// 8. Audit state — opt json; release violations — json.
-    /// 9. `routing_fees_paid: i64`, `units_sent: u64`.
+    /// 9. `routing_fees_paid: i64`, always 0 (no relay charges a fee), and
+    ///    `units_sent: u64`. The decoder refuses any other fee.
     /// 10. Network samples — seq of `t, mean_imbalance, total_inflight: f64,
     ///     pending, max_queue_depth: u32`; `next_sample: f64`.
     /// 11. Congestion windows — opt seq of `src: u32, dst: u32, window: f64,
-    ///     outstanding: u32`. The decoder refuses a node the network lacks
-    ///     and a window outside the config's `[min_window, max_window]`.
+    ///     outstanding: u32`. The decoder refuses a node the network lacks,
+    ///     a window outside `[1, 256]`, and a pair whose `outstanding` is
+    ///     not its number of live units in part 5 (a pair with live units
+    ///     must have an entry).
     /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
     ///     u64, moved: i64, fees: i64` (micro-units).
     fn encode(&self) -> Vec<u8> {
@@ -1135,7 +1117,7 @@ impl Transport<'_> {
             (self.audit.as_ref()).map(|a| |e: &mut Enc| snapshot::enc_json(e, &a.export_state())),
         );
         snapshot::enc_json(&mut e, &self.release_violations);
-        e.i64(self.routing_fees_paid.micros());
+        e.i64(0);
         e.u64(self.units_sent);
         e.seq(&self.network_series, enc_sample);
         e.f64(self.next_sample);
@@ -1222,7 +1204,10 @@ impl Transport<'_> {
             self.audit = Some(LedgerAudit::from_state(snapshot::dec_json(&mut d)?));
         }
         self.release_violations = snapshot::dec_json(&mut d)?;
-        self.routing_fees_paid = Amount::from_micros(d.i64()?);
+        match d.i64()? {
+            0 => {}
+            fees => return corrupt(format!("routing fees of {fees} micros")),
+        }
         self.units_sent = d.u64()?;
         // Nothing bounds the chunk table about to be allocated (one entry
         // per `CHUNK` units) but the run's own count of the units it sent.
@@ -1250,6 +1235,7 @@ impl Transport<'_> {
                 n => corrupt(format!("congestion window names node {n}")),
             };
             let windows = dec_seq(&mut d, |d| Ok((node(d)?, node(d)?, d.f64()?, d.u32()?)))?;
+            self.check_outstanding(&windows)?;
             if let Some(cc) = self.congestion.as_mut() {
                 cc.restore_state(&windows).or_else(corrupt)?;
             }
@@ -1265,6 +1251,35 @@ impl Transport<'_> {
         };
         d.expect_end()?;
         Ok(())
+    }
+
+    /// Refuses a congestion table (part 11) whose per-pair `outstanding`
+    /// is not the number of restored live units the pair has in flight,
+    /// and one that lacks a pair with live units.
+    fn check_outstanding(
+        &self,
+        windows: &[(NodeId, NodeId, f64, u32)],
+    ) -> Result<(), SnapshotError> {
+        let mut live = BTreeMap::new();
+        for (_, u) in self.units.iter_live() {
+            let tx = self.row(u.payment());
+            *live.entry((tx.src, tx.dst)).or_insert(0u64) += 1;
+        }
+        for &(src, dst, _, outstanding) in windows {
+            let units = live.get(&(src, dst)).copied().unwrap_or(0);
+            if units != u64::from(outstanding) {
+                return corrupt(format!(
+                    "congestion window {src:?} → {dst:?} holds {outstanding} units, {units} are live"
+                ));
+            }
+        }
+        let tracked: BTreeSet<(NodeId, NodeId)> = windows.iter().map(|w| (w.0, w.1)).collect();
+        match live.iter().find(|(pair, _)| !tracked.contains(pair)) {
+            Some(((src, dst), units)) => corrupt(format!(
+                "congestion window {src:?} → {dst:?} missing for {units} live units"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Restores part 3: every entry goes back on the queue with its
@@ -1565,7 +1580,7 @@ mod tests {
         );
         for txs in [&trace[..], &[]] {
             let mut t = transport(&g, txs, &tel);
-            t.seed(None, None);
+            t.seed(None, false);
             let mut oracle = oracle(txs);
             assert!(!lockstep(&mut t, &mut oracle, &path, usize::MAX));
             assert_eq!(
@@ -1582,7 +1597,7 @@ mod tests {
         let txs = tied_trace();
         for stop in [0, 1, 3, 9, 17, 40] {
             let mut t = transport(&g, &txs, &tel);
-            t.seed(None, None);
+            t.seed(None, false);
             let mut oracle = oracle(&txs);
             lockstep(&mut t, &mut oracle, &path, stop);
             let bytes = t.encode();
@@ -1599,7 +1614,7 @@ mod tests {
         let tel = Telemetry::disabled();
         let txs = tied_trace();
         let mut t = transport(&g, &txs, &tel);
-        t.seed(None, None);
+        t.seed(None, false);
         lockstep(&mut t, &mut oracle(&txs), &path, 17);
         assert!(t.payments.len() > 2);
         match transport(&g, &txs[..2], &tel).decode(&t.encode()) {

@@ -255,16 +255,11 @@ fn resume_under_active_fault_plan_is_byte_identical() {
 }
 
 #[test]
-fn resume_with_congestion_rebalance_and_fees_is_byte_identical() {
+fn resume_with_congestion_rebalance_is_byte_identical() {
     let (network, txs) = isp_scenario(7, 250);
     let mut cfg = full_config(18.0);
-    cfg.congestion = Some(spider::sim::CongestionConfig::default());
-    cfg.rebalance = Some(spider::sim::RebalancePolicy::default());
-    cfg.fees = Some(spider::routing::FeeSchedule::uniform(
-        &network,
-        Amount::from_micros(10),
-        100,
-    ));
+    cfg.congestion = true;
+    cfg.rebalance = true;
     assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 45, "extras");
 }
 
@@ -430,7 +425,7 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
     let stress = FaultConfig::scenario("stress").expect("stress scenario exists");
     let mut cfg = full_config(20.0);
     cfg.faults = Some(FaultPlan::from_config(&stress, &network, 20.0));
-    cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
+    cfg.rebalance = true;
     let dir = TempDir::new("unknown-index-run");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     let spec = CheckpointSpec::new(7, dir.path());
@@ -624,7 +619,7 @@ fn congestion_window_naming_an_unknown_node_is_corrupt_never_an_abort() {
     use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
     let (network, txs) = isp_scenario(7, 250);
     let mut cfg = full_config(18.0);
-    cfg.congestion = Some(spider::sim::CongestionConfig::default());
+    cfg.congestion = true;
     let dir = TempDir::new("congestion-nodes-run");
     let spec = CheckpointSpec::new(50, dir.path());
     let mut scheme = make_scheme(&Scheme::Waterfilling);
@@ -647,6 +642,65 @@ fn congestion_window_naming_an_unknown_node_is_corrupt_never_an_abort() {
     match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
         Err(SnapshotError::Corrupt { what }) if what.contains("window names node 4294967295") => {}
         other => panic!("expected Corrupt naming the window, got {other:?}"),
+    }
+}
+
+/// A checksum-valid `SEC_CORE` whose congestion-window table (part 11)
+/// miscounts a pair's units in flight: once with a pair's `outstanding`
+/// zeroed, once with the pair's entry removed. Either would free window
+/// slots that live units still hold (a debug build then panicked with
+/// `outcome without outstanding unit`, a release build resumed without a
+/// word), so `resume` must refuse both as `Corrupt`.
+#[test]
+fn congestion_outstanding_disagreeing_with_live_units_is_corrupt() {
+    use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
+    let (network, txs) = isp_scenario(7, 250);
+    let mut cfg = full_config(18.0);
+    cfg.congestion = true;
+    let dir = TempDir::new("congestion-outstanding-run");
+    let spec = CheckpointSpec::new(50, dir.path());
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+
+    // Part 11's windows, 20 bytes each behind their `u64` count, end where
+    // part 12 (a flag per channel behind its count, then three words)
+    // begins.
+    let snap = read_snapshot(&snapshot_files(dir.path())[1]).expect("snapshot reads");
+    let core = snap.section(SEC_CORE).expect("core section").to_vec();
+    let end = core.len() - 24 - (8 + network.num_channels());
+    let word = |at: usize| u64::from_le_bytes(core[at..at + 8].try_into().expect("eight bytes"));
+    let count = (1..=end / 20)
+        .find(|&n| word(end - 20 * n - 8) == n as u64)
+        .expect("window count");
+    let first = end - 20 * count;
+    let busy = (0..count)
+        .map(|i| first + 20 * i)
+        .find(|&at| core[at + 16..at + 20] != [0; 4])
+        .expect("a pair with units in flight");
+
+    let mut zeroed = core.clone();
+    zeroed[busy + 16..busy + 20].copy_from_slice(&[0; 4]);
+    let mut dropped = core.clone();
+    dropped.drain(busy..busy + 20);
+    dropped[first - 8..first].copy_from_slice(&(count as u64 - 1).to_le_bytes());
+    for (label, tampered, needle) in [
+        ("zeroed", zeroed, "holds 0 units"),
+        ("dropped", dropped, "missing for"),
+    ] {
+        let mut sections = snap.sections.clone();
+        for (tag, bytes) in &mut sections {
+            if *tag == SEC_CORE {
+                bytes.clone_from(&tampered);
+            }
+        }
+        let path = dir.path().join(format!("outstanding-{label}.spsn"));
+        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        std::fs::write(&path, bytes).expect("write tampered snapshot");
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+            Err(SnapshotError::Corrupt { what }) if what.contains(needle) => {}
+            other => panic!("{label}: expected Corrupt naming the window, got {other:?}"),
+        }
     }
 }
 
@@ -691,6 +745,30 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
         0xad717da6, 0xe712a605, 0xbda77775, 0x44001dd0, 0xe31c923d, 0x83abe09f, 0xa5d36f53,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
+}
+
+/// A checkpointed run with congestion control and rebalancing on (the
+/// settings `ablations` runs), pinned by frame checksum: the window table,
+/// the rebalance flags and events, and the fingerprint that writes the
+/// fixed AIMD and rebalancing constants may not drift while
+/// `snapshot::FORMAT_VERSION` stays 8. Captured while both were still
+/// settable, with the default AIMD window and the aggressive rebalancing
+/// policy whose values the constants keep.
+#[test]
+fn congestion_and_rebalancing_snapshot_bytes_are_pinned() {
+    let (network, txs) = isp_scenario(7, 250);
+    let mut cfg = full_config(18.0);
+    cfg.telemetry = Telemetry::enabled();
+    cfg.congestion = true;
+    cfg.rebalance = true;
+    let dir = TempDir::new("cc-reb-pinned");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    let spec = CheckpointSpec::new(45, dir.path());
+    let report =
+        run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
+    assert_eq!(report.rebalance.transactions, 60);
+    let pinned = [0x95df2bdd, 0x9b9051bf, 0x3d6d8fdb, 0x9427d6d4];
+    assert_frame_checksums("cc-reb-pinned", &snapshot_files(dir.path()), &pinned);
 }
 
 /// Writes `snap`'s header over `sections` into `dir` as

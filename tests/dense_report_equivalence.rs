@@ -12,7 +12,13 @@
 //! `engine.rs`: three feature-heavy `run` / `run_queued` scenarios whose
 //! reports must match field by field and whose traces must match as a
 //! multiset of JSONL lines. A fourth, `run_queued` under the `outages`
-//! scenario, went when that driver lost its fault injection.
+//! scenario, went when that driver lost its fault injection. The first,
+//! `run-congestion-rebalance`, replaced a case that also charged routing
+//! fees when the fees went and congestion control and rebalancing became
+//! on/off switches over fixed constants: it was recorded on the commit
+//! before, with the settable default AIMD window and aggressive
+//! rebalancing policy, so it pins that the constants reproduce those
+//! settings byte for byte.
 //!
 //! `tests/fixtures/sharded_pre_pr.json` pins the sharded engine the same
 //! way: two `run_sharded` scenarios at 1 and 4 shards each, whose reports
@@ -250,14 +256,9 @@ fn seq_engine_cases() -> Vec<Value> {
     };
 
     vec![
-        source("run-fees-congestion-rebalance", &|cfg| {
-            cfg.fees = Some(spider::routing::FeeSchedule::uniform(
-                &network,
-                Amount::from_micros(10),
-                100,
-            ));
-            cfg.congestion = Some(spider::sim::CongestionConfig::default());
-            cfg.rebalance = Some(spider::sim::RebalancePolicy::default());
+        source("run-congestion-rebalance", &|cfg| {
+            cfg.congestion = true;
+            cfg.rebalance = true;
         }),
         source("run-stress-faults-retries", &|cfg| {
             let stress = FaultConfig::scenario("stress").expect("scenario exists");

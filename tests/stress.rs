@@ -550,18 +550,15 @@ fn tier2_queued_engine_10k_nodes_100k_payments() {
 
 #[test]
 fn all_extensions_enabled_together() {
-    // Congestion control + rebalancing + fees, all at once.
-    use spider::routing::fees::FeeSchedule;
+    // Congestion control and rebalancing at once.
     let g = spider::topology::isp_topology(Amount::from_whole(30_000));
     let mut cfg = TraceConfig::isp_default(g.num_nodes(), 1_500, 20.0);
     cfg.seed = 11;
     let txs = generate(&cfg, &isp_sizes());
     let mut sim_cfg = SimConfig::new(20.0);
-    sim_cfg.congestion = Some(spider::sim::CongestionConfig::default());
-    sim_cfg.rebalance = Some(spider::sim::RebalancePolicy::aggressive());
-    sim_cfg.fees = Some(FeeSchedule::uniform(&g, Amount::from_micros(10), 1_000));
+    sim_cfg.congestion = true;
+    sim_cfg.rebalance = true;
     let report = spider::sim::run(&g, &txs, &mut WaterfillingScheme::new(), &sim_cfg);
     assert_sound(&report);
     assert!(report.success_ratio() > 0.2, "{}", report.summary());
-    assert!(report.routing_fees_paid > 0.0);
 }
