@@ -8,8 +8,6 @@ use std::fmt;
 pub enum CoreError {
     /// A node id referred to a node that does not exist in the network.
     UnknownNode(NodeId),
-    /// A channel id referred to a channel that does not exist.
-    UnknownChannel(ChannelId),
     /// No channel exists between the two given nodes.
     NoChannelBetween(NodeId, NodeId),
     /// The two endpoints of a channel must be distinct.
@@ -67,7 +65,6 @@ impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CoreError::UnknownNode(n) => write!(f, "unknown node {n}"),
-            CoreError::UnknownChannel(c) => write!(f, "unknown channel {c}"),
             CoreError::NoChannelBetween(a, b) => {
                 write!(f, "no channel between {a} and {b}")
             }

@@ -9,7 +9,6 @@
 use crate::amount::Amount;
 use crate::error::CoreError;
 use crate::ids::{ChannelId, Direction, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -17,7 +16,7 @@ use std::sync::OnceLock;
 ///
 /// The channel escrows `balance_a + balance_b` in total; `balance_a` is
 /// spendable by endpoint `a`, `balance_b` by endpoint `b`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Channel {
     /// This channel's id (also its index in [`Network::channels`]).
     pub id: ChannelId,
@@ -165,17 +164,14 @@ impl CsrAdjacency {
 }
 
 /// The static payment channel network topology.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Network {
     channels: Vec<Channel>,
     num_nodes: usize,
     /// lookup from a normalized `(min, max)` node pair to the channel id.
-    #[serde(skip)]
     pair_index: HashMap<(NodeId, NodeId), ChannelId>,
     /// Dense adjacency, built lazily on first traversal and dropped on any
-    /// mutation; purely derived from `channels`, so it is skipped by serde
-    /// and rebuilt identically after a round trip.
-    #[serde(skip)]
+    /// mutation; purely derived from `channels`.
     csr: OnceLock<CsrAdjacency>,
 }
 
@@ -344,15 +340,6 @@ impl Network {
             }
         }
         dist
-    }
-
-    /// Rebuilds the `(pair -> channel)` index; call after deserializing.
-    pub fn rebuild_index(&mut self) {
-        self.pair_index = self
-            .channels
-            .iter()
-            .map(|c| (normalize(c.a, c.b), c.id))
-            .collect();
     }
 }
 

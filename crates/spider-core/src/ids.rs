@@ -98,21 +98,6 @@ impl fmt::Display for PaymentId {
     }
 }
 
-/// A single transaction unit (one "packet" of a payment).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct UnitId {
-    /// The payment this unit belongs to.
-    pub payment: PaymentId,
-    /// Sequence number of the unit within the payment.
-    pub seq: u32,
-}
-
-impl fmt::Debug for UnitId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.payment, self.seq)
-    }
-}
-
 /// A directed view of a channel: the direction `from -> to`.
 ///
 /// Payment channels are undirected objects with one balance per endpoint; a
@@ -154,15 +139,6 @@ mod tests {
         let c: ChannelId = 3u32.into();
         assert_eq!(c.index(), 3);
         assert_eq!(format!("{c:?}"), "ch3");
-    }
-
-    #[test]
-    fn unit_id_formats_with_payment() {
-        let u = UnitId {
-            payment: PaymentId(5),
-            seq: 2,
-        };
-        assert_eq!(format!("{u:?}"), "pay5#2");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! workspace:
 //!
 //! - [`Amount`] — exact fixed-point currency arithmetic,
-//! - [`NodeId`], [`ChannelId`], [`PaymentId`], [`UnitId`] — identifier
-//!   newtypes,
+//! - [`NodeId`], [`ChannelId`], [`PaymentId`] — identifier newtypes,
 //! - [`Network`] / [`Channel`] — the payment channel network graph `G(V,E)`,
 //! - [`Path`] — validated trails through the network,
 //! - [`DemandMatrix`] — the payment graph `H(V,E_H)` of desired rates,
-//! - [`BalanceView`] — read access to live or initial channel balances.
+//! - [`BalanceView`] — read access to live or initial channel balances,
+//! - [`ChannelSet`] / [`PairTable`] — dense id-indexed hot-path tables,
+//! - [`Enc`] / [`Dec`] / [`crc32`] — the little-endian codec and checksum
+//!   behind snapshots and traces.
 //!
 //! Everything here is deterministic and allocation-conscious; there is no
-//! randomness and no I/O in this crate.
+//! randomness and no I/O in this crate. A [`Network`] is built in memory
+//! by the topology generators and has no serialized form.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,6 +34,6 @@ pub use binio::{crc32, BinError, Dec, Enc};
 pub use dense::{ChannelSet, PairTable};
 pub use error::CoreError;
 pub use graph::{BalanceView, Channel, Network};
-pub use ids::{ChannelId, Direction, NodeId, PaymentId, UnitId};
+pub use ids::{ChannelId, Direction, NodeId, PaymentId};
 pub use path::Path;
 pub use payment_graph::DemandMatrix;

@@ -78,16 +78,12 @@ impl SpeedyMurmursScheme {
     /// deterministically pseudo-random distinct nodes (SpeedyMurmurs picks
     /// its landmarks randomly, unlike SilentWhispers' well-connected ones).
     pub fn new(network: &Network, num_trees: usize) -> Self {
-        Self::with_seed(network, num_trees, 0)
-    }
-
-    /// Like [`new`](Self::new) with an explicit root-selection seed.
-    pub fn with_seed(network: &Network, num_trees: usize, seed: u64) -> Self {
         assert!(num_trees >= 1);
         let n = network.num_nodes() as u64;
         assert!(n >= num_trees as u64, "need at least one node per tree");
         let mut roots: Vec<NodeId> = Vec::with_capacity(num_trees);
-        let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
+        // Knuth's MMIX LCG from state 1.
+        let mut state = 1u64;
         while roots.len() < num_trees {
             state = state
                 .wrapping_mul(6364136223846793005)
@@ -97,12 +93,6 @@ impl SpeedyMurmursScheme {
                 roots.push(candidate);
             }
         }
-        Self::with_roots(network, roots)
-    }
-
-    /// Builds the scheme with explicit tree roots.
-    pub fn with_roots(network: &Network, roots: Vec<NodeId>) -> Self {
-        assert!(!roots.is_empty());
         let trees = roots
             .into_iter()
             .map(|root| SpanningTree::new(network, root))

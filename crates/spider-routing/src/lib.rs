@@ -36,7 +36,7 @@ pub use paths::{
     edge_disjoint_paths, k_shortest_paths, path_bottleneck, shortest_path, widest_paths, PathCache,
     PathCacheStats, PathStrategy,
 };
-pub use price_scheme::{PriceConfig, PriceScheme};
+pub use price_scheme::PriceScheme;
 pub use scheme::{split_evenly, BalanceOverlay, RoutingScheme, SchemeKind, UnitDecision};
 pub use shortest_path::ShortestPathScheme;
 pub use waterfilling::WaterfillingScheme;

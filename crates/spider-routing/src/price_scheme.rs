@@ -18,38 +18,21 @@ use crate::paths::{path_bottleneck, PathCache, PathStrategy};
 use crate::scheme::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_core::{Amount, BalanceView, Direction, Network, NodeId};
 
-/// Tuning for [`PriceScheme`].
-#[derive(Clone, Copy, Debug)]
-pub struct PriceConfig {
-    /// Candidate paths per pair (edge-disjoint shortest).
-    pub num_paths: usize,
-    /// Units per measurement window before a dual update.
-    pub window: u64,
-    /// Capacity-price step `η` (eq. 23).
-    pub eta: f64,
-    /// Imbalance-price step `κ` (eq. 24).
-    pub kappa: f64,
-    /// Nominal per-window capacity budget per channel, as a fraction of the
-    /// channel's total funds (stands in for `c/Δ` in unit-count space).
-    pub capacity_fraction: f64,
-}
-
-impl Default for PriceConfig {
-    fn default() -> Self {
-        PriceConfig {
-            num_paths: 4,
-            window: 256,
-            eta: 0.02,
-            kappa: 0.05,
-            capacity_fraction: 0.5,
-        }
-    }
-}
+/// Candidate paths per pair (edge-disjoint shortest).
+const NUM_PATHS: usize = 4;
+/// Units per measurement window before a dual update.
+const WINDOW: u64 = 256;
+/// Capacity-price step `η` (eq. 23).
+const ETA: f64 = 0.02;
+/// Imbalance-price step `κ` (eq. 24).
+const KAPPA: f64 = 0.05;
+/// Nominal per-window capacity budget per channel, as a fraction of the
+/// channel's total funds (stands in for `c/Δ` in unit-count space).
+const CAPACITY_FRACTION: f64 = 0.5;
 
 /// The online price-based routing scheme.
 #[derive(Debug)]
 pub struct PriceScheme {
-    config: PriceConfig,
     cache: PathCache,
     /// λ per channel (capacity price).
     lambda: Vec<f64>,
@@ -62,18 +45,10 @@ pub struct PriceScheme {
 }
 
 impl PriceScheme {
-    /// Creates the scheme with default tuning.
+    /// Creates the scheme.
     pub fn new() -> Self {
-        Self::with_config(PriceConfig::default())
-    }
-
-    /// Creates the scheme with explicit tuning.
-    pub fn with_config(config: PriceConfig) -> Self {
-        assert!(config.num_paths >= 1);
-        assert!(config.window >= 1);
         PriceScheme {
-            config,
-            cache: PathCache::new(PathStrategy::EdgeDisjoint(config.num_paths)),
+            cache: PathCache::new(PathStrategy::EdgeDisjoint(NUM_PATHS)),
             lambda: Vec::new(),
             mu: Vec::new(),
             window_flow: Vec::new(),
@@ -104,16 +79,13 @@ impl PriceScheme {
     fn update_prices(&mut self, network: &Network) {
         for ch in network.channels() {
             let e = ch.id.index();
-            let cap_budget = ch.capacity().as_tokens() * self.config.capacity_fraction;
+            let cap_budget = ch.capacity().as_tokens() * CAPACITY_FRACTION;
             let fwd = self.window_flow[e][0];
             let rev = self.window_flow[e][1];
-            self.lambda[e] = (self.lambda[e]
-                + self.config.eta * ((fwd + rev) - cap_budget) / cap_budget.max(1.0))
-            .max(0.0);
-            self.mu[e][0] =
-                (self.mu[e][0] + self.config.kappa * (fwd - rev) / cap_budget.max(1.0)).max(0.0);
-            self.mu[e][1] =
-                (self.mu[e][1] + self.config.kappa * (rev - fwd) / cap_budget.max(1.0)).max(0.0);
+            self.lambda[e] =
+                (self.lambda[e] + ETA * ((fwd + rev) - cap_budget) / cap_budget.max(1.0)).max(0.0);
+            self.mu[e][0] = (self.mu[e][0] + KAPPA * (fwd - rev) / cap_budget.max(1.0)).max(0.0);
+            self.mu[e][1] = (self.mu[e][1] + KAPPA * (rev - fwd) / cap_budget.max(1.0)).max(0.0);
             self.window_flow[e] = [0.0; 2];
         }
     }
@@ -193,7 +165,7 @@ impl RoutingScheme for PriceScheme {
             self.window_flow[c.index()][Self::slot(d)] += unit.as_tokens();
         }
         self.units_in_window += 1;
-        if self.units_in_window >= self.config.window {
+        if self.units_in_window >= WINDOW {
             self.units_in_window = 0;
             self.update_prices(network);
         }
@@ -282,18 +254,27 @@ mod tests {
         }
     }
 
+    /// Routes `n` one-token units from `src` to `dst` under the network's
+    /// own balances and returns each chosen path's hop count.
+    fn route_units(s: &mut PriceScheme, g: &Network, src: u32, dst: u32, n: u64) -> Vec<usize> {
+        (0..n)
+            .map(
+                |_| match s.route_unit(g, g, NodeId(src), NodeId(dst), Amount::ONE) {
+                    UnitDecision::Route(p) => p.len(),
+                    other => panic!("{other:?}"),
+                },
+            )
+            .collect()
+    }
+
     #[test]
     fn imbalance_price_rises_on_one_way_traffic() {
         let g = ring_with_chord();
-        let mut s = PriceScheme::with_config(PriceConfig {
-            window: 16,
-            ..Default::default()
-        });
+        let mut s = PriceScheme::new();
         let chord = g.channel_between(NodeId(0), NodeId(3)).unwrap().id;
         let dir = g.channel(chord).try_direction_from(NodeId(0)).unwrap();
-        for _ in 0..64 {
-            let _ = s.route_unit(&g, &g, NodeId(0), NodeId(3), Amount::ONE);
-        }
+        route_units(&mut s, &g, 0, 3, WINDOW);
+        assert_eq!(s.units_in_window, 0, "the window closed: a dual update ran");
         assert!(
             s.channel_price(chord, dir) > 0.0,
             "one-way chord traffic must be priced, got {}",
@@ -301,30 +282,21 @@ mod tests {
         );
         // The reverse direction must look *attractive* (negative net price
         // relative to forward).
-        assert!(s.channel_price(chord, dir.reverse()) <= 0.0);
+        assert!(s.channel_price(chord, dir.reverse()) < 0.0);
     }
 
     #[test]
     fn traffic_shifts_away_from_priced_path() {
         let g = ring_with_chord();
-        let mut s = PriceScheme::with_config(PriceConfig {
-            window: 8,
-            kappa: 0.5,
-            ..Default::default()
-        });
-        let mut used_long_path = false;
-        for _ in 0..256 {
-            match s.route_unit(&g, &g, NodeId(0), NodeId(3), Amount::ONE) {
-                UnitDecision::Route(p) => {
-                    if p.len() > 1 {
-                        used_long_path = true;
-                    }
-                }
-                other => panic!("{other:?}"),
-            }
-        }
+        let mut s = PriceScheme::new();
+        let hops = route_units(&mut s, &g, 0, 3, 2 * WINDOW);
+        let (before, after) = hops.split_at(WINDOW as usize);
         assert!(
-            used_long_path,
+            before.iter().all(|&h| h == 1),
+            "every price is 0 until the first dual update, so the chord wins"
+        );
+        assert!(
+            after.iter().any(|&h| h > 1),
             "rising chord prices must push some units onto ring paths"
         );
     }
@@ -332,20 +304,23 @@ mod tests {
     #[test]
     fn opposing_traffic_keeps_prices_low() {
         let g = ring_with_chord();
-        let mut s = PriceScheme::with_config(PriceConfig {
-            window: 8,
-            ..Default::default()
-        });
         let chord = g.channel_between(NodeId(0), NodeId(3)).unwrap().id;
-        for _ in 0..128 {
-            let _ = s.route_unit(&g, &g, NodeId(0), NodeId(3), Amount::ONE);
-            let _ = s.route_unit(&g, &g, NodeId(3), NodeId(0), Amount::ONE);
+        let mut s = PriceScheme::new();
+        for _ in 0..WINDOW {
+            route_units(&mut s, &g, 0, 3, 1);
+            route_units(&mut s, &g, 3, 0, 1);
         }
+        assert_eq!(s.units_in_window, 0, "two windows closed: dual updates ran");
+        // One window of one-way chord traffic sets the price balanced
+        // traffic must stay below.
+        let mut one_way = PriceScheme::new();
+        route_units(&mut one_way, &g, 0, 3, WINDOW);
+        let priced = one_way.channel_price(chord, Direction::AtoB);
         let fwd = s.channel_price(chord, Direction::AtoB);
         let rev = s.channel_price(chord, Direction::BtoA);
         assert!(
-            fwd.abs() < 0.5 && rev.abs() < 0.5,
-            "balanced traffic keeps imbalance prices near zero: {fwd} / {rev}"
+            fwd.abs() < priced && rev.abs() < priced,
+            "balanced traffic keeps imbalance prices near zero: {fwd} / {rev} vs {priced}"
         );
     }
 

@@ -6,17 +6,17 @@
 //!   paper's evaluation,
 //! - [`ripple`] — scale-free Ripple-like credit network stand-ins,
 //! - [`partition`] — deterministic landmark partitioning for the
-//!   shard-parallel engine,
-//! - [`io`] — a plain-text edge-list format for export/import.
+//!   shard-parallel engine.
 //!
 //! All generators are deterministic given a seed and produce connected
-//! graphs with evenly split channel balances.
+//! graphs with evenly split channel balances (or, through
+//! [`with_skewed_balances`], a seeded skew of them). Networks are built in
+//! memory; the crate reads and writes no topology files.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod generators;
-pub mod io;
 pub mod isp;
 pub mod partition;
 pub mod ripple;
@@ -24,7 +24,6 @@ pub mod ripple;
 pub use generators::{
     barabasi_albert, complete, erdos_renyi, grid, line, ring, with_skewed_balances,
 };
-pub use io::{from_edge_list, to_edge_list, ParseError};
 pub use isp::{isp_topology, ISP_EDGES, ISP_NODES};
 pub use partition::Partition;
 pub use ripple::{ripple_topology_scaled, RIPPLE_EDGES, RIPPLE_NODES};

@@ -16,6 +16,4 @@ pub mod trace;
 
 pub use demand::{mixed_demand, random_circulation, random_dag_demand};
 pub use sizes::{isp_sizes, ripple_sizes, BoundedPareto};
-pub use trace::{
-    demand_matrix, generate, ArrivalPattern, SenderDistribution, TraceConfig, Transaction,
-};
+pub use trace::{demand_matrix, generate, SenderDistribution, TraceConfig, Transaction};

@@ -38,31 +38,6 @@ pub enum SenderDistribution {
         /// Decay scale in node-index units.
         scale: f64,
     },
-    /// Every node equally likely.
-    Uniform,
-}
-
-/// Temporal shape of the arrival process.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalPattern {
-    /// Homogeneous Poisson arrivals (the paper's setup).
-    Poisson,
-    /// Sinusoidally modulated rate, peaking mid-window: models diurnal
-    /// payment activity. `peak_to_trough` ≥ 1 is the rate ratio between the
-    /// busiest and quietest instants.
-    Diurnal {
-        /// Ratio between peak and trough arrival rates.
-        peak_to_trough: f64,
-    },
-    /// Alternating bursts and gaps: `burst_fraction` of each cycle of
-    /// `cycle` seconds carries all the traffic. Stresses transient
-    /// congestion and queueing.
-    Bursty {
-        /// Cycle length in seconds.
-        cycle: f64,
-        /// Fraction of the cycle that is burst (0, 1].
-        burst_fraction: f64,
-    },
 }
 
 /// Configuration for trace generation.
@@ -83,8 +58,6 @@ pub struct TraceConfig {
     pub nonstationary: bool,
     /// RNG seed; identical configs + seeds yield identical traces.
     pub seed: u64,
-    /// Temporal arrival pattern.
-    pub pattern: ArrivalPattern,
 }
 
 impl TraceConfig {
@@ -99,7 +72,6 @@ impl TraceConfig {
             },
             nonstationary: false,
             seed: 0,
-            pattern: ArrivalPattern::Poisson,
         }
     }
 
@@ -123,19 +95,12 @@ pub fn generate(config: &TraceConfig, sizes: &BoundedPareto) -> Vec<Transaction>
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Sender CDF over node indices.
-    let weights: Vec<f64> = match config.senders {
-        SenderDistribution::Exponential { scale } => {
-            assert!(scale > 0.0, "sender scale must be positive");
-            (0..config.num_nodes)
-                .map(|i| (-(i as f64) / scale).exp())
-                .collect()
-        }
-        SenderDistribution::Uniform => vec![1.0; config.num_nodes],
-    };
-    let mut cdf: Vec<f64> = Vec::with_capacity(weights.len());
+    let SenderDistribution::Exponential { scale } = config.senders;
+    assert!(scale > 0.0, "sender scale must be positive");
+    let mut cdf: Vec<f64> = Vec::with_capacity(config.num_nodes);
     let mut acc = 0.0;
-    for w in &weights {
-        acc += w;
+    for i in 0..config.num_nodes {
+        acc += (-(i as f64) / scale).exp();
         cdf.push(acc);
     }
     let total_weight = acc;
@@ -146,63 +111,14 @@ pub fn generate(config: &TraceConfig, sizes: &BoundedPareto) -> Vec<Transaction>
     let mut shifted = false;
 
     let rate = config.num_transactions as f64 / config.duration;
-    // Non-homogeneous patterns are sampled by thinning against the peak
-    // rate; `rate_at` returns the instantaneous relative rate in (0, 1].
-    let (peak_multiplier, rate_at): (f64, Box<dyn Fn(f64) -> f64>) = match config.pattern {
-        ArrivalPattern::Poisson => (1.0, Box::new(|_| 1.0)),
-        ArrivalPattern::Diurnal { peak_to_trough } => {
-            assert!(peak_to_trough >= 1.0, "peak_to_trough must be ≥ 1");
-            let duration = config.duration;
-            // rate(t) ∝ trough + (1 - trough)·sin²(πt/D); normalized so the
-            // *peak* is 1.
-            let trough = 1.0 / peak_to_trough;
-            (
-                // mean of trough + (1-trough)·sin² over the window is
-                // (1 + trough) / 2; peak multiplier rescales the base rate
-                // so the transaction count stays on target.
-                2.0 / (1.0 + trough),
-                Box::new(move |t: f64| {
-                    let sin = (std::f64::consts::PI * t / duration).sin();
-                    trough + (1.0 - trough) * sin * sin
-                }),
-            )
-        }
-        ArrivalPattern::Bursty {
-            cycle,
-            burst_fraction,
-        } => {
-            assert!(cycle > 0.0, "cycle must be positive");
-            assert!(
-                burst_fraction > 0.0 && burst_fraction <= 1.0,
-                "burst_fraction must be in (0, 1]"
-            );
-            (
-                1.0 / burst_fraction,
-                Box::new(move |t: f64| {
-                    if (t % cycle) / cycle < burst_fraction {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }),
-            )
-        }
-    };
-    let peak_rate = rate * peak_multiplier;
-
     let mut t = 0.0f64;
     let mut out = Vec::with_capacity(config.num_transactions);
     for k in 0..config.num_transactions {
-        // Thinning: candidate exponential steps at the peak rate, accepted
-        // with probability rate_at(t). For Poisson this accepts always.
-        loop {
-            let u: f64 = rng.random();
-            t += -u.ln() / peak_rate.max(f64::MIN_POSITIVE);
-            let accept: f64 = rng.random();
-            if accept < rate_at(t) {
-                break;
-            }
-        }
+        let u: f64 = rng.random();
+        t += -u.ln() / rate.max(f64::MIN_POSITIVE);
+        // A second draw per arrival, unused: without it every seed's trace
+        // would change (`tests/input_pins.rs` pins them).
+        let _: f64 = rng.random();
 
         if config.nonstationary && !shifted && t > config.duration / 2.0 {
             use rand::seq::SliceRandom;
@@ -305,23 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_senders_are_flat() {
-        let mut cfg = small_config();
-        cfg.senders = SenderDistribution::Uniform;
-        cfg.num_transactions = 32_000;
-        let trace = generate(&cfg, &isp_sizes());
-        let mut counts = vec![0usize; 32];
-        for t in &trace {
-            counts[t.src.index()] += 1;
-        }
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        assert!(
-            *max < 2 * *min,
-            "uniform counts spread too wide: {min}..{max}"
-        );
-    }
-
-    #[test]
     fn receivers_cover_node_set() {
         let trace = generate(&small_config(), &isp_sizes());
         let mut seen = [false; 32];
@@ -352,70 +251,6 @@ mod tests {
         // With 32 nodes the reshuffle moves the hottest sender with
         // probability 31/32; the fixed seed makes this deterministic.
         assert_ne!(top_sender(&first), top_sender(&second));
-    }
-
-    #[test]
-    fn diurnal_pattern_peaks_mid_window() {
-        let mut cfg = small_config();
-        cfg.num_transactions = 20_000;
-        cfg.pattern = ArrivalPattern::Diurnal {
-            peak_to_trough: 8.0,
-        };
-        let trace = generate(&cfg, &isp_sizes());
-        let mid = cfg.duration / 2.0;
-        let band = cfg.duration / 8.0;
-        let center = trace
-            .iter()
-            .filter(|t| (t.arrival - mid).abs() < band)
-            .count();
-        let edge = trace
-            .iter()
-            .filter(|t| t.arrival < 2.0 * band && t.arrival >= 0.0)
-            .count();
-        assert!(
-            center as f64 > 2.0 * edge as f64,
-            "mid-window should be much busier: center {center} vs edge {edge}"
-        );
-    }
-
-    #[test]
-    fn bursty_pattern_confines_arrivals_to_bursts() {
-        let mut cfg = small_config();
-        cfg.num_transactions = 5_000;
-        cfg.pattern = ArrivalPattern::Bursty {
-            cycle: 10.0,
-            burst_fraction: 0.2,
-        };
-        let trace = generate(&cfg, &isp_sizes());
-        for t in &trace {
-            let phase = (t.arrival % 10.0) / 10.0;
-            assert!(phase < 0.2 + 1e-9, "arrival at phase {phase} outside burst");
-        }
-    }
-
-    #[test]
-    fn patterns_preserve_transaction_count_and_rough_duration() {
-        for pattern in [
-            ArrivalPattern::Poisson,
-            ArrivalPattern::Diurnal {
-                peak_to_trough: 4.0,
-            },
-            ArrivalPattern::Bursty {
-                cycle: 5.0,
-                burst_fraction: 0.5,
-            },
-        ] {
-            let mut cfg = small_config();
-            cfg.pattern = pattern;
-            let trace = generate(&cfg, &isp_sizes());
-            assert_eq!(trace.len(), cfg.num_transactions);
-            let last = trace.last().unwrap().arrival;
-            assert!(
-                (last - cfg.duration).abs() < cfg.duration * 0.25,
-                "{pattern:?}: last arrival {last} vs window {}",
-                cfg.duration
-            );
-        }
     }
 
     #[test]

@@ -13,6 +13,8 @@ use spider::sim::{latest_snapshot, CheckpointSpec, FaultConfig, FaultPlan, Snaps
 use spider::telemetry::events_to_jsonl;
 use spider::workload::{generate, isp_sizes};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Self-cleaning scratch directory under the system temp dir.
 struct TempDir(PathBuf);
@@ -59,22 +61,73 @@ fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
 enum Scheme {
     Waterfilling,
     ShortestPath,
-    Prices,
+    /// Online prices; counts the snapshots taken after a price moved.
+    Prices(Arc<AtomicUsize>),
     MaxFlow,
     /// Spider (LP) as solved for the scenario; each run starts from a copy.
     Lp(spider::routing::LpScheme),
+}
+
+/// The online price scheme, counting the snapshots it is asked for after a
+/// dual update has moved a channel price off zero.
+struct PriceProbe {
+    inner: spider::routing::PriceScheme,
+    priced: Arc<AtomicUsize>,
+    channels: u32,
+}
+
+impl RoutingScheme for PriceProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn kind(&self) -> SchemeKind {
+        self.inner.kind()
+    }
+
+    fn route_unit(
+        &mut self,
+        network: &Network,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        unit: Amount,
+    ) -> UnitDecision {
+        self.channels = network.num_channels() as u32;
+        self.inner.route_unit(network, balances, src, dst, unit)
+    }
+
+    fn telemetry_stats(&self) -> Vec<(&'static str, u64)> {
+        self.inner.telemetry_stats()
+    }
+
+    fn checkpoint_state(&self) -> Option<Vec<u8>> {
+        let moved = (0..self.channels).map(ChannelId).any(|c| {
+            [Direction::AtoB, Direction::BtoA]
+                .into_iter()
+                .any(|d| self.inner.channel_price(c, d) != 0.0)
+        });
+        if moved {
+            self.priced.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inner.checkpoint_state()
+    }
+
+    fn restore_state(&mut self, network: &Network, bytes: &[u8]) -> Result<(), CoreError> {
+        self.channels = network.num_channels() as u32;
+        self.inner.restore_state(network, bytes)
+    }
 }
 
 fn make_scheme(which: &Scheme) -> Box<dyn RoutingScheme> {
     match which {
         Scheme::Waterfilling => Box::new(WaterfillingScheme::new()),
         Scheme::ShortestPath => Box::new(ShortestPathScheme::new()),
-        Scheme::Prices => Box::new(spider::routing::PriceScheme::with_config(
-            spider::routing::PriceConfig {
-                window: 32,
-                ..Default::default()
-            },
-        )),
+        Scheme::Prices(priced) => Box::new(PriceProbe {
+            inner: spider::routing::PriceScheme::new(),
+            priced: Arc::clone(priced),
+            channels: 0,
+        }),
         Scheme::MaxFlow => Box::new(spider::routing::MaxFlowScheme::new()),
         Scheme::Lp(lp) => Box::new(lp.clone()),
     }
@@ -199,13 +252,18 @@ fn shortest_path_resume_is_byte_identical() {
 #[test]
 fn price_scheme_resume_is_byte_identical() {
     let (network, txs) = isp_scenario(5, 250);
+    let priced = Arc::new(AtomicUsize::new(0));
     assert_resume_equivalence(
         &network,
         &txs,
         &full_config(18.0),
-        &Scheme::Prices,
+        &Scheme::Prices(Arc::clone(&priced)),
         50,
         "prices",
+    );
+    assert!(
+        priced.load(Ordering::Relaxed) > 0,
+        "no snapshot was taken after a price update"
     );
 }
 

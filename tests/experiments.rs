@@ -90,13 +90,19 @@ fn assert_fig6_shape(cfg: &ExperimentConfig) -> Vec<SimReport> {
     );
     assert!(sp.success_volume() > sw.success_volume());
 
-    // Waterfilling within 5% of max-flow (§6.2) and above every
-    // non-Spider scheme on success volume.
+    // Waterfilling within 5% of max-flow on both metrics (§6.2) and above
+    // every non-Spider scheme on success volume.
     assert!(
         wf.success_ratio() > 0.95 * mf.success_ratio(),
         "waterfilling {} vs max-flow {}",
         wf.success_ratio(),
         mf.success_ratio()
+    );
+    assert!(
+        wf.success_volume() > 0.95 * mf.success_volume(),
+        "waterfilling volume {} vs max-flow {}",
+        wf.success_volume(),
+        mf.success_volume()
     );
     for r in &reports {
         if r.scheme != "max-flow" && r.scheme != "spider-waterfilling" {
@@ -143,12 +149,33 @@ fn assert_fig6_shape(cfg: &ExperimentConfig) -> Vec<SimReport> {
     reports
 }
 
-/// Fig. 6 (ISP) shape: the §6.2 relationships between schemes. Here our
-/// SpeedyMurmurs beats shortest path (EXPERIMENTS.md, the ⚠️ under Fig. 6),
-/// so only the shared claims are asserted.
+/// Fig. 6 (ISP) shape: the shared claims, plus Spider's volume lead over
+/// both embedding-based schemes and its transaction lead over
+/// SilentWhispers. Here our SpeedyMurmurs beats shortest path and trails
+/// waterfilling by under 10 % in transactions at the quick scale (the ⚠️s
+/// under Fig. 6 in EXPERIMENTS.md), so neither is asserted.
 #[test]
 fn fig6_isp_ordering() {
-    assert_fig6_shape(&small_isp());
+    let reports = assert_fig6_shape(&small_isp());
+    let wf = scheme(&reports, "spider-waterfilling");
+    for name in ["speedymurmurs", "silentwhispers"] {
+        let r = scheme(&reports, name);
+        // §6.2: "10-45% increase in volume" (measured +24% / +126%).
+        assert!(
+            wf.success_volume() >= 1.10 * r.success_volume(),
+            "waterfilling volume {} vs {name} {}",
+            wf.success_volume(),
+            r.success_volume()
+        );
+    }
+    // §6.2: "10-75% more transactions", against SilentWhispers (+50%).
+    let sw = scheme(&reports, "silentwhispers");
+    assert!(
+        wf.success_ratio() >= 1.10 * sw.success_ratio(),
+        "waterfilling ratio {} vs silentwhispers {}",
+        wf.success_ratio(),
+        sw.success_ratio()
+    );
 }
 
 /// Fig. 6 (Ripple-like) shape: the shared claims, plus Spider's lead over

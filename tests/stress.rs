@@ -8,12 +8,12 @@
 //!   `cargo test`.
 //! - **Tier 2** (`#[ignore]`-tagged `tier2_*` tests): full-scale stress at
 //!   ≥10k nodes / ≥100k payments. Run explicitly with
-//!   `cargo test --release --test stress -- --ignored` — they take minutes,
-//!   not seconds, and are meant for release-profile soak runs. The
-//!   `tier3_*` cases are larger still and are run one at a time by name.
+//!   `cargo test --release --test stress -- --ignored tier2_` (~30 s on two
+//!   cores; CI runs this step). The `tier3_*` cases are larger still and
+//!   are run one at a time by name.
 
 use spider::prelude::*;
-use spider::workload::{generate, isp_sizes, ripple_sizes, ArrivalPattern, TraceConfig};
+use spider::workload::{generate, isp_sizes, ripple_sizes, TraceConfig};
 
 fn tx(id: u64, src: u32, dst: u32, amount: i64, arrival: f64) -> Transaction {
     Transaction {
@@ -150,12 +150,15 @@ fn heavily_skewed_initial_balances() {
 fn bursty_arrivals_stress_the_scheduler() {
     let g = spider::topology::isp_topology(Amount::from_whole(30_000));
     let mut cfg = TraceConfig::isp_default(g.num_nodes(), 3_000, 30.0);
-    cfg.pattern = ArrivalPattern::Bursty {
-        cycle: 5.0,
-        burst_fraction: 0.1,
-    };
     cfg.seed = 9;
-    let txs = generate(&cfg, &isp_sizes());
+    // Squeeze each 5 s cycle's Poisson arrivals into its first 0.5 s: the
+    // same payments arrive in bursts at ten times the mean rate.
+    let (cycle, burst) = (5.0, 0.5);
+    let mut txs = generate(&cfg, &isp_sizes());
+    for t in &mut txs {
+        let start = (t.arrival / cycle).floor() * cycle;
+        t.arrival = start + (t.arrival - start) * (burst / cycle);
+    }
     let report = spider::sim::run(
         &g,
         &txs,
@@ -242,7 +245,7 @@ fn simultaneous_arrivals_are_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 2: full-scale stress. `cargo test --release --test stress -- --ignored`
+// Tier 2: full-scale stress. `cargo test --release --test stress -- --ignored tier2_`
 // ---------------------------------------------------------------------------
 
 /// Graduated tier-2: a 10k-node network through the partition-parallel
