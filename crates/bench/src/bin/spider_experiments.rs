@@ -43,9 +43,8 @@
 //! inconsistent traces (the CI smoke check).
 //! `spider-experiments inspect FILE` answers channel/node/payment/kind/
 //! time-window queries against a trace through the per-block index, so most
-//! blocks are never decoded, and prints top-K hot channels and nodes; on a
-//! `--json` report it prints the embedded per-phase profile breakdowns
-//! instead. `spider-experiments trace-convert IN OUT` converts losslessly
+//! blocks are never decoded, and prints top-K hot channels and nodes.
+//! `spider-experiments trace-convert IN OUT` converts losslessly
 //! between SPBT and JSONL, the interchange format (direction from the
 //! output extension); it is the only command that reads or writes JSONL.
 //!
@@ -889,9 +888,7 @@ fn run_trace_check(dir: &str) {
 /// `inspect FILE [--channel N] [--node N] [--payment N] [--kind K]
 /// [--from T] [--to T] [--limit N] [--top K]`: queries one SPBT trace file
 /// through its per-block index (the block-skip stats are printed) and
-/// prints the matches plus a top-K hot-channels / hot-nodes report. A
-/// `.json` report written by `--json` prints its embedded per-phase profile
-/// breakdowns instead.
+/// prints the matches plus a top-K hot-channels / hot-nodes report.
 fn run_inspect(opts: &Options) {
     let kind = opts.value("--kind");
     if let Some(kind) = kind.filter(|k| !TraceEvent::KINDS.contains(k)) {
@@ -899,9 +896,6 @@ fn run_inspect(opts: &Options) {
         usage_and_exit(&format!("`--kind` expects one of {kinds}, got `{kind}`"));
     }
     let file = opts.operands[0].as_str();
-    if file.ends_with(".json") {
-        return inspect_report(file);
-    }
     let number = "a number";
     // NaN parses as a float but compares false with every time, so as a
     // bound it would match every event.
@@ -989,82 +983,6 @@ fn print_hot(label: &str, top: usize, ids: impl Iterator<Item = u64>) {
     ranked.truncate(top);
     let pretty: Vec<String> = ranked.iter().map(|(id, n)| format!("{id} x{n}")).collect();
     println!("{label} (top {}): {}", ranked.len(), pretty.join("  "));
-}
-
-/// Inspect mode for `.json` reports: finds every embedded `phases` array
-/// (the deterministic [`PhaseProfile`]s of a `TelemetrySummary`) and
-/// renders each as a breakdown table.
-///
-/// [`PhaseProfile`]: spider_telemetry::PhaseProfile
-fn inspect_report(file: &str) {
-    let text = String::from_utf8_lossy(&read_file(file)).into_owned();
-    let value: serde_json::Value = serde_json::from_str(&text)
-        .unwrap_or_else(|e| fail(&format!("{file} is not valid JSON: {e:?}")));
-    let mut found = 0usize;
-    walk_phases(&value, "$", &mut found);
-    if found == 0 {
-        println!(
-            "{file}: no phase breakdowns found \
-             (profiles appear in the telemetry summary of a `Telemetry::profiled()` run)"
-        );
-    }
-}
-
-fn walk_phases(value: &serde_json::Value, path: &str, found: &mut usize) {
-    use serde_json::Value;
-    match value {
-        Value::Object(fields) => {
-            for (key, child) in fields {
-                let child_path = format!("{path}.{key}");
-                if key == "phases" {
-                    if let Some(rows) = phase_rows(child) {
-                        *found += 1;
-                        println!("{child_path}:");
-                        print!("{rows}");
-                        continue;
-                    }
-                }
-                walk_phases(child, &child_path, found);
-            }
-        }
-        Value::Array(items) => {
-            for (i, child) in items.iter().enumerate() {
-                walk_phases(child, &format!("{path}[{i}]"), found);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Renders a `phases` array if every element looks like a phase record
-/// (an object with a string `phase` and numeric `calls`).
-fn phase_rows(value: &serde_json::Value) -> Option<String> {
-    use serde_json::Value;
-    let Value::Array(items) = value else {
-        return None;
-    };
-    if items.is_empty() {
-        return None;
-    }
-    let mut out = String::new();
-    for item in items {
-        let Some(Value::Str(phase)) = item.get_field("phase") else {
-            return None;
-        };
-        let calls = item.get_field("calls")?.as_i64()?;
-        out.push_str(&format!("  {phase:<22} calls={calls:<10}"));
-        if let Some(items_n) = item.get_field("items").and_then(Value::as_i64) {
-            out.push_str(&format!(" items={items_n:<10}"));
-        }
-        if let (Some(a), Some(b)) = (
-            item.get_field("sim_first").and_then(Value::as_f64),
-            item.get_field("sim_last").and_then(Value::as_f64),
-        ) {
-            out.push_str(&format!(" sim=[{a:.3}, {b:.3}]"));
-        }
-        out.push('\n');
-    }
-    Some(out)
 }
 
 /// `trace-convert IN OUT`: lossless conversion between SPBT and JSONL, the

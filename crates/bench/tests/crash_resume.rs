@@ -477,12 +477,15 @@ fn trace_convert_keeps_the_jsonl_contract_and_readers_reject_jsonl() {
 
     let tmp = TempDir::new("convert");
     let traces = tmp.path().join("traces");
+    let report = tmp.path().join("report.json").display().to_string();
     let (code, stderr) = run_cli(&[
         "fig6",
         "--scheme",
         SCHEME,
         "--topology",
         TOPOLOGY,
+        "--json",
+        &report,
         "--trace-out",
         &traces.display().to_string(),
     ]);
@@ -511,18 +514,21 @@ fn trace_convert_keeps_the_jsonl_contract_and_readers_reject_jsonl() {
     assert_eq!(read(&jsonl), events_to_jsonl(&tel.events()).into_bytes());
     assert_eq!(read(&back), read(&bin));
 
-    // Runs write SPBT only, so the readers take SPBT only.
+    // Runs write SPBT only, so the readers take SPBT only: a JSONL trace is
+    // pointed at trace-convert, and a `--json` report is refused as well.
     let jsonl_dir = tmp.path().join("jsonl-dir");
     std::fs::create_dir_all(&jsonl_dir).expect("create dir");
     std::fs::copy(&jsonl, jsonl_dir.join("trace.jsonl")).expect("copy trace");
-    for args in [
-        ["inspect", &jsonl.display().to_string()],
-        ["trace-check", &jsonl_dir.display().to_string()],
+    for (args, is_jsonl) in [
+        (["inspect", &jsonl.display().to_string()], true),
+        (["trace-check", &jsonl_dir.display().to_string()], true),
+        (["inspect", &report], false),
     ] {
         let (code, stderr) = run_cli(&args);
-        assert_eq!(code, Some(1), "{args:?} must reject JSONL: {stderr}");
+        assert_eq!(code, Some(1), "{args:?} must reject it: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("error:") && stderr.contains("trace-convert"),
+            !is_jsonl || stderr.contains("trace-convert"),
             "{args:?} does not point at trace-convert: {stderr}"
         );
     }

@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use spider_core::{crc32, Amount, ChannelId, Enc, Network, Path};
 use spider_routing::{waterfilling, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
-use spider_telemetry::{Phase, SpanGuard, Telemetry, TraceEvent};
+use spider_telemetry::{Phase, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::sync::Arc;
 
@@ -241,23 +241,6 @@ pub fn resume(
     )
 }
 
-/// Opens the span every event handler runs under: one call, one item, and
-/// `now` inside the phase's sim-time window.
-fn event_span(tel: &Telemetry, phase: Phase, now: f64) -> SpanGuard<'_> {
-    let span = tel.span_enter(phase);
-    tel.span_sim(phase, now);
-    tel.span_items(phase, 1);
-    span
-}
-
-/// Opens the span of a handler that reports its item count itself (or not
-/// at all): scheduler ticks and the dispatch loops.
-fn batch_span(tel: &Telemetry, phase: Phase, now: f64) -> SpanGuard<'_> {
-    let span = tel.span_enter(phase);
-    tel.span_sim(phase, now);
-    span
-}
-
 // ---------------------------------------------------------------------------
 // Queueing at the source (§6.1): a unit leaves the sender only when its
 // whole path can be locked, and a payment that cannot send waits in the
@@ -305,7 +288,7 @@ fn run_source_queued(
         }
         match event {
             Event::Arrival(i) => {
-                let _span = event_span(tel, Phase::RoutingDecision, now);
+                let _span = tel.span_enter(Phase::RoutingDecision);
                 t.arrive(i, now);
                 if split {
                     pump_payment(&mut t, scheme, config, i, now);
@@ -319,7 +302,7 @@ fn run_source_queued(
                 if !t.units.live(unit) {
                     continue;
                 }
-                let _span = event_span(tel, Phase::SettleRefund, now);
+                let _span = tel.span_enter(Phase::SettleRefund);
                 t.settle(unit, now);
                 t.audit_check(now, "settle");
             }
@@ -327,7 +310,7 @@ fn run_source_queued(
                 if !t.units.live(unit) {
                     continue;
                 }
-                let _span = event_span(tel, Phase::FaultProcessing, now);
+                let _span = tel.span_enter(Phase::FaultProcessing);
                 // Only units created with a fate have a FaultExpire.
                 let Some(cause) = t.units[unit].fault else {
                     continue;
@@ -339,7 +322,7 @@ fn run_source_queued(
                 t.audit_check(now, "fault-expire");
             }
             Event::Fault(ev) => {
-                let _span = event_span(tel, Phase::FaultProcessing, now);
+                let _span = tel.span_enter(Phase::FaultProcessing);
                 let down = t.apply_fault(&ev, now);
                 if !down.is_empty() {
                     for (unit, blamed) in t.units_crossing(&down) {
@@ -352,7 +335,7 @@ fn run_source_queued(
                 }
             }
             Event::Tick => {
-                let _span = batch_span(tel, Phase::QueueDrain, now);
+                let _span = tel.span_enter(Phase::QueueDrain);
                 tel.counter_add("sim.scheduler.polls", 1);
                 t.expire_deadlines(now);
                 if split {
@@ -400,7 +383,7 @@ fn pump_payment(
         return;
     }
     let tel = t.tel;
-    let _span = batch_span(tel, Phase::UnitDispatch, now);
+    let _span = tel.span_enter(Phase::UnitDispatch);
     let tx = t.row(idx);
     let (src, dst) = (tx.src, tx.dst);
     loop {
@@ -453,7 +436,6 @@ fn pump_payment(
         if let Some(cc) = t.congestion.as_mut() {
             cc.on_send(src, dst);
         }
-        tel.span_items(Phase::UnitDispatch, 1);
         let fate = match t.faults.as_mut() {
             Some(faults) => {
                 let (config, stats) = (&faults.config, &mut faults.stats);
@@ -494,7 +476,7 @@ fn attempt_atomic(
     idx: usize,
     now: f64,
 ) {
-    let _span = batch_span(t.tel, Phase::UnitDispatch, now);
+    let _span = t.tel.span_enter(Phase::UnitDispatch);
     let tx = t.row(idx);
     let (src, dst, amount) = (tx.src, tx.dst, tx.amount);
     let parts = t.with_sender_view(idx, now, |view| {
@@ -633,13 +615,13 @@ pub fn run_queued(
         }
         match event {
             Event::Arrival(i) => {
-                let _span = event_span(tel, Phase::RoutingDecision, now);
+                let _span = tel.span_enter(Phase::RoutingDecision);
                 t.arrive(i, now);
                 pump_source(&mut t, &mut paths, config, i, now);
             }
             Event::HopArrive { unit } => {
                 let u = &t.units[unit];
-                let _span = event_span(tel, Phase::QueueDrain, now);
+                let _span = tel.span_enter(Phase::QueueDrain);
                 if u.locked as usize == u.path.len() {
                     // Reached the destination; key released after Δ.
                     t.queue.push(now + DELTA, Event::Settle { unit });
@@ -648,7 +630,7 @@ pub fn run_queued(
                 }
             }
             Event::Settle { unit } => {
-                let _span = event_span(tel, Phase::SettleRefund, now);
+                let _span = tel.span_enter(Phase::SettleRefund);
                 t.settle(unit, now);
                 // Every hop's receiving side gained funds: drain the queues
                 // that send *from* those sides.
@@ -658,7 +640,7 @@ pub fn run_queued(
                 }
             }
             Event::Tick => {
-                let _span = batch_span(tel, Phase::QueueDrain, now);
+                let _span = tel.span_enter(Phase::QueueDrain);
                 tel.counter_add("sim.scheduler.polls", 1);
                 t.expire_deadlines(now);
                 sweep_expired(&mut t, now);
@@ -700,7 +682,7 @@ fn pump_source(
     idx: usize,
     now: f64,
 ) {
-    let _span = batch_span(t.tel, Phase::UnitDispatch, now);
+    let _span = t.tel.span_enter(Phase::UnitDispatch);
     let tx = t.row(idx);
     let (src, dst) = (tx.src, tx.dst);
     loop {

@@ -701,14 +701,12 @@ impl<'a> ShardCtx<'a> {
     /// once handled — keeping them for reuse cost 16 % of peak RSS.
     fn process_messages(&mut self, epoch: u64) {
         let slot = self.agenda.take(epoch);
-        let due = slot.iter().map(|list| list.len() as u64).sum();
+        let due: u64 = slot.iter().map(|list| list.len() as u64).sum();
         if due == 0 {
             return;
         }
         let (tel, lane) = (&self.cfg.telemetry, u32::from(self.shard));
         let _span = tel.span_enter_lane(Phase::MessageMerge, lane);
-        tel.span_items_lane(Phase::MessageMerge, lane, due);
-        tel.span_sim(Phase::MessageMerge, t_of(epoch));
         self.metrics.events_processed += due;
         for mut list in slot {
             let counter = match list.first().map(|msg| &msg.body) {
@@ -1021,7 +1019,6 @@ impl<'a> ShardCtx<'a> {
             // Compute: everything here touches only shard-owned state.
             {
                 let _span = tel.span_enter_lane(Phase::EpochCompute, lane);
-                tel.span_sim(Phase::EpochCompute, t_of(epoch));
                 self.process_messages(epoch);
                 self.process_arrivals(epoch);
                 if epoch % self.clock.poll_epochs == 0 {

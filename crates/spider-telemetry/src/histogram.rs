@@ -93,20 +93,6 @@ impl Histogram {
         q * self.count as f64 > (self.count - overflow) as f64
     }
 
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean sample, or zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
     /// Estimated `q`-quantile (`0.0 ..= 1.0`), or zero when empty.
     ///
     /// Linear interpolation within the covering bucket, clamped to the
@@ -287,8 +273,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert!((h.sum() - 16.6).abs() < 1e-12);
-        assert!((h.mean() - 3.32).abs() < 1e-12);
+        assert!((h.snapshot("x", "").sum - 16.6).abs() < 1e-12);
     }
 
     #[test]
@@ -320,9 +305,8 @@ mod tests {
     fn empty_histogram_is_safe() {
         let h = Histogram::latency_default();
         assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.mean(), 0.0);
         let s = h.snapshot("x", "");
-        assert_eq!(s.count, 0);
+        assert_eq!((s.count, s.sum), (0, 0.0));
         assert!(s.buckets.is_empty());
     }
 

@@ -9,8 +9,8 @@
 //!   as, and serialized to JSON Lines;
 //! - [`bintrace`] — a compact, indexed binary backend for the same event
 //!   streams, with lossless JSONL↔binary converters;
-//! - [`spans`] — an opt-in engine-phase profiler splitting deterministic
-//!   sim-time counters from nondeterministic wall-clock totals;
+//! - [`spans`] — an opt-in engine-phase profiler of wall time and calls
+//!   per phase, read by timing output only;
 //! - [`summary`] — aggregated per-run telemetry ([`TelemetrySummary`])
 //!   embedded in simulation reports.
 //!
@@ -34,7 +34,7 @@ pub mod trace;
 pub use bintrace::{BinTraceError, BinTraceWriter, TraceQuery};
 pub use histogram::{Histogram, HistogramSnapshot, HistogramState};
 pub use registry::{MetricEntry, MetricsRegistry, MetricsSnapshot, RegistryState};
-pub use spans::{Phase, PhaseProfile, PhaseWallStat, SpanGuard, SpanProfiler};
+pub use spans::{Phase, PhaseWallStat, SpanGuard, SpanProfiler};
 pub use summary::{DelayPercentiles, NetworkSample, TelemetrySummary};
 pub use trace::{count_by_kind, events_to_jsonl, parse_jsonl, TraceEvent, Tracer};
 
@@ -139,7 +139,7 @@ impl Telemetry {
     }
 
     /// An enabled handle that also records engine-phase spans (wall time
-    /// and deterministic phase counters) via a [`SpanProfiler`].
+    /// and calls per phase) via a [`SpanProfiler`].
     pub fn profiled() -> Self {
         Self::build(DEFAULT_SAMPLE_INTERVAL, true)
     }
@@ -233,31 +233,6 @@ impl Telemetry {
         }
     }
 
-    /// Adds `n` processed items to `phase` (deterministic; no-op unless
-    /// profiling).
-    #[inline]
-    pub fn span_items(&self, phase: Phase, n: u64) {
-        if let Some(p) = self.profiler() {
-            p.add_items(phase, n);
-        }
-    }
-
-    /// Adds `n` processed items to `phase` for `lane` and globally.
-    #[inline]
-    pub fn span_items_lane(&self, phase: Phase, lane: u32, n: u64) {
-        if let Some(p) = self.profiler() {
-            p.add_items_lane(phase, lane, n);
-        }
-    }
-
-    /// Widens `phase`'s active sim-time window to include `t`.
-    #[inline]
-    pub fn span_sim(&self, phase: Phase, t: f64) {
-        if let Some(p) = self.profiler() {
-            p.mark_sim(phase, t);
-        }
-    }
-
     /// Direct access to the span profiler, when profiling.
     pub fn profiler(&self) -> Option<&SpanProfiler> {
         self.inner.as_ref().and_then(|i| i.profiler.as_ref())
@@ -330,11 +305,6 @@ impl Telemetry {
             event_counts,
             network_series,
             metrics: inner.registry.snapshot(),
-            phases: inner
-                .profiler
-                .as_ref()
-                .map(|p| p.phases())
-                .unwrap_or_default(),
         })
     }
 }

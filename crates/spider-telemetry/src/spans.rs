@@ -1,22 +1,18 @@
 //! Hierarchical engine-phase span profiler.
 //!
-//! The profiler answers "where does the time go?" for one simulation run,
-//! split into what repeats and what does not:
+//! The profiler answers "where does the wall time go?" for one simulation
+//! run: per phase, the number of spans entered and the wall time spent
+//! inside them, globally and per lane (shard rank), plus a histogram of
+//! each lane's barrier waits. Wall time is read through monotonic
+//! [`Instant`]s inside this crate only (the engines never touch the clock,
+//! keeping them clean under the determinism lint), and it is surfaced only
+//! in timing output, never in a report.
 //!
-//! - **deterministic** per-phase counters — call counts, item counts, and
-//!   the sim-time window each phase was active over — a pure function of
-//!   the simulation inputs, safe to serialize into reports;
-//! - **nondeterministic** wall-clock totals — accumulated via monotonic
-//!   [`Instant`] reads inside this crate only (the engines never touch the
-//!   clock, keeping them clean under the determinism lint) — surfaced
-//!   separately, never mixed into result JSON.
-//!
-//! Phases form a shallow hierarchy: the sharded engine's epoch-compute
-//! phase contains the per-event phases (routing decision, unit dispatch,
-//! settle/refund, queue drain, fault processing) and the message merge;
-//! barrier wait sits alongside it. Sequential engines record the leaf
-//! phases only. Wall times are *inclusive* — a parent span covers its
-//! children.
+//! Spans nest: the sharded engine's epoch-compute span contains the
+//! per-event phases (routing decision, unit dispatch, settle/refund, queue
+//! drain) and the message merge; barrier wait sits alongside it.
+//! Sequential engines record the leaf phases only. Wall times are
+//! *inclusive* — an enclosing span covers the spans inside it.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
@@ -75,21 +71,6 @@ impl Phase {
         }
     }
 
-    /// Enclosing phase, when one exists. Leaf phases run inside the
-    /// sharded engine's epoch-compute span; in sequential engines the
-    /// parent simply records no calls and breakdowns render flat.
-    pub fn parent(self) -> Option<Phase> {
-        match self {
-            Phase::RoutingDecision
-            | Phase::UnitDispatch
-            | Phase::SettleRefund
-            | Phase::QueueDrain
-            | Phase::FaultProcessing
-            | Phase::MessageMerge => Some(Phase::EpochCompute),
-            Phase::EpochCompute | Phase::BarrierWait => None,
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             Phase::RoutingDecision => 0,
@@ -104,39 +85,31 @@ impl Phase {
     }
 }
 
-/// Per-phase accumulator. `calls`/`items`/sim window are deterministic;
-/// `wall_ns` is wall clock and never serialized with results.
-#[derive(Clone, Copy, Debug)]
+/// Per-phase accumulator: spans entered and wall time spent inside them.
+#[derive(Clone, Copy, Debug, Default)]
 struct PhaseAccum {
     calls: u64,
-    items: u64,
-    sim_first: f64,
-    sim_last: f64,
     wall_ns: u64,
-}
-
-impl Default for PhaseAccum {
-    fn default() -> Self {
-        PhaseAccum {
-            calls: 0,
-            items: 0,
-            sim_first: f64::INFINITY,
-            sim_last: f64::NEG_INFINITY,
-            wall_ns: 0,
-        }
-    }
-}
-
-impl PhaseAccum {
-    fn is_touched(&self) -> bool {
-        self.calls > 0 || self.items > 0 || self.sim_first.is_finite()
-    }
 }
 
 /// Default bucket layout for barrier-wait histograms: 1 µs .. ~1.2 s,
 /// ~26% relative resolution (milliseconds).
 fn barrier_histogram() -> Histogram {
     Histogram::exponential(0.001, 1.26, 60)
+}
+
+/// The phases of `accs` that recorded a span, in [`Phase::ALL`] order.
+fn wall_stats(accs: &[PhaseAccum; PHASE_COUNT]) -> Vec<PhaseWallStat> {
+    Phase::ALL
+        .iter()
+        .map(|&phase| (phase, accs[phase.index()]))
+        .filter(|(_, acc)| acc.calls > 0)
+        .map(|(phase, acc)| PhaseWallStat {
+            phase: phase.name().to_string(),
+            calls: acc.calls,
+            wall_ms: acc.wall_ns as f64 / 1.0e6,
+        })
+        .collect()
 }
 
 #[derive(Debug, Default)]
@@ -150,9 +123,8 @@ struct ProfilerState {
 
 /// Collects per-phase statistics for one run.
 ///
-/// Thread-safe: shard workers record concurrently. Deterministic fields
-/// commute under addition/min/max, so their totals are independent of
-/// thread interleaving.
+/// Thread-safe: shard workers record concurrently. Call counts commute
+/// under addition, so their totals are independent of thread interleaving.
 #[derive(Debug, Default)]
 pub struct SpanProfiler {
     state: Mutex<ProfilerState>,
@@ -196,33 +168,6 @@ impl SpanProfiler {
         }
     }
 
-    /// Adds `n` processed items to `phase` (deterministic).
-    pub fn add_items(&self, phase: Phase, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.lock().global[phase.index()].items += n;
-    }
-
-    /// Adds `n` processed items to `phase` for `lane` and globally.
-    pub fn add_items_lane(&self, phase: Phase, lane: u32, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let mut state = self.lock();
-        state.global[phase.index()].items += n;
-        state.lanes.entry(lane).or_default()[phase.index()].items += n;
-    }
-
-    /// Widens `phase`'s active sim-time window to include `t`
-    /// (deterministic).
-    pub fn mark_sim(&self, phase: Phase, t: f64) {
-        let mut state = self.lock();
-        let acc = &mut state.global[phase.index()];
-        acc.sim_first = acc.sim_first.min(t);
-        acc.sim_last = acc.sim_last.max(t);
-    }
-
     fn record_wall(&self, phase: Phase, lane: Option<u32>, elapsed_ns: u64) {
         let mut state = self.lock();
         let acc = &mut state.global[phase.index()];
@@ -242,47 +187,10 @@ impl SpanProfiler {
         }
     }
 
-    /// Deterministic per-phase breakdown (no wall times). Only phases that
-    /// recorded anything appear, in [`Phase::ALL`] order.
-    pub fn phases(&self) -> Vec<PhaseProfile> {
-        let state = self.lock();
-        Phase::ALL
-            .iter()
-            .filter_map(|&phase| {
-                let acc = state.global[phase.index()];
-                if !acc.is_touched() {
-                    return None;
-                }
-                Some(PhaseProfile {
-                    phase: phase.name().to_string(),
-                    parent: phase.parent().map(|p| p.name().to_string()),
-                    calls: acc.calls,
-                    items: acc.items,
-                    sim_first: acc.sim_first.is_finite().then_some(acc.sim_first),
-                    sim_last: acc.sim_last.is_finite().then_some(acc.sim_last),
-                })
-            })
-            .collect()
-    }
-
     /// Wall-clock per-phase breakdown (nondeterministic — keep it in
     /// timing-only output, never in a report).
     pub fn wall_phases(&self) -> Vec<PhaseWallStat> {
-        let state = self.lock();
-        Phase::ALL
-            .iter()
-            .filter_map(|&phase| {
-                let acc = state.global[phase.index()];
-                if acc.calls == 0 {
-                    return None;
-                }
-                Some(PhaseWallStat {
-                    phase: phase.name().to_string(),
-                    calls: acc.calls,
-                    wall_ms: acc.wall_ns as f64 / 1.0e6,
-                })
-            })
-            .collect()
+        wall_stats(&self.lock().global)
     }
 
     /// Lanes (shard ranks) that recorded any span, in rank order.
@@ -292,24 +200,11 @@ impl SpanProfiler {
 
     /// Wall-clock breakdown for one lane.
     pub fn lane_wall_phases(&self, lane: u32) -> Vec<PhaseWallStat> {
-        let state = self.lock();
-        let Some(accs) = state.lanes.get(&lane) else {
-            return Vec::new();
-        };
-        Phase::ALL
-            .iter()
-            .filter_map(|&phase| {
-                let acc = accs[phase.index()];
-                if acc.calls == 0 {
-                    return None;
-                }
-                Some(PhaseWallStat {
-                    phase: phase.name().to_string(),
-                    calls: acc.calls,
-                    wall_ms: acc.wall_ns as f64 / 1.0e6,
-                })
-            })
-            .collect()
+        self.lock()
+            .lanes
+            .get(&lane)
+            .map(wall_stats)
+            .unwrap_or_default()
     }
 
     /// Snapshot of one lane's barrier-wait histogram (milliseconds of wall
@@ -362,28 +257,6 @@ impl std::fmt::Debug for SpanGuard<'_> {
     }
 }
 
-/// Deterministic per-phase statistics, embedded in `TelemetrySummary`
-/// when profiling is on. Contains **no wall-clock data** by construction.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhaseProfile {
-    /// Phase name (see [`Phase::name`]).
-    pub phase: String,
-    /// Enclosing phase name, when the phase nests (sharded engine).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub parent: Option<String>,
-    /// Number of spans recorded for this phase.
-    pub calls: u64,
-    /// Items processed inside this phase (units, messages, events — as
-    /// attributed by the engine).
-    pub items: u64,
-    /// Earliest sim time the phase was active at, if marked.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sim_first: Option<f64>,
-    /// Latest sim time the phase was active at, if marked.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub sim_last: Option<f64>,
-}
-
 /// Wall-clock per-phase statistics — nondeterministic, restricted to
 /// timing-only output (the frozen benchmark's per-layer metrics).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -410,34 +283,10 @@ mod tests {
         {
             let _g = p.enter(Phase::RoutingDecision);
         }
-        let phases = p.phases();
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].phase, "routing_decision");
-        assert_eq!(phases[0].calls, 2);
         let wall = p.wall_phases();
         assert_eq!(wall.len(), 1);
+        assert_eq!(wall[0].phase, "routing_decision");
         assert_eq!(wall[0].calls, 2);
-    }
-
-    #[test]
-    fn deterministic_fields_exclude_wall() {
-        let p = SpanProfiler::new();
-        {
-            let _g = p.enter(Phase::UnitDispatch);
-        }
-        p.add_items(Phase::UnitDispatch, 5);
-        p.mark_sim(Phase::UnitDispatch, 1.5);
-        p.mark_sim(Phase::UnitDispatch, 0.5);
-        let profile = &p.phases()[0];
-        assert_eq!(profile.items, 5);
-        assert_eq!(profile.sim_first, Some(0.5));
-        assert_eq!(profile.sim_last, Some(1.5));
-        // Serialized form carries no wall-clock field at all.
-        let json = serde_json::to_string(profile).unwrap();
-        assert!(
-            !json.contains("wall"),
-            "deterministic profile leaked wall time: {json}"
-        );
     }
 
     #[test]
@@ -466,10 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_order_and_parents_stable() {
+    fn phase_order_stable() {
         assert_eq!(Phase::ALL.len(), PHASE_COUNT);
-        assert_eq!(Phase::RoutingDecision.parent(), Some(Phase::EpochCompute));
-        assert_eq!(Phase::BarrierWait.parent(), None);
         let mut names: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         names.dedup();
         assert_eq!(names.len(), PHASE_COUNT);

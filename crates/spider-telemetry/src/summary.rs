@@ -1,7 +1,6 @@
 //! Aggregated telemetry embedded into simulation reports.
 
 use crate::registry::MetricsSnapshot;
-use crate::spans::PhaseProfile;
 use serde::{Deserialize, Serialize};
 
 fn is_false(v: &bool) -> bool {
@@ -61,10 +60,6 @@ pub struct TelemetrySummary {
     /// Snapshot of every registered metric.
     #[serde(default)]
     pub metrics: MetricsSnapshot,
-    /// Deterministic per-phase profiler breakdown (empty unless the run
-    /// used a profiled telemetry handle; contains no wall-clock data).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub phases: Vec<PhaseProfile>,
 }
 
 impl TelemetrySummary {
@@ -95,7 +90,6 @@ mod tests {
                 max_queue_depth: 0,
             }],
             metrics: MetricsSnapshot::default(),
-            phases: Vec::new(),
         };
         let json = serde_json::to_string(&summary).unwrap();
         let back: TelemetrySummary = serde_json::from_str(&json).unwrap();

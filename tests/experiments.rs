@@ -212,6 +212,68 @@ fn fig6_ripple_ordering() {
     }
 }
 
+/// EXPERIMENTS.md's label for each Fig. 6 scheme, in table order.
+const FIG6_ROWS: [(&str, &str); 6] = [
+    ("SilentWhispers", "silentwhispers"),
+    ("SpeedyMurmurs", "speedymurmurs"),
+    ("shortest-path (SRPT)", "shortest-path"),
+    ("max-flow", "max-flow"),
+    ("Spider (waterfilling)", "spider-waterfilling"),
+    ("Spider (LP)", "spider-lp"),
+];
+
+/// The `(label, success ratio, success volume)` rows of the first table
+/// after the line of EXPERIMENTS.md that starts with `heading`, bold
+/// markers stripped.
+fn experiments_md_table(doc: &str, heading: &str) -> Vec<(String, String, String)> {
+    let mut lines = doc.lines().skip_while(|l| !l.starts_with(heading));
+    assert!(lines.next().is_some(), "EXPERIMENTS.md has no {heading:?}");
+    lines
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2)
+        .map(|row| {
+            let cells: Vec<String> = row
+                .split('|')
+                .map(|c| c.trim().replace("**", ""))
+                .filter(|c| !c.is_empty())
+                .collect();
+            assert_eq!(cells.len(), 3, "not a Fig. 6 row: {row}");
+            (cells[0].clone(), cells[1].clone(), cells[2].clone())
+        })
+        .collect()
+}
+
+/// EXPERIMENTS.md's two Fig. 6 tables print what `fig6` computes today, to
+/// the three decimals they show.
+#[test]
+#[ignore = "tier-2: Fig. 6 on ISP and the 400-node Ripple graph, ~6 s in release; run with --release --ignored"]
+fn fig6_tables_match_experiments_md() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    for (heading, cfg) in [
+        ("**ISP-like topology**", ExperimentConfig::isp_quick()),
+        ("**Ripple-like topology**", ExperimentConfig::ripple_quick()),
+    ] {
+        let table = experiments_md_table(&doc, heading);
+        let reports = fig6_reports(&cfg);
+        assert_eq!(table.len(), FIG6_ROWS.len(), "{heading}: {table:?}");
+        for ((label, ratio, volume), (want_label, name)) in table.iter().zip(FIG6_ROWS) {
+            assert_eq!(label, want_label, "{heading}: row order");
+            let r = scheme(&reports, name);
+            let measured = (
+                format!("{:.3}", r.success_ratio()),
+                format!("{:.3}", r.success_volume()),
+            );
+            assert_eq!(
+                (ratio, volume),
+                (&measured.0, &measured.1),
+                "{heading} {label}: EXPERIMENTS.md vs fig6"
+            );
+        }
+    }
+}
+
 /// Fig. 7 shape at capacities 10k / 30k / 100k: success grows with
 /// capacity for adaptive schemes, and the LP is comparatively insensitive
 /// to capacity.

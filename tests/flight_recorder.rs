@@ -12,7 +12,8 @@
 //! - `run_sharded` reports expose per-shard epoch metrics, and profiled
 //!   runs add barrier-wait histograms.
 //! - A profiled telemetry handle changes no report or trace byte on any
-//!   engine; only `telemetry.phases` is added.
+//!   engine: the whole report JSON and the trace match a plain run's, and
+//!   the wall-clock spans stay in the profiler.
 
 use proptest::prelude::*;
 use spider::prelude::*;
@@ -380,19 +381,22 @@ fn profiled_sharded_run_records_barrier_wait_histograms() {
 }
 
 /// Runs `engine` once with a plain and once with a profiled handle and
-/// asserts the two outcomes agree byte for byte.
+/// asserts the two outcomes agree byte for byte, whole report included.
 fn assert_profiling_inert(name: &str, engine: impl Fn(Telemetry) -> SimReport) {
-    let outcome = |tel: Telemetry| {
-        let mut report = engine(tel.clone());
-        let summary = report.telemetry.as_mut().expect("telemetry was on");
-        // The only field that may differ.
-        let phases = std::mem::take(&mut summary.phases);
+    let outcome = |tel: &Telemetry| {
+        let report = engine(tel.clone());
         let json = serde_json::to_string(&report).expect("report serializes");
-        (json, events_to_jsonl(&tel.events()), phases)
+        (json, events_to_jsonl(&tel.events()))
     };
-    let (plain_json, plain_trace, plain_phases) = outcome(Telemetry::enabled());
-    let (prof_json, prof_trace, prof_phases) = outcome(Telemetry::profiled());
-    assert!(plain_phases.is_empty() && !prof_phases.is_empty(), "{name}");
+    let (plain, profiled) = (Telemetry::enabled(), Telemetry::profiled());
+    let (plain_json, plain_trace) = outcome(&plain);
+    let (prof_json, prof_trace) = outcome(&profiled);
+    let walls = |tel: &Telemetry| tel.profiler().map(|p| p.wall_phases());
+    assert!(walls(&plain).is_none(), "{name}: plain handle profiled");
+    assert!(
+        walls(&profiled).is_some_and(|w| !w.is_empty()),
+        "{name}: profiled handle recorded no span"
+    );
     assert!(!plain_trace.is_empty(), "{name}: trace recorded");
     assert_eq!(
         plain_json, prof_json,
