@@ -18,7 +18,8 @@
 //! `src` leaves at `dst`; it is *not* "lowest node ids first".
 
 use spider_core::{
-    Amount, BalanceView, BinError, ChannelSet, Dec, Enc, Network, NodeId, PairTable, Path,
+    Amount, BalanceView, BinError, ChannelId, ChannelSet, Dec, Direction, Enc, Network, NodeId,
+    PairTable, Path,
 };
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -498,6 +499,41 @@ impl PathCache {
             stats.computed_paths += paths.len() as u64;
             paths.into_iter().map(Arc::new).collect()
         })
+    }
+
+    /// Names why no cached path for `(src, dst)` can carry `unit` under
+    /// `balances`: one hop per path whose sending side holds less than
+    /// `unit` (the first such hop), pushed to `out` as `(channel, direction
+    /// crossed)`. `true` when every path has one, so the pair's schemes
+    /// answer `Unavailable` until one of the named sides is credited;
+    /// `false` when some path can carry the unit, or the pair has no cached
+    /// paths. Reads the cache without counting a lookup.
+    pub fn blockers(
+        &self,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        unit: Amount,
+        out: &mut Vec<(ChannelId, Direction)>,
+    ) -> bool {
+        let Some(paths) = self.cache.get(src, dst).filter(|p| !p.is_empty()) else {
+            return false;
+        };
+        for path in paths {
+            let mut hops = path.hops().iter().zip(path.nodes());
+            match hops.find(|&(&(c, dir), &from)| balances.available_dir(c, from, dir) < unit) {
+                Some((&hop, _)) => out.push(hop),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Counts `n` lookups that were not made: asks a caller skipped because
+    /// [`blockers`](Self::blockers) proved their answer, counted as made so
+    /// that the counters do not depend on which asks were skipped.
+    pub fn count_lookups(&mut self, n: u64) {
+        self.stats.lookups += n;
     }
 
     /// Serializes the cache's resumable state: the set of cached pairs plus

@@ -79,6 +79,39 @@ pub trait RoutingScheme: Send {
         UnitDecision::Never
     }
 
+    /// Called after [`route_unit`](RoutingScheme::route_unit) answered
+    /// [`UnitDecision::Unavailable`] for a `unit` from `src` to `dst`:
+    /// `true` promises that, until one of the channel sides pushed to `out`
+    /// — `(channel, direction crossed)`, the side that sends that way — is
+    /// credited, every further ask for that pair and unit (or a larger one)
+    /// answers `Unavailable` again and changes no state of the scheme. The
+    /// engine may then skip those asks (see
+    /// [`count_skipped`](RoutingScheme::count_skipped)). Must not count as
+    /// an ask. The default, `false`, means "keep asking me": a scheme
+    /// whose asks move its own state (deficit round robin, prices) keeps
+    /// it.
+    fn blockers(
+        &self,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        unit: Amount,
+        out: &mut Vec<(ChannelId, Direction)>,
+    ) -> bool {
+        let _ = (balances, src, dst, unit, out);
+        false
+    }
+
+    /// The engine skipped `asks` calls to
+    /// [`route_unit`](RoutingScheme::route_unit) that
+    /// [`blockers`](RoutingScheme::blockers) proved would answer
+    /// `Unavailable`. A scheme whose counters count asks counts these as
+    /// made, so its [`telemetry_stats`](RoutingScheme::telemetry_stats) do
+    /// not depend on which asks were skipped. The default ignores them.
+    fn count_skipped(&mut self, asks: u64) {
+        let _ = asks;
+    }
+
     /// Deterministic work counters accumulated by this scheme (path-cache
     /// activity, solver invocations, ...), as `(metric name, value)` pairs
     /// for a telemetry registry. Counters must be pure functions of the

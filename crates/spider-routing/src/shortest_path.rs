@@ -3,7 +3,7 @@
 
 use crate::paths::{path_bottleneck, PathCache, PathStrategy};
 use crate::scheme::{RoutingScheme, SchemeKind, UnitDecision};
-use spider_core::{Amount, BalanceView, Network, NodeId};
+use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId};
 
 /// Routes every transaction unit on the (cached) BFS shortest path.
 #[derive(Debug)]
@@ -52,6 +52,21 @@ impl RoutingScheme for ShortestPathScheme {
         } else {
             UnitDecision::Unavailable
         }
+    }
+
+    fn blockers(
+        &self,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        unit: Amount,
+        out: &mut Vec<(ChannelId, Direction)>,
+    ) -> bool {
+        self.cache.blockers(balances, src, dst, unit, out)
+    }
+
+    fn count_skipped(&mut self, asks: u64) {
+        self.cache.count_lookups(asks);
     }
 
     fn telemetry_stats(&self) -> Vec<(&'static str, u64)> {

@@ -8,7 +8,7 @@
 
 use crate::paths::{path_bottleneck, PathCache, PathStrategy};
 use crate::scheme::{RoutingScheme, SchemeKind, UnitDecision};
-use spider_core::{Amount, BalanceView, Network, NodeId, Path};
+use spider_core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId, Path};
 use std::sync::Arc;
 
 /// The waterfilling preference among candidate paths: the largest
@@ -88,6 +88,21 @@ impl RoutingScheme for WaterfillingScheme {
         } else {
             UnitDecision::Unavailable
         }
+    }
+
+    fn blockers(
+        &self,
+        balances: &dyn BalanceView,
+        src: NodeId,
+        dst: NodeId,
+        unit: Amount,
+        out: &mut Vec<(ChannelId, Direction)>,
+    ) -> bool {
+        self.cache.blockers(balances, src, dst, unit, out)
+    }
+
+    fn count_skipped(&mut self, asks: u64) {
+        self.cache.count_lookups(asks);
     }
 
     fn telemetry_stats(&self) -> Vec<(&'static str, u64)> {

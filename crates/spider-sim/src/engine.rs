@@ -17,12 +17,21 @@
 //!
 //! - [`run`] queues at the **source** (§6.1, the paper's evaluation): a
 //!   pluggable [`RoutingScheme`] picks each unit's path, the whole path is
-//!   locked at once, and payments that cannot send wait in a global queue
-//!   polled periodically in scheduling-policy order (SRPT by default); it
-//!   is the driver that takes a fault plan, and the one whose senders can
-//!   run an AIMD window ([`SimConfig::congestion`]) and whose routers can
-//!   rebalance on chain ([`SimConfig::rebalance`]), each at one fixed
-//!   setting;
+//!   locked at once, and payments that cannot send wait at their source,
+//!   served at each scheduler tick in scheduling-policy order (SRPT by
+//!   default). A payment the scheme answers `Unavailable` is parked on the
+//!   dry channel sides the scheme names ([`RoutingScheme::blockers`]) and
+//!   served again only after a settle, a refund or an on-chain rebalance
+//!   credits one of them; until then each tick counts the ask it skips
+//!   ([`RoutingScheme::count_skipped`]), so reports and snapshots are those
+//!   of a driver that asks every pending payment at every tick. A tick
+//!   still asks every pending payment when the scheme names no blockers
+//!   (Spider-LP and prices: an ask moves their state), under congestion
+//!   control (an `Unavailable` moves the window) and under a fault plan
+//!   (the mask changes with time). It is the driver that takes a fault
+//!   plan, and the one whose senders can run an AIMD window
+//!   ([`SimConfig::congestion`]) and whose routers can rebalance on chain
+//!   ([`SimConfig::rebalance`]), each at one fixed setting;
 //! - [`run_queued`] queues at the **routers** (Fig. 3 / §4.2): a unit is
 //!   admitted as soon as its first hop can be funded, waits in a per-channel
 //!   queue wherever the next hop is dry, and moves on when a settlement
@@ -41,11 +50,11 @@ use crate::ledger::{sender_side, tokens};
 use crate::metrics::SimReport;
 use crate::payment::{FailCause, PaymentStatus};
 use crate::rebalancer;
-use crate::scheduler::SchedulePolicy;
+use crate::scheduler::{SchedulePolicy, WakeLists};
 use crate::snapshot::{self, CheckpointSpec, SnapshotError};
 use crate::transport::{record_release, Event, RouterQueues, Transport};
 use serde::{Deserialize, Serialize};
-use spider_core::{crc32, Amount, ChannelId, Enc, Network, Path};
+use spider_core::{crc32, Amount, ChannelId, Direction, Enc, Network, Path};
 use spider_routing::{waterfilling, PathCache, PathStrategy};
 use spider_routing::{RoutingScheme, SchemeKind, UnitDecision};
 use spider_telemetry::{Phase, Telemetry, TraceEvent};
@@ -244,7 +253,8 @@ pub fn resume(
 // ---------------------------------------------------------------------------
 // Queueing at the source (§6.1): a unit leaves the sender only when its
 // whole path can be locked, and a payment that cannot send waits in the
-// pending list for the next scheduler tick.
+// pending list for a scheduler tick — the next one when it is polled, the
+// first after a credit to a side blocking it when it is parked.
 
 fn run_source_queued(
     network: &Network,
@@ -265,6 +275,10 @@ fn run_source_queued(
     t.audit = config.audit.then(|| LedgerAudit::new(&t.ledger));
     // Only packet-switched senders have units in flight to window.
     t.congestion = (config.congestion && split).then(CongestionControl::default);
+    // A blocked payment waits for a credit, unless what it waits for moves
+    // without one: its congestion window, or the fault mask.
+    let polled = config.congestion || plan.is_some();
+    t.wake_lists = (split && !polled).then(|| WakeLists::new(network.num_channels()));
     let fp = if ckpt.is_some() || resume.is_some() {
         fingerprint(network, transactions, config, scheme.name())
     } else {
@@ -278,6 +292,7 @@ fn run_source_queued(
                 .map_err(|e| SnapshotError::Unsupported {
                     what: format!("scheme state restore: {e}"),
                 })?;
+            t.repark(scheme);
         }
         None => t.seed(plan, config.rebalance),
     }
@@ -337,9 +352,11 @@ fn run_source_queued(
             Event::Tick => {
                 let _span = tel.span_enter(Phase::QueueDrain);
                 tel.counter_add("sim.scheduler.polls", 1);
-                t.expire_deadlines(now);
+                t.begin_tick(now);
                 if split {
-                    for idx in t.pending_in_order(config.policy) {
+                    let (due, skipped) = t.due_in_order(config.policy, t.checkpoint_due(ckpt));
+                    scheme.count_skipped(skipped);
+                    for idx in due {
                         pump_payment(&mut t, scheme, config, idx, now);
                     }
                 }
@@ -408,6 +425,7 @@ fn pump_payment(
                 if let Some(cc) = t.congestion.as_mut() {
                     cc.on_unavailable(src, dst);
                 }
+                t.park(scheme, idx, unit);
                 break;
             }
             UnitDecision::Never => {
@@ -431,6 +449,7 @@ fn pump_payment(
         }
         if t.ledger.lock_path(t.network, &path, unit).is_err() {
             // Scheme raced its own view; treat as temporarily unavailable.
+            t.wake(idx);
             break;
         }
         if let Some(cc) = t.congestion.as_mut() {
@@ -577,6 +596,9 @@ fn rebalance_apply(t: &mut Transport, channel: ChannelId, now: f64) {
             }
         };
     t.rebalance.add((taken, fee_paid));
+    if let Some(wake) = t.wake_lists.as_mut() {
+        wake.credit([(channel, Direction::AtoB), (channel, Direction::BtoA)]);
+    }
     t.tel.emit(|| TraceEvent::RebalanceApplied {
         t: now,
         channel: channel.index() as u32,
@@ -642,9 +664,9 @@ pub fn run_queued(
             Event::Tick => {
                 let _span = tel.span_enter(Phase::QueueDrain);
                 tel.counter_add("sim.scheduler.polls", 1);
-                t.expire_deadlines(now);
+                t.begin_tick(now);
                 sweep_expired(&mut t, now);
-                for idx in t.pending_in_order(SchedulePolicy::Srpt) {
+                for idx in t.due_in_order(SchedulePolicy::Srpt, false).0 {
                     pump_source(&mut t, &mut paths, config, idx, now);
                 }
                 t.end_tick(now);

@@ -27,6 +27,17 @@
 //! `FaultView` for the sender's recovery, [`FaultEvent::trace`] — are this
 //! engine's alone, and only the source-queued driver takes a fault plan.
 //!
+//! A source-queued payment that cannot send waits for a tick. The transport
+//! keeps the pending list, which a tick prunes, and — unless every pending
+//! payment is polled — the [`WakeLists`]: the payments parked on each dry
+//! channel side, and those a credit woke. `settle` credits every hop's
+//! receiving side, `fail` the sending sides of the locked prefix (and wakes
+//! the payment whose value came back), and the driver's rebalancing both
+//! sides of the channel; [`due_in_order`](Transport::due_in_order) hands a
+//! tick the woken payments in policy order and the number of asks it
+//! skips. The router-queued driver polls, as the source-queued one does
+//! under congestion control or a fault plan.
+//!
 //! A unit records how many hops of its path are locked: a source-queued
 //! unit is born with every hop locked, a router-queued unit with one.
 //! Settling or refunding releases the locked prefix and leaves `locked == 0`
@@ -52,12 +63,13 @@ use crate::ledger::{tokens, Ledger, LedgerView, Release};
 use crate::metrics::{tally, SimReport};
 use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Recovery};
 use crate::rebalancer::{self, RebalanceTotals};
-use crate::scheduler::SchedulePolicy;
+use crate::scheduler::{SchedulePolicy, WakeLists};
 use crate::snapshot::{
     self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
     enc_fault_event, enc_path, CheckpointSpec, Snapshot, SnapshotError,
 };
 use spider_core::{Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
+use spider_routing::RoutingScheme;
 use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -384,8 +396,15 @@ pub(crate) struct Transport<'a> {
     arrivals_end: usize,
     pub(crate) payments: Vec<PaymentState>,
     /// Payments that may still have value to send, plus stale entries that
-    /// [`pending_in_order`](Self::pending_in_order) weeds out.
+    /// [`due_in_order`](Self::due_in_order) weeds out each tick. In policy
+    /// order as of the last tick that sorted it: every tick when payments
+    /// are polled, a checkpointing one when they are woken.
     pending: Vec<usize>,
+    /// Where blocked payments wait for a credit, when a tick services only
+    /// the payments a credit woke; `None` when it polls every pending
+    /// payment (the router-queued driver, and the source-queued one under
+    /// congestion control or a fault plan).
+    pub(crate) wake_lists: Option<WakeLists>,
     pub(crate) units: UnitSlab,
     /// Payments `..next_deadline` have had their deadline enforced. Every
     /// payment gets the same window, so deadlines pass in arrival order
@@ -401,7 +420,7 @@ pub(crate) struct Transport<'a> {
     /// even when periodic auditing is off.
     pub(crate) release_violations: Vec<AuditViolation>,
     units_sent: u64,
-    /// Scheduler ticks processed so far (checkpoint cadence).
+    /// Scheduler ticks begun so far (checkpoint cadence).
     ticks: u64,
     network_series: Vec<NetworkSample>,
     /// Channel samples piggyback on ticks at this cadence; no events of
@@ -453,6 +472,7 @@ impl<'a> Transport<'a> {
             arrivals_end: transactions.partition_point(|tx| tx.arrival <= end_time),
             payments: Vec::new(),
             pending: Vec::new(),
+            wake_lists: None,
             units: UnitSlab::default(),
             next_deadline: 0,
             faults: plan.map(|plan| FaultState::new(plan, network)),
@@ -548,7 +568,7 @@ impl<'a> Transport<'a> {
         fingerprint: u32,
         scheme_state: impl FnOnce() -> Vec<u8>,
     ) -> Result<(), SnapshotError> {
-        let Some(ck) = ckpt.filter(|ck| self.ticks.is_multiple_of(ck.every)) else {
+        let Some(ck) = ckpt.filter(|_| self.checkpoint_due(ckpt)) else {
             return Ok(());
         };
         let sections = [
@@ -562,6 +582,12 @@ impl<'a> Transport<'a> {
         let engine = snapshot::ENGINE_SEQ;
         snapshot::write_snapshot(&ck.dir, engine, fingerprint, self.ticks, &sections)?;
         Ok(())
+    }
+
+    /// `true` when `ckpt` asks for a snapshot at the end of the tick begun
+    /// last.
+    pub(crate) fn checkpoint_due(&self, ckpt: Option<&CheckpointSpec>) -> bool {
+        ckpt.is_some_and(|ck| self.ticks.is_multiple_of(ck.every))
     }
 
     /// Trace row `i`: payment `i`'s inputs.
@@ -651,6 +677,9 @@ impl<'a> Transport<'a> {
         debug_assert_eq!(u.locked as usize, u.path.len());
         let (amount, payment) = (u.amount, u.payment());
         let res = (self.ledger).settle_path(self.network, &u.path, amount);
+        if let (Ok(()), Some(wake)) = (&res, self.wake_lists.as_mut()) {
+            wake.credit(u.path.hops().iter().map(|&(c, d)| (c, d.reverse())));
+        }
         self.units.finish(ui);
         self.congestion_outcome(payment, true);
         if let Err(e) = res {
@@ -686,6 +715,11 @@ impl<'a> Transport<'a> {
         let locked = u.locked as usize;
         let res =
             (self.ledger).release_walk(self.network, &u.path, locked, amount, Release::Refund);
+        if let (Ok(()), Some(wake)) = (&res, self.wake_lists.as_mut()) {
+            wake.credit(u.path.hops()[..locked].iter().copied());
+            // The refunded value is the payment's to send again.
+            wake.woken.push(payment);
+        }
         self.units.finish(ui);
         self.congestion_outcome(payment, false);
         if let Err(e) = res {
@@ -734,10 +768,12 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// Abandons, in arrival order, every split payment whose deadline has
-    /// passed by `now`. (A backed-off payment needs no timer: it waits in
-    /// the pending list until its `Recovery::not_before`.)
-    pub(crate) fn expire_deadlines(&mut self, now: f64) {
+    /// Begins a scheduler tick: counts it and abandons, in arrival order,
+    /// every split payment whose deadline has passed by `now`. (A
+    /// backed-off payment needs no timer: it waits in the pending list
+    /// until its `Recovery::not_before`.)
+    pub(crate) fn begin_tick(&mut self, now: f64) {
+        self.ticks += 1;
         while self.split
             && self.next_deadline < self.payments.len()
             && self.deadline(self.next_deadline) <= now
@@ -747,13 +783,91 @@ impl<'a> Transport<'a> {
         }
     }
 
-    /// The payments that may still send, in `policy` service order.
-    pub(crate) fn pending_in_order(&mut self, policy: SchedulePolicy) -> Vec<usize> {
-        let payments = &self.payments;
-        self.pending
-            .retain(|&i| payments[i].status == PaymentStatus::Pending);
-        policy.order(payments, self.transactions, self.window, &mut self.pending);
-        self.pending.clone()
+    /// The payments this tick services, in `policy` order, and the asks it
+    /// skips. Prunes the pending list. When payments are polled, every
+    /// pending one is due and nothing is skipped. When they are woken,
+    /// the due ones are those a credit woke since the last tick (or that
+    /// could not be parked), and every other pending payment with value
+    /// left to send is parked: it would ask once and hear `Unavailable`,
+    /// so it is one skipped ask. The pending list is then sorted only when
+    /// `sort_pending` (a checkpointing tick: `SEC_CORE` stores it in
+    /// order), by the keys of the tick's start.
+    pub(crate) fn due_in_order(
+        &mut self,
+        policy: SchedulePolicy,
+        sort_pending: bool,
+    ) -> (Vec<usize>, u64) {
+        let (payments, rows, window) = (&self.payments, self.transactions, self.window);
+        let asks_anything = |i: usize| {
+            let p = &payments[i];
+            p.status == PaymentStatus::Pending && p.remaining(rows[i].amount).is_positive()
+        };
+        let Some(wake) = self.wake_lists.as_mut() else {
+            self.pending
+                .retain(|&i| payments[i].status == PaymentStatus::Pending);
+            policy.order(payments, rows, window, &mut self.pending);
+            return (self.pending.clone(), 0);
+        };
+        let mut asking = 0;
+        self.pending.retain(|&i| {
+            asking += u64::from(asks_anything(i));
+            payments[i].status == PaymentStatus::Pending
+        });
+        if sort_pending {
+            policy.order(payments, rows, window, &mut self.pending);
+        }
+        let mut due = std::mem::take(&mut wake.woken);
+        due.retain(|&i| asks_anything(i));
+        policy.order(payments, rows, window, &mut due);
+        // The order is total, so a payment woken twice sorts next to itself.
+        due.dedup();
+        let skipped = asking - due.len() as u64;
+        (due, skipped)
+    }
+
+    /// Payment `idx` was just answered `Unavailable` for a `unit`: parks it
+    /// on the sides `scheme` names as blocking it, or, if the scheme names
+    /// none, wakes it for the next tick. Nothing to do when payments are
+    /// polled.
+    pub(crate) fn park(&mut self, scheme: &dyn RoutingScheme, idx: usize, unit: Amount) {
+        let Some(wake) = self.wake_lists.as_mut() else {
+            return;
+        };
+        let tx = &self.transactions[idx];
+        let view = LedgerView {
+            network: self.network,
+            ledger: &self.ledger,
+        };
+        if scheme.blockers(&view, tx.src, tx.dst, unit, &mut wake.sides) {
+            wake.park(idx, &self.payments);
+        } else {
+            wake.sides.clear();
+            wake.woken.push(idx);
+        }
+    }
+
+    /// Payment `idx` stopped sending for a reason no credit announces:
+    /// wakes it for the next tick. Nothing to do when payments are polled.
+    pub(crate) fn wake(&mut self, idx: usize) {
+        if let Some(wake) = self.wake_lists.as_mut() {
+            wake.woken.push(idx);
+        }
+    }
+
+    /// Rebuilds the wake lists of a resumed run from the restored ledger:
+    /// every pending payment with value left to send is parked where
+    /// `scheme` names its blockers now, or woken. Its lists may then wake
+    /// a payment where the uninterrupted run's would not; a wake never
+    /// changes what a tick does, only which of its asks are real.
+    pub(crate) fn repark(&mut self, scheme: &dyn RoutingScheme) {
+        for k in 0..self.pending.len() {
+            let i = self.pending[k];
+            let p = &self.payments[i];
+            let remaining = p.remaining(self.row(i).amount);
+            if p.status == PaymentStatus::Pending && remaining.is_positive() {
+                self.park(scheme, i, remaining.min(self.mtu));
+            }
+        }
     }
 
     // -- faults ---------------------------------------------------------------
@@ -835,7 +949,6 @@ impl<'a> Transport<'a> {
         if next <= self.end_time {
             self.queue.push(next, Event::Tick);
         }
-        self.ticks += 1;
     }
 
     /// Ends the run: the final audit and the report.

@@ -4,14 +4,37 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use spider::core::{Amount, Network, NodeId};
+use spider::core::{Amount, BalanceView, ChannelId, Direction, Network, NodeId};
 use spider::opt::simplex::{LinearProgram, LpOutcome, Relation};
 use spider::opt::FlowNetwork;
 use spider::routing::{edge_disjoint_paths, k_shortest_paths, shortest_path};
+use spider::routing::{RoutingScheme, ShortestPathScheme, UnitDecision, WaterfillingScheme};
 
 /// A connected random network with `n` nodes and edge probability `p`.
 fn random_network(n: usize, p: f64, seed: u64) -> Network {
     spider::topology::erdos_renyi(n, p, Amount::from_whole(10), seed)
+}
+
+/// Per-channel side balances, side 0 sending from `a` to `b`.
+struct Sides<'a> {
+    network: &'a Network,
+    sides: Vec<[Amount; 2]>,
+}
+
+impl Sides<'_> {
+    fn side(dir: Direction) -> usize {
+        match dir {
+            Direction::AtoB => 0,
+            Direction::BtoA => 1,
+        }
+    }
+}
+
+impl BalanceView for Sides<'_> {
+    fn available(&self, channel: ChannelId, from: NodeId) -> Amount {
+        let side = usize::from(self.network.channel(channel).a != from);
+        self.sides[channel.index()][side]
+    }
 }
 
 /// Brute-force: all simple-path hop counts between two nodes via DFS.
@@ -205,5 +228,55 @@ proptest! {
             sol.objective,
             best
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `blockers` is sound for both schemes that implement it: when it
+    /// names blocking sides, `route_unit` answers `Unavailable`, and it
+    /// still does after every side it did not name is raised — only a
+    /// credit to a named side can change the answer. Every side it names
+    /// holds less than the unit, and it answers `true` for every
+    /// `Unavailable`.
+    #[test]
+    fn blockers_are_sound(seed in 0u64..1_000, n in 3usize..9, unit in 1i64..12) {
+        let network = random_network(n, 0.4, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let sides: Vec<[Amount; 2]> = (0..network.num_channels())
+            .map(|_| [0, 1].map(|_| Amount::from_whole(rng.random_range(0..16))))
+            .collect();
+        let view = Sides { network: &network, sides };
+        let unit = Amount::from_whole(unit);
+        let (src, dst) = (NodeId(0), NodeId(n as u32 - 1));
+        let schemes: [Box<dyn RoutingScheme>; 2] = [
+            Box::new(ShortestPathScheme::new()),
+            Box::new(WaterfillingScheme::new()),
+        ];
+        for mut scheme in schemes {
+            let answer = scheme.route_unit(&network, &view, src, dst, unit);
+            let mut named = Vec::new();
+            let blocked = scheme.blockers(&view, src, dst, unit, &mut named);
+            prop_assert_eq!(blocked, answer == UnitDecision::Unavailable, "{}", scheme.name());
+            if !blocked {
+                continue;
+            }
+            prop_assert!(!named.is_empty());
+            for &(c, dir) in &named {
+                prop_assert!(view.sides[c.index()][Sides::side(dir)] < unit);
+            }
+            let mut raised = Sides { network: &network, sides: view.sides.clone() };
+            for (c, balances) in raised.sides.iter_mut().enumerate() {
+                for (side, balance) in balances.iter_mut().enumerate() {
+                    let dir = if side == 0 { Direction::AtoB } else { Direction::BtoA };
+                    if !named.contains(&(ChannelId::from(c), dir)) {
+                        *balance = Amount::from_whole(1_000);
+                    }
+                }
+            }
+            let again = scheme.route_unit(&network, &raised, src, dst, unit);
+            prop_assert_eq!(again, UnitDecision::Unavailable, "{}", scheme.name());
+        }
     }
 }

@@ -321,6 +321,35 @@ fn resume_with_congestion_rebalance_is_byte_identical() {
     assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 45, "extras");
 }
 
+/// At 100 tokens a channel most pending payments wait parked on a dry
+/// channel side whenever a snapshot is taken. A resumed run rebuilds its
+/// wake lists from the restored ledger and may wake a payment the straight
+/// run would not; no byte moves, because a skipped ask counts as made.
+#[test]
+fn resume_with_parked_payments_is_byte_identical() {
+    let network = spider::topology::isp_topology(Amount::from_whole(100));
+    let mut trace_cfg = TraceConfig::isp_default(network.num_nodes(), 400, 10.0);
+    trace_cfg.seed = 29;
+    let txs = generate(&trace_cfg, &isp_sizes());
+    let mut cfg = full_config(12.0);
+    // Every snapshot (each 1 s) falls on a channel sample.
+    cfg.telemetry = Telemetry::enabled();
+    let report = spider::sim::run(&network, &txs, &mut ShortestPathScheme::new(), &cfg);
+    let series = &report
+        .telemetry
+        .as_ref()
+        .expect("telemetry on")
+        .network_series;
+    let waiting: Vec<u32> = series.iter().map(|s| s.pending).collect();
+    assert!(
+        waiting.iter().filter(|&&p| p >= 40).count() >= 8,
+        "too few payments waiting at the snapshots: {waiting:?}"
+    );
+    assert_resume_equivalence(&network, &txs, &cfg, &Scheme::ShortestPath, 10, "parked-sp");
+    cfg.rebalance = true;
+    assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 10, "parked-wf");
+}
+
 /// What a sequential-engine `SEC_CORE` section says about units, read by
 /// the SPSN v8 layout documented on `Transport::encode`.
 struct CoreUnits {

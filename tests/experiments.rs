@@ -5,7 +5,7 @@
 //! relationships are the claims of §6.2 and must hold.
 
 use spider_bench::{
-    fig4_fig5, fig6, rebalancing_curve, run_scheme, ExperimentConfig, RunMode, SchemeChoice,
+    fig4_fig5, fig6, fig7, rebalancing_curve, run_scheme, ExperimentConfig, RunMode, SchemeChoice,
 };
 use spider_core::DemandMatrix;
 use spider_sim::SimReport;
@@ -222,10 +222,9 @@ const FIG6_ROWS: [(&str, &str); 6] = [
     ("Spider (LP)", "spider-lp"),
 ];
 
-/// The `(label, success ratio, success volume)` rows of the first table
-/// after the line of EXPERIMENTS.md that starts with `heading`, bold
-/// markers stripped.
-fn experiments_md_table(doc: &str, heading: &str) -> Vec<(String, String, String)> {
+/// The cells of every row of the first table after the line of
+/// EXPERIMENTS.md that starts with `heading`, bold markers stripped.
+fn experiments_md_rows(doc: &str, heading: &str) -> Vec<Vec<String>> {
     let mut lines = doc.lines().skip_while(|l| !l.starts_with(heading));
     assert!(lines.next().is_some(), "EXPERIMENTS.md has no {heading:?}");
     lines
@@ -233,12 +232,20 @@ fn experiments_md_table(doc: &str, heading: &str) -> Vec<(String, String, String
         .take_while(|l| l.starts_with('|'))
         .skip(2)
         .map(|row| {
-            let cells: Vec<String> = row
-                .split('|')
+            row.split('|')
                 .map(|c| c.trim().replace("**", ""))
                 .filter(|c| !c.is_empty())
-                .collect();
-            assert_eq!(cells.len(), 3, "not a Fig. 6 row: {row}");
+                .collect()
+        })
+        .collect()
+}
+
+/// The `(label, success ratio, success volume)` rows of the first table
+/// after the line of EXPERIMENTS.md that starts with `heading`.
+fn experiments_md_table(doc: &str, heading: &str) -> Vec<(String, String, String)> {
+    (experiments_md_rows(doc, heading).into_iter())
+        .map(|cells| {
+            assert_eq!(cells.len(), 3, "not a Fig. 6 row: {cells:?}");
             (cells[0].clone(), cells[1].clone(), cells[2].clone())
         })
         .collect()
@@ -269,6 +276,45 @@ fn fig6_tables_match_experiments_md() {
                 (ratio, volume),
                 (&measured.0, &measured.1),
                 "{heading} {label}: EXPERIMENTS.md vs fig6"
+            );
+        }
+    }
+}
+
+/// EXPERIMENTS.md's two Fig. 7 tables print what `fig7` computes today, to
+/// the three decimals they show: the ISP sweep at the five capacities
+/// `spider-experiments fig7` runs, and the Ripple one at three.
+#[test]
+#[ignore = "tier-2: Fig. 7 on ISP (5 capacities) and the 400-node Ripple graph (3), ~20 s in release; run with --release --ignored"]
+fn fig7_tables_match_experiments_md() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    for (heading, cfg, capacities) in [
+        (
+            "Success ratio by capacity (measured):",
+            ExperimentConfig::isp_quick(),
+            &[10_000.0, 17_500.0, 30_000.0, 55_000.0, 100_000.0][..],
+        ),
+        (
+            "On the 400-node Ripple-like graph",
+            ExperimentConfig::ripple_quick(),
+            &[10_000.0, 30_000.0, 100_000.0][..],
+        ),
+    ] {
+        let rows = experiments_md_rows(&doc, heading);
+        let sweep = fig7(&cfg, capacities);
+        assert_eq!(rows.len(), FIG6_ROWS.len(), "{heading}: {rows:?}");
+        for (cells, (label, name)) in rows.iter().zip(FIG6_ROWS) {
+            assert_eq!(cells.len(), 1 + capacities.len(), "{heading}: {cells:?}");
+            assert!(label.starts_with(&cells[0]), "{heading}: row order");
+            let measured: Vec<String> = (sweep.iter())
+                .map(|(_, reports)| format!("{:.3}", scheme(reports, name).success_ratio()))
+                .collect();
+            assert_eq!(
+                cells[1..],
+                measured[..],
+                "{heading} {}: EXPERIMENTS.md vs fig7",
+                cells[0]
             );
         }
     }
