@@ -236,18 +236,17 @@ fn damaged_snapshots_are_rejected_with_exit_code_one() {
     assert_structured_rejection(&empty, "empty-dir");
 }
 
-/// Walks a `SEC_CORE` section (SPSN v8, parts 1–4) and returns each
-/// payment record's byte offset with its `(delivered, inflight, status)`.
-fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
+/// Walks a `SEC_CORE` section (SPSN v9, parts 1–3) of a run over a
+/// network of `channels` channels and returns each payment record's byte
+/// offset with its `(delivered, inflight, status)`.
+fn payment_records(core: &[u8], channels: usize) -> Vec<(usize, (i64, i64, u8))> {
     let mut d = spider_core::Dec::new(core);
     let skip = |d: &mut spider_core::Dec, n: usize| {
         d.take_raw(n).expect("section ends early");
     };
-    skip(&mut d, 8); // part 1: ticks
-    let channels = d.usize().expect("channel count");
-    skip(&mut d, 32 * channels); // part 2: four i64 a channel
+    skip(&mut d, 32 * channels); // part 1: four i64 a channel
     for _ in 0..d.usize().expect("event count") {
-        skip(&mut d, 16); // part 3: time and seq, then the event
+        skip(&mut d, 16); // part 2: time and seq, then the event
         let argument = match d.u8().expect("event tag") {
             4 => 5,     // a fault: its tag byte and a u32 id
             5 | 6 => 0, // tick, rebalance check
@@ -261,8 +260,8 @@ fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
         .map(|_| {
             let at = d.offset();
             let record = (d.i64().unwrap(), d.i64().unwrap(), d.u8().unwrap());
-            if d.u8().unwrap() == 1 {
-                skip(&mut d, 8); // delay
+            if record.2 == 1 {
+                skip(&mut d, 8); // a completed payment's delay
             }
             skip(&mut d, 4); // sent
             (at, record)
@@ -271,14 +270,14 @@ fn payment_records(core: &[u8]) -> Vec<(usize, (i64, i64, u8))> {
 }
 
 /// A snapshot whose payment record cannot describe its trace row is
-/// refused with exit code 1. A v8 record holds no input, only what the run
+/// refused with exit code 1. A v9 record holds no input, only what the run
 /// changed — `delivered: i64, inflight: i64, status: u8`, then the
-/// completion delay (a presence byte and an `f64`) and the units sent — so
-/// the cases are the values no run writes: value in flight above what is
-/// left of the amount, a negative delivered amount, an unknown status, a
-/// NaN delay, a delay on a pending payment and a completed payment without
-/// one. `resume` runs in a child process, so an abort fails this test
-/// rather than killing the harness.
+/// completion delay (an `f64`, there exactly when the status says
+/// completed) and the units sent — so the cases are the values no run
+/// writes: value in flight above what is left of the amount, a negative
+/// delivered amount, an unknown status, and a NaN, an infinite and a
+/// negative delay. `resume` runs in a child process, so an abort fails this
+/// test rather than killing the harness.
 #[test]
 fn snapshot_payments_no_run_can_write_exit_one() {
     use spider_sim::snapshot::{decode_snapshot, encode_snapshot, SEC_CORE};
@@ -301,7 +300,8 @@ fn snapshot_payments_no_run_can_write_exit_one() {
     let snap =
         decode_snapshot(&read(&snaps.join("snap-000000001050.spsn"))).expect("a mid-run snapshot");
     let core = snap.section(SEC_CORE).expect("core section").to_vec();
-    let records = payment_records(&core);
+    let channels = spider_topology::isp_topology(spider_core::Amount::ZERO).num_channels();
+    let records = payment_records(&core, channels);
     // A completed payment delivered its whole amount, so one micro in
     // flight is one above it; an unsent one has nothing either way.
     let (completed, _) = *(records.iter())
@@ -311,9 +311,8 @@ fn snapshot_payments_no_run_can_write_exit_one() {
         .find(|(_, record)| *record == (0, 0, 0))
         .expect("a pending payment with nothing sent");
 
-    // `(case, section bytes replaced, what replaces them)`. A completed
-    // record's status byte is at +16, its delay's presence byte at +17 and
-    // the delay at +18.
+    // `(case, section bytes replaced, what replaces them)`. A record's
+    // status byte is at +16, and a completed record's delay at +17.
     let cases = [
         (
             "inflight above the amount",
@@ -328,18 +327,18 @@ fn snapshot_payments_no_run_can_write_exit_one() {
         ("status byte 3", unsent + 16..unsent + 17, vec![3]),
         (
             "NaN delay",
-            completed + 18..completed + 26,
+            completed + 17..completed + 25,
             f64::NAN.to_le_bytes().to_vec(),
         ),
         (
-            "delay while pending",
-            completed + 16..completed + 17,
-            vec![0],
+            "infinite delay",
+            completed + 17..completed + 25,
+            f64::INFINITY.to_le_bytes().to_vec(),
         ),
         (
-            "completed without delay",
-            completed + 17..completed + 26,
-            vec![0],
+            "negative delay",
+            completed + 17..completed + 25,
+            (-1.0f64).to_le_bytes().to_vec(),
         ),
     ];
     for (case, range, value) in cases {
@@ -350,7 +349,7 @@ fn snapshot_payments_no_run_can_write_exit_one() {
         let path = tmp
             .path()
             .join(format!("payment-{}.spsn", case.replace(' ', "-")));
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
         std::fs::write(&path, bytes).expect("write re-sealed snapshot");
         assert_structured_rejection(&path, case);
     }

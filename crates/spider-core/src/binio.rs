@@ -136,7 +136,8 @@ impl Enc {
         self.bytes(v.as_bytes());
     }
 
-    /// Appends a presence byte followed by the value when `Some`.
+    /// Appends a presence byte followed by the value when `Some` (run
+    /// fingerprints write optional config this way; no decoder reads one).
     pub fn opt(&mut self, v: Option<impl FnOnce(&mut Enc)>) {
         match v {
             Some(write) => {
@@ -284,22 +285,6 @@ impl<'a> Dec<'a> {
         })
     }
 
-    /// Reads an option encoded by [`Enc::opt`].
-    pub fn opt<T>(
-        &mut self,
-        read: impl FnOnce(&mut Dec<'a>) -> Result<T, BinError>,
-    ) -> Result<Option<T>, BinError> {
-        let offset = self.pos;
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(read(self)?)),
-            other => Err(BinError::Invalid {
-                offset,
-                what: format!("option tag {other}"),
-            }),
-        }
-    }
-
     /// Reads a sequence encoded by [`Enc::seq`]. The element count is
     /// sanity-checked against the remaining bytes (at least one byte per
     /// element) before reserving, so corrupt lengths fail fast.
@@ -438,8 +423,10 @@ mod tests {
         e.seq(&[1u64, 2, 3], |e, &v| e.u64(v));
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(d.opt(|d| d.u32()).unwrap(), Some(5));
-        assert_eq!(d.opt(|d| d.u32()).unwrap(), None);
+        assert_eq!(
+            (d.u8().unwrap(), d.u32().unwrap(), d.u8().unwrap()),
+            (1, 5, 0)
+        );
         assert_eq!(d.seq(|d| d.u64()).unwrap(), vec![1, 2, 3]);
     }
 
@@ -469,7 +456,6 @@ mod tests {
     #[test]
     fn invalid_tags_are_rejected() {
         assert!(Dec::new(&[2]).bool().is_err());
-        assert!(Dec::new(&[9]).opt(|d| d.u8()).is_err());
         let mut bad_utf8 = Enc::new();
         bad_utf8.bytes(&[0xFF, 0xFE]);
         assert!(Dec::new(&bad_utf8.into_bytes()).str().is_err());

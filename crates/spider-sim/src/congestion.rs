@@ -22,8 +22,7 @@ const MIN_WINDOW: f64 = 1.0;
 /// Window ceiling.
 const MAX_WINDOW: f64 = 256.0;
 
-/// Writes the AIMD constants into a snapshot fingerprint, in the layout
-/// of SPSN v8 fingerprints.
+/// Writes the AIMD constants into a snapshot fingerprint.
 pub(crate) fn fingerprint(e: &mut Enc) {
     for v in [
         INITIAL_WINDOW,
@@ -100,32 +99,43 @@ impl CongestionControl {
         self.pairs.get(src, dst).map(|s| s.outstanding).unwrap_or(0)
     }
 
-    /// Every tracked pair as `(src, dst, window, outstanding)` in
-    /// `(src, dst)` order, for checkpointing.
-    pub fn export_state(&self) -> Vec<(NodeId, NodeId, f64, u32)> {
+    /// Every tracked pair as `(src, dst, window)` in `(src, dst)` order, for
+    /// checkpointing. A pair's outstanding count is not exported: it is the
+    /// number of its units in flight.
+    pub fn export_state(&self) -> Vec<(NodeId, NodeId, f64)> {
         self.pairs
             .iter()
-            .map(|(s, d, st)| (s, d, st.window, st.outstanding))
+            .map(|(s, d, st)| (s, d, st.window))
             .collect()
     }
 
-    /// Replaces the pair table with entries captured by
-    /// [`export_state`](Self::export_state). Untracked pairs fall back to
-    /// the initial window, as they would in a fresh run. Fails, changing
-    /// nothing, on a window outside `[1, 256]`: no run reaches one. The
-    /// caller checks the node ids against its network and the outstanding
-    /// counts against the units in flight.
-    pub fn restore_state(&mut self, entries: &[(NodeId, NodeId, f64, u32)]) -> Result<(), String> {
+    /// Replaces the pair table with windows captured by
+    /// [`export_state`](Self::export_state), then counts one outstanding
+    /// unit for the pair of each unit in `live`. Untracked pairs fall back
+    /// to the initial window, as they would in a fresh run. Fails on a
+    /// window outside `[1, 256]` (no run reaches one) and on a live unit
+    /// whose pair has no window (a pair gets one when it sends). The
+    /// caller checks the node ids against its network.
+    pub fn restore_state(
+        &mut self,
+        windows: &[(NodeId, NodeId, f64)],
+        live: impl IntoIterator<Item = (NodeId, NodeId)>,
+    ) -> Result<(), String> {
         let range = MIN_WINDOW..=MAX_WINDOW;
-        if let Some(&(s, d, window, _)) = entries.iter().find(|e| !range.contains(&e.2)) {
+        if let Some(&(s, d, window)) = windows.iter().find(|e| !range.contains(&e.2)) {
             return Err(format!("congestion window {window} for {s:?} → {d:?}"));
         }
         self.pairs = PairTable::new();
-        for &(s, d, window, outstanding) in entries {
-            *self.state(s, d) = PairState {
-                window,
-                outstanding,
+        for &(s, d, window) in windows {
+            self.state(s, d).window = window;
+        }
+        for (s, d) in live {
+            let Some(pair) = self.pairs.get_mut(s, d) else {
+                return Err(format!(
+                    "congestion window {s:?} → {d:?} missing for a live unit"
+                ));
             };
+            pair.outstanding += 1;
         }
         Ok(())
     }
@@ -205,14 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn restore_refuses_a_window_out_of_range() {
+    fn restore_refuses_a_window_out_of_range_or_missing() {
         let mut cc = CongestionControl::default();
         let (s, d) = pair();
         for window in [0.5, 257.0, f64::NAN] {
-            assert!(cc.restore_state(&[(s, d, window, 0)]).is_err());
+            assert!(cc.restore_state(&[(s, d, window)], []).is_err());
         }
-        cc.restore_state(&[(s, d, 3.0, 1)]).unwrap();
-        assert_eq!((cc.window(s, d), cc.outstanding(s, d)), (3.0, 1));
+        assert!(cc.restore_state(&[(s, d, 3.0)], [(d, s)]).is_err());
+        cc.restore_state(&[(s, d, 3.0)], [(s, d), (s, d)]).unwrap();
+        assert_eq!((cc.window(s, d), cc.outstanding(s, d)), (3.0, 2));
     }
 
     #[test]

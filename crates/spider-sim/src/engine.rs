@@ -354,7 +354,7 @@ fn run_source_queued(
                 tel.counter_add("sim.scheduler.polls", 1);
                 t.begin_tick(now);
                 if split {
-                    let (due, skipped) = t.due_in_order(config.policy, t.checkpoint_due(ckpt));
+                    let (due, skipped) = t.due_in_order(config.policy);
                     scheme.count_skipped(skipped);
                     for idx in due {
                         pump_payment(&mut t, scheme, config, idx, now);
@@ -666,7 +666,7 @@ pub fn run_queued(
                 tel.counter_add("sim.scheduler.polls", 1);
                 t.begin_tick(now);
                 sweep_expired(&mut t, now);
-                for idx in t.due_in_order(SchedulePolicy::Srpt, false).0 {
+                for idx in t.due_in_order(SchedulePolicy::Srpt).0 {
                     pump_source(&mut t, &mut paths, config, idx, now);
                 }
                 t.end_tick(now);
@@ -864,8 +864,6 @@ fn fingerprint(
     e.bool(config.audit);
     e.opt(config.rebalance.then_some(rebalancer::fingerprint));
     e.opt(config.congestion.then_some(congestion::fingerprint));
-    // The empty routing-fee slot of the v8 layout: no relay charges a fee.
-    e.u8(0);
     crc32(&e.into_bytes())
 }
 

@@ -30,9 +30,8 @@ const FEE: Amount = Amount::from_whole(1);
 /// (seconds) — orders of magnitude above the payment delay Δ.
 pub(crate) const CONFIRMATION_DELAY: f64 = 10.0;
 
-/// Writes the policy into a snapshot fingerprint, in the layout of SPSN v8
-/// fingerprints; the third value is the fraction of the skew a correction
-/// removes, all of it.
+/// Writes the policy into a snapshot fingerprint; the third value is the
+/// fraction of the skew a correction removes, all of it.
 pub(crate) fn fingerprint(e: &mut Enc) {
     e.f64(CHECK_INTERVAL);
     e.f64(IMBALANCE_THRESHOLD);

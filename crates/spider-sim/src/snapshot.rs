@@ -5,26 +5,20 @@
 //! sections:
 //!
 //! ```text
-//! magic "SPSN" (4) | version u8 | engine u8 | fingerprint u32
-//! | progress u64 | section_count u32
+//! magic "SPSN" (4) | version u8 | fingerprint u32 | progress u64
+//! | section_count u32
 //! then per section: tag u32 | len u64 | crc32 u32 | bytes
 //! ```
 //!
 //! - **version** is bumped on any layout change; readers reject every
 //!   other version — older or newer — with a structured error instead of
 //!   misparsing it.
-//! - **engine** identifies which engine wrote the snapshot. One engine
-//!   checkpoints — the continuous-time engine's source-queued driver
-//!   ([`crate::engine::run_checkpointed`]), [`ENGINE_SEQ`] — and any other
-//!   byte is refused as [`SnapshotError::WrongEngine`]. Bytes 2 and 3 named
-//!   the router-queued and the sharded engine while those checkpointed too;
-//!   they are retired and never reused.
 //! - **fingerprint** is a CRC-32 over the simulation inputs (network shape,
 //!   transaction trace, key config fields). Resume recomputes it from its
 //!   own inputs and rejects a mismatch, so a snapshot can never be applied
 //!   to a different scenario.
 //! - **progress** is the run's scheduler tick count; it orders snapshot
-//!   files within a directory.
+//!   files within a directory, and resume restores the count from it.
 //!
 //! Writes are crash-safe: the file is staged under a temporary name in the
 //! target directory, fsynced, atomically renamed into place, and the
@@ -39,7 +33,7 @@ use crate::faults::{FaultEvent, FaultState, FaultStateSnapshot};
 use crate::payment::PaymentStatus;
 use serde::{Deserialize, Serialize};
 use spider_core::{crc32, BinError, ChannelId, Dec, Enc, Network, NodeId};
-use spider_telemetry::{bintrace, Telemetry, TelemetryState, TraceEvent};
+use spider_telemetry::{bintrace, Telemetry, TelemetryState};
 use spider_workload::Transaction;
 use std::fmt;
 use std::fs;
@@ -74,15 +68,20 @@ use std::path::{Path, PathBuf};
 /// [`SEC_CORE`] (failures, retry-not-before time, its own blacklist); the
 /// run-wide blacklist, the per-payment fail-count and not-before seqs and
 /// the retry-timer seq are gone.
-pub const FORMAT_VERSION: u8 = 8;
+/// v9: a snapshot stores each fact once and no constant. The header loses
+/// its engine byte (one engine checkpoints); [`SEC_CORE`] loses the tick
+/// count (the header's progress), the pending list (the pending payments),
+/// the fee slot, both copies of the units sent (the sum of the payments'
+/// `sent`), the rebalance flags (the queued applies), the congestion
+/// `outstanding` counts (the live units), the ledger's channel count, the
+/// recovery record count, and the presence bytes of parts the
+/// fingerprinted config decides and of a delay (its status decides);
+/// [`SEC_TELEMETRY`] loses the sample interval, the profiled byte, the
+/// gauge count and every metric label.
+pub const FORMAT_VERSION: u8 = 9;
 
 /// File magic: "SPSN" (SPider SNapshot).
 pub const MAGIC: [u8; 4] = *b"SPSN";
-
-/// Engine kind byte: the continuous-time engine's source-queued driver
-/// ([`crate::run`]), the one engine that checkpoints. Bytes 2 and 3 are
-/// retired (module docs).
-pub const ENGINE_SEQ: u8 = 1;
 
 /// Pseudo-section id used in [`SnapshotError::CrcMismatch`] when the
 /// *frame* checksum fails — the trailing CRC over the whole file that
@@ -98,7 +97,7 @@ pub const SEC_SCHEME: u32 = 2;
 /// Section tag: telemetry state (absent when telemetry is disabled).
 pub const SEC_TELEMETRY: u32 = 3;
 
-/// Every section tag a v8 file may carry, each at most once. Decoding
+/// Every section tag a v9 file may carry, each at most once. Decoding
 /// refuses any other tag (tag 4, retired in v4, included) as `Corrupt`.
 const SECTION_TAGS: [u32; 3] = [SEC_CORE, SEC_SCHEME, SEC_TELEMETRY];
 
@@ -128,13 +127,6 @@ pub enum SnapshotError {
         found: u8,
         /// The one version this build reads and writes.
         supported: u8,
-    },
-    /// The snapshot was written by a different engine.
-    WrongEngine {
-        /// Engine kind expected by the caller.
-        expected: u8,
-        /// Engine kind recorded in the file.
-        found: u8,
     },
     /// The snapshot was taken from different simulation inputs.
     ConfigMismatch {
@@ -182,10 +174,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "snapshot format version {found} is not the supported version {supported}"
-            ),
-            SnapshotError::WrongEngine { expected, found } => write!(
-                f,
-                "snapshot was written by engine kind {found}, expected {expected}"
             ),
             SnapshotError::ConfigMismatch { expected, found } => write!(
                 f,
@@ -240,8 +228,6 @@ impl CheckpointSpec {
 /// A decoded snapshot container: header fields plus verified sections.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// Engine kind byte, [`ENGINE_SEQ`] in every file the engine writes.
-    pub engine: u8,
     /// Input fingerprint recorded at capture time.
     pub fingerprint: u32,
     /// Engine progress counter at capture time.
@@ -268,14 +254,8 @@ impl Snapshot {
             .map(|(_, b)| b.as_slice())
     }
 
-    /// Verifies this snapshot belongs to `engine` with `fingerprint`.
-    pub fn check(&self, engine: u8, fingerprint: u32) -> Result<(), SnapshotError> {
-        if self.engine != engine {
-            return Err(SnapshotError::WrongEngine {
-                expected: engine,
-                found: self.engine,
-            });
-        }
+    /// Verifies this snapshot was taken from inputs with `fingerprint`.
+    pub fn check(&self, fingerprint: u32) -> Result<(), SnapshotError> {
         if self.fingerprint != fingerprint {
             return Err(SnapshotError::ConfigMismatch {
                 expected: fingerprint,
@@ -287,21 +267,15 @@ impl Snapshot {
 }
 
 /// Encodes a snapshot container to bytes.
-pub fn encode_snapshot(
-    engine: u8,
-    fingerprint: u32,
-    progress: u64,
-    sections: &[(u32, Vec<u8>)],
-) -> Vec<u8> {
+pub fn encode_snapshot(fingerprint: u32, progress: u64, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut e = Enc::new();
     // Header, per-section framing, payloads and the frame CRC: sized once.
     let payload: usize = sections.iter().map(|(_, bytes)| 16 + bytes.len()).sum();
-    e.reserve(22 + payload + 4);
+    e.reserve(21 + payload + 4);
     for b in MAGIC {
         e.u8(b);
     }
     e.u8(FORMAT_VERSION);
-    e.u8(engine);
     e.u32(fingerprint);
     e.u64(progress);
     e.u32(sections.len() as u32);
@@ -365,7 +339,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     }
     let mut d = Dec::new(body);
     (d.take_raw(5)).or_else(|_| corrupt("file shorter than the header".to_string()))?;
-    let engine = d.u8()?;
     let fingerprint = d.u32()?;
     let progress = d.u64()?;
     let count = d.u32()?;
@@ -405,7 +378,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     }
     d.expect_end()?;
     Ok(Snapshot {
-        engine,
         fingerprint,
         progress,
         sections,
@@ -429,13 +401,12 @@ fn io_err(path: &Path, op: &'static str, error: std::io::Error) -> SnapshotError
 /// file under the final name.
 pub fn write_snapshot(
     dir: &Path,
-    engine: u8,
     fingerprint: u32,
     progress: u64,
     sections: &[(u32, Vec<u8>)],
 ) -> Result<PathBuf, SnapshotError> {
     fs::create_dir_all(dir).map_err(|e| io_err(dir, "create-dir", e))?;
-    let bytes = encode_snapshot(engine, fingerprint, progress, sections);
+    let bytes = encode_snapshot(fingerprint, progress, sections);
     let name = format!("snap-{progress:012}.spsn");
     let tmp = dir.join(format!(".{name}.tmp"));
     let path = dir.join(&name);
@@ -511,17 +482,6 @@ pub fn latest_snapshot(dir: &Path) -> Result<Option<PathBuf>, SnapshotError> {
 /// A structural decode failure, as the `Err` of whatever is being decoded.
 pub(crate) fn corrupt<T>(what: String) -> Result<T, SnapshotError> {
     Err(SnapshotError::Corrupt { what })
-}
-
-/// Reads the presence byte of an optional part, which must agree with
-/// whether this run's configuration has that part.
-pub(crate) fn dec_present(d: &mut Dec, expected: bool, what: &str) -> Result<bool, SnapshotError> {
-    match d.u8()? {
-        b @ (0 | 1) if (b == 1) == expected => Ok(expected),
-        b => corrupt(format!(
-            "{what} presence byte {b}, but this configuration has {what}: {expected}"
-        )),
-    }
 }
 
 /// [`Dec::seq`] for element decoders that validate as they go. The
@@ -609,36 +569,19 @@ pub(crate) fn dec_json<T: Deserialize>(d: &mut Dec) -> Result<T, SnapshotError> 
     serde_json::from_str(&s).or_else(|e| corrupt(format!("embedded JSON: {e}")))
 }
 
-/// Decodes the event log [`encode_telemetry`] writes (its step 3).
-/// Anything `bintrace` refuses, and a count that disagrees with what it
-/// decoded, is [`SnapshotError::Corrupt`].
-pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> {
-    let count = d.u64()?;
-    let events =
-        bintrace::decode(d.bytes()?).or_else(|e| corrupt(format!("embedded trace: {e}")))?;
-    if events.len() as u64 != count {
-        return corrupt(format!(
-            "embedded trace holds {} events, {count} were recorded",
-            events.len()
-        ));
-    }
-    Ok(events)
-}
-
 /// Encodes the [`SEC_TELEMETRY`] section from the live handle, copying its
 /// event log in as it is held; a disabled handle encodes as an empty
-/// section. In order:
+/// section. The sample interval is not stored: the fingerprint pins it. In
+/// order:
 ///
-/// 1. `sample_interval: f64`, `profiled: bool`.
-/// 2. Registry — counters, seq of `(name: str, label: str, value: u64)`;
-///    gauges, seq of `(name, label, value: f64)`; histograms, seq of `name,
-///    label, bounds: seq of f64, counts: seq of u64, count: u64, sum, min,
-///    max: f64`. Floats travel as raw bits (the extrema of an empty
-///    histogram are `±INFINITY`). The registry holds unlabelled counters
-///    and histograms only, so every label is empty, the gauge seq is empty,
-///    and names ascend strictly within each family; [`decode_telemetry`]
+/// 1. Registry — counters, seq of `(name: str, value: u64)`; histograms,
+///    seq of `name, bounds: seq of f64, counts: seq of u64, count: u64,
+///    sum, min, max: f64`. Floats travel as raw bits (the extrema of an
+///    empty histogram are `±INFINITY`). The registry holds unlabelled
+///    counters and histograms only, so no label or gauge is stored, and
+///    names ascend strictly within each family; [`decode_telemetry`]
 ///    refuses anything else.
-/// 3. The event log, in emission order: `count: u64`, then the events as
+/// 2. The event log, in emission order: `count: u64`, then the events as
 ///    one length-prefixed `SPBT` file (`spider_telemetry::bintrace`, which
 ///    is bit-exact for every event and about 7 bytes each). These are the
 ///    tracer's own bytes ([`Telemetry::with_spbt`]): its closed blocks and
@@ -646,22 +589,17 @@ pub(crate) fn dec_events(d: &mut Dec) -> Result<Vec<TraceEvent>, SnapshotError> 
 ///    so nothing is re-encoded. The count is what catches a log cut at a
 ///    block boundary, which is still a valid `SPBT` file.
 pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
-    let (Some(sample_interval), Some(registry)) = (tel.sample_interval(), tel.registry()) else {
+    let Some(registry) = tel.registry() else {
         return Vec::new();
     };
     let registry = registry.export_state();
     let mut e = Enc::new();
-    e.f64(sample_interval);
-    e.bool(tel.is_profiling());
     e.seq(&registry.counters, |e, (name, v)| {
         e.str(name);
-        e.str("");
         e.u64(*v);
     });
-    e.usize(0); // gauges
     e.seq(&registry.histograms, |e, (name, h)| {
         e.str(name);
-        e.str("");
         e.seq(&h.bounds, |e, &b| e.f64(b));
         e.seq(&h.counts, |e, &c| e.u64(c));
         e.u64(h.count);
@@ -679,9 +617,8 @@ pub(crate) fn encode_telemetry(tel: &Telemetry) -> Vec<u8> {
 }
 
 /// Reads one registry family written by [`encode_telemetry`]: a seq of
-/// `(name, label, value)`. A label (no engine writes one) and a name that
-/// does not strictly ascend (the registry writes each name once, in order)
-/// are [`SnapshotError::Corrupt`].
+/// `(name, value)`. A name that does not strictly ascend (the registry
+/// writes each name once, in order) is [`SnapshotError::Corrupt`].
 fn dec_family<V>(
     d: &mut Dec,
     family: &str,
@@ -689,10 +626,7 @@ fn dec_family<V>(
 ) -> Result<Vec<(String, V)>, SnapshotError> {
     let mut out: Vec<(String, V)> = Vec::new();
     for _ in 0..d.usize()? {
-        let (name, label) = (d.str()?, d.str()?);
-        if !label.is_empty() {
-            return corrupt(format!("{family} {name} carries label {label:?}"));
-        }
+        let name = d.str()?;
         if out.last().is_some_and(|(last, _)| *last >= name) {
             return corrupt(format!("{family} {name} is repeated or out of order"));
         }
@@ -707,13 +641,7 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
         return Ok(None);
     }
     let mut d = Dec::new(bytes);
-    let sample_interval = d.f64()?;
-    let profiled = d.bool()?;
     let counters = dec_family(&mut d, "counter", |d| Ok(d.u64()?))?;
-    let gauges = d.u64()?;
-    if gauges != 0 {
-        return corrupt(format!("{gauges} gauge(s); no engine writes one"));
-    }
     let histograms = dec_family(&mut d, "histogram", |d| {
         Ok(spider_telemetry::HistogramState {
             bounds: d.seq(|d| d.f64())?,
@@ -724,11 +652,18 @@ pub(crate) fn decode_telemetry(bytes: &[u8]) -> Result<Option<TelemetryState>, S
             max: d.f64()?,
         })
     })?;
-    let events = dec_events(&mut d)?;
+    // A count that disagrees with the log is a cut one (step 2).
+    let count = d.u64()?;
+    let events =
+        bintrace::decode(d.bytes()?).or_else(|e| corrupt(format!("embedded trace: {e}")))?;
+    if events.len() as u64 != count {
+        return corrupt(format!(
+            "embedded trace holds {} events, {count} were recorded",
+            events.len()
+        ));
+    }
     d.expect_end()?;
     Ok(Some(TelemetryState {
-        sample_interval,
-        profiled,
         registry: spider_telemetry::RegistryState {
             counters,
             histograms,
@@ -819,10 +754,9 @@ mod tests {
 
     #[test]
     fn container_round_trips() {
-        let bytes = encode_snapshot(ENGINE_SEQ, 0xABCD_1234, 42, &sections());
+        let bytes = encode_snapshot(0xABCD_1234, 42, &sections());
         assert_eq!(bytes.capacity(), bytes.len(), "the buffer is sized once");
         let snap = decode_snapshot(&bytes).unwrap();
-        assert_eq!(snap.engine, ENGINE_SEQ);
         assert_eq!(snap.fingerprint, 0xABCD_1234);
         assert_eq!(snap.progress, 42);
         assert_eq!(snap.section(SEC_CORE).unwrap(), b"core-bytes");
@@ -836,7 +770,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections());
+        let mut bytes = encode_snapshot(1, 1, &sections());
         bytes[0] = b'X';
         assert!(matches!(
             decode_snapshot(&bytes),
@@ -847,7 +781,7 @@ mod tests {
     #[test]
     fn every_other_version_is_rejected() {
         for version in [0, FORMAT_VERSION - 1, FORMAT_VERSION + 1, u8::MAX] {
-            let mut bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections());
+            let mut bytes = encode_snapshot(1, 1, &sections());
             bytes[4] = version;
             assert!(matches!(
                 decode_snapshot(&bytes),
@@ -858,7 +792,7 @@ mod tests {
 
     #[test]
     fn every_truncation_is_a_structured_error() {
-        let bytes = encode_snapshot(ENGINE_SEQ, 7, 3, &sections());
+        let bytes = encode_snapshot(7, 3, &sections());
         for cut in 0..bytes.len() {
             let r = decode_snapshot(&bytes[..cut]);
             assert!(r.is_err(), "cut at {cut} must fail, got {r:?}");
@@ -871,7 +805,7 @@ mod tests {
         // payload, or the checksums themselves — must be rejected with a
         // structured error: the per-section CRCs cover the payloads and the
         // trailing frame CRC covers everything else.
-        let bytes = encode_snapshot(ENGINE_SEQ, 0, 5, &sections());
+        let bytes = encode_snapshot(0, 5, &sections());
         for i in 0..bytes.len() {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
@@ -903,7 +837,7 @@ mod tests {
             ("second core", second_core, SEC_CORE),
             ("second telemetry", second_telemetry, SEC_TELEMETRY),
         ] {
-            let bytes = encode_snapshot(ENGINE_SEQ, 1, 1, &sections);
+            let bytes = encode_snapshot(1, 1, &sections);
             match decode_snapshot(&bytes) {
                 Err(SnapshotError::Corrupt { what }) => assert!(
                     what.contains(&format!("section {tag} "))
@@ -916,27 +850,17 @@ mod tests {
         // Any order of the three distinct tags is fine.
         let mut reordered = sections();
         reordered.reverse();
-        let snap = decode_snapshot(&encode_snapshot(ENGINE_SEQ, 1, 1, &reordered)).unwrap();
+        let snap = decode_snapshot(&encode_snapshot(1, 1, &reordered)).unwrap();
         assert_eq!(snap.section(SEC_CORE).unwrap(), b"core-bytes");
     }
 
     #[test]
-    fn wrong_engine_and_fingerprint_checks() {
-        let bytes = encode_snapshot(ENGINE_SEQ, 10, 1, &sections());
+    fn fingerprint_check() {
+        let bytes = encode_snapshot(10, 1, &sections());
         let snap = decode_snapshot(&bytes).unwrap();
-        assert!(snap.check(ENGINE_SEQ, 10).is_ok());
-        for retired in [2, 3] {
-            let other = decode_snapshot(&encode_snapshot(retired, 10, 1, &sections())).unwrap();
-            assert_eq!(
-                other.check(ENGINE_SEQ, 10),
-                Err(SnapshotError::WrongEngine {
-                    expected: ENGINE_SEQ,
-                    found: retired
-                })
-            );
-        }
+        assert!(snap.check(10).is_ok());
         assert!(matches!(
-            snap.check(ENGINE_SEQ, 11),
+            snap.check(11),
             Err(SnapshotError::ConfigMismatch { .. })
         ));
     }
@@ -946,8 +870,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spsn-test-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(latest_snapshot(&dir).unwrap(), None);
-        let p1 = write_snapshot(&dir, ENGINE_SEQ, 1, 10, &sections()).unwrap();
-        let p2 = write_snapshot(&dir, ENGINE_SEQ, 1, 20, &sections()).unwrap();
+        let p1 = write_snapshot(&dir, 1, 10, &sections()).unwrap();
+        let p2 = write_snapshot(&dir, 1, 20, &sections()).unwrap();
         assert!(p1.exists() && p2.exists());
         assert_eq!(latest_snapshot(&dir).unwrap(), Some(p2.clone()));
         // A corrupt newest file falls back to the previous valid one.
@@ -964,14 +888,14 @@ mod tests {
     fn a_successful_write_removes_stale_staging_files() {
         let dir = std::env::temp_dir().join(format!("spsn-stale-tmp-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let p1 = write_snapshot(&dir, ENGINE_SEQ, 1, 10, &sections()).unwrap();
+        let p1 = write_snapshot(&dir, 1, 10, &sections()).unwrap();
         // What a writer killed between `create` and `rename` leaves behind.
         let stale = dir.join(".snap-000000000020.spsn.tmp");
         fs::write(&stale, b"SPSN\x05partial").unwrap();
         let unrelated = dir.join(".notes.tmp");
         fs::write(&unrelated, b"not ours").unwrap();
         assert_eq!(latest_snapshot(&dir).unwrap(), Some(p1.clone()));
-        let p2 = write_snapshot(&dir, ENGINE_SEQ, 1, 30, &sections()).unwrap();
+        let p2 = write_snapshot(&dir, 1, 30, &sections()).unwrap();
         assert!(!stale.exists(), "stale staging file survived a write");
         assert!(p1.exists() && p2.exists() && unrelated.exists());
         assert_eq!(latest_snapshot(&dir).unwrap(), Some(p2));
@@ -985,31 +909,17 @@ mod tests {
         assert_eq!(decode_telemetry(&bytes).unwrap(), None);
     }
 
-    /// A telemetry section in the v7 layout: `counters` as `(name, label)`,
-    /// `gauges` gauge entries, and one histogram under `histogram`.
-    fn telemetry_section(
-        counters: &[(&str, &str)],
-        gauges: u64,
-        histogram: (&str, &str),
-    ) -> Vec<u8> {
+    /// A telemetry section in the v9 layout: counters named `counters`,
+    /// one histogram, an empty log, then `trailing` bytes.
+    fn telemetry_section(counters: &[&str], trailing: &[u8]) -> Vec<u8> {
         let mut e = Enc::new();
-        e.f64(spider_telemetry::DEFAULT_SAMPLE_INTERVAL);
-        e.bool(false);
-        e.seq(counters, |e, (name, label)| {
+        e.seq(counters, |e, name| {
             e.str(name);
-            e.str(label);
             e.u64(1);
         });
-        e.u64(gauges);
-        for _ in 0..gauges {
-            e.str("sim.gauge");
-            e.str("");
-            e.f64(1.0);
-        }
         let h = spider_telemetry::Histogram::latency_default().state();
-        e.seq(&[histogram], |e, (name, label)| {
+        e.seq(&["sim.completion_delay"], |e, name| {
             e.str(name);
-            e.str(label);
             e.seq(&h.bounds, |e, &b| e.f64(b));
             e.seq(&h.counts, |e, &c| e.u64(c));
             e.u64(h.count);
@@ -1019,41 +929,28 @@ mod tests {
         });
         e.u64(0);
         e.bytes(&bintrace::encode(&[]));
-        e.into_bytes()
+        let mut bytes = e.into_bytes();
+        bytes.extend_from_slice(trailing);
+        bytes
     }
 
     #[test]
     fn telemetry_section_holds_only_what_the_registry_writes() {
-        let delay = ("sim.completion_delay", "");
-        let pristine = telemetry_section(&[("a", ""), ("b", "")], 0, delay);
+        let pristine = telemetry_section(&["a", "b"], &[]);
         let state = decode_telemetry(&pristine).unwrap().unwrap();
         assert_eq!(state.registry.counters, [("a".into(), 1), ("b".into(), 1)]);
         for (label, bytes, needle) in [
             (
-                "labelled counter",
-                telemetry_section(&[("a", ""), ("b", "x")], 0, delay),
-                "counter b carries label \"x\"",
-            ),
-            (
-                "labelled histogram",
-                telemetry_section(&[("a", "")], 0, ("sim.completion_delay", "x")),
-                "histogram sim.completion_delay carries label",
-            ),
-            (
-                "gauge",
-                telemetry_section(&[("a", "")], 1, delay),
-                "1 gauge(s)",
-            ),
-            (
                 "repeated name",
-                telemetry_section(&[("a", ""), ("a", "")], 0, delay),
+                telemetry_section(&["a", "a"], &[]),
                 "counter a is repeated or out of order",
             ),
             (
                 "descending names",
-                telemetry_section(&[("b", ""), ("a", "")], 0, delay),
+                telemetry_section(&["b", "a"], &[]),
                 "counter a is repeated or out of order",
             ),
+            ("trailing byte", telemetry_section(&["a"], &[0]), "trailing"),
         ] {
             match decode_telemetry(&bytes) {
                 Err(SnapshotError::Corrupt { what }) => {

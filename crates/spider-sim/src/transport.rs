@@ -65,14 +65,14 @@ use crate::payment::{arrival_trace, FailCause, PaymentState, PaymentStatus, Reco
 use crate::rebalancer::{self, RebalanceTotals};
 use crate::scheduler::{SchedulePolicy, WakeLists};
 use crate::snapshot::{
-    self, corrupt, dec_fault_event, dec_index, dec_path, dec_present, dec_seq, dec_time,
-    enc_fault_event, enc_path, CheckpointSpec, Snapshot, SnapshotError,
+    self, corrupt, dec_fault_event, dec_index, dec_path, dec_seq, dec_time, enc_fault_event,
+    enc_path, CheckpointSpec, Snapshot, SnapshotError,
 };
 use spider_core::{Amount, BalanceView, ChannelId, CoreError, Dec, Enc, Network, NodeId, Path};
 use spider_routing::RoutingScheme;
 use spider_telemetry::{NetworkSample, Telemetry, TraceEvent};
 use spider_workload::Transaction;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Everything the event queue can hold. `HopArrive` is only scheduled by
@@ -396,9 +396,8 @@ pub(crate) struct Transport<'a> {
     arrivals_end: usize,
     pub(crate) payments: Vec<PaymentState>,
     /// Payments that may still have value to send, plus stale entries that
-    /// [`due_in_order`](Self::due_in_order) weeds out each tick. In policy
-    /// order as of the last tick that sorted it: every tick when payments
-    /// are polled, a checkpointing one when they are woken.
+    /// [`due_in_order`](Self::due_in_order) weeds out each tick, in no
+    /// order any reader relies on.
     pending: Vec<usize>,
     /// Where blocked payments wait for a credit, when a tick services only
     /// the payments a credit woke; `None` when it polls every pending
@@ -419,8 +418,8 @@ pub(crate) struct Transport<'a> {
     /// Refused over-releases (double settle/refund), surfaced in the report
     /// even when periodic auditing is off.
     pub(crate) release_violations: Vec<AuditViolation>,
-    units_sent: u64,
-    /// Scheduler ticks begun so far (checkpoint cadence).
+    /// Scheduler ticks begun so far (checkpoint cadence, and a snapshot's
+    /// progress).
     ticks: u64,
     network_series: Vec<NetworkSample>,
     /// Channel samples piggyback on ticks at this cadence; no events of
@@ -479,7 +478,6 @@ impl<'a> Transport<'a> {
             recovery: Vec::new(),
             audit: None,
             release_violations: Vec::new(),
-            units_sent: 0,
             ticks: 0,
             network_series: Vec::new(),
             next_sample: tel.sample_interval().unwrap_or(f64::INFINITY),
@@ -519,8 +517,8 @@ impl<'a> Transport<'a> {
         fingerprint: u32,
     ) -> Result<Snapshot, SnapshotError> {
         let snap = snapshot::read_snapshot(path)?;
-        snap.check(snapshot::ENGINE_SEQ, fingerprint)?;
-        self.decode(snap.section(snapshot::SEC_CORE)?)?;
+        snap.check(fingerprint)?;
+        self.decode(snap.progress, snap.section(snapshot::SEC_CORE)?)?;
         // The caller's handle is restored *in place* so clones of it keep
         // visibility into the resumed run's trace. The fingerprint already
         // pins the enabled flag and sampling cadence, so presence must
@@ -579,8 +577,9 @@ impl<'a> Transport<'a> {
                 snapshot::encode_telemetry(self.tel),
             ),
         ];
-        let engine = snapshot::ENGINE_SEQ;
-        snapshot::write_snapshot(&ck.dir, engine, fingerprint, self.ticks, &sections)?;
+        snapshot::write_snapshot(&ck.dir, fingerprint, self.ticks, &sections)?;
+        #[cfg(test)]
+        tests::check_derived(self, ck, fingerprint);
         Ok(())
     }
 
@@ -653,7 +652,6 @@ impl<'a> Transport<'a> {
         now: f64,
     ) -> usize {
         self.payments[idx].send(amount);
-        self.units_sent += 1;
         self.tel.emit(|| TraceEvent::UnitSent {
             t: now,
             payment: self.row(idx).id.0,
@@ -789,14 +787,8 @@ impl<'a> Transport<'a> {
     /// the due ones are those a credit woke since the last tick (or that
     /// could not be parked), and every other pending payment with value
     /// left to send is parked: it would ask once and hear `Unavailable`,
-    /// so it is one skipped ask. The pending list is then sorted only when
-    /// `sort_pending` (a checkpointing tick: `SEC_CORE` stores it in
-    /// order), by the keys of the tick's start.
-    pub(crate) fn due_in_order(
-        &mut self,
-        policy: SchedulePolicy,
-        sort_pending: bool,
-    ) -> (Vec<usize>, u64) {
+    /// so it is one skipped ask.
+    pub(crate) fn due_in_order(&mut self, policy: SchedulePolicy) -> (Vec<usize>, u64) {
         let (payments, rows, window) = (&self.payments, self.transactions, self.window);
         let asks_anything = |i: usize| {
             let p = &payments[i];
@@ -813,9 +805,6 @@ impl<'a> Transport<'a> {
             asking += u64::from(asks_anything(i));
             payments[i].status == PaymentStatus::Pending
         });
-        if sort_pending {
-            policy.order(payments, rows, window, &mut self.pending);
-        }
         let mut due = std::mem::take(&mut wake.woken);
         due.retain(|&i| asks_anything(i));
         policy.order(payments, rows, window, &mut due);
@@ -964,7 +953,7 @@ impl<'a> Transport<'a> {
         audit_violations.extend(self.release_violations);
         let rows = (self.transactions.iter().map(|tx| tx.amount)).zip(&self.payments);
         SimReport {
-            units_sent: self.units_sent,
+            units_sent: self.units.len() as u64,
             final_mean_imbalance: self.ledger.mean_imbalance(),
             rebalance: self.rebalance.stats(),
             audit_checks,
@@ -1021,19 +1010,22 @@ fn dec_event(d: &mut Dec, network: &Network) -> Result<Event, SnapshotError> {
     })
 }
 
-/// Writes what the run changed about a payment.
+/// Writes what the run changed about a payment. A payment has a delay
+/// exactly when it completed, so its status says whether one follows.
 fn enc_payment(e: &mut Enc, p: &PaymentState) {
+    debug_assert_eq!(p.delay.is_some(), p.status == PaymentStatus::Completed);
     e.i64(p.delivered.micros());
     e.i64(p.inflight.micros());
     snapshot::enc_status(e, p.status);
-    e.opt(p.delay.map(|t| move |e: &mut Enc| e.f64(t)));
+    if let Some(delay) = p.delay {
+        e.f64(delay);
+    }
     e.u32(p.sent);
 }
 
 /// Reads payment `i`'s record; its inputs are trace row `tx`. What it
 /// delivered and holds in flight must be a split of the row's amount, and
-/// a completion delay, finite and not negative, is there exactly when the
-/// payment completed.
+/// a completed payment's delay must be finite and not negative.
 fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, SnapshotError> {
     let (delivered, inflight) = (d.i64()?, d.i64()?);
     let amount = tx.amount.micros();
@@ -1042,10 +1034,12 @@ fn dec_payment(d: &mut Dec, i: usize, tx: &Transaction) -> Result<PaymentState, 
             "payment {i} delivered {delivered} and holds {inflight} of {amount} micros"
         ));
     }
-    let (status, delay) = (snapshot::dec_status(d)?, d.opt(|d| d.f64())?);
-    let completed = status == PaymentStatus::Completed;
-    if delay.is_some() != completed || delay.is_some_and(|t| !t.is_finite() || t < 0.0) {
-        return corrupt(format!("payment {i} is {status:?} with delay {delay:?}"));
+    let status = snapshot::dec_status(d)?;
+    let delay = (status == PaymentStatus::Completed)
+        .then(|| d.f64())
+        .transpose()?;
+    if let Some(t) = delay.filter(|t| !t.is_finite() || *t < 0.0) {
+        return corrupt(format!("payment {i} completed with delay {t}"));
     }
     Ok(PaymentState {
         delivered: Amount::from_micros(delivered),
@@ -1129,77 +1123,78 @@ fn enc_sample(e: &mut Enc, s: &NetworkSample) {
 }
 
 impl Transport<'_> {
-    /// Encodes the `SEC_CORE` section of an [`ENGINE_SEQ`](snapshot::ENGINE_SEQ)
-    /// snapshot (SPSN v8): the run state that neither the inputs — the trace,
-    /// the fault plan, the config — nor the other sections can say.
-    /// Integers are little-endian; `usize` travels as `u64`; a *seq* is a
-    /// `u64` count followed by that many items; an *opt* is a presence byte
-    /// (0/1) followed by the value when 1; *json* is a length-prefixed UTF-8
-    /// JSON string. In order:
+    /// Encodes the `SEC_CORE` section of a snapshot (SPSN v9): the run
+    /// state that neither the inputs — the trace, the fault plan, the
+    /// config — nor the fingerprint, the header or another stored field can
+    /// say. The tick count is the header's progress. Integers are
+    /// little-endian; `usize` travels as `u64`; a *seq* is a `u64` count
+    /// followed by that many items; *json* is a length-prefixed UTF-8 JSON
+    /// string. A part marked *when* is there exactly when the fingerprinted
+    /// config has what it names. In order:
     ///
-    /// 1. `ticks: u64`.
-    /// 2. Ledger — seq of channels, each four `i64` micro-amounts
-    ///    (`Ledger::export_channel`).
-    /// 3. Event queue — seq of `(time: f64, seq: u64, event)` in pop order,
+    /// 1. Ledger — four `i64` micro-amounts per channel of the network, in
+    ///    channel order (`Ledger::export_channel`).
+    /// 2. Event queue — seq of `(time: f64, seq: u64, event)` in pop order,
     ///    then `next_seq: u64`. An event is a tag byte and its argument:
     ///    2 settle, 3 fault-expire (unit index each), 4 fault (tag byte 0–3
     ///    for channel-down/up, node-down/up, then the `u32` id), 5 tick,
     ///    6 rebalance-check, 7 rebalance-apply (channel index). Pending
     ///    arrivals are not stored: they are the trace cursor (see
     ///    [`pop`](Self::pop)), which resume sets to the number of payments
-    ///    (part 4), and they hold the seqs below `arrivals_end` (how many
-    ///    transactions arrive by `end_time`). The decoder refuses tag 0
-    ///    (arrival), tag 1 (hop-arrive: only the router-queued driver
-    ///    schedules one, and it never checkpoints), any seq or `next_seq`
-    ///    below `arrivals_end`, and any event naming a unit at or past
-    ///    `total` (part 5) or a channel or node the network lacks.
-    /// 4. Payments — seq of `delivered: i64, inflight: i64, status: u8`
-    ///    (0 pending, 1 completed, 2 abandoned), `delay: opt f64` (seconds
-    ///    from arrival to completion; v6 stored the completion time),
-    ///    `sent: u32` (units sent, which numbers the next unit's fate); then
-    ///    the pending list, a seq of `usize`. Record `i` is payment `i`,
-    ///    whose inputs are trace row `i` and are not stored. The decoder
+    ///    (part 3), and they hold the seqs below `arrivals_end` (how many
+    ///    transactions arrive by `end_time`). A channel's rebalance flag is
+    ///    not stored either: it is set exactly while an apply for the
+    ///    channel is queued. The decoder refuses tag 0 (arrival), tag 1
+    ///    (hop-arrive: only the router-queued driver schedules one, and it
+    ///    never checkpoints), any seq or `next_seq` below `arrivals_end`,
+    ///    and any event naming a unit at or past `total` (part 4) or a
+    ///    channel or node the network lacks.
+    /// 3. Payments — seq of `delivered: i64, inflight: i64, status: u8`
+    ///    (0 pending, 1 completed, 2 abandoned), then, only when completed,
+    ///    `delay: f64` (seconds from arrival to completion), then `sent:
+    ///    u32` (units sent, which numbers the next unit's fate). Record `i`
+    ///    is payment `i`, whose inputs are trace row `i` and are not stored.
+    ///    The pending list is not stored: it is the payments still pending,
+    ///    when the scheme splits them (a tick prunes the others before it
+    ///    reads the list, and no reader depends on its order). The decoder
     ///    refuses more records than arrive by `end_time`, a negative
     ///    `delivered` or `inflight` or a sum of the two above the row's
-    ///    amount, and a delay that is not finite, is negative, is missing
-    ///    on a completed payment or is present on any other.
-    /// 5. Units — `total: usize`, the number ever sent (slab indices run
-    ///    `0..total`), then a seq of the units still live (`locked > 0`) in
-    ///    index order, each `index: usize, payment: usize`, path (seq of
-    ///    `u32` node ids), `amount: i64`, fault (`u8` 0 none / 1 dropped /
-    ///    2 griefed, then the blamed channel `u32`), `locked: u32` hops.
+    ///    amount, and a delay that is not finite or is negative.
+    /// 4. Units — a seq of the units still live (`locked > 0`) in index
+    ///    order, each `index: usize, payment: usize`, path (seq of `u32`
+    ///    node ids), `amount: i64`, fault (`u8` 0 none / 1 dropped / 2
+    ///    griefed, then the blamed channel `u32`), `locked: u32` hops.
     ///    Every other slot is a settled or refunded unit: nothing reads one
     ///    past its `locked == 0`, so it is neither resident (its chunk of
     ///    the slab is released once every unit in it finished) nor stored.
     ///    On decode it is a tombstone in a chunk that holds a live unit, or
-    ///    in the partly filled last chunk, and absent everywhere else.
-    ///    `total` must equal `units_sent` in part 9.
-    /// 6. `next_deadline: usize` (payments before it have had their
+    ///    in the partly filled last chunk, and absent everywhere else. The
+    ///    number ever sent, `total` (slab indices run `0..total`, and the
+    ///    report counts them), is not stored: it is the sum of the
+    ///    payments' `sent`.
+    /// 5. `next_deadline: usize` (payments before it have had their
     ///    deadline enforced).
-    /// 7. Faults — opt: down-cause bytes (length-prefixed), node-down seq
-    ///    of `bool`, stats json, then a seq of one recovery record per
-    ///    payment: `failures: u32`, `not_before: f64` and the blacklist, a
-    ///    seq of `(channel: usize, until: f64)`. The decoder refuses another
-    ///    record count, a NaN or +∞ `not_before`, a channel the network
-    ///    lacks and a non-finite expiry. Unit fates need no generator state:
-    ///    each is a pure function of the plan's seed, the payment and unit.
-    /// 8. Audit state — opt json; release violations — json.
-    /// 9. `routing_fees_paid: i64`, always 0 (no relay charges a fee), and
-    ///    `units_sent: u64`. The decoder refuses any other fee.
-    /// 10. Network samples — seq of `t, mean_imbalance, total_inflight: f64,
-    ///     pending, max_queue_depth: u32`; `next_sample: f64`.
-    /// 11. Congestion windows — opt seq of `src: u32, dst: u32, window: f64,
-    ///     outstanding: u32`. The decoder refuses a node the network lacks,
-    ///     a window outside `[1, 256]`, and a pair whose `outstanding` is
-    ///     not its number of live units in part 5 (a pair with live units
-    ///     must have an entry).
-    /// 12. Rebalancing — pending flags (seq of `bool`), then `transactions:
-    ///     u64, moved: i64, fees: i64` (micro-units).
+    /// 6. Faults, when the run has a fault plan — down-cause bytes
+    ///    (length-prefixed), node-down seq of `bool`, stats json, then one
+    ///    recovery record per payment of part 3: `failures: u32`,
+    ///    `not_before: f64` and the blacklist, a seq of `(channel: usize,
+    ///    until: f64)`. The decoder refuses a NaN or +∞ `not_before`, a
+    ///    channel the network lacks and a non-finite expiry. Unit fates need
+    ///    no generator state: each is a pure function of the plan's seed,
+    ///    the payment and unit.
+    /// 7. Audit state json, when auditing; release violations json.
+    /// 8. Network samples — seq of `t, mean_imbalance, total_inflight: f64,
+    ///    pending, max_queue_depth: u32`; `next_sample: f64`.
+    /// 9. Congestion windows, when senders run one — seq of `src: u32,
+    ///    dst: u32, window: f64`. A pair's outstanding count is not stored:
+    ///    it is the pair's live units in part 4. The decoder refuses a node
+    ///    the network lacks, a window outside `[1, 256]`, and a live unit
+    ///    whose pair has no window.
+    /// 10. Rebalancing totals — `transactions: u64, moved: i64, fees: i64`
+    ///     (micro-units).
     fn encode(&self) -> Vec<u8> {
         debug_assert!(self.router.queues.is_empty(), "a router-queued checkpoint");
         let mut e = Enc::new();
-        e.u64(self.ticks);
-        e.usize(self.network.num_channels());
         for i in 0..self.network.num_channels() {
             for v in self.ledger.export_channel(ChannelId::from(i)) {
                 e.i64(v);
@@ -1212,61 +1207,46 @@ impl Transport<'_> {
         });
         e.u64(self.queue.next_seq());
         e.seq(&self.payments, enc_payment);
-        e.seq(&self.pending, |e, &i| e.usize(i));
-        e.usize(self.units.len());
         let live: Vec<(usize, &Unit)> = self.units.iter_live().collect();
         e.seq(&live, |e, &(index, u)| {
             e.usize(index);
             enc_unit(e, u);
         });
         e.usize(self.next_deadline);
-        e.opt(self.faults.as_ref().map(|faults| {
-            |e: &mut Enc| {
-                snapshot::enc_fault_state(e, faults);
-                e.seq(&self.recovery, enc_recovery);
+        if let Some(faults) = &self.faults {
+            snapshot::enc_fault_state(&mut e, faults);
+            for r in &self.recovery {
+                enc_recovery(&mut e, r);
             }
-        }));
-        e.opt(
-            (self.audit.as_ref()).map(|a| |e: &mut Enc| snapshot::enc_json(e, &a.export_state())),
-        );
+        }
+        if let Some(a) = &self.audit {
+            snapshot::enc_json(&mut e, &a.export_state());
+        }
         snapshot::enc_json(&mut e, &self.release_violations);
-        e.i64(0);
-        e.u64(self.units_sent);
         e.seq(&self.network_series, enc_sample);
         e.f64(self.next_sample);
-        e.opt(self.congestion.as_ref().map(|cc| {
-            |e: &mut Enc| {
-                e.seq(&cc.export_state(), |e, &(src, dst, window, outstanding)| {
-                    e.u32(src.0);
-                    e.u32(dst.0);
-                    e.f64(window);
-                    e.u32(outstanding);
-                })
-            }
-        }));
-        e.seq(&self.rebalance_pending, |e, &b| e.bool(b));
+        if let Some(cc) = &self.congestion {
+            e.seq(&cc.export_state(), |e, &(src, dst, window)| {
+                e.u32(src.0);
+                e.u32(dst.0);
+                e.f64(window);
+            });
+        }
         e.u64(self.rebalance.transactions);
         e.i64(self.rebalance.moved.micros());
         e.i64(self.rebalance.fees.micros());
         e.into_bytes()
     }
 
-    /// Restores a freshly built state from [`encode`](Self::encode)'s
-    /// bytes. Optional parts must be present exactly when this run's
-    /// configuration has them, and every index is bounds-checked, so a
-    /// damaged section is a [`SnapshotError`], never a panic later on.
-    fn decode(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+    /// Restores a freshly built state at tick `ticks` (the snapshot's
+    /// progress) from [`encode`](Self::encode)'s bytes, and rebuilds what
+    /// they leave out. Every index is bounds-checked, so a damaged section
+    /// is a [`SnapshotError`], never a panic later on.
+    fn decode(&mut self, ticks: u64, bytes: &[u8]) -> Result<(), SnapshotError> {
         let network = self.network;
         let mut d = Dec::new(bytes);
-        self.ticks = d.u64()?;
-        let num_channels = d.usize()?;
-        if num_channels != network.num_channels() {
-            return corrupt(format!(
-                "snapshot has {num_channels} channels, network has {}",
-                network.num_channels()
-            ));
-        }
-        for i in 0..num_channels {
+        self.ticks = ticks;
+        for i in 0..network.num_channels() {
             let raw = [d.i64()?, d.i64()?, d.i64()?, d.i64()?];
             self.ledger.restore_channel(ChannelId::from(i), raw);
         }
@@ -1284,8 +1264,12 @@ impl Transport<'_> {
         self.payments = (0..num_payments)
             .map(|i| dec_payment(&mut d, i, self.row(i)))
             .collect::<Result<_, _>>()?;
-        self.pending = dec_seq(&mut d, |d| dec_index(d, num_payments, "pending payment"))?;
-        let num_units = d.usize()?;
+        if self.split {
+            self.pending = (0..num_payments)
+                .filter(|&i| self.payments[i].status == PaymentStatus::Pending)
+                .collect();
+        }
+        let num_units = (self.payments.iter()).map(|p| p.sent as usize).sum();
         let mut next_index = 0;
         let live = dec_seq(&mut d, |d| {
             let index = dec_index(d, num_units, "live unit at index")?;
@@ -1302,34 +1286,16 @@ impl Transport<'_> {
         self.restore_queue(entries, next_seq, num_units)?;
         self.next_arrival = num_payments;
         self.next_deadline = dec_index(&mut d, num_payments + 1, "deadline cursor at payment")?;
-        dec_present(&mut d, self.faults.is_some(), "a fault plan")?;
         if let Some(faults) = self.faults.as_mut() {
             snapshot::dec_fault_state(&mut d, faults)?;
-            self.recovery = dec_seq(&mut d, |d| dec_recovery(d, network))?;
-            let records = self.recovery.len();
-            if records != num_payments {
-                return corrupt(format!(
-                    "{records} recovery records, {num_payments} payments"
-                ));
-            }
+            self.recovery = (0..num_payments)
+                .map(|_| dec_recovery(&mut d, network))
+                .collect::<Result<_, _>>()?;
         }
-        if dec_present(&mut d, self.audit.is_some(), "auditing")? {
+        if self.audit.is_some() {
             self.audit = Some(LedgerAudit::from_state(snapshot::dec_json(&mut d)?));
         }
         self.release_violations = snapshot::dec_json(&mut d)?;
-        match d.i64()? {
-            0 => {}
-            fees => return corrupt(format!("routing fees of {fees} micros")),
-        }
-        self.units_sent = d.u64()?;
-        // Nothing bounds the chunk table about to be allocated (one entry
-        // per `CHUNK` units) but the run's own count of the units it sent.
-        if num_units as u64 != self.units_sent {
-            return corrupt(format!(
-                "{num_units} unit slots for {} units sent",
-                self.units_sent
-            ));
-        }
         self.units.restore(num_units, live, network)?;
         self.network_series = d.seq(|d| {
             Ok(NetworkSample {
@@ -1341,21 +1307,17 @@ impl Transport<'_> {
             })
         })?;
         self.next_sample = d.f64()?;
-        if dec_present(&mut d, self.congestion.is_some(), "congestion control")? {
+        if let Some(cc) = self.congestion.as_mut() {
             let num_nodes = network.num_nodes();
             let node = |d: &mut Dec| match d.u32()? {
                 n if (n as usize) < num_nodes => Ok(NodeId(n)),
                 n => corrupt(format!("congestion window names node {n}")),
             };
-            let windows = dec_seq(&mut d, |d| Ok((node(d)?, node(d)?, d.f64()?, d.u32()?)))?;
-            self.check_outstanding(&windows)?;
-            if let Some(cc) = self.congestion.as_mut() {
-                cc.restore_state(&windows).or_else(corrupt)?;
-            }
-        }
-        self.rebalance_pending = d.seq(|d| d.bool())?;
-        if self.rebalance_pending.len() != num_channels {
-            return corrupt("rebalance flags do not cover every channel".to_string());
+            let windows = dec_seq(&mut d, |d| Ok((node(d)?, node(d)?, d.f64()?)))?;
+            let rows = self.transactions;
+            let live = (self.units.iter_live())
+                .map(|(_, u)| (rows[u.payment()].src, rows[u.payment()].dst));
+            cc.restore_state(&windows, live).or_else(corrupt)?;
         }
         self.rebalance = RebalanceTotals {
             transactions: d.u64()?,
@@ -1366,38 +1328,10 @@ impl Transport<'_> {
         Ok(())
     }
 
-    /// Refuses a congestion table (part 11) whose per-pair `outstanding`
-    /// is not the number of restored live units the pair has in flight,
-    /// and one that lacks a pair with live units.
-    fn check_outstanding(
-        &self,
-        windows: &[(NodeId, NodeId, f64, u32)],
-    ) -> Result<(), SnapshotError> {
-        let mut live = BTreeMap::new();
-        for (_, u) in self.units.iter_live() {
-            let tx = self.row(u.payment());
-            *live.entry((tx.src, tx.dst)).or_insert(0u64) += 1;
-        }
-        for &(src, dst, _, outstanding) in windows {
-            let units = live.get(&(src, dst)).copied().unwrap_or(0);
-            if units != u64::from(outstanding) {
-                return corrupt(format!(
-                    "congestion window {src:?} → {dst:?} holds {outstanding} units, {units} are live"
-                ));
-            }
-        }
-        let tracked: BTreeSet<(NodeId, NodeId)> = windows.iter().map(|w| (w.0, w.1)).collect();
-        match live.iter().find(|(pair, _)| !tracked.contains(pair)) {
-            Some(((src, dst), units)) => corrupt(format!(
-                "congestion window {src:?} → {dst:?} missing for {units} live units"
-            )),
-            None => Ok(()),
-        }
-    }
-
-    /// Restores part 3: every entry goes back on the queue with its
-    /// original sequence number, which restores the exact drain order.
-    /// Refuses what `encode` cannot have written (see its part 3).
+    /// Restores part 2: every entry goes back on the queue with its
+    /// original sequence number, which restores the exact drain order, and
+    /// each queued rebalance apply sets its channel's flag. Refuses what
+    /// `encode` cannot have written (see its part 2).
     fn restore_queue(
         &mut self,
         entries: Vec<(f64, u64, Event)>,
@@ -1412,6 +1346,10 @@ impl Transport<'_> {
                 }
                 _ if seq < end => {
                     return corrupt(format!("queued event seq {seq} within the {end} arrivals"));
+                }
+                Event::RebalanceApply { channel } => {
+                    self.rebalance_pending[channel.index()] = true;
+                    self.queue.push_with_seq(t, seq, event)
                 }
                 event => self.queue.push_with_seq(t, seq, event),
             }
@@ -1715,7 +1653,7 @@ mod tests {
             lockstep(&mut t, &mut oracle, &path, stop);
             let bytes = t.encode();
             let mut resumed = transport(&g, &txs, &tel);
-            resumed.decode(&bytes).unwrap();
+            resumed.decode(t.ticks, &bytes).unwrap();
             assert_eq!(resumed.encode(), bytes, "stop {stop}: re-encoding");
             assert!(!lockstep(&mut resumed, &mut oracle, &path, usize::MAX));
         }
@@ -1730,10 +1668,158 @@ mod tests {
         t.seed(None, false);
         lockstep(&mut t, &mut oracle(&txs), &path, 17);
         assert!(t.payments.len() > 2);
-        match transport(&g, &txs[..2], &tel).decode(&t.encode()) {
+        match transport(&g, &txs[..2], &tel).decode(t.ticks, &t.encode()) {
             Err(SnapshotError::Corrupt { what }) => assert!(what.contains("arrive by the end")),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    // -- what resume derives ------------------------------------------------
+
+    thread_local! {
+        /// What [`check_derived`] has compared on this thread, summed over
+        /// checkpoints: the checkpoints, pending payments, rebalance flags
+        /// set and units outstanding. `None` while no test asks for it.
+        static DERIVED_CHECKS: std::cell::Cell<Option<[usize; 4]>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Called by every checkpoint of a test build: when the running test
+    /// asked for it, resumes the snapshot just written into a fresh
+    /// transport and compares each value a v9 snapshot leaves out with the
+    /// live one it replaces.
+    pub(super) fn check_derived(live: &Transport, ck: &CheckpointSpec, fingerprint: u32) {
+        let Some([checkpoints, waiting, flags, outstanding]) = DERIVED_CHECKS.get() else {
+            return;
+        };
+        assert!(live.faults.is_none(), "a fault plan is not rebuilt here");
+        let tel = if live.tel.is_enabled() {
+            Telemetry::enabled()
+        } else {
+            Telemetry::disabled()
+        };
+        let timing = [live.end_time, live.poll_interval, live.window];
+        let mut fresh = Transport::new(
+            live.network,
+            live.transactions,
+            &tel,
+            timing,
+            live.mtu,
+            live.split,
+            None,
+        );
+        fresh.audit = live.audit.as_ref().map(|_| LedgerAudit::new(&fresh.ledger));
+        fresh.congestion = live
+            .congestion
+            .as_ref()
+            .map(|_| CongestionControl::default());
+        let path = ck.dir.join(format!("snap-{:012}.spsn", live.ticks));
+        fresh.load(&path, fingerprint).unwrap();
+        let at = live.ticks;
+        assert_eq!(fresh.ticks, at);
+        assert_eq!(fresh.units.len(), live.units.len(), "tick {at}: units sent");
+        let mut pending: Vec<usize> = (live.pending.iter().copied())
+            .filter(|&i| live.payments[i].status == PaymentStatus::Pending)
+            .collect();
+        pending.sort_unstable();
+        assert_eq!(fresh.pending, pending, "tick {at}: pending payments");
+        assert_eq!(fresh.rebalance_pending, live.rebalance_pending, "tick {at}");
+        let mut in_flight = 0;
+        if let (Some(live_cc), Some(fresh_cc)) = (&live.congestion, &fresh.congestion) {
+            let pairs = live_cc.export_state();
+            assert_eq!(fresh_cc.export_state(), pairs, "tick {at}: windows");
+            for (src, dst, _) in pairs {
+                let units = live_cc.outstanding(src, dst);
+                assert_eq!(fresh_cc.outstanding(src, dst), units, "tick {at}");
+                in_flight += units as usize;
+            }
+        }
+        let set = live.rebalance_pending.iter().filter(|&&f| f).count();
+        DERIVED_CHECKS.set(Some([
+            checkpoints + 1,
+            waiting + pending.len(),
+            flags + set,
+            outstanding + in_flight,
+        ]));
+    }
+
+    /// Runs `scheme` over `config` checkpointing every `every` ticks with
+    /// [`check_derived`] on, and returns what it compared.
+    fn derived_checks(
+        network: &Network,
+        txs: &[Transaction],
+        scheme: &mut dyn RoutingScheme,
+        config: &crate::SimConfig,
+        every: u64,
+        tag: &str,
+    ) -> [usize; 4] {
+        let dir = std::env::temp_dir().join(format!("spsn-derived-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        DERIVED_CHECKS.set(Some([0; 4]));
+        let spec = CheckpointSpec::new(every, &dir);
+        crate::engine::run_checkpointed(network, txs, scheme, config, &spec).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        DERIVED_CHECKS.take().unwrap_or_default()
+    }
+
+    fn isp_scenario(
+        capacity: i64,
+        payments: usize,
+        span: f64,
+        seed: u64,
+    ) -> (Network, Vec<Transaction>) {
+        let network = spider_topology::isp_topology(Amount::from_whole(capacity));
+        let mut trace =
+            spider_workload::TraceConfig::isp_default(network.num_nodes(), payments, span);
+        trace.seed = seed;
+        (
+            network,
+            spider_workload::generate(&trace, &spider_workload::isp_sizes()),
+        )
+    }
+
+    /// At every checkpoint of a run with congestion control and rebalancing
+    /// on, and of runs whose payments mostly wait parked, the pending set,
+    /// the rebalance flags, each pair's outstanding units, the tick count
+    /// and the units sent that resume rebuilds equal the live ones.
+    #[test]
+    fn every_derived_value_equals_the_live_one() {
+        use spider_routing::{ShortestPathScheme, WaterfillingScheme};
+        let (network, txs) = isp_scenario(100, 250, 15.0, 7);
+        let mut config = crate::SimConfig::new(18.0);
+        config.audit = true;
+        config.telemetry = Telemetry::enabled();
+        config.congestion = true;
+        config.rebalance = true;
+        let mut scheme = WaterfillingScheme::new();
+        let [checkpoints, waiting, flags, outstanding] =
+            derived_checks(&network, &txs, &mut scheme, &config, 15, "cc-reb");
+        assert_eq!(checkpoints, 12);
+        assert!(
+            waiting > 0 && flags > 0 && outstanding > 0,
+            "nothing to derive"
+        );
+
+        // `resume_with_parked_payments_is_byte_identical`'s inputs.
+        let (network, txs) = isp_scenario(100, 400, 10.0, 29);
+        let mut config = crate::SimConfig::new(12.0);
+        config.audit = true;
+        config.telemetry = Telemetry::enabled();
+        let mut scheme = ShortestPathScheme::new();
+        let [checkpoints, waiting, ..] =
+            derived_checks(&network, &txs, &mut scheme, &config, 10, "sp");
+        // About a hundred payments wait at each snapshot.
+        assert_eq!(checkpoints, 12);
+        assert!(waiting >= 40 * 12, "{waiting} payments waiting in all");
+        config.rebalance = true;
+        let mut scheme = WaterfillingScheme::new();
+        let [checkpoints, waiting, flags, _] =
+            derived_checks(&network, &txs, &mut scheme, &config, 10, "wf");
+        assert_eq!(checkpoints, 12);
+        assert!(
+            waiting >= 40 * 12 && flags > 0,
+            "{waiting} waiting, {flags} flags"
+        );
     }
 
     #[test]

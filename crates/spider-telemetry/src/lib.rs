@@ -45,14 +45,11 @@ use trace::KIND_COUNT;
 pub const DEFAULT_SAMPLE_INTERVAL: f64 = 1.0;
 
 /// Lossless recorded state of an enabled [`Telemetry`] handle, as an engine
-/// checkpoint stores it; [`Telemetry::restore_from_state`] applies one.
+/// checkpoint stores it; [`Telemetry::restore_from_state`] applies one. The
+/// handle's sampling cadence is an input of the run, not recorded state, and
+/// the profiler's wall times are never restored.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TelemetryState {
-    /// Channel-sampling cadence (simulation seconds).
-    pub sample_interval: f64,
-    /// Whether the handle carried a span profiler. A checkpoint records
-    /// this flag, but a profiled capture cannot be restored.
-    pub profiled: bool,
     /// Full registry contents.
     pub registry: registry::RegistryState,
     /// The event buffer, in emission order.
@@ -168,12 +165,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// `true` when this handle records engine-phase spans.
-    #[inline]
-    pub fn is_profiling(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.profiler.is_some())
-    }
-
     /// Channel-sampling cadence, or `None` when disabled.
     #[inline]
     pub fn sample_interval(&self) -> Option<f64> {
@@ -268,22 +259,14 @@ impl Telemetry {
 
     /// Restores checkpointed state *into this handle* in place, so a caller
     /// holding a clone keeps visibility into a resumed run's trace and
-    /// metrics. The handle must be enabled, unprofiled, created with the
-    /// same sampling cadence as the capture, and must not have recorded any
-    /// events yet.
+    /// metrics. The handle must be enabled and must not have recorded any
+    /// events yet. Profiling changes no recorded byte, so a capture taken by
+    /// a profiled handle restores into a plain one and the other way round;
+    /// a profiled handle times only what runs after the restore.
     pub fn restore_from_state(&self, state: TelemetryState) -> Result<(), String> {
         let Some(inner) = self.inner.as_ref() else {
             return Err("cannot restore telemetry into a disabled handle".to_string());
         };
-        if state.profiled || inner.profiler.is_some() {
-            return Err("profiled telemetry cannot be restored".to_string());
-        }
-        if inner.sample_interval.to_bits() != state.sample_interval.to_bits() {
-            return Err(format!(
-                "sample interval mismatch: handle {} vs snapshot {}",
-                inner.sample_interval, state.sample_interval
-            ));
-        }
         if !inner.tracer.is_empty() {
             return Err("cannot restore into a handle that already recorded events".to_string());
         }
@@ -430,8 +413,6 @@ mod tests {
             if i == 513 {
                 at_513 = Some(spbt(&original));
                 state = Some(TelemetryState {
-                    sample_interval: DEFAULT_SAMPLE_INTERVAL,
-                    profiled: false,
                     registry: original.registry().unwrap().export_state(),
                     events: original.events(),
                 });

@@ -351,13 +351,16 @@ fn resume_with_parked_payments_is_byte_identical() {
 }
 
 /// What a sequential-engine `SEC_CORE` section says about units, read by
-/// the SPSN v8 layout documented on `Transport::encode`.
+/// the SPSN v9 layout documented on `Transport::encode`.
 struct CoreUnits {
-    /// Units ever sent: slab indices run `0..total`.
+    /// Units ever sent, the sum of the payments' `sent`: slab indices run
+    /// `0..total`.
     total: usize,
     /// Slab indices of the units stored (the live ones).
     live: Vec<usize>,
-    /// Bytes of the units part (`total`, the live count, the live records).
+    /// The payment of each live unit.
+    live_payments: Vec<usize>,
+    /// Bytes of the units part (the live count and the live records).
     bytes: usize,
     /// Units named by queued settle and fault-expire events.
     event_units: Vec<usize>,
@@ -368,13 +371,13 @@ struct CoreUnits {
 }
 
 impl CoreUnits {
-    fn read(snapshot: &Path) -> (CoreUnits, usize) {
+    /// Reads `snapshot`, taken of a run over a network of `channels`
+    /// channels.
+    fn read(snapshot: &Path, channels: usize) -> (CoreUnits, usize) {
         use spider::core::Dec;
         let snap = spider::sim::snapshot::read_snapshot(snapshot).expect("snapshot reads");
         let core = (snap.section(spider::sim::snapshot::SEC_CORE)).expect("core section");
         let mut d = Dec::new(core);
-        d.u64().expect("ticks");
-        let channels = d.usize().expect("channel count");
         d.take_raw(channels * 4 * 8).expect("ledger");
         let mut event_units = Vec::new();
         let mut events = Vec::new();
@@ -387,31 +390,32 @@ impl CoreUnits {
                 7 => drop(d.usize().expect("event argument")),
                 4 => drop(d.take_raw(1 + 4).expect("fault event")),
                 5 | 6 => {}
-                other => panic!("a v8 section queues no event with tag {other}"),
+                other => panic!("a v9 section queues no event with tag {other}"),
             }
         }
         d.u64().expect("next sequence number");
         let payments = d.usize().expect("payments");
+        let mut total = 0;
         for _ in 0..payments {
-            // delivered, inflight, status; delay; sent.
-            d.take_raw(8 + 8 + 1).expect("payment");
-            d.opt(|d| d.f64()).expect("completion delay");
-            d.u32().expect("units sent");
+            // delivered, inflight, status; a completed payment's delay; sent.
+            d.take_raw(8 + 8).expect("payment");
+            if d.u8().expect("status") == 1 {
+                d.f64().expect("completion delay");
+            }
+            total += d.u32().expect("units sent") as usize;
         }
-        let pending = d.usize().expect("pending list");
-        d.take_raw(pending * 8).expect("pending payments");
         let start = d.offset();
-        let total = d.usize().expect("units ever sent");
-        let mut live = Vec::new();
+        let (mut live, mut live_payments) = (Vec::new(), Vec::new());
         for _ in 0..d.usize().expect("live units") {
             live.push(d.usize().expect("unit index"));
-            d.usize().expect("unit payment");
+            live_payments.push(d.usize().expect("unit payment"));
             let nodes = d.usize().expect("path length");
             d.take_raw(4 * nodes + 8 + 1 + 4 + 4).expect("unit body");
         }
         let units = CoreUnits {
             total,
             live,
+            live_payments,
             bytes: d.offset() - start,
             event_units,
             events,
@@ -444,7 +448,11 @@ fn resume_over_tombstones_is_byte_identical() {
         run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     }
     let stale = (snapshot_files(dir.path()).iter())
-        .filter(|snap| CoreUnits::read(snap).0.has_stale_event())
+        .filter(|snap| {
+            CoreUnits::read(snap, network.num_channels())
+                .0
+                .has_stale_event()
+        })
         .count();
     assert!(stale > 0, "no checkpoint caught a stale unit event");
     assert_resume_equivalence(&network, &txs, &cfg, &Scheme::Waterfilling, 7, "tombstones");
@@ -465,7 +473,7 @@ fn core_section_is_bounded_by_live_units_not_units_sent() {
         let report = run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec)
             .expect("checkpointed run");
         let last = snapshot_files(dir.path()).pop().expect("a snapshot");
-        let (units, core_len) = CoreUnits::read(&last);
+        let (units, core_len) = CoreUnits::read(&last, network.num_channels());
         assert!(units.total as u64 <= report.units_sent);
         (units, core_len)
     };
@@ -480,7 +488,7 @@ fn core_section_is_bounded_by_live_units_not_units_sent() {
         // The units part is the live units and nothing else (a record is
         // 33 bytes plus 4 per node of its path, behind its 8-byte index)...
         assert!(units.live.len() * 10 < units.total);
-        assert!(units.bytes <= 16 + units.live.len() * (8 + 33 + 4 * 16));
+        assert!(units.bytes <= 8 + units.live.len() * (8 + 33 + 4 * 16));
         // ...so the whole section is smaller than the table of every unit
         // ever sent (41 bytes for a one-hop unit) used to be on its own.
         assert!(
@@ -537,7 +545,7 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
         let found = snapshot_files(dir.path()).iter().find_map(|path| {
             let snap = read_snapshot(path).expect("snapshot reads");
             let core = snap.section(SEC_CORE).expect("core section").to_vec();
-            let (units, _) = CoreUnits::read(path);
+            let (units, _) = CoreUnits::read(path, network.num_channels());
             let &(_, at) = (units.events.iter())
                 .find(|&&(t, at)| t == tag && fault_tag.is_none_or(|f| core[at] == f))?;
             Some((snap, core, at, units.total as u64))
@@ -557,7 +565,7 @@ fn queued_event_naming_an_unknown_index_is_corrupt_never_a_panic() {
             }
         }
         let path = dir.path().join(format!("unknown-{what}.spsn"));
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
         std::fs::write(&path, bytes).expect("write tampered snapshot");
         let mut scheme = make_scheme(&Scheme::Waterfilling);
         match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
@@ -607,7 +615,7 @@ fn damaged_embedded_trace_is_corrupt_never_a_panic() {
                 *bytes = telemetry.clone();
             }
         }
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+        let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
         let path = dir.path().join(format!("damaged-{label}.spsn"));
         std::fs::write(&path, bytes).expect("write damaged snapshot");
         let mut cfg = cfg.clone();
@@ -688,7 +696,7 @@ fn path_cache_naming_unknown_nodes_is_an_error_never_a_panic() {
         }
     }
     let path = dir.path().join("unknown-nodes.spsn");
-    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+    let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
     std::fs::write(&path, bytes).expect("write tampered snapshot");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
@@ -712,18 +720,18 @@ fn congestion_window_naming_an_unknown_node_is_corrupt_never_an_abort() {
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
 
-    // The core section ends with part 11's windows, 20 bytes each, then
-    // part 12: a flag per channel behind its `u64` count, and three words.
+    // The core section ends with part 9's windows, 16 bytes each, then
+    // part 10's three words.
     let snap = read_snapshot(&snapshot_files(dir.path())[1]).expect("snapshot reads");
     let mut sections = snap.sections.clone();
     for (tag, bytes) in &mut sections {
         if *tag == SEC_CORE {
-            let last_window = bytes.len() - 24 - (8 + network.num_channels()) - 20;
+            let last_window = bytes.len() - 24 - 16;
             bytes[last_window..last_window + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         }
     }
     let path = dir.path().join("unknown-window-node.spsn");
-    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
+    let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
     std::fs::write(&path, bytes).expect("write tampered snapshot");
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
@@ -732,12 +740,13 @@ fn congestion_window_naming_an_unknown_node_is_corrupt_never_an_abort() {
     }
 }
 
-/// A checksum-valid `SEC_CORE` whose congestion-window table (part 11)
-/// miscounts a pair's units in flight: once with a pair's `outstanding`
-/// zeroed, once with the pair's entry removed. Either would free window
-/// slots that live units still hold (a debug build then panicked with
-/// `outcome without outstanding unit`, a release build resumed without a
-/// word), so `resume` must refuse both as `Corrupt`.
+/// A checksum-valid `SEC_CORE` whose congestion-window table (part 9)
+/// lacks the entry of a pair with units in flight. A pair's outstanding
+/// count is the number of its live units, which resume counts; a unit
+/// without a window would free a window slot it never took (before the
+/// counts were checked, a debug build panicked with `outcome without
+/// outstanding unit` and a release build resumed without a word), so
+/// `resume` must refuse the table as `Corrupt`.
 #[test]
 fn congestion_outstanding_disagreeing_with_live_units_is_corrupt() {
     use spider::sim::snapshot::{encode_snapshot, read_snapshot, SEC_CORE};
@@ -749,45 +758,42 @@ fn congestion_outstanding_disagreeing_with_live_units_is_corrupt() {
     let mut scheme = make_scheme(&Scheme::Waterfilling);
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
 
-    // Part 11's windows, 20 bytes each behind their `u64` count, end where
-    // part 12 (a flag per channel behind its count, then three words)
-    // begins.
-    let snap = read_snapshot(&snapshot_files(dir.path())[1]).expect("snapshot reads");
+    // Part 9's windows, `src: u32, dst: u32, window: f64` behind their
+    // `u64` count, end where part 10's three words begin.
+    let path = &snapshot_files(dir.path())[1];
+    let snap = read_snapshot(path).expect("snapshot reads");
     let core = snap.section(SEC_CORE).expect("core section").to_vec();
-    let end = core.len() - 24 - (8 + network.num_channels());
+    let end = core.len() - 24;
     let word = |at: usize| u64::from_le_bytes(core[at..at + 8].try_into().expect("eight bytes"));
-    let count = (1..=end / 20)
-        .find(|&n| word(end - 20 * n - 8) == n as u64)
+    let count = (1..=end / 16)
+        .find(|&n| word(end - 16 * n - 8) == n as u64)
         .expect("window count");
-    let first = end - 20 * count;
+    let first = end - 16 * count;
+    let (units, _) = CoreUnits::read(path, network.num_channels());
+    let tx = &txs[*units.live_payments.first().expect("a unit in flight")];
+    let mut pair = tx.src.0.to_le_bytes().to_vec();
+    pair.extend_from_slice(&tx.dst.0.to_le_bytes());
     let busy = (0..count)
-        .map(|i| first + 20 * i)
-        .find(|&at| core[at + 16..at + 20] != [0; 4])
-        .expect("a pair with units in flight");
+        .map(|i| first + 16 * i)
+        .find(|&at| core[at..at + 8] == pair[..])
+        .expect("the window of a pair with units in flight");
 
-    let mut zeroed = core.clone();
-    zeroed[busy + 16..busy + 20].copy_from_slice(&[0; 4]);
     let mut dropped = core.clone();
-    dropped.drain(busy..busy + 20);
+    dropped.drain(busy..busy + 16);
     dropped[first - 8..first].copy_from_slice(&(count as u64 - 1).to_le_bytes());
-    for (label, tampered, needle) in [
-        ("zeroed", zeroed, "holds 0 units"),
-        ("dropped", dropped, "missing for"),
-    ] {
-        let mut sections = snap.sections.clone();
-        for (tag, bytes) in &mut sections {
-            if *tag == SEC_CORE {
-                bytes.clone_from(&tampered);
-            }
+    let mut sections = snap.sections.clone();
+    for (tag, bytes) in &mut sections {
+        if *tag == SEC_CORE {
+            bytes.clone_from(&dropped);
         }
-        let path = dir.path().join(format!("outstanding-{label}.spsn"));
-        let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, &sections);
-        std::fs::write(&path, bytes).expect("write tampered snapshot");
-        let mut scheme = make_scheme(&Scheme::Waterfilling);
-        match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
-            Err(SnapshotError::Corrupt { what }) if what.contains(needle) => {}
-            other => panic!("{label}: expected Corrupt naming the window, got {other:?}"),
-        }
+    }
+    let path = dir.path().join("outstanding-dropped.spsn");
+    let bytes = encode_snapshot(snap.fingerprint, snap.progress, &sections);
+    std::fs::write(&path, bytes).expect("write tampered snapshot");
+    let mut scheme = make_scheme(&Scheme::Waterfilling);
+    match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
+        Err(SnapshotError::Corrupt { what }) if what.contains("missing for a live unit") => {}
+        other => panic!("expected Corrupt naming the window, got {other:?}"),
     }
 }
 
@@ -817,7 +823,7 @@ fn assert_frame_checksums(tag: &str, snapshots: &[PathBuf], pinned: &[u32]) {
 /// The continuous-time engine's telemetry-on snapshots, pinned by frame
 /// checksum: the core state, the scheme state and the telemetry section
 /// (metrics registry and the event log as SPBT) may not drift while
-/// `snapshot::FORMAT_VERSION` stays 8. Captured at the v8 bump with this
+/// `snapshot::FORMAT_VERSION` stays 9. Captured at the v9 bump with this
 /// `full_config`.
 #[test]
 fn sequential_telemetry_snapshot_bytes_are_pinned() {
@@ -829,18 +835,19 @@ fn sequential_telemetry_snapshot_bytes_are_pinned() {
     let spec = CheckpointSpec::new(20, dir.path());
     run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     let pinned = [
-        0xad717da6, 0xe712a605, 0xbda77775, 0x44001dd0, 0xe31c923d, 0x83abe09f, 0xa5d36f53,
+        0x3bb99ffd, 0x3c32ab1f, 0x02dc5e5c, 0x31b3cd3e, 0x6b369289, 0x3a4d3c1c, 0x54be94bd,
     ];
     assert_frame_checksums("seq-pinned", &snapshot_files(dir.path()), &pinned);
 }
 
 /// A checkpointed run with congestion control and rebalancing on (the
 /// settings `ablations` runs), pinned by frame checksum: the window table,
-/// the rebalance flags and events, and the fingerprint that writes the
-/// fixed AIMD and rebalancing constants may not drift while
-/// `snapshot::FORMAT_VERSION` stays 8. Captured while both were still
-/// settable, with the default AIMD window and the aggressive rebalancing
-/// policy whose values the constants keep.
+/// the rebalance events, and the fingerprint that writes the fixed AIMD
+/// and rebalancing constants may not drift while
+/// `snapshot::FORMAT_VERSION` stays 9. Captured at the v9 bump; the v8 pins
+/// were captured while both were still settable, with the default AIMD
+/// window and the aggressive rebalancing policy whose values the constants
+/// keep.
 #[test]
 fn congestion_and_rebalancing_snapshot_bytes_are_pinned() {
     let (network, txs) = isp_scenario(7, 250);
@@ -854,7 +861,7 @@ fn congestion_and_rebalancing_snapshot_bytes_are_pinned() {
     let report =
         run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec).expect("checkpointed run");
     assert_eq!(report.rebalance.transactions, 60);
-    let pinned = [0x95df2bdd, 0x9b9051bf, 0x3d6d8fdb, 0x9427d6d4];
+    let pinned = [0x13e01d91, 0x6e69f5c8, 0xa1fb102d, 0xbb8991a4];
     assert_frame_checksums("cc-reb-pinned", &snapshot_files(dir.path()), &pinned);
 }
 
@@ -868,7 +875,7 @@ fn reseal(
     sections: &[(u32, Vec<u8>)],
 ) -> PathBuf {
     use spider::sim::snapshot::encode_snapshot;
-    let bytes = encode_snapshot(snap.engine, snap.fingerprint, snap.progress, sections);
+    let bytes = encode_snapshot(snap.fingerprint, snap.progress, sections);
     let path = dir.join(format!("stray-{label}.spsn"));
     std::fs::write(&path, bytes).expect("write re-sealed snapshot");
     path
@@ -921,70 +928,60 @@ fn stray_sections_are_corrupt_in_every_engine() {
 }
 
 /// Re-seals the last snapshot in `dir` three times with its telemetry
-/// section rewritten: the first counter labelled `"x"`, one gauge added,
-/// and the first counter written twice. The registry writes none of these,
-/// so `resume` must refuse each as `Corrupt` naming the metric; before the
-/// check each resumed, and the report listed the injected entry.
+/// section rewritten: the first counter written twice, the first two
+/// counters swapped, and one byte appended. The registry writes each name
+/// once, in ascending order, and nothing after the log, so `resume` must
+/// refuse each as `Corrupt`.
 fn assert_foreign_metrics_are_corrupt(
     dir: &Path,
     resume: impl Fn(&Path) -> Result<(), SnapshotError>,
 ) {
-    use spider::core::{Dec, Enc};
+    use spider::core::Dec;
     use spider::sim::snapshot::{read_snapshot, SEC_TELEMETRY};
     let path = snapshot_files(dir).pop().expect("a snapshot");
     let snap = read_snapshot(&path).expect("snapshot reads");
     let section = snap.section(SEC_TELEMETRY).expect("telemetry section");
-    // `sample_interval: f64`, `profiled: u8`, then the counter seq: a `u64`
-    // count and `(name, label, value: u64)` each, then the gauge count.
+    // The section opens with the counter seq: a `u64` count and `(name,
+    // value: u64)` each.
     let mut d = Dec::new(section);
-    d.take_raw(9).expect("section head");
-    let count_at = d.offset();
     let count = d.u64().expect("counter count");
-    assert!(count > 0, "no counter recorded");
-    let first_at = d.offset();
-    let (name, _label) = (d.str().expect("name"), d.str().expect("label"));
-    let value = d.u64().expect("value");
-    let first_end = d.offset();
-    for _ in 1..count {
+    assert!(count >= 2, "fewer than two counters recorded");
+    let mut ends = vec![d.offset()];
+    for _ in 0..2 {
         d.str().expect("name");
-        d.str().expect("label");
         d.u64().expect("value");
+        ends.push(d.offset());
     }
-    let gauges_at = d.offset();
+    let [first_at, first_end, second_end] = ends[..] else {
+        unreachable!("three offsets")
+    };
+    let first = Dec::new(&section[first_at..]).str().expect("name");
+    let second = Dec::new(&section[first_end..]).str().expect("name");
 
-    let mut labelled = Enc::new();
-    labelled.str(&name);
-    labelled.str("x");
-    labelled.u64(value);
-    let labelled = [
-        &section[..first_at],
-        &labelled.into_bytes(),
-        &section[first_end..],
-    ]
-    .concat();
-    let mut gauge = Enc::new();
-    gauge.u64(1);
-    gauge.str("sim.gauge");
-    gauge.str("");
-    gauge.f64(1.0);
-    let gauged = [
-        &section[..gauges_at],
-        &gauge.into_bytes(),
-        &section[gauges_at + 8..],
-    ]
-    .concat();
     let mut twice = [
         &section[..first_end],
         &section[first_at..first_end],
         &section[first_end..],
     ]
     .concat();
-    twice[count_at..count_at + 8].copy_from_slice(&(count + 1).to_le_bytes());
+    twice[..8].copy_from_slice(&(count + 1).to_le_bytes());
+    let swapped = [
+        &section[..first_at],
+        &section[first_end..second_end],
+        &section[first_at..first_end],
+        &section[second_end..],
+    ]
+    .concat();
+    let trailing = [section, &[0]].concat();
 
     for (label, telemetry, needle) in [
-        ("label", labelled, format!("counter {name} carries label")),
-        ("gauge", gauged, "gauge".to_string()),
-        ("repeated", twice, format!("counter {name} is repeated")),
+        ("repeated", twice, format!("counter {first} is repeated")),
+        (
+            "out-of-order",
+            swapped,
+            format!("counter {first} is repeated or out of order"),
+        ),
+        ("trailing", trailing, "1 trailing bytes".to_string()),
     ] {
         let mut sections = snap.sections.clone();
         for (tag, bytes) in &mut sections {
@@ -997,6 +994,7 @@ fn assert_foreign_metrics_are_corrupt(
             other => panic!("{label}: expected Corrupt naming {needle:?}, got {other:?}"),
         }
     }
+    assert!(first < second, "counters ascend");
     resume(&path).unwrap_or_else(|e| panic!("pristine snapshot: {e}"));
 }
 
@@ -1017,10 +1015,11 @@ fn telemetry_section_with_a_label_or_gauge_is_corrupt() {
     });
 }
 
-/// A snapshot whose header names any engine but the one that checkpoints
-/// (byte 5; 2 and 3 once named the router-queued and the sharded engine,
-/// and are retired), re-sealed with a fresh frame checksum, is refused as
-/// `WrongEngine` before any section is read.
+/// A snapshot whose header carries the version before or after v9,
+/// re-sealed with a fresh frame checksum, is refused as
+/// `UnsupportedVersion` before any section is read. (v8 headers held an
+/// engine byte, which named the one engine that checkpoints; bytes 2 and 3
+/// once named the router-queued and the sharded engine.)
 #[test]
 fn cross_engine_snapshots_are_rejected() {
     let (network, txs) = isp_scenario(11, 150);
@@ -1035,20 +1034,64 @@ fn cross_engine_snapshots_are_rejected() {
         .expect("scan dir")
         .expect("at least one snapshot");
     let bytes = std::fs::read(&snap).expect("read snapshot");
-    assert_eq!(bytes[5], 1, "the engine byte");
-    for engine in [0, 2, 3, 9] {
+    assert_eq!(bytes[4], 9, "the version byte");
+    for version in [8, 10] {
         let mut other = bytes.clone();
-        other[5] = engine;
+        other[4] = version;
         let frame_at = other.len() - 4;
         let frame = spider::core::crc32(&other[..frame_at]);
         other[frame_at..].copy_from_slice(&frame.to_le_bytes());
-        let path = dir.path().join(format!("engine-{engine}.spsn"));
+        let path = dir.path().join(format!("v{version}.spsn"));
         std::fs::write(&path, other).expect("write re-sealed snapshot");
         let mut scheme = make_scheme(&Scheme::Waterfilling);
         match resume(&network, &txs, scheme.as_mut(), &cfg, &path, None) {
-            Err(SnapshotError::WrongEngine { expected: 1, found }) if found == engine => {}
-            other => panic!("engine byte {engine}: expected WrongEngine, got {other:?}"),
+            Err(SnapshotError::UnsupportedVersion {
+                found,
+                supported: 9,
+            }) if found == version => {}
+            other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
         }
+    }
+}
+
+/// A capture taken by a profiled handle resumes into a plain one: profiling
+/// changes no recorded byte, so a snapshot does not say whether the handle
+/// that took it profiled. (v8 stored the flag and refused to restore a 1.)
+#[test]
+fn profiled_capture_resumes_byte_identically() {
+    let (network, txs) = isp_scenario(7, 250);
+    let run_with = |tel: &Telemetry, resume_from: Option<&Path>, ckpt: Option<&Path>| {
+        let mut cfg = full_config(18.0);
+        cfg.telemetry = tel.clone();
+        let mut scheme = make_scheme(&Scheme::Waterfilling);
+        let report = match (resume_from, ckpt) {
+            (Some(snap), _) => resume(&network, &txs, scheme.as_mut(), &cfg, snap, None),
+            (None, Some(dir)) => {
+                let spec = CheckpointSpec::new(50, dir);
+                run_checkpointed(&network, &txs, scheme.as_mut(), &cfg, &spec)
+            }
+            (None, None) => Ok(spider::sim::run(&network, &txs, scheme.as_mut(), &cfg)),
+        };
+        let report = report.unwrap_or_else(|e| panic!("run failed: {e}"));
+        (
+            serde_json::to_string_pretty(&report).expect("report serializes"),
+            tel.with_spbt(|_, spbt| spbt.to_vec()),
+        )
+    };
+    let straight = run_with(&Telemetry::enabled(), None, None);
+    let dir = TempDir::new("profiled");
+    let profiled = Telemetry::profiled();
+    assert_eq!(run_with(&profiled, None, Some(dir.path())), straight);
+    assert!(profiled.profiler().is_some(), "the capture profiled");
+    let snapshots = snapshot_files(dir.path());
+    assert!(snapshots.len() >= 2, "too few snapshots");
+    for snap in &snapshots {
+        let resumed = run_with(&Telemetry::enabled(), Some(snap), None);
+        assert!(
+            resumed == straight,
+            "resume from {} diverged",
+            snap.display()
+        );
     }
 }
 
@@ -1130,15 +1173,16 @@ fn damaged_snapshots_are_rejected_not_panicked() {
 
     // Any other format version, future or stale: a v5 file (queued
     // arrivals, payment records with their trace row), a v6 file
-    // (completion times, not delays) or a v7 file (a run-wide blacklist and
-    // a retry heap) must not be parsed with the v8 layout.
-    for version in [0xFF, 2, 3, 4, 5, 6, 7] {
+    // (completion times, not delays), a v7 file (a run-wide blacklist and
+    // a retry heap) or a v8 file (an engine byte, a pending list, stored
+    // copies of derived counts) must not be parsed with the v9 layout.
+    for version in [0xFF, 2, 3, 4, 5, 6, 7, 8] {
         let mut other_version = bytes.clone();
         other_version[4] = version;
         match try_resume(&other_version, &format!("version-{version}")) {
             SnapshotError::UnsupportedVersion {
                 found,
-                supported: 8,
+                supported: 9,
             } if found == version => {}
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }

@@ -223,9 +223,10 @@ const FIG6_ROWS: [(&str, &str); 6] = [
 ];
 
 /// The cells of every row of the first table after the line of
-/// EXPERIMENTS.md that starts with `heading`, bold markers stripped.
+/// EXPERIMENTS.md that starts with `heading`, bold markers stripped (lines
+/// are read without their indentation, so a table in a list item counts).
 fn experiments_md_rows(doc: &str, heading: &str) -> Vec<Vec<String>> {
-    let mut lines = doc.lines().skip_while(|l| !l.starts_with(heading));
+    let mut lines = (doc.lines().map(str::trim_start)).skip_while(|l| !l.starts_with(heading));
     assert!(lines.next().is_some(), "EXPERIMENTS.md has no {heading:?}");
     lines
         .skip_while(|l| !l.starts_with('|'))
@@ -318,6 +319,212 @@ fn fig7_tables_match_experiments_md() {
             );
         }
     }
+}
+
+/// The `(label, report, extra)` rows of one sweep of
+/// `tests/fixtures/ablations_pre_pr.json`, the file CI compares byte for
+/// byte with `spider-experiments ablations --json`; `extra` is what a row
+/// carries after its report (the path-strategy rows' missed share).
+fn ablation_rows(sweep: &str) -> Vec<(String, SimReport, Vec<f64>)> {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/ablations_pre_pr.json"
+    );
+    use serde_json::Value;
+    let fixture: Value =
+        serde_json::from_str(&std::fs::read_to_string(path).expect("read the ablations fixture"))
+            .expect("the fixture is JSON");
+    let Some(Value::Array(rows)) = fixture.get_field(sweep) else {
+        panic!("the fixture has no sweep {sweep:?}")
+    };
+    (rows.iter())
+        .map(|row| {
+            let Value::Array(row) = row else {
+                panic!("a row that is not an array: {row:?}")
+            };
+            let Value::Str(label) = &row[0] else {
+                panic!("a row without a label: {row:?}")
+            };
+            let report = serde_json::to_string(&row[1]).expect("the report re-serializes");
+            let report = serde_json::from_str(&report).expect("a report");
+            let extra = (row[2..].iter()).map(|v| v.as_f64().expect("a number"));
+            (label.clone(), report, extra.collect())
+        })
+        .collect()
+}
+
+/// The text of the EXPERIMENTS.md list item that starts with `start`, its
+/// lines joined by single spaces.
+fn experiments_md_bullet(doc: &str, start: &str) -> String {
+    let mut lines = (doc.lines().map(str::trim)).skip_while(|l| !l.starts_with(start));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has no {start:?}"));
+    let rest = lines.take_while(|l| !l.is_empty() && !l.starts_with("- ") && !l.starts_with('|'));
+    std::iter::once(first)
+        .chain(rest)
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+fn ratio_volume(r: &SimReport) -> String {
+    format!("{:.3} / {:.3}", r.success_ratio(), r.success_volume())
+}
+
+/// EXPERIMENTS.md's ablation lines — the MTU and K-paths bullets, the
+/// path-strategy table — and its "Extensions beyond the paper" table print
+/// what `ablations --json` writes, to the decimals they show. The fixture
+/// stands in for the run (CI pins the two to each other), so this checks
+/// the document with no simulation.
+#[test]
+fn ablation_tables_match_experiments_md() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("read EXPERIMENTS.md");
+    let sweep = |name: &str| -> Vec<(String, SimReport)> {
+        (ablation_rows(name).into_iter())
+            .map(|(label, r, _)| (label, r))
+            .collect()
+    };
+    let find = |rows: &[(String, SimReport)], label: &str| -> SimReport {
+        (rows.iter().find(|(l, _)| l.starts_with(label)))
+            .unwrap_or_else(|| panic!("the fixture has no {label:?} row"))
+            .1
+            .clone()
+    };
+
+    let mtu = sweep("ablation_mtu");
+    let bullet = experiments_md_bullet(&doc, "- **MTU**");
+    let (first, last) = (&mtu[0].1, &mtu[mtu.len() - 1].1);
+    let expected = [
+        format!(
+            "({} → {} tokens)",
+            &mtu[0].0[4..],
+            &mtu[mtu.len() - 1].0[4..]
+        ),
+        format!("flat at ~{:.2}", first.success_volume()),
+        format!(
+            "({:.3} → {:.3})",
+            first.success_ratio(),
+            last.success_ratio()
+        ),
+        format!(
+            "falls {:.0}×",
+            first.units_sent as f64 / last.units_sent as f64
+        ),
+    ];
+    for text in expected {
+        assert!(
+            bullet.contains(&text),
+            "MTU bullet lacks {text:?}: {bullet}"
+        );
+    }
+    let volumes: Vec<String> = (mtu.iter())
+        .map(|(_, r)| format!("{:.2}", r.success_volume()))
+        .collect();
+    assert!(
+        volumes.windows(2).all(|w| w[0] == w[1]),
+        "MTU volume not flat: {volumes:?}"
+    );
+
+    let paths = sweep("ablation_num_paths");
+    let bullet = experiments_md_bullet(&doc, "- **K candidate paths**");
+    for (k, text) in [("k=1", "1 path = "), ("k=4", "4 paths = ")] {
+        let text = format!(
+            "{text}{}",
+            ratio_volume(&find(&paths, k)).replace(" / ", "/")
+        );
+        assert!(
+            bullet.contains(&text),
+            "K-paths bullet lacks {text:?}: {bullet}"
+        );
+    }
+
+    let table = experiments_md_rows(&doc, "- **Path-selection strategy**");
+    let (isp, ripple) = (
+        ablation_rows("ablation_path_strategy"),
+        ablation_rows("ablation_path_strategy_ripple400"),
+    );
+    assert_eq!(table.len(), isp.len(), "path-strategy rows: {table:?}");
+    for (cells, ((label, isp, isp_missed), (_, ripple, ripple_missed))) in
+        table.iter().zip(isp.iter().zip(&ripple))
+    {
+        let missed = |share: &[f64], r: &SimReport| format!("{:.0}", share[0] * r.attempted as f64);
+        let measured = [
+            label.clone(),
+            ratio_volume(isp),
+            missed(isp_missed, isp),
+            ratio_volume(ripple),
+            missed(ripple_missed, ripple),
+        ];
+        // A missed cell may name its denominator ("0 of 20 000").
+        let cells: Vec<String> = (cells.iter())
+            .map(|c| c.split(" of ").next().unwrap_or(c).to_string())
+            .collect();
+        assert_eq!(cells, measured, "path-strategy table vs the fixture");
+    }
+
+    let schemes = sweep("extension_schemes");
+    let extensions = sweep("ablation_extensions");
+    let table = experiments_md_rows(&doc, "## Extensions beyond the paper");
+    let rows = [
+        ("spider-waterfilling (paper)", find(&extensions, "plain")),
+        (
+            "+ AIMD congestion control",
+            find(&extensions, "aimd-congestion"),
+        ),
+        (
+            "+ on-chain rebalancing",
+            find(&extensions, "onchain-rebalancing"),
+        ),
+        ("spider-prices", find(&schemes, "spider-prices")),
+        ("spider-lp-fair", find(&schemes, "spider-lp-fair")),
+        ("router queues", find(&schemes, "router-queues")),
+    ];
+    assert_eq!(table.len(), rows.len(), "extension rows: {table:?}");
+    for (cells, (label, r)) in table.iter().zip(&rows) {
+        assert!(
+            cells[0].starts_with(label),
+            "extension row order: {cells:?}"
+        );
+        let measured = [
+            format!("{:.3}", r.success_ratio()),
+            format!("{:.3}", r.success_volume()),
+        ];
+        assert_eq!(
+            cells[1..3],
+            measured,
+            "{label}: EXPERIMENTS.md vs the fixture"
+        );
+    }
+    assert_eq!(
+        find(&schemes, "spider-waterfilling").success_ratio(),
+        rows[0].1.success_ratio(),
+        "the two reference rows"
+    );
+    let rebalanced = &rows[2].1.rebalance;
+    let note = format!(
+        "{} on-chain txns move ~{:.0}M tokens; fees = {}",
+        rebalanced.transactions,
+        rebalanced.moved_volume / 1e6,
+        rebalanced.fees_paid
+    );
+    assert!(
+        table[2][3].contains(&note),
+        "rebalancing note lacks {note:?}"
+    );
+    let queues = &schemes
+        .iter()
+        .find(|(l, _)| l.starts_with("router-queues"))
+        .expect("queues")
+        .0;
+    let wait = (queues.split("wait ").nth(1))
+        .and_then(|w| w.split('s').next())
+        .expect("the queue wait in the label");
+    let note = format!("mean queue wait {wait} s");
+    assert!(
+        table[5][3].contains(&note),
+        "router-queue note lacks {note:?}"
+    );
 }
 
 /// Fig. 7 shape at capacities 10k / 30k / 100k: success grows with
